@@ -10,7 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test"
+echo "==> cargo test (twice back to back)"
+# The tier-1 command, run twice: a test that races with its siblings (the
+# shared counting-allocator counter, ROADMAP item 0) passes most single
+# runs, so one green run proves little. A reintroduced race should fail
+# here, not at a later PR's gate.
+cargo test -q --workspace
 cargo test -q --workspace
 
 echo "==> cargo test --features verify (online verification)"
@@ -142,6 +147,14 @@ cargo run -q --release -p sesame-cli -- bench diff \
     BENCH_sweep.json "$tmpdir/bench.json" --groups queue,hostprof \
     --thresholds queue=1.5,hostprof=1.5 \
     >/dev/null
+
+echo "==> benchmark smoke (sesame-ledger builds, quick passes, own tests)"
+# The ledger is its own workspace (benchmark/), so nothing above builds
+# or tests it. run.sh builds the plain and traced binaries, runs a quick
+# capture of all six workloads each way (every workload's own oracle must
+# hold: `correct: true`, no failed operation), self-compares, and runs the
+# ledger's unit and process-level tests. Quick numbers are never compared.
+benchmark/run.sh >/dev/null
 
 echo "==> docs link check (every crate named in docs/architecture.md exists)"
 for c in $(grep -o 'sesame-[a-z]*' docs/architecture.md | sort -u); do

@@ -19,6 +19,7 @@
 
 mod args;
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use args::Args;
@@ -515,12 +516,19 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(path) = args.get_str("--causes-out") {
-        let contents = if path.ends_with(".dot") {
-            telemetry.causes_dot()
-        } else {
-            telemetry.causes_json()
-        };
-        write_file(path, &contents)?;
+        // Streamed: a long run's DAG export runs to hundreds of megabytes.
+        let dag = telemetry.causes();
+        std::fs::File::create(path)
+            .and_then(|file| {
+                let mut out = std::io::BufWriter::new(file);
+                if path.ends_with(".dot") {
+                    dag.write_dot(&mut out)?;
+                } else {
+                    dag.write_json(&mut out)?;
+                }
+                out.flush()
+            })
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
             "wrote causal DAG ({} events) to {path}",
             telemetry.causes().len()

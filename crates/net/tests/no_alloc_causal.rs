@@ -3,35 +3,8 @@
 //! no heap allocation. Companion to the sim crate's counting-allocator
 //! test for the trace recorder itself.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use sesame_alloc_probe::{allocations, CountingAlloc};
 use sesame_net::{CauseAlloc, CauseId};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -39,14 +12,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn allocating_causal_ids_never_touches_the_heap() {
     let mut alloc = CauseAlloc::new();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut last = CauseId::NONE;
     for _ in 0..100_000 {
         let id = alloc.fresh();
         assert!(id.is_some() && id > last);
         last = id;
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -5,46 +5,15 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! drives the same record calls the simulation hot path makes and asserts
-//! the allocation counter does not move. (The sim crate itself forbids
-//! unsafe code; this integration test is its own crate, and the allocator
-//! shim is the one place unsafe is warranted.)
+//! the allocation counter does not move. The counter is per thread
+//! (`sesame-alloc-probe`), so the sibling `#[test]` that libtest runs in
+//! parallel cannot land its allocations inside the measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use sesame_alloc_probe::{allocations, CountingAlloc};
 use sesame_sim::{ApplyMode, CauseOp, SimTime, TraceDetail, TraceRecorder};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
 
 /// One of each canonical (typed, `Copy`) detail the protocol layers emit.
 fn canonical_details() -> [TraceDetail; 13] {

@@ -17,15 +17,20 @@
 //! tracked). Exports (JSON and Graphviz DOT) iterate in id order, so two
 //! same-seed runs produce byte-identical bytes.
 //!
+//! Storage is sized for runs with millions of actions: one 24-byte packed
+//! record per id in a dense slab (see [`CausalDag`]), handed out by value
+//! as [`CausalNode`] views.
+//!
 //! [`CauseId`]: sesame_net::CauseId
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 
 use sesame_sim::{CauseOp, SimTime, TraceDetail, TraceEntry};
 
-/// One action in the causal forest.
-#[derive(Debug, Clone)]
+/// One action in the causal forest — the by-value view of a stored node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CausalNode {
     /// This action's causal id (raw; never 0).
     pub id: u64,
@@ -45,10 +50,50 @@ pub struct CausalNode {
     pub conflict: Option<(u32, u32)>,
 }
 
-/// The assembled causal forest, keyed by raw causal id.
+/// One stored node: everything a [`CausalNode`] carries except the id
+/// (its slab position), the kind text (interned) and the rare blame (a
+/// side map).
+#[derive(Debug, Clone, Copy)]
+struct Packed {
+    time: u64,
+    cause: u64,
+    actor: u32,
+    op: CauseOp,
+    /// Index into [`CausalDag::kinds`], or one of the two marks below.
+    kind: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() <= 24);
+
+/// `Packed::kind` of a slab entry no record has filled.
+const VACANT: u8 = u8::MAX;
+/// `Packed::kind` of a node whose kind text did not fit the intern table
+/// and lives in [`CausalDag::spilled_kinds`].
+const SPILLED: u8 = u8::MAX - 1;
+
+/// Export size hints: above what real runs write per node, so the buffer
+/// is allocated once (untouched capacity costs address space, not memory).
+const JSON_BYTES_PER_NODE: usize = 128;
+const DOT_BYTES_PER_NODE: usize = 96;
+
+/// The assembled causal forest.
+///
+/// Nodes live in one dense slab indexed by `id - 1`: the simulation hands
+/// out ids 1, 2, 3, … and records each as it allocates it, so the slab
+/// fills in order with no holes. Ids that arrive out of order, twice, or
+/// with gaps (a hand-assembled trace) still work — gaps are vacant
+/// entries — at 24 bytes per id up to the largest one seen.
 #[derive(Debug, Clone, Default)]
 pub struct CausalDag {
-    nodes: BTreeMap<u64, CausalNode>,
+    slab: Vec<Packed>,
+    /// Occupied slab entries.
+    len: usize,
+    /// Interned kind texts, indexed by `Packed::kind`.
+    kinds: Vec<&'static str>,
+    /// Kind texts of nodes recorded after the intern table filled up.
+    spilled_kinds: BTreeMap<u64, &'static str>,
+    /// Rollback blame by node id: `(var, writer)`.
+    conflicts: BTreeMap<u64, (u32, u32)>,
 }
 
 /// The longest cause→effect chain in the DAG, with its simulated time
@@ -120,48 +165,132 @@ impl CausalDag {
     /// Number of actions in the forest.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// Whether no causal records were observed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
+    }
+
+    /// The stored record for `id`, if one was recorded.
+    fn packed(&self, id: u64) -> Option<&Packed> {
+        let slot = usize::try_from(id.checked_sub(1)?).ok()?;
+        self.slab.get(slot).filter(|p| p.kind != VACANT)
+    }
+
+    /// Every recorded `(id, record)` in id order.
+    fn occupied(&self) -> impl Iterator<Item = (u64, &Packed)> {
+        (1u64..).zip(&self.slab).filter(|(_, p)| p.kind != VACANT)
+    }
+
+    fn view(&self, id: u64, p: &Packed) -> CausalNode {
+        CausalNode {
+            id,
+            cause: p.cause,
+            op: p.op,
+            actor: p.actor as usize,
+            time: SimTime::from_nanos(p.time),
+            kind: match p.kind {
+                SPILLED => self.spilled_kinds.get(&id).copied().unwrap_or(""),
+                k => self.kinds[usize::from(k)],
+            },
+            conflict: self.conflicts.get(&id).copied(),
+        }
+    }
+
+    /// The index of `kind` in the intern table — added while there is room
+    /// — or [`SPILLED`] once the table is full.
+    fn intern(&mut self, kind: &'static str) -> u8 {
+        // Kinds are string literals, so identity nearly always decides; the
+        // text compare covers one text living at two addresses.
+        let seen = |k: &&'static str| std::ptr::eq(*k, kind) || *k == kind;
+        match self.kinds.iter().position(seen) {
+            Some(k) => k as u8,
+            None if self.kinds.len() < usize::from(SPILLED) => {
+                self.kinds.push(kind);
+                (self.kinds.len() - 1) as u8
+            }
+            None => SPILLED,
+        }
+    }
+
+    /// Stores one node, replacing any earlier node with the same id. The
+    /// forest invariant "parents precede children" is enforced here: a
+    /// `cause` that is not a smaller id is stored as a root, so walking
+    /// parent links always terminates. `id == 0` (the "no cause" value)
+    /// names no node and is ignored. Returns the parent id as stored, or
+    /// `None` for an ignored record.
+    fn insert(
+        &mut self,
+        id: u64,
+        cause: u64,
+        op: CauseOp,
+        actor: usize,
+        time: SimTime,
+        kind: &'static str,
+    ) -> Option<u64> {
+        let slot = id.checked_sub(1)?;
+        let slot = usize::try_from(slot).expect("causal id exceeds the address space");
+        let kind_ix = self.intern(kind);
+        let packed = Packed {
+            time: time.as_nanos(),
+            cause: if cause < id { cause } else { 0 },
+            actor: u32::try_from(actor).expect("trace actors are u32 node ids"),
+            op,
+            kind: kind_ix,
+        };
+        if slot >= self.slab.len() {
+            let vacant = Packed {
+                kind: VACANT,
+                ..packed
+            };
+            self.slab.resize(slot, vacant);
+            self.slab.push(packed);
+            self.len += 1;
+        } else if std::mem::replace(&mut self.slab[slot], packed).kind == VACANT {
+            self.len += 1;
+        } else {
+            // A repeated id starts over: the earlier node's blame and
+            // spilled kind go with it.
+            self.conflicts.remove(&id);
+            self.spilled_kinds.remove(&id);
+        }
+        if kind_ix == SPILLED {
+            self.spilled_kinds.insert(id, kind);
+        }
+        Some(packed.cause)
     }
 
     /// Looks up one action by raw id.
     #[must_use]
-    pub fn get(&self, id: u64) -> Option<&CausalNode> {
-        self.nodes.get(&id)
+    pub fn get(&self, id: u64) -> Option<CausalNode> {
+        self.packed(id).map(|p| self.view(id, p))
     }
 
     /// All nodes in id (allocation) order.
-    pub fn iter(&self) -> impl Iterator<Item = &CausalNode> {
-        self.nodes.values()
+    pub fn iter(&self) -> impl Iterator<Item = CausalNode> + '_ {
+        self.occupied().map(|(id, p)| self.view(id, p))
     }
 
     /// Ids of every rollback action, in allocation order.
     #[must_use]
     pub fn rollbacks(&self) -> Vec<u64> {
-        self.nodes
-            .values()
-            .filter(|n| matches!(n.op, CauseOp::Rollback))
-            .map(|n| n.id)
+        self.occupied()
+            .filter(|(_, p)| matches!(p.op, CauseOp::Rollback))
+            .map(|(id, _)| id)
             .collect()
     }
 
     /// The cause→effect chain ending at `id`, root first. `None` when the
     /// id is unknown.
     #[must_use]
-    pub fn chain(&self, id: u64) -> Option<Vec<&CausalNode>> {
-        let mut chain = Vec::new();
-        let mut cur = self.nodes.get(&id)?;
-        loop {
-            chain.push(cur);
-            match self.nodes.get(&cur.cause) {
-                Some(parent) => cur = parent,
-                None => break,
-            }
+    pub fn chain(&self, id: u64) -> Option<Vec<CausalNode>> {
+        let mut chain = vec![self.get(id)?];
+        // Terminates: every stored `cause` is smaller than its node's id.
+        while let Some(parent) = self.get(chain[chain.len() - 1].cause) {
+            chain.push(parent);
         }
         chain.reverse();
         Some(chain)
@@ -172,11 +301,7 @@ impl CausalDag {
     /// time categories. `None` for an empty DAG.
     #[must_use]
     pub fn critical_path(&self) -> Option<CriticalPath> {
-        let last = self
-            .nodes
-            .values()
-            .max_by_key(|n| (n.time, n.id))
-            .map(|n| n.id)?;
+        let (last, _) = self.occupied().max_by_key(|&(id, p)| (p.time, id))?;
         let chain = self.chain(last)?;
         let mut path = CriticalPath {
             ids: chain.iter().map(|n| n.id).collect(),
@@ -243,73 +368,87 @@ impl CausalDag {
         Some(out)
     }
 
-    /// Deterministic JSON export (`sesame-causes/v1`): every node in id
-    /// order with its parent edge, op, actor, time, paired kind, and (for
-    /// rollbacks) the conflict blame.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"sesame-causes/v1\",\"nodes\":[");
-        let mut first = true;
-        for n in self.nodes.values() {
-            if first {
-                first = false;
-            } else {
-                out.push(',');
-            }
-            let _ = write!(
+    /// Streams the deterministic JSON export (`sesame-causes/v1`) into
+    /// `out`: every node in id order with its parent edge, op, actor,
+    /// time, paired kind, and (for rollbacks) the conflict blame. Hand it
+    /// a buffered writer; nothing is materialised here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_json(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"{\"schema\":\"sesame-causes/v1\",\"nodes\":[")?;
+        let mut sep = "";
+        for n in self.iter() {
+            write!(
                 out,
-                "\n  {{\"id\":{},\"cause\":{},\"op\":\"{}\",\"node\":{},\"t_ns\":{},\"kind\":\"{}\"",
+                "{sep}\n  {{\"id\":{},\"cause\":{},\"op\":\"{}\",\"node\":{},\"t_ns\":{},\"kind\":\"{}\"",
                 n.id,
                 n.cause,
                 n.op,
                 n.actor,
                 n.time.as_nanos(),
                 n.kind,
-            );
+            )?;
             if let Some((var, writer)) = n.conflict {
-                let _ = write!(out, ",\"conflict\":{{\"var\":{var},\"writer\":{writer}}}");
+                write!(out, ",\"conflict\":{{\"var\":{var},\"writer\":{writer}}}")?;
             }
-            out.push('}');
+            out.write_all(b"}")?;
+            sep = ",";
         }
-        out.push_str("\n]}\n");
-        out
+        out.write_all(b"\n]}\n")
     }
 
-    /// Deterministic Graphviz DOT export: one node per action (rollbacks
-    /// highlighted), one edge per cause→effect link.
+    /// Streams the deterministic Graphviz DOT export into `out`: one node
+    /// per action (rollbacks highlighted), one edge per cause→effect link.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_dot(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"digraph causes {\n  rankdir=LR;\n  node [shape=box,fontsize=10];\n")?;
+        for (id, p) in self.occupied() {
+            write!(
+                out,
+                "  n{id} [label=\"#{id} {}\\nnode {} @ {}ns\"",
+                p.op, p.actor, p.time,
+            )?;
+            if matches!(p.op, CauseOp::Rollback) {
+                out.write_all(b",color=red")?;
+            }
+            out.write_all(b"];\n")?;
+        }
+        for (id, p) in self.occupied() {
+            if self.packed(p.cause).is_some() {
+                writeln!(out, "  n{} -> n{id};", p.cause)?;
+            }
+        }
+        out.write_all(b"}\n")
+    }
+
+    /// The JSON export ([`CausalDag::write_json`]) as one string.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        export_string(self.len * JSON_BYTES_PER_NODE, |buf| self.write_json(buf))
+    }
+
+    /// The DOT export ([`CausalDag::write_dot`]) as one string.
     #[must_use]
     pub fn to_dot(&self) -> String {
-        let mut out =
-            String::from("digraph causes {\n  rankdir=LR;\n  node [shape=box,fontsize=10];\n");
-        for n in self.nodes.values() {
-            let _ = write!(
-                out,
-                "  n{} [label=\"#{} {}\\nnode {} @ {}ns\"",
-                n.id,
-                n.id,
-                n.op,
-                n.actor,
-                n.time.as_nanos(),
-            );
-            if matches!(n.op, CauseOp::Rollback) {
-                out.push_str(",color=red");
-            }
-            out.push_str("];\n");
-        }
-        for n in self.nodes.values() {
-            if n.cause != 0 && self.nodes.contains_key(&n.cause) {
-                let _ = writeln!(out, "  n{} -> n{};", n.cause, n.id);
-            }
-        }
-        out.push_str("}\n");
-        out
+        export_string(self.len * DOT_BYTES_PER_NODE, |buf| self.write_dot(buf))
     }
+}
+
+/// Runs a streaming exporter into a buffer pre-sized for `body` bytes.
+fn export_string(body: usize, write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut buf = Vec::with_capacity(body + 128);
+    write(&mut buf).expect("writing into a Vec cannot fail");
+    String::from_utf8(buf).expect("the exporters write UTF-8")
 }
 
 /// Streaming builder state: the DAG plus the pairing bookkeeping the
 /// observer needs (last canonical record per actor, last cause per actor
-/// for conflict attachment, and the send-like causes that seed timeline
-/// flow arrows).
+/// for conflict attachment).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CausalState {
     pub(crate) dag: CausalDag,
@@ -317,17 +456,9 @@ pub(crate) struct CausalState {
     last_record: BTreeMap<usize, (&'static str, SimTime)>,
     /// Last cause id recorded per actor (for `"opt-conflict"` attachment).
     last_cause: BTreeMap<usize, u64>,
-    /// Send/multicast causes: `id -> (actor, time)`, for flow events.
-    send_like: BTreeMap<u64, (usize, SimTime)>,
 }
 
 impl CausalState {
-    /// Where (actor, time) the send-like cause `id` originated, if it was
-    /// one — the source anchor for a timeline flow arrow.
-    pub(crate) fn send_like_source(&self, id: u64) -> Option<(usize, SimTime)> {
-        self.send_like.get(&id).copied()
-    }
-
     /// Notes a canonical (non-cause) record for pairing.
     pub(crate) fn note_record(&mut self, actor: usize, kind: &'static str, t: SimTime) {
         self.last_record.insert(actor, (kind, t));
@@ -335,6 +466,10 @@ impl CausalState {
 
     /// Inserts one causal node, pairing it with the immediately preceding
     /// canonical record on the same actor at the same time (if any).
+    ///
+    /// Returns where (actor, time) the node's parent originated when that
+    /// parent is a send or multicast — the source anchor of a timeline
+    /// flow arrow.
     pub(crate) fn record_cause(
         &mut self,
         actor: usize,
@@ -342,35 +477,25 @@ impl CausalState {
         id: u64,
         cause: u64,
         op: CauseOp,
-    ) {
+    ) -> Option<(usize, SimTime)> {
         let kind = match self.last_record.get(&actor) {
             Some(&(kind, rt)) if rt == t => kind,
             _ => "",
         };
+        // The arrow follows the edge as stored: a non-preceding `cause`
+        // became a root and anchors nothing.
+        let parent = self.dag.insert(id, cause, op, actor, t, kind)?;
         self.last_cause.insert(actor, id);
-        if matches!(op, CauseOp::Send | CauseOp::Mcast) {
-            self.send_like.insert(id, (actor, t));
-        }
-        self.dag.nodes.insert(
-            id,
-            CausalNode {
-                id,
-                cause,
-                op,
-                actor,
-                time: t,
-                kind,
-                conflict: None,
-            },
-        );
+        let parent = self.dag.packed(parent)?;
+        matches!(parent.op, CauseOp::Send | CauseOp::Mcast)
+            .then(|| (parent.actor as usize, SimTime::from_nanos(parent.time)))
     }
 
     /// Attaches rollback blame to the actor's most recent causal node.
     pub(crate) fn record_conflict(&mut self, actor: usize, var: u32, writer: u32) {
-        if let Some(id) = self.last_cause.get(&actor) {
-            if let Some(node) = self.dag.nodes.get_mut(id) {
-                node.conflict = Some((var, writer));
-            }
+        // `last_cause` only ever holds ids the DAG stored.
+        if let Some(&id) = self.last_cause.get(&actor) {
+            self.dag.conflicts.insert(id, (var, writer));
         }
     }
 }
@@ -378,6 +503,7 @@ impl CausalState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sesame_sim::DetRng;
 
     fn cause(ns: u64, actor: usize, id: u64, parent: u64, op: CauseOp) -> TraceEntry {
         TraceEntry {
@@ -492,5 +618,311 @@ mod tests {
         assert!(text.contains("#1 write"));
         assert!(text.contains("conflict: v0 written by node 1"));
         assert!(dag.render_chain(12345).is_none());
+    }
+
+    #[test]
+    fn non_preceding_causes_become_roots_so_chains_terminate() {
+        // A self-loop, a two-node cycle and a forward edge — what a
+        // hand-edited replay can contain. Each would have sent the old
+        // `chain` walk round forever (or, for the forward edge, against
+        // "parents precede children").
+        let dag = CausalDag::from_trace(&[
+            cause(10, 0, 1, 1, CauseOp::Write),
+            cause(20, 0, 2, 3, CauseOp::Send),
+            cause(30, 1, 3, 2, CauseOp::Apply),
+            cause(40, 1, 0, 3, CauseOp::Apply),
+            cause(50, 1, 5, 9, CauseOp::Rollback),
+        ]);
+        assert_eq!(dag.len(), 4, "id 0 names no node");
+        assert_eq!(dag.get(1).unwrap().cause, 0, "self-loop cut");
+        assert_eq!(dag.get(2).unwrap().cause, 0, "forward edge cut");
+        assert_eq!(dag.get(3).unwrap().cause, 2, "backward edge kept");
+        assert_eq!(dag.get(5).unwrap().cause, 0, "edge to a later id cut");
+        let ids = |id| -> Vec<u64> { dag.chain(id).unwrap().iter().map(|n| n.id).collect() };
+        assert_eq!(ids(1), vec![1]);
+        assert_eq!(ids(3), vec![2, 3]);
+        assert_eq!(ids(5), vec![5]);
+        assert_eq!(dag.critical_path().unwrap().ids, vec![5]);
+        assert!(dag.render_chain(3).unwrap().contains("#2 send"));
+    }
+
+    #[test]
+    fn streamed_exports_equal_the_string_exports() {
+        let dag = CausalDag::from_trace(&sample());
+        let (mut json, mut dot) = (Vec::new(), Vec::new());
+        dag.write_json(&mut json).unwrap();
+        dag.write_dot(&mut dot).unwrap();
+        assert_eq!(json, dag.to_json().into_bytes());
+        assert_eq!(dot, dag.to_dot().into_bytes());
+        let empty = CausalDag::default();
+        assert_eq!(
+            empty.to_json(),
+            "{\"schema\":\"sesame-causes/v1\",\"nodes\":[\n]}\n"
+        );
+    }
+
+    /// The store this module replaced — one `BTreeMap` entry per node,
+    /// every query written the obvious way — kept as the reference the
+    /// packed slab is checked against.
+    #[derive(Default)]
+    struct Naive {
+        nodes: BTreeMap<u64, CausalNode>,
+        last_record: BTreeMap<usize, (&'static str, SimTime)>,
+        last_cause: BTreeMap<usize, u64>,
+    }
+
+    impl Naive {
+        fn from_trace(entries: &[TraceEntry]) -> Naive {
+            let mut m = Naive::default();
+            for e in entries {
+                match (e.kind, &e.detail) {
+                    ("cause", &TraceDetail::Cause { id, cause, op }) => {
+                        if id == 0 {
+                            continue;
+                        }
+                        let kind = match m.last_record.get(&e.actor) {
+                            Some(&(kind, rt)) if rt == e.time => kind,
+                            _ => "",
+                        };
+                        m.last_cause.insert(e.actor, id);
+                        m.nodes.insert(
+                            id,
+                            CausalNode {
+                                id,
+                                cause: if cause < id { cause } else { 0 },
+                                op,
+                                actor: e.actor,
+                                time: e.time,
+                                kind,
+                                conflict: None,
+                            },
+                        );
+                    }
+                    ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
+                        if let Some(id) = m.last_cause.get(&e.actor) {
+                            m.nodes.get_mut(id).unwrap().conflict = Some((var, writer));
+                        }
+                    }
+                    _ => {
+                        m.last_record.insert(e.actor, (e.kind, e.time));
+                    }
+                }
+            }
+            m
+        }
+
+        fn rollbacks(&self) -> Vec<u64> {
+            let rolled = |n: &&CausalNode| matches!(n.op, CauseOp::Rollback);
+            self.nodes.values().filter(rolled).map(|n| n.id).collect()
+        }
+
+        fn chain(&self, id: u64) -> Option<Vec<CausalNode>> {
+            let mut chain = vec![*self.nodes.get(&id)?];
+            while let Some(parent) = self.nodes.get(&chain[chain.len() - 1].cause) {
+                chain.push(*parent);
+            }
+            chain.reverse();
+            Some(chain)
+        }
+
+        /// `(ids, flight, hold, sequencing, wait)` of the critical path.
+        fn critical_path(&self) -> Option<(Vec<u64>, u64, u64, u64, u64)> {
+            let last = self.nodes.values().max_by_key(|n| (n.time, n.id))?;
+            let chain = self.chain(last.id)?;
+            let mut split = BTreeMap::from([("wait", chain[0].time.as_nanos())]);
+            for pair in chain.windows(2) {
+                let dt = pair[1].time.saturating_since(pair[0].time).as_nanos();
+                *split
+                    .entry(edge_category(pair[0].op, pair[1].op))
+                    .or_default() += dt;
+            }
+            let ns = |cat| split.get(cat).copied().unwrap_or(0);
+            Some((
+                chain.iter().map(|n| n.id).collect(),
+                ns("flight"),
+                ns("hold"),
+                ns("sequencing"),
+                ns("wait"),
+            ))
+        }
+
+        fn to_json(&self) -> String {
+            let mut out = String::from("{\"schema\":\"sesame-causes/v1\",\"nodes\":[");
+            for (i, n) in self.nodes.values().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(
+                    out,
+                    "\n  {{\"id\":{},\"cause\":{},\"op\":\"{}\",\"node\":{},\"t_ns\":{},\"kind\":\"{}\"",
+                    n.id,
+                    n.cause,
+                    n.op,
+                    n.actor,
+                    n.time.as_nanos(),
+                    n.kind,
+                );
+                if let Some((var, writer)) = n.conflict {
+                    let _ = write!(out, ",\"conflict\":{{\"var\":{var},\"writer\":{writer}}}");
+                }
+                out.push('}');
+            }
+            out.push_str("\n]}\n");
+            out
+        }
+
+        fn to_dot(&self) -> String {
+            let mut out =
+                String::from("digraph causes {\n  rankdir=LR;\n  node [shape=box,fontsize=10];\n");
+            for n in self.nodes.values() {
+                let _ = write!(
+                    out,
+                    "  n{} [label=\"#{} {}\\nnode {} @ {}ns\"",
+                    n.id,
+                    n.id,
+                    n.op,
+                    n.actor,
+                    n.time.as_nanos(),
+                );
+                if matches!(n.op, CauseOp::Rollback) {
+                    out.push_str(",color=red");
+                }
+                out.push_str("];\n");
+            }
+            for n in self.nodes.values() {
+                if n.cause != 0 && self.nodes.contains_key(&n.cause) {
+                    let _ = writeln!(out, "  n{} -> n{};", n.cause, n.id);
+                }
+            }
+            out.push_str("}\n");
+            out
+        }
+    }
+
+    const OPS: [CauseOp; 13] = [
+        CauseOp::Write,
+        CauseOp::Acquire,
+        CauseOp::Release,
+        CauseOp::Send,
+        CauseOp::Mcast,
+        CauseOp::Seq,
+        CauseOp::Filter,
+        CauseOp::Grant,
+        CauseOp::Apply,
+        CauseOp::Compute,
+        CauseOp::Rollback,
+        CauseOp::Acquired,
+        CauseOp::Complete,
+    ];
+
+    /// A random record stream: mostly dense ascending ids the way a run
+    /// emits them, salted with gaps, late and repeated ids, id 0, causes
+    /// that do not precede their node, unpaired causes, and conflicts
+    /// after any kind of node.
+    fn random_stream(rng: &mut DetRng, records: usize, kinds: &[&'static str]) -> Vec<TraceEntry> {
+        let mut out = Vec::with_capacity(records * 2);
+        let (mut now, mut next_id) = (0u64, 1u64);
+        for _ in 0..records {
+            now += rng.next_below(3) * 100;
+            let actor = rng.next_below(6) as usize;
+            let id = match rng.next_below(20) {
+                0 => rng.next_below(next_id + 2),
+                1 => {
+                    next_id += rng.next_below(40);
+                    next_id
+                }
+                _ => next_id,
+            };
+            next_id = next_id.max(id + 1);
+            let parent = match rng.next_below(12) {
+                0 => 0,
+                1 => id + rng.next_below(3),
+                _ => rng.next_below(id.max(1)),
+            };
+            if !rng.chance(0.1) {
+                let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
+                let late = u64::from(rng.chance(0.05));
+                out.push(canonical(now - late.min(now), actor, kind));
+            }
+            let op = OPS[rng.next_below(OPS.len() as u64) as usize];
+            out.push(cause(now, actor, id, parent, op));
+            if rng.chance(0.1) {
+                out.push(TraceEntry {
+                    time: SimTime::from_nanos(now),
+                    actor,
+                    kind: "opt-conflict",
+                    detail: TraceDetail::Conflict {
+                        var: rng.next_below(4) as u32,
+                        writer: rng.next_below(6) as u32,
+                    },
+                });
+            }
+        }
+        out
+    }
+
+    fn assert_matches_the_naive_store(entries: &[TraceEntry]) {
+        let (dag, naive) = (CausalDag::from_trace(entries), Naive::from_trace(entries));
+        assert_eq!(dag.len(), naive.nodes.len());
+        assert_eq!(dag.is_empty(), naive.nodes.is_empty());
+        assert_eq!(dag.rollbacks(), naive.rollbacks());
+        assert!(dag.iter().eq(naive.nodes.values().copied()));
+        let top = naive.nodes.keys().next_back().copied().unwrap_or(0);
+        for id in 0..top + 3 {
+            assert_eq!(dag.get(id), naive.nodes.get(&id).copied(), "get({id})");
+            assert_eq!(dag.chain(id), naive.chain(id), "chain({id})");
+        }
+        let path = dag
+            .critical_path()
+            .map(|p| (p.ids, p.flight_ns, p.hold_ns, p.sequencing_ns, p.wait_ns));
+        assert_eq!(path, naive.critical_path());
+        assert_eq!(dag.to_json(), naive.to_json());
+        assert_eq!(dag.to_dot(), naive.to_dot());
+    }
+
+    #[test]
+    fn packed_store_matches_the_naive_store_on_random_streams() {
+        let kinds = [
+            "gwc-apply",
+            "pkt-send",
+            "root-seq",
+            "opt-rollback",
+            "acc-write",
+        ];
+        for seed in 0..40 {
+            let mut rng = DetRng::new(seed);
+            let records = 1 + rng.next_below(400) as usize;
+            assert_matches_the_naive_store(&random_stream(&mut rng, records, &kinds));
+        }
+        assert_matches_the_naive_store(&[]);
+        assert_matches_the_naive_store(&sample());
+    }
+
+    #[test]
+    fn more_kinds_than_the_intern_table_holds_spill_and_still_match() {
+        // 300 distinct kind texts: the table takes the first 254, the rest
+        // ride in the side map — including through
+        // id reuse, where the new node's kind replaces a spilled one.
+        let kinds: Vec<&'static str> = (0..300)
+            .map(|i| &*Box::leak(format!("kind-{i}").into_boxed_str()))
+            .collect();
+        let mut ordered = Vec::new();
+        for (i, kind) in kinds.iter().enumerate() {
+            let (id, ns) = (i as u64 + 1, i as u64 * 10);
+            ordered.push(canonical(ns, 0, kind));
+            ordered.push(cause(ns, 0, id, id - 1, CauseOp::Apply));
+        }
+        // Reuse two spilled ids: once unpaired, once with an interned kind.
+        ordered.push(cause(5_000, 1, 290, 3, CauseOp::Send));
+        ordered.push(canonical(6_000, 1, kinds[0]));
+        ordered.push(cause(6_000, 1, 295, 290, CauseOp::Rollback));
+        assert_matches_the_naive_store(&ordered);
+        let dag = CausalDag::from_trace(&ordered);
+        assert_eq!(dag.get(299).unwrap().kind, "kind-298");
+        assert_eq!(dag.get(290).unwrap().kind, "");
+        assert_eq!(dag.get(295).unwrap().kind, "kind-0");
+
+        let mut rng = DetRng::new(99);
+        assert_matches_the_naive_store(&random_stream(&mut rng, 2_000, &kinds));
     }
 }

@@ -74,6 +74,8 @@ pub struct Telemetry {
     scenario: String,
     seed: u64,
     registry: MetricRegistry,
+    /// Registry slots the observer has resolved so far.
+    slots: observer::SlotCache,
     timeline: Timeline,
     timeline_enabled: bool,
     end: SimTime,
@@ -90,6 +92,7 @@ impl Telemetry {
             scenario: scenario.to_string(),
             seed,
             registry: MetricRegistry::new(),
+            slots: observer::SlotCache::new(),
             timeline: Timeline::new(),
             timeline_enabled: false,
             end: SimTime::ZERO,

@@ -16,13 +16,98 @@
 //! * **message in flight** — `pkt-send` / `pkt-mcast` async intervals;
 //! * **root sequencing** — `root-seq` → last `gwc-apply` of the same
 //!   `(group, seq)`, closed when the run finishes.
+//!
+//! Every metric a record touches is named by a [`Name`] template over
+//! `(node[, lock | group])`. The first touch renders the key and resolves
+//! it to a registry slot; every later record goes to the slot through a
+//! small integer-keyed map — no key is formatted or compared per record.
 
 use std::collections::BTreeMap;
 
-use sesame_sim::{SimTime, TraceDetail, TraceEntry, TraceObserver};
+use sesame_sim::{
+    Counter, Histogram, SimTime, TimeWeighted, TraceDetail, TraceEntry, TraceObserver,
+};
 
+use crate::registry::MetricKind;
 use crate::timeline::cat;
 use crate::Telemetry;
+
+/// The registry keys the observer writes per record, as templates over two
+/// numbers: `a` is the node (the group for `Group*`, the variable for
+/// `Blame`), `b` the lock variable (the writer for `Blame`, unused where
+/// the key has one number).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Name {
+    LockWait,
+    LockHold,
+    RegAttempts,
+    OptAttempts,
+    OptRollbacks,
+    OptWins,
+    OptOverlapped,
+    Completions,
+    RootQueueDepth,
+    EcQueueDepth,
+    GwcApplies,
+    HwBlockDrops,
+    MemReads,
+    MemWrites,
+    MemLocalWrites,
+    NetPackets,
+    NetBytes,
+    NetHops,
+    NetFlight,
+    NetMcasts,
+    NetMcastBytes,
+    EcGrants,
+    EcInvalidations,
+    EcFetchServes,
+    EcLocalReacquires,
+    GroupSequenced,
+    GroupFiltered,
+    GroupSeqLatency,
+    Blame,
+}
+
+impl Name {
+    /// The registry key this template names for `(a, b)`.
+    fn key(self, a: usize, b: u32) -> String {
+        match self {
+            Name::LockWait => format!("node/{a}/lock/{b}/wait"),
+            Name::LockHold => format!("node/{a}/lock/{b}/hold"),
+            Name::RegAttempts => format!("node/{a}/lock/{b}/reg/attempts"),
+            Name::OptAttempts => format!("node/{a}/lock/{b}/opt/attempts"),
+            Name::OptRollbacks => format!("node/{a}/lock/{b}/opt/rollbacks"),
+            Name::OptWins => format!("node/{a}/lock/{b}/opt/wins"),
+            Name::OptOverlapped => format!("node/{a}/lock/{b}/opt/overlapped"),
+            Name::Completions => format!("node/{a}/lock/{b}/completions"),
+            Name::RootQueueDepth => format!("node/{a}/lock/{b}/root-queue-depth"),
+            Name::EcQueueDepth => format!("node/{a}/lock/{b}/ec-queue-depth"),
+            Name::GwcApplies => format!("node/{a}/gwc/applies"),
+            Name::HwBlockDrops => format!("node/{a}/gwc/hw-block-drops"),
+            Name::MemReads => format!("node/{a}/mem/reads"),
+            Name::MemWrites => format!("node/{a}/mem/writes"),
+            Name::MemLocalWrites => format!("node/{a}/mem/local-writes"),
+            Name::NetPackets => format!("node/{a}/net/packets"),
+            Name::NetBytes => format!("node/{a}/net/bytes"),
+            Name::NetHops => format!("node/{a}/net/hops"),
+            Name::NetFlight => format!("node/{a}/net/flight"),
+            Name::NetMcasts => format!("node/{a}/net/mcasts"),
+            Name::NetMcastBytes => format!("node/{a}/net/mcast-bytes"),
+            Name::EcGrants => format!("node/{a}/ec/grants"),
+            Name::EcInvalidations => format!("node/{a}/ec/invalidations"),
+            Name::EcFetchServes => format!("node/{a}/ec/fetch-serves"),
+            Name::EcLocalReacquires => format!("node/{a}/ec/local-reacquires"),
+            Name::GroupSequenced => format!("group/{a}/sequenced"),
+            Name::GroupFiltered => format!("group/{a}/filtered"),
+            Name::GroupSeqLatency => format!("group/{a}/seq-latency"),
+            Name::Blame => format!("blame/var/{a}/writer/{b}"),
+        }
+    }
+}
+
+/// Registry slots already resolved, by `(template, a, b)`.
+pub(crate) type SlotCache = BTreeMap<(Name, usize, u32), usize>;
 
 /// Open wait/hold/optimistic sections, keyed by `(node, lock)`.
 #[derive(Debug, Clone, Default)]
@@ -48,6 +133,26 @@ impl TraceObserver for Telemetry {
 }
 
 impl Telemetry {
+    /// The `T` metric `name` names for `(a, b)`: resolved by key on first
+    /// touch — created then if absent, panicking if the key holds another
+    /// kind, exactly as the registry's name-based accessors do — and by
+    /// slot from then on.
+    fn metric<T: MetricKind>(&mut self, name: Name, a: usize, b: u32) -> &mut T {
+        let slot = match self.slots.get(&(name, a, b)) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.registry.slot::<T>(&name.key(a, b));
+                self.slots.insert((name, a, b), slot);
+                slot
+            }
+        };
+        self.registry.at(slot)
+    }
+
+    fn count(&mut self, name: Name, a: usize, b: u32) -> &mut Counter {
+        self.metric(name, a, b)
+    }
+
     /// Processes one trace record (the [`TraceObserver`] entry point).
     ///
     /// A canonical kind paired with the wrong [`TraceDetail`] shape is
@@ -63,10 +168,7 @@ impl Telemetry {
         }
         match (e.kind, &e.detail) {
             ("cause", &TraceDetail::Cause { id, cause, op }) => {
-                // Capture the flow source before inserting: a send's own
-                // parent may be an earlier send on the same actor.
-                let flow_src = self.causal.send_like_source(cause);
-                self.causal.record_cause(node, t, id, cause, op);
+                let flow_src = self.causal.record_cause(node, t, id, cause, op);
                 if self.timeline_enabled {
                     if let Some((src, sent)) = flow_src {
                         self.timeline.add_flow(
@@ -82,9 +184,7 @@ impl Telemetry {
             }
             ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
                 self.causal.record_conflict(node, var, writer);
-                self.registry
-                    .counter(&format!("blame/var/{var}/writer/{writer}"))
-                    .incr();
+                self.count(Name::Blame, var as usize, writer).incr();
             }
             _ => {}
         }
@@ -95,8 +195,7 @@ impl Telemetry {
             }
             ("ev-acquired" | "mutex-granted", &TraceDetail::Var { var: v }) => {
                 if let Some(start) = self.state.wait_start.remove(&(node, v)) {
-                    self.registry
-                        .histogram(&format!("node/{node}/lock/{v}/wait"))
+                    self.metric::<Histogram>(Name::LockWait, node, v)
                         .record(t.saturating_since(start));
                     if self.timeline_enabled {
                         self.timeline
@@ -107,8 +206,7 @@ impl Telemetry {
             }
             ("ev-released", &TraceDetail::Var { var: v }) => {
                 if let Some(start) = self.state.hold_start.remove(&(node, v)) {
-                    self.registry
-                        .histogram(&format!("node/{node}/lock/{v}/hold"))
+                    self.metric::<Histogram>(Name::LockHold, node, v)
                         .record(t.saturating_since(start));
                     if self.timeline_enabled {
                         self.timeline
@@ -117,20 +215,14 @@ impl Telemetry {
                 }
             }
             ("mutex-regular", &TraceDetail::Var { var: v }) => {
-                self.registry
-                    .counter(&format!("node/{node}/lock/{v}/reg/attempts"))
-                    .incr();
+                self.count(Name::RegAttempts, node, v).incr();
             }
             ("opt-enter", &TraceDetail::Var { var: v }) => {
-                self.registry
-                    .counter(&format!("node/{node}/lock/{v}/opt/attempts"))
-                    .incr();
+                self.count(Name::OptAttempts, node, v).incr();
                 self.state.opt_start.insert((node, v), t);
             }
             ("opt-rollback", &TraceDetail::Var { var: v }) => {
-                self.registry
-                    .counter(&format!("node/{node}/lock/{v}/opt/rollbacks"))
-                    .incr();
+                self.count(Name::OptRollbacks, node, v).incr();
                 if self.timeline_enabled {
                     self.timeline
                         .add_instant(node, cat::OPTIMISM, format!("rollback v{v}"), t);
@@ -156,19 +248,13 @@ impl Telemetry {
                     overlapped,
                 },
             ) => {
-                self.registry
-                    .counter(&format!("node/{node}/lock/{v}/completions"))
-                    .incr();
+                self.count(Name::Completions, node, v).incr();
                 if optimistic {
                     if rollbacks == 0 {
-                        self.registry
-                            .counter(&format!("node/{node}/lock/{v}/opt/wins"))
-                            .incr();
+                        self.count(Name::OptWins, node, v).incr();
                     }
                     if overlapped {
-                        self.registry
-                            .counter(&format!("node/{node}/lock/{v}/opt/overlapped"))
-                            .incr();
+                        self.count(Name::OptOverlapped, node, v).incr();
                     }
                     if let Some(start) = self.state.opt_start.remove(&(node, v)) {
                         if self.timeline_enabled {
@@ -184,19 +270,15 @@ impl Telemetry {
                 }
             }
             ("root-queue", &TraceDetail::QueueDepth { var: v, depth }) => {
-                self.registry
-                    .time_weighted(&format!("node/{node}/lock/{v}/root-queue-depth"))
+                self.metric::<TimeWeighted>(Name::RootQueueDepth, node, v)
                     .set(t, f64::from(depth));
             }
             ("ec-queue", &TraceDetail::QueueDepth { var: v, depth }) => {
-                self.registry
-                    .time_weighted(&format!("node/{node}/lock/{v}/ec-queue-depth"))
+                self.metric::<TimeWeighted>(Name::EcQueueDepth, node, v)
                     .set(t, f64::from(depth));
             }
             ("root-seq", &TraceDetail::Seq { group: g, seq, .. }) => {
-                self.registry
-                    .counter(&format!("group/{g}/sequenced"))
-                    .incr();
+                self.count(Name::GroupSequenced, g as usize, 0).incr();
                 self.state.seq_pending.insert(
                     (g, seq),
                     SeqSpan {
@@ -207,39 +289,28 @@ impl Telemetry {
                 );
             }
             ("root-filtered", &TraceDetail::Filtered { group: g, .. }) => {
-                self.registry.counter(&format!("group/{g}/filtered")).incr();
+                self.count(Name::GroupFiltered, g as usize, 0).incr();
             }
             ("gwc-apply", &TraceDetail::Apply { group: g, seq, .. }) => {
-                self.registry
-                    .counter(&format!("node/{node}/gwc/applies"))
-                    .incr();
+                self.count(Name::GwcApplies, node, 0).incr();
                 if let Some(span) = self.state.seq_pending.get_mut(&(g, seq)) {
                     span.last_apply = Some(t);
                     let start = span.start;
-                    self.registry
-                        .histogram(&format!("group/{g}/seq-latency"))
+                    self.metric::<Histogram>(Name::GroupSeqLatency, g as usize, 0)
                         .record(t.saturating_since(start));
                 }
             }
             ("hw-block-drop", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/gwc/hw-block-drops"))
-                    .incr();
+                self.count(Name::HwBlockDrops, node, 0).incr();
             }
             ("acc-read", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/mem/reads"))
-                    .incr();
+                self.count(Name::MemReads, node, 0).incr();
             }
             ("acc-write", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/mem/writes"))
-                    .incr();
+                self.count(Name::MemWrites, node, 0).incr();
             }
             ("acc-write-local", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/mem/local-writes"))
-                    .incr();
+                self.count(Name::MemLocalWrites, node, 0).incr();
             }
             (
                 "pkt-send",
@@ -251,18 +322,11 @@ impl Telemetry {
                     ..
                 },
             ) => {
-                self.registry
-                    .counter(&format!("node/{node}/net/packets"))
-                    .incr();
-                self.registry
-                    .counter(&format!("node/{node}/net/bytes"))
-                    .add(u64::from(bytes));
-                self.registry
-                    .counter(&format!("node/{node}/net/hops"))
-                    .add(u64::from(hops));
+                self.count(Name::NetPackets, node, 0).incr();
+                self.count(Name::NetBytes, node, 0).add(u64::from(bytes));
+                self.count(Name::NetHops, node, 0).add(u64::from(hops));
                 let arrival = SimTime::from_nanos(arrival_ns);
-                self.registry
-                    .histogram(&format!("node/{node}/net/flight"))
+                self.metric::<Histogram>(Name::NetFlight, node, 0)
                     .record(arrival.saturating_since(t));
                 if self.timeline_enabled {
                     self.timeline.add_async(
@@ -283,11 +347,8 @@ impl Telemetry {
                     last_ns,
                 },
             ) => {
-                self.registry
-                    .counter(&format!("node/{node}/net/mcasts"))
-                    .incr();
-                self.registry
-                    .counter(&format!("node/{node}/net/mcast-bytes"))
+                self.count(Name::NetMcasts, node, 0).incr();
+                self.count(Name::NetMcastBytes, node, 0)
                     .add(u64::from(bytes) * u64::from(members));
                 if self.timeline_enabled {
                     self.timeline.add_async(
@@ -300,24 +361,16 @@ impl Telemetry {
                 }
             }
             ("ec-grant-arrived", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/ec/grants"))
-                    .incr();
+                self.count(Name::EcGrants, node, 0).incr();
             }
             ("ec-invalidated", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/ec/invalidations"))
-                    .incr();
+                self.count(Name::EcInvalidations, node, 0).incr();
             }
             ("ec-fetch-serve", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/ec/fetch-serves"))
-                    .incr();
+                self.count(Name::EcFetchServes, node, 0).incr();
             }
             ("ec-local-reacquire", _) => {
-                self.registry
-                    .counter(&format!("node/{node}/ec/local-reacquires"))
-                    .incr();
+                self.count(Name::EcLocalReacquires, node, 0).incr();
             }
             _ => {}
         }

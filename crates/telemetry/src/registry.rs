@@ -5,10 +5,13 @@
 //! primitives from `sesame-sim` ([`Counter`], [`MeanVar`], [`Histogram`],
 //! [`TimeWeighted`]) plus a plain [`Metric::Gauge`] for post-run scalars.
 //!
-//! Keys are stored in a `BTreeMap`, so iteration — and therefore every
-//! export — is deterministic. Accessors create the metric on first use; a
-//! key always keeps the kind it was created with (mismatched access is a
-//! bug in the instrumentation and panics).
+//! Metrics sit in a `Vec` in creation order — a metric's slot index never
+//! changes, so a hot caller can resolve a key once and go straight to the
+//! slot afterwards — and a `BTreeMap` from key to slot gives iteration,
+//! and therefore every export, its deterministic key order. Accessors
+//! create the metric on first use; a key always keeps the kind it was
+//! created with (mismatched access is a bug in the instrumentation and
+//! panics).
 
 use std::collections::BTreeMap;
 
@@ -16,9 +19,9 @@ use sesame_sim::{Counter, Histogram, MeanVar, TimeWeighted};
 
 /// One registered metric.
 ///
-/// `Histogram` dominates the size (fixed bucket array), but metrics only
-/// ever live as `BTreeMap` values, so the footprint is per-key anyway and
-/// indirection would just cost a pointer chase on the hot record path.
+/// `Histogram` dominates the size (fixed bucket array), but the footprint
+/// is per key anyway and indirection would just cost a pointer chase on
+/// the hot record path.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub enum Metric {
@@ -47,32 +50,63 @@ impl Metric {
     }
 }
 
+/// A measurement type a [`Metric`] variant wraps.
+pub(crate) trait MetricKind: Sized {
+    /// The name-based accessor for this kind, as mismatch panics cite it.
+    const ACCESSOR: &'static str;
+    /// A fresh metric of this kind.
+    fn fresh() -> Metric;
+    /// The measurement inside `metric`, if it is of this kind.
+    fn of(metric: &mut Metric) -> Option<&mut Self>;
+}
+
+macro_rules! metric_kind {
+    ($ty:ty, $variant:ident, $accessor:literal, $default:expr) => {
+        impl MetricKind for $ty {
+            const ACCESSOR: &'static str = $accessor;
+            fn fresh() -> Metric {
+                Metric::$variant($default)
+            }
+            fn of(metric: &mut Metric) -> Option<&mut Self> {
+                match metric {
+                    Metric::$variant(m) => Some(m),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+metric_kind!(Counter, Counter, "counter", Counter::new());
+metric_kind!(f64, Gauge, "gauge", 0.0);
+metric_kind!(MeanVar, MeanVar, "mean_var", MeanVar::new());
+metric_kind!(Histogram, Histogram, "histogram", Histogram::new());
+metric_kind!(
+    TimeWeighted,
+    TimeWeighted,
+    "time_weighted",
+    TimeWeighted::default()
+);
+
 /// A deterministic map from hierarchical keys to metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
-    metrics: BTreeMap<String, Metric>,
+    /// Metrics in creation order; a slot index is never reused or moved.
+    slots: Vec<Metric>,
+    /// Key → slot index, key-sorted.
+    names: BTreeMap<String, usize>,
 }
 
 macro_rules! accessor {
-    ($fn_name:ident, $variant:ident, $ty:ty, $default:expr) => {
+    ($fn_name:ident, $ty:ty) => {
         /// Returns the metric at `key`, creating it on first use.
         ///
         /// # Panics
         ///
         /// Panics if `key` already holds a metric of a different kind.
         pub fn $fn_name(&mut self, key: &str) -> &mut $ty {
-            if !self.metrics.contains_key(key) {
-                self.metrics
-                    .insert(key.to_string(), Metric::$variant($default));
-            }
-            match self.metrics.get_mut(key).expect("just inserted") {
-                Metric::$variant(m) => m,
-                other => panic!(
-                    "metric '{key}' is a {}, accessed as {}",
-                    other.kind(),
-                    stringify!($fn_name)
-                ),
-            }
+            let slot = self.slot::<$ty>(key);
+            self.at(slot)
         }
     };
 }
@@ -83,25 +117,51 @@ impl MetricRegistry {
         Self::default()
     }
 
-    accessor!(counter, Counter, Counter, Counter::new());
-    accessor!(gauge, Gauge, f64, 0.0);
-    accessor!(mean_var, MeanVar, MeanVar, MeanVar::new());
-    accessor!(histogram, Histogram, Histogram, Histogram::new());
-    accessor!(
-        time_weighted,
-        TimeWeighted,
-        TimeWeighted,
-        TimeWeighted::default()
-    );
+    accessor!(counter, Counter);
+    accessor!(gauge, f64);
+    accessor!(mean_var, MeanVar);
+    accessor!(histogram, Histogram);
+    accessor!(time_weighted, TimeWeighted);
+
+    /// The slot of the `T` metric at `key`, creating it on first use —
+    /// the one place a key is looked up by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` already holds a metric of a different kind.
+    pub(crate) fn slot<T: MetricKind>(&mut self, key: &str) -> usize {
+        let slot = match self.names.get(key) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.slots.len();
+                self.slots.push(T::fresh());
+                self.names.insert(key.to_string(), slot);
+                slot
+            }
+        };
+        if T::of(&mut self.slots[slot]).is_none() {
+            panic!(
+                "metric '{key}' is a {}, accessed as {}",
+                self.slots[slot].kind(),
+                T::ACCESSOR
+            );
+        }
+        slot
+    }
+
+    /// The `T` metric in `slot`, as [`MetricRegistry::slot`] resolved it.
+    pub(crate) fn at<T: MetricKind>(&mut self, slot: usize) -> &mut T {
+        T::of(&mut self.slots[slot]).expect("a slot keeps the kind it was resolved with")
+    }
 
     /// The metric at `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Metric> {
-        self.metrics.get(key)
+        self.names.get(key).map(|&slot| &self.slots[slot])
     }
 
     /// The value of the counter at `key`, or 0 when absent.
     pub fn counter_value(&self, key: &str) -> u64 {
-        match self.metrics.get(key) {
+        match self.get(key) {
             Some(Metric::Counter(c)) => c.value(),
             _ => 0,
         }
@@ -109,27 +169,29 @@ impl MetricRegistry {
 
     /// All metrics in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.names
+            .iter()
+            .map(|(k, &slot)| (k.as_str(), &self.slots[slot]))
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.metrics.len()
+        self.slots.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.slots.is_empty()
     }
 
     /// Sums the values of every counter whose key matches
     /// `prefix/.../suffix` — e.g. `sum_counters("node", "lock/0/opt/wins")`
     /// totals that per-node counter across nodes.
     pub fn sum_counters(&self, prefix: &str, suffix: &str) -> u64 {
-        self.metrics
+        self.names
             .range(format!("{prefix}/")..format!("{prefix}0"))
             .filter(|(k, _)| k.ends_with(suffix))
-            .map(|(_, m)| match m {
+            .map(|(_, &slot)| match &self.slots[slot] {
                 Metric::Counter(c) => c.value(),
                 _ => 0,
             })

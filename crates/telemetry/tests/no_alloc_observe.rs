@@ -1,0 +1,209 @@
+//! Proof that the collector's steady state allocates nothing per record:
+//! once every metric key exists, `Telemetry::observe` reaches metrics by
+//! slot and appends causal nodes to a slab, so feeding it twice as many
+//! records costs the same handful of allocations (slab doublings) — not
+//! one `format!` per metric touch and one map node per cause record.
+
+use sesame_alloc_probe::{allocations, CountingAlloc};
+use sesame_sim::{ApplyMode, CauseOp, SimDur, SimTime, TraceDetail, TraceEntry};
+use sesame_telemetry::Telemetry;
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const NODES: usize = 8;
+
+/// Emits mutex sections the way a contention run does: every canonical
+/// record the observer turns into metrics, each protocol action followed
+/// by its `"cause"` record, the occasional rollback with its blame.
+struct Feeder {
+    now: u64,
+    next_id: u64,
+    records: u64,
+}
+
+impl Feeder {
+    fn emit(&mut self, t: &mut Telemetry, actor: usize, kind: &'static str, detail: TraceDetail) {
+        t.observe(&TraceEntry {
+            time: SimTime::from_nanos(self.now),
+            actor,
+            kind,
+            detail,
+        });
+        self.records += 1;
+    }
+
+    /// A canonical record plus the cause record annotating it; returns the
+    /// new causal id.
+    fn act(
+        &mut self,
+        t: &mut Telemetry,
+        actor: usize,
+        kind: &'static str,
+        detail: TraceDetail,
+        (cause, op): (u64, CauseOp),
+    ) -> u64 {
+        self.emit(t, actor, kind, detail);
+        let id = self.next_id;
+        self.next_id += 1;
+        self.emit(t, actor, "cause", TraceDetail::Cause { id, cause, op });
+        id
+    }
+
+    fn sections(&mut self, t: &mut Telemetry, count: u64) {
+        for section in 0..count {
+            let node = 1 + (section as usize % (NODES - 1));
+            let var = TraceDetail::Var { var: 0 };
+            // The root's in-flight sequence numbers recur, as they do once
+            // every member has applied a write; what the collector retains
+            // per *unapplied* write is a separate matter (ROADMAP item 5a).
+            let seq = section % 32;
+            let (group, val, origin) = (0, section as i64, node as u32);
+            self.now += 7;
+            self.act(t, node, "mutex-enter", var.clone(), (0, CauseOp::Acquire));
+            self.emit(t, node, "opt-enter", var.clone());
+            self.emit(t, node, "acc-read", var.clone());
+            let write = self.act(t, node, "acc-write", var.clone(), (0, CauseOp::Write));
+            self.emit(t, node, "acc-write-local", var.clone());
+            let packet = TraceDetail::Packet {
+                from: origin,
+                to: 0,
+                bytes: 16,
+                hops: 2,
+                arrival_ns: self.now + 40,
+            };
+            let send = self.act(t, node, "pkt-send", packet, (write, CauseOp::Send));
+            self.now += 40;
+            let sequenced = TraceDetail::Seq {
+                group,
+                seq,
+                var: 0,
+                val,
+                origin,
+            };
+            let seq_id = self.act(t, 0, "root-seq", sequenced, (send, CauseOp::Seq));
+            self.emit(
+                t,
+                0,
+                "root-queue",
+                TraceDetail::QueueDepth { var: 0, depth: 2 },
+            );
+            self.emit(
+                t,
+                0,
+                "ec-queue",
+                TraceDetail::QueueDepth { var: 0, depth: 1 },
+            );
+            let filtered = TraceDetail::Filtered {
+                group,
+                var: 0,
+                val,
+                origin,
+            };
+            self.emit(t, 0, "root-filtered", filtered);
+            let fan_out = TraceDetail::Multicast {
+                group,
+                bytes: 16,
+                members: NODES as u32,
+                last_ns: self.now + 60,
+            };
+            let mcast = self.act(t, 0, "pkt-mcast", fan_out, (seq_id, CauseOp::Mcast));
+            self.now += 60;
+            let mut apply_at_victim = 0;
+            for member in 0..NODES {
+                let applied = TraceDetail::Apply {
+                    group,
+                    seq,
+                    var: 0,
+                    val,
+                    origin,
+                    mode: ApplyMode::Applied,
+                };
+                apply_at_victim =
+                    self.act(t, member, "gwc-apply", applied, (mcast, CauseOp::Apply));
+            }
+            // Optimism mostly wins: one section in a hundred rolls back
+            // (the blame side map grows per rollback, not per record).
+            if section % 100 == 0 {
+                let victim = NODES - 1;
+                let rollback = (apply_at_victim, CauseOp::Rollback);
+                self.act(t, victim, "opt-rollback", var.clone(), rollback);
+                let blame = TraceDetail::Conflict {
+                    var: 0,
+                    writer: origin,
+                };
+                self.emit(t, victim, "opt-conflict", blame);
+            }
+            self.emit(t, node, "hw-block-drop", TraceDetail::None);
+            self.act(
+                t,
+                node,
+                "mutex-granted",
+                var.clone(),
+                (mcast, CauseOp::Acquired),
+            );
+            self.now += 25;
+            self.emit(t, node, "ev-released", var.clone());
+            self.emit(t, node, "mutex-regular", var.clone());
+            let done = TraceDetail::Complete {
+                var: 0,
+                optimistic: true,
+                rollbacks: 0,
+                overlapped: true,
+            };
+            self.act(t, node, "mutex-complete", done, (mcast, CauseOp::Complete));
+            for kind in [
+                "ec-grant-arrived",
+                "ec-invalidated",
+                "ec-fetch-serve",
+                "ec-local-reacquire",
+            ] {
+                self.emit(t, node, kind, TraceDetail::None);
+            }
+        }
+    }
+}
+
+#[test]
+fn steady_state_observe_allocates_per_doubling_not_per_record() {
+    // Series on (one wide window: its cost is per window, not per record),
+    // timeline off — the configuration the ledger's tracing-on workload runs.
+    let mut t = Telemetry::new("no-alloc", 7).with_series(SimDur::from_ms(1_000));
+    let mut feed = Feeder {
+        now: 0,
+        next_id: 1,
+        records: 0,
+    };
+    // Warm-up: long enough for every node to have been the section's
+    // owner and the blamed writer, so every metric key exists.
+    const WARM_UP: u64 = 700;
+    feed.sections(&mut t, WARM_UP);
+    let keys = t.registry().len();
+
+    const N: u64 = 4_000;
+    let start = (allocations(), feed.records);
+    feed.sections(&mut t, N);
+    let mid = (allocations(), feed.records);
+    feed.sections(&mut t, 2 * N);
+    let end = (allocations(), feed.records);
+
+    let (first, second) = (mid.0 - start.0, end.0 - mid.0);
+    let (first_records, second_records) = (mid.1 - start.1, end.1 - mid.1);
+    assert_eq!(second_records, 2 * first_records);
+    assert!(
+        first_records > 100_000,
+        "{first_records} records in the first pass"
+    );
+    assert_eq!(t.registry().len(), keys, "the warm-up created every key");
+    assert!(
+        first < 64 && second < 64 && first.abs_diff(second) < 64,
+        "{first} allocations for {first_records} records, {second} for {second_records}: \
+         the collector allocates per record"
+    );
+    // The records did land: one DAG node per cause record, counters moved.
+    assert_eq!(t.causes().len() as u64, feed.next_id - 1);
+    assert_eq!(
+        t.registry().sum_counters("node", "gwc/applies"),
+        (WARM_UP + 3 * N) * NODES as u64
+    );
+}
