@@ -21,6 +21,13 @@ cargo test -q --workspace
 echo "==> cargo test --features verify (online verification)"
 cargo test -q -p sesame-dsm -p sesame-core --features verify
 
+echo "==> heap footprint budgets (release build, as the benchmark measures)"
+# Bytes per node of a built 10k-node bigmesh machine, peak heap of a full
+# run, zero route storage on a flood machine, allocation-free route
+# appends. The debug run above checks the same budgets; this one checks
+# them on the code layout users and the ledger actually run.
+cargo test -q --release -p sesame-workloads --test footprint
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
@@ -185,7 +192,7 @@ cargo run -q --release -p sesame-cli -- bigmesh --event-limit 60000000 \
     > "$tmpdir/bigmesh.out"
 grep -q "nodes 100000 in 316 rows; 100000 token visits" "$tmpdir/bigmesh.out"
 
-echo "==> 250k-node bigmesh smoke (explicit geometry, event budget, throughput floor)"
+echo "==> 250k-node bigmesh smoke (explicit geometry, event budget, throughput floor, memory ceiling)"
 # A quarter-million nodes in narrow rows (25000x10): exercises the
 # --rows/--cols geometry path and the static-wave dispatch fast path at
 # scale, under a hard event budget. The exact-integer `throughput` line
@@ -198,6 +205,16 @@ grep -q "nodes 250000 in 25000 rows; 250000 token visits" "$tmpdir/bigmesh250k.o
 thr=$(grep -o 'throughput [0-9]*' "$tmpdir/bigmesh250k.out" | cut -d' ' -f2)
 if [ "${thr:-0}" -lt 100000 ]; then
     echo "bigmesh 250k throughput floor: got ${thr:-none} events/s, want >= 100000" >&2
+    exit 1
+fi
+# The exact-integer `peak_rss_kb` line (VmHWM; absent off Linux, where the
+# check is skipped) is the memory ceiling: this machine has 275 000 groups
+# and reads 280 092 kB with flat per-group state, so 350 000 kB (+25 %)
+# absorbs allocator and libc drift but not one reintroduced heap vector
+# per group — the struct-of-Vecs layout this replaced read 467 348 kB.
+rss=$(grep -o 'peak_rss_kb [0-9]*' "$tmpdir/bigmesh250k.out" | cut -d' ' -f2 || true)
+if [ -n "$rss" ] && [ "$rss" -gt 350000 ]; then
+    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 350000" >&2
     exit 1
 fi
 

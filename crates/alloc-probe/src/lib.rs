@@ -8,6 +8,11 @@
 //! so a window measured on one test thread sees only that thread's own
 //! allocations.
 //!
+//! Beside the call count it keeps the thread's **live bytes** (requested
+//! sizes allocated minus freed, by this thread) and their high-water mark,
+//! for the footprint tests that bound what a machine holds and what a run
+//! peaks at.
+//!
 //! This is a dev-dependency only, and its own crate because the library
 //! crates it serves (`sesame-sim`, `sesame-telemetry`, …) forbid `unsafe`,
 //! which implementing [`GlobalAlloc`] requires.
@@ -33,6 +38,9 @@ thread_local! {
     // Const-initialised and without a destructor: touching it from inside
     // the allocator neither allocates nor registers a TLS destructor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Signed: a thread may free blocks another thread allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every allocating call (`alloc`,
@@ -46,29 +54,41 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Moves the calling thread's live bytes by `delta`, raising the peak.
+fn resize(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counting side effect touches only
-// a thread-local `Cell` and never allocates or unwinds.
+// thread-local `Cell`s and never allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s requirements.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        resize(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s requirements.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        resize(new_size as i64 - layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s requirements.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s requirements.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -79,4 +99,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[must_use]
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes the calling thread has allocated and not yet freed (requested
+/// sizes; 0 if it has freed more than it allocated, which happens when it
+/// drops blocks another thread made).
+#[must_use]
+pub fn live_bytes() -> usize {
+    LIVE.with(Cell::get).max(0) as usize
+}
+
+/// The highest [`live_bytes`] the calling thread has reached since its
+/// last [`reset_peak`] (or since it started).
+#[must_use]
+pub fn peak_bytes() -> usize {
+    PEAK.with(Cell::get).max(0) as usize
+}
+
+/// Restarts the calling thread's high-water mark at its current
+/// [`live_bytes`], opening a new measured window.
+pub fn reset_peak() {
+    PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
 }

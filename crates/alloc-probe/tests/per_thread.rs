@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use sesame_alloc_probe::{allocations, CountingAlloc};
+use sesame_alloc_probe::{allocations, live_bytes, peak_bytes, reset_peak, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -42,4 +42,30 @@ fn own_allocations_are_counted_once_each() {
     assert_eq!(allocations() - before, 1);
     v.push(5); // grows: one realloc
     assert_eq!(allocations() - before, 2);
+}
+
+#[test]
+fn live_and_peak_bytes_follow_the_threads_own_blocks() {
+    let base = live_bytes();
+    reset_peak();
+    let big = vec![0u8; 1 << 20];
+    let mut small: Vec<u8> = Vec::with_capacity(1 << 10);
+    assert_eq!(live_bytes() - base, (1 << 20) + (1 << 10));
+    small.reserve_exact(1 << 12); // realloc: the block changes size
+    assert_eq!(live_bytes() - base, (1 << 20) + (1 << 12));
+    drop(big);
+    assert_eq!(live_bytes() - base, 1 << 12);
+    assert_eq!(
+        peak_bytes() - base,
+        (1 << 20) + (1 << 12),
+        "peak outlives the free"
+    );
+    reset_peak();
+    assert_eq!(
+        peak_bytes(),
+        live_bytes(),
+        "a new window starts at the current level"
+    );
+    drop(small);
+    assert_eq!(live_bytes(), base);
 }

@@ -349,6 +349,11 @@ fn cmd_bigmesh(args: &Args) -> Result<(), String> {
         "throughput {} events/s",
         (run.events as f64 / wall.as_secs_f64()) as u64
     );
+    // Likewise for CI memory ceilings; absent off Linux.
+    if let Some(kb) = peak_rss_kb() {
+        println!("peak_rss_kb {kb}");
+        println!("bytes_per_node {}", kb * 1024 / run.nodes as u64);
+    }
     let expected = cfg.laps as u64 * run.nodes as u64;
     if run.outcome != sesame_sim::RunOutcome::Drained || run.visits != expected {
         return Err(format!(
@@ -357,6 +362,14 @@ fn cmd_bigmesh(args: &Args) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// This process's peak resident set in KiB: the `VmHWM` line of
+/// `/proc/self/status`, or `None` where that file does not exist.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 fn cmd_contention(args: &Args) -> Result<(), String> {

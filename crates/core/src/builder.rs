@@ -27,8 +27,8 @@ use std::fmt;
 
 use sesame_consistency::{EntryModel, ReleaseModel};
 use sesame_dsm::{
-    lockval, GroupConfigError, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, Model,
-    ModelAction, Mx, NodeApi, Packet, Program, VarId, Word,
+    lockval, GroupConfigError, GroupSpec, GroupTableBuilder, GwcModel, Machine, MachineConfig,
+    Model, ModelAction, Mx, NodeApi, Packet, Program, VarId, Word,
 };
 use sesame_net::{FullMesh, Line, LinkTiming, MeshTorus2d, NodeId, Ring, Star, Topology};
 
@@ -224,7 +224,9 @@ pub struct SystemBuilder {
     timing: LinkTiming,
     model: ModelChoice,
     config: MachineConfig,
-    groups: Vec<GroupSpec>,
+    /// Groups are validated and packed as they are added; the first
+    /// error surfaces from [`SystemBuilder::build`].
+    groups: GroupTableBuilder,
     programs: Vec<Option<Box<dyn Program>>>,
     init: Vec<(VarId, Word)>,
 }
@@ -251,7 +253,7 @@ impl SystemBuilder {
             timing: LinkTiming::paper_1994(),
             model: ModelChoice::default(),
             config: MachineConfig::default(),
-            groups: Vec::new(),
+            groups: GroupTableBuilder::new(),
             programs: (0..nodes).map(|_| None).collect(),
             init: Vec::new(),
         }
@@ -293,7 +295,7 @@ impl SystemBuilder {
 
     /// Adds a sharing group.
     pub fn group(mut self, spec: GroupSpec) -> Self {
-        self.groups.push(spec);
+        self.groups.push(&spec);
         self
     }
 
@@ -305,7 +307,7 @@ impl SystemBuilder {
             vars.push(lock);
         }
         self.init.push((lock, lockval::FREE));
-        self.groups.push(GroupSpec {
+        self.groups.push(&GroupSpec {
             root,
             members: (0..self.nodes as u32).map(NodeId::new).collect(),
             vars,
@@ -317,7 +319,7 @@ impl SystemBuilder {
     /// Adds a plain (non-mutex) sharing group over all nodes, rooted at
     /// `root`.
     pub fn shared_group(mut self, root: NodeId, vars: Vec<VarId>) -> Self {
-        self.groups.push(GroupSpec {
+        self.groups.push(&GroupSpec {
             root,
             members: (0..self.nodes as u32).map(NodeId::new).collect(),
             vars,
@@ -371,7 +373,7 @@ impl SystemBuilder {
         if self.nodes == 0 {
             return Err(BuildError::NoNodes);
         }
-        let groups = GroupTable::new(self.groups)?;
+        let groups = self.groups.finish()?;
         let model = match self.model {
             ModelChoice::Gwc => ModelInstance::Gwc(GwcModel::new(&groups, self.nodes)),
             ModelChoice::Entry => ModelInstance::Entry(EntryModel::new(&groups, self.nodes)),

@@ -68,45 +68,79 @@ impl fmt::Display for GroupConfigError {
 
 impl Error for GroupConfigError {}
 
-/// One validated sharing group.
-#[derive(Debug, Clone)]
-pub struct SharingGroup {
-    id: GroupId,
+/// Fixed-size record of one group in a [`GroupTable`]. Member and variable
+/// counts are not stored: group `g`'s lists end where group `g + 1`'s
+/// start (compressed sparse rows).
+#[derive(Debug, Clone, Copy)]
+struct GroupHead {
     root: NodeId,
-    members: Vec<NodeId>,
-    /// `(node, rank)` pairs sorted by node, where `rank` is the node's
-    /// position in `members`. Backs `O(log m)` membership and rank
-    /// queries without touching the declared member order (which the
-    /// multicast fan-out depends on).
-    member_ranks: Vec<(NodeId, u32)>,
-    /// When the declared member list is one ascending run
-    /// `first, first+1, ..`, its first node id: rank queries become one
-    /// subtraction instead of a binary search. The common shape for
-    /// machine-generated groups (e.g. the bigmesh row groups), and the
-    /// rank lookup sits on the per-delivery protocol hot path.
-    contig_first: Option<u32>,
-    vars: Vec<VarId>,
+    /// Start of the group's members in [`GroupTable::members`] — and, since
+    /// that array is in group order, the group's first member slot.
+    members_at: u32,
+    /// Start of the group's variables in [`GroupTable::vars`].
+    vars_at: u32,
     mutex_lock: Option<VarId>,
+    /// Start of the group's sorted `(node, rank)` pairs in
+    /// [`GroupTable::ranks`], or [`CONTIGUOUS`] when none are stored.
+    ranks_at: u32,
 }
 
-impl SharingGroup {
+/// [`GroupHead::ranks_at`] of a group whose declared member list is one
+/// ascending run `first, first+1, ..`: rank queries are one subtraction
+/// instead of a binary search, and no pairs are stored. The common shape
+/// for machine-generated groups (e.g. the bigmesh row and hand-off
+/// groups), and the rank lookup sits on the per-delivery protocol hot
+/// path.
+const CONTIGUOUS: u32 = u32::MAX;
+
+/// One validated sharing group: a `Copy` view into its [`GroupTable`].
+#[derive(Clone, Copy)]
+pub struct SharingGroup<'a> {
+    table: &'a GroupTable,
+    id: GroupId,
+}
+
+impl fmt::Debug for SharingGroup<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharingGroup")
+            .field("id", &self.id)
+            .field("root", &self.root())
+            .field("members", &self.members())
+            .field("vars", &self.vars())
+            .field("mutex_lock", &self.mutex_lock())
+            .finish()
+    }
+}
+
+impl<'a> SharingGroup<'a> {
+    fn head(self) -> &'a GroupHead {
+        &self.table.heads[self.id.index()]
+    }
+
+    /// This group's run in a flat array of `total` entries, given where a
+    /// head says its run starts: it ends where the next group's starts.
+    fn run(self, start: impl Fn(&GroupHead) -> u32, total: usize) -> std::ops::Range<usize> {
+        let next = self.table.heads.get(self.id.index() + 1);
+        start(self.head()) as usize..next.map_or(total, |h| start(h) as usize)
+    }
+
     /// The group's id.
-    pub fn id(&self) -> GroupId {
+    pub fn id(self) -> GroupId {
         self.id
     }
 
     /// The group root (sequencer and lock manager).
-    pub fn root(&self) -> NodeId {
-        self.root
+    pub fn root(self) -> NodeId {
+        self.head().root
     }
 
     /// The group's member nodes.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
+    pub fn members(self) -> &'a [NodeId] {
+        &self.table.members[self.run(|h| h.members_at, self.table.members.len())]
     }
 
     /// Whether `node` is a member (`O(log m)`).
-    pub fn is_member(&self, node: NodeId) -> bool {
+    pub fn is_member(self, node: NodeId) -> bool {
         self.member_rank(node).is_some()
     }
 
@@ -116,43 +150,107 @@ impl SharingGroup {
     /// observes a different order than the multicast fan-out does —
     /// the invariant that keeps slot-indexed protocol state (see
     /// [`GroupTable::member_slot`]) deterministic.
-    pub fn member_rank(&self, node: NodeId) -> Option<u32> {
-        if let Some(first) = self.contig_first {
-            let rank = node.get().wrapping_sub(first);
-            return ((rank as usize) < self.members.len()).then_some(rank);
+    pub fn member_rank(self, node: NodeId) -> Option<u32> {
+        let members = self.members();
+        let ranks_at = self.head().ranks_at;
+        if ranks_at == CONTIGUOUS {
+            let rank = node.get().wrapping_sub(members[0].get());
+            return ((rank as usize) < members.len()).then_some(rank);
         }
-        self.member_ranks
+        let ranks = &self.table.ranks[ranks_at as usize..ranks_at as usize + members.len()];
+        ranks
             .binary_search_by_key(&node, |&(n, _)| n)
             .ok()
-            .map(|i| self.member_ranks[i].1)
+            .map(|i| ranks[i].1)
     }
 
     /// The group's variables.
-    pub fn vars(&self) -> &[VarId] {
-        &self.vars
+    pub fn vars(self) -> &'a [VarId] {
+        &self.table.vars[self.run(|h| h.vars_at, self.table.vars.len())]
     }
 
     /// The mutex lock variable, if this is a mutex group.
-    pub fn mutex_lock(&self) -> Option<VarId> {
-        self.mutex_lock
+    pub fn mutex_lock(self) -> Option<VarId> {
+        self.head().mutex_lock
     }
 
     /// Whether the group has an associated mutex lock.
-    pub fn is_mutex_group(&self) -> bool {
-        self.mutex_lock.is_some()
+    pub fn is_mutex_group(self) -> bool {
+        self.mutex_lock().is_some()
     }
 }
 
-/// The validated set of all sharing groups plus the variable-to-group index.
+/// The validated set of all sharing groups plus the variable-to-group
+/// index.
+///
+/// Stored flat: one fixed-size head per group over one machine-wide member
+/// array and one variable array, so a machine with more groups than nodes
+/// pays per *member*, not a set of heap vectors per group. Groups are
+/// read through [`SharingGroup`] views returned by value.
 #[derive(Debug, Clone, Default)]
 pub struct GroupTable {
-    groups: Vec<SharingGroup>,
+    heads: Vec<GroupHead>,
+    /// Every group's members, in group-id order and, within a group, in
+    /// declared order. An index into this array is a *member slot*: group
+    /// `g`'s member of rank `r` owns slot `heads[g].members_at + r`.
+    members: Vec<NodeId>,
+    /// Every group's variables, in group-id order.
+    vars: Vec<VarId>,
+    /// `(node, rank)` pairs sorted by node, for the groups whose members
+    /// are not one ascending run. Backs `O(log m)` membership and rank
+    /// queries without touching the declared member order (which the
+    /// multicast fan-out depends on).
+    ranks: Vec<(NodeId, u32)>,
     var_group: HashMap<VarId, GroupId>,
-    /// Per-group base of the machine-wide member-slot address space:
-    /// group `g`'s member of rank `r` owns slot `slot_base[g] + r`.
-    slot_base: Vec<u32>,
-    /// Total member slots (sum of all group member counts).
-    member_slots: u32,
+}
+
+/// Incremental construction of a [`GroupTable`]: each
+/// [`push`](GroupTableBuilder::push) validates one group and appends it to
+/// the flat table, so no list of specs is accumulated. The first error is
+/// kept and reported by [`finish`](GroupTableBuilder::finish).
+#[derive(Debug, Default)]
+pub struct GroupTableBuilder {
+    table: GroupTable,
+    error: Option<GroupConfigError>,
+}
+
+impl GroupTableBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of groups accepted so far.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Whether no group has been accepted yet.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Validates `spec` and appends it as the next group id. After the
+    /// first invalid group every further push is ignored.
+    pub fn push(&mut self, spec: &GroupSpec) {
+        if self.error.is_none() {
+            self.error = self.table.push(spec).err();
+        }
+    }
+
+    /// The table, or the first [`GroupConfigError`] a push found: empty
+    /// member or variable lists, duplicate members, a variable claimed by
+    /// two groups, or a mutex lock missing from its own group.
+    ///
+    /// # Errors
+    ///
+    /// Returns that first error.
+    pub fn finish(self) -> Result<GroupTable, GroupConfigError> {
+        match self.error {
+            None => Ok(self.table),
+            Some(e) => Err(e),
+        }
+    }
 }
 
 impl GroupTable {
@@ -166,66 +264,82 @@ impl GroupTable {
     /// or a mutex lock missing from its own group.
     pub fn new(specs: Vec<GroupSpec>) -> Result<Self, GroupConfigError> {
         let mut table = GroupTable::default();
-        for (i, spec) in specs.into_iter().enumerate() {
-            let id = GroupId::new(i as u32);
-            if spec.members.is_empty() {
-                return Err(GroupConfigError::EmptyMembers(id));
-            }
-            if spec.vars.is_empty() {
-                return Err(GroupConfigError::EmptyVars(id));
-            }
-            for (j, &m) in spec.members.iter().enumerate() {
-                if spec.members[..j].contains(&m) {
-                    return Err(GroupConfigError::DuplicateMember(id, m));
-                }
-            }
-            if let Some(lock) = spec.mutex_lock {
-                if !spec.vars.contains(&lock) {
-                    return Err(GroupConfigError::LockNotInGroup(id, lock));
-                }
-            }
-            for &v in &spec.vars {
-                if table.var_group.insert(v, id).is_some() {
-                    return Err(GroupConfigError::DuplicateVar(v));
-                }
-            }
-            let mut member_ranks: Vec<(NodeId, u32)> = spec
-                .members
-                .iter()
-                .enumerate()
-                .map(|(rank, &n)| (n, rank as u32))
-                .collect();
-            member_ranks.sort_unstable_by_key(|&(n, _)| n);
-            let first = spec.members[0].get();
-            let contig_first = spec
-                .members
-                .iter()
-                .enumerate()
-                .all(|(rank, &m)| m.get().wrapping_sub(first) == rank as u32)
-                .then_some(first);
-            table.slot_base.push(table.member_slots);
-            table.member_slots += spec.members.len() as u32;
-            table.groups.push(SharingGroup {
-                id,
-                root: spec.root,
-                members: spec.members,
-                member_ranks,
-                contig_first,
-                vars: spec.vars,
-                mutex_lock: spec.mutex_lock,
-            });
+        for spec in &specs {
+            table.push(spec)?;
         }
         Ok(table)
     }
 
+    /// Validates and appends one group. On error the table is left
+    /// half-updated; [`GroupTableBuilder`] never hands such a table out.
+    fn push(&mut self, spec: &GroupSpec) -> Result<(), GroupConfigError> {
+        let id = GroupId::new(self.heads.len() as u32);
+        let Some(&first) = spec.members.first() else {
+            return Err(GroupConfigError::EmptyMembers(id));
+        };
+        if spec.vars.is_empty() {
+            return Err(GroupConfigError::EmptyVars(id));
+        }
+        let contiguous = spec
+            .members
+            .iter()
+            .enumerate()
+            .all(|(rank, &m)| m.get().wrapping_sub(first.get()) == rank as u32);
+        let ranks_at = if contiguous {
+            CONTIGUOUS // an ascending run cannot repeat a node
+        } else {
+            let at = self.ranks.len();
+            self.ranks.extend(
+                spec.members
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, &n)| (n, rank as u32)),
+            );
+            let ranks = &mut self.ranks[at..];
+            ranks.sort_unstable();
+            // Equal nodes now sit side by side in rank order; the first
+            // offender is the earliest-declared repeat.
+            let repeat = ranks
+                .windows(2)
+                .filter(|w| w[0].0 == w[1].0)
+                .map(|w| w[1].1)
+                .min();
+            if let Some(rank) = repeat {
+                let node = spec.members[rank as usize];
+                return Err(GroupConfigError::DuplicateMember(id, node));
+            }
+            u32::try_from(at).expect("more than 2^32 member slots")
+        };
+        if let Some(lock) = spec.mutex_lock {
+            if !spec.vars.contains(&lock) {
+                return Err(GroupConfigError::LockNotInGroup(id, lock));
+            }
+        }
+        for &v in &spec.vars {
+            if self.var_group.insert(v, id).is_some() {
+                return Err(GroupConfigError::DuplicateVar(v));
+            }
+        }
+        self.heads.push(GroupHead {
+            root: spec.root,
+            members_at: u32::try_from(self.members.len()).expect("more than 2^32 member slots"),
+            vars_at: u32::try_from(self.vars.len()).expect("more than 2^32 group variables"),
+            mutex_lock: spec.mutex_lock,
+            ranks_at,
+        });
+        self.members.extend_from_slice(&spec.members);
+        self.vars.extend_from_slice(&spec.vars);
+        Ok(())
+    }
+
     /// Number of groups.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.heads.len()
     }
 
     /// Whether no groups are defined.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.heads.is_empty()
     }
 
     /// The group with the given id.
@@ -233,28 +347,32 @@ impl GroupTable {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn group(&self, id: GroupId) -> &SharingGroup {
-        &self.groups[id.index()]
+    pub fn group(&self, id: GroupId) -> SharingGroup<'_> {
+        assert!(id.index() < self.heads.len(), "no group {id}");
+        SharingGroup { table: self, id }
     }
 
     /// The group owning `var`, if any.
-    pub fn group_of(&self, var: VarId) -> Option<&SharingGroup> {
+    pub fn group_of(&self, var: VarId) -> Option<SharingGroup<'_>> {
         self.var_group.get(&var).map(|&g| self.group(g))
     }
 
     /// Iterates over all groups.
-    pub fn iter(&self) -> impl Iterator<Item = &SharingGroup> {
-        self.groups.iter()
+    pub fn iter(&self) -> impl Iterator<Item = SharingGroup<'_>> {
+        (0..self.heads.len() as u32).map(|i| SharingGroup {
+            table: self,
+            id: GroupId::new(i),
+        })
     }
 
     /// The groups in which `node` is a member.
-    pub fn groups_of_member(&self, node: NodeId) -> impl Iterator<Item = &SharingGroup> {
-        self.groups.iter().filter(move |g| g.is_member(node))
+    pub fn groups_of_member(&self, node: NodeId) -> impl Iterator<Item = SharingGroup<'_>> {
+        self.iter().filter(move |g| g.is_member(node))
     }
 
     /// The groups rooted at `node`.
-    pub fn groups_rooted_at(&self, node: NodeId) -> impl Iterator<Item = &SharingGroup> {
-        self.groups.iter().filter(move |g| g.root() == node)
+    pub fn groups_rooted_at(&self, node: NodeId) -> impl Iterator<Item = SharingGroup<'_>> {
+        self.iter().filter(move |g| g.root() == node)
     }
 
     /// Total number of member slots: one per `(group, member)` pair,
@@ -262,7 +380,7 @@ impl GroupTable {
     /// models use for per-membership state (struct-of-arrays storage on
     /// the GWC hot loop).
     pub fn member_slots(&self) -> usize {
-        self.member_slots as usize
+        self.members.len()
     }
 
     /// The machine-wide member slot of `node` in `group`:
@@ -273,17 +391,16 @@ impl GroupTable {
     /// the validated group specs, so slot-indexed state is as
     /// deterministic as the specs themselves.
     pub fn member_slot(&self, group: GroupId, node: NodeId) -> Option<usize> {
-        let base = self.slot_base[group.index()];
-        self.groups[group.index()]
+        self.group(group)
             .member_rank(node)
-            .map(|rank| (base + rank) as usize)
+            .map(|rank| self.slot_base(group) + rank as usize)
     }
 
     /// The first member slot of `group`; the group's members occupy
     /// `slot_base(group) .. slot_base(group) + members.len()` in rank
     /// order.
     pub fn slot_base(&self, group: GroupId) -> usize {
-        self.slot_base[group.index()] as usize
+        self.heads[group.index()].members_at as usize
     }
 }
 
@@ -403,6 +520,195 @@ mod tests {
         assert_eq!(
             GroupTable::new(vec![spec(0, &[0], &[1], Some(9))]).unwrap_err(),
             GroupConfigError::LockNotInGroup(GroupId::new(0), v(9))
+        );
+    }
+
+    /// The table as it was before it went flat: validation over the spec
+    /// list in the original order, queries by scanning the specs.
+    fn model_validate(specs: &[GroupSpec]) -> Result<(), GroupConfigError> {
+        let mut seen = std::collections::HashSet::new();
+        for (i, spec) in specs.iter().enumerate() {
+            let id = GroupId::new(i as u32);
+            if spec.members.is_empty() {
+                return Err(GroupConfigError::EmptyMembers(id));
+            }
+            if spec.vars.is_empty() {
+                return Err(GroupConfigError::EmptyVars(id));
+            }
+            for (j, &m) in spec.members.iter().enumerate() {
+                if spec.members[..j].contains(&m) {
+                    return Err(GroupConfigError::DuplicateMember(id, m));
+                }
+            }
+            if let Some(lock) = spec.mutex_lock {
+                if !spec.vars.contains(&lock) {
+                    return Err(GroupConfigError::LockNotInGroup(id, lock));
+                }
+            }
+            for &var in &spec.vars {
+                if !seen.insert(var) {
+                    return Err(GroupConfigError::DuplicateVar(var));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    const NODES: u32 = 14;
+    const VARS: u32 = 40;
+
+    /// Random specs: ascending runs and scrambled member lists, fresh
+    /// variables — and, one time in three, one planted fault somewhere.
+    fn random_specs(rng: &mut sesame_sim::DetRng) -> Vec<GroupSpec> {
+        let mut next_var = 0u32;
+        let mut specs: Vec<GroupSpec> = (0..1 + rng.next_below(7))
+            .map(|_| {
+                let len = 1 + rng.next_below(6) as u32;
+                let first = rng.next_below(u64::from(NODES - len + 1)) as u32;
+                let mut members: Vec<NodeId> = (first..first + len).map(n).collect();
+                if rng.chance(0.5) {
+                    let mut pool: Vec<u32> = (0..NODES).collect();
+                    rng.shuffle(&mut pool);
+                    members = pool[..len as usize].iter().copied().map(n).collect();
+                }
+                let vars: Vec<VarId> = (0..1 + rng.next_below(3) as u32)
+                    .map(|k| v(next_var + k))
+                    .collect();
+                next_var += vars.len() as u32;
+                let lock = rng
+                    .chance(0.4)
+                    .then(|| vars[rng.next_below(vars.len() as u64) as usize]);
+                GroupSpec {
+                    root: n(rng.next_below(u64::from(NODES)) as u32),
+                    members,
+                    vars,
+                    mutex_lock: lock,
+                }
+            })
+            .collect();
+        if rng.chance(1.0 / 3.0) {
+            let at = rng.next_below(specs.len() as u64) as usize;
+            let earlier = specs[rng.next_below(at as u64 + 1) as usize].vars[0];
+            let spec = &mut specs[at];
+            match rng.next_below(6) {
+                0 => spec.members.clear(),
+                1 => spec.vars.clear(),
+                2 => {
+                    // Repeat a member, possibly twice over.
+                    let dup = spec.members[rng.next_below(spec.members.len() as u64) as usize];
+                    spec.members.push(dup);
+                    if rng.chance(0.5) {
+                        spec.members.insert(0, *spec.members.last().unwrap());
+                    }
+                }
+                3 => spec.mutex_lock = Some(v(VARS + 1)),
+                4 => spec.vars.push(earlier), // claimed by an earlier group, or twice by this one
+                _ => {
+                    // Two faults in one group: the earlier check wins.
+                    spec.members.push(spec.members[0]);
+                    spec.mutex_lock = Some(v(VARS + 2));
+                }
+            }
+        }
+        specs
+    }
+
+    #[test]
+    fn flat_table_matches_the_spec_list_model() {
+        let (mut valid, mut invalid) = (0, 0);
+        for stream in 0..400u64 {
+            let mut rng = sesame_sim::DetRng::new(0x6373_7274_6162 ^ stream);
+            let specs = random_specs(&mut rng);
+            let mut builder = GroupTableBuilder::new();
+            for spec in &specs {
+                builder.push(spec);
+            }
+            let built = builder.finish();
+            let table = GroupTable::new(specs.clone());
+            assert_eq!(
+                built.as_ref().err(),
+                table.as_ref().err(),
+                "stream {stream}: builder and new() disagree"
+            );
+            if let Err(want) = model_validate(&specs) {
+                assert_eq!(table.unwrap_err(), want, "stream {stream}: {specs:?}");
+                invalid += 1;
+                continue;
+            }
+            valid += 1;
+            let t = table.unwrap_or_else(|e| panic!("stream {stream}: {e} for {specs:?}"));
+            assert_eq!(t.len(), specs.len());
+            let mut base = 0;
+            for (i, spec) in specs.iter().enumerate() {
+                let id = GroupId::new(i as u32);
+                let g = t.group(id);
+                assert_eq!(
+                    (g.id(), g.root(), g.members(), g.vars(), g.mutex_lock()),
+                    (
+                        id,
+                        spec.root,
+                        &spec.members[..],
+                        &spec.vars[..],
+                        spec.mutex_lock
+                    ),
+                    "stream {stream} group {i}"
+                );
+                assert_eq!(g.is_mutex_group(), spec.mutex_lock.is_some());
+                assert_eq!(t.slot_base(id), base, "stream {stream} group {i}");
+                for node in (0..NODES + 2).map(n) {
+                    let rank = spec.members.iter().position(|&m| m == node);
+                    assert_eq!(
+                        g.member_rank(node),
+                        rank.map(|r| r as u32),
+                        "{node} in {spec:?}"
+                    );
+                    assert_eq!(g.is_member(node), rank.is_some());
+                    assert_eq!(t.member_slot(id, node), rank.map(|r| base + r));
+                }
+                base += spec.members.len();
+            }
+            assert_eq!(t.member_slots(), base);
+            for var in (0..VARS).map(v) {
+                let owner = specs.iter().position(|s| s.vars.contains(&var));
+                assert_eq!(
+                    t.group_of(var).map(|g| g.id().index()),
+                    owner,
+                    "stream {stream}: owner of {var}"
+                );
+            }
+            for node in (0..NODES + 2).map(n) {
+                let of_member: Vec<usize> =
+                    t.groups_of_member(node).map(|g| g.id().index()).collect();
+                let rooted: Vec<usize> = t.groups_rooted_at(node).map(|g| g.id().index()).collect();
+                let scan = |f: &dyn Fn(&GroupSpec) -> bool| -> Vec<usize> {
+                    (0..specs.len()).filter(|&i| f(&specs[i])).collect()
+                };
+                assert_eq!(of_member, scan(&|s| s.members.contains(&node)));
+                assert_eq!(rooted, scan(&|s| s.root == node));
+            }
+        }
+        assert!(
+            valid > 100 && invalid > 50,
+            "{valid} valid, {invalid} invalid"
+        );
+    }
+
+    #[test]
+    fn group_head_is_twenty_four_bytes() {
+        assert_eq!(std::mem::size_of::<GroupHead>(), 24);
+    }
+
+    #[test]
+    fn builder_keeps_the_first_error_and_ignores_later_groups() {
+        let mut b = GroupTableBuilder::new();
+        assert!(b.is_empty());
+        b.push(&spec(0, &[0, 1], &[0], None));
+        b.push(&spec(0, &[3, 2, 3], &[1], None)); // first error
+        b.push(&spec(0, &[], &[2], None)); // would be another
+        assert_eq!(b.len(), 1, "only the valid group was accepted");
+        assert_eq!(
+            b.finish().unwrap_err(),
+            GroupConfigError::DuplicateMember(GroupId::new(1), n(3))
         );
     }
 }

@@ -42,10 +42,20 @@ use crate::{
     TraceDetail, VarId, Word,
 };
 
-/// Encodes a grant watchdog timer tag: group id in the low 16 bits, the
-/// grant's sequence number above.
+/// Encodes a grant watchdog timer tag: the group id in the low 32 bits
+/// (group ids are `u32`, and a sharded machine has more groups than
+/// nodes), the grant's sequence number above.
 fn watchdog_tag(group: GroupId, seq: u64) -> u64 {
-    (seq << 16) | group.get() as u64
+    assert!(
+        seq < 1 << 32,
+        "grant sequence number {seq} overflows the watchdog tag"
+    );
+    (seq << 32) | u64::from(group.get())
+}
+
+/// Inverse of [`watchdog_tag`].
+fn watchdog_untag(tag: u64) -> (GroupId, u64) {
+    (GroupId::new(tag as u32), tag >> 32)
 }
 
 /// One sequenced write traveling (or buffered) within a group.
@@ -64,48 +74,112 @@ struct SeqItem {
 /// number) lives outside this struct, in [`GwcModel::expected`] —
 /// a dense member-slot-indexed array (see [`GroupTable::member_slot`])
 /// so the apply loop of a 100k-node machine never hashes. What remains
-/// here is cold or genuinely per-node state.
+/// here is genuinely per-node: one record per CPU, so it is kept small —
+/// the flag and the two tiny sets inline, the buffers that only loss or
+/// suspension populate behind one pointer.
 #[derive(Debug, Default)]
 struct IfaceState {
-    /// Out-of-order arrivals awaiting their turn (cold: populated only
-    /// on loss-induced gaps). `BTreeMap` keeps group iteration order
-    /// deterministic when [`GwcModel::resume`] drains it.
-    reorder: BTreeMap<GroupId, BTreeMap<u64, SeqItem>>,
     /// Whether insharing is suspended (arrivals buffer in `held`).
     suspended: bool,
+    /// Lock variables with an armed change interrupt.
+    armed: VarSet,
+    /// Locks with an outstanding high-level acquire.
+    pending_acquire: VarSet,
+    /// Reorder and suspension buffers, created on first use.
+    cold: Option<Box<IfaceBuffers>>,
+}
+
+/// The rarely populated part of [`IfaceState`].
+#[derive(Debug, Default)]
+struct IfaceBuffers {
+    /// Out-of-order arrivals awaiting their turn (populated only on
+    /// loss-induced gaps). `BTreeMap` keeps group iteration order
+    /// deterministic when [`GwcModel::resume`] drains it.
+    reorder: BTreeMap<GroupId, BTreeMap<u64, SeqItem>>,
     /// Arrivals buffered during suspension, in arrival order.
     held: VecDeque<SeqItem>,
-    /// Lock variables with an armed change interrupt (sorted; these sets
-    /// hold at most a handful of lock vars, so binary search over a
-    /// contiguous array beats hashing).
-    armed: Vec<VarId>,
-    /// Locks with an outstanding high-level acquire (sorted).
-    pending_acquire: Vec<VarId>,
 }
 
-/// Inserts into / removes from a small sorted set kept as a `Vec`.
-fn sorted_insert(set: &mut Vec<VarId>, var: VarId) {
-    if let Err(i) = set.binary_search(&var) {
-        set.insert(i, var);
+impl IfaceState {
+    fn buffers(&mut self) -> &mut IfaceBuffers {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// Whether any out-of-order arrival is buffered.
+    fn has_reordered(&self) -> bool {
+        self.cold.as_ref().is_some_and(|c| !c.reorder.is_empty())
     }
 }
 
-fn sorted_remove(set: &mut Vec<VarId>, var: VarId) -> bool {
-    match set.binary_search(&var) {
-        Ok(i) => {
-            set.remove(i);
-            true
+/// A small sorted set of lock variables. These sets hold at most a
+/// handful of vars (a node arms and awaits the locks of the sections it is
+/// in), so up to [`VarSet::INLINE`] live in the struct itself — no heap
+/// block per node — and a larger set moves to a sorted `Vec` for good.
+#[derive(Debug, Default)]
+struct VarSet {
+    /// Number of vars in `inline`; unused once `spilled` exists.
+    len: u8,
+    inline: [VarId; VarSet::INLINE],
+    /// Boxed so the rare spill costs every node 8 bytes, not a 24-byte
+    /// `Vec` header.
+    #[allow(clippy::box_collection)]
+    spilled: Option<Box<Vec<VarId>>>,
+}
+
+impl VarSet {
+    const INLINE: usize = 3;
+
+    /// The members, ascending.
+    fn as_slice(&self) -> &[VarId] {
+        match &self.spilled {
+            Some(vars) => vars,
+            None => &self.inline[..self.len as usize],
         }
-        Err(_) => false,
+    }
+
+    fn insert(&mut self, var: VarId) {
+        let Err(at) = self.as_slice().binary_search(&var) else {
+            return;
+        };
+        let len = self.len as usize;
+        if let Some(vars) = &mut self.spilled {
+            vars.insert(at, var);
+        } else if len < Self::INLINE {
+            self.inline.copy_within(at..len, at + 1);
+            self.inline[at] = var;
+            self.len += 1;
+        } else {
+            let mut vars = self.inline.to_vec();
+            vars.insert(at, var);
+            self.spilled = Some(Box::new(vars));
+        }
+    }
+
+    fn remove(&mut self, var: VarId) -> bool {
+        let Ok(at) = self.as_slice().binary_search(&var) else {
+            return false;
+        };
+        let len = self.len as usize;
+        if let Some(vars) = &mut self.spilled {
+            vars.remove(at);
+        } else {
+            self.inline.copy_within(at + 1..len, at);
+            self.len -= 1;
+        }
+        true
     }
 }
 
-/// Lock-manager state for one mutex group, kept at the group root.
+/// Lock-manager state for one mutex group, kept at the group root — in
+/// [`GwcModel::locks`], reached through [`RootGroup::lock`], so the groups
+/// that have no lock (most of a sharded machine) pay nothing for it.
 #[derive(Debug)]
 struct LockState {
     var: VarId,
     holder: Option<NodeId>,
     queue: VecDeque<NodeId>,
+    /// Outstanding grant watchdog (lossy-fabric recovery).
+    watchdog: Option<GrantWatchdog>,
 }
 
 /// Root state for one group.
@@ -119,9 +193,20 @@ struct RootGroup {
     /// Sequence number of the write *before* `history[0]` (0 = nothing
     /// pruned yet).
     history_base: u64,
-    lock: Option<LockState>,
-    /// Outstanding grant watchdog (lossy-fabric recovery).
-    watchdog: Option<GrantWatchdog>,
+    /// Index of the group's [`LockState`] in [`GwcModel::locks`], or
+    /// [`NO_LOCK`] for a plain group.
+    lock: u32,
+}
+
+/// [`RootGroup::lock`] of a group without a mutex lock.
+const NO_LOCK: u32 = u32::MAX;
+
+impl RootGroup {
+    /// The sequenced write numbered `seq`, if the history still holds it.
+    fn sequenced(&self, seq: u64) -> Option<(VarId, Word, NodeId)> {
+        let at = seq.checked_sub(self.history_base + 1)?;
+        self.history.get(usize::try_from(at).ok()?).copied()
+    }
 }
 
 /// Tracks one issued grant until the holder shows signs of life; on
@@ -175,9 +260,10 @@ pub enum GwcMutation {
 /// The group-write-consistency memory model.
 ///
 /// Protocol state is index-addressed: root state is a `Vec` indexed by
-/// the dense [`GroupId`]s, and the per-`(group, member)` expected-
-/// sequence counters live in one flat array indexed by
-/// [`GroupTable::member_slot`]. Both layouts are pure functions of the
+/// the dense [`GroupId`]s (with the lock manager's share in a side `Vec`
+/// that only mutex groups have an entry in), and the per-`(group, member)`
+/// expected-sequence counters live in one flat array indexed by
+/// [`GroupTable::member_slot`]. All layouts are pure functions of the
 /// validated group table, so they cannot perturb event order — the
 /// determinism contract that keeps traces byte-identical.
 #[derive(Debug)]
@@ -185,6 +271,8 @@ pub struct GwcModel {
     ifaces: Vec<IfaceState>,
     /// Root state, indexed by `GroupId::index()` (group ids are dense).
     roots: Vec<RootGroup>,
+    /// Lock-manager state of the mutex groups, in group-id order.
+    locks: Vec<LockState>,
     /// Next sequence number to apply per member slot; `0` means the slot
     /// was never touched and reads as the protocol's starting value `1`.
     expected: Vec<u64>,
@@ -204,18 +292,22 @@ pub struct GwcModel {
 impl GwcModel {
     /// Creates the model for a machine with `nodes` CPUs over `groups`.
     pub fn new(groups: &GroupTable, nodes: usize) -> Self {
+        let mut locks = Vec::new();
         let roots = groups
             .iter()
             .map(|g| RootGroup {
                 next_seq: 1,
                 history: VecDeque::new(),
                 history_base: 0,
-                lock: g.mutex_lock().map(|var| LockState {
-                    var,
-                    holder: None,
-                    queue: VecDeque::new(),
+                lock: g.mutex_lock().map_or(NO_LOCK, |var| {
+                    locks.push(LockState {
+                        var,
+                        holder: None,
+                        queue: VecDeque::new(),
+                        watchdog: None,
+                    });
+                    (locks.len() - 1) as u32
                 }),
-                watchdog: None,
             })
             .collect();
         let mut slot_meta = Vec::with_capacity(groups.member_slots());
@@ -227,6 +319,7 @@ impl GwcModel {
         GwcModel {
             ifaces: (0..nodes).map(|_| IfaceState::default()).collect(),
             roots,
+            locks,
             expected: vec![0; slot_meta.len()],
             slot_meta,
             stats: GwcStats::default(),
@@ -242,6 +335,17 @@ impl GwcModel {
         groups.member_slot(group, node).unwrap_or_else(|| {
             panic!("{node} handled a sequenced write for {group} it is not a member of")
         })
+    }
+
+    /// `group`'s lock-manager state, if it is a mutex group.
+    fn lock(&self, group: GroupId) -> Option<&LockState> {
+        let rg = self.roots.get(group.index())?;
+        self.locks.get(rg.lock as usize)
+    }
+
+    fn lock_mut(&mut self, group: GroupId) -> Option<&mut LockState> {
+        let rg = self.roots.get(group.index())?;
+        self.locks.get_mut(rg.lock as usize)
     }
 
     /// Plants `mutation` into the protocol (checker regression fixtures).
@@ -286,19 +390,24 @@ impl GwcModel {
             let mut expected = std::mem::take(&mut per_iface[i]);
             expected.sort_unstable();
             expected.hash(&mut h);
-            for (g, buffer) in &st.reorder {
+            // An interface without buffers hashes like one whose buffers
+            // are empty.
+            let cold = st.cold.as_deref();
+            for (g, buffer) in cold.iter().flat_map(|c| &c.reorder) {
                 g.get().hash(&mut h);
                 for item in buffer.values() {
                     hash_item(item, &mut h);
                 }
             }
             st.suspended.hash(&mut h);
-            for item in &st.held {
+            for item in cold.iter().flat_map(|c| &c.held) {
                 hash_item(item, &mut h);
             }
-            let armed: Vec<u32> = st.armed.iter().map(|v| v.get()).collect();
+            let armed: Vec<u32> = st.armed.as_slice().iter().map(|v| v.get()).collect();
             armed.hash(&mut h);
-            let pending: Vec<u32> = st.pending_acquire.iter().map(|v| v.get()).collect();
+            let pending: Vec<u32> = (st.pending_acquire.as_slice().iter())
+                .map(|v| v.get())
+                .collect();
             pending.hash(&mut h);
         }
         for (i, rg) in self.roots.iter().enumerate() {
@@ -306,7 +415,8 @@ impl GwcModel {
             for (var, value, origin) in &rg.history {
                 (var.get(), *value, origin.get()).hash(&mut h);
             }
-            match &rg.lock {
+            let lock = self.locks.get(rg.lock as usize);
+            match lock {
                 None => 0u8.hash(&mut h),
                 Some(l) => {
                     (1u8, l.var.get(), l.holder.map(|n| n.get())).hash(&mut h);
@@ -315,7 +425,9 @@ impl GwcModel {
                     }
                 }
             }
-            rg.watchdog.map(|w| (w.seq, w.holder.get())).hash(&mut h);
+            lock.and_then(|l| l.watchdog)
+                .map(|w| (w.seq, w.holder.get()))
+                .hash(&mut h);
         }
         h.finish()
     }
@@ -349,18 +461,12 @@ impl GwcModel {
     /// The current holder of `group`'s mutex lock, per the root's
     /// authoritative state.
     pub fn lock_holder(&self, group: GroupId) -> Option<NodeId> {
-        self.roots
-            .get(group.index())
-            .and_then(|r| r.lock.as_ref())
-            .and_then(|l| l.holder)
+        self.lock(group).and_then(|l| l.holder)
     }
 
     /// Number of requesters queued on `group`'s mutex lock.
     pub fn lock_queue_len(&self, group: GroupId) -> usize {
-        self.roots
-            .get(group.index())
-            .and_then(|r| r.lock.as_ref())
-            .map_or(0, |l| l.queue.len())
+        self.lock(group).map_or(0, |l| l.queue.len())
     }
 
     /// Whether `node`'s insharing is currently suspended.
@@ -460,28 +566,17 @@ impl GwcModel {
             "GwcToRoot delivered to non-root"
         );
         // Any traffic from the current holder proves the grant arrived.
-        if let Some(rg) = self.roots.get_mut(group.index()) {
-            if rg.watchdog.is_some_and(|w| w.holder == origin) {
-                rg.watchdog = None;
+        if let Some(lock) = self.lock_mut(group) {
+            if lock.watchdog.is_some_and(|w| w.holder == origin) {
+                lock.watchdog = None;
             }
-        }
-        let is_lock = self
-            .roots
-            .get(group.index())
-            .and_then(|r| r.lock.as_ref())
-            .is_some_and(|l| l.var == var);
-        if is_lock {
-            self.root_lock_write(group, var, value, origin, mx);
-            return;
-        }
-        // Data write: mutex groups accept data only from the lock holder.
-        let holder = self
-            .roots
-            .get(group.index())
-            .and_then(|r| r.lock.as_ref())
-            .map(|l| l.holder);
-        if let Some(holder) = holder {
-            if holder != Some(origin) {
+            if lock.var == var {
+                self.root_lock_write(group, var, value, origin, mx);
+                return;
+            }
+            // Data write: mutex groups accept data only from the lock
+            // holder.
+            if lock.holder != Some(origin) {
                 self.stats.root_drops += 1;
                 if mx.tracing() {
                     mx.trace(
@@ -537,17 +632,15 @@ impl GwcModel {
             );
         }
         let outcome = {
-            let lock = self.roots[group.index()]
-                .lock
-                .as_mut()
-                .expect("mutex group");
+            let mutation = self.mutation;
+            let lock = self.lock_mut(group).expect("mutex group");
             if let Some(requester) = lockval::as_request(value) {
                 match lock.holder {
                     None => {
                         lock.holder = Some(requester);
                         Outcome::Grant(requester)
                     }
-                    Some(_) if self.mutation == GwcMutation::StaleGrantReuse => {
+                    Some(_) if mutation == GwcMutation::StaleGrantReuse => {
                         // PLANTED BUG: grant over the live holder.
                         lock.holder = Some(requester);
                         Outcome::Grant(requester)
@@ -577,12 +670,7 @@ impl GwcModel {
             // Canonical queue-depth event after every root lock operation;
             // telemetry turns it into a time-weighted root-queue-depth
             // signal per lock.
-            let qlen = self.roots[group.index()]
-                .lock
-                .as_ref()
-                .expect("mutex group")
-                .queue
-                .len();
+            let qlen = self.lock_queue_len(group);
             mx.trace(
                 root,
                 "root-queue",
@@ -616,9 +704,9 @@ impl GwcModel {
                 mx.cause_point(root, CauseOp::Grant);
                 self.sequence_and_multicast(group, var, lockval::grant(holder), root, mx);
                 if let Some(timeout) = self.grant_timeout {
-                    let rg = &mut self.roots[group.index()];
-                    let seq = rg.next_seq - 1;
-                    rg.watchdog = Some(GrantWatchdog { seq, holder });
+                    let seq = self.roots[group.index()].next_seq - 1;
+                    self.lock_mut(group).expect("mutex group").watchdog =
+                        Some(GrantWatchdog { seq, holder });
                     mx.set_model_timer(root, timeout, watchdog_tag(group, seq));
                 }
             }
@@ -626,7 +714,7 @@ impl GwcModel {
                 if mx.tracing() {
                     mx.trace(root, "lock-free", TraceDetail::text(var.to_string()));
                 }
-                self.roots[group.index()].watchdog = None;
+                self.lock_mut(group).expect("mutex group").watchdog = None;
                 self.sequence_and_multicast(group, var, lockval::FREE, root, mx);
             }
             Outcome::Queued => {
@@ -643,7 +731,7 @@ impl GwcModel {
     }
 
     fn apply_chain(&mut self, node: NodeId, group: GroupId, slot: usize, mx: &mut Mx<'_, '_>) {
-        if self.ifaces[node.index()].reorder.is_empty() {
+        if !self.ifaces[node.index()].has_reordered() {
             // Nothing was ever buffered out of order at this node (the
             // steady state of loss-free runs) — skip the per-group probe.
             return;
@@ -654,8 +742,9 @@ impl GwcModel {
             }
             let expected = self.expected[slot].max(1);
             let next = self.ifaces[node.index()]
-                .reorder
-                .get_mut(&group)
+                .cold
+                .as_mut()
+                .and_then(|c| c.reorder.get_mut(&group))
                 .and_then(|b| b.remove(&expected));
             match next {
                 Some(item) => self.apply_item(node, slot, item, mx),
@@ -706,7 +795,7 @@ impl GwcModel {
 
         // Armed lock interrupt: suspend insharing atomically with delivery
         // (Figure 5 line P1).
-        if sorted_remove(&mut st.armed, item.var) {
+        if st.armed.remove(item.var) {
             if mx.config().insharing_suspension {
                 st.suspended = true;
             }
@@ -730,7 +819,7 @@ impl GwcModel {
         }
         mx.cause_point(node, CauseOp::Apply);
         mx.mem(node).write(item.var, item.value);
-        if item.value == lockval::grant(node) && sorted_remove(&mut st.pending_acquire, item.var) {
+        if item.value == lockval::grant(node) && st.pending_acquire.remove(item.var) {
             mx.deliver(node, AppEvent::Acquired { lock: item.var });
         } else {
             mx.deliver(
@@ -750,7 +839,7 @@ impl GwcModel {
         let slot = Self::slot(mx.groups(), item.group, node);
         let st = &mut self.ifaces[node.index()];
         if st.suspended && mx.config().insharing_suspension {
-            st.held.push_back(item);
+            st.buffers().held.push_back(item);
             return;
         }
         let expected = self.expected[slot].max(1);
@@ -763,7 +852,8 @@ impl GwcModel {
                 self.apply_item(node, slot, item, mx);
                 return;
             }
-            st.reorder
+            st.buffers()
+                .reorder
                 .entry(item.group)
                 .or_default()
                 .insert(item.seq, item);
@@ -793,13 +883,18 @@ impl GwcModel {
             if self.ifaces[node.index()].suspended {
                 return; // an armed interrupt re-suspended mid-drain
             }
-            let Some(item) = self.ifaces[node.index()].held.pop_front() else {
+            let st = &mut self.ifaces[node.index()];
+            let Some(item) = st.cold.as_mut().and_then(|c| c.held.pop_front()) else {
                 break;
             };
             self.member_receive(node, item, mx);
         }
         // Anything already in the reorder buffer may now be applicable.
-        let groups: Vec<GroupId> = self.ifaces[node.index()].reorder.keys().copied().collect();
+        let cold = self.ifaces[node.index()].cold.as_deref();
+        let groups: Vec<GroupId> = cold
+            .iter()
+            .flat_map(|c| c.reorder.keys().copied())
+            .collect();
         for g in groups {
             let slot = Self::slot(mx.groups(), g, node);
             self.apply_chain(node, g, slot, mx);
@@ -826,7 +921,7 @@ impl Model for GwcModel {
                 mx.mem(node).write(var, value);
             }
             ModelAction::Acquire { lock } => {
-                sorted_insert(&mut self.ifaces[node.index()].pending_acquire, lock);
+                self.ifaces[node.index()].pending_acquire.insert(lock);
                 mx.mem(node).write(lock, lockval::request(node));
                 self.forward_to_root(node, lock, lockval::request(node), mx);
             }
@@ -842,10 +937,10 @@ impl Model for GwcModel {
                 mx.deliver(node, AppEvent::ValueReady { var, value });
             }
             ModelAction::ArmLockInterrupt { var } => {
-                sorted_insert(&mut self.ifaces[node.index()].armed, var);
+                self.ifaces[node.index()].armed.insert(var);
             }
             ModelAction::DisarmLockInterrupt { var } => {
-                sorted_remove(&mut self.ifaces[node.index()].armed, var);
+                self.ifaces[node.index()].armed.remove(var);
             }
             ModelAction::SuspendInsharing => {
                 self.ifaces[node.index()].suspended = true;
@@ -890,10 +985,8 @@ impl Model for GwcModel {
                     have + 1,
                     rg.history_base
                 );
-                let upto = rg.next_seq;
-                let base = rg.history_base;
-                let resend: Vec<(u64, (VarId, Word, NodeId))> = ((have + 1)..upto)
-                    .map(|s| (s, rg.history[(s - 1 - base) as usize]))
+                let resend: Vec<(u64, (VarId, Word, NodeId))> = ((have + 1)..rg.next_seq)
+                    .map(|s| (s, rg.sequenced(s).expect("history covers the nacked range")))
                     .collect();
                 self.stats.retransmissions += resend.len() as u64;
                 for (seq, (var, value, origin)) in resend {
@@ -929,18 +1022,18 @@ impl Model for GwcModel {
     /// Grant watchdog expiry: if the granted holder has shown no activity,
     /// retransmit the grant's sequenced write directly to it and re-arm.
     fn on_timer(&mut self, node: NodeId, tag: u64, mx: &mut Mx<'_, '_>) {
-        let group = GroupId::new((tag & 0xffff) as u32);
-        let seq = tag >> 16;
-        let Some(rg) = self.roots.get_mut(group.index()) else {
-            return;
-        };
-        let Some(w) = rg.watchdog else {
+        let (group, seq) = watchdog_untag(tag);
+        let Some(w) = self.lock(group).and_then(|l| l.watchdog) else {
             return; // the holder spoke up; nothing to do
         };
         if w.seq != seq {
             return; // a newer grant superseded this watchdog
         }
-        let (var, value, origin) = rg.history[(seq - 1 - rg.history_base) as usize];
+        // A grant the retransmission window already pruned is as good as
+        // superseded: that many later writes were sequenced after it.
+        let Some((var, value, origin)) = self.roots[group.index()].sequenced(seq) else {
+            return;
+        };
         self.stats.grant_retransmissions += 1;
         if mx.tracing() {
             mx.trace(
@@ -964,6 +1057,64 @@ impl Model for GwcModel {
         });
         if let Some(timeout) = self.grant_timeout {
             mx.set_model_timer(node, timeout, tag);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn watchdog_tags_round_trip_above_sixteen_bit_group_ids() {
+        // A sharded machine has more groups than nodes: the stock 100k
+        // bigmesh has 100 316 of them.
+        for (group, seq) in [(0, 1), (70_000, 3), (65_536, 1), (u32::MAX, (1 << 32) - 1)] {
+            let tag = watchdog_tag(GroupId::new(group), seq);
+            assert_eq!(watchdog_untag(tag), (GroupId::new(group), seq));
+        }
+        assert_ne!(
+            watchdog_tag(GroupId::new(70_000), 3),
+            watchdog_tag(GroupId::new(70_000 & 0xffff), 4),
+            "a group id must not bleed into the sequence bits"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the watchdog tag")]
+    fn watchdog_tag_rejects_a_sequence_number_it_cannot_hold() {
+        let _ = watchdog_tag(GroupId::new(1), 1 << 32);
+    }
+
+    #[test]
+    fn per_group_and_per_node_records_stay_small() {
+        // One of each per group / per node of a machine that may have a
+        // million of both (docs/performance.md, "Bytes per node").
+        assert!(std::mem::size_of::<RootGroup>() <= 56);
+        assert!(std::mem::size_of::<IfaceState>() <= 64);
+    }
+
+    #[test]
+    fn var_set_matches_a_btree_set_inline_and_spilled() {
+        let mut rng = sesame_sim::DetRng::new(0x7661_7273);
+        for universe in [3u64, 4, 9] {
+            let mut set = VarSet::default();
+            let mut model = std::collections::BTreeSet::new();
+            for _ in 0..400 {
+                let var = VarId::new(rng.next_below(universe) as u32);
+                if rng.chance(0.55) {
+                    set.insert(var);
+                    model.insert(var);
+                } else {
+                    assert_eq!(set.remove(var), model.remove(&var));
+                }
+                assert!(
+                    set.as_slice().iter().eq(model.iter()),
+                    "{set:?} vs {model:?}"
+                );
+            }
+            // Three vars fit inline; more must have moved to the heap.
+            assert_eq!(set.spilled.is_some(), universe > VarSet::INLINE as u64);
         }
     }
 }

@@ -76,7 +76,7 @@ mod protocol;
 pub use addr::{lockval, GroupId, VarId, Word};
 pub use causal::CauseCtx;
 pub use footprint::{event_footprint, independent, is_local, Footprint, Resource};
-pub use group::{GroupConfigError, GroupSpec, GroupTable, SharingGroup};
+pub use group::{GroupConfigError, GroupSpec, GroupTable, GroupTableBuilder, SharingGroup};
 pub use gwc::{GwcModel, GwcMutation, GwcStats};
 pub use machine::{
     run, run_observed, CpuMeter, DsmEvent, Machine, MachineConfig, MachineMsg, Model, Mx,

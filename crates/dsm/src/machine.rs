@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use sesame_net::{
-    CauseId, ContentionModel, Fabric, LinkTiming, MulticastRoute, NodeId, SpanningTree, Topology,
+    CauseId, ContentionModel, Fabric, LinkTiming, NodeId, RouteArena, SpanningTree, Topology,
 };
 use sesame_sim::{
     Actor, ActorId, BufferPool, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation,
@@ -68,16 +68,18 @@ pub enum DsmEvent {
         pkt: Packet,
     },
     /// Like [`DsmEvent::McastBatch`], but the member list is an index into
-    /// the group's [`MulticastRoute`] wave arena instead of an owned `Vec`:
+    /// the group's packed route in the machine's [`RouteArena`] instead of
+    /// an owned `Vec`:
     /// under contention-free, loss-free timing every fan-out over a route
     /// reaches exactly the topology-static wave at its depth-determined
     /// instant, so the event only needs `(group, wave)` — dispatch iterates
     /// the precomputed slice and allocates nothing.
     McastWave {
-        /// The group whose cached route holds the wave arena.
+        /// The group whose route holds the wave. The arena is append-only,
+        /// so the index stays valid however long the event is queued.
         group: GroupId,
         /// Index of the wavefront within the route
-        /// ([`MulticastRoute::wave`]).
+        /// ([`RouteRef::wave`](sesame_net::RouteRef::wave)).
         wave: u32,
         /// The shared packet; [`Packet::to`] is overridden per member.
         pkt: Packet,
@@ -96,8 +98,8 @@ pub struct MachineConfig {
     /// Honor insharing suspension requests (Figure 4/5); disabling it
     /// demonstrates the lost-update hazard the paper describes.
     pub insharing_suspension: bool,
-    /// Route group multicasts over member-pruned
-    /// [`MulticastRoute`]s instead of flooding the full per-root
+    /// Route group multicasts over member-pruned routes
+    /// ([`RouteArena`]) instead of flooding the full per-root
     /// [`SpanningTree`], and batch same-instant member deliveries into one
     /// [`DsmEvent::McastBatch`] queue event.
     ///
@@ -151,7 +153,7 @@ pub struct Mx<'a, 'b> {
     groups: &'a GroupTable,
     topo: &'a dyn Topology,
     trees: &'a mut HashMap<NodeId, SpanningTree>,
-    routes: &'a mut [Option<MulticastRoute>],
+    routes: &'a mut RouteArena,
     fabric: &'a mut Fabric,
     cfg: &'a MachineConfig,
     ctx: &'a mut Context<'b, MachineMsg>,
@@ -231,17 +233,19 @@ impl Mx<'_, '_> {
     ///
     /// Routing structures are built lazily on a group's first multicast and
     /// cached: full [`SpanningTree`]s are shared between all groups with
-    /// the same root (the default), member-pruned [`MulticastRoute`]s are
-    /// per group ([`MachineConfig::pruned_multicast`]). Both are pure
-    /// functions of the topology and the validated group specs, so lazy
-    /// construction cannot perturb determinism.
+    /// the same root (the default), member-pruned routes are per group,
+    /// packed into one [`RouteArena`]
+    /// ([`MachineConfig::pruned_multicast`]). Both are pure functions of
+    /// the topology and the validated group specs, so lazy construction
+    /// cannot perturb determinism.
     pub fn multicast(&mut self, group: GroupId, bytes: u32, kind: PacketKind) {
         let g = self.groups.group(group);
         let root = g.root();
         let target = self.ctx.self_id();
         if self.cfg.pruned_multicast {
-            let route = self.routes[group.index()]
-                .get_or_insert_with(|| MulticastRoute::build(self.topo, root, g.members()));
+            let route = self
+                .routes
+                .get_or_build(group.index(), self.topo, root, g.members());
             // Fast path: under contention-free, loss-free timing with a
             // nonzero hop latency, a member's arrival instant is a pure
             // function of its hop depth — so the route's topology-static
@@ -287,15 +291,15 @@ impl Mx<'_, '_> {
                 let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
                 for w in 0..route.wave_count() {
                     let at = depth_at(route.wave_depth(w));
-                    let wave = route.wave(w);
+                    let mut wave = route.wave(w);
                     let pkt = Packet {
                         from: root,
-                        to: wave[0],
+                        to: wave.next().expect("a wave has at least one member"),
                         bytes,
                         kind,
                         cause,
                     };
-                    let ev = if wave.len() == 1 {
+                    let ev = if wave.len() == 0 {
                         DsmEvent::Packet(pkt)
                     } else {
                         DsmEvent::McastWave {
@@ -573,10 +577,10 @@ pub struct Machine<M: Model> {
     /// every group with the same root (a tree depends only on the root).
     trees: HashMap<NodeId, SpanningTree>,
     /// Member-pruned routes, built lazily per group when
-    /// [`MachineConfig::pruned_multicast`] is on. Group ids are dense, so
-    /// this is a direct-indexed vector: wave dispatch resolves its route
-    /// with one bounds-checked load instead of a hash probe per event.
-    routes: Vec<Option<MulticastRoute>>,
+    /// [`MachineConfig::pruned_multicast`] is on and packed into one
+    /// arena addressed by the dense group index: wave dispatch resolves
+    /// its route with one header load instead of a hash probe per event.
+    routes: RouteArena,
     mems: Vec<LocalMemory>,
     cpus: Vec<CpuMeter>,
     programs: Vec<Box<dyn Program>>,
@@ -648,7 +652,9 @@ impl<M: Model> Machine<M> {
             fabric: Fabric::new(timing),
             groups,
             trees: HashMap::new(),
-            routes: (0..n_groups).map(|_| None).collect(),
+            // Route headers only where routes will be built: the default
+            // flood machine holds no route storage at all.
+            routes: RouteArena::with_routes(if cfg.pruned_multicast { n_groups } else { 0 }),
             mems: vec![LocalMemory::new(); n],
             cpus: vec![CpuMeter::default(); n],
             programs,
@@ -736,6 +742,13 @@ impl<M: Model> Machine<M> {
     /// The sharing-group table (e.g. for conflict-footprint computation).
     pub fn groups(&self) -> &GroupTable {
         &self.groups
+    }
+
+    /// Heap bytes of pruned-multicast route storage (packed routes and
+    /// per-group headers). Zero on a machine that floods spanning trees,
+    /// which builds no routes.
+    pub fn route_heap_bytes(&self) -> usize {
+        self.routes.heap_bytes()
     }
 
     /// Combined digest of the machine's logical state — model protocol
@@ -1057,15 +1070,15 @@ impl<M: Model> Actor for Machine<M> {
             }
             DsmEvent::McastWave { group, wave, pkt } => {
                 // Same delivery semantics as `McastBatch`, but the member
-                // list is the route's topology-static wave slice. It is
-                // copied into scratch first because delivering to a member
+                // list is the route's topology-static wave. It is copied
+                // into scratch first because delivering to a member
                 // borrows the whole machine mutably.
-                let route = self.routes[group.index()]
-                    .as_ref()
+                let route = self
+                    .routes
+                    .get(group.index())
                     .expect("McastWave event for a group whose route was never built");
                 self.wave_scratch.clear();
-                self.wave_scratch
-                    .extend_from_slice(route.wave(wave as usize));
+                self.wave_scratch.extend(route.wave(wave as usize));
                 for i in 0..self.wave_scratch.len() {
                     let m = self.wave_scratch[i];
                     self.causes.set_current(pkt.cause);

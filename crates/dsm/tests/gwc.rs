@@ -867,3 +867,79 @@ fn app_messages_are_delivered_with_payload_accounting() {
     assert_eq!(got[0], (0, 7, 100 + sesame_dsm::sizes::APP_HEADER));
     assert_eq!(got[1], (0, 8, sesame_dsm::sizes::APP_HEADER));
 }
+
+#[test]
+fn grant_watchdog_finds_its_group_above_sixteen_bit_ids() {
+    // A sharded machine has more groups than nodes, so group ids outgrow
+    // 16 bits long before node ids do. 65 536 one-member filler groups
+    // push the two-node mutex group's id past what the watchdog tag once
+    // reserved for it; a timer that decodes to the wrong group never
+    // retransmits, and the first lost grant deadlocks the lock.
+    const FILLERS: u32 = 1 << 16;
+    let lock = v(FILLERS);
+    let counter = v(FILLERS + 1);
+    let mut specs: Vec<GroupSpec> = (0..FILLERS)
+        .map(|i| GroupSpec {
+            root: n(0),
+            members: vec![n(0)],
+            vars: vec![v(i)],
+            mutex_lock: None,
+        })
+        .collect();
+    specs.push(GroupSpec {
+        root: n(0),
+        members: vec![n(0), n(1)],
+        vars: vec![lock, counter],
+        mutex_lock: Some(lock),
+    });
+    let groups = GroupTable::new(specs).unwrap();
+    let mutex_group = groups.group_of(lock).unwrap().id();
+    assert!(mutex_group.get() >= FILLERS);
+
+    let spans = Rc::new(RefCell::new(Vec::new()));
+    let grants = Rc::new(RefCell::new(Vec::new()));
+    let programs: Vec<Box<dyn Program>> = (0..2)
+        .map(|_| {
+            Box::new(Contender {
+                lock,
+                counter,
+                rounds: 6,
+                section: SimDur::from_us(5),
+                spans: spans.clone(),
+                grants: grants.clone(),
+                entered_at: SimTime::ZERO,
+            }) as Box<dyn Program>
+        })
+        .collect();
+    let model = GwcModel::new(&groups, 2);
+    let mut machine = Machine::new(
+        Box::new(Ring::new(2)),
+        LinkTiming::paper_1994(),
+        groups,
+        programs,
+        model,
+        MachineConfig::default(),
+    );
+    machine.init_var(lock, lockval::FREE);
+    machine.fabric_mut().set_loss(0.25, 99);
+    machine
+        .model_mut()
+        .set_grant_watchdog(Some(SimDur::from_us(50)));
+    let result = run(machine, RunOptions::default());
+
+    let stats = result.machine.model().stats();
+    assert!(
+        stats.grant_retransmissions > 0,
+        "a grant must have been lost at this loss rate: {stats:?}"
+    );
+    assert_eq!(
+        result.machine.mem(n(0)).read(counter),
+        12,
+        "every section ran: each lost grant was retransmitted to its holder"
+    );
+    // The retransmissions reached node 1, the only member a grant can be
+    // lost on the way to, and it entered once per round.
+    assert_eq!(grants.borrow().iter().filter(|&&g| g == 1).count(), 6);
+    assert_eq!(result.machine.model().lock_holder(mutex_group), None);
+    assert_eq!(result.machine.model().lock_queue_len(mutex_group), 0);
+}

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use sesame_sim::{DetRng, SimTime};
 
-use crate::{LinkId, LinkTiming, MulticastRoute, NodeId, SpanningTree, Topology};
+use crate::{LinkId, LinkTiming, NodeId, RouteRef, SpanningTree, Topology};
 
 /// How the fabric accounts for link occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -294,7 +294,9 @@ impl Fabric {
         );
     }
 
-    /// Propagates one packet down a member-pruned [`MulticastRoute`],
+    /// Propagates one packet down a member-pruned route — a
+    /// [`MulticastRoute`](crate::MulticastRoute) by reference or a
+    /// [`RouteRef`] out of a [`RouteArena`](crate::RouteArena) —
     /// returning arrival times in the route's declared member order.
     ///
     /// Semantics match [`Fabric::multicast`] over the full spanning tree —
@@ -304,12 +306,13 @@ impl Fabric {
     /// [`FabricStats::link_traversals`] / [`FabricStats::ser_ns`]): work is
     /// `O(route nodes)` instead of `O(topology positions)`. The root
     /// "receives" its own echo at `now`.
-    pub fn multicast_route(
+    pub fn multicast_route<'r>(
         &mut self,
         now: SimTime,
-        route: &MulticastRoute,
+        route: impl Into<RouteRef<'r>>,
         bytes: u32,
     ) -> Vec<(NodeId, SimTime)> {
+        let route = route.into();
         let mut out = Vec::with_capacity(route.member_count());
         self.multicast_route_into(now, route, bytes, &mut out);
         out
@@ -317,13 +320,14 @@ impl Fabric {
 
     /// Like [`Fabric::multicast_route`], but writes the arrival list into
     /// a caller-provided buffer (cleared first) instead of allocating one.
-    pub fn multicast_route_into(
+    pub fn multicast_route_into<'r>(
         &mut self,
         now: SimTime,
-        route: &MulticastRoute,
+        route: impl Into<RouteRef<'r>>,
         bytes: u32,
         out: &mut Vec<(NodeId, SimTime)>,
     ) {
+        let route = route.into();
         self.bill_multicast_route(route, bytes);
         let ser = self.timing.serialization(bytes);
         // Local index 0 is the root; every parent precedes its children, so
@@ -368,7 +372,8 @@ impl Fabric {
     /// determined by the route's precomputed waves alone — i.e. under
     /// cut-through timing, where a member's arrival is a pure function of
     /// its hop depth.
-    pub fn bill_multicast_route(&mut self, route: &MulticastRoute, bytes: u32) {
+    pub fn bill_multicast_route<'r>(&mut self, route: impl Into<RouteRef<'r>>, bytes: u32) {
+        let route = route.into();
         self.stats.packets += 1;
         self.stats.bytes += bytes as u64;
         let edges = route.edge_count() as u64;

@@ -40,7 +40,7 @@ pub use causal::{CauseAlloc, CauseId};
 pub use fabric::{ContentionModel, Delivery, Fabric, FabricStats};
 pub use hypercube::Hypercube;
 pub use link::LinkTiming;
-pub use mroute::MulticastRoute;
+pub use mroute::{MulticastRoute, RouteArena, RouteRef};
 pub use node::{LinkId, NodeId};
 pub use topology::{FullMesh, Line, MeshTorus2d, Ring, Star, Topology};
 pub use tree::SpanningTree;

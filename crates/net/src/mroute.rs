@@ -1,4 +1,5 @@
-//! Member-pruned multicast routes, built incrementally from unicast paths.
+//! Member-pruned multicast routes, built from unicast paths and stored
+//! packed.
 //!
 //! [`SpanningTree`](crate::SpanningTree) materializes a full BFS tree over
 //! *every* position of the topology — `O(positions)` memory per distinct
@@ -7,18 +8,35 @@
 //! mesh hosting thousands of small groups would spend almost all of its
 //! memory and multicast time on positions that never receive anything.
 //!
-//! [`MulticastRoute`] is the pruned alternative: the union of the
-//! topology's deterministic shortest paths from the root to each *member*,
-//! stored over a compact local index space that contains only the positions
-//! those paths touch. Construction costs `O(sum of member path lengths)`
-//! and a multicast walks exactly the pruned edge set.
+//! A pruned route is the alternative: the union of the topology's
+//! deterministic shortest paths from the root to each *member*, stored
+//! over a compact local index space that contains only the positions those
+//! paths touch. Construction costs `O(sum of member path lengths)` and a
+//! multicast walks exactly the pruned edge set.
+//!
+//! # One layout, two owners
+//!
+//! A machine that scales by sharding has more groups than nodes, so a
+//! route is stored as **one run of 32-bit words**, not as a struct of
+//! vectors:
+//!
+//! ```text
+//! nodes[n] | parent[n] | depth[n] | members[m] | wave_nodes[m] | wave_offsets[w + 1] | wave_depths[w]
+//! ```
+//!
+//! (`n` positions, `m` members, `w` waves — 15 words for a two-member
+//! hand-off group.) [`RouteArena`] packs every route of a machine into one
+//! append-only buffer with a fixed-size header per route and builds them
+//! lazily through retained scratch; [`MulticastRoute`] is the same layout
+//! owning a single route. Both hand out the borrowed [`RouteRef`] view,
+//! which carries all the accessors.
 //!
 //! # Determinism and equivalence
 //!
 //! * Construction is a pure function of `(topology, root, member order)`:
-//!   [`Topology::route`] is deterministic, members are walked in declared
-//!   order, and first-wins parent assignment breaks any tie the same way
-//!   every run. No hashing, no RNG.
+//!   [`Topology::route_into`] is deterministic, members are walked in
+//!   declared order, and first-wins parent assignment breaks any tie the
+//!   same way every run. No hashing, no RNG.
 //! * Under cut-through timing (the paper's model) a member's arrival time
 //!   depends only on its hop depth, and every route is a shortest path — so
 //!   arrival times equal what [`Fabric::multicast`](crate::Fabric::multicast)
@@ -26,14 +44,281 @@
 //!   differs: the pruned route traverses (and bills) only edges that lead
 //!   to members, while the full tree floods every position.
 
-use crate::{NodeId, Topology};
+use crate::{LinkId, NodeId, Topology};
 
-/// The union of deterministic shortest paths from one root to each group
-/// member, indexed compactly over just the positions those paths visit.
+/// Section lengths of one packed route; with the section order fixed they
+/// determine where every section starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    /// Positions the route materializes (root included).
+    nodes: u32,
+    /// Members delivered to (duplicates counted).
+    members: u32,
+    /// Distinct member hop depths.
+    waves: u32,
+}
+
+impl Shape {
+    /// Total words of a route of this shape.
+    fn words(self) -> usize {
+        3 * self.nodes as usize + 2 * self.members as usize + 2 * self.waves as usize + 1
+    }
+}
+
+/// A borrowed view of one packed route — out of a [`RouteArena`] or a
+/// [`MulticastRoute`] — split into its sections once, so every accessor
+/// is a plain slice index.
 ///
 /// Local index `0` is always the root; every other node's parent appears
 /// at a smaller local index, so walking `1..len` visits parents before
 /// children — the order a downstream multicast wave advances.
+#[derive(Debug, Clone, Copy)]
+pub struct RouteRef<'a> {
+    /// Local index -> position. `nodes[0]` is the root.
+    nodes: &'a [u32],
+    /// Local parent index; `parent[0] == 0` (the root is its own parent).
+    parent: &'a [u32],
+    /// Hop depth from the root (equals the topology's shortest-path hops).
+    depth: &'a [u32],
+    /// Local indices of the group members, in declared member order.
+    members: &'a [u32],
+    /// Member positions regrouped into fan-out waves: positions sharing
+    /// one hop depth, waves in ascending depth order, members inside a
+    /// wave in declared member order. Sliced by `wave_offsets`.
+    wave_nodes: &'a [u32],
+    /// `wave_offsets[w]..wave_offsets[w + 1]` indexes wave `w` in
+    /// `wave_nodes`; always one longer than `wave_depths`.
+    wave_offsets: &'a [u32],
+    /// Hop depth of each wave, strictly ascending.
+    wave_depths: &'a [u32],
+}
+
+impl<'a> RouteRef<'a> {
+    fn new(words: &'a [u32], shape: Shape) -> Self {
+        let (n, m) = (shape.nodes as usize, shape.members as usize);
+        let (nodes, rest) = words.split_at(n);
+        let (parent, rest) = rest.split_at(n);
+        let (depth, rest) = rest.split_at(n);
+        let (members, rest) = rest.split_at(m);
+        let (wave_nodes, rest) = rest.split_at(m);
+        let (wave_offsets, wave_depths) = rest.split_at(shape.waves as usize + 1);
+        debug_assert_eq!(wave_depths.len(), shape.waves as usize);
+        RouteRef {
+            nodes,
+            parent,
+            depth,
+            members,
+            wave_nodes,
+            wave_offsets,
+            wave_depths,
+        }
+    }
+
+    /// The route's root (the group's sequencing arbiter).
+    pub fn root(self) -> NodeId {
+        self.node(0)
+    }
+
+    /// Number of positions the pruned route materializes (root included).
+    pub fn len(self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the route is empty (never true: the root is always present).
+    pub fn is_empty(self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Number of directed edges a multicast traverses — one per non-root
+    /// position, since the union of root-anchored paths is a tree.
+    pub fn edge_count(self) -> usize {
+        self.len() - 1
+    }
+
+    /// Number of members the route delivers to.
+    pub fn member_count(self) -> usize {
+        self.members.len()
+    }
+
+    /// The position at local index `i` (`0` is the root).
+    pub fn node(self, i: usize) -> NodeId {
+        NodeId::new(self.nodes[i])
+    }
+
+    /// The local parent index of local index `i`; parents always have
+    /// smaller indices, so `1..len` walks parents before children.
+    pub fn parent_of(self, i: usize) -> usize {
+        self.parent[i] as usize
+    }
+
+    /// Hop depth of local index `i` from the root (equals the topology's
+    /// shortest-path distance).
+    pub fn depth_of(self, i: usize) -> u32 {
+        self.depth[i]
+    }
+
+    /// The members' local indices in declared member order — the order
+    /// arrival lists are produced in, mirroring
+    /// [`Fabric::multicast`](crate::Fabric::multicast)'s member order.
+    pub fn member_indices(self) -> impl ExactSizeIterator<Item = usize> + 'a {
+        self.members.iter().map(|&i| i as usize)
+    }
+
+    /// Number of fan-out waves: distinct member hop depths. Under
+    /// cut-through timing with a nonzero hop latency every member of one
+    /// wave receives the multicast at the same instant, and no two waves
+    /// share an instant — so a fan-out is exactly one queue event per wave.
+    pub fn wave_count(self) -> usize {
+        self.wave_depths.len()
+    }
+
+    /// Hop depth of wave `w` (waves are ordered by strictly ascending
+    /// depth, so this is also ascending arrival order).
+    pub fn wave_depth(self, w: usize) -> u32 {
+        self.wave_depths[w]
+    }
+
+    /// The members of wave `w`, in declared member order, read straight
+    /// out of the packed route: iterating a fan-out materializes nothing.
+    pub fn wave(self, w: usize) -> impl ExactSizeIterator<Item = NodeId> + 'a {
+        let (start, end) = (self.wave_offsets[w], self.wave_offsets[w + 1]);
+        self.wave_nodes[start as usize..end as usize]
+            .iter()
+            .map(|&n| NodeId::new(n))
+    }
+
+    /// The largest member hop depth (0 when the only member is the root,
+    /// or when there are no members at all) — the depth of the last wave,
+    /// which determines the end of the whole fan-out interval.
+    pub fn max_depth(self) -> u32 {
+        self.wave_depths.last().copied().unwrap_or(0)
+    }
+}
+
+/// Build-time state of the route builder, retained between builds so the
+/// N-th route of an arena allocates nothing.
+#[derive(Debug, Default)]
+struct RouteScratch {
+    /// Sorted `(position, local index)` pairs: membership lookup while the
+    /// path union grows.
+    index: Vec<(NodeId, u32)>,
+    /// The unicast path being walked.
+    path: Vec<LinkId>,
+    nodes: Vec<u32>,
+    parent: Vec<u32>,
+    depth: Vec<u32>,
+    members: Vec<u32>,
+    /// Distinct member depths, ascending.
+    wave_depths: Vec<u32>,
+    /// Wave start offsets, then per-wave write cursors.
+    wave_cursor: Vec<u32>,
+}
+
+impl RouteScratch {
+    /// Builds the pruned route for `members` rooted at `root` — walking
+    /// `topo`'s deterministic shortest path to each member in declared
+    /// order and unioning the paths (first-wins parent assignment) — and
+    /// appends its packed words to `out`.
+    fn build_into(
+        &mut self,
+        topo: &dyn Topology,
+        root: NodeId,
+        members: &[NodeId],
+        out: &mut Vec<u32>,
+    ) -> Shape {
+        assert!(root.index() < topo.positions(), "root out of range");
+        self.index.clear();
+        self.nodes.clear();
+        self.parent.clear();
+        self.depth.clear();
+        self.members.clear();
+        self.index.push((root, 0));
+        self.nodes.push(root.get());
+        self.parent.push(0);
+        self.depth.push(0);
+        for &member in members {
+            assert!(member.index() < topo.positions(), "member out of range");
+            topo.route_into(root, member, &mut self.path);
+            let mut at = 0u32; // local index of the walk position (starts at root)
+            for link in &self.path {
+                debug_assert_eq!(link.from_node().get(), self.nodes[at as usize]);
+                let next = link.to_node();
+                at = match self.index.binary_search_by_key(&next, |&(n, _)| n) {
+                    Ok(found) => {
+                        // Already reached along an earlier member's path.
+                        // Both paths are shortest, so the depths must agree.
+                        let existing = self.index[found].1;
+                        debug_assert_eq!(
+                            self.depth[existing as usize],
+                            self.depth[at as usize] + 1
+                        );
+                        existing
+                    }
+                    Err(pos) => {
+                        let idx = u32::try_from(self.nodes.len()).expect("route too large");
+                        self.nodes.push(next.get());
+                        self.parent.push(at);
+                        self.depth.push(self.depth[at as usize] + 1);
+                        self.index.insert(pos, (next, idx));
+                        idx
+                    }
+                };
+            }
+            self.members.push(at);
+        }
+
+        // Waves: members regrouped by hop depth, waves in ascending depth
+        // order, members inside a wave in declared order (a stable
+        // counting sort over the distinct depths).
+        let depth = &self.depth;
+        self.wave_depths.clear();
+        self.wave_depths
+            .extend(self.members.iter().map(|&i| depth[i as usize]));
+        self.wave_depths.sort_unstable();
+        self.wave_depths.dedup();
+        let wave_of = |wave_depths: &[u32], i: u32| {
+            wave_depths
+                .binary_search(&depth[i as usize])
+                .expect("every member depth is a wave depth")
+        };
+        self.wave_cursor.clear();
+        self.wave_cursor.resize(self.wave_depths.len() + 1, 0);
+        for &i in &self.members {
+            self.wave_cursor[wave_of(&self.wave_depths, i) + 1] += 1;
+        }
+        for w in 1..self.wave_cursor.len() {
+            self.wave_cursor[w] += self.wave_cursor[w - 1];
+        }
+
+        let shape = Shape {
+            nodes: self.nodes.len() as u32,
+            members: u32::try_from(self.members.len()).expect("route too large"),
+            waves: self.wave_depths.len() as u32,
+        };
+        let start = out.len();
+        out.reserve(shape.words());
+        out.extend_from_slice(&self.nodes);
+        out.extend_from_slice(&self.parent);
+        out.extend_from_slice(&self.depth);
+        out.extend_from_slice(&self.members);
+        let wave_nodes = out.len();
+        out.resize(wave_nodes + self.members.len(), 0);
+        out.extend_from_slice(&self.wave_cursor);
+        out.extend_from_slice(&self.wave_depths);
+        for &i in &self.members {
+            let cursor = &mut self.wave_cursor[wave_of(&self.wave_depths, i)];
+            out[wave_nodes + *cursor as usize] = self.nodes[i as usize];
+            *cursor += 1;
+        }
+        debug_assert_eq!(out.len() - start, shape.words());
+        shape
+    }
+}
+
+/// One pruned route, owned: the union of deterministic shortest paths from
+/// one root to each group member, indexed compactly over just the positions
+/// those paths visit. Same packed layout as a [`RouteArena`] entry; the
+/// accessors are those of [`RouteRef`].
 ///
 /// ```
 /// use sesame_net::{MeshTorus2d, MulticastRoute, NodeId};
@@ -47,26 +332,8 @@ use crate::{NodeId, Topology};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MulticastRoute {
-    root: NodeId,
-    /// Local index -> position. `nodes[0]` is the root.
-    nodes: Vec<NodeId>,
-    /// Sorted `(position, local index)` pairs for membership lookup.
-    index: Vec<(NodeId, u32)>,
-    /// Local parent index; `parent[0] == 0` (the root is its own parent).
-    parent: Vec<u32>,
-    /// Hop depth from the root (equals the topology's shortest-path hops).
-    depth: Vec<u32>,
-    /// Local indices of the group members, in declared member order.
-    members: Vec<u32>,
-    /// Members regrouped into fan-out waves: positions sharing one hop
-    /// depth, waves in ascending depth order, members inside a wave in
-    /// declared member order. Flat storage sliced by `wave_offsets`.
-    wave_nodes: Vec<NodeId>,
-    /// `wave_offsets[w]..wave_offsets[w + 1]` indexes wave `w` in
-    /// `wave_nodes`; always one longer than `wave_depths`.
-    wave_offsets: Vec<u32>,
-    /// Hop depth of each wave, strictly ascending.
-    wave_depths: Vec<u32>,
+    words: Vec<u32>,
+    shape: Shape,
 }
 
 impl MulticastRoute {
@@ -78,179 +345,183 @@ impl MulticastRoute {
     ///
     /// Panics if `root` or a member is not a valid topology position, or if
     /// a route step is inconsistent with the path walked so far (both
-    /// indicate a broken [`Topology::route`] implementation).
+    /// indicate a broken [`Topology::route_into`] implementation).
     pub fn build(topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
-        assert!(root.index() < topo.positions(), "root out of range");
-        let mut route = MulticastRoute {
-            root,
-            nodes: vec![root],
-            index: vec![(root, 0)],
-            parent: vec![0],
-            depth: vec![0],
-            members: Vec::with_capacity(members.len()),
-            wave_nodes: Vec::with_capacity(members.len()),
-            wave_offsets: vec![0],
-            wave_depths: Vec::new(),
-        };
-        for &m in members {
-            route.add_member(topo, m);
-        }
-        route
+        let mut words = Vec::new();
+        let shape = RouteScratch::default().build_into(topo, root, members, &mut words);
+        MulticastRoute { words, shape }
     }
 
-    /// Adds one member, extending the route union with any positions its
-    /// shortest path introduces. Called in declared member order by
-    /// [`MulticastRoute::build`]; exposed for incremental construction.
-    pub fn add_member(&mut self, topo: &dyn Topology, member: NodeId) {
-        assert!(member.index() < topo.positions(), "member out of range");
-        let mut at = 0u32; // local index of the walk position (starts at root)
-        for link in topo.route(self.root, member) {
-            debug_assert_eq!(link.from_node(), self.nodes[at as usize]);
-            let next = link.to_node();
-            at = match self.local_index(next) {
-                Some(existing) => {
-                    // Already reached along an earlier member's path. Both
-                    // paths are shortest, so the depths must agree.
-                    debug_assert_eq!(self.depth[existing as usize], self.depth[at as usize] + 1);
-                    existing
-                }
-                None => {
-                    let idx = self.nodes.len() as u32;
-                    self.nodes.push(next);
-                    self.parent.push(at);
-                    self.depth.push(self.depth[at as usize] + 1);
-                    let pos = self
-                        .index
-                        .binary_search_by_key(&next, |&(n, _)| n)
-                        .unwrap_err();
-                    self.index.insert(pos, (next, idx));
-                    idx
-                }
-            };
-        }
-        self.members.push(at);
-        self.wave_insert(at);
+    /// The borrowed view carrying the accessors.
+    pub fn view(&self) -> RouteRef<'_> {
+        RouteRef::new(&self.words, self.shape)
     }
 
-    /// Slots one member into the wave arena: appended to the wave of its
-    /// hop depth (keeping declared member order within the wave), with a
-    /// new wave spliced in when this depth is the first of its kind.
-    fn wave_insert(&mut self, member: u32) {
-        let d = self.depth[member as usize];
-        let node = self.nodes[member as usize];
-        match self.wave_depths.binary_search(&d) {
-            Ok(w) => {
-                let end = self.wave_offsets[w + 1] as usize;
-                self.wave_nodes.insert(end, node);
-                for off in &mut self.wave_offsets[w + 1..] {
-                    *off += 1;
-                }
-            }
-            Err(w) => {
-                let start = self.wave_offsets[w] as usize;
-                self.wave_nodes.insert(start, node);
-                self.wave_depths.insert(w, d);
-                self.wave_offsets.insert(w + 1, self.wave_offsets[w] + 1);
-                for off in &mut self.wave_offsets[w + 2..] {
-                    *off += 1;
-                }
-            }
-        }
-    }
-
-    fn local_index(&self, n: NodeId) -> Option<u32> {
-        self.index
-            .binary_search_by_key(&n, |&(m, _)| m)
-            .ok()
-            .map(|i| self.index[i].1)
-    }
-
-    /// The route's root (the group's sequencing arbiter).
+    /// See [`RouteRef::root`].
     pub fn root(&self) -> NodeId {
-        self.root
+        self.view().root()
     }
 
-    /// Number of positions the pruned route materializes (root included).
+    /// See [`RouteRef::len`].
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.view().len()
     }
 
-    /// Whether the route is empty (never true: the root is always present).
+    /// See [`RouteRef::is_empty`].
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.view().is_empty()
     }
 
-    /// Number of directed edges a multicast traverses — one per non-root
-    /// position, since the union of root-anchored paths is a tree.
+    /// See [`RouteRef::edge_count`].
     pub fn edge_count(&self) -> usize {
-        self.nodes.len() - 1
+        self.view().edge_count()
     }
 
-    /// Number of members the route delivers to.
+    /// See [`RouteRef::member_count`].
     pub fn member_count(&self) -> usize {
-        self.members.len()
+        self.view().member_count()
     }
 
-    /// The position at local index `i` (`0` is the root).
+    /// See [`RouteRef::node`].
     pub fn node(&self, i: usize) -> NodeId {
-        self.nodes[i]
+        self.view().node(i)
     }
 
-    /// The local parent index of local index `i`; parents always have
-    /// smaller indices, so `1..len` walks parents before children.
+    /// See [`RouteRef::parent_of`].
     pub fn parent_of(&self, i: usize) -> usize {
-        self.parent[i] as usize
+        self.view().parent_of(i)
     }
 
-    /// Hop depth of local index `i` from the root (equals the topology's
-    /// shortest-path distance).
+    /// See [`RouteRef::depth_of`].
     pub fn depth_of(&self, i: usize) -> u32 {
-        self.depth[i]
+        self.view().depth_of(i)
     }
 
-    /// The members' local indices in declared member order — the order
-    /// arrival lists are produced in, mirroring
-    /// [`Fabric::multicast`](crate::Fabric::multicast)'s member order.
-    pub fn member_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.members.iter().map(|&i| i as usize)
+    /// See [`RouteRef::member_indices`].
+    pub fn member_indices(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.view().member_indices()
     }
 
-    /// Number of fan-out waves: distinct member hop depths. Under
-    /// cut-through timing with a nonzero hop latency every member of one
-    /// wave receives the multicast at the same instant, and no two waves
-    /// share an instant — so a fan-out is exactly one queue event per wave.
+    /// See [`RouteRef::wave_count`].
     pub fn wave_count(&self) -> usize {
-        self.wave_depths.len()
+        self.view().wave_count()
     }
 
-    /// Hop depth of wave `w` (waves are ordered by strictly ascending
-    /// depth, so this is also ascending arrival order).
+    /// See [`RouteRef::wave_depth`].
     pub fn wave_depth(&self, w: usize) -> u32 {
-        self.wave_depths[w]
+        self.view().wave_depth(w)
     }
 
-    /// The members of wave `w`, in declared member order — a borrowed
-    /// slice into the route's topology-static arena: iterating a fan-out
-    /// materializes nothing.
-    pub fn wave(&self, w: usize) -> &[NodeId] {
-        let start = self.wave_offsets[w] as usize;
-        let end = self.wave_offsets[w + 1] as usize;
-        &self.wave_nodes[start..end]
+    /// See [`RouteRef::wave`].
+    pub fn wave(&self, w: usize) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.view().wave(w)
     }
 
-    /// The largest member hop depth (0 when the only member is the root,
-    /// or when there are no members at all) — the depth of the last wave,
-    /// which determines the end of the whole fan-out interval.
+    /// See [`RouteRef::max_depth`].
     pub fn max_depth(&self) -> u32 {
-        self.wave_depths.last().copied().unwrap_or(0)
+        self.view().max_depth()
+    }
+}
+
+impl<'a> From<&'a MulticastRoute> for RouteRef<'a> {
+    fn from(route: &'a MulticastRoute) -> Self {
+        route.view()
+    }
+}
+
+/// Where one route of a [`RouteArena`] lives.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// First word of the route; [`Slot::UNBUILT`] until its first use.
+    at: u32,
+    shape: Shape,
+}
+
+impl Slot {
+    const UNBUILT: Slot = Slot {
+        at: u32::MAX,
+        shape: Shape {
+            nodes: 0,
+            members: 0,
+            waves: 0,
+        },
+    };
+}
+
+/// Every pruned route of one machine, packed into a single buffer.
+///
+/// Routes are addressed by a dense caller-chosen id (the machine uses the
+/// group id) and built lazily on first use. The arena is **append-only**:
+/// a built route never moves relative to its id and is never dropped, so
+/// an id — or a `(id, wave)` pair queued in an event — stays valid for the
+/// arena's lifetime. Building reuses retained scratch, so after warm-up a
+/// new route costs no allocation beyond the buffer's amortized doubling.
+#[derive(Debug, Default)]
+pub struct RouteArena {
+    words: Vec<u32>,
+    slots: Vec<Slot>,
+    scratch: RouteScratch,
+}
+
+impl RouteArena {
+    /// An arena with headers for route ids `0..routes` (none built yet).
+    /// Ids beyond that still work; their headers are added on demand.
+    pub fn with_routes(routes: usize) -> Self {
+        RouteArena {
+            slots: vec![Slot::UNBUILT; routes],
+            ..RouteArena::default()
+        }
+    }
+
+    /// The route with the given id, if it has been built.
+    pub fn get(&self, id: usize) -> Option<RouteRef<'_>> {
+        let slot = *self.slots.get(id)?;
+        (slot.at != Slot::UNBUILT.at).then(|| {
+            let at = slot.at as usize;
+            RouteRef::new(&self.words[at..at + slot.shape.words()], slot.shape)
+        })
+    }
+
+    /// The route with the given id, built now from `(topo, root, members)`
+    /// if this is its first use (see [`MulticastRoute::build`], including
+    /// the panics). Later calls ignore the arguments: a route is a pure
+    /// function of the topology and its group, both fixed for a machine.
+    pub fn get_or_build(
+        &mut self,
+        id: usize,
+        topo: &dyn Topology,
+        root: NodeId,
+        members: &[NodeId],
+    ) -> RouteRef<'_> {
+        if id >= self.slots.len() {
+            self.slots.resize(id + 1, Slot::UNBUILT);
+        }
+        if self.slots[id].at == Slot::UNBUILT.at {
+            let at = u32::try_from(self.words.len())
+                .ok()
+                .filter(|&at| at != Slot::UNBUILT.at)
+                .expect("route arena exceeds 2^32 words");
+            let shape = self
+                .scratch
+                .build_into(topo, root, members, &mut self.words);
+            self.slots[id] = Slot { at, shape };
+        }
+        self.get(id).expect("route was just built")
+    }
+
+    /// Heap bytes of route storage the arena holds — packed words and
+    /// per-route headers, by capacity. Zero until a header or route exists.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u32>()
+            + self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fabric, LinkTiming, MeshTorus2d, Ring, SpanningTree, Star};
-    use sesame_sim::SimTime;
+    use crate::{Fabric, Hypercube, LinkTiming, MeshTorus2d, Ring, SpanningTree, Star};
+    use sesame_sim::{DetRng, SimTime};
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
@@ -330,7 +601,10 @@ mod tests {
         assert_eq!(route.wave_count(), by_depth.len());
         for (w, (depth, want)) in by_depth.iter().enumerate() {
             assert_eq!(route.wave_depth(w), *depth);
-            assert_eq!(route.wave(w), &want[..], "wave at depth {depth}");
+            assert!(
+                route.wave(w).eq(want.iter().copied()),
+                "wave at depth {depth}"
+            );
         }
         let total: usize = (0..route.wave_count()).map(|w| route.wave(w).len()).sum();
         assert_eq!(total, route.member_count());
@@ -361,7 +635,10 @@ mod tests {
             }
             assert_eq!(route.wave_count(), by_time.len(), "topo {topo:?}");
             for (w, wave) in by_time.values().enumerate() {
-                assert_eq!(route.wave(w), &wave[..], "topo {topo:?} wave {w}");
+                assert!(
+                    route.wave(w).eq(wave.iter().copied()),
+                    "topo {topo:?} wave {w}"
+                );
             }
         }
     }
@@ -372,8 +649,8 @@ mod tests {
         let route = MulticastRoute::build(&topo, n(0), &[n(1), n(1), n(0)]);
         assert_eq!(route.member_count(), 3);
         assert_eq!(route.wave_count(), 2);
-        assert_eq!(route.wave(0), &[n(0)]);
-        assert_eq!(route.wave(1), &[n(1), n(1)]);
+        assert!(route.wave(0).eq([n(0)]));
+        assert!(route.wave(1).eq([n(1), n(1)]));
     }
 
     #[test]
@@ -391,5 +668,192 @@ mod tests {
         let idxs: Vec<usize> = route.member_indices().collect();
         assert_eq!(idxs[0], 0);
         assert_eq!(route.depth_of(idxs[0]), 0);
+    }
+
+    /// The representation this module used before routes were packed — a
+    /// struct of vectors grown member by member, with waves spliced in as
+    /// they appear — kept as the reference model the packed builder is
+    /// compared against.
+    #[derive(Debug, Default)]
+    struct ReferenceRoute {
+        nodes: Vec<NodeId>,
+        index: Vec<(NodeId, u32)>,
+        parent: Vec<u32>,
+        depth: Vec<u32>,
+        members: Vec<u32>,
+        wave_nodes: Vec<NodeId>,
+        wave_offsets: Vec<u32>,
+        wave_depths: Vec<u32>,
+    }
+
+    impl ReferenceRoute {
+        fn build(topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
+            let mut route = ReferenceRoute {
+                nodes: vec![root],
+                index: vec![(root, 0)],
+                parent: vec![0],
+                depth: vec![0],
+                wave_offsets: vec![0],
+                ..ReferenceRoute::default()
+            };
+            for &m in members {
+                route.add_member(topo, root, m);
+            }
+            route
+        }
+
+        fn add_member(&mut self, topo: &dyn Topology, root: NodeId, member: NodeId) {
+            let mut at = 0u32;
+            for link in topo.route(root, member) {
+                let next = link.to_node();
+                at = match self.index.binary_search_by_key(&next, |&(n, _)| n) {
+                    Ok(i) => self.index[i].1,
+                    Err(pos) => {
+                        let idx = self.nodes.len() as u32;
+                        self.nodes.push(next);
+                        self.parent.push(at);
+                        self.depth.push(self.depth[at as usize] + 1);
+                        self.index.insert(pos, (next, idx));
+                        idx
+                    }
+                };
+            }
+            self.members.push(at);
+            let d = self.depth[at as usize];
+            let node = self.nodes[at as usize];
+            match self.wave_depths.binary_search(&d) {
+                Ok(w) => {
+                    let end = self.wave_offsets[w + 1] as usize;
+                    self.wave_nodes.insert(end, node);
+                    for off in &mut self.wave_offsets[w + 1..] {
+                        *off += 1;
+                    }
+                }
+                Err(w) => {
+                    let start = self.wave_offsets[w] as usize;
+                    self.wave_nodes.insert(start, node);
+                    self.wave_depths.insert(w, d);
+                    self.wave_offsets.insert(w + 1, self.wave_offsets[w] + 1);
+                    for off in &mut self.wave_offsets[w + 2..] {
+                        *off += 1;
+                    }
+                }
+            }
+        }
+
+        fn assert_matches(&self, got: RouteRef<'_>, what: &str) {
+            assert_eq!(got.len(), self.nodes.len(), "{what}: len");
+            assert_eq!(got.edge_count(), self.nodes.len() - 1, "{what}: edges");
+            assert_eq!(got.root(), self.nodes[0], "{what}: root");
+            for i in 0..self.nodes.len() {
+                assert_eq!(got.node(i), self.nodes[i], "{what}: node {i}");
+                assert_eq!(
+                    got.parent_of(i),
+                    self.parent[i] as usize,
+                    "{what}: parent {i}"
+                );
+                assert_eq!(got.depth_of(i), self.depth[i], "{what}: depth {i}");
+            }
+            assert_eq!(got.member_count(), self.members.len(), "{what}: members");
+            assert!(
+                got.member_indices()
+                    .eq(self.members.iter().map(|&i| i as usize)),
+                "{what}: member indices"
+            );
+            assert_eq!(got.wave_count(), self.wave_depths.len(), "{what}: waves");
+            for w in 0..self.wave_depths.len() {
+                assert_eq!(got.wave_depth(w), self.wave_depths[w], "{what}: wave {w}");
+                let (a, b) = (self.wave_offsets[w], self.wave_offsets[w + 1]);
+                assert!(
+                    got.wave(w)
+                        .eq(self.wave_nodes[a as usize..b as usize].iter().copied()),
+                    "{what}: wave {w} members"
+                );
+            }
+            assert_eq!(
+                got.max_depth(),
+                self.wave_depths.last().copied().unwrap_or(0),
+                "{what}: max depth"
+            );
+        }
+    }
+
+    /// A random `(root, member list)` over `topo`: members drawn with
+    /// replacement (so duplicates occur), sometimes the root itself,
+    /// sometimes nobody.
+    fn random_group(rng: &mut DetRng, topo: &dyn Topology) -> (NodeId, Vec<NodeId>) {
+        let positions = topo.positions() as u64;
+        let root = n(rng.next_below(positions) as u32);
+        let count = match rng.next_below(8) {
+            0 => 0,
+            1 => 1,
+            _ => rng.next_below(2 * positions.min(24)) as usize,
+        };
+        let mut members: Vec<NodeId> = (0..count)
+            .map(|_| n(rng.next_below(positions) as u32))
+            .collect();
+        if count > 0 && rng.chance(0.3) {
+            let at = rng.next_below(count as u64) as usize;
+            members[at] = root;
+        }
+        (root, members)
+    }
+
+    #[test]
+    fn packed_routes_match_the_reference_builder() {
+        let topos: [Box<dyn Topology>; 5] = [
+            Box::new(MeshTorus2d::new(7, 5)),
+            Box::new(MeshTorus2d::with_nodes(10)), // trailing router-only positions
+            Box::new(Ring::new(13)),
+            Box::new(Star::new(9)),
+            Box::new(Hypercube::new(4)),
+        ];
+        for stream in 0..24u64 {
+            let mut rng = DetRng::new(0x6d72_6f75_7465 ^ stream);
+            let topo = topos[(stream % topos.len() as u64) as usize].as_ref();
+            let groups: Vec<(NodeId, Vec<NodeId>)> =
+                (0..40).map(|_| random_group(&mut rng, topo)).collect();
+            let refs: Vec<ReferenceRoute> = groups
+                .iter()
+                .map(|(root, members)| ReferenceRoute::build(topo, *root, members))
+                .collect();
+
+            for (g, (root, members)) in groups.iter().enumerate() {
+                let owned = MulticastRoute::build(topo, *root, members);
+                refs[g].assert_matches(owned.view(), &format!("stream {stream} owned {g}"));
+            }
+
+            // The same routes appended to one arena in shuffled group
+            // order, every earlier route re-read after each append.
+            let mut order: Vec<usize> = (0..groups.len()).collect();
+            rng.shuffle(&mut order);
+            let mut arena = RouteArena::with_routes(groups.len() / 2); // headers grow on demand
+            for (k, &g) in order.iter().enumerate() {
+                assert!(arena.get(g).is_none(), "stream {stream}: {g} not built yet");
+                let (root, members) = &groups[g];
+                let built = arena.get_or_build(g, topo, *root, members);
+                refs[g].assert_matches(built, &format!("stream {stream} arena {g}"));
+                for &earlier in &order[..k] {
+                    let again = arena.get(earlier).expect("append-only");
+                    refs[earlier].assert_matches(again, &format!("stream {stream} reread"));
+                }
+            }
+            // A second request is a lookup: the arguments are ignored.
+            let again = arena.get_or_build(order[0], topo, n(0), &[]);
+            refs[order[0]].assert_matches(again, "second get_or_build");
+        }
+    }
+
+    #[test]
+    fn two_member_route_packs_into_fifteen_words() {
+        let topo = MeshTorus2d::new(6, 6);
+        let route = MulticastRoute::build(&topo, n(3), &[n(3), n(4)]);
+        assert_eq!(route.words.len(), 15);
+        assert_eq!(std::mem::size_of::<Slot>(), 16, "header per group");
+        let mut arena = RouteArena::default();
+        assert_eq!(arena.heap_bytes(), 0, "an unused arena owns no heap");
+        arena.get_or_build(0, &topo, n(3), &[n(3), n(4)]);
+        assert_eq!(arena.words.len(), 15);
+        assert!(arena.heap_bytes() > 0);
     }
 }

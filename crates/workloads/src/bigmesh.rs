@@ -129,35 +129,44 @@ struct Row {
 /// Shared progress counters: `(completed rows, total visits)`.
 type Progress = Rc<RefCell<(u64, u64)>>;
 
-struct RowCpu {
-    cfg: BigMeshConfig,
+/// What every CPU of one row has in common: one allocation per row, so
+/// the per-node program is its own progress and a pointer.
+struct RowShared {
     row: Row,
     flag_off: u32,
+    laps: u32,
+    local_calc: SimDur,
+    shared_words: u32,
+    progress: Progress,
+}
+
+struct RowCpu {
+    shared: Rc<RowShared>,
     stage: Stage,
     visit: Word,
     last_flag_seen: Word,
-    progress: Progress,
 }
 
 impl RowCpu {
     fn idx_in_row(&self, api: &NodeApi<'_>) -> u32 {
-        api.id().get() - self.row.start
+        api.id().get() - self.shared.row.start
     }
 
     fn prev(&self, api: &NodeApi<'_>) -> u32 {
-        self.row.start + (self.idx_in_row(api) + self.row.len - 1) % self.row.len
+        let row = self.shared.row;
+        row.start + (self.idx_in_row(api) + row.len - 1) % row.len
     }
 
     fn prev_flag(&self, api: &NodeApi<'_>) -> VarId {
-        VarId::new(self.flag_off + self.prev(api))
+        VarId::new(self.shared.flag_off + self.prev(api))
     }
 
     fn my_flag(&self, api: &NodeApi<'_>) -> VarId {
-        VarId::new(self.flag_off + api.id().get())
+        VarId::new(self.shared.flag_off + api.id().get())
     }
 
     fn total_visits(&self) -> Word {
-        self.cfg.laps as Word * self.row.len as Word
+        self.shared.laps as Word * self.shared.row.len as Word
     }
 
     fn token_arrived(&mut self, visit: Word, api: &mut NodeApi<'_>) {
@@ -165,11 +174,11 @@ impl RowCpu {
         self.visit = visit;
         self.last_flag_seen = visit;
         self.stage = Stage::CalcA;
-        api.compute(self.cfg.local_calc / 2, TAG_CALC_A);
+        api.compute(self.shared.local_calc / 2, TAG_CALC_A);
     }
 
     fn hand_off(&mut self, api: &mut NodeApi<'_>) {
-        self.progress.borrow_mut().1 += 1;
+        self.shared.progress.borrow_mut().1 += 1;
         if self.visit < self.total_visits() {
             // The successor's visit number rides in the flag value.
             api.write(self.my_flag(api), self.visit + 1);
@@ -179,10 +188,10 @@ impl RowCpu {
             // row's tail writes and computations settle — which also
             // guarantees the final sequenced writes reach their roots
             // before the post-run verification reads them.
-            self.progress.borrow_mut().0 += 1;
+            self.shared.progress.borrow_mut().0 += 1;
         }
         self.stage = Stage::CalcB;
-        api.compute(self.cfg.local_calc / 2, TAG_CALC_B);
+        api.compute(self.shared.local_calc / 2, TAG_CALC_B);
     }
 
     fn iteration_done(&mut self, api: &mut NodeApi<'_>) {
@@ -198,6 +207,7 @@ impl RowCpu {
 
 impl Program for RowCpu {
     fn on_event(&mut self, ev: AppEvent, api: &mut NodeApi<'_>) {
+        let row = self.shared.row;
         match ev {
             // The row leader injects the token: visit 1.
             AppEvent::Started if self.idx_in_row(api) == 0 => self.token_arrived(1, api),
@@ -210,21 +220,21 @@ impl Program for RowCpu {
             }
             AppEvent::ComputeDone { tag: TAG_CALC_A } => {
                 self.stage = Stage::Mutex;
-                api.acquire(self.row.lock);
+                api.acquire(row.lock);
             }
-            AppEvent::Acquired { lock } if lock == self.row.lock => {
+            AppEvent::Acquired { lock } if lock == row.lock => {
                 self.stage = Stage::Section;
-                api.compute(self.cfg.local_calc / 8, TAG_SECTION);
+                api.compute(self.shared.local_calc / 8, TAG_SECTION);
             }
             AppEvent::ComputeDone { tag: TAG_SECTION } => {
-                for w in 0..self.cfg.shared_words {
-                    let var = VarId::new(self.row.shared_base + w);
+                for w in 0..self.shared.shared_words {
+                    let var = VarId::new(row.shared_base + w);
                     let old = api.read(var);
                     api.write(var, old + 1);
                 }
-                api.release(self.row.lock);
+                api.release(row.lock);
             }
-            AppEvent::Released { lock } if lock == self.row.lock => {
+            AppEvent::Released { lock } if lock == row.lock => {
                 self.hand_off(api);
             }
             AppEvent::ComputeDone { tag: TAG_CALC_B } => {
@@ -326,17 +336,22 @@ fn assemble(
             });
         }
         if let Some(progress) = progress {
+            let shared = Rc::new(RowShared {
+                row: *row,
+                flag_off,
+                laps: cfg.laps,
+                local_calc: cfg.local_calc,
+                shared_words: cfg.shared_words,
+                progress: progress.clone(),
+            });
             for idx in 0..row.len {
                 builder = builder.program(
                     NodeId::new(row.start + idx),
                     Box::new(RowCpu {
-                        cfg: *cfg,
-                        row: *row,
-                        flag_off,
+                        shared: shared.clone(),
                         stage: Stage::WaitToken,
                         visit: 0,
                         last_flag_seen: 0,
-                        progress: progress.clone(),
                     }),
                 );
             }

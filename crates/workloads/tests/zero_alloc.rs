@@ -11,9 +11,7 @@
 //! the long run's extra rounds are pure steady state — its allocation
 //! total must EQUAL the short run's, not merely stay close.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use sesame_alloc_probe::{allocations, CountingAlloc};
 use sesame_dsm::{
     lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
     Program, RunOptions, VarId,
@@ -21,33 +19,7 @@ use sesame_dsm::{
 use sesame_net::{LinkTiming, NodeId, Ring, Topology};
 use sesame_sim::SimDur;
 
-/// Counts every heap allocation (alloc, alloc_zeroed, realloc) made by
-/// this test binary.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
+// Per-thread counters: sibling tests cannot leak into a measured window.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -115,7 +87,7 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     // one entry per sequenced write forever.
     machine.model_mut().set_history_window(Some(16));
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let result = run(
         machine,
         RunOptions {
@@ -124,7 +96,7 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
             ..RunOptions::default()
         },
     );
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let allocs = allocations() - before;
     let counter = result.machine.mem(n(1)).read(v(COUNTER));
     assert_eq!(
         counter,
@@ -134,8 +106,6 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     (allocs, counter as u64)
 }
 
-/// NOTE: both measurements live in one #[test] so no sibling test thread
-/// can pollute the process-global allocation counter mid-measurement.
 #[test]
 fn steady_state_dispatch_allocates_nothing() {
     let (short_allocs, short_count) = measured_run(4, 10);
