@@ -163,6 +163,23 @@ echo "==> benchmark smoke (sesame-ledger builds, quick passes, own tests)"
 # ledger's unit and process-level tests. Quick numbers are never compared.
 benchmark/run.sh >/dev/null
 
+echo "==> ledger pins (two full-size workloads against benchmark/pins.txt)"
+# run.sh only runs --quick, whose digests are not pinned. One full-size
+# contract run each of the static-wave path (bigmesh_32k) and the
+# per-member fan-out under loss (lossy_mutex), with the binary run.sh just
+# built: `correct` compares the run's digest with its pin. (To a file,
+# then grep, as above.)
+for w in bigmesh_32k lossy_mutex; do
+    benchmark/target/release/sesame-ledger --workload "$w" --seed 7 \
+        --seconds 1 --trace 0 > "$tmpdir/ledger-$w.out"
+    tail -n 1 "$tmpdir/ledger-$w.out" > "$tmpdir/ledger-$w.last"
+    if ! grep -q '"correct":true' "$tmpdir/ledger-$w.last" ||
+        ! grep -q '"failed":0' "$tmpdir/ledger-$w.last"; then
+        echo "ledger pin check failed for $w: $(cat "$tmpdir/ledger-$w.last")" >&2
+        exit 1
+    fi
+done
+
 echo "==> docs link check (every crate named in docs/architecture.md exists)"
 for c in $(grep -o 'sesame-[a-z]*' docs/architecture.md | sort -u); do
     if [ "$c" = "sesame-rs" ]; then continue; fi  # the repo, not a crate

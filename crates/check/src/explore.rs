@@ -184,7 +184,7 @@ fn state_digest(sim: &Simulation<Machine<ModelInstance>>) -> Option<u64> {
         let (node, ev) = p.msg;
         match ev {
             DsmEvent::Packet(pkt) => links.entry((pkt.from, pkt.to)).or_default().push(*pkt),
-            other => locals.entry(*node).or_default().push(other.clone()),
+            other => locals.entry(*node).or_default().push(*other),
         }
     }
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -324,10 +324,8 @@ impl Explorer {
             return ControlFlow::Break(());
         }
         let pending = exec.sim.pending();
-        let snapshot: Vec<(u64, NodeId, DsmEvent)> = pending
-            .iter()
-            .map(|p| (p.seq, p.msg.0, p.msg.1.clone()))
-            .collect();
+        let snapshot: Vec<(u64, NodeId, DsmEvent)> =
+            pending.iter().map(|p| (p.seq, p.msg.0, p.msg.1)).collect();
         let enabled = enabled_seqs(&pending, self.opts.links, &self.roots);
         drop(pending);
         if self.opts.hash_states {

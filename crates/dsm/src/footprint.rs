@@ -61,7 +61,13 @@ impl Footprint {
 /// compute completions, and timers. Local events at one node execute in
 /// their original per-node order; only packet deliveries are reorderable.
 pub fn is_local(event: &DsmEvent) -> bool {
-    !matches!(event, DsmEvent::Packet(_))
+    match event {
+        DsmEvent::Start
+        | DsmEvent::ComputeDone { .. }
+        | DsmEvent::TimerFired { .. }
+        | DsmEvent::ModelTimer { .. } => true,
+        DsmEvent::Packet(_) | DsmEvent::McastWave { .. } => false,
+    }
 }
 
 /// Computes the conflict footprint of `event` pending for `target`.
@@ -70,8 +76,24 @@ pub fn event_footprint(target: NodeId, event: &DsmEvent, groups: &GroupTable) ->
         resources: vec![Resource::Node(target)],
         vars: Vec::new(),
     };
-    let DsmEvent::Packet(pkt) = event else {
-        return fp;
+    let pkt = match event {
+        DsmEvent::Start
+        | DsmEvent::ComputeDone { .. }
+        | DsmEvent::TimerFired { .. }
+        | DsmEvent::ModelTimer { .. } => return fp,
+        DsmEvent::Packet(pkt) => pkt,
+        // A wave delivers to several members in one event. Which ones
+        // depends on the route, so the footprint takes the sound superset:
+        // every member of the group.
+        DsmEvent::McastWave { group, pkt, .. } => {
+            fp.resources = groups
+                .group(*group)
+                .members()
+                .iter()
+                .map(|&m| Resource::Node(m))
+                .collect();
+            pkt
+        }
     };
     match pkt.kind {
         PacketKind::GwcToRoot { group, var, .. } => {
@@ -220,6 +242,31 @@ mod tests {
         let fb = event_footprint(NodeId::new(0), &b, &g);
         assert!(fa.resources.contains(&Resource::GroupRoot(GroupId::new(0))));
         assert!(!fa.disjoint(&fb));
+    }
+
+    #[test]
+    fn a_wave_conflicts_with_every_member_it_may_deliver_to() {
+        let g = groups();
+        let DsmEvent::Packet(pkt) = seq_write(1, 1, 3) else {
+            unreachable!()
+        };
+        // Queued for its first member (node 1), delivered to node 2 as well.
+        let wave = DsmEvent::McastWave {
+            group: GroupId::new(0),
+            wave: 1,
+            pkt,
+        };
+        assert!(!is_local(&wave));
+        let fp = event_footprint(NodeId::new(1), &wave, &g);
+        assert!(fp.resources.contains(&Resource::Node(NodeId::new(2))));
+        assert_eq!(fp.vars, vec![VarId::new(1)]);
+        assert!(!independent(
+            NodeId::new(1),
+            &wave,
+            NodeId::new(2),
+            &DsmEvent::ComputeDone { tag: 4 },
+            &g,
+        ));
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //! [`Packet`](crate::Packet) wire protocol, so identical programs run under
 //! every model.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use sesame_net::{
     CauseId, ContentionModel, Fabric, LinkTiming, NodeId, RouteArena, SpanningTree, Topology,
 };
 use sesame_sim::{
-    Actor, ActorId, BufferPool, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation,
-    TimeWeighted, TraceDetail, TraceRecorder,
+    Actor, ActorId, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TimeWeighted,
+    TraceDetail, TraceRecorder,
 };
 
 use crate::causal::CauseCtx;
@@ -32,7 +32,7 @@ use crate::{
 };
 
 /// Machine-level events targeted at one node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DsmEvent {
     /// Deliver [`AppEvent::Started`] (scheduled once per node at time
     /// zero).
@@ -61,19 +61,13 @@ pub enum DsmEvent {
     /// ([`MachineConfig::pruned_multicast`]). Members are processed in
     /// declared group-member order, each with its own application-event
     /// cascade, exactly as if they had been separate events at this time.
-    McastBatch {
-        /// The members this wavefront reaches, in declared member order.
-        members: Vec<NodeId>,
-        /// The shared packet; [`Packet::to`] is overridden per member.
-        pkt: Packet,
-    },
-    /// Like [`DsmEvent::McastBatch`], but the member list is an index into
-    /// the group's packed route in the machine's [`RouteArena`] instead of
-    /// an owned `Vec`:
-    /// under contention-free, loss-free timing every fan-out over a route
-    /// reaches exactly the topology-static wave at its depth-determined
-    /// instant, so the event only needs `(group, wave)` — dispatch iterates
-    /// the precomputed slice and allocates nothing.
+    ///
+    /// The member list is an index into the group's packed route in the
+    /// machine's [`RouteArena`]: under contention-free, loss-free timing
+    /// every fan-out over a route reaches exactly the topology-static wave
+    /// at its depth-determined instant, so the event only needs
+    /// `(group, wave)` — dispatch iterates the precomputed slice and
+    /// allocates nothing.
     McastWave {
         /// The group whose route holds the wave. The arena is append-only,
         /// so the index stays valid however long the event is queued.
@@ -89,6 +83,16 @@ pub enum DsmEvent {
 /// The message type of the machine actor.
 pub type MachineMsg = (NodeId, DsmEvent);
 
+// One `MachineMsg` is stored per pending event in each of the queue's
+// arrays — the largest share of a big mesh's peak heap — so a variant that
+// grows it, or owns heap data, must fail to compile. With the engine's
+// actor id and the queue's 16-byte (time, seq) key this holds a pending
+// record at <= 96 bytes.
+const _: () = assert!(std::mem::size_of::<MachineMsg>() <= 72);
+const fn _assert_copy<T: Copy>() {}
+const _: () = _assert_copy::<DsmEvent>();
+const _: () = _assert_copy::<Packet>();
+
 /// Feature toggles for protocol ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -100,35 +104,20 @@ pub struct MachineConfig {
     pub insharing_suspension: bool,
     /// Route group multicasts over member-pruned routes
     /// ([`RouteArena`]) instead of flooding the full per-root
-    /// [`SpanningTree`], and batch same-instant member deliveries into one
-    /// [`DsmEvent::McastBatch`] queue event.
+    /// [`SpanningTree`]. Where the fabric's timing makes a member's arrival
+    /// a pure function of its hop depth (no contention, no loss, a nonzero
+    /// hop latency) the fan-out additionally rides the route's static
+    /// waves: one [`DsmEvent::McastWave`] queue event per wavefront instead
+    /// of one per member.
     ///
     /// Off by default: under cut-through timing member arrival *times* are
     /// identical either way, but the traffic accounting differs (pruned
     /// routes bill only member-path edges to `link_traversals`/`ser_ns`,
-    /// the flood bills every topology edge) and batching changes the event
+    /// the flood bills every topology edge) and waves change the event
     /// count — so the default stays byte-compatible with recorded
     /// baselines. Turn it on for large sparse meshes (the 100k-node
     /// scenario), where per-group flooding is quadratic in machine size.
     pub pruned_multicast: bool,
-    /// Emit pruned-multicast fan-outs as [`DsmEvent::McastWave`] indexes
-    /// into the route's topology-static wave arena whenever arrival times
-    /// are a pure function of hop depth (contention-free, loss-free fabric
-    /// with a nonzero hop latency). On that fast path a multicast performs
-    /// no per-call wave construction at all. Behavior-identical to the
-    /// generic path — same deliveries, same order, same trace; disable to
-    /// force the generic per-multicast construction (the reference
-    /// configuration for the equivalence property tests). No effect unless
-    /// [`MachineConfig::pruned_multicast`] is on.
-    pub static_waves: bool,
-    /// Recycle fan-out member buffers through a free-list
-    /// [`BufferPool`] on the generic pruned path (lossy or contended
-    /// fabrics, where wavefront membership must be materialized per
-    /// multicast). Pooling is semantics-invisible — buffers are cleared on
-    /// release and reused empty; disable to make every wavefront allocate
-    /// fresh (the reference configuration for the pooling equivalence
-    /// property test).
-    pub payload_pool: bool,
 }
 
 impl Default for MachineConfig {
@@ -137,8 +126,6 @@ impl Default for MachineConfig {
             hw_block: true,
             insharing_suspension: true,
             pruned_multicast: false,
-            static_waves: true,
-            payload_pool: true,
         }
     }
 }
@@ -159,7 +146,6 @@ pub struct Mx<'a, 'b> {
     ctx: &'a mut Context<'b, MachineMsg>,
     app_outbox: &'a mut VecDeque<(NodeId, AppEvent, CauseId)>,
     causes: &'a mut CauseCtx,
-    pool: &'a mut BufferPool<NodeId>,
     arrivals: &'a mut Vec<(NodeId, SimTime)>,
 }
 
@@ -241,64 +227,85 @@ impl Mx<'_, '_> {
     pub fn multicast(&mut self, group: GroupId, bytes: u32, kind: PacketKind) {
         let g = self.groups.group(group);
         let root = g.root();
-        let target = self.ctx.self_id();
-        if self.cfg.pruned_multicast {
+        let now = self.now;
+        let timing = self.fabric.timing();
+        // How arrivals are known. Under contention-free, loss-free timing
+        // with a nonzero hop latency a member's arrival instant is a pure
+        // function of its hop depth, so a pruned route's topology-static
+        // waves ARE the fan-out and nothing is computed per multicast.
+        // (Nonzero hop latency guarantees distinct depths land at distinct
+        // instants; zero loss means no per-member roll is owed.) Anywhere
+        // else the fabric computes an arrival per member.
+        let waves = if self.cfg.pruned_multicast {
             let route = self
                 .routes
                 .get_or_build(group.index(), self.topo, root, g.members());
-            // Fast path: under contention-free, loss-free timing with a
-            // nonzero hop latency, a member's arrival instant is a pure
-            // function of its hop depth — so the route's topology-static
-            // wave arena IS the fan-out, and nothing is materialized per
-            // multicast. (Nonzero hop latency guarantees distinct depths
-            // land at distinct instants, so depth grouping and arrival-time
-            // grouping coincide; zero loss means the generic path's loss
-            // rolls would not have consumed RNG either.)
-            if self.cfg.static_waves
-                && self.fabric.contention() == ContentionModel::None
+            if self.fabric.contention() == ContentionModel::None
                 && self.fabric.loss_probability() == 0.0
-                && self.fabric.timing().hop_latency > SimDur::ZERO
+                && timing.hop_latency > SimDur::ZERO
             {
                 self.fabric.bill_multicast_route(route, bytes);
-                let timing = self.fabric.timing();
-                let depth_at = |d: u32| {
-                    // The root echo (depth 0) is local and immediate; depth
-                    // d >= 1 costs one serialization plus d hop latencies.
-                    if d == 0 {
-                        self.now
-                    } else {
-                        self.now + timing.transfer(d, bytes)
-                    }
-                };
-                if self.ctx.tracing() {
-                    // Canonical multicast event: `last_ns` is the latest
-                    // member arrival, the end of the whole fan-out interval.
-                    let last = depth_at(route.max_depth());
-                    self.ctx.trace_for(
-                        root.index(),
-                        "pkt-mcast",
-                        TraceDetail::Multicast {
-                            group: group.get(),
-                            bytes,
-                            members: route.member_count() as u32,
-                            last_ns: last.as_nanos(),
-                        },
-                    );
-                }
-                // One mcast id covers the whole fan-out: every member's
-                // packet carries it, so each arrival chains back to this
-                // decision.
-                let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
+                Some(route)
+            } else {
+                self.fabric
+                    .multicast_route_into(now, route, bytes, self.arrivals);
+                None
+            }
+        } else {
+            let tree = self
+                .trees
+                .entry(root)
+                .or_insert_with(|| SpanningTree::build(self.topo, root));
+            self.fabric
+                .multicast_into(now, tree, bytes, g.members(), self.arrivals);
+            None
+        };
+        // The root echo (depth 0) is local and immediate; depth d >= 1
+        // costs one serialization plus d hop latencies.
+        let depth_at = |d: u32| {
+            if d == 0 {
+                now
+            } else {
+                now + timing.transfer(d, bytes)
+            }
+        };
+        if self.ctx.tracing() {
+            // Canonical multicast event: `last_ns` is the latest member
+            // arrival, the end of the whole fan-out interval.
+            let (members, last) = match waves {
+                Some(route) => (route.member_count(), depth_at(route.max_depth())),
+                None => (
+                    self.arrivals.len(),
+                    self.arrivals.iter().map(|&(_, at)| at).max().unwrap_or(now),
+                ),
+            };
+            self.ctx.trace_for(
+                root.index(),
+                "pkt-mcast",
+                TraceDetail::Multicast {
+                    group: group.get(),
+                    bytes,
+                    members: members as u32,
+                    last_ns: last.as_nanos(),
+                },
+            );
+        }
+        // One mcast id covers the whole fan-out: every member's packet
+        // carries it, so each arrival chains back to this decision.
+        let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
+        let target = self.ctx.self_id();
+        let packet_to = |to: NodeId| Packet {
+            from: root,
+            to,
+            bytes,
+            kind,
+            cause,
+        };
+        match waves {
+            Some(route) => {
                 for w in 0..route.wave_count() {
-                    let at = depth_at(route.wave_depth(w));
                     let mut wave = route.wave(w);
-                    let pkt = Packet {
-                        from: root,
-                        to: wave.next().expect("a wave has at least one member"),
-                        bytes,
-                        kind,
-                        cause,
-                    };
+                    let pkt = packet_to(wave.next().expect("a wave has at least one member"));
                     let ev = if wave.len() == 0 {
                         DsmEvent::Packet(pkt)
                     } else {
@@ -308,114 +315,22 @@ impl Mx<'_, '_> {
                             pkt,
                         }
                     };
-                    self.ctx.send_at(target, at, (pkt.to, ev));
+                    self.ctx
+                        .send_at(target, depth_at(route.wave_depth(w)), (pkt.to, ev));
                 }
-                return;
             }
-            // Generic pruned path: loss and/or contention make wavefront
-            // membership (or arrival times) depend on per-multicast state,
-            // so waves are materialized here — with member buffers recycled
-            // through the payload pool.
-            self.fabric
-                .multicast_route_into(self.now, route, bytes, self.arrivals);
-            if self.ctx.tracing() {
-                let last = self
-                    .arrivals
-                    .iter()
-                    .map(|&(_, at)| at)
-                    .max()
-                    .unwrap_or(self.now);
-                self.ctx.trace_for(
-                    root.index(),
-                    "pkt-mcast",
-                    TraceDetail::Multicast {
-                        group: group.get(),
-                        bytes,
-                        members: self.arrivals.len() as u32,
-                        last_ns: last.as_nanos(),
-                    },
-                );
-            }
-            let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
-            // Batch the fan-out: members at the same arrival instant share
-            // one queue event, so a 100k-member wave costs O(wavefronts)
-            // events instead of O(members). BTreeMap keeps wavefronts in
-            // time order; within one wavefront members stay in declared
-            // order (the order `arrivals` was produced in).
-            let mut waves: BTreeMap<SimTime, Vec<NodeId>> = BTreeMap::new();
-            for i in 0..self.arrivals.len() {
-                let (member, at) = self.arrivals[i];
-                // Per-member loss, rolled in the same declared-member order
-                // as the unbatched path so loss RNG streams line up.
-                if member != root && self.fabric.roll_loss() {
-                    continue;
+            None => {
+                for i in 0..self.arrivals.len() {
+                    let (member, at) = self.arrivals[i];
+                    // Per-member loss, rolled in declared member order (the
+                    // root's own echo is a local operation and never lost);
+                    // members recover via nack-triggered retransmission.
+                    if member != root && self.fabric.roll_loss() {
+                        continue;
+                    }
+                    self.ctx
+                        .send_at(target, at, (member, DsmEvent::Packet(packet_to(member))));
                 }
-                waves
-                    .entry(at)
-                    .or_insert_with(|| self.pool.acquire())
-                    .push(member);
-            }
-            for (at, members) in waves {
-                let pkt = Packet {
-                    from: root,
-                    to: members[0],
-                    bytes,
-                    kind,
-                    cause,
-                };
-                let ev = if members.len() == 1 {
-                    self.pool.release(members);
-                    DsmEvent::Packet(pkt)
-                } else {
-                    DsmEvent::McastBatch { members, pkt }
-                };
-                self.ctx.send_at(target, at, (pkt.to, ev));
-            }
-        } else {
-            let tree = self
-                .trees
-                .entry(root)
-                .or_insert_with(|| SpanningTree::build(self.topo, root));
-            self.fabric
-                .multicast_into(self.now, tree, bytes, g.members(), self.arrivals);
-            if self.ctx.tracing() {
-                // Canonical multicast event: `last_ns` is the latest member
-                // arrival, the end of the whole fan-out interval.
-                let last = self
-                    .arrivals
-                    .iter()
-                    .map(|&(_, at)| at)
-                    .max()
-                    .unwrap_or(self.now);
-                self.ctx.trace_for(
-                    root.index(),
-                    "pkt-mcast",
-                    TraceDetail::Multicast {
-                        group: group.get(),
-                        bytes,
-                        members: self.arrivals.len() as u32,
-                        last_ns: last.as_nanos(),
-                    },
-                );
-            }
-            let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
-            for i in 0..self.arrivals.len() {
-                let (member, at) = self.arrivals[i];
-                // Per-member loss (the root's own echo is a local operation
-                // and never lost); members recover via nack-triggered
-                // retransmission.
-                if member != root && self.fabric.roll_loss() {
-                    continue;
-                }
-                let pkt = Packet {
-                    from: root,
-                    to: member,
-                    bytes,
-                    kind,
-                    cause,
-                };
-                self.ctx
-                    .send_at(target, at, (member, DsmEvent::Packet(pkt)));
             }
         }
     }
@@ -587,9 +502,6 @@ pub struct Machine<M: Model> {
     model: M,
     cfg: MachineConfig,
     causes: CauseCtx,
-    /// Free list of recycled fan-out member buffers
-    /// ([`MachineConfig::payload_pool`]).
-    pool: BufferPool<NodeId>,
     /// Arrival-list scratch reused by every multicast, so steady-state
     /// dispatch performs no per-call allocation.
     arrivals: Vec<(NodeId, SimTime)>,
@@ -661,11 +573,6 @@ impl<M: Model> Machine<M> {
             model,
             cfg,
             causes: CauseCtx::new(),
-            pool: if cfg.payload_pool {
-                BufferPool::new()
-            } else {
-                BufferPool::disabled()
-            },
             arrivals: Vec::new(),
             wave_scratch: Vec::new(),
             app_q: VecDeque::new(),
@@ -836,7 +743,6 @@ impl<M: Model> Machine<M> {
             model,
             cfg,
             causes,
-            pool,
             arrivals,
             ..
         } = self;
@@ -852,7 +758,6 @@ impl<M: Model> Machine<M> {
             ctx,
             app_outbox: app_q,
             causes,
-            pool,
             arrivals,
         };
         f(model, &mut mx)
@@ -971,34 +876,14 @@ impl<M: Model> Machine<M> {
                         payload_bytes,
                         tag,
                     } => {
-                        let bytes = payload_bytes + sizes::APP_HEADER;
-                        let mut pkt = Packet {
+                        let pkt = Packet {
                             from: node,
                             to,
-                            bytes,
+                            bytes: payload_bytes + sizes::APP_HEADER,
                             kind: PacketKind::App { tag },
                             cause: CauseId::NONE,
                         };
-                        let at =
-                            self.fabric
-                                .unicast(ctx.now(), self.topo.as_ref(), node, to, bytes);
-                        if ctx.tracing() {
-                            let hops = self.topo.hops(node, to);
-                            ctx.trace_for(
-                                node.index(),
-                                "pkt-send",
-                                TraceDetail::Packet {
-                                    from: node.get(),
-                                    to: to.get(),
-                                    bytes,
-                                    hops,
-                                    arrival_ns: at.as_nanos(),
-                                },
-                            );
-                        }
-                        pkt.cause = self.causes.stage(ctx, node, CauseOp::Send);
-                        let target = ctx.self_id();
-                        ctx.send_at(target, at, (to, DsmEvent::Packet(pkt)));
+                        self.with_mx(ctx, app_q, |_, mx| mx.send(pkt));
                     }
                     Action::Stop => ctx.stop(),
                     Action::Trace { kind, detail } => {
@@ -1053,26 +938,13 @@ impl<M: Model> Actor for Machine<M> {
                 self.causes.set_current(pkt.cause);
                 self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(node, pkt, mx));
             }
-            DsmEvent::McastBatch { members, pkt } => {
+            DsmEvent::McastWave { group, wave, pkt } => {
                 // One queue event carries a whole fan-out wavefront; each
                 // member still gets its own packet delivery and cascade, in
                 // declared member order, as if they were separate events at
-                // this instant.
-                for &m in &members {
-                    self.causes.set_current(pkt.cause);
-                    let p = Packet { to: m, ..pkt };
-                    self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(m, p, mx));
-                    self.drain(&mut app_q, ctx);
-                }
-                // Recycle the member buffer for the next materialized
-                // wavefront.
-                self.pool.release(members);
-            }
-            DsmEvent::McastWave { group, wave, pkt } => {
-                // Same delivery semantics as `McastBatch`, but the member
-                // list is the route's topology-static wave. It is copied
-                // into scratch first because delivering to a member
-                // borrows the whole machine mutably.
+                // this instant. The route's wave is copied into scratch
+                // first because delivering to a member borrows the whole
+                // machine mutably.
                 let route = self
                     .routes
                     .get(group.index())

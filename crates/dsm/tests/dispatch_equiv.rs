@@ -1,19 +1,19 @@
-//! Dispatch-path equivalence properties: the flattened multicast fast
-//! path ([`MachineConfig::static_waves`]) and the recycled payload pool
-//! ([`MachineConfig::payload_pool`]) are pure performance features — a
-//! run with them on must be *byte-identical* (same trace, same event
-//! count, same memories, same fabric traffic) to the reference run with
-//! them off, for the same seed. Any drift here means the hot path
-//! changed semantics, not just speed.
-
-#![allow(clippy::type_complexity)]
+//! Reference-model suite for the multicast fan-out. The default flood
+//! path — every member's copy a separate `Packet` event over the full
+//! spanning tree — is the reference; the pruned machine
+//! ([`MachineConfig::pruned_multicast`]) must be observably the same
+//! machine whichever way its fan-outs are emitted: as static waves where
+//! the fabric's timing allows it, or member by member where loss,
+//! contention or a zero hop latency rule that out. Same seed, same trace,
+//! same memories; only the traffic accounting (pruned routes bill fewer
+//! edges) and, on the wave path, the event count may differ.
 
 use sesame_dsm::{
     lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
     Program, RunOptions, RunResult, VarId,
 };
-use sesame_net::{LinkTiming, MeshTorus2d, NodeId, Topology};
-use sesame_sim::SimDur;
+use sesame_net::{ContentionModel, Fabric, LinkTiming, MeshTorus2d, NodeId, Topology};
+use sesame_sim::{RunOutcome, SimDur, TraceDetail};
 
 fn n(id: u32) -> NodeId {
     NodeId::new(id)
@@ -25,6 +25,7 @@ fn v(id: u32) -> VarId {
 const LOCK: u32 = 0;
 const COUNTER: u32 = 1;
 const DATA: u32 = 2;
+const ROUNDS: u32 = 3;
 
 /// A mutex contender: acquires, bumps the shared counter, writes a data
 /// word, releases, thinks for a node-staggered delay, and goes again.
@@ -53,7 +54,7 @@ fn contender(rounds: u32, think_ns: u64) -> Box<dyn Program> {
 /// A 4x4 mesh torus where every node is a member of one mutex group and
 /// a handful of nodes contend: multi-wave pruned multicasts on every
 /// sequenced write (grants, counter updates, data words, frees).
-fn build(cfg: MachineConfig) -> Machine<GwcModel> {
+fn build(cfg: MachineConfig, timing: LinkTiming) -> Machine<GwcModel> {
     let topo: Box<dyn Topology> = Box::new(MeshTorus2d::new(4, 4));
     let nodes = topo.len();
     let groups = GroupTable::new(vec![GroupSpec {
@@ -67,41 +68,48 @@ fn build(cfg: MachineConfig) -> Machine<GwcModel> {
     let mut programs: Vec<Box<dyn Program>> = Vec::new();
     for i in 0..nodes as u32 {
         if i % 5 == 1 {
-            programs.push(contender(3, 400 + 7 * u64::from(i)));
+            programs.push(contender(ROUNDS, 400 + 7 * u64::from(i)));
         } else {
             programs.push(Box::new(|_: AppEvent, _: &mut NodeApi<'_>| {}));
         }
     }
-    let mut machine = Machine::new(topo, LinkTiming::paper_1994(), groups, programs, model, cfg);
+    let mut machine = Machine::new(topo, timing, groups, programs, model, cfg);
     machine.init_var(v(LOCK), lockval::FREE);
     machine
 }
 
-fn run_traced(cfg: MachineConfig, loss: Option<(f64, u64)>, seed: u64) -> RunResult<GwcModel> {
-    let mut machine = build(cfg);
-    if let Some((p, loss_seed)) = loss {
-        machine.fabric_mut().set_loss(p, loss_seed);
-    }
-    run(
-        machine,
-        RunOptions {
-            seed,
-            tracing: true,
-            ..RunOptions::default()
-        },
-    )
+const PAPER: LinkTiming = LinkTiming::paper_1994();
+
+/// One traced run of the scenario: flood or pruned multicast, over
+/// `timing`, after `fabric` has set loss or contention up.
+fn run_with(
+    pruned_multicast: bool,
+    timing: LinkTiming,
+    fabric: impl FnOnce(&mut Fabric),
+    seed: u64,
+) -> RunResult<GwcModel> {
+    let cfg = MachineConfig {
+        pruned_multicast,
+        ..MachineConfig::default()
+    };
+    let mut machine = build(cfg, timing);
+    fabric(machine.fabric_mut());
+    let opts = RunOptions {
+        seed,
+        tracing: true,
+        ..RunOptions::default()
+    };
+    run(machine, opts)
 }
 
 /// Asserts two runs are observably identical: trace (byte for byte),
-/// event count, makespan, fabric traffic, and every node's memory.
-fn assert_identical(a: &RunResult<GwcModel>, b: &RunResult<GwcModel>, what: &str) {
-    assert_eq!(a.events, b.events, "{what}: event count");
+/// makespan, every node's memory, and the packets and bytes put on the
+/// fabric. Event count and edge accounting are the caller's to compare.
+fn assert_same_behaviour(a: &RunResult<GwcModel>, b: &RunResult<GwcModel>, what: &str) {
     assert_eq!(a.end, b.end, "{what}: makespan");
-    assert_eq!(
-        a.machine.fabric_stats(),
-        b.machine.fabric_stats(),
-        "{what}: fabric traffic"
-    );
+    let (fa, fb) = (a.machine.fabric_stats(), b.machine.fabric_stats());
+    assert_eq!(fa.packets, fb.packets, "{what}: packets");
+    assert_eq!(fa.bytes, fb.bytes, "{what}: bytes");
     let entries_a = a.trace.entries();
     let entries_b = b.trace.entries();
     assert_eq!(entries_a.len(), entries_b.len(), "{what}: trace length");
@@ -115,59 +123,99 @@ fn assert_identical(a: &RunResult<GwcModel>, b: &RunResult<GwcModel>, what: &str
     }
 }
 
-fn pruned(static_waves: bool, payload_pool: bool) -> MachineConfig {
-    MachineConfig {
-        pruned_multicast: true,
-        static_waves,
-        payload_pool,
-        ..MachineConfig::default()
-    }
-}
-
-/// The static-wave fast path (arena-indexed `McastWave` events, nothing
-/// materialized per multicast) against the generic per-multicast wave
-/// construction, on the loss-free fabric where the fast path engages.
+/// Loss-free cut-through timing, where the pruned machine rides static
+/// waves: same behaviour as the flood, in fewer events over fewer edges.
 #[test]
-fn static_waves_match_generic_construction_byte_for_byte() {
+fn wave_path_matches_the_flood_reference() {
     for seed in [1u64, 7, 23] {
-        let fast = run_traced(pruned(true, true), None, seed);
-        let reference = run_traced(pruned(false, true), None, seed);
-        // The scenario must actually exercise multicast fan-out, or this
-        // test proves nothing.
+        let waves = run_with(true, PAPER, |_| {}, seed);
+        let flood = run_with(false, PAPER, |_| {}, seed);
         assert!(
-            fast.trace.entries().iter().any(|e| e.kind == "pkt-mcast"),
+            flood.trace.entries().iter().any(|e| e.kind == "pkt-mcast"),
             "scenario produced no multicasts"
         );
-        assert_identical(&fast, &reference, &format!("static_waves seed {seed}"));
+        assert_same_behaviour(&waves, &flood, &format!("waves seed {seed}"));
+        // Per-member emission costs exactly the flood's events, so a
+        // strictly smaller count is the evidence that `McastWave` events
+        // were scheduled — without them this test proves nothing.
+        assert!(waves.events < flood.events, "seed {seed}: no wave ran");
+        let (fw, ff) = (waves.machine.fabric_stats(), flood.machine.fabric_stats());
+        assert!(fw.link_traversals <= ff.link_traversals, "seed {seed}");
     }
 }
 
-/// Property: recycled fan-out buffers never change pop/dispatch order.
-/// Loss forces every multicast down the generic materializing path, so
-/// wavefront buffers cycle through the pool constantly; the no-pool
-/// reference allocates each one fresh. Same seed, byte-identical trace.
+/// Under loss both machines emit member by member and roll the loss die
+/// in declared member order, so they lose the same copies and recover the
+/// same way, event for event.
 #[test]
-fn pooled_payloads_match_no_pool_reference_under_loss() {
+fn pruned_matches_the_flood_reference_under_loss() {
     for (seed, loss_seed, p) in [(1u64, 42u64, 0.2f64), (9, 7, 0.35), (31, 3, 0.1)] {
-        let pooled = run_traced(pruned(true, true), Some((p, loss_seed)), seed);
-        let fresh = run_traced(pruned(true, false), Some((p, loss_seed)), seed);
-        assert!(
-            pooled.machine.fabric_stats().losses > 0,
-            "loss at {p} produced no drops; the pool path was not stressed"
-        );
-        assert_identical(
-            &pooled,
-            &fresh,
-            &format!("payload_pool seed {seed} loss {p}"),
-        );
+        let lossy = |f: &mut Fabric| f.set_loss(p, loss_seed);
+        let pruned = run_with(true, PAPER, lossy, seed);
+        let flood = run_with(false, PAPER, lossy, seed);
+        let what = format!("seed {seed} loss {p}");
+        assert_same_behaviour(&pruned, &flood, &what);
+        assert_eq!(pruned.events, flood.events, "{what}: event count");
+        let (fp, ff) = (pruned.machine.fabric_stats(), flood.machine.fabric_stats());
+        assert!(fp.losses > 0, "{what}: nothing was dropped");
+        assert_eq!(fp.losses, ff.losses, "{what}: losses");
+        // Pruned routes bill member-path edges only — never more than the
+        // flood (and no fewer here, where every node is a member).
+        assert!(fp.link_traversals <= ff.link_traversals, "{what}");
+        assert!(fp.ser_ns <= ff.ser_ns, "{what}");
     }
 }
 
-/// Both toggles at once against both off: the full flattened dispatch
-/// stack vs the fully generic reference, loss-free.
+/// A pruned run that must drain with every critical section counted.
+fn assert_completed(r: &RunResult<GwcModel>, what: &str) {
+    assert_eq!(r.outcome, RunOutcome::Drained, "{what}");
+    let contenders = (0..r.machine.node_count() as u32).filter(|i| i % 5 == 1);
+    let sections = i64::from(ROUNDS) * contenders.count() as i64;
+    for node in 0..r.machine.node_count() as u32 {
+        let counter = r.machine.mem(n(node)).read(v(COUNTER));
+        assert_eq!(counter, sections, "{what}: node {node}");
+    }
+}
+
+/// Store-and-forward contention makes arrivals depend on link occupancy,
+/// so a pruned machine must take them from the fabric, not from hop depth.
 #[test]
-fn flattened_dispatch_stack_matches_fully_generic_reference() {
-    let flat = run_traced(pruned(true, true), None, 5);
-    let generic = run_traced(pruned(false, false), None, 5);
-    assert_identical(&flat, &generic, "flattened vs generic");
+fn contended_pruned_machine_leaves_the_wave_path() {
+    let contended = |f: &mut Fabric| f.set_contention(ContentionModel::StoreAndForward);
+    let a = run_with(true, PAPER, contended, 13);
+    assert_completed(&a, "store-and-forward");
+    // Every fan-out reaches depth 4 on the 4x4 torus; re-serializing on
+    // each edge must land its last copy later than cut-through depth
+    // timing — which is what the wave path would have scheduled.
+    let mut fanouts = 0;
+    for e in a.trace.entries() {
+        if let TraceDetail::Multicast { bytes, last_ns, .. } = e.detail {
+            let cut_through = e.time + PAPER.transfer(4, bytes);
+            assert!(last_ns > cut_through.as_nanos(), "fan-out at {}", e.time);
+            fanouts += 1;
+        }
+    }
+    assert!(fanouts > 0, "scenario produced no multicasts");
+    let b = run_with(true, PAPER, contended, 13);
+    assert_same_behaviour(&a, &b, "store-and-forward, same seed");
+    assert_eq!(a.events, b.events);
+}
+
+/// With a zero hop latency all depths land at one instant, so depth waves
+/// would reorder members; the pruned machine must emit per member, which
+/// makes it the flood event for event.
+#[test]
+fn zero_hop_latency_pruned_machine_leaves_the_wave_path() {
+    let timing = LinkTiming {
+        hop_latency: SimDur::ZERO,
+        ..PAPER
+    };
+    let a = run_with(true, timing, |_| {}, 13);
+    assert_completed(&a, "zero hop latency");
+    let flood = run_with(false, timing, |_| {}, 13);
+    assert_same_behaviour(&a, &flood, "zero hop latency vs flood");
+    assert_eq!(a.events, flood.events, "a wave event was scheduled");
+    let b = run_with(true, timing, |_| {}, 13);
+    assert_same_behaviour(&a, &b, "zero hop latency, same seed");
+    assert_eq!(a.events, b.events);
 }

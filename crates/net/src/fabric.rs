@@ -11,8 +11,10 @@
 //!   occupies it for the serialization time, then incurs the hop latency.
 //!   Used by the contention ablation bench.
 //!
-//! Packet loss (for exercising the reliable-multicast recovery path) is a
-//! per-traversal Bernoulli trial with a deterministic seeded RNG.
+//! Packet loss (for exercising the reliable-multicast recovery path) is one
+//! Bernoulli trial per multicast member delivery, rolled by the caller
+//! through [`Fabric::roll_loss`] on a deterministic seeded RNG; unicasts are
+//! never lost.
 
 use std::collections::HashMap;
 
@@ -28,15 +30,6 @@ pub enum ContentionModel {
     None,
     /// Store-and-forward with FIFO queueing on every directed link.
     StoreAndForward,
-}
-
-/// Outcome of a lossy send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// The packet arrives at the given time.
-    Delivered(SimTime),
-    /// The packet was dropped en route.
-    Lost,
 }
 
 /// Traffic accounting for one run.
@@ -99,7 +92,7 @@ impl Fabric {
         self.contention = model;
     }
 
-    /// Sets the per-link-traversal loss probability (clamped to `[0, 1]`)
+    /// Sets the per-delivery loss probability (clamped to `[0, 1]`)
     /// and the seed of the loss RNG.
     pub fn set_loss(&mut self, probability: f64, seed: u64) {
         self.loss_probability = probability.clamp(0.0, 1.0);
@@ -119,7 +112,7 @@ impl Fabric {
         self.contention
     }
 
-    /// The per-link-traversal loss probability. The `sesame-check`
+    /// The per-delivery loss probability. The `sesame-check`
     /// explorer requires zero: the loss RNG is shared by every send, so a
     /// lossy fabric makes delivery outcomes depend on event order.
     pub fn loss_probability(&self) -> f64 {
@@ -194,30 +187,6 @@ impl Fabric {
         let at = raw.max(floor);
         self.path_fifo.insert((src, dst), at);
         at
-    }
-
-    /// Like [`Fabric::unicast`] but subject to the loss model: each link
-    /// traversal independently drops the packet with the configured
-    /// probability.
-    pub fn unicast_lossy(
-        &mut self,
-        now: SimTime,
-        topo: &dyn Topology,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u32,
-    ) -> Delivery {
-        if self.loss_probability > 0.0 && src != dst {
-            let hops = topo.hops(src, dst);
-            for _ in 0..hops {
-                if self.rng.chance(self.loss_probability) {
-                    self.stats.losses += 1;
-                    self.stats.packets += 1;
-                    return Delivery::Lost;
-                }
-            }
-        }
-        Delivery::Delivered(self.unicast(now, topo, src, dst, bytes))
     }
 
     /// Propagates one packet down a group's spanning tree from its root,
@@ -297,7 +266,7 @@ impl Fabric {
     /// Propagates one packet down a member-pruned route — a
     /// [`MulticastRoute`](crate::MulticastRoute) by reference or a
     /// [`RouteRef`] out of a [`RouteArena`](crate::RouteArena) —
-    /// returning arrival times in the route's declared member order.
+    /// producing arrival times in the route's declared member order.
     ///
     /// Semantics match [`Fabric::multicast`] over the full spanning tree —
     /// under cut-through timing each member's arrival depends only on its
@@ -305,21 +274,9 @@ impl Fabric {
     /// but only the pruned edge set is traversed (and billed to
     /// [`FabricStats::link_traversals`] / [`FabricStats::ser_ns`]): work is
     /// `O(route nodes)` instead of `O(topology positions)`. The root
-    /// "receives" its own echo at `now`.
-    pub fn multicast_route<'r>(
-        &mut self,
-        now: SimTime,
-        route: impl Into<RouteRef<'r>>,
-        bytes: u32,
-    ) -> Vec<(NodeId, SimTime)> {
-        let route = route.into();
-        let mut out = Vec::with_capacity(route.member_count());
-        self.multicast_route_into(now, route, bytes, &mut out);
-        out
-    }
-
-    /// Like [`Fabric::multicast_route`], but writes the arrival list into
-    /// a caller-provided buffer (cleared first) instead of allocating one.
+    /// "receives" its own echo at `now`. The arrival list is written into
+    /// the caller's buffer (cleared first), as [`Fabric::multicast_into`]
+    /// does.
     pub fn multicast_route_into<'r>(
         &mut self,
         now: SimTime,
@@ -367,9 +324,9 @@ impl Fabric {
 
     /// Bills one multicast over `route` to the traffic counters without
     /// computing arrival times: exactly the accounting
-    /// [`Fabric::multicast_route`] performs (one packet, every pruned edge
-    /// traversed once). The dispatch fast path uses this when arrivals are
-    /// determined by the route's precomputed waves alone — i.e. under
+    /// [`Fabric::multicast_route_into`] performs (one packet, every pruned
+    /// edge traversed once). The dispatch fast path uses this when arrivals
+    /// are determined by the route's precomputed waves alone — i.e. under
     /// cut-through timing, where a member's arrival is a pure function of
     /// its hop depth.
     pub fn bill_multicast_route<'r>(&mut self, route: impl Into<RouteRef<'r>>, bytes: u32) {
@@ -487,34 +444,18 @@ mod tests {
 
     #[test]
     fn lossy_send_eventually_loses() {
-        let topo = Line::new(2);
         let mut f = paper_fabric();
         f.set_loss(0.5, 7);
-        let mut lost = 0;
-        let mut delivered = 0;
-        for _ in 0..200 {
-            match f.unicast_lossy(SimTime::ZERO, &topo, n(0), n(1), 8) {
-                Delivery::Lost => lost += 1,
-                Delivery::Delivered(_) => delivered += 1,
-            }
-        }
-        assert!(
-            lost > 50 && delivered > 50,
-            "lost={lost} delivered={delivered}"
-        );
+        let lost = (0..200).filter(|_| f.roll_loss()).count() as u64;
+        assert!(lost > 50 && lost < 150, "lost={lost} of 200");
         assert_eq!(f.stats().losses, lost);
     }
 
     #[test]
     fn zero_loss_never_loses() {
-        let topo = Line::new(2);
         let mut f = paper_fabric();
-        for _ in 0..100 {
-            assert!(matches!(
-                f.unicast_lossy(SimTime::ZERO, &topo, n(0), n(1), 8),
-                Delivery::Delivered(_)
-            ));
-        }
+        assert!((0..100).all(|_| !f.roll_loss()));
+        assert_eq!(f.stats().losses, 0);
     }
 
     #[test]

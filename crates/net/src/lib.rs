@@ -37,7 +37,7 @@ mod topology;
 mod tree;
 
 pub use causal::{CauseAlloc, CauseId};
-pub use fabric::{ContentionModel, Delivery, Fabric, FabricStats};
+pub use fabric::{ContentionModel, Fabric, FabricStats};
 pub use hypercube::Hypercube;
 pub use link::LinkTiming;
 pub use mroute::{MulticastRoute, RouteArena, RouteRef};

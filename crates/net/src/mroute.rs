@@ -317,8 +317,8 @@ impl RouteScratch {
 
 /// One pruned route, owned: the union of deterministic shortest paths from
 /// one root to each group member, indexed compactly over just the positions
-/// those paths visit. Same packed layout as a [`RouteArena`] entry; the
-/// accessors are those of [`RouteRef`].
+/// those paths visit. Same packed layout as a [`RouteArena`] entry; read
+/// it through [`MulticastRoute::view`].
 ///
 /// ```
 /// use sesame_net::{MeshTorus2d, MulticastRoute, NodeId};
@@ -327,8 +327,8 @@ impl RouteScratch {
 /// let members = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
 /// let route = MulticastRoute::build(&topo, NodeId::new(0), &members);
 /// // Only the positions on the root->member paths are materialized.
-/// assert_eq!(route.len(), 3);
-/// assert_eq!(route.edge_count(), 2);
+/// assert_eq!(route.view().len(), 3);
+/// assert_eq!(route.view().edge_count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MulticastRoute {
@@ -355,71 +355,6 @@ impl MulticastRoute {
     /// The borrowed view carrying the accessors.
     pub fn view(&self) -> RouteRef<'_> {
         RouteRef::new(&self.words, self.shape)
-    }
-
-    /// See [`RouteRef::root`].
-    pub fn root(&self) -> NodeId {
-        self.view().root()
-    }
-
-    /// See [`RouteRef::len`].
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// See [`RouteRef::is_empty`].
-    pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-
-    /// See [`RouteRef::edge_count`].
-    pub fn edge_count(&self) -> usize {
-        self.view().edge_count()
-    }
-
-    /// See [`RouteRef::member_count`].
-    pub fn member_count(&self) -> usize {
-        self.view().member_count()
-    }
-
-    /// See [`RouteRef::node`].
-    pub fn node(&self, i: usize) -> NodeId {
-        self.view().node(i)
-    }
-
-    /// See [`RouteRef::parent_of`].
-    pub fn parent_of(&self, i: usize) -> usize {
-        self.view().parent_of(i)
-    }
-
-    /// See [`RouteRef::depth_of`].
-    pub fn depth_of(&self, i: usize) -> u32 {
-        self.view().depth_of(i)
-    }
-
-    /// See [`RouteRef::member_indices`].
-    pub fn member_indices(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
-        self.view().member_indices()
-    }
-
-    /// See [`RouteRef::wave_count`].
-    pub fn wave_count(&self) -> usize {
-        self.view().wave_count()
-    }
-
-    /// See [`RouteRef::wave_depth`].
-    pub fn wave_depth(&self, w: usize) -> u32 {
-        self.view().wave_depth(w)
-    }
-
-    /// See [`RouteRef::wave`].
-    pub fn wave(&self, w: usize) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.view().wave(w)
-    }
-
-    /// See [`RouteRef::max_depth`].
-    pub fn max_depth(&self) -> u32 {
-        self.view().max_depth()
     }
 }
 
@@ -532,6 +467,7 @@ mod tests {
         let topo = MeshTorus2d::new(6, 6);
         let members: Vec<NodeId> = [0u32, 7, 14, 21, 35].map(n).to_vec();
         let route = MulticastRoute::build(&topo, n(0), &members);
+        let route = route.view();
         assert_eq!(route.edge_count(), route.len() - 1);
         for i in 0..route.len() {
             assert_eq!(
@@ -553,6 +489,7 @@ mod tests {
         // A row-local group touches only its own row.
         let members: Vec<NodeId> = (0..4).map(n).collect();
         let route = MulticastRoute::build(&topo, n(0), &members);
+        let route = route.view();
         assert_eq!(route.len(), 4);
         assert_eq!(route.member_count(), 4);
         assert!(route.len() < topo.positions());
@@ -573,7 +510,8 @@ mod tests {
             let mut full = Fabric::new(LinkTiming::paper_1994());
             let want = full.multicast(SimTime::ZERO, &tree, 125, &members);
             let mut pruned = Fabric::new(LinkTiming::paper_1994());
-            let got = pruned.multicast_route(SimTime::ZERO, &route, 125);
+            let mut got = Vec::new();
+            pruned.multicast_route_into(SimTime::ZERO, &route, 125, &mut got);
 
             assert_eq!(got, want, "topo {topo:?}");
             // The pruned route never traverses more edges than the flood.
@@ -591,6 +529,7 @@ mod tests {
         // regroup without reordering within a depth.
         let members: Vec<NodeId> = [3u32, 0, 1, 11, 2, 19].map(n).to_vec();
         let route = MulticastRoute::build(&topo, n(0), &members);
+        let route = route.view();
 
         // Reference grouping: declared order filtered per depth.
         let mut by_depth: std::collections::BTreeMap<u32, Vec<NodeId>> =
@@ -625,8 +564,10 @@ mod tests {
             let root = n(2);
             let members: Vec<NodeId> = (0..topo.len() as u32).rev().map(n).collect();
             let route = MulticastRoute::build(topo, root, &members);
+            let route = route.view();
             let mut fabric = Fabric::new(LinkTiming::paper_1994());
-            let arrivals = fabric.multicast_route(SimTime::ZERO, &route, 125);
+            let mut arrivals = Vec::new();
+            fabric.multicast_route_into(SimTime::ZERO, route, 125, &mut arrivals);
 
             let mut by_time: std::collections::BTreeMap<SimTime, Vec<NodeId>> =
                 std::collections::BTreeMap::new();
@@ -647,6 +588,7 @@ mod tests {
     fn duplicate_members_appear_in_their_wave_twice() {
         let topo = Ring::new(8);
         let route = MulticastRoute::build(&topo, n(0), &[n(1), n(1), n(0)]);
+        let route = route.view();
         assert_eq!(route.member_count(), 3);
         assert_eq!(route.wave_count(), 2);
         assert!(route.wave(0).eq([n(0)]));
@@ -657,6 +599,7 @@ mod tests {
     fn empty_member_list_has_no_waves() {
         let topo = Ring::new(4);
         let route = MulticastRoute::build(&topo, n(1), &[]);
+        let route = route.view();
         assert_eq!(route.wave_count(), 0);
         assert_eq!(route.max_depth(), 0);
     }
@@ -665,6 +608,7 @@ mod tests {
     fn root_member_is_depth_zero() {
         let topo = Ring::new(6);
         let route = MulticastRoute::build(&topo, n(2), &[n(2), n(4)]);
+        let route = route.view();
         let idxs: Vec<usize> = route.member_indices().collect();
         assert_eq!(idxs[0], 0);
         assert_eq!(route.depth_of(idxs[0]), 0);

@@ -47,7 +47,6 @@
 mod engine;
 #[cfg(feature = "hostprof")]
 pub mod hostprof;
-mod pool;
 mod queue;
 mod rng;
 mod stats;
@@ -57,7 +56,6 @@ mod trace;
 pub use engine::{
     Actor, ActorId, Context, PendingEvent, RunOutcome, Scheduler, Simulation, DEFAULT_EVENT_LIMIT,
 };
-pub use pool::BufferPool;
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, MeanVar, Point, Series, TimeWeighted};

@@ -591,6 +591,18 @@ mod tests {
     }
 
     #[test]
+    fn pending_record_adds_sixteen_bytes_to_an_aligned_payload() {
+        // Every queued event costs one `Pending` in each of the queue's
+        // arrays, so the record must be the payload plus the (time, seq)
+        // key and nothing else. `sesame-dsm` pins its `MachineMsg` at
+        // <= 72 B; with the engine's actor id in front that is an 80-byte
+        // payload and a 96-byte record.
+        use std::mem::size_of;
+        assert_eq!(size_of::<Pending<u64>>(), 16 + 8);
+        assert_eq!(size_of::<Pending<(usize, [u64; 9])>>(), 96);
+    }
+
+    #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(t(30), 3);

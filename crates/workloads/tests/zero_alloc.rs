@@ -76,8 +76,6 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     }
     let cfg = MachineConfig {
         pruned_multicast: true,
-        static_waves: true,
-        payload_pool: true,
         ..MachineConfig::default()
     };
     let mut machine = Machine::new(topo, LinkTiming::paper_1994(), groups, programs, model, cfg);
