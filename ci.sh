@@ -179,6 +179,15 @@ for w in bigmesh_32k lossy_mutex; do
         exit 1
     fi
 done
+# The same contract line carries bigmesh_32k's peak RSS (whole megabytes
+# are enough). It reads 29.2 MB with a fan-out in flight held as one
+# pending event; scheduling every wave at the send instant read 50.8 MB,
+# so a return to that fails here on memory, not only on a hand-run ledger.
+rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-bigmesh_32k.last")
+if [ -n "$rss" ] && [ "$rss" -ge 36 ]; then
+    echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 36" >&2
+    exit 1
+fi
 
 echo "==> docs link check (every crate named in docs/architecture.md exists)"
 for c in $(grep -o 'sesame-[a-z]*' docs/architecture.md | sort -u); do
@@ -226,12 +235,14 @@ if [ "${thr:-0}" -lt 100000 ]; then
 fi
 # The exact-integer `peak_rss_kb` line (VmHWM; absent off Linux, where the
 # check is skipped) is the memory ceiling: this machine has 275 000 groups
-# and reads 280 092 kB with flat per-group state, so 350 000 kB (+25 %)
-# absorbs allocator and libc drift but not one reintroduced heap vector
-# per group — the struct-of-Vecs layout this replaced read 467 348 kB.
+# and reads 213 848 kB with flat per-group state and one pending event
+# per fan-out in flight, so 260 000 kB (+22 %) absorbs allocator and libc
+# drift but neither one reintroduced heap vector per group (the
+# struct-of-Vecs layout read 467 348 kB) nor a return to queueing every
+# wave and every node's start up front (270 488 kB).
 rss=$(grep -o 'peak_rss_kb [0-9]*' "$tmpdir/bigmesh250k.out" | cut -d' ' -f2 || true)
-if [ -n "$rss" ] && [ "$rss" -gt 350000 ]; then
-    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 350000" >&2
+if [ -n "$rss" ] && [ "$rss" -gt 260000 ]; then
+    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 260000" >&2
     exit 1
 fi
 

@@ -126,7 +126,7 @@ impl Exec {
             sim.schedule(
                 SimTime::ZERO,
                 ActorId::new(0),
-                (NodeId::new(i as u32), DsmEvent::Start),
+                (NodeId::new(i as u32), DsmEvent::Start { more: 0 }),
             );
         }
         Exec { sim, verifier }

@@ -150,7 +150,7 @@ pub fn replay(cfg: CanonicalConfig, choices: &[u64]) -> Result<ReplayOutcome, St
         sim.schedule(
             SimTime::ZERO,
             ActorId::new(0),
-            (NodeId::new(i as u32), DsmEvent::Start),
+            (NodeId::new(i as u32), DsmEvent::Start { more: 0 }),
         );
     }
     for (step, &seq) in choices.iter().enumerate() {

@@ -62,7 +62,7 @@ impl Footprint {
 /// their original per-node order; only packet deliveries are reorderable.
 pub fn is_local(event: &DsmEvent) -> bool {
     match event {
-        DsmEvent::Start
+        DsmEvent::Start { .. }
         | DsmEvent::ComputeDone { .. }
         | DsmEvent::TimerFired { .. }
         | DsmEvent::ModelTimer { .. } => true,
@@ -77,14 +77,16 @@ pub fn event_footprint(target: NodeId, event: &DsmEvent, groups: &GroupTable) ->
         vars: Vec::new(),
     };
     let pkt = match event {
-        DsmEvent::Start
+        DsmEvent::Start { .. }
         | DsmEvent::ComputeDone { .. }
         | DsmEvent::TimerFired { .. }
         | DsmEvent::ModelTimer { .. } => return fp,
         DsmEvent::Packet(pkt) => pkt,
         // A wave delivers to several members in one event. Which ones
         // depends on the route, so the footprint takes the sound superset:
-        // every member of the group.
+        // every member of the group. Two cars of one group therefore always
+        // conflict, and a reduction can never commute a wave past a delivery
+        // its successor makes.
         DsmEvent::McastWave { group, pkt, .. } => {
             fp.resources = groups
                 .group(*group)
@@ -198,6 +200,19 @@ mod tests {
         })
     }
 
+    /// Wave `wave` of a fan-out of [`seq_write`]'s packet, queued for its
+    /// first member `to`.
+    fn wave_event(wave: u32, to: u32) -> DsmEvent {
+        let DsmEvent::Packet(pkt) = seq_write(to, 1, 3) else {
+            unreachable!()
+        };
+        DsmEvent::McastWave {
+            group: GroupId::new(0),
+            wave,
+            pkt,
+        }
+    }
+
     #[test]
     fn local_events_have_node_footprints() {
         let g = groups();
@@ -247,15 +262,8 @@ mod tests {
     #[test]
     fn a_wave_conflicts_with_every_member_it_may_deliver_to() {
         let g = groups();
-        let DsmEvent::Packet(pkt) = seq_write(1, 1, 3) else {
-            unreachable!()
-        };
         // Queued for its first member (node 1), delivered to node 2 as well.
-        let wave = DsmEvent::McastWave {
-            group: GroupId::new(0),
-            wave: 1,
-            pkt,
-        };
+        let wave = wave_event(1, 1);
         assert!(!is_local(&wave));
         let fp = event_footprint(NodeId::new(1), &wave, &g);
         assert!(fp.resources.contains(&Resource::Node(NodeId::new(2))));
@@ -265,6 +273,19 @@ mod tests {
             &wave,
             NodeId::new(2),
             &DsmEvent::ComputeDone { tag: 4 },
+            &g,
+        ));
+    }
+
+    #[test]
+    fn two_cars_of_one_group_conflict() {
+        let g = groups();
+        // Different waves, queued for different first members.
+        assert!(!independent(
+            NodeId::new(1),
+            &wave_event(1, 1),
+            NodeId::new(2),
+            &wave_event(2, 2),
             &g,
         ));
     }

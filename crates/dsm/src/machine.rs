@@ -34,9 +34,16 @@ use crate::{
 /// Machine-level events targeted at one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DsmEvent {
-    /// Deliver [`AppEvent::Started`] (scheduled once per node at time
-    /// zero).
-    Start,
+    /// Deliver [`AppEvent::Started`] (once per node at time zero).
+    Start {
+        /// How many higher-numbered nodes start after this one as cars of
+        /// the same event train: the handler passes `Start { more - 1 }`
+        /// on to the next node, so a machine's time-zero burst is one
+        /// pending event, not one per node. Zero for a `Start` scheduled
+        /// on its own (the schedule explorer's, where each node's start
+        /// must be its own choice point).
+        more: u32,
+    },
     /// A packet arrived off the interconnect.
     Packet(Packet),
     /// A modeled computation phase finished.
@@ -68,6 +75,13 @@ pub enum DsmEvent {
     /// at its depth-determined instant, so the event only needs
     /// `(group, wave)` — dispatch iterates the precomputed slice and
     /// allocates nothing.
+    ///
+    /// A fan-out's waves are the cars of one event train
+    /// ([`Context::send_train_at`]): the multicast schedules wave 0 only,
+    /// and dispatching wave `k` schedules wave `k + 1` in the place
+    /// reserved for it, so a write in flight is one pending event walking
+    /// the route depth by depth — in the order, to the tie, that
+    /// scheduling every wave at the send instant would give.
     McastWave {
         /// The group whose route holds the wave. The arena is append-only,
         /// so the index stays valid however long the event is queued.
@@ -84,10 +98,9 @@ pub enum DsmEvent {
 pub type MachineMsg = (NodeId, DsmEvent);
 
 // One `MachineMsg` is stored per pending event in each of the queue's
-// arrays — the largest share of a big mesh's peak heap — so a variant that
-// grows it, or owns heap data, must fail to compile. With the engine's
-// actor id and the queue's 16-byte (time, seq) key this holds a pending
-// record at <= 96 bytes.
+// arrays, so a variant that grows it, or owns heap data, must fail to
+// compile. With the engine's actor id and the queue's 16-byte (time, seq)
+// key this holds a pending record at <= 96 bytes.
 const _: () = assert!(std::mem::size_of::<MachineMsg>() <= 72);
 const fn _assert_copy<T: Copy>() {}
 const _: () = _assert_copy::<DsmEvent>();
@@ -302,22 +315,22 @@ impl Mx<'_, '_> {
             cause,
         };
         match waves {
+            // Wave 0 heads a train of one car per wave (a group has a
+            // member, so a route has a wave); dispatching a wave sends the
+            // next.
             Some(route) => {
-                for w in 0..route.wave_count() {
-                    let mut wave = route.wave(w);
-                    let pkt = packet_to(wave.next().expect("a wave has at least one member"));
-                    let ev = if wave.len() == 0 {
-                        DsmEvent::Packet(pkt)
-                    } else {
-                        DsmEvent::McastWave {
-                            group,
-                            wave: w as u32,
-                            pkt,
-                        }
-                    };
-                    self.ctx
-                        .send_at(target, depth_at(route.wave_depth(w)), (pkt.to, ev));
-                }
+                let first = route.wave(0).next().expect("a wave has a member");
+                let ev = DsmEvent::McastWave {
+                    group,
+                    wave: 0,
+                    pkt: packet_to(first),
+                };
+                self.ctx.send_train_at(
+                    target,
+                    depth_at(route.wave_depth(0)),
+                    route.wave_count() as u64,
+                    (first, ev),
+                );
             }
             None => {
                 for i in 0..self.arrivals.len() {
@@ -727,6 +740,32 @@ impl<M: Model> Machine<M> {
         (self.programs, self.mems, self.model)
     }
 
+    /// The car that follows wave `wave` of `group`'s fan-out of `pkt`, and
+    /// how much later it lands; `None` after the last wave. The gap is
+    /// counted from the wave being dispatched rather than from the send
+    /// instant, because the schedule explorer may deliver a car late.
+    fn wave_after(&self, group: GroupId, wave: u32, pkt: Packet) -> Option<(SimDur, MachineMsg)> {
+        let route = self.routes.get(group.index())?;
+        let (this, next) = (wave as usize, wave as usize + 1);
+        if next == route.wave_count() {
+            return None;
+        }
+        // Waves past the root's immediate echo (depth 0) all pay the one
+        // serialization, so they lie whole hop latencies apart.
+        let timing = self.fabric.timing();
+        let gap = match (route.wave_depth(this), route.wave_depth(next)) {
+            (0, d) => timing.transfer(d, pkt.bytes),
+            (d0, d1) => timing.hop_latency * u64::from(d1 - d0),
+        };
+        let to = route.wave(next).next().expect("a wave has a member");
+        let car = DsmEvent::McastWave {
+            group,
+            wave: wave + 1,
+            pkt: Packet { to, ..pkt },
+        };
+        Some((gap, (to, car)))
+    }
+
     fn with_mx<R>(
         &mut self,
         ctx: &mut Context<'_, MachineMsg>,
@@ -919,7 +958,12 @@ impl<M: Model> Actor for Machine<M> {
         let mut app_q = std::mem::take(&mut self.app_q);
         debug_assert!(app_q.is_empty());
         match event {
-            DsmEvent::Start => {
+            DsmEvent::Start { more } => {
+                if more > 0 {
+                    let next = NodeId::new(node.get() + 1);
+                    let car = DsmEvent::Start { more: more - 1 };
+                    ctx.send_next_car_at(ctx.self_id(), ctx.now(), (next, car));
+                }
                 // Spontaneous: a root of the causal forest.
                 self.causes.set_current(CauseId::NONE);
                 app_q.push_back((node, AppEvent::Started, CauseId::NONE));
@@ -957,6 +1001,9 @@ impl<M: Model> Actor for Machine<M> {
                     let p = Packet { to: m, ..pkt };
                     self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(m, p, mx));
                     self.drain(&mut app_q, ctx);
+                }
+                if let Some((gap, car)) = self.wave_after(group, wave, pkt) {
+                    ctx.send_next_car_at(ctx.self_id(), ctx.now() + gap, car);
                 }
             }
             DsmEvent::ModelTimer { tag } => {
@@ -1048,11 +1095,15 @@ pub fn run_observed<M: Model>(
     if let Some(observer) = observer {
         sim.set_trace_observer(observer);
     }
-    for i in 0..n {
-        sim.schedule(
+    if n > 0 {
+        // One train, a car per node: each node's `Start` schedules the
+        // next, in the queue places n separate events would have taken.
+        let more = u32::try_from(n - 1).expect("node ids are 32-bit");
+        sim.schedule_train(
             SimTime::ZERO,
             ActorId::new(0),
-            (NodeId::new(i as u32), DsmEvent::Start),
+            (NodeId::new(0), DsmEvent::Start { more }),
+            n as u64,
         );
     }
     let outcome = sim.run_until(opts.until);

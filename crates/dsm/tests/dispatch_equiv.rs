@@ -144,6 +144,105 @@ fn wave_path_matches_the_flood_reference() {
     }
 }
 
+/// Two plain sharing groups on the 4x4 torus, picked so that fan-outs of
+/// both land on the same nodes in the same nanosecond: members 2 and 5 sit
+/// two hops from root 0 (group A, which also reaches node 1 at one hop)
+/// and two hops from root 10 (group B, which has nobody at one hop).
+/// Nodes 2 and 5 write one variable of each group in the same handler,
+/// round after round; both roots are two hops away, so they sequence and
+/// multicast at the same instant, and A's depth-2 wave ties with B's.
+fn build_tied_groups(cfg: MachineConfig) -> Machine<GwcModel> {
+    const VAR_A: u32 = 0;
+    const VAR_B: u32 = 1;
+    let topo: Box<dyn Topology> = Box::new(MeshTorus2d::new(4, 4));
+    for member in [2, 5] {
+        assert_eq!(topo.hops(n(0), n(member)), 2, "premise: root A to {member}");
+        assert_eq!(
+            topo.hops(n(10), n(member)),
+            2,
+            "premise: root B to {member}"
+        );
+    }
+    assert_eq!(topo.hops(n(0), n(1)), 1, "premise: A has a depth-1 member");
+    let nodes = topo.len();
+    let groups = GroupTable::new(vec![
+        GroupSpec {
+            root: n(0),
+            members: vec![n(0), n(1), n(2), n(5)],
+            vars: vec![v(VAR_A)],
+            mutex_lock: None,
+        },
+        GroupSpec {
+            root: n(10),
+            members: vec![n(10), n(2), n(5)],
+            vars: vec![v(VAR_B)],
+            mutex_lock: None,
+        },
+    ])
+    .unwrap();
+    let model = GwcModel::new(&groups, nodes);
+    let writer = |rounds: u32| -> Box<dyn Program> {
+        let mut left = rounds;
+        Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| {
+            if matches!(ev, AppEvent::Started | AppEvent::TimerFired { .. }) && left > 0 {
+                let stamp = i64::from(api.id().get()) * 100 + i64::from(left);
+                api.write(v(VAR_A), stamp);
+                api.write(v(VAR_B), -stamp);
+                left -= 1;
+                // The same period on both writers: every round collides.
+                api.set_timer(SimDur::from_nanos(900), 0);
+            }
+        })
+    };
+    let programs = (0..nodes as u32)
+        .map(|i| match i {
+            2 | 5 => writer(4),
+            _ => Box::new(|_: AppEvent, _: &mut NodeApi<'_>| {}) as Box<dyn Program>,
+        })
+        .collect();
+    Machine::new(topo, PAPER, groups, programs, model, cfg)
+}
+
+/// Waves of different fan-outs arriving at one node in one nanosecond
+/// must be delivered in the order the flood delivers its per-member
+/// copies — the order the multicasts were sent in. A wave scheduled only
+/// when the one before it is dispatched keeps that order because it takes
+/// the queue place reserved at the send instant; here group B's depth-2
+/// wave is scheduled (from its depth-0 wave) *before* group A's (from its
+/// depth-1 wave) although A multicast first, so any other numbering
+/// flips them.
+#[test]
+fn same_instant_waves_of_two_groups_match_the_flood_reference() {
+    let run_tied = |pruned_multicast: bool| {
+        let cfg = MachineConfig {
+            pruned_multicast,
+            ..MachineConfig::default()
+        };
+        let opts = RunOptions {
+            tracing: true,
+            ..RunOptions::default()
+        };
+        run(build_tied_groups(cfg), opts)
+    };
+    let (waves, flood) = (run_tied(true), run_tied(false));
+    assert_eq!(flood.outcome, RunOutcome::Drained);
+    // The premise, read off the reference: some node applies sequenced
+    // writes of both groups in one nanosecond.
+    let mut applies: Vec<(u64, usize, u32)> = Vec::new();
+    for e in flood.trace.entries() {
+        if let TraceDetail::Apply { group, .. } = e.detail {
+            applies.push((e.time.as_nanos(), e.actor, group));
+        }
+    }
+    let ties = applies
+        .iter()
+        .filter(|&&(t, node, g)| applies.contains(&(t, node, 1 - g)))
+        .count();
+    assert!(ties >= 8, "only {ties} same-instant cross-group deliveries");
+    assert_same_behaviour(&waves, &flood, "tied groups");
+    assert!(waves.events < flood.events, "no wave ran");
+}
+
 /// Under loss both machines emit member by member and roll the loss die
 /// in declared member order, so they lose the same copies and recover the
 /// same way, event for event.

@@ -65,6 +65,26 @@ pub trait Actor {
     fn handle(&mut self, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>);
 }
 
+/// Which tie-break sequence number the queue gives an outgoing message.
+#[derive(Debug, Clone, Copy)]
+enum SeqPlan {
+    /// The next fresh number, reserving this many in all: one for an
+    /// ordinary send, `cars` for the head of a train.
+    Reserve(u64),
+    /// The number after the handled event's own — reserved for this car
+    /// when the train's head was sent.
+    NextCar,
+}
+
+/// One buffered send: enqueued when the handler that made it returns.
+#[derive(Debug)]
+struct Outgoing<M> {
+    at: SimTime,
+    to: ActorId,
+    msg: M,
+    seq: SeqPlan,
+}
+
 /// The actor's handle onto the running simulation.
 ///
 /// Messages sent through the context are buffered and enqueued after the
@@ -73,7 +93,10 @@ pub trait Actor {
 pub struct Context<'a, M> {
     now: SimTime,
     self_id: ActorId,
-    outbox: &'a mut Vec<(SimTime, ActorId, M)>,
+    /// Whether this handler already sent its train's next car (there is
+    /// one reserved number to send it under).
+    next_car_sent: bool,
+    outbox: &'a mut Vec<Outgoing<M>>,
     rng: &'a mut DetRng,
     trace: &'a mut TraceRecorder,
     stop: &'a mut bool,
@@ -92,7 +115,7 @@ impl<M> Context<'_, M> {
 
     /// Sends `msg` to `to`, arriving `delay` after now.
     pub fn send(&mut self, to: ActorId, delay: SimDur, msg: M) {
-        self.outbox.push((self.now + delay, to, msg));
+        self.send_at(to, self.now + delay, msg);
     }
 
     /// Sends `msg` to `to`, arriving at the absolute time `at`.
@@ -101,8 +124,43 @@ impl<M> Context<'_, M> {
     ///
     /// Panics if `at` is in the past.
     pub fn send_at(&mut self, to: ActorId, at: SimTime, msg: M) {
+        self.enqueue(to, at, msg, SeqPlan::Reserve(1));
+    }
+
+    /// Sends `msg` as the first car of an event *train*: a chain of `cars`
+    /// events, each sent by the handler of the one before it
+    /// ([`Context::send_next_car_at`]), that nevertheless pop in exactly
+    /// the order `cars` sends made right here would — the tie-break
+    /// numbers of the later cars are reserved now. The fan-out stays one
+    /// pending event instead of `cars`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `cars` is zero.
+    pub fn send_train_at(&mut self, to: ActorId, at: SimTime, cars: u64, msg: M) {
+        assert!(cars >= 1, "a train has at least one car");
+        self.enqueue(to, at, msg, SeqPlan::Reserve(cars));
+    }
+
+    /// Sends the car after the one being handled, arriving at `at`. Only
+    /// the handler of a train's car may call this, once, and not from the
+    /// last car: the engine numbers the message one past the handled
+    /// event, which is this car's reserved place only under that
+    /// contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or the handler already sent a next
+    /// car.
+    pub fn send_next_car_at(&mut self, to: ActorId, at: SimTime, msg: M) {
+        assert!(!self.next_car_sent, "one next car per handled event");
+        self.next_car_sent = true;
+        self.enqueue(to, at, msg, SeqPlan::NextCar);
+    }
+
+    fn enqueue(&mut self, to: ActorId, at: SimTime, msg: M, seq: SeqPlan) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.outbox.push((at, to, msg));
+        self.outbox.push(Outgoing { at, to, msg, seq });
     }
 
     /// Sends `msg` back to the current actor after `delay`.
@@ -194,7 +252,7 @@ pub struct Simulation<A: Actor> {
     now: SimTime,
     rng: DetRng,
     trace: TraceRecorder,
-    outbox: Vec<(SimTime, ActorId, A::Msg)>,
+    outbox: Vec<Outgoing<A::Msg>>,
     events_processed: u64,
     event_limit: u64,
     stop_requested: bool,
@@ -217,8 +275,8 @@ impl<A: Actor> Simulation<A> {
 
     /// Creates a simulation over `actors`, seeding the deterministic RNG.
     pub fn new(actors: Vec<A>, seed: u64) -> Self {
-        // Seed the heap with room proportional to the system size so the
-        // first rounds of protocol traffic don't reallocate.
+        // A starting hint only: the calendar re-tunes itself to whatever
+        // backlog the run builds up.
         let capacity = actors.len().saturating_mul(4).max(16);
         Simulation {
             actors,
@@ -302,29 +360,55 @@ impl<A: Actor> Simulation<A> {
     ///
     /// Panics if `to` is out of range or `at` is before the current time.
     pub fn schedule(&mut self, at: SimTime, to: ActorId, msg: A::Msg) {
-        assert!(to.index() < self.actors.len(), "no such actor: {to}");
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, (to, msg));
+        self.schedule_train(at, to, msg, 1);
     }
 
-    /// Delivers one already-popped event to its target actor and enqueues
-    /// everything the handler sent.
-    fn dispatch(&mut self, time: SimTime, target: ActorId, msg: A::Msg) {
+    /// Schedules an external message as the first car of a train of
+    /// `cars` events (see [`Context::send_train_at`]): its handler, and
+    /// each car's after it, sends the next with
+    /// [`Context::send_next_car_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is out of range, `at` is before the current time or
+    /// `cars` is zero.
+    pub fn schedule_train(&mut self, at: SimTime, to: ActorId, msg: A::Msg, cars: u64) {
+        assert!(to.index() < self.actors.len(), "no such actor: {to}");
+        assert!(at >= self.now, "cannot schedule into the past");
+        self.queue.push_train(at, (to, msg), cars);
+    }
+
+    /// Delivers one already-popped event — queued under tie-break number
+    /// `seq` — to its target actor and enqueues everything the handler
+    /// sent.
+    fn dispatch(&mut self, time: SimTime, seq: u64, target: ActorId, msg: A::Msg) {
         debug_assert!(time >= self.now, "event queue returned stale event");
         self.now = time;
         self.events_processed += 1;
         let mut ctx = Context {
             now: self.now,
             self_id: target,
+            next_car_sent: false,
             outbox: &mut self.outbox,
             rng: &mut self.rng,
             trace: &mut self.trace,
             stop: &mut self.stop_requested,
         };
         self.actors[target.index()].handle(msg, &mut ctx);
-        for (at, to, m) in self.outbox.drain(..) {
-            self.queue.push(at, (to, m));
+        for out in self.outbox.drain(..) {
+            let payload = (out.to, out.msg);
+            match out.seq {
+                SeqPlan::Reserve(cars) => self.queue.push_train(out.at, payload, cars),
+                SeqPlan::NextCar => self.queue.push_car(out.at, seq + 1, payload),
+            }
         }
+    }
+
+    /// The tie-break number of the event the queue just handed out.
+    fn popped_seq(&self) -> u64 {
+        self.queue
+            .last_popped_seq()
+            .expect("an event was just popped")
     }
 
     /// Processes a single event. Returns `false` when no event was pending.
@@ -332,7 +416,7 @@ impl<A: Actor> Simulation<A> {
         let Some((time, (target, msg))) = self.queue.pop() else {
             return false;
         };
-        self.dispatch(time, target, msg);
+        self.dispatch(time, self.popped_seq(), target, msg);
         true
     }
 
@@ -368,7 +452,7 @@ impl<A: Actor> Simulation<A> {
                     }
                     #[cfg(feature = "hostprof")]
                     let dispatch_started = crate::hostprof::clock_start();
-                    self.dispatch(time, target, msg);
+                    self.dispatch(time, self.popped_seq(), target, msg);
                     #[cfg(feature = "hostprof")]
                     crate::hostprof::dispatch_done(dispatch_started);
                 }
@@ -420,7 +504,7 @@ impl<A: Actor> Simulation<A> {
         let Some((time, (target, msg))) = self.queue.remove_seq(seq) else {
             return false;
         };
-        self.dispatch(time.max(self.now), target, msg);
+        self.dispatch(time.max(self.now), seq, target, msg);
         true
     }
 
@@ -590,6 +674,22 @@ mod tests {
         sim.schedule(SimTime::ZERO, ActorId::new(0), Token(2));
         sim.run_to_completion();
         sim.schedule(SimTime::ZERO, ActorId::new(0), Token(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "one next car per handled event")]
+    fn a_handler_sends_at_most_one_next_car() {
+        struct Greedy;
+        impl Actor for Greedy {
+            type Msg = ();
+            fn handle(&mut self, _: (), ctx: &mut Context<'_, ()>) {
+                ctx.send_next_car_at(ctx.self_id(), ctx.now(), ());
+                ctx.send_next_car_at(ctx.self_id(), ctx.now(), ());
+            }
+        }
+        let mut sim = Simulation::new(vec![Greedy], 0);
+        sim.schedule_train(SimTime::ZERO, ActorId::new(0), (), 3);
+        sim.step();
     }
 
     #[test]

@@ -18,6 +18,32 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 //!
+//! ## Event trains
+//!
+//! A sender that would push `n` events at once — each caused by the one
+//! before it, at non-decreasing times — may instead push only the first
+//! ([`EventQueue::push_train`]) and let whoever pops car `k` push car
+//! `k + 1` ([`EventQueue::push_car`]). The first push reserves `n`
+//! consecutive tie-break numbers and car `k + 1` goes in under
+//! `seq(k) + 1`, so every car pops at exactly the `(time, seq)` key `n`
+//! eager pushes would have given it: the pop stream is the same, the
+//! queue is `n - 1` events shallower.
+//!
+//! ```
+//! use sesame_sim::{EventQueue, SimTime};
+//!
+//! let t = SimTime::from_nanos;
+//! let mut q = EventQueue::new();
+//! q.push_train(t(10), "car 0", 2);
+//! q.push(t(10), "bystander");
+//! assert_eq!(q.pop(), Some((t(10), "car 0")));
+//! let seq = q.last_popped_seq().expect("just popped");
+//! q.push_car(t(10), seq + 1, "car 1");
+//! // Pushed after the bystander, yet it keeps its reserved place.
+//! assert_eq!(q.pop(), Some((t(10), "car 1")));
+//! assert_eq!(q.pop(), Some((t(10), "bystander")));
+//! ```
+//!
 //! ## Calendar layout
 //!
 //! Internally the queue is a three-tier calendar (ladder) queue rather
@@ -46,10 +72,11 @@
 //! earlier than every event in the ring, which is strictly earlier than
 //! every event in the overflow rung (they occupy disjoint, increasing day
 //! ranges), and each tier orders events by `(time, seq)` with `seq` the
-//! monotone push counter. The pop sequence is therefore *exactly* the
-//! `(time, seq)` ascending order — byte-identical to the previous
-//! `BinaryHeap` implementation, ties resolved FIFO, regardless of bucket
-//! geometry, slab slot placement, or when rebuilds happen.
+//! tie-break number taken from (or, for a train's later cars, reserved
+//! out of) the monotone push counter. The pop sequence is therefore
+//! *exactly* the `(time, seq)` ascending order — byte-identical to the
+//! previous `BinaryHeap` implementation, ties resolved FIFO, regardless
+//! of bucket geometry, slab slot placement, or when rebuilds happen.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -159,6 +186,9 @@ pub struct EventQueue<T> {
     /// megabytes per rebuild, so the buffer's capacity is kept.
     rebuild_scratch: Vec<Pending<T>>,
     next_seq: u64,
+    /// Tie-break number of the event most recently taken out (popped or
+    /// removed by seq): what a train's next car is numbered from.
+    last_popped: Option<u64>,
     pushed: u64,
     popped: u64,
 }
@@ -187,6 +217,7 @@ impl<T> EventQueue<T> {
             ops_since_rebuild: 0,
             pushed_since_rebuild: false,
             next_seq: 0,
+            last_popped: None,
             pushed: 0,
             popped: 0,
         }
@@ -261,8 +292,37 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` for `time`.
     pub fn push(&mut self, time: SimTime, payload: T) {
+        self.push_train(time, payload, 1);
+    }
+
+    /// Schedules `payload` for `time` as the first car of a train of
+    /// `cars` events, reserving the tie-break numbers of the `cars - 1`
+    /// that follow; each is pushed with [`EventQueue::push_car`] once its
+    /// predecessor has popped (see the module docs). `push` is a train of
+    /// one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cars` is zero.
+    pub fn push_train(&mut self, time: SimTime, payload: T, cars: u64) {
+        assert!(cars >= 1, "a train has at least one car");
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq += cars;
+        self.push_car(time, seq, payload);
+    }
+
+    /// Schedules a train's next car under the tie-break number `seq` its
+    /// head reserved: the seq of the car before it, plus one. The caller
+    /// keeps the train's contract — one car per reserved number, pushed
+    /// after its predecessor popped, at a time no earlier than the
+    /// predecessor's — and the pop order is then what pushing every car
+    /// up front would have produced.
+    ///
+    /// This is the one full push body; [`EventQueue::push`] and
+    /// [`EventQueue::push_train`] only pick the number, so the engine's
+    /// hot path stays a single call that passes the record once.
+    pub fn push_car(&mut self, time: SimTime, seq: u64, payload: T) {
+        debug_assert!(seq < self.next_seq, "car seq {seq} was never reserved");
         self.pushed += 1;
         self.count += 1;
         self.ops_since_rebuild += 1;
@@ -353,6 +413,7 @@ impl<T> EventQueue<T> {
             self.advance();
         }
         let p = self.cursor.pop()?;
+        self.last_popped = Some(p.seq);
         self.count -= 1;
         self.popped += 1;
         self.ops_since_rebuild += 1;
@@ -423,6 +484,14 @@ impl<T> EventQueue<T> {
             s = slot.next;
             Some(slot.item.as_ref().expect("occupied ring slot"))
         })
+    }
+
+    /// The tie-break sequence number of the event most recently taken out
+    /// by [`EventQueue::pop`], [`EventQueue::pop_if_before`] or
+    /// [`EventQueue::remove_seq`]; `None` before the first. A train's next
+    /// car is pushed under this plus one.
+    pub fn last_popped_seq(&self) -> Option<u64> {
+        self.last_popped
     }
 
     /// Number of pending events.
@@ -574,6 +643,7 @@ impl<T> EventQueue<T> {
             self.overflow = BinaryHeap::from(rest);
         }
         if found.is_some() {
+            self.last_popped = Some(seq);
             self.count -= 1;
             self.popped += 1;
             self.ops_since_rebuild += 1;
@@ -905,6 +975,108 @@ mod tests {
                 }
             }
             assert_eq!(cal.total_pushed(), id, "round {round}");
+        }
+    }
+
+    /// Property test of the event-train contract on the bare queue: a
+    /// train pushed car by car — the successor filed under `seq + 1` when
+    /// its predecessor comes out, by pop or by `remove_seq` — pops exactly
+    /// what the reference heap pops when every car is pushed up front,
+    /// under tie-heavy bystander pushes and zero strides.
+    #[test]
+    fn property_trains_match_eager_pushes_on_the_reference_heap() {
+        /// The rest of a train, keyed by the pending car's seq.
+        struct Rest {
+            time: u64,
+            stride: u64,
+            id: u64,
+            left: u64,
+        }
+        let mut rng = crate::DetRng::new(0x7a11);
+        for round in 0..200 {
+            let mut cal = EventQueue::new();
+            let mut reference = RefQueue::new();
+            let mut rest: std::collections::HashMap<u64, Rest> = Default::default();
+            let mut now = 0u64;
+            let mut id = 0u64;
+            let mut continued = 0u64;
+            // Pushes the successor of the car that just came out of `cal`.
+            let mut carry_on =
+                |cal: &mut EventQueue<u64>, rest: &mut std::collections::HashMap<u64, Rest>| {
+                    let seq = cal.last_popped_seq().expect("an event came out");
+                    let Some(r) = rest.remove(&seq) else { return };
+                    cal.push_car(t(r.time + r.stride), seq + 1, r.id + 1);
+                    continued += 1;
+                    if r.left > 1 {
+                        let next = Rest {
+                            time: r.time + r.stride,
+                            id: r.id + 1,
+                            left: r.left - 1,
+                            ..r
+                        };
+                        rest.insert(seq + 1, next);
+                    }
+                };
+            for _ in 0..rng.next_range(50, 600) {
+                let roll = rng.next_range(0, 100);
+                if roll < 30 || cal.is_empty() {
+                    let time = now + rng.next_range(0, 4);
+                    cal.push(t(time), id);
+                    reference.push(t(time), id);
+                    id += 1;
+                } else if roll < 50 {
+                    // A train of `cars`: the reference gets them all now.
+                    let (cars, stride) = (rng.next_range(1, 6), rng.next_range(0, 3));
+                    let time = now + rng.next_range(0, 4);
+                    let seq = cal.next_seq;
+                    cal.push_train(t(time), id, cars);
+                    for k in 0..cars {
+                        reference.push(t(time + k * stride), id + k);
+                    }
+                    if cars > 1 {
+                        let left = cars - 1;
+                        rest.insert(
+                            seq,
+                            Rest {
+                                time,
+                                stride,
+                                id,
+                                left,
+                            },
+                        );
+                    }
+                    id += cars;
+                } else if roll < 90 {
+                    let limit = now + rng.next_range(0, 6);
+                    let got = cal.pop_if_before(t(limit));
+                    assert_eq!(got, reference.pop_if_before(t(limit)), "round {round}");
+                    if let Some((time, _)) = got {
+                        now = now.max(time.as_nanos());
+                        carry_on(&mut cal, &mut rest);
+                    }
+                } else {
+                    // The explorer's move: take a pending event out by
+                    // number, possibly ahead of earlier ones.
+                    let pending = cal.pending_sorted();
+                    let pick = rng.next_range(0, pending.len() as u64 - 1) as usize;
+                    let seq = pending[pick].1;
+                    let got = cal.remove_seq(seq);
+                    assert!(got.is_some(), "round {round}: seq {seq} is pending");
+                    assert_eq!(got, reference.remove_seq(seq), "round {round}");
+                    carry_on(&mut cal, &mut rest);
+                }
+            }
+            loop {
+                let got = cal.pop();
+                assert_eq!(got, reference.pop(), "round {round}: drain");
+                if got.is_none() {
+                    break;
+                }
+                carry_on(&mut cal, &mut rest);
+            }
+            assert!(rest.is_empty(), "round {round}: a train never finished");
+            assert_eq!(cal.total_pushed(), id, "round {round}");
+            assert!(continued > 0, "round {round}: no car was continued");
         }
     }
 

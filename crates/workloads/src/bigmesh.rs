@@ -12,11 +12,15 @@
 //! This is the workload the 100k-node scaling stack is sized against:
 //!
 //! * the calendar event queue absorbs the `O(sqrt N)` concurrent rows'
-//!   event churn at O(1) amortized cost per operation;
+//!   event churn at O(1) amortized cost per operation, and stays about
+//!   as deep as there are writes in flight: a fan-out is scheduled
+//!   lazily, one wavefront at a time, each dispatched wave scheduling the
+//!   next (as is the time-zero start of every node), so neither a row's
+//!   width nor the machine's size multiplies the pending set;
 //! * slab/slot protocol state keeps per-(group, member) bookkeeping dense
 //!   (about `3N` member slots here) instead of hashing per step;
 //! * [`MachineConfig::pruned_multicast`] routes each row's multicasts over
-//!   the row's own links only and batches each wavefront into one queue
+//!   the row's own links only and delivers each wavefront as one queue
 //!   event — without it, every multicast would flood all `O(N)` positions,
 //!   making one lap quadratic in machine size.
 //!
