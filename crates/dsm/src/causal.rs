@@ -118,10 +118,7 @@ impl CauseCtx {
 
     /// Restores the cause parked for a completing compute phase.
     pub fn resume_compute(&mut self, node: NodeId, tag: u64) {
-        self.cur = self
-            .compute
-            .remove(&(node.get(), tag))
-            .unwrap_or(CauseId::NONE);
+        self.cur = unpark(&mut self.compute, node, tag);
     }
 
     /// Parks the current cause for a program timer.
@@ -133,10 +130,7 @@ impl CauseCtx {
 
     /// Restores the cause parked for a firing program timer.
     pub fn resume_timer(&mut self, node: NodeId, tag: u64) {
-        self.cur = self
-            .timer
-            .remove(&(node.get(), tag))
-            .unwrap_or(CauseId::NONE);
+        self.cur = unpark(&mut self.timer, node, tag);
     }
 
     /// Parks the current cause for a protocol (model) timer.
@@ -148,11 +142,18 @@ impl CauseCtx {
 
     /// Restores the cause parked for a firing protocol timer.
     pub fn resume_model_timer(&mut self, node: NodeId, tag: u64) {
-        self.cur = self
-            .model_timer
-            .remove(&(node.get(), tag))
-            .unwrap_or(CauseId::NONE);
+        self.cur = unpark(&mut self.model_timer, node, tag);
     }
+}
+
+/// Takes the cause parked under `(node, tag)` out of `parked`. An untraced
+/// run parks nothing, and `HashMap::remove` hashes its key before it looks
+/// at the table, so the empty case is answered without it.
+fn unpark(parked: &mut HashMap<(u32, u64), CauseId>, node: NodeId, tag: u64) -> CauseId {
+    if parked.is_empty() {
+        return CauseId::NONE;
+    }
+    parked.remove(&(node.get(), tag)).unwrap_or(CauseId::NONE)
 }
 
 #[cfg(test)]

@@ -202,6 +202,24 @@ struct RootGroup {
 const NO_LOCK: u32 = u32::MAX;
 
 impl RootGroup {
+    /// Appends the write just sequenced to the retransmission history and
+    /// prunes the history to `window` entries, if one is configured.
+    fn record(&mut self, write: (VarId, Word, NodeId), window: Option<u64>) {
+        // Most roots of a sharded machine sequence exactly one write, so
+        // the first entry gets a block of its own size; a second write
+        // moves the history onto the deque's usual growth.
+        if self.history.capacity() == 0 {
+            self.history.reserve_exact(1);
+        }
+        self.history.push_back(write);
+        if let Some(window) = window {
+            while self.history.len() as u64 > window {
+                self.history.pop_front();
+                self.history_base += 1;
+            }
+        }
+    }
+
     /// The sequenced write numbered `seq`, if the history still holds it.
     fn sequenced(&self, seq: u64) -> Option<(VarId, Word, NodeId)> {
         let at = seq.checked_sub(self.history_base + 1)?;
@@ -529,14 +547,7 @@ impl GwcModel {
         // (and every member apply) chains from it.
         let root = mx.groups().group(group).root();
         mx.cause_point(root, CauseOp::Seq);
-        let rg = &mut self.roots[group.index()];
-        rg.history.push_back((var, value, origin));
-        if let Some(window) = self.history_window {
-            while rg.history.len() as u64 > window {
-                rg.history.pop_front();
-                rg.history_base += 1;
-            }
-        }
+        self.roots[group.index()].record((var, value, origin), self.history_window);
         mx.multicast(
             group,
             sizes::WRITE,
@@ -1092,6 +1103,43 @@ mod tests {
         // million of both (docs/performance.md, "Bytes per node").
         assert!(std::mem::size_of::<RootGroup>() <= 56);
         assert!(std::mem::size_of::<IfaceState>() <= 64);
+    }
+
+    #[test]
+    fn a_single_write_root_holds_a_one_entry_history() {
+        let write = |seq: u64| (VarId::new(7), seq as Word * 10, NodeId::new(seq as u32));
+        for window in [None, Some(3)] {
+            let mut rg = RootGroup {
+                next_seq: 1,
+                history: VecDeque::new(),
+                history_base: 0,
+                lock: NO_LOCK,
+            };
+            assert_eq!(rg.history.capacity(), 0, "a silent root owns no heap");
+            rg.record(write(1), window);
+            // One 16-byte entry, not the deque's four-slot first block.
+            assert_eq!(rg.history.capacity(), 1);
+            assert_eq!(std::mem::size_of::<(VarId, Word, NodeId)>(), 16);
+            assert_eq!(rg.sequenced(1), Some(write(1)));
+            assert_eq!(rg.sequenced(2), None);
+            // Across the growth and (with a window) the pruning, every
+            // retained write answers a NACK under its own number and every
+            // pruned or future one is absent.
+            for seq in 2..=9u64 {
+                rg.record(write(seq), window);
+                let kept = window.map_or(seq, |w| w.min(seq));
+                assert_eq!(rg.history.len() as u64, kept);
+                assert_eq!(rg.history_base, seq - kept);
+                for s in 0..=seq + 1 {
+                    let want = (s > seq - kept && s <= seq).then(|| write(s));
+                    assert_eq!(rg.sequenced(s), want, "seq {s} of {seq}, window {window:?}");
+                }
+            }
+            assert!(
+                rg.history.capacity() >= 3,
+                "the second write moved it to the usual growth"
+            );
+        }
     }
 
     #[test]

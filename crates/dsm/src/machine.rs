@@ -198,6 +198,9 @@ impl Mx<'_, '_> {
     /// software protocol-handler occupancy in models that are not
     /// hardware-assisted.
     pub fn send_after(&mut self, extra: SimDur, mut pkt: Packet) {
+        // The clock, not the send instant: floors up to `now + extra`
+        // could still bind a send that leaves before then.
+        self.fabric.advance(self.now);
         let at = self
             .fabric
             .unicast(self.now + extra, self.topo, pkt.from, pkt.to, pkt.bytes);
@@ -241,6 +244,7 @@ impl Mx<'_, '_> {
         let g = self.groups.group(group);
         let root = g.root();
         let now = self.now;
+        self.fabric.advance(now);
         let timing = self.fabric.timing();
         // How arrivals are known. Under contention-free, loss-free timing
         // with a nonzero hop latency a member's arrival instant is a pure

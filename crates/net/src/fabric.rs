@@ -15,10 +15,16 @@
 //! Bernoulli trial per multicast member delivery, rolled by the caller
 //! through [`Fabric::roll_loss`] on a deterministic seeded RNG; unicasts are
 //! never lost.
+//!
+//! The fabric's two tables — per-path FIFO floors and per-link occupancy —
+//! hold what is in flight, not every path and link a run ever used: a
+//! fabric that is told the simulation clock ([`Fabric::advance`]) forgets
+//! entries the clock has passed, which can no longer delay anything.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use sesame_sim::{DetRng, SimTime};
+use sesame_sim::{DetRng, SimDur, SimTime};
 
 use crate::{LinkId, LinkTiming, NodeId, RouteRef, SpanningTree, Topology};
 
@@ -50,17 +56,78 @@ pub struct FabricStats {
     pub ser_ns: u64,
 }
 
+/// Per-key instants before which something may not happen, of which only
+/// the ones still ahead of the clock are worth keeping.
+///
+/// Every reader takes `max(t, entry)` for a `t` at or after the clock, so
+/// an entry at or before the clock reads exactly like a missing one
+/// (`SimTime::ZERO`) and may be dropped. A full table therefore sweeps its
+/// expired entries out before it grows, and its size follows the live set
+/// instead of the count of keys ever seen. With the clock at zero nothing
+/// ever expires and this is a plain growing map.
+#[derive(Debug)]
+struct Expiring<K> {
+    map: HashMap<K, SimTime>,
+    /// Survivors of a sweep on their way back into `map`, retained so a
+    /// sweep allocates nothing.
+    survivors: Vec<(K, SimTime)>,
+    /// Entries examined by sweeps so far — the cost that inserts must
+    /// amortise.
+    scanned: u64,
+}
+
+impl<K: Copy + Eq + Hash> Expiring<K> {
+    fn new() -> Self {
+        Expiring {
+            map: HashMap::new(),
+            survivors: Vec::new(),
+            scanned: 0,
+        }
+    }
+
+    /// The instant stored under `key` (zero if none is), for the caller to
+    /// read and raise.
+    fn slot(&mut self, key: K, clock: SimTime) -> &mut SimTime {
+        if self.map.len() == self.map.capacity() && clock > SimTime::ZERO {
+            self.sweep(clock);
+        }
+        self.map.entry(key).or_insert(SimTime::ZERO)
+    }
+
+    /// Drops every entry at or before `clock` from a full table, without
+    /// releasing its storage. Emptying the map and re-inserting the
+    /// survivors (rather than `retain`) leaves no tombstones behind, so
+    /// capacity stays a function of the entry count alone.
+    fn sweep(&mut self, clock: SimTime) {
+        let full = self.map.len();
+        self.scanned += full as u64;
+        self.survivors
+            .extend(self.map.drain().filter(|&(_, at)| at > clock));
+        self.map.extend(self.survivors.drain(..));
+        // A sweep scanned `full` entries, so it must buy room for a
+        // comparable number of inserts: if fewer than half expired, grow.
+        // (Sweeping again the moment the table refills would be quadratic
+        // for a live set just under a power of two.)
+        self.map.reserve(full / 2);
+    }
+}
+
 /// Computes packet delivery times over a topology.
 #[derive(Debug)]
 pub struct Fabric {
     timing: LinkTiming,
     contention: ContentionModel,
     loss_probability: f64,
-    busy_until: HashMap<LinkId, SimTime>,
+    /// The simulation clock as last reported through [`Fabric::advance`];
+    /// zero on a fabric nobody advances.
+    clock: SimTime,
+    /// Per-link instant at which the link is free again (store-and-forward
+    /// only).
+    busy_until: Expiring<LinkId>,
     /// Per-(src, dst) last delivery time: packets on the same path never
     /// overtake earlier ones (same routing priority), even when a shorter
     /// serialization would otherwise let them.
-    path_fifo: HashMap<(NodeId, NodeId), SimTime>,
+    path_fifo: Expiring<(NodeId, NodeId)>,
     rng: DetRng,
     stats: FabricStats,
     /// Per-position arrival-time scratch reused across multicasts, so the
@@ -78,8 +145,9 @@ impl Fabric {
             timing,
             contention: ContentionModel::None,
             loss_probability: 0.0,
-            busy_until: HashMap::new(),
-            path_fifo: HashMap::new(),
+            clock: SimTime::ZERO,
+            busy_until: Expiring::new(),
+            path_fifo: Expiring::new(),
             rng: DetRng::new(0x5e5a_11e7),
             stats: FabricStats::default(),
             arrival_scratch: Vec::new(),
@@ -97,6 +165,25 @@ impl Fabric {
     pub fn set_loss(&mut self, probability: f64, seed: u64) {
         self.loss_probability = probability.clamp(0.0, 1.0);
         self.rng = DetRng::new(seed);
+    }
+
+    /// Tells the fabric the simulation clock. Sends must never leave
+    /// before it (`now >= clock` on every later call, which an event
+    /// engine's non-decreasing clock gives for free); in exchange the
+    /// fabric forgets FIFO floors and link occupancy the clock has passed.
+    /// That is unobservable: a packet arrives no earlier than it leaves, so
+    /// a floor at or before the clock can never bind again.
+    ///
+    /// Pass the current instant, not a send instant that runs ahead of it.
+    /// A fabric that is never advanced keeps everything.
+    pub fn advance(&mut self, now: SimTime) {
+        self.clock = self.clock.max(now);
+    }
+
+    /// How many per-path FIFO floors the fabric has room for — the size of
+    /// its largest run-grown table, for footprint budgets.
+    pub fn floor_capacity(&self) -> usize {
+        self.path_fifo.map.capacity()
     }
 
     /// The link timing in use.
@@ -136,23 +223,20 @@ impl Fabric {
         }
     }
 
-    fn traverse_links(&mut self, now: SimTime, links: &[LinkId], bytes: u32) -> SimTime {
-        self.stats.link_traversals += links.len() as u64;
-        self.stats.ser_ns += links.len() as u64 * self.timing.serialization(bytes).as_nanos();
-        match self.contention {
-            ContentionModel::None => now + self.timing.transfer(links.len() as u32, bytes),
-            ContentionModel::StoreAndForward => {
-                let ser = self.timing.serialization(bytes);
-                let mut t = now;
-                for &l in links {
-                    let free = self.busy_until.get(&l).copied().unwrap_or(SimTime::ZERO);
-                    let start = t.max(free);
-                    self.busy_until.insert(l, start + ser);
-                    t = start + ser + self.timing.hop_latency;
-                }
-                t
-            }
-        }
+    /// Bills `links` link traversals of a packet that serializes in `ser`.
+    fn bill_links(&mut self, links: u64, ser: SimDur) {
+        self.stats.link_traversals += links;
+        self.stats.ser_ns += links * ser.as_nanos();
+    }
+
+    /// Store-and-forward over one link: a packet ready at `t` waits for the
+    /// link to free, occupies it for `ser`, then pays the hop latency.
+    /// Returns its arrival at the link's far end.
+    fn occupy(&mut self, link: LinkId, t: SimTime, ser: SimDur) -> SimTime {
+        let busy = self.busy_until.slot(link, self.clock);
+        let start = t.max(*busy);
+        *busy = start + ser;
+        start + ser + self.timing.hop_latency
     }
 
     /// Sends `bytes` from `src` to `dst`, returning the arrival time.
@@ -166,27 +250,37 @@ impl Fabric {
         dst: NodeId,
         bytes: u32,
     ) -> SimTime {
+        debug_assert!(now >= self.clock, "a send leaves before the clock");
         self.stats.packets += 1;
         self.stats.bytes += bytes as u64;
+        let ser = self.timing.serialization(bytes);
         let raw = if src == dst {
-            now + self.timing.serialization(bytes)
+            now + ser
         } else {
-            let mut links = std::mem::take(&mut self.route_scratch);
-            topo.route_into(src, dst, &mut links);
-            let t = self.traverse_links(now, &links, bytes);
-            self.route_scratch = links;
-            t
+            match self.contention {
+                // Cut-through: one serialization plus a hop latency per
+                // link. Only the path's length matters, and every topology
+                // knows that without walking the path.
+                ContentionModel::None => {
+                    let hops = u64::from(topo.hops(src, dst));
+                    self.bill_links(hops, ser);
+                    now + ser + self.timing.hop_latency * hops
+                }
+                ContentionModel::StoreAndForward => {
+                    let mut links = std::mem::take(&mut self.route_scratch);
+                    topo.route_into(src, dst, &mut links);
+                    self.bill_links(links.len() as u64, ser);
+                    let t = links.iter().fold(now, |t, &l| self.occupy(l, t, ser));
+                    self.route_scratch = links;
+                    t
+                }
+            }
         };
         // Per-path FIFO: never deliver before an earlier packet on the
         // same (src, dst) path.
-        let floor = self
-            .path_fifo
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let at = raw.max(floor);
-        self.path_fifo.insert((src, dst), at);
-        at
+        let floor = self.path_fifo.slot((src, dst), self.clock);
+        *floor = raw.max(*floor);
+        *floor
     }
 
     /// Propagates one packet down a group's spanning tree from its root,
@@ -218,6 +312,7 @@ impl Fabric {
         members: &[NodeId],
         out: &mut Vec<(NodeId, SimTime)>,
     ) {
+        debug_assert!(now >= self.clock, "a send leaves before the clock");
         self.stats.packets += 1;
         self.stats.bytes += bytes as u64;
         // Arrival time per position, computed in BFS order so parents are
@@ -246,11 +341,7 @@ impl Fabric {
                     // Store-and-forward: every tree edge re-serializes and
                     // queues behind earlier traffic on that link.
                     ContentionModel::StoreAndForward => {
-                        let link = LinkId::between(pos, child);
-                        let free = self.busy_until.get(&link).copied().unwrap_or(SimTime::ZERO);
-                        let start = t_here.max(free);
-                        self.busy_until.insert(link, start + ser);
-                        start + ser + self.timing.hop_latency
+                        self.occupy(LinkId::between(pos, child), t_here, ser)
                     }
                 };
             }
@@ -284,17 +375,17 @@ impl Fabric {
         bytes: u32,
         out: &mut Vec<(NodeId, SimTime)>,
     ) {
+        debug_assert!(now >= self.clock, "a send leaves before the clock");
         let route = route.into();
         self.bill_multicast_route(route, bytes);
         let ser = self.timing.serialization(bytes);
         // Local index 0 is the root; every parent precedes its children, so
         // one forward pass finalizes arrivals wave by wave.
         self.arrival_scratch.clear();
-        let arrival = &mut self.arrival_scratch;
-        arrival.push(now);
+        self.arrival_scratch.push(now);
         for i in 1..route.len() {
             let p = route.parent_of(i);
-            let t_here = arrival[p];
+            let t_here = self.arrival_scratch[p];
             let at = match self.contention {
                 // Cut-through: the root clocks the packet out once, then the
                 // wavefront advances one hop latency per route edge.
@@ -305,14 +396,10 @@ impl Fabric {
                 // Store-and-forward: every route edge re-serializes and
                 // queues behind earlier traffic on that link.
                 ContentionModel::StoreAndForward => {
-                    let link = LinkId::between(route.node(p), route.node(i));
-                    let free = self.busy_until.get(&link).copied().unwrap_or(SimTime::ZERO);
-                    let start = t_here.max(free);
-                    self.busy_until.insert(link, start + ser);
-                    start + ser + self.timing.hop_latency
+                    self.occupy(LinkId::between(route.node(p), route.node(i)), t_here, ser)
                 }
             };
-            arrival.push(at);
+            self.arrival_scratch.push(at);
         }
         out.clear();
         out.extend(
@@ -330,19 +417,17 @@ impl Fabric {
     /// cut-through timing, where a member's arrival is a pure function of
     /// its hop depth.
     pub fn bill_multicast_route<'r>(&mut self, route: impl Into<RouteRef<'r>>, bytes: u32) {
-        let route = route.into();
         self.stats.packets += 1;
         self.stats.bytes += bytes as u64;
-        let edges = route.edge_count() as u64;
-        self.stats.link_traversals += edges;
-        self.stats.ser_ns += edges * self.timing.serialization(bytes).as_nanos();
+        let ser = self.timing.serialization(bytes);
+        self.bill_links(route.into().edge_count() as u64, ser);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Line, MeshTorus2d, Ring};
+    use crate::{FullMesh, Line, MeshTorus2d, Ring};
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
@@ -472,5 +557,58 @@ mod tests {
         let expect =
             2 * f.timing().serialization(100).as_nanos() + f.timing().serialization(50).as_nanos();
         assert_eq!(s.ser_ns, expect);
+    }
+
+    /// The `i`-th distinct ordered pair of a `nodes`-wide full mesh.
+    fn pair(i: u32, nodes: u32) -> (NodeId, NodeId) {
+        let (src, k) = (i / (nodes - 1) % nodes, i % (nodes - 1));
+        (n(src), n(if k >= src { k + 1 } else { k }))
+    }
+
+    #[test]
+    fn an_unadvanced_fabric_keeps_every_floor() {
+        let topo = FullMesh::new(64);
+        let mut f = paper_fabric();
+        for i in 0..4_000u32 {
+            let (src, dst) = pair(i, 64);
+            f.unicast(SimTime::from_nanos(1_000 * i as u64), &topo, src, dst, 16);
+        }
+        assert_eq!(f.path_fifo.map.len(), 4_000);
+        assert_eq!(
+            f.path_fifo.scanned, 0,
+            "nothing can expire, so nothing is swept"
+        );
+    }
+
+    #[test]
+    fn sweeps_hold_the_table_to_the_live_set_at_amortised_cost() {
+        // Steady traffic, every send on a path of its own: a 16-byte packet
+        // is in flight for 328 ns and the clock moves 4 ns per send, so the
+        // live set — floors still ahead of the clock — is L = 82 paths
+        // however many paths the run has used.
+        const L: usize = 82;
+        let sends = 100 * L as u32;
+        let topo = FullMesh::new(128);
+        let mut f = paper_fabric();
+        for i in 0..sends {
+            let now = SimTime::from_nanos(1_000 + 4 * i as u64);
+            f.advance(now);
+            let (src, dst) = pair(i, 128);
+            let at = f.unicast(now, &topo, src, dst, 16);
+            assert_eq!(at, now + SimDur::from_nanos(328));
+            assert!(
+                f.floor_capacity() <= 4 * L,
+                "capacity {} after {i} sends",
+                f.floor_capacity()
+            );
+        }
+        // Each sweep scans a full table and must be paid for by at least
+        // half a table of inserts.
+        assert!(f.path_fifo.scanned > 0, "the table was never full");
+        assert!(
+            f.path_fifo.scanned <= 3 * sends as u64,
+            "{} entries scanned over {sends} sends",
+            f.path_fifo.scanned
+        );
     }
 }

@@ -25,8 +25,8 @@
 //! ```
 //!
 //! (`n` positions, `m` members, `w` waves — 15 words for a two-member
-//! hand-off group.) [`RouteArena`] packs every route of a machine into one
-//! append-only buffer with a fixed-size header per route and builds them
+//! hand-off group.) [`RouteArena`] packs every route of a machine into
+//! append-only storage with a fixed-size header per route and builds them
 //! lazily through retained scratch; [`MulticastRoute`] is the same layout
 //! owning a single route. Both hand out the borrowed [`RouteRef`] view,
 //! which carries all the accessors.
@@ -218,14 +218,10 @@ impl RouteScratch {
     /// Builds the pruned route for `members` rooted at `root` — walking
     /// `topo`'s deterministic shortest path to each member in declared
     /// order and unioning the paths (first-wins parent assignment) — and
-    /// appends its packed words to `out`.
-    fn build_into(
-        &mut self,
-        topo: &dyn Topology,
-        root: NodeId,
-        members: &[NodeId],
-        out: &mut Vec<u32>,
-    ) -> Shape {
+    /// leaves its sections in the scratch for [`RouteScratch::pack_into`].
+    /// The shape says how many words that will take, so the caller can
+    /// choose where they go.
+    fn walk(&mut self, topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Shape {
         assert!(root.index() < topo.positions(), "root out of range");
         self.index.clear();
         self.nodes.clear();
@@ -276,27 +272,26 @@ impl RouteScratch {
             .extend(self.members.iter().map(|&i| depth[i as usize]));
         self.wave_depths.sort_unstable();
         self.wave_depths.dedup();
-        let wave_of = |wave_depths: &[u32], i: u32| {
-            wave_depths
-                .binary_search(&depth[i as usize])
-                .expect("every member depth is a wave depth")
-        };
         self.wave_cursor.clear();
         self.wave_cursor.resize(self.wave_depths.len() + 1, 0);
         for &i in &self.members {
-            self.wave_cursor[wave_of(&self.wave_depths, i) + 1] += 1;
+            self.wave_cursor[wave_of(&self.wave_depths, depth[i as usize]) + 1] += 1;
         }
         for w in 1..self.wave_cursor.len() {
             self.wave_cursor[w] += self.wave_cursor[w - 1];
         }
 
-        let shape = Shape {
+        Shape {
             nodes: self.nodes.len() as u32,
             members: u32::try_from(self.members.len()).expect("route too large"),
             waves: self.wave_depths.len() as u32,
-        };
+        }
+    }
+
+    /// Appends the packed words of the route last walked to `out`, which
+    /// the caller has sized for them.
+    fn pack_into(&mut self, out: &mut Vec<u32>) {
         let start = out.len();
-        out.reserve(shape.words());
         out.extend_from_slice(&self.nodes);
         out.extend_from_slice(&self.parent);
         out.extend_from_slice(&self.depth);
@@ -306,13 +301,23 @@ impl RouteScratch {
         out.extend_from_slice(&self.wave_cursor);
         out.extend_from_slice(&self.wave_depths);
         for &i in &self.members {
-            let cursor = &mut self.wave_cursor[wave_of(&self.wave_depths, i)];
+            let cursor = &mut self.wave_cursor[wave_of(&self.wave_depths, self.depth[i as usize])];
             out[wave_nodes + *cursor as usize] = self.nodes[i as usize];
             *cursor += 1;
         }
-        debug_assert_eq!(out.len() - start, shape.words());
-        shape
+        debug_assert_eq!(
+            out.len() - start,
+            3 * self.nodes.len() + 2 * self.members.len() + 2 * self.wave_depths.len() + 1
+        );
     }
+}
+
+/// The wave — index into the ascending distinct member depths — of a
+/// member at hop depth `depth`.
+fn wave_of(wave_depths: &[u32], depth: u32) -> usize {
+    wave_depths
+        .binary_search(&depth)
+        .expect("every member depth is a wave depth")
 }
 
 /// One pruned route, owned: the union of deterministic shortest paths from
@@ -347,8 +352,10 @@ impl MulticastRoute {
     /// a route step is inconsistent with the path walked so far (both
     /// indicate a broken [`Topology::route_into`] implementation).
     pub fn build(topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
-        let mut words = Vec::new();
-        let shape = RouteScratch::default().build_into(topo, root, members, &mut words);
+        let mut scratch = RouteScratch::default();
+        let shape = scratch.walk(topo, root, members);
+        let mut words = Vec::with_capacity(shape.words());
+        scratch.pack_into(&mut words);
         MulticastRoute { words, shape }
     }
 
@@ -367,14 +374,20 @@ impl<'a> From<&'a MulticastRoute> for RouteRef<'a> {
 /// Where one route of a [`RouteArena`] lives.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// First word of the route; [`Slot::UNBUILT`] until its first use.
+    /// The block holding the route; [`NO_BLOCK`] until its first use.
+    block: u32,
+    /// First word of the route within its block.
     at: u32,
     shape: Shape,
 }
 
+/// The block index that names no block.
+const NO_BLOCK: u32 = u32::MAX;
+
 impl Slot {
     const UNBUILT: Slot = Slot {
-        at: u32::MAX,
+        block: NO_BLOCK,
+        at: 0,
         shape: Shape {
             nodes: 0,
             members: 0,
@@ -383,17 +396,34 @@ impl Slot {
     };
 }
 
-/// Every pruned route of one machine, packed into a single buffer.
+/// Every pruned route of one machine, packed.
 ///
 /// Routes are addressed by a dense caller-chosen id (the machine uses the
 /// group id) and built lazily on first use. The arena is **append-only**:
-/// a built route never moves relative to its id and is never dropped, so
-/// an id — or a `(id, wave)` pair queued in an event — stays valid for the
-/// arena's lifetime. Building reuses retained scratch, so after warm-up a
-/// new route costs no allocation beyond the buffer's amortized doubling.
+/// a built route never moves and is never dropped, so an id — or a
+/// `(id, wave)` pair queued in an event — stays valid for the arena's
+/// lifetime. Building reuses retained scratch, so after warm-up a new
+/// route costs no allocation beyond the occasional new block.
+///
+/// Storage **grows to fit**: routes are appended to blocks that are never
+/// reallocated, and a new block is sized so that the arena as a whole
+/// holds at most 9/8 of the words its routes use (see
+/// [`RouteArena::get_or_build`]). A million routes therefore cost their
+/// own words plus an eighth — not the up-to-double of a doubling buffer,
+/// and nothing is ever copied or left behind for the allocator to strand.
 #[derive(Debug, Default)]
 pub struct RouteArena {
-    words: Vec<u32>,
+    /// Route words. A route lies whole inside one block.
+    blocks: Vec<Vec<u32>>,
+    /// The block being filled with routes of `2^k..2^(k+1)` words, by `k`
+    /// ([`NO_BLOCK`] until one exists). One per size class, so a wide
+    /// route that does not fit where narrow ones are being packed opens a
+    /// block of its own instead of closing theirs half full.
+    open: Vec<u32>,
+    /// Words held by routes, over all blocks.
+    used: usize,
+    /// Words allocated, over all blocks.
+    capacity: usize,
     slots: Vec<Slot>,
     scratch: RouteScratch,
 }
@@ -411,10 +441,12 @@ impl RouteArena {
     /// The route with the given id, if it has been built.
     pub fn get(&self, id: usize) -> Option<RouteRef<'_>> {
         let slot = *self.slots.get(id)?;
-        (slot.at != Slot::UNBUILT.at).then(|| {
-            let at = slot.at as usize;
-            RouteRef::new(&self.words[at..at + slot.shape.words()], slot.shape)
-        })
+        let block = self.blocks.get(slot.block as usize)?;
+        let at = slot.at as usize;
+        Some(RouteRef::new(
+            &block[at..at + slot.shape.words()],
+            slot.shape,
+        ))
     }
 
     /// The route with the given id, built now from `(topo, root, members)`
@@ -431,15 +463,44 @@ impl RouteArena {
         if id >= self.slots.len() {
             self.slots.resize(id + 1, Slot::UNBUILT);
         }
-        if self.slots[id].at == Slot::UNBUILT.at {
-            let at = u32::try_from(self.words.len())
-                .ok()
-                .filter(|&at| at != Slot::UNBUILT.at)
-                .expect("route arena exceeds 2^32 words");
-            let shape = self
-                .scratch
-                .build_into(topo, root, members, &mut self.words);
-            self.slots[id] = Slot { at, shape };
+        if self.slots[id].block == NO_BLOCK {
+            let shape = self.scratch.walk(topo, root, members);
+            let need = shape.words();
+            let class = need.ilog2() as usize;
+            if class >= self.open.len() {
+                self.open.resize(class + 1, NO_BLOCK);
+            }
+            // Its own class's block first, then any other open block.
+            let into = std::iter::once(self.open[class])
+                .chain(self.open.iter().copied())
+                .find(|&b| {
+                    let block = self.blocks.get(b as usize);
+                    block.is_some_and(|b| b.capacity() - b.len() >= need)
+                });
+            let into = into.unwrap_or_else(|| {
+                // A new block: room for this route and as many more like it
+                // as keep the whole arena within 9/8 of the words in use
+                // once this one is in. (Whole routes, because a tail that
+                // nothing fits into would be charged to that eighth for
+                // good.) `capacity <= 9/8 * used` then holds after every
+                // build, by induction.
+                let within = (self.used + need) * 9 / 8;
+                let spare = within.saturating_sub(self.capacity + need);
+                let block = need * (1 + spare / need);
+                let new = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
+                self.open[class] = new;
+                self.blocks.push(Vec::with_capacity(block));
+                self.capacity += block;
+                new
+            });
+            let block = &mut self.blocks[into as usize];
+            self.slots[id] = Slot {
+                block: into,
+                at: u32::try_from(block.len()).expect("route block exceeds 2^32 words"),
+                shape,
+            };
+            self.scratch.pack_into(block);
+            self.used += need;
         }
         self.get(id).expect("route was just built")
     }
@@ -447,7 +508,8 @@ impl RouteArena {
     /// Heap bytes of route storage the arena holds — packed words and
     /// per-route headers, by capacity. Zero until a header or route exists.
     pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u32>()
+        (self.capacity + self.open.capacity()) * std::mem::size_of::<u32>()
+            + self.blocks.capacity() * std::mem::size_of::<Vec<u32>>()
             + self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 }
@@ -793,11 +855,65 @@ mod tests {
         let topo = MeshTorus2d::new(6, 6);
         let route = MulticastRoute::build(&topo, n(3), &[n(3), n(4)]);
         assert_eq!(route.words.len(), 15);
-        assert_eq!(std::mem::size_of::<Slot>(), 16, "header per group");
+        assert_eq!(std::mem::size_of::<Slot>(), 20, "header per group");
         let mut arena = RouteArena::default();
         assert_eq!(arena.heap_bytes(), 0, "an unused arena owns no heap");
         arena.get_or_build(0, &topo, n(3), &[n(3), n(4)]);
-        assert_eq!(arena.words.len(), 15);
+        assert_eq!(arena.used, 15);
         assert!(arena.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn arena_grows_to_fit_and_never_moves_a_route() {
+        // A sharded mesh in miniature: one wide route per row, one
+        // two-member route per node.
+        let topo = MeshTorus2d::new(40, 40);
+        let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+        for row in 0..40u32 {
+            groups.push((n(row * 40), (0..40).map(|c| n(row * 40 + c)).collect()));
+            for c in 0..40 {
+                let me = row * 40 + c;
+                groups.push((n(me), vec![n(me), n(row * 40 + (c + 1) % 40)]));
+            }
+        }
+        // Built in group order — a wide route, forty narrow ones, and
+        // again, the order in which a narrow block closed for every wide
+        // route would spend the whole eighth on tails — and in a shuffled
+        // order.
+        let in_order: Vec<usize> = (0..groups.len()).collect();
+        let mut shuffled = in_order.clone();
+        DetRng::new(0x6172_656e).shuffle(&mut shuffled);
+        for order in [in_order, shuffled] {
+            let mut arena = RouteArena::with_routes(groups.len());
+            let mut homes: Vec<(*const u32, usize)> = Vec::new();
+            for &g in &order {
+                let (root, members) = &groups[g];
+                arena.get_or_build(g, &topo, *root, members);
+                // Never more than an eighth of slack, at any point.
+                assert!(
+                    arena.capacity * 8 <= arena.used * 9,
+                    "{} words allocated for {} in use",
+                    arena.capacity,
+                    arena.used
+                );
+                // A block, once allocated, is never reallocated.
+                let new = &arena.blocks[homes.len()..];
+                homes.extend(new.iter().map(|b| (b.as_ptr(), b.capacity())));
+                let mut blocks = arena.blocks.iter().zip(&homes);
+                assert!(blocks.all(|(b, &home)| (b.as_ptr(), b.capacity()) == home));
+            }
+            let held: usize = arena.blocks.iter().map(Vec::capacity).sum();
+            assert_eq!(held, arena.capacity);
+            assert_eq!(arena.blocks.iter().map(Vec::len).sum::<usize>(), arena.used);
+            // Fitting is not paid for in allocator calls: blocks grow with
+            // the arena, so 1640 routes take a few dozen of them.
+            assert!(arena.blocks.len() <= 64, "{} blocks", arena.blocks.len());
+            for (g, (root, members)) in groups.iter().enumerate() {
+                let owned = MulticastRoute::build(&topo, *root, members);
+                let (got, want) = (arena.get(g).expect("built"), owned.view());
+                assert_eq!(got.nodes, want.nodes, "route {g}");
+                assert_eq!(got.wave_nodes, want.wave_nodes, "route {g}");
+            }
+        }
     }
 }

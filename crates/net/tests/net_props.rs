@@ -1,16 +1,17 @@
 //! Randomized tests of the interconnect layer over every topology: route
 //! validity, hop symmetry, spanning-tree shortest paths, fabric timing
-//! monotonicity, and per-link FIFO under store-and-forward contention.
+//! monotonicity, per-link FIFO under store-and-forward contention, and
+//! the unobservability of expiring FIFO floors.
 //!
 //! Cases are drawn from the kernel's own deterministic [`DetRng`] so the
 //! suite needs no external property-testing crate and replays identically
 //! on every run.
 
 use sesame_net::{
-    ContentionModel, Fabric, FullMesh, Hypercube, Line, LinkTiming, MeshTorus2d, NodeId, Ring,
-    SpanningTree, Star, Topology,
+    ContentionModel, Fabric, FullMesh, Hypercube, Line, LinkTiming, MeshTorus2d, MulticastRoute,
+    NodeId, Ring, SpanningTree, Star, Topology,
 };
-use sesame_sim::{DetRng, SimTime};
+use sesame_sim::{DetRng, SimDur, SimTime};
 
 fn n(id: u32) -> NodeId {
     NodeId::new(id)
@@ -174,4 +175,137 @@ fn multicast_arrivals_follow_tree_depth() {
             }
         }
     }
+}
+
+/// A fabric that is told the clock and forgets what the clock has passed
+/// computes exactly what a fabric that remembers everything computes:
+/// same arrival for every unicast and every multicast member, same
+/// traffic counters — on every topology, under both contention models,
+/// with mixed packet sizes (so FIFO floors bind), self-sends, and send
+/// instants that run ahead of the clock.
+#[test]
+fn expiring_fabric_matches_one_that_never_forgets() {
+    const SIZES: [u32; 4] = [16, 64, 125, 1_500];
+    for case in 0..96u64 {
+        let mut rng = DetRng::new(0xF100_0045 ^ case);
+        let kind = (case % 6) as u8;
+        let nodes = rng.next_range(2, 41) as usize;
+        let topo = make_topology(kind, nodes);
+        let contention = if case % 2 == 0 {
+            ContentionModel::None
+        } else {
+            ContentionModel::StoreAndForward
+        };
+        let mut expiring = Fabric::new(LinkTiming::paper_1994());
+        let mut keeping = Fabric::new(LinkTiming::paper_1994());
+        expiring.set_contention(contention);
+        keeping.set_contention(contention);
+        // Most traffic stays among three nodes, so packets follow each
+        // other down the same paths closely enough for floors to bind; the
+        // rest roams the machine, and its one-off paths are what fills the
+        // table and forces sweeps.
+        let node = |rng: &mut DetRng| {
+            let among = if rng.chance(0.6) { nodes.min(3) } else { nodes };
+            n(rng.next_below(among as u64) as u32)
+        };
+        let routes: Vec<MulticastRoute> = (0..3)
+            .map(|_| {
+                let root = node(&mut rng);
+                let members: Vec<NodeId> =
+                    (0..rng.next_range(1, 6)).map(|_| node(&mut rng)).collect();
+                MulticastRoute::build(topo.as_ref(), root, &members)
+            })
+            .collect();
+
+        let mut now = SimTime::ZERO;
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for op in 0..1_500 {
+            // The clock stalls, creeps or jumps; a send leaves at the clock
+            // or up to a few microseconds after it.
+            now += SimDur::from_nanos(match rng.next_below(4) {
+                0 => 0,
+                1 => rng.next_below(50),
+                2 => rng.next_below(2_000),
+                _ => rng.next_below(40_000),
+            });
+            let extra = match rng.next_below(3) {
+                0 => 0,
+                _ => rng.next_below(6_000),
+            };
+            let leaves = now + SimDur::from_nanos(extra);
+            let bytes = SIZES[rng.next_below(4) as usize];
+            expiring.advance(now);
+            if rng.chance(0.2) {
+                let route = &routes[rng.next_below(3) as usize];
+                expiring.multicast_route_into(leaves, route, bytes, &mut got);
+                keeping.multicast_route_into(leaves, route, bytes, &mut want);
+                assert_eq!(got, want, "case {case} op {op}: multicast");
+            } else {
+                let src = node(&mut rng);
+                let dst = if rng.chance(0.1) { src } else { node(&mut rng) };
+                let a = expiring.unicast(leaves, topo.as_ref(), src, dst, bytes);
+                let b = keeping.unicast(leaves, topo.as_ref(), src, dst, bytes);
+                assert_eq!(a, b, "case {case} op {op}: {src} -> {dst}, {bytes} bytes");
+            }
+            assert_eq!(expiring.stats(), keeping.stats(), "case {case} op {op}");
+        }
+        if nodes >= 16 {
+            // Not vacuous: the run used more paths than the expiring fabric
+            // ended up with room for.
+            assert!(
+                expiring.floor_capacity() < keeping.floor_capacity(),
+                "case {case}: {} vs {}",
+                expiring.floor_capacity(),
+                keeping.floor_capacity()
+            );
+        }
+    }
+}
+
+/// The cut-through FIFO floor binds — a 16-byte packet sent 10 ns after a
+/// 1500-byte one on the same path would arrive 12 µs earlier without it —
+/// and keeps binding when the table is swept between the two sends.
+#[test]
+fn fifo_floor_binds_before_and_across_sweeps() {
+    let topo = FullMesh::new(64);
+    let timing = LinkTiming::paper_1994();
+    let mut f = Fabric::new(timing);
+    let mut fresh = (0..64u32).flat_map(|a| {
+        (0..64u32)
+            .filter(move |&b| b != a)
+            .map(move |b| (n(a), n(b)))
+    });
+    let mut used = 0;
+    // Round r: a big packet on a path of its own, then `r` small packets
+    // on other fresh paths (all in flight, so a sweep keeps them), then a
+    // small packet behind the big one. Rounds are 20 µs apart, so each
+    // finds the table full of the previous rounds' expired floors: as `r`
+    // sweeps its range, the table fills — and is swept — at every point
+    // between the two sends.
+    for r in 0..60u64 {
+        let now = SimTime::from_nanos(20_000 * (r + 1));
+        f.advance(now);
+        let (src, dst) = fresh.next().expect("a fresh path");
+        let big = f.unicast(now, &topo, src, dst, 1_500);
+        assert_eq!(big, now + timing.transfer(1, 1_500));
+        for _ in 0..r {
+            let (a, b) = fresh.next().expect("a fresh path");
+            f.unicast(now, &topo, a, b, 16);
+        }
+        used += 1 + r as usize;
+        let later = now + SimDur::from_nanos(10);
+        f.advance(later);
+        let small = f.unicast(later, &topo, src, dst, 16);
+        assert!(
+            later + timing.transfer(1, 16) < big,
+            "the floor is what holds it back"
+        );
+        assert_eq!(small, big, "round {r}: overtook the packet ahead of it");
+    }
+    // Sweeps did happen: far fewer floors are kept than paths were used.
+    assert!(
+        f.floor_capacity() * 4 < used,
+        "capacity {} after {used} paths",
+        f.floor_capacity()
+    );
 }

@@ -508,6 +508,26 @@ mod tests {
     }
 
     #[test]
+    fn a_run_keeps_floors_for_what_is_in_flight_only() {
+        // Every node sends its lock traffic to its row's root, so a run
+        // uses at least as many (src, dst) paths as it has nodes — a floor
+        // per path ever used took room for 28 672 here. What a run needs
+        // floors for is the few hundred packets in flight at a time (the
+        // table ends at 448; 896 on the 32 400-node mesh).
+        let progress: Progress = Rc::new(RefCell::new((0, 0)));
+        let pruned = MachineConfig {
+            pruned_multicast: true,
+            ..MachineConfig::default()
+        };
+        let (machine, _) = assemble(&tiny(10_000), pruned, Some(&progress));
+        let result = run(machine, RunOptions::default());
+        assert_eq!(result.outcome, RunOutcome::Drained);
+        assert_eq!(progress.borrow().1, 10_000, "every visit completed");
+        let floors = result.machine.fabric().floor_capacity();
+        assert!(floors <= 2_048, "room for {floors} floors after the run");
+    }
+
+    #[test]
     fn explicit_geometry_scales_by_rows() {
         // 12 rows of 4: 48 CPUs in a deliberately non-square torus.
         let run = run_bigmesh(BigMeshConfig {
