@@ -82,9 +82,12 @@ grep -q "still holds" "$tmpdir/replay.out"
 echo "==> causal-tracing smoke (explain, DAG export, flow arrows)"
 cargo run -q --release -p sesame-cli -- run --scenario contention \
     --causes-out "$tmpdir/causes.json" --timeline-out "$tmpdir/flow.trace.json" \
-    >/dev/null
+    > "$tmpdir/causes.out"
 grep -q '"schema":"sesame-causes/v1"' "$tmpdir/causes.json"
 grep -q '"op":"rollback"' "$tmpdir/causes.json"
+# The export holds the explained set (ancestors of the rollbacks and of the
+# critical path), and says how much of the run that is.
+grep -q "wrote causal DAG (228 of 2921 recorded events" "$tmpdir/causes.out"
 # Flow arrows: paired Chrome flow-event start/finish phases in the timeline.
 grep -q '"ph":"s"' "$tmpdir/flow.trace.json"
 grep -q '"ph":"f","bp":"e"' "$tmpdir/flow.trace.json"
@@ -95,6 +98,15 @@ cargo run -q --release -p sesame-cli -- explain --scenario contention \
 grep -q "rollback #" "$tmpdir/explain.out"
 grep -q "invalidated by node" "$tmpdir/explain.out"
 grep -q "critical path:" "$tmpdir/explain.out"
+# An id outside the explained set (#10: an apply nothing descends from,
+# absent from the export above) is still explained when asked for.
+if grep -q '"id":10,' "$tmpdir/causes.json"; then
+    echo "causes export kept #10, which no rollback or critical path reads" >&2
+    exit 1
+fi
+cargo run -q --release -p sesame-cli -- explain --scenario contention \
+    --event 10 > "$tmpdir/explain-event.out"
+grep -q "#10 apply" "$tmpdir/explain-event.out"
 # Unknown event ids are a hard error.
 if cargo run -q --release -p sesame-cli -- explain --scenario contention \
     --event 999999999 >/dev/null 2>&1; then
@@ -164,13 +176,14 @@ echo "==> benchmark smoke (sesame-ledger builds, quick passes, own tests)"
 # ledger's unit and process-level tests. Quick numbers are never compared.
 benchmark/run.sh >/dev/null
 
-echo "==> ledger pins (two full-size workloads against benchmark/pins.txt)"
+echo "==> ledger pins (three full-size workloads against benchmark/pins.txt)"
 # run.sh only runs --quick, whose digests are not pinned. One full-size
-# contract run each of the static-wave path (bigmesh_32k) and the
-# per-member fan-out under loss (lossy_mutex), with the binary run.sh just
-# built: `correct` compares the run's digest with its pin. (To a file,
-# then grep, as above.)
-for w in bigmesh_32k lossy_mutex; do
+# contract run each of the static-wave path (bigmesh_32k), the per-member
+# fan-out under loss (lossy_mutex) and the observers (observed_contention:
+# the collector with its exports and validators, the online verifier),
+# with the binary run.sh just built: `correct` compares the run's digest
+# with its pin. (To a file, then grep, as above.)
+for w in bigmesh_32k lossy_mutex observed_contention; do
     benchmark/target/release/sesame-ledger --workload "$w" --seed 7 \
         --seconds 1 --trace 0 > "$tmpdir/ledger-$w.out"
     tail -n 1 "$tmpdir/ledger-$w.out" > "$tmpdir/ledger-$w.last"
@@ -189,6 +202,15 @@ done
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-bigmesh_32k.last")
 if [ -n "$rss" ] && [ "$rss" -ge 27 ]; then
     echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 27" >&2
+    exit 1
+fi
+# observed_contention's reads 63 MB (seed 7; 64 on seed 11) when the
+# collector's DAG shrinks to the explained set at `finish`: what is left is
+# the 50 MB slab the run fills while it records. Keeping and exporting
+# every node (a 190 MB causes document) read 247.9 MB.
+rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-observed_contention.last")
+if [ -n "$rss" ] && [ "$rss" -ge 80 ]; then
+    echo "ledger observed_contention memory ceiling: peak RSS ${rss} MB, want < 80" >&2
     exit 1
 fi
 

@@ -86,8 +86,10 @@ COMMANDS:
                     --csv-out <file.csv>        CSV metrics export
                     --timeline-out <file.json>  Chrome trace-event timeline
                                       (with cross-node causal flow arrows)
-                    --causes-out <file>         causal DAG (.dot → Graphviz,
-                                      anything else → sesame-causes/v1 JSON)
+                    --causes-out <file>         causal DAG: the ancestors of
+                                      every rollback and of the critical path
+                                      (.dot → Graphviz, anything else →
+                                      sesame-causes/v1 JSON)
                     --series-out <file>         windowed time series (.csv →
                                       CSV, anything else → sesame-series/v1
                                       JSON); also prints the per-window table
@@ -436,8 +438,21 @@ fn scenario_options(args: &Args) -> Result<(Scenario, ScenarioOptions), String> 
             .map_err(|e| e.to_string())?,
         timeline: args.get_str("--timeline-out").is_some(),
         window: parse_window(args)?,
+        explain: parse_event(args)?,
     };
     Ok((scenario, opts))
+}
+
+/// Parses `explain`'s `--event <id>` (a leading `#` is accepted).
+fn parse_event(args: &Args) -> Result<Option<u64>, String> {
+    let Some(spec) = args.get_str("--event") else {
+        return Ok(None);
+    };
+    let id = spec
+        .trim_start_matches('#')
+        .parse()
+        .map_err(|_| format!("invalid --event {spec:?} (expected a causal event id)"))?;
+    Ok(Some(id))
 }
 
 /// Parses the series window: `--window <ns>` enables the series directly;
@@ -529,7 +544,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(path) = args.get_str("--causes-out") {
-        // Streamed: a long run's DAG export runs to hundreds of megabytes.
+        // Streamed: the document is never held in memory.
         let dag = telemetry.causes();
         std::fs::File::create(path)
             .and_then(|file| {
@@ -543,8 +558,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             })
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
-            "wrote causal DAG ({} events) to {path}",
-            telemetry.causes().len()
+            "wrote causal DAG ({} of {} recorded events: the ancestors of {} rollbacks and of the critical path) to {path}",
+            dag.len(),
+            dag.recorded(),
+            dag.rollbacks().len()
         );
     }
     if let Some(path) = args.get_str("--series-out") {
@@ -622,15 +639,11 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     let (scenario, opts) = scenario_options(args)?;
     let telemetry = run_with_telemetry(scenario, &opts);
     let dag = telemetry.causes();
-    if let Some(spec) = args.get_str("--event") {
-        let id: u64 = spec
-            .trim_start_matches('#')
-            .parse()
-            .map_err(|_| format!("invalid --event {spec:?} (expected a causal event id)"))?;
+    if let Some(id) = opts.explain {
         let text = dag.render_chain(id).ok_or_else(|| {
             format!(
                 "unknown event id #{id}: this run recorded {} causal events",
-                dag.len()
+                dag.recorded()
             )
         })?;
         println!("causal chain to #{id}:");
@@ -639,7 +652,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     }
     println!(
         "{} causal events recorded over {}ns",
-        dag.len(),
+        dag.recorded(),
         telemetry.end().as_nanos()
     );
     print_causal_chains(dag);

@@ -250,6 +250,50 @@ fn explain_single_event_and_unknown_id() {
 }
 
 #[test]
+fn explain_event_reaches_ids_the_export_leaves_out() {
+    // #10 is an apply nothing descends from: neither a rollback nor the
+    // critical path needs it or the multicast behind it, so the export
+    // drops both …
+    let causes = tmp("explained.json");
+    let out = sesame(&["run", "--causes-out", causes.to_str().unwrap()]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(
+            "wrote causal DAG (228 of 2921 recorded events: the ancestors of 6 rollbacks"
+        ),
+        "{stdout}"
+    );
+    let json = std::fs::read_to_string(&causes).unwrap();
+    assert_eq!(json.matches("\n  {\"id\":").count(), 228);
+    assert!(json.contains("{\"id\":1,"));
+    assert!(!json.contains("{\"id\":6,") && !json.contains("{\"id\":10,"));
+    let _ = std::fs::remove_file(causes);
+
+    // … and asking for it still prints the chain the full DAG gave.
+    let out = sesame(&["explain", "--event", "10"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "causal chain to #10:\n  \
+         #1 write     node 3 @ 12323ns  (acc-write)\n  \
+         └─ #2 send      node 3 @ 12323ns  (pkt-send)\n  \
+         └─ #4 grant     node 0 @ 12651ns  (root-grant)\n  \
+         └─ #5 seq       node 0 @ 12651ns  (root-seq)\n  \
+         └─ #6 mcast     node 0 @ 12651ns  (pkt-mcast)\n  \
+         └─ #10 apply     node 3 @ 12979ns  (gwc-apply)\n"
+    );
+    // The summary still counts what the run recorded, not what it kept.
+    let out = sesame(&["explain"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("2921 causal events recorded over 1593505ns\n"));
+}
+
+#[test]
 fn report_rejects_malformed_snapshots() {
     let path = tmp("bad.json");
     std::fs::write(&path, "{\"schema\":\"wrong/v0\",\"metrics\":{}}").unwrap();

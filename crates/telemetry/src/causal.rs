@@ -19,7 +19,8 @@
 //!
 //! Storage is sized for runs with millions of actions: one 24-byte packed
 //! record per id in a dense slab (see [`CausalDag`]), handed out by value
-//! as [`CausalNode`] views.
+//! as [`CausalNode`] views. A finished run keeps only what its questions
+//! read — the ancestors of its rollbacks and of its critical path.
 //!
 //! [`CauseId`]: sesame_net::CauseId
 
@@ -78,16 +79,26 @@ const DOT_BYTES_PER_NODE: usize = 96;
 
 /// The assembled causal forest.
 ///
-/// Nodes live in one dense slab indexed by `id - 1`: the simulation hands
-/// out ids 1, 2, 3, … and records each as it allocates it, so the slab
-/// fills in order with no holes. Ids that arrive out of order, twice, or
-/// with gaps (a hand-assembled trace) still work — gaps are vacant
-/// entries — at 24 bytes per id up to the largest one seen.
+/// While recording, nodes live in one dense slab indexed by `id - 1`: the
+/// simulation hands out ids 1, 2, 3, … and records each as it allocates
+/// it, so the slab fills in order with no holes. Ids that arrive out of
+/// order, twice, or with gaps (a hand-assembled trace) still work — gaps
+/// are vacant entries — at 24 bytes per id up to the largest one seen.
+///
+/// [`Telemetry::finish`](crate::Telemetry::finish) shrinks the collector's
+/// DAG to the nodes its answers read: the slab then holds the survivors
+/// back to back and `ids` names them. [`CausalDag::from_trace`] never
+/// shrinks.
 #[derive(Debug, Clone, Default)]
 pub struct CausalDag {
     slab: Vec<Packed>,
+    /// After a shrink, the id of each slab entry, ascending; empty while
+    /// the slab is dense.
+    ids: Vec<u64>,
     /// Occupied slab entries.
     len: usize,
+    /// Entries ever occupied: `len` plus what shrinking dropped.
+    recorded: usize,
     /// Interned kind texts, indexed by `Packed::kind`.
     kinds: Vec<&'static str>,
     /// Kind texts of nodes recorded after the intern table filled up.
@@ -143,8 +154,9 @@ fn edge_category(parent: CauseOp, child: CauseOp) -> &'static str {
 
 impl CausalDag {
     /// Rebuilds the DAG offline from a recorded trace (e.g. a
-    /// model-checking counterexample replay). The streaming observer in
-    /// [`Telemetry`](crate::Telemetry) applies identical pairing rules.
+    /// model-checking counterexample replay), every node kept. The
+    /// streaming observer in [`Telemetry`](crate::Telemetry) applies
+    /// identical pairing rules.
     #[must_use]
     pub fn from_trace(entries: &[TraceEntry]) -> CausalDag {
         let mut state = CausalState::default();
@@ -168,21 +180,43 @@ impl CausalDag {
         self.len
     }
 
+    /// Number of actions recorded: [`CausalDag::len`] plus the nodes a
+    /// finished collector dropped as read by none of its answers.
+    #[must_use]
+    pub fn recorded(&self) -> usize {
+        self.recorded
+    }
+
     /// Whether no causal records were observed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The stored record for `id`, if one was recorded.
-    fn packed(&self, id: u64) -> Option<&Packed> {
-        let slot = usize::try_from(id.checked_sub(1)?).ok()?;
-        self.slab.get(slot).filter(|p| p.kind != VACANT)
+    /// The slab position holding `id`, if a node with that id is stored.
+    fn position(&self, id: u64) -> Option<usize> {
+        let at = if self.ids.is_empty() {
+            usize::try_from(id.checked_sub(1)?).ok()?
+        } else {
+            self.ids.binary_search(&id).ok()?
+        };
+        (self.slab.get(at)?.kind != VACANT).then_some(at)
     }
 
-    /// Every recorded `(id, record)` in id order.
+    /// The stored record for `id`, if one is stored.
+    fn packed(&self, id: u64) -> Option<&Packed> {
+        self.position(id).map(|at| &self.slab[at])
+    }
+
+    /// The id of the slab entry at `at`.
+    fn id_at(&self, at: usize) -> u64 {
+        self.ids.get(at).copied().unwrap_or(at as u64 + 1)
+    }
+
+    /// Every stored `(id, record)` in id order.
     fn occupied(&self) -> impl Iterator<Item = (u64, &Packed)> {
-        (1u64..).zip(&self.slab).filter(|(_, p)| p.kind != VACANT)
+        let stored = |(_, p): &(usize, &Packed)| p.kind != VACANT;
+        (self.slab.iter().enumerate().filter(stored)).map(|(at, p)| (self.id_at(at), p))
     }
 
     fn view(&self, id: u64, p: &Packed) -> CausalNode {
@@ -241,16 +275,27 @@ impl CausalDag {
             op,
             kind: kind_ix,
         };
-        if slot >= self.slab.len() {
-            let vacant = Packed {
-                kind: VACANT,
-                ..packed
-            };
-            self.slab.resize(slot, vacant);
-            self.slab.push(packed);
+        let vacant = Packed {
+            kind: VACANT,
+            ..packed
+        };
+        let at = if self.ids.is_empty() {
+            if slot >= self.slab.len() {
+                self.slab.resize(slot + 1, vacant);
+            }
+            slot
+        } else {
+            // A record after the shrink (none in a real run) keeps `ids`
+            // sorted.
+            self.ids.binary_search(&id).unwrap_or_else(|at| {
+                self.ids.insert(at, id);
+                self.slab.insert(at, vacant);
+                at
+            })
+        };
+        if std::mem::replace(&mut self.slab[at], packed).kind == VACANT {
             self.len += 1;
-        } else if std::mem::replace(&mut self.slab[slot], packed).kind == VACANT {
-            self.len += 1;
+            self.recorded += 1;
         } else {
             // A repeated id starts over: the earlier node's blame and
             // spilled kind go with it.
@@ -283,6 +328,46 @@ impl CausalDag {
             .collect()
     }
 
+    /// The latest action by `(time, id)`: where the critical path ends.
+    fn latest(&self) -> Option<u64> {
+        let (last, _) = self.occupied().max_by_key(|&(id, p)| (p.time, id))?;
+        Some(last)
+    }
+
+    /// Shrinks the forest to the *explained set*: every rollback, the
+    /// latest action, every id in `asked`, and all their ancestors.
+    ///
+    /// The set is closed under `cause`, so `rollbacks`, the `chain` to any
+    /// kept id and `critical_path` read the same nodes before and after,
+    /// and the exports differ only in how many node lines they carry. One
+    /// walk down the parent links per root, stopping at the first node an
+    /// earlier walk marked; one pass moves the marked records to the front.
+    pub(crate) fn shrink(&mut self, asked: impl IntoIterator<Item = u64>) {
+        let mut roots = self.rollbacks();
+        roots.extend(self.latest());
+        roots.extend(asked);
+        let mut keep = vec![false; self.slab.len()];
+        for root in roots {
+            let mut next = self.position(root);
+            while let Some(at) = next.filter(|&at| !keep[at]) {
+                keep[at] = true;
+                next = self.position(self.slab[at].cause);
+            }
+        }
+        let mut ids = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+        for at in (0..keep.len()).filter(|&at| keep[at]) {
+            self.slab[ids.len()] = self.slab[at];
+            ids.push(self.id_at(at));
+        }
+        self.slab.truncate(ids.len());
+        self.slab.shrink_to_fit();
+        self.len = ids.len();
+        self.conflicts.retain(|id, _| ids.binary_search(id).is_ok());
+        self.spilled_kinds
+            .retain(|id, _| ids.binary_search(id).is_ok());
+        self.ids = ids;
+    }
+
     /// The cause→effect chain ending at `id`, root first. `None` when the
     /// id is unknown.
     #[must_use]
@@ -301,8 +386,7 @@ impl CausalDag {
     /// time categories. `None` for an empty DAG.
     #[must_use]
     pub fn critical_path(&self) -> Option<CriticalPath> {
-        let (last, _) = self.occupied().max_by_key(|&(id, p)| (p.time, id))?;
-        let chain = self.chain(last)?;
+        let chain = self.chain(self.latest()?)?;
         let mut path = CriticalPath {
             ids: chain.iter().map(|n| n.id).collect(),
             start: chain.first()?.time,
@@ -504,6 +588,7 @@ impl CausalState {
 mod tests {
     use super::*;
     use sesame_sim::DetRng;
+    use std::collections::BTreeSet;
 
     fn cause(ns: u64, actor: usize, id: u64, parent: u64, op: CauseOp) -> TraceEntry {
         TraceEntry {
@@ -716,6 +801,30 @@ mod tests {
             self.nodes.values().filter(rolled).map(|n| n.id).collect()
         }
 
+        /// The explained set the obvious way: every rollback, the latest
+        /// node and every asked-for id, each followed to its root.
+        fn explained(&self, asked: &[u64]) -> BTreeSet<u64> {
+            fn visit(nodes: &BTreeMap<u64, CausalNode>, id: u64, set: &mut BTreeSet<u64>) {
+                if let Some(n) = nodes.get(&id) {
+                    set.insert(id);
+                    visit(nodes, n.cause, set);
+                }
+            }
+            let mut roots = self.rollbacks();
+            roots.extend(
+                self.nodes
+                    .values()
+                    .max_by_key(|n| (n.time, n.id))
+                    .map(|n| n.id),
+            );
+            roots.extend(asked);
+            let mut set = BTreeSet::new();
+            for root in roots {
+                visit(&self.nodes, root, &mut set);
+            }
+            set
+        }
+
         fn chain(&self, id: u64) -> Option<Vec<CausalNode>> {
             let mut chain = vec![*self.nodes.get(&id)?];
             while let Some(parent) = self.nodes.get(&chain[chain.len() - 1].cause) {
@@ -861,13 +970,64 @@ mod tests {
         out
     }
 
+    /// Checks the packed store against the model on `entries` — as
+    /// recorded, then shrunk to the explained set (the model filtered to
+    /// the same closure), then with records arriving after the shrink.
     fn assert_matches_the_naive_store(entries: &[TraceEntry]) {
         let (dag, naive) = (CausalDag::from_trace(entries), Naive::from_trace(entries));
+        let top = naive.nodes.keys().next_back().copied().unwrap_or(0);
+        assert_same_answers(&dag, &naive, top);
+        assert_eq!(dag.recorded(), dag.len());
+        // Nothing asked for; a mid-stream id (kept, dropped or vacant as
+        // the stream has it) with one past the end; the same, shrunk twice.
+        for (asked, times) in [
+            (vec![], 1),
+            (vec![top / 2, top + 1, 0], 1),
+            (vec![top / 3], 2),
+        ] {
+            let (mut dag, mut naive) = (dag.clone(), Naive::from_trace(entries));
+            let recorded = dag.len();
+            let keep = naive.explained(&asked);
+            naive.nodes.retain(|id, _| keep.contains(id));
+            for _ in 0..times {
+                dag.shrink(asked.iter().copied());
+            }
+            assert_same_answers(&dag, &naive, top);
+            assert_eq!(dag.recorded(), recorded);
+            assert_eq!(dag.slab.capacity(), dag.len(), "the slab was given back");
+            assert!(dag.conflicts.keys().all(|id| keep.contains(id)));
+            assert!(dag.spilled_kinds.keys().all(|id| keep.contains(id)));
+            // After the shrink: a new id past the end, a dropped or vacant
+            // id in the middle, a kept id replaced.
+            let kept = keep.iter().next().copied().unwrap_or(1);
+            for (id, parent, op) in [
+                (top + 2, kept, CauseOp::Apply),
+                (top / 2 + 1, top / 4, CauseOp::Send),
+                (kept, 0, CauseOp::Rollback),
+            ] {
+                let (actor, time) = (3, SimTime::from_nanos(id));
+                dag.insert(id, parent, op, actor, time, "late");
+                let node = CausalNode {
+                    id,
+                    cause: if parent < id { parent } else { 0 },
+                    op,
+                    actor,
+                    time,
+                    kind: "late",
+                    conflict: None,
+                };
+                naive.nodes.insert(id, node);
+            }
+            assert_same_answers(&dag, &naive, top + 2);
+        }
+    }
+
+    /// Every query and export agrees, for every id up to `top + 3`.
+    fn assert_same_answers(dag: &CausalDag, naive: &Naive, top: u64) {
         assert_eq!(dag.len(), naive.nodes.len());
         assert_eq!(dag.is_empty(), naive.nodes.is_empty());
         assert_eq!(dag.rollbacks(), naive.rollbacks());
         assert!(dag.iter().eq(naive.nodes.values().copied()));
-        let top = naive.nodes.keys().next_back().copied().unwrap_or(0);
         for id in 0..top + 3 {
             assert_eq!(dag.get(id), naive.nodes.get(&id).copied(), "get({id})");
             assert_eq!(dag.chain(id), naive.chain(id), "chain({id})");
@@ -896,6 +1056,20 @@ mod tests {
         }
         assert_matches_the_naive_store(&[]);
         assert_matches_the_naive_store(&sample());
+        // No rollback anywhere: only the critical path survives a shrink.
+        let mut calm = random_stream(&mut DetRng::new(7), 300, &kinds);
+        for e in &mut calm {
+            if let TraceDetail::Cause { op, .. } = &mut e.detail {
+                if matches!(op, CauseOp::Rollback) {
+                    *op = CauseOp::Apply;
+                }
+            }
+        }
+        assert_matches_the_naive_store(&calm);
+        let mut dag = CausalDag::from_trace(&calm);
+        dag.shrink(None);
+        let path = dag.critical_path().expect("non-empty");
+        assert!(dag.iter().map(|n| n.id).eq(path.ids.iter().copied()));
     }
 
     #[test]

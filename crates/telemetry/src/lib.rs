@@ -12,7 +12,8 @@
 //!   intervals);
 //! * a cross-node [`CausalDag`] (cause→effect chains, rollback blame,
 //!   critical-path extraction) assembled from the `"cause"` records the
-//!   machine emits while tracing;
+//!   machine emits while tracing, and cut down at the end of the run to
+//!   the nodes those answers read;
 //! * deterministic exporters: a stable JSON [`Snapshot`] schema, CSV,
 //!   Chrome trace-event / Perfetto JSON (including cross-track causal
 //!   flow arrows), and causal-DAG JSON / Graphviz DOT.
@@ -81,6 +82,8 @@ pub struct Telemetry {
     end: SimTime,
     state: observer::SpanState,
     causal: causal::CausalState,
+    /// A causal id [`Telemetry::finish`] keeps with its ancestors.
+    explained: Option<u64>,
     series: Option<TimeSeries>,
 }
 
@@ -98,6 +101,7 @@ impl Telemetry {
             end: SimTime::ZERO,
             state: observer::SpanState::default(),
             causal: causal::CausalState::default(),
+            explained: None,
             series: None,
         }
     }
@@ -115,6 +119,15 @@ impl Telemetry {
     /// Panics on a zero-width window (see [`TimeSeries::new`]).
     pub fn with_series(mut self, window: SimDur) -> Self {
         self.series = Some(TimeSeries::new(window));
+        self
+    }
+
+    /// Names one causal event whose chain will be asked for after the run
+    /// (`sesame explain --event`): [`Telemetry::finish`] keeps it and its
+    /// ancestors whether or not a rollback or the critical path descends
+    /// from it.
+    pub fn with_explained_event(mut self, id: u64) -> Self {
+        self.explained = Some(id);
         self
     }
 
@@ -179,7 +192,12 @@ impl Telemetry {
         self.timeline.to_chrome_trace()
     }
 
-    /// The causal DAG assembled from the run's `"cause"` records.
+    /// The causal DAG assembled from the run's `"cause"` records. After
+    /// [`Telemetry::finish`] it holds the explained set — the ancestors of
+    /// every rollback, of the critical path's end and of the event named
+    /// by [`Telemetry::with_explained_event`] — and
+    /// [`CausalDag::recorded`] says how many actions the run recorded;
+    /// [`CausalDag::from_trace`] over a retained trace builds all of them.
     pub fn causes(&self) -> &CausalDag {
         &self.causal.dag
     }

@@ -115,15 +115,69 @@ pub(crate) struct SpanState {
     pub(crate) wait_start: BTreeMap<(usize, u32), SimTime>,
     pub(crate) hold_start: BTreeMap<(usize, u32), SimTime>,
     pub(crate) opt_start: BTreeMap<(usize, u32), SimTime>,
-    pub(crate) seq_pending: BTreeMap<(u32, u64), SeqSpan>,
+    /// Root-sequenced writes by group.
+    pub(crate) seq_pending: BTreeMap<u32, SeqRun>,
+}
+
+/// One group's sequenced writes: `spans[seq - base]`, `base` being the
+/// lowest sequence number seen. Roots count up by one, so a run has no
+/// holes; a hand-fed stream pays one vacant entry per number it skips.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SeqRun {
+    base: u64,
+    spans: Vec<SeqSpan>,
 }
 
 /// One root-sequenced write awaiting its member applications.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SeqSpan {
-    pub(crate) root: usize,
-    pub(crate) start: SimTime,
-    pub(crate) last_apply: Option<SimTime>,
+    start: SimTime,
+    last_apply: Option<SimTime>,
+    /// The sequencing node; `u32::MAX` in an entry no `root-seq` filled.
+    root: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<SeqSpan>() <= 32);
+
+const VACANT_SPAN: SeqSpan = SeqSpan {
+    start: SimTime::ZERO,
+    last_apply: None,
+    root: u32::MAX,
+};
+
+impl SeqRun {
+    /// Opens (or reopens) the span of `seq`.
+    fn open(&mut self, seq: u64, root: usize, start: SimTime) {
+        if self.spans.is_empty() {
+            self.base = seq;
+        } else if seq < self.base {
+            let missing = (self.base - seq) as usize;
+            let vacant = std::iter::repeat_n(VACANT_SPAN, missing);
+            self.spans.splice(0..0, vacant);
+            self.base = seq;
+        }
+        let at = (seq - self.base) as usize;
+        if at >= self.spans.len() {
+            self.spans.resize(at + 1, VACANT_SPAN);
+        }
+        self.spans[at] = SeqSpan {
+            start,
+            last_apply: None,
+            root: u32::try_from(root).expect("trace actors are u32 node ids"),
+        };
+    }
+
+    /// The open span of `seq`, if a `root-seq` record named it.
+    fn get_mut(&mut self, seq: u64) -> Option<&mut SeqSpan> {
+        let at = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.spans.get_mut(at).filter(|s| s.root != u32::MAX)
+    }
+
+    /// Every open `(seq, span)`, ascending.
+    fn iter(&self) -> impl Iterator<Item = (u64, &SeqSpan)> {
+        let spans = (self.base..).zip(&self.spans);
+        spans.filter(|(_, s)| s.root != u32::MAX)
+    }
 }
 
 impl TraceObserver for Telemetry {
@@ -279,21 +333,16 @@ impl Telemetry {
             }
             ("root-seq", &TraceDetail::Seq { group: g, seq, .. }) => {
                 self.count(Name::GroupSequenced, g as usize, 0).incr();
-                self.state.seq_pending.insert(
-                    (g, seq),
-                    SeqSpan {
-                        root: node,
-                        start: t,
-                        last_apply: None,
-                    },
-                );
+                let run = self.state.seq_pending.entry(g).or_default();
+                run.open(seq, node, t);
             }
             ("root-filtered", &TraceDetail::Filtered { group: g, .. }) => {
                 self.count(Name::GroupFiltered, g as usize, 0).incr();
             }
             ("gwc-apply", &TraceDetail::Apply { group: g, seq, .. }) => {
                 self.count(Name::GwcApplies, node, 0).incr();
-                if let Some(span) = self.state.seq_pending.get_mut(&(g, seq)) {
+                let run = self.state.seq_pending.get_mut(&g);
+                if let Some(span) = run.and_then(|run| run.get_mut(seq)) {
                     span.last_apply = Some(t);
                     let start = span.start;
                     self.metric::<Histogram>(Name::GroupSeqLatency, g as usize, 0)
@@ -377,9 +426,11 @@ impl Telemetry {
     }
 
     /// Closes cross-record state at the simulated end of the run: emits
-    /// the root-sequencing async spans and records the end time used by
-    /// [`Telemetry::snapshot`](crate::Telemetry::snapshot). Call once,
-    /// after the run.
+    /// the root-sequencing async spans, records the end time used by
+    /// [`Telemetry::snapshot`](crate::Telemetry::snapshot), and cuts the
+    /// causal DAG down to the explained set (see
+    /// [`Telemetry::causes`](crate::Telemetry::causes)). Call after the
+    /// run; a second call changes nothing.
     ///
     /// Sections still open at end-of-run (a sequenced write no member had
     /// applied yet, a wait/hold/optimistic section that never closed) are
@@ -391,6 +442,7 @@ impl Telemetry {
         if let Some(series) = self.series.as_mut() {
             series.finish(end);
         }
+        self.causal.dag.shrink(self.explained);
         let pending = std::mem::take(&mut self.state.seq_pending);
         let waits = std::mem::take(&mut self.state.wait_start);
         let holds = std::mem::take(&mut self.state.hold_start);
@@ -398,17 +450,21 @@ impl Telemetry {
         if !self.timeline_enabled {
             return;
         }
-        for ((g, seq), span) in pending {
+        let spans = pending
+            .iter()
+            .flat_map(|(g, run)| run.iter().map(move |s| (g, s)));
+        for (g, (seq, span)) in spans {
+            let root = span.root as usize;
             match span.last_apply {
                 Some(last) => self.timeline.add_async(
-                    span.root,
+                    root,
                     cat::GWC,
                     format!("seq g{g}#{seq}"),
                     span.start,
                     last,
                 ),
                 None => self.timeline.add_async(
-                    span.root,
+                    root,
                     cat::GWC,
                     format!("seq g{g}#{seq} (truncated)"),
                     span.start,
@@ -653,6 +709,136 @@ mod tests {
         assert!(trace.contains("\"ph\":\"f\",\"bp\":\"e\""), "{trace}");
         // Cause records feed the DAG, not the metric registry.
         assert_eq!(t.snapshot().metrics.len(), 0);
+    }
+
+    #[test]
+    fn finish_keeps_the_explained_set_and_may_be_repeated() {
+        use sesame_sim::CauseOp;
+        let cause = |id, cause, op| TraceDetail::Cause { id, cause, op };
+        let events = || {
+            vec![
+                (10, 1, "cause", cause(1, 0, CauseOp::Write)),
+                (10, 1, "pkt-send", TraceDetail::text("ignored-shape")),
+                (10, 1, "cause", cause(2, 1, CauseOp::Send)),
+                // Two applies nothing descends from, one that rolls back.
+                (300, 0, "cause", cause(3, 2, CauseOp::Apply)),
+                (300, 2, "cause", cause(4, 2, CauseOp::Apply)),
+                (310, 3, "cause", cause(5, 2, CauseOp::Apply)),
+                (310, 3, "cause", cause(6, 5, CauseOp::Rollback)),
+                // The run's last action: a root of its own.
+                (900, 2, "cause", cause(7, 0, CauseOp::Complete)),
+            ]
+        };
+        let mut t = Telemetry::new("t", 0).with_timeline(true);
+        feed(&mut t, events());
+        assert_eq!(t.causes().len(), 7);
+        t.finish(SimTime::from_nanos(1000));
+        let exports = |t: &Telemetry| {
+            (
+                t.causes_json(),
+                t.causes_dot(),
+                t.chrome_trace(),
+                t.snapshot(),
+            )
+        };
+        let first = exports(&t);
+        let ids = |t: &Telemetry| t.causes().iter().map(|n| n.id).collect::<Vec<_>>();
+        assert_eq!(ids(&t), vec![1, 2, 5, 6, 7]);
+        assert_eq!((t.causes().len(), t.causes().recorded()), (5, 7));
+        assert_eq!(first.0.matches("\n  {\"id\":").count(), 5);
+        t.finish(SimTime::from_nanos(1000));
+        assert_eq!(exports(&t), first, "a second finish changes nothing");
+
+        // An asked-for event joins the set with its ancestors.
+        let mut asked = Telemetry::new("t", 0).with_explained_event(4);
+        feed(&mut asked, events());
+        asked.finish(SimTime::from_nanos(1000));
+        assert_eq!(ids(&asked), vec![1, 2, 4, 5, 6, 7]);
+        let chain = asked.causes().chain(4).expect("asked for");
+        assert_eq!(chain.iter().map(|n| n.id).collect::<Vec<_>>(), [1, 2, 4]);
+
+        // Records after the finish — past the end, citing a dropped
+        // parent, re-recording a dropped id — land and resolve.
+        feed(
+            &mut t,
+            vec![
+                (1100, 0, "cause", cause(8, 3, CauseOp::Send)),
+                (1100, 0, "cause", cause(4, 2, CauseOp::Apply)),
+                (1200, 1, "cause", cause(9, 8, CauseOp::Apply)),
+            ],
+        );
+        assert_eq!(ids(&t), vec![1, 2, 4, 5, 6, 7, 8, 9]);
+        let chain = |id| -> Vec<u64> {
+            let chain = t.causes().chain(id).expect("stored id");
+            chain.iter().map(|n| n.id).collect()
+        };
+        assert_eq!(chain(9), [8, 9], "#8 cites #3, which is gone");
+        assert_eq!(chain(4), [1, 2, 4]);
+        assert_eq!(chain(6), [1, 2, 5, 6]);
+        assert!(t.causes().get(3).is_none());
+        assert_eq!(t.causes().critical_path().unwrap().ids, [8, 9]);
+    }
+
+    #[test]
+    fn sequencing_spans_keep_group_then_seq_order_over_gaps_and_late_low_numbers() {
+        let mut t = Telemetry::new("t", 0).with_timeline(true);
+        let seq = |group, seq| TraceDetail::Seq {
+            group,
+            seq,
+            var: 0,
+            val: 0,
+            origin: 1,
+        };
+        let apply = |group, seq| TraceDetail::Apply {
+            group,
+            seq,
+            var: 0,
+            val: 0,
+            origin: 1,
+            mode: ApplyMode::Applied,
+        };
+        feed(
+            &mut t,
+            vec![
+                (100, 0, "root-seq", seq(2, 9)),
+                (110, 0, "root-seq", seq(0, 6)),
+                (120, 0, "root-seq", seq(0, 9)),
+                (130, 0, "root-seq", seq(0, 4)),
+                // Applies of numbers nobody sequenced: below the base, in
+                // a gap, past the end, in an unknown group.
+                (200, 1, "gwc-apply", apply(0, 3)),
+                (200, 1, "gwc-apply", apply(0, 7)),
+                (200, 1, "gwc-apply", apply(0, 10)),
+                (200, 1, "gwc-apply", apply(5, 1)),
+                (250, 1, "gwc-apply", apply(0, 6)),
+                // A re-sequenced number starts over.
+                (300, 0, "root-seq", seq(2, 9)),
+            ],
+        );
+        t.finish(SimTime::from_nanos(400));
+        let trace = t.chrome_trace();
+        let names: Vec<&str> = trace
+            .match_indices("\"name\":\"seq g")
+            .map(|(at, _)| trace[at + 8..].split('"').next().unwrap())
+            .filter(|name| !name.is_empty())
+            .collect();
+        let begins: Vec<&str> = names.iter().copied().step_by(2).collect();
+        assert_eq!(
+            begins,
+            [
+                "seq g0#4 (truncated)",
+                "seq g0#6",
+                "seq g0#9 (truncated)",
+                "seq g2#9 (truncated)"
+            ],
+            "{trace}"
+        );
+        match &t.snapshot().metrics["group/0/seq-latency"] {
+            crate::SnapshotValue::Histogram { count, max_ns, .. } => {
+                assert_eq!((*count, *max_ns), (1, 140));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

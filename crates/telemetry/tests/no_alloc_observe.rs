@@ -3,8 +3,12 @@
 //! slot and appends causal nodes to a slab, so feeding it twice as many
 //! records costs the same handful of allocations (slab doublings) — not
 //! one `format!` per metric touch and one map node per cause record.
+//!
+//! And the bytes it holds: a 24-byte slab entry per recorded cause and a
+//! 32-byte span per sequenced write while the run lasts, the explained set
+//! at 40 bytes a node once it has finished.
 
-use sesame_alloc_probe::{allocations, CountingAlloc};
+use sesame_alloc_probe::{allocations, live_bytes, CountingAlloc};
 use sesame_sim::{ApplyMode, CauseOp, SimDur, SimTime, TraceDetail, TraceEntry};
 use sesame_telemetry::Telemetry;
 
@@ -16,9 +20,13 @@ const NODES: usize = 8;
 /// Emits mutex sections the way a contention run does: every canonical
 /// record the observer turns into metrics, each protocol action followed
 /// by its `"cause"` record, the occasional rollback with its blame.
+#[derive(Default)]
 struct Feeder {
     now: u64,
-    next_id: u64,
+    /// Cause records emitted so far (ids count up from 1).
+    causes: u64,
+    /// `root-seq` records emitted so far.
+    sequenced: u64,
     records: u64,
 }
 
@@ -44,8 +52,8 @@ impl Feeder {
         (cause, op): (u64, CauseOp),
     ) -> u64 {
         self.emit(t, actor, kind, detail);
-        let id = self.next_id;
-        self.next_id += 1;
+        self.causes += 1;
+        let id = self.causes;
         self.emit(t, actor, "cause", TraceDetail::Cause { id, cause, op });
         id
     }
@@ -54,10 +62,9 @@ impl Feeder {
         for section in 0..count {
             let node = 1 + (section as usize % (NODES - 1));
             let var = TraceDetail::Var { var: 0 };
-            // The root's in-flight sequence numbers recur, as they do once
-            // every member has applied a write; what the collector retains
-            // per *unapplied* write is a separate matter (ROADMAP item 5a).
-            let seq = section % 32;
+            // A root numbers its writes 1, 2, 3, … for as long as it runs.
+            let seq = self.sequenced + 1;
+            self.sequenced = seq;
             let (group, val, origin) = (0, section as i64, node as u32);
             self.now += 7;
             self.act(t, node, "mutex-enter", var.clone(), (0, CauseOp::Acquire));
@@ -169,11 +176,7 @@ fn steady_state_observe_allocates_per_doubling_not_per_record() {
     // Series on (one wide window: its cost is per window, not per record),
     // timeline off — the configuration the ledger's tracing-on workload runs.
     let mut t = Telemetry::new("no-alloc", 7).with_series(SimDur::from_ms(1_000));
-    let mut feed = Feeder {
-        now: 0,
-        next_id: 1,
-        records: 0,
-    };
+    let mut feed = Feeder::default();
     // Warm-up: long enough for every node to have been the section's
     // owner and the blamed writer, so every metric key exists.
     const WARM_UP: u64 = 700;
@@ -201,9 +204,53 @@ fn steady_state_observe_allocates_per_doubling_not_per_record() {
          the collector allocates per record"
     );
     // The records did land: one DAG node per cause record, counters moved.
-    assert_eq!(t.causes().len() as u64, feed.next_id - 1);
+    assert_eq!(t.causes().len() as u64, feed.causes);
     assert_eq!(
         t.registry().sum_counters("node", "gwc/applies"),
         (WARM_UP + 3 * N) * NODES as u64
+    );
+}
+
+#[test]
+fn collector_holds_a_slab_while_recording_and_the_explained_set_after_finish() {
+    /// Everything the collector holds that is not per cause or per write:
+    /// the registry's keys, one series window, the pairing maps.
+    const FIXED: usize = 256 << 10;
+    // `(bytes held after finish, nodes retained)` for a run of `sections`.
+    let run = |sections: u64| {
+        let before = live_bytes();
+        let mut t = Telemetry::new("footprint", 7).with_series(SimDur::from_ms(1_000));
+        let mut feed = Feeder::default();
+        feed.sections(&mut t, sections);
+        // Both stores double as they grow, so each is under twice its
+        // contents: a power of two of 24-byte and of 32-byte entries.
+        let held = live_bytes() - before;
+        let budget = 24 * feed.causes.next_power_of_two() + 32 * sections.next_power_of_two();
+        assert!(
+            held <= budget as usize + FIXED,
+            "{held} bytes held for {} causes and {sections} sequenced writes",
+            feed.causes
+        );
+        t.finish(SimTime::from_nanos(feed.now));
+        let (dag, held) = (t.causes(), live_bytes() - before);
+        assert_eq!(dag.recorded() as u64, feed.causes);
+        // One rollback a hundred sections: six nodes each, plus the path
+        // to the last completion.
+        assert_eq!(dag.rollbacks().len() as u64, sections.div_ceil(100));
+        assert!(dag.len() * 20 < dag.recorded(), "{} retained", dag.len());
+        assert!(
+            held <= 40 * dag.len() + FIXED,
+            "{held} bytes held for {} retained nodes",
+            dag.len()
+        );
+        (held, dag.len())
+    };
+    // The fixed part cancels between two sizes: what is left is per node.
+    let (small, large) = (run(4_000), run(16_000));
+    let (bytes, nodes) = (large.0 - small.0, large.1 - small.1);
+    assert!(nodes > 500, "{nodes} more nodes retained");
+    assert!(
+        bytes <= 40 * nodes,
+        "{bytes} more bytes held for {nodes} more retained nodes"
     );
 }

@@ -82,6 +82,10 @@ pub struct ScenarioOptions {
     /// When set, collect a windowed time series with this window width
     /// (the `sesame-series/v1` export).
     pub window: Option<SimDur>,
+    /// A causal event id whose chain will be asked for (`sesame explain
+    /// --event`): the collector keeps it and its ancestors alongside the
+    /// rollbacks' and the critical path's.
+    pub explain: Option<u64>,
 }
 
 impl Default for ScenarioOptions {
@@ -94,6 +98,7 @@ impl Default for ScenarioOptions {
             seed: 7,
             timeline: false,
             window: None,
+            explain: None,
         }
     }
 }
@@ -104,6 +109,9 @@ pub fn run_with_telemetry(scenario: Scenario, opts: &ScenarioOptions) -> Telemet
     let mut telemetry = Telemetry::new(scenario.name(), opts.seed).with_timeline(opts.timeline);
     if let Some(window) = opts.window {
         telemetry = telemetry.with_series(window);
+    }
+    if let Some(id) = opts.explain {
+        telemetry = telemetry.with_explained_event(id);
     }
     let shared = telemetry.shared();
     let observer: Rc<RefCell<dyn TraceObserver>> = shared.clone();

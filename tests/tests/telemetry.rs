@@ -4,8 +4,12 @@
 //! CSV files, and Chrome traces; attaching the collector must not change
 //! the simulation timeline.
 
-use sesame_workloads::contention::{run_contention, ContentionConfig};
-use sesame_workloads::telemetry::{run_with_telemetry, Scenario, ScenarioOptions};
+use std::collections::BTreeSet;
+
+use sesame_sim::SimDur;
+use sesame_telemetry::{CausalDag, Telemetry};
+use sesame_workloads::contention::{run_contention, run_contention_observed, ContentionConfig};
+use sesame_workloads::telemetry::{absorb_run, run_with_telemetry, Scenario, ScenarioOptions};
 
 fn opts(_scenario: Scenario) -> ScenarioOptions {
     ScenarioOptions {
@@ -92,4 +96,59 @@ fn chrome_trace_contains_all_span_families() {
     assert!(trace.contains("\"cat\":\"gwc\""), "root sequencing spans");
     // Valid JSON end to end.
     sesame_telemetry::json::parse(&trace).expect("trace parses");
+}
+
+/// The node lines of a `sesame-causes/v1` document, without the comma that
+/// joins each to the next.
+fn node_lines(json: &str) -> impl Iterator<Item = &str> {
+    let nodes = json.lines().filter(|l| l.starts_with("  {\"id\":"));
+    nodes.map(|l| l.trim_end_matches(','))
+}
+
+#[test]
+fn finished_collector_answers_like_the_full_dag_of_the_same_run() {
+    // The ledger's `observed_contention` shape at a fraction of its
+    // length, trace retained: the collector's DAG — cut to the explained
+    // set by `finish` — against the full DAG rebuilt from the trace.
+    for seed in [1, 7, 23] {
+        let cfg = ContentionConfig {
+            contenders: 16,
+            rounds: 150,
+            mean_think: SimDur::from_us(400),
+            seed,
+            tracing: true,
+            ..ContentionConfig::default()
+        };
+        let shared = Telemetry::new("contention", seed).shared();
+        let run = run_contention_observed(cfg, Some(shared.clone()));
+        absorb_run(&mut shared.borrow_mut(), &run.result);
+        let full = CausalDag::from_trace(run.result.trace.entries());
+        let t = shared.borrow();
+        let kept = t.causes();
+
+        assert_eq!(kept.recorded(), full.len(), "seed {seed}");
+        assert_eq!(full.recorded(), full.len());
+        assert!(
+            kept.len() * 20 < kept.recorded(),
+            "seed {seed}: {} of {} nodes kept",
+            kept.len(),
+            kept.recorded()
+        );
+        let rollbacks = kept.rollbacks();
+        assert!(!rollbacks.is_empty(), "seed {seed} must roll back");
+        assert_eq!(rollbacks, full.rollbacks());
+        for id in rollbacks {
+            assert_eq!(kept.render_chain(id), full.render_chain(id), "#{id}");
+        }
+        let path = |dag: &CausalDag| format!("{:?}", dag.critical_path());
+        assert_eq!(path(kept), path(&full), "seed {seed}");
+
+        // The export: one line per kept node, each a line of the full one
+        // (but for the comma that joins it to the next).
+        let (kept_json, full_json) = (kept.to_json(), full.to_json());
+        let kept_lines: Vec<&str> = node_lines(&kept_json).collect();
+        assert_eq!(kept_lines.len(), kept.len());
+        let full_lines: BTreeSet<&str> = node_lines(&full_json).collect();
+        assert!(kept_lines.iter().all(|l| full_lines.contains(l)));
+    }
 }
