@@ -10,6 +10,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> ledger builds against these crates unmodified"
+# benchmark/ is its own workspace compiled against crates/* by path, so a
+# renamed or re-typed item it imports breaks it without breaking anything
+# above. Cheap here; the alternative is finding out after the 100k-node
+# smokes, when benchmark/run.sh builds it.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test (twice back to back)"
 # The tier-1 command, run twice: a test that races with its siblings (the
 # shared counting-allocator counter, ROADMAP item 0) passes most single
@@ -43,6 +50,47 @@ grep -q '"traceEvents"' "$tmpdir/t.trace.json"
 # report --metrics-in round-trips through the Snapshot::from_json validator.
 cargo run -q --release -p sesame-cli -- report --metrics-in "$tmpdir/m.json" \
     | grep -q "optimism"
+# The scenarios that had no collector before the one driver: the pipeline
+# and the sharded mesh export the same schemas.
+cargo run -q --release -p sesame-cli -- run --scenario pipeline --nodes 8 \
+    --visits 128 --metrics-out "$tmpdir/pipeline.json" >/dev/null
+grep -q '"schema":"sesame-telemetry/v1"' "$tmpdir/pipeline.json"
+grep -q '"scenario":"pipeline"' "$tmpdir/pipeline.json"
+cargo run -q --release -p sesame-cli -- run --scenario bigmesh --nodes 400 \
+    --series-out "$tmpdir/bigmesh-series.json" >/dev/null
+grep -q '"schema":"sesame-series/v1"' "$tmpdir/bigmesh-series.json"
+
+echo "==> online verification smoke (all six scenarios clean, planted fault caught)"
+cargo run -q --release -p sesame-cli -- verify --scenario all > "$tmpdir/verify.out"
+for group in three-cpu contention task-queue pipeline bigmesh canonical; do
+    if ! grep -q "^ok   $group/" "$tmpdir/verify.out"; then
+        echo "verify --scenario all printed no ok line for $group" >&2
+        exit 1
+    fi
+done
+if grep -q "^FAIL" "$tmpdir/verify.out"; then
+    echo "verify --scenario all reported a violation" >&2
+    exit 1
+fi
+if cargo run -q --release -p sesame-cli -- verify --scenario planted-bad \
+    >/dev/null 2>&1; then
+    echo "verify --scenario planted-bad exited zero" >&2
+    exit 1
+fi
+
+echo "==> error-path smoke (bad parameters are error lines, not panics)"
+for bad in "bigmesh --nodes 1" "fig2 --sizes 1"; do
+    # shellcheck disable=SC2086  # $bad is a command line, split on purpose
+    if cargo run -q --release -p sesame-cli -- $bad \
+        > /dev/null 2> "$tmpdir/bad.err"; then
+        echo "sesame $bad exited zero" >&2
+        exit 1
+    fi
+    if ! grep -q '^error: ' "$tmpdir/bad.err" || grep -q 'panicked' "$tmpdir/bad.err"; then
+        echo "sesame $bad did not fail with an error line: $(cat "$tmpdir/bad.err")" >&2
+        exit 1
+    fi
+done
 
 echo "==> sweep determinism smoke (fig8 reduced scale, --jobs 2 vs --jobs 1)"
 cargo run -q --release -p sesame-cli -- fig8 --sizes 2,4,8 --visits 128 --jobs 1 \

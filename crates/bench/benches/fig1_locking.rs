@@ -6,7 +6,8 @@
 use sesame_bench::Harness;
 use sesame_consistency::analysis::Figure1Params;
 use sesame_core::builder::ModelChoice;
-use sesame_workloads::three_cpu::{run_figure1, run_figure1_observed, Figure1Config};
+use sesame_workloads::scenario::{Outcome, Scenario};
+use sesame_workloads::three_cpu::{run_figure1, Figure1Config};
 
 fn verify_against_closed_forms() {
     let cfg = Figure1Config::default();
@@ -33,9 +34,12 @@ fn main() {
         ("entry", ModelChoice::Entry),
         ("release", ModelChoice::Release),
     ] {
+        let cfg = Figure1Config::default();
         group.bench_events(name, || {
-            let (fig, result) = run_figure1_observed(model, Figure1Config::default(), None);
-            (fig.completion, result.events)
+            match (Scenario::ThreeCpu { model, cfg }).run(None) {
+                Ok(Outcome::ThreeCpu(fig, result)) => (fig.completion, result.events),
+                other => panic!("figure 1 under {name}: {other:?}"),
+            }
         });
     }
 }

@@ -33,7 +33,9 @@ fn main() {
 mod with_profiler {
     use sesame_bench::{append_record, BenchRecord};
     use sesame_sim::hostprof;
-    use sesame_workloads::telemetry::{run_with_telemetry, Scenario, ScenarioOptions};
+    use sesame_telemetry::Telemetry;
+    use sesame_workloads::scenario::Scenario;
+    use sesame_workloads::telemetry::observe;
     use std::path::PathBuf;
 
     // Count this binary's heap traffic so the alloc_* rows are real.
@@ -61,19 +63,17 @@ mod with_profiler {
             .position(|a| a == "--bench-out")
             .map(|i| PathBuf::from(args.get(i + 1).expect("--bench-out needs a path")));
 
-        let opts = ScenarioOptions::default();
+        // What `sesame run --scenario contention` runs: 4 x 25, seed 7.
+        let scenario = Scenario::parse("contention").expect("a listed name");
+        let profile = || {
+            hostprof::reset();
+            let _ = observe(&scenario, Telemetry::new("contention", 7)).expect("a clean run");
+            hostprof::report()
+        };
         // Warmup pass: pre-faults allocator arenas and caches, and pins
         // the (deterministic) event count all samples share.
-        hostprof::reset();
-        let _ = run_with_telemetry(Scenario::Contention, &opts);
-        let events = hostprof::report().events;
-
-        let mut samples: Vec<hostprof::HostProfReport> = Vec::with_capacity(SAMPLES as usize);
-        for _ in 0..SAMPLES {
-            hostprof::reset();
-            let _ = run_with_telemetry(Scenario::Contention, &opts);
-            samples.push(hostprof::report());
-        }
+        let events = profile().events;
+        let samples: Vec<hostprof::HostProfReport> = (0..SAMPLES).map(|_| profile()).collect();
 
         for phase in PHASES {
             let mut times: Vec<u64> = samples.iter().map(|r| phase_ns(r, phase)).collect();

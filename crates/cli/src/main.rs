@@ -13,35 +13,61 @@
 //! sesame run --scenario contention --metrics-out m.json --timeline-out t.trace.json
 //! sesame report --metrics-in m.json
 //! sesame explain --scenario contention [--event 42]
+//! sesame verify [--scenario all]
 //! sesame check [--cpus N] [--mutation stale-grant-reuse] [--out cx.replay]
 //! sesame check --replay cx.replay
 //! ```
+//!
+//! Every command that runs a workload builds a
+//! [`Scenario`] from its flags and hands it to the one driver,
+//! [`Scenario::run`]; what differs between commands is what they attach
+//! (the telemetry collector, the online verifier, nothing) and what they
+//! print.
 
 mod args;
+mod flags;
 
+use std::cell::RefCell;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::rc::Rc;
 
-use args::Args;
-use sesame_core::OptimisticConfig;
-use sesame_sim::SimDur;
-use sesame_telemetry::{render_report, render_series_report, CausalDag, SeriesExport, Snapshot};
-use sesame_workloads::bigmesh::{run_bigmesh, BigMeshConfig};
-use sesame_workloads::contention::{run_contention, ContentionConfig};
-use sesame_workloads::experiments::{
-    figure1, figure2_jobs, figure2_sizes, figure8_jobs, figure8_sizes, render_series,
+use args::{ArgError, Args};
+use flags::{
+    bigmesh_flags, canonical_flags, contention_flags, figure1_flags, flags_of, pipeline_flags,
+    scenario_flag_set, scenario_flags, task_queue_flags,
 };
-use sesame_workloads::pipeline::PipelineConfig;
+use sesame_consistency::analysis::Figure1Params;
+use sesame_core::builder::ModelChoice;
+use sesame_core::OptimisticConfig;
+use sesame_sim::{SimDur, TraceEntry, TraceObserver};
+use sesame_telemetry::{
+    render_report, render_series_report, CausalDag, SeriesExport, Snapshot, Telemetry,
+};
+use sesame_verify::{check_trace, Verifier, Violation};
+use sesame_workloads::bigmesh::BigMeshConfig;
+use sesame_workloads::canonical::CanonicalConfig;
+use sesame_workloads::contention::{ContentionConfig, ContentionRun};
+use sesame_workloads::experiments::{
+    figure1, figure2_jobs, figure2_sizes, figure8_jobs, figure8_optimism_jobs, figure8_sizes,
+    render_series,
+};
+use sesame_workloads::pipeline::{MutexMethod, PipelineConfig};
+use sesame_workloads::scenario::{Outcome, Scenario};
 use sesame_workloads::task_queue::TaskQueueConfig;
-use sesame_workloads::telemetry::{run_with_telemetry, Scenario, ScenarioOptions};
+use sesame_workloads::telemetry::observe;
 use sesame_workloads::three_cpu::Figure1Config;
 use sesame_workloads::timeline::render_figure1_timeline;
 
 // With the profiler compiled in, count this binary's heap traffic so
-// `run --hostprof-out` reports real allocation numbers.
+// `--hostprof-out` reports real allocation numbers.
 #[cfg(feature = "hostprof")]
 #[global_allocator]
 static ALLOC: sesame_sim::hostprof::CountingAlloc = sesame_sim::hostprof::CountingAlloc;
+
+/// What every command returns: `?` converts [`ArgError`], the driver's
+/// `RunError`, I/O errors and plain messages alike.
+type CliResult<T = ()> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
 
 const USAGE: &str = "\
 sesame — experiments from 'Optimistic Synchronization in Distributed Shared Memory' (ICDCS 1994)
@@ -50,7 +76,8 @@ USAGE:
     sesame <command> [flags]
 
 COMMANDS:
-    fig1          three-CPU locking comparison (GWC / entry / release)
+    fig1          three-CPU locking comparison (GWC / entry / release), with
+                  ASCII timelines and the closed forms it is held to
                     --section-us <N=5>   in-section computation time
                     --words <N=16>       guarded data words per holder
     fig2          task-management speedup sweep (ideal / GWC / entry)
@@ -60,7 +87,8 @@ COMMANDS:
                     --jobs <N=1>      sweep worker threads (0 = all cores);
                                       output is identical for every N
     fig7          optimistic rollback under contention, with protocol stats
-    fig8          mutex-method network power sweep
+    fig8          mutex-method network power sweep, headline ratios and the
+                  optimistic line's hit rates
                     --sizes <list=2,4,8,16,32,64,128>
                     --visits <N=1024>  --local-us <N=5>
                     --format <table|csv>
@@ -79,9 +107,17 @@ COMMANDS:
     contention    optimistic vs regular locking across think times
                     --contenders <N=6>  --rounds <N=50>  --think-us <N=50>
     run           run one scenario with telemetry and export metrics
-                    --scenario <three-cpu|contention|task-queue>  (default contention)
-                    --contenders <N=4>  --rounds <N=25>  --tasks <N=48>
-                    --nodes <N=5>  --seed <N=7>
+                    --scenario <name>  (default contention) with that
+                                      scenario's flags; any other is an error:
+                      three-cpu   --section-us <N=5>  --words <N=16>  --seed <N=7>
+                      contention  --contenders <N=4>  --rounds <N=25>
+                                  --think-us <N=50>  --seed <N=7>
+                      task-queue  --nodes <N=5>  --tasks <N=48>  --exec-us <N=1000>
+                                  --ratio <F=0.0078125>  --seed <N=7>
+                      pipeline    --nodes <N=8>  --visits <N=128>  --local-us <N=5>
+                                  (under the optimistic method)
+                      bigmesh     --nodes <N=400> and bigmesh's other flags
+                      canonical   --cpus <N=3>  --rounds <N=2>
                     --metrics-out <file.json>   JSON metrics snapshot
                     --csv-out <file.csv>        CSV metrics export
                     --timeline-out <file.json>  Chrome trace-event timeline
@@ -110,13 +146,15 @@ COMMANDS:
     explain       re-run a scenario and print cause→effect chains: why each
                   rollback happened (the remote write, its multicast, the
                   interrupting apply) and the run's critical path
-                    --scenario/--contenders/--rounds/--tasks/--nodes/--seed
-                                      as for run
+                    --scenario <name> and its flags, as for run
                     --event <id>      explain one causal event id instead
                                       (exits nonzero if the id is unknown)
-    verify        replay scenarios under the sesame-verify checkers
-                    --scenario <all|three-cpu|contention|task-queue|planted-bad>
-                    --contenders <N=4>  --rounds <N=30>
+    verify        run scenarios under the online sesame-verify checkers, once
+                  per model or method each one compares
+                    --scenario <all|planted-bad|name>  (default all) and the
+                                      scenario flags as for run, without --seed
+                                      (contention starts from 30 rounds,
+                                      task-queue from 96 tasks on 4 CPUs)
     check         model-check the canonical mutex workload: explore every
                   meaningfully different delivery schedule under the
                   sesame-verify checkers plus a linearizability oracle
@@ -145,91 +183,155 @@ COMMANDS:
     help          print this message
 ";
 
-/// Renders series as a table or CSV depending on `--format`.
-fn render(args: &Args, series: &[&sesame_sim::Series]) -> Result<String, String> {
+/// Whether `--format csv` was asked for (`table`, the default, is not).
+fn csv_format(args: &Args) -> CliResult<bool> {
     match args.get_str("--format") {
-        None | Some("table") => Ok(render_series(series)),
-        Some("csv") => Ok(series
-            .iter()
-            .map(|s| s.to_csv())
-            .collect::<Vec<_>>()
-            .join("\n")),
-        Some(other) => Err(format!("unknown --format {other:?} (use table or csv)")),
+        None | Some("table") => Ok(false),
+        Some("csv") => Ok(true),
+        Some(other) => Err(format!("unknown --format {other:?} (use table or csv)").into()),
     }
 }
 
-/// Parses the shared `--jobs` flag (sweep worker threads; 0 = all cores).
-fn parse_jobs(args: &Args) -> Result<usize, String> {
-    args.get_or("--jobs", 1usize, "integer")
-        .map_err(|e| e.to_string())
+/// Renders series as CSV or as aligned tables.
+fn render(series: &[&sesame_sim::Series], csv: bool) -> String {
+    if csv {
+        let blocks: Vec<String> = series.iter().map(|s| s.to_csv()).collect();
+        blocks.join("\n")
+    } else {
+        render_series(series)
+    }
 }
 
-fn parse_sizes(spec: &str) -> Result<Vec<usize>, String> {
-    spec.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad size {s:?} in --sizes"))
-        })
-        .collect()
-}
-
-fn cmd_fig1(args: &Args) -> Result<(), String> {
-    let section_us = args
-        .get_or("--section-us", 5u64, "integer")
-        .map_err(|e| e.to_string())?;
-    let words = args
-        .get_or("--words", 16u32, "integer")
-        .map_err(|e| e.to_string())?;
-    let cfg = Figure1Config {
-        section: SimDur::from_us(section_us),
-        data_words: words,
-        ..Figure1Config::default()
+/// `--sizes a,b,c`, or the figure's published sizes.
+fn parse_sizes(args: &Args, published: fn() -> Vec<usize>) -> CliResult<Vec<usize>> {
+    let Some(spec) = args.get_str("--sizes") else {
+        return Ok(published());
     };
+    let sizes = spec.split(',').map(|s| {
+        s.trim()
+            .parse::<usize>()
+            .map_err(|_| format!("bad size {s:?} in --sizes"))
+    });
+    Ok(sizes.collect::<Result<_, _>>()?)
+}
+
+/// The named scenario at its smoke size. (`dispatch` has already
+/// rejected names that are not scenarios, to know which flags to allow.)
+fn smoke(name: &str) -> CliResult<Scenario> {
+    Ok(Scenario::parse(name).ok_or_else(|| format!("unknown --scenario {name:?}"))?)
+}
+
+/// What `run`, `report` and `explain` were asked for: the `--scenario`
+/// (default contention) with its flags applied, and the collector to
+/// attach — named and seeded for the snapshot, with what the command's
+/// output flags need.
+fn chosen(args: &Args) -> CliResult<(Scenario, Telemetry)> {
+    let base = smoke(args.get_str("--scenario").unwrap_or("contention"))?;
+    let scenario = scenario_flags(args, base)?;
+    let seed = args.get_or("--seed", 7u64, "integer")?;
+    let mut telemetry = Telemetry::new(scenario.name(), seed)
+        .with_timeline(args.get_str("--timeline-out").is_some());
+    if let Some(window) = parse_window(args)? {
+        telemetry = telemetry.with_series(window);
+    }
+    if let Some(id) = parse_event(args)? {
+        telemetry = telemetry.with_explained_event(id);
+    }
+    Ok((scenario, telemetry))
+}
+
+fn cmd_fig1(args: &Args) -> CliResult {
+    let cfg = figure1_flags(args, Figure1Config::default())?;
+    let model = ModelChoice::Gwc;
+    Scenario::ThreeCpu { model, cfg }.validate()?;
     let (runs, table) = figure1(cfg);
+    println!("# Figure 1 — Locking Comparison (3 CPUs, 3 successive mutex accesses)");
+    println!(
+        "# section {} x3, {} guarded words, ring of 3 (1 hop), paper link timing",
+        cfg.section, cfg.data_words
+    );
     println!("{table}");
     for r in &runs {
         println!("{}", render_figure1_timeline(r, 64));
     }
+    let pred = Figure1Params {
+        hops: 1,
+        timing: cfg.timing,
+        section: cfg.section,
+        guarded_bytes: cfg.data_words * sesame_dsm::sizes::WRITE,
+    }
+    .predict();
+    // `figure1` runs the models in the paper's order: gwc, entry, release.
+    println!(
+        "# closed forms: gwc 5m+3u = {}\n\
+         #               entry 5m+a+3d+3u = {}\n\
+         #               release 7m+3a+3u = {}\n\
+         # entry/gwc = {:.3}, release/gwc = {:.3}",
+        pred.gwc,
+        pred.entry,
+        pred.release,
+        runs[1].completion / runs[0].completion,
+        runs[2].completion / runs[0].completion
+    );
     Ok(())
 }
 
-fn cmd_fig2(args: &Args) -> Result<(), String> {
-    let sizes = match args.get_str("--sizes") {
-        Some(spec) => parse_sizes(spec)?,
-        None => figure2_sizes(),
-    };
-    let cfg = TaskQueueConfig {
-        total_tasks: args
-            .get_or("--tasks", 1024u32, "integer")
-            .map_err(|e| e.to_string())?,
-        exec_time: SimDur::from_us(
-            args.get_or("--exec-us", 1000u64, "integer")
-                .map_err(|e| e.to_string())?,
-        ),
-        produce_ratio: args
-            .get_or("--ratio", 1.0 / 128.0, "float")
-            .map_err(|e| e.to_string())?,
-        ..TaskQueueConfig::default()
-    };
-    let data = figure2_jobs(cfg, &sizes, parse_jobs(args)?);
-    println!("{}", render(args, &[&data.ideal, &data.gwc, &data.entry])?);
+fn cmd_fig2(args: &Args) -> CliResult {
+    let sizes = parse_sizes(args, figure2_sizes)?;
+    let cfg = task_queue_flags(args, TaskQueueConfig::default())?;
+    let csv = csv_format(args)?;
+    let jobs = args.get_or("--jobs", 1usize, "integer")?;
+    let model = ModelChoice::Gwc;
+    for &nodes in &sizes {
+        Scenario::TaskQueue { nodes, model, cfg }.validate()?;
+    }
+    if !csv {
+        eprintln!(
+            "figure 2: {} tasks, exec {}, produce ratio {:.5}, queue capacity {}",
+            cfg.total_tasks, cfg.exec_time, cfg.produce_ratio, cfg.capacity
+        );
+        println!("# Figure 2 — Speedup for Task Management (paper: GWC peak ~84.1 @129, entry peak ~22.5 @33)");
+    }
+    let data = figure2_jobs(cfg, &sizes, jobs);
+    println!("{}", render(&[&data.ideal, &data.gwc, &data.entry], csv));
+    if !csv {
+        let gwc_peak = data.gwc.y_max().unwrap_or(0.0);
+        let entry_peak = data.entry.y_max().unwrap_or(0.0);
+        println!(
+            "# GWC peak speedup:   {gwc_peak:.1}\n\
+             # entry peak speedup: {entry_peak:.1}\n\
+             # GWC/entry at peak sizes: {:.2}",
+            gwc_peak / entry_peak
+        );
+    }
     Ok(())
 }
 
-fn cmd_fig7(_args: &Args) -> Result<(), String> {
-    let cfg = ContentionConfig {
+/// Runs one contention point through the driver.
+fn run_contention(cfg: ContentionConfig) -> CliResult<ContentionRun> {
+    match Scenario::Contention(cfg).run(None)? {
+        Outcome::Contention(run) => Ok(run),
+        other => unreachable!("a contention scenario ended as {other:?}"),
+    }
+}
+
+fn cmd_fig7(_args: &Args) -> CliResult {
+    // The deterministic Figure 7 interaction is asserted step by step in
+    // crates/core/tests/optimistic.rs; this is the same regime under
+    // randomized contention.
+    let run = run_contention(ContentionConfig {
         contenders: 3,
         rounds: 40,
         mean_think: SimDur::from_us(8),
         ..ContentionConfig::default()
-    };
-    let run = run_contention(cfg);
+    })?;
     let s = run.stats;
+    println!("# Figure 7 regime — optimistic locking under contention (GWC)");
     println!("sections completed:   {}", run.sections);
     println!("optimistic attempts:  {}", s.optimistic_attempts);
     println!("regular attempts:     {}", s.regular_attempts);
     println!("rollbacks:            {}", s.rollbacks);
+    println!("free flickers:        {}", s.free_flickers);
     println!("fully overlapped:     {}", s.fully_overlapped);
     println!("mean section latency: {}", run.mean_section_latency);
     let gwc = run.result.machine.model().as_gwc().expect("gwc model");
@@ -242,93 +344,103 @@ fn cmd_fig7(_args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fig8(args: &Args) -> Result<(), String> {
-    let sizes = match args.get_str("--sizes") {
-        Some(spec) => parse_sizes(spec)?,
-        None => figure8_sizes(),
-    };
-    let cfg = PipelineConfig {
-        total_visits: args
-            .get_or("--visits", 1024u32, "integer")
-            .map_err(|e| e.to_string())?,
-        local_calc: SimDur::from_us(
-            args.get_or("--local-us", 5u64, "integer")
-                .map_err(|e| e.to_string())?,
-        ),
-        ..PipelineConfig::default()
-    };
-    let data = figure8_jobs(cfg, &sizes, parse_jobs(args)?);
-    println!(
-        "{}",
-        render(
-            args,
-            &[&data.ideal, &data.optimistic, &data.regular, &data.entry]
-        )?
-    );
+fn cmd_fig8(args: &Args) -> CliResult {
+    let sizes = parse_sizes(args, figure8_sizes)?;
+    let cfg = pipeline_flags(args, PipelineConfig::default())?;
+    let csv = csv_format(args)?;
+    let jobs = args.get_or("--jobs", 1usize, "integer")?;
+    let method = MutexMethod::OptimisticGwc;
+    for &nodes in &sizes {
+        Scenario::Pipeline { nodes, method, cfg }.validate()?;
+    }
+    if !csv {
+        eprintln!(
+            "figure 8: {} visits, L {}, M {}, token {} words",
+            cfg.total_visits,
+            cfg.local_calc,
+            cfg.section(),
+            cfg.token_words
+        );
+        println!("# Figure 8 — Mutex Methods, Network Power in CPUs");
+        println!(
+            "# paper: bound 1.89; optimistic 1.68->1.15; non-optimistic 1.53->1.03; entry 0.81->0.64"
+        );
+    }
+    let data = figure8_jobs(cfg, &sizes, jobs);
+    let lines = [&data.ideal, &data.optimistic, &data.regular, &data.entry];
+    println!("{}", render(&lines, csv));
     let r = data.headline_ratios();
+    if csv {
+        println!(
+            "# at {} CPUs: opt/reg {:.2}, opt/entry {:.2}, reg/entry {:.2}",
+            r.nodes, r.optimistic_over_regular, r.optimistic_over_entry, r.regular_over_entry
+        );
+        return Ok(());
+    }
     println!(
-        "# at {} CPUs: opt/reg {:.2}, opt/entry {:.2}, reg/entry {:.2}",
+        "# headline ratios at {} CPUs (paper: 1.1x, 2.1x, 1.9x):\n\
+         #   optimistic / non-optimistic GWC: {:.2}\n\
+         #   optimistic / entry:              {:.2}\n\
+         #   non-optimistic / entry:          {:.2}",
         r.nodes, r.optimistic_over_regular, r.optimistic_over_entry, r.regular_over_entry
     );
+    // The optimism columns, sourced from the telemetry registry: what
+    // fraction of mutex entries the optimistic engine won outright.
+    println!("\n# optimism telemetry (optimistic GWC line)");
+    println!("# cpus   attempts   wins   rollbacks   hit-rate   overlapped");
+    for p in figure8_optimism_jobs(cfg, &sizes, jobs) {
+        println!(
+            "{:>6} {:>10} {:>6} {:>11} {:>9.1}% {:>12}",
+            p.nodes,
+            p.attempts,
+            p.wins,
+            p.rollbacks,
+            100.0 * p.hit_rate(),
+            p.overlapped
+        );
+    }
     Ok(())
+}
+
+/// Runs `f` under the host profiler when `--hostprof-out` is given: the
+/// (thread-local) profile is reset first, so it covers exactly `f`, and
+/// written after.
+fn with_hostprof<T>(args: &Args, f: impl FnOnce() -> CliResult<T>) -> CliResult<T> {
+    let Some(path) = args.get_str("--hostprof-out") else {
+        return f();
+    };
+    #[cfg(not(feature = "hostprof"))]
+    {
+        let _ = (path, f);
+        Err("--hostprof-out requires the host profiler: rebuild with \
+             `cargo run -p sesame-cli --features hostprof -- ...`"
+            .into())
+    }
+    #[cfg(feature = "hostprof")]
+    {
+        sesame_sim::hostprof::reset();
+        let value = f()?;
+        let profile = sesame_sim::hostprof::report();
+        write_file(path, &profile.to_json())?;
+        println!(
+            "wrote host profile ({} events, {} trace records, queue depth max {}) to {path}",
+            profile.events, profile.trace_records, profile.queue_depth_max
+        );
+        Ok(value)
+    }
 }
 
 // Wall-clock reads report host throughput only; simulated results never
 // depend on them (the determinism guard in clippy.toml bans them elsewhere).
 #[allow(clippy::disallowed_methods)]
-fn cmd_bigmesh(args: &Args) -> Result<(), String> {
-    let defaults = BigMeshConfig::default();
-    let cfg = BigMeshConfig {
-        nodes: args
-            .get_or("--nodes", defaults.nodes, "integer")
-            .map_err(|e| e.to_string())?,
-        laps: args
-            .get_or("--laps", defaults.laps, "integer")
-            .map_err(|e| e.to_string())?,
-        local_calc: SimDur::from_us(
-            args.get_or("--local-us", 5u64, "integer")
-                .map_err(|e| e.to_string())?,
-        ),
-        shared_words: args
-            .get_or("--shared-words", defaults.shared_words, "integer")
-            .map_err(|e| e.to_string())?,
-        event_limit: args
-            .get_or("--event-limit", defaults.event_limit, "integer")
-            .map_err(|e| e.to_string())?,
-        rows: args
-            .get_or("--rows", defaults.rows, "integer")
-            .map_err(|e| e.to_string())?,
-        cols: args
-            .get_or("--cols", defaults.cols, "integer")
-            .map_err(|e| e.to_string())?,
-        ..defaults
-    };
-    if (cfg.rows == 0) != (cfg.cols == 0) {
-        return Err("--rows and --cols must be given together".to_string());
-    }
-    let hostprof_out = args.get_str("--hostprof-out");
-    #[cfg(not(feature = "hostprof"))]
-    if hostprof_out.is_some() {
-        return Err("--hostprof-out requires the host profiler: rebuild with \
-             `cargo run -p sesame-cli --features hostprof -- bigmesh ...`"
-            .to_string());
-    }
-    #[cfg(feature = "hostprof")]
-    if hostprof_out.is_some() {
-        sesame_sim::hostprof::reset();
-    }
+fn cmd_bigmesh(args: &Args) -> CliResult {
+    let cfg = bigmesh_flags(args, BigMeshConfig::default())?;
     let wall = std::time::Instant::now();
-    let run = run_bigmesh(cfg);
+    let outcome = with_hostprof(args, || Ok(Scenario::BigMesh(cfg).run(None)?))?;
     let wall = wall.elapsed();
-    #[cfg(feature = "hostprof")]
-    if let Some(path) = hostprof_out {
-        let profile = sesame_sim::hostprof::report();
-        write_file(path, &profile.to_json())?;
-        println!(
-            "wrote host profile ({} events, queue depth max {}) to {path}",
-            profile.events, profile.queue_depth_max
-        );
-    }
+    let Outcome::BigMesh(run, _) = outcome else {
+        unreachable!("a bigmesh scenario ended as {outcome:?}")
+    };
     println!(
         "nodes {} in {} rows; {} token visits over {} laps",
         run.nodes, run.rows, run.visits, cfg.laps
@@ -356,13 +468,6 @@ fn cmd_bigmesh(args: &Args) -> Result<(), String> {
         println!("peak_rss_kb {kb}");
         println!("bytes_per_node {}", kb * 1024 / run.nodes as u64);
     }
-    let expected = cfg.laps as u64 * run.nodes as u64;
-    if run.outcome != sesame_sim::RunOutcome::Drained || run.visits != expected {
-        return Err(format!(
-            "bigmesh run did not complete: outcome {:?}, {} of {} visits, {} of {} rows",
-            run.outcome, run.visits, expected, run.completed_rows, run.rows
-        ));
-    }
     Ok(())
 }
 
@@ -374,30 +479,22 @@ fn peak_rss_kb() -> Option<u64> {
     line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
-fn cmd_contention(args: &Args) -> Result<(), String> {
-    let contenders = args
-        .get_or("--contenders", 6u32, "integer")
-        .map_err(|e| e.to_string())?;
-    let rounds = args
-        .get_or("--rounds", 50u32, "integer")
-        .map_err(|e| e.to_string())?;
-    let think_us = args
-        .get_or("--think-us", 50u64, "integer")
-        .map_err(|e| e.to_string())?;
-    let base = ContentionConfig {
-        contenders,
-        rounds,
-        mean_think: SimDur::from_us(think_us),
-        ..ContentionConfig::default()
-    };
-    let opt = run_contention(base);
+fn cmd_contention(args: &Args) -> CliResult {
+    let base = contention_flags(
+        args,
+        ContentionConfig {
+            contenders: 6,
+            ..ContentionConfig::default()
+        },
+    )?;
+    let opt = run_contention(base)?;
     let reg = run_contention(ContentionConfig {
         mutex: OptimisticConfig {
             optimistic: false,
             ..OptimisticConfig::default()
         },
         ..base
-    });
+    })?;
     println!(
         "optimistic: mean latency {}, rollbacks {}, {}% optimistic path",
         opt.mean_section_latency,
@@ -413,38 +510,8 @@ fn cmd_contention(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the scenario options shared by `run` and `report`.
-fn scenario_options(args: &Args) -> Result<(Scenario, ScenarioOptions), String> {
-    let name = args.get_str("--scenario").unwrap_or("contention");
-    let scenario = Scenario::parse(name).ok_or_else(|| {
-        format!("unknown --scenario {name:?} (use three-cpu, contention or task-queue)")
-    })?;
-    let defaults = ScenarioOptions::default();
-    let opts = ScenarioOptions {
-        contenders: args
-            .get_or("--contenders", defaults.contenders, "integer")
-            .map_err(|e| e.to_string())?,
-        rounds: args
-            .get_or("--rounds", defaults.rounds, "integer")
-            .map_err(|e| e.to_string())?,
-        tasks: args
-            .get_or("--tasks", defaults.tasks, "integer")
-            .map_err(|e| e.to_string())?,
-        nodes: args
-            .get_or("--nodes", defaults.nodes, "integer")
-            .map_err(|e| e.to_string())?,
-        seed: args
-            .get_or("--seed", defaults.seed, "integer")
-            .map_err(|e| e.to_string())?,
-        timeline: args.get_str("--timeline-out").is_some(),
-        window: parse_window(args)?,
-        explain: parse_event(args)?,
-    };
-    Ok((scenario, opts))
-}
-
 /// Parses `explain`'s `--event <id>` (a leading `#` is accepted).
-fn parse_event(args: &Args) -> Result<Option<u64>, String> {
+fn parse_event(args: &Args) -> CliResult<Option<u64>> {
     let Some(spec) = args.get_str("--event") else {
         return Ok(None);
     };
@@ -457,22 +524,24 @@ fn parse_event(args: &Args) -> Result<Option<u64>, String> {
 
 /// Parses the series window: `--window <ns>` enables the series directly;
 /// `--series-out` without `--window` uses a 100 µs default.
-fn parse_window(args: &Args) -> Result<Option<SimDur>, String> {
+fn parse_window(args: &Args) -> CliResult<Option<SimDur>> {
     let ns = match args.get_str("--window") {
-        Some(spec) => spec
-            .parse::<u64>()
-            .map_err(|_| format!("flag --window: cannot parse {spec:?} as integer"))?,
+        Some(_) => args.get_or("--window", 0u64, "integer")?,
         None if args.get_str("--series-out").is_some() => 100_000,
         None => return Ok(None),
     };
     if ns == 0 {
-        return Err("flag --window: window width must be > 0 ns".to_string());
+        return Err("flag --window: window width must be > 0 ns".into());
     }
     Ok(Some(SimDur::from_nanos(ns)))
 }
 
-fn write_file(path: &str, contents: &str) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+fn read_file(path: &str) -> CliResult<String> {
+    Ok(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?)
+}
+
+fn write_file(path: &str, contents: &str) -> CliResult {
+    Ok(std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?)
 }
 
 /// Runs one scenario with the telemetry collector attached and exports
@@ -482,51 +551,28 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
 /// and every export is asserted byte-identical across the copies before
 /// the first one is used — a built-in determinism check: simulated time
 /// is fully decoupled from host scheduling.
-fn cmd_run(args: &Args) -> Result<(), String> {
-    let (scenario, opts) = scenario_options(args)?;
-    let jobs = parse_jobs(args)?.max(1);
-    let hostprof_out = args.get_str("--hostprof-out");
-    #[cfg(not(feature = "hostprof"))]
-    if hostprof_out.is_some() {
-        return Err("--hostprof-out requires the host profiler: rebuild with \
-             `cargo run -p sesame-cli --features hostprof -- run ...`"
-            .to_string());
-    }
+fn cmd_run(args: &Args) -> CliResult {
+    let (scenario, blank) = chosen(args)?;
+    let jobs = args.get_or("--jobs", 1usize, "integer")?.max(1);
     if jobs > 1 {
         let exports = sesame_sweep::run_sweep(jobs, jobs, |_| {
-            let t = run_with_telemetry(scenario, &opts);
-            (
-                t.snapshot().to_json(),
-                t.chrome_trace(),
-                t.causes_json(),
-                t.series_json().unwrap_or_default(),
-            )
+            observe(&scenario, blank.clone()).map(|t| {
+                (
+                    t.snapshot().to_json(),
+                    t.chrome_trace(),
+                    t.causes_json(),
+                    t.series_json().unwrap_or_default(),
+                )
+            })
         });
-        for (i, copy) in exports.iter().enumerate().skip(1) {
-            if copy != &exports[0] {
-                return Err(format!(
-                    "nondeterminism: concurrent run {i} diverged from run 0"
-                ));
-            }
+        let exports = exports.into_iter().collect::<Result<Vec<_>, _>>()?;
+        if let Some(i) = exports.iter().position(|copy| copy != &exports[0]) {
+            return Err(format!("nondeterminism: concurrent run {i} diverged from run 0").into());
         }
         println!("{jobs} concurrent runs produced byte-identical exports");
     }
-    // Reset the (thread-local) host profile so it covers exactly the
-    // exported single run, not the redundant determinism copies.
-    #[cfg(feature = "hostprof")]
-    if hostprof_out.is_some() {
-        sesame_sim::hostprof::reset();
-    }
-    let telemetry = run_with_telemetry(scenario, &opts);
-    #[cfg(feature = "hostprof")]
-    if let Some(path) = hostprof_out {
-        let profile = sesame_sim::hostprof::report();
-        write_file(path, &profile.to_json())?;
-        println!(
-            "wrote host profile ({} events, {} trace records) to {path}",
-            profile.events, profile.trace_records
-        );
-    }
+    // Profiled alone: the exported run, not the redundant copies above.
+    let telemetry = with_hostprof(args, || Ok(observe(&scenario, blank)?))?;
     let snapshot = telemetry.snapshot();
     if let Some(path) = args.get_str("--metrics-out") {
         write_file(path, &snapshot.to_json())?;
@@ -635,11 +681,11 @@ fn print_causal_chains(dag: &CausalDag) {
 
 /// Re-runs a scenario with causal tracing and explains its rollbacks (or
 /// one specific causal event id via `--event`).
-fn cmd_explain(args: &Args) -> Result<(), String> {
-    let (scenario, opts) = scenario_options(args)?;
-    let telemetry = run_with_telemetry(scenario, &opts);
+fn cmd_explain(args: &Args) -> CliResult {
+    let (scenario, collector) = chosen(args)?;
+    let telemetry = observe(&scenario, collector)?;
     let dag = telemetry.causes();
-    if let Some(id) = opts.explain {
+    if let Some(id) = parse_event(args)? {
         let text = dag.render_chain(id).ok_or_else(|| {
             format!(
                 "unknown event id #{id}: this run recorded {} causal events",
@@ -661,24 +707,20 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 
 /// Renders a report from a saved metrics snapshot (validating the schema),
 /// or from a fresh run when `--metrics-in` is absent.
-fn cmd_report(args: &Args) -> Result<(), String> {
+fn cmd_report(args: &Args) -> CliResult {
     let mut series = None;
     let snapshot = match args.get_str("--metrics-in") {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Snapshot::from_json(&text).map_err(|e| format!("{path}: {e}"))?
-        }
+        Some(path) => Snapshot::from_json(&read_file(path)?).map_err(|e| format!("{path}: {e}"))?,
         None => {
-            let (scenario, opts) = scenario_options(args)?;
-            let t = run_with_telemetry(scenario, &opts);
+            let (scenario, collector) = chosen(args)?;
+            let t = observe(&scenario, collector)?;
             series = t.series_export();
             t.snapshot()
         }
     };
     if let Some(path) = args.get_str("--series-in") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        series = Some(SeriesExport::from_json(&text).map_err(|e| format!("{path}: {e}"))?);
+        series =
+            Some(SeriesExport::from_json(&read_file(path)?).map_err(|e| format!("{path}: {e}"))?);
     }
     print!("{}", render_report(&snapshot));
     if let Some(series) = &series {
@@ -687,99 +729,110 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Replays the seed scenarios with tracing on, runs every `sesame-verify`
-/// checker over each trace, and fails if any diagnostic is produced.
-fn cmd_verify(args: &Args) -> Result<(), String> {
-    use sesame_core::builder::ModelChoice;
-    use sesame_verify::{check_recorder, check_trace, Violation};
-    use sesame_workloads::task_queue::run_task_queue;
-    use sesame_workloads::three_cpu::run_figure1;
+/// The online verifier, counting the records it is fed — the "events" of
+/// an `ok`/`FAIL` line.
+#[derive(Default)]
+struct CountingVerifier {
+    verifier: Verifier,
+    records: usize,
+}
 
-    let scenario = args.get_str("--scenario").unwrap_or("all");
-    let contenders = args
-        .get_or("--contenders", 4u32, "integer")
-        .map_err(|e| e.to_string())?;
-    let rounds = args
-        .get_or("--rounds", 30u32, "integer")
-        .map_err(|e| e.to_string())?;
-
-    let mut checked: Vec<(String, usize, Vec<Violation>)> = Vec::new();
-    let mut check = |name: String, trace: &sesame_sim::TraceRecorder| {
-        checked.push((name, trace.entries().len(), check_recorder(trace)));
-    };
-
-    if matches!(scenario, "all" | "three-cpu") {
-        for model in [ModelChoice::Gwc, ModelChoice::Entry, ModelChoice::Release] {
-            let run = run_figure1(model, Figure1Config::default());
-            check(format!("three-cpu/{}", run.model), &run.trace);
-        }
+impl TraceObserver for CountingVerifier {
+    fn on_record(&mut self, entry: &TraceEntry) {
+        self.records += 1;
+        self.verifier.feed(entry);
     }
-    if matches!(scenario, "all" | "contention") {
-        for optimistic in [true, false] {
-            let run = run_contention(ContentionConfig {
-                contenders,
-                rounds,
-                mutex: OptimisticConfig {
-                    optimistic,
-                    ..OptimisticConfig::default()
-                },
-                tracing: true,
-                ..ContentionConfig::default()
-            });
-            let name = if optimistic { "optimistic" } else { "regular" };
-            check(format!("contention/{name}"), &run.result.trace);
-        }
-    }
-    if matches!(scenario, "all" | "task-queue") {
-        let run = run_task_queue(
-            4,
-            ModelChoice::Gwc,
-            TaskQueueConfig {
+}
+
+/// The runs `verify` makes of one scenario — every model or method the
+/// workload compares — labelled as the `ok`/`FAIL` lines print them.
+/// Contention and the task queue start from verify's own sizes (4 x 30
+/// rounds; 96 tasks on 4 CPUs) before the flags apply.
+fn verify_runs(args: &Args, name: &str) -> CliResult<Vec<(String, Scenario)>> {
+    use ModelChoice::{Entry, Gwc, Release};
+    use MutexMethod::{OptimisticGwc, RegularGwc};
+    let base = match smoke(name)? {
+        Scenario::Contention(cfg) => Scenario::Contention(ContentionConfig { rounds: 30, ..cfg }),
+        Scenario::TaskQueue { model, cfg, .. } => Scenario::TaskQueue {
+            nodes: 4,
+            model,
+            cfg: TaskQueueConfig {
                 total_tasks: 96,
-                tracing: true,
-                ..TaskQueueConfig::default()
+                ..cfg
             },
-        );
-        check("task-queue/gwc".to_string(), &run.result.trace);
-    }
-    if scenario == "planted-bad" {
-        // A deliberately corrupt trace — the root grants the same lock to
-        // two holders with no intervening release — so the failure path
-        // (diagnostics printed, nonzero exit) can be exercised end to end.
-        use sesame_sim::{SimTime, TraceDetail, TraceEntry};
-        let entries = vec![
-            TraceEntry {
-                time: SimTime::from_nanos(10),
+        },
+        other => other,
+    };
+    let runs = match scenario_flags(args, base)? {
+        Scenario::ThreeCpu { cfg, .. } => [("gwc", Gwc), ("entry", Entry), ("release", Release)]
+            .map(|(label, model)| (label, Scenario::ThreeCpu { model, cfg }))
+            .to_vec(),
+        Scenario::Contention(cfg) => [("optimistic", true), ("regular", false)]
+            .map(|(label, optimistic)| {
+                let mutex = OptimisticConfig {
+                    optimistic,
+                    ..cfg.mutex
+                };
+                (
+                    label,
+                    Scenario::Contention(ContentionConfig { mutex, ..cfg }),
+                )
+            })
+            .to_vec(),
+        Scenario::Pipeline { nodes, cfg, .. } => [
+            ("optimistic", OptimisticGwc),
+            ("regular", RegularGwc),
+            ("entry", MutexMethod::Entry),
+        ]
+        .map(|(label, method)| (label, Scenario::Pipeline { nodes, method, cfg }))
+        .to_vec(),
+        one => vec![("gwc", one)],
+    };
+    let labelled = runs.into_iter().map(|(l, s)| (format!("{name}/{l}"), s));
+    Ok(labelled.collect())
+}
+
+/// Runs the scenarios under the online `sesame-verify` checkers — no
+/// trace is retained — and fails if any diagnostic is produced.
+fn cmd_verify(args: &Args) -> CliResult {
+    let mut checked: Vec<(String, usize, Vec<Violation>)> = Vec::new();
+    let runs = match args.get_str("--scenario").unwrap_or("all") {
+        "planted-bad" => {
+            // A deliberately corrupt trace — the root grants the same lock to
+            // two holders with no intervening release — so the failure path
+            // (diagnostics printed, nonzero exit) can be exercised end to end.
+            use sesame_sim::{SimTime, TraceDetail};
+            let grant = |ns, holder| TraceEntry {
+                time: SimTime::from_nanos(ns),
                 actor: 0,
                 kind: "root-grant",
                 detail: TraceDetail::Grant {
                     group: 0,
                     var: 0,
-                    holder: 1,
+                    holder,
                 },
-            },
-            TraceEntry {
-                time: SimTime::from_nanos(20),
-                actor: 0,
-                kind: "root-grant",
-                detail: TraceDetail::Grant {
-                    group: 0,
-                    var: 0,
-                    holder: 2,
-                },
-            },
-        ];
-        checked.push((
-            "planted-bad/double-grant".to_string(),
-            entries.len(),
-            check_trace(&entries),
-        ));
-    }
-    if checked.is_empty() {
-        return Err(format!(
-            "unknown --scenario {scenario:?} \
-             (use all, three-cpu, contention, task-queue or planted-bad)"
-        ));
+            };
+            let entries = [grant(10, 1), grant(20, 2)];
+            let name = "planted-bad/double-grant".to_string();
+            checked.push((name, entries.len(), check_trace(&entries)));
+            Vec::new()
+        }
+        "all" => {
+            let mut runs = Vec::new();
+            for name in Scenario::NAMES {
+                runs.extend(verify_runs(args, name)?);
+            }
+            runs
+        }
+        name => verify_runs(args, name)?,
+    };
+    for (name, scenario) in runs {
+        let observer = Rc::new(RefCell::new(CountingVerifier::default()));
+        scenario.run(Some(observer.clone()))?;
+        let mut counted = observer.borrow_mut();
+        counted.verifier.finish();
+        let violations = counted.verifier.violations().to_vec();
+        checked.push((name, counted.records, violations));
     }
 
     let mut bad = 0usize;
@@ -798,7 +851,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
         }
     }
     if bad > 0 {
-        return Err(format!("{bad} protocol violations detected"));
+        return Err(format!("{bad} protocol violations detected").into());
     }
     println!(
         "verified {} scenario(s): races, mutual exclusion, GWC sequencing all clean",
@@ -807,16 +860,14 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_check(args: &Args) -> Result<(), String> {
+fn cmd_check(args: &Args) -> CliResult {
     use sesame_check::{
-        check, parse_replay, replay, to_replay_string, CanonicalConfig, CheckOptions, GwcMutation,
-        LinkMode, MutexMutation,
+        check, parse_replay, replay, to_replay_string, CheckOptions, GwcMutation, LinkMode,
+        MutexMutation,
     };
 
     if let Some(path) = args.get_str("--replay") {
-        let contents =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let (cfg, choices) = parse_replay(&contents)?;
+        let (cfg, choices) = parse_replay(&read_file(path)?)?;
         let outcome = replay(cfg, &choices)?;
         println!(
             "replayed {} choices over {} CPUs: {} trace events, {}",
@@ -846,18 +897,14 @@ fn cmd_check(args: &Args) -> Result<(), String> {
         return Err(format!(
             "{} violation(s) reproduced from {path}",
             outcome.violations.len()
-        ));
+        )
+        .into());
     }
 
-    let mut cfg = CanonicalConfig {
-        contenders: args
-            .get_or("--cpus", 2u32, "integer")
-            .map_err(|e| e.to_string())?,
-        rounds: args
-            .get_or("--rounds", 1u32, "integer")
-            .map_err(|e| e.to_string())?,
-        ..CanonicalConfig::default()
-    };
+    let mut cfg = canonical_flags(args, CanonicalConfig::default())?;
+    // Checked before a bug is planted: the driver refuses mutants (its
+    // default schedule runs them into the protocol's own asserts).
+    Scenario::Canonical(cfg).validate()?;
     match args.get_str("--mutation").unwrap_or("none") {
         "none" => {}
         "stale-grant-reuse" => cfg.gwc_mutation = GwcMutation::StaleGrantReuse,
@@ -867,7 +914,8 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "unknown --mutation {other:?} \
                  (use none, stale-grant-reuse, seq-gap or drop-rollback)"
-            ))
+            )
+            .into())
         }
     }
     let links = match args.get_str("--links").unwrap_or("fifo") {
@@ -875,25 +923,17 @@ fn cmd_check(args: &Args) -> Result<(), String> {
         "relax-roots" => LinkMode::RelaxFromRoots,
         "relax" => LinkMode::Relax,
         other => {
-            return Err(format!(
-                "unknown --links {other:?} (use fifo, relax-roots or relax)"
-            ))
+            return Err(
+                format!("unknown --links {other:?} (use fifo, relax-roots or relax)").into(),
+            )
         }
     };
     let defaults = CheckOptions::default();
     let opts = CheckOptions {
-        depth_max: args
-            .get_or("--depth", defaults.depth_max, "integer")
-            .map_err(|e| e.to_string())?,
-        schedules_max: args
-            .get_or("--schedules-max", defaults.schedules_max, "integer")
-            .map_err(|e| e.to_string())?,
-        work_max: args
-            .get_or("--work-max", defaults.work_max, "integer")
-            .map_err(|e| e.to_string())?,
-        hash_states: args
-            .get_or("--hash-states", defaults.hash_states, "true or false")
-            .map_err(|e| e.to_string())?,
+        depth_max: args.get_or("--depth", defaults.depth_max, "integer")?,
+        schedules_max: args.get_or("--schedules-max", defaults.schedules_max, "integer")?,
+        work_max: args.get_or("--work-max", defaults.work_max, "integer")?,
+        hash_states: args.get_or("--hash-states", defaults.hash_states, "true or false")?,
         links,
     };
 
@@ -931,7 +971,7 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             let file = to_replay_string(cx);
             match args.get_str("--out") {
                 Some(path) => {
-                    std::fs::write(path, &file).map_err(|e| format!("cannot write {path}: {e}"))?;
+                    write_file(path, &file)?;
                     println!(
                         "replay file written to {path} (re-run: sesame check --replay {path})"
                     );
@@ -941,7 +981,8 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             Err(format!(
                 "{} violation(s) found by schedule exploration",
                 cx.violations.len()
-            ))
+            )
+            .into())
         }
     }
 }
@@ -949,18 +990,18 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 /// `sesame bench diff <base.json> <new.json>` — the bench-trajectory
 /// regression gate. Takes positional file arguments, so it bypasses the
 /// flag-only [`Args::parse`] until the paths are peeled off.
-fn cmd_bench(rest: &[String]) -> Result<(), String> {
+fn cmd_bench(rest: &[String]) -> CliResult {
     match rest.first().map(String::as_str) {
         Some("diff") => {}
         Some(other) => {
-            return Err(format!(
-                "unknown bench subcommand {other:?} (expected diff)\n\n{USAGE}"
-            ))
+            return Err(
+                format!("unknown bench subcommand {other:?} (expected diff)\n\n{USAGE}").into(),
+            )
         }
         None => {
-            return Err(format!(
-                "bench needs a subcommand: diff <base.json> <new.json>\n\n{USAGE}"
-            ))
+            return Err(
+                format!("bench needs a subcommand: diff <base.json> <new.json>\n\n{USAGE}").into(),
+            )
         }
     }
     let mut paths = Vec::new();
@@ -976,19 +1017,18 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
         return Err(format!(
             "bench diff takes exactly two files (base, new), got {}\n\n{USAGE}",
             paths.len()
-        ));
+        )
+        .into());
     };
     let args = Args::parse(&flags, &["--threshold", "--thresholds", "--groups"])
         .map_err(|e| format!("{e}\n\n{USAGE}"))?;
 
     let mut opts = sesame_bench::DiffOptions {
-        default_threshold: args
-            .get_or("--threshold", 1.5f64, "number")
-            .map_err(|e| e.to_string())?,
+        default_threshold: args.get_or("--threshold", 1.5f64, "number")?,
         ..sesame_bench::DiffOptions::default()
     };
     if opts.default_threshold <= 0.0 {
-        return Err("--threshold must be positive".to_string());
+        return Err("--threshold must be positive".into());
     }
     if let Some(spec) = args.get_str("--thresholds") {
         for part in spec.split(',') {
@@ -999,7 +1039,7 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
                 .parse()
                 .map_err(|_| format!("bad ratio {value:?} in --thresholds"))?;
             if ratio <= 0.0 {
-                return Err(format!("--thresholds ratio for {group:?} must be positive"));
+                return Err(format!("--thresholds ratio for {group:?} must be positive").into());
             }
             opts.group_thresholds
                 .insert(group.trim().to_string(), ratio);
@@ -1009,9 +1049,9 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
         opts.groups = spec.split(',').map(|g| g.trim().to_string()).collect();
     }
 
-    let load = |path: &str| -> Result<Vec<sesame_bench::BenchRecord>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        sesame_bench::parse_bench_lines(&text).map_err(|e| format!("{path}: {e}"))
+    let load = |path: &str| -> CliResult<Vec<sesame_bench::BenchRecord>> {
+        Ok(sesame_bench::parse_bench_lines(&read_file(path)?)
+            .map_err(|e| format!("{path}: {e}"))?)
     };
     let base = load(base_path)?;
     let new = load(new_path)?;
@@ -1019,115 +1059,69 @@ fn cmd_bench(rest: &[String]) -> Result<(), String> {
     print!("{}", report.render());
     match report.regressions() {
         0 => Ok(()),
-        n => Err(format!("{n} bench case(s) regressed against {base_path}")),
+        n => Err(format!("{n} bench case(s) regressed against {base_path}").into()),
     }
 }
 
 /// A subcommand implementation.
-type Command = fn(&Args) -> Result<(), String>;
+type Command = fn(&Args) -> CliResult;
 
-fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
+fn dispatch(cmd: &str, rest: &[String]) -> CliResult {
     // `bench` takes positional arguments, which Args::parse does not
     // model — it routes around the flag table.
     if cmd == "bench" {
         return cmd_bench(rest);
     }
-    let (allowed, f): (&[&'static str], Command) = match cmd {
-        "fig1" => (&["--section-us", "--words"], cmd_fig1),
+    // The command's own flags, the scenario whose flags it also reads
+    // (`--scenario`: the one that flag names), and its implementation.
+    let (own, shares, f): (&str, &str, Command) = match cmd {
+        "fig1" => ("", "three-cpu", cmd_fig1),
         "fig2" => (
-            &[
-                "--sizes",
-                "--tasks",
-                "--exec-us",
-                "--ratio",
-                "--format",
-                "--jobs",
-            ],
+            "--sizes --tasks --exec-us --ratio --format --jobs",
+            "",
             cmd_fig2,
         ),
-        "fig7" => (&[], cmd_fig7),
-        "fig8" => (
-            &["--sizes", "--visits", "--local-us", "--format", "--jobs"],
-            cmd_fig8,
-        ),
-        "bigmesh" => (
-            &[
-                "--nodes",
-                "--rows",
-                "--cols",
-                "--laps",
-                "--local-us",
-                "--shared-words",
-                "--event-limit",
-                "--hostprof-out",
-            ],
-            cmd_bigmesh,
-        ),
-        "contention" => (&["--contenders", "--rounds", "--think-us"], cmd_contention),
+        "fig7" => ("", "", cmd_fig7),
+        "fig8" => ("--sizes --visits --local-us --format --jobs", "", cmd_fig8),
+        "bigmesh" => ("--hostprof-out", "bigmesh", cmd_bigmesh),
+        "contention" => ("", "contention", cmd_contention),
         "run" => (
-            &[
-                "--scenario",
-                "--contenders",
-                "--rounds",
-                "--tasks",
-                "--nodes",
-                "--seed",
-                "--metrics-out",
-                "--csv-out",
-                "--timeline-out",
-                "--causes-out",
-                "--series-out",
-                "--window",
-                "--hostprof-out",
-                "--jobs",
-            ],
+            "--scenario --metrics-out --csv-out --timeline-out --causes-out --series-out \
+             --window --hostprof-out --jobs",
+            "--scenario",
             cmd_run,
         ),
         "report" => (
-            &[
-                "--metrics-in",
-                "--series-in",
-                "--window",
-                "--scenario",
-                "--contenders",
-                "--rounds",
-                "--tasks",
-                "--nodes",
-                "--seed",
-            ],
+            "--scenario --metrics-in --series-in --window",
+            "--scenario",
             cmd_report,
         ),
-        "explain" => (
-            &[
-                "--scenario",
-                "--contenders",
-                "--rounds",
-                "--tasks",
-                "--nodes",
-                "--seed",
-                "--event",
-            ],
-            cmd_explain,
-        ),
-        "verify" => (&["--scenario", "--contenders", "--rounds"], cmd_verify),
+        "explain" => ("--scenario --event", "--scenario", cmd_explain),
+        "verify" => ("--scenario", "--scenario", cmd_verify),
         "check" => (
-            &[
-                "--cpus",
-                "--rounds",
-                "--links",
-                "--mutation",
-                "--depth",
-                "--schedules-max",
-                "--work-max",
-                "--hash-states",
-                "--out",
-                "--replay",
-            ],
+            "--links --mutation --depth --schedules-max --work-max --hash-states --out --replay",
+            "canonical",
             cmd_check,
         ),
-        _ => return Err(format!("unknown command {cmd:?}\n\n{USAGE}")),
+        _ => return Err(format!("unknown command {cmd:?}\n\n{USAGE}").into()),
     };
-    let args = Args::parse(rest, allowed).map_err(|e| format!("{e}\n\n{USAGE}"))?;
+    let mut allowed: Vec<&str> = own.split_whitespace().collect();
+    let mut whose = String::new();
+    if shares == "--scenario" {
+        // Resolved before the flags are parsed: which flags are known
+        // depends on it.
+        let default = if cmd == "verify" { "all" } else { "contention" };
+        let at = rest.iter().position(|a| a == "--scenario");
+        let name = at.and_then(|i| rest.get(i + 1)).map_or(default, |n| n);
+        allowed.extend(scenario_flag_set(cmd, name)?);
+        whose = format!(" for scenario {name}");
+    } else {
+        allowed.extend(flags_of(shares).unwrap_or_default().split_whitespace());
+    }
+    let args = Args::parse(rest, &allowed).map_err(|e| match e {
+        ArgError::Unknown(_) => format!("{e}{whose}\n\n{USAGE}"),
+        _ => format!("{e}\n\n{USAGE}"),
+    })?;
     f(&args)
 }
 

@@ -330,3 +330,166 @@ fn same_seed_runs_export_identical_bytes() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// Splits a command line on spaces and runs it.
+fn sesame_line(line: &str) -> Output {
+    sesame(&line.split(' ').collect::<Vec<_>>())
+}
+
+#[test]
+fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
+    // Ten lines that used to end in a panic and a backtrace (exit 101),
+    // four that printed NaN ratios or a vacuous "complete" with exit 0,
+    // and two that panicked in the figure binaries' own parsers.
+    for line in [
+        "bigmesh --nodes 1",
+        "bigmesh --nodes 0",
+        "bigmesh --nodes 64 --laps 0",
+        "bigmesh --nodes 64 --shared-words 0",
+        "run --scenario task-queue --nodes 1",
+        "fig2 --sizes 1",
+        "fig2 --sizes 3 --tasks 0",
+        "fig2 --sizes 3 --tasks 16 --ratio -1",
+        "fig8 --sizes 0",
+        "fig1 --words 0",
+        "contention --contenders 0",
+        "contention --rounds 0",
+        "fig8 --local-us 0",
+        "check --cpus 0",
+        "fig2 --jobs x",
+        "run --scenario pipeline --window 0",
+        "bigmesh --rows 4",
+        "bigmesh --nodes 400 --event-limit 1000",
+    ] {
+        let out = sesame_line(line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{line}`: {stderr}");
+        assert!(stderr.starts_with("error: "), "`{line}`: {stderr}");
+        assert!(!stderr.contains("panicked"), "`{line}`: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("NaN"), "`{line}`: {stdout}");
+    }
+    // A parameter error names the scenario, the field and the bound.
+    let out = sesame_line("bigmesh --nodes 1");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: bigmesh: nodes must be at least 2: need at least one two-node row\n"
+    );
+}
+
+#[test]
+fn flags_the_chosen_scenario_does_not_read_are_errors() {
+    for (line, complaint) in [
+        (
+            "run --scenario task-queue --contenders 9 --rounds 3",
+            "unknown flag --contenders for scenario task-queue",
+        ),
+        (
+            "explain --scenario task-queue --contenders 12",
+            "unknown flag --contenders for scenario task-queue",
+        ),
+        (
+            "run --scenario pipeline --seed 3",
+            "unknown flag --seed for scenario pipeline",
+        ),
+        (
+            "verify --scenario bigmesh --visits 3",
+            "unknown flag --visits for scenario bigmesh",
+        ),
+        ("report --scenario nope", "unknown --scenario \"nope\""),
+    ] {
+        let out = sesame_line(line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{line}`: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {complaint}")),
+            "`{line}`: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn every_scenario_runs_reports_explains_and_verifies() {
+    for (name, size) in [
+        ("three-cpu", "--words 8"),
+        ("contention", "--rounds 5"),
+        ("task-queue", "--tasks 16"),
+        ("pipeline", "--nodes 4 --visits 32"),
+        ("bigmesh", "--nodes 48"),
+        ("canonical", "--cpus 2 --rounds 2"),
+    ] {
+        for cmd in ["run", "report", "explain", "verify"] {
+            let out = sesame_line(&format!("{cmd} --scenario {name} {size}"));
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success(),
+                "`{cmd} --scenario {name}`: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let says = match cmd {
+                "verify" => format!("ok   {name}/"),
+                "explain" => "causal events recorded over".to_string(),
+                _ => format!("scenario: {name} "),
+            };
+            assert!(
+                stdout.contains(&says),
+                "`{cmd} --scenario {name}`: {stdout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn bigmesh_under_the_collector_exports_the_same_bytes_at_any_jobs() {
+    let (serial, jobs) = (tmp("mesh-serial.json"), tmp("mesh-jobs.json"));
+    for (path, n) in [(&serial, "1"), (&jobs, "3")] {
+        let out = sesame(&[
+            "run",
+            "--scenario",
+            "bigmesh",
+            "--nodes",
+            "100",
+            "--jobs",
+            n,
+            "--series-out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let series = std::fs::read_to_string(&serial).unwrap();
+    assert!(series.contains("\"schema\":\"sesame-series/v1\""));
+    assert_eq!(series, std::fs::read_to_string(&jobs).unwrap());
+    for p in [serial, jobs] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn figure_commands_print_what_the_repro_binaries_printed() {
+    let text = |line: &str| {
+        let out = sesame_line(line);
+        assert!(out.status.success(), "`{line}`");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let fig1 = text("fig1");
+    assert!(fig1.starts_with("# Figure 1 — Locking Comparison"));
+    assert!(fig1.contains("# closed forms: gwc 5m+3u = 16.640us"));
+    assert!(fig1.contains("# entry/gwc = 1.385, release/gwc = 1.087"));
+    let fig2 = text("fig2 --sizes 3,5 --tasks 32");
+    assert!(fig2.starts_with("# Figure 2 — Speedup for Task Management"));
+    assert!(fig2.contains("# GWC peak speedup:"));
+    let fig8 = text("fig8 --sizes 2,4 --visits 32");
+    assert!(fig8.starts_with("# Figure 8 — Mutex Methods, Network Power in CPUs"));
+    assert!(fig8.contains("# headline ratios at 2 CPUs (paper: 1.1x, 2.1x, 1.9x):"));
+    assert!(fig8.contains("# optimism telemetry (optimistic GWC line)"));
+    assert!(fig8.contains("     4         32     32           0     100.0%"));
+    // CSV mode is the machine-readable contract: no headers, one ratio line.
+    let csv = text("fig8 --sizes 2,4 --visits 32 --format csv");
+    assert!(csv.starts_with("# no network delay bound\n"), "{csv}");
+    assert!(csv.contains("\n# at 2 CPUs: opt/reg "), "{csv}");
+    assert!(!csv.contains("optimism telemetry"));
+}

@@ -31,12 +31,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
 use sesame_dsm::{
-    lockval, run, AppEvent, GroupSpec, MachineConfig, NodeApi, Program, RunOptions, VarId, Word,
+    lockval, AppEvent, GroupSpec, Machine, MachineConfig, NodeApi, Program, RunResult, VarId, Word,
 };
 use sesame_net::{FabricStats, LinkTiming, MeshTorus2d, NodeId};
 use sesame_sim::{RunOutcome, SimDur, SimTime};
+
+use crate::scenario::{Outcome, RunError, Scenario};
 
 /// Parameters of the sharded-mesh scaling scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -279,28 +281,40 @@ fn rows_of(nodes: usize, width: u32, shared_words: u32) -> Vec<Row> {
 const HISTORY_WINDOW: u64 = 64;
 
 /// Resolved torus geometry: `(cpu count, row width)`.
-fn geometry(cfg: &BigMeshConfig) -> (usize, u32) {
+pub(crate) fn geometry(cfg: &BigMeshConfig) -> (usize, u32) {
     if cfg.rows > 0 || cfg.cols > 0 {
-        assert!(
-            cfg.rows > 0 && cfg.cols > 0,
-            "rows and cols must be set together"
-        );
         (cfg.rows as usize * cfg.cols as usize, cfg.cols)
     } else {
         (cfg.nodes, MeshTorus2d::with_nodes(cfg.nodes).width())
     }
 }
 
-/// Assembles the sharded-mesh system: groups, init values, and (when
-/// `progress` is given) the row programs.
+/// What a run is checked against: the row geometry and the counters the
+/// row programs report into.
+pub(crate) struct Probe {
+    rows: Vec<Row>,
+    progress: Progress,
+}
+
+/// The protocol toggles the scenario runs under: member-pruned routes.
+fn pruned() -> MachineConfig {
+    MachineConfig {
+        pruned_multicast: true,
+        ..MachineConfig::default()
+    }
+}
+
+/// Assembles the sharded-mesh system under explicit protocol toggles:
+/// groups, init values, and (with `programs`) the row programs — without
+/// them every node idles, which is all the footprint smoke needs.
 fn assemble(
     cfg: &BigMeshConfig,
     machine_cfg: MachineConfig,
-    progress: Option<&Progress>,
-) -> (sesame_dsm::Machine<ModelInstance>, Vec<Row>) {
+    programs: bool,
+) -> Result<(Machine<ModelInstance>, Probe), BuildError> {
     let (nodes, width) = geometry(cfg);
-    assert!(nodes >= 2, "need at least one two-node row");
     let rows = rows_of(nodes, width, cfg.shared_words);
+    let progress: Progress = Rc::new(RefCell::new((0, 0)));
     let flag_off = rows.len() as u32 * (1 + cfg.shared_words);
     let mut builder = SystemBuilder::new(nodes)
         .topology(TopologyChoice::MeshTorus)
@@ -339,7 +353,7 @@ fn assemble(
                 mutex_lock: None,
             });
         }
-        if let Some(progress) = progress {
+        if programs {
             let shared = Rc::new(RowShared {
                 row: *row,
                 flag_off,
@@ -361,59 +375,53 @@ fn assemble(
             }
         }
     }
-    let mut machine = builder.build().expect("valid sharded-mesh system");
+    let mut machine = builder.build()?;
     if let Some(gwc) = machine.model_mut().as_gwc_mut() {
         gwc.set_history_window(Some(HISTORY_WINDOW));
     }
-    (machine, rows)
+    Ok((machine, Probe { rows, progress }))
 }
 
-/// Runs the sharded-mesh scenario.
-///
-/// # Panics
-///
-/// Panics if the machine has fewer than 2 CPUs (no row can pipeline) or a
-/// completed run left a row's shared counter inconsistent with its visit
-/// count.
-pub fn run_bigmesh(cfg: BigMeshConfig) -> BigMeshRun {
-    run_bigmesh_configured(
-        cfg,
-        MachineConfig {
-            pruned_multicast: true,
-            ..MachineConfig::default()
-        },
-    )
+/// Builds the running system: row programs on member-pruned routes.
+pub(crate) fn build(cfg: &BigMeshConfig) -> Result<(Machine<ModelInstance>, Probe), BuildError> {
+    assemble(cfg, pruned(), true)
 }
 
-/// Like [`run_bigmesh`] but with explicit protocol toggles — the
-/// equivalence test runs the same scenario with full-tree flooding and
-/// asserts an identical makespan.
-pub fn run_bigmesh_configured(cfg: BigMeshConfig, machine_cfg: MachineConfig) -> BigMeshRun {
-    let progress: Progress = Rc::new(RefCell::new((0, 0)));
-    let (machine, rows) = assemble(&cfg, machine_cfg, Some(&progress));
-    let nodes = machine.node_count();
-    let result = run(
-        machine,
-        RunOptions {
-            event_limit: cfg.event_limit,
-            ..RunOptions::default()
-        },
-    );
-    let (completed_rows, visits) = *progress.borrow();
-    if result.outcome == RunOutcome::Drained {
-        // Every row's shared counter was incremented once per visit under
-        // its row lock — a global mutual-exclusion correctness check.
-        for row in &rows {
-            let got = result
-                .machine
-                .mem(NodeId::new(row.start))
-                .read(VarId::new(row.shared_base));
-            let want = cfg.laps as Word * row.len as Word;
-            assert_eq!(got, want, "row at {} shared counter", row.start);
+/// Reads the progress counters. A run that did not drain with every visit
+/// done is incomplete; on one that did, the oracle is each row's shared
+/// counter, incremented once per visit under the row lock.
+pub(crate) fn finish(
+    cfg: &BigMeshConfig,
+    result: &RunResult<ModelInstance>,
+    probe: &Probe,
+) -> Result<BigMeshRun, RunError> {
+    let rows = &probe.rows;
+    let (completed_rows, visits) = *probe.progress.borrow();
+    let expected: u64 = rows.iter().map(|r| cfg.laps as u64 * r.len as u64).sum();
+    if result.outcome != RunOutcome::Drained || visits != expected {
+        let left = format!(
+            "{visits} of {expected} visits, {completed_rows} of {} rows",
+            rows.len()
+        );
+        return Err(RunError::Incomplete("bigmesh", result.outcome, left));
+    }
+    for row in rows {
+        let got = result
+            .machine
+            .mem(NodeId::new(row.start))
+            .read(VarId::new(row.shared_base));
+        let want = cfg.laps as Word * row.len as Word;
+        if got != want {
+            let what = format!(
+                "mutual exclusion: the shared counter of the row at {} reads {got} after \
+                 {want} visits",
+                row.start
+            );
+            return Err(RunError::Violated("bigmesh", what));
         }
     }
-    BigMeshRun {
-        nodes,
+    Ok(BigMeshRun {
+        nodes: result.machine.node_count(),
         rows: rows.len(),
         completed_rows,
         visits,
@@ -422,26 +430,43 @@ pub fn run_bigmesh_configured(cfg: BigMeshConfig, machine_cfg: MachineConfig) ->
         power: result.network_power(),
         outcome: result.outcome,
         fabric: result.machine.fabric_stats(),
+    })
+}
+
+/// Runs the sharded-mesh scenario.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`]'s text if the configuration is invalid
+/// (fewer than 2 CPUs: no row can pipeline), the run exhausted its event
+/// budget, or a completed run left a row's shared counter inconsistent
+/// with its visit count.
+pub fn run_bigmesh(cfg: BigMeshConfig) -> BigMeshRun {
+    match Scenario::BigMesh(cfg).run(None) {
+        Ok(Outcome::BigMesh(run, _)) => run,
+        Ok(other) => unreachable!("a bigmesh scenario ended as {other:?}"),
+        Err(e) => panic!("{e}"),
     }
 }
 
-/// Builds the machine only (no run) — the memory-footprint smoke check.
-/// With lazy routing structures this is `O(N)` in nodes and groups.
-pub fn build_bigmesh_machine(cfg: BigMeshConfig) -> sesame_dsm::Machine<ModelInstance> {
-    assemble(
-        &cfg,
-        MachineConfig {
-            pruned_multicast: true,
-            ..MachineConfig::default()
-        },
-        None,
-    )
-    .0
+/// Builds the machine only (idle nodes, no run) — the memory-footprint
+/// smoke check. With lazy routing structures this is `O(N)` in nodes and
+/// groups.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`]'s text on an invalid configuration.
+pub fn build_bigmesh_machine(cfg: BigMeshConfig) -> Machine<ModelInstance> {
+    let scenario = Scenario::BigMesh(cfg);
+    scenario.validate().unwrap_or_else(|e| panic!("{e}"));
+    let (machine, _) = assemble(&cfg, pruned(), false).expect("valid sharded-mesh system");
+    machine
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sesame_dsm::{run, RunOptions};
 
     fn tiny(nodes: usize) -> BigMeshConfig {
         BigMeshConfig {
@@ -497,8 +522,9 @@ mod tests {
         // so the makespan and visit count must agree exactly — only the
         // traffic accounting and event count differ.
         let pruned = run_bigmesh(tiny(24));
-        let full = run_bigmesh_configured(tiny(24), MachineConfig::default());
-        assert_eq!(full.outcome, RunOutcome::Drained);
+        let (machine, probe) = assemble(&tiny(24), MachineConfig::default(), true).unwrap();
+        let flooded = run(machine, RunOptions::default());
+        let full = finish(&tiny(24), &flooded, &probe).expect("the flood path completes too");
         assert_eq!(pruned.end, full.end, "arrival times must be identical");
         assert_eq!(pruned.visits, full.visits);
         // Pruned routes traverse fewer links; batching processes fewer
@@ -514,15 +540,10 @@ mod tests {
         // per path ever used took room for 28 672 here. What a run needs
         // floors for is the few hundred packets in flight at a time (the
         // table ends at 448; 896 on the 32 400-node mesh).
-        let progress: Progress = Rc::new(RefCell::new((0, 0)));
-        let pruned = MachineConfig {
-            pruned_multicast: true,
-            ..MachineConfig::default()
-        };
-        let (machine, _) = assemble(&tiny(10_000), pruned, Some(&progress));
+        let (machine, probe) = build(&tiny(10_000)).unwrap();
         let result = run(machine, RunOptions::default());
-        assert_eq!(result.outcome, RunOutcome::Drained);
-        assert_eq!(progress.borrow().1, 10_000, "every visit completed");
+        let done = finish(&tiny(10_000), &result, &probe).expect("every visit completed");
+        assert_eq!(done.visits, 10_000);
         let floors = result.machine.fabric().floor_capacity();
         assert!(floors <= 2_048, "room for {floors} floors after the run");
     }
@@ -549,6 +570,19 @@ mod tests {
             rows: 12,
             ..tiny(2)
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one two-node row")]
+    fn a_one_node_mesh_is_rejected() {
+        let _ = run_bigmesh(tiny(1));
+    }
+
+    #[test]
+    fn a_trailing_single_cpu_idles_and_the_run_still_completes() {
+        // 3 CPUs on a 2-wide torus: one row of two, one idle node.
+        let run = run_bigmesh(tiny(3));
+        assert_eq!((run.nodes, run.rows, run.visits), (3, 1, 2));
     }
 
     #[test]

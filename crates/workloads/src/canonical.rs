@@ -13,11 +13,15 @@
 //! [`sesame_dsm::GwcMutation`] are threaded through [`CanonicalConfig`]
 //! so the checker's regression suite can assert each one is caught.
 
-use sesame_core::builder::{ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
 use sesame_core::{MutexMutation, MutexSignal, OptimisticConfig, OptimisticMutex};
-use sesame_dsm::{AppEvent, GwcMutation, Machine, MachineConfig, NodeApi, Program, VarId, Word};
+use sesame_dsm::{
+    AppEvent, GwcMutation, Machine, MachineConfig, NodeApi, Program, RunResult, VarId, Word,
+};
 use sesame_net::{LinkTiming, NodeId};
-use sesame_sim::SimDur;
+use sesame_sim::{RunOutcome, SimDur};
+
+use crate::scenario::RunError;
 
 /// The lock variable of the canonical mutex group.
 pub const LOCK: VarId = VarId::new(0);
@@ -110,12 +114,7 @@ impl Program for CanonicalHammer {
 /// Builds the canonical system: node 0 is the mutex-group root, nodes
 /// `1..=contenders` run the counter-hammering contender program, links
 /// are unit-cost full mesh, and any planted mutations are installed.
-///
-/// # Panics
-///
-/// Panics if the builder rejects the configuration (it never does for
-/// `contenders >= 1`).
-pub fn build_canonical(cfg: CanonicalConfig) -> Machine<ModelInstance> {
+pub(crate) fn build(cfg: &CanonicalConfig) -> Result<Machine<ModelInstance>, BuildError> {
     let nodes = cfg.contenders as usize + 1;
     let mut builder = SystemBuilder::new(nodes)
         .topology(TopologyChoice::FullMesh)
@@ -134,13 +133,46 @@ pub fn build_canonical(cfg: CanonicalConfig) -> Machine<ModelInstance> {
             }),
         );
     }
-    let mut machine = builder.build().expect("valid canonical system");
+    let mut machine = builder.build()?;
     machine
         .model_mut()
         .as_gwc_mut()
         .expect("canonical model is GWC")
         .set_mutation(cfg.gwc_mutation);
-    machine
+    Ok(machine)
+}
+
+/// The oracle of a drained run: the root's counter equals the section
+/// count. (The programs report nothing, so there is no probe, and nothing
+/// to add to the result.)
+pub(crate) fn finish(
+    cfg: &CanonicalConfig,
+    result: RunResult<ModelInstance>,
+) -> Result<RunResult<ModelInstance>, RunError> {
+    let counter = result.machine.mem(NodeId::new(0)).read(COUNTER);
+    let want = cfg.expected_counter();
+    if result.outcome != RunOutcome::Drained {
+        let left = format!("the counter reads {counter} of {want}");
+        return Err(RunError::Incomplete("canonical", result.outcome, left));
+    }
+    if counter != want {
+        let what =
+            format!("mutual exclusion: the shared counter reads {counter} after {want} sections");
+        return Err(RunError::Violated("canonical", what));
+    }
+    Ok(result)
+}
+
+/// Builds the canonical machine for a caller that drives it itself (the
+/// `sesame-check` explorer steps it event by event, and may build zero
+/// rounds or planted mutations on purpose, so nothing is validated here).
+///
+/// # Panics
+///
+/// Panics if the builder rejects the configuration (it never does: a
+/// system of `contenders + 1` nodes always has its root).
+pub fn build_canonical(cfg: CanonicalConfig) -> Machine<ModelInstance> {
+    build(&cfg).expect("valid canonical system")
 }
 
 #[cfg(test)]

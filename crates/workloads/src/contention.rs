@@ -13,13 +13,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex, OptimisticStats};
-use sesame_dsm::{
-    run_observed, AppEvent, MachineConfig, NodeApi, Program, RunOptions, RunResult, VarId, Word,
-};
+use sesame_dsm::{AppEvent, Machine, MachineConfig, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::{DetRng, SimDur, SimTime, TraceObserver};
+
+use crate::scenario::{Outcome, RunError, Scenario};
 
 /// Parameters of one contention-sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,7 +84,7 @@ pub struct ContentionRun {
 }
 
 /// Shared registry of per-contender (stats, latency) outcomes.
-type StatsOut = Rc<RefCell<Vec<(OptimisticStats, Vec<SimDur>)>>>;
+pub(crate) type StatsOut = Rc<RefCell<Vec<(OptimisticStats, Vec<SimDur>)>>>;
 
 const LOCK: VarId = VarId::new(0);
 const COUNTER: VarId = VarId::new(1);
@@ -151,24 +151,11 @@ impl Program for Hammer {
     }
 }
 
-/// Runs one contention point.
-///
-/// # Panics
-///
-/// Panics if mutual exclusion was violated (the shared counter missed
-/// increments).
-pub fn run_contention(cfg: ContentionConfig) -> ContentionRun {
-    run_contention_observed(cfg, None)
-}
-
-/// Like [`run_contention`], but with an optional online trace observer
-/// (e.g. the `sesame-telemetry` collector or the `sesame-verify`
-/// checkers). The observer sees every trace record even when
-/// `cfg.tracing` is false.
-pub fn run_contention_observed(
-    cfg: ContentionConfig,
-    observer: Option<Rc<RefCell<dyn TraceObserver>>>,
-) -> ContentionRun {
+/// Builds the contention system and the registry its hammers publish
+/// their statistics into.
+pub(crate) fn build(
+    cfg: &ContentionConfig,
+) -> Result<(Machine<ModelInstance>, StatsOut), BuildError> {
     let nodes = cfg.contenders as usize + 1; // node 0 is the root/manager
     let stats_out = Rc::new(RefCell::new(vec![
         (OptimisticStats::default(), Vec::new());
@@ -196,16 +183,16 @@ pub fn run_contention_observed(
             }),
         );
     }
-    let machine = builder.build().expect("valid contention system");
-    let result = run_observed(
-        machine,
-        RunOptions {
-            tracing: cfg.tracing,
-            ..RunOptions::default()
-        },
-        observer,
-    );
+    Ok((builder.build()?, stats_out))
+}
 
+/// Sums the hammers' statistics; the oracle is the shared counter, which
+/// every section incremented once under the lock.
+pub(crate) fn finish(
+    cfg: &ContentionConfig,
+    result: RunResult<ModelInstance>,
+    stats_out: &StatsOut,
+) -> Result<ContentionRun, RunError> {
     let mut stats = OptimisticStats::default();
     let mut all_latencies: Vec<SimDur> = Vec::new();
     for (s, lats) in stats_out.borrow().iter() {
@@ -218,21 +205,53 @@ pub fn run_contention_observed(
         all_latencies.extend_from_slice(lats);
     }
     let sections = cfg.contenders as u64 * cfg.rounds as u64;
-    assert_eq!(stats.completions, sections, "every section completed");
+    if stats.completions != sections {
+        let left = format!("{} of {sections} sections completed", stats.completions);
+        return Err(RunError::Incomplete("contention", result.outcome, left));
+    }
     let counter = result.machine.mem(NodeId::new(0)).read(COUNTER);
-    if cfg.check_counter {
-        assert_eq!(counter, sections as Word, "mutual exclusion violated");
+    if cfg.check_counter && counter != sections as Word {
+        let what = format!(
+            "mutual exclusion: the shared counter reads {counter} after {sections} sections"
+        );
+        return Err(RunError::Violated("contention", what));
     }
     let mean_section_latency = if all_latencies.is_empty() {
         SimDur::ZERO
     } else {
         all_latencies.iter().copied().sum::<SimDur>() / all_latencies.len() as u64
     };
-    ContentionRun {
+    Ok(ContentionRun {
         result,
         stats,
         mean_section_latency,
         sections,
         counter,
+    })
+}
+
+/// Runs one contention point.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`]'s text if the configuration is invalid, a
+/// section did not complete, or mutual exclusion was violated (the shared
+/// counter missed increments).
+pub fn run_contention(cfg: ContentionConfig) -> ContentionRun {
+    run_contention_observed(cfg, None)
+}
+
+/// Like [`run_contention`], but with an optional online trace observer
+/// (e.g. the `sesame-telemetry` collector or the `sesame-verify`
+/// checkers). The observer sees every trace record even when
+/// `cfg.tracing` is false.
+pub fn run_contention_observed(
+    cfg: ContentionConfig,
+    observer: Option<Rc<RefCell<dyn TraceObserver>>>,
+) -> ContentionRun {
+    match Scenario::Contention(cfg).run(observer) {
+        Ok(Outcome::Contention(run)) => run,
+        Ok(other) => unreachable!("a contention scenario ended as {other:?}"),
+        Err(e) => panic!("{e}"),
     }
 }

@@ -1,25 +1,21 @@
 //! Experiment drivers that regenerate every figure of the paper.
 //!
 //! Each `figure*` function sweeps the paper's parameter range and returns
-//! labelled [`Series`] ready for printing; the `repro-*` binaries in
-//! `sesame-bench` call these and print the tables recorded in
-//! EXPERIMENTS.md.
+//! labelled [`Series`] ready for printing; `sesame fig1|fig2|fig8` call
+//! these and print the tables recorded in EXPERIMENTS.md.
 //!
 //! Every sweep point is an independent, deterministic simulation, so the
-//! `*_jobs` variants run points concurrently through
-//! [`sesame_sweep::run_sweep`] and reassemble the series in point-index
-//! order: the output is byte-identical for every `jobs` value, only
-//! wall-clock time changes.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! sweeps run points concurrently through [`sesame_sweep::run_sweep`] and
+//! reassemble the series in point-index order: the output is
+//! byte-identical for every `jobs` value, only wall-clock time changes.
 
 use sesame_core::builder::ModelChoice;
 use sesame_net::LinkTiming;
-use sesame_sim::{Series, TraceObserver};
+use sesame_sim::Series;
 use sesame_telemetry::Telemetry;
 
-use crate::pipeline::{run_pipeline, run_pipeline_observed, MutexMethod, PipelineConfig};
+use crate::pipeline::{run_pipeline, MutexMethod, PipelineConfig};
+use crate::scenario::Scenario;
 use crate::task_queue::{run_task_queue, TaskQueueConfig};
 use crate::three_cpu::{run_figure1_all, Figure1Config, Figure1Run};
 
@@ -43,11 +39,6 @@ pub struct Figure2Data {
     pub gwc: Series,
     /// Entry consistency.
     pub entry: Series,
-}
-
-/// Runs the Figure 2 sweep over `sizes` serially.
-pub fn figure2(cfg: TaskQueueConfig, sizes: &[usize]) -> Figure2Data {
-    figure2_jobs(cfg, sizes, 1)
 }
 
 /// Runs the Figure 2 sweep over `sizes` on up to `jobs` worker threads
@@ -125,11 +116,6 @@ pub struct HeadlineRatios {
     pub regular_over_entry: f64,
 }
 
-/// Runs the Figure 8 sweep over `sizes` serially.
-pub fn figure8(cfg: PipelineConfig, sizes: &[usize]) -> Figure8Data {
-    figure8_jobs(cfg, sizes, 1)
-}
-
 /// Runs the Figure 8 sweep over `sizes` on up to `jobs` worker threads
 /// (`0` = all cores). Each `(size, series)` pair is one sweep point — 28
 /// independent simulations for the paper's seven sizes. The returned data
@@ -197,34 +183,32 @@ impl OptimismPoint {
 }
 
 /// Sweeps the Figure 8 optimistic line with telemetry attached, returning
-/// the per-size optimism counters the `repro-fig8` table prints alongside
-/// network power.
-pub fn figure8_optimism(cfg: PipelineConfig, sizes: &[usize]) -> Vec<OptimismPoint> {
-    figure8_optimism_jobs(cfg, sizes, 1)
-}
-
-/// The parallel form of [`figure8_optimism`]: one sweep point per network
-/// size, each constructing its own [`Telemetry`] observer inside the
-/// worker (the observer chain is thread-local by design). Results come
-/// back in size order regardless of `jobs`.
+/// the per-size optimism counters `sesame fig8` prints under the network
+/// power table: one sweep point per network size, each constructing its
+/// own [`Telemetry`] observer inside the worker (the observer chain is
+/// thread-local by design). Results come back in size order regardless of
+/// `jobs`.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`](crate::scenario::RunError)'s text if a
+/// point does not run clean.
 pub fn figure8_optimism_jobs(
     cfg: PipelineConfig,
     sizes: &[usize],
     jobs: usize,
 ) -> Vec<OptimismPoint> {
     sesame_sweep::run_sweep(sizes.len(), jobs, |i| {
-        let n = sizes[i];
-        let shared = Telemetry::new("figure8", 0).shared();
-        let observer: Rc<RefCell<dyn TraceObserver>> = shared.clone();
-        let run = run_pipeline_observed(n, MutexMethod::OptimisticGwc, cfg, Some(observer));
-        {
-            let mut t = shared.borrow_mut();
-            crate::telemetry::absorb_run(&mut t, &run.result);
-        }
-        drop(run);
-        let snap = Telemetry::unwrap_shared(shared).snapshot();
+        let point = Scenario::Pipeline {
+            nodes: sizes[i],
+            method: MutexMethod::OptimisticGwc,
+            cfg,
+        };
+        let snap = crate::telemetry::observe(&point, Telemetry::new("figure8", 0))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .snapshot();
         OptimismPoint {
-            nodes: n,
+            nodes: sizes[i],
             attempts: snap.sum_counters("node/", "/opt/attempts"),
             wins: snap.sum_counters("node/", "/opt/wins"),
             rollbacks: snap.sum_counters("node/", "/opt/rollbacks"),
@@ -298,7 +282,7 @@ mod tests {
             total_visits: 32,
             ..PipelineConfig::default()
         };
-        let points = figure8_optimism(cfg, &[2, 4]);
+        let points = figure8_optimism_jobs(cfg, &[2, 4], 1);
         assert_eq!(points.len(), 2);
         for p in points {
             // The pipeline is contention-free: every attempt wins.

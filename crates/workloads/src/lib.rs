@@ -1,8 +1,12 @@
 //! # sesame-workloads — the paper's evaluation workloads
 //!
-//! Drivers reproducing every figure of *Hermannsson & Wittie (ICDCS
-//! 1994)*:
+//! The workloads reproducing every figure of *Hermannsson & Wittie (ICDCS
+//! 1994)*, and the one driver that runs them:
 //!
+//! * [`scenario`] — the closed [`Scenario`](scenario::Scenario) enum over
+//!   the six workloads below and its driver: validate, build, run under an
+//!   optional observer, apply the oracle, return a typed run or a
+//!   [`RunError`](scenario::RunError);
 //! * [`three_cpu`] — Figure 1, three successive mutex accesses compared
 //!   across GWC, entry, and weak/release consistency, cross-checked
 //!   against closed forms;
@@ -17,8 +21,8 @@
 //! * [`contention`] — rollback / contention sweeps (the Figure 7 regime at
 //!   scale) used by the ablation benches;
 //! * [`experiments`] — sweep runners that produce the figures' series;
-//! * [`telemetry`] — scenario drivers wired to the `sesame-telemetry`
-//!   collector (metrics snapshots and Chrome-trace timelines).
+//! * [`telemetry`] — the driver under the `sesame-telemetry` collector
+//!   (metrics snapshots, Chrome-trace timelines, the causal DAG).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +32,7 @@ pub mod canonical;
 pub mod contention;
 pub mod experiments;
 pub mod pipeline;
+pub mod scenario;
 pub mod task_queue;
 pub mod telemetry;
 pub mod three_cpu;

@@ -26,13 +26,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex};
-use sesame_dsm::{
-    run_observed, AppEvent, GroupSpec, NodeApi, Program, RunOptions, RunResult, VarId, Word,
-};
+use sesame_dsm::{AppEvent, GroupSpec, Machine, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
-use sesame_sim::SimDur;
+use sesame_sim::{RunOutcome, SimDur};
+
+use crate::scenario::{Outcome, RunError, Scenario};
 
 /// Which mutual exclusion method the pipeline uses — the three lines of
 /// Figure 8 (the fourth, the no-delay bound, is [`MutexMethod::RegularGwc`]
@@ -162,7 +162,7 @@ struct PipelineCpu {
     visit: Word,
     last_flag_seen: Word,
     pending_fetches: u32,
-    stats_out: Rc<RefCell<(u64, u64)>>, // (rollbacks, fully_overlapped)
+    stats_out: StatsOut,
 }
 
 impl PipelineCpu {
@@ -349,25 +349,17 @@ impl Program for PipelineCpu {
 
 const TAG_SECTION: u64 = 5;
 
-/// Runs Figure 8 for one `(nodes, method)` point.
-///
-/// # Panics
-///
-/// Panics if the pipeline deadlocks (not all visits complete) or a
-/// rollback occurs (the workload is contention-free).
-pub fn run_pipeline(nodes: usize, method: MutexMethod, cfg: PipelineConfig) -> PipelineRun {
-    run_pipeline_observed(nodes, method, cfg, None)
-}
+/// Summed `(rollbacks, fully overlapped completions)` of the optimistic
+/// engines, written as sections complete.
+pub(crate) type StatsOut = Rc<RefCell<(u64, u64)>>;
 
-/// Like [`run_pipeline`], but with an optional online trace observer
-/// (e.g. the `sesame-telemetry` collector). The observer sees every
-/// trace record the run makes.
-pub fn run_pipeline_observed(
+/// Builds the Figure 8 ring and the counters its CPUs report into.
+pub(crate) fn build(
     nodes: usize,
     method: MutexMethod,
-    cfg: PipelineConfig,
-    observer: Option<Rc<RefCell<dyn sesame_sim::TraceObserver>>>,
-) -> PipelineRun {
+    cfg: &PipelineConfig,
+) -> Result<(Machine<ModelInstance>, StatsOut), BuildError> {
+    let cfg = *cfg;
     let stats_out = Rc::new(RefCell::new((0u64, 0u64)));
     let sh_vars: Vec<VarId> = std::iter::once(LOCK)
         .chain((0..cfg.shared_words).map(|w| VarId::new(SH_BASE + w)))
@@ -420,29 +412,70 @@ pub fn run_pipeline_observed(
             }),
         );
     }
-    let machine = builder.build().expect("valid figure-8 system");
-    let result = run_observed(machine, RunOptions::default(), observer);
-    assert_eq!(
-        result.outcome,
-        sesame_sim::RunOutcome::Stopped,
-        "pipeline must complete all {} visits under {} at {nodes} nodes \
-         (ended at {} after {} events)",
-        cfg.total_visits,
-        method.label(),
-        result.end,
-        result.events
-    );
+    Ok((builder.build()?, stats_out))
+}
+
+/// Reads the counters; the oracle is the first shared word, incremented
+/// once per visit by whoever held the lock.
+pub(crate) fn finish(
+    method: MutexMethod,
+    cfg: &PipelineConfig,
+    result: RunResult<ModelInstance>,
+    stats_out: &StatsOut,
+) -> Result<PipelineRun, RunError> {
+    let nodes = result.machine.node_count();
+    if result.outcome != RunOutcome::Stopped {
+        let left = format!(
+            "not all {} visits done under {} at {nodes} nodes (ended at {} after {} events)",
+            cfg.total_visits,
+            method.label(),
+            result.end,
+            result.events
+        );
+        return Err(RunError::Incomplete("pipeline", result.outcome, left));
+    }
+    // GWC keeps the authoritative copy at the group root. Under entry
+    // consistency data ships with the lock, so the current copy is the
+    // last visitor's; node 0 holds the value of its own last visit.
+    let holder = match method {
+        MutexMethod::OptimisticGwc | MutexMethod::RegularGwc => 0,
+        MutexMethod::Entry => (cfg.total_visits - 1) % nodes as u32,
+    };
+    let counted = result
+        .machine
+        .mem(NodeId::new(holder))
+        .read(VarId::new(SH_BASE));
+    if counted != cfg.total_visits as Word {
+        let what = format!(
+            "mutual exclusion: the shared word reads {counted} at node {holder} after {} \
+             visits under {} at {nodes} nodes",
+            cfg.total_visits,
+            method.label()
+        );
+        return Err(RunError::Violated("pipeline", what));
+    }
     let (rollbacks, fully_overlapped) = *stats_out.borrow();
-    // Shared words were incremented once per visit, by whoever held the
-    // lock — a global correctness check on the mutex method.
-    let sh_final = result.machine.mem(NodeId::new(0)).read(VarId::new(SH_BASE));
-    let _ = sh_final;
     let power = result.network_power();
-    PipelineRun {
+    Ok(PipelineRun {
         result,
         power,
         rollbacks,
         fully_overlapped,
+    })
+}
+
+/// Runs Figure 8 for one `(nodes, method)` point.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`]'s text on an invalid configuration, if
+/// the pipeline deadlocks (not all visits complete), or if the shared
+/// word missed an increment.
+pub fn run_pipeline(nodes: usize, method: MutexMethod, cfg: PipelineConfig) -> PipelineRun {
+    match (Scenario::Pipeline { nodes, method, cfg }).run(None) {
+        Ok(Outcome::Pipeline(run)) => run,
+        Ok(other) => unreachable!("a pipeline scenario ended as {other:?}"),
+        Err(e) => panic!("{e}"),
     }
 }
 

@@ -25,11 +25,15 @@
 //! negligible" and "with over 100 processors there are not enough tasks
 //! produced"); see DESIGN.md.
 
-use sesame_core::builder::ModelInstance;
-use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
-use sesame_dsm::{AppEvent, Machine, Model, NodeApi, Program, RunOptions, RunResult, VarId, Word};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_dsm::{AppEvent, Machine, Model, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
-use sesame_sim::SimDur;
+use sesame_sim::{RunOutcome, SimDur};
+
+use crate::scenario::{Outcome, RunError, Scenario};
 
 /// How idle nodes learn that shared state changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,9 +236,8 @@ struct Consumer {
     /// Current backoff ceiling: doubles on futile attempts and stand-downs
     /// (up to the task execution time), resets on a successful dequeue.
     backoff: SimDur,
-    /// Shared registry of per-consumer execution counts, indexed by
-    /// `node - 1`; lets the harness read results after the run.
-    executed_out: std::rc::Rc<std::cell::RefCell<Vec<u32>>>,
+    /// Lets the harness read results after the run.
+    executed_out: ExecutedOut,
 }
 
 impl Consumer {
@@ -362,22 +365,18 @@ impl Program for Consumer {
     }
 }
 
-/// Builds the Figure 2 system for `nodes` CPUs under `model`, returning
-/// the machine and the shared per-consumer execution-count registry.
-///
-/// # Panics
-///
-/// Panics if `nodes < 2` (one producer plus at least one consumer).
-pub fn build_task_queue(
+/// The per-consumer execution counts the consumers report into, indexed
+/// by `node - 1`.
+pub(crate) type ExecutedOut = Rc<RefCell<Vec<u32>>>;
+
+/// Builds the Figure 2 system and the registry its consumers report into.
+pub(crate) fn build(
     nodes: usize,
     model: ModelChoice,
-    cfg: TaskQueueConfig,
-) -> (
-    Machine<ModelInstance>,
-    std::rc::Rc<std::cell::RefCell<Vec<u32>>>,
-) {
-    assert!(nodes >= 2, "need a producer and at least one consumer");
-    let executed_out = std::rc::Rc::new(std::cell::RefCell::new(vec![0u32; nodes - 1]));
+    cfg: &TaskQueueConfig,
+) -> Result<(Machine<ModelInstance>, ExecutedOut), BuildError> {
+    let cfg = *cfg;
+    let executed_out = Rc::new(RefCell::new(vec![0u32; nodes - 1]));
     let notify = NotifyMode::for_model(model, cfg.poll_interval);
     let queue_vars: Vec<VarId> = [LOCK, Q_COUNT, Q_HEAD, Q_TAIL]
         .into_iter()
@@ -412,7 +411,7 @@ pub fn build_task_queue(
             }),
         );
     }
-    let mut machine = builder.build().expect("valid figure-2 system");
+    let mut machine = builder.build()?;
     if cfg.contention {
         machine
             .fabric_mut()
@@ -421,7 +420,55 @@ pub fn build_task_queue(
     if let Some(ec) = machine.model_mut().as_entry_mut() {
         ec.set_handler_time(cfg.ec_handler);
     }
-    (machine, executed_out)
+    Ok((machine, executed_out))
+}
+
+/// Reads the execution counts; the oracle is task conservation — every
+/// produced task executed exactly once.
+pub(crate) fn finish(
+    cfg: &TaskQueueConfig,
+    result: RunResult<ModelInstance>,
+    executed_out: &ExecutedOut,
+) -> Result<TaskQueueRun, RunError> {
+    let executed = executed_out.borrow().clone();
+    let done: u32 = executed.iter().sum();
+    if done != cfg.total_tasks {
+        let detail = format!(
+            "{done} of {} tasks executed under {} at {} nodes",
+            cfg.total_tasks,
+            result.machine.model().name(),
+            result.machine.node_count()
+        );
+        return Err(match result.outcome {
+            RunOutcome::Drained => {
+                RunError::Violated("task-queue", format!("tasks lost or duplicated: {detail}"))
+            }
+            cut_short => RunError::Incomplete("task-queue", cut_short, detail),
+        });
+    }
+    let speedup = result.network_power();
+    Ok(TaskQueueRun {
+        result,
+        executed,
+        speedup,
+    })
+}
+
+/// Builds the Figure 2 system for `nodes` CPUs under `model`, returning
+/// the machine and the shared per-consumer execution-count registry.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`]'s text on an invalid configuration, e.g.
+/// `nodes < 2` (one producer plus at least one consumer).
+pub fn build_task_queue(
+    nodes: usize,
+    model: ModelChoice,
+    cfg: TaskQueueConfig,
+) -> (Machine<ModelInstance>, Rc<RefCell<Vec<u32>>>) {
+    let scenario = Scenario::TaskQueue { nodes, model, cfg };
+    scenario.validate().unwrap_or_else(|e| panic!("{e}"));
+    build(nodes, model, &cfg).expect("valid figure-2 system")
 }
 
 /// Runs Figure 2 for one `(nodes, model)` point and reports the paper's
@@ -429,42 +476,13 @@ pub fn build_task_queue(
 ///
 /// # Panics
 ///
-/// Panics if tasks were lost (executed counts must sum to the total).
+/// Panics with the [`RunError`]'s text on an invalid configuration or if
+/// tasks were lost (executed counts must sum to the total).
 pub fn run_task_queue(nodes: usize, model: ModelChoice, cfg: TaskQueueConfig) -> TaskQueueRun {
-    run_task_queue_observed(nodes, model, cfg, None)
-}
-
-/// Like [`run_task_queue`], but with an optional online trace observer
-/// (e.g. the `sesame-telemetry` collector). The observer sees every
-/// trace record even when `cfg.tracing` is false.
-pub fn run_task_queue_observed(
-    nodes: usize,
-    model: ModelChoice,
-    cfg: TaskQueueConfig,
-    observer: Option<std::rc::Rc<std::cell::RefCell<dyn sesame_sim::TraceObserver>>>,
-) -> TaskQueueRun {
-    let (machine, executed_out) = build_task_queue(nodes, model, cfg);
-    let result = sesame_dsm::run_observed(
-        machine,
-        RunOptions {
-            tracing: cfg.tracing,
-            ..RunOptions::default()
-        },
-        observer,
-    );
-    let executed = executed_out.borrow().clone();
-    let done: u32 = executed.iter().sum();
-    assert_eq!(
-        done,
-        cfg.total_tasks,
-        "tasks lost or duplicated under {} at {nodes} nodes",
-        result.machine.model().name()
-    );
-    let speedup = result.network_power();
-    TaskQueueRun {
-        result,
-        executed,
-        speedup,
+    match (Scenario::TaskQueue { nodes, model, cfg }).run(None) {
+        Ok(Outcome::TaskQueue(run)) => run,
+        Ok(other) => unreachable!("a task-queue scenario ended as {other:?}"),
+        Err(e) => panic!("{e}"),
     }
 }
 

@@ -1,160 +1,83 @@
-//! Telemetry-instrumented scenario drivers — the glue between the
-//! workload runners and `sesame-telemetry`.
+//! The glue between the scenario driver and `sesame-telemetry`.
 //!
-//! [`run_with_telemetry`] wires a [`Telemetry`] collector into a workload
-//! as an online trace observer (per-event metrics and timeline spans),
-//! then folds the post-run machine statistics — fabric traffic, per-node
-//! CPU efficiency, memory-model counters — into the same registry. The
-//! result is one self-contained [`Telemetry`] whose snapshot and Chrome
-//! trace are byte-identical across same-seed runs.
+//! [`observe`] attaches a [`Telemetry`] collector to a [`Scenario`] as its
+//! online trace observer (per-event metrics, timeline spans, the causal
+//! DAG), then folds the post-run machine statistics — fabric traffic,
+//! per-node CPU efficiency, memory-model counters — and the workload's own
+//! results into the same registry. The result is one self-contained
+//! [`Telemetry`] whose snapshot and Chrome trace are byte-identical across
+//! same-seed runs.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use sesame_core::builder::{ModelChoice, ModelInstance};
+use sesame_core::builder::ModelInstance;
 use sesame_dsm::RunResult;
 use sesame_net::NodeId;
-use sesame_sim::{SimDur, TraceObserver};
 use sesame_telemetry::Telemetry;
 
-use crate::contention::{run_contention_observed, ContentionConfig};
-use crate::task_queue::{run_task_queue_observed, TaskQueueConfig};
-use crate::three_cpu::{run_figure1_observed, Figure1Config};
+use crate::canonical::COUNTER;
+use crate::scenario::{Outcome, RunError, Scenario};
 
-/// A workload selectable by name (the CLI's `--scenario`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scenario {
-    /// Figure 1: three CPUs, three successive mutex accesses under GWC.
-    ThreeCpu,
-    /// The contention sweep's single point: K hammers on one lock with
-    /// the optimistic engine.
-    Contention,
-    /// Figure 2: task management through a lock-protected shared queue.
-    TaskQueue,
-}
-
-impl Scenario {
-    /// Every scenario, in CLI listing order.
-    pub const ALL: [Scenario; 3] = [
-        Scenario::ThreeCpu,
-        Scenario::Contention,
-        Scenario::TaskQueue,
-    ];
-
-    /// Parses a CLI scenario name.
-    pub fn parse(name: &str) -> Option<Scenario> {
-        match name {
-            "three-cpu" => Some(Scenario::ThreeCpu),
-            "contention" => Some(Scenario::Contention),
-            "task-queue" => Some(Scenario::TaskQueue),
-            _ => None,
-        }
-    }
-
-    /// The CLI name (also the snapshot's `scenario` field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Scenario::ThreeCpu => "three-cpu",
-            Scenario::Contention => "contention",
-            Scenario::TaskQueue => "task-queue",
-        }
-    }
-}
-
-/// Knobs for the telemetry-instrumented scenarios. Fields irrelevant to a
-/// scenario are ignored (e.g. `contenders` for the task queue).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioOptions {
-    /// Contending nodes (contention scenario).
-    pub contenders: u32,
-    /// Critical sections per contender (contention scenario).
-    pub rounds: u32,
-    /// Total tasks produced (task-queue scenario).
-    pub tasks: u32,
-    /// System size (task-queue scenario; three-cpu is fixed at 3 and
-    /// contention uses `contenders + 1`).
-    pub nodes: usize,
-    /// Workload seed (think times of the contention scenario; recorded in
-    /// the snapshot for all scenarios).
-    pub seed: u64,
-    /// Whether to collect timeline spans for the Chrome-trace export.
-    pub timeline: bool,
-    /// When set, collect a windowed time series with this window width
-    /// (the `sesame-series/v1` export).
-    pub window: Option<SimDur>,
-    /// A causal event id whose chain will be asked for (`sesame explain
-    /// --event`): the collector keeps it and its ancestors alongside the
-    /// rollbacks' and the critical path's.
-    pub explain: Option<u64>,
-}
-
-impl Default for ScenarioOptions {
-    fn default() -> Self {
-        ScenarioOptions {
-            contenders: 4,
-            rounds: 25,
-            tasks: 48,
-            nodes: 5,
-            seed: 7,
-            timeline: false,
-            window: None,
-            explain: None,
-        }
-    }
-}
-
-/// Runs `scenario` with an attached telemetry collector and returns the
-/// finished collector (spans closed, post-run statistics absorbed).
-pub fn run_with_telemetry(scenario: Scenario, opts: &ScenarioOptions) -> Telemetry {
-    let mut telemetry = Telemetry::new(scenario.name(), opts.seed).with_timeline(opts.timeline);
-    if let Some(window) = opts.window {
-        telemetry = telemetry.with_series(window);
-    }
-    if let Some(id) = opts.explain {
-        telemetry = telemetry.with_explained_event(id);
-    }
+/// Runs `scenario` with `telemetry` attached as its observer and returns
+/// the finished collector: spans closed, post-run statistics absorbed
+/// ([`absorb_run`]), and the workload's results under `run/`:
+///
+/// | scenario | keys |
+/// |---|---|
+/// | `three-cpu` | `run/completion-ns`, `run/lock-wait-{0,1,2}-ns` |
+/// | `contention` | `run/sections`, `run/mean-section-latency-ns` |
+/// | `task-queue` | `run/tasks`, `run/speedup` |
+/// | `pipeline` | `run/fully-overlapped`, `run/power` |
+/// | `bigmesh` | `run/visits`, `run/rows`, `run/power` |
+/// | `canonical` | `run/counter` |
+///
+/// Build the collector with what the exports need — e.g.
+/// `Telemetry::new(scenario.name(), seed).with_timeline(true)`.
+///
+/// # Errors
+///
+/// Returns the driver's [`RunError`] if the scenario did not run clean.
+pub fn observe(scenario: &Scenario, telemetry: Telemetry) -> Result<Telemetry, RunError> {
     let shared = telemetry.shared();
-    let observer: Rc<RefCell<dyn TraceObserver>> = shared.clone();
-    match scenario {
-        Scenario::ThreeCpu => {
-            let (fig, result) =
-                run_figure1_observed(ModelChoice::Gwc, Figure1Config::default(), Some(observer));
-            let mut t = shared.borrow_mut();
-            absorb_run(&mut t, &result);
-            let reg = t.registry_mut();
-            *reg.gauge("run/completion-ns") = fig.completion.as_nanos() as f64;
-            for (i, wait) in fig.lock_waits.iter().enumerate() {
-                *reg.gauge(&format!("run/lock-wait-{i}-ns")) = wait.as_nanos() as f64;
+    let outcome = scenario.run(Some(shared.clone()))?;
+    {
+        let mut t = shared.borrow_mut();
+        absorb_run(&mut t, outcome.result());
+        let reg = t.registry_mut();
+        match &outcome {
+            Outcome::ThreeCpu(fig, _) => {
+                *reg.gauge("run/completion-ns") = fig.completion.as_nanos() as f64;
+                for (i, wait) in fig.lock_waits.iter().enumerate() {
+                    *reg.gauge(&format!("run/lock-wait-{i}-ns")) = wait.as_nanos() as f64;
+                }
+            }
+            Outcome::Contention(run) => {
+                reg.counter("run/sections").add(run.sections);
+                *reg.gauge("run/mean-section-latency-ns") =
+                    run.mean_section_latency.as_nanos() as f64;
+            }
+            Outcome::TaskQueue(run) => {
+                let tasks: u32 = run.executed.iter().sum();
+                reg.counter("run/tasks").add(u64::from(tasks));
+                *reg.gauge("run/speedup") = run.speedup;
+            }
+            Outcome::Pipeline(run) => {
+                reg.counter("run/fully-overlapped")
+                    .add(run.fully_overlapped);
+                *reg.gauge("run/power") = run.power;
+            }
+            Outcome::BigMesh(run, _) => {
+                reg.counter("run/visits").add(run.visits);
+                reg.counter("run/rows").add(run.rows as u64);
+                *reg.gauge("run/power") = run.power;
+            }
+            Outcome::Canonical(result) => {
+                let counter = result.machine.mem(NodeId::new(0)).read(COUNTER);
+                *reg.gauge("run/counter") = counter as f64;
             }
         }
-        Scenario::Contention => {
-            let cfg = ContentionConfig {
-                contenders: opts.contenders,
-                rounds: opts.rounds,
-                seed: opts.seed,
-                ..ContentionConfig::default()
-            };
-            let run = run_contention_observed(cfg, Some(observer));
-            let mut t = shared.borrow_mut();
-            absorb_run(&mut t, &run.result);
-            let reg = t.registry_mut();
-            reg.counter("run/sections").add(run.sections);
-            *reg.gauge("run/mean-section-latency-ns") = run.mean_section_latency.as_nanos() as f64;
-        }
-        Scenario::TaskQueue => {
-            let cfg = TaskQueueConfig {
-                total_tasks: opts.tasks,
-                ..TaskQueueConfig::default()
-            };
-            let run = run_task_queue_observed(opts.nodes, ModelChoice::Gwc, cfg, Some(observer));
-            let mut t = shared.borrow_mut();
-            absorb_run(&mut t, &run.result);
-            let reg = t.registry_mut();
-            reg.counter("run/tasks").add(u64::from(cfg.total_tasks));
-            *reg.gauge("run/speedup") = run.speedup;
-        }
     }
-    Telemetry::unwrap_shared(shared)
+    // The outcome's trace recorder holds the observer too.
+    drop(outcome);
+    Ok(Telemetry::unwrap_shared(shared))
 }
 
 /// Folds a finished run's machine statistics into the registry and closes
@@ -229,10 +152,32 @@ fn model_counters(model: &ModelInstance) -> Vec<(&'static str, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contention::ContentionConfig;
+    use sesame_sim::SimDur;
+
+    /// The contention scenario at its smoke size: 4 contenders x 25
+    /// rounds, seed 7.
+    fn contention() -> ContentionConfig {
+        match Scenario::parse("contention") {
+            Some(Scenario::Contention(cfg)) => cfg,
+            other => unreachable!("{other:?}"),
+        }
+    }
+
+    fn collect(scenario: Scenario, telemetry: Telemetry) -> Telemetry {
+        observe(&scenario, telemetry).expect("a clean run")
+    }
+
+    /// A plain collector on the contention scenario at `cfg`.
+    fn observed(cfg: ContentionConfig) -> Telemetry {
+        collect(Scenario::Contention(cfg), Telemetry::new("contention", 7))
+    }
 
     #[test]
     fn scenario_names_round_trip() {
-        for s in Scenario::ALL {
+        for name in Scenario::NAMES {
+            let s = Scenario::parse(name).expect("a listed name");
+            assert_eq!(s.name(), name);
             assert_eq!(Scenario::parse(s.name()), Some(s));
         }
         assert_eq!(Scenario::parse("nope"), None);
@@ -240,11 +185,10 @@ mod tests {
 
     #[test]
     fn contention_telemetry_counts_optimism_and_traffic() {
-        let opts = ScenarioOptions {
+        let t = observed(ContentionConfig {
             rounds: 10,
-            ..ScenarioOptions::default()
-        };
-        let t = run_with_telemetry(Scenario::Contention, &opts);
+            ..contention()
+        });
         let snap = t.snapshot();
         assert_eq!(snap.scenario, "contention");
         assert_eq!(snap.counter("run/sections"), 40);
@@ -261,12 +205,14 @@ mod tests {
 
     #[test]
     fn timeline_collects_spans_when_enabled() {
-        let opts = ScenarioOptions {
+        let scenario = Scenario::Contention(ContentionConfig {
             rounds: 5,
-            timeline: true,
-            ..ScenarioOptions::default()
-        };
-        let t = run_with_telemetry(Scenario::Contention, &opts);
+            ..contention()
+        });
+        let t = collect(
+            scenario,
+            Telemetry::new("contention", 7).with_timeline(true),
+        );
         assert!(!t.timeline().is_empty());
         let trace = t.chrome_trace();
         assert!(trace.contains("\"traceEvents\""));
@@ -275,28 +221,29 @@ mod tests {
 
     #[test]
     fn three_cpu_and_task_queue_produce_snapshots() {
-        let opts = ScenarioOptions {
-            tasks: 16,
-            ..ScenarioOptions::default()
-        };
-        let a = run_with_telemetry(Scenario::ThreeCpu, &opts);
+        let three_cpu = Scenario::parse("three-cpu").unwrap();
+        let a = collect(three_cpu, Telemetry::new("three-cpu", 7));
         assert!(a.snapshot().counter("net/packets") > 0);
         assert!(a.registry().get("run/completion-ns").is_some());
-        let b = run_with_telemetry(Scenario::TaskQueue, &opts);
+        let Some(Scenario::TaskQueue { nodes, model, cfg }) = Scenario::parse("task-queue") else {
+            unreachable!()
+        };
+        let cfg = crate::task_queue::TaskQueueConfig {
+            total_tasks: 16,
+            ..cfg
+        };
+        let b = collect(
+            Scenario::TaskQueue { nodes, model, cfg },
+            Telemetry::new("task-queue", 7),
+        );
         assert_eq!(b.snapshot().counter("run/tasks"), 16);
         assert!(b.snapshot().counter("gwc/grants") > 0);
     }
 
     #[test]
     fn observer_does_not_change_the_simulation() {
-        let opts = ScenarioOptions::default();
-        let observed = run_with_telemetry(Scenario::Contention, &opts);
-        let bare = crate::contention::run_contention(ContentionConfig {
-            contenders: opts.contenders,
-            rounds: opts.rounds,
-            seed: opts.seed,
-            ..ContentionConfig::default()
-        });
+        let observed = observed(contention());
+        let bare = crate::contention::run_contention(contention());
         assert_eq!(observed.end(), bare.result.end);
         assert_eq!(
             observed.snapshot().counter("run/events"),
@@ -310,8 +257,7 @@ mod tests {
     #[test]
     fn causal_chains_connect_every_rollback_to_its_remote_write() {
         use sesame_sim::CauseOp;
-        let opts = ScenarioOptions::default();
-        let t = run_with_telemetry(Scenario::Contention, &opts);
+        let t = observed(contention());
         let dag = t.causes();
         let rollbacks = dag.rollbacks();
         assert!(!rollbacks.is_empty(), "contention must roll back");
@@ -335,8 +281,7 @@ mod tests {
 
     #[test]
     fn critical_path_reaches_the_run_end() {
-        let opts = ScenarioOptions::default();
-        let t = run_with_telemetry(Scenario::Contention, &opts);
+        let t = observed(contention());
         let path = t.causes().critical_path().expect("non-empty DAG");
         // The chain ending at the run's final causal event accounts for
         // the whole run, and its category split telescopes exactly.
@@ -349,11 +294,11 @@ mod tests {
 
     #[test]
     fn time_series_covers_the_run_and_sums_match_the_snapshot() {
-        let opts = ScenarioOptions {
-            window: Some(SimDur::from_us(100)),
-            ..ScenarioOptions::default()
+        let windowed = || {
+            let series = Telemetry::new("contention", 7).with_series(SimDur::from_us(100));
+            collect(Scenario::Contention(contention()), series)
         };
-        let t = run_with_telemetry(Scenario::Contention, &opts);
+        let t = windowed();
         let series = t.series_export().expect("series enabled");
         let snap = t.snapshot();
         // The padded series covers [0, end) exactly.
@@ -380,28 +325,21 @@ mod tests {
         assert!(sum(|w| w.packets) > 0);
         // Same seed → byte-identical series exports; riding along changes
         // nothing about the run itself.
-        let again = run_with_telemetry(Scenario::Contention, &opts);
+        let again = windowed();
         assert_eq!(again.series_json(), t.series_json());
         assert_eq!(again.series_csv(), t.series_csv());
-        let bare = run_with_telemetry(
-            Scenario::Contention,
-            &ScenarioOptions {
-                window: None,
-                ..opts
-            },
-        );
+        let bare = observed(contention());
         assert!(bare.series_export().is_none());
         assert_eq!(bare.snapshot(), snap);
     }
 
     #[test]
     fn causal_exports_are_byte_identical_for_same_seed_runs() {
-        let opts = ScenarioOptions {
-            timeline: true,
-            ..ScenarioOptions::default()
+        let spans = || {
+            let timeline = Telemetry::new("contention", 7).with_timeline(true);
+            collect(Scenario::Contention(contention()), timeline)
         };
-        let a = run_with_telemetry(Scenario::Contention, &opts);
-        let b = run_with_telemetry(Scenario::Contention, &opts);
+        let (a, b) = (spans(), spans());
         assert_eq!(a.causes_json(), b.causes_json());
         assert_eq!(a.causes_dot(), b.causes_dot());
         // Flow-event arrows live in the Chrome trace.

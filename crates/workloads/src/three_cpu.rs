@@ -20,10 +20,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
-use sesame_dsm::{AppEvent, NodeApi, Program, RunOptions, RunResult, VarId, Word};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_dsm::{AppEvent, Machine, Model, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::{SimDur, SimTime, TraceRecorder};
+
+use crate::scenario::{Outcome, RunError, Scenario};
 
 /// Parameters of the Figure 1 scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,7 +68,7 @@ pub struct Figure1Run {
 }
 
 /// Shared log of `(cpu, mark, time)` scenario events.
-type MarkLog = Rc<RefCell<Vec<(u32, &'static str, SimTime)>>>;
+pub(crate) type MarkLog = Rc<RefCell<Vec<(u32, &'static str, SimTime)>>>;
 
 const LOCK: VarId = VarId::new(0);
 const DATA_BASE: u32 = 10;
@@ -150,23 +152,12 @@ impl Program for ScenarioCpu {
     }
 }
 
-/// Runs the Figure 1 scenario under one model.
-///
-/// # Panics
-///
-/// Panics if the scenario does not complete (a protocol bug).
-pub fn run_figure1(model: ModelChoice, cfg: Figure1Config) -> Figure1Run {
-    run_figure1_observed(model, cfg, None).0
-}
-
-/// Like [`run_figure1`], but with an optional online trace observer
-/// (e.g. the `sesame-telemetry` collector), and also returning the raw
-/// machine-run result so callers can harvest post-run statistics.
-pub fn run_figure1_observed(
+/// Builds the Figure 1 machine under `model` and the mark log its CPUs
+/// write.
+pub(crate) fn build(
     model: ModelChoice,
-    cfg: Figure1Config,
-    observer: Option<Rc<RefCell<dyn sesame_sim::TraceObserver>>>,
-) -> (Figure1Run, RunResult<ModelInstance>) {
+    cfg: &Figure1Config,
+) -> Result<(Machine<ModelInstance>, MarkLog), BuildError> {
     let log: MarkLog = Rc::new(RefCell::new(Vec::new()));
     let mk = |request_offset: SimDur, warmup_writer: bool| ScenarioCpu {
         request_offset,
@@ -189,39 +180,51 @@ pub fn run_figure1_observed(
         .program(NodeId::new(0), Box::new(mk(SimDur::ZERO, false)))
         .program(NodeId::new(1), Box::new(mk(SimDur::from_nanos(500), true)))
         .program(NodeId::new(2), Box::new(mk(SimDur::from_nanos(10), false)))
-        .build()
-        .expect("valid figure-1 system");
-    let name = {
-        use sesame_dsm::Model;
-        machine.model().name()
-    };
-    let result = sesame_dsm::run_observed(
-        machine,
-        RunOptions {
-            tracing: true,
-            ..RunOptions::default()
-        },
-        observer,
-    );
+        .build()?;
+    Ok((machine, log))
+}
 
+/// Reads the marks into a [`Figure1Run`], which takes the run's trace
+/// with it. The scenario has no oracle of its own (the tests hold its
+/// completion times to the closed forms); a CPU that never logged a mark
+/// means the run did not complete.
+pub(crate) fn finish(
+    cfg: &Figure1Config,
+    result: &mut RunResult<ModelInstance>,
+    log: &MarkLog,
+) -> Result<Figure1Run, RunError> {
+    let (name, outcome) = (result.machine.model().name(), result.outcome);
     let log = log.borrow();
     let start = SimTime::ZERO + cfg.start_at;
-    let time_of = |cpu: u32, what: &str| -> SimTime {
-        log.iter()
-            .find(|&&(c, w, _)| c == cpu && w == what)
-            .unwrap_or_else(|| panic!("cpu{cpu} never logged '{what}' under {name}"))
-            .2
+    let time_of = |cpu: u32, what: &str| -> Result<SimTime, RunError> {
+        let mark = log.iter().find(|&&(c, w, _)| c == cpu && w == what);
+        mark.map(|m| m.2).ok_or_else(|| {
+            let left = format!("cpu{cpu} never logged '{what}' under {name}");
+            RunError::Incomplete("three-cpu", outcome, left)
+        })
     };
-    let wait_of = |cpu: u32| time_of(cpu, "granted") - time_of(cpu, "request");
-    let fig = Figure1Run {
+    let wait_of = |cpu: u32| Ok(time_of(cpu, "granted")? - time_of(cpu, "request")?);
+    Ok(Figure1Run {
         model: name,
-        completion: time_of(1, "released").saturating_since(start),
-        lock_waits: [wait_of(0), wait_of(2), wait_of(1)],
+        completion: time_of(1, "released")?.saturating_since(start),
+        lock_waits: [wait_of(0)?, wait_of(2)?, wait_of(1)?],
         marks: log.clone(),
-        trace: result.trace.clone(),
-    };
-    drop(log);
-    (fig, result)
+        trace: std::mem::take(&mut result.trace),
+    })
+}
+
+/// Runs the Figure 1 scenario under one model.
+///
+/// # Panics
+///
+/// Panics with the [`RunError`]'s text on an invalid configuration or if
+/// the scenario does not complete (a protocol bug).
+pub fn run_figure1(model: ModelChoice, cfg: Figure1Config) -> Figure1Run {
+    match (Scenario::ThreeCpu { model, cfg }).run(None) {
+        Ok(Outcome::ThreeCpu(run, _)) => run,
+        Ok(other) => unreachable!("a three-cpu scenario ended as {other:?}"),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Runs the scenario under all three models, in the paper's order.

@@ -6,9 +6,12 @@
 //! This is the contract that makes `--jobs` safe to use everywhere: host
 //! scheduling may reorder *completion*, never *results*.
 
+use sesame_telemetry::Telemetry;
+use sesame_workloads::contention::ContentionConfig;
 use sesame_workloads::experiments::{figure8_jobs, figure8_optimism_jobs};
 use sesame_workloads::pipeline::PipelineConfig;
-use sesame_workloads::telemetry::{run_with_telemetry, Scenario, ScenarioOptions};
+use sesame_workloads::scenario::Scenario;
+use sesame_workloads::telemetry::observe;
 
 fn cfg() -> PipelineConfig {
     PipelineConfig {
@@ -47,19 +50,17 @@ fn metrics_snapshot_json_is_byte_identical_across_concurrent_runs() {
     // The exact artifact `sesame run --metrics-out` writes, produced by
     // four concurrent copies of the same scenario plus one serial run:
     // all five JSON strings must be byte-for-byte equal.
-    let opts = ScenarioOptions {
+    let scenario = Scenario::Contention(ContentionConfig {
         contenders: 4,
         rounds: 15,
-        ..ScenarioOptions::default()
-    };
-    let reference = run_with_telemetry(Scenario::Contention, &opts)
-        .snapshot()
-        .to_json();
-    let copies = sesame_sweep::run_sweep(4, 4, |_| {
-        run_with_telemetry(Scenario::Contention, &opts)
-            .snapshot()
-            .to_json()
+        ..ContentionConfig::default()
     });
+    let snapshot_json = || {
+        let telemetry = observe(&scenario, Telemetry::new("contention", 7));
+        telemetry.expect("a clean run").snapshot().to_json()
+    };
+    let reference = snapshot_json();
+    let copies = sesame_sweep::run_sweep(4, 4, |_| snapshot_json());
     for (i, copy) in copies.iter().enumerate() {
         assert_eq!(copy, &reference, "concurrent copy {i} diverged");
     }

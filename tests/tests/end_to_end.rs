@@ -6,7 +6,7 @@ use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
 use sesame_dsm::{run, AppEvent, NodeApi, Program, RunOptions, VarId};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::SimDur;
-use sesame_workloads::experiments::{figure1, figure2, figure8};
+use sesame_workloads::experiments::{figure1, figure2_jobs, figure8_jobs};
 use sesame_workloads::pipeline::PipelineConfig;
 use sesame_workloads::task_queue::TaskQueueConfig;
 use sesame_workloads::three_cpu::Figure1Config;
@@ -43,7 +43,7 @@ fn figure2_mini_sweep_preserves_the_papers_shape() {
         exec_time: SimDur::from_us(400),
         ..TaskQueueConfig::default()
     };
-    let data = figure2(cfg, &[3, 5, 9]);
+    let data = figure2_jobs(cfg, &[3, 5, 9], 1);
     for (i, &n) in [3.0f64, 5.0, 9.0].iter().enumerate() {
         let ideal = data.ideal.points[i].y;
         let gwc = data.gwc.points[i].y;
@@ -63,7 +63,7 @@ fn figure8_mini_sweep_preserves_the_papers_shape() {
         total_visits: 128,
         ..PipelineConfig::default()
     };
-    let data = figure8(cfg, &[2, 8]);
+    let data = figure8_jobs(cfg, &[2, 8], 1);
     // The bound sits at 17/9 for every size.
     for p in &data.ideal.points {
         assert!((p.y - cfg.ideal_power()).abs() < 0.02, "bound {p:?}");
@@ -166,7 +166,7 @@ fn figure_drivers_are_deterministic() {
         ..TaskQueueConfig::default()
     };
     let f2 = || {
-        let d = figure2(cfg2, &[5]);
+        let d = figure2_jobs(cfg2, &[5], 1);
         (d.ideal.points[0].y, d.gwc.points[0].y, d.entry.points[0].y)
     };
     assert_eq!(f2(), f2());
@@ -176,7 +176,7 @@ fn figure_drivers_are_deterministic() {
         ..PipelineConfig::default()
     };
     let f8 = || {
-        let d = figure8(cfg8, &[4]);
+        let d = figure8_jobs(cfg8, &[4], 1);
         (
             d.ideal.points[0].y,
             d.optimistic.points[0].y,
@@ -190,7 +190,7 @@ fn figure_drivers_are_deterministic() {
 /// Full-scale Figure 2 sanity at 129 nodes — slow in debug builds, so it
 /// only runs when asked for explicitly (`cargo test -- --ignored`).
 #[test]
-#[ignore = "full 129-node sweep; run with --ignored (or see repro-fig2)"]
+#[ignore = "full 129-node sweep; run with --ignored (or see `sesame fig2`)"]
 fn full_scale_task_management_conserves_tasks() {
     use sesame_workloads::task_queue::run_task_queue;
     let cfg = TaskQueueConfig::default();

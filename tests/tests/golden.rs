@@ -30,9 +30,12 @@
 //! move.
 
 use sesame_sim::SimDur;
+use sesame_telemetry::Telemetry;
+use sesame_workloads::contention::ContentionConfig;
 use sesame_workloads::experiments::figure8_jobs;
 use sesame_workloads::pipeline::PipelineConfig;
-use sesame_workloads::telemetry::{run_with_telemetry, Scenario, ScenarioOptions};
+use sesame_workloads::scenario::Scenario;
+use sesame_workloads::telemetry::observe;
 
 /// Rebuilds the exact stdout of `sesame fig8 --sizes 2,4,8 --visits 128
 /// --format csv`: the four CSV series joined as the CLI's `render` does,
@@ -57,13 +60,14 @@ fn fig8_csv() -> String {
 
 /// The contention run behind the three JSON goldens: `sesame run
 /// --scenario contention --contenders 4 --rounds 15 --window 100000`.
-fn contention_opts() -> ScenarioOptions {
-    ScenarioOptions {
+fn contention_run() -> Telemetry {
+    let scenario = Scenario::Contention(ContentionConfig {
         contenders: 4,
         rounds: 15,
-        window: Some(SimDur::from_nanos(100_000)),
-        ..ScenarioOptions::default()
-    }
+        ..ContentionConfig::default()
+    });
+    let series = Telemetry::new("contention", 7).with_series(SimDur::from_nanos(100_000));
+    observe(&scenario, series).expect("a clean run")
 }
 
 #[test]
@@ -77,7 +81,7 @@ fn fig8_series_csv_matches_prechange_golden() {
 
 #[test]
 fn contention_metrics_snapshot_matches_prechange_golden() {
-    let t = run_with_telemetry(Scenario::Contention, &contention_opts());
+    let t = contention_run();
     assert_eq!(
         t.snapshot().to_json(),
         include_str!("../golden/contention_metrics.json"),
@@ -87,7 +91,7 @@ fn contention_metrics_snapshot_matches_prechange_golden() {
 
 #[test]
 fn contention_causes_export_matches_prechange_golden() {
-    let t = run_with_telemetry(Scenario::Contention, &contention_opts());
+    let t = contention_run();
     assert_eq!(
         t.causes_json(),
         include_str!("../golden/contention_causes.json"),
@@ -97,7 +101,7 @@ fn contention_causes_export_matches_prechange_golden() {
 
 #[test]
 fn contention_series_export_matches_prechange_golden() {
-    let t = run_with_telemetry(Scenario::Contention, &contention_opts());
+    let t = contention_run();
     assert_eq!(
         t.series_json().expect("window enables the series"),
         include_str!("../golden/contention_series.json"),

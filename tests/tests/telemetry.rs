@@ -4,53 +4,86 @@
 //! CSV files, and Chrome traces; attaching the collector must not change
 //! the simulation timeline.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use sesame_sim::SimDur;
 use sesame_telemetry::{CausalDag, Telemetry};
+use sesame_verify::Verifier;
 use sesame_workloads::contention::{run_contention, run_contention_observed, ContentionConfig};
-use sesame_workloads::telemetry::{absorb_run, run_with_telemetry, Scenario, ScenarioOptions};
+use sesame_workloads::scenario::Scenario;
+use sesame_workloads::task_queue::TaskQueueConfig;
+use sesame_workloads::telemetry::{absorb_run, observe};
 
-fn opts(_scenario: Scenario) -> ScenarioOptions {
-    ScenarioOptions {
+/// The contention scenario every single-scenario test here runs: 4
+/// contenders x 15 rounds on seed 11.
+fn contention() -> ContentionConfig {
+    ContentionConfig {
+        contenders: 4,
         rounds: 15,
-        tasks: 32,
         seed: 11,
-        timeline: true,
-        ..ScenarioOptions::default()
+        ..ContentionConfig::default()
     }
+}
+
+/// All six scenarios: contention and the task queue at this suite's sizes
+/// (15 rounds, 32 tasks), the rest at the smoke sizes `sesame verify
+/// --scenario all` runs (a 400-CPU mesh, 128 visits round 8 CPUs, the
+/// canonical mutex at 3 x 2).
+fn scenarios() -> Vec<Scenario> {
+    let sized = |name| match Scenario::parse(name).expect("a listed name") {
+        Scenario::Contention(_) => Scenario::Contention(contention()),
+        Scenario::TaskQueue { nodes, model, cfg } => {
+            let total_tasks = 32;
+            let cfg = TaskQueueConfig { total_tasks, ..cfg };
+            Scenario::TaskQueue { nodes, model, cfg }
+        }
+        other => other,
+    };
+    Scenario::NAMES.into_iter().map(sized).collect()
+}
+
+/// A collector with a timeline, as `sesame run --timeline-out` builds it.
+fn collect(scenario: &Scenario) -> Telemetry {
+    let telemetry = Telemetry::new(scenario.name(), 11).with_timeline(true);
+    observe(scenario, telemetry).expect("a clean run")
+}
+
+#[test]
+fn every_scenario_name_round_trips_through_the_parser() {
+    let names: Vec<&str> = scenarios().iter().map(Scenario::name).collect();
+    assert_eq!(names, Scenario::NAMES);
 }
 
 #[test]
 fn same_seed_exports_are_byte_identical() {
-    for scenario in Scenario::ALL {
-        let a = run_with_telemetry(scenario, &opts(scenario));
-        let b = run_with_telemetry(scenario, &opts(scenario));
+    for scenario in scenarios() {
+        let name = scenario.name();
+        let (a, b) = (collect(&scenario), collect(&scenario));
         assert_eq!(
             a.snapshot().to_json(),
             b.snapshot().to_json(),
-            "snapshot JSON differs for {}",
-            scenario.name()
+            "snapshot JSON differs for {name}"
         );
         assert_eq!(
             a.snapshot().to_csv(),
             b.snapshot().to_csv(),
-            "snapshot CSV differs for {}",
-            scenario.name()
+            "snapshot CSV differs for {name}"
         );
         assert_eq!(
             a.chrome_trace(),
             b.chrome_trace(),
-            "Chrome trace differs for {}",
-            scenario.name()
+            "Chrome trace differs for {name}"
         );
-        assert!(!a.timeline().is_empty(), "{} timeline", scenario.name());
+        assert_eq!(a.causes_json(), b.causes_json(), "causes differ for {name}");
+        assert!(!a.timeline().is_empty(), "{name} timeline");
     }
 }
 
 #[test]
 fn snapshot_json_round_trips_exactly() {
-    let t = run_with_telemetry(Scenario::Contention, &opts(Scenario::Contention));
+    let t = collect(&Scenario::Contention(contention()));
     let json = t.snapshot().to_json();
     let parsed = sesame_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
     assert_eq!(parsed.to_json(), json);
@@ -63,14 +96,8 @@ fn telemetry_observer_does_not_perturb_the_simulation() {
     // The acceptance bar: disabling telemetry changes no simulation
     // timeline. Compare an observed run against a bare run of the same
     // configuration.
-    let cfg = ContentionConfig {
-        contenders: 4,
-        rounds: 15,
-        seed: 11,
-        ..ContentionConfig::default()
-    };
-    let bare = run_contention(cfg);
-    let observed = run_with_telemetry(Scenario::Contention, &opts(Scenario::Contention));
+    let bare = run_contention(contention());
+    let observed = collect(&Scenario::Contention(contention()));
     assert_eq!(observed.end(), bare.result.end, "simulated end drifted");
     assert_eq!(
         observed.snapshot().counter("run/events"),
@@ -85,8 +112,39 @@ fn telemetry_observer_does_not_perturb_the_simulation() {
 }
 
 #[test]
+fn no_observer_perturbs_any_scenario_and_every_one_verifies_clean() {
+    // Plain, under the collector, under the online verifier: the same
+    // makespan, event count and fabric traffic three times, and not one
+    // diagnostic.
+    for scenario in scenarios() {
+        let name = scenario.name();
+        let plain = scenario.run(None).expect("a clean run");
+        let plain = plain.result();
+        let collected = collect(&scenario).snapshot();
+        assert_eq!(collected.end_ns, plain.end.as_nanos(), "{name}");
+        assert_eq!(collected.counter("run/events"), plain.events, "{name}");
+        let fabric = plain.machine.fabric_stats();
+        assert_eq!(collected.counter("net/packets"), fabric.packets, "{name}");
+        assert_eq!(collected.counter("net/bytes"), fabric.bytes, "{name}");
+        assert_eq!(
+            collected.counter("net/link-traversals"),
+            fabric.link_traversals,
+            "{name}"
+        );
+
+        let verifier = Rc::new(RefCell::new(Verifier::new()));
+        let verified = scenario.run(Some(verifier.clone())).expect("a clean run");
+        let verified = verified.result();
+        assert_eq!((verified.end, verified.events), (plain.end, plain.events));
+        assert_eq!(verified.machine.fabric_stats(), fabric, "{name}");
+        verifier.borrow_mut().finish();
+        assert_eq!(verifier.borrow().report(), "", "{name} violations");
+    }
+}
+
+#[test]
 fn chrome_trace_contains_all_span_families() {
-    let t = run_with_telemetry(Scenario::Contention, &opts(Scenario::Contention));
+    let t = collect(&Scenario::Contention(contention()));
     let trace = t.chrome_trace();
     // Lock sections, optimistic sections, and network flights all appear.
     assert!(trace.contains("\"wait v0\""), "lock wait spans");
