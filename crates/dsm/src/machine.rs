@@ -224,6 +224,7 @@ impl Mx<'_, '_> {
         // Stamp the packet with a fresh send id chaining from the current
         // cause; the receiver restores it as its causal context.
         pkt.cause = self.causes.stage(self.ctx, pkt.from, CauseOp::Send);
+        self.causes.hold(pkt.cause);
         let target = self.ctx.self_id();
         self.ctx
             .send_at(target, at, (pkt.to, DsmEvent::Packet(pkt)));
@@ -329,6 +330,8 @@ impl Mx<'_, '_> {
                     wave: 0,
                     pkt: packet_to(first),
                 };
+                // One hold for the whole train, released by its last car.
+                self.causes.hold(cause);
                 self.ctx.send_train_at(
                     target,
                     depth_at(route.wave_depth(0)),
@@ -345,6 +348,7 @@ impl Mx<'_, '_> {
                     if member != root && self.fabric.roll_loss() {
                         continue;
                     }
+                    self.causes.hold(cause);
                     self.ctx
                         .send_at(target, at, (member, DsmEvent::Packet(packet_to(member))));
                 }
@@ -668,6 +672,11 @@ impl<M: Model> Machine<M> {
         &self.groups
     }
 
+    /// The causal bookkeeping (post-run inspection of what is still held).
+    pub fn causes(&self) -> &CauseCtx {
+        &self.causes
+    }
+
     /// Heap bytes of pruned-multicast route storage (packed routes and
     /// per-group headers). Zero on a machine that floods spanning trees,
     /// which builds no routes.
@@ -961,6 +970,9 @@ impl<M: Model> Actor for Machine<M> {
         // taken out while in use because handling re-borrows the machine.
         let mut app_q = std::mem::take(&mut self.app_q);
         debug_assert!(app_q.is_empty());
+        // While the cause this event carries is still held: the arms below
+        // release it, and what they cite is at or above the floor.
+        self.causes.publish_floor(ctx);
         match event {
             DsmEvent::Start { more } => {
                 if more > 0 {
@@ -983,6 +995,7 @@ impl<M: Model> Actor for Machine<M> {
             }
             DsmEvent::Packet(pkt) => {
                 // The packet carried its sender's causal context.
+                self.causes.release(pkt.cause);
                 self.causes.set_current(pkt.cause);
                 self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(node, pkt, mx));
             }
@@ -1006,8 +1019,9 @@ impl<M: Model> Actor for Machine<M> {
                     self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(m, p, mx));
                     self.drain(&mut app_q, ctx);
                 }
-                if let Some((gap, car)) = self.wave_after(group, wave, pkt) {
-                    ctx.send_next_car_at(ctx.self_id(), ctx.now() + gap, car);
+                match self.wave_after(group, wave, pkt) {
+                    Some((gap, car)) => ctx.send_next_car_at(ctx.self_id(), ctx.now() + gap, car),
+                    None => self.causes.release(pkt.cause),
                 }
             }
             DsmEvent::ModelTimer { tag } => {

@@ -191,6 +191,12 @@ impl<M> Context<'_, M> {
         self.trace.is_enabled()
     }
 
+    /// Passes a causal-id floor to the trace observer
+    /// ([`TraceObserver::on_cause_floor`](crate::TraceObserver::on_cause_floor)).
+    pub fn cause_floor(&mut self, floor: u64) {
+        self.trace.cause_floor(floor);
+    }
+
     /// Requests that the run stop after this handler returns.
     pub fn stop(&mut self) {
         *self.stop = true;

@@ -381,6 +381,14 @@ impl fmt::Display for TraceEntry {
 pub trait TraceObserver {
     /// Called once per record, in simulation-time order.
     fn on_record(&mut self, entry: &TraceEntry);
+
+    /// The producer's liveness signal for causal ids: no later `"cause"`
+    /// record names a parent below `floor` (0, "no cause", aside). Floors
+    /// never decrease. It is a call, not a record — the record stream is
+    /// the same with or without it — and the default ignores it.
+    fn on_cause_floor(&mut self, floor: u64) {
+        let _ = floor;
+    }
 }
 
 /// Collects [`TraceEntry`] records during a run and feeds an optional
@@ -465,6 +473,19 @@ impl TraceRecorder {
         }
         #[cfg(feature = "hostprof")]
         crate::hostprof::trace_done(trace_started);
+    }
+
+    /// Tells the attached observer, if any, that no later `"cause"` record
+    /// names a parent below `floor` ([`TraceObserver::on_cause_floor`]).
+    /// Nothing is recorded.
+    pub fn cause_floor(&mut self, floor: u64) {
+        if let Some(observer) = &self.observer {
+            #[cfg(feature = "hostprof")]
+            let observer_started = crate::hostprof::clock_start();
+            observer.borrow_mut().on_cause_floor(floor);
+            #[cfg(feature = "hostprof")]
+            crate::hostprof::observer_done(observer_started);
+        }
     }
 
     /// All records, in the order they were made (which is time order, since

@@ -18,10 +18,19 @@
 //! same-seed runs produce byte-identical bytes.
 //!
 //! Storage is sized for runs with millions of actions: one 24-byte packed
-//! record per id in a dense slab (see [`CausalDag`]), handed out by value
-//! as [`CausalNode`] views. A finished run keeps only what its questions
-//! read — the ancestors of its rollbacks and of its critical path.
+//! record per id in a slab (see [`CausalDag`]), handed out by value as
+//! [`CausalNode`] views. The collector holds what can still be cited: the
+//! machine announces a *cause floor* — no later record names a parent
+//! below it ([`TraceObserver::on_cause_floor`]) — and behind the floor the
+//! store keeps what its questions read, the ancestors of the rollbacks,
+//! of the latest action and of whatever is at or above the floor (and,
+//! until the run's last pass, of what was there at an earlier pass). A
+//! finished run is that with the floor at infinity: exactly the
+//! ancestors of its rollbacks and of its critical path. What this does not
+//! bound is a run whose every in-flight action drags a chain back to time
+//! zero (the sharded mesh): there the kept set is the run.
 //!
+//! [`TraceObserver::on_cause_floor`]: sesame_sim::TraceObserver::on_cause_floor
 //! [`CauseId`]: sesame_net::CauseId
 
 use std::collections::BTreeMap;
@@ -72,6 +81,12 @@ const VACANT: u8 = u8::MAX;
 /// and lives in [`CausalDag::spilled_kinds`].
 const SPILLED: u8 = u8::MAX - 1;
 
+/// The smallest slab worth collecting behind the floor; past it, a
+/// collection runs each time the slab has doubled since the last one, so
+/// the passes cost a constant per record and the slab stays within twice
+/// what a pass keeps.
+const COLLECT_FROM: usize = 64 << 10;
+
 /// Export size hints: above what real runs write per node, so the buffer
 /// is allocated once (untouched capacity costs address space, not memory).
 const JSON_BYTES_PER_NODE: usize = 128;
@@ -79,22 +94,29 @@ const DOT_BYTES_PER_NODE: usize = 96;
 
 /// The assembled causal forest.
 ///
-/// While recording, nodes live in one dense slab indexed by `id - 1`: the
-/// simulation hands out ids 1, 2, 3, … and records each as it allocates
-/// it, so the slab fills in order with no holes. Ids that arrive out of
-/// order, twice, or with gaps (a hand-assembled trace) still work — gaps
-/// are vacant entries — at 24 bytes per id up to the largest one seen.
+/// One slab in two regions, ascending by id throughout. The *dense tail*
+/// holds id `behind + 1 + k` at offset `k`: the simulation hands out ids
+/// 1, 2, 3, … and records each as it allocates it, so the tail fills in
+/// order with no holes. Ids that arrive out of order, twice, or with gaps
+/// (a hand-assembled trace) still work — gaps are vacant entries — at 24
+/// bytes per id up to the largest one seen. The *compacted front* holds
+/// the survivors of a shrink back to back, `ids` naming them.
 ///
-/// [`Telemetry::finish`](crate::Telemetry::finish) shrinks the collector's
-/// DAG to the nodes its answers read: the slab then holds the survivors
-/// back to back and `ids` names them. [`CausalDag::from_trace`] never
-/// shrinks.
+/// The collector shrinks behind each cause floor it is told and once more
+/// in [`Telemetry::finish`](crate::Telemetry::finish), which leaves the
+/// nodes its answers read and an empty tail. [`CausalDag::from_trace`] is
+/// told no floor and never shrinks: its slab is all tail.
 #[derive(Debug, Clone, Default)]
 pub struct CausalDag {
     slab: Vec<Packed>,
-    /// After a shrink, the id of each slab entry, ascending; empty while
-    /// the slab is dense.
+    /// The id of each entry of the compacted front, ascending; the front
+    /// is `slab[..ids.len()]`.
     ids: Vec<u64>,
+    /// Ids below the dense tail: every id in `ids` is at most this.
+    behind: u64,
+    /// Slab entries the last shrink left (the next one waits for twice
+    /// as many).
+    kept: usize,
     /// Occupied slab entries.
     len: usize,
     /// Entries ever occupied: `len` plus what shrinking dropped.
@@ -161,15 +183,7 @@ impl CausalDag {
     pub fn from_trace(entries: &[TraceEntry]) -> CausalDag {
         let mut state = CausalState::default();
         for e in entries {
-            match (e.kind, &e.detail) {
-                ("cause", &TraceDetail::Cause { id, cause, op }) => {
-                    state.record_cause(e.actor, e.time, id, cause, op);
-                }
-                ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
-                    state.record_conflict(e.actor, var, writer);
-                }
-                _ => state.note_record(e.actor, e.kind, e.time),
-            }
+            state.feed(e);
         }
         state.dag
     }
@@ -193,12 +207,12 @@ impl CausalDag {
         self.len == 0
     }
 
-    /// The slab position holding `id`, if a node with that id is stored.
+    /// The slab position holding `id`, if a node with that id is stored:
+    /// arithmetic in the dense tail, a search in the compacted front.
     fn position(&self, id: u64) -> Option<usize> {
-        let at = if self.ids.is_empty() {
-            usize::try_from(id.checked_sub(1)?).ok()?
-        } else {
-            self.ids.binary_search(&id).ok()?
+        let at = match id.checked_sub(self.behind + 1) {
+            Some(k) => self.ids.len().checked_add(usize::try_from(k).ok()?)?,
+            None => self.ids.binary_search(&id).ok()?,
         };
         (self.slab.get(at)?.kind != VACANT).then_some(at)
     }
@@ -210,13 +224,20 @@ impl CausalDag {
 
     /// The id of the slab entry at `at`.
     fn id_at(&self, at: usize) -> u64 {
-        self.ids.get(at).copied().unwrap_or(at as u64 + 1)
+        let in_tail = |at: usize| self.behind + 1 + (at - self.ids.len()) as u64;
+        self.ids.get(at).copied().unwrap_or_else(|| in_tail(at))
+    }
+
+    /// Every stored `(position, record)` from slab position `from` on —
+    /// in position order, which is id order.
+    fn stored(&self, from: usize) -> impl Iterator<Item = (usize, &Packed)> {
+        let entries = self.slab.iter().enumerate().skip(from);
+        entries.filter(|(_, p)| p.kind != VACANT)
     }
 
     /// Every stored `(id, record)` in id order.
     fn occupied(&self) -> impl Iterator<Item = (u64, &Packed)> {
-        let stored = |(_, p): &(usize, &Packed)| p.kind != VACANT;
-        (self.slab.iter().enumerate().filter(stored)).map(|(at, p)| (self.id_at(at), p))
+        self.stored(0).map(|(at, p)| (self.id_at(at), p))
     }
 
     fn view(&self, id: u64, p: &Packed) -> CausalNode {
@@ -265,8 +286,9 @@ impl CausalDag {
         time: SimTime,
         kind: &'static str,
     ) -> Option<u64> {
-        let slot = id.checked_sub(1)?;
-        let slot = usize::try_from(slot).expect("causal id exceeds the address space");
+        if id == 0 {
+            return None;
+        }
         let kind_ix = self.intern(kind);
         let packed = Packed {
             time: time.as_nanos(),
@@ -279,19 +301,22 @@ impl CausalDag {
             kind: VACANT,
             ..packed
         };
-        let at = if self.ids.is_empty() {
-            if slot >= self.slab.len() {
-                self.slab.resize(slot + 1, vacant);
+        let at = match id.checked_sub(self.behind + 1) {
+            Some(k) => {
+                let k = usize::try_from(k).expect("causal id exceeds the address space");
+                let at = self.ids.len() + k;
+                if at >= self.slab.len() {
+                    self.slab.resize(at + 1, vacant);
+                }
+                at
             }
-            slot
-        } else {
-            // A record after the shrink (none in a real run) keeps `ids`
+            // A record behind the tail (none in a real run) keeps `ids`
             // sorted.
-            self.ids.binary_search(&id).unwrap_or_else(|at| {
+            None => self.ids.binary_search(&id).unwrap_or_else(|at| {
                 self.ids.insert(at, id);
                 self.slab.insert(at, vacant);
                 at
-            })
+            }),
         };
         if std::mem::replace(&mut self.slab[at], packed).kind == VACANT {
             self.len += 1;
@@ -335,37 +360,101 @@ impl CausalDag {
     }
 
     /// Shrinks the forest to the *explained set*: every rollback, the
-    /// latest action, every id in `asked`, and all their ancestors.
+    /// latest action, every id in `asked`, every node at or above `floor`,
+    /// and all their ancestors. The producer's floor says no later record
+    /// cites below it, so what goes is out of every later record's reach;
+    /// `u64::MAX` — the run is over — leaves what the answers read.
     ///
     /// The set is closed under `cause`, so `rollbacks`, the `chain` to any
     /// kept id and `critical_path` read the same nodes before and after,
     /// and the exports differ only in how many node lines they carry. One
     /// walk down the parent links per root, stopping at the first node an
     /// earlier walk marked; one pass moves the marked records to the front.
-    pub(crate) fn shrink(&mut self, asked: impl IntoIterator<Item = u64>) {
-        let mut roots = self.rollbacks();
-        roots.extend(self.latest());
-        roots.extend(asked);
-        let mut keep = vec![false; self.slab.len()];
-        for root in roots {
-            let mut next = self.position(root);
-            while let Some(at) = next.filter(|&at| !keep[at]) {
-                keep[at] = true;
-                next = self.position(self.slab[at].cause);
+    /// Entries from the floor up move as they are, vacancies included: the
+    /// new dense tail.
+    ///
+    /// While anything is left above the floor, a shrink is one of many and
+    /// leaves alone what it need not touch: the front an earlier shrink
+    /// compacted, roots and all — it was explained then, and going over it
+    /// again costs a pass and a search per node each time — and the slab's
+    /// capacity, which the run is about to fill again. A node of the front
+    /// that was kept for an action in flight at the time, since dropped,
+    /// waits for the shrink that leaves nothing above the floor: the run's
+    /// last, which marks everything again and gives the room back.
+    pub(crate) fn shrink(&mut self, asked: impl IntoIterator<Item = u64>, floor: u64) {
+        // The slab ascends by id, so the floor cuts it at one position;
+        // from there up everything stays, and only its parents need a walk.
+        // The front is behind every floor told so far, and those stay true.
+        let (front, tail) = (self.ids.len(), self.slab.len() - self.ids.len());
+        let below = usize::try_from(floor.saturating_sub(self.behind + 1));
+        let cut = front + below.map_or(tail, |k| k.min(tail));
+        let last = cut == self.slab.len();
+        // What is marked starts at slab position `from`; ids up to
+        // `left_alone` lie in a front that is not, and need no finding.
+        let (from, left_alone) = if last { (0, 0) } else { (front, self.behind) };
+        let find = |id: u64| {
+            if id > left_alone {
+                self.position(id)
+            } else {
+                None
+            }
+        };
+        // One pass finds the roots in what is marked: the rollbacks, and
+        // the latest action by `(time, position)`.
+        let (mut roots, mut latest) = (Vec::new(), None);
+        for (at, p) in self.stored(from) {
+            if matches!(p.op, CauseOp::Rollback) {
+                roots.push(at);
+            }
+            if latest.is_none_or(|(time, _)| p.time >= time) {
+                latest = Some((p.time, at));
             }
         }
-        let mut ids = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
-        for at in (0..keep.len()).filter(|&at| keep[at]) {
-            self.slab[ids.len()] = self.slab[at];
-            ids.push(self.id_at(at));
+        roots.extend(latest.map(|(_, at)| at));
+        let cited = asked
+            .into_iter()
+            .chain(self.stored(cut).map(|(_, p)| p.cause));
+        let mut keep = vec![false; cut - from];
+        for root in roots.into_iter().chain(cited.filter_map(find)) {
+            let mut next = Some(root);
+            while let Some(at) = next.filter(|&at| (from..cut).contains(&at) && !keep[at - from]) {
+                keep[at - from] = true;
+                next = find(self.slab[at].cause);
+            }
         }
-        self.slab.truncate(ids.len());
-        self.slab.shrink_to_fit();
-        self.len = ids.len();
-        self.conflicts.retain(|id, _| ids.binary_search(id).is_ok());
-        self.spilled_kinds
-            .retain(|id, _| ids.binary_search(id).is_ok());
-        self.ids = ids;
+        // The marked entries close up: those of the front in place, what
+        // was tail below the floor behind them.
+        let mut to = from;
+        for at in (from..front).filter(|&at| keep[at - from]) {
+            (self.slab[to], self.ids[to]) = (self.slab[at], self.ids[at]);
+            to += 1;
+        }
+        self.ids.truncate(to);
+        for at in (front..cut).filter(|&at| keep[at - from]) {
+            self.slab[self.ids.len()] = self.slab[at];
+            self.ids.push(self.behind + 1 + (at - front) as u64);
+        }
+        self.behind += (cut - front) as u64;
+        self.slab.copy_within(cut.., self.ids.len());
+        self.slab.truncate(self.ids.len() + self.slab.len() - cut);
+        if last {
+            self.slab.shrink_to_fit();
+            self.ids.shrink_to_fit();
+        }
+        self.kept = self.slab.len();
+        self.len = self.ids.len() + self.stored(self.ids.len()).count();
+        let (ids, behind) = (&self.ids, self.behind);
+        let stays = |id: &u64| *id > behind || ids.binary_search(id).is_ok();
+        self.conflicts.retain(|id, _| stays(id));
+        self.spilled_kinds.retain(|id, _| stays(id));
+    }
+
+    /// [`CausalDag::shrink`] behind `floor`, once the slab has doubled
+    /// since the last shrink.
+    pub(crate) fn collect(&mut self, asked: impl IntoIterator<Item = u64>, floor: u64) {
+        if self.slab.len() >= (2 * self.kept).max(COLLECT_FROM) {
+            self.shrink(asked, floor);
+        }
     }
 
     /// The cause→effect chain ending at `id`, root first. `None` when the
@@ -543,6 +632,19 @@ pub(crate) struct CausalState {
 }
 
 impl CausalState {
+    /// Applies the pairing rules to one record of a stream.
+    fn feed(&mut self, e: &TraceEntry) {
+        match (e.kind, &e.detail) {
+            ("cause", &TraceDetail::Cause { id, cause, op }) => {
+                self.record_cause(e.actor, e.time, id, cause, op);
+            }
+            ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
+                self.record_conflict(e.actor, var, writer);
+            }
+            _ => self.note_record(e.actor, e.kind, e.time),
+        }
+    }
+
     /// Notes a canonical (non-cause) record for pairing.
     pub(crate) fn note_record(&mut self, actor: usize, kind: &'static str, t: SimTime) {
         self.last_record.insert(actor, (kind, t));
@@ -577,9 +679,13 @@ impl CausalState {
 
     /// Attaches rollback blame to the actor's most recent causal node.
     pub(crate) fn record_conflict(&mut self, actor: usize, var: u32, writer: u32) {
-        // `last_cause` only ever holds ids the DAG stored.
+        // The actor's last node may have gone in a collection since (a
+        // rollback's blame follows its node at once; a hand-fed stream
+        // need not).
         if let Some(&id) = self.last_cause.get(&actor) {
-            self.dag.conflicts.insert(id, (var, writer));
+            if self.dag.position(id).is_some() {
+                self.dag.conflicts.insert(id, (var, writer));
+            }
         }
     }
 }
@@ -760,40 +866,44 @@ mod tests {
         fn from_trace(entries: &[TraceEntry]) -> Naive {
             let mut m = Naive::default();
             for e in entries {
-                match (e.kind, &e.detail) {
-                    ("cause", &TraceDetail::Cause { id, cause, op }) => {
-                        if id == 0 {
-                            continue;
-                        }
-                        let kind = match m.last_record.get(&e.actor) {
-                            Some(&(kind, rt)) if rt == e.time => kind,
-                            _ => "",
-                        };
-                        m.last_cause.insert(e.actor, id);
-                        m.nodes.insert(
-                            id,
-                            CausalNode {
-                                id,
-                                cause: if cause < id { cause } else { 0 },
-                                op,
-                                actor: e.actor,
-                                time: e.time,
-                                kind,
-                                conflict: None,
-                            },
-                        );
-                    }
-                    ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
-                        if let Some(id) = m.last_cause.get(&e.actor) {
-                            m.nodes.get_mut(id).unwrap().conflict = Some((var, writer));
-                        }
-                    }
-                    _ => {
-                        m.last_record.insert(e.actor, (e.kind, e.time));
-                    }
-                }
+                m.feed(e);
             }
             m
+        }
+
+        fn feed(&mut self, e: &TraceEntry) {
+            match (e.kind, &e.detail) {
+                ("cause", &TraceDetail::Cause { id, cause, op }) => {
+                    if id == 0 {
+                        return;
+                    }
+                    let kind = match self.last_record.get(&e.actor) {
+                        Some(&(kind, rt)) if rt == e.time => kind,
+                        _ => "",
+                    };
+                    self.last_cause.insert(e.actor, id);
+                    self.nodes.insert(
+                        id,
+                        CausalNode {
+                            id,
+                            cause: if cause < id { cause } else { 0 },
+                            op,
+                            actor: e.actor,
+                            time: e.time,
+                            kind,
+                            conflict: None,
+                        },
+                    );
+                }
+                ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
+                    if let Some(id) = self.last_cause.get(&e.actor) {
+                        self.nodes.get_mut(id).unwrap().conflict = Some((var, writer));
+                    }
+                }
+                _ => {
+                    self.last_record.insert(e.actor, (e.kind, e.time));
+                }
+            }
         }
 
         fn rollbacks(&self) -> Vec<u64> {
@@ -802,8 +912,9 @@ mod tests {
         }
 
         /// The explained set the obvious way: every rollback, the latest
-        /// node and every asked-for id, each followed to its root.
-        fn explained(&self, asked: &[u64]) -> BTreeSet<u64> {
+        /// node, every asked-for id and every node from `floor` up, each
+        /// followed to its root.
+        fn explained(&self, asked: &[u64], floor: u64) -> BTreeSet<u64> {
             fn visit(nodes: &BTreeMap<u64, CausalNode>, id: u64, set: &mut BTreeSet<u64>) {
                 if let Some(n) = nodes.get(&id) {
                     set.insert(id);
@@ -818,6 +929,7 @@ mod tests {
                     .map(|n| n.id),
             );
             roots.extend(asked);
+            roots.extend(self.nodes.range(floor..).map(|(&id, _)| id));
             let mut set = BTreeSet::new();
             for root in roots {
                 visit(&self.nodes, root, &mut set);
@@ -927,15 +1039,19 @@ mod tests {
     /// A random record stream: mostly dense ascending ids the way a run
     /// emits them, salted with gaps, late and repeated ids, id 0, causes
     /// that do not precede their node, unpaired causes, and conflicts
-    /// after any kind of node.
+    /// after any kind of node. The first half cites and re-records
+    /// anything earlier, which pins a floor where it is; the second half
+    /// stays near the newest ids, as a run does, so a floor can follow.
     fn random_stream(rng: &mut DetRng, records: usize, kinds: &[&'static str]) -> Vec<TraceEntry> {
         let mut out = Vec::with_capacity(records * 2);
         let (mut now, mut next_id) = (0u64, 1u64);
-        for _ in 0..records {
+        for i in 0..records {
+            let wild = i < records / 2;
             now += rng.next_below(3) * 100;
             let actor = rng.next_below(6) as usize;
             let id = match rng.next_below(20) {
-                0 => rng.next_below(next_id + 2),
+                0 if wild => rng.next_below(next_id + 2),
+                0 => (next_id + 1).saturating_sub(rng.next_below(30)),
                 1 => {
                     next_id += rng.next_below(40);
                     next_id
@@ -946,7 +1062,8 @@ mod tests {
             let parent = match rng.next_below(12) {
                 0 => 0,
                 1 => id + rng.next_below(3),
-                _ => rng.next_below(id.max(1)),
+                _ if wild => rng.next_below(id.max(1)),
+                _ => id.saturating_sub(1 + rng.next_below(24)),
             };
             if !rng.chance(0.1) {
                 let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
@@ -970,9 +1087,68 @@ mod tests {
         out
     }
 
+    /// Streams `entries` into a store that is told a floor now and then
+    /// and shrinks behind each one, checking every time that what it kept
+    /// holds the model's explained set — is exactly that set once nothing
+    /// is left above the floor — and answers as the model, which drops
+    /// nothing, does. Returns the store and the nodes it should count as
+    /// recorded: one per id that was not stored when its record came.
+    fn collected_behind_floors(entries: &[TraceEntry], asked: &[u64]) -> (CausalDag, usize) {
+        // The lowest parent the stream cites from record `i` on: a floor
+        // up to `reach[i]` is one a producer may announce there.
+        let mut reach = vec![u64::MAX; entries.len() + 1];
+        for (i, e) in entries.iter().enumerate().rev() {
+            reach[i] = match e.detail {
+                TraceDetail::Cause { id, cause, .. } if (1..id).contains(&cause) => {
+                    reach[i + 1].min(cause)
+                }
+                _ => reach[i + 1],
+            };
+        }
+        let mut rng = DetRng::new(entries.len() as u64);
+        let (mut state, mut naive) = (CausalState::default(), Naive::default());
+        let (mut stored, mut recorded, mut floor) = (BTreeSet::new(), 0, 0);
+        for (i, e) in entries.iter().enumerate() {
+            // Now and then, and once near the end: a stream that ends in
+            // roots lets that floor go past the last id.
+            if rng.chance(0.03) || i + 3 == entries.len() {
+                // As high as the producer may go, short of it, or no
+                // higher than the last one.
+                floor = floor.max(match rng.next_below(4) {
+                    0 => 0,
+                    1 => reach[i] / 2,
+                    _ => reach[i],
+                });
+                state.dag.shrink(asked.iter().copied(), floor);
+                let (had, explained) = (stored, naive.explained(asked, floor));
+                stored = state.dag.iter().map(|n| n.id).collect();
+                let at = format!("behind floor {floor} at record {i}");
+                assert!(
+                    stored.is_superset(&explained),
+                    "{at}: an explained node is gone"
+                );
+                assert!(stored.is_subset(&had), "{at}: kept what was not stored");
+                if naive.nodes.range(floor..).next().is_none() {
+                    assert_eq!(stored, explained, "{at}: the last shrink is exact");
+                }
+                for &id in &stored {
+                    assert_eq!(state.dag.get(id), naive.nodes.get(&id).copied());
+                    assert_eq!(state.dag.chain(id), naive.chain(id), "chain({id})");
+                }
+            }
+            state.feed(e);
+            naive.feed(e);
+            if let TraceDetail::Cause { id, .. } = e.detail {
+                recorded += usize::from(id != 0 && stored.insert(id));
+            }
+        }
+        (state.dag, recorded)
+    }
+
     /// Checks the packed store against the model on `entries` — as
     /// recorded, then shrunk to the explained set (the model filtered to
-    /// the same closure), then with records arriving after the shrink.
+    /// the same closure) in one go and by way of floors announced along
+    /// the stream, then with records arriving after the shrink.
     fn assert_matches_the_naive_store(entries: &[TraceEntry]) {
         let (dag, naive) = (CausalDag::from_trace(entries), Naive::from_trace(entries));
         let top = naive.nodes.keys().next_back().copied().unwrap_or(0);
@@ -980,17 +1156,21 @@ mod tests {
         assert_eq!(dag.recorded(), dag.len());
         // Nothing asked for; a mid-stream id (kept, dropped or vacant as
         // the stream has it) with one past the end; the same, shrunk twice.
-        for (asked, times) in [
+        let asked = [
             (vec![], 1),
             (vec![top / 2, top + 1, 0], 1),
             (vec![top / 3], 2),
-        ] {
-            let (mut dag, mut naive) = (dag.clone(), Naive::from_trace(entries));
-            let recorded = dag.len();
-            let keep = naive.explained(&asked);
+        ];
+        for ((asked, times), floors) in asked.iter().flat_map(|a| [(a, false), (a, true)]) {
+            let (mut dag, recorded) = match floors {
+                true => collected_behind_floors(entries, asked),
+                false => (dag.clone(), dag.len()),
+            };
+            let mut naive = Naive::from_trace(entries);
+            let keep = naive.explained(asked, u64::MAX);
             naive.nodes.retain(|id, _| keep.contains(id));
-            for _ in 0..times {
-                dag.shrink(asked.iter().copied());
+            for _ in 0..*times {
+                dag.shrink(asked.iter().copied(), u64::MAX);
             }
             assert_same_answers(&dag, &naive, top);
             assert_eq!(dag.recorded(), recorded);
@@ -1067,7 +1247,7 @@ mod tests {
         }
         assert_matches_the_naive_store(&calm);
         let mut dag = CausalDag::from_trace(&calm);
-        dag.shrink(None);
+        dag.shrink(None, u64::MAX);
         let path = dag.critical_path().expect("non-empty");
         assert!(dag.iter().map(|n| n.id).eq(path.ids.iter().copied()));
     }

@@ -184,6 +184,10 @@ impl TraceObserver for Telemetry {
     fn on_record(&mut self, entry: &TraceEntry) {
         self.observe(entry);
     }
+
+    fn on_cause_floor(&mut self, floor: u64) {
+        self.causal.dag.collect(self.explained, floor);
+    }
 }
 
 impl Telemetry {
@@ -442,7 +446,7 @@ impl Telemetry {
         if let Some(series) = self.series.as_mut() {
             series.finish(end);
         }
-        self.causal.dag.shrink(self.explained);
+        self.causal.dag.shrink(self.explained, u64::MAX);
         let pending = std::mem::take(&mut self.state.seq_pending);
         let waits = std::mem::take(&mut self.state.wait_start);
         let holds = std::mem::take(&mut self.state.hold_start);

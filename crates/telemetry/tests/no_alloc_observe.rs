@@ -1,15 +1,17 @@
 //! Proof that the collector's steady state allocates nothing per record:
 //! once every metric key exists, `Telemetry::observe` reaches metrics by
 //! slot and appends causal nodes to a slab, so feeding it twice as many
-//! records costs the same handful of allocations (slab doublings) — not
-//! one `format!` per metric touch and one map node per cause record.
+//! records costs a handful of allocations per pass of the slab (its
+//! doublings, and a collection behind the floor each time it has filled) —
+//! not one `format!` per metric touch and one map node per cause record.
 //!
-//! And the bytes it holds: a 24-byte slab entry per recorded cause and a
-//! 32-byte span per sequenced write while the run lasts, the explained set
-//! at 40 bytes a node once it has finished.
+//! And the bytes it holds: told the floor as a machine tells it, a slab no
+//! larger than the collection window however long the run, not 24 bytes
+//! per recorded cause; a 32-byte span per sequenced write while the run
+//! lasts; the explained set at 40 bytes a node once it has finished.
 
 use sesame_alloc_probe::{allocations, live_bytes, CountingAlloc};
-use sesame_sim::{ApplyMode, CauseOp, SimDur, SimTime, TraceDetail, TraceEntry};
+use sesame_sim::{ApplyMode, CauseOp, SimDur, SimTime, TraceDetail, TraceEntry, TraceObserver};
 use sesame_telemetry::Telemetry;
 
 #[global_allocator]
@@ -17,9 +19,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const NODES: usize = 8;
 
+/// The slab length from which the collector shrinks behind a floor
+/// (`COLLECT_FROM` in `causal.rs`): with little explained, the window.
+const WINDOW: u64 = 64 << 10;
+
 /// Emits mutex sections the way a contention run does: every canonical
 /// record the observer turns into metrics, each protocol action followed
-/// by its `"cause"` record, the occasional rollback with its blame.
+/// by its `"cause"` record, the occasional rollback with its blame — and,
+/// between sections, the floor: a section cites only its own ids.
 #[derive(Default)]
 struct Feeder {
     now: u64,
@@ -66,6 +73,7 @@ impl Feeder {
             let seq = self.sequenced + 1;
             self.sequenced = seq;
             let (group, val, origin) = (0, section as i64, node as u32);
+            t.on_cause_floor(self.causes + 1);
             self.now += 7;
             self.act(t, node, "mutex-enter", var.clone(), (0, CauseOp::Acquire));
             self.emit(t, node, "opt-enter", var.clone());
@@ -203,8 +211,15 @@ fn steady_state_observe_allocates_per_doubling_not_per_record() {
         "{first} allocations for {first_records} records, {second} for {second_records}: \
          the collector allocates per record"
     );
-    // The records did land: one DAG node per cause record, counters moved.
-    assert_eq!(t.causes().len() as u64, feed.causes);
+    // The records did land: one DAG node per cause record — those out of
+    // every later record's reach collected since — and counters moved.
+    assert_eq!(t.causes().recorded() as u64, feed.causes);
+    assert!(feed.causes > 2 * WINDOW, "{} causes", feed.causes);
+    assert!(
+        (t.causes().len() as u64) < WINDOW,
+        "{} held",
+        t.causes().len()
+    );
     assert_eq!(
         t.registry().sum_counters("node", "gwc/applies"),
         (WARM_UP + 3 * N) * NODES as u64
@@ -223,9 +238,12 @@ fn collector_holds_a_slab_while_recording_and_the_explained_set_after_finish() {
         let mut feed = Feeder::default();
         feed.sections(&mut t, sections);
         // Both stores double as they grow, so each is under twice its
-        // contents: a power of two of 24-byte and of 32-byte entries.
+        // contents: a power of two of 32-byte spans, and of 24-byte slab
+        // entries up to the window — the run is several windows long, and
+        // what the rollbacks explain is a few hundred nodes.
         let held = live_bytes() - before;
-        let budget = 24 * feed.causes.next_power_of_two() + 32 * sections.next_power_of_two();
+        assert!(feed.causes > 4 * WINDOW, "{} causes", feed.causes);
+        let budget = 24 * 2 * WINDOW + 32 * sections.next_power_of_two();
         assert!(
             held <= budget as usize + FIXED,
             "{held} bytes held for {} causes and {sections} sequenced writes",
@@ -246,7 +264,7 @@ fn collector_holds_a_slab_while_recording_and_the_explained_set_after_finish() {
         (held, dag.len())
     };
     // The fixed part cancels between two sizes: what is left is per node.
-    let (small, large) = (run(4_000), run(16_000));
+    let (small, large) = (run(20_000), run(32_000));
     let (bytes, nodes) = (large.0 - small.0, large.1 - small.1);
     assert!(nodes > 500, "{nodes} more nodes retained");
     assert!(

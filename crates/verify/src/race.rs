@@ -23,6 +23,7 @@
 //! design under GWC (e.g. a task queue consumer watching a flag) and are
 //! not reported.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use sesame_sim::SimTime;
@@ -65,7 +66,8 @@ pub struct RaceChecker {
     lock_vars: HashSet<u32>,
     /// Per-lock clock carrying release-to-acquire edges.
     lock_clocks: HashMap<u32, VectorClock>,
-    /// Write snapshots awaiting a root sequence number.
+    /// Write snapshots awaiting a root sequence number; a key lives only
+    /// while its queue is non-empty.
     pending: HashMap<(u32, u32, Val), VecDeque<VectorClock>>,
     /// Snapshot bound to each sequenced write.
     seq_clocks: HashMap<(u32, u64), VectorClock>,
@@ -198,18 +200,14 @@ impl RaceChecker {
                 if self.lock_vars.contains(&var) {
                     return;
                 }
-                if let Some(q) = self.pending.get_mut(&(origin, var, val)) {
-                    if let Some(snapshot) = q.pop_front() {
-                        self.seq_clocks.insert((group, seq), snapshot);
-                    }
+                if let Some(snapshot) = self.take_pending(origin, var, val) {
+                    self.seq_clocks.insert((group, seq), snapshot);
                 }
             }
             Event::RootFiltered {
                 var, val, origin, ..
             } => {
-                if let Some(q) = self.pending.get_mut(&(origin, var, val)) {
-                    q.pop_front();
-                }
+                self.take_pending(origin, var, val);
             }
             Event::GwcApply {
                 group, seq, mode, ..
@@ -229,6 +227,21 @@ impl RaceChecker {
                 self.mark_lock(var);
             }
         }
+    }
+
+    /// Takes the oldest snapshot awaiting the root's verdict on
+    /// `origin`'s write of `val` to `var`, and the key with it once its
+    /// queue is empty: a counter writes every value once, so a kept key is
+    /// an emptied queue (buffer and all) per write for the rest of the run.
+    fn take_pending(&mut self, origin: u32, var: u32, val: Val) -> Option<VectorClock> {
+        let Entry::Occupied(mut queue) = self.pending.entry((origin, var, val)) else {
+            return None;
+        };
+        let snapshot = queue.get_mut().pop_front();
+        if queue.get().is_empty() {
+            queue.remove();
+        }
+        snapshot
     }
 
     fn record_read(&mut self, time: SimTime, node: usize, var: u32, out: &mut Vec<Violation>) {
@@ -322,4 +335,62 @@ impl RaceChecker {
 
     /// End-of-trace finalization (nothing pending for the race detector).
     pub fn finish(&mut self, _out: &mut Vec<Violation>) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A counter writes every value once: the root's verdict on a write —
+    /// sequenced or filtered — must take its key out of `pending`, not
+    /// leave an emptied queue behind per write.
+    #[test]
+    fn pending_holds_only_writes_awaiting_their_verdict() {
+        let mut rc = RaceChecker::new();
+        let mut out = Vec::new();
+        let t = SimTime::ZERO;
+        for val in 0..100 {
+            rc.feed(t, 1, &Event::Write { var: 5, val }, &mut out);
+            // The same write twice in flight shares a key.
+            if val % 10 == 0 {
+                rc.feed(t, 1, &Event::Write { var: 5, val }, &mut out);
+                assert_eq!(rc.pending[&(1, 5, val)].len(), 2);
+            }
+        }
+        assert_eq!(rc.pending.len(), 100);
+        for val in 0..100 {
+            let (group, var, origin) = (0, 5, 1);
+            let seq = val as u64 + 1;
+            let verdict = if val % 3 == 0 {
+                Event::RootFiltered {
+                    group,
+                    var,
+                    val,
+                    origin,
+                }
+            } else {
+                Event::RootSeq {
+                    group,
+                    seq,
+                    var,
+                    val,
+                    origin,
+                }
+            };
+            rc.feed(t, 0, &verdict, &mut out);
+            assert_eq!(rc.seq_clocks.contains_key(&(group, seq)), val % 3 != 0);
+            // A verdict on a write nobody has pending changes nothing.
+            let stray = Event::RootFiltered {
+                group,
+                var,
+                val: val + 1_000,
+                origin,
+            };
+            rc.feed(t, 0, &stray, &mut out);
+        }
+        let doubled: Vec<_> = rc.pending.keys().map(|&(_, _, val)| val).collect();
+        assert_eq!(rc.pending.len(), 10, "{doubled:?}");
+        assert!(rc.pending.values().all(|q| q.len() == 1));
+        assert!(out.is_empty());
+    }
 }
