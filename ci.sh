@@ -66,6 +66,13 @@ for group in three-cpu contention task-queue pipeline bigmesh canonical; do
         exit 1
     fi
 done
+# One line per model or method each scenario compares (docs/verify.md's
+# table): 3 + 2 + 2 + 3 + 1 + 1.
+oks=$(grep -c "^ok   " "$tmpdir/verify.out")
+if [ "$oks" -ne 12 ]; then
+    echo "verify --scenario all printed $oks ok lines, want 12" >&2
+    exit 1
+fi
 if grep -q "^FAIL" "$tmpdir/verify.out"; then
     echo "verify --scenario all reported a violation" >&2
     exit 1
@@ -160,19 +167,6 @@ if cargo run -q --release -p sesame-cli -- explain --scenario contention \
     exit 1
 fi
 
-echo "==> bench smoke (queue micro-bench + hostprof phase/alloc rows)"
-cargo bench -q -p sesame-bench --bench queue -- --bench-out "$tmpdir/bench.json" \
-    >/dev/null
-grep -q '"group":"queue"' "$tmpdir/bench.json"
-grep -q '"events_per_sec"' "$tmpdir/bench.json"
-# The hostprof bench appends phase-timer and allocation-trajectory rows
-# (same JSON-lines file, group "hostprof").
-cargo bench -q -p sesame-bench --features hostprof --bench hostprof -- \
-    --bench-out "$tmpdir/bench.json" >/dev/null
-grep -q '"case":"contention/dispatch"' "$tmpdir/bench.json"
-grep -q '"case":"contention/alloc_bytes"' "$tmpdir/bench.json"
-grep -q '"case":"contention/alloc_count"' "$tmpdir/bench.json"
-
 echo "==> time-series determinism smoke (serial vs --jobs 4 byte-identical)"
 cargo run -q --release -p sesame-cli -- run --scenario contention \
     --series-out "$tmpdir/series-serial.json" >/dev/null
@@ -190,29 +184,15 @@ cargo run -q --release -p sesame-cli -- report --scenario contention \
     --series-in "$tmpdir/series-serial.json" > "$tmpdir/series-report.out"
 grep -q "wait-mean" "$tmpdir/series-report.out"
 
-echo "==> bench diff smoke (planted regression fails, clean diffs pass)"
-if cargo run -q --release -p sesame-cli -- bench diff \
-    crates/bench/testdata/diff_base.json \
-    crates/bench/testdata/diff_regressed.json > "$tmpdir/diff.out" 2>&1; then
-    echo "planted bench regression was NOT flagged" >&2
-    exit 1
-fi
-grep -q "REGRESSED" "$tmpdir/diff.out"
-cargo run -q --release -p sesame-cli -- bench diff \
-    crates/bench/testdata/diff_base.json \
-    crates/bench/testdata/diff_base.json >/dev/null
-# The queue + hostprof benches from the smoke above, gated against the
-# committed reference at 1.5x: both groups are pure in-process CPU work,
-# so this headroom absorbs host variance but fails a real kernel
-# regression (the BinaryHeap the calendar queue replaced was 2.5x slower
-# at 100k pending, so an accidental revert cannot pass). The hostprof
-# group also carries the contention scenario's alloc_bytes/alloc_count
-# rows, so a change that reintroduces per-event allocation fails here
-# even when the timers stay flat.
-cargo run -q --release -p sesame-cli -- bench diff \
-    BENCH_sweep.json "$tmpdir/bench.json" --groups queue,hostprof \
-    --thresholds queue=1.5,hostprof=1.5 \
-    >/dev/null
+# Host time and memory are gated end to end, further down, and nowhere per
+# micro-bench: the 250k-node throughput floor catches an order-of-magnitude
+# kernel slowdown (a smaller one, such as the 2.5x of a calendar-queue
+# revert, is for `sesame-ledger compare` to show in `sim.pop_s` and
+# `sim.queue.*_ns_per_op`), the ledger's bigmesh_32k and
+# observed_contention RSS ceilings and the 250k `peak_rss_kb` ceiling catch
+# state that is kept too long, the full-size pins catch a change of
+# behaviour, and zero_alloc.rs / no_alloc*.rs (in `cargo test` above)
+# count steady-state allocations exactly.
 
 echo "==> benchmark smoke (sesame-ledger builds, quick passes, own tests)"
 # The ledger is its own workspace (benchmark/), so nothing above builds

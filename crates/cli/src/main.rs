@@ -172,14 +172,6 @@ COMMANDS:
                                       prints it to stdout)
                     --replay <file>   re-run a recorded counterexample
                                       deterministically instead of exploring
-    bench         compare two bench --bench-out files (regression gate)
-                  usage: sesame bench diff <base.json> <new.json>
-                    --threshold <F=1.5>   allowed growth ratio of median_ns
-                                      (and allowed shrink of events_per_sec)
-                    --thresholds <g=F,...>  per-group threshold overrides
-                    --groups <a,b>    compare only these bench groups
-                  prints the per-case table and exits nonzero when any
-                  case regressed past its threshold
     help          print this message
 ";
 
@@ -786,6 +778,9 @@ fn verify_runs(args: &Args, name: &str) -> CliResult<Vec<(String, Scenario)>> {
         ]
         .map(|(label, method)| (label, Scenario::Pipeline { nodes, method, cfg }))
         .to_vec(),
+        Scenario::TaskQueue { nodes, cfg, .. } => [("gwc", Gwc), ("entry", Entry)]
+            .map(|(label, model)| (label, Scenario::TaskQueue { nodes, model, cfg }))
+            .to_vec(),
         one => vec![("gwc", one)],
     };
     let labelled = runs.into_iter().map(|(l, s)| (format!("{name}/{l}"), s));
@@ -987,91 +982,10 @@ fn cmd_check(args: &Args) -> CliResult {
     }
 }
 
-/// `sesame bench diff <base.json> <new.json>` — the bench-trajectory
-/// regression gate. Takes positional file arguments, so it bypasses the
-/// flag-only [`Args::parse`] until the paths are peeled off.
-fn cmd_bench(rest: &[String]) -> CliResult {
-    match rest.first().map(String::as_str) {
-        Some("diff") => {}
-        Some(other) => {
-            return Err(
-                format!("unknown bench subcommand {other:?} (expected diff)\n\n{USAGE}").into(),
-            )
-        }
-        None => {
-            return Err(
-                format!("bench needs a subcommand: diff <base.json> <new.json>\n\n{USAGE}").into(),
-            )
-        }
-    }
-    let mut paths = Vec::new();
-    let mut flags = Vec::new();
-    for a in &rest[1..] {
-        if a.starts_with("--") || !flags.is_empty() {
-            flags.push(a.clone());
-        } else {
-            paths.push(a.clone());
-        }
-    }
-    let [base_path, new_path] = paths.as_slice() else {
-        return Err(format!(
-            "bench diff takes exactly two files (base, new), got {}\n\n{USAGE}",
-            paths.len()
-        )
-        .into());
-    };
-    let args = Args::parse(&flags, &["--threshold", "--thresholds", "--groups"])
-        .map_err(|e| format!("{e}\n\n{USAGE}"))?;
-
-    let mut opts = sesame_bench::DiffOptions {
-        default_threshold: args.get_or("--threshold", 1.5f64, "number")?,
-        ..sesame_bench::DiffOptions::default()
-    };
-    if opts.default_threshold <= 0.0 {
-        return Err("--threshold must be positive".into());
-    }
-    if let Some(spec) = args.get_str("--thresholds") {
-        for part in spec.split(',') {
-            let (group, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad --thresholds entry {part:?} (want group=ratio)"))?;
-            let ratio: f64 = value
-                .parse()
-                .map_err(|_| format!("bad ratio {value:?} in --thresholds"))?;
-            if ratio <= 0.0 {
-                return Err(format!("--thresholds ratio for {group:?} must be positive").into());
-            }
-            opts.group_thresholds
-                .insert(group.trim().to_string(), ratio);
-        }
-    }
-    if let Some(spec) = args.get_str("--groups") {
-        opts.groups = spec.split(',').map(|g| g.trim().to_string()).collect();
-    }
-
-    let load = |path: &str| -> CliResult<Vec<sesame_bench::BenchRecord>> {
-        Ok(sesame_bench::parse_bench_lines(&read_file(path)?)
-            .map_err(|e| format!("{path}: {e}"))?)
-    };
-    let base = load(base_path)?;
-    let new = load(new_path)?;
-    let report = sesame_bench::diff(&base, &new, &opts);
-    print!("{}", report.render());
-    match report.regressions() {
-        0 => Ok(()),
-        n => Err(format!("{n} bench case(s) regressed against {base_path}").into()),
-    }
-}
-
 /// A subcommand implementation.
 type Command = fn(&Args) -> CliResult;
 
 fn dispatch(cmd: &str, rest: &[String]) -> CliResult {
-    // `bench` takes positional arguments, which Args::parse does not
-    // model — it routes around the flag table.
-    if cmd == "bench" {
-        return cmd_bench(rest);
-    }
     // The command's own flags, the scenario whose flags it also reads
     // (`--scenario`: the one that flag names), and its implementation.
     let (own, shares, f): (&str, &str, Command) = match cmd {

@@ -410,13 +410,19 @@ fn flags_the_chosen_scenario_does_not_read_are_errors() {
 
 #[test]
 fn every_scenario_runs_reports_explains_and_verifies() {
-    for (name, size) in [
-        ("three-cpu", "--words 8"),
-        ("contention", "--rounds 5"),
-        ("task-queue", "--tasks 16"),
-        ("pipeline", "--nodes 4 --visits 32"),
-        ("bigmesh", "--nodes 48"),
-        ("canonical", "--cpus 2 --rounds 2"),
+    // The third column: what `verify` runs the scenario under, one `ok`
+    // line each — every model or method the paper compares on it.
+    for (name, size, verified) in [
+        ("three-cpu", "--words 8", "gwc entry release"),
+        ("contention", "--rounds 5", "optimistic regular"),
+        ("task-queue", "--tasks 16", "gwc entry"),
+        (
+            "pipeline",
+            "--nodes 4 --visits 32",
+            "optimistic regular entry",
+        ),
+        ("bigmesh", "--nodes 48", "gwc"),
+        ("canonical", "--cpus 2 --rounds 2", "gwc"),
     ] {
         for cmd in ["run", "report", "explain", "verify"] {
             let out = sesame_line(&format!("{cmd} --scenario {name} {size}"));
@@ -435,6 +441,14 @@ fn every_scenario_runs_reports_explains_and_verifies() {
                 stdout.contains(&says),
                 "`{cmd} --scenario {name}`: {stdout}"
             );
+            if cmd == "verify" {
+                let ok: Vec<&str> = stdout
+                    .lines()
+                    .filter_map(|l| l.strip_prefix(says.as_str())?.split(':').next())
+                    .collect();
+                let want: Vec<&str> = verified.split(' ').collect();
+                assert_eq!(ok, want, "`verify --scenario {name}`: {stdout}");
+            }
         }
     }
 }

@@ -1037,8 +1037,6 @@ impl<M: Model> Actor for Machine<M> {
 /// Options for [`run`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
-    /// RNG seed for the whole run.
-    pub seed: u64,
     /// Whether to record a trace.
     pub tracing: bool,
     /// Hard wall on simulated time.
@@ -1050,7 +1048,6 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            seed: 1,
             tracing: false,
             until: SimTime::MAX,
             event_limit: sesame_sim::DEFAULT_EVENT_LIMIT,
@@ -1107,7 +1104,9 @@ pub fn run_observed<M: Model>(
     observer: Option<std::rc::Rc<std::cell::RefCell<dyn sesame_sim::TraceObserver>>>,
 ) -> RunResult<M> {
     let n = machine.node_count();
-    let mut sim = Simulation::new(vec![machine], opts.seed);
+    // Nothing in a machine draws from the engine RNG (loss rolls and think
+    // times carry their own `DetRng`s), so its seed is not an option.
+    let mut sim = Simulation::new(vec![machine], 1);
     sim.set_tracing(opts.tracing);
     sim.set_event_limit(opts.event_limit);
     if let Some(observer) = observer {

@@ -4,7 +4,7 @@
 //! ([`MachineConfig::pruned_multicast`]) must be observably the same
 //! machine whichever way its fan-outs are emitted: as static waves where
 //! the fabric's timing allows it, or member by member where loss,
-//! contention or a zero hop latency rule that out. Same seed, same trace,
+//! contention or a zero hop latency rule that out. Same loss seed, same trace,
 //! same memories; only the traffic accounting (pruned routes bill fewer
 //! edges) and, on the wave path, the event count may differ.
 
@@ -86,7 +86,6 @@ fn run_with(
     pruned_multicast: bool,
     timing: LinkTiming,
     fabric: impl FnOnce(&mut Fabric),
-    seed: u64,
 ) -> RunResult<GwcModel> {
     let cfg = MachineConfig {
         pruned_multicast,
@@ -95,7 +94,6 @@ fn run_with(
     let mut machine = build(cfg, timing);
     fabric(machine.fabric_mut());
     let opts = RunOptions {
-        seed,
         tracing: true,
         ..RunOptions::default()
     };
@@ -127,21 +125,19 @@ fn assert_same_behaviour(a: &RunResult<GwcModel>, b: &RunResult<GwcModel>, what:
 /// waves: same behaviour as the flood, in fewer events over fewer edges.
 #[test]
 fn wave_path_matches_the_flood_reference() {
-    for seed in [1u64, 7, 23] {
-        let waves = run_with(true, PAPER, |_| {}, seed);
-        let flood = run_with(false, PAPER, |_| {}, seed);
-        assert!(
-            flood.trace.entries().iter().any(|e| e.kind == "pkt-mcast"),
-            "scenario produced no multicasts"
-        );
-        assert_same_behaviour(&waves, &flood, &format!("waves seed {seed}"));
-        // Per-member emission costs exactly the flood's events, so a
-        // strictly smaller count is the evidence that `McastWave` events
-        // were scheduled — without them this test proves nothing.
-        assert!(waves.events < flood.events, "seed {seed}: no wave ran");
-        let (fw, ff) = (waves.machine.fabric_stats(), flood.machine.fabric_stats());
-        assert!(fw.link_traversals <= ff.link_traversals, "seed {seed}");
-    }
+    let waves = run_with(true, PAPER, |_| {});
+    let flood = run_with(false, PAPER, |_| {});
+    assert!(
+        flood.trace.entries().iter().any(|e| e.kind == "pkt-mcast"),
+        "scenario produced no multicasts"
+    );
+    assert_same_behaviour(&waves, &flood, "waves");
+    // Per-member emission costs exactly the flood's events, so a
+    // strictly smaller count is the evidence that `McastWave` events
+    // were scheduled — without them this test proves nothing.
+    assert!(waves.events < flood.events, "no wave ran");
+    let (fw, ff) = (waves.machine.fabric_stats(), flood.machine.fabric_stats());
+    assert!(fw.link_traversals <= ff.link_traversals);
 }
 
 /// Two plain sharing groups on the 4x4 torus, picked so that fan-outs of
@@ -248,11 +244,11 @@ fn same_instant_waves_of_two_groups_match_the_flood_reference() {
 /// same way, event for event.
 #[test]
 fn pruned_matches_the_flood_reference_under_loss() {
-    for (seed, loss_seed, p) in [(1u64, 42u64, 0.2f64), (9, 7, 0.35), (31, 3, 0.1)] {
+    for (loss_seed, p) in [(42u64, 0.2f64), (7, 0.35), (3, 0.1)] {
         let lossy = |f: &mut Fabric| f.set_loss(p, loss_seed);
-        let pruned = run_with(true, PAPER, lossy, seed);
-        let flood = run_with(false, PAPER, lossy, seed);
-        let what = format!("seed {seed} loss {p}");
+        let pruned = run_with(true, PAPER, lossy);
+        let flood = run_with(false, PAPER, lossy);
+        let what = format!("loss seed {loss_seed} loss {p}");
         assert_same_behaviour(&pruned, &flood, &what);
         assert_eq!(pruned.events, flood.events, "{what}: event count");
         let (fp, ff) = (pruned.machine.fabric_stats(), flood.machine.fabric_stats());
@@ -281,7 +277,7 @@ fn assert_completed(r: &RunResult<GwcModel>, what: &str) {
 #[test]
 fn contended_pruned_machine_leaves_the_wave_path() {
     let contended = |f: &mut Fabric| f.set_contention(ContentionModel::StoreAndForward);
-    let a = run_with(true, PAPER, contended, 13);
+    let a = run_with(true, PAPER, contended);
     assert_completed(&a, "store-and-forward");
     // Every fan-out reaches depth 4 on the 4x4 torus; re-serializing on
     // each edge must land its last copy later than cut-through depth
@@ -295,8 +291,8 @@ fn contended_pruned_machine_leaves_the_wave_path() {
         }
     }
     assert!(fanouts > 0, "scenario produced no multicasts");
-    let b = run_with(true, PAPER, contended, 13);
-    assert_same_behaviour(&a, &b, "store-and-forward, same seed");
+    let b = run_with(true, PAPER, contended);
+    assert_same_behaviour(&a, &b, "store-and-forward, run twice");
     assert_eq!(a.events, b.events);
 }
 
@@ -309,12 +305,12 @@ fn zero_hop_latency_pruned_machine_leaves_the_wave_path() {
         hop_latency: SimDur::ZERO,
         ..PAPER
     };
-    let a = run_with(true, timing, |_| {}, 13);
+    let a = run_with(true, timing, |_| {});
     assert_completed(&a, "zero hop latency");
-    let flood = run_with(false, timing, |_| {}, 13);
+    let flood = run_with(false, timing, |_| {});
     assert_same_behaviour(&a, &flood, "zero hop latency vs flood");
     assert_eq!(a.events, flood.events, "a wave event was scheduled");
-    let b = run_with(true, timing, |_| {}, 13);
-    assert_same_behaviour(&a, &b, "zero hop latency, same seed");
+    let b = run_with(true, timing, |_| {});
+    assert_same_behaviour(&a, &b, "zero hop latency, run twice");
     assert_eq!(a.events, b.events);
 }

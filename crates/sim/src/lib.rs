@@ -34,8 +34,8 @@
 //!
 //! Determinism guarantee: for a fixed actor program and seed, every run
 //! produces identical event orders, timings, traces, and statistics. This is
-//! load-bearing for the experiment harness (`sesame-bench`), which asserts
-//! exact figures against recorded baselines.
+//! load-bearing for the golden files (`tests/golden/`) and the ledger's
+//! digest pins (`benchmark/pins.txt`), which hold runs to recorded bytes.
 
 // The `hostprof` feature's counting allocator is the sole unsafe code in
 // the crate: two forwarding calls into the system allocator, each behind an

@@ -86,14 +86,7 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     machine.model_mut().set_history_window(Some(16));
 
     let before = allocations();
-    let result = run(
-        machine,
-        RunOptions {
-            seed: 11,
-            tracing: false,
-            ..RunOptions::default()
-        },
-    );
+    let result = run(machine, RunOptions::default());
     let allocs = allocations() - before;
     let counter = result.machine.mem(n(1)).read(v(COUNTER));
     assert_eq!(

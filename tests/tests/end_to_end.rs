@@ -3,11 +3,14 @@
 
 use sesame_consistency::analysis::Figure1Params;
 use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
+use sesame_core::OptimisticConfig;
 use sesame_dsm::{run, AppEvent, NodeApi, Program, RunOptions, VarId};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::SimDur;
+use sesame_workloads::contention::ContentionConfig;
 use sesame_workloads::experiments::{figure1, figure2_jobs, figure8_jobs};
 use sesame_workloads::pipeline::PipelineConfig;
+use sesame_workloads::scenario::{Outcome, Scenario};
 use sesame_workloads::task_queue::TaskQueueConfig;
 use sesame_workloads::three_cpu::Figure1Config;
 
@@ -92,6 +95,37 @@ fn figure8_mini_sweep_preserves_the_papers_shape() {
         (1.6..=2.6).contains(&ratios.optimistic_over_entry),
         "opt/entry {ratios:?}"
     );
+}
+
+/// The contention ablation (EXPERIMENTS.md, `sesame contention`'s sizes):
+/// optimism hides the lock round trip while the lock is usually free, and
+/// the usage history takes it off the table before it can cost anything.
+#[test]
+fn optimistic_locking_wins_when_idle_and_never_loses_under_contention() {
+    let latency = |think_us, optimistic| {
+        let cfg = ContentionConfig {
+            contenders: 6,
+            rounds: 50,
+            mean_think: SimDur::from_us(think_us),
+            mutex: OptimisticConfig {
+                optimistic,
+                ..OptimisticConfig::default()
+            },
+            ..ContentionConfig::default()
+        };
+        match Scenario::Contention(cfg).run(None).unwrap() {
+            Outcome::Contention(run) => run.mean_section_latency,
+            other => unreachable!("a contention scenario ended as {other:?}"),
+        }
+    };
+    // Regular over optimistic mean section latency: 1.401 / 1.256 / 1.001.
+    for (think_us, at_least) in [(500, 1.35), (50, 0.99), (5, 0.99)] {
+        let ratio = latency(think_us, false) / latency(think_us, true);
+        assert!(
+            ratio >= at_least,
+            "at {think_us} us think time regular/optimistic is {ratio:.3}, want >= {at_least}"
+        );
+    }
 }
 
 /// The same counter-increment program runs under every memory model and
