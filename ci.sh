@@ -23,9 +23,6 @@ echo "==> cargo test"
 # per thread, so there is no such race for a second run to catch.)
 cargo test -q --workspace
 
-echo "==> cargo test --features verify (online verification)"
-cargo test -q -p sesame-dsm -p sesame-core --features verify
-
 echo "==> heap footprint budgets (release build, as the benchmark measures)"
 # Bytes per node of a built 10k-node bigmesh machine, peak heap of a full
 # run and what the run adds to the built machine, zero route storage on a

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use sesame_core::builder::ModelInstance;
 use sesame_dsm::{independent, DsmEvent, GroupTable, Machine, Packet};
 use sesame_net::{ContentionModel, NodeId};
-use sesame_sim::{ActorId, PendingEvent, SimTime, Simulation, TraceEntry};
+use sesame_sim::{PendingEvent, SimTime, Simulation, TraceEntry};
 use sesame_verify::{CheckKind, Verifier, Violation};
 use sesame_workloads::canonical::{build_canonical, CanonicalConfig, COUNTER};
 
@@ -108,6 +108,20 @@ pub struct Counterexample {
     pub trace: Vec<TraceEntry>,
 }
 
+/// The canonical workload at its initial state, tracing on: every node's
+/// start pending as its own event, so each is its own choice point.
+pub(crate) fn canonical_sim(cfg: CanonicalConfig) -> Simulation<Machine<ModelInstance>> {
+    let machine = build_canonical(cfg);
+    let n = machine.node_count();
+    let mut sim = Simulation::new(machine);
+    sim.set_tracing(true);
+    for i in 0..n {
+        let start = DsmEvent::Start { more: 0 };
+        sim.schedule(SimTime::ZERO, (NodeId::new(i as u32), start));
+    }
+    sim
+}
+
 /// One execution in flight: the simulator plus its online checkers.
 struct Exec {
     sim: Simulation<Machine<ModelInstance>>,
@@ -116,19 +130,9 @@ struct Exec {
 
 impl Exec {
     fn start(cfg: &CanonicalConfig) -> Exec {
-        let machine = build_canonical(*cfg);
-        let n = machine.node_count();
-        let mut sim = Simulation::new(vec![machine], 1);
-        sim.set_tracing(true);
+        let mut sim = canonical_sim(*cfg);
         let verifier = Rc::new(RefCell::new(Verifier::with_counter_spec(COUNTER.get())));
         sim.set_trace_observer(verifier.clone());
-        for i in 0..n {
-            sim.schedule(
-                SimTime::ZERO,
-                ActorId::new(0),
-                (NodeId::new(i as u32), DsmEvent::Start { more: 0 }),
-            );
-        }
         Exec { sim, verifier }
     }
 
@@ -177,7 +181,7 @@ fn enabled_seqs(
 /// they never influence which transitions are possible, only trace
 /// timestamps.
 fn state_digest(sim: &Simulation<Machine<ModelInstance>>) -> Option<u64> {
-    let machine_digest = sim.actors().next().expect("machine actor").state_digest()?;
+    let machine_digest = sim.actor().state_digest()?;
     let mut locals: BTreeMap<NodeId, Vec<DsmEvent>> = BTreeMap::new();
     let mut links: BTreeMap<(NodeId, NodeId), Vec<Packet>> = BTreeMap::new();
     for p in sim.pending() {
@@ -259,7 +263,7 @@ impl Explorer {
         exec.verifier.borrow_mut().finish();
         let Exec { sim, verifier } = exec;
         let trace: Vec<TraceEntry> = sim.trace().entries().to_vec();
-        let machine = sim.into_actors().pop().expect("machine actor");
+        let machine = sim.into_actor();
         let mut violations = verifier.borrow().violations().to_vec();
         let expected = self.cfg.expected_counter();
         let end = trace.last().map(|e| e.time).unwrap_or(SimTime::ZERO);

@@ -21,13 +21,13 @@
 //! mid-run (a counterexample cut at the first violation usually does).
 
 use sesame_core::{MutexMutation, OptimisticConfig};
-use sesame_dsm::{DsmEvent, GwcMutation};
-use sesame_net::NodeId;
-use sesame_sim::{ActorId, SimTime, Simulation, TraceEntry};
+use sesame_dsm::GwcMutation;
+use sesame_sim::TraceEntry;
 use sesame_verify::{check_trace, check_trace_partial, Violation};
-use sesame_workloads::canonical::{build_canonical, CanonicalConfig};
+use sesame_workloads::canonical::CanonicalConfig;
+use sesame_workloads::scenario::Scenario;
 
-use crate::explore::Counterexample;
+use crate::explore::{canonical_sim, Counterexample};
 
 const HEADER: &str = "sesame-check counterexample v1";
 
@@ -141,18 +141,22 @@ pub struct ReplayOutcome {
 }
 
 /// Re-executes a recorded schedule and checks its trace offline.
+///
+/// # Errors
+///
+/// Returns the reason when `cfg` is outside the bounds `sesame check`
+/// explores within (a replay file is input like any other), or when the
+/// schedule names an event that is not pending.
 pub fn replay(cfg: CanonicalConfig, choices: &[u64]) -> Result<ReplayOutcome, String> {
-    let machine = build_canonical(cfg);
-    let n = machine.node_count();
-    let mut sim = Simulation::new(vec![machine], 1);
-    sim.set_tracing(true);
-    for i in 0..n {
-        sim.schedule(
-            SimTime::ZERO,
-            ActorId::new(0),
-            (NodeId::new(i as u32), DsmEvent::Start { more: 0 }),
-        );
-    }
+    // The driver's bounds refuse a planted bug; a counterexample
+    // legitimately carries one.
+    let bounds = Scenario::Canonical(CanonicalConfig {
+        gwc_mutation: GwcMutation::None,
+        mutex_mutation: MutexMutation::None,
+        ..cfg
+    });
+    bounds.validate().map_err(|e| e.to_string())?;
+    let mut sim = canonical_sim(cfg);
     for (step, &seq) in choices.iter().enumerate() {
         if !sim.step_seq(seq) {
             return Err(format!(
@@ -214,6 +218,20 @@ mod tests {
         assert!(parse_replay(&s).is_err());
         let s = format!("{HEADER}\ncontenders=2\n");
         assert!(parse_replay(&s).is_err(), "missing choices");
+        // Well-formed lines, values no workload can be built from: an
+        // error from `replay`, not a panic inside the build.
+        for (line, names) in [
+            ("alpha=7", "mutex.alpha"),
+            ("alpha=nan", "mutex.alpha"),
+            ("threshold=2", "mutex.threshold"),
+            ("contenders=0", "contenders"),
+            ("rounds=0", "rounds"),
+        ] {
+            let s = format!("{HEADER}\n{line}\ngwc_mutation=seq-gap\nchoices=\n");
+            let (cfg, choices) = parse_replay(&s).expect("parses");
+            let err = replay(cfg, &choices).expect_err(line);
+            assert!(err.contains(names), "{line}: {err}");
+        }
     }
 
     #[test]

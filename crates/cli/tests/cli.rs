@@ -340,8 +340,20 @@ fn sesame_line(line: &str) -> Output {
 fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
     // Ten lines that used to end in a panic and a backtrace (exit 101),
     // four that printed NaN ratios or a vacuous "complete" with exit 0,
-    // and two that panicked in the figure binaries' own parsers.
-    for line in [
+    // two that panicked in the figure binaries' own parsers, and four
+    // replay files: a hostile `alpha` or `threshold` panicked in the build,
+    // zero contenders or rounds "replayed 0 choices ... no violations".
+    let replays: Vec<(PathBuf, String)> = ["alpha=7", "threshold=2", "contenders=0", "rounds=0"]
+        .iter()
+        .map(|bad| {
+            let path = tmp(&format!("{bad}.replay"));
+            let file = format!("sesame-check counterexample v1\n{bad}\nchoices=\n");
+            std::fs::write(&path, file).expect("write replay file");
+            let line = format!("check --replay {}", path.display());
+            (path, line)
+        })
+        .collect();
+    let lines = [
         "bigmesh --nodes 1",
         "bigmesh --nodes 0",
         "bigmesh --nodes 64 --laps 0",
@@ -360,14 +372,22 @@ fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
         "run --scenario pipeline --window 0",
         "bigmesh --rows 4",
         "bigmesh --nodes 400 --event-limit 1000",
-    ] {
+    ];
+    for line in lines
+        .into_iter()
+        .chain(replays.iter().map(|r| r.1.as_str()))
+    {
         let out = sesame_line(line);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "`{line}`: {stderr}");
         assert!(stderr.starts_with("error: "), "`{line}`: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "`{line}`: {stderr}");
         assert!(!stderr.contains("panicked"), "`{line}`: {stderr}");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!stdout.contains("NaN"), "`{line}`: {stdout}");
+    }
+    for (path, _) in &replays {
+        let _ = std::fs::remove_file(path);
     }
     // A parameter error names the scenario, the field and the bound.
     let out = sesame_line("bigmesh --nodes 1");

@@ -3,10 +3,6 @@
 //! [`sesame_sim::TraceObserver`] and must stay silent across optimistic
 //! entries, rollbacks, and free-flicker re-arms — without the run
 //! retaining any trace in memory.
-//!
-//! Run with `cargo test -p sesame-core --features verify`.
-
-#![cfg(feature = "verify")]
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -20,8 +20,8 @@ use sesame_net::{
     CauseId, ContentionModel, Fabric, LinkTiming, NodeId, RouteArena, SpanningTree, Topology,
 };
 use sesame_sim::{
-    Actor, ActorId, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TimeWeighted,
-    TraceDetail, TraceRecorder,
+    Actor, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TimeWeighted, TraceDetail,
+    TraceRecorder,
 };
 
 use crate::causal::CauseCtx;
@@ -99,9 +99,10 @@ pub type MachineMsg = (NodeId, DsmEvent);
 
 // One `MachineMsg` is stored per pending event in each of the queue's
 // arrays, so a variant that grows it, or owns heap data, must fail to
-// compile. With the engine's actor id and the queue's 16-byte (time, seq)
-// key this holds a pending record at <= 96 bytes.
+// compile. The queue holds the message itself under its 16-byte
+// (time, seq) key: a pending record of <= 88 bytes.
 const _: () = assert!(std::mem::size_of::<MachineMsg>() <= 72);
+const _: () = assert!(sesame_sim::EventQueue::<MachineMsg>::RECORD_BYTES <= 88);
 const fn _assert_copy<T: Copy>() {}
 const _: () = _assert_copy::<DsmEvent>();
 const _: () = _assert_copy::<Packet>();
@@ -225,9 +226,7 @@ impl Mx<'_, '_> {
         // cause; the receiver restores it as its causal context.
         pkt.cause = self.causes.stage(self.ctx, pkt.from, CauseOp::Send);
         self.causes.hold(pkt.cause);
-        let target = self.ctx.self_id();
-        self.ctx
-            .send_at(target, at, (pkt.to, DsmEvent::Packet(pkt)));
+        self.ctx.send_at(at, (pkt.to, DsmEvent::Packet(pkt)));
     }
 
     /// Multicasts one sequenced write down `group`'s multicast route to
@@ -311,7 +310,6 @@ impl Mx<'_, '_> {
         // One mcast id covers the whole fan-out: every member's packet
         // carries it, so each arrival chains back to this decision.
         let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
-        let target = self.ctx.self_id();
         let packet_to = |to: NodeId| Packet {
             from: root,
             to,
@@ -333,7 +331,6 @@ impl Mx<'_, '_> {
                 // One hold for the whole train, released by its last car.
                 self.causes.hold(cause);
                 self.ctx.send_train_at(
-                    target,
                     depth_at(route.wave_depth(0)),
                     route.wave_count() as u64,
                     (first, ev),
@@ -350,7 +347,7 @@ impl Mx<'_, '_> {
                     }
                     self.causes.hold(cause);
                     self.ctx
-                        .send_at(target, at, (member, DsmEvent::Packet(packet_to(member))));
+                        .send_at(at, (member, DsmEvent::Packet(packet_to(member))));
                 }
             }
         }
@@ -360,12 +357,8 @@ impl Mx<'_, '_> {
     /// after `delay`.
     pub fn set_model_timer(&mut self, node: NodeId, delay: SimDur, tag: u64) {
         self.causes.park_model_timer(node, tag);
-        let target = self.ctx.self_id();
-        self.ctx.send_at(
-            target,
-            self.now + delay,
-            (node, DsmEvent::ModelTimer { tag }),
-        );
+        self.ctx
+            .send_at(self.now + delay, (node, DsmEvent::ModelTimer { tag }));
     }
 
     /// Queues an application event for delivery to `node`'s program in the
@@ -914,14 +907,14 @@ impl<M: Model> Machine<M> {
                         self.cpus[node.index()].start(ctx.now(), dur);
                         let id = self.causes.stage(ctx, node, CauseOp::Compute);
                         self.causes.park_compute(node, tag, id);
-                        ctx.send_self(dur, (node, DsmEvent::ComputeDone { tag }));
+                        ctx.send(dur, (node, DsmEvent::ComputeDone { tag }));
                     }
                     Action::CancelCompute => {
                         self.cpus[node.index()].cancel(ctx.now());
                     }
                     Action::Timer { dur, tag } => {
                         self.causes.park_timer(node, tag);
-                        ctx.send_self(dur, (node, DsmEvent::TimerFired { tag }));
+                        ctx.send(dur, (node, DsmEvent::TimerFired { tag }));
                     }
                     Action::SendMessage {
                         to,
@@ -978,7 +971,7 @@ impl<M: Model> Actor for Machine<M> {
                 if more > 0 {
                     let next = NodeId::new(node.get() + 1);
                     let car = DsmEvent::Start { more: more - 1 };
-                    ctx.send_next_car_at(ctx.self_id(), ctx.now(), (next, car));
+                    ctx.send_next_car_at(ctx.now(), (next, car));
                 }
                 // Spontaneous: a root of the causal forest.
                 self.causes.set_current(CauseId::NONE);
@@ -1020,7 +1013,7 @@ impl<M: Model> Actor for Machine<M> {
                     self.drain(&mut app_q, ctx);
                 }
                 match self.wave_after(group, wave, pkt) {
-                    Some((gap, car)) => ctx.send_next_car_at(ctx.self_id(), ctx.now() + gap, car),
+                    Some((gap, car)) => ctx.send_next_car_at(ctx.now() + gap, car),
                     None => self.causes.release(pkt.cause),
                 }
             }
@@ -1104,9 +1097,7 @@ pub fn run_observed<M: Model>(
     observer: Option<std::rc::Rc<std::cell::RefCell<dyn sesame_sim::TraceObserver>>>,
 ) -> RunResult<M> {
     let n = machine.node_count();
-    // Nothing in a machine draws from the engine RNG (loss rolls and think
-    // times carry their own `DetRng`s), so its seed is not an option.
-    let mut sim = Simulation::new(vec![machine], 1);
+    let mut sim = Simulation::new(machine);
     sim.set_tracing(opts.tracing);
     sim.set_event_limit(opts.event_limit);
     if let Some(observer) = observer {
@@ -1118,7 +1109,6 @@ pub fn run_observed<M: Model>(
         let more = u32::try_from(n - 1).expect("node ids are 32-bit");
         sim.schedule_train(
             SimTime::ZERO,
-            ActorId::new(0),
             (NodeId::new(0), DsmEvent::Start { more }),
             n as u64,
         );
@@ -1127,9 +1117,8 @@ pub fn run_observed<M: Model>(
     let end = sim.now();
     let events = sim.events_processed();
     let trace = sim.trace().clone();
-    let machine = sim.into_actors().pop().expect("machine actor");
     RunResult {
-        machine,
+        machine: sim.into_actor(),
         trace,
         end,
         outcome,

@@ -1,10 +1,6 @@
 //! Online verification of the GWC machine: the `sesame-verify` checkers
 //! ride along with a live simulation as a [`sesame_sim::TraceObserver`],
 //! with trace recording itself switched **off** — no event retention.
-//!
-//! Run with `cargo test -p sesame-dsm --features verify`.
-
-#![cfg(feature = "verify")]
 
 use std::cell::RefCell;
 use std::rc::Rc;

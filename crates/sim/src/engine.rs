@@ -1,64 +1,44 @@
-//! The discrete-event actor engine.
+//! The discrete-event engine.
 //!
-//! A simulation is a set of [`Actor`]s exchanging timestamped messages
-//! through a deterministic [`EventQueue`](crate::EventQueue). The engine pops
-//! the earliest event, advances the clock, and hands the message to the
-//! target actor together with a [`Context`] through which the actor may send
-//! further messages, consult the clock and RNG, record trace entries, and
-//! stop the run.
+//! A simulation is one [`Actor`] — the simulated machine — sending itself
+//! timestamped messages through a deterministic
+//! [`EventQueue`](crate::EventQueue). The engine pops the earliest event,
+//! advances the clock, and hands the message to the actor together with a
+//! [`Context`] through which it may send further messages, consult the
+//! clock, record trace entries, and stop the run. An actor that models
+//! several nodes routes inside its own message, as `sesame-dsm`'s machine
+//! does with its `(NodeId, DsmEvent)`.
 //!
 //! ```
-//! use sesame_sim::{Actor, ActorId, Context, SimDur, Simulation};
+//! use sesame_sim::{Actor, Context, SimDur, SimTime, Simulation};
 //!
-//! struct Ping { count: u32 }
+//! /// Two players; the message names the one the token is for.
+//! struct PingPong { hits: [u32; 2] }
 //!
-//! impl Actor for Ping {
-//!     type Msg = ();
-//!     fn handle(&mut self, _msg: (), ctx: &mut Context<'_, ()>) {
-//!         self.count += 1;
-//!         if self.count < 3 {
-//!             // Bounce the token to the other actor 10ns from now.
-//!             let other = ActorId::new(1 - ctx.self_id().index());
-//!             ctx.send(other, SimDur::from_nanos(10), ());
+//! impl Actor for PingPong {
+//!     type Msg = usize;
+//!     fn handle(&mut self, player: usize, ctx: &mut Context<'_, usize>) {
+//!         self.hits[player] += 1;
+//!         if self.hits[player] < 3 {
+//!             // Bounce the token to the other player 10ns from now.
+//!             ctx.send(SimDur::from_nanos(10), 1 - player);
 //!         }
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(vec![Ping { count: 0 }, Ping { count: 0 }], 42);
-//! sim.schedule(sesame_sim::SimTime::ZERO, ActorId::new(0), ());
+//! let mut sim = Simulation::new(PingPong { hits: [0, 0] });
+//! sim.schedule(SimTime::ZERO, 0);
 //! sim.run_to_completion();
-//! assert_eq!(sim.actor(ActorId::new(0)).count + sim.actor(ActorId::new(1)).count, 5);
+//! assert_eq!(sim.actor().hits, [3, 2]);
 //! ```
 
 use std::fmt;
 
-use crate::{DetRng, EventQueue, SimDur, SimTime, TraceDetail, TraceRecorder};
+use crate::{EventQueue, SimDur, SimTime, TraceDetail, TraceRecorder};
 
-/// Identifies an actor within one [`Simulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ActorId(usize);
-
-impl ActorId {
-    /// Creates an id from its index in the simulation's actor list.
-    pub const fn new(index: usize) -> Self {
-        ActorId(index)
-    }
-
-    /// The index in the simulation's actor list.
-    pub const fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for ActorId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "actor{}", self.0)
-    }
-}
-
-/// A simulated entity that reacts to timestamped messages.
+/// The simulated entity: reacts to timestamped messages.
 pub trait Actor {
-    /// The message type this actor exchanges.
+    /// The message type this actor sends itself.
     type Msg;
 
     /// Reacts to one message delivered at `ctx.now()`.
@@ -80,7 +60,6 @@ enum SeqPlan {
 #[derive(Debug)]
 struct Outgoing<M> {
     at: SimTime,
-    to: ActorId,
     msg: M,
     seq: SeqPlan,
 }
@@ -92,12 +71,10 @@ struct Outgoing<M> {
 #[derive(Debug)]
 pub struct Context<'a, M> {
     now: SimTime,
-    self_id: ActorId,
     /// Whether this handler already sent its train's next car (there is
     /// one reserved number to send it under).
     next_car_sent: bool,
     outbox: &'a mut Vec<Outgoing<M>>,
-    rng: &'a mut DetRng,
     trace: &'a mut TraceRecorder,
     stop: &'a mut bool,
 }
@@ -108,23 +85,18 @@ impl<M> Context<'_, M> {
         self.now
     }
 
-    /// The id of the actor currently handling a message.
-    pub fn self_id(&self) -> ActorId {
-        self.self_id
+    /// Sends `msg`, arriving `delay` after now.
+    pub fn send(&mut self, delay: SimDur, msg: M) {
+        self.send_at(self.now + delay, msg);
     }
 
-    /// Sends `msg` to `to`, arriving `delay` after now.
-    pub fn send(&mut self, to: ActorId, delay: SimDur, msg: M) {
-        self.send_at(to, self.now + delay, msg);
-    }
-
-    /// Sends `msg` to `to`, arriving at the absolute time `at`.
+    /// Sends `msg`, arriving at the absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn send_at(&mut self, to: ActorId, at: SimTime, msg: M) {
-        self.enqueue(to, at, msg, SeqPlan::Reserve(1));
+    pub fn send_at(&mut self, at: SimTime, msg: M) {
+        self.enqueue(at, msg, SeqPlan::Reserve(1));
     }
 
     /// Sends `msg` as the first car of an event *train*: a chain of `cars`
@@ -137,9 +109,9 @@ impl<M> Context<'_, M> {
     /// # Panics
     ///
     /// Panics if `at` is in the past or `cars` is zero.
-    pub fn send_train_at(&mut self, to: ActorId, at: SimTime, cars: u64, msg: M) {
+    pub fn send_train_at(&mut self, at: SimTime, cars: u64, msg: M) {
         assert!(cars >= 1, "a train has at least one car");
-        self.enqueue(to, at, msg, SeqPlan::Reserve(cars));
+        self.enqueue(at, msg, SeqPlan::Reserve(cars));
     }
 
     /// Sends the car after the one being handled, arriving at `at`. Only
@@ -152,37 +124,21 @@ impl<M> Context<'_, M> {
     ///
     /// Panics if `at` is in the past or the handler already sent a next
     /// car.
-    pub fn send_next_car_at(&mut self, to: ActorId, at: SimTime, msg: M) {
+    pub fn send_next_car_at(&mut self, at: SimTime, msg: M) {
         assert!(!self.next_car_sent, "one next car per handled event");
         self.next_car_sent = true;
-        self.enqueue(to, at, msg, SeqPlan::NextCar);
+        self.enqueue(at, msg, SeqPlan::NextCar);
     }
 
-    fn enqueue(&mut self, to: ActorId, at: SimTime, msg: M, seq: SeqPlan) {
+    fn enqueue(&mut self, at: SimTime, msg: M, seq: SeqPlan) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.outbox.push(Outgoing { at, to, msg, seq });
+        self.outbox.push(Outgoing { at, msg, seq });
     }
 
-    /// Sends `msg` back to the current actor after `delay`.
-    pub fn send_self(&mut self, delay: SimDur, msg: M) {
-        self.send(self.self_id, delay, msg);
-    }
-
-    /// The simulation-wide deterministic RNG.
-    pub fn rng(&mut self) -> &mut DetRng {
-        self.rng
-    }
-
-    /// Records a trace entry attributed to the current actor.
-    pub fn trace(&mut self, kind: &'static str, detail: TraceDetail) {
-        self.trace
-            .record(self.now, self.self_id.index(), kind, detail);
-    }
-
-    /// Records a trace entry attributed to another actor (useful when one
-    /// actor simulates hardware belonging to several nodes).
-    pub fn trace_for(&mut self, actor: usize, kind: &'static str, detail: TraceDetail) {
-        self.trace.record(self.now, actor, kind, detail);
+    /// Records a trace entry attributed to `node`: the index of whichever
+    /// of the nodes the actor simulates the entry is about.
+    pub fn trace_for(&mut self, node: usize, kind: &'static str, detail: TraceDetail) {
+        self.trace.record(self.now, node, kind, detail);
     }
 
     /// Whether tracing is enabled (lets callers skip building
@@ -203,7 +159,8 @@ impl<M> Context<'_, M> {
     }
 }
 
-/// One entry in the pending-event view handed to a [`Scheduler`].
+/// One entry of [`Simulation::pending`]: a choice point for a caller that
+/// delivers events out of order with [`Simulation::step_seq`].
 ///
 /// The `seq` is the queue's monotone push-sequence number. Because every
 /// push is a deterministic consequence of the events delivered so far, seq
@@ -215,24 +172,8 @@ pub struct PendingEvent<'a, M> {
     pub time: SimTime,
     /// The queue push-sequence number identifying this event.
     pub seq: u64,
-    /// The actor the event targets.
-    pub target: ActorId,
     /// The message payload.
     pub msg: &'a M,
-}
-
-/// A controlled-nondeterminism scheduling hook: at every step the scheduler
-/// sees the full pending set and picks which event fires next, instead of
-/// the engine's fixed earliest-`(time, seq)` order.
-///
-/// Delivering an event whose timestamp is earlier than the clock is allowed
-/// — the engine clamps its delivery time to `now`, modeling an arbitrary
-/// extra message delay. This is how the schedule explorer reorders
-/// deliveries without violating clock monotonicity.
-pub trait Scheduler<M> {
-    /// Picks the `seq` of the next event to deliver, or `None` to stop the
-    /// run with the remaining events undelivered.
-    fn pick(&mut self, now: SimTime, pending: &[PendingEvent<'_, M>]) -> Option<u64>;
 }
 
 /// Why a call to one of the run methods returned.
@@ -242,7 +183,7 @@ pub enum RunOutcome {
     Drained,
     /// The time limit passed to [`Simulation::run_until`] was reached.
     ReachedTimeLimit,
-    /// An actor called [`Context::stop`].
+    /// The actor called [`Context::stop`].
     Stopped,
     /// The safety event limit was hit (runaway simulation).
     EventLimitExceeded,
@@ -251,12 +192,11 @@ pub enum RunOutcome {
 /// Default cap on processed events, guarding against livelocked models.
 pub const DEFAULT_EVENT_LIMIT: u64 = 500_000_000;
 
-/// A deterministic discrete-event simulation over a fixed set of actors.
+/// A deterministic discrete-event simulation of one actor.
 pub struct Simulation<A: Actor> {
-    actors: Vec<A>,
-    queue: EventQueue<(ActorId, A::Msg)>,
+    actor: A,
+    queue: EventQueue<A::Msg>,
     now: SimTime,
-    rng: DetRng,
     trace: TraceRecorder,
     outbox: Vec<Outgoing<A::Msg>>,
     events_processed: u64,
@@ -267,7 +207,6 @@ pub struct Simulation<A: Actor> {
 impl<A: Actor> fmt::Debug for Simulation<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
-            .field("actors", &self.actors.len())
             .field("now", &self.now)
             .field("pending", &self.queue.len())
             .field("events_processed", &self.events_processed)
@@ -276,23 +215,19 @@ impl<A: Actor> fmt::Debug for Simulation<A> {
 }
 
 impl<A: Actor> Simulation<A> {
-    /// Default cap on processed events, guarding against livelocked models.
-    pub const DEFAULT_EVENT_LIMIT: u64 = DEFAULT_EVENT_LIMIT;
-
-    /// Creates a simulation over `actors`, seeding the deterministic RNG.
-    pub fn new(actors: Vec<A>, seed: u64) -> Self {
-        // A starting hint only: the calendar re-tunes itself to whatever
-        // backlog the run builds up.
-        let capacity = actors.len().saturating_mul(4).max(16);
+    /// Creates a simulation of `actor` with the clock at zero and nothing
+    /// pending.
+    pub fn new(actor: A) -> Self {
         Simulation {
-            actors,
-            queue: EventQueue::with_capacity(capacity),
+            actor,
+            // A starting hint only: the calendar re-tunes itself to
+            // whatever backlog the run builds up.
+            queue: EventQueue::with_capacity(16),
             now: SimTime::ZERO,
-            rng: DetRng::new(seed),
             trace: TraceRecorder::new(false),
             outbox: Vec::new(),
             events_processed: 0,
-            event_limit: Self::DEFAULT_EVENT_LIMIT,
+            event_limit: DEFAULT_EVENT_LIMIT,
             stop_requested: false,
         }
     }
@@ -332,41 +267,28 @@ impl<A: Actor> Simulation<A> {
         self.events_processed
     }
 
-    /// Number of actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
+    /// The actor.
+    pub fn actor(&self) -> &A {
+        &self.actor
     }
 
-    /// Immutable access to an actor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn actor(&self, id: ActorId) -> &A {
-        &self.actors[id.index()]
+    /// The actor, mutably (for setup or post-run inspection).
+    pub fn actor_mut(&mut self) -> &mut A {
+        &mut self.actor
     }
 
-    /// Mutable access to an actor (for setup or post-run inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut A {
-        &mut self.actors[id.index()]
-    }
-
-    /// Iterates over all actors.
-    pub fn actors(&self) -> impl Iterator<Item = &A> {
-        self.actors.iter()
+    /// Consumes the simulation, returning its actor for inspection.
+    pub fn into_actor(self) -> A {
+        self.actor
     }
 
     /// Schedules an external message (typically the initial events).
     ///
     /// # Panics
     ///
-    /// Panics if `to` is out of range or `at` is before the current time.
-    pub fn schedule(&mut self, at: SimTime, to: ActorId, msg: A::Msg) {
-        self.schedule_train(at, to, msg, 1);
+    /// Panics if `at` is before the current time.
+    pub fn schedule(&mut self, at: SimTime, msg: A::Msg) {
+        self.schedule_train(at, msg, 1);
     }
 
     /// Schedules an external message as the first car of a train of
@@ -376,36 +298,30 @@ impl<A: Actor> Simulation<A> {
     ///
     /// # Panics
     ///
-    /// Panics if `to` is out of range, `at` is before the current time or
-    /// `cars` is zero.
-    pub fn schedule_train(&mut self, at: SimTime, to: ActorId, msg: A::Msg, cars: u64) {
-        assert!(to.index() < self.actors.len(), "no such actor: {to}");
+    /// Panics if `at` is before the current time or `cars` is zero.
+    pub fn schedule_train(&mut self, at: SimTime, msg: A::Msg, cars: u64) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push_train(at, (to, msg), cars);
+        self.queue.push_train(at, msg, cars);
     }
 
     /// Delivers one already-popped event — queued under tie-break number
-    /// `seq` — to its target actor and enqueues everything the handler
-    /// sent.
-    fn dispatch(&mut self, time: SimTime, seq: u64, target: ActorId, msg: A::Msg) {
+    /// `seq` — to the actor and enqueues everything the handler sent.
+    fn dispatch(&mut self, time: SimTime, seq: u64, msg: A::Msg) {
         debug_assert!(time >= self.now, "event queue returned stale event");
         self.now = time;
         self.events_processed += 1;
         let mut ctx = Context {
             now: self.now,
-            self_id: target,
             next_car_sent: false,
             outbox: &mut self.outbox,
-            rng: &mut self.rng,
             trace: &mut self.trace,
             stop: &mut self.stop_requested,
         };
-        self.actors[target.index()].handle(msg, &mut ctx);
+        self.actor.handle(msg, &mut ctx);
         for out in self.outbox.drain(..) {
-            let payload = (out.to, out.msg);
             match out.seq {
-                SeqPlan::Reserve(cars) => self.queue.push_train(out.at, payload, cars),
-                SeqPlan::NextCar => self.queue.push_car(out.at, seq + 1, payload),
+                SeqPlan::Reserve(cars) => self.queue.push_train(out.at, out.msg, cars),
+                SeqPlan::NextCar => self.queue.push_car(out.at, seq + 1, out.msg),
             }
         }
     }
@@ -419,14 +335,14 @@ impl<A: Actor> Simulation<A> {
 
     /// Processes a single event. Returns `false` when no event was pending.
     pub fn step(&mut self) -> bool {
-        let Some((time, (target, msg))) = self.queue.pop() else {
+        let Some((time, msg)) = self.queue.pop() else {
             return false;
         };
-        self.dispatch(time, self.popped_seq(), target, msg);
+        self.dispatch(time, self.popped_seq(), msg);
         true
     }
 
-    /// Runs until the queue drains, an actor stops the run, or the event
+    /// Runs until the queue drains, the actor stops the run, or the event
     /// limit trips.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
@@ -445,103 +361,56 @@ impl<A: Actor> Simulation<A> {
             // One heap inspection per event instead of a peek + pop pair.
             #[cfg(feature = "hostprof")]
             let pop_started = crate::hostprof::clock_start();
-            match self.queue.pop_if_before(limit) {
-                Some((time, (target, msg))) => {
-                    #[cfg(feature = "hostprof")]
-                    {
-                        crate::hostprof::pop_done(
-                            pop_started,
-                            self.queue.len(),
-                            self.queue.total_pushed(),
-                            self.queue.total_popped(),
-                        );
-                    }
-                    #[cfg(feature = "hostprof")]
-                    let dispatch_started = crate::hostprof::clock_start();
-                    self.dispatch(time, self.popped_seq(), target, msg);
-                    #[cfg(feature = "hostprof")]
-                    crate::hostprof::dispatch_done(dispatch_started);
+            let popped = self.queue.pop_if_before(limit);
+            #[cfg(feature = "hostprof")]
+            crate::hostprof::pop_done(
+                pop_started,
+                self.queue.len(),
+                self.queue.total_pushed(),
+                self.queue.total_popped(),
+            );
+            let Some((time, msg)) = popped else {
+                if self.queue.is_empty() {
+                    return RunOutcome::Drained;
                 }
-                None => {
-                    #[cfg(feature = "hostprof")]
-                    {
-                        crate::hostprof::pop_done(
-                            pop_started,
-                            self.queue.len(),
-                            self.queue.total_pushed(),
-                            self.queue.total_popped(),
-                        );
-                    }
-                    if self.queue.is_empty() {
-                        return RunOutcome::Drained;
-                    }
-                    self.now = self.now.max(limit);
-                    return RunOutcome::ReachedTimeLimit;
-                }
-            }
+                self.now = self.now.max(limit);
+                return RunOutcome::ReachedTimeLimit;
+            };
+            #[cfg(feature = "hostprof")]
+            let dispatch_started = crate::hostprof::clock_start();
+            self.dispatch(time, self.popped_seq(), msg);
+            #[cfg(feature = "hostprof")]
+            crate::hostprof::dispatch_done(dispatch_started);
         }
     }
 
-    /// Whether an actor has requested a stop (via [`Context::stop`]).
+    /// Whether the actor has requested a stop (via [`Context::stop`]).
     pub fn stopped(&self) -> bool {
         self.stop_requested
     }
 
-    /// The current pending-event set in deterministic `(time, seq)` order —
-    /// the choice points a [`Scheduler`] picks from.
+    /// The current pending-event set in deterministic `(time, seq)` order:
+    /// what a schedule explorer picks its next [`Simulation::step_seq`]
+    /// from, instead of the engine's fixed earliest-first order.
     pub fn pending(&self) -> Vec<PendingEvent<'_, A::Msg>> {
         self.queue
             .pending_sorted()
             .into_iter()
-            .map(|(time, seq, (target, msg))| PendingEvent {
-                time,
-                seq,
-                target: *target,
-                msg,
-            })
+            .map(|(time, seq, msg)| PendingEvent { time, seq, msg })
             .collect()
     }
 
     /// Delivers the pending event with push-sequence `seq`, out of order if
     /// need be: an event whose timestamp has already passed is delivered at
-    /// the current clock (the reordering reads as extra network delay).
-    /// Returns `false` if no such event is pending.
+    /// the current clock (the reordering reads as extra network delay, and
+    /// the clock stays monotone). Returns `false` if no such event is
+    /// pending.
     pub fn step_seq(&mut self, seq: u64) -> bool {
-        let Some((time, (target, msg))) = self.queue.remove_seq(seq) else {
+        let Some((time, msg)) = self.queue.remove_seq(seq) else {
             return false;
         };
-        self.dispatch(time.max(self.now), seq, target, msg);
+        self.dispatch(time.max(self.now), seq, msg);
         true
-    }
-
-    /// Runs under a [`Scheduler`] until it declines to pick, the queue
-    /// drains, an actor stops the run, or the event limit trips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler picks a seq that is not pending.
-    pub fn run_scheduled<S: Scheduler<A::Msg>>(&mut self, scheduler: &mut S) -> RunOutcome {
-        loop {
-            if self.stop_requested {
-                return RunOutcome::Stopped;
-            }
-            if self.events_processed >= self.event_limit {
-                return RunOutcome::EventLimitExceeded;
-            }
-            if self.queue.is_empty() {
-                return RunOutcome::Drained;
-            }
-            let pending = self.pending();
-            let Some(seq) = scheduler.pick(self.now, &pending) else {
-                return RunOutcome::Stopped;
-            };
-            assert!(self.step_seq(seq), "scheduler picked unknown seq {seq}");
-        }
-    }
-
-    /// Consumes the simulation, returning its actors for inspection.
-    pub fn into_actors(self) -> Vec<A> {
-        self.actors
     }
 }
 
@@ -549,22 +418,28 @@ impl<A: Actor> Simulation<A> {
 mod tests {
     use super::*;
 
-    /// An actor that forwards a hop-counted token around a ring.
+    /// A ring of `n` stations forwarding a hop-counted token, all inside
+    /// one actor: the message names the station it is for.
     struct Ring {
-        n: usize,
-        received: Vec<SimTime>,
+        received: Vec<Vec<SimTime>>,
     }
 
     #[derive(Debug)]
-    struct Token(u32);
+    struct Token {
+        station: usize,
+        hops: u32,
+    }
 
     impl Actor for Ring {
         type Msg = Token;
-        fn handle(&mut self, Token(hops): Token, ctx: &mut Context<'_, Token>) {
-            self.received.push(ctx.now());
+        fn handle(&mut self, Token { station, hops }: Token, ctx: &mut Context<'_, Token>) {
+            self.received[station].push(ctx.now());
             if hops > 0 {
-                let next = ActorId::new((ctx.self_id().index() + 1) % self.n);
-                ctx.send(next, SimDur::from_nanos(100), Token(hops - 1));
+                let next = Token {
+                    station: (station + 1) % self.received.len(),
+                    hops: hops - 1,
+                };
+                ctx.send(SimDur::from_nanos(100), next);
             } else {
                 ctx.stop();
             }
@@ -572,29 +447,28 @@ mod tests {
     }
 
     fn ring(n: usize) -> Simulation<Ring> {
-        Simulation::new(
-            (0..n)
-                .map(|_| Ring {
-                    n,
-                    received: Vec::new(),
-                })
-                .collect(),
-            1,
-        )
+        Simulation::new(Ring {
+            received: vec![Vec::new(); n],
+        })
+    }
+
+    /// A token for station 0 with `hops` forwards left.
+    fn token(hops: u32) -> Token {
+        Token { station: 0, hops }
     }
 
     #[test]
     fn token_ring_timing() {
         let mut sim = ring(4);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(8));
+        sim.schedule(SimTime::ZERO, token(8));
         let outcome = sim.run_to_completion();
         assert_eq!(outcome, RunOutcome::Stopped);
         // 8 forwards of 100ns each.
         assert_eq!(sim.now(), SimTime::from_nanos(800));
         assert_eq!(sim.events_processed(), 9);
-        // Actor 0 saw the token at t=0, 400, 800.
+        // Station 0 saw the token at t=0, 400, 800.
         assert_eq!(
-            sim.actor(ActorId::new(0)).received,
+            sim.actor().received[0],
             vec![
                 SimTime::ZERO,
                 SimTime::from_nanos(400),
@@ -606,17 +480,20 @@ mod tests {
     #[test]
     fn drains_when_no_stop() {
         let mut sim = ring(2);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(0));
-        // Token(0) stops immediately; schedule nothing else.
+        sim.schedule(SimTime::ZERO, token(0));
+        // A token with no hops left stops immediately; schedule nothing
+        // else.
         assert_eq!(sim.run_to_completion(), RunOutcome::Stopped);
+        assert!(sim.stopped());
         let mut sim2 = ring(2);
         assert_eq!(sim2.run_to_completion(), RunOutcome::Drained);
+        assert!(!sim2.stopped());
     }
 
     #[test]
     fn run_until_leaves_future_events() {
         let mut sim = ring(3);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(10));
+        sim.schedule(SimTime::ZERO, token(10));
         let outcome = sim.run_until(SimTime::from_nanos(250));
         assert_eq!(outcome, RunOutcome::ReachedTimeLimit);
         // Events at 0, 100, 200 ran; 300 is pending.
@@ -630,12 +507,12 @@ mod tests {
         impl Actor for Loopy {
             type Msg = ();
             fn handle(&mut self, _: (), ctx: &mut Context<'_, ()>) {
-                ctx.send_self(SimDur::from_nanos(1), ());
+                ctx.send(SimDur::from_nanos(1), ());
             }
         }
-        let mut sim = Simulation::new(vec![Loopy], 0);
+        let mut sim = Simulation::new(Loopy);
         sim.set_event_limit(1000);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), ());
+        sim.schedule(SimTime::ZERO, ());
         assert_eq!(sim.run_to_completion(), RunOutcome::EventLimitExceeded);
         assert_eq!(sim.events_processed(), 1000);
     }
@@ -645,7 +522,7 @@ mod tests {
         let run = || {
             let mut sim = ring(5);
             sim.set_tracing(true);
-            sim.schedule(SimTime::ZERO, ActorId::new(0), Token(20));
+            sim.schedule(SimTime::ZERO, token(20));
             sim.run_to_completion();
             (sim.now(), sim.events_processed())
         };
@@ -659,27 +536,25 @@ mod tests {
             type Msg = ();
             fn handle(&mut self, _: (), ctx: &mut Context<'_, ()>) {
                 assert!(ctx.tracing());
-                ctx.trace("tick", TraceDetail::text(format!("at {}", ctx.now())));
+                ctx.trace_for(3, "tick", TraceDetail::text(format!("at {}", ctx.now())));
             }
         }
-        let mut sim = Simulation::new(vec![Tracer], 0);
+        let mut sim = Simulation::new(Tracer);
         sim.set_tracing(true);
-        sim.schedule(SimTime::from_nanos(7), ActorId::new(0), ());
+        sim.schedule(SimTime::from_nanos(7), ());
         sim.run_to_completion();
-        assert_eq!(sim.trace().count_of("tick"), 1);
-        assert_eq!(
-            sim.trace().first_time_of("tick"),
-            Some(SimTime::from_nanos(7))
-        );
+        let ticks: Vec<_> = sim.trace().of_kind("tick").collect();
+        assert_eq!(ticks.len(), 1);
+        assert_eq!((ticks[0].time, ticks[0].actor), (SimTime::from_nanos(7), 3));
     }
 
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
         let mut sim = ring(2);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(2));
+        sim.schedule(SimTime::ZERO, token(2));
         sim.run_to_completion();
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(0));
+        sim.schedule(SimTime::ZERO, token(0));
     }
 
     #[test]
@@ -689,12 +564,12 @@ mod tests {
         impl Actor for Greedy {
             type Msg = ();
             fn handle(&mut self, _: (), ctx: &mut Context<'_, ()>) {
-                ctx.send_next_car_at(ctx.self_id(), ctx.now(), ());
-                ctx.send_next_car_at(ctx.self_id(), ctx.now(), ());
+                ctx.send_next_car_at(ctx.now(), ());
+                ctx.send_next_car_at(ctx.now(), ());
             }
         }
-        let mut sim = Simulation::new(vec![Greedy], 0);
-        sim.schedule_train(SimTime::ZERO, ActorId::new(0), (), 3);
+        let mut sim = Simulation::new(Greedy);
+        sim.schedule_train(SimTime::ZERO, (), 3);
         sim.step();
     }
 
@@ -709,67 +584,35 @@ mod tests {
                 self.seen.push((ctx.now(), msg));
             }
         }
-        let mut sim = Simulation::new(vec![Recorder { seen: Vec::new() }], 0);
-        sim.schedule(SimTime::from_nanos(10), ActorId::new(0), 1);
-        sim.schedule(SimTime::from_nanos(20), ActorId::new(0), 2);
+        let mut sim = Simulation::new(Recorder { seen: Vec::new() });
+        sim.schedule(SimTime::from_nanos(10), 1);
+        sim.schedule(SimTime::from_nanos(20), 2);
         let pending = sim.pending();
         assert_eq!(pending.len(), 2);
         assert_eq!(
-            (pending[0].time, pending[0].seq),
-            (SimTime::from_nanos(10), 0)
+            (pending[0].time, pending[0].seq, *pending[0].msg),
+            (SimTime::from_nanos(10), 0, 1)
         );
         // Deliver the later event first, then the earlier one: the earlier
         // event's delivery time clamps up to the clock.
         assert!(sim.step_seq(1));
         assert!(sim.step_seq(0));
         assert!(!sim.step_seq(0), "already delivered");
-        let seen = &sim.actor(ActorId::new(0)).seen;
         assert_eq!(
-            seen,
-            &vec![(SimTime::from_nanos(20), 2), (SimTime::from_nanos(20), 1)]
+            sim.actor().seen,
+            vec![(SimTime::from_nanos(20), 2), (SimTime::from_nanos(20), 1)]
         );
     }
 
     #[test]
-    fn run_scheduled_reverse_order_delivers_everything() {
-        /// Always picks the last pending event (maximal reordering).
-        struct Reverse;
-        impl Scheduler<Token> for Reverse {
-            fn pick(&mut self, _now: SimTime, pending: &[PendingEvent<'_, Token>]) -> Option<u64> {
-                pending.last().map(|p| p.seq)
-            }
-        }
-        let mut sim = ring(3);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(5));
-        let outcome = sim.run_scheduled(&mut Reverse);
-        // The ring forwards one token at a time, so reverse order degrades
-        // to normal order here; the point is full delivery + stop.
-        assert_eq!(outcome, RunOutcome::Stopped);
-        assert_eq!(sim.events_processed(), 6);
-        assert!(sim.stopped());
-    }
-
-    #[test]
-    fn run_scheduled_none_stops_early() {
-        struct Never;
-        impl Scheduler<Token> for Never {
-            fn pick(&mut self, _now: SimTime, _pending: &[PendingEvent<'_, Token>]) -> Option<u64> {
-                None
-            }
-        }
+    fn into_actor_returns_state() {
         let mut sim = ring(2);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(3));
-        assert_eq!(sim.run_scheduled(&mut Never), RunOutcome::Stopped);
-        assert_eq!(sim.events_processed(), 0);
-    }
-
-    #[test]
-    fn into_actors_returns_state() {
-        let mut sim = ring(2);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), Token(1));
+        sim.schedule(SimTime::ZERO, token(1));
         sim.run_to_completion();
-        let actors = sim.into_actors();
-        assert_eq!(actors.len(), 2);
-        assert_eq!(actors[1].received.len(), 1);
+        sim.actor_mut().received[0].clear();
+        let ring = sim.into_actor();
+        assert_eq!(ring.received.len(), 2);
+        assert!(ring.received[0].is_empty());
+        assert_eq!(ring.received[1].len(), 1);
     }
 }

@@ -20,21 +20,21 @@
 //! allocation rows read 0.
 //!
 //! ```
-//! use sesame_sim::{hostprof, Actor, ActorId, Context, SimDur, SimTime, Simulation};
+//! use sesame_sim::{hostprof, Actor, Context, SimDur, SimTime, Simulation};
 //!
 //! struct Tick;
 //! impl Actor for Tick {
 //!     type Msg = u32;
 //!     fn handle(&mut self, n: u32, ctx: &mut Context<'_, u32>) {
 //!         if n > 0 {
-//!             ctx.send_self(SimDur::from_nanos(10), n - 1);
+//!             ctx.send(SimDur::from_nanos(10), n - 1);
 //!         }
 //!     }
 //! }
 //!
 //! hostprof::reset();
-//! let mut sim = Simulation::new(vec![Tick], 7);
-//! sim.schedule(SimTime::ZERO, ActorId::new(0), 99);
+//! let mut sim = Simulation::new(Tick);
+//! sim.schedule(SimTime::ZERO, 99);
 //! sim.run_to_completion();
 //! let report = hostprof::report();
 //! assert_eq!(report.events, 100);
@@ -238,15 +238,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Actor, ActorId, Context, SimDur, SimTime, Simulation};
+    use crate::{Actor, Context, SimDur, SimTime, Simulation};
 
     struct Chatty;
     impl Actor for Chatty {
         type Msg = u32;
         fn handle(&mut self, n: u32, ctx: &mut Context<'_, u32>) {
-            ctx.trace("acc-read", crate::TraceDetail::Var { var: 0 });
+            ctx.trace_for(0, "acc-read", crate::TraceDetail::Var { var: 0 });
             if n > 0 {
-                ctx.send_self(SimDur::from_nanos(5), n - 1);
+                ctx.send(SimDur::from_nanos(5), n - 1);
             }
         }
     }
@@ -254,12 +254,12 @@ mod tests {
     #[test]
     fn phases_accumulate_and_reset_clears() {
         reset();
-        let mut sim = Simulation::new(vec![Chatty], 1);
+        let mut sim = Simulation::new(Chatty);
         sim.set_tracing(true);
-        sim.schedule(SimTime::ZERO, ActorId::new(0), 49);
+        sim.schedule(SimTime::ZERO, 49);
         // A far-future sentinel keeps the queue non-empty after each pop,
         // so the depth gauge (measured post-pop) registers.
-        sim.schedule(SimTime::from_nanos(1_000_000), ActorId::new(0), 0);
+        sim.schedule(SimTime::from_nanos(1_000_000), 0);
         sim.run_to_completion();
         let r = report();
         assert_eq!(r.events, 51);

@@ -200,6 +200,10 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
+    /// Bytes one pending event occupies in each of the queue's arrays: the
+    /// payload plus the 16-byte `(time, seq)` key.
+    pub const RECORD_BYTES: usize = std::mem::size_of::<Pending<T>>();
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -435,8 +439,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes and returns the earliest event if it is due strictly before
-    /// `limit`. One cursor inspection replaces the `peek_time` + `pop` pair
-    /// on the engine's hot loop.
+    /// `limit`: one cursor inspection per event on the engine's hot loop.
     pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
         if self.cursor.is_empty() {
             self.advance();
@@ -445,45 +448,6 @@ impl<T> EventQueue<T> {
             return None;
         }
         self.pop()
-    }
-
-    /// The due time of the earliest pending event, if any.
-    ///
-    /// Cold path: may scan the ring's buckets (the hot loop uses
-    /// [`EventQueue::pop_if_before`], which advances the calendar
-    /// instead).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(p) = self.cursor.peek() {
-            return Some(p.time);
-        }
-        if self.near > 0 {
-            // Each bucket holds exactly one day's events, so the first
-            // non-empty bucket in day order holds the earliest.
-            for off in 1..=self.heads.len() as u64 {
-                let Some(d) = self.cur_day.checked_add(off) else {
-                    break;
-                };
-                let b = (d & self.mask) as usize;
-                let min = self.bucket_iter(b).map(|p| p.time).min();
-                if let Some(min) = min {
-                    return Some(min);
-                }
-            }
-        }
-        self.overflow.peek().map(|p| p.time)
-    }
-
-    /// Iterates the pending events chained into ring bucket `b`.
-    fn bucket_iter(&self, b: usize) -> impl Iterator<Item = &Pending<T>> {
-        let mut s = self.heads[b];
-        std::iter::from_fn(move || {
-            if s == NIL {
-                return None;
-            }
-            let slot = &self.slots[s as usize];
-            s = slot.next;
-            Some(slot.item.as_ref().expect("occupied ring slot"))
-        })
     }
 
     /// The tie-break sequence number of the event most recently taken out
@@ -665,11 +629,10 @@ mod tests {
         // Every queued event costs one `Pending` in each of the queue's
         // arrays, so the record must be the payload plus the (time, seq)
         // key and nothing else. `sesame-dsm` pins its `MachineMsg` at
-        // <= 72 B; with the engine's actor id in front that is an 80-byte
-        // payload and a 96-byte record.
-        use std::mem::size_of;
-        assert_eq!(size_of::<Pending<u64>>(), 16 + 8);
-        assert_eq!(size_of::<Pending<(usize, [u64; 9])>>(), 96);
+        // <= 72 B and the engine queues the message itself: an 88-byte
+        // record.
+        assert_eq!(EventQueue::<u64>::RECORD_BYTES, 16 + 8);
+        assert_eq!(EventQueue::<[u64; 9]>::RECORD_BYTES, 88);
     }
 
     #[test]
@@ -704,27 +667,6 @@ mod tests {
         q.push(t(5), "c");
         assert_eq!(q.pop(), Some((t(5), "b")));
         assert_eq!(q.pop(), Some((t(5), "c")));
-    }
-
-    #[test]
-    fn peek_time_reports_earliest() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(t(9), ());
-        q.push(t(4), ());
-        assert_eq!(q.peek_time(), Some(t(4)));
-    }
-
-    #[test]
-    fn peek_time_sees_into_ring_and_overflow() {
-        let mut q = EventQueue::new();
-        q.push(t(1), ());
-        assert_eq!(q.pop(), Some((t(1), ())));
-        // Ring event (near future) and overflow event (far future).
-        q.push(t(1_000_000_000_000), ());
-        assert_eq!(q.peek_time(), Some(t(1_000_000_000_000)));
-        q.push(t(40), ());
-        assert_eq!(q.peek_time(), Some(t(40)));
     }
 
     #[test]

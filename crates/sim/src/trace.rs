@@ -440,11 +440,6 @@ impl TraceRecorder {
         self.observer = Some(observer);
     }
 
-    /// Detaches the online observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
     /// Appends a record if recording is enabled, and forwards it to the
     /// observer if one is attached. With recording off and no observer,
     /// this is a branch and a drop of an (almost always `Copy`) detail —
@@ -499,21 +494,6 @@ impl TraceRecorder {
         self.entries.iter().filter(move |e| e.kind == kind)
     }
 
-    /// Records made on the given actor.
-    pub fn for_actor(&self, actor: usize) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter().filter(move |e| e.actor == actor)
-    }
-
-    /// The time of the first record with the given kind, if any.
-    pub fn first_time_of(&self, kind: &str) -> Option<SimTime> {
-        self.of_kind(kind).next().map(|e| e.time)
-    }
-
-    /// The time of the last record with the given kind, if any.
-    pub fn last_time_of(&self, kind: &str) -> Option<SimTime> {
-        self.of_kind(kind).last().map(|e| e.time)
-    }
-
     /// Number of records with the given kind.
     pub fn count_of(&self, kind: &str) -> usize {
         self.of_kind(kind).count()
@@ -558,7 +538,6 @@ mod tests {
         tr.record(t(5), 2, "lock-grant", TraceDetail::Var { var: 7 });
         assert_eq!(tr.entries().len(), 2);
         assert_eq!(tr.count_of("lock-grant"), 1);
-        assert_eq!(tr.first_time_of("lock-grant"), Some(t(5)));
     }
 
     #[test]
@@ -567,10 +546,9 @@ mod tests {
         tr.record(t(1), 0, "a", TraceDetail::None);
         tr.record(t(2), 1, "a", TraceDetail::None);
         tr.record(t(3), 0, "b", TraceDetail::None);
-        assert_eq!(tr.for_actor(0).count(), 2);
-        assert_eq!(tr.of_kind("a").count(), 2);
-        assert_eq!(tr.last_time_of("a"), Some(t(2)));
-        assert_eq!(tr.first_time_of("missing"), None);
+        let on: Vec<usize> = tr.of_kind("a").map(|e| e.actor).collect();
+        assert_eq!(on, vec![0, 1]);
+        assert_eq!(tr.of_kind("missing").count(), 0);
     }
 
     #[test]
@@ -698,10 +676,6 @@ mod tests {
         tr.record(t(2), 1, "b", TraceDetail::None);
         assert!(tr.entries().is_empty(), "recording itself stays off");
         assert_eq!(observer.borrow().0, vec!["a", "b"]);
-        tr.clear_observer();
-        tr.record(t(3), 0, "c", TraceDetail::None);
-        assert_eq!(observer.borrow().0.len(), 2);
-        assert!(!tr.is_enabled());
     }
 
     #[test]

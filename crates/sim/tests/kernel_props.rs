@@ -5,7 +5,7 @@
 //! suite replays identically without an external property-testing crate.
 
 use sesame_sim::{
-    Actor, ActorId, Context, DetRng, EventQueue, Histogram, MeanVar, SimDur, SimTime, Simulation,
+    Actor, Context, DetRng, EventQueue, Histogram, MeanVar, SimDur, SimTime, Simulation,
     TimeWeighted,
 };
 
@@ -192,29 +192,26 @@ fn time_weighted_matches_integration() {
 /// count and end time.
 #[test]
 fn engine_is_deterministic_over_random_relays() {
-    struct Relay {
+    /// Six relays in one actor; a message is `(relay, hops left)`.
+    struct Relays {
         edges: Vec<(usize, usize, u64)>,
-        fired: u32,
+        fired: [u32; 6],
+        rng: DetRng,
     }
-    impl Actor for Relay {
-        type Msg = u32;
-        fn handle(&mut self, hops: u32, ctx: &mut Context<'_, u32>) {
-            self.fired += 1;
+    impl Actor for Relays {
+        type Msg = (usize, u32);
+        fn handle(&mut self, (me, hops): (usize, u32), ctx: &mut Context<'_, (usize, u32)>) {
+            self.fired[me] += 1;
             if hops == 0 {
                 return;
             }
-            let me = ctx.self_id().index();
             // Forward along every outgoing edge, delay jittered by the
             // deterministic RNG.
-            let outgoing: Vec<(usize, u64)> = self
-                .edges
-                .iter()
-                .filter(|&&(s, _, _)| s == me)
-                .map(|&(_, d, w)| (d, w))
-                .collect();
-            for (dst, w) in outgoing {
-                let jitter = ctx.rng().next_below(w);
-                ctx.send(ActorId::new(dst), SimDur::from_nanos(w + jitter), hops - 1);
+            for &(src, dst, w) in &self.edges {
+                if src == me {
+                    let jitter = self.rng.next_below(w);
+                    ctx.send(SimDur::from_nanos(w + jitter), (dst, hops - 1));
+                }
             }
         }
     }
@@ -231,24 +228,26 @@ fn engine_is_deterministic_over_random_relays() {
             })
             .collect();
         let run = || {
-            let actors: Vec<Relay> = (0..6)
-                .map(|_| Relay {
-                    edges: edges.clone(),
-                    fired: 0,
-                })
-                .collect();
-            let mut sim = Simulation::new(actors, seed);
+            let mut sim = Simulation::new(Relays {
+                edges: edges.clone(),
+                fired: [0; 6],
+                rng: DetRng::new(seed),
+            });
             sim.set_event_limit(50_000);
-            sim.schedule(SimTime::ZERO, ActorId::new(0), 4);
+            sim.schedule(SimTime::ZERO, (0, 4));
             let outcome = sim.run_to_completion();
-            let fired: Vec<u32> = sim.actors().map(|a| a.fired).collect();
-            (sim.now(), sim.events_processed(), fired, outcome)
+            (
+                sim.now(),
+                sim.events_processed(),
+                sim.actor().fired,
+                outcome,
+            )
         };
         assert_eq!(run(), run());
     }
 }
 
-/// What the fan-out toy actors exchange.
+/// What the fan-out toy's stations exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Toy {
     /// Bystander traffic; relays itself while `ttl` lasts.
@@ -275,72 +274,81 @@ struct Car {
     depth: u32,
 }
 
-/// Fans out either eagerly — every delivery sent at the fan-out instant —
-/// or as an event train continued car by car. Everything else it does
-/// (logging, bystander sends, nested fan-outs from inside a car's
-/// handler) is the same code drawing from the same RNG, so the two modes
-/// stay in lockstep exactly as long as their pop orders agree.
+/// The toy's message: the station it is for, and what arrives there.
+type ToyMsg = (u64, Toy);
+
+/// A few stations in one actor, fanning out either eagerly — every
+/// delivery sent at the fan-out instant — or as an event train continued
+/// car by car. Everything else it does (logging, bystander sends, nested
+/// fan-outs from inside a car's handler) is the same code drawing from the
+/// same RNG, so the two modes stay in lockstep exactly as long as their
+/// pop orders agree.
 struct FanToy {
     lazy: bool,
-    actors: u64,
-    log: std::rc::Rc<std::cell::RefCell<Vec<(u64, Toy)>>>,
-    next_id: std::rc::Rc<std::cell::Cell<u32>>,
+    stations: u64,
+    rng: DetRng,
+    /// Every delivery: `(time, station, what)`.
+    log: Vec<(u64, u64, Toy)>,
+    next_id: u32,
 }
 
 impl FanToy {
-    fn fan_out(&self, n: u32, stride: u64, depth: u32, ctx: &mut Context<'_, Toy>) {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
-        let to = ActorId::new(ctx.rng().next_below(self.actors) as usize);
-        let first = ctx.now() + SimDur::from_nanos(ctx.rng().next_below(3));
+    fn fan_out(&mut self, n: u32, stride: u64, depth: u32, ctx: &mut Context<'_, ToyMsg>) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let to = self.rng.next_below(self.stations);
+        let first = ctx.now() + SimDur::from_nanos(self.rng.next_below(3));
         let car = |k| {
-            Toy::Car(Car {
+            let car = Car {
                 id,
                 k,
                 n,
                 stride,
                 depth,
-            })
+            };
+            (to, Toy::Car(car))
         };
         if self.lazy {
-            ctx.send_train_at(to, first, u64::from(n), car(0));
+            ctx.send_train_at(first, u64::from(n), car(0));
         } else {
             for k in 0..n {
                 let at = first + SimDur::from_nanos(stride * u64::from(k));
-                ctx.send_at(to, at, car(k));
+                ctx.send_at(at, car(k));
             }
         }
+    }
+
+    /// A same-instant bystander, so fresh tie-break numbers are handed out
+    /// all around the cars'.
+    fn noise(&mut self, id: u32, ttl: u32, ctx: &mut Context<'_, ToyMsg>) {
+        let to = self.rng.next_below(self.stations);
+        let delay = SimDur::from_nanos(self.rng.next_below(3));
+        ctx.send(delay, (to, Toy::Noise { id, ttl }));
     }
 }
 
 impl Actor for FanToy {
-    type Msg = Toy;
-    fn handle(&mut self, msg: Toy, ctx: &mut Context<'_, Toy>) {
-        self.log.borrow_mut().push((ctx.now().as_nanos(), msg));
-        // Same-instant bystanders before and after the fan-out sends, so
-        // fresh tie-break numbers are handed out all around the cars'.
-        let noise = |ctx: &mut Context<'_, Toy>, id: u32, ttl: u32| {
-            let to = ActorId::new(ctx.rng().next_below(self.actors) as usize);
-            let delay = SimDur::from_nanos(ctx.rng().next_below(3));
-            ctx.send(to, delay, Toy::Noise { id, ttl });
-        };
+    type Msg = ToyMsg;
+    fn handle(&mut self, (station, msg): ToyMsg, ctx: &mut Context<'_, ToyMsg>) {
+        self.log.push((ctx.now().as_nanos(), station, msg));
         match msg {
             Toy::Noise { id, ttl } => {
                 if ttl > 0 {
-                    noise(ctx, id, ttl - 1);
+                    self.noise(id, ttl - 1, ctx);
                 }
             }
+            // Bystanders before and after the fan-out sends.
             Toy::Fanout { n, stride } => {
-                noise(ctx, 1000, 1);
+                self.noise(1000, 1, ctx);
                 self.fan_out(n, stride, 0, ctx);
-                noise(ctx, 1001, 1);
+                self.noise(1001, 1, ctx);
             }
             Toy::Car(car) => {
-                if ctx.rng().chance(0.5) {
-                    noise(ctx, 2000 + car.id, 1);
+                if self.rng.chance(0.5) {
+                    self.noise(2000 + car.id, 1, ctx);
                 }
-                if car.depth < 2 && ctx.rng().chance(0.3) {
-                    let (n, stride) = (ctx.rng().next_range(1, 4), ctx.rng().next_below(3));
+                if car.depth < 2 && self.rng.chance(0.3) {
+                    let (n, stride) = (self.rng.next_range(1, 4), self.rng.next_below(3));
                     self.fan_out(n as u32, stride, car.depth + 1, ctx);
                 }
                 if self.lazy && car.k + 1 < car.n {
@@ -349,10 +357,10 @@ impl Actor for FanToy {
                         ..car
                     });
                     let at = ctx.now() + SimDur::from_nanos(car.stride);
-                    ctx.send_next_car_at(ctx.self_id(), at, next);
+                    ctx.send_next_car_at(at, (station, next));
                 }
-                if ctx.rng().chance(0.5) {
-                    noise(ctx, 3000 + car.id, 0);
+                if self.rng.chance(0.5) {
+                    self.noise(3000 + car.id, 0, ctx);
                 }
             }
         }
@@ -369,24 +377,20 @@ enum Drive {
 }
 
 /// One seeded fan-out scenario; returns its delivery log.
-fn fan_toy_log(seed: u64, lazy: bool, drive: Drive) -> Vec<(u64, Toy)> {
-    const ACTORS: u64 = 3;
-    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let next_id = std::rc::Rc::new(std::cell::Cell::new(0));
-    let actors = (0..ACTORS)
-        .map(|_| FanToy {
-            lazy,
-            actors: ACTORS,
-            log: log.clone(),
-            next_id: next_id.clone(),
-        })
-        .collect();
-    let mut sim = Simulation::new(actors, seed);
+fn fan_toy_log(seed: u64, lazy: bool, drive: Drive) -> Vec<(u64, u64, Toy)> {
+    const STATIONS: u64 = 3;
+    let mut sim = Simulation::new(FanToy {
+        lazy,
+        stations: STATIONS,
+        rng: DetRng::new(seed),
+        log: Vec::new(),
+        next_id: 0,
+    });
     sim.set_event_limit(20_000);
     let mut setup = DetRng::new(seed ^ 0x7a11);
     for i in 0..setup.next_range(2, 6) {
         let at = SimTime::from_nanos(setup.next_below(4));
-        let to = ActorId::new(setup.next_below(ACTORS) as usize);
+        let to = setup.next_below(STATIONS);
         let msg = if setup.chance(0.6) {
             Toy::Fanout {
                 n: setup.next_range(1, 6) as u32,
@@ -398,7 +402,7 @@ fn fan_toy_log(seed: u64, lazy: bool, drive: Drive) -> Vec<(u64, Toy)> {
                 ttl: 3,
             }
         };
-        sim.schedule(at, to, msg);
+        sim.schedule(at, (to, msg));
     }
     match drive {
         Drive::RunUntil => {
@@ -414,10 +418,7 @@ fn fan_toy_log(seed: u64, lazy: bool, drive: Drive) -> Vec<(u64, Toy)> {
         }
     }
     assert!(sim.events_processed() < 20_000, "seed {seed}: runaway toy");
-    drop(sim);
-    std::rc::Rc::try_unwrap(log)
-        .expect("the simulation is gone")
-        .into_inner()
+    sim.into_actor().log
 }
 
 /// The event train's contract: continuing a fan-out car by car under the
@@ -432,7 +433,7 @@ fn event_trains_deliver_in_eager_order() {
         let eager = fan_toy_log(seed, false, Drive::RunUntil);
         cars += eager
             .iter()
-            .filter(|(_, m)| matches!(m, Toy::Car(car) if car.k > 0))
+            .filter(|(_, _, m)| matches!(m, Toy::Car(car) if car.k > 0))
             .count();
         for drive in [Drive::RunUntil, Drive::Step, Drive::StepSeq] {
             let lazy = fan_toy_log(seed, true, drive);

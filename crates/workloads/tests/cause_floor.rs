@@ -13,8 +13,8 @@ use sesame_core::builder::ModelChoice;
 use sesame_dsm::{run_observed, DsmEvent, MachineMsg, RunOptions};
 use sesame_net::NodeId;
 use sesame_sim::{
-    ActorId, DetRng, PendingEvent, RunOutcome, Scheduler, SimDur, SimTime, Simulation, TraceDetail,
-    TraceEntry, TraceObserver,
+    DetRng, PendingEvent, RunOutcome, SimDur, SimTime, Simulation, TraceDetail, TraceEntry,
+    TraceObserver,
 };
 use sesame_workloads::bigmesh::BigMeshConfig;
 use sesame_workloads::canonical::{build_canonical, CanonicalConfig};
@@ -161,23 +161,14 @@ fn a_lossy_fabric_with_its_timers_keeps_the_contract() {
 /// Picks any deliverable event — the oldest packet of a link, the next
 /// local event of a node — at random: the orders the schedule explorer
 /// walks, late deliveries and all.
-struct AnyOrder {
-    rng: DetRng,
-    /// Stops after this many picks, the rest left pending.
-    picks: u64,
-}
-
-impl Scheduler<MachineMsg> for AnyOrder {
-    fn pick(&mut self, _now: SimTime, pending: &[PendingEvent<'_, MachineMsg>]) -> Option<u64> {
-        self.picks = self.picks.checked_sub(1)?;
-        let (mut links, mut locals) = (HashSet::new(), HashSet::new());
-        let deliverable = |p: &&PendingEvent<'_, MachineMsg>| match p.msg {
-            (_, DsmEvent::Packet(pkt)) => links.insert((pkt.from, pkt.to)),
-            (node, _) => locals.insert(*node),
-        };
-        let enabled: Vec<u64> = pending.iter().filter(deliverable).map(|p| p.seq).collect();
-        Some(enabled[self.rng.next_below(enabled.len() as u64) as usize])
-    }
+fn any_deliverable(pending: &[PendingEvent<'_, MachineMsg>], rng: &mut DetRng) -> u64 {
+    let (mut links, mut locals) = (HashSet::new(), HashSet::new());
+    let deliverable = |p: &&PendingEvent<'_, MachineMsg>| match p.msg {
+        (_, DsmEvent::Packet(pkt)) => links.insert((pkt.from, pkt.to)),
+        (node, _) => locals.insert(*node),
+    };
+    let enabled: Vec<u64> = pending.iter().filter(deliverable).map(|p| p.seq).collect();
+    enabled[rng.next_below(enabled.len() as u64) as usize]
 }
 
 #[test]
@@ -190,19 +181,31 @@ fn a_scheduled_execution_keeps_the_contract_and_an_abandoned_one_keeps_its_holds
         };
         let machine = build_canonical(cfg);
         let nodes = machine.node_count();
-        let mut sim = Simulation::new(vec![machine], 1);
+        let mut sim = Simulation::new(machine);
         let contract = Rc::new(RefCell::new(FloorContract::default()));
         sim.set_trace_observer(contract.clone());
         for node in 0..nodes as u32 {
             let start = (NodeId::new(node), DsmEvent::Start { more: 0 });
-            sim.schedule(SimTime::ZERO, ActorId::new(0), start);
+            sim.schedule(SimTime::ZERO, start);
         }
-        let rng = DetRng::new(picks);
-        let outcome = sim.run_scheduled(&mut AnyOrder { rng, picks });
+        // Stops after `picks` deliveries, the rest left pending.
+        let mut rng = DetRng::new(picks);
+        let mut left = picks;
+        let outcome = loop {
+            let pending = sim.pending();
+            if pending.is_empty() {
+                break RunOutcome::Drained;
+            }
+            if left == 0 {
+                break RunOutcome::Stopped;
+            }
+            left -= 1;
+            let seq = any_deliverable(&pending, &mut rng);
+            assert!(sim.step_seq(seq), "seq {seq} was pending");
+        };
         let pending = sim.pending().len() as u64;
-        let machine = sim.into_actors().pop().expect("the machine");
         let floors = contract.borrow().floors;
-        (outcome, pending, machine.causes().held(), floors)
+        (outcome, pending, sim.actor().causes().held(), floors)
     };
     let (outcome, pending, held, floors) = run(u64::MAX);
     assert_eq!((outcome, pending, held), (RunOutcome::Drained, 0, 0));
