@@ -94,6 +94,16 @@ for bad in "bigmesh --nodes 1" "fig2 --sizes 1"; do
     fi
 done
 
+echo "==> examples smoke (the five example programs run; each asserts its own result)"
+# Tier-1 builds these and nothing ran them. rollback_demo is also the one
+# user-facing program that filters a trace by kind: the stale echo the
+# Figure 6 blocking drops must be among the lines it prints.
+for example in quickstart task_management pipeline_speedup contention_explorer; do
+    cargo run -q --release -p sesame-examples --bin "$example" >/dev/null
+done
+cargo run -q --release -p sesame-examples --bin rollback_demo > "$tmpdir/rollback_demo.out"
+grep -q 'hw-block-drop  *v1=17' "$tmpdir/rollback_demo.out"
+
 echo "==> sweep determinism smoke (fig8 reduced scale, --jobs 2 vs --jobs 1)"
 cargo run -q --release -p sesame-cli -- fig8 --sizes 2,4,8 --visits 128 --jobs 1 \
     > "$tmpdir/fig8-serial.txt"

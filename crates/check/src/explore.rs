@@ -262,8 +262,8 @@ impl Explorer {
     fn finish_execution(&mut self, exec: Exec, prefix: &[u64]) -> ControlFlow<()> {
         exec.verifier.borrow_mut().finish();
         let Exec { sim, verifier } = exec;
-        let trace: Vec<TraceEntry> = sim.trace().entries().to_vec();
-        let machine = sim.into_actor();
+        let (machine, recorder) = sim.into_parts();
+        let trace = recorder.entries();
         let mut violations = verifier.borrow().violations().to_vec();
         let expected = self.cfg.expected_counter();
         let end = trace.last().map(|e| e.time).unwrap_or(SimTime::ZERO);
@@ -288,7 +288,7 @@ impl Explorer {
             config: self.cfg,
             choices: prefix.to_vec(),
             violations,
-            trace,
+            trace: trace.to_vec(),
         });
         ControlFlow::Break(())
     }

@@ -796,11 +796,11 @@ fn cmd_verify(args: &Args) -> CliResult {
             // A deliberately corrupt trace — the root grants the same lock to
             // two holders with no intervening release — so the failure path
             // (diagnostics printed, nonzero exit) can be exercised end to end.
-            use sesame_sim::{SimTime, TraceDetail};
+            use sesame_sim::{SimTime, TraceDetail, TraceKind};
             let grant = |ns, holder| TraceEntry {
                 time: SimTime::from_nanos(ns),
                 actor: 0,
-                kind: "root-grant",
+                kind: TraceKind::RootGrant,
                 detail: TraceDetail::Grant {
                     group: 0,
                     var: 0,

@@ -342,7 +342,8 @@ fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
     // four that printed NaN ratios or a vacuous "complete" with exit 0,
     // two that panicked in the figure binaries' own parsers, and four
     // replay files: a hostile `alpha` or `threshold` panicked in the build,
-    // zero contenders or rounds "replayed 0 choices ... no violations".
+    // zero contenders or rounds "replayed 0 choices ... no violations". And
+    // a 1 ns series window, which wrote a 249 MB file and 1.6 M table rows.
     let replays: Vec<(PathBuf, String)> = ["alpha=7", "threshold=2", "contenders=0", "rounds=0"]
         .iter()
         .map(|bad| {
@@ -353,6 +354,11 @@ fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
             (path, line)
         })
         .collect();
+    let series = tmp("narrow-window.json");
+    let narrow = format!(
+        "run --scenario contention --window 1 --series-out {}",
+        series.display()
+    );
     let lines = [
         "bigmesh --nodes 1",
         "bigmesh --nodes 0",
@@ -372,6 +378,8 @@ fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
         "run --scenario pipeline --window 0",
         "bigmesh --rows 4",
         "bigmesh --nodes 400 --event-limit 1000",
+        "report --scenario contention --window 1",
+        &narrow,
     ];
     for line in lines
         .into_iter()
@@ -389,6 +397,7 @@ fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
     for (path, _) in &replays {
         let _ = std::fs::remove_file(path);
     }
+    assert!(!series.exists(), "a refused series is not written");
     // A parameter error names the scenario, the field and the bound.
     let out = sesame_line("bigmesh --nodes 1");
     assert_eq!(

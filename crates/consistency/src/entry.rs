@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use sesame_dsm::{
     sizes, AppEvent, CauseId, GroupTable, Model, ModelAction, Mx, Packet, PacketKind, TraceDetail,
-    VarId,
+    TraceKind, VarId,
 };
 use sesame_net::NodeId;
 
@@ -195,7 +195,7 @@ impl EntryModel {
         if mx.tracing() {
             mx.trace(
                 from,
-                "ec-begin-transfer",
+                TraceKind::EcBeginTransfer,
                 TraceDetail::text(format!("{lock} to {to} invalidating {targets:?}")),
             );
         }
@@ -250,7 +250,7 @@ impl EntryModel {
         if mx.tracing() {
             mx.trace(
                 node,
-                "ec-grant-arrived",
+                TraceKind::EcGrantArrived,
                 TraceDetail::text(lock.to_string()),
             );
         }
@@ -292,7 +292,7 @@ impl EntryModel {
                 if mx.tracing() {
                     mx.trace(
                         node,
-                        "ec-local-reacquire",
+                        TraceKind::EcLocalReacquire,
                         TraceDetail::text(lock.to_string()),
                     );
                 }
@@ -353,7 +353,7 @@ impl EntryModel {
                     .len();
                 mx.trace(
                     node,
-                    "ec-queue",
+                    TraceKind::EcQueue,
                     TraceDetail::QueueDepth {
                         var: lock.get(),
                         depth: qlen as u32,
@@ -429,7 +429,7 @@ impl Model for EntryModel {
                         let qlen = self.locks.expect(lock, "release").queue.len();
                         mx.trace(
                             node,
-                            "ec-queue",
+                            TraceKind::EcQueue,
                             TraceDetail::QueueDepth {
                                 var: lock.get(),
                                 depth: qlen as u32,
@@ -492,7 +492,11 @@ impl Model for EntryModel {
             }
             PacketKind::EcInvalidate { lock } => {
                 if mx.tracing() {
-                    mx.trace(node, "ec-invalidated", TraceDetail::text(lock.to_string()));
+                    mx.trace(
+                        node,
+                        TraceKind::EcInvalidated,
+                        TraceDetail::text(lock.to_string()),
+                    );
                 }
                 for v in Self::guarded_vars(mx.groups(), lock) {
                     let st = &mut self.nodes[node.index()];
@@ -528,7 +532,7 @@ impl Model for EntryModel {
                 if mx.tracing() {
                     mx.trace(
                         node,
-                        "ec-fetch-serve",
+                        TraceKind::EcFetchServe,
                         TraceDetail::text(format!("{var} for {requester}")),
                     );
                 }

@@ -29,7 +29,7 @@ use std::error::Error;
 use std::fmt;
 
 use sesame_dsm::{lockval, AppEvent, NodeApi, VarId, Word};
-use sesame_sim::{SimDur, TraceDetail};
+use sesame_sim::{SimDur, TraceDetail, TraceKind};
 
 use crate::UsageHistory;
 
@@ -299,7 +299,7 @@ impl OptimisticMutex {
         // request write so they learn the lock variable first.
         if api.tracing() {
             api.trace(
-                "mutex-enter",
+                TraceKind::MutexEnter,
                 TraceDetail::Var {
                     var: self.lock.get(),
                 },
@@ -329,7 +329,7 @@ impl OptimisticMutex {
             };
             if api.tracing() {
                 api.trace(
-                    "mutex-regular",
+                    TraceKind::MutexRegular,
                     TraceDetail::Var {
                         var: self.lock.get(),
                     },
@@ -342,7 +342,7 @@ impl OptimisticMutex {
         // insharing suspension when it fires.
         if api.tracing() {
             api.trace(
-                "opt-enter",
+                TraceKind::OptEnter,
                 TraceDetail::Var {
                     var: self.lock.get(),
                 },
@@ -359,7 +359,7 @@ impl OptimisticMutex {
         if api.tracing() {
             for &(var, val) in &self.saved {
                 api.trace(
-                    "opt-save",
+                    TraceKind::OptSave,
                     TraceDetail::VarVal {
                         var: var.get(),
                         val,
@@ -380,7 +380,7 @@ impl OptimisticMutex {
         self.start_compute(api);
         if api.tracing() {
             api.trace(
-                "mutex-optimistic",
+                TraceKind::MutexOptimistic,
                 TraceDetail::Var {
                     var: self.lock.get(),
                 },
@@ -445,7 +445,7 @@ impl OptimisticMutex {
                     // Line 10: the wait is over; execute the section.
                     if api.tracing() {
                         api.trace(
-                            "mutex-granted",
+                            TraceKind::MutexGranted,
                             TraceDetail::Var {
                                 var: self.lock.get(),
                             },
@@ -470,7 +470,7 @@ impl OptimisticMutex {
                 // into optimism win/hit-rate counters.
                 if api.tracing() {
                     api.trace(
-                        "mutex-complete",
+                        TraceKind::MutexComplete,
                         TraceDetail::Complete {
                             var: self.lock.get(),
                             optimistic: done.path == Path::Optimistic,
@@ -507,7 +507,7 @@ impl OptimisticMutex {
             // release (body already ran) or keep computing.
             if api.tracing() {
                 api.trace(
-                    "mutex-granted",
+                    TraceKind::MutexGranted,
                     TraceDetail::Var {
                         var: self.lock.get(),
                     },
@@ -543,7 +543,7 @@ impl OptimisticMutex {
         // see the `acc-write-local` restorations as part of the rollback.
         if api.tracing() {
             api.trace(
-                "opt-rollback",
+                TraceKind::OptRollback,
                 TraceDetail::Var {
                     var: self.lock.get(),
                 },
@@ -553,7 +553,7 @@ impl OptimisticMutex {
             // with the rollback's causal point for per-rollback reports.
             if let Some(writer) = lockval::as_grant(value) {
                 api.trace(
-                    "opt-conflict",
+                    TraceKind::OptConflict,
                     TraceDetail::Conflict {
                         var: self.lock.get(),
                         writer: writer.get(),
@@ -576,7 +576,7 @@ impl OptimisticMutex {
         api.resume_insharing(); // line 25
         if api.tracing() {
             api.trace(
-                "mutex-rollback",
+                TraceKind::MutexRollback,
                 TraceDetail::Var {
                     var: self.lock.get(),
                 },

@@ -11,7 +11,7 @@ use sesame_dsm::{
     Program, RunOptions, RunResult, VarId, Word,
 };
 use sesame_net::{Line, LinkTiming, NodeId, Topology};
-use sesame_sim::{SimDur, SimTime};
+use sesame_sim::{SimDur, SimTime, TraceKind};
 
 fn n(id: u32) -> NodeId {
     NodeId::new(id)
@@ -244,11 +244,8 @@ fn figure7_rollback_with_hardware_blocking_produces_correct_values() {
     assert_eq!(stats.hw_block_drops, 3);
     assert_eq!(stats.grants, 2);
     // The trace records the rollback on node 0.
-    assert_eq!(result.trace.count_of("mutex-rollback"), 1);
-    assert_eq!(
-        result.trace.of_kind("mutex-rollback").next().unwrap().actor,
-        0
-    );
+    let rollbacks = result.trace.of_kind(TraceKind::MutexRollback);
+    assert_eq!(rollbacks.map(|e| e.actor).collect::<Vec<_>>(), [0]);
 }
 
 #[test]

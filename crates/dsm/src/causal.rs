@@ -47,7 +47,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use sesame_net::{CauseAlloc, CauseId, NodeId};
-use sesame_sim::{CauseOp, Context, TraceDetail};
+use sesame_sim::{CauseOp, Context, TraceDetail, TraceKind};
 
 use crate::machine::MachineMsg;
 
@@ -136,7 +136,7 @@ impl CauseCtx {
         let id = self.alloc.fresh();
         ctx.trace_for(
             node.index(),
-            "cause",
+            TraceKind::Cause,
             TraceDetail::Cause {
                 id: id.raw(),
                 cause: self.cur.raw(),

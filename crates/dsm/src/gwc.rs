@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use sesame_net::{CauseId, NodeId};
-use sesame_sim::CauseOp;
+use sesame_sim::{CauseOp, TraceKind};
 
 use crate::addr::lockval;
 use crate::protocol::sizes;
@@ -533,7 +533,7 @@ impl GwcModel {
             let root = mx.groups().group(group).root();
             mx.trace(
                 root,
-                "root-seq",
+                TraceKind::RootSeq,
                 TraceDetail::Seq {
                     group: group.get(),
                     seq,
@@ -592,7 +592,7 @@ impl GwcModel {
                 if mx.tracing() {
                     mx.trace(
                         node,
-                        "root-drop",
+                        TraceKind::RootDrop,
                         TraceDetail::text(format!("{var}={value} from {origin}")),
                     );
                     // Canonical twin of "root-drop" for the checkers: the
@@ -600,7 +600,7 @@ impl GwcModel {
                     // number (failed optimistic update).
                     mx.trace(
                         node,
-                        "root-filtered",
+                        TraceKind::RootFiltered,
                         TraceDetail::Filtered {
                             group: group.get(),
                             var: var.get(),
@@ -634,7 +634,7 @@ impl GwcModel {
             let root = mx.groups().group(group).root();
             mx.trace(
                 root,
-                "root-release",
+                TraceKind::RootRelease,
                 TraceDetail::Release {
                     group: group.get(),
                     var: var.get(),
@@ -684,7 +684,7 @@ impl GwcModel {
             let qlen = self.lock_queue_len(group);
             mx.trace(
                 root,
-                "root-queue",
+                TraceKind::RootQueue,
                 TraceDetail::QueueDepth {
                     var: var.get(),
                     depth: qlen as u32,
@@ -697,12 +697,12 @@ impl GwcModel {
                 if mx.tracing() {
                     mx.trace(
                         root,
-                        "lock-grant",
+                        TraceKind::LockGrant,
                         TraceDetail::text(format!("{var} -> {holder}")),
                     );
                     mx.trace(
                         root,
-                        "root-grant",
+                        TraceKind::RootGrant,
                         TraceDetail::Grant {
                             group: group.get(),
                             var: var.get(),
@@ -723,7 +723,11 @@ impl GwcModel {
             }
             Outcome::Free => {
                 if mx.tracing() {
-                    mx.trace(root, "lock-free", TraceDetail::text(var.to_string()));
+                    mx.trace(
+                        root,
+                        TraceKind::LockFree,
+                        TraceDetail::text(var.to_string()),
+                    );
                 }
                 self.lock_mut(group).expect("mutex group").watchdog = None;
                 self.sequence_and_multicast(group, var, lockval::FREE, root, mx);
@@ -733,7 +737,7 @@ impl GwcModel {
                 if mx.tracing() {
                     mx.trace(
                         root,
-                        "lock-queued",
+                        TraceKind::LockQueued,
                         TraceDetail::text(format!("{var} <- {origin}")),
                     );
                 }
@@ -777,7 +781,7 @@ impl GwcModel {
         let gwc_apply = |mx: &mut Mx<'_, '_>, mode: ApplyMode| {
             mx.trace(
                 node,
-                "gwc-apply",
+                TraceKind::GwcApply,
                 TraceDetail::Apply {
                     group: item.group.get(),
                     seq: item.seq,
@@ -795,7 +799,7 @@ impl GwcModel {
             if mx.tracing() {
                 mx.trace(
                     node,
-                    "hw-block-drop",
+                    TraceKind::HwBlockDrop,
                     TraceDetail::text(format!("{}={}", item.var, item.value)),
                 );
                 gwc_apply(mx, ApplyMode::HwBlocked);
@@ -1049,7 +1053,7 @@ impl Model for GwcModel {
         if mx.tracing() {
             mx.trace(
                 node,
-                "grant-retransmit",
+                TraceKind::GrantRetransmit,
                 TraceDetail::text(format!("{var} seq {seq} -> {}", w.holder)),
             );
         }

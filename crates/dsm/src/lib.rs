@@ -86,4 +86,4 @@ pub use memory::LocalMemory;
 pub use program::{Action, AppEvent, IdleProgram, ModelAction, NodeApi, Program};
 pub use protocol::{sizes, Packet, PacketKind};
 pub use sesame_net::{CauseAlloc, CauseId};
-pub use sesame_sim::{ApplyMode, CauseOp, TraceDetail};
+pub use sesame_sim::{ApplyMode, CauseOp, TraceDetail, TraceKind};

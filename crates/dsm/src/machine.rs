@@ -21,7 +21,7 @@ use sesame_net::{
 };
 use sesame_sim::{
     Actor, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TimeWeighted, TraceDetail,
-    TraceRecorder,
+    TraceKind, TraceRecorder,
 };
 
 use crate::causal::CauseCtx;
@@ -212,7 +212,7 @@ impl Mx<'_, '_> {
             let hops = self.topo.hops(pkt.from, pkt.to);
             self.ctx.trace_for(
                 pkt.from.index(),
-                "pkt-send",
+                TraceKind::PktSend,
                 TraceDetail::Packet {
                     from: pkt.from.get(),
                     to: pkt.to.get(),
@@ -298,7 +298,7 @@ impl Mx<'_, '_> {
             };
             self.ctx.trace_for(
                 root.index(),
-                "pkt-mcast",
+                TraceKind::PktMcast,
                 TraceDetail::Multicast {
                     group: group.get(),
                     bytes,
@@ -377,7 +377,7 @@ impl Mx<'_, '_> {
     }
 
     /// Records a trace entry attributed to `node`.
-    pub fn trace(&mut self, node: NodeId, kind: &'static str, detail: TraceDetail) {
+    pub fn trace(&mut self, node: NodeId, kind: TraceKind, detail: TraceDetail) {
         self.ctx.trace_for(node.index(), kind, detail);
     }
 
@@ -823,14 +823,14 @@ impl<M: Model> Machine<M> {
                     AppEvent::Acquired { lock } => {
                         ctx.trace_for(
                             node.index(),
-                            "ev-acquired",
+                            TraceKind::EvAcquired,
                             TraceDetail::Var { var: lock.get() },
                         );
                     }
                     AppEvent::Released { lock } => {
                         ctx.trace_for(
                             node.index(),
-                            "ev-released",
+                            TraceKind::EvReleased,
                             TraceDetail::Var { var: lock.get() },
                         );
                     }
@@ -862,7 +862,7 @@ impl<M: Model> Machine<M> {
                             match &ma {
                                 ModelAction::Write { var, value } => ctx.trace_for(
                                     node.index(),
-                                    "acc-write",
+                                    TraceKind::AccWrite,
                                     TraceDetail::VarVal {
                                         var: var.get(),
                                         val: *value,
@@ -870,7 +870,7 @@ impl<M: Model> Machine<M> {
                                 ),
                                 ModelAction::WriteLocal { var, value } => ctx.trace_for(
                                     node.index(),
-                                    "acc-write-local",
+                                    TraceKind::AccWriteLocal,
                                     TraceDetail::VarVal {
                                         var: var.get(),
                                         val: *value,
@@ -878,12 +878,12 @@ impl<M: Model> Machine<M> {
                                 ),
                                 ModelAction::Acquire { lock } => ctx.trace_for(
                                     node.index(),
-                                    "lock-acquire",
+                                    TraceKind::LockAcquire,
                                     TraceDetail::Var { var: lock.get() },
                                 ),
                                 ModelAction::Release { lock } => ctx.trace_for(
                                     node.index(),
-                                    "lock-release",
+                                    TraceKind::LockRelease,
                                     TraceDetail::Var { var: lock.get() },
                                 ),
                                 _ => {}
@@ -938,10 +938,10 @@ impl<M: Model> Machine<M> {
                         // trace actions; pair them with a causal point so
                         // chains run through them.
                         match kind {
-                            "opt-rollback" => {
+                            TraceKind::OptRollback => {
                                 self.causes.point(ctx, node, CauseOp::Rollback);
                             }
-                            "mutex-complete" => {
+                            TraceKind::MutexComplete => {
                                 self.causes.point(ctx, node, CauseOp::Complete);
                             }
                             _ => {}
@@ -1116,9 +1116,9 @@ pub fn run_observed<M: Model>(
     let outcome = sim.run_until(opts.until);
     let end = sim.now();
     let events = sim.events_processed();
-    let trace = sim.trace().clone();
+    let (machine, trace) = sim.into_parts();
     RunResult {
-        machine: sim.into_actor(),
+        machine,
         trace,
         end,
         outcome,

@@ -11,7 +11,7 @@
 //! compares models on identical workloads, exactly as the paper does.
 
 use sesame_net::NodeId;
-use sesame_sim::{SimDur, SimTime, TraceDetail};
+use sesame_sim::{SimDur, SimTime, TraceDetail, TraceKind};
 
 use crate::addr::lockval;
 use crate::{LocalMemory, VarId, Word};
@@ -203,7 +203,7 @@ pub enum Action {
     /// Record a trace entry attributed to this node.
     Trace {
         /// Machine-readable kind.
-        kind: &'static str,
+        kind: TraceKind,
         /// Structured payload.
         detail: TraceDetail,
     },
@@ -261,7 +261,7 @@ impl<'a> NodeApi<'a> {
     /// happens-before analysis.
     pub fn read(&mut self, var: VarId) -> Word {
         if self.tracing {
-            self.trace("acc-read", TraceDetail::Var { var: var.get() });
+            self.trace(TraceKind::AccRead, TraceDetail::Var { var: var.get() });
         }
         self.mem.read(var)
     }
@@ -373,7 +373,7 @@ impl<'a> NodeApi<'a> {
     }
 
     /// Records a trace entry attributed to this node.
-    pub fn trace(&mut self, kind: &'static str, detail: TraceDetail) {
+    pub fn trace(&mut self, kind: TraceKind, detail: TraceDetail) {
         if self.tracing {
             self.actions.push(Action::Trace { kind, detail });
         }
@@ -442,11 +442,11 @@ mod tests {
         let mem = LocalMemory::new();
         let mut actions = Vec::new();
         let mut api = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions, false);
-        api.trace("x", TraceDetail::text("ignored"));
+        api.trace(TraceKind::MutexEnter, TraceDetail::text("ignored"));
         assert!(actions.is_empty());
         let mut actions2 = Vec::new();
         let mut api2 = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions2, true);
-        api2.trace("x", TraceDetail::text("kept"));
+        api2.trace(TraceKind::MutexEnter, TraceDetail::text("kept"));
         assert_eq!(actions2.len(), 1);
     }
 

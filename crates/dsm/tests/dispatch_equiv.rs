@@ -13,7 +13,7 @@ use sesame_dsm::{
     Program, RunOptions, RunResult, VarId,
 };
 use sesame_net::{ContentionModel, Fabric, LinkTiming, MeshTorus2d, NodeId, Topology};
-use sesame_sim::{RunOutcome, SimDur, TraceDetail};
+use sesame_sim::{RunOutcome, SimDur, TraceDetail, TraceKind};
 
 fn n(id: u32) -> NodeId {
     NodeId::new(id)
@@ -128,7 +128,7 @@ fn wave_path_matches_the_flood_reference() {
     let waves = run_with(true, PAPER, |_| {});
     let flood = run_with(false, PAPER, |_| {});
     assert!(
-        flood.trace.entries().iter().any(|e| e.kind == "pkt-mcast"),
+        flood.trace.count_of(TraceKind::PktMcast) > 0,
         "scenario produced no multicasts"
     );
     assert_same_behaviour(&waves, &flood, "waves");

@@ -34,7 +34,7 @@
 
 use std::fmt;
 
-use crate::{EventQueue, SimDur, SimTime, TraceDetail, TraceRecorder};
+use crate::{EventQueue, SimDur, SimTime, TraceDetail, TraceKind, TraceRecorder};
 
 /// The simulated entity: reacts to timestamped messages.
 pub trait Actor {
@@ -137,7 +137,7 @@ impl<M> Context<'_, M> {
 
     /// Records a trace entry attributed to `node`: the index of whichever
     /// of the nodes the actor simulates the entry is about.
-    pub fn trace_for(&mut self, node: usize, kind: &'static str, detail: TraceDetail) {
+    pub fn trace_for(&mut self, node: usize, kind: TraceKind, detail: TraceDetail) {
         self.trace.record(self.now, node, kind, detail);
     }
 
@@ -277,9 +277,11 @@ impl<A: Actor> Simulation<A> {
         &mut self.actor
     }
 
-    /// Consumes the simulation, returning its actor for inspection.
-    pub fn into_actor(self) -> A {
-        self.actor
+    /// Consumes the simulation, returning its actor for inspection and the
+    /// trace it recorded — moved, not copied, and holding no observer.
+    pub fn into_parts(mut self) -> (A, TraceRecorder) {
+        self.trace.detach_observer();
+        (self.actor, self.trace)
     }
 
     /// Schedules an external message (typically the initial events).
@@ -536,14 +538,15 @@ mod tests {
             type Msg = ();
             fn handle(&mut self, _: (), ctx: &mut Context<'_, ()>) {
                 assert!(ctx.tracing());
-                ctx.trace_for(3, "tick", TraceDetail::text(format!("at {}", ctx.now())));
+                let at = TraceDetail::text(format!("at {}", ctx.now()));
+                ctx.trace_for(3, TraceKind::AccRead, at);
             }
         }
         let mut sim = Simulation::new(Tracer);
         sim.set_tracing(true);
         sim.schedule(SimTime::from_nanos(7), ());
         sim.run_to_completion();
-        let ticks: Vec<_> = sim.trace().of_kind("tick").collect();
+        let ticks: Vec<_> = sim.trace().of_kind(TraceKind::AccRead).collect();
         assert_eq!(ticks.len(), 1);
         assert_eq!((ticks[0].time, ticks[0].actor), (SimTime::from_nanos(7), 3));
     }
@@ -605,14 +608,22 @@ mod tests {
     }
 
     #[test]
-    fn into_actor_returns_state() {
+    fn into_parts_returns_state_and_a_trace_that_holds_no_observer() {
+        struct Ignore;
+        impl crate::TraceObserver for Ignore {
+            fn on_record(&mut self, _: &crate::TraceEntry) {}
+        }
+        let observer = std::rc::Rc::new(std::cell::RefCell::new(Ignore));
         let mut sim = ring(2);
+        sim.set_trace_observer(observer.clone());
         sim.schedule(SimTime::ZERO, token(1));
         sim.run_to_completion();
         sim.actor_mut().received[0].clear();
-        let ring = sim.into_actor();
+        let (ring, trace) = sim.into_parts();
         assert_eq!(ring.received.len(), 2);
         assert!(ring.received[0].is_empty());
         assert_eq!(ring.received[1].len(), 1);
+        assert!(!trace.is_enabled());
+        assert_eq!(std::rc::Rc::strong_count(&observer), 1);
     }
 }

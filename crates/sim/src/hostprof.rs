@@ -238,13 +238,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Actor, Context, SimDur, SimTime, Simulation};
+    use crate::{Actor, Context, SimDur, SimTime, Simulation, TraceDetail, TraceKind};
 
     struct Chatty;
     impl Actor for Chatty {
         type Msg = u32;
         fn handle(&mut self, n: u32, ctx: &mut Context<'_, u32>) {
-            ctx.trace_for(0, "acc-read", crate::TraceDetail::Var { var: 0 });
+            ctx.trace_for(0, TraceKind::AccRead, TraceDetail::Var { var: 0 });
             if n > 0 {
                 ctx.send(SimDur::from_nanos(5), n - 1);
             }

@@ -59,4 +59,6 @@ pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, MeanVar, Point, Series, TimeWeighted};
 pub use time::{SimDur, SimTime};
-pub use trace::{ApplyMode, CauseOp, TraceDetail, TraceEntry, TraceObserver, TraceRecorder};
+pub use trace::{
+    ApplyMode, CauseOp, TraceDetail, TraceEntry, TraceKind, TraceObserver, TraceRecorder,
+};

@@ -2,17 +2,20 @@
 //!
 //! A [`TraceRecorder`] captures `(time, actor, kind, detail)` records while a
 //! simulation runs. Tracing is how the reproduction renders the paper's
-//! Figure 1 and Figure 7 timing diagrams: workloads record protocol actions
-//! ("lock-request", "rollback", …) and the harness prints them as a per-CPU
-//! timeline.
+//! Figure 1 and Figure 7 timing diagrams, and the stream its verifier and
+//! telemetry collector read.
 //!
-//! Details are structured: a [`TraceDetail`] carries the typed fields of the
-//! canonical protocol events (sequence numbers, variable ids, values,
-//! origins, holders) in mostly-`Copy` enum variants, so recording a
-//! protocol event never formats text and — when tracing is off — never
-//! allocates. Consumers such as `sesame-verify` and `sesame-telemetry`
-//! destructure the variants directly; the `k=v` text form exists only in
-//! the [`fmt::Display`] impls used for human-readable rendering.
+//! Both halves of a record are typed. The kind is a [`TraceKind`]: one
+//! closed, fieldless enum of the protocol's actions, a byte in the record,
+//! whose [`TraceKind::as_str`] is the only place a spelling lives. The
+//! payload is a [`TraceDetail`]: the *shape* a kind carries (sequence
+//! numbers, variable ids, values, origins, holders) in mostly-`Copy`
+//! variants, several kinds sharing one shape. Recording a protocol event
+//! therefore never formats text and — when tracing is off — never
+//! allocates, and consumers such as `sesame-verify` and `sesame-telemetry`
+//! match `(kind, &detail)` pairs of enum variants: no string is compared
+//! per record, and a misspelt kind does not compile. The text forms exist
+//! only in the [`fmt::Display`] impls used for human-readable rendering.
 //!
 //! Recording is disabled by default and costs a single branch when off.
 
@@ -108,6 +111,124 @@ impl CauseOp {
 impl fmt::Display for CauseOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// Defines [`TraceKind`] from one table, so a variant, its place in
+/// [`TraceKind::ALL`] and its spelling cannot drift apart.
+macro_rules! trace_kinds {
+    ($($(#[$doc:meta])* $variant:ident = $text:literal,)*) => {
+        /// What a [`TraceEntry`] records: the closed vocabulary of the
+        /// protocol's actions, one byte per record. The payload *shape* a
+        /// kind carries is its [`TraceDetail`] variant, named in each doc
+        /// line below; consumers match `(kind, &detail)` and ignore a
+        /// kind that arrives with another shape.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum TraceKind {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl TraceKind {
+            /// Every kind, in declaration order: `ALL[k as usize] == k`.
+            pub const ALL: [TraceKind; 38] = [$(TraceKind::$variant,)*];
+
+            /// The kind as rendered traces, exports and diagnostics spell
+            /// it — the only place a spelling lives.
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $(TraceKind::$variant => $text,)*
+                }
+            }
+        }
+    };
+}
+
+trace_kinds! {
+    /// A program read a shared variable (`Var`).
+    AccRead = "acc-read",
+    /// A program wrote a shared variable (`VarVal`).
+    AccWrite = "acc-write",
+    /// A local-only write: a rollback restoring a saved value (`VarVal`).
+    AccWriteLocal = "acc-write-local",
+    /// A program issued a blocking lock acquire (`Var`).
+    LockAcquire = "lock-acquire",
+    /// A program released a lock (`Var`).
+    LockRelease = "lock-release",
+    /// A program was told it holds the lock (`Var`).
+    EvAcquired = "ev-acquired",
+    /// A program was told its release completed (`Var`).
+    EvReleased = "ev-released",
+    /// The mutex engine began an entry (`Var`).
+    MutexEnter = "mutex-enter",
+    /// The engine took the regular, queue-for-the-grant path (`Var`).
+    MutexRegular = "mutex-regular",
+    /// The engine started the section body optimistically (`Var`).
+    MutexOptimistic = "mutex-optimistic",
+    /// The engine observed its own grant (`Var`).
+    MutexGranted = "mutex-granted",
+    /// The engine restored the saved values and now waits (`Var`).
+    MutexRollback = "mutex-rollback",
+    /// A mutex section completed (`Complete`).
+    MutexComplete = "mutex-complete",
+    /// Speculation began: accesses are tentative until grant or rollback
+    /// (`Var`).
+    OptEnter = "opt-enter",
+    /// The engine saved a variable's pre-section value (`VarVal`).
+    OptSave = "opt-save",
+    /// The speculation lost; the saved values are restored next (`Var`).
+    OptRollback = "opt-rollback",
+    /// The remote write a rollback is blamed on (`Conflict`).
+    OptConflict = "opt-conflict",
+    /// The group root assigned a sequence number (`Seq`).
+    RootSeq = "root-seq",
+    /// The root discarded a non-holder's write, human-readable (`Text`).
+    RootDrop = "root-drop",
+    /// The same discard for the checkers (`Filtered`).
+    RootFiltered = "root-filtered",
+    /// The root granted the lock (`Grant`).
+    RootGrant = "root-grant",
+    /// A release reached the root (`Release`).
+    RootRelease = "root-release",
+    /// The root's lock queue changed length (`QueueDepth`).
+    RootQueue = "root-queue",
+    /// The root granted the lock, human-readable (`Text`).
+    LockGrant = "lock-grant",
+    /// A release left the lock free at the root (`Text`).
+    LockFree = "lock-free",
+    /// The root queued a lock request (`Text`).
+    LockQueued = "lock-queued",
+    /// The root's watchdog re-sent a grant (`Text`).
+    GrantRetransmit = "grant-retransmit",
+    /// A member interface consumed a sequenced write (`Apply`).
+    GwcApply = "gwc-apply",
+    /// Figure 6 hardware blocking discarded an own echo (`Text`).
+    HwBlockDrop = "hw-block-drop",
+    /// A unicast packet left a node (`Packet`).
+    PktSend = "pkt-send",
+    /// A multicast left a group root (`Multicast`).
+    PktMcast = "pkt-mcast",
+    /// The causal edge of the record before it (`Cause`).
+    Cause = "cause",
+    /// Entry consistency: an owner began handing a lock over (`Text`).
+    EcBeginTransfer = "ec-begin-transfer",
+    /// Entry consistency: a lock grant arrived at its new owner (`Text`).
+    EcGrantArrived = "ec-grant-arrived",
+    /// Entry consistency: the owner re-acquired its own lock locally
+    /// (`Text`).
+    EcLocalReacquire = "ec-local-reacquire",
+    /// Entry consistency: an owner's wait queue changed length
+    /// (`QueueDepth`).
+    EcQueue = "ec-queue",
+    /// Entry consistency: a cached copy was invalidated (`Text`).
+    EcInvalidated = "ec-invalidated",
+    /// Entry consistency: the owner served a data fetch (`Text`).
+    EcFetchServe = "ec-fetch-serve",
+}
+
+impl fmt::Display for TraceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.as_str())
     }
 }
 
@@ -354,11 +475,15 @@ pub struct TraceEntry {
     pub time: SimTime,
     /// Which actor (node) it happened on.
     pub actor: usize,
-    /// A short machine-readable kind, e.g. `"lock-grant"`.
-    pub kind: &'static str,
+    /// What happened.
+    pub kind: TraceKind,
     /// The typed payload.
     pub detail: TraceDetail,
 }
+
+// What a retained trace costs per event: time, actor, the kind's byte and
+// the 32-byte detail.
+const _: () = assert!(std::mem::size_of::<TraceEntry>() <= 56);
 
 impl fmt::Display for TraceEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -440,11 +565,19 @@ impl TraceRecorder {
         self.observer = Some(observer);
     }
 
+    /// Lets go of the observer: what [`Simulation::into_parts`] hands back
+    /// is the records alone.
+    ///
+    /// [`Simulation::into_parts`]: crate::Simulation::into_parts
+    pub(crate) fn detach_observer(&mut self) {
+        self.observer = None;
+    }
+
     /// Appends a record if recording is enabled, and forwards it to the
     /// observer if one is attached. With recording off and no observer,
     /// this is a branch and a drop of an (almost always `Copy`) detail —
     /// no allocation, no formatting.
-    pub fn record(&mut self, time: SimTime, actor: usize, kind: &'static str, detail: TraceDetail) {
+    pub fn record(&mut self, time: SimTime, actor: usize, kind: TraceKind, detail: TraceDetail) {
         if !self.is_enabled() {
             return;
         }
@@ -490,12 +623,12 @@ impl TraceRecorder {
     }
 
     /// Records whose kind equals `kind`.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEntry> {
+    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEntry> {
         self.entries.iter().filter(move |e| e.kind == kind)
     }
 
     /// Number of records with the given kind.
-    pub fn count_of(&self, kind: &str) -> usize {
+    pub fn count_of(&self, kind: TraceKind) -> usize {
         self.of_kind(kind).count()
     }
 
@@ -526,7 +659,7 @@ mod tests {
     #[test]
     fn disabled_recorder_keeps_nothing() {
         let mut tr = TraceRecorder::new(false);
-        tr.record(t(1), 0, "x", TraceDetail::None);
+        tr.record(t(1), 0, TraceKind::AccRead, TraceDetail::None);
         assert!(tr.entries().is_empty());
         assert!(!tr.is_enabled());
     }
@@ -534,31 +667,104 @@ mod tests {
     #[test]
     fn enabled_recorder_keeps_everything() {
         let mut tr = TraceRecorder::new(true);
-        tr.record(t(1), 0, "lock-request", TraceDetail::Var { var: 7 });
-        tr.record(t(5), 2, "lock-grant", TraceDetail::Var { var: 7 });
+        tr.record(t(1), 0, TraceKind::LockAcquire, TraceDetail::Var { var: 7 });
+        tr.record(t(5), 2, TraceKind::LockGrant, TraceDetail::Var { var: 7 });
         assert_eq!(tr.entries().len(), 2);
-        assert_eq!(tr.count_of("lock-grant"), 1);
+        assert_eq!(tr.count_of(TraceKind::LockGrant), 1);
     }
 
     #[test]
     fn filters_by_actor_and_kind() {
         let mut tr = TraceRecorder::new(true);
-        tr.record(t(1), 0, "a", TraceDetail::None);
-        tr.record(t(2), 1, "a", TraceDetail::None);
-        tr.record(t(3), 0, "b", TraceDetail::None);
-        let on: Vec<usize> = tr.of_kind("a").map(|e| e.actor).collect();
+        tr.record(t(1), 0, TraceKind::AccRead, TraceDetail::None);
+        tr.record(t(2), 1, TraceKind::AccRead, TraceDetail::None);
+        tr.record(t(3), 0, TraceKind::AccWrite, TraceDetail::None);
+        let on: Vec<usize> = tr.of_kind(TraceKind::AccRead).map(|e| e.actor).collect();
         assert_eq!(on, vec![0, 1]);
-        assert_eq!(tr.of_kind("missing").count(), 0);
+        assert_eq!(tr.of_kind(TraceKind::Cause).count(), 0);
     }
 
     #[test]
     fn render_contains_all_fields() {
         let mut tr = TraceRecorder::new(true);
-        tr.record(t(1500), 3, "rollback", TraceDetail::text("lock 9"));
+        tr.record(
+            t(1500),
+            3,
+            TraceKind::OptRollback,
+            TraceDetail::text("lock 9"),
+        );
         let s = tr.render();
         assert!(s.contains("node3"));
-        assert!(s.contains("rollback"));
+        assert!(s.contains("opt-rollback"));
         assert!(s.contains("lock 9"));
+    }
+
+    /// The compatibility contract of every golden file, digest pin and
+    /// export: these 38 spellings, no more, no fewer.
+    #[test]
+    fn the_vocabulary_is_these_thirty_eight_spellings() {
+        const SPELLINGS: [&str; 38] = [
+            "acc-read",
+            "acc-write",
+            "acc-write-local",
+            "lock-acquire",
+            "lock-release",
+            "ev-acquired",
+            "ev-released",
+            "mutex-enter",
+            "mutex-regular",
+            "mutex-optimistic",
+            "mutex-granted",
+            "mutex-rollback",
+            "mutex-complete",
+            "opt-enter",
+            "opt-save",
+            "opt-rollback",
+            "opt-conflict",
+            "root-seq",
+            "root-drop",
+            "root-filtered",
+            "root-grant",
+            "root-release",
+            "root-queue",
+            "lock-grant",
+            "lock-free",
+            "lock-queued",
+            "grant-retransmit",
+            "gwc-apply",
+            "hw-block-drop",
+            "pkt-send",
+            "pkt-mcast",
+            "cause",
+            "ec-begin-transfer",
+            "ec-grant-arrived",
+            "ec-local-reacquire",
+            "ec-queue",
+            "ec-invalidated",
+            "ec-fetch-serve",
+        ];
+        let rendered: Vec<String> = TraceKind::ALL.iter().map(|k| k.to_string()).collect();
+        assert_eq!(rendered, SPELLINGS);
+        for (i, kind) in TraceKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind} is ALL[{i}]");
+        }
+        let distinct: std::collections::BTreeSet<&str> = SPELLINGS.into_iter().collect();
+        assert_eq!(distinct.len(), 38);
+    }
+
+    #[test]
+    fn entries_render_in_fixed_columns_up_to_the_longest_kind() {
+        let kinds = TraceKind::ALL.into_iter();
+        let longest = kinds.max_by_key(|k| k.as_str().len()).unwrap();
+        assert_eq!(longest, TraceKind::EcLocalReacquire);
+        let mut tr = TraceRecorder::new(true);
+        tr.record(t(1500), 3, longest, TraceDetail::Var { var: 7 });
+        tr.record(t(1500), 3, TraceKind::Cause, TraceDetail::Var { var: 7 });
+        let lines = [
+            "   t=1.500us node3   ec-local-reacquire       v=7\n",
+            "   t=1.500us node3   cause                    v=7\n",
+        ];
+        assert_eq!(tr.render(), lines.concat());
     }
 
     #[test]
@@ -662,7 +868,7 @@ mod tests {
 
     #[test]
     fn observer_sees_records_even_when_recording_is_off() {
-        struct Counter(Vec<&'static str>);
+        struct Counter(Vec<TraceKind>);
         impl TraceObserver for Counter {
             fn on_record(&mut self, entry: &TraceEntry) {
                 self.0.push(entry.kind);
@@ -672,10 +878,13 @@ mod tests {
         let mut tr = TraceRecorder::new(false);
         tr.set_observer(observer.clone());
         assert!(tr.is_enabled(), "observer forces detail generation on");
-        tr.record(t(1), 0, "a", TraceDetail::None);
-        tr.record(t(2), 1, "b", TraceDetail::None);
+        tr.record(t(1), 0, TraceKind::AccRead, TraceDetail::None);
+        tr.record(t(2), 1, TraceKind::AccWrite, TraceDetail::None);
         assert!(tr.entries().is_empty(), "recording itself stays off");
-        assert_eq!(observer.borrow().0, vec!["a", "b"]);
+        assert_eq!(
+            observer.borrow().0,
+            vec![TraceKind::AccRead, TraceKind::AccWrite]
+        );
     }
 
     #[test]
@@ -689,7 +898,7 @@ mod tests {
         let observer = Rc::new(RefCell::new(Counter(0)));
         let mut tr = TraceRecorder::new(true);
         tr.set_observer(observer.clone());
-        tr.record(t(1), 0, "x", TraceDetail::None);
+        tr.record(t(1), 0, TraceKind::AccRead, TraceDetail::None);
         assert_eq!(tr.entries().len(), 1);
         assert_eq!(observer.borrow().0, 1);
     }
@@ -698,7 +907,7 @@ mod tests {
     fn toggle_and_clear() {
         let mut tr = TraceRecorder::new(false);
         tr.set_enabled(true);
-        tr.record(t(1), 0, "x", TraceDetail::None);
+        tr.record(t(1), 0, TraceKind::AccRead, TraceDetail::None);
         assert_eq!(tr.entries().len(), 1);
         tr.clear();
         assert!(tr.entries().is_empty());

@@ -418,7 +418,7 @@ fn fan_toy_log(seed: u64, lazy: bool, drive: Drive) -> Vec<(u64, u64, Toy)> {
         }
     }
     assert!(sim.events_processed() < 20_000, "seed {seed}: runaway toy");
-    sim.into_actor().log
+    sim.into_parts().0.log
 }
 
 /// The event train's contract: continuing a fan-out car by car under the

@@ -10,7 +10,7 @@
 //! parallel cannot land its allocations inside the measured window.
 
 use sesame_alloc_probe::{allocations, CountingAlloc};
-use sesame_sim::{ApplyMode, CauseOp, SimTime, TraceDetail, TraceRecorder};
+use sesame_sim::{ApplyMode, CauseOp, SimTime, TraceDetail, TraceKind, TraceRecorder};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -87,7 +87,7 @@ fn disabled_recorder_records_canonical_details_without_allocating() {
             recorder.record(
                 SimTime::from_nanos(round),
                 (round % 8) as usize,
-                "acc-write",
+                TraceKind::AccWrite,
                 detail.clone(),
             );
         }
@@ -108,7 +108,7 @@ fn enabled_recorder_stores_typed_details_without_formatting() {
     // typed details themselves are stored as-is, never rendered to text.
     let mut recorder = TraceRecorder::new(true);
     for detail in canonical_details() {
-        recorder.record(SimTime::from_nanos(1), 0, "k", detail);
+        recorder.record(SimTime::from_nanos(1), 0, TraceKind::AccWrite, detail);
     }
     assert_eq!(recorder.entries().len(), canonical_details().len());
     // Rendering happens only on demand, via Display.

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 
-use sesame_sim::{CauseOp, SimTime, TraceDetail, TraceEntry};
+use sesame_sim::{CauseOp, SimTime, TraceDetail, TraceEntry, TraceKind};
 
 /// One action in the causal forest — the by-value view of a stored node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,24 +52,24 @@ pub struct CausalNode {
     pub actor: usize,
     /// When the action happened.
     pub time: SimTime,
-    /// The canonical trace kind this cause annotates (the record emitted
-    /// immediately before it), or `""` when no record paired.
-    pub kind: &'static str,
+    /// The kind of the record this cause annotates (the one emitted
+    /// immediately before it), or `None` when no record paired; the
+    /// exports write `""` then.
+    pub kind: Option<TraceKind>,
     /// For rollback nodes: the conflicting shared variable and the remote
     /// writer whose sequenced write forced the rollback.
     pub conflict: Option<(u32, u32)>,
 }
 
 /// One stored node: everything a [`CausalNode`] carries except the id
-/// (its slab position), the kind text (interned) and the rare blame (a
-/// side map).
+/// (its slab position) and the rare blame (a side map).
 #[derive(Debug, Clone, Copy)]
 struct Packed {
     time: u64,
     cause: u64,
     actor: u32,
     op: CauseOp,
-    /// Index into [`CausalDag::kinds`], or one of the two marks below.
+    /// The paired [`TraceKind`] as its byte, or one of the two marks below.
     kind: u8,
 }
 
@@ -77,9 +77,10 @@ const _: () = assert!(std::mem::size_of::<Packed>() <= 24);
 
 /// `Packed::kind` of a slab entry no record has filled.
 const VACANT: u8 = u8::MAX;
-/// `Packed::kind` of a node whose kind text did not fit the intern table
-/// and lives in [`CausalDag::spilled_kinds`].
-const SPILLED: u8 = u8::MAX - 1;
+/// `Packed::kind` of a node no record paired with.
+const UNPAIRED: u8 = u8::MAX - 1;
+
+const _: () = assert!(TraceKind::ALL.len() <= UNPAIRED as usize);
 
 /// The smallest slab worth collecting behind the floor; past it, a
 /// collection runs each time the slab has doubled since the last one, so
@@ -121,10 +122,6 @@ pub struct CausalDag {
     len: usize,
     /// Entries ever occupied: `len` plus what shrinking dropped.
     recorded: usize,
-    /// Interned kind texts, indexed by `Packed::kind`.
-    kinds: Vec<&'static str>,
-    /// Kind texts of nodes recorded after the intern table filled up.
-    spilled_kinds: BTreeMap<u64, &'static str>,
     /// Rollback blame by node id: `(var, writer)`.
     conflicts: BTreeMap<u64, (u32, u32)>,
 }
@@ -247,27 +244,8 @@ impl CausalDag {
             op: p.op,
             actor: p.actor as usize,
             time: SimTime::from_nanos(p.time),
-            kind: match p.kind {
-                SPILLED => self.spilled_kinds.get(&id).copied().unwrap_or(""),
-                k => self.kinds[usize::from(k)],
-            },
+            kind: TraceKind::ALL.get(usize::from(p.kind)).copied(),
             conflict: self.conflicts.get(&id).copied(),
-        }
-    }
-
-    /// The index of `kind` in the intern table — added while there is room
-    /// — or [`SPILLED`] once the table is full.
-    fn intern(&mut self, kind: &'static str) -> u8 {
-        // Kinds are string literals, so identity nearly always decides; the
-        // text compare covers one text living at two addresses.
-        let seen = |k: &&'static str| std::ptr::eq(*k, kind) || *k == kind;
-        match self.kinds.iter().position(seen) {
-            Some(k) => k as u8,
-            None if self.kinds.len() < usize::from(SPILLED) => {
-                self.kinds.push(kind);
-                (self.kinds.len() - 1) as u8
-            }
-            None => SPILLED,
         }
     }
 
@@ -284,18 +262,17 @@ impl CausalDag {
         op: CauseOp,
         actor: usize,
         time: SimTime,
-        kind: &'static str,
+        kind: Option<TraceKind>,
     ) -> Option<u64> {
         if id == 0 {
             return None;
         }
-        let kind_ix = self.intern(kind);
         let packed = Packed {
             time: time.as_nanos(),
             cause: if cause < id { cause } else { 0 },
             actor: u32::try_from(actor).expect("trace actors are u32 node ids"),
             op,
-            kind: kind_ix,
+            kind: kind.map_or(UNPAIRED, |k| k as u8),
         };
         let vacant = Packed {
             kind: VACANT,
@@ -322,13 +299,9 @@ impl CausalDag {
             self.len += 1;
             self.recorded += 1;
         } else {
-            // A repeated id starts over: the earlier node's blame and
-            // spilled kind go with it.
+            // A repeated id starts over: the earlier node's blame goes
+            // with it.
             self.conflicts.remove(&id);
-            self.spilled_kinds.remove(&id);
-        }
-        if kind_ix == SPILLED {
-            self.spilled_kinds.insert(id, kind);
         }
         Some(packed.cause)
     }
@@ -446,7 +419,6 @@ impl CausalDag {
         let (ids, behind) = (&self.ids, self.behind);
         let stays = |id: &u64| *id > behind || ids.binary_search(id).is_ok();
         self.conflicts.retain(|id, _| stays(id));
-        self.spilled_kinds.retain(|id, _| stays(id));
     }
 
     /// [`CausalDag::shrink`] behind `floor`, once the slab has doubled
@@ -530,8 +502,8 @@ impl CausalDag {
                 n.actor,
                 n.time.as_nanos(),
             );
-            if !n.kind.is_empty() {
-                let _ = write!(out, "  ({})", n.kind);
+            if let Some(kind) = n.kind {
+                let _ = write!(out, "  ({kind})");
             }
             if let Some((var, writer)) = n.conflict {
                 let _ = write!(out, "  conflict: v{var} written by node {writer}");
@@ -561,7 +533,7 @@ impl CausalDag {
                 n.op,
                 n.actor,
                 n.time.as_nanos(),
-                n.kind,
+                n.kind.map_or("", TraceKind::as_str),
             )?;
             if let Some((var, writer)) = n.conflict {
                 write!(out, ",\"conflict\":{{\"var\":{var},\"writer\":{writer}}}")?;
@@ -625,9 +597,9 @@ fn export_string(body: usize, write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CausalState {
     pub(crate) dag: CausalDag,
-    /// Last non-`"cause"` record per actor: `(kind, time)`.
-    last_record: BTreeMap<usize, (&'static str, SimTime)>,
-    /// Last cause id recorded per actor (for `"opt-conflict"` attachment).
+    /// Last non-`cause` record per actor: `(kind, time)`.
+    last_record: BTreeMap<usize, (TraceKind, SimTime)>,
+    /// Last cause id recorded per actor (for `opt-conflict` attachment).
     last_cause: BTreeMap<usize, u64>,
 }
 
@@ -635,10 +607,10 @@ impl CausalState {
     /// Applies the pairing rules to one record of a stream.
     fn feed(&mut self, e: &TraceEntry) {
         match (e.kind, &e.detail) {
-            ("cause", &TraceDetail::Cause { id, cause, op }) => {
+            (TraceKind::Cause, &TraceDetail::Cause { id, cause, op }) => {
                 self.record_cause(e.actor, e.time, id, cause, op);
             }
-            ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
+            (TraceKind::OptConflict, &TraceDetail::Conflict { var, writer }) => {
                 self.record_conflict(e.actor, var, writer);
             }
             _ => self.note_record(e.actor, e.kind, e.time),
@@ -646,7 +618,7 @@ impl CausalState {
     }
 
     /// Notes a canonical (non-cause) record for pairing.
-    pub(crate) fn note_record(&mut self, actor: usize, kind: &'static str, t: SimTime) {
+    pub(crate) fn note_record(&mut self, actor: usize, kind: TraceKind, t: SimTime) {
         self.last_record.insert(actor, (kind, t));
     }
 
@@ -664,10 +636,8 @@ impl CausalState {
         cause: u64,
         op: CauseOp,
     ) -> Option<(usize, SimTime)> {
-        let kind = match self.last_record.get(&actor) {
-            Some(&(kind, rt)) if rt == t => kind,
-            _ => "",
-        };
+        let paired = self.last_record.get(&actor).filter(|&&(_, rt)| rt == t);
+        let kind = paired.map(|&(kind, _)| kind);
         // The arrow follows the edge as stored: a non-preceding `cause`
         // became a root and anchors nothing.
         let parent = self.dag.insert(id, cause, op, actor, t, kind)?;
@@ -700,7 +670,7 @@ mod tests {
         TraceEntry {
             time: SimTime::from_nanos(ns),
             actor,
-            kind: "cause",
+            kind: TraceKind::Cause,
             detail: TraceDetail::Cause {
                 id,
                 cause: parent,
@@ -709,7 +679,7 @@ mod tests {
         }
     }
 
-    fn canonical(ns: u64, actor: usize, kind: &'static str) -> TraceEntry {
+    fn canonical(ns: u64, actor: usize, kind: TraceKind) -> TraceEntry {
         TraceEntry {
             time: SimTime::from_nanos(ns),
             actor,
@@ -722,22 +692,22 @@ mod tests {
     /// node 2's apply interrupts its optimistic section and rolls back.
     fn sample() -> Vec<TraceEntry> {
         vec![
-            canonical(0, 1, "acc-write"),
+            canonical(0, 1, TraceKind::AccWrite),
             cause(0, 1, 1, 0, CauseOp::Write),
-            canonical(0, 1, "pkt-send"),
+            canonical(0, 1, TraceKind::PktSend),
             cause(0, 1, 2, 1, CauseOp::Send),
-            canonical(400, 0, "root-seq"),
+            canonical(400, 0, TraceKind::RootSeq),
             cause(400, 0, 3, 2, CauseOp::Seq),
-            canonical(400, 0, "pkt-mcast"),
+            canonical(400, 0, TraceKind::PktMcast),
             cause(400, 0, 4, 3, CauseOp::Mcast),
-            canonical(900, 2, "gwc-apply"),
+            canonical(900, 2, TraceKind::GwcApply),
             cause(900, 2, 5, 4, CauseOp::Apply),
-            canonical(900, 2, "opt-rollback"),
+            canonical(900, 2, TraceKind::OptRollback),
             cause(900, 2, 6, 5, CauseOp::Rollback),
             TraceEntry {
                 time: SimTime::from_nanos(900),
                 actor: 2,
-                kind: "opt-conflict",
+                kind: TraceKind::OptConflict,
                 detail: TraceDetail::Conflict { var: 0, writer: 1 },
             },
         ]
@@ -769,8 +739,8 @@ mod tests {
     #[test]
     fn pairing_labels_nodes_with_the_preceding_canonical_kind() {
         let dag = CausalDag::from_trace(&sample());
-        assert_eq!(dag.get(3).unwrap().kind, "root-seq");
-        assert_eq!(dag.get(6).unwrap().kind, "opt-rollback");
+        assert_eq!(dag.get(3).unwrap().kind, Some(TraceKind::RootSeq));
+        assert_eq!(dag.get(6).unwrap().kind, Some(TraceKind::OptRollback));
     }
 
     #[test]
@@ -858,7 +828,7 @@ mod tests {
     #[derive(Default)]
     struct Naive {
         nodes: BTreeMap<u64, CausalNode>,
-        last_record: BTreeMap<usize, (&'static str, SimTime)>,
+        last_record: BTreeMap<usize, (TraceKind, SimTime)>,
         last_cause: BTreeMap<usize, u64>,
     }
 
@@ -873,13 +843,13 @@ mod tests {
 
         fn feed(&mut self, e: &TraceEntry) {
             match (e.kind, &e.detail) {
-                ("cause", &TraceDetail::Cause { id, cause, op }) => {
+                (TraceKind::Cause, &TraceDetail::Cause { id, cause, op }) => {
                     if id == 0 {
                         return;
                     }
                     let kind = match self.last_record.get(&e.actor) {
-                        Some(&(kind, rt)) if rt == e.time => kind,
-                        _ => "",
+                        Some(&(kind, rt)) if rt == e.time => Some(kind),
+                        _ => None,
                     };
                     self.last_cause.insert(e.actor, id);
                     self.nodes.insert(
@@ -895,7 +865,7 @@ mod tests {
                         },
                     );
                 }
-                ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
+                (TraceKind::OptConflict, &TraceDetail::Conflict { var, writer }) => {
                     if let Some(id) = self.last_cause.get(&e.actor) {
                         self.nodes.get_mut(id).unwrap().conflict = Some((var, writer));
                     }
@@ -981,7 +951,7 @@ mod tests {
                     n.op,
                     n.actor,
                     n.time.as_nanos(),
-                    n.kind,
+                    n.kind.map_or("", TraceKind::as_str),
                 );
                 if let Some((var, writer)) = n.conflict {
                     let _ = write!(out, ",\"conflict\":{{\"var\":{var},\"writer\":{writer}}}");
@@ -1042,7 +1012,7 @@ mod tests {
     /// after any kind of node. The first half cites and re-records
     /// anything earlier, which pins a floor where it is; the second half
     /// stays near the newest ids, as a run does, so a floor can follow.
-    fn random_stream(rng: &mut DetRng, records: usize, kinds: &[&'static str]) -> Vec<TraceEntry> {
+    fn random_stream(rng: &mut DetRng, records: usize, kinds: &[TraceKind]) -> Vec<TraceEntry> {
         let mut out = Vec::with_capacity(records * 2);
         let (mut now, mut next_id) = (0u64, 1u64);
         for i in 0..records {
@@ -1076,7 +1046,7 @@ mod tests {
                 out.push(TraceEntry {
                     time: SimTime::from_nanos(now),
                     actor,
-                    kind: "opt-conflict",
+                    kind: TraceKind::OptConflict,
                     detail: TraceDetail::Conflict {
                         var: rng.next_below(4) as u32,
                         writer: rng.next_below(6) as u32,
@@ -1176,7 +1146,6 @@ mod tests {
             assert_eq!(dag.recorded(), recorded);
             assert_eq!(dag.slab.capacity(), dag.len(), "the slab was given back");
             assert!(dag.conflicts.keys().all(|id| keep.contains(id)));
-            assert!(dag.spilled_kinds.keys().all(|id| keep.contains(id)));
             // After the shrink: a new id past the end, a dropped or vacant
             // id in the middle, a kept id replaced.
             let kept = keep.iter().next().copied().unwrap_or(1);
@@ -1186,14 +1155,15 @@ mod tests {
                 (kept, 0, CauseOp::Rollback),
             ] {
                 let (actor, time) = (3, SimTime::from_nanos(id));
-                dag.insert(id, parent, op, actor, time, "late");
+                let kind = Some(TraceKind::GrantRetransmit);
+                dag.insert(id, parent, op, actor, time, kind);
                 let node = CausalNode {
                     id,
                     cause: if parent < id { parent } else { 0 },
                     op,
                     actor,
                     time,
-                    kind: "late",
+                    kind,
                     conflict: None,
                 };
                 naive.nodes.insert(id, node);
@@ -1222,13 +1192,8 @@ mod tests {
 
     #[test]
     fn packed_store_matches_the_naive_store_on_random_streams() {
-        let kinds = [
-            "gwc-apply",
-            "pkt-send",
-            "root-seq",
-            "opt-rollback",
-            "acc-write",
-        ];
+        // Every kind: each byte goes into the packed record and comes back.
+        let kinds = TraceKind::ALL;
         for seed in 0..40 {
             let mut rng = DetRng::new(seed);
             let records = 1 + rng.next_below(400) as usize;
@@ -1250,33 +1215,5 @@ mod tests {
         dag.shrink(None, u64::MAX);
         let path = dag.critical_path().expect("non-empty");
         assert!(dag.iter().map(|n| n.id).eq(path.ids.iter().copied()));
-    }
-
-    #[test]
-    fn more_kinds_than_the_intern_table_holds_spill_and_still_match() {
-        // 300 distinct kind texts: the table takes the first 254, the rest
-        // ride in the side map — including through
-        // id reuse, where the new node's kind replaces a spilled one.
-        let kinds: Vec<&'static str> = (0..300)
-            .map(|i| &*Box::leak(format!("kind-{i}").into_boxed_str()))
-            .collect();
-        let mut ordered = Vec::new();
-        for (i, kind) in kinds.iter().enumerate() {
-            let (id, ns) = (i as u64 + 1, i as u64 * 10);
-            ordered.push(canonical(ns, 0, kind));
-            ordered.push(cause(ns, 0, id, id - 1, CauseOp::Apply));
-        }
-        // Reuse two spilled ids: once unpaired, once with an interned kind.
-        ordered.push(cause(5_000, 1, 290, 3, CauseOp::Send));
-        ordered.push(canonical(6_000, 1, kinds[0]));
-        ordered.push(cause(6_000, 1, 295, 290, CauseOp::Rollback));
-        assert_matches_the_naive_store(&ordered);
-        let dag = CausalDag::from_trace(&ordered);
-        assert_eq!(dag.get(299).unwrap().kind, "kind-298");
-        assert_eq!(dag.get(290).unwrap().kind, "");
-        assert_eq!(dag.get(295).unwrap().kind, "kind-0");
-
-        let mut rng = DetRng::new(99);
-        assert_matches_the_naive_store(&random_stream(&mut rng, 2_000, &kinds));
     }
 }

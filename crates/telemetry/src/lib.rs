@@ -1,9 +1,9 @@
 //! # sesame-telemetry — metrics, spans, and timeline export
 //!
 //! The observability layer of the `sesame-rs` reproduction. It turns the
-//! canonical structured protocol trace stream (typed
-//! `sesame_sim::TraceDetail` payloads; see `sesame-verify` for the event
-//! taxonomy) plus post-run machine statistics into:
+//! structured protocol trace stream (`sesame_sim::TraceKind` kinds with
+//! typed `sesame_sim::TraceDetail` payloads; `docs/verify.md` tabulates
+//! the vocabulary) plus post-run machine statistics into:
 //!
 //! * a hierarchical [`MetricRegistry`] (`node/<n>/lock/<l>/...` keys over
 //!   the `sesame-sim` measurement primitives);
@@ -26,11 +26,11 @@
 //! byte-identical exports.
 //!
 //! ```
-//! use sesame_sim::{SimTime, TraceDetail, TraceEntry};
+//! use sesame_sim::{SimTime, TraceDetail, TraceEntry, TraceKind as K};
 //! use sesame_telemetry::Telemetry;
 //!
 //! let mut t = Telemetry::new("demo", 7).with_timeline(true);
-//! for (ns, kind) in [(10, "lock-acquire"), (40, "ev-acquired"), (90, "ev-released")] {
+//! for (ns, kind) in [(10, K::LockAcquire), (40, K::EvAcquired), (90, K::EvReleased)] {
 //!     t.observe(&TraceEntry {
 //!         time: SimTime::from_nanos(ns),
 //!         actor: 0,
@@ -143,11 +143,12 @@ impl Telemetry {
     ///
     /// # Panics
     ///
-    /// Panics while other clones of the `Rc` are still alive — drop the
-    /// `RunResult` (whose trace recorder holds the observer) first.
+    /// Panics while other clones of the `Rc` are still alive. A finished
+    /// run holds none: its `RunResult` carries the records, not the
+    /// observer.
     pub fn unwrap_shared(shared: Rc<RefCell<Telemetry>>) -> Telemetry {
         Rc::try_unwrap(shared)
-            .expect("telemetry still shared; drop the run result first")
+            .expect("telemetry still shared: a run is still attached to it")
             .into_inner()
     }
 

@@ -4,8 +4,10 @@
 //! [`Telemetry`] implements [`TraceObserver`], so it plugs into
 //! `sesame_sim::TraceRecorder::set_observer` (via `sesame_dsm::run_observed`)
 //! and sees every record online without the run retaining its trace in
-//! memory. Records carry a typed [`TraceDetail`] payload, so the observer
-//! destructures fields directly — no text parsing. Span construction is a
+//! memory. A record's kind is a `TraceKind` and its payload a typed
+//! [`TraceDetail`], so the observer dispatches on an enum byte and
+//! destructures fields directly — no string is compared or parsed per
+//! record. Span construction is a
 //! small set of per-`(node, lock)` state machines over the event stream:
 //!
 //! * **wait** — `mutex-enter` / `lock-acquire` → `ev-acquired` /
@@ -25,7 +27,8 @@
 use std::collections::BTreeMap;
 
 use sesame_sim::{
-    Counter, Histogram, SimTime, TimeWeighted, TraceDetail, TraceEntry, TraceObserver,
+    Counter, Histogram, SimTime, TimeWeighted, TraceDetail, TraceEntry, TraceKind as K,
+    TraceObserver,
 };
 
 use crate::registry::MetricKind;
@@ -213,8 +216,8 @@ impl Telemetry {
 
     /// Processes one trace record (the [`TraceObserver`] entry point).
     ///
-    /// A canonical kind paired with the wrong [`TraceDetail`] shape is
-    /// ignored, exactly like an unknown kind.
+    /// A kind paired with a [`TraceDetail`] shape it is not emitted with is
+    /// ignored, exactly like a kind the observer has no use for.
     pub fn observe(&mut self, e: &TraceEntry) {
         let node = e.actor;
         let t = e.time;
@@ -225,7 +228,7 @@ impl Telemetry {
             self.timeline.touch_track(node);
         }
         match (e.kind, &e.detail) {
-            ("cause", &TraceDetail::Cause { id, cause, op }) => {
+            (K::Cause, &TraceDetail::Cause { id, cause, op }) => {
                 let flow_src = self.causal.record_cause(node, t, id, cause, op);
                 if self.timeline_enabled {
                     if let Some((src, sent)) = flow_src {
@@ -240,7 +243,7 @@ impl Telemetry {
                 }
                 return;
             }
-            ("opt-conflict", &TraceDetail::Conflict { var, writer }) => {
+            (K::OptConflict, &TraceDetail::Conflict { var, writer }) => {
                 self.causal.record_conflict(node, var, writer);
                 self.count(Name::Blame, var as usize, writer).incr();
             }
@@ -248,10 +251,10 @@ impl Telemetry {
         }
         self.causal.note_record(node, e.kind, t);
         match (e.kind, &e.detail) {
-            ("mutex-enter" | "lock-acquire", &TraceDetail::Var { var: v }) => {
+            (K::MutexEnter | K::LockAcquire, &TraceDetail::Var { var: v }) => {
                 self.state.wait_start.insert((node, v), t);
             }
-            ("ev-acquired" | "mutex-granted", &TraceDetail::Var { var: v }) => {
+            (K::EvAcquired | K::MutexGranted, &TraceDetail::Var { var: v }) => {
                 if let Some(start) = self.state.wait_start.remove(&(node, v)) {
                     self.metric::<Histogram>(Name::LockWait, node, v)
                         .record(t.saturating_since(start));
@@ -262,7 +265,7 @@ impl Telemetry {
                 }
                 self.state.hold_start.insert((node, v), t);
             }
-            ("ev-released", &TraceDetail::Var { var: v }) => {
+            (K::EvReleased, &TraceDetail::Var { var: v }) => {
                 if let Some(start) = self.state.hold_start.remove(&(node, v)) {
                     self.metric::<Histogram>(Name::LockHold, node, v)
                         .record(t.saturating_since(start));
@@ -272,14 +275,14 @@ impl Telemetry {
                     }
                 }
             }
-            ("mutex-regular", &TraceDetail::Var { var: v }) => {
+            (K::MutexRegular, &TraceDetail::Var { var: v }) => {
                 self.count(Name::RegAttempts, node, v).incr();
             }
-            ("opt-enter", &TraceDetail::Var { var: v }) => {
+            (K::OptEnter, &TraceDetail::Var { var: v }) => {
                 self.count(Name::OptAttempts, node, v).incr();
                 self.state.opt_start.insert((node, v), t);
             }
-            ("opt-rollback", &TraceDetail::Var { var: v }) => {
+            (K::OptRollback, &TraceDetail::Var { var: v }) => {
                 self.count(Name::OptRollbacks, node, v).incr();
                 if self.timeline_enabled {
                     self.timeline
@@ -298,7 +301,7 @@ impl Telemetry {
                 }
             }
             (
-                "mutex-complete",
+                K::MutexComplete,
                 &TraceDetail::Complete {
                     var: v,
                     optimistic,
@@ -327,23 +330,23 @@ impl Telemetry {
                     }
                 }
             }
-            ("root-queue", &TraceDetail::QueueDepth { var: v, depth }) => {
+            (K::RootQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
                 self.metric::<TimeWeighted>(Name::RootQueueDepth, node, v)
                     .set(t, f64::from(depth));
             }
-            ("ec-queue", &TraceDetail::QueueDepth { var: v, depth }) => {
+            (K::EcQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
                 self.metric::<TimeWeighted>(Name::EcQueueDepth, node, v)
                     .set(t, f64::from(depth));
             }
-            ("root-seq", &TraceDetail::Seq { group: g, seq, .. }) => {
+            (K::RootSeq, &TraceDetail::Seq { group: g, seq, .. }) => {
                 self.count(Name::GroupSequenced, g as usize, 0).incr();
                 let run = self.state.seq_pending.entry(g).or_default();
                 run.open(seq, node, t);
             }
-            ("root-filtered", &TraceDetail::Filtered { group: g, .. }) => {
+            (K::RootFiltered, &TraceDetail::Filtered { group: g, .. }) => {
                 self.count(Name::GroupFiltered, g as usize, 0).incr();
             }
-            ("gwc-apply", &TraceDetail::Apply { group: g, seq, .. }) => {
+            (K::GwcApply, &TraceDetail::Apply { group: g, seq, .. }) => {
                 self.count(Name::GwcApplies, node, 0).incr();
                 let run = self.state.seq_pending.get_mut(&g);
                 if let Some(span) = run.and_then(|run| run.get_mut(seq)) {
@@ -353,20 +356,20 @@ impl Telemetry {
                         .record(t.saturating_since(start));
                 }
             }
-            ("hw-block-drop", _) => {
+            (K::HwBlockDrop, _) => {
                 self.count(Name::HwBlockDrops, node, 0).incr();
             }
-            ("acc-read", _) => {
+            (K::AccRead, _) => {
                 self.count(Name::MemReads, node, 0).incr();
             }
-            ("acc-write", _) => {
+            (K::AccWrite, _) => {
                 self.count(Name::MemWrites, node, 0).incr();
             }
-            ("acc-write-local", _) => {
+            (K::AccWriteLocal, _) => {
                 self.count(Name::MemLocalWrites, node, 0).incr();
             }
             (
-                "pkt-send",
+                K::PktSend,
                 &TraceDetail::Packet {
                     to,
                     bytes,
@@ -392,7 +395,7 @@ impl Telemetry {
                 }
             }
             (
-                "pkt-mcast",
+                K::PktMcast,
                 &TraceDetail::Multicast {
                     group: g,
                     bytes,
@@ -413,16 +416,16 @@ impl Telemetry {
                     );
                 }
             }
-            ("ec-grant-arrived", _) => {
+            (K::EcGrantArrived, _) => {
                 self.count(Name::EcGrants, node, 0).incr();
             }
-            ("ec-invalidated", _) => {
+            (K::EcInvalidated, _) => {
                 self.count(Name::EcInvalidations, node, 0).incr();
             }
-            ("ec-fetch-serve", _) => {
+            (K::EcFetchServe, _) => {
                 self.count(Name::EcFetchServes, node, 0).incr();
             }
-            ("ec-local-reacquire", _) => {
+            (K::EcLocalReacquire, _) => {
                 self.count(Name::EcLocalReacquires, node, 0).incr();
             }
             _ => {}
@@ -511,7 +514,7 @@ mod tests {
     use super::*;
     use sesame_sim::ApplyMode;
 
-    fn entry(ns: u64, actor: usize, kind: &'static str, detail: TraceDetail) -> TraceEntry {
+    fn entry(ns: u64, actor: usize, kind: K, detail: TraceDetail) -> TraceEntry {
         TraceEntry {
             time: SimTime::from_nanos(ns),
             actor,
@@ -520,7 +523,7 @@ mod tests {
         }
     }
 
-    fn feed(t: &mut Telemetry, events: Vec<(u64, usize, &'static str, TraceDetail)>) {
+    fn feed(t: &mut Telemetry, events: Vec<(u64, usize, K, TraceDetail)>) {
         for (ns, actor, kind, detail) in events {
             t.observe(&entry(ns, actor, kind, detail));
         }
@@ -545,9 +548,9 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (100, 1, "lock-acquire", var(0)),
-                (400, 1, "ev-acquired", var(0)),
-                (900, 1, "ev-released", var(0)),
+                (100, 1, K::LockAcquire, var(0)),
+                (400, 1, K::EvAcquired, var(0)),
+                (900, 1, K::EvReleased, var(0)),
             ],
         );
         t.finish(SimTime::from_nanos(1000));
@@ -574,17 +577,17 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (10, 2, "mutex-enter", var(0)),
-                (11, 2, "opt-enter", var(0)),
-                (50, 2, "mutex-granted", var(0)),
-                (60, 2, "ev-released", var(0)),
-                (60, 2, "mutex-complete", complete(0, true, 0, true)),
-                (100, 2, "mutex-enter", var(0)),
-                (101, 2, "opt-enter", var(0)),
-                (150, 2, "opt-rollback", var(0)),
-                (300, 2, "mutex-granted", var(0)),
-                (400, 2, "ev-released", var(0)),
-                (400, 2, "mutex-complete", complete(0, true, 1, false)),
+                (10, 2, K::MutexEnter, var(0)),
+                (11, 2, K::OptEnter, var(0)),
+                (50, 2, K::MutexGranted, var(0)),
+                (60, 2, K::EvReleased, var(0)),
+                (60, 2, K::MutexComplete, complete(0, true, 0, true)),
+                (100, 2, K::MutexEnter, var(0)),
+                (101, 2, K::OptEnter, var(0)),
+                (150, 2, K::OptRollback, var(0)),
+                (300, 2, K::MutexGranted, var(0)),
+                (400, 2, K::EvReleased, var(0)),
+                (400, 2, K::MutexComplete, complete(0, true, 1, false)),
             ],
         );
         t.finish(SimTime::from_nanos(500));
@@ -620,9 +623,9 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (100, 1, "root-seq", seq),
-                (300, 0, "gwc-apply", apply.clone()),
-                (500, 2, "gwc-apply", apply),
+                (100, 1, K::RootSeq, seq),
+                (300, 0, K::GwcApply, apply.clone()),
+                (500, 2, K::GwcApply, apply),
             ],
         );
         t.finish(SimTime::from_nanos(600));
@@ -650,8 +653,8 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (10, 0, "pkt-send", pkt(1, 32, 2, 300)),
-                (20, 0, "pkt-send", pkt(2, 16, 1, 100)),
+                (10, 0, K::PktSend, pkt(1, 32, 2, 300)),
+                (20, 0, K::PktSend, pkt(2, 16, 1, 100)),
             ],
         );
         t.finish(SimTime::from_nanos(400));
@@ -676,10 +679,10 @@ mod tests {
             vec![
                 // A sequenced write nobody applied, an unanswered acquire,
                 // a hold and an optimistic section never released.
-                (100, 0, "root-seq", seq),
-                (200, 1, "lock-acquire", var(0)),
-                (250, 2, "ev-acquired", var(1)),
-                (260, 2, "opt-enter", var(1)),
+                (100, 0, K::RootSeq, seq),
+                (200, 1, K::LockAcquire, var(0)),
+                (250, 2, K::EvAcquired, var(1)),
+                (260, 2, K::OptEnter, var(1)),
             ],
         );
         t.finish(SimTime::from_nanos(500));
@@ -698,15 +701,15 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (10, 1, "pkt-send", TraceDetail::text("ignored-shape")),
-                (10, 1, "cause", cause(1, 0, CauseOp::Send)),
-                (300, 0, "cause", cause(2, 1, CauseOp::Apply)),
+                (10, 1, K::PktSend, TraceDetail::text("ignored-shape")),
+                (10, 1, K::Cause, cause(1, 0, CauseOp::Send)),
+                (300, 0, K::Cause, cause(2, 1, CauseOp::Apply)),
             ],
         );
         t.finish(SimTime::from_nanos(400));
         let dag = t.causes();
         assert_eq!(dag.len(), 2);
-        assert_eq!(dag.get(1).unwrap().kind, "pkt-send");
+        assert_eq!(dag.get(1).unwrap().kind, Some(K::PktSend));
         assert_eq!(dag.get(2).unwrap().cause, 1);
         let trace = t.chrome_trace();
         assert!(trace.contains("\"ph\":\"s\""), "{trace}");
@@ -721,16 +724,16 @@ mod tests {
         let cause = |id, cause, op| TraceDetail::Cause { id, cause, op };
         let events = || {
             vec![
-                (10, 1, "cause", cause(1, 0, CauseOp::Write)),
-                (10, 1, "pkt-send", TraceDetail::text("ignored-shape")),
-                (10, 1, "cause", cause(2, 1, CauseOp::Send)),
+                (10, 1, K::Cause, cause(1, 0, CauseOp::Write)),
+                (10, 1, K::PktSend, TraceDetail::text("ignored-shape")),
+                (10, 1, K::Cause, cause(2, 1, CauseOp::Send)),
                 // Two applies nothing descends from, one that rolls back.
-                (300, 0, "cause", cause(3, 2, CauseOp::Apply)),
-                (300, 2, "cause", cause(4, 2, CauseOp::Apply)),
-                (310, 3, "cause", cause(5, 2, CauseOp::Apply)),
-                (310, 3, "cause", cause(6, 5, CauseOp::Rollback)),
+                (300, 0, K::Cause, cause(3, 2, CauseOp::Apply)),
+                (300, 2, K::Cause, cause(4, 2, CauseOp::Apply)),
+                (310, 3, K::Cause, cause(5, 2, CauseOp::Apply)),
+                (310, 3, K::Cause, cause(6, 5, CauseOp::Rollback)),
                 // The run's last action: a root of its own.
-                (900, 2, "cause", cause(7, 0, CauseOp::Complete)),
+                (900, 2, K::Cause, cause(7, 0, CauseOp::Complete)),
             ]
         };
         let mut t = Telemetry::new("t", 0).with_timeline(true);
@@ -766,9 +769,9 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (1100, 0, "cause", cause(8, 3, CauseOp::Send)),
-                (1100, 0, "cause", cause(4, 2, CauseOp::Apply)),
-                (1200, 1, "cause", cause(9, 8, CauseOp::Apply)),
+                (1100, 0, K::Cause, cause(8, 3, CauseOp::Send)),
+                (1100, 0, K::Cause, cause(4, 2, CauseOp::Apply)),
+                (1200, 1, K::Cause, cause(9, 8, CauseOp::Apply)),
             ],
         );
         assert_eq!(ids(&t), vec![1, 2, 4, 5, 6, 7, 8, 9]);
@@ -804,19 +807,19 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (100, 0, "root-seq", seq(2, 9)),
-                (110, 0, "root-seq", seq(0, 6)),
-                (120, 0, "root-seq", seq(0, 9)),
-                (130, 0, "root-seq", seq(0, 4)),
+                (100, 0, K::RootSeq, seq(2, 9)),
+                (110, 0, K::RootSeq, seq(0, 6)),
+                (120, 0, K::RootSeq, seq(0, 9)),
+                (130, 0, K::RootSeq, seq(0, 4)),
                 // Applies of numbers nobody sequenced: below the base, in
                 // a gap, past the end, in an unknown group.
-                (200, 1, "gwc-apply", apply(0, 3)),
-                (200, 1, "gwc-apply", apply(0, 7)),
-                (200, 1, "gwc-apply", apply(0, 10)),
-                (200, 1, "gwc-apply", apply(5, 1)),
-                (250, 1, "gwc-apply", apply(0, 6)),
+                (200, 1, K::GwcApply, apply(0, 3)),
+                (200, 1, K::GwcApply, apply(0, 7)),
+                (200, 1, K::GwcApply, apply(0, 10)),
+                (200, 1, K::GwcApply, apply(5, 1)),
+                (250, 1, K::GwcApply, apply(0, 6)),
                 // A re-sequenced number starts over.
-                (300, 0, "root-seq", seq(2, 9)),
+                (300, 0, K::RootSeq, seq(2, 9)),
             ],
         );
         t.finish(SimTime::from_nanos(400));
@@ -852,11 +855,11 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (50, 2, "opt-rollback", var(0)),
+                (50, 2, K::OptRollback, var(0)),
                 (
                     50,
                     2,
-                    "cause",
+                    K::Cause,
                     TraceDetail::Cause {
                         id: 9,
                         cause: 0,
@@ -866,7 +869,7 @@ mod tests {
                 (
                     50,
                     2,
-                    "opt-conflict",
+                    K::OptConflict,
                     TraceDetail::Conflict { var: 0, writer: 1 },
                 ),
             ],
@@ -883,14 +886,14 @@ mod tests {
         feed(
             &mut t,
             vec![
-                // Unknown kind: never observed.
-                (10, 0, "something-new", var(1)),
+                // A kind the observer has no use for: never counted.
+                (10, 0, K::LockGrant, var(1)),
                 // Canonical kinds with the wrong detail shape: ignored
                 // rather than misread.
-                (20, 0, "pkt-send", TraceDetail::text("garbage")),
-                (30, 0, "ev-acquired", TraceDetail::text("no-v-here")),
-                (40, 0, "mutex-complete", var(0)),
-                (50, 0, "root-seq", var(0)),
+                (20, 0, K::PktSend, TraceDetail::text("garbage")),
+                (30, 0, K::EvAcquired, TraceDetail::text("no-v-here")),
+                (40, 0, K::MutexComplete, var(0)),
+                (50, 0, K::RootSeq, var(0)),
             ],
         );
         t.finish(SimTime::from_nanos(60));

@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use sesame_sim::{SimDur, SimTime, TraceDetail, TraceEntry};
+use sesame_sim::{SimDur, SimTime, TraceDetail, TraceEntry, TraceKind as K};
 
 use crate::json::{self, Json};
 
@@ -59,6 +59,11 @@ pub struct SeriesWindow {
     pub queue_depth_max: BTreeMap<u32, u32>,
 }
 
+/// The most windows a series grows to. Each window owns a map, and the
+/// width comes from outside (`--window`): a few nanoseconds on a long run
+/// would otherwise ask for as many windows as the run has nanoseconds.
+const MAX_WINDOWS: usize = 1 << 20;
+
 /// The live windowed aggregator fed by the trace observer.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
@@ -66,6 +71,7 @@ pub struct TimeSeries {
     windows: Vec<SeriesWindow>,
     wait_start: BTreeMap<(usize, u32), SimTime>,
     end: SimTime,
+    truncated: bool,
 }
 
 impl TimeSeries {
@@ -81,6 +87,7 @@ impl TimeSeries {
             windows: Vec::new(),
             wait_start: BTreeMap::new(),
             end: SimTime::ZERO,
+            truncated: false,
         }
     }
 
@@ -89,8 +96,22 @@ impl TimeSeries {
         self.window
     }
 
+    /// Whether the run outgrew the series: it needed more than 2^20
+    /// windows, and everything past them was put in the last one. Such a
+    /// series is not worth exporting; run again with a wider window.
+    pub fn truncated(&self) -> bool {
+        self.truncated
+    }
+
+    /// `wanted` windows, or as many as the series holds.
+    fn capped(&mut self, wanted: u64) -> usize {
+        self.truncated |= wanted > MAX_WINDOWS as u64;
+        wanted.min(MAX_WINDOWS as u64) as usize
+    }
+
     fn bucket(&mut self, t: SimTime) -> &mut SeriesWindow {
-        let idx = (t.as_nanos() / self.window.as_nanos()) as usize;
+        let at = t.as_nanos() / self.window.as_nanos();
+        let idx = self.capped(at.saturating_add(1)) - 1;
         if self.windows.len() <= idx {
             self.windows.resize(idx + 1, SeriesWindow::default());
         }
@@ -102,20 +123,20 @@ impl TimeSeries {
     pub fn observe(&mut self, e: &TraceEntry) {
         let t = e.time;
         match (e.kind, &e.detail) {
-            ("mutex-enter" | "lock-acquire", &TraceDetail::Var { var }) => {
+            (K::MutexEnter | K::LockAcquire, &TraceDetail::Var { var }) => {
                 self.wait_start.insert((e.actor, var), t);
             }
-            ("ev-acquired" | "mutex-granted", &TraceDetail::Var { var }) => {
+            (K::EvAcquired | K::MutexGranted, &TraceDetail::Var { var }) => {
                 if let Some(start) = self.wait_start.remove(&(e.actor, var)) {
                     let w = self.bucket(t);
                     w.lock_waits += 1;
                     w.lock_wait_ns += t.saturating_since(start).as_nanos();
                 }
             }
-            ("opt-enter", &TraceDetail::Var { .. }) => self.bucket(t).opt_attempts += 1,
-            ("opt-rollback", &TraceDetail::Var { .. }) => self.bucket(t).rollbacks += 1,
+            (K::OptEnter, &TraceDetail::Var { .. }) => self.bucket(t).opt_attempts += 1,
+            (K::OptRollback, &TraceDetail::Var { .. }) => self.bucket(t).rollbacks += 1,
             (
-                "mutex-complete",
+                K::MutexComplete,
                 &TraceDetail::Complete {
                     optimistic,
                     rollbacks,
@@ -128,13 +149,13 @@ impl TimeSeries {
                     w.opt_wins += 1;
                 }
             }
-            ("root-queue" | "ec-queue", &TraceDetail::QueueDepth { var, depth }) => {
+            (K::RootQueue | K::EcQueue, &TraceDetail::QueueDepth { var, depth }) => {
                 let w = self.bucket(t);
                 let entry = w.queue_depth_max.entry(var).or_insert(0);
                 *entry = (*entry).max(depth);
             }
-            ("pkt-send", &TraceDetail::Packet { .. }) => self.bucket(t).packets += 1,
-            ("pkt-mcast", &TraceDetail::Multicast { .. }) => self.bucket(t).mcasts += 1,
+            (K::PktSend, &TraceDetail::Packet { .. }) => self.bucket(t).packets += 1,
+            (K::PktMcast, &TraceDetail::Multicast { .. }) => self.bucket(t).mcasts += 1,
             _ => {}
         }
     }
@@ -143,8 +164,7 @@ impl TimeSeries {
     /// windows so it covers `[0, end)`. Call once, after the run.
     pub fn finish(&mut self, end: SimTime) {
         self.end = end;
-        let ns = end.as_nanos();
-        let needed = (ns.div_ceil(self.window.as_nanos())) as usize;
+        let needed = self.capped(end.as_nanos().div_ceil(self.window.as_nanos()));
         if self.windows.len() < needed {
             self.windows.resize(needed, SeriesWindow::default());
         }
@@ -418,7 +438,7 @@ pub fn render_series_report(series: &SeriesExport) -> String {
 mod tests {
     use super::*;
 
-    fn entry(ns: u64, actor: usize, kind: &'static str, detail: TraceDetail) -> TraceEntry {
+    fn entry(ns: u64, actor: usize, kind: K, detail: TraceDetail) -> TraceEntry {
         TraceEntry {
             time: SimTime::from_nanos(ns),
             actor,
@@ -431,23 +451,23 @@ mod tests {
         let mut s = TimeSeries::new(SimDur::from_nanos(100));
         let var = |var| TraceDetail::Var { var };
         // Window 0: an attempt that rolls back; queue builds up.
-        s.observe(&entry(10, 0, "opt-enter", var(0)));
-        s.observe(&entry(20, 1, "pkt-send", pkt()));
+        s.observe(&entry(10, 0, K::OptEnter, var(0)));
+        s.observe(&entry(20, 1, K::PktSend, pkt()));
         s.observe(&entry(
             30,
             0,
-            "root-queue",
+            K::RootQueue,
             TraceDetail::QueueDepth { var: 0, depth: 2 },
         ));
-        s.observe(&entry(40, 0, "opt-rollback", var(0)));
+        s.observe(&entry(40, 0, K::OptRollback, var(0)));
         // Window 1: wait opened in window 0 closes here (bucketed at grant),
         // then a clean optimistic completion.
-        s.observe(&entry(90, 2, "lock-acquire", var(1)));
-        s.observe(&entry(130, 2, "ev-acquired", var(1)));
+        s.observe(&entry(90, 2, K::LockAcquire, var(1)));
+        s.observe(&entry(130, 2, K::EvAcquired, var(1)));
         s.observe(&entry(
             180,
             2,
-            "mutex-complete",
+            K::MutexComplete,
             TraceDetail::Complete {
                 var: 1,
                 optimistic: true,
@@ -486,6 +506,25 @@ mod tests {
         assert_eq!(e.windows[1].opt_wins, 1);
         assert_eq!(e.windows[2], SeriesWindow::default());
         assert_eq!(e.vars(), vec![0]);
+    }
+
+    #[test]
+    fn a_run_too_long_for_its_window_stops_growing_and_says_so() {
+        let var = TraceDetail::Var { var: 0 };
+        let last = MAX_WINDOWS as u64 - 1;
+        let mut s = TimeSeries::new(SimDur::from_nanos(1));
+        s.observe(&entry(last, 0, K::OptEnter, var.clone()));
+        s.finish(SimTime::from_nanos(last + 1));
+        assert!(!s.truncated(), "2^20 windows still fit");
+        assert_eq!(s.windows.len(), MAX_WINDOWS);
+        // One more, asked for by the end of the run or by a record.
+        s.finish(SimTime::from_nanos(last + 2));
+        assert!(s.truncated());
+        s.truncated = false;
+        s.observe(&entry(u64::MAX, 0, K::OptRollback, var));
+        assert!(s.truncated());
+        assert_eq!(s.windows.len(), MAX_WINDOWS);
+        assert_eq!(s.windows[last as usize].rollbacks, 1);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! lasts; the explained set at 40 bytes a node once it has finished.
 
 use sesame_alloc_probe::{allocations, live_bytes, CountingAlloc};
-use sesame_sim::{ApplyMode, CauseOp, SimDur, SimTime, TraceDetail, TraceEntry, TraceObserver};
+use sesame_sim::{
+    ApplyMode, CauseOp, SimDur, SimTime, TraceDetail, TraceEntry, TraceKind as K, TraceObserver,
+};
 use sesame_telemetry::Telemetry;
 
 #[global_allocator]
@@ -38,7 +40,7 @@ struct Feeder {
 }
 
 impl Feeder {
-    fn emit(&mut self, t: &mut Telemetry, actor: usize, kind: &'static str, detail: TraceDetail) {
+    fn emit(&mut self, t: &mut Telemetry, actor: usize, kind: K, detail: TraceDetail) {
         t.observe(&TraceEntry {
             time: SimTime::from_nanos(self.now),
             actor,
@@ -54,14 +56,14 @@ impl Feeder {
         &mut self,
         t: &mut Telemetry,
         actor: usize,
-        kind: &'static str,
+        kind: K,
         detail: TraceDetail,
         (cause, op): (u64, CauseOp),
     ) -> u64 {
         self.emit(t, actor, kind, detail);
         self.causes += 1;
         let id = self.causes;
-        self.emit(t, actor, "cause", TraceDetail::Cause { id, cause, op });
+        self.emit(t, actor, K::Cause, TraceDetail::Cause { id, cause, op });
         id
     }
 
@@ -75,11 +77,11 @@ impl Feeder {
             let (group, val, origin) = (0, section as i64, node as u32);
             t.on_cause_floor(self.causes + 1);
             self.now += 7;
-            self.act(t, node, "mutex-enter", var.clone(), (0, CauseOp::Acquire));
-            self.emit(t, node, "opt-enter", var.clone());
-            self.emit(t, node, "acc-read", var.clone());
-            let write = self.act(t, node, "acc-write", var.clone(), (0, CauseOp::Write));
-            self.emit(t, node, "acc-write-local", var.clone());
+            self.act(t, node, K::MutexEnter, var.clone(), (0, CauseOp::Acquire));
+            self.emit(t, node, K::OptEnter, var.clone());
+            self.emit(t, node, K::AccRead, var.clone());
+            let write = self.act(t, node, K::AccWrite, var.clone(), (0, CauseOp::Write));
+            self.emit(t, node, K::AccWriteLocal, var.clone());
             let packet = TraceDetail::Packet {
                 from: origin,
                 to: 0,
@@ -87,7 +89,7 @@ impl Feeder {
                 hops: 2,
                 arrival_ns: self.now + 40,
             };
-            let send = self.act(t, node, "pkt-send", packet, (write, CauseOp::Send));
+            let send = self.act(t, node, K::PktSend, packet, (write, CauseOp::Send));
             self.now += 40;
             let sequenced = TraceDetail::Seq {
                 group,
@@ -96,17 +98,17 @@ impl Feeder {
                 val,
                 origin,
             };
-            let seq_id = self.act(t, 0, "root-seq", sequenced, (send, CauseOp::Seq));
+            let seq_id = self.act(t, 0, K::RootSeq, sequenced, (send, CauseOp::Seq));
             self.emit(
                 t,
                 0,
-                "root-queue",
+                K::RootQueue,
                 TraceDetail::QueueDepth { var: 0, depth: 2 },
             );
             self.emit(
                 t,
                 0,
-                "ec-queue",
+                K::EcQueue,
                 TraceDetail::QueueDepth { var: 0, depth: 1 },
             );
             let filtered = TraceDetail::Filtered {
@@ -115,14 +117,14 @@ impl Feeder {
                 val,
                 origin,
             };
-            self.emit(t, 0, "root-filtered", filtered);
+            self.emit(t, 0, K::RootFiltered, filtered);
             let fan_out = TraceDetail::Multicast {
                 group,
                 bytes: 16,
                 members: NODES as u32,
                 last_ns: self.now + 60,
             };
-            let mcast = self.act(t, 0, "pkt-mcast", fan_out, (seq_id, CauseOp::Mcast));
+            let mcast = self.act(t, 0, K::PktMcast, fan_out, (seq_id, CauseOp::Mcast));
             self.now += 60;
             let mut apply_at_victim = 0;
             for member in 0..NODES {
@@ -135,43 +137,43 @@ impl Feeder {
                     mode: ApplyMode::Applied,
                 };
                 apply_at_victim =
-                    self.act(t, member, "gwc-apply", applied, (mcast, CauseOp::Apply));
+                    self.act(t, member, K::GwcApply, applied, (mcast, CauseOp::Apply));
             }
             // Optimism mostly wins: one section in a hundred rolls back
             // (the blame side map grows per rollback, not per record).
             if section % 100 == 0 {
                 let victim = NODES - 1;
                 let rollback = (apply_at_victim, CauseOp::Rollback);
-                self.act(t, victim, "opt-rollback", var.clone(), rollback);
+                self.act(t, victim, K::OptRollback, var.clone(), rollback);
                 let blame = TraceDetail::Conflict {
                     var: 0,
                     writer: origin,
                 };
-                self.emit(t, victim, "opt-conflict", blame);
+                self.emit(t, victim, K::OptConflict, blame);
             }
-            self.emit(t, node, "hw-block-drop", TraceDetail::None);
+            self.emit(t, node, K::HwBlockDrop, TraceDetail::None);
             self.act(
                 t,
                 node,
-                "mutex-granted",
+                K::MutexGranted,
                 var.clone(),
                 (mcast, CauseOp::Acquired),
             );
             self.now += 25;
-            self.emit(t, node, "ev-released", var.clone());
-            self.emit(t, node, "mutex-regular", var.clone());
+            self.emit(t, node, K::EvReleased, var.clone());
+            self.emit(t, node, K::MutexRegular, var.clone());
             let done = TraceDetail::Complete {
                 var: 0,
                 optimistic: true,
                 rollbacks: 0,
                 overlapped: true,
             };
-            self.act(t, node, "mutex-complete", done, (mcast, CauseOp::Complete));
+            self.act(t, node, K::MutexComplete, done, (mcast, CauseOp::Complete));
             for kind in [
-                "ec-grant-arrived",
-                "ec-invalidated",
-                "ec-fetch-serve",
-                "ec-local-reacquire",
+                K::EcGrantArrived,
+                K::EcInvalidated,
+                K::EcFetchServe,
+                K::EcLocalReacquire,
             ] {
                 self.emit(t, node, kind, TraceDetail::None);
             }

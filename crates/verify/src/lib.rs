@@ -2,13 +2,15 @@
 //! checking for the `sesame-rs` reproduction of *Hermannsson & Wittie,
 //! "Optimistic Synchronization in Distributed Shared Memory" (ICDCS 1994)*.
 //!
-//! The simulation layers emit canonical trace records (`acc-write`,
-//! `root-seq`, `gwc-apply`, `opt-rollback`, …) whose payloads are typed
-//! [`sesame_sim::TraceDetail`] variants. This crate consumes that stream —
+//! The simulation layers emit trace records (`acc-write`, `root-seq`,
+//! `gwc-apply`, `opt-rollback`, …) whose kind is a
+//! [`sesame_sim::TraceKind`] and whose payload is a typed
+//! [`sesame_sim::TraceDetail`] variant. This crate consumes that stream —
 //! **online**, as a [`sesame_sim::TraceObserver`] hooked into a running
 //! simulation, or **offline**, over a recorded
-//! [`sesame_sim::TraceRecorder`] — destructures the fields directly (no
-//! text parsing anywhere), and reports structured [`Violation`]s.
+//! [`sesame_sim::TraceRecorder`] — matches `(kind, &detail)` pairs (no
+//! string is compared or parsed anywhere), and reports structured
+//! [`Violation`]s.
 //!
 //! Three checkers run together in a [`Verifier`]:
 //!
@@ -22,15 +24,15 @@
 //!   writes gaplessly, in the same order, with identical payloads.
 //!
 //! ```
-//! use sesame_sim::{SimTime, TraceDetail, TraceEntry};
+//! use sesame_sim::{SimTime, TraceDetail, TraceEntry, TraceKind::RootGrant};
 //! use sesame_verify::check_trace;
 //!
 //! // A root that grants a lock twice without a release in between:
 //! let t = |ns| SimTime::from_nanos(ns);
 //! let g = |holder| TraceDetail::Grant { group: 0, var: 0, holder };
 //! let trace = vec![
-//!     TraceEntry { time: t(10), actor: 0, kind: "root-grant", detail: g(1) },
-//!     TraceEntry { time: t(20), actor: 0, kind: "root-grant", detail: g(2) },
+//!     TraceEntry { time: t(10), actor: 0, kind: RootGrant, detail: g(1) },
+//!     TraceEntry { time: t(20), actor: 0, kind: RootGrant, detail: g(2) },
 //! ];
 //! let violations = check_trace(&trace);
 //! assert_eq!(violations.len(), 1);
@@ -40,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod clock;
-pub mod event;
 mod linear;
 mod mutex;
 mod race;
@@ -137,18 +138,16 @@ impl Verifier {
         }
     }
 
-    /// Processes one trace record. Non-canonical records (human-readable
-    /// timeline marks) are ignored.
+    /// Processes one trace record. Each checker reads the kinds it knows
+    /// in the payload shape they are emitted with; everything else (the
+    /// human-readable records, packets, `cause` edges, a kind carrying
+    /// another kind's shape) is ignored.
     pub fn feed(&mut self, entry: &TraceEntry) {
-        let Some(ev) = event::from_entry(entry) else {
-            return;
-        };
-        let (time, node) = (entry.time, entry.actor);
-        self.race.feed(time, node, &ev, &mut self.violations);
-        self.mutex.feed(time, node, &ev, &mut self.violations);
-        self.seq.feed(time, node, &ev, &mut self.violations);
+        self.race.feed(entry, &mut self.violations);
+        self.mutex.feed(entry, &mut self.violations);
+        self.seq.feed(entry, &mut self.violations);
         if let Some(linear) = self.linear.as_mut() {
-            linear.feed(time, node, &ev, &mut self.violations);
+            linear.feed(entry, &mut self.violations);
         }
     }
 
@@ -263,9 +262,9 @@ pub fn check_recorder(recorder: &TraceRecorder) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sesame_sim::{ApplyMode, TraceDetail};
+    use sesame_sim::{ApplyMode, TraceDetail, TraceKind as K};
 
-    fn e(ns: u64, actor: usize, kind: &'static str, detail: TraceDetail) -> TraceEntry {
+    fn e(ns: u64, actor: usize, kind: K, detail: TraceDetail) -> TraceEntry {
         TraceEntry {
             time: SimTime::from_nanos(ns),
             actor,
@@ -323,31 +322,31 @@ mod tests {
         // node1 takes the lock, writes, releases; node2 then takes it and
         // reads — everything ordered through the lock and the root.
         let trace = vec![
-            e(1, 1, "lock-acquire", var(0)),
-            e(2, 0, "root-grant", grant(0, 0, 1)),
-            e(3, 0, "root-seq", rseq(0, 1, 0, 2, 0)),
-            e(4, 1, "gwc-apply", apply(0, 1, 0, 2, 0, ApplyMode::Applied)),
-            e(4, 2, "gwc-apply", apply(0, 1, 0, 2, 0, ApplyMode::Applied)),
-            e(4, 1, "ev-acquired", var(0)),
-            e(5, 1, "acc-write", vv(5, 42)),
-            e(6, 0, "root-seq", rseq(0, 2, 5, 42, 1)),
+            e(1, 1, K::LockAcquire, var(0)),
+            e(2, 0, K::RootGrant, grant(0, 0, 1)),
+            e(3, 0, K::RootSeq, rseq(0, 1, 0, 2, 0)),
+            e(4, 1, K::GwcApply, apply(0, 1, 0, 2, 0, ApplyMode::Applied)),
+            e(4, 2, K::GwcApply, apply(0, 1, 0, 2, 0, ApplyMode::Applied)),
+            e(4, 1, K::EvAcquired, var(0)),
+            e(5, 1, K::AccWrite, vv(5, 42)),
+            e(6, 0, K::RootSeq, rseq(0, 2, 5, 42, 1)),
             e(
                 7,
                 1,
-                "gwc-apply",
+                K::GwcApply,
                 apply(0, 2, 5, 42, 1, ApplyMode::HwBlocked),
             ),
-            e(7, 2, "gwc-apply", apply(0, 2, 5, 42, 1, ApplyMode::Applied)),
-            e(8, 1, "lock-release", var(0)),
-            e(9, 0, "root-release", rel(0, 0, 1)),
-            e(9, 0, "root-grant", grant(0, 0, 2)),
-            e(10, 0, "root-seq", rseq(0, 3, 0, 3, 0)),
-            e(11, 1, "gwc-apply", apply(0, 3, 0, 3, 0, ApplyMode::Applied)),
-            e(11, 2, "gwc-apply", apply(0, 3, 0, 3, 0, ApplyMode::Applied)),
-            e(11, 2, "ev-acquired", var(0)),
-            e(12, 2, "acc-read", var(5)),
-            e(13, 2, "lock-release", var(0)),
-            e(14, 0, "root-release", rel(0, 0, 2)),
+            e(7, 2, K::GwcApply, apply(0, 2, 5, 42, 1, ApplyMode::Applied)),
+            e(8, 1, K::LockRelease, var(0)),
+            e(9, 0, K::RootRelease, rel(0, 0, 1)),
+            e(9, 0, K::RootGrant, grant(0, 0, 2)),
+            e(10, 0, K::RootSeq, rseq(0, 3, 0, 3, 0)),
+            e(11, 1, K::GwcApply, apply(0, 3, 0, 3, 0, ApplyMode::Applied)),
+            e(11, 2, K::GwcApply, apply(0, 3, 0, 3, 0, ApplyMode::Applied)),
+            e(11, 2, K::EvAcquired, var(0)),
+            e(12, 2, K::AccRead, var(5)),
+            e(13, 2, K::LockRelease, var(0)),
+            e(14, 0, K::RootRelease, rel(0, 0, 2)),
         ];
         let violations = check_trace(&trace);
         assert!(violations.is_empty(), "unexpected: {violations:?}");
@@ -356,8 +355,8 @@ mod tests {
     #[test]
     fn concurrent_unsynchronized_writes_race() {
         let trace = vec![
-            e(1, 1, "acc-write", vv(9, 1)),
-            e(1, 2, "acc-write", vv(9, 2)),
+            e(1, 1, K::AccWrite, vv(9, 1)),
+            e(1, 2, K::AccWrite, vv(9, 2)),
         ];
         let violations = check_trace(&trace);
         assert_eq!(violations.len(), 1, "got: {violations:?}");
@@ -369,10 +368,10 @@ mod tests {
         // node2 writes v9 only after applying node1's sequenced write: the
         // delivery edge orders the two writes, so no race.
         let trace = vec![
-            e(1, 1, "acc-write", vv(9, 1)),
-            e(2, 0, "root-seq", rseq(0, 1, 9, 1, 1)),
-            e(3, 2, "gwc-apply", apply(0, 1, 9, 1, 1, ApplyMode::Applied)),
-            e(4, 2, "acc-write", vv(9, 2)),
+            e(1, 1, K::AccWrite, vv(9, 1)),
+            e(2, 0, K::RootSeq, rseq(0, 1, 9, 1, 1)),
+            e(3, 2, K::GwcApply, apply(0, 1, 9, 1, 1, ApplyMode::Applied)),
+            e(4, 2, K::AccWrite, vv(9, 2)),
         ];
         let violations = check_trace(&trace);
         assert!(violations.is_empty(), "unexpected: {violations:?}");
@@ -381,9 +380,9 @@ mod tests {
     #[test]
     fn double_grant_is_reported_once() {
         let trace = vec![
-            e(10, 0, "root-grant", grant(0, 0, 1)),
-            e(20, 0, "root-grant", grant(0, 0, 2)),
-            e(30, 0, "root-grant", grant(0, 0, 3)),
+            e(10, 0, K::RootGrant, grant(0, 0, 1)),
+            e(20, 0, K::RootGrant, grant(0, 0, 2)),
+            e(30, 0, K::RootGrant, grant(0, 0, 3)),
         ];
         let violations = check_trace(&trace);
         assert_eq!(violations.len(), 1, "got: {violations:?}");
@@ -393,8 +392,8 @@ mod tests {
     #[test]
     fn release_by_non_holder_is_reported() {
         let trace = vec![
-            e(10, 0, "root-grant", grant(0, 0, 1)),
-            e(20, 0, "root-release", rel(0, 0, 2)),
+            e(10, 0, K::RootGrant, grant(0, 0, 1)),
+            e(20, 0, K::RootRelease, rel(0, 0, 2)),
         ];
         let violations = check_trace(&trace);
         assert_eq!(violations.len(), 1, "got: {violations:?}");
@@ -404,12 +403,12 @@ mod tests {
     #[test]
     fn completed_rollback_is_clean() {
         let trace = vec![
-            e(1, 1, "mutex-enter", var(0)),
-            e(1, 1, "opt-enter", var(0)),
-            e(1, 1, "opt-save", vv(5, 7)),
-            e(2, 1, "acc-write", vv(5, 42)),
-            e(3, 1, "opt-rollback", var(0)),
-            e(3, 1, "acc-write-local", vv(5, 7)),
+            e(1, 1, K::MutexEnter, var(0)),
+            e(1, 1, K::OptEnter, var(0)),
+            e(1, 1, K::OptSave, vv(5, 7)),
+            e(2, 1, K::AccWrite, vv(5, 42)),
+            e(3, 1, K::OptRollback, var(0)),
+            e(3, 1, K::AccWriteLocal, vv(5, 7)),
         ];
         let violations = check_trace(&trace);
         assert!(violations.is_empty(), "unexpected: {violations:?}");
@@ -418,11 +417,11 @@ mod tests {
     #[test]
     fn surviving_optimistic_write_is_reported() {
         let trace = vec![
-            e(1, 1, "mutex-enter", var(0)),
-            e(1, 1, "opt-enter", var(0)),
-            e(1, 1, "opt-save", vv(5, 7)),
-            e(2, 1, "acc-write", vv(5, 42)),
-            e(3, 1, "opt-rollback", var(0)),
+            e(1, 1, K::MutexEnter, var(0)),
+            e(1, 1, K::OptEnter, var(0)),
+            e(1, 1, K::OptSave, vv(5, 7)),
+            e(2, 1, K::AccWrite, vv(5, 42)),
+            e(3, 1, K::OptRollback, var(0)),
             // No restore of v5: the speculative write survives.
         ];
         let violations = check_trace(&trace);
@@ -434,12 +433,12 @@ mod tests {
     #[test]
     fn out_of_order_apply_is_reported_once() {
         let trace = vec![
-            e(1, 0, "root-seq", rseq(0, 1, 1, 7, 0)),
-            e(2, 0, "root-seq", rseq(0, 2, 1, 8, 0)),
-            e(3, 1, "gwc-apply", apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
-            e(4, 1, "gwc-apply", apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
-            e(5, 2, "gwc-apply", apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
-            e(6, 2, "gwc-apply", apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
+            e(1, 0, K::RootSeq, rseq(0, 1, 1, 7, 0)),
+            e(2, 0, K::RootSeq, rseq(0, 2, 1, 8, 0)),
+            e(3, 1, K::GwcApply, apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
+            e(4, 1, K::GwcApply, apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
+            e(5, 2, K::GwcApply, apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
+            e(6, 2, K::GwcApply, apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
         ];
         let violations = check_trace(&trace);
         assert_eq!(violations.len(), 1, "got: {violations:?}");
@@ -450,12 +449,40 @@ mod tests {
     #[test]
     fn payload_mismatch_is_reported() {
         let trace = vec![
-            e(1, 0, "root-seq", rseq(0, 1, 1, 7, 0)),
-            e(3, 1, "gwc-apply", apply(0, 1, 1, 99, 0, ApplyMode::Applied)),
+            e(1, 0, K::RootSeq, rseq(0, 1, 1, 7, 0)),
+            e(3, 1, K::GwcApply, apply(0, 1, 1, 99, 0, ApplyMode::Applied)),
         ];
         let violations = check_trace(&trace);
         assert_eq!(violations.len(), 1, "got: {violations:?}");
         assert_eq!(violations[0].check, CheckKind::Sequencing);
+    }
+
+    /// What the trace also carries — the human-readable records, and a
+    /// kind paired with a shape it is not emitted with — is skipped rather
+    /// than misread: nothing below races, or ends the rollback window
+    /// before its restore.
+    #[test]
+    fn non_canonical_records_are_ignored() {
+        let trace = vec![
+            e(1, 1, K::MutexEnter, var(0)),
+            e(1, 1, K::OptEnter, var(0)),
+            e(1, 1, K::OptSave, vv(5, 7)),
+            e(2, 1, K::AccWrite, vv(5, 42)),
+            e(3, 1, K::OptRollback, var(0)),
+            e(3, 1, K::LockGrant, TraceDetail::text("v3 -> node1")),
+            e(3, 1, K::AccWrite, TraceDetail::text("garbage")),
+            e(3, 1, K::AccWrite, var(1)),
+            e(3, 2, K::AccWrite, var(5)),
+            e(3, 1, K::RootGrant, var(0)),
+            e(3, 1, K::MutexRollback, var(0)),
+            e(3, 1, K::AccWriteLocal, vv(5, 7)),
+        ];
+        let mut v = Verifier::with_counter_spec(5);
+        for entry in &trace {
+            v.feed(entry);
+        }
+        v.finish();
+        assert!(v.violations().is_empty(), "unexpected: {}", v.report());
     }
 
     #[test]
@@ -466,8 +493,8 @@ mod tests {
         let verifier = Rc::new(RefCell::new(Verifier::new()));
         let mut recorder = TraceRecorder::new(false);
         recorder.set_observer(verifier.clone());
-        recorder.record(SimTime::from_nanos(10), 0, "root-grant", grant(0, 0, 1));
-        recorder.record(SimTime::from_nanos(20), 0, "root-grant", grant(0, 0, 2));
+        recorder.record(SimTime::from_nanos(10), 0, K::RootGrant, grant(0, 0, 1));
+        recorder.record(SimTime::from_nanos(20), 0, K::RootGrant, grant(0, 0, 2));
         verifier.borrow_mut().finish();
         assert_eq!(verifier.borrow().violations().len(), 1);
         assert!(
@@ -479,8 +506,8 @@ mod tests {
     #[test]
     fn report_renders_one_line_per_violation() {
         let trace = vec![
-            e(10, 0, "root-grant", grant(0, 0, 1)),
-            e(20, 0, "root-grant", grant(0, 0, 2)),
+            e(10, 0, K::RootGrant, grant(0, 0, 1)),
+            e(20, 0, K::RootGrant, grant(0, 0, 2)),
         ];
         let mut v = Verifier::new();
         for entry in &trace {

@@ -23,16 +23,15 @@
 //! re-executes the body after it wins the lock), and takes its response at
 //! `ev-released`.
 
-use sesame_sim::SimTime;
+use sesame_sim::{SimTime, TraceDetail as D, TraceEntry, TraceKind as K};
 
-use crate::event::{Event, Val};
 use crate::{CheckKind, Violation};
 
 /// One in-flight critical section at a node.
 #[derive(Debug)]
 struct OpenOp {
     invoked: SimTime,
-    pending: Option<Val>,
+    pending: Option<i64>,
 }
 
 /// One completed critical section.
@@ -41,7 +40,7 @@ struct DoneOp {
     node: usize,
     invoked: SimTime,
     responded: SimTime,
-    value: Option<Val>,
+    value: Option<i64>,
 }
 
 /// The counter-spec linearizability checker.
@@ -50,7 +49,7 @@ pub struct LinearChecker {
     /// The shared counter variable the sequential spec is about.
     counter: u32,
     /// The counter's initial value (zero in the canonical workloads).
-    initial: Val,
+    initial: i64,
     open: Vec<Option<OpenOp>>,
     done: Vec<DoneOp>,
 }
@@ -73,28 +72,30 @@ impl LinearChecker {
         &mut self.open[node]
     }
 
-    /// Processes one event attributed to `node` at `time`.
-    pub fn feed(&mut self, time: SimTime, node: usize, ev: &Event, _out: &mut Vec<Violation>) {
-        match *ev {
-            Event::MutexEnter { .. } => {
+    /// Processes one record; only the four section-boundary kinds below,
+    /// in their own shapes, are read.
+    pub fn feed(&mut self, entry: &TraceEntry, _out: &mut Vec<Violation>) {
+        let (time, node) = (entry.time, entry.actor);
+        match (entry.kind, &entry.detail) {
+            (K::MutexEnter, D::Var { .. }) => {
                 *self.open(node) = Some(OpenOp {
                     invoked: time,
                     pending: None,
                 });
             }
-            Event::Write { var, val } if var == self.counter => {
+            (K::AccWrite, &D::VarVal { var, val }) if var == self.counter => {
                 if let Some(op) = self.open(node).as_mut() {
                     op.pending = Some(val);
                 }
             }
             // The speculation lost: its counter write was discarded at the
             // root; the engine re-executes the body after winning the lock.
-            Event::OptRollback { .. } => {
+            (K::OptRollback, D::Var { .. }) => {
                 if let Some(op) = self.open(node).as_mut() {
                     op.pending = None;
                 }
             }
-            Event::Released { .. } => {
+            (K::EvReleased, D::Var { .. }) => {
                 if let Some(op) = self.open(node).take() {
                     self.done.push(DoneOp {
                         node,
@@ -165,10 +166,10 @@ impl LinearChecker {
     /// `initial+1..=initial+n`.
     pub fn finish(&mut self, out: &mut Vec<Violation>) {
         self.check_prefix_safe(out);
-        let mut values: Vec<Val> = self.done.iter().filter_map(|o| o.value).collect();
+        let mut values: Vec<i64> = self.done.iter().filter_map(|o| o.value).collect();
         values.sort_unstable();
         values.dedup();
-        let expected: Vec<Val> = (1..=self.done.len() as Val)
+        let expected: Vec<i64> = (1..=self.done.len() as i64)
             .map(|i| self.initial + i)
             .collect();
         // Only report a permutation failure when every section committed a
@@ -217,24 +218,37 @@ impl LinearChecker {
 mod tests {
     use super::*;
 
-    fn feed_all(lc: &mut LinearChecker, evs: &[(u64, usize, Event)]) -> Vec<Violation> {
+    type Ev = (K, D);
+
+    fn feed_all(lc: &mut LinearChecker, evs: &[(u64, usize, Ev)]) -> Vec<Violation> {
         let mut out = Vec::new();
-        for &(ns, node, ref ev) in evs {
-            lc.feed(SimTime::from_nanos(ns), node, ev, &mut out);
+        for (ns, actor, (kind, detail)) in evs.iter().cloned() {
+            let time = SimTime::from_nanos(ns);
+            let entry = TraceEntry {
+                time,
+                actor,
+                kind,
+                detail,
+            };
+            lc.feed(&entry, &mut out);
         }
         out
     }
 
-    fn enter() -> Event {
-        Event::MutexEnter { var: 0 }
+    fn enter() -> Ev {
+        (K::MutexEnter, D::Var { var: 0 })
     }
 
-    fn write(val: Val) -> Event {
-        Event::Write { var: 1, val }
+    fn write(val: i64) -> Ev {
+        (K::AccWrite, D::VarVal { var: 1, val })
     }
 
-    fn released() -> Event {
-        Event::Released { var: 0 }
+    fn rollback() -> Ev {
+        (K::OptRollback, D::Var { var: 0 })
+    }
+
+    fn released() -> Ev {
+        (K::EvReleased, D::Var { var: 0 })
     }
 
     #[test]
@@ -308,7 +322,7 @@ mod tests {
             &[
                 (1, 1, enter()),
                 (2, 1, write(1)), // speculative, will be discarded
-                (3, 1, Event::OptRollback { var: 0 }),
+                (3, 1, rollback()),
                 (4, 1, write(2)), // re-executed body commits this
                 (5, 1, released()),
                 (6, 2, enter()),
@@ -328,7 +342,7 @@ mod tests {
             &[
                 (1, 1, enter()),
                 (2, 1, write(1)),
-                (3, 1, Event::OptRollback { var: 0 }),
+                (3, 1, rollback()),
                 (4, 2, enter()),
                 (5, 2, write(1)),
                 (6, 2, released()),

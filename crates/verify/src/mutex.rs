@@ -17,9 +17,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sesame_sim::SimTime;
+use sesame_sim::{ApplyMode, SimTime, TraceDetail as D, TraceEntry, TraceKind as K};
 
-use crate::event::{ApplyMode, Event, Val};
 use crate::{CheckKind, Violation};
 
 /// Speculation state for one node's optimistic section.
@@ -27,7 +26,7 @@ use crate::{CheckKind, Violation};
 struct Speculation {
     lock: u32,
     /// Pre-section values saved by the engine (`opt-save`).
-    saved: HashMap<u32, Val>,
+    saved: HashMap<u32, i64>,
     /// Variables written during the speculation window.
     written: HashSet<u32>,
 }
@@ -37,7 +36,7 @@ struct Speculation {
 struct Rollback {
     time: SimTime,
     spec: Speculation,
-    restored: HashMap<u32, Val>,
+    restored: HashMap<u32, i64>,
 }
 
 /// Per-node state.
@@ -45,6 +44,33 @@ struct Rollback {
 struct NodeState {
     speculating: Option<Speculation>,
     rolling_back: Option<Rollback>,
+}
+
+/// Whether `entry` shows its node past its rollback's restores: any record
+/// a checker reads, in the shape it is emitted with, other than a restore.
+/// The records the engine makes around the restores (`cause`,
+/// `opt-conflict`, `mutex-rollback`) are none of them.
+fn moves_on(entry: &TraceEntry) -> bool {
+    matches!(
+        (entry.kind, &entry.detail),
+        (
+            K::AccRead
+                | K::LockAcquire
+                | K::LockRelease
+                | K::EvAcquired
+                | K::EvReleased
+                | K::MutexEnter
+                | K::MutexGranted
+                | K::OptEnter
+                | K::OptRollback,
+            D::Var { .. }
+        ) | (K::AccWrite | K::OptSave, D::VarVal { .. })
+            | (K::RootSeq, D::Seq { .. })
+            | (K::RootFiltered, D::Filtered { .. })
+            | (K::GwcApply, D::Apply { .. })
+            | (K::RootGrant, D::Grant { .. })
+            | (K::RootRelease, D::Release { .. })
+    )
 }
 
 /// The mutual-exclusion invariant checker.
@@ -134,19 +160,16 @@ impl MutexChecker {
         }
     }
 
-    /// Processes one event attributed to `node` at `time`.
-    pub fn feed(&mut self, time: SimTime, node: usize, ev: &Event, out: &mut Vec<Violation>) {
-        // Any event at a node other than a restore ends its rollback window.
-        if self
-            .nodes
-            .get(node)
-            .is_some_and(|n| n.rolling_back.is_some())
-            && !matches!(ev, Event::WriteLocal { .. })
-        {
+    /// Processes one record; kinds the checker does not read, and kinds
+    /// in a shape they are not emitted with, are ignored.
+    pub fn feed(&mut self, entry: &TraceEntry, out: &mut Vec<Violation>) {
+        let (time, node) = (entry.time, entry.actor);
+        let rolling_back = |n: &NodeState| n.rolling_back.is_some();
+        if self.nodes.get(node).is_some_and(rolling_back) && moves_on(entry) {
             self.finish_rollback(node, out);
         }
-        match *ev {
-            Event::RootGrant { group, var, holder } => {
+        match (entry.kind, &entry.detail) {
+            (K::RootGrant, &D::Grant { group, var, holder }) => {
                 self.group_locks.insert(group, var);
                 let prev = self.root_holder.entry(var).or_default();
                 if let Some(prev_holder) = *prev {
@@ -165,7 +188,7 @@ impl MutexChecker {
                 }
                 *prev = Some(holder);
             }
-            Event::RootRelease { group, var, from } => {
+            (K::RootRelease, &D::Release { group, var, from }) => {
                 self.group_locks.insert(group, var);
                 let prev = self.root_holder.entry(var).or_default();
                 if *prev != Some(from) && !self.latched_root.contains(&var) {
@@ -183,7 +206,7 @@ impl MutexChecker {
                 }
                 *prev = None;
             }
-            Event::Acquired { var } | Event::MutexGranted { var } => {
+            (K::EvAcquired | K::MutexGranted, &D::Var { var }) => {
                 let holders = self.believers.entry(var).or_default();
                 if !holders.is_empty()
                     && !holders.contains(&node)
@@ -212,7 +235,7 @@ impl MutexChecker {
                     self.node(node).speculating = None;
                 }
             }
-            Event::LockRelease { var } | Event::Released { var } => {
+            (K::LockRelease | K::EvReleased, &D::Var { var }) => {
                 self.believers.entry(var).or_default().remove(&node);
                 if let Some(spec) = self.node(node).speculating.take() {
                     if spec.lock == var {
@@ -230,25 +253,25 @@ impl MutexChecker {
                     }
                 }
             }
-            Event::OptEnter { var } => {
+            (K::OptEnter, &D::Var { var }) => {
                 self.node(node).speculating = Some(Speculation {
                     lock: var,
                     ..Speculation::default()
                 });
             }
-            Event::OptSave { var, val } => {
+            (K::OptSave, &D::VarVal { var, val }) => {
                 if let Some(spec) = self.node(node).speculating.as_mut() {
                     spec.saved.insert(var, val);
                 }
             }
-            Event::Write { var, .. } => {
+            (K::AccWrite, &D::VarVal { var, .. }) => {
                 if let Some(spec) = self.node(node).speculating.as_mut() {
                     if var != spec.lock {
                         spec.written.insert(var);
                     }
                 }
             }
-            Event::OptRollback { .. } => {
+            (K::OptRollback, D::Var { .. }) => {
                 if let Some(spec) = self.node(node).speculating.take() {
                     self.node(node).rolling_back = Some(Rollback {
                         time,
@@ -257,20 +280,23 @@ impl MutexChecker {
                     });
                 }
             }
-            Event::WriteLocal { var, val } => {
+            (K::AccWriteLocal, &D::VarVal { var, val }) => {
                 if let Some(rb) = self.node(node).rolling_back.as_mut() {
                     rb.restored.insert(var, val);
                 }
             }
             // Figure 6: an applied own-echo of mutex-group data means
             // hardware blocking failed.
-            Event::GwcApply {
-                group,
-                var,
-                origin,
-                mode,
-                ..
-            } if mode == ApplyMode::Applied
+            (
+                K::GwcApply,
+                &D::Apply {
+                    group,
+                    var,
+                    origin,
+                    mode,
+                    ..
+                },
+            ) if mode == ApplyMode::Applied
                 && origin as usize == node
                 && self
                     .group_locks

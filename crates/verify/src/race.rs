@@ -26,10 +26,9 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use sesame_sim::SimTime;
+use sesame_sim::{ApplyMode, SimTime, TraceDetail as D, TraceEntry, TraceKind as K};
 
 use crate::clock::VectorClock;
-use crate::event::{ApplyMode, Event, Val};
 use crate::{CheckKind, Violation};
 
 /// One remembered access to a variable (the last by its node).
@@ -68,7 +67,7 @@ pub struct RaceChecker {
     lock_clocks: HashMap<u32, VectorClock>,
     /// Write snapshots awaiting a root sequence number; a key lives only
     /// while its queue is non-empty.
-    pending: HashMap<(u32, u32, Val), VecDeque<VectorClock>>,
+    pending: HashMap<(u32, u32, i64), VecDeque<VectorClock>>,
     /// Snapshot bound to each sequenced write.
     seq_clocks: HashMap<(u32, u64), VectorClock>,
     /// Last write per (var, node).
@@ -96,10 +95,12 @@ impl RaceChecker {
         self.lock_vars.insert(var);
     }
 
-    /// Processes one event attributed to `node` at `time`.
-    pub fn feed(&mut self, time: SimTime, node: usize, ev: &Event, out: &mut Vec<Violation>) {
-        match *ev {
-            Event::Read { var } => {
+    /// Processes one record; kinds the detector does not read, and kinds
+    /// in a shape they are not emitted with, are ignored.
+    pub fn feed(&mut self, entry: &TraceEntry, out: &mut Vec<Violation>) {
+        let (time, node) = (entry.time, entry.actor);
+        match (entry.kind, &entry.detail) {
+            (K::AccRead, &D::Var { var }) => {
                 if self.lock_vars.contains(&var) {
                     return;
                 }
@@ -111,7 +112,7 @@ impl RaceChecker {
                     self.record_read(time, node, var, out);
                 }
             }
-            Event::Write { var, val } => {
+            (K::AccWrite, &D::VarVal { var, val }) => {
                 let st = self.node(node);
                 st.vc.tick(node);
                 let snapshot = st.vc.clone();
@@ -132,14 +133,14 @@ impl RaceChecker {
                     self.record_write(time, node, var, in_section, out);
                 }
             }
-            Event::WriteLocal { .. } | Event::OptSave { .. } => {
+            (K::AccWriteLocal | K::OptSave, D::VarVal { .. }) => {
                 self.node(node).vc.tick(node);
             }
-            Event::LockAcquire { var } => {
+            (K::LockAcquire, &D::Var { var }) => {
                 self.mark_lock(var);
                 self.node(node).vc.tick(node);
             }
-            Event::LockRelease { var } => {
+            (K::LockRelease, &D::Var { var }) => {
                 self.mark_lock(var);
                 let st = self.node(node);
                 st.vc.tick(node);
@@ -147,7 +148,7 @@ impl RaceChecker {
                 let vc = st.vc.clone();
                 self.lock_clocks.entry(var).or_default().join(&vc);
             }
-            Event::Acquired { var } | Event::MutexGranted { var } => {
+            (K::EvAcquired | K::MutexGranted, &D::Var { var }) => {
                 self.mark_lock(var);
                 let st = self.node(node);
                 st.vc.tick(node);
@@ -172,31 +173,34 @@ impl RaceChecker {
                     }
                 }
             }
-            Event::Released { var } => {
+            (K::EvReleased, &D::Var { var }) => {
                 self.node(node).held.remove(&var);
             }
-            Event::MutexEnter { var } => {
+            (K::MutexEnter, &D::Var { var }) => {
                 self.mark_lock(var);
             }
-            Event::OptEnter { var } => {
+            (K::OptEnter, &D::Var { var }) => {
                 self.mark_lock(var);
                 let st = self.node(node);
                 st.speculating = Some(var);
                 st.spec_buf.clear();
             }
-            Event::OptRollback { .. } => {
+            (K::OptRollback, D::Var { .. }) => {
                 // The speculation logically never happened.
                 let st = self.node(node);
                 st.speculating = None;
                 st.spec_buf.clear();
             }
-            Event::RootSeq {
-                group,
-                seq,
-                var,
-                val,
-                origin,
-            } => {
+            (
+                K::RootSeq,
+                &D::Seq {
+                    group,
+                    seq,
+                    var,
+                    val,
+                    origin,
+                },
+            ) => {
                 if self.lock_vars.contains(&var) {
                     return;
                 }
@@ -204,14 +208,20 @@ impl RaceChecker {
                     self.seq_clocks.insert((group, seq), snapshot);
                 }
             }
-            Event::RootFiltered {
-                var, val, origin, ..
-            } => {
+            (
+                K::RootFiltered,
+                &D::Filtered {
+                    var, val, origin, ..
+                },
+            ) => {
                 self.take_pending(origin, var, val);
             }
-            Event::GwcApply {
-                group, seq, mode, ..
-            } => {
+            (
+                K::GwcApply,
+                &D::Apply {
+                    group, seq, mode, ..
+                },
+            ) => {
                 self.node(node).vc.tick(node);
                 if mode != ApplyMode::HwBlocked {
                     if let Some(w) = self.seq_clocks.get(&(group, seq)) {
@@ -220,12 +230,10 @@ impl RaceChecker {
                     }
                 }
             }
-            Event::RootGrant { var, .. } => {
+            (K::RootGrant, &D::Grant { var, .. }) | (K::RootRelease, &D::Release { var, .. }) => {
                 self.mark_lock(var);
             }
-            Event::RootRelease { var, .. } => {
-                self.mark_lock(var);
-            }
+            _ => {}
         }
     }
 
@@ -233,7 +241,7 @@ impl RaceChecker {
     /// `origin`'s write of `val` to `var`, and the key with it once its
     /// queue is empty: a counter writes every value once, so a kept key is
     /// an emptied queue (buffer and all) per write for the rest of the run.
-    fn take_pending(&mut self, origin: u32, var: u32, val: Val) -> Option<VectorClock> {
+    fn take_pending(&mut self, origin: u32, var: u32, val: i64) -> Option<VectorClock> {
         let Entry::Occupied(mut queue) = self.pending.entry((origin, var, val)) else {
             return None;
         };
@@ -348,12 +356,18 @@ mod tests {
     fn pending_holds_only_writes_awaiting_their_verdict() {
         let mut rc = RaceChecker::new();
         let mut out = Vec::new();
-        let t = SimTime::ZERO;
+        let entry = |actor, kind, detail| TraceEntry {
+            time: SimTime::ZERO,
+            actor,
+            kind,
+            detail,
+        };
         for val in 0..100 {
-            rc.feed(t, 1, &Event::Write { var: 5, val }, &mut out);
+            let write = entry(1, K::AccWrite, D::VarVal { var: 5, val });
+            rc.feed(&write, &mut out);
             // The same write twice in flight shares a key.
             if val % 10 == 0 {
-                rc.feed(t, 1, &Event::Write { var: 5, val }, &mut out);
+                rc.feed(&write, &mut out);
                 assert_eq!(rc.pending[&(1, 5, val)].len(), 2);
             }
         }
@@ -361,32 +375,29 @@ mod tests {
         for val in 0..100 {
             let (group, var, origin) = (0, 5, 1);
             let seq = val as u64 + 1;
+            let filtered = |val| D::Filtered {
+                group,
+                var,
+                val,
+                origin,
+            };
             let verdict = if val % 3 == 0 {
-                Event::RootFiltered {
-                    group,
-                    var,
-                    val,
-                    origin,
-                }
+                entry(0, K::RootFiltered, filtered(val))
             } else {
-                Event::RootSeq {
+                let sequenced = D::Seq {
                     group,
                     seq,
                     var,
                     val,
                     origin,
-                }
+                };
+                entry(0, K::RootSeq, sequenced)
             };
-            rc.feed(t, 0, &verdict, &mut out);
+            rc.feed(&verdict, &mut out);
             assert_eq!(rc.seq_clocks.contains_key(&(group, seq)), val % 3 != 0);
             // A verdict on a write nobody has pending changes nothing.
-            let stray = Event::RootFiltered {
-                group,
-                var,
-                val: val + 1_000,
-                origin,
-            };
-            rc.feed(t, 0, &stray, &mut out);
+            let stray = entry(0, K::RootFiltered, filtered(val + 1_000));
+            rc.feed(&stray, &mut out);
         }
         let doubled: Vec<_> = rc.pending.keys().map(|&(_, _, val)| val).collect();
         assert_eq!(rc.pending.len(), 10, "{doubled:?}");

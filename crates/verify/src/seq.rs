@@ -16,9 +16,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use sesame_sim::SimTime;
+use sesame_sim::{TraceDetail as D, TraceEntry, TraceKind as K};
 
-use crate::event::{Event, Val};
 use crate::{CheckKind, Violation};
 
 /// The sequencing checker.
@@ -27,7 +26,7 @@ pub struct SeqChecker {
     /// Next sequence number each root should assign.
     root_next: HashMap<u32, u64>,
     /// Payload the root bound to each (group, seq).
-    payloads: HashMap<(u32, u64), (u32, Val, u32)>,
+    payloads: HashMap<(u32, u64), (u32, i64, u32)>,
     /// Next sequence number each (member, group) should apply.
     member_next: HashMap<(usize, u32), u64>,
     latched_groups: HashSet<u32>,
@@ -40,16 +39,21 @@ impl SeqChecker {
         SeqChecker::default()
     }
 
-    /// Processes one event attributed to `node` at `time`.
-    pub fn feed(&mut self, time: SimTime, node: usize, ev: &Event, out: &mut Vec<Violation>) {
-        match *ev {
-            Event::RootSeq {
-                group,
-                seq,
-                var,
-                val,
-                origin,
-            } => {
+    /// Processes one record; only `root-seq` and `gwc-apply` in their own
+    /// shapes are read.
+    pub fn feed(&mut self, entry: &TraceEntry, out: &mut Vec<Violation>) {
+        let (time, node) = (entry.time, entry.actor);
+        match (entry.kind, &entry.detail) {
+            (
+                K::RootSeq,
+                &D::Seq {
+                    group,
+                    seq,
+                    var,
+                    val,
+                    origin,
+                },
+            ) => {
                 self.payloads.insert((group, seq), (var, val, origin));
                 if self.latched_groups.contains(&group) {
                     return;
@@ -69,14 +73,17 @@ impl SeqChecker {
                 }
                 self.root_next.insert(group, seq.max(next) + 1);
             }
-            Event::GwcApply {
-                group,
-                seq,
-                var,
-                val,
-                origin,
-                ..
-            } => {
+            (
+                K::GwcApply,
+                &D::Apply {
+                    group,
+                    seq,
+                    var,
+                    val,
+                    origin,
+                    ..
+                },
+            ) => {
                 let key = (node, group);
                 if self.latched_members.contains(&key) {
                     return;

@@ -2,11 +2,11 @@
 //! diagnostic from the matching checker, and mutated real traces must not
 //! verify clean. This guards against the checkers passing vacuously.
 
-use sesame_sim::{ApplyMode, SimTime, TraceDetail, TraceEntry};
+use sesame_sim::{ApplyMode, SimTime, TraceDetail, TraceEntry, TraceKind as K};
 use sesame_verify::{check_recorder, check_trace, CheckKind};
 use sesame_workloads::contention::{run_contention, ContentionConfig};
 
-fn e(ns: u64, actor: usize, kind: &'static str, detail: TraceDetail) -> TraceEntry {
+fn e(ns: u64, actor: usize, kind: K, detail: TraceDetail) -> TraceEntry {
     TraceEntry {
         time: SimTime::from_nanos(ns),
         actor,
@@ -52,8 +52,8 @@ fn apply(group: u32, seq: u64, var: u32, val: i64, origin: u32, mode: ApplyMode)
 #[test]
 fn two_simultaneous_holders_yield_one_diagnostic() {
     let trace = vec![
-        e(10, 0, "root-grant", grant(0, 0, 1)),
-        e(20, 0, "root-grant", grant(0, 0, 2)),
+        e(10, 0, K::RootGrant, grant(0, 0, 1)),
+        e(20, 0, K::RootGrant, grant(0, 0, 2)),
     ];
     let violations = check_trace(&trace);
     assert_eq!(violations.len(), 1, "got: {violations:?}");
@@ -66,8 +66,8 @@ fn two_simultaneous_holders_yield_one_diagnostic() {
 #[test]
 fn two_believing_holders_yield_one_diagnostic() {
     let trace = vec![
-        e(10, 1, "ev-acquired", var(0)),
-        e(20, 2, "ev-acquired", var(0)),
+        e(10, 1, K::EvAcquired, var(0)),
+        e(20, 2, K::EvAcquired, var(0)),
     ];
     let violations = check_trace(&trace);
     assert_eq!(violations.len(), 1, "got: {violations:?}");
@@ -80,11 +80,11 @@ fn two_believing_holders_yield_one_diagnostic() {
 #[test]
 fn optimistic_write_surviving_rollback_yields_one_diagnostic() {
     let trace = vec![
-        e(1, 1, "mutex-enter", var(0)),
-        e(1, 1, "opt-enter", var(0)),
-        e(1, 1, "opt-save", vv(5, 0)),
-        e(2, 1, "acc-write", vv(5, 42)),
-        e(3, 1, "opt-rollback", var(0)),
+        e(1, 1, K::MutexEnter, var(0)),
+        e(1, 1, K::OptEnter, var(0)),
+        e(1, 1, K::OptSave, vv(5, 0)),
+        e(2, 1, K::AccWrite, vv(5, 42)),
+        e(3, 1, K::OptRollback, var(0)),
         // No acc-write-local restore: the write survives the discard.
     ];
     let violations = check_trace(&trace);
@@ -98,12 +98,12 @@ fn optimistic_write_surviving_rollback_yields_one_diagnostic() {
 #[test]
 fn out_of_order_gwc_delivery_yields_one_diagnostic() {
     let trace = vec![
-        e(1, 0, "root-seq", rseq(0, 1, 1, 7, 0)),
-        e(2, 0, "root-seq", rseq(0, 2, 1, 8, 0)),
-        e(3, 1, "gwc-apply", apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
-        e(4, 1, "gwc-apply", apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
-        e(5, 2, "gwc-apply", apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
-        e(6, 2, "gwc-apply", apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
+        e(1, 0, K::RootSeq, rseq(0, 1, 1, 7, 0)),
+        e(2, 0, K::RootSeq, rseq(0, 2, 1, 8, 0)),
+        e(3, 1, K::GwcApply, apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
+        e(4, 1, K::GwcApply, apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
+        e(5, 2, K::GwcApply, apply(0, 2, 1, 8, 0, ApplyMode::Applied)),
+        e(6, 2, K::GwcApply, apply(0, 1, 1, 7, 0, ApplyMode::Applied)),
     ];
     let violations = check_trace(&trace);
     assert_eq!(violations.len(), 1, "got: {violations:?}");
@@ -134,7 +134,7 @@ fn real_trace_with_restores_removed_fails_verification() {
         .trace
         .entries()
         .iter()
-        .filter(|t| t.kind != "acc-write-local")
+        .filter(|t| t.kind != K::AccWriteLocal)
         .cloned()
         .collect();
     assert!(
@@ -167,7 +167,7 @@ fn real_trace_with_swapped_applies_fails_verification() {
     let mut first: Option<usize> = None;
     let mut pair: Option<(usize, usize)> = None;
     for (i, t) in entries.iter().enumerate() {
-        if t.kind != "gwc-apply" {
+        if t.kind != K::GwcApply {
             continue;
         }
         match first {

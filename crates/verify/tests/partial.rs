@@ -2,10 +2,10 @@
 //! yield "incomplete" notes about in-flight protocol activity, never a
 //! false violation about the missing tail.
 
-use sesame_sim::{ApplyMode, SimTime, TraceDetail, TraceEntry};
+use sesame_sim::{ApplyMode, SimTime, TraceDetail, TraceEntry, TraceKind as K};
 use sesame_verify::{check_trace, check_trace_partial, CheckKind};
 
-fn e(ns: u64, actor: usize, kind: &'static str, detail: TraceDetail) -> TraceEntry {
+fn e(ns: u64, actor: usize, kind: K, detail: TraceDetail) -> TraceEntry {
     TraceEntry {
         time: SimTime::from_nanos(ns),
         actor,
@@ -48,9 +48,9 @@ fn mid_flight_packet_reports_incomplete_not_a_violation() {
     // The root sequenced write 2 but the member only applied write 1: the
     // second delivery was mid-flight when the recording was cut.
     let trace = vec![
-        e(1, 0, "root-seq", rseq(0, 1, 5, 7, 1)),
-        e(2, 1, "gwc-apply", apply(0, 1, 5, 7, 1)),
-        e(3, 0, "root-seq", rseq(0, 2, 5, 8, 1)),
+        e(1, 0, K::RootSeq, rseq(0, 1, 5, 7, 1)),
+        e(2, 1, K::GwcApply, apply(0, 1, 5, 7, 1)),
+        e(3, 0, K::RootSeq, rseq(0, 2, 5, 8, 1)),
     ];
     let outcome = check_trace_partial(&trace);
     assert!(
@@ -73,10 +73,10 @@ fn open_optimistic_section_reports_incomplete_not_a_violation() {
     // Cut inside a speculation: the save and speculative write happened,
     // but neither a grant nor a rollback was recorded.
     let trace = vec![
-        e(1, 1, "mutex-enter", var(0)),
-        e(1, 1, "opt-enter", var(0)),
-        e(1, 1, "opt-save", vv(5, 7)),
-        e(2, 1, "acc-write", vv(5, 42)),
+        e(1, 1, K::MutexEnter, var(0)),
+        e(1, 1, K::OptEnter, var(0)),
+        e(1, 1, K::OptSave, vv(5, 7)),
+        e(2, 1, K::AccWrite, vv(5, 42)),
     ];
     let outcome = check_trace_partial(&trace);
     assert!(
@@ -100,11 +100,11 @@ fn truncation_mid_rollback_is_incomplete_not_a_lost_restore() {
     // checker (rightly) treats a never-restored rollback as a violation;
     // the partial checker must not.
     let trace = vec![
-        e(1, 1, "mutex-enter", var(0)),
-        e(1, 1, "opt-enter", var(0)),
-        e(1, 1, "opt-save", vv(5, 7)),
-        e(2, 1, "acc-write", vv(5, 42)),
-        e(3, 1, "opt-rollback", var(0)),
+        e(1, 1, K::MutexEnter, var(0)),
+        e(1, 1, K::OptEnter, var(0)),
+        e(1, 1, K::OptSave, vv(5, 7)),
+        e(2, 1, K::AccWrite, vv(5, 42)),
+        e(3, 1, K::OptRollback, var(0)),
         // ...the acc-write-local restore was cut off.
     ];
     let full = check_trace(&trace);
@@ -138,7 +138,7 @@ fn real_violations_still_surface_on_truncated_traces() {
         var: 0,
         holder,
     };
-    let trace = vec![e(10, 0, "root-grant", g(1)), e(20, 0, "root-grant", g(2))];
+    let trace = vec![e(10, 0, K::RootGrant, g(1)), e(20, 0, K::RootGrant, g(2))];
     let outcome = check_trace_partial(&trace);
     assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
     assert_eq!(outcome.violations[0].check, CheckKind::MutualExclusion);
@@ -147,8 +147,8 @@ fn real_violations_still_surface_on_truncated_traces() {
 #[test]
 fn complete_trace_yields_no_notes() {
     let trace = vec![
-        e(1, 0, "root-seq", rseq(0, 1, 5, 7, 1)),
-        e(2, 1, "gwc-apply", apply(0, 1, 5, 7, 1)),
+        e(1, 0, K::RootSeq, rseq(0, 1, 5, 7, 1)),
+        e(2, 1, K::GwcApply, apply(0, 1, 5, 7, 1)),
     ];
     let outcome = check_trace_partial(&trace);
     assert!(outcome.violations.is_empty());

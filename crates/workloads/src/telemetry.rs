@@ -34,13 +34,19 @@ use crate::scenario::{Outcome, RunError, Scenario};
 ///
 /// # Errors
 ///
-/// Returns the driver's [`RunError`] if the scenario did not run clean.
+/// Returns the driver's [`RunError`] if the scenario did not run clean,
+/// and a [`RunError::Param`] if the collector's series window is too
+/// narrow for the run (`TimeSeries::truncated`).
 pub fn observe(scenario: &Scenario, telemetry: Telemetry) -> Result<Telemetry, RunError> {
     let shared = telemetry.shared();
     let outcome = scenario.run(Some(shared.clone()))?;
     {
         let mut t = shared.borrow_mut();
         absorb_run(&mut t, outcome.result());
+        if t.series().is_some_and(|series| series.truncated()) {
+            let bound = "wide enough for the run to fit in 1048576 windows";
+            return Err(RunError::Param(scenario.name(), "series window", bound));
+        }
         let reg = t.registry_mut();
         match &outcome {
             Outcome::ThreeCpu(fig, _) => {
@@ -75,8 +81,6 @@ pub fn observe(scenario: &Scenario, telemetry: Telemetry) -> Result<Telemetry, R
             }
         }
     }
-    // The outcome's trace recorder holds the observer too.
-    drop(outcome);
     Ok(Telemetry::unwrap_shared(shared))
 }
 
@@ -181,6 +185,18 @@ mod tests {
             assert_eq!(Scenario::parse(s.name()), Some(s));
         }
         assert_eq!(Scenario::parse("nope"), None);
+    }
+
+    /// A finished run hands back its records, not its observer: the
+    /// caller's `Rc` is the only one left while the outcome is still alive.
+    #[test]
+    fn a_finished_run_lets_go_of_its_observer() {
+        let obs = Telemetry::new("contention", 7).shared();
+        let outcome = Scenario::Contention(contention())
+            .run(Some(obs.clone()))
+            .expect("a clean run");
+        assert_eq!(std::rc::Rc::strong_count(&obs), 1);
+        assert!(outcome.result().events > 0);
     }
 
     #[test]
@@ -331,6 +347,10 @@ mod tests {
         let bare = observed(contention());
         assert!(bare.series_export().is_none());
         assert_eq!(bare.snapshot(), snap);
+        // A window the run does not fit 2^20 of is refused, not exported.
+        let narrow = Telemetry::new("contention", 7).with_series(SimDur::from_nanos(1));
+        let refused = observe(&Scenario::Contention(contention()), narrow).unwrap_err();
+        assert!(matches!(refused, RunError::Param(_, "series window", _)));
     }
 
     #[test]

@@ -65,7 +65,6 @@ fn check(scenario: Scenario) -> FloorContract {
         RunOutcome::Drained => assert_eq!((held, parked), (0, 0), "{scenario:?}"),
         _ => assert!(held >= parked, "{scenario:?}: {held} held, {parked} parked"),
     }
-    drop(outcome);
     let contract = Rc::try_unwrap(contract).ok().expect("the run is over");
     contract.into_inner()
 }

@@ -12,7 +12,7 @@ use sesame_dsm::{
     lockval, run, AppEvent, MachineConfig, NodeApi, Program, RunOptions, VarId, Word,
 };
 use sesame_net::NodeId;
-use sesame_sim::SimDur;
+use sesame_sim::{SimDur, TraceKind as K};
 
 const LOCK: VarId = VarId::new(0);
 const DATA: VarId = VarId::new(1);
@@ -107,7 +107,24 @@ fn scenario(hw_block: bool) -> Word {
     );
     println!("--- protocol trace ---");
     for e in result.trace.entries() {
-        if e.kind.starts_with("mutex") || e.kind.contains("drop") || e.kind.starts_with("lock") {
+        // The mutex engine's steps, the lock's life at the root, and every
+        // discarded write.
+        if matches!(
+            e.kind,
+            K::MutexEnter
+                | K::MutexRegular
+                | K::MutexOptimistic
+                | K::MutexGranted
+                | K::MutexRollback
+                | K::MutexComplete
+                | K::LockAcquire
+                | K::LockRelease
+                | K::LockGrant
+                | K::LockFree
+                | K::LockQueued
+                | K::RootDrop
+                | K::HwBlockDrop
+        ) {
             println!("{e}");
         }
     }

@@ -210,3 +210,65 @@ fn finished_collector_answers_like_the_full_dag_of_the_same_run() {
         assert!(kept_lines.iter().all(|l| full_lines.contains(l)));
     }
 }
+
+/// The observers did not change their minds: one contention run (the
+/// goldens' 4 x 15 on seed 7, `--window 100000`, timeline on) exports the
+/// bytes of the three committed goldens and of the Chrome trace as
+/// captured before the trace kind became an enum, and the same run
+/// without Figure 6 hardware blocking draws the verifier's diagnostics
+/// word for word.
+#[test]
+fn observers_report_what_they_reported_before_kinds_were_an_enum() {
+    let cfg = ContentionConfig {
+        contenders: 4,
+        rounds: 15,
+        ..ContentionConfig::default()
+    };
+    let collector = Telemetry::new("contention", 7)
+        .with_timeline(true)
+        .with_series(SimDur::from_nanos(100_000));
+    let t = observe(&Scenario::Contention(cfg), collector).expect("a clean run");
+    assert_eq!(
+        t.snapshot().to_json(),
+        include_str!("../golden/contention_metrics.json")
+    );
+    assert_eq!(
+        t.series_json().expect("series enabled"),
+        include_str!("../golden/contention_series.json")
+    );
+    assert_eq!(
+        t.causes_json(),
+        include_str!("../golden/contention_causes.json")
+    );
+    let trace = t.chrome_trace();
+    let fnv1a = |text: &str| {
+        let step = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+        text.as_bytes().iter().fold(0xcbf2_9ce4_8422_2325, step)
+    };
+    assert_eq!((trace.len(), fnv1a(&trace)), CHROME_TRACE, "Chrome trace");
+
+    let machine = sesame_dsm::MachineConfig {
+        hw_block: false,
+        ..cfg.machine
+    };
+    let unblocked = ContentionConfig {
+        machine,
+        check_counter: false,
+        ..cfg
+    };
+    let verifier = Rc::new(RefCell::new(Verifier::new()));
+    run_contention_observed(unblocked, Some(verifier.clone()));
+    verifier.borrow_mut().finish();
+    assert_eq!(verifier.borrow().report(), UNBLOCKED_REPORT);
+}
+
+/// Length and FNV-1a of the Chrome trace above.
+const CHROME_TRACE: (usize, u64) = (301_366, 4_092_084_763_910_990_437);
+
+/// What the verifier says of the run above with hardware blocking off.
+const UNBLOCKED_REPORT: &str = "\
+[mutual-exclusion] t=14.979us node3: node3 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+[mutual-exclusion] t=17.635us node2: node2 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+[mutual-exclusion] t=30.901us node1: node1 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+[mutual-exclusion] t=56.228us node4: node4 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+";
