@@ -11,7 +11,6 @@
 //! of optimistic synchronization), and the sharing interfaces apply the
 //! paper's Figure 6 hardware blocking to it.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -185,8 +184,9 @@ impl<'a> SharingGroup<'a> {
 ///
 /// Stored flat: one fixed-size head per group over one machine-wide member
 /// array and one variable array, so a machine with more groups than nodes
-/// pays per *member*, not a set of heap vectors per group. Groups are
-/// read through [`SharingGroup`] views returned by value.
+/// pays per *member*, not a set of heap vectors per group; the
+/// variable-to-group index is one sorted array of 8-byte pairs. Groups
+/// are read through [`SharingGroup`] views returned by value.
 #[derive(Debug, Clone, Default)]
 pub struct GroupTable {
     heads: Vec<GroupHead>,
@@ -201,13 +201,17 @@ pub struct GroupTable {
     /// queries without touching the declared member order (which the
     /// multicast fan-out depends on).
     ranks: Vec<(NodeId, u32)>,
-    var_group: HashMap<VarId, GroupId>,
+    /// Every variable with its group, sorted by variable: the index
+    /// [`GroupTable::group_of`] binary-searches. Built by
+    /// [`GroupTable::index_vars`] once every group is in.
+    var_groups: Vec<(VarId, GroupId)>,
 }
 
 /// Incremental construction of a [`GroupTable`]: each
 /// [`push`](GroupTableBuilder::push) validates one group and appends it to
 /// the flat table, so no list of specs is accumulated. The first error is
-/// kept and reported by [`finish`](GroupTableBuilder::finish).
+/// kept and reported by [`finish`](GroupTableBuilder::finish), which also
+/// finds variables claimed twice.
 #[derive(Debug, Default)]
 pub struct GroupTableBuilder {
     table: GroupTable,
@@ -230,8 +234,10 @@ impl GroupTableBuilder {
         self.table.is_empty()
     }
 
-    /// Validates `spec` and appends it as the next group id. After the
-    /// first invalid group every further push is ignored.
+    /// Validates `spec` — all but the uniqueness of its variables, which
+    /// [`finish`](GroupTableBuilder::finish) checks — and appends it as the
+    /// next group id. After the first invalid group every further push is
+    /// ignored.
     pub fn push(&mut self, spec: &GroupSpec) {
         if self.error.is_none() {
             self.error = self.table.push(spec).err();
@@ -245,7 +251,11 @@ impl GroupTableBuilder {
     /// # Errors
     ///
     /// Returns that first error.
-    pub fn finish(self) -> Result<GroupTable, GroupConfigError> {
+    pub fn finish(mut self) -> Result<GroupTable, GroupConfigError> {
+        // Only the groups accepted before any other error are indexed, so a
+        // variable claimed twice among them is reported first — as it was
+        // when each push checked its own variables.
+        self.table.index_vars()?;
         match self.error {
             None => Ok(self.table),
             Some(e) => Err(e),
@@ -263,14 +273,15 @@ impl GroupTable {
     /// variable lists, duplicate members, a variable claimed by two groups,
     /// or a mutex lock missing from its own group.
     pub fn new(specs: Vec<GroupSpec>) -> Result<Self, GroupConfigError> {
-        let mut table = GroupTable::default();
+        let mut builder = GroupTableBuilder::new();
         for spec in &specs {
-            table.push(spec)?;
+            builder.push(spec);
         }
-        Ok(table)
+        builder.finish()
     }
 
-    /// Validates and appends one group. On error the table is left
+    /// Validates and appends one group, leaving its variables' uniqueness
+    /// to [`GroupTable::index_vars`]. On error the table is left
     /// half-updated; [`GroupTableBuilder`] never hands such a table out.
     fn push(&mut self, spec: &GroupSpec) -> Result<(), GroupConfigError> {
         let id = GroupId::new(self.heads.len() as u32);
@@ -315,11 +326,6 @@ impl GroupTable {
                 return Err(GroupConfigError::LockNotInGroup(id, lock));
             }
         }
-        for &v in &spec.vars {
-            if self.var_group.insert(v, id).is_some() {
-                return Err(GroupConfigError::DuplicateVar(v));
-            }
-        }
         self.heads.push(GroupHead {
             root: spec.root,
             members_at: u32::try_from(self.members.len()).expect("more than 2^32 member slots"),
@@ -329,6 +335,41 @@ impl GroupTable {
         });
         self.members.extend_from_slice(&spec.members);
         self.vars.extend_from_slice(&spec.vars);
+        Ok(())
+    }
+
+    /// Builds the `var → group` index over the groups pushed so far.
+    ///
+    /// # Errors
+    ///
+    /// [`GroupConfigError::DuplicateVar`] for the earliest-declared
+    /// variable that repeats one declared before it, in group order and
+    /// then declared order.
+    fn index_vars(&mut self) -> Result<(), GroupConfigError> {
+        // Each variable with its position in `vars`: sorted, equal
+        // variables sit side by side in declaration order, so the first
+        // offender is the earliest-declared repeat.
+        let mut index: Vec<(VarId, u32)> =
+            (0..).zip(&self.vars).map(|(at, &var)| (var, at)).collect();
+        index.sort_unstable();
+        let repeat = index
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1)
+            .min();
+        if let Some(at) = repeat {
+            return Err(GroupConfigError::DuplicateVar(self.vars[at as usize]));
+        }
+        // A position belongs to the last group whose variables start at
+        // or before it.
+        let heads = &self.heads;
+        self.var_groups = index
+            .into_iter()
+            .map(|(var, at)| {
+                let group = heads.partition_point(|h| h.vars_at <= at) - 1;
+                (var, GroupId::new(group as u32))
+            })
+            .collect();
         Ok(())
     }
 
@@ -354,7 +395,10 @@ impl GroupTable {
 
     /// The group owning `var`, if any.
     pub fn group_of(&self, var: VarId) -> Option<SharingGroup<'_>> {
-        self.var_group.get(&var).map(|&g| self.group(g))
+        let at = (self.var_groups)
+            .binary_search_by_key(&var, |&(v, _)| v)
+            .ok()?;
+        Some(self.group(self.var_groups[at].1))
     }
 
     /// Iterates over all groups.
@@ -406,6 +450,8 @@ impl GroupTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn n(id: u32) -> NodeId {
@@ -558,8 +604,15 @@ mod tests {
     const VARS: u32 = 40;
 
     /// Random specs: ascending runs and scrambled member lists, fresh
-    /// variables — and, one time in three, one planted fault somewhere.
+    /// variables (half the time sparse ids, some near `u32::MAX`, declared
+    /// out of order) — and, one time in three, one or two planted faults.
     fn random_specs(rng: &mut sesame_sim::DetRng) -> Vec<GroupSpec> {
+        let sparse = rng.chance(0.5);
+        let var = |k: u32| match (sparse, k % 2) {
+            (false, _) => v(k),
+            (true, 0) => v(u32::MAX - k),
+            (true, _) => v(k * 65_537),
+        };
         let mut next_var = 0u32;
         let mut specs: Vec<GroupSpec> = (0..1 + rng.next_below(7))
             .map(|_| {
@@ -572,7 +625,7 @@ mod tests {
                     members = pool[..len as usize].iter().copied().map(n).collect();
                 }
                 let vars: Vec<VarId> = (0..1 + rng.next_below(3) as u32)
-                    .map(|k| v(next_var + k))
+                    .map(|k| var(next_var + k))
                     .collect();
                 next_var += vars.len() as u32;
                 let lock = rng
@@ -586,26 +639,38 @@ mod tests {
                 }
             })
             .collect();
-        if rng.chance(1.0 / 3.0) {
+        let faults = if rng.chance(1.0 / 3.0) {
+            1 + rng.next_below(2)
+        } else {
+            0
+        };
+        for _ in 0..faults {
             let at = rng.next_below(specs.len() as u64) as usize;
-            let earlier = specs[rng.next_below(at as u64 + 1) as usize].vars[0];
+            let earlier = specs[rng.next_below(at as u64 + 1) as usize]
+                .vars
+                .first()
+                .map_or(v(VARS + 3), |&var| var);
             let spec = &mut specs[at];
             match rng.next_below(6) {
                 0 => spec.members.clear(),
                 1 => spec.vars.clear(),
                 2 => {
                     // Repeat a member, possibly twice over.
-                    let dup = spec.members[rng.next_below(spec.members.len() as u64) as usize];
-                    spec.members.push(dup);
-                    if rng.chance(0.5) {
-                        spec.members.insert(0, *spec.members.last().unwrap());
+                    if !spec.members.is_empty() {
+                        let dup = spec.members[rng.next_below(spec.members.len() as u64) as usize];
+                        spec.members.push(dup);
+                        if rng.chance(0.5) {
+                            spec.members.insert(0, *spec.members.last().unwrap());
+                        }
                     }
                 }
                 3 => spec.mutex_lock = Some(v(VARS + 1)),
                 4 => spec.vars.push(earlier), // claimed by an earlier group, or twice by this one
                 _ => {
                     // Two faults in one group: the earlier check wins.
-                    spec.members.push(spec.members[0]);
+                    if let Some(&first) = spec.members.first() {
+                        spec.members.push(first);
+                    }
                     spec.mutex_lock = Some(v(VARS + 2));
                 }
             }
@@ -668,11 +733,19 @@ mod tests {
                 base += spec.members.len();
             }
             assert_eq!(t.member_slots(), base);
-            for var in (0..VARS).map(v) {
-                let owner = specs.iter().position(|s| s.vars.contains(&var));
+            // The index answers like the map it replaced: every declared
+            // variable, its neighbours, and both ends of the id space.
+            let map: HashMap<VarId, usize> = (specs.iter().enumerate())
+                .flat_map(|(i, s)| s.vars.iter().map(move |&var| (var, i)))
+                .collect();
+            let probes = map.keys().flat_map(|var| {
+                let id = var.get();
+                [id.saturating_sub(1), id, id.saturating_add(1)]
+            });
+            for var in probes.chain([0, u32::MAX]).map(v) {
                 assert_eq!(
                     t.group_of(var).map(|g| g.id().index()),
-                    owner,
+                    map.get(&var).copied(),
                     "stream {stream}: owner of {var}"
                 );
             }
@@ -690,6 +763,70 @@ mod tests {
         assert!(
             valid > 100 && invalid > 50,
             "{valid} valid, {invalid} invalid"
+        );
+    }
+
+    #[test]
+    fn a_variable_claimed_twice_is_reported_before_a_later_fault() {
+        // A duplicate var in group 3 and an empty var list in group 5: the
+        // per-push check stopped at group 3, so the index must too.
+        let mut specs: Vec<GroupSpec> = (0..7).map(|g| spec(0, &[0], &[g], None)).collect();
+        specs[3].vars.push(v(1));
+        specs[5].vars.clear();
+        assert_eq!(
+            GroupTable::new(specs.clone()).unwrap_err(),
+            GroupConfigError::DuplicateVar(v(1))
+        );
+        // With the order swapped, the structural fault comes first.
+        specs[1].vars.clear();
+        assert_eq!(
+            GroupTable::new(specs).unwrap_err(),
+            GroupConfigError::EmptyVars(GroupId::new(1))
+        );
+        // A group with both a repeated member and a repeated var reports
+        // the member, which its own checks reach first.
+        assert_eq!(
+            GroupTable::new(vec![
+                spec(0, &[0], &[1], None),
+                spec(0, &[2, 1, 2], &[1], None)
+            ])
+            .unwrap_err(),
+            GroupConfigError::DuplicateMember(GroupId::new(1), n(2))
+        );
+    }
+
+    #[test]
+    fn the_earliest_declared_repeat_is_the_one_reported() {
+        let dup = |specs: Vec<GroupSpec>| match GroupTable::new(specs).unwrap_err() {
+            GroupConfigError::DuplicateVar(var) => var.get(),
+            e => panic!("{e}"),
+        };
+        // Inside one spec: 7 repeats before 5 does.
+        assert_eq!(dup(vec![spec(0, &[0], &[5, 7, 7, 5], None)]), 7);
+        // Across specs: group 1 repeats 2 before 1, though 1 sorts first.
+        assert_eq!(
+            dup(vec![
+                spec(0, &[0], &[1, 2], None),
+                spec(0, &[0], &[3, 2, 1], None)
+            ]),
+            2
+        );
+        // A repeat inside the later spec that precedes one across specs.
+        assert_eq!(
+            dup(vec![
+                spec(0, &[0], &[1], None),
+                spec(0, &[0], &[8, 8, 1], None)
+            ]),
+            8
+        );
+        // Ids at the top of the space.
+        let top = u32::MAX;
+        assert_eq!(
+            dup(vec![
+                spec(0, &[0], &[top, 0], None),
+                spec(0, &[0], &[top - 1, top], None)
+            ]),
+            top
         );
     }
 

@@ -294,8 +294,6 @@ pub struct GwcModel {
     /// Next sequence number to apply per member slot; `0` means the slot
     /// was never touched and reads as the protocol's starting value `1`.
     expected: Vec<u64>,
-    /// `(node index, group)` of each member slot, for the state digest.
-    slot_meta: Vec<(u32, GroupId)>,
     stats: GwcStats,
     /// Grant-watchdog timeout; `None` disables the watchdog (fine on
     /// loss-free fabrics).
@@ -328,18 +326,11 @@ impl GwcModel {
                 }),
             })
             .collect();
-        let mut slot_meta = Vec::with_capacity(groups.member_slots());
-        for g in groups.iter() {
-            for &m in g.members() {
-                slot_meta.push((m.index() as u32, g.id()));
-            }
-        }
         GwcModel {
             ifaces: (0..nodes).map(|_| IfaceState::default()).collect(),
             roots,
             locks,
-            expected: vec![0; slot_meta.len()],
-            slot_meta,
+            expected: vec![0; groups.member_slots()],
             stats: GwcStats::default(),
             grant_timeout: None,
             history_window: None,
@@ -393,21 +384,25 @@ impl GwcModel {
                 .hash(h);
         }
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        // Per-iface (group, next-expected-seq) pairs, reconstructed from
-        // the flat slot array; untouched slots (0) are omitted so the
-        // digest matches states where the counter was never advanced.
-        let mut per_iface: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.ifaces.len()];
-        for (slot, &(node, group)) in self.slot_meta.iter().enumerate() {
-            let seq = self.expected[slot];
-            if seq != 0 {
-                per_iface[node as usize].push((group.get(), seq));
-            }
+        // The touched (slot, next-expected-seq) pairs, in slot order;
+        // untouched slots (0) are omitted so the digest matches states
+        // where the counter was never advanced. A slot is one
+        // `(group, node)` pair of a table fixed for the exploration, so
+        // this names the same state as per-node `(group, seq)` lists.
+        // Counted first, as a `Vec` would be, so the list cannot run into
+        // what follows.
+        let touched = || {
+            self.expected
+                .iter()
+                .enumerate()
+                .filter(|&(_, &seq)| seq != 0)
+        };
+        touched().count().hash(&mut h);
+        for (slot, seq) in touched() {
+            (slot, seq).hash(&mut h);
         }
         for (i, st) in self.ifaces.iter().enumerate() {
             i.hash(&mut h);
-            let mut expected = std::mem::take(&mut per_iface[i]);
-            expected.sort_unstable();
-            expected.hash(&mut h);
             // An interface without buffers hashes like one whose buffers
             // are empty.
             let cold = st.cold.as_deref();

@@ -20,8 +20,8 @@ use sesame_net::{
     CauseId, ContentionModel, Fabric, LinkTiming, NodeId, RouteArena, SpanningTree, Topology,
 };
 use sesame_sim::{
-    Actor, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TimeWeighted, TraceDetail,
-    TraceKind, TraceRecorder,
+    Actor, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TraceDetail, TraceKind,
+    TraceRecorder,
 };
 
 use crate::causal::CauseCtx;
@@ -106,6 +106,10 @@ const _: () = assert!(sesame_sim::EventQueue::<MachineMsg>::RECORD_BYTES <= 88);
 const fn _assert_copy<T: Copy>() {}
 const _: () = _assert_copy::<DsmEvent>();
 const _: () = _assert_copy::<Packet>();
+// One of each per node of a machine that may have a million
+// (docs/performance.md, "Bytes per node").
+const _: () = assert!(std::mem::size_of::<CpuMeter>() <= 32);
+const _: () = assert!(std::mem::size_of::<LocalMemory>() <= 80);
 
 /// Feature toggles for protocol ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,42 +440,69 @@ impl<M: Model + ?Sized> Model for Box<M> {
 /// Work is credited when a compute phase *completes* (or the elapsed part
 /// when it is cancelled), so a run stopped mid-phase never counts work
 /// that was not performed.
+///
+/// Four integer words per node: the phase in flight and two nanosecond
+/// sums. Efficiency is the average of a busy signal that rises when a
+/// phase starts and falls when it is finished or cancelled; `occupied`
+/// integrates it over the stretches already closed. It parts from
+/// `total_busy` only where the signal does not follow the phase — a
+/// `ComputeDone` handled after the phase's end, or a phase started at the
+/// instant the previous one ends, before its `ComputeDone` is handled.
+/// Sums of integer nanoseconds are exact in an `f64` below 2^53 ns (104
+/// simulated days), so `efficiency` returns what a floating-point
+/// time-weighted average of the signal returns, to the bit.
 #[derive(Debug, Clone)]
 pub struct CpuMeter {
-    busy_until: SimTime,
-    current: Option<(SimTime, SimTime)>,
+    /// Start of the phase in flight; `start > end` marks an idle CPU.
+    start: SimTime,
+    /// End of the phase in flight.
+    end: SimTime,
     total_busy: SimDur,
-    meter: TimeWeighted,
+    /// Time the busy signal was high, over the stretches it has closed.
+    occupied: SimDur,
 }
 
 impl Default for CpuMeter {
     fn default() -> Self {
         CpuMeter {
-            busy_until: SimTime::ZERO,
-            current: None,
+            start: SimTime::MAX,
+            end: SimTime::ZERO,
             total_busy: SimDur::ZERO,
-            meter: TimeWeighted::new(SimTime::ZERO, 0.0),
+            occupied: SimDur::ZERO,
         }
     }
 }
 
 impl CpuMeter {
+    /// The phase in flight, `(start, end)`.
+    fn phase(&self) -> Option<(SimTime, SimTime)> {
+        (self.start <= self.end).then_some((self.start, self.end))
+    }
+
+    /// Ends the phase in flight: the busy signal falls at `now`.
+    fn close(&mut self, now: SimTime, start: SimTime) {
+        self.occupied += now.saturating_since(start);
+        (self.start, self.end) = (SimTime::MAX, SimTime::ZERO);
+    }
+
     fn start(&mut self, now: SimTime, dur: SimDur) {
-        assert!(
-            now >= self.busy_until,
-            "program started a compute phase while one is in flight"
-        );
-        self.busy_until = now + dur;
-        self.current = Some((now, now + dur));
-        self.meter.set(now, 1.0);
+        if let Some((start, end)) = self.phase() {
+            assert!(
+                now >= end,
+                "program started a compute phase while one is in flight"
+            );
+            // The signal stays high into the new phase, whose end alone
+            // a `ComputeDone` can now credit.
+            self.occupied += now.saturating_since(start);
+        }
+        (self.start, self.end) = (now, now + dur);
     }
 
     fn finish(&mut self, now: SimTime) {
-        if let Some((start, end)) = self.current {
+        if let Some((start, end)) = self.phase() {
             if now >= end {
                 self.total_busy += end - start;
-                self.current = None;
-                self.meter.set(now, 0.0);
+                self.close(now, start);
             }
         }
     }
@@ -479,10 +510,9 @@ impl CpuMeter {
     /// Aborts the current busy interval: the elapsed (occupied) portion
     /// counts, the remaining portion does not.
     fn cancel(&mut self, now: SimTime) {
-        if let Some((start, _end)) = self.current.take() {
+        if let Some((start, _)) = self.phase() {
             self.total_busy += now.saturating_since(start);
-            self.busy_until = now;
-            self.meter.set(now, 0.0);
+            self.close(now, start);
         }
     }
 
@@ -491,9 +521,15 @@ impl CpuMeter {
         self.total_busy
     }
 
-    /// Busy fraction (efficiency) over `[0, end]`.
+    /// Busy fraction (efficiency) over `[0, end]`; at `end == 0`, whether
+    /// a phase is in flight.
     pub fn efficiency(&self, end: SimTime) -> f64 {
-        self.meter.average(end)
+        let phase = self.phase();
+        if end == SimTime::ZERO {
+            return if phase.is_some() { 1.0 } else { 0.0 };
+        }
+        let open = phase.map_or(SimDur::ZERO, |(start, _)| end.saturating_since(start));
+        (self.occupied + open).as_nanos() as f64 / end.as_nanos() as f64
     }
 }
 
@@ -1123,5 +1159,155 @@ pub fn run_observed<M: Model>(
         end,
         outcome,
         events,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sesame_sim::{DetRng, TimeWeighted};
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Start(u64),
+        Finish,
+        Cancel,
+    }
+
+    impl CpuMeter {
+        fn apply(&mut self, now: SimTime, op: Op) {
+            match op {
+                Op::Start(dur) => self.start(now, SimDur::from_nanos(dur)),
+                Op::Finish => self.finish(now),
+                Op::Cancel => self.cancel(now),
+            }
+        }
+    }
+
+    /// The meter as it was: a floating-point time-weighted average of the
+    /// busy signal next to the phase bookkeeping.
+    struct RefMeter {
+        busy_until: SimTime,
+        current: Option<(SimTime, SimTime)>,
+        total_busy: SimDur,
+        meter: TimeWeighted,
+    }
+
+    impl RefMeter {
+        fn new() -> Self {
+            RefMeter {
+                busy_until: SimTime::ZERO,
+                current: None,
+                total_busy: SimDur::ZERO,
+                meter: TimeWeighted::new(SimTime::ZERO, 0.0),
+            }
+        }
+
+        fn apply(&mut self, now: SimTime, op: Op) {
+            match op {
+                Op::Start(dur) => {
+                    assert!(now >= self.busy_until);
+                    let dur = SimDur::from_nanos(dur);
+                    self.busy_until = now + dur;
+                    self.current = Some((now, now + dur));
+                    self.meter.set(now, 1.0);
+                }
+                Op::Finish => {
+                    if let Some((start, end)) = self.current {
+                        if now >= end {
+                            self.total_busy += end - start;
+                            self.current = None;
+                            self.meter.set(now, 0.0);
+                        }
+                    }
+                }
+                Op::Cancel => {
+                    if let Some((start, _end)) = self.current.take() {
+                        self.total_busy += now.saturating_since(start);
+                        self.busy_until = now;
+                        self.meter.set(now, 0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drives both meters through `ops` (instants never go backwards) and
+    /// compares them at `end == 0` and wherever a run could stop: at each
+    /// step and a little after it.
+    fn same_meters(ops: &[(u64, Op)]) {
+        let (mut new, mut old) = (CpuMeter::default(), RefMeter::new());
+        let agree = |new: &CpuMeter, old: &RefMeter, end: SimTime| {
+            assert_eq!(
+                new.efficiency(end).to_bits(),
+                old.meter.average(end).to_bits(),
+                "efficiency at {end} after {ops:?}"
+            );
+            assert_eq!(new.total_busy(), old.total_busy, "after {ops:?}");
+        };
+        for &(at, op) in ops {
+            let now = SimTime::from_nanos(at);
+            new.apply(now, op);
+            old.apply(now, op);
+            for end in [SimTime::ZERO, now, now + SimDur::from_nanos(7)] {
+                agree(&new, &old, end);
+            }
+        }
+    }
+
+    #[test]
+    fn efficiency_matches_the_time_weighted_meter_on_the_edge_cases() {
+        use Op::*;
+        // A phase started at the instant the previous one ends, before its
+        // `ComputeDone` is handled: the late one credits nothing.
+        same_meters(&[(0, Start(10)), (10, Start(5)), (10, Finish), (15, Finish)]);
+        // The same with a zero-length second phase, which that late
+        // `ComputeDone` does finish.
+        same_meters(&[(0, Start(10)), (10, Start(0)), (10, Finish), (10, Finish)]);
+        // A cancel followed by a late `ComputeDone`, alone and after the
+        // next phase has started.
+        same_meters(&[(3, Start(10)), (7, Cancel), (13, Finish)]);
+        same_meters(&[
+            (0, Start(10)),
+            (4, Cancel),
+            (6, Start(4)),
+            (10, Finish),
+            (12, Finish),
+        ]);
+        // `end == 0`, mid-phase and idle; a run that stops mid-phase.
+        same_meters(&[(0, Start(5))]);
+        same_meters(&[(0, Start(0)), (0, Finish)]);
+        same_meters(&[(2, Start(100)), (40, Finish)]);
+        // A `ComputeDone` handled after its phase's end.
+        same_meters(&[(1, Start(4)), (9, Finish), (9, Cancel)]);
+    }
+
+    #[test]
+    fn efficiency_matches_the_time_weighted_meter_on_random_runs() {
+        for stream in 0..500u64 {
+            let mut rng = DetRng::new(0x6370_756d ^ stream);
+            // Tracks when a start is legal (no phase in flight, or its
+            // end reached).
+            let mut gate = RefMeter::new();
+            let mut now = 0u64;
+            let mut ops = Vec::new();
+            for _ in 0..1 + rng.next_below(24) {
+                // Ties are common: a step at the previous step's instant is
+                // how a phase starts as the last one ends.
+                now += [0, 0, 1, rng.next_below(50), rng.next_below(1 << 40)]
+                    [rng.next_below(5) as usize];
+                let at = SimTime::from_nanos(now);
+                let op = match rng.next_below(3) {
+                    0 if at >= gate.busy_until => {
+                        Op::Start([0, 1, rng.next_below(40)][rng.next_below(3) as usize])
+                    }
+                    1 => Op::Cancel,
+                    _ => Op::Finish,
+                };
+                gate.apply(at, op);
+                ops.push((now, op));
+            }
+            same_meters(&ops);
+        }
     }
 }

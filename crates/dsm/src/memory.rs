@@ -1,4 +1,13 @@
 //! Per-node local memory holding the node's copy of every shared variable.
+//!
+//! One [`LocalMemory`] per CPU, so its record is what a million-node
+//! machine pays a million times: 80 bytes. The first four variables live
+//! inline as two parallel arrays, `[VarId; 4]` and `[Word; 4]` (48 bytes,
+//! where four padded `(VarId, Word)` pairs took 64); a node that touches
+//! more moves every pair to a heap `Vec` reached through one thin
+//! `Option<Box<_>>` (8 bytes, not a 24-byte `Vec` header), and the shared
+//! init image is one `Option<Arc<[_]>>` (16 bytes). Nothing else is
+//! stored.
 
 use std::sync::Arc;
 
@@ -6,7 +15,7 @@ use crate::{VarId, Word};
 
 /// Words stored inline before spilling to the heap. A node in the big
 /// scaling scenarios touches a handful of variables (its row's lock,
-/// counter, and data words), so the inline array keeps the whole memory
+/// counter, and data words), so the inline arrays keep the whole memory
 /// on the cache line(s) already loaded for the `Vec<LocalMemory>` entry —
 /// no second pointer chase per protocol write, and no per-node heap
 /// buffer at machine assembly.
@@ -17,13 +26,14 @@ const INLINE_WORDS: usize = 4;
 /// Variables read before any write return the configurable default (zero
 /// unless set), mirroring zero-initialized shared segments.
 ///
-/// Storage is a sorted `(VarId, Word)` run probed by binary search: no
+/// Storage is a sorted run of variables probed by binary search: no
 /// hashing, no per-entry allocation, and cache-line-friendly scans — the
 /// layout that keeps a 100k-node machine's per-node memories cheap. The
-/// first `INLINE_WORDS` variables live inline in the struct itself;
-/// larger variable sets spill to a heap `Vec`. Lookups are `O(log n)`; a
-/// first write to a new variable is `O(n)` (sorted insert), but the
-/// variable set of a run is small and fixed after warm-up.
+/// first `INLINE_WORDS` variables live inline in the struct itself, keys
+/// and values in parallel arrays; larger variable sets spill to a boxed
+/// heap `Vec` of pairs. Lookups are `O(log n)`; a first write to a new
+/// variable is `O(n)` (sorted insert), but the variable set of a run is
+/// small and fixed after warm-up.
 ///
 /// A memory may additionally carry a shared **base image**
 /// ([`LocalMemory::set_base`]): a sorted, immutable `(var, value)` run
@@ -34,26 +44,29 @@ const INLINE_WORDS: usize = 4;
 /// behave exactly as if the image had been written into every node.
 #[derive(Debug, Clone)]
 pub struct LocalMemory {
-    /// Inline `(var, value)` pairs sorted by `var`; only the first
-    /// `inline_len` entries are live, and only while `spill` is empty.
-    inline: [(VarId, Word); INLINE_WORDS],
+    /// Inline variables, ascending; only the first `inline_len` are live,
+    /// and only while `spill` is `None`.
+    vars: [VarId; INLINE_WORDS],
+    /// The inline variables' values, index for index.
+    values: [Word; INLINE_WORDS],
     inline_len: u8,
-    /// Heap storage once the inline run overflows; when non-empty it holds
-    /// *all* pairs (sorted, unique) and the inline run is dead.
-    spill: Vec<(VarId, Word)>,
+    /// Heap storage once the inline run overflows: *all* pairs (sorted,
+    /// unique), and the inline run is dead. Boxed so the rare spill costs
+    /// every node 8 bytes, not a 24-byte `Vec` header.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<(VarId, Word)>>>,
     /// Shared init image (sorted, unique); local entries shadow it.
     base: Option<Arc<[(VarId, Word)]>>,
-    writes: u64,
 }
 
 impl Default for LocalMemory {
     fn default() -> Self {
         LocalMemory {
-            inline: [(VarId::new(0), 0); INLINE_WORDS],
+            vars: [VarId::new(0); INLINE_WORDS],
+            values: [0; INLINE_WORDS],
             inline_len: 0,
-            spill: Vec::new(),
+            spill: None,
             base: None,
-            writes: 0,
         }
     }
 }
@@ -64,13 +77,18 @@ impl LocalMemory {
         Self::default()
     }
 
-    /// The live sorted `(var, value)` run.
-    #[inline]
-    fn words(&self) -> &[(VarId, Word)] {
-        if self.spill.is_empty() {
-            &self.inline[..self.inline_len as usize]
-        } else {
-            &self.spill
+    /// Number of local entries (written variables).
+    fn local_len(&self) -> usize {
+        self.spill
+            .as_ref()
+            .map_or(self.inline_len as usize, |spill| spill.len())
+    }
+
+    /// Local entry `i` of the sorted run.
+    fn local(&self, i: usize) -> (VarId, Word) {
+        match &self.spill {
+            Some(spill) => spill[i],
+            None => (self.vars[i], self.values[i]),
         }
     }
 
@@ -84,9 +102,9 @@ impl LocalMemory {
     /// a late-arriving image would contradict.
     pub fn set_base(&mut self, base: Arc<[(VarId, Word)]>) {
         assert!(
-            self.writes == 0,
-            "base image installed after {} writes",
-            self.writes
+            self.local_len() == 0,
+            "base image installed after {} variables were written",
+            self.local_len()
         );
         debug_assert!(base.windows(2).all(|w| w[0].0 < w[1].0), "base not sorted");
         self.base = Some(base);
@@ -105,53 +123,49 @@ impl LocalMemory {
 
     /// Reads the local copy of `var` (zero if never written).
     pub fn read(&self, var: VarId) -> Word {
-        let words = self.words();
-        match words.binary_search_by_key(&var, |&(v, _)| v) {
-            Ok(i) => words[i].1,
-            Err(_) => self.base_value(var),
-        }
+        let found = match &self.spill {
+            Some(spill) => spill
+                .binary_search_by_key(&var, |&(v, _)| v)
+                .map(|i| spill[i].1),
+            None => self.vars[..self.inline_len as usize]
+                .binary_search(&var)
+                .map(|i| self.values[i]),
+        };
+        found.unwrap_or_else(|_| self.base_value(var))
     }
 
     /// Writes the local copy of `var`, returning the previous value.
     pub fn write(&mut self, var: VarId, value: Word) -> Word {
-        self.writes += 1;
-        if self.spill.is_empty() {
-            let len = self.inline_len as usize;
-            match self.inline[..len].binary_search_by_key(&var, |&(v, _)| v) {
-                Ok(i) => std::mem::replace(&mut self.inline[i].1, value),
-                Err(i) if len < INLINE_WORDS => {
-                    let prev = self.base_value(var);
-                    self.inline.copy_within(i..len, i + 1);
-                    self.inline[i] = (var, value);
-                    self.inline_len += 1;
-                    prev
-                }
+        if let Some(spill) = &mut self.spill {
+            return match spill.binary_search_by_key(&var, |&(v, _)| v) {
+                Ok(i) => std::mem::replace(&mut spill[i].1, value),
                 Err(i) => {
-                    // Inline run is full: spill everything to the heap and
-                    // insert there. One-time transition per node.
-                    let prev = self.base_value(var);
-                    self.spill.reserve(len + 1);
-                    self.spill.extend_from_slice(&self.inline[..len]);
-                    self.spill.insert(i, (var, value));
-                    prev
+                    spill.insert(i, (var, value));
+                    self.base_value(var)
                 }
+            };
+        }
+        let len = self.inline_len as usize;
+        match self.vars[..len].binary_search(&var) {
+            Ok(i) => std::mem::replace(&mut self.values[i], value),
+            Err(i) if len < INLINE_WORDS => {
+                self.vars.copy_within(i..len, i + 1);
+                self.values.copy_within(i..len, i + 1);
+                self.vars[i] = var;
+                self.values[i] = value;
+                self.inline_len += 1;
+                self.base_value(var)
             }
-        } else {
-            match self.spill.binary_search_by_key(&var, |&(v, _)| v) {
-                Ok(i) => std::mem::replace(&mut self.spill[i].1, value),
-                Err(i) => {
-                    let prev = self.base_value(var);
-                    self.spill.insert(i, (var, value));
-                    prev
-                }
+            Err(i) => {
+                // Inline run is full: spill everything to the heap and
+                // insert there. One-time transition per node.
+                let mut spill = Vec::with_capacity(len + 1);
+                spill.extend(self.vars.into_iter().zip(self.values));
+                spill.insert(i, (var, value));
+                self.spill = Some(Box::new(spill));
+                self.base_value(var)
             }
         }
-    }
-
-    /// Number of writes ever applied (local stores plus applied remote
-    /// updates).
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// Number of variables with a value (written locally or present in the
@@ -162,14 +176,15 @@ impl LocalMemory {
 
     /// Whether no variable has a value.
     pub fn is_empty(&self) -> bool {
-        self.words().is_empty() && self.base.as_deref().is_none_or(|b| b.is_empty())
+        self.local_len() == 0 && self.base.as_deref().is_none_or(|b| b.is_empty())
     }
 
     /// Iterates over `(var, value)` pairs in ascending variable order —
     /// local entries merged with the base image, local values shadowing.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, Word)> + '_ {
         MergedWords {
-            local: self.words(),
+            mem: self,
+            next: 0,
             base: self.base.as_deref().unwrap_or(&[]),
         }
     }
@@ -177,7 +192,9 @@ impl LocalMemory {
 
 /// Sorted merge of the local run over the base image (local shadows).
 struct MergedWords<'a> {
-    local: &'a [(VarId, Word)],
+    mem: &'a LocalMemory,
+    /// Index of the next local entry.
+    next: usize,
     base: &'a [(VarId, Word)],
 }
 
@@ -185,21 +202,17 @@ impl Iterator for MergedWords<'_> {
     type Item = (VarId, Word);
 
     fn next(&mut self) -> Option<(VarId, Word)> {
-        match (self.local.first(), self.base.first()) {
-            (Some(&l), Some(&b)) => {
-                if l.0 <= b.0 {
-                    self.local = &self.local[1..];
-                    if l.0 == b.0 {
-                        self.base = &self.base[1..];
-                    }
-                    Some(l)
-                } else {
-                    self.base = &self.base[1..];
-                    Some(b)
-                }
+        let local = (self.next < self.mem.local_len()).then(|| self.mem.local(self.next));
+        match (local, self.base.first()) {
+            (Some(l), Some(&b)) if b.0 < l.0 => {
+                self.base = &self.base[1..];
+                Some(b)
             }
-            (Some(&l), None) => {
-                self.local = &self.local[1..];
+            (Some(l), b) => {
+                self.next += 1;
+                if b.is_some_and(|b| b.0 == l.0) {
+                    self.base = &self.base[1..];
+                }
                 Some(l)
             }
             (None, Some(&b)) => {
@@ -233,7 +246,6 @@ mod tests {
         assert_eq!(m.write(v(1), 20), 10);
         assert_eq!(m.read(v(1)), 20);
         assert_eq!(m.len(), 1);
-        assert_eq!(m.write_count(), 2);
     }
 
     #[test]
