@@ -80,16 +80,31 @@ if cargo run -q --release -p sesame-cli -- verify --scenario planted-bad \
     exit 1
 fi
 
-echo "==> error-path smoke (bad parameters are error lines, not panics)"
-for bad in "bigmesh --nodes 1" "fig2 --sizes 1"; do
-    # shellcheck disable=SC2086  # $bad is a command line, split on purpose
-    if cargo run -q --release -p sesame-cli -- $bad \
-        > /dev/null 2> "$tmpdir/bad.err"; then
-        echo "sesame $bad exited zero" >&2
+echo "==> help smoke (every command named by \`sesame help\` takes --help)"
+cargo run -q --release -p sesame-cli -- help > "$tmpdir/help.out"
+commands=$(sed -n '/^COMMANDS:/,/^$/s/^    \([a-z0-9][a-z0-9]*\) .*/\1/p' "$tmpdir/help.out")
+if [ -z "$commands" ]; then
+    echo "sesame help names no command" >&2
+    exit 1
+fi
+for c in $commands; do
+    if ! cargo run -q --release -p sesame-cli -- "$c" --help > /dev/null; then
+        echo "sesame $c --help failed" >&2
         exit 1
     fi
-    if ! grep -q '^error: ' "$tmpdir/bad.err" || grep -q 'panicked' "$tmpdir/bad.err"; then
-        echo "sesame $bad did not fail with an error line: $(cat "$tmpdir/bad.err")" >&2
+done
+
+echo "==> error-path smoke (bad parameters are error lines, not panics)"
+for bad in "bigmesh --nodes 1" "fig2 --sizes 1" "run --bogus 1"; do
+    status=0
+    # shellcheck disable=SC2086  # $bad is a command line, split on purpose
+    cargo run -q --release -p sesame-cli -- $bad > /dev/null 2> "$tmpdir/bad.err" || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "sesame $bad exited $status, want 1" >&2
+        exit 1
+    fi
+    if [ "$(grep -c '^error: ' "$tmpdir/bad.err")" -ne 1 ] || grep -q 'panicked' "$tmpdir/bad.err"; then
+        echo "sesame $bad did not fail with one error line: $(cat "$tmpdir/bad.err")" >&2
         exit 1
     fi
 done

@@ -60,7 +60,9 @@ mod explore;
 mod replay;
 
 pub use explore::{check, CheckOptions, CheckReport, Counterexample, LinkMode};
-pub use replay::{parse_replay, replay, to_replay_string, ReplayOutcome};
+pub use replay::{
+    parse_gwc_mutation, parse_mutex_mutation, parse_replay, replay, to_replay_string, ReplayOutcome,
+};
 
 pub use sesame_core::MutexMutation;
 pub use sesame_dsm::GwcMutation;

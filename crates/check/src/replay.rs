@@ -39,7 +39,8 @@ fn gwc_mutation_str(m: GwcMutation) -> &'static str {
     }
 }
 
-fn parse_gwc_mutation(s: &str) -> Result<GwcMutation, String> {
+/// Parses a planted GWC bug by its replay-file (and `--mutation`) name.
+pub fn parse_gwc_mutation(s: &str) -> Result<GwcMutation, String> {
     match s {
         "none" => Ok(GwcMutation::None),
         "stale-grant-reuse" => Ok(GwcMutation::StaleGrantReuse),
@@ -55,7 +56,8 @@ fn mutex_mutation_str(m: MutexMutation) -> &'static str {
     }
 }
 
-fn parse_mutex_mutation(s: &str) -> Result<MutexMutation, String> {
+/// Parses a planted mutex bug by its replay-file (and `--mutation`) name.
+pub fn parse_mutex_mutation(s: &str) -> Result<MutexMutation, String> {
     match s {
         "none" => Ok(MutexMutation::None),
         "drop-rollback" => Ok(MutexMutation::DropRollback),

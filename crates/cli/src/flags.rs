@@ -1,9 +1,9 @@
-//! Scenario flags: which `--flag`s each scenario reads, and the one
-//! function per scenario that reads them into its typed config.
-//!
-//! Each parser is shared by the scenario's dedicated command and by
-//! `--scenario`; the caller passes its own defaults, so `run --scenario
-//! contention` keeps 4 x 25 where `contention` keeps 6 x 50.
+//! The CLI's one table — every command's flags and every scenario's, with
+//! defaults and help — the help rendered from it, and the parsers that
+//! read scenario flags into typed configs. Each parser is shared by the
+//! scenario's dedicated command and by `--scenario`, with the caller's
+//! defaults: `run --scenario contention` keeps 4 x 25 where `contention`
+//! (whose row restates both) keeps 6 x 50.
 
 use sesame_sim::SimDur;
 use sesame_workloads::bigmesh::BigMeshConfig;
@@ -17,6 +17,132 @@ use sesame_workloads::three_cpu::Figure1Config;
 use crate::args::{ArgError, Args};
 use crate::CliResult;
 
+/// A flag as help states it: its name, the value it takes (after a `=`,
+/// its default) and what it does.
+pub type Flag = (&'static str, &'static str, &'static str);
+
+/// A subcommand: its name, what it does, its own flags (one the shared
+/// scenario also has restates only its default), the scenario whose flags
+/// it also reads (with a `--scenario` flag: the one that names), its code.
+pub struct Command {
+    pub name: &'static str,
+    pub about: &'static str,
+    pub flags: &'static [Flag],
+    pub shares: &'static str,
+    pub run: fn(&Args) -> CliResult,
+}
+
+const SEED: Flag = ("--seed", "N=7", "");
+
+/// Every scenario's flags at `Scenario::parse`'s smoke sizes. `--seed` is
+/// for `run`, `report` and `explain`: the snapshot records it (contention
+/// also draws from it).
+#[rustfmt::skip]
+pub const SCENARIOS: [(&str, &[Flag]); 6] = [
+    ("three-cpu", &[("--section-us", "N=5", "in-section computation time"),
+        ("--words", "N=16", "guarded data words per holder"), SEED]),
+    ("contention", &[("--contenders", "N=4", ""), ("--rounds", "N=25", ""),
+        ("--think-us", "N=50", ""), SEED]),
+    ("task-queue", &[("--nodes", "N=5", ""), ("--tasks", "N=48", ""), ("--exec-us", "N=1000", ""),
+        ("--ratio", "F=0.0078125", ""), SEED]),
+    ("pipeline", &[("--nodes", "N=8", ""), ("--visits", "N=128", ""), ("--local-us", "N=5", "")]),
+    ("bigmesh", &[("--nodes", "N=400", ""), ("--laps", "N=1", ""), ("--local-us", "N=5", ""),
+        ("--rows", "N", "explicit mesh geometry, with --cols\n\
+                         (overrides --nodes; 100000x10 is\nthe 1M-node run)"),
+        ("--cols", "N", ""), ("--shared-words", "N=1", ""), ("--event-limit", "N=500000000", "")]),
+    ("canonical", &[("--cpus", "N=3", "contending CPUs"), ("--rounds", "N=2", "")]),
+];
+
+/// The default a flag's value states: what follows its `=`.
+pub fn default_of(flag: &Flag) -> Option<&'static str> {
+    flag.1.split_once('=').map(|(_, default)| default)
+}
+
+impl Command {
+    /// The flags this command's block lists: the shared scenario's (with
+    /// any default this command restates), then its own.
+    pub fn listed(&self) -> Vec<Flag> {
+        let shared = SCENARIOS.iter().filter(|s| s.0 == self.shares);
+        let mut flags: Vec<Flag> = shared.flat_map(|s| s.1).copied().collect();
+        flags.retain(|f| f.0 != "--seed");
+        for &own in self.flags {
+            match flags.iter_mut().find(|f| f.0 == own.0) {
+                Some(shared) => shared.1 = own.1,
+                None => flags.push(own),
+            }
+        }
+        flags
+    }
+
+    /// The flags `rest` may carry, and what an unknown one's error adds:
+    /// the listed ones and, with a `--scenario` flag, those of the
+    /// scenario it names — resolved first, since which flags are known
+    /// depends on it (`all`: every scenario's, each read by the scenarios
+    /// that know it). `verify` never takes `--seed`.
+    pub fn accepted(&self, rest: &[String]) -> (Vec<&'static str>, String) {
+        let mut names: Vec<&'static str> = self.listed().iter().map(|f| f.0).collect();
+        let Some(flag) = self.flags.iter().find(|f| f.0 == "--scenario") else {
+            return (names, String::new());
+        };
+        let at = rest.iter().position(|a| a == "--scenario");
+        let given = at.and_then(|i| rest.get(i + 1));
+        let name = given.map_or(default_of(flag).unwrap_or_default(), |n| n);
+        let chosen = SCENARIOS.iter().filter(|s| s.0 == name || name == "all");
+        let flags = chosen.flat_map(|s| s.1).map(|f| f.0);
+        names.extend(flags.filter(|&f| self.name != "verify" || f != "--seed"));
+        (names, format!(" for scenario {name}"))
+    }
+
+    /// This command's block of the help: its name and summary, then each
+    /// flag it lists, one a line, its help from column 38 (a `\n` in a text
+    /// starts a new line there).
+    fn block(&self) -> String {
+        let indented = |text: &str, col| text.replace('\n', &format!("\n{:col$}", ""));
+        let mut out = format!("    {:<14}{}\n", self.name, indented(self.about, 18));
+        for (name, value, help) in self.listed() {
+            let spec = format!("{:20}{name} <{value}>", "");
+            let gap = match help.chars().next() {
+                None | Some('\n') => 0,
+                _ => 38usize.saturating_sub(spec.len()).max(2),
+            };
+            out += &format!("{spec}{:gap$}{}\n", "", indented(help, 38));
+        }
+        out
+    }
+
+    /// What `sesame <command> --help` prints: the command's block, and the
+    /// scenarios when it takes `--scenario`.
+    pub fn help(&self) -> String {
+        match self.flags.iter().any(|f| f.0 == "--scenario") {
+            true => format!("{}\n{}", self.block(), scenarios()),
+            false => self.block(),
+        }
+    }
+}
+
+/// The scenarios `--scenario` names, each with its flags, three a line.
+fn scenarios() -> String {
+    let mut out = String::from("SCENARIOS (the names --scenario takes, with their flags):\n");
+    for (name, flags) in SCENARIOS {
+        let specs: Vec<String> = flags.iter().map(|(n, v, _)| format!("{n} <{v}>")).collect();
+        let lines: Vec<String> = specs.chunks(3).map(|line| line.join("  ")).collect();
+        out += &format!("    {name:<14}{}\n", lines.join(&format!("\n{:18}", "")));
+    }
+    out
+}
+
+/// `sesame help`: every command's block, then the scenarios.
+pub fn usage(commands: &[Command]) -> String {
+    let blocks: String = commands.iter().map(Command::block).collect();
+    format!(
+        "sesame — experiments from 'Optimistic Synchronization in Distributed Shared Memory' \
+         (ICDCS 1994)\n\nUSAGE:\n    sesame <command> [flags]\n    sesame <command> --help\n    \
+         sesame help\n\n\
+         COMMANDS:\n{blocks}\n{}",
+        scenarios()
+    )
+}
+
 /// `--flag <µs>` as a duration, or `default` when the flag is absent.
 fn micros(args: &Args, flag: &'static str, default: SimDur) -> Result<SimDur, ArgError> {
     match args.get_str(flag) {
@@ -24,23 +150,6 @@ fn micros(args: &Args, flag: &'static str, default: SimDur) -> Result<SimDur, Ar
         Some(_) => args.get_or(flag, 0u64, "integer").map(SimDur::from_us),
     }
 }
-
-/// The flags the named scenario's parser reads, space-separated.
-pub fn flags_of(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "three-cpu" => "--section-us --words",
-        "contention" => "--contenders --rounds --think-us",
-        "task-queue" => "--nodes --tasks --exec-us --ratio",
-        "pipeline" => "--nodes --visits --local-us",
-        "bigmesh" => "--nodes --rows --cols --laps --local-us --shared-words --event-limit",
-        "canonical" => "--cpus --rounds",
-        _ => return None,
-    })
-}
-
-/// The scenarios whose telemetry snapshot records `--seed` (only
-/// contention also draws from it).
-const SEEDED: [&str; 3] = ["three-cpu", "contention", "task-queue"];
 
 pub fn figure1_flags(args: &Args, d: Figure1Config) -> Result<Figure1Config, ArgError> {
     Ok(Figure1Config {
@@ -120,31 +229,4 @@ pub fn scenario_flags(args: &Args, base: Scenario) -> Result<Scenario, ArgError>
         Scenario::BigMesh(cfg) => Scenario::BigMesh(bigmesh_flags(args, cfg)?),
         Scenario::Canonical(cfg) => Scenario::Canonical(canonical_flags(args, cfg)?),
     })
-}
-
-/// The scenario flags `run|report|explain|verify --scenario <name>` may
-/// carry: the named scenario's, plus `--seed` where a telemetry snapshot
-/// records it. `verify` also takes `all` (every scenario's flags, each
-/// read by the scenarios that know it) and `planted-bad` (none).
-pub fn scenario_flag_set(cmd: &str, name: &str) -> CliResult<Vec<&'static str>> {
-    let verify = cmd == "verify";
-    let names: &[&str] = match name {
-        "all" if verify => &Scenario::NAMES,
-        "planted-bad" if verify => &[],
-        _ if flags_of(name).is_some() => std::slice::from_ref(&name),
-        _ => {
-            let extra = if verify { "all, planted-bad, " } else { "" };
-            let names = Scenario::NAMES.join(", ");
-            return Err(format!("unknown --scenario {name:?} (use {extra}{names})").into());
-        }
-    };
-    let mut flags: Vec<&'static str> = names
-        .iter()
-        .filter_map(|name| flags_of(name))
-        .flat_map(str::split_whitespace)
-        .collect();
-    if !verify && SEEDED.contains(&name) {
-        flags.push("--seed");
-    }
-    Ok(flags)
 }

@@ -3,20 +3,9 @@
 //! Synchronization in Distributed Shared Memory" (ICDCS 1994)* with custom
 //! parameters.
 //!
-//! ```text
-//! sesame fig1 [--section-us N] [--words N]
-//! sesame fig2 [--sizes 3,5,9] [--tasks N] [--exec-us N] [--ratio F] [--jobs N]
-//! sesame fig7
-//! sesame fig8 [--sizes 2,4,8] [--visits N] [--local-us N] [--jobs N]
-//! sesame bigmesh [--nodes N | --rows N --cols N] [--laps N] [--local-us N]
-//! sesame contention [--contenders N] [--rounds N] [--think-us N]
-//! sesame run --scenario contention --metrics-out m.json --timeline-out t.trace.json
-//! sesame report --metrics-in m.json
-//! sesame explain --scenario contention [--event 42]
-//! sesame verify [--scenario all]
-//! sesame check [--cpus N] [--mutation stale-grant-reuse] [--out cx.replay]
-//! sesame check --replay cx.replay
-//! ```
+//! Every command, with its flags, their defaults and their help, is a row
+//! of one table, [`COMMANDS`]: `sesame help` and `sesame <command> --help`
+//! are rendered from it, and it is what the flags are parsed against.
 //!
 //! Every command that runs a workload builds a
 //! [`Scenario`] from its flags and hands it to the one driver,
@@ -32,11 +21,12 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use args::{ArgError, Args};
+use args::Args;
 use flags::{
-    bigmesh_flags, canonical_flags, contention_flags, figure1_flags, flags_of, pipeline_flags,
-    scenario_flag_set, scenario_flags, task_queue_flags,
+    bigmesh_flags, canonical_flags, contention_flags, figure1_flags, pipeline_flags,
+    scenario_flags, task_queue_flags, usage, Command,
 };
+use sesame_check::{parse_gwc_mutation, parse_mutex_mutation, CheckOptions, LinkMode};
 use sesame_consistency::analysis::Figure1Params;
 use sesame_core::builder::ModelChoice;
 use sesame_core::OptimisticConfig;
@@ -65,115 +55,9 @@ use sesame_workloads::timeline::render_figure1_timeline;
 #[global_allocator]
 static ALLOC: sesame_sim::hostprof::CountingAlloc = sesame_sim::hostprof::CountingAlloc;
 
-/// What every command returns: `?` converts [`ArgError`], the driver's
+/// What every command returns: `?` converts `ArgError`, the driver's
 /// `RunError`, I/O errors and plain messages alike.
 type CliResult<T = ()> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
-
-const USAGE: &str = "\
-sesame — experiments from 'Optimistic Synchronization in Distributed Shared Memory' (ICDCS 1994)
-
-USAGE:
-    sesame <command> [flags]
-
-COMMANDS:
-    fig1          three-CPU locking comparison (GWC / entry / release), with
-                  ASCII timelines and the closed forms it is held to
-                    --section-us <N=5>   in-section computation time
-                    --words <N=16>       guarded data words per holder
-    fig2          task-management speedup sweep (ideal / GWC / entry)
-                    --sizes <list=3,5,9,17,33,65,129>
-                    --tasks <N=1024>  --exec-us <N=1000>  --ratio <F=0.0078125>
-                    --format <table|csv>
-                    --jobs <N=1>      sweep worker threads (0 = all cores);
-                                      output is identical for every N
-    fig7          optimistic rollback under contention, with protocol stats
-    fig8          mutex-method network power sweep, headline ratios and the
-                  optimistic line's hit rates
-                    --sizes <list=2,4,8,16,32,64,128>
-                    --visits <N=1024>  --local-us <N=5>
-                    --format <table|csv>
-                    --jobs <N=1>      sweep worker threads (0 = all cores);
-                                      output is identical for every N
-    bigmesh       100k-node scaling scenario: per-row token pipelines with
-                  row-local mutexes over pruned multicast routes
-                    --nodes <N=100000>  --laps <N=1>  --local-us <N=5>
-                    --rows <N> --cols <N>  explicit mesh geometry (overrides
-                                      --nodes; 100000x10 is the 1M-node run)
-                    --shared-words <N=1>  --event-limit <N=500000000>
-                    --hostprof-out <file.json>  host-side simulator profile
-                                      (needs a build with --features hostprof)
-                  exits nonzero unless the run drains with every visit done;
-                  prints an exact `throughput N events/s` line for CI floors
-    contention    optimistic vs regular locking across think times
-                    --contenders <N=6>  --rounds <N=50>  --think-us <N=50>
-    run           run one scenario with telemetry and export metrics
-                    --scenario <name>  (default contention) with that
-                                      scenario's flags; any other is an error:
-                      three-cpu   --section-us <N=5>  --words <N=16>  --seed <N=7>
-                      contention  --contenders <N=4>  --rounds <N=25>
-                                  --think-us <N=50>  --seed <N=7>
-                      task-queue  --nodes <N=5>  --tasks <N=48>  --exec-us <N=1000>
-                                  --ratio <F=0.0078125>  --seed <N=7>
-                      pipeline    --nodes <N=8>  --visits <N=128>  --local-us <N=5>
-                                  (under the optimistic method)
-                      bigmesh     --nodes <N=400> and bigmesh's other flags
-                      canonical   --cpus <N=3>  --rounds <N=2>
-                    --metrics-out <file.json>   JSON metrics snapshot
-                    --csv-out <file.csv>        CSV metrics export
-                    --timeline-out <file.json>  Chrome trace-event timeline
-                                      (with cross-node causal flow arrows)
-                    --causes-out <file>         causal DAG: the ancestors of
-                                      every rollback and of the critical path
-                                      (.dot → Graphviz, anything else →
-                                      sesame-causes/v1 JSON)
-                    --series-out <file>         windowed time series (.csv →
-                                      CSV, anything else → sesame-series/v1
-                                      JSON); also prints the per-window table
-                    --window <ns=100000>        series window width in
-                                      simulated nanoseconds (implies a series)
-                    --hostprof-out <file.json>  host-side simulator profile
-                                      (sesame-hostprof/v1; needs a build with
-                                      --features hostprof)
-                    --jobs <N=1>      run N redundant copies concurrently and
-                                      assert their exports are byte-identical
-    report        render a human-readable report from a metrics snapshot
-                  (includes wait percentiles and rollback attribution)
-                    --metrics-in <file.json>  (or --scenario to run fresh)
-                    --series-in <file.json>   append the per-window time-series
-                                      table from a sesame-series/v1 export
-                    --window <ns>     on a fresh run, collect and print the
-                                      per-window table directly
-    explain       re-run a scenario and print cause→effect chains: why each
-                  rollback happened (the remote write, its multicast, the
-                  interrupting apply) and the run's critical path
-                    --scenario <name> and its flags, as for run
-                    --event <id>      explain one causal event id instead
-                                      (exits nonzero if the id is unknown)
-    verify        run scenarios under the online sesame-verify checkers, once
-                  per model or method each one compares
-                    --scenario <all|planted-bad|name>  (default all) and the
-                                      scenario flags as for run, without --seed
-                                      (contention starts from 30 rounds,
-                                      task-queue from 96 tasks on 4 CPUs)
-    check         model-check the canonical mutex workload: explore every
-                  meaningfully different delivery schedule under the
-                  sesame-verify checkers plus a linearizability oracle
-                    --cpus <N=2>      contending CPUs  --rounds <N=1>
-                    --links <fifo|relax-roots|relax>  (default fifo)
-                    --mutation <none|stale-grant-reuse|seq-gap|drop-rollback>
-                                      plant a protocol bug to find
-                                      (seq-gap needs --links relax-roots)
-                    --depth <N=500>   schedule-length budget
-                    --schedules-max <N=50000>  completed-schedule budget
-                    --work-max <N=500000>      total explored-state budget
-                    --hash-states <true|false=true>  fold revisited states
-                    --out <file>      where to write the counterexample
-                                      replay file (default sesame-check
-                                      prints it to stdout)
-                    --replay <file>   re-run a recorded counterexample
-                                      deterministically instead of exploring
-    help          print this message
-";
 
 /// Whether `--format csv` was asked for (`table`, the default, is not).
 fn csv_format(args: &Args) -> CliResult<bool> {
@@ -207,10 +91,11 @@ fn parse_sizes(args: &Args, published: fn() -> Vec<usize>) -> CliResult<Vec<usiz
     Ok(sizes.collect::<Result<_, _>>()?)
 }
 
-/// The named scenario at its smoke size. (`dispatch` has already
-/// rejected names that are not scenarios, to know which flags to allow.)
+/// The named scenario at its smoke size.
 fn smoke(name: &str) -> CliResult<Scenario> {
-    Ok(Scenario::parse(name).ok_or_else(|| format!("unknown --scenario {name:?}"))?)
+    let names = Scenario::NAMES.join(", ");
+    let unknown = || format!("unknown --scenario {name:?} (use {names})");
+    Ok(Scenario::parse(name).ok_or_else(unknown)?)
 }
 
 /// What `run`, `report` and `explain` were asked for: the `--scenario`
@@ -855,11 +740,42 @@ fn cmd_verify(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn cmd_check(args: &Args) -> CliResult {
-    use sesame_check::{
-        check, parse_replay, replay, to_replay_string, CheckOptions, GwcMutation, LinkMode,
-        MutexMutation,
+/// What `check` explores: the canonical workload with any planted bug,
+/// and the budgets and link discipline of the search.
+fn check_config(args: &Args) -> CliResult<(CanonicalConfig, CheckOptions)> {
+    let mut cfg = canonical_flags(args, CanonicalConfig::default())?;
+    // Checked before a bug is planted: the driver refuses mutants (its
+    // default schedule runs them into the protocol's own asserts).
+    Scenario::Canonical(cfg).validate()?;
+    let m = args.get_str("--mutation").unwrap_or("none");
+    match (parse_gwc_mutation(m), parse_mutex_mutation(m)) {
+        (Ok(gwc), _) => cfg.gwc_mutation = gwc,
+        (_, Ok(mutex)) => cfg.mutex_mutation = mutex,
+        _ => Err(format!(
+            "unknown --mutation {m:?} (use none, stale-grant-reuse, seq-gap or drop-rollback)"
+        ))?,
+    }
+    let links = match args.get_str("--links").unwrap_or("fifo") {
+        "fifo" => LinkMode::Fifo,
+        "relax-roots" => LinkMode::RelaxFromRoots,
+        "relax" => LinkMode::Relax,
+        other => Err(format!(
+            "unknown --links {other:?} (use fifo, relax-roots or relax)"
+        ))?,
     };
+    let defaults = CheckOptions::default();
+    let opts = CheckOptions {
+        depth_max: args.get_or("--depth", defaults.depth_max, "integer")?,
+        schedules_max: args.get_or("--schedules-max", defaults.schedules_max, "integer")?,
+        work_max: args.get_or("--work-max", defaults.work_max, "integer")?,
+        hash_states: args.get_or("--hash-states", defaults.hash_states, "true or false")?,
+        links,
+    };
+    Ok((cfg, opts))
+}
+
+fn cmd_check(args: &Args) -> CliResult {
+    use sesame_check::{check, parse_replay, replay, to_replay_string};
 
     if let Some(path) = args.get_str("--replay") {
         let (cfg, choices) = parse_replay(&read_file(path)?)?;
@@ -896,42 +812,7 @@ fn cmd_check(args: &Args) -> CliResult {
         .into());
     }
 
-    let mut cfg = canonical_flags(args, CanonicalConfig::default())?;
-    // Checked before a bug is planted: the driver refuses mutants (its
-    // default schedule runs them into the protocol's own asserts).
-    Scenario::Canonical(cfg).validate()?;
-    match args.get_str("--mutation").unwrap_or("none") {
-        "none" => {}
-        "stale-grant-reuse" => cfg.gwc_mutation = GwcMutation::StaleGrantReuse,
-        "seq-gap" => cfg.gwc_mutation = GwcMutation::SeqGap,
-        "drop-rollback" => cfg.mutex_mutation = MutexMutation::DropRollback,
-        other => {
-            return Err(format!(
-                "unknown --mutation {other:?} \
-                 (use none, stale-grant-reuse, seq-gap or drop-rollback)"
-            )
-            .into())
-        }
-    }
-    let links = match args.get_str("--links").unwrap_or("fifo") {
-        "fifo" => LinkMode::Fifo,
-        "relax-roots" => LinkMode::RelaxFromRoots,
-        "relax" => LinkMode::Relax,
-        other => {
-            return Err(
-                format!("unknown --links {other:?} (use fifo, relax-roots or relax)").into(),
-            )
-        }
-    };
-    let defaults = CheckOptions::default();
-    let opts = CheckOptions {
-        depth_max: args.get_or("--depth", defaults.depth_max, "integer")?,
-        schedules_max: args.get_or("--schedules-max", defaults.schedules_max, "integer")?,
-        work_max: args.get_or("--work-max", defaults.work_max, "integer")?,
-        hash_states: args.get_or("--hash-states", defaults.hash_states, "true or false")?,
-        links,
-    };
-
+    let (cfg, opts) = check_config(args)?;
     let report = check(cfg, opts);
     println!(
         "explored {} schedule(s): {} truncated, {} sleep-blocked, {} pruned, max depth {}",
@@ -982,76 +863,169 @@ fn cmd_check(args: &Args) -> CliResult {
     }
 }
 
-/// A subcommand implementation.
-type Command = fn(&Args) -> CliResult;
+/// Every command, in help order. A value's default follows its `=`.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "fig1", shares: "three-cpu", run: cmd_fig1, flags: &[],
+        about: "three-CPU locking comparison (GWC / entry / release), with\n\
+                ASCII timelines and the closed forms it is held to" },
+    Command { name: "fig2", shares: "", run: cmd_fig2,
+        about: "task-management speedup sweep (ideal / GWC / entry)",
+        flags: &[("--sizes", "list=3,5,9,17,33,65,129", ""), ("--tasks", "N=1024", ""),
+            ("--exec-us", "N=1000", ""), ("--ratio", "F=0.0078125", ""),
+            ("--format", "table|csv=table", ""), ("--jobs", "N=1", SWEEP_JOBS)] },
+    Command { name: "fig7", shares: "", run: cmd_fig7, flags: &[],
+        about: "optimistic rollback under contention, with protocol stats" },
+    Command { name: "fig8", shares: "", run: cmd_fig8,
+        about: "mutex-method network power sweep, headline ratios and the\n\
+                optimistic line's hit rates",
+        flags: &[("--sizes", "list=2,4,8,16,32,64,128", ""), ("--visits", "N=1024", ""),
+            ("--local-us", "N=5", ""), ("--format", "table|csv=table", ""),
+            ("--jobs", "N=1", SWEEP_JOBS)] },
+    Command { name: "bigmesh", shares: "bigmesh", run: cmd_bigmesh,
+        about: "100k-node scaling scenario: per-row token pipelines with\n\
+                row-local mutexes over pruned multicast routes; exits nonzero\n\
+                unless the run drains with every visit done; prints an exact\n\
+                `throughput N events/s` line for CI floors",
+        flags: &[("--nodes", "N=100000", ""), ("--hostprof-out", "file.json",
+            "host-side simulator profile\n(needs a build with --features hostprof)")] },
+    Command { name: "contention", shares: "contention", run: cmd_contention,
+        about: "optimistic vs regular locking across think times",
+        flags: &[("--contenders", "N=6", ""), ("--rounds", "N=50", "")] },
+    Command { name: "run", shares: "", run: cmd_run,
+        about: "run one scenario with telemetry and export metrics\n\
+                (pipeline: under the optimistic method)",
+        flags: &[("--scenario", "name=contention", "with that scenario's flags;\n\
+                any other is an error"),
+            ("--metrics-out", "file.json", "JSON metrics snapshot"),
+            ("--csv-out", "file.csv", "CSV metrics export"),
+            ("--timeline-out", "file.json", "Chrome trace-event timeline\n\
+                (with cross-node causal flow arrows)"),
+            ("--causes-out", "file", "causal DAG: the ancestors of every\n\
+                rollback and of the critical path (.dot →\n\
+                Graphviz, anything else → sesame-causes/v1\nJSON)"),
+            ("--series-out", "file", "windowed time series (.csv → CSV,\n\
+                anything else → sesame-series/v1 JSON);\nalso prints the per-window table"),
+            ("--window", "ns=100000", "series window width in simulated\n\
+                nanoseconds (implies a series)"),
+            ("--hostprof-out", "file.json", "host-side simulator profile\n\
+                (sesame-hostprof/v1; needs a build with\n--features hostprof)"),
+            ("--jobs", "N=1", "run N redundant copies concurrently and\n\
+                assert their exports are byte-identical")] },
+    Command { name: "report", shares: "", run: cmd_report,
+        about: "render a human-readable report from a metrics snapshot\n\
+                (includes wait percentiles and rollback attribution)",
+        flags: &[("--metrics-in", "file.json", "(or --scenario to run fresh)"),
+            ("--scenario", "name=contention", "and its flags, as for run"),
+            ("--series-in", "file.json", "append the per-window time-series\n\
+                table from a sesame-series/v1 export"),
+            ("--window", "ns", "on a fresh run, collect and print the\n\
+                per-window table directly")] },
+    Command { name: "explain", shares: "", run: cmd_explain,
+        about: "re-run a scenario and print cause→effect chains: why each\n\
+                rollback happened (the remote write, its multicast, the\n\
+                interrupting apply) and the run's critical path",
+        flags: &[("--scenario", "name=contention", "and its flags, as for run"),
+            ("--event", "id", "explain one causal event id instead\n\
+                (exits nonzero if the id is unknown)")] },
+    Command { name: "verify", shares: "", run: cmd_verify,
+        about: "run scenarios under the online sesame-verify checkers, once\n\
+                per model or method each one compares",
+        flags: &[("--scenario", "all|planted-bad|name=all",
+            "\nand the scenario flags as for run, without\n\
+            --seed (contention starts from 30 rounds,\ntask-queue from 96 tasks on 4 CPUs)")] },
+    Command { name: "check", shares: "canonical", run: cmd_check,
+        about: "model-check the canonical mutex workload: explore every\n\
+                meaningfully different delivery schedule under the\n\
+                sesame-verify checkers plus a linearizability oracle",
+        flags: &[("--cpus", "N=2", ""), ("--rounds", "N=1", ""),
+            ("--links", "fifo|relax-roots|relax=fifo", ""),
+            ("--mutation", "none|stale-grant-reuse|seq-gap|drop-rollback=none",
+                "\nplant a protocol bug to find\n(seq-gap needs --links relax-roots)"),
+            ("--depth", "N=500", "schedule-length budget"),
+            ("--schedules-max", "N=50000", "completed-schedule budget"),
+            ("--work-max", "N=500000", "total explored-state budget"),
+            ("--hash-states", "true|false=true", "fold revisited states"),
+            ("--out", "file", "where to write the counterexample\n\
+                replay file (default sesame-check\nprints it to stdout)"),
+            ("--replay", "file", "re-run a recorded counterexample\n\
+                deterministically instead of exploring")] },
+];
 
-fn dispatch(cmd: &str, rest: &[String]) -> CliResult {
-    // The command's own flags, the scenario whose flags it also reads
-    // (`--scenario`: the one that flag names), and its implementation.
-    let (own, shares, f): (&str, &str, Command) = match cmd {
-        "fig1" => ("", "three-cpu", cmd_fig1),
-        "fig2" => (
-            "--sizes --tasks --exec-us --ratio --format --jobs",
-            "",
-            cmd_fig2,
-        ),
-        "fig7" => ("", "", cmd_fig7),
-        "fig8" => ("--sizes --visits --local-us --format --jobs", "", cmd_fig8),
-        "bigmesh" => ("--hostprof-out", "bigmesh", cmd_bigmesh),
-        "contention" => ("", "contention", cmd_contention),
-        "run" => (
-            "--scenario --metrics-out --csv-out --timeline-out --causes-out --series-out \
-             --window --hostprof-out --jobs",
-            "--scenario",
-            cmd_run,
-        ),
-        "report" => (
-            "--scenario --metrics-in --series-in --window",
-            "--scenario",
-            cmd_report,
-        ),
-        "explain" => ("--scenario --event", "--scenario", cmd_explain),
-        "verify" => ("--scenario", "--scenario", cmd_verify),
-        "check" => (
-            "--links --mutation --depth --schedules-max --work-max --hash-states --out --replay",
-            "canonical",
-            cmd_check,
-        ),
-        _ => return Err(format!("unknown command {cmd:?}\n\n{USAGE}").into()),
+const SWEEP_JOBS: &str = "sweep worker threads (0 = all cores);\noutput is identical for every N";
+
+/// Runs the named command on its arguments: its help, when they ask for
+/// it; otherwise they are parsed against its flags, and an error names
+/// the command's block.
+fn dispatch(name: &str, rest: &[String]) -> CliResult {
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(format!("unknown command {name:?}\n\n{}", usage(COMMANDS)).into());
     };
-    let mut allowed: Vec<&str> = own.split_whitespace().collect();
-    let mut whose = String::new();
-    if shares == "--scenario" {
-        // Resolved before the flags are parsed: which flags are known
-        // depends on it.
-        let default = if cmd == "verify" { "all" } else { "contention" };
-        let at = rest.iter().position(|a| a == "--scenario");
-        let name = at.and_then(|i| rest.get(i + 1)).map_or(default, |n| n);
-        allowed.extend(scenario_flag_set(cmd, name)?);
-        whose = format!(" for scenario {name}");
-    } else {
-        allowed.extend(flags_of(shares).unwrap_or_default().split_whitespace());
+    if rest.iter().any(|a| a == "--help") {
+        print!("{}", cmd.help());
+        return Ok(());
     }
-    let args = Args::parse(rest, &allowed).map_err(|e| match e {
-        ArgError::Unknown(_) => format!("{e}{whose}\n\n{USAGE}"),
-        _ => format!("{e}\n\n{USAGE}"),
-    })?;
-    f(&args)
+    let (allowed, whose) = cmd.accepted(rest);
+    let args = Args::parse(rest, &allowed).map_err(|e| format!("{e}{whose}\n\n{}", cmd.help()))?;
+    (cmd.run)(&args)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
+    let Some(name) = argv
+        .first()
+        .filter(|a| !["help", "--help", "-h"].contains(&a.as_str()))
+    else {
+        print!("{}", usage(COMMANDS));
+        return ExitCode::SUCCESS;
+    };
+    match dispatch(name, &argv[1..]) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
         }
-        Some(cmd) => match dispatch(cmd, &argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flags::{default_of, Flag, SCENARIOS};
+
+    /// Each of `flags` that states a default, given at that default.
+    fn at_defaults(flags: &[Flag]) -> Args {
+        let given = flags.iter().filter_map(|f| Some([f.0, default_of(f)?]));
+        let argv: Vec<String> = given.flatten().map(String::from).collect();
+        let names: Vec<&'static str> = flags.iter().map(|f| f.0).collect();
+        Args::parse(&argv, &names).expect("every flag is known")
+    }
+
+    #[test]
+    fn help_cannot_state_a_wrong_default() {
+        for (name, flags) in SCENARIOS {
+            let base = smoke(name).expect("a scenario");
+            let parsed = scenario_flags(&at_defaults(flags), base).expect("parses");
+            assert_eq!(parsed, base, "--scenario {name}");
+        }
+        let check = &COMMANDS[COMMANDS.len() - 1];
+        assert_eq!(check.name, "check");
+        let documented = check_config(&at_defaults(&check.listed())).expect("parses");
+        let unflagged = check_config(&Args::default()).expect("parses");
+        assert_eq!(documented, unflagged, "check");
+    }
+
+    #[test]
+    fn every_command_help_names_every_flag_it_accepts() {
+        for cmd in COMMANDS {
+            let help = cmd.help();
+            for name in Scenario::NAMES.iter().chain(&["all"]) {
+                let rest = ["--scenario".to_string(), name.to_string()];
+                for flag in cmd.accepted(&rest).0 {
+                    let named = help.contains(&format!("{flag} <"));
+                    assert!(named, "`{} --help` omits {flag}", cmd.name);
+                }
             }
-        },
+        }
     }
 }

@@ -24,6 +24,20 @@ fn help_prints_usage_and_succeeds() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("USAGE"));
     assert!(text.contains("--metrics-out"));
+    // Every command it lists prints its own block on `--help`.
+    let listed = text.lines().skip_while(|l| *l != "COMMANDS:").skip(1);
+    let commands: Vec<&str> = listed
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.strip_prefix("    ")?.split(' ').next())
+        .filter(|name| !name.is_empty())
+        .collect();
+    assert_eq!(commands.len(), 11, "{text}");
+    for cmd in commands {
+        let out = sesame(&[cmd, "--help"]);
+        let block = String::from_utf8_lossy(&out.stdout);
+        let head = format!("    {cmd} ");
+        assert!(out.status.success() && block.starts_with(&head), "{block}");
+    }
 }
 
 #[test]
@@ -426,6 +440,11 @@ fn flags_the_chosen_scenario_does_not_read_are_errors() {
             "unknown flag --visits for scenario bigmesh",
         ),
         ("report --scenario nope", "unknown --scenario \"nope\""),
+        // A flag error prints the command's block, not the whole usage.
+        (
+            "run --bogus 1",
+            "unknown flag --bogus for scenario contention\n\n    run ",
+        ),
     ] {
         let out = sesame_line(line);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -434,6 +453,8 @@ fn flags_the_chosen_scenario_does_not_read_are_errors() {
             stderr.starts_with(&format!("error: {complaint}")),
             "`{line}`: {stderr}"
         );
+        assert_eq!(stderr.matches("error:").count(), 1, "`{line}`: {stderr}");
+        assert!(!stderr.contains("COMMANDS:"), "`{line}`: {stderr}");
     }
 }
 

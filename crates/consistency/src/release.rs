@@ -13,9 +13,7 @@
 //!
 //! In the paper's scenarios weak consistency behaves identically to release
 //! consistency ("each processor locks, reads or updates, and releases only
-//! once"), so one model serves both; construct it with
-//! [`ReleaseModel::new`] or [`ReleaseModel::weak`] to choose the reported
-//! name.
+//! once"), so one model serves both.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -68,7 +66,6 @@ struct RcNode {
 /// index-addressed via `slab::LockSlab`.
 #[derive(Debug)]
 pub struct ReleaseModel {
-    name: &'static str,
     locks: LockSlab<RcLock>,
     nodes: Vec<RcNode>,
     next_write_id: u64,
@@ -76,18 +73,9 @@ pub struct ReleaseModel {
 }
 
 impl ReleaseModel {
-    /// Creates the model reporting itself as `"release"`. Each mutex
-    /// group's lock is managed at the group root.
+    /// Creates the model. Each mutex group's lock is managed at the group
+    /// root.
     pub fn new(groups: &GroupTable, nodes: usize) -> Self {
-        Self::with_name("release", groups, nodes)
-    }
-
-    /// Creates the identical model reporting itself as `"weak"`.
-    pub fn weak(groups: &GroupTable, nodes: usize) -> Self {
-        Self::with_name("weak", groups, nodes)
-    }
-
-    fn with_name(name: &'static str, groups: &GroupTable, nodes: usize) -> Self {
         let locks = groups
             .iter()
             .filter_map(|g| {
@@ -103,7 +91,6 @@ impl ReleaseModel {
             })
             .collect();
         ReleaseModel {
-            name,
             locks: LockSlab::build(locks),
             nodes: (0..nodes).map(|_| RcNode::default()).collect(),
             next_write_id: 0,
@@ -204,7 +191,7 @@ impl ReleaseModel {
 
 impl Model for ReleaseModel {
     fn name(&self) -> &'static str {
-        self.name
+        "release"
     }
 
     fn on_action(&mut self, node: NodeId, action: ModelAction, mx: &mut Mx<'_, '_>) {

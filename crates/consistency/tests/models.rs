@@ -163,18 +163,6 @@ fn release_consistency_preserves_mutual_exclusion() {
 }
 
 #[test]
-fn weak_variant_reports_its_name_and_behaves_identically() {
-    let (m1, s1) = contention_machine(4, 3, ReleaseModel::new);
-    let (m2, s2) = contention_machine(4, 3, ReleaseModel::weak);
-    assert_eq!(m1.model().name(), "release");
-    assert_eq!(m2.model().name(), "weak");
-    let r1 = run(m1, RunOptions::default());
-    let r2 = run(m2, RunOptions::default());
-    assert_eq!(r1.end, r2.end, "weak == release in this scenario");
-    assert_eq!(*s1.borrow(), *s2.borrow());
-}
-
-#[test]
 fn entry_demand_fetch_costs_a_round_trip_then_caches() {
     // Node 2 reads a home-based (non-guarded) variable owned by node 0's
     // group root across 4 hops; the first read is remote, the second local.

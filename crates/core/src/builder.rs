@@ -6,14 +6,14 @@
 //! benches build on.
 //!
 //! ```
-//! use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
+//! use sesame_core::builder::{ModelChoice, SystemBuilder};
 //! use sesame_dsm::{run, RunOptions, VarId};
-//! use sesame_net::NodeId;
+//! use sesame_net::{NodeId, Ring};
 //!
 //! let lock = VarId::new(0);
 //! let counter = VarId::new(1);
 //! let machine = SystemBuilder::new(9)
-//!     .topology(TopologyChoice::MeshTorus)
+//!     .topology(Ring::new(9))
 //!     .model(ModelChoice::Gwc)
 //!     .mutex_group(NodeId::new(0), vec![lock, counter], lock)
 //!     .build()?;
@@ -30,7 +30,7 @@ use sesame_dsm::{
     lockval, GroupConfigError, GroupSpec, GroupTableBuilder, GwcModel, Machine, MachineConfig,
     Model, ModelAction, Mx, NodeApi, Packet, Program, VarId, Word,
 };
-use sesame_net::{FullMesh, Line, LinkTiming, MeshTorus2d, NodeId, Ring, Star, Topology};
+use sesame_net::{LinkTiming, MeshTorus2d, NodeId, Topology};
 
 /// Which memory model the system runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,44 +41,9 @@ pub enum ModelChoice {
     Gwc,
     /// Entry consistency (fast variant).
     Entry,
-    /// Release consistency with eager cache-update sharing.
+    /// Weak/release consistency with eager cache-update sharing (one
+    /// model: the two behave identically in the paper's scenarios).
     Release,
-    /// Weak consistency (identical behavior to release in the paper's
-    /// scenarios).
-    Weak,
-}
-
-/// Which interconnect geometry the system uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopologyChoice {
-    /// Square 2-D mesh torus (the paper's Figure 8 network).
-    #[default]
-    MeshTorus,
-    /// Bidirectional ring.
-    Ring,
-    /// Line (path graph).
-    Line,
-    /// Star with node 0 as hub.
-    Star,
-    /// Binary hypercube (rounded up to the next power of two; the extra
-    /// vertices idle).
-    Hypercube,
-    /// Fully connected.
-    FullMesh,
-}
-
-impl TopologyChoice {
-    /// Instantiates the topology for `nodes` CPUs.
-    pub fn instantiate(self, nodes: usize) -> Box<dyn Topology> {
-        match self {
-            TopologyChoice::MeshTorus => Box::new(MeshTorus2d::with_nodes(nodes)),
-            TopologyChoice::Ring => Box::new(Ring::new(nodes)),
-            TopologyChoice::Line => Box::new(Line::new(nodes)),
-            TopologyChoice::Star => Box::new(Star::new(nodes)),
-            TopologyChoice::Hypercube => Box::new(sesame_net::Hypercube::with_at_least(nodes)),
-            TopologyChoice::FullMesh => Box::new(FullMesh::new(nodes)),
-        }
-    }
 }
 
 /// A memory model chosen at runtime; dispatches to the concrete
@@ -185,6 +150,14 @@ pub enum BuildError {
     Groups(GroupConfigError),
     /// The system has zero nodes.
     NoNodes,
+    /// The topology hosts a different number of CPUs than the system has
+    /// nodes.
+    TopologySize {
+        /// The system's node count.
+        nodes: usize,
+        /// The CPUs the topology hosts.
+        topology: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -192,6 +165,10 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::Groups(e) => write!(f, "invalid group configuration: {e}"),
             BuildError::NoNodes => write!(f, "system must have at least one node"),
+            BuildError::TopologySize { nodes, topology } => write!(
+                f,
+                "the topology hosts {topology} CPUs but the system has {nodes} nodes"
+            ),
         }
     }
 }
@@ -219,8 +196,8 @@ impl From<GroupConfigError> for BuildError {
 /// example.
 pub struct SystemBuilder {
     nodes: usize,
-    topology: TopologyChoice,
-    topo_override: Option<Box<dyn Topology>>,
+    /// `None`: the paper's mesh torus, sized to `nodes`.
+    topology: Option<Box<dyn Topology>>,
     timing: LinkTiming,
     model: ModelChoice,
     config: MachineConfig,
@@ -248,8 +225,7 @@ impl SystemBuilder {
     pub fn new(nodes: usize) -> Self {
         SystemBuilder {
             nodes,
-            topology: TopologyChoice::default(),
-            topo_override: None,
+            topology: None,
             timing: LinkTiming::paper_1994(),
             model: ModelChoice::default(),
             config: MachineConfig::default(),
@@ -259,18 +235,10 @@ impl SystemBuilder {
         }
     }
 
-    /// Selects the interconnect geometry.
-    pub fn topology(mut self, topology: TopologyChoice) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Installs a concrete topology instance, overriding
-    /// [`SystemBuilder::topology`] — for geometries a [`TopologyChoice`]
-    /// cannot express, such as a deliberately non-square mesh torus
-    /// (`sesame bigmesh --rows/--cols`).
-    pub fn topology_instance(mut self, topo: Box<dyn Topology>) -> Self {
-        self.topo_override = Some(topo);
+    /// Selects the interconnect, which must host exactly the system's
+    /// nodes (the default is [`MeshTorus2d::with_nodes`]).
+    pub fn topology(mut self, topology: impl Topology + 'static) -> Self {
+        self.topology = Some(Box::new(topology));
         self
     }
 
@@ -367,33 +335,32 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the system has no nodes or the group
-    /// specifications are inconsistent.
+    /// Returns [`BuildError`] if the system has no nodes, the topology
+    /// hosts a different number of CPUs, or the group specifications are
+    /// inconsistent.
     pub fn build(self) -> Result<Machine<ModelInstance>, BuildError> {
         if self.nodes == 0 {
             return Err(BuildError::NoNodes);
+        }
+        let topo = match self.topology {
+            Some(topo) => topo,
+            None => Box::new(MeshTorus2d::with_nodes(self.nodes)),
+        };
+        if topo.len() != self.nodes {
+            let (nodes, topology) = (self.nodes, topo.len());
+            return Err(BuildError::TopologySize { nodes, topology });
         }
         let groups = self.groups.finish()?;
         let model = match self.model {
             ModelChoice::Gwc => ModelInstance::Gwc(GwcModel::new(&groups, self.nodes)),
             ModelChoice::Entry => ModelInstance::Entry(EntryModel::new(&groups, self.nodes)),
             ModelChoice::Release => ModelInstance::Release(ReleaseModel::new(&groups, self.nodes)),
-            ModelChoice::Weak => ModelInstance::Release(ReleaseModel::weak(&groups, self.nodes)),
         };
-        let topo = match self.topo_override {
-            Some(topo) => topo,
-            None => self.topology.instantiate(self.nodes),
-        };
-        // Topologies that round the CPU count up (hypercubes) get idle
-        // programs on the extra vertices.
-        let mut programs: Vec<Box<dyn Program>> = self
+        let programs: Vec<Box<dyn Program>> = self
             .programs
             .into_iter()
             .map(|p| p.unwrap_or_else(|| Box::new(sesame_dsm::IdleProgram)))
             .collect();
-        while programs.len() < topo.len() {
-            programs.push(Box::new(sesame_dsm::IdleProgram));
-        }
         let mut machine = Machine::new(topo, self.timing, groups, programs, model, self.config);
         machine.init_image(&self.init);
         Ok(machine)
@@ -411,7 +378,6 @@ mod tests {
             (ModelChoice::Gwc, "gwc"),
             (ModelChoice::Entry, "entry"),
             (ModelChoice::Release, "release"),
-            (ModelChoice::Weak, "weak"),
         ] {
             let machine = SystemBuilder::new(4)
                 .model(choice)
@@ -424,22 +390,33 @@ mod tests {
 
     #[test]
     fn builds_each_topology() {
-        for t in [
-            TopologyChoice::MeshTorus,
-            TopologyChoice::Ring,
-            TopologyChoice::Line,
-            TopologyChoice::Star,
-            TopologyChoice::Hypercube,
-            TopologyChoice::FullMesh,
-        ] {
-            let machine = SystemBuilder::new(5)
-                .topology(t)
-                .shared_group(NodeId::new(0), vec![VarId::new(0)])
-                .build()
-                .unwrap();
-            // Hypercubes round the vertex count up to a power of two.
-            assert!(machine.node_count() >= 5, "{t:?}");
-        }
+        use sesame_net::{FullMesh, Line, Ring};
+        let five = |b: SystemBuilder| b.build().unwrap().node_count();
+        assert_eq!(five(SystemBuilder::new(5)), 5, "the default mesh torus");
+        assert_eq!(five(SystemBuilder::new(5).topology(Ring::new(5))), 5);
+        assert_eq!(five(SystemBuilder::new(5).topology(Line::new(5))), 5);
+        assert_eq!(five(SystemBuilder::new(5).topology(FullMesh::new(5))), 5);
+    }
+
+    #[test]
+    fn a_topology_smaller_than_the_system_is_an_error() {
+        let err = SystemBuilder::new(9)
+            .topology(MeshTorus2d::new(2, 2))
+            .build();
+        let msg = "the topology hosts 4 CPUs but the system has 9 nodes";
+        assert_eq!(err.unwrap_err().to_string(), msg);
+    }
+
+    #[test]
+    fn a_topology_larger_than_the_system_is_an_error() {
+        let err = SystemBuilder::new(3)
+            .topology(MeshTorus2d::new(2, 2))
+            .build();
+        let (nodes, topology) = (3, 4);
+        assert_eq!(
+            err.unwrap_err(),
+            BuildError::TopologySize { nodes, topology }
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
+use sesame_core::builder::SystemBuilder;
 use sesame_core::{MultiMutex, MultiMutexSignal, SeqReader, SeqWriter, Snapshot};
 use sesame_dsm::{run, AppEvent, GroupSpec, NodeApi, Program, RunOptions, VarId, Word};
 use sesame_net::NodeId;
@@ -75,8 +75,6 @@ fn seqlock_readers_never_see_torn_snapshots() {
     let snapshots: Rc<RefCell<Vec<(u32, Snapshot)>>> = Rc::new(RefCell::new(Vec::new()));
     let rounds = 8;
     let mut builder = SystemBuilder::new(5)
-        .topology(TopologyChoice::MeshTorus)
-        .model(ModelChoice::Gwc)
         .shared_group(n(0), vec![VERSION, FIELD_A, FIELD_B, FIELD_C])
         .program(
             n(0),
@@ -194,8 +192,6 @@ fn build_two_group_system(
 ) {
     let spans = Rc::new(RefCell::new(Vec::new()));
     let mut builder = SystemBuilder::new(6)
-        .topology(TopologyChoice::MeshTorus)
-        .model(ModelChoice::Gwc)
         // Two mutex groups with *different roots* — two independent lock
         // managers, as the paper prescribes for overlapping groups.
         .group(GroupSpec {

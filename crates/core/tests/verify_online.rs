@@ -7,10 +7,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
+use sesame_core::builder::SystemBuilder;
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex, OptimisticStats};
 use sesame_dsm::{run_observed, AppEvent, NodeApi, Program, RunOptions, VarId, Word};
-use sesame_net::{LinkTiming, NodeId};
+use sesame_net::NodeId;
 use sesame_sim::SimDur;
 use sesame_verify::Verifier;
 
@@ -73,11 +73,11 @@ fn online_checking_of_optimistic_contention_is_clean() {
     let stats: Vec<StatsOut> = (0..CONTENDERS)
         .map(|_| Rc::new(RefCell::new(OptimisticStats::default())))
         .collect();
-    let mut builder = SystemBuilder::new(CONTENDERS as usize + 1)
-        .topology(TopologyChoice::MeshTorus)
-        .timing(LinkTiming::paper_1994())
-        .model(ModelChoice::Gwc)
-        .mutex_group(NodeId::new(0), vec![LOCK, COUNTER], LOCK);
+    let mut builder = SystemBuilder::new(CONTENDERS as usize + 1).mutex_group(
+        NodeId::new(0),
+        vec![LOCK, COUNTER],
+        LOCK,
+    );
     for i in 1..=CONTENDERS {
         builder = builder.program(
             NodeId::new(i),

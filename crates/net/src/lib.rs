@@ -29,7 +29,6 @@
 
 mod causal;
 mod fabric;
-mod hypercube;
 mod link;
 mod mroute;
 mod node;
@@ -38,9 +37,8 @@ mod tree;
 
 pub use causal::{CauseAlloc, CauseId};
 pub use fabric::{ContentionModel, Fabric, FabricStats};
-pub use hypercube::Hypercube;
 pub use link::LinkTiming;
 pub use mroute::{MulticastRoute, RouteArena, RouteRef};
 pub use node::{LinkId, NodeId};
-pub use topology::{FullMesh, Line, MeshTorus2d, Ring, Star, Topology};
+pub use topology::{FullMesh, Line, MeshTorus2d, Ring, Topology};
 pub use tree::SpanningTree;

@@ -517,7 +517,7 @@ impl RouteArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fabric, Hypercube, LinkTiming, MeshTorus2d, Ring, SpanningTree, Star};
+    use crate::{Fabric, Line, LinkTiming, MeshTorus2d, Ring, SpanningTree};
     use sesame_sim::{DetRng, SimTime};
 
     fn n(id: u32) -> NodeId {
@@ -562,7 +562,7 @@ mod tests {
         for topo in [
             &MeshTorus2d::new(5, 4) as &dyn Topology,
             &Ring::new(9),
-            &Star::new(7),
+            &Line::new(7),
         ] {
             let root = n(1);
             let members: Vec<NodeId> = (0..topo.len() as u32).step_by(2).map(n).collect();
@@ -621,7 +621,7 @@ mod tests {
         for topo in [
             &MeshTorus2d::new(6, 5) as &dyn Topology,
             &Ring::new(11),
-            &Star::new(6),
+            &Line::new(6),
         ] {
             let root = n(2);
             let members: Vec<NodeId> = (0..topo.len() as u32).rev().map(n).collect();
@@ -811,8 +811,8 @@ mod tests {
             Box::new(MeshTorus2d::new(7, 5)),
             Box::new(MeshTorus2d::with_nodes(10)), // trailing router-only positions
             Box::new(Ring::new(13)),
-            Box::new(Star::new(9)),
-            Box::new(Hypercube::new(4)),
+            Box::new(Line::new(9)),
+            Box::new(MeshTorus2d::with_nodes(7)),
         ];
         for stream in 0..24u64 {
             let mut rng = DetRng::new(0x6d72_6f75_7465 ^ stream);

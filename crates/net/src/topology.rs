@@ -3,8 +3,9 @@
 //! The paper's Figure 8 evaluates on a **square mesh torus** with 200 ns
 //! hops; [`MeshTorus2d`] reproduces that geometry for any CPU count by
 //! embedding the CPUs in the smallest enclosing rectangle (extra positions
-//! act as routers). [`Ring`], [`Line`], [`Star`], and [`FullMesh`] are
-//! provided for topology ablations.
+//! act as routers). The other machines the paper draws are a [`Ring`] of
+//! three (Figure 1) and a [`Line`] of seven (Figure 7); the model checker
+//! runs a [`FullMesh`].
 
 use std::fmt;
 
@@ -50,35 +51,6 @@ pub trait Topology: fmt::Debug {
         let mut links = Vec::new();
         self.route_into(a, b, &mut links);
         links
-    }
-
-    /// Largest hop count between any two CPU nodes.
-    fn diameter(&self) -> u32 {
-        let n = self.len() as u32;
-        let mut d = 0;
-        for a in 0..n {
-            for b in 0..n {
-                d = d.max(self.hops(NodeId::new(a), NodeId::new(b)));
-            }
-        }
-        d
-    }
-
-    /// Mean hop count over all ordered CPU pairs `(a, b)` with `a != b`.
-    fn mean_hops(&self) -> f64 {
-        let n = self.len() as u32;
-        if n < 2 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    total += self.hops(NodeId::new(a), NodeId::new(b)) as u64;
-                }
-            }
-        }
-        total as f64 / (n as u64 * (n as u64 - 1)) as f64
     }
 }
 
@@ -345,63 +317,6 @@ impl Topology for Line {
     }
 }
 
-/// A star: node 0 is the hub; every other node links only to the hub.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Star {
-    nodes: usize,
-}
-
-impl Star {
-    /// Creates a star of `nodes` CPUs (node 0 is the hub).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "node count must be positive");
-        Star { nodes }
-    }
-}
-
-impl Topology for Star {
-    fn len(&self) -> usize {
-        self.nodes
-    }
-
-    fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        if n.get() == 0 {
-            (1..self.nodes as u32).map(NodeId::new).collect()
-        } else {
-            vec![NodeId::new(0)]
-        }
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            0
-        } else if a.get() == 0 || b.get() == 0 {
-            1
-        } else {
-            2
-        }
-    }
-
-    fn route_into(&self, a: NodeId, b: NodeId, out: &mut Vec<LinkId>) {
-        route_by_next_hop(
-            a,
-            b,
-            out,
-            |at, to| {
-                if at.get() == 0 {
-                    to
-                } else {
-                    NodeId::new(0)
-                }
-            },
-        )
-    }
-}
-
 /// A fully connected network: every pair of nodes shares a direct link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullMesh {
@@ -483,10 +398,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_line_star_full_route_matches_hops() {
+    fn ring_line_full_route_matches_hops() {
         check_route_consistency(&Ring::new(7));
         check_route_consistency(&Line::new(6));
-        check_route_consistency(&Star::new(6));
         check_route_consistency(&FullMesh::new(5));
     }
 
@@ -496,7 +410,7 @@ mod tests {
         assert_eq!(t.hops(n(0), n(3)), 1, "x wrap");
         assert_eq!(t.hops(n(0), n(12)), 1, "y wrap");
         assert_eq!(t.hops(n(0), n(15)), 2, "corner wrap");
-        assert_eq!(t.diameter(), 4);
+        assert_eq!(t.hops(n(0), n(10)), 4, "farthest position");
     }
 
     #[test]
@@ -536,47 +450,24 @@ mod tests {
         let r = Ring::new(10);
         assert_eq!(r.hops(n(0), n(3)), 3);
         assert_eq!(r.hops(n(0), n(7)), 3);
-        assert_eq!(r.diameter(), 5);
+        assert_eq!(r.hops(n(2), n(7)), 5, "antipodes");
     }
 
     #[test]
     fn line_distance_is_absolute_difference() {
         let l = Line::new(5);
         assert_eq!(l.hops(n(0), n(4)), 4);
-        assert_eq!(l.diameter(), 4);
+        assert_eq!(l.hops(n(3), n(1)), 2);
         assert_eq!(l.neighbors(n(0)), vec![n(1)]);
         assert_eq!(l.neighbors(n(4)), vec![n(3)]);
         assert_eq!(l.neighbors(n(2)), vec![n(1), n(3)]);
     }
 
     #[test]
-    fn star_routes_through_hub() {
-        let s = Star::new(5);
-        assert_eq!(s.hops(n(1), n(2)), 2);
-        assert_eq!(s.hops(n(0), n(2)), 1);
-        let path = s.route(n(1), n(3));
-        assert_eq!(path.len(), 2);
-        assert_eq!(path[0].to_node(), n(0));
-    }
-
-    #[test]
     fn full_mesh_is_single_hop() {
         let f = FullMesh::new(6);
-        assert_eq!(f.diameter(), 1);
-        assert_eq!(f.mean_hops(), 1.0);
+        assert_eq!(f.hops(n(1), n(4)), 1);
+        assert_eq!(f.hops(n(3), n(3)), 0);
         assert_eq!(f.neighbors(n(2)).len(), 5);
-    }
-
-    #[test]
-    fn mean_hops_single_node_is_zero() {
-        assert_eq!(Ring::new(1).mean_hops(), 0.0);
-        assert!(!Ring::new(1).is_empty());
-    }
-
-    #[test]
-    fn torus_mean_hops_grows_with_size() {
-        let small = MeshTorus2d::with_nodes(4);
-        let large = MeshTorus2d::with_nodes(64);
-        assert!(large.mean_hops() > small.mean_hops());
     }
 }

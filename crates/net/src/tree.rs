@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{LinkId, NodeId, Topology};
+use crate::{NodeId, Topology};
 
 /// A BFS spanning tree over every position of a topology, rooted at one
 /// node.
@@ -98,28 +98,6 @@ impl SpanningTree {
         self.depth[n.index()]
     }
 
-    /// The positions along the tree path from the root to `n`, inclusive of
-    /// both endpoints.
-    pub fn path_from_root(&self, n: NodeId) -> Vec<NodeId> {
-        let mut rev = vec![n];
-        let mut at = n;
-        while let Some(p) = self.parent(at) {
-            rev.push(p);
-            at = p;
-        }
-        rev.reverse();
-        rev
-    }
-
-    /// The directed links the root's downstream copy of a packet traverses
-    /// to reach `n`.
-    pub fn links_from_root(&self, n: NodeId) -> Vec<LinkId> {
-        let path = self.path_from_root(n);
-        path.windows(2)
-            .map(|w| LinkId::between(w[0], w[1]))
-            .collect()
-    }
-
     /// All positions in BFS order (root first); the order a downstream
     /// multicast wave visits them.
     pub fn bfs_order(&self) -> Vec<NodeId> {
@@ -136,7 +114,7 @@ impl SpanningTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FullMesh, Line, MeshTorus2d, Ring, Star};
+    use crate::{FullMesh, Line, MeshTorus2d, Ring};
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
@@ -149,7 +127,7 @@ mod tests {
             &MeshTorus2d::with_nodes(7),
             &Ring::new(9),
             &Line::new(6),
-            &Star::new(6),
+            &MeshTorus2d::with_nodes(10),
             &FullMesh::new(5),
         ] {
             for r in 0..topo.len() as u32 {
@@ -181,18 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn path_from_root_walks_the_tree() {
-        let topo = Ring::new(8);
-        let tree = SpanningTree::build(&topo, n(0));
-        let path = tree.path_from_root(n(3));
-        assert_eq!(path.first(), Some(&n(0)));
-        assert_eq!(path.last(), Some(&n(3)));
-        assert_eq!(path.len() as u32, tree.depth(n(3)) + 1);
-        let links = tree.links_from_root(n(3));
-        assert_eq!(links.len() as u32, tree.depth(n(3)));
-    }
-
-    #[test]
     fn bfs_order_visits_every_position_once_root_first() {
         let topo = MeshTorus2d::with_nodes(10); // 4x3 rectangle, 12 positions
         let tree = SpanningTree::build(&topo, n(2));
@@ -206,14 +172,5 @@ mod tests {
         for w in order.windows(2) {
             assert!(tree.depth(w[0]) <= tree.depth(w[1]));
         }
-    }
-
-    #[test]
-    fn star_tree_from_leaf_goes_through_hub() {
-        let topo = Star::new(5);
-        let tree = SpanningTree::build(&topo, n(3));
-        assert_eq!(tree.parent(n(0)), Some(n(3)));
-        assert_eq!(tree.parent(n(1)), Some(n(0)));
-        assert_eq!(tree.depth(n(1)), 2);
     }
 }

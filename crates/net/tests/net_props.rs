@@ -8,8 +8,8 @@
 //! on every run.
 
 use sesame_net::{
-    ContentionModel, Fabric, FullMesh, Hypercube, Line, LinkTiming, MeshTorus2d, MulticastRoute,
-    NodeId, Ring, SpanningTree, Star, Topology,
+    ContentionModel, Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, MulticastRoute, NodeId, Ring,
+    SpanningTree, Topology,
 };
 use sesame_sim::{DetRng, SimDur, SimTime};
 
@@ -17,14 +17,12 @@ fn n(id: u32) -> NodeId {
     NodeId::new(id)
 }
 
-/// Instantiates topology `kind` (0..5) with `nodes` CPUs.
+/// Instantiates topology `kind` (0..4) with `nodes` CPUs.
 fn make_topology(kind: u8, nodes: usize) -> Box<dyn Topology> {
-    match kind % 6 {
+    match kind % 4 {
         0 => Box::new(MeshTorus2d::with_nodes(nodes)),
         1 => Box::new(Ring::new(nodes)),
         2 => Box::new(Line::new(nodes)),
-        3 => Box::new(Star::new(nodes)),
-        4 => Box::new(Hypercube::with_at_least(nodes)),
         _ => Box::new(FullMesh::new(nodes)),
     }
 }
@@ -35,7 +33,7 @@ fn make_topology(kind: u8, nodes: usize) -> Box<dyn Topology> {
 fn routes_are_valid_on_every_topology() {
     let mut rng = DetRng::new(0xA11CE);
     for _ in 0..48 {
-        let kind = rng.next_below(6) as u8;
+        let kind = rng.next_below(4) as u8;
         let nodes = rng.next_range(2, 29) as usize;
         let a = n(rng.next_below(nodes as u64) as u32);
         let b = n(rng.next_below(nodes as u64) as u32);
@@ -55,7 +53,6 @@ fn routes_are_valid_on_every_topology() {
         assert_eq!(at, b);
         assert_eq!(topo.hops(a, b), topo.hops(b, a));
         assert_eq!(topo.hops(a, a), 0);
-        assert!(topo.hops(a, b) <= topo.diameter().max(1) * 2);
     }
 }
 
@@ -65,7 +62,7 @@ fn routes_are_valid_on_every_topology() {
 fn spanning_trees_are_shortest_path_trees() {
     let mut rng = DetRng::new(0xB0B);
     for _ in 0..48 {
-        let kind = rng.next_below(6) as u8;
+        let kind = rng.next_below(4) as u8;
         let nodes = rng.next_range(2, 24) as usize;
         let root = n(rng.next_below(nodes as u64) as u32);
         let topo = make_topology(kind, nodes);
@@ -93,7 +90,7 @@ fn spanning_trees_are_shortest_path_trees() {
 fn fabric_timing_is_monotone() {
     let mut rng = DetRng::new(0xC0FFEE);
     for _ in 0..48 {
-        let kind = rng.next_below(6) as u8;
+        let kind = rng.next_below(4) as u8;
         let nodes = rng.next_range(2, 19) as usize;
         let a = n(rng.next_below(nodes as u64) as u32);
         let b = n(rng.next_below(nodes as u64) as u32);
@@ -154,7 +151,7 @@ fn store_and_forward_is_fifo_and_never_faster() {
 fn multicast_arrivals_follow_tree_depth() {
     let mut rng = DetRng::new(0xD00D);
     for _ in 0..48 {
-        let kind = rng.next_below(6) as u8;
+        let kind = rng.next_below(4) as u8;
         let nodes = rng.next_range(2, 19) as usize;
         let root = n(rng.next_below(nodes as u64) as u32);
         let bytes = rng.next_range(1, 999) as u32;
@@ -188,7 +185,7 @@ fn expiring_fabric_matches_one_that_never_forgets() {
     const SIZES: [u32; 4] = [16, 64, 125, 1_500];
     for case in 0..96u64 {
         let mut rng = DetRng::new(0xF100_0045 ^ case);
-        let kind = (case % 6) as u8;
+        let kind = (case % 4) as u8;
         let nodes = rng.next_range(2, 41) as usize;
         let topo = make_topology(kind, nodes);
         let contention = if case % 2 == 0 {

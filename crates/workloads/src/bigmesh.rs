@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelInstance, SystemBuilder};
 use sesame_dsm::{
     lockval, AppEvent, GroupSpec, Machine, MachineConfig, NodeApi, Program, RunResult, VarId, Word,
 };
@@ -317,14 +317,11 @@ fn assemble(
     let progress: Progress = Rc::new(RefCell::new((0, 0)));
     let flag_off = rows.len() as u32 * (1 + cfg.shared_words);
     let mut builder = SystemBuilder::new(nodes)
-        .topology(TopologyChoice::MeshTorus)
         .timing(cfg.timing)
-        .model(ModelChoice::Gwc)
         .machine_config(machine_cfg);
     if cfg.rows > 0 {
-        // An explicit (usually non-square) geometry the TopologyChoice
-        // cannot express.
-        builder = builder.topology_instance(Box::new(MeshTorus2d::new(cfg.cols, cfg.rows)));
+        // An explicit, usually non-square, geometry.
+        builder = builder.topology(MeshTorus2d::new(cfg.cols, cfg.rows));
     }
     for row in &rows {
         let members: Vec<NodeId> = (row.start..row.start + row.len).map(NodeId::new).collect();

@@ -13,12 +13,10 @@
 //! [`sesame_dsm::GwcMutation`] are threaded through [`CanonicalConfig`]
 //! so the checker's regression suite can assert each one is caught.
 
-use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelInstance, SystemBuilder};
 use sesame_core::{MutexMutation, MutexSignal, OptimisticConfig, OptimisticMutex};
-use sesame_dsm::{
-    AppEvent, GwcMutation, Machine, MachineConfig, NodeApi, Program, RunResult, VarId, Word,
-};
-use sesame_net::{LinkTiming, NodeId};
+use sesame_dsm::{AppEvent, GwcMutation, Machine, NodeApi, Program, RunResult, VarId, Word};
+use sesame_net::{FullMesh, LinkTiming, NodeId};
 use sesame_sim::{RunOutcome, SimDur};
 
 use crate::scenario::RunError;
@@ -117,10 +115,8 @@ impl Program for CanonicalHammer {
 pub(crate) fn build(cfg: &CanonicalConfig) -> Result<Machine<ModelInstance>, BuildError> {
     let nodes = cfg.contenders as usize + 1;
     let mut builder = SystemBuilder::new(nodes)
-        .topology(TopologyChoice::FullMesh)
+        .topology(FullMesh::new(nodes))
         .timing(LinkTiming::unit())
-        .model(ModelChoice::Gwc)
-        .machine_config(MachineConfig::default())
         .mutex_group(NodeId::new(0), vec![LOCK, COUNTER], LOCK);
     for i in 1..=cfg.contenders {
         let mut mutex = OptimisticMutex::new(LOCK, vec![COUNTER], cfg.mutex);

@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelInstance, SystemBuilder};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex, OptimisticStats};
 use sesame_dsm::{AppEvent, Machine, MachineConfig, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
@@ -162,9 +162,7 @@ pub(crate) fn build(
         cfg.contenders as usize
     ]));
     let mut builder = SystemBuilder::new(nodes)
-        .topology(TopologyChoice::MeshTorus)
         .timing(cfg.timing)
-        .model(ModelChoice::Gwc)
         .machine_config(cfg.machine)
         .mutex_group(NodeId::new(0), vec![LOCK, COUNTER], LOCK);
     let mut seeder = DetRng::new(cfg.seed);

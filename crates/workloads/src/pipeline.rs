@@ -26,7 +26,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex};
 use sesame_dsm::{AppEvent, GroupSpec, Machine, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
@@ -365,7 +365,6 @@ pub(crate) fn build(
         .chain((0..cfg.shared_words).map(|w| VarId::new(SH_BASE + w)))
         .collect();
     let mut builder = SystemBuilder::new(nodes)
-        .topology(TopologyChoice::MeshTorus)
         .timing(cfg.timing)
         .model(method.model())
         .mutex_group(NodeId::new(0), sh_vars, LOCK);

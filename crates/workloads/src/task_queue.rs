@@ -28,7 +28,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder};
 use sesame_dsm::{AppEvent, Machine, Model, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::{RunOutcome, SimDur};
@@ -383,7 +383,6 @@ pub(crate) fn build(
         .chain((0..cfg.capacity).map(|i| VarId::new(SLOT_BASE + i)))
         .collect();
     let mut builder = SystemBuilder::new(nodes)
-        .topology(TopologyChoice::MeshTorus)
         .timing(cfg.timing)
         .model(model)
         .mutex_group(NodeId::new(0), queue_vars, LOCK)

@@ -20,9 +20,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder};
 use sesame_dsm::{AppEvent, Machine, Model, NodeApi, Program, RunResult, VarId, Word};
-use sesame_net::{LinkTiming, NodeId};
+use sesame_net::{LinkTiming, NodeId, Ring};
 use sesame_sim::{SimDur, SimTime, TraceRecorder};
 
 use crate::scenario::{Outcome, RunError, Scenario};
@@ -173,7 +173,7 @@ pub(crate) fn build(
         .chain((0..cfg.data_words).map(|w| VarId::new(DATA_BASE + w)))
         .collect();
     let machine = SystemBuilder::new(3)
-        .topology(TopologyChoice::Ring) // all pairs 1 hop apart
+        .topology(Ring::new(3)) // all pairs 1 hop apart
         .timing(cfg.timing)
         .model(model)
         .mutex_group(NodeId::new(1), vars, LOCK)

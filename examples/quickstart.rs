@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p sesame-examples --bin quickstart`
 
-use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{ModelChoice, SystemBuilder};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex, Path};
 use sesame_dsm::{run, AppEvent, NodeApi, Program, RunOptions, VarId};
 use sesame_net::NodeId;
@@ -60,7 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Nine CPUs on a 3x3 mesh torus with the paper's link timing; one
     // mutex group guarding DATA, rooted (lock-managed) at node 4.
     let machine = SystemBuilder::new(9)
-        .topology(TopologyChoice::MeshTorus)
         .model(ModelChoice::Gwc)
         .mutex_group(NodeId::new(4), vec![DATA], LOCK)
         .program(

@@ -6,12 +6,12 @@
 //!
 //! Run with: `cargo run -p sesame-examples --bin rollback_demo`
 
-use sesame_core::builder::{ModelChoice, SystemBuilder, TopologyChoice};
+use sesame_core::builder::{ModelChoice, SystemBuilder};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex};
 use sesame_dsm::{
     lockval, run, AppEvent, MachineConfig, NodeApi, Program, RunOptions, VarId, Word,
 };
-use sesame_net::NodeId;
+use sesame_net::{Line, NodeId};
 use sesame_sim::{SimDur, TraceKind as K};
 
 const LOCK: VarId = VarId::new(0);
@@ -68,7 +68,7 @@ fn scenario(hw_block: bool) -> Word {
     // does, so the optimist's in-flight update is *accepted* — and its
     // echo must be dropped at the source.
     let machine = SystemBuilder::new(7)
-        .topology(TopologyChoice::Line)
+        .topology(Line::new(7))
         .machine_config(MachineConfig {
             hw_block,
             ..MachineConfig::default()
