@@ -50,6 +50,7 @@ mod engine;
 pub mod hostprof;
 mod queue;
 mod rng;
+mod seq_table;
 mod stats;
 mod time;
 mod trace;
@@ -57,6 +58,7 @@ mod trace;
 pub use engine::{Actor, Context, PendingEvent, RunOutcome, Simulation, DEFAULT_EVENT_LIMIT};
 pub use queue::EventQueue;
 pub use rng::DetRng;
+pub use seq_table::SeqTable;
 pub use stats::{Counter, Histogram, MeanVar, Point, Series, TimeWeighted};
 pub use time::{SimDur, SimTime};
 pub use trace::{

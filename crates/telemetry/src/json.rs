@@ -94,7 +94,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => out.push_str(&fmt_num(*x)),
+            Json::Num(x) => write_num(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -125,17 +125,24 @@ impl Json {
 /// Formats a number deterministically: integers without a fraction,
 /// everything else via shortest round-trip `Display`, non-finite as `0`.
 pub fn fmt_num(x: f64) -> String {
+    let mut out = String::new();
+    write_num(x, &mut out);
+    out
+}
+
+/// Appends `x` as [`fmt_num`] formats it.
+pub(crate) fn write_num(x: f64, out: &mut String) {
     if !x.is_finite() {
-        return "0".to_string();
-    }
-    if x.fract() == 0.0 && x.abs() < 9.0e15 {
-        format!("{}", x as i64)
+        out.push('0');
+    } else if x.fract() == 0.0 && x.abs() < 9.0e15 {
+        let _ = write!(out, "{}", x as i64);
     } else {
-        format!("{x}")
+        let _ = write!(out, "{x}");
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -159,10 +166,38 @@ fn write_escaped(s: &str, out: &mut String) {
 /// surrogate pairs). Returns a descriptive error on malformed input or
 /// trailing garbage.
 pub fn parse(text: &str) -> Result<Json, String> {
+    parse_document(text, None)
+}
+
+/// Parses like [`parse`], except that the elements of the top-level
+/// object's array member `member` are handed to `each` one at a time as
+/// they are parsed, and the returned object holds that member as an empty
+/// array. A document of one big array then never exists as one tree.
+///
+/// Only the member [`Json::get`] would read is streamed: the first one
+/// named `member`, and only if its value is an array. Every other value,
+/// a later duplicate included, is parsed into the returned tree as usual.
+/// Errors are [`parse`]'s, so `each` may have seen elements of a document
+/// that turns out malformed.
+pub(crate) fn parse_streaming(
+    text: &str,
+    member: &str,
+    mut each: impl FnMut(Json),
+) -> Result<Json, String> {
+    parse_document(text, Some((member, &mut each)))
+}
+
+/// A member name and what receives its elements.
+type Stream<'a> = (&'a str, &'a mut dyn FnMut(Json));
+
+fn parse_document(text: &str, stream: Option<Stream<'_>>) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = match stream {
+        Some(stream) if p.peek() == Some(b'{') => p.object(Some(stream))?,
+        _ => p.value()?,
+    };
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
@@ -215,36 +250,44 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'{') => self.object(None),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
+        self.elements(|item| items.push(item))?;
+        Ok(Json::Arr(items))
+    }
+
+    /// Parses an array, handing each element to `each`.
+    fn elements(&mut self, mut each: impl FnMut(Json)) -> Result<(), String> {
+        self.expect(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            each(self.value()?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// Parses an object, streaming the member `stream` names (see
+    /// [`parse_streaming`]).
+    fn object(&mut self, mut stream: Option<Stream<'_>>) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -258,7 +301,14 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            members.push((key, self.value()?));
+            let value = match stream.take_if(|(name, _)| *name == key) {
+                Some((_, each)) if self.peek() == Some(b'[') => {
+                    self.elements(each)?;
+                    Json::Arr(Vec::new())
+                }
+                _ => self.value()?,
+            };
+            members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -419,6 +469,39 @@ mod tests {
         assert_eq!(fmt_num(f64::INFINITY), "0");
         assert_eq!(fmt_num(3.0), "3");
         assert_eq!(fmt_num(0.25), "0.25");
+    }
+
+    #[test]
+    fn streaming_hands_out_the_first_named_array_and_parses_the_rest() {
+        let text = r#"{"a":1,"w":[{"x":1},2,[3]],"w":[9],"b":"s"}"#;
+        let tree = parse(text).unwrap();
+        let mut seen = Vec::new();
+        let v = parse_streaming(text, "w", |e| seen.push(e)).unwrap();
+        assert_eq!(Some(&Json::Arr(seen)), tree.get("w"));
+        assert_eq!(v.get("w"), Some(&Json::Arr(Vec::new())));
+        // Every other member, the duplicate too, is in the tree as usual.
+        let (got, want) = (v.members().unwrap(), tree.members().unwrap());
+        assert_eq!(got.len(), 4);
+        for i in [0, 2, 3] {
+            assert_eq!(got[i], want[i]);
+        }
+        // A first member that is not an array is not streamed, and neither
+        // is a later one; a document that is not an object is parsed whole.
+        let mut streamed = 0;
+        for text in [r#"{"w":5,"w":[1]}"#, "[1,2]", r#""w""#] {
+            let v = parse_streaming(text, "w", |_| streamed += 1);
+            assert_eq!(v, parse(text));
+        }
+        assert_eq!(streamed, 0);
+        // Malformed input fails with `parse`'s error.
+        for bad in [
+            r#"{"w":[1,}"#,
+            r#"{"w":[1] x"#,
+            r#"{"w":[1],"#,
+            r#"{"w":[1]} 2"#,
+        ] {
+            assert_eq!(parse_streaming(bad, "w", |_| {}), parse(bad), "{bad}");
+        }
     }
 
     #[test]

@@ -226,13 +226,17 @@ impl Telemetry {
             .map(|s| s.export(&self.scenario, self.seed))
     }
 
-    /// The time series as deterministic `sesame-series/v1` JSON, when enabled.
+    /// The time series as deterministic `sesame-series/v1` JSON, when
+    /// enabled: the text [`SeriesExport::to_json`] gives, written from the
+    /// live windows without freezing a copy of them.
     pub fn series_json(&self) -> Option<String> {
-        self.series_export().map(|e| e.to_json())
+        let series = self.series.as_ref()?;
+        Some(series.view(&self.scenario, self.seed).to_json())
     }
 
     /// The time series as deterministic CSV, when enabled.
     pub fn series_csv(&self) -> Option<String> {
-        self.series_export().map(|e| e.to_csv())
+        let series = self.series.as_ref()?;
+        Some(series.view(&self.scenario, self.seed).to_csv())
     }
 }

@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 
 use sesame_sim::{
-    Counter, Histogram, SimTime, TimeWeighted, TraceDetail, TraceEntry, TraceKind as K,
+    Counter, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail, TraceEntry, TraceKind as K,
     TraceObserver,
 };
 
@@ -118,17 +118,8 @@ pub(crate) struct SpanState {
     pub(crate) wait_start: BTreeMap<(usize, u32), SimTime>,
     pub(crate) hold_start: BTreeMap<(usize, u32), SimTime>,
     pub(crate) opt_start: BTreeMap<(usize, u32), SimTime>,
-    /// Root-sequenced writes by group.
-    pub(crate) seq_pending: BTreeMap<u32, SeqRun>,
-}
-
-/// One group's sequenced writes: `spans[seq - base]`, `base` being the
-/// lowest sequence number seen. Roots count up by one, so a run has no
-/// holes; a hand-fed stream pays one vacant entry per number it skips.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SeqRun {
-    base: u64,
-    spans: Vec<SeqSpan>,
+    /// Root-sequenced writes by group, then by sequence number.
+    pub(crate) seq_pending: BTreeMap<u32, SeqTable<SeqSpan>>,
 }
 
 /// One root-sequenced write awaiting its member applications.
@@ -136,52 +127,11 @@ pub(crate) struct SeqRun {
 pub(crate) struct SeqSpan {
     start: SimTime,
     last_apply: Option<SimTime>,
-    /// The sequencing node; `u32::MAX` in an entry no `root-seq` filled.
+    /// The sequencing node.
     root: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<SeqSpan>() <= 32);
-
-const VACANT_SPAN: SeqSpan = SeqSpan {
-    start: SimTime::ZERO,
-    last_apply: None,
-    root: u32::MAX,
-};
-
-impl SeqRun {
-    /// Opens (or reopens) the span of `seq`.
-    fn open(&mut self, seq: u64, root: usize, start: SimTime) {
-        if self.spans.is_empty() {
-            self.base = seq;
-        } else if seq < self.base {
-            let missing = (self.base - seq) as usize;
-            let vacant = std::iter::repeat_n(VACANT_SPAN, missing);
-            self.spans.splice(0..0, vacant);
-            self.base = seq;
-        }
-        let at = (seq - self.base) as usize;
-        if at >= self.spans.len() {
-            self.spans.resize(at + 1, VACANT_SPAN);
-        }
-        self.spans[at] = SeqSpan {
-            start,
-            last_apply: None,
-            root: u32::try_from(root).expect("trace actors are u32 node ids"),
-        };
-    }
-
-    /// The open span of `seq`, if a `root-seq` record named it.
-    fn get_mut(&mut self, seq: u64) -> Option<&mut SeqSpan> {
-        let at = usize::try_from(seq.checked_sub(self.base)?).ok()?;
-        self.spans.get_mut(at).filter(|s| s.root != u32::MAX)
-    }
-
-    /// Every open `(seq, span)`, ascending.
-    fn iter(&self) -> impl Iterator<Item = (u64, &SeqSpan)> {
-        let spans = (self.base..).zip(&self.spans);
-        spans.filter(|(_, s)| s.root != u32::MAX)
-    }
-}
+const _: () = assert!(std::mem::size_of::<Option<SeqSpan>>() <= 32);
 
 impl TraceObserver for Telemetry {
     fn on_record(&mut self, entry: &TraceEntry) {
@@ -340,8 +290,13 @@ impl Telemetry {
             }
             (K::RootSeq, &TraceDetail::Seq { group: g, seq, .. }) => {
                 self.count(Name::GroupSequenced, g as usize, 0).incr();
+                let span = SeqSpan {
+                    start: t,
+                    last_apply: None,
+                    root: u32::try_from(node).expect("trace actors are u32 node ids"),
+                };
                 let run = self.state.seq_pending.entry(g).or_default();
-                run.open(seq, node, t);
+                run.insert(seq, span);
             }
             (K::RootFiltered, &TraceDetail::Filtered { group: g, .. }) => {
                 self.count(Name::GroupFiltered, g as usize, 0).incr();
@@ -786,24 +741,41 @@ mod tests {
         assert_eq!(t.causes().critical_path().unwrap().ids, [8, 9]);
     }
 
-    #[test]
-    fn sequencing_spans_keep_group_then_seq_order_over_gaps_and_late_low_numbers() {
-        let mut t = Telemetry::new("t", 0).with_timeline(true);
-        let seq = |group, seq| TraceDetail::Seq {
+    fn seq(group: u32, seq: u64) -> TraceDetail {
+        TraceDetail::Seq {
             group,
             seq,
             var: 0,
             val: 0,
             origin: 1,
-        };
-        let apply = |group, seq| TraceDetail::Apply {
+        }
+    }
+
+    fn apply(group: u32, seq: u64) -> TraceDetail {
+        TraceDetail::Apply {
             group,
             seq,
             var: 0,
             val: 0,
             origin: 1,
             mode: ApplyMode::Applied,
-        };
+        }
+    }
+
+    /// The names of the sequencing spans in `t`'s Chrome trace, in order.
+    fn seq_span_names(t: &Telemetry) -> Vec<String> {
+        let trace = t.chrome_trace();
+        let names: Vec<String> = trace
+            .match_indices("\"name\":\"seq g")
+            .map(|(at, _)| trace[at + 8..].split('"').next().unwrap().to_string())
+            .filter(|name| !name.is_empty())
+            .collect();
+        names.into_iter().step_by(2).collect()
+    }
+
+    #[test]
+    fn sequencing_spans_keep_group_then_seq_order_over_gaps_and_late_low_numbers() {
+        let mut t = Telemetry::new("t", 0).with_timeline(true);
         feed(
             &mut t,
             vec![
@@ -823,26 +795,60 @@ mod tests {
             ],
         );
         t.finish(SimTime::from_nanos(400));
-        let trace = t.chrome_trace();
-        let names: Vec<&str> = trace
-            .match_indices("\"name\":\"seq g")
-            .map(|(at, _)| trace[at + 8..].split('"').next().unwrap())
-            .filter(|name| !name.is_empty())
-            .collect();
-        let begins: Vec<&str> = names.iter().copied().step_by(2).collect();
         assert_eq!(
-            begins,
+            seq_span_names(&t),
             [
                 "seq g0#4 (truncated)",
                 "seq g0#6",
                 "seq g0#9 (truncated)",
                 "seq g2#9 (truncated)"
-            ],
-            "{trace}"
+            ]
         );
         match &t.snapshot().metrics["group/0/seq-latency"] {
             crate::SnapshotValue::Histogram { count, max_ns, .. } => {
                 assert_eq!((*count, *max_ns), (1, 140));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Sequence numbers far above the first one seen, far below it and
+    /// at `u64::MAX` are spanned like near ones. Seq 10^9 after seq 1 used
+    /// to size an array for a billion spans (the process aborted on the
+    /// 32 GB allocation), and `u64::MAX` overflowed its capacity.
+    #[test]
+    fn far_sequence_numbers_are_spanned_like_near_ones() {
+        let mut t = Telemetry::new("t", 0).with_timeline(true);
+        let far = 1_000_000_000;
+        feed(
+            &mut t,
+            vec![
+                (100, 0, K::RootSeq, seq(0, 1)),
+                (110, 0, K::RootSeq, seq(0, far)),
+                (120, 0, K::RootSeq, seq(0, u64::MAX)),
+                // Far below the first number seen.
+                (130, 0, K::RootSeq, seq(1, far)),
+                (140, 0, K::RootSeq, seq(1, 1)),
+                (200, 1, K::GwcApply, apply(0, far)),
+                (210, 1, K::GwcApply, apply(0, u64::MAX)),
+                (220, 1, K::GwcApply, apply(1, 1)),
+                (230, 1, K::GwcApply, apply(1, far + 1)),
+            ],
+        );
+        t.finish(SimTime::from_nanos(400));
+        assert_eq!(
+            seq_span_names(&t),
+            [
+                "seq g0#1 (truncated)",
+                "seq g0#1000000000",
+                "seq g0#18446744073709551615",
+                "seq g1#1",
+                "seq g1#1000000000 (truncated)",
+            ]
+        );
+        match &t.snapshot().metrics["group/0/seq-latency"] {
+            crate::SnapshotValue::Histogram { count, max_ns, .. } => {
+                assert_eq!((*count, *max_ns), (2, 90));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -1,0 +1,112 @@
+//! Heap-footprint budgets for the two observers on the ledger's
+//! `observed_contention` run (16 contenders x 2 000 rounds, 400 us mean
+//! think, seed 7), measured with the per-thread byte-counting allocator.
+//!
+//! * The series export is written straight into its string and read back
+//!   one window at a time: each step peaks at most at twice the text plus
+//!   256 KiB. Building and walking `Json` trees peaked at about 7x and
+//!   8.6x the text.
+//! * After `finish` the verifier holds, in flat per-group tables, the
+//!   payload of every sequenced write and the clock bound to every
+//!   sequenced data write: at most 8 bytes per node per clock and 64 bytes
+//!   of table per sequenced write, plus one partly filled clock block. One
+//!   heap clock per write in `(group, seq)` hash maps held 11.4 MB on this
+//!   run, about 356 bytes per clock, against a 10.4 MB budget.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use sesame_alloc_probe::{live_bytes, peak_bytes, reset_peak, CountingAlloc};
+use sesame_sim::{SimDur, TraceEntry, TraceKind, TraceObserver};
+use sesame_telemetry::{SeriesExport, Telemetry};
+use sesame_verify::Verifier;
+use sesame_workloads::contention::{run_contention_observed, ContentionConfig};
+use sesame_workloads::telemetry::absorb_run;
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn ledger_run() -> ContentionConfig {
+    ContentionConfig {
+        contenders: 16,
+        rounds: 2_000,
+        mean_think: SimDur::from_us(400),
+        seed: 7,
+        ..ContentionConfig::default()
+    }
+}
+
+#[test]
+fn the_series_export_and_its_validator_peak_within_twice_the_text() {
+    let telemetry = Telemetry::new("observed_contention", 7)
+        .with_series(SimDur::from_us(100))
+        .shared();
+    let run = run_contention_observed(ledger_run(), Some(telemetry.clone()));
+    absorb_run(&mut telemetry.borrow_mut(), &run.result);
+    drop(run);
+    let t = telemetry.borrow();
+
+    let before = live_bytes();
+    reset_peak();
+    let text = t.series_json().expect("series enabled");
+    let written = peak_bytes() - before;
+
+    let before = live_bytes();
+    reset_peak();
+    let series = SeriesExport::from_json(&text).expect("the export validates");
+    let read = peak_bytes() - before;
+
+    assert!(
+        series.windows.len() > 5_000,
+        "{} windows",
+        series.windows.len()
+    );
+    let budget = 2 * text.len() + 256 * 1024;
+    for (step, peak) in [("series_json", written), ("from_json", read)] {
+        assert!(
+            peak <= budget,
+            "{step} peaked at {peak} heap bytes for a {} byte export, budget {budget}",
+            text.len()
+        );
+    }
+}
+
+/// The verifier, counting the sequenced writes it is shown.
+#[derive(Default)]
+struct Counted {
+    verifier: Verifier,
+    sequenced: usize,
+}
+
+impl TraceObserver for Counted {
+    fn on_record(&mut self, entry: &TraceEntry) {
+        self.sequenced += usize::from(entry.kind == TraceKind::RootSeq);
+        self.verifier.on_record(entry);
+    }
+}
+
+#[test]
+fn the_verifier_holds_a_clock_per_data_write_and_a_payload_per_sequenced_write() {
+    let cfg = ledger_run();
+    let before = live_bytes();
+    let counted = Rc::new(RefCell::new(Counted::default()));
+    let run = run_contention_observed(cfg, Some(counted.clone()));
+    let nodes = run.result.machine.node_count();
+    drop(run);
+    let mut counted = counted.borrow_mut();
+    counted.verifier.finish();
+    assert!(counted.verifier.violations().is_empty());
+    let held = live_bytes() - before;
+    // Each section writes the shared counter once, and that write's clock
+    // is bound to its sequence number; the lock word's sequenced writes
+    // carry none.
+    let clocks = (cfg.contenders * cfg.rounds) as usize;
+    let sequenced = counted.sequenced;
+    assert!(sequenced > 2 * clocks, "{sequenced} sequenced writes");
+    let budget = 8 * nodes * clocks + 64 * sequenced + 64 * 1024;
+    assert!(
+        held <= budget,
+        "the verifier holds {held} heap bytes after {sequenced} sequenced writes, {clocks} \
+         of them with a clock, on {nodes} nodes; budget {budget}"
+    );
+}
