@@ -225,14 +225,15 @@ echo "==> benchmark smoke (sesame-ledger builds, quick passes, own tests)"
 # ledger's unit and process-level tests. Quick numbers are never compared.
 benchmark/run.sh >/dev/null
 
-echo "==> ledger pins (three full-size workloads against benchmark/pins.txt)"
+echo "==> ledger pins (four full-size workloads against benchmark/pins.txt)"
 # run.sh only runs --quick, whose digests are not pinned. One full-size
 # contract run each of the static-wave path (bigmesh_32k), the per-member
-# fan-out under loss (lossy_mutex) and the observers (observed_contention:
-# the collector with its exports and validators, the online verifier),
+# fan-out under loss (lossy_mutex), the observers (observed_contention:
+# the collector with its exports and validators, the online verifier) and
+# the model checker (check_mutex: its exact search counts are the digest),
 # with the binary run.sh just built: `correct` compares the run's digest
 # with its pin. (To a file, then grep, as above.)
-for w in bigmesh_32k lossy_mutex observed_contention; do
+for w in bigmesh_32k lossy_mutex observed_contention check_mutex; do
     benchmark/target/release/sesame-ledger --workload "$w" --seed 7 \
         --seconds 1 --trace 0 > "$tmpdir/ledger-$w.out"
     tail -n 1 "$tmpdir/ledger-$w.out" > "$tmpdir/ledger-$w.last"
@@ -271,6 +272,17 @@ fi
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-observed_contention.last")
 if [ -n "$rss" ] && [ "$rss" -ge 25 ]; then
     echo "ledger observed_contention memory ceiling: peak RSS ${rss} MB, want < 25" >&2
+    exit 1
+fi
+
+# check_mutex's reads 5.2 MB (seeds 7 and 11, ledger contract runs): the folding
+# store keeps a digest in 8 bytes of one sorted run, and a visit reuses
+# per-depth scratch. It read 7.4 MB while the store was two
+# `HashSet<u64>`s, whose last doubling held the old table and the new
+# (3.1 MB) at once; 7 MB fails a return to them.
+rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-check_mutex.last")
+if [ -n "$rss" ] && [ "$rss" -ge 7 ]; then
+    echo "ledger check_mutex memory ceiling: peak RSS ${rss} MB, want < 7" >&2
     exit 1
 fi
 

@@ -1,20 +1,18 @@
 //! The sleep-set DFS schedule explorer.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
 use sesame_core::builder::ModelInstance;
-use sesame_dsm::{independent, DsmEvent, GroupTable, Machine, Packet};
+use sesame_dsm::{independent, DsmEvent, GroupTable, Machine};
 use sesame_net::{ContentionModel, NodeId};
-use sesame_sim::{PendingEvent, SimTime, Simulation, TraceEntry};
+use sesame_sim::{SimTime, Simulation, TraceEntry};
 use sesame_verify::{CheckKind, Verifier, Violation};
 use sesame_workloads::canonical::{build_canonical, CanonicalConfig, COUNTER};
 
-/// The simulator message type of a DSM machine run.
-type Msg = (NodeId, DsmEvent);
+use crate::digest_set::DigestSet;
 
 /// How far beyond the fabric's per-path FIFO guarantee the explorer may
 /// reorder packet deliveries.
@@ -91,6 +89,11 @@ pub struct CheckReport {
     pub pruned: u64,
     /// Longest schedule seen.
     pub max_depth: usize,
+    /// States visited: every node of the search tree, leaves included.
+    pub states: u64,
+    /// State digests remembered for folding when the search ended, at
+    /// 8 bytes each (0 without [`CheckOptions::hash_states`]).
+    pub stored_digests: u64,
     /// The violating schedule, if one was found.
     pub counterexample: Option<Counterexample>,
 }
@@ -123,17 +126,19 @@ pub(crate) fn canonical_sim(cfg: CanonicalConfig) -> Simulation<Machine<ModelIns
 }
 
 /// One execution in flight: the simulator plus its online checkers.
+/// Handed down the search boxed, so each level's stack frame holds a
+/// pointer instead of the whole machine.
 struct Exec {
     sim: Simulation<Machine<ModelInstance>>,
     verifier: Rc<RefCell<Verifier>>,
 }
 
 impl Exec {
-    fn start(cfg: &CanonicalConfig) -> Exec {
+    fn start(cfg: &CanonicalConfig) -> Box<Exec> {
         let mut sim = canonical_sim(*cfg);
         let verifier = Rc::new(RefCell::new(Verifier::with_counter_spec(COUNTER.get())));
         sim.set_trace_observer(verifier.clone());
-        Exec { sim, verifier }
+        Box::new(Exec { sim, verifier })
     }
 
     fn violated(&self) -> bool {
@@ -141,38 +146,49 @@ impl Exec {
     }
 }
 
-/// The events a scheduler may pick at a state: every packet that is the
-/// oldest on its (non-relaxed) link, every packet on a relaxed link, plus
-/// each node's earliest local event. `pending` is `(time, seq)`-sorted.
-fn enabled_seqs(
-    pending: &[PendingEvent<'_, Msg>],
-    links: LinkMode,
-    roots: &HashSet<NodeId>,
-) -> Vec<u64> {
-    let mut local_seen: HashSet<NodeId> = HashSet::new();
-    let mut link_seen: HashSet<(NodeId, NodeId)> = HashSet::new();
-    let mut out = Vec::new();
-    for p in pending {
-        let (node, ev) = p.msg;
-        match ev {
-            DsmEvent::Packet(pkt) => {
-                let relaxed = match links {
-                    LinkMode::Fifo => false,
-                    LinkMode::RelaxFromRoots => roots.contains(&pkt.from),
-                    LinkMode::Relax => true,
-                };
-                if relaxed || link_seen.insert((pkt.from, pkt.to)) {
-                    out.push(p.seq);
-                }
-            }
-            _ => {
-                if local_seen.insert(*node) {
-                    out.push(p.seq);
-                }
-            }
+/// One pending event of a state, copied out of the queue: a choice the
+/// explorer may make there.
+#[derive(Debug, Clone, Copy)]
+struct Choice {
+    time: SimTime,
+    seq: u64,
+    node: NodeId,
+    ev: DsmEvent,
+}
+
+/// The FIFO queue a pending event waits in: its node's local events, or
+/// its packet's `(from, to)` link. Ordered as the digest visits them:
+/// every local queue by node, then every link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Queue {
+    Local(NodeId),
+    Link(NodeId, NodeId),
+}
+
+impl Choice {
+    fn queue(&self) -> Queue {
+        match self.ev {
+            DsmEvent::Packet(pkt) => Queue::Link(pkt.from, pkt.to),
+            _ => Queue::Local(self.node),
         }
     }
-    out
+}
+
+/// Whether a scheduler may pick `state[i]` (`state` is `(time,
+/// seq)`-sorted): a packet that is the oldest on its link or is on a
+/// relaxed link, or a node's earliest local event. A few dozen events
+/// pending, so the earlier ones are simply scanned.
+fn enabled(state: &[Choice], i: usize, links: LinkMode, roots: &[NodeId]) -> bool {
+    let c = &state[i];
+    let relaxed = match c.ev {
+        DsmEvent::Packet(pkt) => match links {
+            LinkMode::Fifo => false,
+            LinkMode::RelaxFromRoots => roots.contains(&pkt.from),
+            LinkMode::Relax => true,
+        },
+        _ => false,
+    };
+    relaxed || state[..i].iter().all(|o| o.queue() != c.queue())
 }
 
 /// Digest of a mid-exploration state: the machine digest plus the pending
@@ -180,47 +196,90 @@ fn enabled_seqs(
 /// order. Times are excluded: under the asynchronous-closure semantics
 /// they never influence which transitions are possible, only trace
 /// timestamps.
-fn state_digest(sim: &Simulation<Machine<ModelInstance>>) -> Option<u64> {
-    let machine_digest = sim.actor().state_digest()?;
-    let mut locals: BTreeMap<NodeId, Vec<DsmEvent>> = BTreeMap::new();
-    let mut links: BTreeMap<(NodeId, NodeId), Vec<Packet>> = BTreeMap::new();
-    for p in sim.pending() {
-        let (node, ev) = p.msg;
-        match ev {
-            DsmEvent::Packet(pkt) => links.entry((pkt.from, pkt.to)).or_default().push(*pkt),
-            other => locals.entry(*node).or_default().push(*other),
-        }
-    }
+///
+/// The queues are hashed as the `BTreeMap<NodeId, Vec<DsmEvent>>` and
+/// `BTreeMap<(NodeId, NodeId), Vec<Packet>>` they stand for — key, length,
+/// events — without building either: `order` (scratch) sorts the indices
+/// of the `(time, seq)`-sorted `state` by queue, each queue's events
+/// staying in pending order.
+fn state_digest(
+    machine: &Machine<ModelInstance>,
+    state: &[Choice],
+    order: &mut Vec<usize>,
+) -> Option<u64> {
+    let machine_digest = machine.state_digest()?;
     let mut h = std::collections::hash_map::DefaultHasher::new();
     machine_digest.hash(&mut h);
-    for (node, evs) in &locals {
-        node.hash(&mut h);
-        evs.hash(&mut h);
-    }
-    for (link, pkts) in &links {
-        link.hash(&mut h);
-        pkts.hash(&mut h);
+    order.clear();
+    order.extend(0..state.len());
+    order.sort_unstable_by_key(|&i| (state[i].queue(), i));
+    for run in order.chunk_by(|&a, &b| state[a].queue() == state[b].queue()) {
+        match state[run[0]].queue() {
+            Queue::Local(node) => node.hash(&mut h),
+            Queue::Link(from, to) => (from, to).hash(&mut h),
+        }
+        run.len().hash(&mut h);
+        for &i in run {
+            match &state[i].ev {
+                DsmEvent::Packet(pkt) => pkt.hash(&mut h),
+                ev => ev.hash(&mut h),
+            }
+        }
     }
     Some(h.finish())
 }
 
-struct Explorer {
+/// Whether the already-explored transition `z` commutes with the
+/// about-to-be-explored `e` (both identified by pending seq in `state`).
+/// Unknown seqs are conservatively dependent.
+fn indep(groups: &GroupTable, state: &[Choice], z: u64, e: u64) -> bool {
+    let find = |seq: u64| state.iter().find(|c| c.seq == seq);
+    match (find(z), find(e)) {
+        (Some(z), Some(e)) => independent(z.node, &z.ev, e.node, &e.ev, groups),
+        _ => false,
+    }
+}
+
+/// The scratch of one depth of the search tree, kept across every state
+/// visited at that depth so a visit refills buffers instead of allocating
+/// them.
+#[derive(Debug, Default)]
+struct Level {
+    /// The state's pending events, in `(time, seq)` order.
+    state: Vec<Choice>,
+    /// The sleep set the state was entered with: a handful of seqs.
+    sleep: Vec<u64>,
+    /// The enabled events not asleep, in pending order: the branches.
+    explorable: Vec<u64>,
+    /// The branches already explored.
+    done: Vec<u64>,
+}
+
+struct Explorer<'h> {
     cfg: CanonicalConfig,
     opts: CheckOptions,
     groups: GroupTable,
-    roots: HashSet<NodeId>,
+    roots: Vec<NodeId>,
     schedules: u64,
     truncated: u64,
     sleep_blocked: u64,
     pruned: u64,
     max_depth: usize,
+    states: u64,
     budget_hit: bool,
-    visited: HashSet<u64>,
-    visited_sleepy: HashSet<u64>,
+    visited: DigestSet,
+    visited_sleepy: DigestSet,
     counterexample: Option<Counterexample>,
+    /// Per-depth scratch; `levels[d + 1].sleep` is where a state at depth
+    /// `d` writes its child's sleep set.
+    levels: Vec<Level>,
+    /// Scratch for [`state_digest`] and the sleep-set member hashes.
+    order: Vec<usize>,
+    members: Vec<u64>,
+    on_replay: &'h mut dyn FnMut(bool),
 }
 
-impl Explorer {
+impl Explorer<'_> {
     /// Truncated executions count against the schedule budget too: a
     /// livelocking mutant would otherwise grind forever without ever
     /// *completing* a schedule. The work budget additionally charges for
@@ -235,7 +294,8 @@ impl Explorer {
     /// Replays `prefix` from the initial state. Every proper prefix was
     /// already checked violation-free, so only the final step can trip a
     /// checker.
-    fn replay(&self, prefix: &[u64]) -> Exec {
+    fn replay(&mut self, prefix: &[u64]) -> Box<Exec> {
+        (self.on_replay)(true);
         let mut exec = Exec::start(&self.cfg);
         for &seq in prefix {
             assert!(
@@ -243,6 +303,7 @@ impl Explorer {
                 "replay diverged: seq {seq} is not pending"
             );
         }
+        (self.on_replay)(false);
         exec
     }
 
@@ -259,9 +320,9 @@ impl Explorer {
     /// checks (rollback completeness, counter-value contiguity) and
     /// require every node's copy of the counter to equal the section
     /// count.
-    fn finish_execution(&mut self, exec: Exec, prefix: &[u64]) -> ControlFlow<()> {
+    fn finish_execution(&mut self, exec: Box<Exec>, prefix: &[u64]) -> ControlFlow<()> {
         exec.verifier.borrow_mut().finish();
-        let Exec { sim, verifier } = exec;
+        let Exec { sim, verifier } = *exec;
         let (machine, recorder) = sim.into_parts();
         let trace = recorder.entries();
         let mut violations = verifier.borrow().violations().to_vec();
@@ -293,29 +354,35 @@ impl Explorer {
         ControlFlow::Break(())
     }
 
-    /// Whether the already-explored transition `z` commutes with the
-    /// about-to-be-explored `e` (both identified by pending seq at the
-    /// current state). Unknown seqs are conservatively dependent.
-    fn indep(&self, snapshot: &[(u64, NodeId, DsmEvent)], z: u64, e: u64) -> bool {
-        let find = |seq: u64| snapshot.iter().find(|(q, _, _)| *q == seq);
-        match (find(z), find(e)) {
-            (Some((_, zn, zev)), Some((_, en, eev))) => {
-                independent(*zn, zev, *en, eev, &self.groups)
-            }
-            _ => false,
+    /// Explores the state `exec` reached by `prefix`, whose sleep set is
+    /// `levels[prefix.len()].sleep`. The exec is consumed: it rolls down
+    /// into the first child, so a linear run never replays; only sibling
+    /// branches rebuild from the root.
+    fn explore(&mut self, exec: Box<Exec>, prefix: &mut Vec<u64>) -> ControlFlow<()> {
+        let depth = prefix.len();
+        if self.levels.len() < depth + 2 {
+            self.levels.resize_with(depth + 2, Level::default);
         }
+        let mut level = std::mem::take(&mut self.levels[depth]);
+        let flow = self.visit(exec, prefix, &mut level);
+        self.levels[depth] = level;
+        flow
     }
 
-    /// Explores the state `exec` reached by `prefix`. The exec is
-    /// consumed: it rolls down into the first child, so a linear run
-    /// never replays; only sibling branches rebuild from the root.
-    fn explore(&mut self, exec: Exec, prefix: &mut Vec<u64>, sleep: Vec<u64>) -> ControlFlow<()> {
+    /// [`Explorer::explore`]'s body, with its depth's scratch lent out.
+    fn visit(
+        &mut self,
+        exec: Box<Exec>,
+        prefix: &mut Vec<u64>,
+        level: &mut Level,
+    ) -> ControlFlow<()> {
+        self.states += 1;
         self.max_depth = self.max_depth.max(prefix.len());
         if exec.violated() {
             self.record_counterexample(&exec, prefix.clone());
             return ControlFlow::Break(());
         }
-        if exec.sim.pending().is_empty() || exec.sim.stopped() {
+        if exec.sim.pending_unordered().next().is_none() || exec.sim.stopped() {
             self.schedules += 1;
             return self.finish_execution(exec, prefix);
         }
@@ -327,21 +394,27 @@ impl Explorer {
             self.budget_hit = true;
             return ControlFlow::Break(());
         }
-        let pending = exec.sim.pending();
-        let snapshot: Vec<(u64, NodeId, DsmEvent)> =
-            pending.iter().map(|p| (p.seq, p.msg.0, p.msg.1)).collect();
-        let enabled = enabled_seqs(&pending, self.opts.links, &self.roots);
-        drop(pending);
+        let state = &mut level.state;
+        state.clear();
+        state.extend(exec.sim.pending_unordered().map(|p| Choice {
+            time: p.time,
+            seq: p.seq,
+            node: p.msg.0,
+            ev: p.msg.1,
+        }));
+        state.sort_unstable_by_key(|c| (c.time, c.seq));
         if self.opts.hash_states {
-            if let Some(d) = state_digest(&exec.sim) {
+            if let Some(d) = state_digest(exec.sim.actor(), state, &mut self.order) {
+                #[cfg(test)]
+                tests::compare_with_the_collecting_digest(&exec.sim, d);
                 // A hit means a previous *empty-sleep* visit already
                 // explored every behavior from this state; any current
                 // sleep set only narrows that, so skipping is safe.
-                if self.visited.contains(&d) {
+                if self.visited.contains(d) {
                     self.pruned += 1;
                     return ControlFlow::Continue(());
                 }
-                if sleep.is_empty() {
+                if level.sleep.is_empty() {
                     self.visited.insert(d);
                 } else {
                     // Exact (state, sleep-contents) revisit: an identical
@@ -350,18 +423,16 @@ impl Explorer {
                     // *events* it names, not their queue numbers.
                     let mut h = std::collections::hash_map::DefaultHasher::new();
                     d.hash(&mut h);
-                    let mut members: Vec<u64> = sleep
-                        .iter()
-                        .filter_map(|&z| {
-                            snapshot.iter().find(|(q, _, _)| *q == z).map(|(_, n, ev)| {
-                                let mut mh = std::collections::hash_map::DefaultHasher::new();
-                                (n, ev).hash(&mut mh);
-                                mh.finish()
-                            })
+                    self.members.clear();
+                    self.members.extend(level.sleep.iter().filter_map(|&z| {
+                        state.iter().find(|c| c.seq == z).map(|c| {
+                            let mut mh = std::collections::hash_map::DefaultHasher::new();
+                            (c.node, c.ev).hash(&mut mh);
+                            mh.finish()
                         })
-                        .collect();
-                    members.sort_unstable();
-                    members.hash(&mut h);
+                    }));
+                    self.members.sort_unstable();
+                    self.members.hash(&mut h);
                     if !self.visited_sleepy.insert(h.finish()) {
                         self.pruned += 1;
                         return ControlFlow::Continue(());
@@ -370,30 +441,32 @@ impl Explorer {
             }
         }
 
-        let asleep: HashSet<u64> = sleep.iter().copied().collect();
-        let explorable: Vec<u64> = enabled
-            .iter()
-            .copied()
-            .filter(|s| !asleep.contains(s))
-            .collect();
-        if explorable.is_empty() {
+        level.explorable.clear();
+        for i in 0..state.len() {
+            let seq = state[i].seq;
+            if enabled(state, i, self.opts.links, &self.roots) && !level.sleep.contains(&seq) {
+                level.explorable.push(seq);
+            }
+        }
+        if level.explorable.is_empty() {
             // Everything enabled here is covered by a sibling subtree.
             self.sleep_blocked += 1;
             return ControlFlow::Continue(());
         }
         let mut rolling = Some(exec);
-        let mut done: Vec<u64> = Vec::new();
-        for &e in &explorable {
+        level.done.clear();
+        for &e in &level.explorable {
             if self.budget_exhausted() {
                 self.budget_hit = true;
                 return ControlFlow::Break(());
             }
-            let child_sleep: Vec<u64> = sleep
-                .iter()
-                .chain(done.iter())
-                .copied()
-                .filter(|&z| self.indep(&snapshot, z, e))
-                .collect();
+            let child_sleep = &mut self.levels[prefix.len() + 1].sleep;
+            child_sleep.clear();
+            child_sleep.extend(
+                (level.sleep.iter().chain(&level.done))
+                    .copied()
+                    .filter(|&z| indep(&self.groups, &level.state, z, e)),
+            );
             prefix.push(e);
             let child = match rolling.take() {
                 Some(mut ex) => {
@@ -402,10 +475,10 @@ impl Explorer {
                 }
                 None => self.replay(prefix),
             };
-            let r = self.explore(child, prefix, child_sleep);
+            let r = self.explore(child, prefix);
             prefix.pop();
             r?;
-            done.push(e);
+            level.done.push(e);
         }
         ControlFlow::Continue(())
     }
@@ -424,6 +497,19 @@ impl Explorer {
 /// independence relation used for reduction assumes message delivery is
 /// reliable and links are independent.
 pub fn check(cfg: CanonicalConfig, opts: CheckOptions) -> CheckReport {
+    check_with_replay_hook(cfg, opts, &mut |_| {})
+}
+
+/// [`check`], calling `on_replay(true)` before and `on_replay(false)`
+/// after every rebuild of a prefix from the initial state, so a caller
+/// can tell the replays' share of the search's work from the rest (the
+/// footprint test counts heap allocations either side).
+#[doc(hidden)]
+pub fn check_with_replay_hook(
+    cfg: CanonicalConfig,
+    opts: CheckOptions,
+    on_replay: &mut dyn FnMut(bool),
+) -> CheckReport {
     let probe = build_canonical(cfg);
     assert_eq!(
         probe.fabric().loss_probability(),
@@ -437,7 +523,9 @@ pub fn check(cfg: CanonicalConfig, opts: CheckOptions) -> CheckReport {
     );
     let groups = probe.groups().clone();
     drop(probe);
-    let roots: HashSet<NodeId> = groups.iter().map(|g| g.root()).collect();
+    let mut roots: Vec<NodeId> = groups.iter().map(|g| g.root()).collect();
+    roots.sort_unstable();
+    roots.dedup();
 
     let mut explorer = Explorer {
         cfg,
@@ -449,14 +537,19 @@ pub fn check(cfg: CanonicalConfig, opts: CheckOptions) -> CheckReport {
         sleep_blocked: 0,
         pruned: 0,
         max_depth: 0,
+        states: 0,
         budget_hit: false,
-        visited: HashSet::new(),
-        visited_sleepy: HashSet::new(),
+        visited: DigestSet::default(),
+        visited_sleepy: DigestSet::default(),
         counterexample: None,
+        levels: Vec::new(),
+        order: Vec::new(),
+        members: Vec::new(),
+        on_replay,
     };
     let mut prefix = Vec::new();
     let root = Exec::start(&cfg);
-    let _ = explorer.explore(root, &mut prefix, Vec::new());
+    let _ = explorer.explore(root, &mut prefix);
     let complete =
         !explorer.budget_hit && explorer.truncated == 0 && explorer.counterexample.is_none();
     CheckReport {
@@ -466,6 +559,110 @@ pub fn check(cfg: CanonicalConfig, opts: CheckOptions) -> CheckReport {
         sleep_blocked: explorer.sleep_blocked,
         pruned: explorer.pruned,
         max_depth: explorer.max_depth,
+        states: explorer.states,
+        stored_digests: (explorer.visited.len() + explorer.visited_sleepy.len()) as u64,
         counterexample: explorer.counterexample,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+
+    use sesame_dsm::{Model, Packet, Word};
+
+    thread_local! {
+        /// States whose digest [`compare_with_the_collecting_digest`]
+        /// checked on this thread.
+        static COMPARED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `Machine::state_digest` as it was while it collected each node's
+    /// words into a sorted `Vec` to hash (the model's part is checked
+    /// against its own collecting copy in `sesame-dsm`).
+    fn collecting_machine_digest(m: &Machine<ModelInstance>) -> Option<u64> {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        m.model().digest()?.hash(&mut h);
+        let nodes = (0..m.node_count()).map(|i| NodeId::new(i as u32));
+        for (i, node) in nodes.clone().enumerate() {
+            let mut words: Vec<(u32, Word)> =
+                m.mem(node).iter().map(|(v, w)| (v.get(), w)).collect();
+            words.sort_unstable();
+            (i, words).hash(&mut h);
+        }
+        for node in nodes {
+            m.program(node).digest()?.hash(&mut h);
+        }
+        Some(h.finish())
+    }
+
+    /// The state digest as it was computed before the explorer kept its
+    /// scratch in reused buffers: collected into two `BTreeMap`s of
+    /// `Vec`s, then hashed.
+    fn collecting_state_digest(sim: &Simulation<Machine<ModelInstance>>) -> Option<u64> {
+        let machine_digest = collecting_machine_digest(sim.actor())?;
+        let mut locals: BTreeMap<NodeId, Vec<DsmEvent>> = BTreeMap::new();
+        let mut links: BTreeMap<(NodeId, NodeId), Vec<Packet>> = BTreeMap::new();
+        for p in sim.pending() {
+            let (node, ev) = p.msg;
+            match ev {
+                DsmEvent::Packet(pkt) => links.entry((pkt.from, pkt.to)).or_default().push(*pkt),
+                other => locals.entry(*node).or_default().push(*other),
+            }
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        machine_digest.hash(&mut h);
+        for (node, evs) in &locals {
+            node.hash(&mut h);
+            evs.hash(&mut h);
+        }
+        for (link, pkts) in &links {
+            link.hash(&mut h);
+            pkts.hash(&mut h);
+        }
+        Some(h.finish())
+    }
+
+    /// Called by the explorer on every state it digests (test builds
+    /// only): the digest must be the collecting one's, bit for bit.
+    pub(super) fn compare_with_the_collecting_digest(
+        sim: &Simulation<Machine<ModelInstance>>,
+        digest: u64,
+    ) {
+        assert_eq!(
+            Some(digest),
+            collecting_state_digest(sim),
+            "the digest moved"
+        );
+        COMPARED.with(|n| n.set(n.get() + 1));
+    }
+
+    #[test]
+    fn every_digest_of_a_two_cpu_search_is_the_collecting_one() {
+        let cfg = CanonicalConfig {
+            contenders: 2,
+            rounds: 1,
+            ..CanonicalConfig::default()
+        };
+        for (links, work_max, depth_max) in [
+            (LinkMode::Fifo, 500_000, 500),
+            (LinkMode::RelaxFromRoots, 5_000, 120),
+            (LinkMode::Relax, 5_000, 120),
+        ] {
+            let before = COMPARED.with(Cell::get);
+            let opts = CheckOptions {
+                links,
+                work_max,
+                depth_max,
+                ..CheckOptions::default()
+            };
+            let report = check(cfg, opts);
+            let compared = COMPARED.with(Cell::get) - before;
+            // Every state past the leaf tests is digested once.
+            assert!(compared > 1_000, "{links:?}: {compared} digests compared");
+            assert!(compared <= report.states, "{links:?}: {report:?}");
+        }
     }
 }

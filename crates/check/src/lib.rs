@@ -56,9 +56,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod digest_set;
 mod explore;
 mod replay;
 
+#[doc(hidden)]
+pub use explore::check_with_replay_hook;
 pub use explore::{check, CheckOptions, CheckReport, Counterexample, LinkMode};
 pub use replay::{
     parse_gwc_mutation, parse_mutex_mutation, parse_replay, replay, to_replay_string, ReplayOutcome,

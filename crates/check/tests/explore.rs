@@ -2,8 +2,8 @@
 //! mutants caught within budget, and counterexample replay round trips.
 
 use sesame_check::{
-    check, parse_replay, replay, to_replay_string, CanonicalConfig, CheckOptions, GwcMutation,
-    LinkMode, MutexMutation,
+    check, parse_replay, replay, to_replay_string, CanonicalConfig, CheckOptions, CheckReport,
+    GwcMutation, LinkMode, MutexMutation,
 };
 
 fn two_cpu() -> CanonicalConfig {
@@ -175,6 +175,42 @@ fn counterexample_replays_deterministically() {
         !outcome.violations.is_empty(),
         "replay lost the violation: {outcome:?}"
     );
+}
+
+/// `(schedules, sleep-blocked, pruned, max depth)`, the counts a change to
+/// how the search stores or computes things must leave alone.
+fn counts(report: &CheckReport) -> (u64, u64, u64, usize) {
+    (
+        report.schedules,
+        report.sleep_blocked,
+        report.pruned,
+        report.max_depth,
+    )
+}
+
+#[test]
+fn the_two_cpu_search_folds_the_states_it_always_folded() {
+    let report = check(two_cpu(), CheckOptions::default());
+    assert!(report.complete, "{report:?}");
+    assert_eq!(counts(&report), (16, 4_097, 7_582, 34), "{report:?}");
+}
+
+#[test]
+fn the_unhashed_three_cpu_search_is_the_same_search() {
+    // The hashed 3-CPU search at this budget (the ledger's `check_mutex`)
+    // is pinned beside its footprint budgets, in tests/footprint.rs.
+    let cfg = CanonicalConfig {
+        contenders: 3,
+        ..two_cpu()
+    };
+    let opts = CheckOptions {
+        work_max: 100_000,
+        hash_states: false,
+        ..CheckOptions::default()
+    };
+    let report = check(cfg, opts);
+    assert_eq!(counts(&report), (567, 99_433, 0, 52), "{report:?}");
+    assert_eq!(report.stored_digests, 0, "{report:?}");
 }
 
 #[test]

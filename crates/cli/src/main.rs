@@ -26,7 +26,7 @@ use flags::{
     bigmesh_flags, canonical_flags, contention_flags, figure1_flags, pipeline_flags,
     scenario_flags, task_queue_flags, usage, Command,
 };
-use sesame_check::{parse_gwc_mutation, parse_mutex_mutation, CheckOptions, LinkMode};
+use sesame_check::{parse_gwc_mutation, parse_mutex_mutation, CheckOptions, GwcMutation, LinkMode};
 use sesame_consistency::analysis::Figure1Params;
 use sesame_core::builder::ModelChoice;
 use sesame_core::OptimisticConfig;
@@ -763,6 +763,14 @@ fn check_config(args: &Args) -> CliResult<(CanonicalConfig, CheckOptions)> {
             "unknown --links {other:?} (use fifo, relax-roots or relax)"
         ))?,
     };
+    if cfg.gwc_mutation == GwcMutation::SeqGap && links == LinkMode::Fifo {
+        // FIFO links hand every member the root's writes in sequence, so
+        // the planted gap is unreachable and the search would call it
+        // violation-free.
+        return Err("--mutation seq-gap needs --links relax-roots: \
+                    on fifo links no sequence gap can arise"
+            .into());
+    }
     let defaults = CheckOptions::default();
     let opts = CheckOptions {
         depth_max: args.get_or("--depth", defaults.depth_max, "integer")?,

@@ -421,6 +421,25 @@ fn bad_parameters_exit_one_with_an_error_line_and_no_panic() {
 }
 
 #[test]
+fn a_seq_gap_mutant_on_fifo_links_is_refused_before_any_search() {
+    // FIFO links hand every member the root's writes in sequence, so the
+    // planted gap cannot arise: the search used to run to the end and call
+    // the bug "violation-free".
+    for line in [
+        "check --mutation seq-gap",
+        "check --mutation seq-gap --links fifo",
+    ] {
+        let out = sesame_line(line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{line}`: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "`{line}`: {stderr}");
+        assert!(stderr.starts_with("error: "), "`{line}`: {stderr}");
+        assert!(stderr.contains("--links relax-roots"), "`{line}`: {stderr}");
+        assert!(out.stdout.is_empty(), "`{line}` explored before refusing");
+    }
+}
+
+#[test]
 fn flags_the_chosen_scenario_does_not_read_are_errors() {
     for (line, complaint) in [
         (

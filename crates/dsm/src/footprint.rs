@@ -70,79 +70,96 @@ pub fn is_local(event: &DsmEvent) -> bool {
     }
 }
 
+/// A footprint in a few words, before anything is collected: the one
+/// computation behind [`event_footprint`] and [`independent`], so the
+/// explorer's independence tests allocate nothing.
+#[derive(Clone, Copy)]
+struct Touch {
+    /// The node the event is pending for.
+    target: NodeId,
+    /// A wave's group: the event touches every member instead of `target`.
+    wave: Option<GroupId>,
+    /// The group root whose manager state the event touches.
+    root: Option<GroupId>,
+    /// The shared variable the event names.
+    var: Option<VarId>,
+}
+
+impl Touch {
+    fn of(target: NodeId, event: &DsmEvent, groups: &GroupTable) -> Touch {
+        let mut t = Touch {
+            target,
+            wave: None,
+            root: None,
+            var: None,
+        };
+        let pkt = match event {
+            DsmEvent::Start { .. }
+            | DsmEvent::ComputeDone { .. }
+            | DsmEvent::TimerFired { .. }
+            | DsmEvent::ModelTimer { .. } => return t,
+            DsmEvent::Packet(pkt) => pkt,
+            // A wave delivers to several members in one event. Which ones
+            // depends on the route, so the footprint takes the sound
+            // superset: every member of the group. Two cars of one group
+            // therefore always conflict, and a reduction can never commute
+            // a wave past a delivery its successor makes.
+            DsmEvent::McastWave { group, pkt, .. } => {
+                t.wave = Some(*group);
+                pkt
+            }
+        };
+        let root_of = |var: VarId| groups.group_of(var).map(|g| g.id());
+        (t.root, t.var) = match pkt.kind {
+            PacketKind::GwcToRoot { group, var, .. } => (Some(group), Some(var)),
+            PacketKind::GwcSeq { var, .. } => (None, Some(var)),
+            PacketKind::GwcNack { group, .. } => (Some(group), None),
+            PacketKind::EcAcquire { lock, .. }
+            | PacketKind::EcInvalidate { lock }
+            | PacketKind::EcInvalidateAck { lock }
+            | PacketKind::EcGrant { lock }
+            | PacketKind::RcGrant { lock } => (None, Some(lock)),
+            PacketKind::EcFetch { var, .. }
+            | PacketKind::EcFetchReply { var, .. }
+            | PacketKind::EcHomeInval { var } => (None, Some(var)),
+            PacketKind::EcHomeUpdate { var, .. } | PacketKind::RcUpdate { var, .. } => {
+                (root_of(var), Some(var))
+            }
+            PacketKind::RcAcquire { lock, .. }
+            | PacketKind::RcForward { lock, .. }
+            | PacketKind::RcRelease { lock, .. } => (root_of(lock), Some(lock)),
+            PacketKind::RcUpdateAck { .. } | PacketKind::App { .. } => (None, None),
+        };
+        t
+    }
+
+    /// The touched resources, in [`Footprint::resources`] order: the
+    /// nodes, then the root.
+    fn resources(self, groups: &GroupTable) -> impl Iterator<Item = Resource> + '_ {
+        let (members, target) = match self.wave {
+            Some(group) => (groups.group(group).members(), None),
+            None => (&[][..], Some(self.target)),
+        };
+        (members.iter().copied().chain(target))
+            .map(Resource::Node)
+            .chain(self.root.map(Resource::GroupRoot))
+    }
+}
+
 /// Computes the conflict footprint of `event` pending for `target`.
 pub fn event_footprint(target: NodeId, event: &DsmEvent, groups: &GroupTable) -> Footprint {
-    let mut fp = Footprint {
-        resources: vec![Resource::Node(target)],
-        vars: Vec::new(),
-    };
-    let pkt = match event {
-        DsmEvent::Start { .. }
-        | DsmEvent::ComputeDone { .. }
-        | DsmEvent::TimerFired { .. }
-        | DsmEvent::ModelTimer { .. } => return fp,
-        DsmEvent::Packet(pkt) => pkt,
-        // A wave delivers to several members in one event. Which ones
-        // depends on the route, so the footprint takes the sound superset:
-        // every member of the group. Two cars of one group therefore always
-        // conflict, and a reduction can never commute a wave past a delivery
-        // its successor makes.
-        DsmEvent::McastWave { group, pkt, .. } => {
-            fp.resources = groups
-                .group(*group)
-                .members()
-                .iter()
-                .map(|&m| Resource::Node(m))
-                .collect();
-            pkt
-        }
-    };
-    match pkt.kind {
-        PacketKind::GwcToRoot { group, var, .. } => {
-            fp.resources.push(Resource::GroupRoot(group));
-            fp.vars.push(var);
-        }
-        PacketKind::GwcSeq { var, .. } => {
-            fp.vars.push(var);
-        }
-        PacketKind::GwcNack { group, .. } => {
-            fp.resources.push(Resource::GroupRoot(group));
-        }
-        PacketKind::EcAcquire { lock, .. }
-        | PacketKind::EcInvalidate { lock }
-        | PacketKind::EcInvalidateAck { lock }
-        | PacketKind::EcGrant { lock }
-        | PacketKind::RcGrant { lock } => {
-            fp.vars.push(lock);
-        }
-        PacketKind::EcFetch { var, .. }
-        | PacketKind::EcFetchReply { var, .. }
-        | PacketKind::EcHomeInval { var } => {
-            fp.vars.push(var);
-        }
-        PacketKind::EcHomeUpdate { var, .. } | PacketKind::RcUpdate { var, .. } => {
-            fp.vars.push(var);
-            if let Some(g) = groups.group_of(var) {
-                fp.resources.push(Resource::GroupRoot(g.id()));
-            }
-        }
-        PacketKind::RcAcquire { lock, .. }
-        | PacketKind::RcForward { lock, .. }
-        | PacketKind::RcRelease { lock, .. } => {
-            fp.vars.push(lock);
-            if let Some(g) = groups.group_of(lock) {
-                fp.resources.push(Resource::GroupRoot(g.id()));
-            }
-        }
-        PacketKind::RcUpdateAck { .. } | PacketKind::App { .. } => {}
+    let t = Touch::of(target, event, groups);
+    Footprint {
+        resources: t.resources(groups).collect(),
+        vars: t.var.into_iter().collect(),
     }
-    fp
 }
 
 /// Whether two pending events commute: their conflict footprints are
 /// resource-disjoint, so executing them in either order reaches the same
 /// machine state. This is the independence relation of the `sesame-check`
-/// partial-order reduction.
+/// partial-order reduction. It builds no [`Footprint`], so it never
+/// allocates.
 pub fn independent(
     a_target: NodeId,
     a: &DsmEvent,
@@ -150,7 +167,12 @@ pub fn independent(
     b: &DsmEvent,
     groups: &GroupTable,
 ) -> bool {
-    event_footprint(a_target, a, groups).disjoint(&event_footprint(b_target, b, groups))
+    let (a, b) = (
+        Touch::of(a_target, a, groups),
+        Touch::of(b_target, b, groups),
+    );
+    a.resources(groups)
+        .all(|r| b.resources(groups).all(|s| s != r))
 }
 
 #[cfg(test)]
@@ -288,6 +310,31 @@ mod tests {
             &wave_event(2, 2),
             &g,
         ));
+    }
+
+    #[test]
+    fn independence_is_disjointness_of_the_built_footprints() {
+        // `independent` reads the footprints without building them; it
+        // must answer what building and comparing them answers.
+        let g = groups();
+        let n = NodeId::new;
+        let events = [
+            (n(0), to_root(1, 1, 5)),
+            (n(0), to_root(2, 0, 6)),
+            (n(1), seq_write(1, 1, 3)),
+            (n(2), seq_write(2, 1, 4)),
+            (n(1), wave_event(1, 1)),
+            (n(2), wave_event(2, 2)),
+            (n(1), DsmEvent::ComputeDone { tag: 1 }),
+            (n(2), DsmEvent::TimerFired { tag: 9 }),
+            (n(0), DsmEvent::Start { more: 0 }),
+        ];
+        for (at, a) in &events {
+            for (bt, b) in &events {
+                let built = event_footprint(*at, a, &g).disjoint(&event_footprint(*bt, b, &g));
+                assert_eq!(independent(*at, a, *bt, b, &g), built, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -416,12 +416,14 @@ impl GwcModel {
             for item in cold.iter().flat_map(|c| &c.held) {
                 hash_item(item, &mut h);
             }
-            let armed: Vec<u32> = st.armed.as_slice().iter().map(|v| v.get()).collect();
-            armed.hash(&mut h);
-            let pending: Vec<u32> = (st.pending_acquire.as_slice().iter())
-                .map(|v| v.get())
-                .collect();
-            pending.hash(&mut h);
+            // Each list hashed as the `Vec<u32>` it stands for, without
+            // building one: the length, then the ids.
+            for list in [st.armed.as_slice(), st.pending_acquire.as_slice()] {
+                list.len().hash(&mut h);
+                for v in list {
+                    v.get().hash(&mut h);
+                }
+            }
         }
         for (i, rg) in self.roots.iter().enumerate() {
             (i as u32, rg.next_seq, rg.history_base).hash(&mut h);
@@ -1163,5 +1165,158 @@ mod tests {
             // Three vars fit inline; more must have moved to the heap.
             assert_eq!(set.spilled.is_some(), universe > VarSet::INLINE as u64);
         }
+    }
+
+    /// [`GwcModel::state_digest`] as it was while it collected each
+    /// interface's armed and pending-acquire lists into a `Vec` to hash.
+    fn collecting_state_digest(m: &GwcModel) -> u64 {
+        use std::hash::{Hash, Hasher};
+        fn hash_item(item: &SeqItem, h: &mut impl Hasher) {
+            (
+                item.group.get(),
+                item.var.get(),
+                item.value,
+                item.origin.get(),
+                item.seq,
+            )
+                .hash(h);
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let touched = || m.expected.iter().enumerate().filter(|&(_, &seq)| seq != 0);
+        touched().count().hash(&mut h);
+        for (slot, seq) in touched() {
+            (slot, seq).hash(&mut h);
+        }
+        for (i, st) in m.ifaces.iter().enumerate() {
+            i.hash(&mut h);
+            let cold = st.cold.as_deref();
+            for (g, buffer) in cold.iter().flat_map(|c| &c.reorder) {
+                g.get().hash(&mut h);
+                for item in buffer.values() {
+                    hash_item(item, &mut h);
+                }
+            }
+            st.suspended.hash(&mut h);
+            for item in cold.iter().flat_map(|c| &c.held) {
+                hash_item(item, &mut h);
+            }
+            let armed: Vec<u32> = st.armed.as_slice().iter().map(|v| v.get()).collect();
+            armed.hash(&mut h);
+            let pending: Vec<u32> = (st.pending_acquire.as_slice().iter())
+                .map(|v| v.get())
+                .collect();
+            pending.hash(&mut h);
+        }
+        for (i, rg) in m.roots.iter().enumerate() {
+            (i as u32, rg.next_seq, rg.history_base).hash(&mut h);
+            for (var, value, origin) in &rg.history {
+                (var.get(), *value, origin.get()).hash(&mut h);
+            }
+            let lock = m.locks.get(rg.lock as usize);
+            match lock {
+                None => 0u8.hash(&mut h),
+                Some(l) => {
+                    (1u8, l.var.get(), l.holder.map(|n| n.get())).hash(&mut h);
+                    for n in &l.queue {
+                        n.get().hash(&mut h);
+                    }
+                }
+            }
+            lock.and_then(|l| l.watchdog)
+                .map(|w| (w.seq, w.holder.get()))
+                .hash(&mut h);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn the_digest_is_the_collecting_one_on_every_state_of_reordered_runs() {
+        use crate::{DsmEvent, GroupSpec, Machine, MachineConfig, NodeApi, Program};
+        use sesame_net::{FullMesh, LinkTiming};
+        use sesame_sim::{DetRng, SimDur, SimTime, Simulation};
+
+        // Three contenders and a root, as in the checker's canonical
+        // workload; each arms the lock interrupt on its way out, which
+        // suspends its insharing for a moment when the next grant lands,
+        // so every list and buffer the digest covers fills.
+        let (lock, data) = (VarId::new(0), VarId::new(1));
+        let root = NodeId::new(0);
+        let nodes = 4u32;
+        let program = |i: u32| -> Box<dyn Program> {
+            Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
+                AppEvent::Started if i > 0 => api.acquire(lock),
+                AppEvent::Acquired { .. } => {
+                    api.write(data, Word::from(i));
+                    api.write(data, Word::from(10 + i));
+                    api.arm_lock_interrupt(lock);
+                    api.release(lock);
+                }
+                AppEvent::LockChanged { .. } => api.set_timer(SimDur::from_nanos(1), 0),
+                AppEvent::TimerFired { .. } => api.resume_insharing(),
+                _ => {}
+            })
+        };
+        let (mut states, mut filled) = (0, [false; 4]);
+        for seed in 0..16 {
+            let groups = GroupTable::new(vec![GroupSpec {
+                root,
+                members: (0..nodes).map(NodeId::new).collect(),
+                vars: vec![lock, data],
+                mutex_lock: Some(lock),
+            }])
+            .expect("one group");
+            let model = GwcModel::new(&groups, nodes as usize);
+            let mut machine = Machine::new(
+                Box::new(FullMesh::new(nodes as usize)),
+                LinkTiming::unit(),
+                groups,
+                (0..nodes).map(program).collect(),
+                model,
+                MachineConfig::default(),
+            );
+            machine.init_var(lock, lockval::FREE);
+            let mut sim = Simulation::new(machine);
+            for i in 0..nodes {
+                sim.schedule(SimTime::ZERO, (NodeId::new(i), DsmEvent::Start { more: 0 }));
+            }
+            let mut rng = DetRng::new(seed);
+            loop {
+                let m = sim.actor().model();
+                assert_eq!(m.state_digest(), collecting_state_digest(m), "seed {seed}");
+                states += 1;
+                for st in &m.ifaces {
+                    filled[0] |= !st.armed.as_slice().is_empty();
+                    filled[1] |= !st.pending_acquire.as_slice().is_empty();
+                    filled[2] |= st.has_reordered();
+                    filled[3] |= st.cold.as_ref().is_some_and(|c| !c.held.is_empty());
+                }
+                // The root's fan-out may arrive in any order (what the
+                // reorder buffer is for); every other link, and each
+                // node's own events, stay in order.
+                let pending = sim.pending();
+                let key = |p: &sesame_sim::PendingEvent<'_, (NodeId, DsmEvent)>| match p.msg {
+                    (_, DsmEvent::Packet(pkt)) => (pkt.from, pkt.to),
+                    (node, _) => (*node, *node),
+                };
+                let choices: Vec<u64> = (pending.iter().enumerate())
+                    .filter(|&(i, p)| {
+                        matches!(p.msg.1, DsmEvent::Packet(pkt) if pkt.from == root)
+                            || pending[..i].iter().all(|o| key(o) != key(p))
+                    })
+                    .map(|(_, p)| p.seq)
+                    .collect();
+                drop(pending);
+                if choices.is_empty() {
+                    break;
+                }
+                let pick = choices[rng.next_below(choices.len() as u64) as usize];
+                assert!(sim.step_seq(pick));
+            }
+        }
+        assert!(states > 1_000, "{states} states");
+        assert_eq!(
+            filled, [true; 4],
+            "armed, pending-acquire, reorder and held lists all filled"
+        );
     }
 }

@@ -722,15 +722,19 @@ impl<M: Model> Machine<M> {
     /// excluded: under the explorer's time-free enabledness semantics they
     /// never influence future transitions, and including them would make
     /// every interleaving look like a fresh state.
+    ///
+    /// Nothing is collected: each memory is hashed as the `(i, Vec<(u32,
+    /// Word)>)` it stands for — index, length, then the words, which
+    /// [`LocalMemory::iter`] already yields in ascending variable order.
     pub fn state_digest(&self) -> Option<u64> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.model.digest()?.hash(&mut h);
         for (i, mem) in self.mems.iter().enumerate() {
-            let mut words: Vec<(u32, crate::Word)> =
-                mem.iter().map(|(v, w)| (v.get(), w)).collect();
-            words.sort_unstable();
-            (i, words).hash(&mut h);
+            (i, mem.len()).hash(&mut h);
+            for (v, w) in mem.iter() {
+                (v.get(), w).hash(&mut h);
+            }
         }
         for p in &self.programs {
             p.digest()?.hash(&mut h);

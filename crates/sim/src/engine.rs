@@ -402,6 +402,15 @@ impl<A: Actor> Simulation<A> {
             .collect()
     }
 
+    /// The pending-event set in no particular order, without allocating:
+    /// [`Simulation::pending`] for a caller that sorts into a buffer it
+    /// reuses across states.
+    pub fn pending_unordered(&self) -> impl Iterator<Item = PendingEvent<'_, A::Msg>> {
+        self.queue
+            .iter_pending()
+            .map(|(time, seq, msg)| PendingEvent { time, seq, msg })
+    }
+
     /// Delivers the pending event with push-sequence `seq`, out of order if
     /// need be: an event whose timestamp has already passed is delivered at
     /// the current clock (the reordering reads as extra network delay, and

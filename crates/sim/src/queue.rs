@@ -535,39 +535,48 @@ impl<T> EventQueue<T> {
         self.rebuild_scratch = items;
     }
 
+    /// Every pending event as `(time, seq, payload)`, in no particular
+    /// order and without allocating: the view a caller that sorts into its
+    /// own reused buffer reads.
+    pub fn iter_pending(&self) -> impl Iterator<Item = (SimTime, u64, &T)> {
+        self.cursor
+            .iter()
+            .chain(self.slots.iter().filter_map(|s| s.item.as_ref()))
+            .chain(self.overflow.iter())
+            .map(|p| (p.time, p.seq, &p.payload))
+    }
+
     /// Enumerates every pending event in deterministic `(time, seq)` order —
     /// the choice-point view used by the schedule explorer. The `seq` is the
     /// monotone push sequence number, stable across identical replays, so it
     /// doubles as a persistent event identity.
     pub fn pending_sorted(&self) -> Vec<(SimTime, u64, &T)> {
-        let mut v: Vec<(SimTime, u64, &T)> = self
-            .cursor
-            .iter()
-            .chain(self.slots.iter().filter_map(|s| s.item.as_ref()))
-            .chain(self.overflow.iter())
-            .map(|p| (p.time, p.seq, &p.payload))
-            .collect();
+        let mut v: Vec<(SimTime, u64, &T)> = self.iter_pending().collect();
         v.sort_by_key(|&(time, seq, _)| (time, seq));
         v
     }
 
     /// Removes the pending event with push-sequence `seq`, or `None` if no
     /// such event is pending. O(n) tier scan — acceptable at the scales
-    /// the explorer runs (tens of pending events), never on the hot path.
+    /// the explorer runs (tens of pending events), never on the hot path —
+    /// and no allocation: a heap tier gives up the event by a swap-remove
+    /// in its own buffer and re-heapifies it in place. `(time, seq)` keys
+    /// are unique, so the new heap layout pops in the same order.
     pub fn remove_seq(&mut self, seq: u64) -> Option<(SimTime, T)> {
-        let mut found = None;
-        if self.cursor.iter().any(|p| p.seq == seq) {
-            let items = std::mem::take(&mut self.cursor).into_vec();
-            let mut rest = Vec::with_capacity(items.len());
-            for p in items {
-                if p.seq == seq && found.is_none() {
-                    found = Some((p.time, p.payload));
-                } else {
-                    rest.push(p);
-                }
+        fn take<T>(heap: &mut BinaryHeap<Pending<T>>, seq: u64) -> Option<(SimTime, T)> {
+            if !heap.iter().any(|p| p.seq == seq) {
+                return None;
             }
-            self.cursor = BinaryHeap::from(rest);
+            let mut items = std::mem::take(heap).into_vec();
+            let i = items
+                .iter()
+                .position(|p| p.seq == seq)
+                .expect("found above");
+            let p = items.swap_remove(i);
+            *heap = BinaryHeap::from(items);
+            Some((p.time, p.payload))
         }
+        let mut found = take(&mut self.cursor, seq);
         if found.is_none() {
             let hit = self
                 .slots
@@ -594,17 +603,8 @@ impl<T> EventQueue<T> {
                 found = Some((p.time, p.payload));
             }
         }
-        if found.is_none() && self.overflow.iter().any(|p| p.seq == seq) {
-            let items = std::mem::take(&mut self.overflow).into_vec();
-            let mut rest = Vec::with_capacity(items.len());
-            for p in items {
-                if p.seq == seq && found.is_none() {
-                    found = Some((p.time, p.payload));
-                } else {
-                    rest.push(p);
-                }
-            }
-            self.overflow = BinaryHeap::from(rest);
+        if found.is_none() {
+            found = take(&mut self.overflow, seq);
         }
         if found.is_some() {
             self.last_popped = Some(seq);
