@@ -211,11 +211,11 @@ grep -q "wait-mean" "$tmpdir/series-report.out"
 # micro-bench: the 250k-node throughput floor catches an order-of-magnitude
 # kernel slowdown (a smaller one, such as the 2.5x of a calendar-queue
 # revert, is for `sesame-ledger compare` to show in `sim.pop_s` and
-# `sim.queue.*_ns_per_op`), the ledger's bigmesh_32k and
-# observed_contention RSS ceilings and the 250k `peak_rss_kb` ceiling catch
-# state that is kept too long, the full-size pins catch a change of
-# behaviour, and zero_alloc.rs / no_alloc*.rs (in `cargo test` above)
-# count steady-state allocations exactly.
+# `sim.queue.*_ns_per_op`), the ledger's RSS ceilings (bigmesh_32k,
+# lossy_mutex, observed_contention, check_mutex) and the 250k
+# `peak_rss_kb` ceiling catch state that is kept too long, the full-size
+# pins catch a change of behaviour, and zero_alloc.rs / no_alloc*.rs (in
+# `cargo test` above) count steady-state allocations exactly.
 
 echo "==> benchmark smoke (sesame-ledger builds, quick passes, own tests)"
 # The ledger is its own workspace (benchmark/), so nothing above builds
@@ -283,6 +283,16 @@ fi
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-check_mutex.last")
 if [ -n "$rss" ] && [ "$rss" -ge 7 ]; then
     echo "ledger check_mutex memory ceiling: peak RSS ${rss} MB, want < 7" >&2
+    exit 1
+fi
+
+# lossy_mutex's reads ~3.7 MB (seeds 7 and 11, ledger contract runs): a
+# group root keeps only the sequenced writes a NACK can still name. It
+# read 7.5 MB while the root kept every write it ever sequenced, one
+# 16-byte entry each; 5 MB fails a return to that unbounded history.
+rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-lossy_mutex.last")
+if [ -n "$rss" ] && [ "$rss" -ge 5 ]; then
+    echo "ledger lossy_mutex memory ceiling: peak RSS ${rss} MB, want < 5" >&2
     exit 1
 fi
 

@@ -569,22 +569,35 @@ pub fn check_with_replay_hook(
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     use sesame_dsm::{Model, Packet, Word};
+    use sesame_sim::TraceDetail;
 
     thread_local! {
         /// States whose digest [`compare_with_the_collecting_digest`]
         /// checked on this thread.
         static COMPARED: Cell<u64> = const { Cell::new(0) };
+        /// While armed, each state digest and its full-history reference
+        /// (see [`full_history_state_digest`]), mapped both ways.
+        static PARTITION: RefCell<Option<Partition>> = const { RefCell::new(None) };
+    }
+
+    #[derive(Default)]
+    struct Partition {
+        to_reference: HashMap<u64, u64>,
+        to_digest: HashMap<u64, u64>,
+        /// States compared.
+        states: u64,
     }
 
     /// `Machine::state_digest` as it was while it collected each node's
-    /// words into a sorted `Vec` to hash (the model's part is checked
-    /// against its own collecting copy in `sesame-dsm`).
-    fn collecting_machine_digest(m: &Machine<ModelInstance>) -> Option<u64> {
+    /// words into a sorted `Vec` to hash, over `model`'s digest (the
+    /// model's own part is checked against its own collecting copy in
+    /// `sesame-dsm`).
+    fn collecting_machine_digest(m: &Machine<ModelInstance>, model: u64) -> Option<u64> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        m.model().digest()?.hash(&mut h);
+        model.hash(&mut h);
         let nodes = (0..m.node_count()).map(|i| NodeId::new(i as u32));
         for (i, node) in nodes.clone().enumerate() {
             let mut words: Vec<(u32, Word)> =
@@ -600,9 +613,11 @@ mod tests {
 
     /// The state digest as it was computed before the explorer kept its
     /// scratch in reused buffers: collected into two `BTreeMap`s of
-    /// `Vec`s, then hashed.
-    fn collecting_state_digest(sim: &Simulation<Machine<ModelInstance>>) -> Option<u64> {
-        let machine_digest = collecting_machine_digest(sim.actor())?;
+    /// `Vec`s, then hashed, over `machine_digest`.
+    fn collecting_state_digest(
+        sim: &Simulation<Machine<ModelInstance>>,
+        machine_digest: u64,
+    ) -> u64 {
         let mut locals: BTreeMap<NodeId, Vec<DsmEvent>> = BTreeMap::new();
         let mut links: BTreeMap<(NodeId, NodeId), Vec<Packet>> = BTreeMap::new();
         for p in sim.pending() {
@@ -622,25 +637,69 @@ mod tests {
             link.hash(&mut h);
             pkts.hash(&mut h);
         }
-        Some(h.finish())
+        h.finish()
+    }
+
+    /// The state digest with the GWC model hashing every write its roots
+    /// ever sequenced, rebuilt from the execution's `RootSeq` records, in
+    /// place of its running sum over them.
+    fn full_history_state_digest(sim: &Simulation<Machine<ModelInstance>>) -> Option<u64> {
+        let mut histories: BTreeMap<u32, Vec<(u32, Word, u32)>> = BTreeMap::new();
+        for e in sim.trace().entries() {
+            if let TraceDetail::Seq {
+                group,
+                var,
+                val,
+                origin,
+                ..
+            } = e.detail
+            {
+                histories.entry(group).or_default().push((var, val, origin));
+            }
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        histories.hash(&mut h);
+        let machine = sim.actor();
+        let gwc = machine.model().as_gwc().expect("canonical model is GWC");
+        let model = gwc.state_digest_over(h.finish());
+        collecting_machine_digest(machine, model).map(|d| collecting_state_digest(sim, d))
     }
 
     /// Called by the explorer on every state it digests (test builds
-    /// only): the digest must be the collecting one's, bit for bit.
+    /// only): the digest must be the collecting one's, bit for bit, and,
+    /// while a partition test is armed, must part states as the full
+    /// histories do.
     pub(super) fn compare_with_the_collecting_digest(
         sim: &Simulation<Machine<ModelInstance>>,
         digest: u64,
     ) {
-        assert_eq!(
-            Some(digest),
-            collecting_state_digest(sim),
-            "the digest moved"
-        );
+        let machine = sim.actor();
+        let model = machine.model().digest().expect("a digested state");
+        let collecting =
+            collecting_machine_digest(machine, model).map(|d| collecting_state_digest(sim, d));
+        assert_eq!(Some(digest), collecting, "the digest moved");
         COMPARED.with(|n| n.set(n.get() + 1));
+        PARTITION.with(|p| {
+            let mut p = p.borrow_mut();
+            let Some(p) = p.as_mut() else {
+                return;
+            };
+            let reference = full_history_state_digest(sim).expect("a digested state");
+            let seen = *p.to_reference.entry(digest).or_insert(reference);
+            assert_eq!(seen, reference, "one digest, two full histories");
+            let seen = *p.to_digest.entry(reference).or_insert(digest);
+            assert_eq!(seen, digest, "one full history, two digests");
+            p.states += 1;
+        });
     }
 
     #[test]
     fn every_digest_of_a_two_cpu_search_is_the_collecting_one() {
+        // Each state's digest is also checked to part states as the
+        // full write histories did: the GWC model's digest sums its
+        // sequenced writes instead of hashing every root's history, and
+        // two digests must be equal exactly when the digests over the
+        // full histories are.
         let cfg = CanonicalConfig {
             contenders: 2,
             rounds: 1,
@@ -651,6 +710,7 @@ mod tests {
             (LinkMode::RelaxFromRoots, 5_000, 120),
             (LinkMode::Relax, 5_000, 120),
         ] {
+            PARTITION.with(|p| *p.borrow_mut() = Some(Partition::default()));
             let before = COMPARED.with(Cell::get);
             let opts = CheckOptions {
                 links,
@@ -663,6 +723,9 @@ mod tests {
             // Every state past the leaf tests is digested once.
             assert!(compared > 1_000, "{links:?}: {compared} digests compared");
             assert!(compared <= report.states, "{links:?}: {report:?}");
+            let p = PARTITION.with(|p| p.borrow_mut().take()).expect("armed");
+            assert_eq!(p.states, compared, "{links:?}");
+            assert_eq!(p.to_reference.len(), p.to_digest.len(), "{links:?}");
         }
     }
 }

@@ -31,6 +31,7 @@
 //! lost sequenced packets.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use sesame_net::{CauseId, NodeId};
 use sesame_sim::{CauseOp, TraceKind};
@@ -56,6 +57,14 @@ fn watchdog_tag(group: GroupId, seq: u64) -> u64 {
 /// Inverse of [`watchdog_tag`].
 fn watchdog_untag(tag: u64) -> (GroupId, u64) {
     (GroupId::new(tag as u32), tag >> 32)
+}
+
+/// The hash [`GwcModel::state_digest`] sums over every sequenced write.
+fn write_hash(group: GroupId, seq: u64, var: VarId, value: Word, origin: NodeId) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    (group.get(), seq, var.get(), value, origin.get()).hash(&mut h);
+    h.finish()
 }
 
 /// One sequenced write traveling (or buffered) within a group.
@@ -186,12 +195,12 @@ struct LockState {
 #[derive(Debug)]
 struct RootGroup {
     next_seq: u64,
-    /// Sequenced writes kept for retransmission; seq `s` lives at
-    /// `history[s - 1 - history_base]`. Pruned to the retransmission
-    /// window when one is configured.
+    /// The sequenced writes a NACK can still name; seq `s` lives at
+    /// `history[s - 1 - history_base]`.
     history: VecDeque<(VarId, Word, NodeId)>,
-    /// Sequence number of the write *before* `history[0]` (0 = nothing
-    /// pruned yet).
+    /// Retired through: every write numbered up to here was applied by
+    /// every member, and no NACK in flight asks for it (0 = nothing
+    /// retired yet).
     history_base: u64,
     /// Index of the group's [`LockState`] in [`GwcModel::locks`], or
     /// [`NO_LOCK`] for a plain group.
@@ -202,28 +211,29 @@ struct RootGroup {
 const NO_LOCK: u32 = u32::MAX;
 
 impl RootGroup {
-    /// Appends the write just sequenced to the retransmission history and
-    /// prunes the history to `window` entries, if one is configured.
-    fn record(&mut self, write: (VarId, Word, NodeId), window: Option<u64>) {
-        // Most roots of a sharded machine sequence exactly one write, so
-        // the first entry gets a block of its own size; a second write
-        // moves the history onto the deque's usual growth.
-        if self.history.capacity() == 0 {
+    /// Appends the write just sequenced to the history. A full history
+    /// first retires every write through `floor()` (see
+    /// [`GwcModel::retirement_floor`]) and grows only if that freed less
+    /// than half of it, so the floor's scan over the members is paid once
+    /// per half a history of writes.
+    fn record(&mut self, write: (VarId, Word, NodeId), floor: impl FnOnce() -> u64) {
+        let cap = self.history.capacity();
+        if cap == 0 {
+            // Most roots of a sharded machine sequence exactly one write,
+            // so the first entry gets a block of its own size; a second
+            // write moves the history onto the deque's usual growth.
             self.history.reserve_exact(1);
-        }
-        self.history.push_back(write);
-        if let Some(window) = window {
-            while self.history.len() as u64 > window {
-                self.history.pop_front();
-                self.history_base += 1;
+        } else if self.history.len() == cap {
+            let retire = floor()
+                .checked_sub(self.history_base)
+                .expect("the retirement floor never falls") as usize;
+            self.history.drain(..retire);
+            self.history_base += retire as u64;
+            if 2 * retire < cap {
+                self.history.reserve(cap);
             }
         }
-    }
-
-    /// The sequenced write numbered `seq`, if the history still holds it.
-    fn sequenced(&self, seq: u64) -> Option<(VarId, Word, NodeId)> {
-        let at = seq.checked_sub(self.history_base + 1)?;
-        self.history.get(usize::try_from(at).ok()?).copied()
+        self.history.push_back(write);
     }
 }
 
@@ -298,9 +308,13 @@ pub struct GwcModel {
     /// Grant-watchdog timeout; `None` disables the watchdog (fine on
     /// loss-free fabrics).
     grant_timeout: Option<sesame_sim::SimDur>,
-    /// Retransmission window: how many sequenced writes each root keeps.
-    /// `None` keeps everything (exact recovery, unbounded memory).
-    history_window: Option<u64>,
+    /// The NACKs in flight, as `(member slot, have)`: pushed by the member
+    /// that sends one, removed by the root that receives it. Unicasts are
+    /// never lost, so the list is exact; it holds a handful of entries.
+    nacks_in_flight: Vec<(usize, u64)>,
+    /// Wrapping sum of [`write_hash`] over every write ever sequenced: the
+    /// digest's stand-in for the histories retirement trims.
+    sequenced: u64,
     /// Planted bug for checker regression fixtures.
     mutation: GwcMutation,
 }
@@ -333,7 +347,8 @@ impl GwcModel {
             expected: vec![0; groups.member_slots()],
             stats: GwcStats::default(),
             grant_timeout: None,
-            history_window: None,
+            nacks_in_flight: Vec::new(),
+            sequenced: 0,
             mutation: GwcMutation::None,
         }
     }
@@ -372,6 +387,14 @@ impl GwcModel {
     /// pruning. Statistics counters are excluded: they never influence
     /// protocol behavior.
     pub fn state_digest(&self) -> u64 {
+        self.state_digest_over(self.sequenced)
+    }
+
+    /// [`GwcModel::state_digest`] with `sequenced` in place of the sum
+    /// over every write ever sequenced, so a test can check that the sum
+    /// parts states exactly as the full write histories do.
+    #[doc(hidden)]
+    pub fn state_digest_over(&self, sequenced: u64) -> u64 {
         use std::hash::{Hash, Hasher};
         fn hash_item(item: &SeqItem, h: &mut impl Hasher) {
             (
@@ -425,11 +448,14 @@ impl GwcModel {
                 }
             }
         }
+        // Every write ever sequenced, as one sum: what the histories held
+        // before retirement trimmed them. Left out: the retired-through
+        // numbers, since retiring changes what a root stores and never
+        // what it does, and the NACKs in flight, which are pending packets
+        // the explorer hashes itself.
+        sequenced.hash(&mut h);
         for (i, rg) in self.roots.iter().enumerate() {
-            (i as u32, rg.next_seq, rg.history_base).hash(&mut h);
-            for (var, value, origin) in &rg.history {
-                (var.get(), *value, origin.get()).hash(&mut h);
-            }
+            (i as u32, rg.next_seq).hash(&mut h);
             let lock = self.locks.get(rg.lock as usize);
             match lock {
                 None => 0u8.hash(&mut h),
@@ -447,15 +473,9 @@ impl GwcModel {
         h.finish()
     }
 
-    /// Bounds each root's retransmission history to the last `window`
-    /// sequenced writes. A nack asking for anything older is a fatal
-    /// protocol error (the window was sized too small for the loss rate),
-    /// reported by panic with a sizing hint.
-    pub fn set_history_window(&mut self, window: Option<u64>) {
-        self.history_window = window;
-    }
-
-    /// Number of sequenced writes currently retained by `group`'s root.
+    /// Number of sequenced writes currently retained by `group`'s root:
+    /// those a NACK can still name, plus any written since the history
+    /// last filled up.
     pub fn history_len(&self, group: GroupId) -> usize {
         self.roots.get(group.index()).map_or(0, |r| r.history.len())
     }
@@ -487,6 +507,21 @@ impl GwcModel {
     /// Whether `node`'s insharing is currently suspended.
     pub fn is_suspended(&self, node: NodeId) -> bool {
         self.ifaces[node.index()].suspended
+    }
+
+    /// The highest sequence number a NACK can no longer name, for the
+    /// group whose members hold `slots`: every member has applied every
+    /// write through it, and no NACK in flight from one of them asks for
+    /// anything at or below it. A member's NACK names the writes after its
+    /// `have`, which was its applied prefix when it sent it; applied
+    /// prefixes only grow. So once both hold, no future NACK can reach
+    /// back that far, and the root may forget those writes.
+    fn retirement_floor(expected: &[u64], nacks: &[(usize, u64)], slots: Range<usize>) -> u64 {
+        let applied = expected[slots.clone()].iter().map(|&e| e.max(1) - 1);
+        let asked = (nacks.iter())
+            .filter(|(slot, _)| slots.contains(slot))
+            .map(|&(_, have)| have);
+        (applied.chain(asked).min()).expect("a group has members")
     }
 
     fn forward_to_root(&mut self, node: NodeId, var: VarId, value: Word, mx: &mut Mx<'_, '_>) {
@@ -544,7 +579,15 @@ impl GwcModel {
         // (and every member apply) chains from it.
         let root = mx.groups().group(group).root();
         mx.cause_point(root, CauseOp::Seq);
-        self.roots[group.index()].record((var, value, origin), self.history_window);
+        self.sequenced = self
+            .sequenced
+            .wrapping_add(write_hash(group, seq, var, value, origin));
+        let base = mx.groups().slot_base(group);
+        let slots = base..base + mx.groups().group(group).members().len();
+        let (expected, nacks) = (&self.expected, &self.nacks_in_flight);
+        self.roots[group.index()].record((var, value, origin), || {
+            Self::retirement_floor(expected, nacks, slots)
+        });
         mx.multicast(
             group,
             sizes::WRITE,
@@ -870,6 +913,7 @@ impl GwcModel {
                 .or_default()
                 .insert(item.seq, item);
             self.stats.nacks += 1;
+            self.nacks_in_flight.push((slot, expected - 1));
             let root = mx.groups().group(item.group).root();
             mx.send(Packet {
                 from: node,
@@ -989,19 +1033,23 @@ impl Model for GwcModel {
                 mx,
             ),
             PacketKind::GwcNack { group, have } => {
-                let rg = &self.roots[group.index()];
                 let member = pkt.from;
+                let slot = Self::slot(mx.groups(), group, member);
+                let at = (self.nacks_in_flight.iter())
+                    .position(|&nack| nack == (slot, have))
+                    .expect("a NACK arrives once, after it was sent");
+                self.nacks_in_flight.swap_remove(at);
+                let rg = &self.roots[group.index()];
                 assert!(
                     have >= rg.history_base,
-                    "member {member} nacked seq {} but {group}'s root pruned through                      {}: retransmission window too small for the loss rate",
+                    "retirement is exact: member {member} of {group} nacked from seq {} \
+                     but the root retired through {}",
                     have + 1,
                     rg.history_base
                 );
-                let resend: Vec<(u64, (VarId, Word, NodeId))> = ((have + 1)..rg.next_seq)
-                    .map(|s| (s, rg.sequenced(s).expect("history covers the nacked range")))
-                    .collect();
+                let resend = rg.history.range((have - rg.history_base) as usize..);
                 self.stats.retransmissions += resend.len() as u64;
-                for (seq, (var, value, origin)) in resend {
+                for (seq, &(var, value, origin)) in (have + 1..).zip(resend) {
                     mx.send(Packet {
                         from: node,
                         to: member,
@@ -1035,17 +1083,19 @@ impl Model for GwcModel {
     /// retransmit the grant's sequenced write directly to it and re-arm.
     fn on_timer(&mut self, node: NodeId, tag: u64, mx: &mut Mx<'_, '_>) {
         let (group, seq) = watchdog_untag(tag);
-        let Some(w) = self.lock(group).and_then(|l| l.watchdog) else {
+        let Some(lock) = self.lock(group) else {
+            return;
+        };
+        let Some(w) = lock.watchdog else {
             return; // the holder spoke up; nothing to do
         };
         if w.seq != seq {
             return; // a newer grant superseded this watchdog
         }
-        // A grant the retransmission window already pruned is as good as
-        // superseded: that many later writes were sequenced after it.
-        let Some((var, value, origin)) = self.roots[group.index()].sequenced(seq) else {
-            return;
-        };
+        // The grant exactly as `root_lock_write` sequenced it, rebuilt from
+        // the lock: the history may have retired it already.
+        let root = mx.groups().group(group).root();
+        let (var, value, origin) = (lock.var, lockval::grant(w.holder), root);
         self.stats.grant_retransmissions += 1;
         if mx.tracing() {
             mx.trace(
@@ -1106,41 +1156,68 @@ mod tests {
         assert!(std::mem::size_of::<IfaceState>() <= 64);
     }
 
+    fn fresh_root() -> RootGroup {
+        RootGroup {
+            next_seq: 1,
+            history: VecDeque::new(),
+            history_base: 0,
+            lock: NO_LOCK,
+        }
+    }
+
+    fn write(seq: u64) -> (VarId, Word, NodeId) {
+        (VarId::new(7), seq as Word * 10, NodeId::new(seq as u32))
+    }
+
     #[test]
     fn a_single_write_root_holds_a_one_entry_history() {
-        let write = |seq: u64| (VarId::new(7), seq as Word * 10, NodeId::new(seq as u32));
-        for window in [None, Some(3)] {
-            let mut rg = RootGroup {
-                next_seq: 1,
-                history: VecDeque::new(),
-                history_base: 0,
-                lock: NO_LOCK,
-            };
-            assert_eq!(rg.history.capacity(), 0, "a silent root owns no heap");
-            rg.record(write(1), window);
-            // One 16-byte entry, not the deque's four-slot first block.
+        let mut rg = fresh_root();
+        assert_eq!(rg.history.capacity(), 0, "a silent root owns no heap");
+        rg.record(write(1), || unreachable!("an empty history is not full"));
+        // One 16-byte entry, not the deque's four-slot first block.
+        assert_eq!(rg.history.capacity(), 1);
+        assert_eq!(std::mem::size_of::<(VarId, Word, NodeId)>(), 16);
+        // Members that keep up retire each write before the next: the one
+        // entry is reused forever.
+        for seq in 2..=100u64 {
+            rg.record(write(seq), || seq - 1);
             assert_eq!(rg.history.capacity(), 1);
-            assert_eq!(std::mem::size_of::<(VarId, Word, NodeId)>(), 16);
-            assert_eq!(rg.sequenced(1), Some(write(1)));
-            assert_eq!(rg.sequenced(2), None);
-            // Across the growth and (with a window) the pruning, every
-            // retained write answers a NACK under its own number and every
-            // pruned or future one is absent.
-            for seq in 2..=9u64 {
-                rg.record(write(seq), window);
-                let kept = window.map_or(seq, |w| w.min(seq));
-                assert_eq!(rg.history.len() as u64, kept);
-                assert_eq!(rg.history_base, seq - kept);
-                for s in 0..=seq + 1 {
-                    let want = (s > seq - kept && s <= seq).then(|| write(s));
-                    assert_eq!(rg.sequenced(s), want, "seq {s} of {seq}, window {window:?}");
-                }
-            }
-            assert!(
-                rg.history.capacity() >= 3,
-                "the second write moved it to the usual growth"
-            );
         }
+        assert_eq!(rg.history_base, 99);
+        assert!(rg.history.iter().eq([write(100)].iter()));
+    }
+
+    #[test]
+    fn a_full_history_retires_through_the_floor_and_grows_only_when_pinned() {
+        let mut rng = sesame_sim::DetRng::new(0x7265_7469);
+        let (mut rg, mut floor, mut grew) = (fresh_root(), 0, 0);
+        for seq in 1..=5_000u64 {
+            // A floor that stalls for a while, then jumps: members that
+            // fall behind, then catch up.
+            if rng.chance(0.02) {
+                floor = rng.next_range(floor, seq - 1);
+            }
+            let (cap, len, base) = (rg.history.capacity(), rg.history.len(), rg.history_base);
+            rg.record(write(seq), || floor);
+            // Retired through at most the floor, and the rest is held
+            // under its own numbers.
+            assert!(rg.history_base <= floor.max(base), "seq {seq}");
+            assert_eq!(rg.history_base + rg.history.len() as u64, seq);
+            let held = rg.history_base + 1..=seq;
+            assert!(rg.history.iter().copied().eq(held.map(write)), "seq {seq}");
+            if cap > 0 && len == cap {
+                let retired = (rg.history_base - base) as usize;
+                assert_eq!(retired as u64, floor - base);
+                // Grown exactly when less than half was freed.
+                assert_eq!(rg.history.capacity() > cap, 2 * retired < cap, "seq {seq}");
+                grew += usize::from(rg.history.capacity() > cap);
+            }
+        }
+        assert!(
+            grew >= 4,
+            "the pinned stretches grew the history {grew} times"
+        );
+        assert!(rg.history_base > 4_000, "and the floor retired most of it");
     }
 
     #[test]
@@ -1167,9 +1244,11 @@ mod tests {
         }
     }
 
-    /// [`GwcModel::state_digest`] as it was while it collected each
-    /// interface's armed and pending-acquire lists into a `Vec` to hash.
-    fn collecting_state_digest(m: &GwcModel) -> u64 {
+    /// [`GwcModel::state_digest`] as it was while every root kept every
+    /// write it ever sequenced (and the armed and pending-acquire lists
+    /// were collected into a `Vec` to hash), with those histories rebuilt
+    /// from the `RootSeq` records of the run so far.
+    fn full_history_digest(m: &GwcModel, histories: &BTreeMap<u32, Vec<(u32, Word, u32)>>) -> u64 {
         use std::hash::{Hash, Hasher};
         fn hash_item(item: &SeqItem, h: &mut impl Hasher) {
             (
@@ -1208,9 +1287,10 @@ mod tests {
             pending.hash(&mut h);
         }
         for (i, rg) in m.roots.iter().enumerate() {
-            (i as u32, rg.next_seq, rg.history_base).hash(&mut h);
-            for (var, value, origin) in &rg.history {
-                (var.get(), *value, origin.get()).hash(&mut h);
+            // Nothing was pruned while every write was kept.
+            (i as u32, rg.next_seq, 0u64).hash(&mut h);
+            for write in histories.get(&(i as u32)).into_iter().flatten() {
+                write.hash(&mut h);
             }
             let lock = m.locks.get(rg.lock as usize);
             match lock {
@@ -1230,10 +1310,11 @@ mod tests {
     }
 
     #[test]
-    fn the_digest_is_the_collecting_one_on_every_state_of_reordered_runs() {
+    fn the_digest_parts_reordered_runs_as_the_full_histories_did() {
         use crate::{DsmEvent, GroupSpec, Machine, MachineConfig, NodeApi, Program};
         use sesame_net::{FullMesh, LinkTiming};
-        use sesame_sim::{DetRng, SimDur, SimTime, Simulation};
+        use sesame_sim::{DetRng, SimDur, SimTime, Simulation, TraceDetail};
+        use std::collections::HashMap;
 
         // Three contenders and a root, as in the checker's canonical
         // workload; each arms the lock interrupt on its way out, which
@@ -1256,6 +1337,9 @@ mod tests {
                 _ => {}
             })
         };
+        // Each digest, new and reference, to the other it came with: a
+        // partition test in both directions.
+        let (mut to_ref, mut to_new) = (HashMap::new(), HashMap::new());
         let (mut states, mut filled) = (0, [false; 4]);
         for seed in 0..16 {
             let groups = GroupTable::new(vec![GroupSpec {
@@ -1276,13 +1360,37 @@ mod tests {
             );
             machine.init_var(lock, lockval::FREE);
             let mut sim = Simulation::new(machine);
+            sim.set_tracing(true);
             for i in 0..nodes {
                 sim.schedule(SimTime::ZERO, (NodeId::new(i), DsmEvent::Start { more: 0 }));
             }
             let mut rng = DetRng::new(seed);
+            let (mut histories, mut read) = (BTreeMap::new(), 0);
             loop {
+                let entries = sim.trace().entries();
+                for e in &entries[read..] {
+                    if let TraceDetail::Seq {
+                        group,
+                        seq,
+                        var,
+                        val,
+                        origin,
+                    } = e.detail
+                    {
+                        let history: &mut Vec<_> = histories.entry(group).or_default();
+                        assert_eq!(seq, history.len() as u64 + 1, "records in order");
+                        history.push((var, val, origin));
+                    }
+                }
+                read = entries.len();
                 let m = sim.actor().model();
-                assert_eq!(m.state_digest(), collecting_state_digest(m), "seed {seed}");
+                let (new, reference) = (m.state_digest(), full_history_digest(m, &histories));
+                assert_eq!(
+                    *to_ref.entry(new).or_insert(reference),
+                    reference,
+                    "seed {seed}"
+                );
+                assert_eq!(*to_new.entry(reference).or_insert(new), new, "seed {seed}");
                 states += 1;
                 for st in &m.ifaces {
                     filled[0] |= !st.armed.as_slice().is_empty();
@@ -1314,9 +1422,159 @@ mod tests {
             }
         }
         assert!(states > 1_000, "{states} states");
+        assert!(
+            to_new.len() < states,
+            "some states repeat, so the partition is tested, not just distinctness: \
+             {} distinct of {states}",
+            to_new.len()
+        );
         assert_eq!(
             filled, [true; 4],
             "armed, pending-acquire, reorder and held lists all filled"
         );
+    }
+
+    #[test]
+    fn retirement_is_exact_under_heavy_loss_and_stale_nacks() {
+        use crate::{DsmEvent, GroupSpec, Machine, MachineConfig, NodeApi, Program};
+        use sesame_net::{FullMesh, LinkTiming};
+        use sesame_sim::{DetRng, SimDur, SimTime, Simulation, TraceDetail, TraceKind};
+
+        // Small groups at 30-50 % loss: gaps, NACKs, retransmissions and
+        // watchdog grants all the time, and histories only a few writes
+        // long, so they fill and retire while NACKs are still in flight.
+        // A holder spreads its writes over a section longer than a NACK's
+        // round trip, so a member behind a lost write sees more writes
+        // arrive after its first NACK's retransmission: the NACKs those
+        // send are stale.
+        let (lock, data, count) = (VarId::new(0), VarId::new(1), VarId::new(2));
+        let (mut stale, mut grant_retransmissions, mut held_back) = (0u64, 0u64, 0u64);
+        for seed in 0..16u64 {
+            let mut rng = DetRng::new(seed);
+            let nodes = 2 + rng.next_below(3) as u32;
+            let loss = 0.3 + 0.2 * rng.next_f64();
+            let rounds = 4;
+            let program = |i: u32| -> Box<dyn Program> {
+                let mut left = rounds;
+                Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
+                    AppEvent::Started if i > 0 => api.acquire(lock),
+                    AppEvent::Acquired { .. } => {
+                        let c = api.read(count);
+                        api.write(count, c + 1);
+                        api.set_timer(SimDur::from_nanos(100), 0);
+                    }
+                    AppEvent::TimerFired { tag } if tag < 32 => {
+                        api.write(data, (tag as Word) << 8 | Word::from(i));
+                        api.set_timer(SimDur::from_nanos(100), tag + 1);
+                    }
+                    AppEvent::TimerFired { .. } => api.release(lock),
+                    AppEvent::Released { .. } => {
+                        left -= 1;
+                        if left > 0 {
+                            api.acquire(lock);
+                        }
+                    }
+                    _ => {}
+                })
+            };
+            let groups = GroupTable::new(vec![GroupSpec {
+                root: NodeId::new(0),
+                members: (0..nodes).map(NodeId::new).collect(),
+                vars: vec![lock, data, count],
+                mutex_lock: Some(lock),
+            }])
+            .expect("one group");
+            let mut model = GwcModel::new(&groups, nodes as usize);
+            model.set_grant_watchdog(Some(SimDur::from_us(50)));
+            let mut machine = Machine::new(
+                Box::new(FullMesh::new(nodes as usize)),
+                LinkTiming::paper_1994(),
+                groups,
+                (0..nodes).map(program).collect(),
+                model,
+                MachineConfig::default(),
+            );
+            machine.init_var(lock, lockval::FREE);
+            machine.fabric_mut().set_loss(loss, seed);
+            let mut sim = Simulation::new(machine);
+            sim.set_tracing(true);
+            for i in 0..nodes {
+                sim.schedule(SimTime::ZERO, (NodeId::new(i), DsmEvent::Start { more: 0 }));
+            }
+            loop {
+                // A NACK about to arrive for a gap its member has already
+                // filled: the root must still hold what it names.
+                if let Some(p) = sim.pending().first() {
+                    if let (_, DsmEvent::Packet(pkt)) = p.msg {
+                        if let PacketKind::GwcNack { group, have } = pkt.kind {
+                            let m = sim.actor().model();
+                            let slot = sim.actor().groups().member_slot(group, pkt.from);
+                            stale += u64::from(m.expected[slot.unwrap()].max(1) - 1 > have);
+                        }
+                    }
+                }
+                let base = sim.actor().model().roots[0].history_base;
+                if !sim.step() {
+                    break;
+                }
+                // A retirement the NACKs in flight held back: without
+                // them it would have gone past what one of them names.
+                let m = sim.actor().model();
+                let rg = &m.roots[0];
+                if rg.history_base > base {
+                    let applied = m.expected[..nodes as usize].iter().map(|&e| e.max(1) - 1);
+                    let asked = m.nacks_in_flight.iter().map(|&(_, have)| have).min();
+                    held_back += u64::from(asked.is_some_and(|a| {
+                        a == rg.history_base && applied.min().is_some_and(|p| p > a)
+                    }));
+                }
+            }
+            let (machine, trace) = sim.into_parts();
+            let want = Word::from((nodes - 1) * rounds);
+            assert_eq!(machine.mem(NodeId::new(0)).read(count), want, "seed {seed}");
+            grant_retransmissions += machine.model().stats().grant_retransmissions;
+            // Every copy a member applied, retransmitted or not, is the
+            // write the root sequenced under that number.
+            let mut sequenced = BTreeMap::new();
+            for e in trace.entries() {
+                match (e.kind, &e.detail) {
+                    (
+                        TraceKind::RootSeq,
+                        &TraceDetail::Seq {
+                            seq,
+                            var,
+                            val,
+                            origin,
+                            ..
+                        },
+                    ) => {
+                        sequenced.insert(seq, (var, val, origin));
+                    }
+                    (
+                        TraceKind::GwcApply,
+                        &TraceDetail::Apply {
+                            seq,
+                            var,
+                            val,
+                            origin,
+                            ..
+                        },
+                    ) => assert_eq!(
+                        sequenced.get(&seq),
+                        Some(&(var, val, origin)),
+                        "seed {seed}: node {} applied seq {seq} unlike the root sequenced it",
+                        e.actor
+                    ),
+                    _ => {}
+                }
+            }
+        }
+        assert!(stale > 0, "the sweep reached no stale NACK");
+        assert!(
+            held_back > 0,
+            "no retirement was held back by a NACK in flight, so dropping that term \
+             would go unnoticed"
+        );
+        assert!(grant_retransmissions > 0, "nor a watchdog grant");
     }
 }

@@ -523,16 +523,17 @@ fn release_and_fetch_complete_immediately_under_gwc() {
     assert_eq!(value.1, acquired, "GWC fetch is local");
 }
 
-#[test]
-fn lost_multicasts_recover_via_nack_and_retransmission() {
+/// Node 0 writes `1..=writes` to one variable every 5 µs over a ring of
+/// four that loses `loss` of its multicast deliveries; nodes 1–3 record
+/// what they apply.
+fn lossy_writer(writes: u64, loss: f64, seed: u64) -> (Machine<GwcModel>, Log) {
     let var = v(1);
     let log: Log = Rc::new(RefCell::new(Vec::new()));
-    let writes: i64 = 40;
     let mut programs: Vec<Box<dyn Program>> = Vec::new();
     programs.push(Box::new(
         move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
             AppEvent::Started => api.set_timer(SimDur::from_us(1), 1),
-            AppEvent::TimerFired { tag } if (tag as i64) <= writes => {
+            AppEvent::TimerFired { tag } if tag <= writes => {
                 api.write(var, tag as Word);
                 api.set_timer(SimDur::from_us(5), tag + 1);
             }
@@ -550,13 +551,12 @@ fn lost_multicasts_recover_via_nack_and_retransmission() {
         programs,
         MachineConfig::default(),
     );
-    machine.fabric_mut().set_loss(0.25, 42);
-    let result = run(machine, RunOptions::default());
-    let stats = result.machine.model().stats();
-    assert!(stats.nacks > 0, "loss at 25% must trigger nacks");
-    assert!(stats.retransmissions > 0);
-    assert!(result.machine.fabric_stats().losses > 0);
-    // In spite of losses every member applied every write, in order.
+    machine.fabric_mut().set_loss(loss, seed);
+    (machine, log)
+}
+
+/// Asserts every recorder in `log` applied `1..=writes`, in order.
+fn assert_every_member_saw(log: &Log, writes: u64) {
     let log = log.borrow();
     for i in 1..4u32 {
         let seen: Vec<Word> = log
@@ -566,10 +566,62 @@ fn lost_multicasts_recover_via_nack_and_retransmission() {
             .collect();
         assert_eq!(
             seen,
-            (1..=writes).collect::<Vec<Word>>(),
+            (1..=writes as Word).collect::<Vec<Word>>(),
             "node {i} missed or reordered writes"
         );
     }
+}
+
+#[test]
+fn lost_multicasts_recover_via_nack_and_retransmission() {
+    let (machine, log) = lossy_writer(40, 0.25, 42);
+    let result = run(machine, RunOptions::default());
+    let stats = result.machine.model().stats();
+    assert!(stats.nacks > 0, "loss at 25% must trigger nacks");
+    assert!(stats.retransmissions > 0);
+    assert!(result.machine.fabric_stats().losses > 0);
+    // In spite of losses every member applied every write, in order.
+    assert_every_member_saw(&log, 40);
+}
+
+/// Everything a run outputs, on one line: the protocol and fabric
+/// counters, the event count, the end time and a hash of every node's
+/// memory.
+fn outputs(result: &RunResult<GwcModel>) -> String {
+    use std::hash::{Hash, Hasher};
+    let m = &result.machine;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for i in 0..m.node_count() {
+        for (var, word) in m.mem(n(i as u32)).iter() {
+            (i, var.get(), word).hash(&mut h);
+        }
+    }
+    format!(
+        "{:?} {:?} events={} end={} mem={:016x}",
+        m.model().stats(),
+        m.fabric_stats(),
+        result.events,
+        result.end.as_nanos(),
+        h.finish()
+    )
+}
+
+#[test]
+fn lossy_runs_repeat_the_outputs_of_a_root_that_kept_every_write() {
+    // Pinned from the code whose roots held every write they ever
+    // sequenced: retiring the ones no NACK can name moves nothing.
+    let got = [
+        lossy_writer(40, 0.25, 42).0,
+        lossy_writer(60, 0.15, 5).0,
+        lossy_contention(0.20, 99),
+    ]
+    .map(|machine| outputs(&run(machine, RunOptions::default())));
+    let want = [
+        "GwcStats { root_drops: 0, hw_block_drops: 0, grants: 0, queued_requests: 0, nacks: 25, retransmissions: 58, grant_retransmissions: 0 } FabricStats { packets: 163, bytes: 2408, link_traversals: 232, losses: 33, ser_ns: 27520 } events=295 end=201000 mem=c27bd45076198ba7",
+        "GwcStats { root_drops: 0, hw_block_drops: 0, grants: 0, queued_requests: 0, nacks: 22, retransmissions: 47, grant_retransmissions: 0 } FabricStats { packets: 189, bytes: 2848, link_traversals: 275, losses: 25, ser_ns: 33280 } events=409 end=301000 mem=6947e527ed3a96a5",
+        "GwcStats { root_drops: 0, hw_block_drops: 20, grants: 20, queued_requests: 19, nacks: 23, retransmissions: 66, grant_retransmissions: 3 } FabricStats { packets: 193, bytes: 2904, link_traversals: 320, losses: 24, ser_ns: 38784 } events=339 end=308728 mem=8abf1c168a8dfa20",
+    ];
+    assert_eq!(got, want);
 }
 
 #[test]
@@ -612,24 +664,19 @@ fn efficiency_metering_tracks_compute_time() {
     assert_eq!(result.machine.total_busy(), SimDur::from_us(40));
 }
 
-#[test]
-fn lost_grants_recover_via_the_grant_watchdog() {
-    // Heavy loss on the multicast fabric: without the watchdog a lost
-    // grant to a quiescent group would deadlock the lock; with it, every
-    // section still completes and the counter stays exact.
-    let lock = v(0);
-    let counter = v(1);
-    let spans = Rc::new(RefCell::new(Vec::new()));
-    let grants = Rc::new(RefCell::new(Vec::new()));
+/// Four contenders on a 2×2 torus, five sections each, on a fabric that
+/// loses `loss` of its multicast deliveries, with the 50 µs grant
+/// watchdog on.
+fn lossy_contention(loss: f64, seed: u64) -> Machine<GwcModel> {
     let programs: Vec<Box<dyn Program>> = (0..4)
         .map(|_| {
             Box::new(Contender {
-                lock,
-                counter,
+                lock: v(0),
+                counter: v(1),
                 rounds: 5,
                 section: SimDur::from_us(5),
-                spans: spans.clone(),
-                grants: grants.clone(),
+                spans: Rc::default(),
+                grants: Rc::default(),
                 entered_at: SimTime::ZERO,
             }) as Box<dyn Program>
         })
@@ -642,13 +689,21 @@ fn lost_grants_recover_via_the_grant_watchdog() {
         programs,
         MachineConfig::default(),
     );
-    machine.fabric_mut().set_loss(0.20, 99);
+    machine.fabric_mut().set_loss(loss, seed);
     machine
         .model_mut()
         .set_grant_watchdog(Some(SimDur::from_us(50)));
-    let result = run(machine, RunOptions::default());
+    machine
+}
+
+#[test]
+fn lost_grants_recover_via_the_grant_watchdog() {
+    // Heavy loss on the multicast fabric: without the watchdog a lost
+    // grant to a quiescent group would deadlock the lock; with it, every
+    // section still completes and the counter stays exact.
+    let result = run(lossy_contention(0.20, 99), RunOptions::default());
     assert_eq!(
-        result.machine.mem(n(0)).read(counter),
+        result.machine.mem(n(0)).read(v(1)),
         20,
         "all 20 sections completed despite 20% loss"
     );
@@ -709,9 +764,10 @@ fn watchdog_is_quiet_on_a_healthy_fabric() {
 }
 
 #[test]
-fn history_window_bounds_root_memory() {
-    // 200 writes with a 32-entry window: the root must never retain more
-    // than 32, and (loss-free) everyone still converges.
+fn the_root_forgets_the_writes_every_member_has_applied() {
+    // 200 loss-free writes, 2 µs apart: each has reached every member
+    // before the next is sequenced, so the root's history never holds
+    // more than the write just sequenced, and everyone still converges.
     let var = v(1);
     let writes = 200;
     let mut programs: Vec<Box<dyn Program>> = Vec::new();
@@ -727,7 +783,7 @@ fn history_window_bounds_root_memory() {
     ));
     programs.push(Box::new(sesame_dsm::IdleProgram));
     programs.push(Box::new(sesame_dsm::IdleProgram));
-    let mut machine = one_group_machine(
+    let machine = one_group_machine(
         Box::new(Ring::new(3)),
         0,
         &[1],
@@ -735,15 +791,14 @@ fn history_window_bounds_root_memory() {
         programs,
         MachineConfig::default(),
     );
-    machine.model_mut().set_history_window(Some(32));
     let result = run(machine, RunOptions::default());
-    assert!(
+    assert_eq!(
         result
             .machine
             .model()
-            .history_len(sesame_dsm::GroupId::new(0))
-            <= 32,
-        "history must stay within the window"
+            .history_len(sesame_dsm::GroupId::new(0)),
+        1,
+        "the history holds the last write only"
     );
     for i in 0..3 {
         assert_eq!(
@@ -755,50 +810,76 @@ fn history_window_bounds_root_memory() {
 }
 
 #[test]
-fn history_window_recovers_recent_losses() {
-    // A generous window covers the loss-induced gaps; convergence holds.
+fn retirement_keeps_every_write_a_loss_can_still_need() {
+    // No window to size: whatever a NACK names, the root still holds.
+    let (machine, log) = lossy_writer(60, 0.15, 5);
+    let result = run(machine, RunOptions::default());
+    assert!(result.machine.model().stats().retransmissions > 0);
+    assert_every_member_saw(&log, 60);
+}
+
+#[test]
+fn a_suspended_member_pins_the_history_until_it_drains() {
+    // Node 2 suspends insharing at the start and resumes after the root
+    // has sequenced 200 of node 0's writes (2 µs apart). Until then every
+    // one of them is a write node 2 has not applied, so the root keeps
+    // them all; once it drains, the next full history retires them.
     let var = v(1);
-    let writes = 60;
-    let log: Log = Rc::new(RefCell::new(Vec::new()));
+    let (writes, resume_after) = (300, 200);
     let mut programs: Vec<Box<dyn Program>> = Vec::new();
     programs.push(Box::new(
         move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
-            AppEvent::Started => api.set_timer(SimDur::from_us(1), 1),
+            AppEvent::Started => api.set_timer(SimDur::from_nanos(100), 1),
             AppEvent::TimerFired { tag } if tag <= writes => {
                 api.write(var, tag as Word);
-                api.set_timer(SimDur::from_us(5), tag + 1);
+                api.set_timer(SimDur::from_us(2), tag + 1);
             }
             _ => {}
         },
     ));
-    for _ in 1..4 {
-        programs.push(recorder(var, log.clone()));
-    }
-    let mut machine = one_group_machine(
-        Box::new(Ring::new(4)),
+    programs.push(Box::new(sesame_dsm::IdleProgram));
+    programs.push(Box::new(
+        move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
+            AppEvent::Started => {
+                api.suspend_insharing();
+                api.set_timer(SimDur::from_us(2 * resume_after + 1), 0);
+            }
+            AppEvent::TimerFired { .. } => api.resume_insharing(),
+            _ => {}
+        },
+    ));
+    let machine = one_group_machine(
+        Box::new(Ring::new(3)),
         0,
         &[1],
         None,
         programs,
         MachineConfig::default(),
     );
-    machine.fabric_mut().set_loss(0.15, 5);
-    machine.model_mut().set_history_window(Some(40));
-    let result = run(machine, RunOptions::default());
-    assert!(result.machine.model().stats().retransmissions > 0);
-    let log = log.borrow();
-    for i in 1..4u32 {
-        let seen: Vec<Word> = log
-            .iter()
-            .filter(|(node, _, _)| *node == i)
-            .map(|&(_, _, w)| w)
-            .collect();
-        assert_eq!(
-            seen,
-            (1..=writes as Word).collect::<Vec<Word>>(),
-            "node {i}"
+    let group = sesame_dsm::GroupId::new(0);
+    let mut sim = sesame_sim::Simulation::new(machine);
+    for i in 0..3 {
+        sim.schedule(
+            SimTime::ZERO,
+            (n(i), sesame_dsm::DsmEvent::Start { more: 0 }),
         );
     }
+    let (mut pinned, mut after) = (0, usize::MAX);
+    while sim.step() {
+        let m = sim.actor().model();
+        if m.is_suspended(n(2)) {
+            pinned = pinned.max(m.history_len(group));
+        } else if sim.actor().mem(n(2)).read(var) > resume_after as Word {
+            after = after.min(m.history_len(group));
+        }
+    }
+    assert!(
+        pinned >= resume_after as usize,
+        "held {pinned} while suspended"
+    );
+    assert!(after <= 8, "held {after} after the member drained");
+    let machine = sim.actor();
+    assert_eq!(machine.mem(n(2)).read(var), writes as Word);
 }
 
 #[test]

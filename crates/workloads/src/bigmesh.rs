@@ -273,13 +273,6 @@ fn rows_of(nodes: usize, width: u32, shared_words: u32) -> Vec<Row> {
     rows
 }
 
-/// Retransmission-history window per root. Loss-free runs never nack, so
-/// bounding the history changes no behavior — it only caps each root's
-/// history deque at a fixed capacity so steady-state sequencing allocates
-/// nothing. A visit writes `shared_words + 1` sequenced values; 64 leaves
-/// generous slack.
-const HISTORY_WINDOW: u64 = 64;
-
 /// Resolved torus geometry: `(cpu count, row width)`.
 pub(crate) fn geometry(cfg: &BigMeshConfig) -> (usize, u32) {
     if cfg.rows > 0 || cfg.cols > 0 {
@@ -372,10 +365,7 @@ fn assemble(
             }
         }
     }
-    let mut machine = builder.build()?;
-    if let Some(gwc) = machine.model_mut().as_gwc_mut() {
-        gwc.set_history_window(Some(HISTORY_WINDOW));
-    }
+    let machine = builder.build()?;
     Ok((machine, Probe { rows, progress }))
 }
 

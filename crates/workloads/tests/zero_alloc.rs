@@ -3,7 +3,9 @@
 //! queue slab and scratch buffers at their high-water marks), every
 //! further round of acquire → write → release — multicast fan-out,
 //! sequenced deliveries, lock hand-off and all — must touch the heap
-//! zero times.
+//! zero times. That includes the root's retransmission history: nothing
+//! caps its length; retiring the writes every member has applied keeps it
+//! in the block it already has.
 //!
 //! Method: run the identical scenario twice, differing only in how many
 //! rounds each contender performs. Both runs share the same warm-up
@@ -80,10 +82,6 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     };
     let mut machine = Machine::new(topo, LinkTiming::paper_1994(), groups, programs, model, cfg);
     machine.init_var(v(LOCK), lockval::FREE);
-    // Bound root retransmission history, exactly as the big scaling
-    // scenarios do: without a window the root's history deque grows by
-    // one entry per sequenced write forever.
-    machine.model_mut().set_history_window(Some(16));
 
     let before = allocations();
     let result = run(machine, RunOptions::default());
