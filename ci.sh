@@ -190,21 +190,24 @@ if cargo run -q --release -p sesame-cli -- explain --scenario contention \
     exit 1
 fi
 
-echo "==> time-series determinism smoke (serial vs --jobs 4 byte-identical)"
-cargo run -q --release -p sesame-cli -- run --scenario contention \
-    --series-out "$tmpdir/series-serial.json" >/dev/null
-# --jobs N runs N redundant copies and asserts their exports (including
-# the series) are byte-identical before writing; the written file must
-# also match the serial run exactly.
-cargo run -q --release -p sesame-cli -- run --scenario contention \
-    --series-out "$tmpdir/series-jobs.json" --jobs 4 >/dev/null
-diff "$tmpdir/series-serial.json" "$tmpdir/series-jobs.json"
-grep -q '"schema":"sesame-series/v1"' "$tmpdir/series-serial.json"
+echo "==> time-series determinism smoke (every scenario, serial vs --jobs 2 byte-identical)"
+for s in three-cpu contention task-queue pipeline bigmesh canonical; do
+    cargo run -q --release -p sesame-cli -- run --scenario "$s" \
+        --series-out "$tmpdir/series-$s-serial.json" >/dev/null
+    # --jobs N runs N redundant copies and asserts their exports (timeline,
+    # causes and series) are byte-identical before writing; the written
+    # series must also match the serial run exactly.
+    cargo run -q --release -p sesame-cli -- run --scenario "$s" --jobs 2 \
+        --timeline-out "$tmpdir/timeline-$s.json" --causes-out "$tmpdir/causes-$s.json" \
+        --series-out "$tmpdir/series-$s.json" >/dev/null
+    diff "$tmpdir/series-$s-serial.json" "$tmpdir/series-$s.json"
+    grep -q '"schema":"sesame-series/v1"' "$tmpdir/series-$s.json"
+done
 # report --series-in round-trips through the SeriesExport::from_json
 # validator and renders the per-window table. (To a file, not a pipe:
 # grep -q would close the pipe mid-table and kill the CLI with EPIPE.)
 cargo run -q --release -p sesame-cli -- report --scenario contention \
-    --series-in "$tmpdir/series-serial.json" > "$tmpdir/series-report.out"
+    --series-in "$tmpdir/series-contention.json" > "$tmpdir/series-report.out"
 grep -q "wait-mean" "$tmpdir/series-report.out"
 
 # Host time and memory are gated end to end, further down, and nowhere per
@@ -297,7 +300,7 @@ if [ -n "$rss" ] && [ "$rss" -ge 5 ]; then
 fi
 
 echo "==> docs link check (every crate named in docs/architecture.md exists)"
-for c in $(grep -o 'sesame-[a-z]*' docs/architecture.md | sort -u); do
+for c in $(grep -o 'sesame-[a-z-]*[a-z]' docs/architecture.md | sort -u); do
     if [ "$c" = "sesame-rs" ]; then continue; fi  # the repo, not a crate
     if [ ! -d "crates/${c#sesame-}" ]; then
         echo "docs/architecture.md names $c but crates/${c#sesame-} does not exist" >&2

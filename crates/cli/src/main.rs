@@ -495,7 +495,7 @@ fn cmd_run(args: &Args) -> CliResult {
         }
         .expect("--series-out implies a series window");
         write_file(path, &contents)?;
-        let series = telemetry.series_export().expect("series enabled");
+        let series = telemetry.series().expect("series enabled");
         println!(
             "wrote time series ({} windows of {} ns) to {path}",
             series.windows.len(),
@@ -503,8 +503,8 @@ fn cmd_run(args: &Args) -> CliResult {
         );
     }
     print!("{}", render_report(&snapshot));
-    if let Some(series) = telemetry.series_export() {
-        print!("{}", render_series_report(&series));
+    if let Some(series) = telemetry.series() {
+        print!("{}", render_series_report(series));
     }
     Ok(())
 }
@@ -591,7 +591,7 @@ fn cmd_report(args: &Args) -> CliResult {
         None => {
             let (scenario, collector) = chosen(args)?;
             let t = observe(&scenario, collector)?;
-            series = t.series_export();
+            series = t.series().cloned();
             t.snapshot()
         }
     };

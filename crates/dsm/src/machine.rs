@@ -417,24 +417,6 @@ pub trait Model {
     }
 }
 
-impl<M: Model + ?Sized> Model for Box<M> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn on_action(&mut self, node: NodeId, action: ModelAction, mx: &mut Mx<'_, '_>) {
-        (**self).on_action(node, action, mx)
-    }
-    fn on_packet(&mut self, node: NodeId, pkt: Packet, mx: &mut Mx<'_, '_>) {
-        (**self).on_packet(node, pkt, mx)
-    }
-    fn on_timer(&mut self, node: NodeId, tag: u64, mx: &mut Mx<'_, '_>) {
-        (**self).on_timer(node, tag, mx)
-    }
-    fn digest(&self) -> Option<u64> {
-        (**self).digest()
-    }
-}
-
 /// Per-node CPU accounting: busy intervals and total useful work.
 ///
 /// Work is credited when a compute phase *completes* (or the elapsed part

@@ -174,8 +174,8 @@ fn edge_category(parent: CauseOp, child: CauseOp) -> &'static str {
 impl CausalDag {
     /// Rebuilds the DAG offline from a recorded trace (e.g. a
     /// model-checking counterexample replay), every node kept. The
-    /// streaming observer in [`Telemetry`](crate::Telemetry) applies
-    /// identical pairing rules.
+    /// streaming observer in [`Telemetry`](crate::Telemetry) feeds each
+    /// record through the same pairing rules.
     #[must_use]
     pub fn from_trace(entries: &[TraceEntry]) -> CausalDag {
         let mut state = CausalState::default();
@@ -597,38 +597,40 @@ fn export_string(body: usize, write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CausalState {
     pub(crate) dag: CausalDag,
-    /// Last non-`cause` record per actor: `(kind, time)`.
+    /// Last canonical record per actor, neither `cause` nor
+    /// `opt-conflict`: `(kind, time)`.
     last_record: BTreeMap<usize, (TraceKind, SimTime)>,
     /// Last cause id recorded per actor (for `opt-conflict` attachment).
     last_cause: BTreeMap<usize, u64>,
 }
 
 impl CausalState {
-    /// Applies the pairing rules to one record of a stream.
-    fn feed(&mut self, e: &TraceEntry) {
+    /// Applies the pairing rules to one record of a stream: a `cause`
+    /// record becomes a node, an `opt-conflict` blames the actor's last
+    /// node, and any other record is the actor's last canonical record, the
+    /// one a `cause` at the same time pairs with.
+    ///
+    /// Returns where (actor, time) a new node's parent originated when
+    /// that parent is a send or multicast — the source anchor of a
+    /// timeline flow arrow.
+    pub(crate) fn feed(&mut self, e: &TraceEntry) -> Option<(usize, SimTime)> {
         match (e.kind, &e.detail) {
             (TraceKind::Cause, &TraceDetail::Cause { id, cause, op }) => {
-                self.record_cause(e.actor, e.time, id, cause, op);
+                return self.record_cause(e.actor, e.time, id, cause, op);
             }
             (TraceKind::OptConflict, &TraceDetail::Conflict { var, writer }) => {
                 self.record_conflict(e.actor, var, writer);
             }
-            _ => self.note_record(e.actor, e.kind, e.time),
+            _ => {
+                self.last_record.insert(e.actor, (e.kind, e.time));
+            }
         }
-    }
-
-    /// Notes a canonical (non-cause) record for pairing.
-    pub(crate) fn note_record(&mut self, actor: usize, kind: TraceKind, t: SimTime) {
-        self.last_record.insert(actor, (kind, t));
+        None
     }
 
     /// Inserts one causal node, pairing it with the immediately preceding
     /// canonical record on the same actor at the same time (if any).
-    ///
-    /// Returns where (actor, time) the node's parent originated when that
-    /// parent is a send or multicast — the source anchor of a timeline
-    /// flow arrow.
-    pub(crate) fn record_cause(
+    fn record_cause(
         &mut self,
         actor: usize,
         t: SimTime,
@@ -648,7 +650,7 @@ impl CausalState {
     }
 
     /// Attaches rollback blame to the actor's most recent causal node.
-    pub(crate) fn record_conflict(&mut self, actor: usize, var: u32, writer: u32) {
+    fn record_conflict(&mut self, actor: usize, var: u32, writer: u32) {
         // The actor's last node may have gone in a collection since (a
         // rollback's blame follows its node at once; a hand-fed stream
         // need not).

@@ -14,6 +14,8 @@
 //!   critical-path extraction) assembled from the `"cause"` records the
 //!   machine emits while tracing, and cut down at the end of the run to
 //!   the nodes those answers read;
+//! * a windowed [`SeriesExport`] (per-window rollbacks, optimism, lock
+//!   waits, traffic and queue depths), bumped by the same records;
 //! * deterministic exporters: a stable JSON [`Snapshot`] schema, CSV,
 //!   Chrome trace-event / Perfetto JSON (including cross-track causal
 //!   flow arrows), and causal-DAG JSON / Graphviz DOT.
@@ -64,7 +66,7 @@ use sesame_sim::{SimDur, SimTime};
 pub use causal::{CausalDag, CausalNode, CriticalPath};
 pub use registry::{Metric, MetricRegistry};
 pub use report::render_report;
-pub use series::{render_series_report, SeriesExport, SeriesWindow, TimeSeries, SERIES_SCHEMA};
+pub use series::{render_series_report, SeriesExport, SeriesWindow, SERIES_SCHEMA};
 pub use snapshot::{Snapshot, SnapshotValue, SCHEMA};
 pub use timeline::{cat, Timeline};
 
@@ -84,7 +86,7 @@ pub struct Telemetry {
     causal: causal::CausalState,
     /// A causal id [`Telemetry::finish`] keeps with its ancestors.
     explained: Option<u64>,
-    series: Option<TimeSeries>,
+    series: Option<SeriesExport>,
 }
 
 impl Telemetry {
@@ -116,9 +118,9 @@ impl Telemetry {
     ///
     /// # Panics
     ///
-    /// Panics on a zero-width window (see [`TimeSeries::new`]).
+    /// Panics on a zero-width window.
     pub fn with_series(mut self, window: SimDur) -> Self {
-        self.series = Some(TimeSeries::new(window));
+        self.series = Some(SeriesExport::new(&self.scenario, self.seed, window));
         self
     }
 
@@ -213,30 +215,20 @@ impl Telemetry {
         self.causal.dag.to_dot()
     }
 
-    /// The live time-series aggregator, when enabled.
-    pub fn series(&self) -> Option<&TimeSeries> {
+    /// The time series, when enabled. [`Telemetry::finish`] pads it with
+    /// empty windows to cover the whole run.
+    pub fn series(&self) -> Option<&SeriesExport> {
         self.series.as_ref()
     }
 
-    /// The exportable time series (call after [`Telemetry::finish`] so
-    /// empty-window padding covers the full run), when enabled.
-    pub fn series_export(&self) -> Option<SeriesExport> {
-        self.series
-            .as_ref()
-            .map(|s| s.export(&self.scenario, self.seed))
-    }
-
     /// The time series as deterministic `sesame-series/v1` JSON, when
-    /// enabled: the text [`SeriesExport::to_json`] gives, written from the
-    /// live windows without freezing a copy of them.
+    /// enabled.
     pub fn series_json(&self) -> Option<String> {
-        let series = self.series.as_ref()?;
-        Some(series.view(&self.scenario, self.seed).to_json())
+        self.series.as_ref().map(SeriesExport::to_json)
     }
 
     /// The time series as deterministic CSV, when enabled.
     pub fn series_csv(&self) -> Option<String> {
-        let series = self.series.as_ref()?;
-        Some(series.view(&self.scenario, self.seed).to_csv())
+        self.series.as_ref().map(SeriesExport::to_csv)
     }
 }

@@ -19,6 +19,13 @@
 //! * **root sequencing** — `root-seq` → last `gwc-apply` of the same
 //!   `(group, seq)`, closed when the run finishes.
 //!
+//! The one `match` in [`Telemetry::observe`] is the only place a record is
+//! classified: the arms that close a lock wait, count an optimistic
+//! attempt, rollback or completion, record a queue depth or count a packet
+//! or multicast also bump the time-series window the record falls in, and
+//! the causal records go through the same pairing rules as
+//! [`CausalDag::from_trace`](crate::CausalDag::from_trace).
+//!
 //! Every metric a record touches is named by a [`Name`] template over
 //! `(node[, lock | group])`. The first touch renders the key and resolves
 //! it to a registry slot; every later record goes to the slot through a
@@ -33,7 +40,7 @@ use sesame_sim::{
 
 use crate::registry::MetricKind;
 use crate::timeline::cat;
-use crate::Telemetry;
+use crate::{SeriesWindow, Telemetry};
 
 /// The registry keys the observer writes per record, as templates over two
 /// numbers: `a` is the node (the group for `Group*`, the variable for
@@ -164,6 +171,22 @@ impl Telemetry {
         self.metric(name, a, b)
     }
 
+    /// The series window `t` falls in, when the series is on.
+    fn window(&mut self, t: SimTime) -> Option<&mut SeriesWindow> {
+        self.series.as_mut().map(|series| series.window_at(t))
+    }
+
+    /// Records `node`'s queue depth for `v` at `t` in the `name` gauge and
+    /// in the window's per-variable maximum.
+    fn queue_depth(&mut self, name: Name, node: usize, v: u32, t: SimTime, depth: u32) {
+        self.metric::<TimeWeighted>(name, node, v)
+            .set(t, f64::from(depth));
+        if let Some(w) = self.window(t) {
+            let max = w.queue_depth_max.entry(v).or_insert(0);
+            *max = (*max).max(depth);
+        }
+    }
+
     /// Processes one trace record (the [`TraceObserver`] entry point).
     ///
     /// A kind paired with a [`TraceDetail`] shape it is not emitted with is
@@ -171,43 +194,33 @@ impl Telemetry {
     pub fn observe(&mut self, e: &TraceEntry) {
         let node = e.actor;
         let t = e.time;
-        if let Some(series) = self.series.as_mut() {
-            series.observe(e);
-        }
         if self.timeline_enabled {
             self.timeline.touch_track(node);
         }
+        let flow_src = self.causal.feed(e);
         match (e.kind, &e.detail) {
-            (K::Cause, &TraceDetail::Cause { id, cause, op }) => {
-                let flow_src = self.causal.record_cause(node, t, id, cause, op);
-                if self.timeline_enabled {
-                    if let Some((src, sent)) = flow_src {
-                        self.timeline.add_flow(
-                            (src, sent),
-                            (node, t),
-                            cat::CAUSAL,
-                            format!("cause #{id}"),
-                            id,
-                        );
-                    }
+            (K::Cause, &TraceDetail::Cause { id, .. }) => {
+                if let Some(src) = flow_src.filter(|_| self.timeline_enabled) {
+                    let name = format!("cause #{id}");
+                    self.timeline
+                        .add_flow(src, (node, t), cat::CAUSAL, name, id);
                 }
-                return;
             }
             (K::OptConflict, &TraceDetail::Conflict { var, writer }) => {
-                self.causal.record_conflict(node, var, writer);
                 self.count(Name::Blame, var as usize, writer).incr();
             }
-            _ => {}
-        }
-        self.causal.note_record(node, e.kind, t);
-        match (e.kind, &e.detail) {
             (K::MutexEnter | K::LockAcquire, &TraceDetail::Var { var: v }) => {
                 self.state.wait_start.insert((node, v), t);
             }
             (K::EvAcquired | K::MutexGranted, &TraceDetail::Var { var: v }) => {
                 if let Some(start) = self.state.wait_start.remove(&(node, v)) {
+                    let wait = t.saturating_since(start);
                     self.metric::<Histogram>(Name::LockWait, node, v)
-                        .record(t.saturating_since(start));
+                        .record(wait);
+                    if let Some(w) = self.window(t) {
+                        w.lock_waits += 1;
+                        w.lock_wait_ns += wait.as_nanos();
+                    }
                     if self.timeline_enabled {
                         self.timeline
                             .add_complete(node, cat::LOCK, format!("wait v{v}"), start, t);
@@ -230,10 +243,16 @@ impl Telemetry {
             }
             (K::OptEnter, &TraceDetail::Var { var: v }) => {
                 self.count(Name::OptAttempts, node, v).incr();
+                if let Some(w) = self.window(t) {
+                    w.opt_attempts += 1;
+                }
                 self.state.opt_start.insert((node, v), t);
             }
             (K::OptRollback, &TraceDetail::Var { var: v }) => {
                 self.count(Name::OptRollbacks, node, v).incr();
+                if let Some(w) = self.window(t) {
+                    w.rollbacks += 1;
+                }
                 if self.timeline_enabled {
                     self.timeline
                         .add_instant(node, cat::OPTIMISM, format!("rollback v{v}"), t);
@@ -260,6 +279,10 @@ impl Telemetry {
                 },
             ) => {
                 self.count(Name::Completions, node, v).incr();
+                if let Some(w) = self.window(t) {
+                    w.completions += 1;
+                    w.opt_wins += u64::from(optimistic && rollbacks == 0);
+                }
                 if optimistic {
                     if rollbacks == 0 {
                         self.count(Name::OptWins, node, v).incr();
@@ -281,12 +304,10 @@ impl Telemetry {
                 }
             }
             (K::RootQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
-                self.metric::<TimeWeighted>(Name::RootQueueDepth, node, v)
-                    .set(t, f64::from(depth));
+                self.queue_depth(Name::RootQueueDepth, node, v, t, depth);
             }
             (K::EcQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
-                self.metric::<TimeWeighted>(Name::EcQueueDepth, node, v)
-                    .set(t, f64::from(depth));
+                self.queue_depth(Name::EcQueueDepth, node, v, t, depth);
             }
             (K::RootSeq, &TraceDetail::Seq { group: g, seq, .. }) => {
                 self.count(Name::GroupSequenced, g as usize, 0).incr();
@@ -334,6 +355,9 @@ impl Telemetry {
                 },
             ) => {
                 self.count(Name::NetPackets, node, 0).incr();
+                if let Some(w) = self.window(t) {
+                    w.packets += 1;
+                }
                 self.count(Name::NetBytes, node, 0).add(u64::from(bytes));
                 self.count(Name::NetHops, node, 0).add(u64::from(hops));
                 let arrival = SimTime::from_nanos(arrival_ns);
@@ -359,6 +383,9 @@ impl Telemetry {
                 },
             ) => {
                 self.count(Name::NetMcasts, node, 0).incr();
+                if let Some(w) = self.window(t) {
+                    w.mcasts += 1;
+                }
                 self.count(Name::NetMcastBytes, node, 0)
                     .add(u64::from(bytes) * u64::from(members));
                 if self.timeline_enabled {

@@ -1,12 +1,14 @@
 //! Windowed time-series telemetry: the time dimension of observability.
 //!
 //! The snapshot exporter collapses a run to end-of-run scalars; this module
-//! keeps the trajectory. A [`TimeSeries`] rides along inside [`Telemetry`]
-//! (see [`Telemetry::with_series`](crate::Telemetry::with_series)) and
-//! buckets selected trace events into fixed simulated-time windows:
-//! rollbacks, optimism attempts/wins, completions, lock-wait closures (count
-//! and total wait time, bucketed at grant time), packet and multicast sends,
-//! and the per-variable maximum root/EC queue depth seen in the window.
+//! keeps the trajectory. One type, [`SeriesExport`], holds it. The
+//! collector fills one live (see
+//! [`Telemetry::with_series`](crate::Telemetry::with_series)): the arms of
+//! its trace match that count rollbacks, optimism attempts/wins,
+//! completions, lock-wait closures (count and total wait time, bucketed at
+//! grant time), packet and multicast sends, and the per-variable maximum
+//! root/EC queue depth also bump the window the record's time falls in.
+//! [`SeriesExport::from_json`] parses an export back into the same type.
 //!
 //! The export schema (`sesame-series/v1`) is stable and deterministic —
 //! two same-seed runs produce byte-identical JSON and CSV. Top level:
@@ -30,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use sesame_sim::{SimDur, SimTime, TraceDetail, TraceEntry, TraceKind as K};
+use sesame_sim::{SimDur, SimTime};
 
 use crate::json::{self, Json};
 
@@ -63,154 +65,73 @@ pub struct SeriesWindow {
 /// The most windows a series grows to. Each window owns a map, and the
 /// width comes from outside (`--window`): a few nanoseconds on a long run
 /// would otherwise ask for as many windows as the run has nanoseconds.
-const MAX_WINDOWS: usize = 1 << 20;
+const MAX_WINDOWS: u64 = 1 << 20;
 
-/// The live windowed aggregator fed by the trace observer.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    window: SimDur,
-    windows: Vec<SeriesWindow>,
-    wait_start: BTreeMap<(usize, u32), SimTime>,
-    end: SimTime,
-    truncated: bool,
+/// A run's time series: filled live by the collector (see
+/// [`Telemetry::with_series`](crate::Telemetry::with_series)), or parsed
+/// back from its JSON by [`SeriesExport::from_json`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeriesExport {
+    /// Scenario label (e.g. `"contention"`).
+    pub scenario: String,
+    /// Workload seed the run used.
+    pub seed: u64,
+    /// Window width in nanoseconds.
+    pub window_ns: u64,
+    /// Simulated end time of the run, in nanoseconds.
+    pub end_ns: u64,
+    /// Per-window aggregates, oldest first, covering `[0, end_ns)`.
+    pub windows: Vec<SeriesWindow>,
 }
 
-impl TimeSeries {
-    /// Creates an aggregator with the given window width.
+impl SeriesExport {
+    /// An empty series of `window`-wide windows.
     ///
     /// # Panics
     ///
     /// Panics on a zero-width window.
-    pub fn new(window: SimDur) -> Self {
+    pub(crate) fn new(scenario: &str, seed: u64, window: SimDur) -> Self {
         assert!(window.as_nanos() > 0, "series window must be > 0 ns");
-        TimeSeries {
-            window,
+        SeriesExport {
+            scenario: scenario.to_string(),
+            seed,
+            window_ns: window.as_nanos(),
+            end_ns: 0,
             windows: Vec::new(),
-            wait_start: BTreeMap::new(),
-            end: SimTime::ZERO,
-            truncated: false,
         }
-    }
-
-    /// The configured window width.
-    pub fn window(&self) -> SimDur {
-        self.window
     }
 
     /// Whether the run outgrew the series: it needed more than 2^20
-    /// windows, and everything past them was put in the last one. Such a
-    /// series is not worth exporting; run again with a wider window.
+    /// windows, by its end or by a record past them, which went to one
+    /// overflow window. Such a series is not worth exporting; run again
+    /// with a wider window.
     pub fn truncated(&self) -> bool {
-        self.truncated
+        self.windows.len() as u64 > MAX_WINDOWS
+            || self.end_ns.div_ceil(self.window_ns) > MAX_WINDOWS
     }
 
-    /// `wanted` windows, or as many as the series holds.
-    fn capped(&mut self, wanted: u64) -> usize {
-        self.truncated |= wanted > MAX_WINDOWS as u64;
-        wanted.min(MAX_WINDOWS as u64) as usize
-    }
-
-    fn bucket(&mut self, t: SimTime) -> &mut SeriesWindow {
-        let at = t.as_nanos() / self.window.as_nanos();
-        let idx = self.capped(at.saturating_add(1)) - 1;
-        if self.windows.len() <= idx {
-            self.windows.resize(idx + 1, SeriesWindow::default());
+    /// The window `t` falls in, the series grown to reach it; past the
+    /// 2^20 windows the series holds, the overflow window after them.
+    pub(crate) fn window_at(&mut self, t: SimTime) -> &mut SeriesWindow {
+        let at = (t.as_nanos() / self.window_ns).min(MAX_WINDOWS) as usize;
+        if self.windows.len() <= at {
+            self.windows.resize(at + 1, SeriesWindow::default());
         }
-        &mut self.windows[idx]
+        &mut self.windows[at]
     }
 
-    /// Buckets one trace record. Kinds the series does not track (including
-    /// the `"cause"` stream) are ignored.
-    pub fn observe(&mut self, e: &TraceEntry) {
-        let t = e.time;
-        match (e.kind, &e.detail) {
-            (K::MutexEnter | K::LockAcquire, &TraceDetail::Var { var }) => {
-                self.wait_start.insert((e.actor, var), t);
-            }
-            (K::EvAcquired | K::MutexGranted, &TraceDetail::Var { var }) => {
-                if let Some(start) = self.wait_start.remove(&(e.actor, var)) {
-                    let w = self.bucket(t);
-                    w.lock_waits += 1;
-                    w.lock_wait_ns += t.saturating_since(start).as_nanos();
-                }
-            }
-            (K::OptEnter, &TraceDetail::Var { .. }) => self.bucket(t).opt_attempts += 1,
-            (K::OptRollback, &TraceDetail::Var { .. }) => self.bucket(t).rollbacks += 1,
-            (
-                K::MutexComplete,
-                &TraceDetail::Complete {
-                    optimistic,
-                    rollbacks,
-                    ..
-                },
-            ) => {
-                let w = self.bucket(t);
-                w.completions += 1;
-                if optimistic && rollbacks == 0 {
-                    w.opt_wins += 1;
-                }
-            }
-            (K::RootQueue | K::EcQueue, &TraceDetail::QueueDepth { var, depth }) => {
-                let w = self.bucket(t);
-                let entry = w.queue_depth_max.entry(var).or_insert(0);
-                *entry = (*entry).max(depth);
-            }
-            (K::PktSend, &TraceDetail::Packet { .. }) => self.bucket(t).packets += 1,
-            (K::PktMcast, &TraceDetail::Multicast { .. }) => self.bucket(t).mcasts += 1,
-            _ => {}
-        }
-    }
-
-    /// Records the simulated end of the run and pads the series with empty
-    /// windows so it covers `[0, end)`. Call once, after the run.
-    pub fn finish(&mut self, end: SimTime) {
-        self.end = end;
-        let needed = self.capped(end.as_nanos().div_ceil(self.window.as_nanos()));
+    /// Ends the series at `end`, padded with empty windows to cover
+    /// `[0, end)`.
+    pub(crate) fn finish(&mut self, end: SimTime) {
+        self.end_ns = end.as_nanos();
+        let needed = self.end_ns.div_ceil(self.window_ns).min(MAX_WINDOWS) as usize;
         if self.windows.len() < needed {
             self.windows.resize(needed, SeriesWindow::default());
         }
     }
 
-    /// Freezes the aggregator into its exportable form.
-    pub fn export(&self, scenario: &str, seed: u64) -> SeriesExport {
-        self.view(scenario, seed).to_export()
-    }
-
-    /// The aggregator as the export it would freeze into, borrowed.
-    pub(crate) fn view<'a>(&'a self, scenario: &'a str, seed: u64) -> SeriesView<'a> {
-        SeriesView {
-            scenario,
-            seed,
-            window_ns: self.window.as_nanos(),
-            end_ns: self.end.as_nanos(),
-            windows: &self.windows,
-        }
-    }
-}
-
-/// What a series export holds, borrowed from a live [`TimeSeries`] or a
-/// [`SeriesExport`]: the one place both are written out from.
-pub(crate) struct SeriesView<'a> {
-    scenario: &'a str,
-    seed: u64,
-    window_ns: u64,
-    end_ns: u64,
-    windows: &'a [SeriesWindow],
-}
-
-impl SeriesView<'_> {
-    fn to_export(&self) -> SeriesExport {
-        SeriesExport {
-            scenario: self.scenario.to_string(),
-            seed: self.seed,
-            window_ns: self.window_ns,
-            end_ns: self.end_ns,
-            windows: self.windows.to_vec(),
-        }
-    }
-
-    /// Every variable in any window's queue-depth map, sorted.
-    fn vars(&self) -> Vec<u32> {
+    /// Every variable that appears in any window's queue-depth map, sorted.
+    pub fn vars(&self) -> Vec<u32> {
         let mut vars: Vec<u32> = self
             .windows
             .iter()
@@ -221,10 +142,11 @@ impl SeriesView<'_> {
         vars
     }
 
-    /// Schema-`v1` JSON text, written straight into one string: the bytes
-    /// `Json::render` gives for the document, numbers through `f64` and
-    /// strings escaped alike, without building the document.
-    pub(crate) fn to_json(&self) -> String {
+    /// Renders the series as schema-`v1` JSON text (one trailing newline),
+    /// written straight into one string: the bytes `Json::render` gives
+    /// for the document, numbers through `f64` and strings escaped alike,
+    /// without building the document.
+    pub fn to_json(&self) -> String {
         let mut out = String::new();
         let num = |out: &mut String, key: &str, x: u64| {
             out.push_str(key);
@@ -233,7 +155,7 @@ impl SeriesView<'_> {
         out.push_str("{\"schema\":");
         json::write_escaped(SERIES_SCHEMA, &mut out);
         out.push_str(",\"scenario\":");
-        json::write_escaped(self.scenario, &mut out);
+        json::write_escaped(&self.scenario, &mut out);
         num(&mut out, ",\"seed\":", self.seed);
         num(&mut out, ",\"window_ns\":", self.window_ns);
         num(&mut out, ",\"end_ns\":", self.end_ns);
@@ -265,8 +187,10 @@ impl SeriesView<'_> {
         out
     }
 
-    /// CSV text (see [`SeriesExport::to_csv`]).
-    pub(crate) fn to_csv(&self) -> String {
+    /// Renders the series as CSV: one row per window, one fixed column per
+    /// scalar aggregate, and one `qmax_v<var>` column per variable that
+    /// appears anywhere in the series.
+    pub fn to_csv(&self) -> String {
         let vars = self.vars();
         let mut out = String::from(
             "window,start_ns,rollbacks,opt_attempts,opt_wins,completions,\
@@ -298,50 +222,6 @@ impl SeriesView<'_> {
             out.push('\n');
         }
         out
-    }
-}
-
-/// A parsed or freshly exported time series.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesExport {
-    /// Scenario label (e.g. `"contention"`).
-    pub scenario: String,
-    /// Workload seed the run used.
-    pub seed: u64,
-    /// Window width in nanoseconds.
-    pub window_ns: u64,
-    /// Simulated end time of the run, in nanoseconds.
-    pub end_ns: u64,
-    /// Per-window aggregates, oldest first, covering `[0, end_ns)`.
-    pub windows: Vec<SeriesWindow>,
-}
-
-impl SeriesExport {
-    fn view(&self) -> SeriesView<'_> {
-        SeriesView {
-            scenario: &self.scenario,
-            seed: self.seed,
-            window_ns: self.window_ns,
-            end_ns: self.end_ns,
-            windows: &self.windows,
-        }
-    }
-
-    /// Every variable that appears in any window's queue-depth map, sorted.
-    pub fn vars(&self) -> Vec<u32> {
-        self.view().vars()
-    }
-
-    /// Renders the series as schema-`v1` JSON text (one trailing newline).
-    pub fn to_json(&self) -> String {
-        self.view().to_json()
-    }
-
-    /// Renders the series as CSV: one row per window, one fixed column per
-    /// scalar aggregate, and one `qmax_v<var>` column per variable that
-    /// appears anywhere in the series.
-    pub fn to_csv(&self) -> String {
-        self.view().to_csv()
     }
 
     /// Parses and validates schema-`v1` JSON text back into a series.
@@ -532,7 +412,8 @@ pub fn render_series_report(series: &SeriesExport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sesame_sim::DetRng;
+    use crate::Telemetry;
+    use sesame_sim::{DetRng, TraceDetail, TraceEntry, TraceKind as K};
 
     fn entry(ns: u64, actor: usize, kind: K, detail: TraceDetail) -> TraceEntry {
         TraceEntry {
@@ -543,8 +424,9 @@ mod tests {
         }
     }
 
-    fn sample_series() -> TimeSeries {
-        let mut s = TimeSeries::new(SimDur::from_nanos(100));
+    /// A collector fed a few records of every kind the series counts.
+    fn sample_run(scenario: &str) -> Telemetry {
+        let mut s = Telemetry::new(scenario, 7).with_series(SimDur::from_nanos(100));
         let var = |var| TraceDetail::Var { var };
         // Window 0: an attempt that rolls back; queue builds up.
         s.observe(&entry(10, 0, K::OptEnter, var(0)));
@@ -575,6 +457,10 @@ mod tests {
         s
     }
 
+    fn sample_series() -> SeriesExport {
+        sample_run("demo").series().expect("series enabled").clone()
+    }
+
     fn pkt() -> TraceDetail {
         TraceDetail::Packet {
             from: 1,
@@ -587,8 +473,7 @@ mod tests {
 
     #[test]
     fn buckets_by_window_and_pads_to_end() {
-        let s = sample_series();
-        let e = s.export("demo", 7);
+        let e = sample_series();
         // finish(420) with 100 ns windows → 5 windows covering [0, 500).
         assert_eq!(e.windows.len(), 5);
         assert_eq!(e.windows[0].opt_attempts, 1);
@@ -606,26 +491,38 @@ mod tests {
 
     #[test]
     fn a_run_too_long_for_its_window_stops_growing_and_says_so() {
+        fn series(t: &Telemetry) -> &SeriesExport {
+            t.series().expect("series enabled")
+        }
         let var = TraceDetail::Var { var: 0 };
-        let last = MAX_WINDOWS as u64 - 1;
-        let mut s = TimeSeries::new(SimDur::from_nanos(1));
-        s.observe(&entry(last, 0, K::OptEnter, var.clone()));
-        s.finish(SimTime::from_nanos(last + 1));
-        assert!(!s.truncated(), "2^20 windows still fit");
-        assert_eq!(s.windows.len(), MAX_WINDOWS);
-        // One more, asked for by the end of the run or by a record.
-        s.finish(SimTime::from_nanos(last + 2));
+        let last = MAX_WINDOWS - 1;
+        let mut t = Telemetry::new("t", 0).with_series(SimDur::from_nanos(1));
+        t.observe(&entry(last, 0, K::OptEnter, var.clone()));
+        t.finish(SimTime::from_nanos(last + 1));
+        assert!(!series(&t).truncated(), "2^20 windows still fit");
+        assert_eq!(series(&t).windows.len() as u64, MAX_WINDOWS);
+        // One more, asked for by the end of the run.
+        t.finish(SimTime::from_nanos(last + 2));
+        assert!(series(&t).truncated());
+        assert_eq!(series(&t).windows.len() as u64, MAX_WINDOWS);
+        drop(t);
+        // Or by a record: one stamped at the end of a run whose windows
+        // all fit, then one at the end of time, land in one overflow
+        // window.
+        let mut t = Telemetry::new("t", 0).with_series(SimDur::from_nanos(1));
+        t.observe(&entry(last + 1, 0, K::OptRollback, var.clone()));
+        t.finish(SimTime::from_nanos(last + 1));
+        assert!(series(&t).truncated());
+        t.observe(&entry(u64::MAX, 0, K::OptRollback, var));
+        let s = series(&t);
         assert!(s.truncated());
-        s.truncated = false;
-        s.observe(&entry(u64::MAX, 0, K::OptRollback, var));
-        assert!(s.truncated());
-        assert_eq!(s.windows.len(), MAX_WINDOWS);
-        assert_eq!(s.windows[last as usize].rollbacks, 1);
+        assert_eq!(s.windows.len() as u64, MAX_WINDOWS + 1);
+        assert_eq!(s.windows[MAX_WINDOWS as usize].rollbacks, 2);
     }
 
     #[test]
     fn json_round_trips_exactly() {
-        let e = sample_series().export("demo", 7);
+        let e = sample_series();
         let text = e.to_json();
         assert!(text.contains(r#""schema":"sesame-series/v1""#));
         let back = SeriesExport::from_json(&text).unwrap();
@@ -655,7 +552,7 @@ mod tests {
 
     #[test]
     fn csv_has_fixed_and_per_var_columns() {
-        let e = sample_series().export("demo", 7);
+        let e = sample_series();
         let csv = e.to_csv();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
@@ -668,7 +565,7 @@ mod tests {
 
     #[test]
     fn report_table_renders_hit_rate_and_wait_mean() {
-        let e = sample_series().export("demo", 7);
+        let e = sample_series();
         let table = render_series_report(&e);
         assert!(table.contains("5 windows of 100 ns"), "{table}");
         // Window 0: the lone attempt rolled back → 0% hit rate; window 1
@@ -681,15 +578,16 @@ mod tests {
 
     #[test]
     fn empty_series_has_no_windows_until_finish() {
-        let mut s = TimeSeries::new(SimDur::from_nanos(100));
-        s.finish(SimTime::ZERO);
-        let e = s.export("empty", 0);
+        let mut t = Telemetry::new("empty", 0).with_series(SimDur::from_nanos(100));
+        assert!(t.series().expect("series enabled").windows.is_empty());
+        t.finish(SimTime::ZERO);
+        let e = t.series().expect("series enabled");
         assert!(e.windows.is_empty());
         assert_eq!(e.vars(), Vec::<u32>::new());
         let back = SeriesExport::from_json(&e.to_json()).unwrap();
-        assert_eq!(back, e);
+        assert_eq!(&back, e);
         assert_eq!(e.to_csv().lines().count(), 1);
-        assert!(render_series_report(&e).contains("0 windows"));
+        assert!(render_series_report(e).contains("0 windows"));
     }
 
     /// The writer and validator this module had before it wrote and read
@@ -927,11 +825,11 @@ mod tests {
             assert_eq!(e.to_csv(), reference::to_csv(&e));
             assert_eq!(SeriesExport::from_json(&text), reference::from_json(&text));
         }
-        // A live series writes what its frozen export writes.
-        let live = sample_series();
-        let e = live.export("demo \"x\"", 7);
-        assert_eq!(live.view("demo \"x\"", 7).to_json(), reference::to_json(&e));
-        assert_eq!(live.view("demo \"x\"", 7).to_csv(), reference::to_csv(&e));
+        // The collector writes its live series alike.
+        let t = sample_run("demo \"x\"");
+        let live = t.series().expect("series enabled");
+        assert_eq!(t.series_json(), Some(reference::to_json(live)));
+        assert_eq!(t.series_csv(), Some(reference::to_csv(live)));
     }
 
     /// Both readers' verdicts on `text`: equal values, or equal errors.
@@ -946,7 +844,7 @@ mod tests {
     /// A series the collector wrote, with windows of every shape.
     fn real_export() -> String {
         let mut rng = DetRng::new(7);
-        let mut s = TimeSeries::new(SimDur::from_nanos(1_000));
+        let mut s = Telemetry::new("contention", 7).with_series(SimDur::from_nanos(1_000));
         for i in 0..60 {
             let t = i * 180 + rng.next_below(100);
             let (node, v) = (rng.next_below(4) as usize, rng.next_below(3) as u32);
@@ -968,7 +866,7 @@ mod tests {
             s.observe(&entry(t, node, kind, detail));
         }
         s.finish(SimTime::from_nanos(13_500));
-        s.export("contention", 7).to_json()
+        s.series_json().expect("series enabled")
     }
 
     /// Re-renders `doc` with its object members shuffled, unknown members

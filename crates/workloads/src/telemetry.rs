@@ -36,7 +36,7 @@ use crate::scenario::{Outcome, RunError, Scenario};
 ///
 /// Returns the driver's [`RunError`] if the scenario did not run clean,
 /// and a [`RunError::Param`] if the collector's series window is too
-/// narrow for the run (`TimeSeries::truncated`).
+/// narrow for the run (`SeriesExport::truncated`).
 pub fn observe(scenario: &Scenario, telemetry: Telemetry) -> Result<Telemetry, RunError> {
     let shared = telemetry.shared();
     let outcome = scenario.run(Some(shared.clone()))?;
@@ -315,7 +315,7 @@ mod tests {
             collect(Scenario::Contention(contention()), series)
         };
         let t = windowed();
-        let series = t.series_export().expect("series enabled");
+        let series = t.series().expect("series enabled");
         let snap = t.snapshot();
         // The padded series covers [0, end) exactly.
         let window_ns = series.window_ns;
@@ -345,7 +345,7 @@ mod tests {
         assert_eq!(again.series_json(), t.series_json());
         assert_eq!(again.series_csv(), t.series_csv());
         let bare = observed(contention());
-        assert!(bare.series_export().is_none());
+        assert!(bare.series().is_none());
         assert_eq!(bare.snapshot(), snap);
         // A window the run does not fit 2^20 of is refused, not exported.
         let narrow = Telemetry::new("contention", 7).with_series(SimDur::from_nanos(1));

@@ -14,6 +14,16 @@
 //!     --series-out contention_series.json --window 100000
 //! ```
 //!
+//! Two more pin the series' other writers, captured the same way before
+//! the live series and the parsed one became one type:
+//!
+//! ```text
+//! sesame run --scenario contention --contenders 4 --rounds 15 \
+//!     --series-out contention_series.csv --window 100000
+//! sesame report --scenario contention --contenders 4 --rounds 15 \
+//!     --window 100000 > contention_report.txt
+//! ```
+//!
 //! Each test below rebuilds the same artifact through the same library
 //! calls the CLI makes and compares bytes. A diff here means the change
 //! under review altered simulated behaviour (event order, timing, or
@@ -30,7 +40,7 @@
 //! move.
 
 use sesame_sim::SimDur;
-use sesame_telemetry::Telemetry;
+use sesame_telemetry::{render_report, render_series_report, Telemetry};
 use sesame_workloads::contention::ContentionConfig;
 use sesame_workloads::experiments::figure8_jobs;
 use sesame_workloads::pipeline::PipelineConfig;
@@ -106,5 +116,28 @@ fn contention_series_export_matches_prechange_golden() {
         t.series_json().expect("window enables the series"),
         include_str!("../golden/contention_series.json"),
         "time-series export diverged from the pre-rewrite golden"
+    );
+}
+
+#[test]
+fn contention_series_csv_matches_prechange_golden() {
+    let t = contention_run();
+    assert_eq!(
+        t.series_csv().expect("window enables the series"),
+        include_str!("../golden/contention_series.csv"),
+        "time-series CSV diverged from the pre-change golden"
+    );
+}
+
+/// `sesame report --window` prints the snapshot's tables, then the
+/// series' per-window table.
+#[test]
+fn contention_report_matches_prechange_golden() {
+    let t = contention_run();
+    let series = t.series().expect("window enables the series");
+    assert_eq!(
+        render_report(&t.snapshot()) + &render_series_report(series),
+        include_str!("../golden/contention_report.txt"),
+        "report with its per-window table diverged from the pre-change golden"
     );
 }

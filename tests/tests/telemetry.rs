@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use sesame_sim::SimDur;
+use sesame_sim::{SimDur, TraceEntry, TraceObserver};
 use sesame_telemetry::{CausalDag, Telemetry};
 use sesame_verify::Verifier;
 use sesame_workloads::contention::{run_contention, run_contention_observed, ContentionConfig};
@@ -163,11 +163,72 @@ fn node_lines(json: &str) -> impl Iterator<Item = &str> {
     nodes.map(|l| l.trim_end_matches(','))
 }
 
+/// Feeds a collector and keeps every record it feeds it.
+struct Tee {
+    collector: Telemetry,
+    records: Vec<TraceEntry>,
+}
+
+impl TraceObserver for Tee {
+    fn on_record(&mut self, entry: &TraceEntry) {
+        self.records.push(entry.clone());
+        self.collector.on_record(entry);
+    }
+
+    fn on_cause_floor(&mut self, floor: u64) {
+        self.collector.on_cause_floor(floor);
+    }
+}
+
+/// The collector's DAG, cut to the explained set by `finish`, answers
+/// like the full DAG of the same run: the same recorded count, rollbacks,
+/// chains and critical path, and every kept node's export line is a line
+/// of the full export (but for the comma that joins it to the next).
+fn assert_kept_answers_like_full(kept: &CausalDag, full: &CausalDag, label: &str) {
+    assert_eq!(kept.recorded(), full.len(), "{label}");
+    assert_eq!(full.recorded(), full.len(), "{label}");
+    let rollbacks = kept.rollbacks();
+    assert_eq!(rollbacks, full.rollbacks(), "{label}");
+    for id in rollbacks {
+        assert_eq!(
+            kept.render_chain(id),
+            full.render_chain(id),
+            "{label} #{id}"
+        );
+    }
+    let path = |dag: &CausalDag| format!("{:?}", dag.critical_path());
+    assert_eq!(path(kept), path(full), "{label}");
+    let (kept_json, full_json) = (kept.to_json(), full.to_json());
+    let kept_lines: Vec<&str> = node_lines(&kept_json).collect();
+    assert_eq!(kept_lines.len(), kept.len(), "{label}");
+    let full_lines: BTreeSet<&str> = node_lines(&full_json).collect();
+    let stray = kept_lines.iter().filter(|l| !full_lines.contains(*l));
+    assert_eq!(
+        stray.count(),
+        0,
+        "{label}: kept lines missing from the full DAG"
+    );
+}
+
 #[test]
 fn finished_collector_answers_like_the_full_dag_of_the_same_run() {
+    // Every scenario, its records kept by a tee beside the collector.
+    for scenario in scenarios() {
+        let name = scenario.name();
+        let tee = Rc::new(RefCell::new(Tee {
+            collector: Telemetry::new(name, 11),
+            records: Vec::new(),
+        }));
+        let outcome = scenario.run(Some(tee.clone())).expect("a clean run");
+        let Tee { collector, records } = &mut *tee.borrow_mut();
+        absorb_run(collector, outcome.result());
+        let full = CausalDag::from_trace(records);
+        assert!(!full.is_empty(), "{name} records causes");
+        assert_kept_answers_like_full(collector.causes(), &full, name);
+    }
     // The ledger's `observed_contention` shape at a fraction of its
-    // length, trace retained: the collector's DAG — cut to the explained
-    // set by `finish` — against the full DAG rebuilt from the trace.
+    // length, trace retained: the explained set is a small part of the
+    // run, and the run rolls back.
     for seed in [1, 7, 23] {
         let cfg = ContentionConfig {
             contenders: 16,
@@ -184,30 +245,14 @@ fn finished_collector_answers_like_the_full_dag_of_the_same_run() {
         let t = shared.borrow();
         let kept = t.causes();
 
-        assert_eq!(kept.recorded(), full.len(), "seed {seed}");
-        assert_eq!(full.recorded(), full.len());
         assert!(
             kept.len() * 20 < kept.recorded(),
             "seed {seed}: {} of {} nodes kept",
             kept.len(),
             kept.recorded()
         );
-        let rollbacks = kept.rollbacks();
-        assert!(!rollbacks.is_empty(), "seed {seed} must roll back");
-        assert_eq!(rollbacks, full.rollbacks());
-        for id in rollbacks {
-            assert_eq!(kept.render_chain(id), full.render_chain(id), "#{id}");
-        }
-        let path = |dag: &CausalDag| format!("{:?}", dag.critical_path());
-        assert_eq!(path(kept), path(&full), "seed {seed}");
-
-        // The export: one line per kept node, each a line of the full one
-        // (but for the comma that joins it to the next).
-        let (kept_json, full_json) = (kept.to_json(), full.to_json());
-        let kept_lines: Vec<&str> = node_lines(&kept_json).collect();
-        assert_eq!(kept_lines.len(), kept.len());
-        let full_lines: BTreeSet<&str> = node_lines(&full_json).collect();
-        assert!(kept_lines.iter().all(|l| full_lines.contains(l)));
+        assert!(!kept.rollbacks().is_empty(), "seed {seed} must roll back");
+        assert_kept_answers_like_full(kept, &full, &format!("contention seed {seed}"));
     }
 }
 
