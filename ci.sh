@@ -96,7 +96,7 @@ for c in $commands; do
 done
 
 echo "==> error-path smoke (bad parameters are error lines, not panics)"
-for bad in "bigmesh --nodes 1" "fig2 --sizes 1" "run --bogus 1"; do
+for bad in "bigmesh --nodes 1" "fig2 --sizes 1" "fig2 --exec-us 0 --sizes 3" "run --bogus 1"; do
     status=0
     # shellcheck disable=SC2086  # $bad is a command line, split on purpose
     cargo run -q --release -p sesame-cli -- $bad > /dev/null 2> "$tmpdir/bad.err" || status=$?
@@ -215,7 +215,7 @@ grep -q "wait-mean" "$tmpdir/series-report.out"
 # kernel slowdown (a smaller one, such as the 2.5x of a calendar-queue
 # revert, is for `sesame-ledger compare` to show in `sim.pop_s` and
 # `sim.queue.*_ns_per_op`), the ledger's RSS ceilings (bigmesh_32k,
-# lossy_mutex, observed_contention, check_mutex) and the 250k
+# paper_figs_par, lossy_mutex, observed_contention, check_mutex) and the 250k
 # `peak_rss_kb` ceiling catch state that is kept too long, the full-size
 # pins catch a change of behaviour, and zero_alloc.rs / no_alloc*.rs (in
 # `cargo test` above) count steady-state allocations exactly.
@@ -228,15 +228,18 @@ echo "==> benchmark smoke (sesame-ledger builds, quick passes, own tests)"
 # ledger's unit and process-level tests. Quick numbers are never compared.
 benchmark/run.sh >/dev/null
 
-echo "==> ledger pins (four full-size workloads against benchmark/pins.txt)"
+echo "==> ledger pins (five full-size workloads against benchmark/pins.txt)"
 # run.sh only runs --quick, whose digests are not pinned. One full-size
-# contract run each of the static-wave path (bigmesh_32k), the per-member
+# contract run each of the static-wave path (bigmesh_32k), the paper's
+# figures through the sweep engine and the flood multicast
+# (paper_figs_par, pinned to paper_figs's digest), the per-member
 # fan-out under loss (lossy_mutex), the observers (observed_contention:
 # the collector with its exports and validators, the online verifier) and
 # the model checker (check_mutex: its exact search counts are the digest),
 # with the binary run.sh just built: `correct` compares the run's digest
-# with its pin. (To a file, then grep, as above.)
-for w in bigmesh_32k lossy_mutex observed_contention check_mutex; do
+# with its pin. (To a file, then grep, as above.) paper_figs_par takes
+# two samples of about 3.5 s each, which is what it adds to this loop.
+for w in bigmesh_32k paper_figs_par lossy_mutex observed_contention check_mutex; do
     benchmark/target/release/sesame-ledger --workload "$w" --seed 7 \
         --seconds 1 --trace 0 > "$tmpdir/ledger-$w.out"
     tail -n 1 "$tmpdir/ledger-$w.out" > "$tmpdir/ledger-$w.last"
@@ -258,6 +261,17 @@ done
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-bigmesh_32k.last")
 if [ -n "$rss" ] && [ "$rss" -ge 23 ]; then
     echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 23" >&2
+    exit 1
+fi
+# paper_figs_par's reads ~6.0 MB (seeds 7 and 11, ledger contract runs):
+# a spanning tree is its BFS order plus flat per-position tables, 20 B a
+# position, and a flood fan-out walks it without allocating. It read
+# 7.1-7.4 MB while a tree kept one children `Vec` per position (49 B a
+# position, one tree per hand-off root at Fig. 8's 128 nodes); 7 MB fails
+# a return to that layout.
+rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-paper_figs_par.last")
+if [ -n "$rss" ] && [ "$rss" -ge 7 ]; then
+    echo "ledger paper_figs_par memory ceiling: peak RSS ${rss} MB, want < 7" >&2
     exit 1
 fi
 # observed_contention's reads 21.4 MB on seed 7 and 22.6 on seed 11

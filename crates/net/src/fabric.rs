@@ -304,6 +304,8 @@ impl Fabric {
     /// Like [`Fabric::multicast`], but writes the arrival list into a
     /// caller-provided buffer (cleared first) instead of allocating one —
     /// the dispatch hot path reuses a single buffer across every fan-out.
+    /// The walk reads the tree's borrowed BFS order, so once the buffers
+    /// have reached their sizes a cut-through fan-out allocates nothing.
     pub fn multicast_into(
         &mut self,
         now: SimTime,
@@ -322,7 +324,7 @@ impl Fabric {
         self.arrival_scratch.resize(tree.len(), SimTime::MAX);
         let ser = self.timing.serialization(bytes);
         self.arrival_scratch[tree.root().index()] = now;
-        for pos in tree.bfs_order() {
+        for &pos in tree.bfs_order() {
             let t_here = self.arrival_scratch[pos.index()];
             for &child in tree.children(pos) {
                 self.stats.link_traversals += 1;
@@ -427,6 +429,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::reference::ReferenceTree;
     use crate::{FullMesh, Line, MeshTorus2d, Ring};
 
     fn n(id: u32) -> NodeId {
@@ -557,6 +560,86 @@ mod tests {
         let expect =
             2 * f.timing().serialization(100).as_nanos() + f.timing().serialization(50).as_nanos();
         assert_eq!(s.ser_ns, expect);
+    }
+
+    /// The fan-out over the reference tree: a fresh BFS order per call,
+    /// then the same per-edge timing and billing.
+    fn reference_multicast(
+        f: &mut Fabric,
+        now: SimTime,
+        tree: &ReferenceTree,
+        bytes: u32,
+        members: &[NodeId],
+    ) -> Vec<(NodeId, SimTime)> {
+        f.stats.packets += 1;
+        f.stats.bytes += bytes as u64;
+        let ser = f.timing.serialization(bytes);
+        let mut arrival = vec![SimTime::MAX; tree.depth.len()];
+        arrival[tree.root.index()] = now;
+        for pos in tree.bfs_order() {
+            let t_here = arrival[pos.index()];
+            for &child in &tree.children[pos.index()] {
+                f.stats.link_traversals += 1;
+                f.stats.ser_ns += ser.as_nanos();
+                arrival[child.index()] = match f.contention {
+                    ContentionModel::None => {
+                        let base = if pos == tree.root {
+                            t_here + ser
+                        } else {
+                            t_here
+                        };
+                        base + f.timing.hop_latency
+                    }
+                    ContentionModel::StoreAndForward => {
+                        f.occupy(LinkId::between(pos, child), t_here, ser)
+                    }
+                };
+            }
+        }
+        members.iter().map(|&m| (m, arrival[m.index()])).collect()
+    }
+
+    #[test]
+    fn the_flood_walk_equals_the_nested_reference() {
+        let topos: [Box<dyn Topology>; 4] = [
+            Box::new(MeshTorus2d::with_nodes(128)),
+            Box::new(MeshTorus2d::new(4, 4)),
+            Box::new(Ring::new(9)),
+            Box::new(FullMesh::new(65)),
+        ];
+        let mut rng = DetRng::new(0x5EED_7EE5);
+        for topo in &topos {
+            let topo = topo.as_ref();
+            let positions = topo.positions() as u64;
+            for contention in [ContentionModel::None, ContentionModel::StoreAndForward] {
+                let (mut flat, mut nested) = (paper_fabric(), paper_fabric());
+                flat.set_contention(contention);
+                nested.set_contention(contention);
+                let mut out = Vec::new();
+                let mut now = SimTime::ZERO;
+                for call in 0..24 {
+                    let root = n(rng.next_below(positions) as u32);
+                    let members: Vec<NodeId> = (0..positions as u32)
+                        .map(n)
+                        .filter(|_| rng.chance(0.4))
+                        .collect();
+                    let bytes = 16 + rng.next_below(200) as u32;
+                    let tree = SpanningTree::build(topo, root);
+                    flat.multicast_into(now, &tree, bytes, &members, &mut out);
+                    let want = reference_multicast(
+                        &mut nested,
+                        now,
+                        &ReferenceTree::build(topo, root),
+                        bytes,
+                        &members,
+                    );
+                    assert_eq!(out, want, "call {call}, {contention:?}, {topo:?}");
+                    assert_eq!(flat.stats(), nested.stats(), "call {call}, {contention:?}");
+                    // Close enough together that store-and-forward queues.
+                    now += SimDur::from_nanos(rng.next_below(2_000));
+                }
+            }
+        }
     }
 
     /// The `i`-th distinct ordered pair of a `nodes`-wide full mesh.

@@ -254,6 +254,11 @@ impl Scenario {
                         "at least 2: a producer and at least one consumer",
                     ),
                     (cfg.total_tasks >= 1, "total_tasks", "at least 1"),
+                    (
+                        cfg.exec_time.as_nanos() > 0,
+                        "exec_time",
+                        "positive: power is the task time executed",
+                    ),
                     (cfg.capacity >= 1, "capacity", "at least 1"),
                     (
                         ratio.is_finite() && ratio >= 0.0,

@@ -86,6 +86,15 @@ fn parameters_a_workload_cannot_honour_are_errors_not_panics() {
             "total_tasks",
         ),
         (TaskQueueConfig { capacity: 0, ..cfg }, "capacity"),
+        // Power is the task time executed over the makespan: with none,
+        // every speedup reads 0 and Fig. 2's GWC/entry ratio NaN.
+        (
+            TaskQueueConfig {
+                exec_time: SimDur::ZERO,
+                ..cfg
+            },
+            "exec_time",
+        ),
         (
             TaskQueueConfig {
                 produce_ratio: -1.0,
