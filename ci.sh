@@ -118,7 +118,7 @@ for example in quickstart task_management pipeline_speedup contention_explorer; 
     cargo run -q --release -p sesame-examples --bin "$example" >/dev/null
 done
 cargo run -q --release -p sesame-examples --bin rollback_demo > "$tmpdir/rollback_demo.out"
-grep -q 'hw-block-drop  *v1=17' "$tmpdir/rollback_demo.out"
+grep -q 'gwc-apply .* v=1 val=17 .*mode=h' "$tmpdir/rollback_demo.out"
 
 echo "==> sweep determinism smoke (fig8 reduced scale, --jobs 2 vs --jobs 1)"
 cargo run -q --release -p sesame-cli -- fig8 --sizes 2,4,8 --visits 128 --jobs 1 \

@@ -192,13 +192,16 @@ impl EntryModel {
             to,
             pending_acks: targets.len(),
         });
-        if mx.tracing() {
-            mx.trace(
-                from,
-                TraceKind::EcBeginTransfer,
-                TraceDetail::text(format!("{lock} to {to} invalidating {targets:?}")),
-            );
-        }
+        // Each target's `ec-invalidated` names it; this record names the
+        // new owner.
+        mx.trace(
+            from,
+            TraceKind::EcBeginTransfer,
+            TraceDetail::VarNode {
+                var: lock.get(),
+                node: to.get(),
+            },
+        );
         self.stats.invalidations += targets.len() as u64;
         for r in &targets {
             sset_remove(&mut self.locks.at_mut(li).readers, r);
@@ -247,13 +250,8 @@ impl EntryModel {
 
     /// The token (with its data) reached `node`.
     fn grant_arrived(&mut self, lock: VarId, node: NodeId, mx: &mut Mx<'_, '_>) {
-        if mx.tracing() {
-            mx.trace(
-                node,
-                TraceKind::EcGrantArrived,
-                TraceDetail::text(lock.to_string()),
-            );
-        }
+        let detail = TraceDetail::Var { var: lock.get() };
+        mx.trace(node, TraceKind::EcGrantArrived, detail);
         let guarded = Self::guarded_vars(mx.groups(), lock);
         let l = self.locks.expect_mut(lock, "grant_arrived");
         let t = l.transfer.take().expect("transfer in flight");
@@ -289,13 +287,8 @@ impl EntryModel {
             if l.readers.iter().all(|&r| r == node) {
                 l.held = true;
                 self.stats.local_reacquires += 1;
-                if mx.tracing() {
-                    mx.trace(
-                        node,
-                        TraceKind::EcLocalReacquire,
-                        TraceDetail::text(lock.to_string()),
-                    );
-                }
+                let detail = TraceDetail::Var { var: lock.get() };
+                mx.trace(node, TraceKind::EcLocalReacquire, detail);
                 mx.deliver(node, AppEvent::Acquired { lock });
             } else {
                 self.begin_transfer(lock, node, mx);
@@ -491,13 +484,8 @@ impl Model for EntryModel {
                 self.owner_receives_request(node, lock, requester, mx);
             }
             PacketKind::EcInvalidate { lock } => {
-                if mx.tracing() {
-                    mx.trace(
-                        node,
-                        TraceKind::EcInvalidated,
-                        TraceDetail::text(lock.to_string()),
-                    );
-                }
+                let detail = TraceDetail::Var { var: lock.get() };
+                mx.trace(node, TraceKind::EcInvalidated, detail);
                 for v in Self::guarded_vars(mx.groups(), lock) {
                     let st = &mut self.nodes[node.index()];
                     sset_remove(&mut st.valid, &v);
@@ -529,13 +517,11 @@ impl Model for EntryModel {
             }
             PacketKind::EcGrant { lock } => self.grant_arrived(lock, node, mx),
             PacketKind::EcFetch { var, requester } => {
-                if mx.tracing() {
-                    mx.trace(
-                        node,
-                        TraceKind::EcFetchServe,
-                        TraceDetail::text(format!("{var} for {requester}")),
-                    );
-                }
+                let detail = TraceDetail::VarNode {
+                    var: var.get(),
+                    node: requester.get(),
+                };
+                mx.trace(node, TraceKind::EcFetchServe, detail);
                 let g = mx.groups().group_of(var).expect("known var");
                 // If the token moved, chase it.
                 if let Some(lock) = g.mutex_lock() {

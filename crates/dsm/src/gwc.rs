@@ -629,26 +629,18 @@ impl GwcModel {
             // holder.
             if lock.holder != Some(origin) {
                 self.stats.root_drops += 1;
-                if mx.tracing() {
-                    mx.trace(
-                        node,
-                        TraceKind::RootDrop,
-                        TraceDetail::text(format!("{var}={value} from {origin}")),
-                    );
-                    // Canonical twin of "root-drop" for the checkers: the
-                    // write was consumed at the root without a sequence
-                    // number (failed optimistic update).
-                    mx.trace(
-                        node,
-                        TraceKind::RootFiltered,
-                        TraceDetail::Filtered {
-                            group: group.get(),
-                            var: var.get(),
-                            val: value,
-                            origin: origin.get(),
-                        },
-                    );
-                }
+                // The write is consumed at the root without a sequence
+                // number (a failed optimistic update).
+                mx.trace(
+                    node,
+                    TraceKind::RootFiltered,
+                    TraceDetail::Filtered {
+                        group: group.get(),
+                        var: var.get(),
+                        val: value,
+                        origin: origin.get(),
+                    },
+                );
                 mx.cause_point(node, CauseOp::Filter);
                 return;
             }
@@ -734,22 +726,15 @@ impl GwcModel {
         match outcome {
             Outcome::Grant(holder) => {
                 self.stats.grants += 1;
-                if mx.tracing() {
-                    mx.trace(
-                        root,
-                        TraceKind::LockGrant,
-                        TraceDetail::text(format!("{var} -> {holder}")),
-                    );
-                    mx.trace(
-                        root,
-                        TraceKind::RootGrant,
-                        TraceDetail::Grant {
-                            group: group.get(),
-                            var: var.get(),
-                            holder: holder.get(),
-                        },
-                    );
-                }
+                mx.trace(
+                    root,
+                    TraceKind::RootGrant,
+                    TraceDetail::Grant {
+                        group: group.get(),
+                        var: var.get(),
+                        holder: holder.get(),
+                    },
+                );
                 // The grant decision precedes its sequencing, so the Seq
                 // point (and the whole grant multicast) chains from it.
                 mx.cause_point(root, CauseOp::Grant);
@@ -762,25 +747,19 @@ impl GwcModel {
                 }
             }
             Outcome::Free => {
-                if mx.tracing() {
-                    mx.trace(
-                        root,
-                        TraceKind::LockFree,
-                        TraceDetail::text(var.to_string()),
-                    );
-                }
                 self.lock_mut(group).expect("mutex group").watchdog = None;
                 self.sequence_and_multicast(group, var, lockval::FREE, root, mx);
             }
             Outcome::Queued => {
                 self.stats.queued_requests += 1;
-                if mx.tracing() {
-                    mx.trace(
-                        root,
-                        TraceKind::LockQueued,
-                        TraceDetail::text(format!("{var} <- {origin}")),
-                    );
-                }
+                mx.trace(
+                    root,
+                    TraceKind::LockQueued,
+                    TraceDetail::VarNode {
+                        var: var.get(),
+                        node: origin.get(),
+                    },
+                );
             }
         }
     }
@@ -819,31 +798,23 @@ impl GwcModel {
         // what happened to the payload: applied, hardware-blocked (Figure 6
         // own-echo drop), or applied via armed lock interrupt.
         let gwc_apply = |mx: &mut Mx<'_, '_>, mode: ApplyMode| {
-            mx.trace(
-                node,
-                TraceKind::GwcApply,
-                TraceDetail::Apply {
+            if mx.tracing() {
+                let detail = TraceDetail::Apply {
                     group: item.group.get(),
                     seq: item.seq,
                     var: item.var.get(),
                     val: item.value,
                     origin: item.origin.get(),
                     mode,
-                },
-            );
+                };
+                mx.trace(node, TraceKind::GwcApply, detail);
+            }
         };
 
         // Figure 6 hardware blocking: drop echoed own mutex-group data.
         if mx.config().hw_block && g.is_mutex_group() && item.origin == node && !is_lock_var {
             self.stats.hw_block_drops += 1;
-            if mx.tracing() {
-                mx.trace(
-                    node,
-                    TraceKind::HwBlockDrop,
-                    TraceDetail::text(format!("{}={}", item.var, item.value)),
-                );
-                gwc_apply(mx, ApplyMode::HwBlocked);
-            }
+            gwc_apply(mx, ApplyMode::HwBlocked);
             mx.cause_point(node, CauseOp::Apply);
             return;
         }
@@ -854,9 +825,7 @@ impl GwcModel {
             if mx.config().insharing_suspension {
                 st.suspended = true;
             }
-            if mx.tracing() {
-                gwc_apply(mx, ApplyMode::Interrupt);
-            }
+            gwc_apply(mx, ApplyMode::Interrupt);
             mx.cause_point(node, CauseOp::Apply);
             mx.mem(node).write(item.var, item.value);
             mx.deliver(
@@ -869,9 +838,7 @@ impl GwcModel {
             return;
         }
 
-        if mx.tracing() {
-            gwc_apply(mx, ApplyMode::Applied);
-        }
+        gwc_apply(mx, ApplyMode::Applied);
         mx.cause_point(node, CauseOp::Apply);
         mx.mem(node).write(item.var, item.value);
         if item.value == lockval::grant(node) && st.pending_acquire.remove(item.var) {
@@ -1097,13 +1064,15 @@ impl Model for GwcModel {
         let root = mx.groups().group(group).root();
         let (var, value, origin) = (lock.var, lockval::grant(w.holder), root);
         self.stats.grant_retransmissions += 1;
-        if mx.tracing() {
-            mx.trace(
-                node,
-                TraceKind::GrantRetransmit,
-                TraceDetail::text(format!("{var} seq {seq} -> {}", w.holder)),
-            );
-        }
+        mx.trace(
+            node,
+            TraceKind::GrantRetransmit,
+            TraceDetail::Grant {
+                group: group.get(),
+                var: var.get(),
+                holder: w.holder.get(),
+            },
+        );
         mx.send(Packet {
             from: node,
             to: w.holder,

@@ -366,8 +366,8 @@ impl<'a> NodeApi<'a> {
         self.actions.push(Action::Stop);
     }
 
-    /// Whether tracing is on (lets callers skip building
-    /// [`TraceDetail::Text`] payloads; the typed variants are free).
+    /// Whether tracing is on (lets callers skip work only a record needs;
+    /// a detail itself is free to build).
     pub fn tracing(&self) -> bool {
         self.tracing
     }
@@ -442,11 +442,11 @@ mod tests {
         let mem = LocalMemory::new();
         let mut actions = Vec::new();
         let mut api = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions, false);
-        api.trace(TraceKind::MutexEnter, TraceDetail::text("ignored"));
+        api.trace(TraceKind::MutexEnter, TraceDetail::Var { var: 0 });
         assert!(actions.is_empty());
         let mut actions2 = Vec::new();
         let mut api2 = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions2, true);
-        api2.trace(TraceKind::MutexEnter, TraceDetail::text("kept"));
+        api2.trace(TraceKind::MutexEnter, TraceDetail::Var { var: 1 });
         assert_eq!(actions2.len(), 1);
     }
 

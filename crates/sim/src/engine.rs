@@ -141,8 +141,8 @@ impl<M> Context<'_, M> {
         self.trace.record(self.now, node, kind, detail);
     }
 
-    /// Whether tracing is enabled (lets callers skip building
-    /// [`TraceDetail::Text`] payloads).
+    /// Whether tracing is enabled (lets callers skip work only a record
+    /// needs).
     pub fn tracing(&self) -> bool {
         self.trace.is_enabled()
     }
@@ -547,8 +547,7 @@ mod tests {
             type Msg = ();
             fn handle(&mut self, _: (), ctx: &mut Context<'_, ()>) {
                 assert!(ctx.tracing());
-                let at = TraceDetail::text(format!("at {}", ctx.now()));
-                ctx.trace_for(3, TraceKind::AccRead, at);
+                ctx.trace_for(3, TraceKind::AccRead, TraceDetail::Var { var: 9 });
             }
         }
         let mut sim = Simulation::new(Tracer);

@@ -9,13 +9,13 @@
 //! closed, fieldless enum of the protocol's actions, a byte in the record,
 //! whose [`TraceKind::as_str`] is the only place a spelling lives. The
 //! payload is a [`TraceDetail`]: the *shape* a kind carries (sequence
-//! numbers, variable ids, values, origins, holders) in mostly-`Copy`
-//! variants, several kinds sharing one shape. Recording a protocol event
-//! therefore never formats text and — when tracing is off — never
-//! allocates, and consumers such as `sesame-verify` and `sesame-telemetry`
-//! match `(kind, &detail)` pairs of enum variants: no string is compared
-//! per record, and a misspelt kind does not compile. The text forms exist
-//! only in the [`fmt::Display`] impls used for human-readable rendering.
+//! numbers, variable ids, values, origins, holders) in `Copy` variants,
+//! several kinds sharing one shape. Recording a protocol event therefore
+//! never formats text, a record never owns heap data, and consumers such
+//! as `sesame-verify` and `sesame-telemetry` match `(kind, &detail)` pairs
+//! of enum variants: no string is compared per record, and a misspelt
+//! kind does not compile. The text forms exist only in the
+//! [`fmt::Display`] impls used for human-readable rendering.
 //!
 //! Recording is disabled by default and costs a single branch when off.
 
@@ -131,7 +131,7 @@ macro_rules! trace_kinds {
 
         impl TraceKind {
             /// Every kind, in declaration order: `ALL[k as usize] == k`.
-            pub const ALL: [TraceKind; 38] = [$(TraceKind::$variant,)*];
+            pub const ALL: [TraceKind; 34] = [$(TraceKind::$variant,)*];
 
             /// The kind as rendered traces, exports and diagnostics spell
             /// it — the only place a spelling lives.
@@ -182,9 +182,7 @@ trace_kinds! {
     OptConflict = "opt-conflict",
     /// The group root assigned a sequence number (`Seq`).
     RootSeq = "root-seq",
-    /// The root discarded a non-holder's write, human-readable (`Text`).
-    RootDrop = "root-drop",
-    /// The same discard for the checkers (`Filtered`).
+    /// The root discarded a non-holder's write (`Filtered`).
     RootFiltered = "root-filtered",
     /// The root granted the lock (`Grant`).
     RootGrant = "root-grant",
@@ -192,37 +190,35 @@ trace_kinds! {
     RootRelease = "root-release",
     /// The root's lock queue changed length (`QueueDepth`).
     RootQueue = "root-queue",
-    /// The root granted the lock, human-readable (`Text`).
-    LockGrant = "lock-grant",
-    /// A release left the lock free at the root (`Text`).
-    LockFree = "lock-free",
-    /// The root queued a lock request (`Text`).
+    /// The root queued a lock request; `node` is the requester
+    /// (`VarNode`).
     LockQueued = "lock-queued",
-    /// The root's watchdog re-sent a grant (`Text`).
+    /// The root's watchdog re-sent a grant (`Grant`).
     GrantRetransmit = "grant-retransmit",
-    /// A member interface consumed a sequenced write (`Apply`).
+    /// A member interface consumed a sequenced write (`Apply`); `mode=h`
+    /// is the Figure 6 hardware blocking discarding an own echo.
     GwcApply = "gwc-apply",
-    /// Figure 6 hardware blocking discarded an own echo (`Text`).
-    HwBlockDrop = "hw-block-drop",
     /// A unicast packet left a node (`Packet`).
     PktSend = "pkt-send",
     /// A multicast left a group root (`Multicast`).
     PktMcast = "pkt-mcast",
     /// The causal edge of the record before it (`Cause`).
     Cause = "cause",
-    /// Entry consistency: an owner began handing a lock over (`Text`).
+    /// Entry consistency: an owner began handing a lock over; `node` is
+    /// the new owner (`VarNode`).
     EcBeginTransfer = "ec-begin-transfer",
-    /// Entry consistency: a lock grant arrived at its new owner (`Text`).
+    /// Entry consistency: a lock grant arrived at its new owner (`Var`).
     EcGrantArrived = "ec-grant-arrived",
     /// Entry consistency: the owner re-acquired its own lock locally
-    /// (`Text`).
+    /// (`Var`).
     EcLocalReacquire = "ec-local-reacquire",
     /// Entry consistency: an owner's wait queue changed length
     /// (`QueueDepth`).
     EcQueue = "ec-queue",
-    /// Entry consistency: a cached copy was invalidated (`Text`).
+    /// Entry consistency: a cached copy was invalidated (`Var`).
     EcInvalidated = "ec-invalidated",
-    /// Entry consistency: the owner served a data fetch (`Text`).
+    /// Entry consistency: the owner served a data fetch; `var` is the
+    /// fetched variable, `node` the requester (`VarNode`).
     EcFetchServe = "ec-fetch-serve",
 }
 
@@ -234,12 +230,10 @@ impl fmt::Display for TraceKind {
 
 /// The structured payload of a [`TraceEntry`].
 ///
-/// Every canonical protocol event maps to one typed variant; all variants
-/// except [`TraceDetail::Text`] are plain `Copy` data, so constructing
-/// them is free and recording them allocates nothing beyond the trace
-/// vector itself. `Text` carries free-form human-readable annotations
-/// (timeline marks, diagnostic one-offs) that no checker consumes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Every protocol event maps to one typed variant of plain `Copy` data,
+/// so constructing one is free and recording it allocates nothing beyond
+/// the trace vector itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceDetail {
     /// No payload.
     #[default]
@@ -257,6 +251,14 @@ pub enum TraceDetail {
         var: u32,
         /// The value written or saved.
         val: i64,
+    },
+    /// A lock or variable and the node it concerns (`v=<var> node=<node>`):
+    /// a queued requester, a transfer's new owner, a fetch's requester.
+    VarNode {
+        /// The lock or shared variable.
+        var: u32,
+        /// The node involved.
+        node: u32,
     },
     /// A lock queue observation (`v=<var> q=<depth>`).
     QueueDepth {
@@ -382,17 +384,6 @@ pub enum TraceDetail {
         /// The node whose conflicting write won.
         writer: u32,
     },
-    /// Free-form human-readable text — timeline marks and diagnostics no
-    /// checker consumes. The only allocating variant; build it behind an
-    /// [`TraceRecorder::is_enabled`] check.
-    Text(String),
-}
-
-impl TraceDetail {
-    /// Builds a [`TraceDetail::Text`] from anything string-like.
-    pub fn text(s: impl Into<String>) -> Self {
-        TraceDetail::Text(s.into())
-    }
 }
 
 impl fmt::Display for TraceDetail {
@@ -401,6 +392,7 @@ impl fmt::Display for TraceDetail {
             TraceDetail::None => Ok(()),
             TraceDetail::Var { var } => write!(f, "v={var}"),
             TraceDetail::VarVal { var, val } => write!(f, "v={var} val={val}"),
+            TraceDetail::VarNode { var, node } => write!(f, "v={var} node={node}"),
             TraceDetail::QueueDepth { var, depth } => write!(f, "v={var} q={depth}"),
             TraceDetail::Seq {
                 group,
@@ -463,13 +455,12 @@ impl fmt::Display for TraceDetail {
                 write!(f, "id={id} cause={cause} op={op}")
             }
             TraceDetail::Conflict { var, writer } => write!(f, "v={var} writer={writer}"),
-            TraceDetail::Text(s) => f.write_str(s),
         }
     }
 }
 
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// When the event happened.
     pub time: SimTime,
@@ -482,8 +473,11 @@ pub struct TraceEntry {
 }
 
 // What a retained trace costs per event: time, actor, the kind's byte and
-// the 32-byte detail.
+// the 32-byte detail. A record that owned heap data must fail to compile.
 const _: () = assert!(std::mem::size_of::<TraceEntry>() <= 56);
+const fn _assert_copy<T: Copy>() {}
+const _: () = _assert_copy::<TraceDetail>();
+const _: () = _assert_copy::<TraceEntry>();
 
 impl fmt::Display for TraceEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -546,9 +540,8 @@ impl TraceRecorder {
     }
 
     /// Whether records are being made, either into the in-memory trace or
-    /// to an attached observer. Call sites use this to skip building
-    /// [`TraceDetail::Text`] payloads on the fast path; the typed variants
-    /// are `Copy` and free to build unconditionally.
+    /// to an attached observer. Call sites use this to skip work that only
+    /// a record needs; a detail itself is `Copy` and free to build.
     pub fn is_enabled(&self) -> bool {
         self.enabled || self.observer.is_some()
     }
@@ -575,8 +568,7 @@ impl TraceRecorder {
 
     /// Appends a record if recording is enabled, and forwards it to the
     /// observer if one is attached. With recording off and no observer,
-    /// this is a branch and a drop of an (almost always `Copy`) detail —
-    /// no allocation, no formatting.
+    /// this is a branch — no allocation, no formatting.
     pub fn record(&mut self, time: SimTime, actor: usize, kind: TraceKind, detail: TraceDetail) {
         if !self.is_enabled() {
             return;
@@ -632,16 +624,6 @@ impl TraceRecorder {
         self.of_kind(kind).count()
     }
 
-    /// Renders every record, one per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Drops all records.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -668,9 +650,9 @@ mod tests {
     fn enabled_recorder_keeps_everything() {
         let mut tr = TraceRecorder::new(true);
         tr.record(t(1), 0, TraceKind::LockAcquire, TraceDetail::Var { var: 7 });
-        tr.record(t(5), 2, TraceKind::LockGrant, TraceDetail::Var { var: 7 });
+        tr.record(t(5), 2, TraceKind::EvAcquired, TraceDetail::Var { var: 7 });
         assert_eq!(tr.entries().len(), 2);
-        assert_eq!(tr.count_of(TraceKind::LockGrant), 1);
+        assert_eq!(tr.count_of(TraceKind::EvAcquired), 1);
     }
 
     #[test]
@@ -687,23 +669,20 @@ mod tests {
     #[test]
     fn render_contains_all_fields() {
         let mut tr = TraceRecorder::new(true);
-        tr.record(
-            t(1500),
-            3,
-            TraceKind::OptRollback,
-            TraceDetail::text("lock 9"),
-        );
-        let s = tr.render();
-        assert!(s.contains("node3"));
-        assert!(s.contains("opt-rollback"));
-        assert!(s.contains("lock 9"));
+        let detail = TraceDetail::VarNode { var: 9, node: 4 };
+        tr.record(t(1500), 3, TraceKind::LockQueued, detail);
+        let s = tr.entries()[0].to_string();
+        assert!(s.contains("t=1.500us"), "{s}");
+        assert!(s.contains("node3"), "{s}");
+        assert!(s.contains("lock-queued"), "{s}");
+        assert!(s.contains("v=9 node=4"), "{s}");
     }
 
     /// The compatibility contract of every golden file, digest pin and
-    /// export: these 38 spellings, no more, no fewer.
+    /// export: these 34 spellings, no more, no fewer.
     #[test]
-    fn the_vocabulary_is_these_thirty_eight_spellings() {
-        const SPELLINGS: [&str; 38] = [
+    fn the_vocabulary_is_these_thirty_four_spellings() {
+        const SPELLINGS: [&str; 34] = [
             "acc-read",
             "acc-write",
             "acc-write-local",
@@ -722,17 +701,13 @@ mod tests {
             "opt-rollback",
             "opt-conflict",
             "root-seq",
-            "root-drop",
             "root-filtered",
             "root-grant",
             "root-release",
             "root-queue",
-            "lock-grant",
-            "lock-free",
             "lock-queued",
             "grant-retransmit",
             "gwc-apply",
-            "hw-block-drop",
             "pkt-send",
             "pkt-mcast",
             "cause",
@@ -749,7 +724,7 @@ mod tests {
             assert_eq!(kind as usize, i, "{kind} is ALL[{i}]");
         }
         let distinct: std::collections::BTreeSet<&str> = SPELLINGS.into_iter().collect();
-        assert_eq!(distinct.len(), 38);
+        assert_eq!(distinct.len(), 34);
     }
 
     #[test]
@@ -760,11 +735,14 @@ mod tests {
         let mut tr = TraceRecorder::new(true);
         tr.record(t(1500), 3, longest, TraceDetail::Var { var: 7 });
         tr.record(t(1500), 3, TraceKind::Cause, TraceDetail::Var { var: 7 });
-        let lines = [
-            "   t=1.500us node3   ec-local-reacquire       v=7\n",
-            "   t=1.500us node3   cause                    v=7\n",
-        ];
-        assert_eq!(tr.render(), lines.concat());
+        let lines: Vec<String> = tr.entries().iter().map(|e| e.to_string()).collect();
+        assert_eq!(
+            lines,
+            [
+                "   t=1.500us node3   ec-local-reacquire       v=7",
+                "   t=1.500us node3   cause                    v=7",
+            ]
+        );
     }
 
     #[test]
@@ -773,6 +751,7 @@ mod tests {
             (TraceDetail::None, ""),
             (TraceDetail::Var { var: 3 }, "v=3"),
             (TraceDetail::VarVal { var: 3, val: -7 }, "v=3 val=-7"),
+            (TraceDetail::VarNode { var: 3, node: 6 }, "v=3 node=6"),
             (TraceDetail::QueueDepth { var: 1, depth: 4 }, "v=1 q=4"),
             (
                 TraceDetail::Seq {
@@ -857,7 +836,6 @@ mod tests {
                 "id=41 cause=17 op=mcast",
             ),
             (TraceDetail::Conflict { var: 5, writer: 2 }, "v=5 writer=2"),
-            (TraceDetail::text("free form"), "free form"),
         ];
         for (detail, want) in cases {
             assert_eq!(detail.to_string(), want);

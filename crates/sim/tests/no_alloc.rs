@@ -1,7 +1,8 @@
-//! Proof of the zero-allocation tracing contract: recording canonical
-//! protocol events into a **disabled** recorder performs no heap
-//! allocation at all, because every canonical [`TraceDetail`] variant is
-//! plain `Copy` data and the recorder's enable check precedes any store.
+//! Proof of the zero-allocation tracing contract: recording protocol
+//! events into a **disabled** recorder performs no heap allocation at
+//! all, because every [`TraceDetail`] variant is plain `Copy` data and the
+//! recorder's enable check precedes any store. With an observer attached
+//! the same holds end to end (`crates/workloads/tests/zero_alloc.rs`).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! drives the same record calls the simulation hot path makes and asserts
@@ -15,8 +16,8 @@ use sesame_sim::{ApplyMode, CauseOp, SimTime, TraceDetail, TraceKind, TraceRecor
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// One of each canonical (typed, `Copy`) detail the protocol layers emit.
-fn canonical_details() -> [TraceDetail; 13] {
+/// One of each detail shape the protocol layers emit.
+fn canonical_details() -> [TraceDetail; 15] {
     [
         TraceDetail::None,
         TraceDetail::Var { var: 3 },
@@ -72,6 +73,13 @@ fn canonical_details() -> [TraceDetail; 13] {
             op: CauseOp::Send,
         },
         TraceDetail::Conflict { var: 3, writer: 2 },
+        TraceDetail::Multicast {
+            group: 0,
+            bytes: 32,
+            members: 7,
+            last_ns: 300,
+        },
+        TraceDetail::VarNode { var: 3, node: 1 },
     ]
 }
 
@@ -83,12 +91,12 @@ fn disabled_recorder_records_canonical_details_without_allocating() {
 
     let before = allocations();
     for round in 0..1_000u64 {
-        for detail in &details {
+        for &detail in &details {
             recorder.record(
                 SimTime::from_nanos(round),
                 (round % 8) as usize,
                 TraceKind::AccWrite,
-                detail.clone(),
+                detail,
             );
         }
     }

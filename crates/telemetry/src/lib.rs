@@ -23,7 +23,8 @@
 //! [`Telemetry`] is the façade: it implements
 //! [`TraceObserver`](sesame_sim::TraceObserver), so a run wired through
 //! `sesame_dsm::run_observed` feeds it online with zero cost when no
-//! observer is attached (trace call sites never format or allocate).
+//! observer is attached (a trace record is `Copy` data: no call site
+//! formats or allocates, observed or not).
 //! Everything is deterministic — two runs with the same seed produce
 //! byte-identical exports.
 //!

@@ -34,8 +34,8 @@
 use std::collections::BTreeMap;
 
 use sesame_sim::{
-    Counter, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail, TraceEntry, TraceKind as K,
-    TraceObserver,
+    ApplyMode, Counter, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail, TraceEntry,
+    TraceKind as K, TraceObserver,
 };
 
 use crate::registry::MetricKind;
@@ -322,7 +322,18 @@ impl Telemetry {
             (K::RootFiltered, &TraceDetail::Filtered { group: g, .. }) => {
                 self.count(Name::GroupFiltered, g as usize, 0).incr();
             }
-            (K::GwcApply, &TraceDetail::Apply { group: g, seq, .. }) => {
+            (
+                K::GwcApply,
+                &TraceDetail::Apply {
+                    group: g,
+                    seq,
+                    mode,
+                    ..
+                },
+            ) => {
+                if mode == ApplyMode::HwBlocked {
+                    self.count(Name::HwBlockDrops, node, 0).incr();
+                }
                 self.count(Name::GwcApplies, node, 0).incr();
                 let run = self.state.seq_pending.get_mut(&g);
                 if let Some(span) = run.and_then(|run| run.get_mut(seq)) {
@@ -332,16 +343,13 @@ impl Telemetry {
                         .record(t.saturating_since(start));
                 }
             }
-            (K::HwBlockDrop, _) => {
-                self.count(Name::HwBlockDrops, node, 0).incr();
-            }
-            (K::AccRead, _) => {
+            (K::AccRead, TraceDetail::Var { .. }) => {
                 self.count(Name::MemReads, node, 0).incr();
             }
-            (K::AccWrite, _) => {
+            (K::AccWrite, TraceDetail::VarVal { .. }) => {
                 self.count(Name::MemWrites, node, 0).incr();
             }
-            (K::AccWriteLocal, _) => {
+            (K::AccWriteLocal, TraceDetail::VarVal { .. }) => {
                 self.count(Name::MemLocalWrites, node, 0).incr();
             }
             (
@@ -398,16 +406,16 @@ impl Telemetry {
                     );
                 }
             }
-            (K::EcGrantArrived, _) => {
+            (K::EcGrantArrived, TraceDetail::Var { .. }) => {
                 self.count(Name::EcGrants, node, 0).incr();
             }
-            (K::EcInvalidated, _) => {
+            (K::EcInvalidated, TraceDetail::Var { .. }) => {
                 self.count(Name::EcInvalidations, node, 0).incr();
             }
-            (K::EcFetchServe, _) => {
+            (K::EcFetchServe, TraceDetail::VarNode { .. }) => {
                 self.count(Name::EcFetchServes, node, 0).incr();
             }
-            (K::EcLocalReacquire, _) => {
+            (K::EcLocalReacquire, TraceDetail::Var { .. }) => {
                 self.count(Name::EcLocalReacquires, node, 0).incr();
             }
             _ => {}
@@ -606,7 +614,7 @@ mod tests {
             &mut t,
             vec![
                 (100, 1, K::RootSeq, seq),
-                (300, 0, K::GwcApply, apply.clone()),
+                (300, 0, K::GwcApply, apply),
                 (500, 2, K::GwcApply, apply),
             ],
         );
@@ -683,7 +691,7 @@ mod tests {
         feed(
             &mut t,
             vec![
-                (10, 1, K::PktSend, TraceDetail::text("ignored-shape")),
+                (10, 1, K::PktSend, TraceDetail::None),
                 (10, 1, K::Cause, cause(1, 0, CauseOp::Send)),
                 (300, 0, K::Cause, cause(2, 1, CauseOp::Apply)),
             ],
@@ -707,7 +715,7 @@ mod tests {
         let events = || {
             vec![
                 (10, 1, K::Cause, cause(1, 0, CauseOp::Write)),
-                (10, 1, K::PktSend, TraceDetail::text("ignored-shape")),
+                (10, 1, K::PktSend, TraceDetail::None),
                 (10, 1, K::Cause, cause(2, 1, CauseOp::Send)),
                 // Two applies nothing descends from, one that rolls back.
                 (300, 0, K::Cause, cause(3, 2, CauseOp::Apply)),
@@ -920,11 +928,13 @@ mod tests {
             &mut t,
             vec![
                 // A kind the observer has no use for: never counted.
-                (10, 0, K::LockGrant, var(1)),
+                (10, 0, K::LockQueued, var(1)),
                 // Canonical kinds with the wrong detail shape: ignored
                 // rather than misread.
-                (20, 0, K::PktSend, TraceDetail::text("garbage")),
-                (30, 0, K::EvAcquired, TraceDetail::text("no-v-here")),
+                (20, 0, K::PktSend, var(1)),
+                (30, 0, K::EvAcquired, TraceDetail::None),
+                (35, 0, K::AccRead, TraceDetail::None),
+                (36, 0, K::EcGrantArrived, TraceDetail::None),
                 (40, 0, K::MutexComplete, var(0)),
                 (50, 0, K::RootSeq, var(0)),
             ],

@@ -497,7 +497,7 @@ mod tests {
         let var = TraceDetail::Var { var: 0 };
         let last = MAX_WINDOWS - 1;
         let mut t = Telemetry::new("t", 0).with_series(SimDur::from_nanos(1));
-        t.observe(&entry(last, 0, K::OptEnter, var.clone()));
+        t.observe(&entry(last, 0, K::OptEnter, var));
         t.finish(SimTime::from_nanos(last + 1));
         assert!(!series(&t).truncated(), "2^20 windows still fit");
         assert_eq!(series(&t).windows.len() as u64, MAX_WINDOWS);
@@ -510,7 +510,7 @@ mod tests {
         // all fit, then one at the end of time, land in one overflow
         // window.
         let mut t = Telemetry::new("t", 0).with_series(SimDur::from_nanos(1));
-        t.observe(&entry(last + 1, 0, K::OptRollback, var.clone()));
+        t.observe(&entry(last + 1, 0, K::OptRollback, var));
         t.finish(SimTime::from_nanos(last + 1));
         assert!(series(&t).truncated());
         t.observe(&entry(u64::MAX, 0, K::OptRollback, var));

@@ -77,11 +77,12 @@ impl Feeder {
             let (group, val, origin) = (0, section as i64, node as u32);
             t.on_cause_floor(self.causes + 1);
             self.now += 7;
-            self.act(t, node, K::MutexEnter, var.clone(), (0, CauseOp::Acquire));
-            self.emit(t, node, K::OptEnter, var.clone());
-            self.emit(t, node, K::AccRead, var.clone());
-            let write = self.act(t, node, K::AccWrite, var.clone(), (0, CauseOp::Write));
-            self.emit(t, node, K::AccWriteLocal, var.clone());
+            self.act(t, node, K::MutexEnter, var, (0, CauseOp::Acquire));
+            self.emit(t, node, K::OptEnter, var);
+            self.emit(t, node, K::AccRead, var);
+            let written = TraceDetail::VarVal { var: 0, val };
+            let write = self.act(t, node, K::AccWrite, written, (0, CauseOp::Write));
+            self.emit(t, node, K::AccWriteLocal, written);
             let packet = TraceDetail::Packet {
                 from: origin,
                 to: 0,
@@ -134,7 +135,12 @@ impl Feeder {
                     var: 0,
                     val,
                     origin,
-                    mode: ApplyMode::Applied,
+                    // Figure 6: the writer's own echo is hardware-blocked.
+                    mode: if member == node {
+                        ApplyMode::HwBlocked
+                    } else {
+                        ApplyMode::Applied
+                    },
                 };
                 apply_at_victim =
                     self.act(t, member, K::GwcApply, applied, (mcast, CauseOp::Apply));
@@ -144,24 +150,17 @@ impl Feeder {
             if section % 100 == 0 {
                 let victim = NODES - 1;
                 let rollback = (apply_at_victim, CauseOp::Rollback);
-                self.act(t, victim, K::OptRollback, var.clone(), rollback);
+                self.act(t, victim, K::OptRollback, var, rollback);
                 let blame = TraceDetail::Conflict {
                     var: 0,
                     writer: origin,
                 };
                 self.emit(t, victim, K::OptConflict, blame);
             }
-            self.emit(t, node, K::HwBlockDrop, TraceDetail::None);
-            self.act(
-                t,
-                node,
-                K::MutexGranted,
-                var.clone(),
-                (mcast, CauseOp::Acquired),
-            );
+            self.act(t, node, K::MutexGranted, var, (mcast, CauseOp::Acquired));
             self.now += 25;
-            self.emit(t, node, K::EvReleased, var.clone());
-            self.emit(t, node, K::MutexRegular, var.clone());
+            self.emit(t, node, K::EvReleased, var);
+            self.emit(t, node, K::MutexRegular, var);
             let done = TraceDetail::Complete {
                 var: 0,
                 optimistic: true,
@@ -169,14 +168,11 @@ impl Feeder {
                 overlapped: true,
             };
             self.act(t, node, K::MutexComplete, done, (mcast, CauseOp::Complete));
-            for kind in [
-                K::EcGrantArrived,
-                K::EcInvalidated,
-                K::EcFetchServe,
-                K::EcLocalReacquire,
-            ] {
-                self.emit(t, node, kind, TraceDetail::None);
+            for kind in [K::EcGrantArrived, K::EcInvalidated, K::EcLocalReacquire] {
+                self.emit(t, node, kind, var);
             }
+            let fetch = TraceDetail::VarNode { var: 0, node: 0 };
+            self.emit(t, node, K::EcFetchServe, fetch);
         }
     }
 }

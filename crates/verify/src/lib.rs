@@ -457,20 +457,21 @@ mod tests {
         assert_eq!(violations[0].check, CheckKind::Sequencing);
     }
 
-    /// What the trace also carries — the human-readable records, and a
-    /// kind paired with a shape it is not emitted with — is skipped rather
+    /// What the trace also carries — kinds no checker reads, and a kind
+    /// paired with a shape it is not emitted with — is skipped rather
     /// than misread: nothing below races, or ends the rollback window
     /// before its restore.
     #[test]
     fn non_canonical_records_are_ignored() {
+        let queued = TraceDetail::VarNode { var: 0, node: 2 };
         let trace = vec![
             e(1, 1, K::MutexEnter, var(0)),
             e(1, 1, K::OptEnter, var(0)),
             e(1, 1, K::OptSave, vv(5, 7)),
             e(2, 1, K::AccWrite, vv(5, 42)),
             e(3, 1, K::OptRollback, var(0)),
-            e(3, 1, K::LockGrant, TraceDetail::text("v3 -> node1")),
-            e(3, 1, K::AccWrite, TraceDetail::text("garbage")),
+            e(3, 1, K::LockQueued, queued),
+            e(3, 1, K::AccWrite, TraceDetail::None),
             e(3, 1, K::AccWrite, var(1)),
             e(3, 2, K::AccWrite, var(5)),
             e(3, 1, K::RootGrant, var(0)),

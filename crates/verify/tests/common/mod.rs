@@ -136,9 +136,8 @@ pub fn with_swapped_applies(trace: &[TraceEntry]) -> Vec<TraceEntry> {
         }
     }
     let (a, b) = pair.expect("trace contains two applies at one node");
-    let detail_a = entries[a].detail.clone();
-    let detail_b = entries[b].detail.clone();
-    entries[a].detail = detail_b;
+    let detail_a = entries[a].detail;
+    entries[a].detail = entries[b].detail;
     entries[b].detail = detail_a;
     entries
 }

@@ -39,7 +39,7 @@ struct Recording(Vec<TraceEntry>);
 
 impl TraceObserver for Recording {
     fn on_record(&mut self, entry: &TraceEntry) {
-        self.0.push(entry.clone());
+        self.0.push(*entry);
     }
 }
 
@@ -69,13 +69,13 @@ fn perturbed(trace: &[TraceEntry], rng: &mut DetRng) -> Vec<TraceEntry> {
             }
             2 => {
                 let other = sequencing[rng.next_below(sequencing.len() as u64) as usize];
-                let detail = t[other].detail.clone();
+                let detail = t[other].detail;
                 if t[at].kind == t[other].kind {
                     t[other].detail = std::mem::replace(&mut t[at].detail, detail);
                 }
             }
             3 => {
-                let mut again = t[at].clone();
+                let mut again = t[at];
                 again.time = t.last().map_or(again.time, |last| last.time);
                 t.push(again);
             }

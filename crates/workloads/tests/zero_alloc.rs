@@ -12,14 +12,21 @@
 //! (byte-identical schedules until the short run's contenders stop), so
 //! the long run's extra rounds are pure steady state — its allocation
 //! total must EQUAL the short run's, not merely stay close.
+//!
+//! The same holds with tracing on: every trace record is `Copy` data, so
+//! with an observer attached that keeps nothing, the extra rounds still
+//! add zero allocations.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use sesame_alloc_probe::{allocations, CountingAlloc};
 use sesame_dsm::{
-    lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
-    Program, RunOptions, VarId,
+    lockval, run_observed, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig,
+    NodeApi, Program, RunOptions, VarId,
 };
 use sesame_net::{LinkTiming, NodeId, Ring, Topology};
-use sesame_sim::SimDur;
+use sesame_sim::{SimDur, TraceEntry, TraceObserver};
 
 // Per-thread counters: sibling tests cannot leak into a measured window.
 #[global_allocator]
@@ -58,9 +65,19 @@ fn contender(rounds: u32, think_ns: u64) -> Box<dyn Program> {
     })
 }
 
+type Observer = Option<Rc<RefCell<dyn TraceObserver>>>;
+
+/// Sees every record and keeps none of them.
+struct Discard;
+
+impl TraceObserver for Discard {
+    fn on_record(&mut self, _: &TraceEntry) {}
+}
+
 /// Runs `contenders` hammers for `rounds` rounds each over the flattened
-/// dispatch path and returns (allocations during the run, final counter).
-fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
+/// dispatch path, feeding `observer` if one is given, and returns
+/// (allocations during the run, final counter).
+fn measured_run(contenders: u32, rounds: u32, observer: Observer) -> (u64, u64) {
     let topo: Box<dyn Topology> = Box::new(Ring::new(contenders as usize + 1));
     let nodes = topo.len();
     let groups = GroupTable::new(vec![GroupSpec {
@@ -84,7 +101,7 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     machine.init_var(v(LOCK), lockval::FREE);
 
     let before = allocations();
-    let result = run(machine, RunOptions::default());
+    let result = run_observed(machine, RunOptions::default(), observer);
     let allocs = allocations() - before;
     let counter = result.machine.mem(n(1)).read(v(COUNTER));
     assert_eq!(
@@ -95,10 +112,11 @@ fn measured_run(contenders: u32, rounds: u32) -> (u64, u64) {
     (allocs, counter as u64)
 }
 
-#[test]
-fn steady_state_dispatch_allocates_nothing() {
-    let (short_allocs, short_count) = measured_run(4, 10);
-    let (long_allocs, long_count) = measured_run(4, 60);
+/// Asserts that 50 extra rounds per contender add no allocation, under
+/// the observer `observer()` builds.
+fn assert_steady_state_allocates_nothing(observer: impl Fn() -> Observer) {
+    let (short_allocs, short_count) = measured_run(4, 10, observer());
+    let (long_allocs, long_count) = measured_run(4, 60, observer());
     assert!(long_count > short_count * 5, "long run really ran longer");
     // Warm-up (route construction, queue slab growth, scratch capacity)
     // is identical in both runs; the 200 extra critical sections of the
@@ -110,4 +128,14 @@ fn steady_state_dispatch_allocates_nothing() {
         long_allocs.saturating_sub(short_allocs),
         long_count - short_count,
     );
+}
+
+#[test]
+fn steady_state_dispatch_allocates_nothing() {
+    assert_steady_state_allocates_nothing(|| None);
+}
+
+#[test]
+fn steady_state_tracing_into_an_observer_allocates_nothing() {
+    assert_steady_state_allocates_nothing(|| Some(Rc::new(RefCell::new(Discard))));
 }

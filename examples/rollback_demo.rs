@@ -12,7 +12,7 @@ use sesame_dsm::{
     lockval, run, AppEvent, MachineConfig, NodeApi, Program, RunOptions, VarId, Word,
 };
 use sesame_net::{Line, NodeId};
-use sesame_sim::{SimDur, TraceKind as K};
+use sesame_sim::{ApplyMode, SimDur, TraceDetail, TraceKind as K};
 
 const LOCK: VarId = VarId::new(0);
 const DATA: VarId = VarId::new(1);
@@ -108,23 +108,33 @@ fn scenario(hw_block: bool) -> Word {
     println!("--- protocol trace ---");
     for e in result.trace.entries() {
         // The mutex engine's steps, the lock's life at the root, and every
-        // discarded write.
-        if matches!(
-            e.kind,
-            K::MutexEnter
-                | K::MutexRegular
-                | K::MutexOptimistic
-                | K::MutexGranted
-                | K::MutexRollback
-                | K::MutexComplete
-                | K::LockAcquire
-                | K::LockRelease
-                | K::LockGrant
-                | K::LockFree
-                | K::LockQueued
-                | K::RootDrop
-                | K::HwBlockDrop
-        ) {
+        // discarded write: filtered at the root, or hardware-blocked at
+        // its writer.
+        let hw_blocked = matches!(
+            e.detail,
+            TraceDetail::Apply {
+                mode: ApplyMode::HwBlocked,
+                ..
+            }
+        );
+        if hw_blocked
+            || matches!(
+                e.kind,
+                K::MutexEnter
+                    | K::MutexRegular
+                    | K::MutexOptimistic
+                    | K::MutexGranted
+                    | K::MutexRollback
+                    | K::MutexComplete
+                    | K::LockAcquire
+                    | K::LockRelease
+                    | K::RootGrant
+                    | K::RootRelease
+                    | K::RootQueue
+                    | K::LockQueued
+                    | K::RootFiltered
+            )
+        {
             println!("{e}");
         }
     }

@@ -171,7 +171,7 @@ struct Tee {
 
 impl TraceObserver for Tee {
     fn on_record(&mut self, entry: &TraceEntry) {
-        self.records.push(entry.clone());
+        self.records.push(*entry);
         self.collector.on_record(entry);
     }
 
