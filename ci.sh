@@ -250,17 +250,18 @@ for w in bigmesh_32k paper_figs_par lossy_mutex observed_contention check_mutex;
     fi
 done
 # The same contract line carries bigmesh_32k's peak RSS (whole megabytes
-# are enough). It reads 19.9 MB (median of ten contract runs, seed 7;
-# 20.0 on seed 11) with per-node records that store only what is read,
-# so the ceiling keeps the ~15 % headroom it had over the 23.4 MB the
-# wider records read — and now fails a return to them. With the
-# grow-only stores (a FIFO floor per path ever used, a doubling route
-# buffer, a four-slot history block per root) it read 29.2 MB, and
-# scheduling every wave at the send instant read 50.8 MB, so a return to
-# either fails here on memory, not only on a hand-run ledger.
+# are enough). It reads 16.9 MB (median of ten contract runs, seed 7;
+# 16.9 on seed 11) with each pruned route shape stored once and an
+# 8-byte handle per group, so the 19 MB ceiling (~12 % headroom) fails a
+# return to one stored route per group, which read 19.8 MB. The wider
+# per-node records read 23.4 MB, the grow-only stores (a FIFO floor per
+# path ever used, a doubling route buffer, a four-slot history block per
+# root) 29.2 MB, and scheduling every wave at the send instant 50.8 MB,
+# so a return to any of them fails here on memory, not only on a
+# hand-run ledger.
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-bigmesh_32k.last")
-if [ -n "$rss" ] && [ "$rss" -ge 23 ]; then
-    echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 23" >&2
+if [ -n "$rss" ] && [ "$rss" -ge 19 ]; then
+    echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 19" >&2
     exit 1
 fi
 # paper_figs_par's reads ~6.0 MB (seeds 7 and 11, ledger contract runs):
@@ -274,8 +275,8 @@ if [ -n "$rss" ] && [ "$rss" -ge 7 ]; then
     echo "ledger paper_figs_par memory ceiling: peak RSS ${rss} MB, want < 7" >&2
     exit 1
 fi
-# observed_contention's reads 21.4 MB on seed 7 and 22.6 on seed 11
-# (medians of ledger contract runs). The series export is written straight
+# observed_contention's reads about 19.7 MB on seed 7 and 20.2 on seed 11
+# (ledger contract runs). The series export is written straight
 # into its string and validated one window at a time, and the verifier
 # keeps its per-sequence payloads and clocks in flat per-group tables; the
 # peak is now the causes export string. It read 30 MB (seeds 7 and 11)
@@ -359,19 +360,21 @@ if [ "${thr:-0}" -lt 100000 ]; then
 fi
 # The exact-integer `peak_rss_kb` line (VmHWM; absent off Linux, where the
 # check is skipped) is the memory ceiling: this machine has 275 000 groups
-# and reads 167 840 kB (two runs of the command above) with flat per-group
-# state, one pending event per fan-out in flight, floors, routes and
-# histories that hold what is in flight or in use, and per-node records
-# that store only what is read, so 200 000 kB (+19 %) absorbs allocator
-# and libc drift but neither one reintroduced heap vector per group (the
-# struct-of-Vecs layout read 467 348 kB) nor a return to queueing every
-# wave and every node's start up front (270 488 kB). (The wider records
-# read 195 550 kB, and grow-only floors, route buffer and history blocks
-# 213 828 kB on top of them, both inside this ceiling: the footprint
-# budgets and the ledger ceiling above are what catch those.)
+# and reads 134 600 kB (two runs of the command above) with flat per-group
+# state, each route shape stored once and an 8-byte handle per group, one
+# pending event per fan-out in flight, floors and histories that hold
+# what is in flight or in use, and per-node records that store only what
+# is read, so 160 000 kB (+19 %) absorbs allocator and libc drift but
+# neither one reintroduced heap vector per group (the struct-of-Vecs
+# layout read 467 348 kB) nor a return to queueing every wave and every
+# node's start up front (270 488 kB). (One stored route per group read
+# 157 000 kB, inside this ceiling: the footprint budgets and the ledger
+# ceiling above are what catch it. The wider records read 195 550 kB,
+# and grow-only floors, route buffer and history blocks 213 828 kB on top
+# of them, both now outside it.)
 rss=$(grep -o 'peak_rss_kb [0-9]*' "$tmpdir/bigmesh250k.out" | cut -d' ' -f2 || true)
-if [ -n "$rss" ] && [ "$rss" -gt 200000 ]; then
-    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 200000" >&2
+if [ -n "$rss" ] && [ "$rss" -gt 160000 ]; then
+    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 160000" >&2
     exit 1
 fi
 

@@ -69,12 +69,13 @@ pub enum DsmEvent {
     /// declared group-member order, each with its own application-event
     /// cascade, exactly as if they had been separate events at this time.
     ///
-    /// The member list is an index into the group's packed route in the
+    /// The member list is an index into the group's route in the
     /// machine's [`RouteArena`]: under contention-free, loss-free timing
     /// every fan-out over a route reaches exactly the topology-static wave
     /// at its depth-determined instant, so the event only needs
-    /// `(group, wave)` — dispatch iterates the precomputed slice and
-    /// allocates nothing.
+    /// `(group, wave)` — dispatch reads the wave out of the route's shape,
+    /// which groups of one shape share, placing each member at the
+    /// group's root as it goes, and allocates nothing.
     ///
     /// A fan-out's waves are the cars of one event train
     /// ([`Context::send_train_at`]): the multicast schedules wave 0 only,
@@ -239,11 +240,12 @@ impl Mx<'_, '_> {
     ///
     /// Routing structures are built lazily on a group's first multicast and
     /// cached: full [`SpanningTree`]s are shared between all groups with
-    /// the same root (the default), member-pruned routes are per group,
-    /// packed into one [`RouteArena`]
-    /// ([`MachineConfig::pruned_multicast`]). Both are pure functions of
-    /// the topology and the validated group specs, so lazy construction
-    /// cannot perturb determinism.
+    /// the same root (the default), member-pruned routes between all
+    /// groups with the same shape — the same root and member offsets in
+    /// the topology's [`Frame`](sesame_net::Frame) — stored once each in
+    /// one [`RouteArena`] ([`MachineConfig::pruned_multicast`]). Both are
+    /// pure functions of the topology and the validated group specs, so
+    /// lazy construction cannot perturb determinism.
     pub fn multicast(&mut self, group: GroupId, bytes: u32, kind: PacketKind) {
         let g = self.groups.group(group);
         let root = g.root();
@@ -524,9 +526,10 @@ pub struct Machine<M: Model> {
     /// every group with the same root (a tree depends only on the root).
     trees: HashMap<NodeId, SpanningTree>,
     /// Member-pruned routes, built lazily per group when
-    /// [`MachineConfig::pruned_multicast`] is on and packed into one
-    /// arena addressed by the dense group index: wave dispatch resolves
-    /// its route with one header load instead of a hash probe per event.
+    /// [`MachineConfig::pruned_multicast`] is on, stored once per shape in
+    /// one arena addressed by the dense group index: wave dispatch
+    /// resolves its route with one 8-byte handle load instead of a hash
+    /// probe per event.
     routes: RouteArena,
     mems: Vec<LocalMemory>,
     cpus: Vec<CpuMeter>,
@@ -596,7 +599,7 @@ impl<M: Model> Machine<M> {
             fabric: Fabric::new(timing),
             groups,
             trees: HashMap::new(),
-            // Route headers only where routes will be built: the default
+            // Route handles only where routes will be built: the default
             // flood machine holds no route storage at all.
             routes: RouteArena::with_routes(if cfg.pruned_multicast { n_groups } else { 0 }),
             mems: vec![LocalMemory::new(); n],
@@ -688,9 +691,9 @@ impl<M: Model> Machine<M> {
         &self.causes
     }
 
-    /// Heap bytes of pruned-multicast route storage (packed routes and
-    /// per-group headers). Zero on a machine that floods spanning trees,
-    /// which builds no routes.
+    /// Heap bytes of pruned-multicast route storage (shapes, their index
+    /// and per-group handles). Zero on a machine that floods spanning
+    /// trees, which builds no routes.
     pub fn route_heap_bytes(&self) -> usize {
         self.routes.heap_bytes()
     }
@@ -1018,9 +1021,9 @@ impl<M: Model> Actor for Machine<M> {
                 // One queue event carries a whole fan-out wavefront; each
                 // member still gets its own packet delivery and cascade, in
                 // declared member order, as if they were separate events at
-                // this instant. The route's wave is copied into scratch
-                // first because delivering to a member borrows the whole
-                // machine mutably.
+                // this instant. The route's wave is placed at the group's
+                // root and copied into scratch first, because delivering to
+                // a member borrows the whole machine mutably.
                 let route = self
                     .routes
                     .get(group.index())

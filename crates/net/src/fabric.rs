@@ -369,7 +369,10 @@ impl Fabric {
     /// `O(route nodes)` instead of `O(topology positions)`. The root
     /// "receives" its own echo at `now`. The arrival list is written into
     /// the caller's buffer (cleared first), as [`Fabric::multicast_into`]
-    /// does.
+    /// does. A route shared by several groups is stored once, in offsets
+    /// from the root; the walk places positions only for store-and-forward
+    /// links and for the members it lists, and cut-through timing needs
+    /// none.
     pub fn multicast_route_into<'r>(
         &mut self,
         now: SimTime,

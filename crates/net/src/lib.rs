@@ -40,5 +40,5 @@ pub use fabric::{ContentionModel, Fabric, FabricStats};
 pub use link::LinkTiming;
 pub use mroute::{MulticastRoute, RouteArena, RouteRef};
 pub use node::{LinkId, NodeId};
-pub use topology::{FullMesh, Line, MeshTorus2d, Ring, Topology};
+pub use topology::{Frame, FullMesh, Line, MeshTorus2d, Ring, Topology};
 pub use tree::SpanningTree;

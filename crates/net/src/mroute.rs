@@ -1,5 +1,5 @@
 //! Member-pruned multicast routes, built from unicast paths and stored
-//! packed.
+//! packed, once per shape.
 //!
 //! [`SpanningTree`](crate::SpanningTree) materializes a full BFS tree over
 //! *every* position of the topology — `O(positions)` memory per distinct
@@ -14,10 +14,9 @@
 //! paths touch. Construction costs `O(sum of member path lengths)` and a
 //! multicast walks exactly the pruned edge set.
 //!
-//! # One layout, two owners
+//! # One layout, in the topology's frame
 //!
-//! A machine that scales by sharding has more groups than nodes, so a
-//! route is stored as **one run of 32-bit words**, not as a struct of
+//! A route is stored as **one run of 32-bit words**, not as a struct of
 //! vectors:
 //!
 //! ```text
@@ -25,18 +24,31 @@
 //! ```
 //!
 //! (`n` positions, `m` members, `w` waves — 15 words for a two-member
-//! hand-off group.) [`RouteArena`] packs every route of a machine into
-//! append-only storage with a fixed-size header per route and builds them
-//! lazily through retained scratch; [`MulticastRoute`] is the same layout
-//! owning a single route. Both hand out the borrowed [`RouteRef`] view,
-//! which carries all the accessors.
+//! hand-off group.) Positions (`nodes`, `wave_nodes`) are stored as
+//! offsets from the root in the topology's [`Frame`]; the other sections
+//! are local indices and depths, which no shift changes. On a torus or a
+//! ring, routing commutes with shifting every position the same way, so
+//! two groups whose root and members sit at the same offsets have the
+//! same words: a machine that scales by sharding has more groups than
+//! nodes but only a handful of group *shapes*.
+//!
+//! [`RouteArena`] therefore stores each shape once, in append-only blocks,
+//! finds it again by the offsets of a group's root and members, and keeps
+//! an 8-byte handle (shape, root) per group. [`MulticastRoute`] is the
+//! same layout owning a single route. Both hand out the borrowed
+//! [`RouteRef`] view, which carries the root and the frame and places
+//! every position as it is read.
 //!
 //! # Determinism and equivalence
 //!
 //! * Construction is a pure function of `(topology, root, member order)`:
 //!   [`Topology::route_into`] is deterministic, members are walked in
 //!   declared order, and first-wins parent assignment breaks any tie the
-//!   same way every run. No hashing, no RNG.
+//!   same way every run. No RNG; the shape index hashes, but a lookup
+//!   compares the offsets themselves, so what it finds is exact.
+//! * Placed through its frame, a shared shape reads exactly as the route
+//!   built for the group itself would (the frame's contract, see
+//!   [`Frame`]).
 //! * Under cut-through timing (the paper's model) a member's arrival time
 //!   depends only on its hop depth, and every route is a shortest path — so
 //!   arrival times equal what [`Fabric::multicast`](crate::Fabric::multicast)
@@ -44,7 +56,7 @@
 //!   differs: the pruned route traverses (and bills) only edges that lead
 //!   to members, while the full tree floods every position.
 
-use crate::{LinkId, NodeId, Topology};
+use crate::{Frame, LinkId, NodeId, Topology};
 
 /// Section lengths of one packed route; with the section order fixed they
 /// determine where every section starts.
@@ -63,18 +75,30 @@ impl Shape {
     fn words(self) -> usize {
         3 * self.nodes as usize + 2 * self.members as usize + 2 * self.waves as usize + 1
     }
+
+    /// What a route of this shape is looked up by, read out of its own
+    /// `words`: the root's offset, then each member's in declared order.
+    fn key(self, words: &[u32]) -> impl Iterator<Item = u32> + '_ {
+        let from = 3 * self.nodes as usize;
+        let members = &words[from..from + self.members as usize];
+        std::iter::once(words[0]).chain(members.iter().map(|&i| words[i as usize]))
+    }
 }
 
 /// A borrowed view of one packed route — out of a [`RouteArena`] or a
 /// [`MulticastRoute`] — split into its sections once, so every accessor
-/// is a plain slice index.
+/// is a slice index, plus a [`Frame::place`] for a position.
 ///
 /// Local index `0` is always the root; every other node's parent appears
 /// at a smaller local index, so walking `1..len` visits parents before
 /// children — the order a downstream multicast wave advances.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteRef<'a> {
-    /// Local index -> position. `nodes[0]` is the root.
+    /// Where offsets are measured from.
+    root: NodeId,
+    /// How offsets become positions.
+    frame: Frame,
+    /// Local index -> offset. `nodes[0]` is the root's.
     nodes: &'a [u32],
     /// Local parent index; `parent[0] == 0` (the root is its own parent).
     parent: &'a [u32],
@@ -82,9 +106,9 @@ pub struct RouteRef<'a> {
     depth: &'a [u32],
     /// Local indices of the group members, in declared member order.
     members: &'a [u32],
-    /// Member positions regrouped into fan-out waves: positions sharing
-    /// one hop depth, waves in ascending depth order, members inside a
-    /// wave in declared member order. Sliced by `wave_offsets`.
+    /// Member offsets regrouped into fan-out waves: members sharing one
+    /// hop depth, waves in ascending depth order, members inside a wave in
+    /// declared member order. Sliced by `wave_offsets`.
     wave_nodes: &'a [u32],
     /// `wave_offsets[w]..wave_offsets[w + 1]` indexes wave `w` in
     /// `wave_nodes`; always one longer than `wave_depths`.
@@ -94,7 +118,7 @@ pub struct RouteRef<'a> {
 }
 
 impl<'a> RouteRef<'a> {
-    fn new(words: &'a [u32], shape: Shape) -> Self {
+    fn new(words: &'a [u32], shape: Shape, root: NodeId, frame: Frame) -> Self {
         let (n, m) = (shape.nodes as usize, shape.members as usize);
         let (nodes, rest) = words.split_at(n);
         let (parent, rest) = rest.split_at(n);
@@ -104,6 +128,8 @@ impl<'a> RouteRef<'a> {
         let (wave_offsets, wave_depths) = rest.split_at(shape.waves as usize + 1);
         debug_assert_eq!(wave_depths.len(), shape.waves as usize);
         RouteRef {
+            root,
+            frame,
             nodes,
             parent,
             depth,
@@ -116,7 +142,7 @@ impl<'a> RouteRef<'a> {
 
     /// The route's root (the group's sequencing arbiter).
     pub fn root(self) -> NodeId {
-        self.node(0)
+        self.root
     }
 
     /// Number of positions the pruned route materializes (root included).
@@ -142,7 +168,7 @@ impl<'a> RouteRef<'a> {
 
     /// The position at local index `i` (`0` is the root).
     pub fn node(self, i: usize) -> NodeId {
-        NodeId::new(self.nodes[i])
+        self.frame.place(self.root, self.nodes[i])
     }
 
     /// The local parent index of local index `i`; parents always have
@@ -178,13 +204,14 @@ impl<'a> RouteRef<'a> {
         self.wave_depths[w]
     }
 
-    /// The members of wave `w`, in declared member order, read straight
-    /// out of the packed route: iterating a fan-out materializes nothing.
+    /// The members of wave `w`, in declared member order, placed as they
+    /// are read out of the packed route: iterating a fan-out materializes
+    /// nothing.
     pub fn wave(self, w: usize) -> impl ExactSizeIterator<Item = NodeId> + 'a {
         let (start, end) = (self.wave_offsets[w], self.wave_offsets[w + 1]);
         self.wave_nodes[start as usize..end as usize]
             .iter()
-            .map(|&n| NodeId::new(n))
+            .map(move |&off| self.frame.place(self.root, off))
     }
 
     /// The largest member hop depth (0 when the only member is the root,
@@ -204,6 +231,7 @@ struct RouteScratch {
     index: Vec<(NodeId, u32)>,
     /// The unicast path being walked.
     path: Vec<LinkId>,
+    /// Local index -> position (absolute while walking).
     nodes: Vec<u32>,
     parent: Vec<u32>,
     depth: Vec<u32>,
@@ -289,9 +317,13 @@ impl RouteScratch {
     }
 
     /// Appends the packed words of the route last walked to `out`, which
-    /// the caller has sized for them.
-    fn pack_into(&mut self, out: &mut Vec<u32>) {
+    /// the caller has sized for them, with every position turned into its
+    /// offset from `root` in `frame`.
+    fn pack_into(&mut self, frame: Frame, root: NodeId, out: &mut Vec<u32>) {
         let start = out.len();
+        for node in &mut self.nodes {
+            *node = frame.offset(root, NodeId::new(*node));
+        }
         out.extend_from_slice(&self.nodes);
         out.extend_from_slice(&self.parent);
         out.extend_from_slice(&self.depth);
@@ -322,7 +354,7 @@ fn wave_of(wave_depths: &[u32], depth: u32) -> usize {
 
 /// One pruned route, owned: the union of deterministic shortest paths from
 /// one root to each group member, indexed compactly over just the positions
-/// those paths visit. Same packed layout as a [`RouteArena`] entry; read
+/// those paths visit. Same packed layout as a [`RouteArena`] shape; read
 /// it through [`MulticastRoute::view`].
 ///
 /// ```
@@ -339,6 +371,8 @@ fn wave_of(wave_depths: &[u32], depth: u32) -> usize {
 pub struct MulticastRoute {
     words: Vec<u32>,
     shape: Shape,
+    root: NodeId,
+    frame: Frame,
 }
 
 impl MulticastRoute {
@@ -352,16 +386,26 @@ impl MulticastRoute {
     /// a route step is inconsistent with the path walked so far (both
     /// indicate a broken [`Topology::route_into`] implementation).
     pub fn build(topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
+        Self::build_in(topo.frame(), topo, root, members)
+    }
+
+    /// [`MulticastRoute::build`] with the positions stored in `frame`.
+    fn build_in(frame: Frame, topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
         let mut scratch = RouteScratch::default();
         let shape = scratch.walk(topo, root, members);
         let mut words = Vec::with_capacity(shape.words());
-        scratch.pack_into(&mut words);
-        MulticastRoute { words, shape }
+        scratch.pack_into(frame, root, &mut words);
+        MulticastRoute {
+            words,
+            shape,
+            root,
+            frame,
+        }
     }
 
     /// The borrowed view carrying the accessors.
     pub fn view(&self) -> RouteRef<'_> {
-        RouteRef::new(&self.words, self.shape)
+        RouteRef::new(&self.words, self.shape, self.root, self.frame)
     }
 }
 
@@ -371,88 +415,114 @@ impl<'a> From<&'a MulticastRoute> for RouteRef<'a> {
     }
 }
 
-/// Where one route of a [`RouteArena`] lives.
+/// Where one stored shape of a [`RouteArena`] lives.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// The block holding the route; [`NO_BLOCK`] until its first use.
+struct Stored {
+    /// The block holding the shape's words.
     block: u32,
-    /// First word of the route within its block.
+    /// First word of the shape within its block.
     at: u32,
     shape: Shape,
 }
 
-/// The block index that names no block.
-const NO_BLOCK: u32 = u32::MAX;
+/// What a group keeps of its route: the shape it shares, and where that
+/// shape is placed.
+#[derive(Debug, Clone, Copy)]
+struct Handle {
+    /// Index into the arena's stored shapes; [`NONE`] until first use.
+    shape: u32,
+    root: NodeId,
+}
 
-impl Slot {
-    const UNBUILT: Slot = Slot {
-        block: NO_BLOCK,
-        at: 0,
-        shape: Shape {
-            nodes: 0,
-            members: 0,
-            waves: 0,
-        },
+/// The index that names no block, shape or index entry.
+const NONE: u32 = u32::MAX;
+
+impl Handle {
+    const UNBUILT: Handle = Handle {
+        shape: NONE,
+        root: NodeId::new(0),
     };
 }
 
-/// Every pruned route of one machine, packed.
+/// Every pruned route of one machine, stored once per shape.
 ///
 /// Routes are addressed by a dense caller-chosen id (the machine uses the
-/// group id) and built lazily on first use. The arena is **append-only**:
-/// a built route never moves and is never dropped, so an id — or a
-/// `(id, wave)` pair queued in an event — stays valid for the arena's
-/// lifetime. Building reuses retained scratch, so after warm-up a new
-/// route costs no allocation beyond the occasional new block.
+/// group id) and built lazily on first use. A first use looks the group's
+/// shape up by the offsets of its root and members (see [`Frame`]), and
+/// walks and stores the route only if no group before it had that shape;
+/// either way the id keeps an 8-byte handle. The arena is
+/// **append-only**: a stored shape never moves and is never dropped, so
+/// an id — or a `(id, wave)` pair queued in an event — stays valid for the
+/// arena's lifetime. Building reuses retained scratch, so after warm-up a
+/// route of a known shape allocates nothing, and a new shape nothing
+/// beyond the occasional new block.
 ///
-/// Storage **grows to fit**: routes are appended to blocks that are never
-/// reallocated, and a new block is sized so that the arena as a whole
-/// holds at most 9/8 of the words its routes use (see
-/// [`RouteArena::get_or_build`]). A million routes therefore cost their
-/// own words plus an eighth — not the up-to-double of a doubling buffer,
-/// and nothing is ever copied or left behind for the allocator to strand.
+/// Shape storage **grows to fit**: shapes are appended to blocks that are
+/// never reallocated, and a new block is sized so that the arena as a
+/// whole holds at most 9/8 of the words its shapes use — not the
+/// up-to-double of a doubling buffer, and nothing is ever copied or left
+/// behind for the allocator to strand.
 #[derive(Debug, Default)]
 pub struct RouteArena {
-    /// Route words. A route lies whole inside one block.
+    /// The frame of the topology the routes were built over.
+    frame: Frame,
+    /// Shape words. A shape lies whole inside one block.
     blocks: Vec<Vec<u32>>,
-    /// The block being filled with routes of `2^k..2^(k+1)` words, by `k`
-    /// ([`NO_BLOCK`] until one exists). One per size class, so a wide
-    /// route that does not fit where narrow ones are being packed opens a
-    /// block of its own instead of closing theirs half full.
+    /// The block being filled with shapes of `2^k..2^(k+1)` words, by `k`
+    /// ([`NONE`] until one exists). One per size class, so a wide shape
+    /// that does not fit where narrow ones are being packed opens a block
+    /// of its own instead of closing theirs half full.
     open: Vec<u32>,
-    /// Words held by routes, over all blocks.
+    /// Words held by shapes, over all blocks.
     used: usize,
     /// Words allocated, over all blocks.
     capacity: usize,
-    slots: Vec<Slot>,
+    shapes: Vec<Stored>,
+    /// Open-addressed hash index over `shapes`: a power-of-two table of
+    /// shape indices ([`NONE`] for a free entry), at most half full.
+    index: Vec<u32>,
+    handles: Vec<Handle>,
+    /// The lookup key of the group being built.
+    key: Vec<u32>,
     scratch: RouteScratch,
 }
 
 impl RouteArena {
-    /// An arena with headers for route ids `0..routes` (none built yet).
-    /// Ids beyond that still work; their headers are added on demand.
+    /// An arena with handles for route ids `0..routes` (none built yet).
+    /// Ids beyond that still work; their handles are added on demand.
     pub fn with_routes(routes: usize) -> Self {
         RouteArena {
-            slots: vec![Slot::UNBUILT; routes],
+            handles: vec![Handle::UNBUILT; routes],
             ..RouteArena::default()
         }
     }
 
+    /// The stored words of shape `s`.
+    fn stored(&self, s: u32) -> (&[u32], Shape) {
+        let Stored { block, at, shape } = self.shapes[s as usize];
+        let at = at as usize;
+        (&self.blocks[block as usize][at..at + shape.words()], shape)
+    }
+
     /// The route with the given id, if it has been built.
     pub fn get(&self, id: usize) -> Option<RouteRef<'_>> {
-        let slot = *self.slots.get(id)?;
-        let block = self.blocks.get(slot.block as usize)?;
-        let at = slot.at as usize;
-        Some(RouteRef::new(
-            &block[at..at + slot.shape.words()],
-            slot.shape,
-        ))
+        let handle = *self.handles.get(id)?;
+        if handle.shape == NONE {
+            return None;
+        }
+        let (words, shape) = self.stored(handle.shape);
+        Some(RouteRef::new(words, shape, handle.root, self.frame))
     }
 
     /// The route with the given id, built now from `(topo, root, members)`
     /// if this is its first use (see [`MulticastRoute::build`], including
     /// the panics). Later calls ignore the arguments: a route is a pure
     /// function of the topology and its group, both fixed for a machine.
+    ///
+    /// # Panics
+    ///
+    /// Also panics if `topo`'s frame differs from the one earlier routes
+    /// were built in: an arena serves one topology.
     pub fn get_or_build(
         &mut self,
         id: usize,
@@ -460,65 +530,151 @@ impl RouteArena {
         root: NodeId,
         members: &[NodeId],
     ) -> RouteRef<'_> {
-        if id >= self.slots.len() {
-            self.slots.resize(id + 1, Slot::UNBUILT);
+        if id >= self.handles.len() {
+            self.handles.resize(id + 1, Handle::UNBUILT);
         }
-        if self.slots[id].block == NO_BLOCK {
-            let shape = self.scratch.walk(topo, root, members);
-            let need = shape.words();
-            let class = need.ilog2() as usize;
-            if class >= self.open.len() {
-                self.open.resize(class + 1, NO_BLOCK);
-            }
-            // Its own class's block first, then any other open block.
-            let into = std::iter::once(self.open[class])
-                .chain(self.open.iter().copied())
-                .find(|&b| {
-                    let block = self.blocks.get(b as usize);
-                    block.is_some_and(|b| b.capacity() - b.len() >= need)
-                });
-            let into = into.unwrap_or_else(|| {
-                // A new block: room for this route and as many more like it
-                // as keep the whole arena within 9/8 of the words in use
-                // once this one is in. (Whole routes, because a tail that
-                // nothing fits into would be charged to that eighth for
-                // good.) `capacity <= 9/8 * used` then holds after every
-                // build, by induction.
-                let within = (self.used + need) * 9 / 8;
-                let spare = within.saturating_sub(self.capacity + need);
-                let block = need * (1 + spare / need);
-                let new = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
-                self.open[class] = new;
-                self.blocks.push(Vec::with_capacity(block));
-                self.capacity += block;
-                new
-            });
-            let block = &mut self.blocks[into as usize];
-            self.slots[id] = Slot {
-                block: into,
-                at: u32::try_from(block.len()).expect("route block exceeds 2^32 words"),
-                shape,
+        if self.handles[id].shape == NONE {
+            let frame = topo.frame();
+            assert!(
+                self.shapes.is_empty() || frame == self.frame,
+                "an arena serves one topology"
+            );
+            self.frame = frame;
+            let positions = topo.positions();
+            let offset = |pos: NodeId| {
+                assert!(pos.index() < positions, "position out of range");
+                frame.offset(root, pos)
             };
-            self.scratch.pack_into(block);
-            self.used += need;
+            self.key.clear();
+            self.key.push(offset(root));
+            self.key.extend(members.iter().map(|&m| offset(m)));
+            let shape = match self.find() {
+                Ok(s) => s,
+                Err(free) => self.store(topo, root, members, free),
+            };
+            self.handles[id] = Handle { shape, root };
         }
         self.get(id).expect("route was just built")
     }
 
-    /// Heap bytes of route storage the arena holds — packed words and
-    /// per-route headers, by capacity. Zero until a header or route exists.
-    pub fn heap_bytes(&self) -> usize {
-        (self.capacity + self.open.capacity()) * std::mem::size_of::<u32>()
-            + self.blocks.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self.slots.capacity() * std::mem::size_of::<Slot>()
+    /// The stored shape whose key equals `self.key`, or else the index
+    /// entry a new one goes into.
+    fn find(&self) -> Result<u32, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let mask = self.index.len() - 1;
+        let mut at = hash(self.key.iter().copied()) & mask;
+        loop {
+            match self.index[at] {
+                NONE => return Err(at),
+                s => {
+                    let (words, shape) = self.stored(s);
+                    if shape.key(words).eq(self.key.iter().copied()) {
+                        return Ok(s);
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
     }
+
+    /// Walks and stores the route of `(topo, root, members)` as a new
+    /// shape, indexed at `free` (from [`RouteArena::find`]), and returns
+    /// its index.
+    fn store(&mut self, topo: &dyn Topology, root: NodeId, members: &[NodeId], free: usize) -> u32 {
+        let shape = self.scratch.walk(topo, root, members);
+        let need = shape.words();
+        let class = need.ilog2() as usize;
+        if class >= self.open.len() {
+            self.open.resize(class + 1, NONE);
+        }
+        // Its own class's block first, then any other open block.
+        let into = std::iter::once(self.open[class])
+            .chain(self.open.iter().copied())
+            .find(|&b| {
+                let block = self.blocks.get(b as usize);
+                block.is_some_and(|b| b.capacity() - b.len() >= need)
+            });
+        let into = into.unwrap_or_else(|| {
+            // A new block: room for this shape and as many more like it as
+            // keep the whole arena within 9/8 of the words in use once this
+            // one is in. (Whole shapes, because a tail that nothing fits
+            // into would be charged to that eighth for good.)
+            // `capacity <= 9/8 * used` then holds after every build, by
+            // induction.
+            let within = (self.used + need) * 9 / 8;
+            let spare = within.saturating_sub(self.capacity + need);
+            let block = need * (1 + spare / need);
+            let new = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
+            self.open[class] = new;
+            self.blocks.push(Vec::with_capacity(block));
+            self.capacity += block;
+            new
+        });
+        let block = &mut self.blocks[into as usize];
+        let s = u32::try_from(self.shapes.len()).expect("fewer than 2^32 shapes");
+        self.shapes.push(Stored {
+            block: into,
+            at: u32::try_from(block.len()).expect("route block exceeds 2^32 words"),
+            shape,
+        });
+        self.scratch.pack_into(self.frame, root, block);
+        self.used += need;
+        if 2 * self.shapes.len() > self.index.len() {
+            self.reindex();
+        } else {
+            self.index[free] = s;
+        }
+        s
+    }
+
+    /// Doubles the shape index (from nothing to 8 entries at first) and
+    /// re-enters every stored shape by the key read from its own words.
+    fn reindex(&mut self) {
+        let size = (2 * self.index.len()).max(8);
+        let mut index = std::mem::take(&mut self.index);
+        index.clear();
+        index.resize(size, NONE);
+        for s in 0..self.shapes.len() as u32 {
+            let (words, shape) = self.stored(s);
+            let mut at = hash(shape.key(words)) & (size - 1);
+            while index[at] != NONE {
+                at = (at + 1) & (size - 1);
+            }
+            index[at] = s;
+        }
+        self.index = index;
+    }
+
+    /// Heap bytes of route storage the arena holds — shape words, shape
+    /// records, the shape index and the per-route handles, by capacity.
+    /// Zero until a handle or route exists.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.capacity + self.open.capacity() + self.index.capacity()) * size_of::<u32>()
+            + self.blocks.capacity() * size_of::<Vec<u32>>()
+            + self.shapes.capacity() * size_of::<Stored>()
+            + self.handles.capacity() * size_of::<Handle>()
+    }
+}
+
+/// A deterministic hash of a lookup key (an Fx-style fold with a
+/// finalizing mix, so the index's low bits depend on every word).
+fn hash(key: impl Iterator<Item = u32>) -> usize {
+    let h = key.fold(0u64, |h, w| {
+        (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    (h ^ (h >> 29)) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fabric, Line, LinkTiming, MeshTorus2d, Ring, SpanningTree};
-    use sesame_sim::{DetRng, SimTime};
+    use crate::{
+        ContentionModel, Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, Ring, SpanningTree,
+    };
+    use sesame_sim::{DetRng, SimDur, SimTime};
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
@@ -833,7 +989,7 @@ mod tests {
             // order, every earlier route re-read after each append.
             let mut order: Vec<usize> = (0..groups.len()).collect();
             rng.shuffle(&mut order);
-            let mut arena = RouteArena::with_routes(groups.len() / 2); // headers grow on demand
+            let mut arena = RouteArena::with_routes(groups.len() / 2); // handles grow on demand
             for (k, &g) in order.iter().enumerate() {
                 assert!(arena.get(g).is_none(), "stream {stream}: {g} not built yet");
                 let (root, members) = &groups[g];
@@ -855,7 +1011,7 @@ mod tests {
         let topo = MeshTorus2d::new(6, 6);
         let route = MulticastRoute::build(&topo, n(3), &[n(3), n(4)]);
         assert_eq!(route.words.len(), 15);
-        assert_eq!(std::mem::size_of::<Slot>(), 20, "header per group");
+        assert_eq!(std::mem::size_of::<Handle>(), 8, "handle per group");
         let mut arena = RouteArena::default();
         assert_eq!(arena.heap_bytes(), 0, "an unused arena owns no heap");
         arena.get_or_build(0, &topo, n(3), &[n(3), n(4)]);
@@ -866,8 +1022,13 @@ mod tests {
     #[test]
     fn arena_grows_to_fit_and_never_moves_a_route() {
         // A sharded mesh in miniature: one wide route per row, one
-        // two-member route per node.
-        let topo = MeshTorus2d::new(40, 40);
+        // two-member route per node — on a torus, where the rows share a
+        // shape and so do the pairs, and on a line, where no two roots
+        // share one and every route is stored.
+        let topos: [Box<dyn Topology>; 2] = [
+            Box::new(MeshTorus2d::new(40, 40)),
+            Box::new(Line::new(1600)),
+        ];
         let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
         for row in 0..40u32 {
             groups.push((n(row * 40), (0..40).map(|c| n(row * 40 + c)).collect()));
@@ -883,12 +1044,16 @@ mod tests {
         let in_order: Vec<usize> = (0..groups.len()).collect();
         let mut shuffled = in_order.clone();
         DetRng::new(0x6172_656e).shuffle(&mut shuffled);
-        for order in [in_order, shuffled] {
+        for (topo, order) in topos
+            .iter()
+            .flat_map(|t| [(t, in_order.clone()), (t, shuffled.clone())])
+        {
+            let topo = topo.as_ref();
             let mut arena = RouteArena::with_routes(groups.len());
             let mut homes: Vec<(*const u32, usize)> = Vec::new();
             for &g in &order {
                 let (root, members) = &groups[g];
-                arena.get_or_build(g, &topo, *root, members);
+                arena.get_or_build(g, topo, *root, members);
                 // Never more than an eighth of slack, at any point.
                 assert!(
                     arena.capacity * 8 <= arena.used * 9,
@@ -909,10 +1074,132 @@ mod tests {
             // the arena, so 1640 routes take a few dozen of them.
             assert!(arena.blocks.len() <= 64, "{} blocks", arena.blocks.len());
             for (g, (root, members)) in groups.iter().enumerate() {
-                let owned = MulticastRoute::build(&topo, *root, members);
+                let owned = MulticastRoute::build(topo, *root, members);
                 let (got, want) = (arena.get(g).expect("built"), owned.view());
                 assert_eq!(got.nodes, want.nodes, "route {g}");
                 assert_eq!(got.wave_nodes, want.wave_nodes, "route {g}");
+            }
+            let stored = if topo.frame() == Frame::Absolute {
+                groups.len()
+            } else {
+                2
+            };
+            assert_eq!(arena.shapes.len(), stored, "{topo:?}");
+        }
+    }
+
+    /// Asserts that two views read the same placed route: every position,
+    /// parent, depth, member and wave.
+    fn assert_same_route(got: RouteRef<'_>, want: RouteRef<'_>, what: &str) {
+        assert_eq!(got.root(), want.root(), "{what}: root");
+        assert_eq!(got.len(), want.len(), "{what}: len");
+        for i in 0..want.len() {
+            assert_eq!(got.node(i), want.node(i), "{what}: node {i}");
+            assert_eq!(got.parent_of(i), want.parent_of(i), "{what}: parent {i}");
+            assert_eq!(got.depth_of(i), want.depth_of(i), "{what}: depth {i}");
+        }
+        assert!(
+            got.member_indices().eq(want.member_indices()),
+            "{what}: members"
+        );
+        assert_eq!(got.wave_count(), want.wave_count(), "{what}: waves");
+        for w in 0..want.wave_count() {
+            assert_eq!(got.wave_depth(w), want.wave_depth(w), "{what}: wave {w}");
+            assert!(got.wave(w).eq(want.wave(w)), "{what}: wave {w} members");
+        }
+    }
+
+    /// Random groups over `topo`, and each of them again shifted to other
+    /// roots through the topology's frame (on an absolute frame the shift
+    /// moves nothing, so the copies are the same group at other roots).
+    fn shifted_groups(rng: &mut DetRng, topo: &dyn Topology) -> Vec<(NodeId, Vec<NodeId>)> {
+        let frame = topo.frame();
+        let positions = topo.positions() as u64;
+        let mut groups = Vec::new();
+        for _ in 0..12 {
+            let (root, members) = random_group(rng, topo);
+            for _ in 0..4 {
+                let to = n(rng.next_below(positions) as u32);
+                let shift = |m: NodeId| frame.place(to, frame.offset(root, m));
+                groups.push((to, members.iter().map(|&m| shift(m)).collect()));
+            }
+            groups.push((root, members));
+        }
+        groups
+    }
+
+    #[test]
+    fn shared_shapes_place_as_the_per_group_absolute_build() {
+        let topos: [Box<dyn Topology>; 7] = [
+            Box::new(MeshTorus2d::new(6, 6)),
+            Box::new(MeshTorus2d::new(7, 4)),
+            Box::new(MeshTorus2d::with_nodes(10)), // trailing router-only positions
+            Box::new(MeshTorus2d::new(1, 9)),
+            Box::new(Ring::new(11)),
+            Box::new(FullMesh::new(9)),
+            Box::new(Line::new(9)),
+        ];
+        for (t, topo) in topos.iter().enumerate() {
+            let topo = topo.as_ref();
+            let mut rng = DetRng::new(0x0066_7261_6d65 ^ t as u64);
+            let groups = shifted_groups(&mut rng, topo);
+            // The reference: one route per group, every position stored
+            // as itself.
+            let absolute: Vec<MulticastRoute> = groups
+                .iter()
+                .map(|(root, members)| {
+                    MulticastRoute::build_in(Frame::Absolute, topo, *root, members)
+                })
+                .collect();
+            let mut arena = RouteArena::with_routes(groups.len());
+            for (g, (root, members)) in groups.iter().enumerate() {
+                let got = arena.get_or_build(g, topo, *root, members);
+                assert_same_route(got, absolute[g].view(), &format!("{topo:?} group {g}"));
+            }
+
+            // Sharing: a symmetric frame stores fewer shapes than groups,
+            // and the absolute frame never lets two roots share one.
+            let roots_of = |s: u32| {
+                let mut roots: Vec<NodeId> = arena
+                    .handles
+                    .iter()
+                    .filter(|h| h.shape == s)
+                    .map(|h| h.root)
+                    .collect();
+                roots.sort_unstable();
+                roots.dedup();
+                roots
+            };
+            if topo.frame() == Frame::Absolute {
+                for s in 0..arena.shapes.len() as u32 {
+                    assert_eq!(roots_of(s).len(), 1, "shape {s} on {topo:?}");
+                }
+            } else {
+                assert!(arena.shapes.len() < groups.len(), "{topo:?} shares nothing");
+            }
+
+            // The same multicasts over both, in one shuffled order, close
+            // enough together that store-and-forward queues.
+            let mut order: Vec<usize> = (0..groups.len()).collect();
+            rng.shuffle(&mut order);
+            for contention in [ContentionModel::None, ContentionModel::StoreAndForward] {
+                let (mut framed, mut reference) = (
+                    Fabric::new(LinkTiming::paper_1994()),
+                    Fabric::new(LinkTiming::paper_1994()),
+                );
+                framed.set_contention(contention);
+                reference.set_contention(contention);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut now = SimTime::ZERO;
+                for &g in &order {
+                    let bytes = 16 + rng.next_below(200) as u32;
+                    let route = arena.get(g).expect("built");
+                    framed.multicast_route_into(now, route, bytes, &mut got);
+                    reference.multicast_route_into(now, &absolute[g], bytes, &mut want);
+                    assert_eq!(got, want, "{topo:?} {contention:?} group {g}");
+                    assert_eq!(framed.stats(), reference.stats(), "{topo:?} {contention:?}");
+                    now += SimDur::from_nanos(rng.next_below(2_000));
+                }
             }
         }
     }

@@ -52,6 +52,104 @@ pub trait Topology: fmt::Debug {
         self.route_into(a, b, &mut links);
         links
     }
+
+    /// The translation frame routing commutes with (see [`Frame`]), so
+    /// that a multicast route can be stored once per shape, relative to
+    /// its root, instead of once per group. The default claims no
+    /// symmetry, which is correct for any topology.
+    fn frame(&self) -> Frame {
+        Frame::Absolute
+    }
+}
+
+/// The shifts under which a topology's routing is unchanged, and the
+/// arithmetic that expresses a position as an *offset* from a root and
+/// places an offset back at a root.
+///
+/// A topology may return a frame other than [`Frame::Absolute`] only if,
+/// for every `root`, `member` and shift, routing from the shifted root to
+/// the shifted member walks the links of the route from `root` to
+/// `member`, each end shifted the same way. Two groups whose root and
+/// members have the same offsets then have routes that are one another
+/// shifted, and a route stored in offsets serves both.
+///
+/// ```
+/// use sesame_net::{Frame, MeshTorus2d, NodeId, Topology};
+///
+/// let t = MeshTorus2d::new(4, 3);
+/// let frame = t.frame();
+/// assert_eq!(frame, Frame::Torus { w: 4, h: 3 });
+/// // One step right of (3, 2) wraps to (0, 2) ...
+/// let off = frame.offset(NodeId::new(11), NodeId::new(8));
+/// assert_eq!(off, 1);
+/// // ... just as one step right of (0, 0) is (1, 0).
+/// assert_eq!(frame.place(NodeId::new(0), off), NodeId::new(1));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Frame {
+    /// No symmetry: a position's offset is the position itself, so every
+    /// root has routes of its own.
+    #[default]
+    Absolute,
+    /// Positions `0..n` on a cycle, shifted modulo `n` ([`Ring`],
+    /// [`FullMesh`]).
+    Cyclic {
+        /// Number of positions.
+        n: u32,
+    },
+    /// Position `y * w + x` of a `w x h` torus, shifted modulo `w` along x
+    /// and modulo `h` along y ([`MeshTorus2d`]). An offset `(dx, dy)` is
+    /// packed the same way, as `dy * w + dx`.
+    Torus {
+        /// Width.
+        w: u32,
+        /// Height.
+        h: u32,
+    },
+}
+
+impl Frame {
+    /// The offset of `pos` from `root`: the shift that takes `root` to
+    /// position zero takes `pos` to the offset.
+    pub fn offset(self, root: NodeId, pos: NodeId) -> u32 {
+        let (r, p) = (root.get(), pos.get());
+        match self {
+            Frame::Absolute => p,
+            Frame::Cyclic { n } => sub_mod(p, r, n),
+            Frame::Torus { w, h } => sub_mod(p / w, r / w, h) * w + sub_mod(p % w, r % w, w),
+        }
+    }
+
+    /// The position at `offset` from `root` — the inverse of
+    /// [`Frame::offset`].
+    pub fn place(self, root: NodeId, offset: u32) -> NodeId {
+        let r = root.get();
+        NodeId::new(match self {
+            Frame::Absolute => offset,
+            Frame::Cyclic { n } => add_mod(r, offset, n),
+            Frame::Torus { w, h } => {
+                add_mod(r / w, offset / w, h) * w + add_mod(r % w, offset % w, w)
+            }
+        })
+    }
+}
+
+/// `(a - b) mod n` for `a, b < n`, without overflow.
+fn sub_mod(a: u32, b: u32, n: u32) -> u32 {
+    if a >= b {
+        a - b
+    } else {
+        a + (n - b)
+    }
+}
+
+/// `(a + b) mod n` for `a, b < n`, without overflow.
+fn add_mod(a: u32, b: u32, n: u32) -> u32 {
+    if b == 0 {
+        a
+    } else {
+        sub_mod(a, n - b, n)
+    }
 }
 
 /// Walks `route` one hop at a time using a next-hop function, replacing
@@ -215,6 +313,16 @@ impl Topology for MeshTorus2d {
     fn route_into(&self, a: NodeId, b: NodeId, out: &mut Vec<LinkId>) {
         route_by_next_hop(a, b, out, |at, to| self.next_hop(at, to))
     }
+
+    /// XY routing steps by the signed per-axis distances alone, so it
+    /// commutes with any shift of the torus — padded positions included,
+    /// which route like any other.
+    fn frame(&self) -> Frame {
+        Frame::Torus {
+            w: self.width,
+            h: self.height,
+        }
+    }
 }
 
 /// A unidirectional-distance ring (links are bidirectional; routing takes
@@ -265,6 +373,12 @@ impl Topology for Ring {
             let step = MeshTorus2d::step_toward(at.get(), to.get(), k);
             NodeId::new(((at.get() as i64 + step).rem_euclid(k as i64)) as u32)
         })
+    }
+
+    fn frame(&self) -> Frame {
+        Frame::Cyclic {
+            n: self.nodes as u32,
+        }
     }
 }
 
@@ -357,6 +471,14 @@ impl Topology for FullMesh {
             out.push(LinkId::between(a, b));
         }
     }
+
+    /// A direct link between every pair is symmetric under any
+    /// relabelling, so under the cyclic shift too.
+    fn frame(&self) -> Frame {
+        Frame::Cyclic {
+            n: self.nodes as u32,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -388,6 +510,50 @@ mod tests {
                 assert_eq!(at, n(b));
             }
         }
+    }
+
+    /// Every route of `t`, shifted by every root's frame, is the route
+    /// between the shifted ends; and `place` inverts `offset`.
+    fn check_frame_commutes_with_routing(t: &dyn Topology) {
+        let frame = t.frame();
+        let k = t.positions() as u32;
+        for r in 0..k {
+            for p in 0..k {
+                assert_eq!(frame.place(n(r), frame.offset(n(r), n(p))), n(p));
+            }
+        }
+        if frame == Frame::Absolute {
+            return;
+        }
+        for a in 0..k {
+            for b in 0..k {
+                let links = t.route(n(a), n(b));
+                for r in 0..k {
+                    let shift = |x: NodeId| frame.place(n(r), frame.offset(n(a), x));
+                    let shifted: Vec<LinkId> = links
+                        .iter()
+                        .map(|l| LinkId::between(shift(l.from_node()), shift(l.to_node())))
+                        .collect();
+                    assert_eq!(
+                        t.route(n(r), shift(n(b))),
+                        shifted,
+                        "{a}->{b} shifted to root {r} on {t:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frames_commute_with_routing() {
+        check_frame_commutes_with_routing(&MeshTorus2d::new(4, 4));
+        check_frame_commutes_with_routing(&MeshTorus2d::new(5, 3));
+        check_frame_commutes_with_routing(&MeshTorus2d::with_nodes(7));
+        check_frame_commutes_with_routing(&MeshTorus2d::new(1, 6));
+        check_frame_commutes_with_routing(&Ring::new(7));
+        check_frame_commutes_with_routing(&FullMesh::new(5));
+        check_frame_commutes_with_routing(&Line::new(6));
+        assert_eq!(Line::new(6).frame(), Frame::Absolute);
     }
 
     #[test]

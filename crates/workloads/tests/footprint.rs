@@ -1,29 +1,34 @@
 //! Heap-footprint budgets for the sharded-mesh scenario, measured with the
 //! per-thread byte-counting allocator: what a built machine holds per
-//! node, what a whole run peaks at, and what a route costs to add. The
-//! machine has more sharing groups than nodes, so any per-group heap
-//! vector that creeps back in shows up here as bytes per node.
+//! node, what a whole run peaks at, what its routes hold, and what a route
+//! costs to add. The machine has more sharing groups than nodes, so any
+//! per-group heap vector that creeps back in shows up here as bytes per
+//! node.
 //!
 //! Budgets are requested bytes (no allocator headers) and sit about 25 %
 //! above the readings in `docs/performance.md` ("Bytes per node"), which
-//! are these tests' own numbers (release build): 368 built, 561 at the
-//! run's peak, 192 added by the run. The wider per-node records before
-//! them (120-byte memories, 72-byte CPU meters, the checker-only
+//! are these tests' own numbers (release build): 356 built, 438 at the
+//! run's peak, 82 added by the run. Storing a route per group (a 20-byte
+//! header and its own packed words) instead of once per shape read 368
+//! built, 561 at the peak and 192 added. The wider per-node records
+//! before that (120-byte memories, 72-byte CPU meters, the checker-only
 //! `slot_meta` array, a hashed `var → group` index) read 479 built and
 //! 674 at the peak; the struct-of-vectors group state read 910 built;
 //! scheduling every wave of a fan-out (and every node's start) up front,
 //! instead of one car at a time, read 1285 at the peak; keeping a FIFO
 //! floor for every path ever used, a doubling route buffer and a
 //! four-slot history block per root read 813 at the peak and 339 added.
-//! The built budget is below every built reading there on purpose, and
-//! the run budgets below the grow-only stores'.
+//! The built budget is below every built reading there except the
+//! per-group routes' 368, only 12 bytes a group more, which the run
+//! budgets catch; the run budgets are below every run reading there.
 
 use sesame_alloc_probe::{allocations, live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use sesame_dsm::{MachineConfig, RunOptions};
-use sesame_net::{MeshTorus2d, NodeId, RouteArena};
+use sesame_net::{Line, MeshTorus2d, NodeId, RouteArena};
 use sesame_sim::RunOutcome;
 use sesame_workloads::bigmesh::{build_bigmesh_machine, run_bigmesh, BigMeshConfig};
 use sesame_workloads::canonical::{build_canonical, CanonicalConfig};
+use sesame_workloads::scenario::{Outcome, Scenario};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -44,8 +49,8 @@ fn built_machine_fits_its_bytes_per_node_budget() {
     let per_node = (live_bytes() - before) / NODES;
     assert!(machine.groups().len() > NODES, "more groups than nodes");
     assert!(
-        per_node <= 460,
-        "a built bigmesh machine holds {per_node} bytes per node, budget 460"
+        per_node <= 445,
+        "a built bigmesh machine holds {per_node} bytes per node, budget 445"
     );
 }
 
@@ -63,8 +68,8 @@ fn full_run_peak_heap_fits_its_budget() {
     assert_eq!(run.visits, NODES as u64);
     let peak = peak_bytes() - before;
     assert!(
-        peak / NODES <= 700,
-        "a bigmesh run peaks at {} heap bytes per node, budget 700",
+        peak / NODES <= 548,
+        "a bigmesh run peaks at {} heap bytes per node, budget 548",
         peak / NODES
     );
     // What running adds to the built machine: programs, routes, the
@@ -72,8 +77,26 @@ fn full_run_peak_heap_fits_its_budget() {
     // of everything the run ever touched.
     let added = (peak - built) / NODES;
     assert!(
-        added <= 240,
-        "a bigmesh run adds {added} heap bytes per node to the built machine, budget 240"
+        added <= 103,
+        "a bigmesh run adds {added} heap bytes per node to the built machine, budget 103"
+    );
+}
+
+#[test]
+fn a_run_stores_each_route_shape_once() {
+    // The machine's routes are two shapes — the row and the hand-off pair
+    // — shifted over the torus, so what grows with the machine is one
+    // 8-byte handle per group; the shapes, their index and the arena's
+    // block list fit in a constant.
+    let Ok(Outcome::BigMesh(run, result)) = Scenario::BigMesh(mesh()).run(None) else {
+        panic!("a bigmesh scenario ends as a bigmesh outcome");
+    };
+    assert_eq!(run.visits, NODES as u64);
+    let groups = result.machine.groups().len();
+    let bytes = result.machine.route_heap_bytes();
+    assert!(
+        bytes <= 8 * groups + 16 * 1024,
+        "{groups} groups' routes hold {bytes} heap bytes, budget 8 per group + 16 KiB"
     );
 }
 
@@ -91,7 +114,6 @@ fn flood_machine_holds_no_route_storage() {
 
 #[test]
 fn appending_routes_costs_only_new_arena_blocks() {
-    let topo = MeshTorus2d::new(100, 100);
     let pair = |i: usize| {
         let me = i as u32;
         [
@@ -99,18 +121,38 @@ fn appending_routes_costs_only_new_arena_blocks() {
             NodeId::new(me / 100 * 100 + (me + 1) % 100),
         ]
     };
+    // On a line no two roots share a route, so every pair is a shape of
+    // its own and is walked and stored.
+    let line = Line::new(10_000);
     let mut arena = RouteArena::with_routes(2_000);
     for i in 0..1_000 {
-        arena.get_or_build(i, &topo, NodeId::new(i as u32), &pair(i));
+        arena.get_or_build(i, &line, NodeId::new(i as u32), &pair(i));
     }
     let before = allocations();
     for i in 1_000..2_000 {
-        let route = arena.get_or_build(i, &topo, NodeId::new(i as u32), &pair(i));
+        let route = arena.get_or_build(i, &line, NodeId::new(i as u32), &pair(i));
         assert_eq!(route.member_count(), 2);
     }
     let calls = allocations() - before;
     assert!(
         calls < 32,
         "1000 more two-member routes made {calls} allocating calls"
+    );
+    // On a torus the same pairs are one shape, {root, one step right}
+    // (a row's last pair wraps to its first node, one step right too), so
+    // after the first every route finds it and only fills in a handle the
+    // arena already has room for.
+    let torus = MeshTorus2d::new(100, 100);
+    let mut arena = RouteArena::with_routes(2_000);
+    arena.get_or_build(0, &torus, NodeId::new(0), &pair(0));
+    let before = allocations();
+    for i in 1..1_001 {
+        let route = arena.get_or_build(i, &torus, NodeId::new(i as u32), &pair(i));
+        assert_eq!(route.member_count(), 2);
+    }
+    let calls = allocations() - before;
+    assert_eq!(
+        calls, 0,
+        "1000 more same-shape routes made {calls} allocating calls"
     );
 }
