@@ -238,14 +238,20 @@ impl Mx<'_, '_> {
     /// every member; each member's copy arrives at its hop-depth-determined
     /// time. The root member (if any) receives its echo immediately.
     ///
-    /// Routing structures are built lazily on a group's first multicast and
-    /// cached: full [`SpanningTree`]s are shared between all groups with
-    /// the same root (the default), member-pruned routes between all
-    /// groups with the same shape — the same root and member offsets in
-    /// the topology's [`Frame`](sesame_net::Frame) — stored once each in
-    /// one [`RouteArena`] ([`MachineConfig::pruned_multicast`]). Both are
-    /// pure functions of the topology and the validated group specs, so
-    /// lazy construction cannot perturb determinism.
+    /// By default the write floods every position. On cut-through links
+    /// a member's arrival is read off its hop distance from the root
+    /// ([`Fabric::flood_into`](sesame_net::Fabric::flood_into)) and no
+    /// routing structure exists; on store-and-forward links the flood
+    /// walks a full [`SpanningTree`], built lazily on the root's first
+    /// multicast and shared between all groups with that root. With
+    /// [`MachineConfig::pruned_multicast`] the write follows a
+    /// member-pruned route instead, built lazily on a group's first
+    /// multicast and shared between all groups with the same shape — the
+    /// same root and member offsets in the topology's
+    /// [`Frame`](sesame_net::Frame) — stored once each in one
+    /// [`RouteArena`]. Trees and routes are pure functions of the topology
+    /// and the validated group specs, so lazy construction cannot perturb
+    /// determinism.
     pub fn multicast(&mut self, group: GroupId, bytes: u32, kind: PacketKind) {
         let g = self.groups.group(group);
         let root = g.root();
@@ -274,6 +280,12 @@ impl Mx<'_, '_> {
                     .multicast_route_into(now, route, bytes, self.arrivals);
                 None
             }
+        } else if self.fabric.contention() == ContentionModel::None {
+            // A cut-through flood's arrivals are the members' hop
+            // distances from the root; no tree is needed.
+            self.fabric
+                .flood_into(now, self.topo, root, bytes, g.members(), self.arrivals);
+            None
         } else {
             let tree = self
                 .trees
@@ -522,8 +534,10 @@ pub struct Machine<M: Model> {
     topo: Box<dyn Topology>,
     fabric: Fabric,
     groups: GroupTable,
-    /// Full spanning trees, built lazily on first multicast and shared by
-    /// every group with the same root (a tree depends only on the root).
+    /// Full spanning trees for store-and-forward floods, built lazily on
+    /// first multicast and shared by every group with the same root (a
+    /// tree depends only on the root). A cut-through flood reads hop
+    /// distances instead, so a cut-through machine leaves this empty.
     trees: HashMap<NodeId, SpanningTree>,
     /// Member-pruned routes, built lazily per group when
     /// [`MachineConfig::pruned_multicast`] is on, stored once per shape in

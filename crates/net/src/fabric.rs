@@ -356,6 +356,52 @@ impl Fabric {
         );
     }
 
+    /// Floods one packet from `root` to every position of `topo` under
+    /// cut-through timing, returning the arrival time at every requested
+    /// member without building or walking a tree.
+    ///
+    /// Cut-through arrival depends only on a member's shortest-path depth,
+    /// which is [`Topology::hops`] from the root, so a member arrives at
+    /// `now + transfer(hops)` and the root's echo at `now` — what
+    /// [`Fabric::multicast_into`] computes over a [`SpanningTree`] from
+    /// `root`. The counters are billed as that walk bills them: one packet,
+    /// and each of the `positions − 1` tree edges traversed once. Work is
+    /// `O(members)`. The arrival list is written into the caller's buffer
+    /// (cleared first).
+    ///
+    /// Store-and-forward links queue per tree edge, so a flood over them
+    /// needs the tree and [`Fabric::multicast_into`].
+    pub fn flood_into(
+        &mut self,
+        now: SimTime,
+        topo: &dyn Topology,
+        root: NodeId,
+        bytes: u32,
+        members: &[NodeId],
+        out: &mut Vec<(NodeId, SimTime)>,
+    ) {
+        debug_assert!(now >= self.clock, "a send leaves before the clock");
+        debug_assert_eq!(
+            self.contention,
+            ContentionModel::None,
+            "a store-and-forward flood walks its tree"
+        );
+        self.stats.packets += 1;
+        self.stats.bytes += bytes as u64;
+        self.bill_links(
+            topo.positions() as u64 - 1,
+            self.timing.serialization(bytes),
+        );
+        out.clear();
+        out.extend(members.iter().map(|&m| {
+            let at = match topo.hops(root, m) {
+                0 => now,
+                hops => now + self.timing.transfer(hops, bytes),
+            };
+            (m, at)
+        }));
+    }
+
     /// Propagates one packet down a member-pruned route — a
     /// [`MulticastRoute`](crate::MulticastRoute) by reference or a
     /// [`RouteRef`] out of a [`RouteArena`](crate::RouteArena) —
@@ -432,7 +478,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::reference::ReferenceTree;
+    use crate::tree::reference::{shapes, ReferenceTree};
     use crate::{FullMesh, Line, MeshTorus2d, Ring};
 
     fn n(id: u32) -> NodeId {
@@ -643,6 +689,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_tree_free_flood_equals_the_tree_walk() {
+        let mut topos = Vec::from(shapes());
+        topos.push(Box::new(MeshTorus2d::with_nodes(128)));
+        let mut rng = DetRng::new(0xF100_D5ED);
+        for topo in &topos {
+            let topo = topo.as_ref();
+            let positions = topo.positions() as u32;
+            for timing in [LinkTiming::paper_1994(), LinkTiming::zero_delay()] {
+                let (mut free, mut walked) = (Fabric::new(timing), Fabric::new(timing));
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut now = SimTime::ZERO;
+                for r in 0..positions {
+                    let root = n(r);
+                    let tree = SpanningTree::build(topo, root);
+                    for m in 0..positions {
+                        assert_eq!(
+                            topo.hops(root, n(m)),
+                            tree.depth(n(m)),
+                            "root {r}, position {m}, {topo:?}"
+                        );
+                    }
+                    let all: Vec<NodeId> = (0..positions).map(n).collect();
+                    let hand_off = [root, n((r + 1) % positions)];
+                    let subset: Vec<NodeId> =
+                        (0..positions).map(n).filter(|_| rng.chance(0.4)).collect();
+                    for members in [&all[..], &hand_off, &subset] {
+                        let bytes = 16 + rng.next_below(200) as u32;
+                        free.flood_into(now, topo, root, bytes, members, &mut got);
+                        walked.multicast_into(now, &tree, bytes, members, &mut want);
+                        assert_eq!(got, want, "root {r}, {timing:?}, {topo:?}");
+                        assert_eq!(free.stats(), walked.stats(), "root {r}, {timing:?}");
+                        now += SimDur::from_nanos(rng.next_below(2_000));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_and_forward_flood_over_cached_trees_equals_fresh_trees() {
+        // The machine builds one tree per root and keeps it; a store-and-
+        // forward flood over the kept tree must queue exactly as over a
+        // tree built for the call.
+        let topo = MeshTorus2d::with_nodes(128);
+        let positions = topo.positions() as u64;
+        let mut rng = DetRng::new(0x5AF0_7EE5);
+        let (mut cached, mut fresh) = (paper_fabric(), paper_fabric());
+        cached.set_contention(ContentionModel::StoreAndForward);
+        fresh.set_contention(ContentionModel::StoreAndForward);
+        let mut trees = HashMap::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        for call in 0..400 {
+            let root = n(rng.next_below(8) as u32 * 16);
+            let members: Vec<NodeId> = (0..positions as u32)
+                .map(n)
+                .filter(|_| rng.chance(0.3))
+                .collect();
+            let bytes = 16 + rng.next_below(200) as u32;
+            cached.advance(now);
+            fresh.advance(now);
+            let tree = trees
+                .entry(root)
+                .or_insert_with(|| SpanningTree::build(&topo, root));
+            cached.multicast_into(now, tree, bytes, &members, &mut got);
+            fresh.multicast_into(
+                now,
+                &SpanningTree::build(&topo, root),
+                bytes,
+                &members,
+                &mut want,
+            );
+            assert_eq!(got, want, "call {call}");
+            assert_eq!(cached.stats(), fresh.stats(), "call {call}");
+            // Close enough together that links queue.
+            now += SimDur::from_nanos(rng.next_below(2_000));
+        }
+        assert_eq!(trees.len(), 8);
     }
 
     /// The `i`-th distinct ordered pair of a `nodes`-wide full mesh.

@@ -129,7 +129,19 @@ impl SpanningTree {
 pub(crate) mod reference {
     use std::collections::VecDeque;
 
-    use crate::{NodeId, Topology};
+    use crate::{FullMesh, Line, MeshTorus2d, NodeId, Ring, Topology};
+
+    /// The shapes the depth and differential tests build every root of.
+    pub(crate) fn shapes() -> [Box<dyn Topology>; 6] {
+        [
+            Box::new(MeshTorus2d::new(4, 4)),
+            Box::new(MeshTorus2d::with_nodes(7)),
+            Box::new(Ring::new(9)),
+            Box::new(Line::new(6)),
+            Box::new(MeshTorus2d::with_nodes(10)),
+            Box::new(FullMesh::new(5)),
+        ]
+    }
 
     pub(crate) struct ReferenceTree {
         pub(crate) root: NodeId,
@@ -178,24 +190,12 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::ReferenceTree;
+    use super::reference::{shapes, ReferenceTree};
     use super::*;
-    use crate::{FullMesh, Line, MeshTorus2d, Ring};
+    use crate::{FullMesh, MeshTorus2d};
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
-    }
-
-    /// The shapes the depth and differential tests build every root of.
-    fn shapes() -> [Box<dyn Topology>; 6] {
-        [
-            Box::new(MeshTorus2d::new(4, 4)),
-            Box::new(MeshTorus2d::with_nodes(7)),
-            Box::new(Ring::new(9)),
-            Box::new(Line::new(6)),
-            Box::new(MeshTorus2d::with_nodes(10)),
-            Box::new(FullMesh::new(5)),
-        ]
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Counting-allocator bounds on the flood multicast: what a spanning tree
-//! holds, and that a warmed fan-out down it touches the heap zero times.
+//! holds, and that a warmed fan-out — down the tree, or read off hop
+//! distances without one — touches the heap zero times.
 //!
 //! The shape is Fig. 8's largest point: 128 nodes on a 12 x 11 mesh, 132
-//! positions. A machine caches one such tree per hand-off root, so the
-//! bytes per position are what a figure point pays for its trees.
+//! positions. On store-and-forward links a machine caches one such tree
+//! per hand-off root, so the bytes per position are what such a point
+//! pays for its trees; on cut-through links it builds none.
 
 use sesame_alloc_probe::{allocations, live_bytes, CountingAlloc};
 use sesame_net::{Fabric, LinkTiming, MeshTorus2d, NodeId, SpanningTree, Topology};
@@ -49,4 +51,35 @@ fn a_warmed_flood_fan_out_allocates_nothing() {
     assert_eq!(made, 0, "100 warmed fan-outs made {made} allocations");
     assert_eq!(out.len(), 128);
     assert_eq!(fabric.stats().packets, 101);
+}
+
+#[test]
+fn a_warmed_tree_free_flood_allocates_nothing() {
+    let topo = MeshTorus2d::with_nodes(128);
+    let members: Vec<NodeId> = (0..128).map(NodeId::new).collect();
+    let mut fabric = Fabric::new(LinkTiming::paper_1994());
+    let mut out = Vec::new();
+    // Warm-up: the caller's buffer reaches its size; the fabric keeps no
+    // scratch for this walk.
+    fabric.flood_into(
+        SimTime::ZERO,
+        &topo,
+        NodeId::new(57),
+        16,
+        &members,
+        &mut out,
+    );
+
+    let before = allocations();
+    for i in 1..=100 {
+        let now = SimTime::from_nanos(1_000 * i);
+        fabric.flood_into(now, &topo, NodeId::new(57), 16, &members, &mut out);
+    }
+    let made = allocations() - before;
+    assert_eq!(
+        made, 0,
+        "100 warmed tree-free floods made {made} allocations"
+    );
+    assert_eq!(out.len(), 128);
+    assert_eq!(fabric.stats().link_traversals, 101 * 131);
 }

@@ -181,9 +181,12 @@ pub struct EventQueue<T> {
     /// would pay an O(count) refile for nothing. The first push re-enables
     /// geometry adaptation.
     pushed_since_rebuild: bool,
-    /// Refile scratch reused across rebuilds. A rebuild marshals every
-    /// pending event through one flat buffer; at deep backlogs that is
-    /// megabytes per rebuild, so the buffer's capacity is kept.
+    /// Refile scratch reused across rebuilds. A rebuild drains every
+    /// pending event out of the cursor, the ring and the overflow rung
+    /// into this one flat buffer and refiles it, so all four keep their
+    /// capacity: at deep backlogs that is megabytes per rebuild, and at
+    /// shallow ones a rebuild that freed the two heaps would regrow them
+    /// from empty right after.
     rebuild_scratch: Vec<Pending<T>>,
     next_seq: u64,
     /// Tie-break number of the event most recently taken out (popped or
@@ -499,9 +502,9 @@ impl<T> EventQueue<T> {
         let mut items = std::mem::take(&mut self.rebuild_scratch);
         items.clear();
         items.reserve(self.count);
-        items.extend(std::mem::take(&mut self.cursor).into_vec());
+        items.extend(self.cursor.drain());
         items.extend(self.slots.iter_mut().filter_map(|s| s.item.take()));
-        items.extend(std::mem::take(&mut self.overflow).into_vec());
+        items.extend(self.overflow.drain());
         self.slots.clear();
         self.free = NIL;
         self.near = 0;

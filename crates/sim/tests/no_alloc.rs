@@ -9,9 +9,13 @@
 //! the allocation counter does not move. The counter is per thread
 //! (`sesame-alloc-probe`), so the sibling `#[test]` that libtest runs in
 //! parallel cannot land its allocations inside the measured window.
+//!
+//! The event queue keeps the same contract for its own buffers: once a
+//! fill/drain cycle has grown them, repeating it — geometry rebuilds
+//! included — allocates nothing.
 
 use sesame_alloc_probe::{allocations, CountingAlloc};
-use sesame_sim::{ApplyMode, CauseOp, SimTime, TraceDetail, TraceKind, TraceRecorder};
+use sesame_sim::{ApplyMode, CauseOp, EventQueue, SimTime, TraceDetail, TraceKind, TraceRecorder};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -124,4 +128,42 @@ fn enabled_recorder_stores_typed_details_without_formatting() {
         recorder.entries()[4].detail.to_string(),
         "g=0 seq=12 v=3 val=9 origin=2"
     );
+}
+
+/// Fills the queue with 300 events spread over the 3 µs after `base`,
+/// then drains it, returning the last popped instant. The fill grows the
+/// calendar ring past two rebuild thresholds and the drain lets it go
+/// sparse, so every cycle refiles the queue more than once.
+fn fill_drain(q: &mut EventQueue<u64>, base: u64) -> u64 {
+    for i in 0..300u64 {
+        q.push(SimTime::from_nanos(base + (i * 7_919) % 3_000), i);
+    }
+    let mut last = base;
+    while let Some((time, _)) = q.pop() {
+        last = time.as_nanos();
+    }
+    last
+}
+
+#[test]
+fn warmed_queue_fill_drain_cycles_allocate_nothing() {
+    let mut q = EventQueue::new();
+    let mut base = 0;
+    // Warm-up: every buffer, the rebuild scratch and both heaps included,
+    // reaches its size.
+    for _ in 0..20 {
+        base = fill_drain(&mut q, base);
+    }
+
+    let before = allocations();
+    for _ in 0..200 {
+        base = fill_drain(&mut q, base);
+    }
+    let made = allocations() - before;
+
+    assert_eq!(
+        made, 0,
+        "200 warmed fill/drain cycles made {made} allocations"
+    );
+    assert_eq!(q.total_popped(), 220 * 300);
 }

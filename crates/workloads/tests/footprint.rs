@@ -28,6 +28,7 @@ use sesame_net::{Line, MeshTorus2d, NodeId, RouteArena};
 use sesame_sim::RunOutcome;
 use sesame_workloads::bigmesh::{build_bigmesh_machine, run_bigmesh, BigMeshConfig};
 use sesame_workloads::canonical::{build_canonical, CanonicalConfig};
+use sesame_workloads::pipeline::{run_pipeline, MutexMethod, PipelineConfig};
 use sesame_workloads::scenario::{Outcome, Scenario};
 
 #[global_allocator]
@@ -110,6 +111,24 @@ fn flood_machine_holds_no_route_storage() {
     let result = sesame_dsm::run(machine, RunOptions::default());
     assert_eq!(result.outcome, RunOutcome::Drained);
     assert_eq!(result.machine.route_heap_bytes(), 0);
+}
+
+#[test]
+fn figure8_gwc_point_peak_heap_fits_its_budget() {
+    // Fig. 8's largest point (128 nodes, 1 024 visits) floods every write
+    // over cut-through links: each member's arrival is its hop distance
+    // from the root, so the machine holds no spanning tree at all. It
+    // peaks at 632 652 B; one 132-position tree per hand-off root read
+    // 995 644 B.
+    let before = live_bytes();
+    reset_peak();
+    let run = run_pipeline(128, MutexMethod::OptimisticGwc, PipelineConfig::default());
+    assert_eq!(run.result.outcome, RunOutcome::Stopped);
+    let peak = peak_bytes() - before;
+    assert!(
+        peak <= 710_000,
+        "a 128-node Fig. 8 GWC run peaks at {peak} heap bytes, budget 710 000"
+    );
 }
 
 #[test]
