@@ -278,21 +278,22 @@ if [ -n "$rss" ] && [ "$rss" -ge 6 ]; then
     echo "ledger paper_figs_par memory ceiling: peak RSS ${rss} MB, want < 6" >&2
     exit 1
 fi
-# observed_contention's reads about 19.7 MB on seed 7 and 20.2 on seed 11
-# (ledger contract runs). The series export is written straight
-# into its string and validated one window at a time, and the verifier
-# keeps its per-sequence payloads and clocks in flat per-group tables; the
-# peak is now the causes export string. It read 30 MB (seeds 7 and 11)
-# while the series writer and its validator built `Json` trees (9.7 and
-# 11.8 MB of heap for a 1.37 MB text) and the verifier kept one heap clock
-# per sequenced write in `(group, seq)` hash maps; the ceiling of 40 MB
-# was a third above that reading and caught only a return of the
-# collector's cause slab (a slab filled until `finish` read 63 MB, keeping
-# and exporting every node 247.9 MB). 25 MB fails a return of the
-# validator's parse tree, which set that 30 MB peak.
+# observed_contention's reads about 17.2 MB on seeds 7 and 11 (ledger
+# contract runs). Two stores each held it near 20 MB before: the verifier
+# kept a payload per sequenced write and a clock per data write until the
+# run ended (9.7 MB after `finish`), and the collector's exports phase ran
+# beside a series window that owned a map per window, plus one sequencing
+# span per write. Now the verifier and the collector retire their per-write
+# state at each group's applied floor (`TraceObserver::on_seq_floor`), and
+# a window is eight counters with its queue depths in one column. The
+# parent read 19.6-19.9 MB; a return of the map per window alone reads
+# about 19.5 MB, and a verifier no longer told the floor about 20.3 MB
+# (its per-group ring of clock words then only grows), so 19 MB fails a
+# return of either. (Before the flat tables and streaming writers it read
+# 30 MB; a slab kept to `finish` read 63 MB.)
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-observed_contention.last")
-if [ -n "$rss" ] && [ "$rss" -ge 25 ]; then
-    echo "ledger observed_contention memory ceiling: peak RSS ${rss} MB, want < 25" >&2
+if [ -n "$rss" ] && [ "$rss" -ge 19 ]; then
+    echo "ledger observed_contention memory ceiling: peak RSS ${rss} MB, want < 19" >&2
     exit 1
 fi
 

@@ -619,6 +619,10 @@ impl TraceObserver for CountingVerifier {
         self.records += 1;
         self.verifier.feed(entry);
     }
+
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        self.verifier.seq_floor(group, floor);
+    }
 }
 
 /// The runs `verify` makes of one scenario — every model or method the

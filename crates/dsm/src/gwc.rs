@@ -205,10 +205,54 @@ struct RootGroup {
     /// Index of the group's [`LockState`] in [`GwcModel::locks`], or
     /// [`NO_LOCK`] for a plain group.
     lock: u32,
+    /// Index of the group's [`AppliedFloor`] in [`GwcModel::floors`], or
+    /// [`NO_FLOOR`] until a traced member applies one of its writes.
+    floor: u32,
 }
 
 /// [`RootGroup::lock`] of a group without a mutex lock.
 const NO_LOCK: u32 = u32::MAX;
+
+/// [`RootGroup::floor`] of a group with no applied floor.
+const NO_FLOOR: u32 = u32::MAX;
+
+/// How far every member of one group has applied the root's writes, kept
+/// only while the machine is traced, for
+/// [`TraceObserver::on_seq_floor`](sesame_sim::TraceObserver::on_seq_floor).
+///
+/// Members apply a group's writes in sequence order, each once, so the
+/// writes past the floor are a ring of apply counts: the floor advances
+/// while the count at its front reaches the member count. That is O(1)
+/// amortised per apply, with no scan over the members. The floor reads
+/// every member's progress, which no real root sees: it drives
+/// observation only, never a protocol message.
+#[derive(Debug, Default)]
+struct AppliedFloor {
+    /// Every member has applied every write numbered through here.
+    through: u64,
+    /// `counts[i]`: the members that have applied write `through + 1 + i`.
+    counts: VecDeque<u32>,
+}
+
+impl AppliedFloor {
+    /// Counts one member's apply of write `seq`, and returns the new floor
+    /// if it moved.
+    fn applied(&mut self, seq: u64, members: u32) -> Option<u64> {
+        // A member applies each write once, after every earlier one, so
+        // nothing at or below the floor can arrive here.
+        let at = usize::try_from(seq - self.through - 1).expect("a write in flight fits");
+        if at >= self.counts.len() {
+            self.counts.resize(at + 1, 0);
+        }
+        self.counts[at] += 1;
+        let before = self.through;
+        while self.counts.front() == Some(&members) {
+            self.counts.pop_front();
+            self.through += 1;
+        }
+        (self.through > before).then_some(self.through)
+    }
+}
 
 impl RootGroup {
     /// Appends the write just sequenced to the history. A full history
@@ -315,6 +359,9 @@ pub struct GwcModel {
     /// Wrapping sum of [`write_hash`] over every write ever sequenced: the
     /// digest's stand-in for the histories retirement trims.
     sequenced: u64,
+    /// The applied floors of the groups a traced member has applied a
+    /// write of, in first-apply order; empty on an untraced machine.
+    floors: Vec<AppliedFloor>,
     /// Planted bug for checker regression fixtures.
     mutation: GwcMutation,
 }
@@ -329,6 +376,7 @@ impl GwcModel {
                 next_seq: 1,
                 history: VecDeque::new(),
                 history_base: 0,
+                floor: NO_FLOOR,
                 lock: g.mutex_lock().map_or(NO_LOCK, |var| {
                     locks.push(LockState {
                         var,
@@ -349,6 +397,7 @@ impl GwcModel {
             grant_timeout: None,
             nacks_in_flight: Vec::new(),
             sequenced: 0,
+            floors: Vec::new(),
             mutation: GwcMutation::None,
         }
     }
@@ -788,8 +837,33 @@ impl GwcModel {
     }
 
     /// Applies one in-order sequenced write at `node`, advancing the
-    /// expected counter.
+    /// expected counter, then counts it towards the group's applied floor
+    /// — after its `gwc-apply` record, so an observer told the floor has
+    /// already seen every apply through it.
     fn apply_item(&mut self, node: NodeId, slot: usize, item: SeqItem, mx: &mut Mx<'_, '_>) {
+        self.apply_payload(node, slot, item, mx);
+        if mx.tracing() {
+            self.count_apply(item.group, item.seq, mx);
+        }
+    }
+
+    /// Counts one member's apply of `group`'s write `seq` and publishes
+    /// the group's floor if it moved.
+    fn count_apply(&mut self, group: GroupId, seq: u64, mx: &mut Mx<'_, '_>) {
+        let rg = &mut self.roots[group.index()];
+        if rg.floor == NO_FLOOR {
+            rg.floor = u32::try_from(self.floors.len()).expect("group ids are u32");
+            self.floors.push(AppliedFloor::default());
+        }
+        let members = mx.groups().group(group).members().len() as u32;
+        if let Some(floor) = self.floors[rg.floor as usize].applied(seq, members) {
+            mx.seq_floor(group, floor);
+        }
+    }
+
+    /// [`GwcModel::apply_item`]'s protocol half: the payload's effect and
+    /// its record.
+    fn apply_payload(&mut self, node: NodeId, slot: usize, item: SeqItem, mx: &mut Mx<'_, '_>) {
         self.expected[slot] = item.seq + 1;
         let st = &mut self.ifaces[node.index()];
         let g = mx.groups().group(item.group);
@@ -1131,7 +1205,32 @@ mod tests {
             history: VecDeque::new(),
             history_base: 0,
             lock: NO_LOCK,
+            floor: NO_FLOOR,
         }
+    }
+
+    #[test]
+    fn the_applied_floor_advances_once_every_member_applied_in_order() {
+        // Three members apply writes 1..=4 in interleaved order; the floor
+        // is the lowest member's prefix after every apply.
+        let mut floor = AppliedFloor::default();
+        let mut prefix = [0u64; 3];
+        let order = [0, 1, 0, 0, 2, 1, 2, 0, 2, 1, 1, 2];
+        let mut published = Vec::new();
+        for member in order {
+            prefix[member] += 1;
+            let moved = floor.applied(prefix[member], 3);
+            let lowest = *prefix.iter().min().unwrap();
+            assert_eq!(floor.through, lowest);
+            assert_eq!(
+                moved.is_some(),
+                published.last() != Some(&lowest) && lowest > 0
+            );
+            published.extend(moved);
+            assert!(floor.counts.len() as u64 <= prefix.iter().max().unwrap() - lowest);
+        }
+        assert_eq!(published, [1, 2, 3, 4]);
+        assert!(floor.counts.is_empty());
     }
 
     fn write(seq: u64) -> (VarId, Word, NodeId) {

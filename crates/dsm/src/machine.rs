@@ -403,6 +403,13 @@ impl Mx<'_, '_> {
     pub fn tracing(&self) -> bool {
         self.ctx.tracing()
     }
+
+    /// Tells the trace observer that every member of `group` has applied
+    /// the writes numbered through `floor`
+    /// ([`TraceObserver::on_seq_floor`](sesame_sim::TraceObserver::on_seq_floor)).
+    pub fn seq_floor(&mut self, group: GroupId, floor: u64) {
+        self.ctx.seq_floor(group.get(), floor);
+    }
 }
 
 /// A memory consistency model: the protocol logic between programs and the

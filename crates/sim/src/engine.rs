@@ -153,6 +153,12 @@ impl<M> Context<'_, M> {
         self.trace.cause_floor(floor);
     }
 
+    /// Passes a group's applied floor to the trace observer
+    /// ([`TraceObserver::on_seq_floor`](crate::TraceObserver::on_seq_floor)).
+    pub fn seq_floor(&mut self, group: u32, floor: u64) {
+        self.trace.seq_floor(group, floor);
+    }
+
     /// Requests that the run stop after this handler returns.
     pub fn stop(&mut self) {
         *self.stop = true;

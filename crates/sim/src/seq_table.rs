@@ -8,12 +8,13 @@
 //! produces: a number within reach of what the table holds (gaps, repeats,
 //! numbers below the first one seen) lands in the array, and one farther
 //! away spills to an ordered map, so a stray `u64::MAX` costs one map entry
-//! instead of an array that long.
+//! instead of an array that long. Once every member has applied a group's
+//! writes through some number, [`SeqTable::retire_through`] drops them
+//! from the array's front, whose space the numbers to come reuse.
 //!
 //! [`TraceDetail::Seq`]: crate::TraceDetail::Seq
 
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
 
 /// Slots the array may hold per entry it holds: a table may keep only
 /// some of a group's numbers (the verifier binds a clock to data writes,
@@ -83,6 +84,9 @@ impl<T> SeqTable<T> {
             return;
         }
         if self.dense.is_empty() {
+            // A retired-out array may leave spilled entries, `seq`'s among
+            // them.
+            self.far.remove(&seq);
             self.base = seq;
             self.dense.push_back(Some(value));
             self.filled = 1;
@@ -114,14 +118,39 @@ impl<T> SeqTable<T> {
         *slot = Some(value);
     }
 
+    /// The heap bytes the table holds: its array's capacity, and its
+    /// spilled entries at their own size (the map's node overhead aside).
+    pub fn heap_bytes(&self) -> usize {
+        self.dense.capacity() * std::mem::size_of::<Option<T>>()
+            + self.far.len() * std::mem::size_of::<(u64, T)>()
+    }
+
+    /// Drops every entry numbered through `seq`, and then the vacant
+    /// slots at the array's front, so the lowest entry left is the first
+    /// slot. The array's space is kept for the numbers to come.
+    pub fn retire_through(&mut self, seq: u64) {
+        while let Some(front) = self.dense.front() {
+            if self.base > seq && front.is_some() {
+                break;
+            }
+            self.filled -= usize::from(front.is_some());
+            self.dense.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+        while let Some(entry) = self.far.first_entry() {
+            if *entry.key() > seq {
+                break;
+            }
+            entry.remove();
+        }
+    }
+
     /// Every `(seq, value)`, ascending by `seq`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         // The map holds only numbers outside the array, so its entries
         // below `base` come first and the rest after the array.
         let below = self.far.range(..self.base);
-        let above = self
-            .far
-            .range((Bound::Excluded(self.base), Bound::Unbounded));
+        let above = self.far.range(self.base..);
         let dense = self.dense.iter().enumerate();
         let dense = dense.filter_map(|(at, slot)| Some((self.base + at as u64, slot.as_ref()?)));
         let entry = |(&seq, value)| (seq, value);
@@ -231,8 +260,36 @@ mod tests {
         assert_eq!(keys(&t), [0, u64::MAX - 2, u64::MAX]);
     }
 
-    /// Any stream of inserts agrees with an ordered map, and the array
-    /// never outgrows eight slots per entry plus the slack.
+    #[test]
+    fn retiring_pops_the_front_and_drops_far_entries_through_the_number() {
+        let mut t = SeqTable::default();
+        for seq in (1..=100u64).filter(|s| s % 3 != 0) {
+            t.insert(seq, seq);
+        }
+        t.insert(u64::MAX, 0);
+        t.insert(1_000_000, 0);
+        assert_eq!(t.far.len(), 2);
+        t.retire_through(50);
+        // 51 is a gap, so the array starts at 52.
+        assert_eq!((t.base, t.dense.len(), t.filled), (52, 49, 33));
+        assert_eq!(keys(&t)[..3], [52, 53, 55]);
+        assert_eq!((t.get(50), t.get(52)), (None, Some(&52)));
+        t.retire_through(2_000_000);
+        assert_eq!((t.dense.len(), t.filled), (0, 0));
+        assert_eq!(keys(&t), [u64::MAX]);
+        // Emptied, the array restarts where the next number is, and a
+        // spilled entry it lands on is replaced, not doubled.
+        t.insert(u64::MAX, 7);
+        assert_eq!((t.far.len(), t.get(u64::MAX)), (0, Some(&7)));
+        t.retire_through(u64::MAX);
+        assert_eq!(t.iter().count(), 0);
+        t.insert(3, 3);
+        assert_eq!(keys(&t), [3]);
+    }
+
+    /// Any stream of inserts and retirements agrees with an ordered map,
+    /// and without retirements the array never outgrows eight slots per
+    /// entry plus the slack.
     #[test]
     fn agrees_with_an_ordered_map_on_any_stream() {
         let mut rng = DetRng::new(11);
@@ -252,9 +309,21 @@ mod tests {
                 };
                 t.insert(seq, (round, i));
                 reference.insert(seq, (round, i));
+                // Odd rounds retire too. Retiring keeps the array's tail,
+                // so only the others keep the spread bound.
+                if round % 2 == 1 && rng.chance(0.05) {
+                    let through = match rng.next_below(3) {
+                        0 => rng.next_u64(),
+                        _ => next.saturating_sub(rng.next_below(50)),
+                    };
+                    t.retire_through(through);
+                    reference.retain(|&s, _| s > through);
+                }
                 let probe = seq.wrapping_add(rng.next_below(5)).wrapping_sub(2);
                 assert_eq!(t.get(probe), reference.get(&probe));
-                assert!(t.dense.len() as u128 <= SPREAD * t.filled as u128 + SLACK);
+                if round % 2 == 0 {
+                    assert!(t.dense.len() as u128 <= SPREAD * t.filled as u128 + SLACK);
+                }
             }
             assert_eq!(t.iter().count(), reference.len());
             let got: Vec<_> = t.iter().map(|(s, v)| (s, *v)).collect();

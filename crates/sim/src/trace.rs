@@ -508,6 +508,15 @@ pub trait TraceObserver {
     fn on_cause_floor(&mut self, floor: u64) {
         let _ = floor;
     }
+
+    /// The producer's liveness signal for sequenced writes: every member
+    /// of `group` has applied every write its root numbered through
+    /// `floor`, so no later `"gwc-apply"` record names one of them. A
+    /// group's floors only rise. Like [`TraceObserver::on_cause_floor`] it
+    /// is a call, not a record, and the default ignores it.
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        let _ = (group, floor);
+    }
 }
 
 /// Collects [`TraceEntry`] records during a run and feeds an optional
@@ -603,6 +612,19 @@ impl TraceRecorder {
             #[cfg(feature = "hostprof")]
             let observer_started = crate::hostprof::clock_start();
             observer.borrow_mut().on_cause_floor(floor);
+            #[cfg(feature = "hostprof")]
+            crate::hostprof::observer_done(observer_started);
+        }
+    }
+
+    /// Tells the attached observer, if any, that every member of `group`
+    /// has applied the writes numbered through `floor`
+    /// ([`TraceObserver::on_seq_floor`]). Nothing is recorded.
+    pub fn seq_floor(&mut self, group: u32, floor: u64) {
+        if let Some(observer) = &self.observer {
+            #[cfg(feature = "hostprof")]
+            let observer_started = crate::hostprof::clock_start();
+            observer.borrow_mut().on_seq_floor(group, floor);
             #[cfg(feature = "hostprof")]
             crate::hostprof::observer_done(observer_started);
         }

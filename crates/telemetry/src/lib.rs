@@ -62,7 +62,7 @@ mod timeline;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sesame_sim::{SimDur, SimTime};
+use sesame_sim::{SeqTable, SimDur, SimTime};
 
 pub use causal::{CausalDag, CausalNode, CriticalPath};
 pub use registry::{Metric, MetricRegistry};
@@ -214,6 +214,17 @@ impl Telemetry {
     /// The causal DAG as deterministic Graphviz DOT.
     pub fn causes_dot(&self) -> String {
         self.causal.dag.to_dot()
+    }
+
+    /// Heap bytes held by the open sequencing spans until
+    /// [`Telemetry::finish`]: one per root-sequenced write some member has
+    /// yet to apply, or, with the timeline on, one per write.
+    pub fn seq_spans_heap_bytes(&self) -> usize {
+        self.state
+            .seq_pending
+            .values()
+            .map(SeqTable::heap_bytes)
+            .sum()
     }
 
     /// The time series, when enabled. [`Telemetry::finish`] pads it with

@@ -125,7 +125,8 @@ pub(crate) struct SpanState {
     pub(crate) wait_start: BTreeMap<(usize, u32), SimTime>,
     pub(crate) hold_start: BTreeMap<(usize, u32), SimTime>,
     pub(crate) opt_start: BTreeMap<(usize, u32), SimTime>,
-    /// Root-sequenced writes by group, then by sequence number.
+    /// Root-sequenced writes by group, then by sequence number: the writes
+    /// some member has yet to apply, or, with the timeline on, every one.
     pub(crate) seq_pending: BTreeMap<u32, SeqTable<SeqSpan>>,
 }
 
@@ -147,6 +148,19 @@ impl TraceObserver for Telemetry {
 
     fn on_cause_floor(&mut self, floor: u64) {
         self.causal.dag.collect(self.explained, floor);
+    }
+
+    /// Every member of `group` has applied its writes through `floor`, so
+    /// no later apply closes one of their sequencing spans. Without a
+    /// timeline the spans are read only by those applies and go; with one
+    /// they stay for [`Telemetry::finish`] to draw.
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        if self.timeline_enabled {
+            return;
+        }
+        if let Some(run) = self.state.seq_pending.get_mut(&group) {
+            run.retire_through(floor);
+        }
     }
 }
 
@@ -181,9 +195,8 @@ impl Telemetry {
     fn queue_depth(&mut self, name: Name, node: usize, v: u32, t: SimTime, depth: u32) {
         self.metric::<TimeWeighted>(name, node, v)
             .set(t, f64::from(depth));
-        if let Some(w) = self.window(t) {
-            let max = w.queue_depth_max.entry(v).or_insert(0);
-            *max = (*max).max(depth);
+        if let Some(series) = self.series.as_mut() {
+            series.record_depth(t, v, depth);
         }
     }
 

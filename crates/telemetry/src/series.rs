@@ -39,8 +39,9 @@ use crate::json::{self, Json};
 /// Schema identifier written into (and required from) every series export.
 pub const SERIES_SCHEMA: &str = "sesame-series/v1";
 
-/// Aggregates for one fixed simulated-time window.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Aggregates for one fixed simulated-time window. The window's maximum
+/// queue depths are in [`SeriesExport::queue_depth_max`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeriesWindow {
     /// Optimistic rollbacks (`opt-rollback`) in the window.
     pub rollbacks: u64,
@@ -58,13 +59,11 @@ pub struct SeriesWindow {
     pub packets: u64,
     /// Multicast sends (`pkt-mcast`).
     pub mcasts: u64,
-    /// Maximum root/EC queue depth observed per variable.
-    pub queue_depth_max: BTreeMap<u32, u32>,
 }
 
-/// The most windows a series grows to. Each window owns a map, and the
-/// width comes from outside (`--window`): a few nanoseconds on a long run
-/// would otherwise ask for as many windows as the run has nanoseconds.
+/// The most windows a series grows to. The width comes from outside
+/// (`--window`): a few nanoseconds on a long run would otherwise ask for
+/// as many windows as the run has nanoseconds.
 const MAX_WINDOWS: u64 = 1 << 20;
 
 /// A run's time series: filled live by the collector (see
@@ -82,7 +81,17 @@ pub struct SeriesExport {
     pub end_ns: u64,
     /// Per-window aggregates, oldest first, covering `[0, end_ns)`.
     pub windows: Vec<SeriesWindow>,
+    /// Maximum root/EC queue depth per window and variable, as
+    /// `(window, var, depth)`: one entry per pair a depth was observed
+    /// for, sorted by window, then variable. Most windows see one
+    /// variable or none, so the column costs 12 bytes per pair where a
+    /// map per window would cost a node.
+    pub queue_depth_max: Vec<(u32, u32, u32)>,
 }
+
+/// One window's row of a series: its index, its aggregates and its
+/// `(window, var, depth)` entries.
+type Row<'a> = (usize, &'a SeriesWindow, &'a [(u32, u32, u32)]);
 
 impl SeriesExport {
     /// An empty series of `window`-wide windows.
@@ -98,6 +107,7 @@ impl SeriesExport {
             window_ns: window.as_nanos(),
             end_ns: 0,
             windows: Vec::new(),
+            queue_depth_max: Vec::new(),
         }
     }
 
@@ -110,14 +120,35 @@ impl SeriesExport {
             || self.end_ns.div_ceil(self.window_ns) > MAX_WINDOWS
     }
 
-    /// The window `t` falls in, the series grown to reach it; past the
-    /// 2^20 windows the series holds, the overflow window after them.
-    pub(crate) fn window_at(&mut self, t: SimTime) -> &mut SeriesWindow {
+    /// The index of the window `t` falls in, the series grown to reach
+    /// it; past the 2^20 windows the series holds, the overflow window
+    /// after them.
+    fn grow_to(&mut self, t: SimTime) -> usize {
         let at = (t.as_nanos() / self.window_ns).min(MAX_WINDOWS) as usize;
         if self.windows.len() <= at {
             self.windows.resize(at + 1, SeriesWindow::default());
         }
+        at
+    }
+
+    /// The window `t` falls in (see [`SeriesExport::grow_to`]).
+    pub(crate) fn window_at(&mut self, t: SimTime) -> &mut SeriesWindow {
+        let at = self.grow_to(t);
         &mut self.windows[at]
+    }
+
+    /// Raises `var`'s maximum queue depth in the window `t` falls in to at
+    /// least `depth`. Records arrive in time order, so the entry is almost
+    /// always the column's last or a new one after it; a record fed out of
+    /// order is inserted in its place.
+    pub(crate) fn record_depth(&mut self, t: SimTime, var: u32, depth: u32) {
+        let window = self.grow_to(t) as u32;
+        let column = &mut self.queue_depth_max;
+        let at = column.partition_point(|&(w, v, _)| (w, v) < (window, var));
+        match column.get_mut(at) {
+            Some(entry) if (entry.0, entry.1) == (window, var) => entry.2 = entry.2.max(depth),
+            _ => column.insert(at, (window, var, depth)),
+        }
     }
 
     /// Ends the series at `end`, padded with empty windows to cover
@@ -130,16 +161,23 @@ impl SeriesExport {
         }
     }
 
-    /// Every variable that appears in any window's queue-depth map, sorted.
+    /// Every variable that has a queue depth in any window, sorted.
     pub fn vars(&self) -> Vec<u32> {
-        let mut vars: Vec<u32> = self
-            .windows
-            .iter()
-            .flat_map(|w| w.queue_depth_max.keys().copied())
-            .collect();
+        let mut vars: Vec<u32> = self.queue_depth_max.iter().map(|e| e.1).collect();
         vars.sort_unstable();
         vars.dedup();
         vars
+    }
+
+    /// Every window with its entries of the queue-depth column, read off
+    /// the column with one cursor.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        let mut rest = &self.queue_depth_max[..];
+        self.windows.iter().enumerate().map(move |(i, w)| {
+            let (here, after) = rest.split_at(rest.partition_point(|e| e.0 as usize <= i));
+            rest = after;
+            (i, w, here)
+        })
     }
 
     /// Renders the series as schema-`v1` JSON text (one trailing newline),
@@ -160,7 +198,7 @@ impl SeriesExport {
         num(&mut out, ",\"window_ns\":", self.window_ns);
         num(&mut out, ",\"end_ns\":", self.end_ns);
         out.push_str(",\"windows\":[");
-        for (i, w) in self.windows.iter().enumerate() {
+        for (i, w, depths) in self.rows() {
             if i > 0 {
                 out.push(',');
             }
@@ -174,12 +212,12 @@ impl SeriesExport {
             num(&mut out, ",\"packets\":", w.packets);
             num(&mut out, ",\"mcasts\":", w.mcasts);
             out.push_str(",\"queue_depth_max\":{");
-            for (j, (var, depth)) in w.queue_depth_max.iter().enumerate() {
+            for (j, &(_, var, depth)) in depths.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
                 let _ = write!(out, "\"{var}\":");
-                json::write_num(f64::from(*depth), &mut out);
+                json::write_num(f64::from(depth), &mut out);
             }
             out.push_str("}}");
         }
@@ -200,7 +238,7 @@ impl SeriesExport {
             let _ = write!(out, ",qmax_v{var}");
         }
         out.push('\n');
-        for (i, w) in self.windows.iter().enumerate() {
+        for (i, w, depths) in self.rows() {
             let _ = write!(
                 out,
                 "{},{},{},{},{},{},{},{},{},{}",
@@ -215,8 +253,10 @@ impl SeriesExport {
                 w.packets,
                 w.mcasts,
             );
-            for var in &vars {
-                let depth = w.queue_depth_max.get(var).copied().unwrap_or(0);
+            // The window's entries are a sorted subset of `vars`.
+            let mut depths = depths.iter().peekable();
+            for &var in &vars {
+                let depth = depths.next_if(|e| e.1 == var).map_or(0, |e| e.2);
                 let _ = write!(out, ",{depth}");
             }
             out.push('\n');
@@ -238,6 +278,7 @@ impl SeriesExport {
     /// the windows in the text.
     pub fn from_json(text: &str) -> Result<SeriesExport, String> {
         let mut windows = Vec::new();
+        let mut queue_depth_max = Vec::new();
         // Every window's `start_ns`, up to and including the first window
         // that fails a check of its own; that failure.
         let mut starts = Vec::new();
@@ -246,7 +287,7 @@ impl SeriesExport {
             if failed.is_some() {
                 return;
             }
-            match read_window(windows.len(), &obj) {
+            match read_window(windows.len(), &obj, &mut queue_depth_max) {
                 Ok((start_ns, window)) => {
                     starts.push(start_ns);
                     match window {
@@ -305,27 +346,33 @@ impl SeriesExport {
             window_ns,
             end_ns,
             windows,
+            queue_depth_max,
         })
     }
 }
 
 /// Reads window `i` of a series document: its `start_ns` (or why it has
-/// none), then the window (or the first of its fields that fails). The
-/// check of `start_ns` against `window_ns` is the caller's, between the
-/// two.
-fn read_window(i: usize, obj: &Json) -> Result<(u64, Result<SeriesWindow, String>), String> {
+/// none), then the window (or the first of its fields that fails), its
+/// queue depths appended to `depths`. The check of `start_ns` against
+/// `window_ns` is the caller's, between the two.
+fn read_window(
+    i: usize,
+    obj: &Json,
+    depths: &mut Vec<(u32, u32, u32)>,
+) -> Result<(u64, Result<SeriesWindow, String>), String> {
     let u64_of = |field: &str| {
         obj.get(field)
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("window {i}: missing field '{field}'"))
     };
     let start_ns = u64_of("start_ns")?;
-    let window = || {
+    let mut window = || {
         let members = obj
             .get("queue_depth_max")
             .and_then(Json::members)
             .ok_or_else(|| format!("window {i}: missing 'queue_depth_max' object"))?;
-        let mut queue_depth_max = BTreeMap::new();
+        // Sorted, and the last of a repeated key wins.
+        let mut by_var = BTreeMap::new();
         for (key, value) in members {
             let var: u32 = key
                 .parse()
@@ -334,9 +381,9 @@ fn read_window(i: usize, obj: &Json) -> Result<(u64, Result<SeriesWindow, String
                 .as_u64()
                 .and_then(|d| u32::try_from(d).ok())
                 .ok_or_else(|| format!("window {i}: bad depth for variable '{key}'"))?;
-            queue_depth_max.insert(var, depth);
+            by_var.insert(var, depth);
         }
-        Ok(SeriesWindow {
+        let window = SeriesWindow {
             rollbacks: u64_of("rollbacks")?,
             opt_attempts: u64_of("opt_attempts")?,
             opt_wins: u64_of("opt_wins")?,
@@ -345,8 +392,10 @@ fn read_window(i: usize, obj: &Json) -> Result<(u64, Result<SeriesWindow, String
             lock_wait_ns: u64_of("lock_wait_ns")?,
             packets: u64_of("packets")?,
             mcasts: u64_of("mcasts")?,
-            queue_depth_max,
-        })
+        };
+        let at = u32::try_from(i).map_err(|_| format!("window {i}: too many windows"))?;
+        depths.extend(by_var.into_iter().map(|(var, depth)| (at, var, depth)));
+        Ok(window)
     };
     Ok((start_ns, window()))
 }
@@ -380,7 +429,7 @@ pub fn render_series_report(series: &SeriesExport) -> String {
         "pkts",
         "qmax"
     ));
-    for (i, w) in series.windows.iter().enumerate() {
+    for (i, w, depths) in series.rows() {
         let hit = if w.opt_attempts > 0 {
             format!("{:.0}%", 100.0 * w.opt_wins as f64 / w.opt_attempts as f64)
         } else {
@@ -390,7 +439,7 @@ pub fn render_series_report(series: &SeriesExport) -> String {
             .lock_wait_ns
             .checked_div(w.lock_waits)
             .map_or_else(|| "-".to_string(), |mean| format!("{mean}ns"));
-        let qmax = w.queue_depth_max.values().copied().max().unwrap_or(0);
+        let qmax = depths.iter().map(|e| e.2).max().unwrap_or(0);
         out.push_str(&format!(
             "{:>4} {:>12} {:>8} {:>6} {:>6} {:>9} {:>9} {:>6} {:>12} {:>6} {:>6}\n",
             i,
@@ -479,7 +528,7 @@ mod tests {
         assert_eq!(e.windows[0].opt_attempts, 1);
         assert_eq!(e.windows[0].rollbacks, 1);
         assert_eq!(e.windows[0].packets, 1);
-        assert_eq!(e.windows[0].queue_depth_max.get(&0), Some(&2));
+        assert_eq!(e.queue_depth_max, [(0, 0, 2)]);
         // The wait closed at t=130 → window 1, with the full 40 ns of wait.
         assert_eq!(e.windows[1].lock_waits, 1);
         assert_eq!(e.windows[1].lock_wait_ns, 40);
@@ -590,18 +639,109 @@ mod tests {
         assert!(render_series_report(e).contains("0 windows"));
     }
 
-    /// The writer and validator this module had before it wrote and read
-    /// series text directly: a `Json` tree built and rendered, a whole
-    /// document parsed and walked, a `format!` per CSV cell. Kept as the
-    /// reference the direct ones are compared against.
+    /// The layout, writers and validator this module had before the
+    /// queue depths moved to one column and the text was written and read
+    /// directly: a map per window, a `Json` tree built and rendered, a
+    /// whole document parsed and walked, a `format!` per CSV cell. Kept as
+    /// the reference the column and the direct writers are compared
+    /// against.
     mod reference {
         use super::*;
 
-        pub fn to_json(e: &SeriesExport) -> String {
+        /// A series with a depth map per window.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct Layout {
+            pub scenario: String,
+            pub seed: u64,
+            pub window_ns: u64,
+            pub end_ns: u64,
+            pub windows: Vec<(SeriesWindow, BTreeMap<u32, u32>)>,
+        }
+
+        impl Layout {
+            pub fn new(window_ns: u64) -> Self {
+                Layout {
+                    scenario: "stream".into(),
+                    seed: 7,
+                    window_ns,
+                    end_ns: 0,
+                    windows: Vec::new(),
+                }
+            }
+
+            pub fn window_at(&mut self, t: SimTime) -> &mut (SeriesWindow, BTreeMap<u32, u32>) {
+                let at = (t.as_nanos() / self.window_ns).min(MAX_WINDOWS) as usize;
+                if self.windows.len() <= at {
+                    self.windows.resize(at + 1, Default::default());
+                }
+                &mut self.windows[at]
+            }
+
+            pub fn record_depth(&mut self, t: SimTime, var: u32, depth: u32) {
+                let max = self.window_at(t).1.entry(var).or_insert(0);
+                *max = (*max).max(depth);
+            }
+
+            pub fn finish(&mut self, end: SimTime) {
+                self.end_ns = end.as_nanos();
+                let needed = self.end_ns.div_ceil(self.window_ns).min(MAX_WINDOWS) as usize;
+                if self.windows.len() < needed {
+                    self.windows.resize(needed, Default::default());
+                }
+            }
+
+            /// The same series in the column layout.
+            pub fn flatten(&self) -> SeriesExport {
+                let column = self
+                    .windows
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, (_, depths))| {
+                        depths
+                            .iter()
+                            .map(move |(&var, &depth)| (i as u32, var, depth))
+                    });
+                SeriesExport {
+                    scenario: self.scenario.clone(),
+                    seed: self.seed,
+                    window_ns: self.window_ns,
+                    end_ns: self.end_ns,
+                    windows: self.windows.iter().map(|(w, _)| *w).collect(),
+                    queue_depth_max: column.collect(),
+                }
+            }
+
+            /// A column-layout series in this layout.
+            pub fn of(e: &SeriesExport) -> Self {
+                let mut windows: Vec<_> = e.windows.iter().map(|w| (*w, BTreeMap::new())).collect();
+                for &(i, var, depth) in &e.queue_depth_max {
+                    windows[i as usize].1.insert(var, depth);
+                }
+                Layout {
+                    scenario: e.scenario.clone(),
+                    seed: e.seed,
+                    window_ns: e.window_ns,
+                    end_ns: e.end_ns,
+                    windows,
+                }
+            }
+
+            fn vars(&self) -> Vec<u32> {
+                let mut vars: Vec<u32> = self
+                    .windows
+                    .iter()
+                    .flat_map(|(_, depths)| depths.keys().copied())
+                    .collect();
+                vars.sort_unstable();
+                vars.dedup();
+                vars
+            }
+        }
+
+        pub fn to_json(e: &Layout) -> String {
             let mut windows = Vec::with_capacity(e.windows.len());
-            for (i, w) in e.windows.iter().enumerate() {
-                let depths = w
-                    .queue_depth_max
+            for (i, (w, queue_depth_max)) in e.windows.iter().enumerate() {
+                let depths = queue_depth_max
                     .iter()
                     .map(|(var, depth)| (var.to_string(), Json::Num(f64::from(*depth))))
                     .collect();
@@ -634,7 +774,7 @@ mod tests {
             text
         }
 
-        pub fn to_csv(e: &SeriesExport) -> String {
+        pub fn to_csv(e: &Layout) -> String {
             let vars = e.vars();
             let mut out = String::from(
                 "window,start_ns,rollbacks,opt_attempts,opt_wins,completions,\
@@ -644,7 +784,7 @@ mod tests {
                 out.push_str(&format!(",qmax_v{var}"));
             }
             out.push('\n');
-            for (i, w) in e.windows.iter().enumerate() {
+            for (i, (w, queue_depth_max)) in e.windows.iter().enumerate() {
                 out.push_str(&format!(
                     "{},{},{},{},{},{},{},{},{},{}",
                     i,
@@ -661,7 +801,7 @@ mod tests {
                 for var in &vars {
                     out.push_str(&format!(
                         ",{}",
-                        w.queue_depth_max.get(var).copied().unwrap_or(0)
+                        queue_depth_max.get(var).copied().unwrap_or(0)
                     ));
                 }
                 out.push('\n');
@@ -669,7 +809,62 @@ mod tests {
             out
         }
 
-        pub fn from_json(text: &str) -> Result<SeriesExport, String> {
+        pub fn render_series_report(series: &Layout) -> String {
+            let mut out = String::new();
+            out.push_str(&format!(
+                "\ntime series: {} windows of {} ns (scenario: {}, seed: {})\n",
+                series.windows.len(),
+                series.window_ns,
+                series.scenario,
+                series.seed
+            ));
+            if series.windows.is_empty() {
+                return out;
+            }
+            out.push_str(&format!(
+                "{:>4} {:>12} {:>8} {:>6} {:>6} {:>9} {:>9} {:>6} {:>12} {:>6} {:>6}\n",
+                "win",
+                "start-ns",
+                "opt-try",
+                "wins",
+                "hit%",
+                "rolls",
+                "complete",
+                "waits",
+                "wait-mean",
+                "pkts",
+                "qmax"
+            ));
+            for (i, (w, queue_depth_max)) in series.windows.iter().enumerate() {
+                let hit = if w.opt_attempts > 0 {
+                    format!("{:.0}%", 100.0 * w.opt_wins as f64 / w.opt_attempts as f64)
+                } else {
+                    "-".to_string()
+                };
+                let wait_mean = w
+                    .lock_wait_ns
+                    .checked_div(w.lock_waits)
+                    .map_or_else(|| "-".to_string(), |mean| format!("{mean}ns"));
+                let qmax = queue_depth_max.values().copied().max().unwrap_or(0);
+                out.push_str(&format!(
+                    "{:>4} {:>12} {:>8} {:>6} {:>6} {:>9} {:>9} {:>6} {:>12} {:>6} {:>6}\n",
+                    i,
+                    i as u64 * series.window_ns,
+                    w.opt_attempts,
+                    w.opt_wins,
+                    hit,
+                    w.rollbacks,
+                    w.completions,
+                    w.lock_waits,
+                    wait_mean,
+                    w.packets,
+                    qmax,
+                ));
+            }
+            out
+        }
+
+        pub fn from_json(text: &str) -> Result<Layout, String> {
             let root = json::parse(text)?;
             let schema = root
                 .get("schema")
@@ -732,7 +927,7 @@ mod tests {
                         .ok_or_else(|| format!("window {i}: bad depth for variable '{key}'"))?;
                     queue_depth_max.insert(var, depth);
                 }
-                windows.push(SeriesWindow {
+                let window = SeriesWindow {
                     rollbacks: u64_of("rollbacks")?,
                     opt_attempts: u64_of("opt_attempts")?,
                     opt_wins: u64_of("opt_wins")?,
@@ -741,10 +936,10 @@ mod tests {
                     lock_wait_ns: u64_of("lock_wait_ns")?,
                     packets: u64_of("packets")?,
                     mcasts: u64_of("mcasts")?,
-                    queue_depth_max,
-                });
+                };
+                windows.push((window, queue_depth_max));
             }
-            Ok(SeriesExport {
+            Ok(Layout {
                 scenario,
                 seed,
                 window_ns,
@@ -765,7 +960,21 @@ mod tests {
         }
     }
 
-    fn random_export(rng: &mut DetRng) -> SeriesExport {
+    /// The eight counters of `w`, in export order.
+    fn fields(w: &mut SeriesWindow) -> [&mut u64; 8] {
+        [
+            &mut w.rollbacks,
+            &mut w.opt_attempts,
+            &mut w.opt_wins,
+            &mut w.completions,
+            &mut w.lock_waits,
+            &mut w.lock_wait_ns,
+            &mut w.packets,
+            &mut w.mcasts,
+        ]
+    }
+
+    fn random_export(rng: &mut DetRng) -> reference::Layout {
         const SCENARIOS: [&str; 5] = [
             "contention",
             "",
@@ -781,19 +990,11 @@ mod tests {
         let windows = (0..rng.next_below(12))
             .map(|_| {
                 let mut w = SeriesWindow::default();
+                let mut depths = BTreeMap::new();
                 if rng.chance(0.3) {
-                    return w;
+                    return (w, depths);
                 }
-                for field in [
-                    &mut w.rollbacks,
-                    &mut w.opt_attempts,
-                    &mut w.opt_wins,
-                    &mut w.completions,
-                    &mut w.lock_waits,
-                    &mut w.lock_wait_ns,
-                    &mut w.packets,
-                    &mut w.mcasts,
-                ] {
+                for field in fields(&mut w) {
                     *field = count(rng);
                 }
                 for _ in 0..rng.next_below(5) {
@@ -801,12 +1002,12 @@ mod tests {
                         0 => u32::MAX,
                         _ => rng.next_below(40) as u32,
                     };
-                    w.queue_depth_max.insert(var, count(rng) as u32);
+                    depths.insert(var, count(rng) as u32);
                 }
-                w
+                (w, depths)
             })
             .collect();
-        SeriesExport {
+        reference::Layout {
             scenario,
             seed: count(rng),
             window_ns,
@@ -819,26 +1020,100 @@ mod tests {
     fn the_direct_writer_matches_the_tree_writer_byte_for_byte() {
         let mut rng = DetRng::new(28);
         for _ in 0..400 {
-            let e = random_export(&mut rng);
+            let layout = random_export(&mut rng);
+            let e = layout.flatten();
             let text = e.to_json();
-            assert_eq!(text, reference::to_json(&e));
-            assert_eq!(e.to_csv(), reference::to_csv(&e));
-            assert_eq!(SeriesExport::from_json(&text), reference::from_json(&text));
+            assert_eq!(text, reference::to_json(&layout));
+            assert_eq!(e.to_csv(), reference::to_csv(&layout));
+            same_verdict(&text);
         }
         // The collector writes its live series alike.
         let t = sample_run("demo \"x\"");
-        let live = t.series().expect("series enabled");
-        assert_eq!(t.series_json(), Some(reference::to_json(live)));
-        assert_eq!(t.series_csv(), Some(reference::to_csv(live)));
+        let live = reference::Layout::of(t.series().expect("series enabled"));
+        assert_eq!(t.series_json(), Some(reference::to_json(&live)));
+        assert_eq!(t.series_csv(), Some(reference::to_csv(&live)));
     }
 
     /// Both readers' verdicts on `text`: equal values, or equal errors.
     fn same_verdict(text: &str) {
         assert_eq!(
             SeriesExport::from_json(text),
-            reference::from_json(text),
+            reference::from_json(text).map(|layout| layout.flatten()),
             "{text}"
         );
+    }
+
+    /// Random record streams fill the column and the map per window
+    /// alike, and the two layouts render the same JSON, CSV and report:
+    /// times mostly rising but some fed out of order, several variables in
+    /// one window, and repeated depths for one pair.
+    #[test]
+    fn the_depth_column_renders_as_a_map_per_window_did() {
+        let mut rng = DetRng::new(36);
+        for _ in 0..300 {
+            let window_ns = 1 + rng.next_below(50);
+            let mut flat = SeriesExport::new("stream", 7, SimDur::from_nanos(window_ns));
+            let mut layout = reference::Layout::new(window_ns);
+            let mut now = 0;
+            for _ in 0..rng.next_below(200) {
+                now += rng.next_below(3 * window_ns);
+                let t = match rng.next_below(10) {
+                    0 => now.saturating_sub(rng.next_below(20 * window_ns)),
+                    _ => now,
+                };
+                let t = SimTime::from_nanos(t);
+                if rng.chance(0.5) {
+                    let (var, depth) = (rng.next_below(6) as u32, rng.next_below(9) as u32);
+                    flat.record_depth(t, var, depth);
+                    layout.record_depth(t, var, depth);
+                } else {
+                    let field = rng.next_below(8) as usize;
+                    let by = 1 + rng.next_below(5);
+                    *fields(flat.window_at(t))[field] += by;
+                    *fields(&mut layout.window_at(t).0)[field] += by;
+                }
+            }
+            let end = SimTime::from_nanos(now + rng.next_below(4 * window_ns));
+            flat.finish(end);
+            layout.finish(end);
+            assert_eq!(flat, layout.flatten());
+            let text = flat.to_json();
+            assert_eq!(text, reference::to_json(&layout));
+            assert_eq!(flat.to_csv(), reference::to_csv(&layout));
+            assert_eq!(
+                render_series_report(&flat),
+                reference::render_series_report(&layout)
+            );
+            assert_eq!(SeriesExport::from_json(&text).as_ref(), Ok(&flat));
+        }
+    }
+
+    /// Depths recorded past the 2^20 windows land in the overflow window,
+    /// in the column's order whatever order they came in. (A rendering of
+    /// 2^20 windows is hundreds of megabytes, so this reads the rows.)
+    #[test]
+    fn depths_past_the_last_window_land_in_the_overflow_window() {
+        let mut e = SeriesExport::new("t", 0, SimDur::from_nanos(1));
+        e.record_depth(SimTime::from_nanos(5), 2, 1);
+        e.record_depth(SimTime::from_nanos(u64::MAX), 9, 4);
+        e.record_depth(SimTime::from_nanos(MAX_WINDOWS + 7), 3, 2);
+        e.record_depth(SimTime::from_nanos(MAX_WINDOWS - 1), 9, 6);
+        e.record_depth(SimTime::from_nanos(MAX_WINDOWS), 9, 3);
+        let last = MAX_WINDOWS as u32;
+        assert_eq!(
+            e.queue_depth_max,
+            [(5, 2, 1), (last - 1, 9, 6), (last, 3, 2), (last, 9, 4)]
+        );
+        assert!(e.truncated());
+        let rows: Vec<(usize, usize)> = (e.rows())
+            .filter(|(_, _, depths)| !depths.is_empty())
+            .map(|(i, _, depths)| (i, depths.len()))
+            .collect();
+        let last = last as usize;
+        assert_eq!(rows, [(5, 1), (last - 1, 1), (last, 2)]);
+        let (i, _, depths) = e.rows().last().expect("the overflow window");
+        assert_eq!((i, depths), (last, &e.queue_depth_max[2..]));
+        assert_eq!(e.vars(), [2, 3, 9]);
     }
 
     /// A series the collector wrote, with windows of every shape.
@@ -927,7 +1202,7 @@ mod tests {
         // Random series, including ones whose rounded counts no longer
         // validate, reordered and padded.
         for _ in 0..200 {
-            let e = random_export(&mut rng);
+            let e = random_export(&mut rng).flatten();
             let doc = json::parse(&e.to_json()).unwrap();
             same_verdict(&scrambled(&doc, &mut rng));
         }

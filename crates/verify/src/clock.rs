@@ -1,5 +1,7 @@
 //! Vector clocks for happens-before reasoning over trace events.
 
+use std::collections::VecDeque;
+
 /// A grow-on-demand vector clock indexed by node (actor) number.
 ///
 /// Missing components are zero, so clocks over different node counts
@@ -24,15 +26,15 @@ impl VectorClock {
     /// Component-wise maximum: after `a.join(&b)`, everything ordered
     /// before `b` is ordered before `a`.
     pub fn join(&mut self, other: &VectorClock) {
-        self.join_words(&other.0);
+        self.join_words(other.0.iter().copied());
     }
 
     /// [`VectorClock::join`] with a clock stored as its components.
-    pub(crate) fn join_words(&mut self, other: &[u64]) {
+    pub(crate) fn join_words(&mut self, other: impl ExactSizeIterator<Item = u64>) {
         if self.0.len() < other.len() {
             self.0.resize(other.len(), 0);
         }
-        for (a, &b) in self.0.iter_mut().zip(other) {
+        for (a, b) in self.0.iter_mut().zip(other) {
             *a = (*a).max(b);
         }
     }
@@ -56,58 +58,53 @@ impl VectorClock {
     }
 }
 
-/// Where a stored clock's components are in a [`ClockBlocks`].
+/// Where a stored clock's components are in its [`ClockRing`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ClockRef {
-    block: u32,
-    offset: u32,
+    /// The position of the clock's first word among every word the ring
+    /// has stored, wrapping.
+    start: u32,
     len: u32,
 }
 
-/// Append-only storage for clocks kept until the end of a run: blocks that
-/// are filled in order and never reallocated, so storing a clock copies
-/// its components once and never moves the ones stored before it. The
-/// first block holds 256 bytes and each next one twice the last, up to
-/// 64 KiB (a clock longer than that gets a block of its own): a
-/// four-node checker execution pays for one small block, a long run for
-/// at most one partly filled 64 KiB block beyond its clocks.
+/// The clocks bound to one group's sequenced writes, kept while a member
+/// may still apply their writes: one ring of words, filled at the back in
+/// bind order and retired from the front, so the space a retired clock
+/// held is reused by the next one.
 #[derive(Debug, Default)]
-pub(crate) struct ClockBlocks {
-    blocks: Vec<Vec<u64>>,
+pub(crate) struct ClockRing {
+    words: VecDeque<u64>,
+    /// The position of `words[0]` among every word stored, wrapping: a
+    /// [`ClockRef`] stays valid while fewer than 2^32 words are held.
+    front: u32,
 }
 
-impl ClockBlocks {
-    const FIRST_WORDS: usize = 32;
-    const MAX_WORDS: usize = 8 * 1024;
-
-    /// Copies `clock`'s components in.
+impl ClockRing {
+    /// Copies `clock`'s components in at the back.
     pub(crate) fn push(&mut self, clock: &VectorClock) -> ClockRef {
-        let words = clock.words();
-        let fits = self
-            .blocks
-            .last()
-            .is_some_and(|b| b.capacity() - b.len() >= words.len());
-        if !fits {
-            let last = self.blocks.last().map_or(0, Vec::capacity);
-            let size = (2 * last).clamp(Self::FIRST_WORDS, Self::MAX_WORDS);
-            self.blocks.push(Vec::with_capacity(size.max(words.len())));
-        }
-        let block = self.blocks.len() - 1;
-        let b = &mut self.blocks[block];
-        let offset = b.len();
-        b.extend_from_slice(words);
         let narrow = |x: usize| u32::try_from(x).expect("clock storage fits u32 indices");
-        ClockRef {
-            block: narrow(block),
-            offset: narrow(offset),
-            len: narrow(words.len()),
-        }
+        let r = ClockRef {
+            start: self.front.wrapping_add(narrow(self.words.len())),
+            len: narrow(clock.words().len()),
+        };
+        self.words.extend(clock.words());
+        r
     }
 
     /// The components of a stored clock.
-    pub(crate) fn get(&self, r: ClockRef) -> &[u64] {
-        let start = r.offset as usize;
-        &self.blocks[r.block as usize][start..start + r.len as usize]
+    pub(crate) fn get(&self, r: ClockRef) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let at = r.start.wrapping_sub(self.front) as usize;
+        self.words.range(at..at + r.len as usize).copied()
+    }
+
+    /// Drops every word stored before `first`, the oldest clock still
+    /// held (`None`: every word).
+    pub(crate) fn retire_before(&mut self, first: Option<ClockRef>) {
+        let drop = first.map_or(self.words.len(), |r| {
+            r.start.wrapping_sub(self.front) as usize
+        });
+        self.words.drain(..drop);
+        self.front = self.front.wrapping_add(drop as u32);
     }
 }
 
@@ -143,8 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn stored_clocks_stay_put_as_blocks_fill_and_double() {
-        let mut blocks = ClockBlocks::default();
+    fn a_clock_ring_reuses_the_space_its_retired_clocks_held() {
         let clock = |len: usize, seed: u64| {
             let mut c = VectorClock::new();
             for node in 0..len {
@@ -155,27 +151,34 @@ mod tests {
             c.tick(len.saturating_sub(1));
             c
         };
-        let mut stored = Vec::new();
+        // Start the word count near the wrap, as a long run would.
+        let mut ring = ClockRing {
+            front: u32::MAX - 100,
+            ..ClockRing::default()
+        };
+        let mut held = VecDeque::new();
+        let mut capacity = 0;
         for i in 0..3_000u64 {
             let c = clock(1 + (i % 17) as usize, i);
-            stored.push((blocks.push(&c), c));
+            held.push_back((ring.push(&c), c));
+            // At most eight clocks in flight, retired oldest first.
+            if held.len() > 8 {
+                held.pop_front();
+                ring.retire_before(held.front().map(|&(r, _)| r));
+            }
+            for (r, c) in &held {
+                assert!(ring.get(*r).eq(c.words().iter().copied()));
+            }
+            if i == 100 {
+                capacity = ring.words.capacity();
+            }
         }
-        // A clock longer than the largest block gets one of its own.
-        let long = clock(20_000, 1);
-        stored.push((blocks.push(&long), long));
-        stored.push((blocks.push(&VectorClock::new()), VectorClock::new()));
-        for (r, c) in &stored {
-            assert_eq!(blocks.get(*r), c.words());
-        }
-        let sizes: Vec<usize> = blocks.blocks.iter().map(Vec::capacity).collect();
-        assert_eq!(sizes[..5], [32, 64, 128, 256, 512]);
-        assert!(sizes
-            .iter()
-            .all(|&s| s <= ClockBlocks::MAX_WORDS || s == 20_000));
-        let pointers: Vec<*const u64> = blocks.blocks.iter().map(|b| b.as_ptr()).collect();
-        blocks.push(&clock(5, 0));
-        let after: Vec<*const u64> = blocks.blocks.iter().map(|b| b.as_ptr()).collect();
-        assert_eq!(pointers[..], after[..pointers.len()], "no block moved");
+        assert!(ring.words.len() <= 8 * 17);
+        assert_eq!(ring.words.capacity(), capacity, "retired space was reused");
+        ring.retire_before(None);
+        assert!(ring.words.is_empty());
+        let empty = ring.push(&VectorClock::new());
+        assert_eq!(ring.get(empty).len(), 0);
     }
 
     #[test]

@@ -151,6 +151,15 @@ impl Verifier {
         }
     }
 
+    /// Forgets what the checkers keep per sequenced write of `group`
+    /// through `floor`: every member has applied those writes, so no later
+    /// record names one ([`TraceObserver::on_seq_floor`]). The verdicts
+    /// are the same with or without the call.
+    pub fn seq_floor(&mut self, group: u32, floor: u64) {
+        self.race.retire_through(group, floor);
+        self.seq.retire_through(group, floor);
+    }
+
     /// Finalizes end-of-trace checks (e.g. a rollback still awaiting its
     /// restores). Idempotent.
     pub fn finish(&mut self) {
@@ -218,6 +227,10 @@ impl Verifier {
 impl TraceObserver for Verifier {
     fn on_record(&mut self, entry: &TraceEntry) {
         self.feed(entry);
+    }
+
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        self.seq_floor(group, floor);
     }
 }
 

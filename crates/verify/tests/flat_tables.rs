@@ -6,15 +6,29 @@
 //! scenario, the planted-fault traces, and generated streams with gaps,
 //! duplicates, late lower numbers, applies before their number is
 //! sequenced, and far numbers.
+//!
+//! Online, the tables also retire at each group's applied floor
+//! (`TraceObserver::on_seq_floor`). The verdicts must not move: the online
+//! verifier, floors and all, is held to an offline feed of the same
+//! records without them, over every scenario, runs of the planted protocol
+//! mutants, and the planted-fault traces fed the floors a machine would
+//! publish for them.
 
 mod common;
 mod reference;
 
 use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use sesame_sim::{ApplyMode, DetRng, TraceDetail, TraceEntry, TraceKind as K, TraceObserver};
-use sesame_verify::{check_trace, check_trace_partial};
+use sesame_core::MutexMutation;
+use sesame_dsm::{DsmEvent, GwcMutation};
+use sesame_net::NodeId;
+use sesame_sim::{
+    ApplyMode, DetRng, SimTime, Simulation, TraceDetail, TraceEntry, TraceKind as K, TraceObserver,
+};
+use sesame_verify::{check_trace, check_trace_partial, Verifier};
+use sesame_workloads::canonical::{build_canonical, CanonicalConfig};
 use sesame_workloads::scenario::Scenario;
 
 use common::{apply, e, rseq, var, vv};
@@ -293,4 +307,197 @@ fn far_sequence_numbers_are_checked_like_near_ones() {
         .iter()
         .all(|v| v.message.starts_with("write-write race")));
     same_verdicts("far numbers, unapplied", &unapplied);
+}
+
+/// Two online verifiers told every applied floor — one to finish, one to
+/// finish as a truncated trace — and the records they were fed.
+#[derive(Default)]
+struct Online {
+    finished: Verifier,
+    truncated: Verifier,
+    records: Vec<TraceEntry>,
+    floors: usize,
+}
+
+impl TraceObserver for Online {
+    fn on_record(&mut self, entry: &TraceEntry) {
+        self.finished.feed(entry);
+        self.truncated.feed(entry);
+        self.records.push(*entry);
+    }
+
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        self.finished.seq_floor(group, floor);
+        self.truncated.seq_floor(group, floor);
+        self.floors += 1;
+    }
+}
+
+impl Online {
+    /// Asserts the online verdicts equal an offline feed's of the same
+    /// records without floors, finished and truncated, and returns how
+    /// many violations that is.
+    fn same_as_offline(&mut self, what: &str) -> usize {
+        self.finished.finish();
+        let offline = check_trace(&self.records);
+        assert_eq!(self.finished.violations(), &offline[..], "{what}");
+        let notes = self.truncated.finish_partial();
+        let partial = check_trace_partial(&self.records);
+        assert_eq!(
+            (self.truncated.violations(), &notes[..]),
+            (&partial.violations[..], &partial.incomplete[..]),
+            "{what} (truncated)"
+        );
+        offline.len()
+    }
+}
+
+#[test]
+fn every_scenario_gets_the_same_verdict_online_with_floors_as_offline() {
+    for name in [
+        "three-cpu",
+        "contention",
+        "task-queue",
+        "pipeline",
+        "bigmesh",
+        "canonical",
+    ] {
+        let scenario = Scenario::parse(name).expect("a listed scenario");
+        let online = Rc::new(RefCell::new(Online::default()));
+        if let Err(e) = scenario.run(Some(online.clone())) {
+            panic!("{e}");
+        }
+        let mut online = online.borrow_mut();
+        assert!(online.floors > 0, "{name} publishes floors");
+        assert_eq!(online.same_as_offline(name), 0, "{name} is clean");
+    }
+}
+
+/// The canonical workload with a planted protocol bug, run online on a
+/// random schedule — a root's packets delivered out of their link's order
+/// among the choices, as `sesame check --links relax-roots` explores —
+/// until the online verifier reports or the run drains. The verifier
+/// reports before the bug trips the protocol's own asserts.
+fn mutant_run(cfg: CanonicalConfig, seed: u64) -> Online {
+    let machine = build_canonical(cfg);
+    let nodes = machine.node_count();
+    let roots: HashSet<NodeId> = machine.groups().iter().map(|g| g.root()).collect();
+    let mut sim = Simulation::new(machine);
+    let online = Rc::new(RefCell::new(Online::default()));
+    sim.set_trace_observer(online.clone());
+    for node in 0..nodes as u32 {
+        sim.schedule(
+            SimTime::ZERO,
+            (NodeId::new(node), DsmEvent::Start { more: 0 }),
+        );
+    }
+    let mut rng = DetRng::new(seed);
+    while online.borrow().finished.violations().is_empty() {
+        let pending = sim.pending();
+        let (mut links, mut locals) = (HashSet::new(), HashSet::new());
+        let enabled: Vec<u64> = (pending.iter())
+            .filter(|p| match p.msg {
+                (_, DsmEvent::Packet(pkt)) => {
+                    roots.contains(&pkt.from) || links.insert((pkt.from, pkt.to))
+                }
+                (node, _) => locals.insert(*node),
+            })
+            .map(|p| p.seq)
+            .collect();
+        if enabled.is_empty() {
+            break;
+        }
+        sim.step_seq(enabled[rng.next_below(enabled.len() as u64) as usize]);
+    }
+    drop(sim);
+    Rc::try_unwrap(online)
+        .ok()
+        .expect("the run is over")
+        .into_inner()
+}
+
+#[test]
+fn the_planted_mutants_get_the_same_verdict_online_with_floors_as_offline() {
+    let mutants = [
+        ("seq-gap", GwcMutation::SeqGap, MutexMutation::None),
+        (
+            "stale-grant-reuse",
+            GwcMutation::StaleGrantReuse,
+            MutexMutation::None,
+        ),
+        (
+            "drop-rollback",
+            GwcMutation::None,
+            MutexMutation::DropRollback,
+        ),
+    ];
+    for (name, gwc_mutation, mutex_mutation) in mutants {
+        let cfg = CanonicalConfig {
+            contenders: 3,
+            rounds: 4,
+            gwc_mutation,
+            mutex_mutation,
+            ..CanonicalConfig::default()
+        };
+        let (mut caught, mut floored) = (0, 0);
+        for seed in 0..40 {
+            let mut online = mutant_run(cfg, seed);
+            let found = online.same_as_offline(&format!("{name} seed {seed}"));
+            caught += usize::from(found > 0);
+            floored += usize::from(found > 0 && online.floors > 0);
+        }
+        assert!(caught > 0, "{name} was never caught");
+        assert!(floored > 0, "{name} was never caught behind a floor");
+    }
+}
+
+/// Feeds `trace` to the online verifiers with the floors a machine would
+/// publish for it: after each apply, the highest number through which
+/// every node that applies any of the group's writes in the trace has
+/// applied every write.
+fn fed_with_floors(trace: &[TraceEntry]) -> Online {
+    let mut members: HashMap<u32, HashSet<usize>> = HashMap::new();
+    for entry in trace {
+        if let TraceDetail::Apply { group, .. } = entry.detail {
+            members.entry(group).or_default().insert(entry.actor);
+        }
+    }
+    // Per (node, group): the prefix applied without a gap, and the
+    // numbers applied above it.
+    let mut applied: HashMap<(usize, u32), (u64, BTreeSet<u64>)> = HashMap::new();
+    let mut floors: HashMap<u32, u64> = HashMap::new();
+    let mut online = Online::default();
+    for entry in trace {
+        online.on_record(entry);
+        let (K::GwcApply, &TraceDetail::Apply { group, seq, .. }) = (entry.kind, &entry.detail)
+        else {
+            continue;
+        };
+        let (prefix, above) = applied.entry((entry.actor, group)).or_default();
+        above.insert(seq);
+        while above.remove(&(*prefix + 1)) {
+            *prefix += 1;
+        }
+        let floor = (members[&group].iter())
+            .map(|&node| applied.get(&(node, group)).map_or(0, |a| a.0))
+            .min()
+            .expect("the applying node is a member");
+        let last = floors.entry(group).or_default();
+        if floor > *last {
+            *last = floor;
+            online.on_seq_floor(group, floor);
+        }
+    }
+    online
+}
+
+#[test]
+fn the_planted_faults_get_the_same_verdict_with_floors_as_without() {
+    let mut floored = 0;
+    for (name, trace) in common::planted() {
+        let mut online = fed_with_floors(&trace);
+        assert!(online.same_as_offline(name) > 0, "{name} is caught");
+        floored += usize::from(online.floors > 0);
+    }
+    assert!(floored >= 3, "{floored} planted traces were fed floors");
 }

@@ -6,12 +6,15 @@
 //!   one window at a time: each step peaks at most at twice the text plus
 //!   256 KiB. Building and walking `Json` trees peaked at about 7x and
 //!   8.6x the text.
-//! * After `finish` the verifier holds, in flat per-group tables, the
-//!   payload of every sequenced write and the clock bound to every
-//!   sequenced data write: at most 8 bytes per node per clock and 64 bytes
-//!   of table per sequenced write, plus one partly filled clock block. One
-//!   heap clock per write in `(group, seq)` hash maps held 11.4 MB on this
-//!   run, about 356 bytes per clock, against a 10.4 MB budget.
+//! * After `finish` the verifier holds, in flat per-group tables, at most
+//!   8 bytes per node per clock and 64 bytes of table per sequenced write,
+//!   plus 64 KiB. One heap clock per write in `(group, seq)` hash maps held
+//!   11.4 MB on this run, about 356 bytes per clock, against a 10.4 MB
+//!   budget.
+//! * Told each group's applied floor, the verifier and the collector keep
+//!   per-write state only for the writes in flight: the same at 1 000 and
+//!   2 000 rounds, and the verifier 24 KB after `finish` (9.7 MB when it
+//!   kept every write's payload and clock until the end).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -83,6 +86,10 @@ impl TraceObserver for Counted {
         self.sequenced += usize::from(entry.kind == TraceKind::RootSeq);
         self.verifier.on_record(entry);
     }
+
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        self.verifier.on_seq_floor(group, floor);
+    }
 }
 
 #[test]
@@ -108,5 +115,58 @@ fn the_verifier_holds_a_clock_per_data_write_and_a_payload_per_sequenced_write()
         held <= budget,
         "the verifier holds {held} heap bytes after {sequenced} sequenced writes, {clocks} \
          of them with a clock, on {nodes} nodes; budget {budget}"
+    );
+}
+
+/// The verifier's heap after `finish` on a `rounds`-round ledger run.
+fn verifier_held(rounds: u32) -> usize {
+    let cfg = ContentionConfig {
+        rounds,
+        ..ledger_run()
+    };
+    let before = live_bytes();
+    let verifier = Rc::new(RefCell::new(Verifier::new()));
+    drop(run_contention_observed(cfg, Some(verifier.clone())));
+    let mut verifier = verifier.borrow_mut();
+    verifier.finish();
+    assert!(verifier.violations().is_empty());
+    live_bytes() - before
+}
+
+/// The collector's sequencing spans just before `finish` on a
+/// `rounds`-round ledger run.
+fn spans_held(rounds: u32) -> usize {
+    let cfg = ContentionConfig {
+        rounds,
+        ..ledger_run()
+    };
+    let telemetry = Telemetry::new("observed_contention", 7)
+        .with_series(SimDur::from_us(100))
+        .shared();
+    drop(run_contention_observed(cfg, Some(telemetry.clone())));
+    let bytes = telemetry.borrow().seq_spans_heap_bytes();
+    bytes
+}
+
+/// What the verifier and the collector keep per sequenced write retires at
+/// the group's applied floor, so it is bounded by the writes in flight,
+/// not by the run's length: doubling the run moves neither by 64 KiB, and
+/// the verifier ends the ledger run within 256 KiB. Kept until the end of
+/// the run, the verifier held 9.7 MB here.
+#[test]
+fn per_write_observer_state_is_bounded_by_the_writes_in_flight() {
+    let (short, long) = (verifier_held(1_000), verifier_held(2_000));
+    assert!(
+        short.abs_diff(long) < 64 * 1024,
+        "the verifier holds {short} heap bytes after 1 000 rounds, {long} after 2 000"
+    );
+    assert!(
+        long <= 256 * 1024,
+        "the verifier holds {long} heap bytes after 2 000 rounds"
+    );
+    let (short, long) = (spans_held(1_000), spans_held(2_000));
+    assert!(
+        short.abs_diff(long) < 64 * 1024,
+        "the collector's spans hold {short} heap bytes after 1 000 rounds, {long} after 2 000"
     );
 }

@@ -1,0 +1,243 @@
+//! The producer's side of the applied-floor contract
+//! (`TraceObserver::on_seq_floor`): whatever the machine runs — every GWC
+//! scenario, a lossy fabric with its NACKs, retransmissions and watchdog
+//! timers, optimistic sections that suspend insharing, a schedule no clock
+//! would produce — a group's floor `s` arrives only after every member's
+//! `gwc-apply` of the group's writes 1 through `s`, floors only rise, and
+//! no apply of a write at or below the floor follows it.
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::rc::Rc;
+
+use sesame_core::builder::ModelChoice;
+use sesame_dsm::{run_observed, DsmEvent, GroupTable, MachineMsg, RunOptions};
+use sesame_net::NodeId;
+use sesame_sim::{
+    ApplyMode, DetRng, PendingEvent, RunOutcome, SimDur, SimTime, Simulation, TraceDetail,
+    TraceEntry, TraceKind, TraceObserver,
+};
+use sesame_workloads::bigmesh::BigMeshConfig;
+use sesame_workloads::canonical::{build_canonical, CanonicalConfig};
+use sesame_workloads::contention::ContentionConfig;
+use sesame_workloads::pipeline::{MutexMethod, PipelineConfig};
+use sesame_workloads::scenario::Scenario;
+use sesame_workloads::task_queue::TaskQueueConfig;
+
+/// Fails on a floor that rises past an apply not yet made, and on an
+/// apply at or below its group's floor.
+#[derive(Default)]
+struct FloorContract {
+    /// Members that applied each `(group, seq)` so far.
+    applies: HashMap<(u32, u64), u32>,
+    /// The last floor each group was told.
+    floors: BTreeMap<u32, u64>,
+    /// For every write a floor covered: how many members had applied it
+    /// when the floor arrived, to hold against the group's member count.
+    covered: Vec<(u32, u64, u32)>,
+    /// Applies made with the interrupt that suspends insharing.
+    interrupts: u32,
+}
+
+impl TraceObserver for FloorContract {
+    fn on_record(&mut self, entry: &TraceEntry) {
+        if let (
+            TraceKind::GwcApply,
+            &TraceDetail::Apply {
+                group, seq, mode, ..
+            },
+        ) = (entry.kind, &entry.detail)
+        {
+            let floor = self.floors.get(&group).copied().unwrap_or(0);
+            assert!(
+                seq > floor,
+                "node{} applied group {group} seq={seq} after the floor {floor}",
+                entry.actor
+            );
+            *self.applies.entry((group, seq)).or_default() += 1;
+            self.interrupts += u32::from(mode == ApplyMode::Interrupt);
+        }
+    }
+
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        let last = self.floors.insert(group, floor).unwrap_or(0);
+        assert!(floor > last, "group {group}: floor {floor} after {last}");
+        for seq in last + 1..=floor {
+            let applied = self.applies.remove(&(group, seq)).unwrap_or(0);
+            self.covered.push((group, seq, applied));
+        }
+    }
+}
+
+impl FloorContract {
+    /// Every write a floor covered had been applied by every member of
+    /// its group; returns how many writes the floors covered.
+    fn check(&self, groups: &GroupTable, label: &str) -> usize {
+        let members: HashMap<u32, u32> = groups
+            .iter()
+            .map(|g| (g.id().get(), g.members().len() as u32))
+            .collect();
+        for &(group, seq, applied) in &self.covered {
+            assert_eq!(
+                applied, members[&group],
+                "{label}: group {group}'s floor passed seq={seq} after {applied} applies"
+            );
+        }
+        self.covered.len()
+    }
+}
+
+fn contract() -> Rc<RefCell<FloorContract>> {
+    Rc::new(RefCell::new(FloorContract::default()))
+}
+
+#[test]
+fn every_gwc_scenario_publishes_floors_only_behind_every_members_apply() {
+    let smoke = |name| Scenario::parse(name).expect("a listed name");
+    let Scenario::Contention(contention) = smoke("contention") else {
+        unreachable!()
+    };
+    let Scenario::TaskQueue { cfg: tasks, .. } = smoke("task-queue") else {
+        unreachable!()
+    };
+    let Scenario::Pipeline { cfg: ring, .. } = smoke("pipeline") else {
+        unreachable!()
+    };
+    let mut scenarios = vec![
+        smoke("three-cpu"),
+        Scenario::Contention(ContentionConfig {
+            contenders: 8,
+            rounds: 60,
+            ..contention
+        }),
+        Scenario::BigMesh(BigMeshConfig {
+            nodes: 400,
+            ..BigMeshConfig::default()
+        }),
+        Scenario::Canonical(CanonicalConfig {
+            contenders: 6,
+            rounds: 40,
+            ..CanonicalConfig::default()
+        }),
+        Scenario::TaskQueue {
+            nodes: 5,
+            model: ModelChoice::Gwc,
+            cfg: TaskQueueConfig {
+                total_tasks: 256,
+                ..tasks
+            },
+        },
+    ];
+    for method in [MutexMethod::OptimisticGwc, MutexMethod::RegularGwc] {
+        scenarios.push(Scenario::Pipeline {
+            nodes: 8,
+            method,
+            cfg: PipelineConfig {
+                total_visits: 512,
+                ..ring
+            },
+        });
+    }
+    let mut suspended = 0;
+    for scenario in scenarios {
+        let c = contract();
+        let outcome = scenario
+            .run(Some(c.clone()))
+            .unwrap_or_else(|e| panic!("{e}"));
+        let c = c.borrow();
+        let covered = c.check(outcome.result().machine.groups(), scenario.name());
+        assert!(covered > 0, "{}: no floor moved", scenario.name());
+        suspended += c.interrupts;
+    }
+    assert!(suspended > 0, "an optimistic section suspended insharing");
+}
+
+/// The ledger's `lossy_mutex` machine, smaller: lost multicasts leave
+/// gaps that members NACK and roots retransmit, and lost grants come back
+/// through the watchdog. A floor must wait for the retransmitted apply.
+#[test]
+fn a_lossy_fabric_publishes_floors_only_behind_retransmitted_applies() {
+    let cfg = CanonicalConfig {
+        contenders: 24,
+        rounds: 6,
+        ..CanonicalConfig::default()
+    };
+    let mut machine = build_canonical(cfg);
+    machine.fabric_mut().set_loss(0.05, 7);
+    let gwc = machine.model_mut().as_gwc_mut().expect("canonical is GWC");
+    gwc.set_grant_watchdog(Some(SimDur::from_us(50)));
+    let c = contract();
+    let result = run_observed(machine, RunOptions::default(), Some(c.clone()));
+    assert_eq!(result.outcome, RunOutcome::Drained);
+    let stats = result.machine.model().as_gwc().expect("GWC").stats();
+    assert!(stats.nacks > 0 && stats.retransmissions > 0, "{stats:?}");
+    let c = c.borrow();
+    assert!(c.check(result.machine.groups(), "lossy") > 0);
+    assert!(
+        c.interrupts > 0,
+        "an optimistic section suspended insharing"
+    );
+    // A drained run's floors reach every write every group sequenced.
+    assert!(
+        c.applies.is_empty(),
+        "{} applies behind no floor",
+        c.applies.len()
+    );
+}
+
+/// Picks any deliverable event at random, a root's packets out of their
+/// link's order among them: the orders the schedule explorer walks with
+/// relaxed root links.
+fn any_deliverable(
+    pending: &[PendingEvent<'_, MachineMsg>],
+    roots: &HashSet<NodeId>,
+    rng: &mut DetRng,
+) -> u64 {
+    let (mut links, mut locals) = (HashSet::new(), HashSet::new());
+    let deliverable = |p: &&PendingEvent<'_, MachineMsg>| match p.msg {
+        (_, DsmEvent::Packet(pkt)) => roots.contains(&pkt.from) || links.insert((pkt.from, pkt.to)),
+        (node, _) => locals.insert(*node),
+    };
+    let enabled: Vec<u64> = pending.iter().filter(deliverable).map(|p| p.seq).collect();
+    enabled[rng.next_below(enabled.len() as u64) as usize]
+}
+
+#[test]
+fn reordered_deliveries_publish_floors_only_behind_every_members_apply() {
+    let mut gaps = 0;
+    for seed in 0..8 {
+        let cfg = CanonicalConfig {
+            contenders: 3,
+            rounds: 20,
+            ..CanonicalConfig::default()
+        };
+        let machine = build_canonical(cfg);
+        let nodes = machine.node_count();
+        let roots: HashSet<NodeId> = machine.groups().iter().map(|g| g.root()).collect();
+        let mut sim = Simulation::new(machine);
+        let c = contract();
+        sim.set_trace_observer(c.clone());
+        for node in 0..nodes as u32 {
+            let start = (NodeId::new(node), DsmEvent::Start { more: 0 });
+            sim.schedule(SimTime::ZERO, start);
+        }
+        let mut rng = DetRng::new(seed);
+        loop {
+            let pending = sim.pending();
+            if pending.is_empty() {
+                break;
+            }
+            let seq = any_deliverable(&pending, &roots, &mut rng);
+            assert!(sim.step_seq(seq), "seq {seq} was pending");
+        }
+        let machine = sim.actor();
+        gaps += machine.model().as_gwc().expect("GWC").stats().nacks;
+        let c = c.borrow();
+        assert!(c.check(machine.groups(), "reordered") > 0);
+        assert!(c.applies.is_empty(), "seed {seed}: applies behind no floor");
+    }
+    assert!(
+        gaps > 0,
+        "some schedule delivered a root's writes out of order"
+    );
+}

@@ -178,6 +178,10 @@ impl TraceObserver for Tee {
     fn on_cause_floor(&mut self, floor: u64) {
         self.collector.on_cause_floor(floor);
     }
+
+    fn on_seq_floor(&mut self, group: u32, floor: u64) {
+        self.collector.on_seq_floor(group, floor);
+    }
 }
 
 /// The collector's DAG, cut to the explained set by `finish`, answers
