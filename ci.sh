@@ -250,18 +250,22 @@ for w in bigmesh_32k paper_figs_par lossy_mutex observed_contention check_mutex;
     fi
 done
 # The same contract line carries bigmesh_32k's peak RSS (whole megabytes
-# are enough). It reads 16.9 MB (median of ten contract runs, seed 7;
-# 16.9 on seed 11) with each pruned route shape stored once and an
-# 8-byte handle per group, so the 19 MB ceiling (~12 % headroom) fails a
-# return to one stored route per group, which read 19.8 MB. The wider
-# per-node records read 23.4 MB, the grow-only stores (a FIFO floor per
-# path ever used, a doubling route buffer, a four-slot history block per
-# root) 29.2 MB, and scheduling every wave at the send instant 50.8 MB,
-# so a return to any of them fails here on memory, not only on a
-# hand-run ledger.
+# are enough). It reads 14.8 MB (median of ten contract runs, seed 7;
+# 14.75 on seed 11) with a group's sequencing state held only while it
+# has a write in flight: a 16-byte root record per group, and a pooled
+# history and floor ring for the few hundred groups mid-write. So the
+# 17 MB ceiling (~15 % headroom) fails a return to one stored route per
+# group, which read 19.8 MB. A 56-byte root record with a history kept
+# for every group that ever wrote read 16.7 MB, inside the ceiling: the
+# root record's size assert in gwc.rs and the drained-run footprint test
+# are what catch it. The wider per-node records read 23.4 MB, the
+# grow-only stores (a FIFO floor per path ever used, a doubling route
+# buffer, a four-slot history block per root) 29.2 MB, and scheduling
+# every wave at the send instant 50.8 MB, so a return to any of them
+# fails here on memory, not only on a hand-run ledger.
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-bigmesh_32k.last")
-if [ -n "$rss" ] && [ "$rss" -ge 19 ]; then
-    echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 19" >&2
+if [ -n "$rss" ] && [ "$rss" -ge 17 ]; then
+    echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 17" >&2
     exit 1
 fi
 # paper_figs_par's reads ~5.1 MB (seeds 7 and 11, ledger contract runs):
@@ -364,21 +368,23 @@ if [ "${thr:-0}" -lt 100000 ]; then
 fi
 # The exact-integer `peak_rss_kb` line (VmHWM; absent off Linux, where the
 # check is skipped) is the memory ceiling: this machine has 275 000 groups
-# and reads 134 600 kB (two runs of the command above) with flat per-group
-# state, each route shape stored once and an 8-byte handle per group, one
-# pending event per fan-out in flight, floors and histories that hold
-# what is in flight or in use, and per-node records that store only what
-# is read, so 160 000 kB (+19 %) absorbs allocator and libc drift but
-# neither one reintroduced heap vector per group (the struct-of-Vecs
-# layout read 467 348 kB) nor a return to queueing every wave and every
-# node's start up front (270 488 kB). (One stored route per group read
-# 157 000 kB, inside this ceiling: the footprint budgets and the ledger
-# ceiling above are what catch it. The wider records read 195 550 kB,
-# and grow-only floors, route buffer and history blocks 213 828 kB on top
-# of them, both now outside it.)
+# and reads 124 800 kB (two runs of the command above) with flat per-group
+# state, a 16-byte root record per group whose history and floor ring
+# are pooled and held only while the group has a write in flight, each
+# route shape stored once and an 8-byte handle per group, one pending
+# event per fan-out in flight, floors that hold what is in flight, and
+# per-node records that store only what is read, so 140 000 kB (+12 %)
+# absorbs allocator and libc drift but neither one reintroduced heap
+# vector per group (the struct-of-Vecs layout read 467 348 kB) nor a
+# return to queueing every wave and every node's start up front
+# (270 488 kB). (A 56-byte root record holding a history for every group
+# that wrote read 134 340 kB, and one stored route per group 157 000 kB
+# before that: the first is inside this ceiling, and the footprint tests
+# are what catch it. The wider records read 195 550 kB, and grow-only
+# floors, route buffer and history blocks 213 828 kB on top of them.)
 rss=$(grep -o 'peak_rss_kb [0-9]*' "$tmpdir/bigmesh250k.out" | cut -d' ' -f2 || true)
-if [ -n "$rss" ] && [ "$rss" -gt 160000 ]; then
-    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 160000" >&2
+if [ -n "$rss" ] && [ "$rss" -gt 140000 ]; then
+    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 140000" >&2
     exit 1
 fi
 

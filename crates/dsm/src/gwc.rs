@@ -31,7 +31,6 @@
 //! lost sequenced packets.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
 
 use sesame_net::{CauseId, NodeId};
 use sesame_sim::{CauseOp, TraceKind};
@@ -191,59 +190,64 @@ struct LockState {
     watchdog: Option<GrantWatchdog>,
 }
 
-/// Root state for one group.
+/// Root state for one group: its next sequence number and two indices, 16
+/// bytes whatever the group has sequenced, so a quiet group costs only
+/// this.
 #[derive(Debug)]
 struct RootGroup {
     next_seq: u64,
-    /// The sequenced writes a NACK can still name; seq `s` lives at
-    /// `history[s - 1 - history_base]`.
-    history: VecDeque<(VarId, Word, NodeId)>,
-    /// Retired through: every write numbered up to here was applied by
-    /// every member, and no NACK in flight asks for it (0 = nothing
-    /// retired yet).
-    history_base: u64,
     /// Index of the group's [`LockState`] in [`GwcModel::locks`], or
     /// [`NO_LOCK`] for a plain group.
     lock: u32,
-    /// Index of the group's [`AppliedFloor`] in [`GwcModel::floors`], or
-    /// [`NO_FLOOR`] until a traced member applies one of its writes.
-    floor: u32,
+    /// Index of the group's [`Flight`] in [`GwcModel::flights`] while it
+    /// has a sequenced write not yet retired, or [`NO_FLIGHT`].
+    flight: u32,
 }
 
 /// [`RootGroup::lock`] of a group without a mutex lock.
 const NO_LOCK: u32 = u32::MAX;
 
-/// [`RootGroup::floor`] of a group with no applied floor.
-const NO_FLOOR: u32 = u32::MAX;
+/// [`RootGroup::flight`] of a group whose every write is retired.
+const NO_FLIGHT: u32 = u32::MAX;
 
-/// How far every member of one group has applied the root's writes, kept
-/// only while the machine is traced, for
-/// [`TraceObserver::on_seq_floor`](sesame_sim::TraceObserver::on_seq_floor).
-///
-/// Members apply a group's writes in sequence order, each once, so the
-/// writes past the floor are a ring of apply counts: the floor advances
-/// while the count at its front reaches the member count. That is O(1)
-/// amortised per apply, with no scan over the members. The floor reads
-/// every member's progress, which no real root sees: it drives
-/// observation only, never a protocol message.
+/// What a root keeps about its group's writes while one is in flight —
+/// sequenced and not yet retired. The first write a quiet group sequences
+/// takes a record from [`GwcModel::idle_flights`]; the retirement of its
+/// last write hands the record back, its buffers' capacity kept for the
+/// next group.
 #[derive(Debug, Default)]
-struct AppliedFloor {
-    /// Every member has applied every write numbered through here.
+struct Flight {
+    /// The sequenced writes a NACK can still name; seq `s` lives at
+    /// `history[s - 1 - base]`.
+    history: VecDeque<(VarId, Word, NodeId)>,
+    /// Retired through: every write numbered up to here was applied by
+    /// every member, and no NACK in flight asks for it.
+    base: u64,
+    /// The applied floor: every member has applied every write numbered
+    /// through here. It retires the history and is handed to the trace
+    /// observer, if one is attached
+    /// ([`TraceObserver::on_seq_floor`](sesame_sim::TraceObserver::on_seq_floor)).
+    ///
+    /// Members apply a group's writes in sequence order, each once, so the
+    /// writes past the floor are a ring of apply counts: the floor
+    /// advances while the count at its front reaches the member count.
+    /// That is O(1) amortised per apply, with no scan over the members.
+    /// The floor reads every member's progress, which no real root sees:
+    /// it drives reclamation and observation only, never a protocol
+    /// message.
     through: u64,
     /// `counts[i]`: the members that have applied write `through + 1 + i`.
     counts: VecDeque<u32>,
 }
 
-impl AppliedFloor {
+impl Flight {
     /// Counts one member's apply of write `seq`, and returns the new floor
     /// if it moved.
     fn applied(&mut self, seq: u64, members: u32) -> Option<u64> {
         // A member applies each write once, after every earlier one, so
         // nothing at or below the floor can arrive here.
         let at = usize::try_from(seq - self.through - 1).expect("a write in flight fits");
-        if at >= self.counts.len() {
-            self.counts.resize(at + 1, 0);
-        }
+        self.counts.resize(self.counts.len().max(at + 1), 0);
         self.counts[at] += 1;
         let before = self.through;
         while self.counts.front() == Some(&members) {
@@ -251,33 +255,6 @@ impl AppliedFloor {
             self.through += 1;
         }
         (self.through > before).then_some(self.through)
-    }
-}
-
-impl RootGroup {
-    /// Appends the write just sequenced to the history. A full history
-    /// first retires every write through `floor()` (see
-    /// [`GwcModel::retirement_floor`]) and grows only if that freed less
-    /// than half of it, so the floor's scan over the members is paid once
-    /// per half a history of writes.
-    fn record(&mut self, write: (VarId, Word, NodeId), floor: impl FnOnce() -> u64) {
-        let cap = self.history.capacity();
-        if cap == 0 {
-            // Most roots of a sharded machine sequence exactly one write,
-            // so the first entry gets a block of its own size; a second
-            // write moves the history onto the deque's usual growth.
-            self.history.reserve_exact(1);
-        } else if self.history.len() == cap {
-            let retire = floor()
-                .checked_sub(self.history_base)
-                .expect("the retirement floor never falls") as usize;
-            self.history.drain(..retire);
-            self.history_base += retire as u64;
-            if 2 * retire < cap {
-                self.history.reserve(cap);
-            }
-        }
-        self.history.push_back(write);
     }
 }
 
@@ -352,16 +329,18 @@ pub struct GwcModel {
     /// Grant-watchdog timeout; `None` disables the watchdog (fine on
     /// loss-free fabrics).
     grant_timeout: Option<sesame_sim::SimDur>,
-    /// The NACKs in flight, as `(member slot, have)`: pushed by the member
-    /// that sends one, removed by the root that receives it. Unicasts are
-    /// never lost, so the list is exact; it holds a handful of entries.
-    nacks_in_flight: Vec<(usize, u64)>,
+    /// The NACKs in flight, as `(group, have)`: pushed by the member that
+    /// sends one, removed by the root that receives it. Unicasts are never
+    /// lost, so the list is exact; it holds a handful of entries.
+    nacks_in_flight: Vec<(GroupId, u64)>,
     /// Wrapping sum of [`write_hash`] over every write ever sequenced: the
     /// digest's stand-in for the histories retirement trims.
     sequenced: u64,
-    /// The applied floors of the groups a traced member has applied a
-    /// write of, in first-apply order; empty on an untraced machine.
-    floors: Vec<AppliedFloor>,
+    /// The in-flight records, one per group with a write not yet
+    /// retired, plus those in `idle_flights`.
+    flights: Vec<Flight>,
+    /// Indices of the records no group holds, reused last-in first-out.
+    idle_flights: Vec<u32>,
     /// Planted bug for checker regression fixtures.
     mutation: GwcMutation,
 }
@@ -374,9 +353,7 @@ impl GwcModel {
             .iter()
             .map(|g| RootGroup {
                 next_seq: 1,
-                history: VecDeque::new(),
-                history_base: 0,
-                floor: NO_FLOOR,
+                flight: NO_FLIGHT,
                 lock: g.mutex_lock().map_or(NO_LOCK, |var| {
                     locks.push(LockState {
                         var,
@@ -397,7 +374,8 @@ impl GwcModel {
             grant_timeout: None,
             nacks_in_flight: Vec::new(),
             sequenced: 0,
-            floors: Vec::new(),
+            flights: Vec::new(),
+            idle_flights: Vec::new(),
             mutation: GwcMutation::None,
         }
     }
@@ -522,11 +500,30 @@ impl GwcModel {
         h.finish()
     }
 
+    /// `group`'s in-flight record, if it has a write not yet retired.
+    fn flight(&self, group: GroupId) -> Option<&Flight> {
+        let rg = self.roots.get(group.index())?;
+        self.flights.get(rg.flight as usize)
+    }
+
     /// Number of sequenced writes currently retained by `group`'s root:
-    /// those a NACK can still name, plus any written since the history
-    /// last filled up.
+    /// those a NACK can still name.
     pub fn history_len(&self, group: GroupId) -> usize {
-        self.roots.get(group.index()).map_or(0, |r| r.history.len())
+        self.flight(group).map_or(0, |f| f.history.len())
+    }
+
+    /// The in-flight records: how many groups hold one, and how many
+    /// the pool has ever made.
+    pub fn flight_records(&self) -> (usize, usize) {
+        let held = self.flights.len() - self.idle_flights.len();
+        (held, self.flights.len())
+    }
+
+    /// `group`'s applied floor: every member has applied every write
+    /// numbered through it.
+    pub fn applied_floor(&self, group: GroupId) -> u64 {
+        self.flight(group)
+            .map_or(self.roots[group.index()].next_seq - 1, |f| f.through)
     }
 
     /// Enables the root-side grant watchdog: an issued grant whose holder
@@ -558,19 +555,45 @@ impl GwcModel {
         self.ifaces[node.index()].suspended
     }
 
-    /// The highest sequence number a NACK can no longer name, for the
-    /// group whose members hold `slots`: every member has applied every
-    /// write through it, and no NACK in flight from one of them asks for
-    /// anything at or below it. A member's NACK names the writes after its
-    /// `have`, which was its applied prefix when it sent it; applied
-    /// prefixes only grow. So once both hold, no future NACK can reach
-    /// back that far, and the root may forget those writes.
-    fn retirement_floor(expected: &[u64], nacks: &[(usize, u64)], slots: Range<usize>) -> u64 {
-        let applied = expected[slots.clone()].iter().map(|&e| e.max(1) - 1);
-        let asked = (nacks.iter())
-            .filter(|(slot, _)| slots.contains(slot))
-            .map(|&(_, have)| have);
-        (applied.chain(asked).min()).expect("a group has members")
+    /// Numbers `write` as `group`'s next write and appends it to the
+    /// history, taking an idle in-flight record if the group holds none.
+    fn sequence(&mut self, group: GroupId, write: (VarId, Word, NodeId)) -> u64 {
+        let rg = &mut self.roots[group.index()];
+        let seq = rg.next_seq;
+        rg.next_seq += 1;
+        if rg.flight == NO_FLIGHT {
+            rg.flight = self.idle_flights.pop().unwrap_or_else(|| {
+                self.flights.push(Flight::default());
+                u32::try_from(self.flights.len() - 1).expect("group ids are u32")
+            });
+            let f = &mut self.flights[rg.flight as usize];
+            (f.base, f.through) = (seq - 1, seq - 1);
+        }
+        self.flights[rg.flight as usize].history.push_back(write);
+        seq
+    }
+
+    /// Retires `group`'s history through the highest sequence number a
+    /// NACK can no longer name: the lower of the applied floor and the
+    /// lowest `have` among the group's NACKs in flight. A member's NACK
+    /// names the writes after its `have`, which was its applied prefix
+    /// when it sent it; applied prefixes only grow. So no NACK yet to be
+    /// sent can reach back that far, and the root may forget those
+    /// writes. Once every write is retired the group hands its record
+    /// back.
+    fn retire(&mut self, group: GroupId) {
+        let rg = &mut self.roots[group.index()];
+        let f = &mut self.flights[rg.flight as usize];
+        let through = (self.nacks_in_flight.iter())
+            .filter(|&&(nacked, _)| nacked == group)
+            .fold(f.through, |floor, &(_, have)| floor.min(have));
+        let retired = through.checked_sub(f.base).expect("floors never fall");
+        f.history.drain(..retired as usize);
+        f.base = through;
+        if through == rg.next_seq - 1 {
+            self.idle_flights.push(rg.flight);
+            rg.flight = NO_FLIGHT;
+        }
     }
 
     fn forward_to_root(&mut self, node: NodeId, var: VarId, value: Word, mx: &mut Mx<'_, '_>) {
@@ -607,9 +630,7 @@ impl GwcModel {
         origin: NodeId,
         mx: &mut Mx<'_, '_>,
     ) {
-        let rg = &mut self.roots[group.index()];
-        let seq = rg.next_seq;
-        rg.next_seq += 1;
+        let seq = self.sequence(group, (var, value, origin));
         if mx.tracing() {
             let root = mx.groups().group(group).root();
             mx.trace(
@@ -631,12 +652,6 @@ impl GwcModel {
         self.sequenced = self
             .sequenced
             .wrapping_add(write_hash(group, seq, var, value, origin));
-        let base = mx.groups().slot_base(group);
-        let slots = base..base + mx.groups().group(group).members().len();
-        let (expected, nacks) = (&self.expected, &self.nacks_in_flight);
-        self.roots[group.index()].record((var, value, origin), || {
-            Self::retirement_floor(expected, nacks, slots)
-        });
         mx.multicast(
             group,
             sizes::WRITE,
@@ -842,23 +857,19 @@ impl GwcModel {
     /// already seen every apply through it.
     fn apply_item(&mut self, node: NodeId, slot: usize, item: SeqItem, mx: &mut Mx<'_, '_>) {
         self.apply_payload(node, slot, item, mx);
-        if mx.tracing() {
-            self.count_apply(item.group, item.seq, mx);
+        if let Some(floor) = self.count_apply(item.group, item.seq, mx.groups()) {
+            mx.seq_floor(item.group, floor);
         }
     }
 
-    /// Counts one member's apply of `group`'s write `seq` and publishes
-    /// the group's floor if it moved.
-    fn count_apply(&mut self, group: GroupId, seq: u64, mx: &mut Mx<'_, '_>) {
-        let rg = &mut self.roots[group.index()];
-        if rg.floor == NO_FLOOR {
-            rg.floor = u32::try_from(self.floors.len()).expect("group ids are u32");
-            self.floors.push(AppliedFloor::default());
-        }
-        let members = mx.groups().group(group).members().len() as u32;
-        if let Some(floor) = self.floors[rg.floor as usize].applied(seq, members) {
-            mx.seq_floor(group, floor);
-        }
+    /// Counts one member's apply of `group`'s write `seq`. If that moved
+    /// the group's applied floor, retires the history behind it and
+    /// returns the new floor.
+    fn count_apply(&mut self, group: GroupId, seq: u64, groups: &GroupTable) -> Option<u64> {
+        let members = groups.group(group).members().len() as u32;
+        let flight = self.roots[group.index()].flight as usize;
+        let floor = self.flights[flight].applied(seq, members);
+        floor.inspect(|_| self.retire(group))
     }
 
     /// [`GwcModel::apply_item`]'s protocol half: the payload's effect and
@@ -954,7 +965,7 @@ impl GwcModel {
                 .or_default()
                 .insert(item.seq, item);
             self.stats.nacks += 1;
-            self.nacks_in_flight.push((slot, expected - 1));
+            self.nacks_in_flight.push((item.group, expected - 1));
             let root = mx.groups().group(item.group).root();
             mx.send(Packet {
                 from: node,
@@ -1075,20 +1086,21 @@ impl Model for GwcModel {
             ),
             PacketKind::GwcNack { group, have } => {
                 let member = pkt.from;
-                let slot = Self::slot(mx.groups(), group, member);
                 let at = (self.nacks_in_flight.iter())
-                    .position(|&nack| nack == (slot, have))
+                    .position(|&nack| nack == (group, have))
                     .expect("a NACK arrives once, after it was sent");
                 self.nacks_in_flight.swap_remove(at);
-                let rg = &self.roots[group.index()];
+                // A NACK's `have` is below the last write sequenced, so
+                // while it was in flight the group kept its record.
+                let f = &self.flights[self.roots[group.index()].flight as usize];
                 assert!(
-                    have >= rg.history_base,
+                    have >= f.base,
                     "retirement is exact: member {member} of {group} nacked from seq {} \
                      but the root retired through {}",
                     have + 1,
-                    rg.history_base
+                    f.base
                 );
-                let resend = rg.history.range((have - rg.history_base) as usize..);
+                let resend = f.history.range((have - f.base) as usize..);
                 self.stats.retransmissions += resend.len() as u64;
                 for (seq, &(var, value, origin)) in (have + 1..).zip(resend) {
                     mx.send(Packet {
@@ -1105,6 +1117,8 @@ impl Model for GwcModel {
                         cause: CauseId::NONE,
                     });
                 }
+                // With the NACK served, the writes only it held may go.
+                self.retire(group);
             }
             PacketKind::App { tag } => {
                 mx.deliver(
@@ -1195,25 +1209,15 @@ mod tests {
     fn per_group_and_per_node_records_stay_small() {
         // One of each per group / per node of a machine that may have a
         // million of both (docs/performance.md, "Bytes per node").
-        assert!(std::mem::size_of::<RootGroup>() <= 56);
+        assert!(std::mem::size_of::<RootGroup>() <= 16);
         assert!(std::mem::size_of::<IfaceState>() <= 64);
-    }
-
-    fn fresh_root() -> RootGroup {
-        RootGroup {
-            next_seq: 1,
-            history: VecDeque::new(),
-            history_base: 0,
-            lock: NO_LOCK,
-            floor: NO_FLOOR,
-        }
     }
 
     #[test]
     fn the_applied_floor_advances_once_every_member_applied_in_order() {
         // Three members apply writes 1..=4 in interleaved order; the floor
         // is the lowest member's prefix after every apply.
-        let mut floor = AppliedFloor::default();
+        let mut floor = Flight::default();
         let mut prefix = [0u64; 3];
         let order = [0, 1, 0, 0, 2, 1, 2, 0, 2, 1, 1, 2];
         let mut published = Vec::new();
@@ -1237,55 +1241,124 @@ mod tests {
         (VarId::new(7), seq as Word * 10, NodeId::new(seq as u32))
     }
 
-    #[test]
-    fn a_single_write_root_holds_a_one_entry_history() {
-        let mut rg = fresh_root();
-        assert_eq!(rg.history.capacity(), 0, "a silent root owns no heap");
-        rg.record(write(1), || unreachable!("an empty history is not full"));
-        // One 16-byte entry, not the deque's four-slot first block.
-        assert_eq!(rg.history.capacity(), 1);
-        assert_eq!(std::mem::size_of::<(VarId, Word, NodeId)>(), 16);
-        // Members that keep up retire each write before the next: the one
-        // entry is reused forever.
-        for seq in 2..=100u64 {
-            rg.record(write(seq), || seq - 1);
-            assert_eq!(rg.history.capacity(), 1);
-        }
-        assert_eq!(rg.history_base, 99);
-        assert!(rg.history.iter().eq([write(100)].iter()));
+    /// Two plain groups, of three and of four members, over seven nodes:
+    /// a NACK from one group's member slots must not hold the other's
+    /// history.
+    fn two_groups() -> (GroupTable, GwcModel) {
+        let group = |root: u32, members: std::ops::Range<u32>, var: u32| crate::GroupSpec {
+            root: NodeId::new(root),
+            members: members.map(NodeId::new).collect(),
+            vars: vec![VarId::new(var)],
+            mutex_lock: None,
+        };
+        let groups = GroupTable::new(vec![group(0, 0..3, 0), group(3, 3..7, 1)]).expect("valid");
+        let model = GwcModel::new(&groups, 7);
+        (groups, model)
+    }
+
+    /// `group`'s retired-through number: its record's base, or its last
+    /// write while it holds none.
+    fn retired_through(m: &GwcModel, group: GroupId) -> u64 {
+        let last = m.roots[group.index()].next_seq - 1;
+        m.flight(group).map_or(last, |f| f.base)
     }
 
     #[test]
-    fn a_full_history_retires_through_the_floor_and_grows_only_when_pinned() {
-        let mut rng = sesame_sim::DetRng::new(0x7265_7469);
-        let (mut rg, mut floor, mut grew) = (fresh_root(), 0, 0);
-        for seq in 1..=5_000u64 {
-            // A floor that stalls for a while, then jumps: members that
-            // fall behind, then catch up.
-            if rng.chance(0.02) {
-                floor = rng.next_range(floor, seq - 1);
+    fn a_single_write_root_holds_nothing_once_every_member_applied() {
+        let (groups, mut m) = two_groups();
+        let g = GroupId::new(0);
+        assert!(m.flights.is_empty(), "a silent machine owns no record");
+        for seq in 1..=3u64 {
+            assert_eq!(m.sequence(g, write(seq)), seq);
+            assert_eq!(m.history_len(g), 1);
+            // The floor moves, and the history retires, on the last
+            // member's apply.
+            for member in 0..3 {
+                let moved = m.count_apply(g, seq, &groups);
+                assert_eq!(moved, (member == 2).then_some(seq));
             }
-            let (cap, len, base) = (rg.history.capacity(), rg.history.len(), rg.history_base);
-            rg.record(write(seq), || floor);
-            // Retired through at most the floor, and the rest is held
-            // under its own numbers.
-            assert!(rg.history_base <= floor.max(base), "seq {seq}");
-            assert_eq!(rg.history_base + rg.history.len() as u64, seq);
-            let held = rg.history_base + 1..=seq;
-            assert!(rg.history.iter().copied().eq(held.map(write)), "seq {seq}");
-            if cap > 0 && len == cap {
-                let retired = (rg.history_base - base) as usize;
-                assert_eq!(retired as u64, floor - base);
-                // Grown exactly when less than half was freed.
-                assert_eq!(rg.history.capacity() > cap, 2 * retired < cap, "seq {seq}");
-                grew += usize::from(rg.history.capacity() > cap);
-            }
+            assert_eq!(m.roots[g.index()].flight, NO_FLIGHT);
+            assert_eq!((m.history_len(g), m.applied_floor(g)), (0, seq));
+            // The one record is back in the pool, its block kept.
+            assert_eq!((m.flights.len(), m.idle_flights.as_slice()), (1, &[0][..]));
+            assert!(m.flights[0].history.capacity() > 0);
         }
+        // The other group's first write takes the same record.
+        m.sequence(GroupId::new(1), write(1));
+        assert_eq!((m.roots[1].flight, m.flights.len()), (0, 1));
+    }
+
+    #[test]
+    fn retirement_tracks_the_floor_and_the_nacks_in_flight_exactly() {
+        let (groups, mut m) = two_groups();
+        let mut rng = sesame_sim::DetRng::new(0x666c_6f6f);
+        // Each member slot's applied prefix.
+        let mut prefix = vec![0u64; groups.member_slots()];
+        let (mut quiet, mut held_back, mut served) = (0, 0, 0);
+        for step in 0..40_000 {
+            let group = GroupId::new(rng.next_below(2) as u32);
+            let base = groups.slot_base(group);
+            let slots = base..base + groups.group(group).members().len();
+            let slot = rng.next_range(slots.start as u64, slots.end as u64 - 1) as usize;
+            let last = m.roots[group.index()].next_seq - 1;
+            let nacked: Vec<usize> = (0..m.nacks_in_flight.len())
+                .filter(|&at| m.nacks_in_flight[at].0 == group)
+                .collect();
+            match rng.next_below(20) {
+                // The root sequences a write.
+                0 => assert_eq!(m.sequence(group, write(last + 1)), last + 1),
+                // A member behind the root NACKs what follows its prefix.
+                1 | 2 if prefix[slot] < last => m.nacks_in_flight.push((group, prefix[slot])),
+                // The root receives one of the group's NACKs.
+                3..=5 if !nacked.is_empty() => {
+                    let at = nacked[rng.next_below(nacked.len() as u64) as usize];
+                    let (_, have) = m.nacks_in_flight.swap_remove(at);
+                    let f = m.flight(group).expect("a NACKed group holds its record");
+                    assert!(have >= f.base, "step {step}: retirement is exact");
+                    m.retire(group);
+                    served += 1;
+                }
+                // A member applies its next write.
+                _ if prefix[slot] < last => {
+                    prefix[slot] += 1;
+                    m.count_apply(group, prefix[slot], &groups);
+                }
+                _ => {}
+            }
+            for g in 0..2 {
+                let group = GroupId::new(g);
+                let base = groups.slot_base(group);
+                let slots = base..base + groups.group(group).members().len();
+                let floor = *prefix[slots.clone()].iter().min().unwrap();
+                let asked = (m.nacks_in_flight.iter())
+                    .filter(|&&(nacked, _)| nacked == group)
+                    .map(|&(_, have)| have)
+                    .min();
+                let want = asked.map_or(floor, |have| have.min(floor));
+                assert_eq!(m.applied_floor(group), floor, "step {step}, group {g}");
+                assert_eq!(retired_through(&m, group), want, "step {step}, group {g}");
+                let next = m.roots[g as usize].next_seq;
+                match m.flight(group) {
+                    None => quiet += 1,
+                    Some(f) => {
+                        assert!(
+                            want < next - 1,
+                            "step {step}: group {g} retired all it wrote"
+                        );
+                        let held = (want + 1..next).map(write);
+                        assert!(f.history.iter().copied().eq(held), "step {step}, group {g}");
+                    }
+                }
+                held_back += usize::from(asked.is_some_and(|have| have < floor));
+            }
+            assert!(m.flights.len() <= 2, "one record per group at most");
+        }
+        assert!(quiet > 1_000, "groups went quiet {quiet} times");
         assert!(
-            grew >= 4,
-            "the pinned stretches grew the history {grew} times"
+            held_back > 1_000,
+            "NACKs held retirement back {held_back} times"
         );
-        assert!(rg.history_base > 4_000, "and the floor retired most of it");
+        assert!(served > 500, "{served} NACKs served");
     }
 
     #[test]
@@ -1581,20 +1654,20 @@ mod tests {
                         }
                     }
                 }
-                let base = sim.actor().model().roots[0].history_base;
+                let base = retired_through(sim.actor().model(), GroupId::new(0));
                 if !sim.step() {
                     break;
                 }
                 // A retirement the NACKs in flight held back: without
                 // them it would have gone past what one of them names.
                 let m = sim.actor().model();
-                let rg = &m.roots[0];
-                if rg.history_base > base {
+                let through = retired_through(m, GroupId::new(0));
+                if through > base {
                     let applied = m.expected[..nodes as usize].iter().map(|&e| e.max(1) - 1);
                     let asked = m.nacks_in_flight.iter().map(|&(_, have)| have).min();
-                    held_back += u64::from(asked.is_some_and(|a| {
-                        a == rg.history_base && applied.min().is_some_and(|p| p > a)
-                    }));
+                    held_back += u64::from(
+                        asked.is_some_and(|a| a == through && applied.min().is_some_and(|p| p > a)),
+                    );
                 }
             }
             let (machine, trace) = sim.into_parts();

@@ -767,7 +767,8 @@ fn watchdog_is_quiet_on_a_healthy_fabric() {
 fn the_root_forgets_the_writes_every_member_has_applied() {
     // 200 loss-free writes, 2 µs apart: each has reached every member
     // before the next is sequenced, so the root's history never holds
-    // more than the write just sequenced, and everyone still converges.
+    // more than the write just sequenced, the last apply retires it, and
+    // everyone still converges.
     let var = v(1);
     let writes = 200;
     let mut programs: Vec<Box<dyn Program>> = Vec::new();
@@ -797,8 +798,8 @@ fn the_root_forgets_the_writes_every_member_has_applied() {
             .machine
             .model()
             .history_len(sesame_dsm::GroupId::new(0)),
-        1,
-        "the history holds the last write only"
+        0,
+        "the history holds nothing once every member applied the last write"
     );
     for i in 0..3 {
         assert_eq!(
@@ -823,7 +824,7 @@ fn a_suspended_member_pins_the_history_until_it_drains() {
     // Node 2 suspends insharing at the start and resumes after the root
     // has sequenced 200 of node 0's writes (2 µs apart). Until then every
     // one of them is a write node 2 has not applied, so the root keeps
-    // them all; once it drains, the next full history retires them.
+    // them all; its applies, once it drains, retire them.
     let var = v(1);
     let (writes, resume_after) = (300, 200);
     let mut programs: Vec<Box<dyn Program>> = Vec::new();

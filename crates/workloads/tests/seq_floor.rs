@@ -4,14 +4,18 @@
 //! timers, optimistic sections that suspend insharing, a schedule no clock
 //! would produce — a group's floor `s` arrives only after every member's
 //! `gwc-apply` of the group's writes 1 through `s`, floors only rise, and
-//! no apply of a write at or below the floor follows it.
+//! no apply of a write at or below the floor follows it. And the floor is
+//! the machine's own, not the observer's: an untraced machine keeps the
+//! same floors, retires its roots' histories through them the same way,
+//! and outputs the same.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-use sesame_core::builder::ModelChoice;
-use sesame_dsm::{run_observed, DsmEvent, GroupTable, MachineMsg, RunOptions};
+use sesame_core::builder::{ModelChoice, ModelInstance};
+use sesame_dsm::{run, run_observed, DsmEvent, GroupTable, MachineMsg, RunOptions, RunResult};
 use sesame_net::NodeId;
 use sesame_sim::{
     ApplyMode, DetRng, PendingEvent, RunOutcome, SimDur, SimTime, Simulation, TraceDetail,
@@ -240,4 +244,102 @@ fn reordered_deliveries_publish_floors_only_behind_every_members_apply() {
         gaps > 0,
         "some schedule delivered a root's writes out of order"
     );
+}
+
+/// The canonical mutex with 16 contenders × 50 sections on a fabric that
+/// loses `loss` of its multicast deliveries, with the 50 µs grant
+/// watchdog on.
+fn lossy_canonical(loss: f64, seed: u64) -> sesame_dsm::Machine<ModelInstance> {
+    let mut machine = build_canonical(CanonicalConfig {
+        contenders: 16,
+        rounds: 50,
+        ..CanonicalConfig::default()
+    });
+    machine.fabric_mut().set_loss(loss, seed);
+    let gwc = machine.model_mut().as_gwc_mut().expect("canonical is GWC");
+    gwc.set_grant_watchdog(Some(SimDur::from_us(50)));
+    machine
+}
+
+/// Everything a run outputs, on one line: the protocol and fabric
+/// counters, the event count, the end time and a hash of every node's
+/// memory.
+fn outputs(result: &RunResult<ModelInstance>) -> String {
+    let m = &result.machine;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for i in 0..m.node_count() {
+        for (var, word) in m.mem(NodeId::new(i as u32)).iter() {
+            (i, var.get(), word).hash(&mut h);
+        }
+    }
+    format!(
+        "{:?} {:?} events={} end={} mem={:016x}",
+        m.model().as_gwc().expect("GWC").stats(),
+        m.fabric_stats(),
+        result.events,
+        result.end.as_nanos(),
+        h.finish()
+    )
+}
+
+/// Holds an untraced run against the same run under `floors`: equal
+/// outputs, and per group the floor last published, on both machines,
+/// and the same history.
+fn assert_one_floor(
+    label: &str,
+    bare: &RunResult<ModelInstance>,
+    traced: &RunResult<ModelInstance>,
+    floors: &FloorContract,
+) {
+    assert_eq!(outputs(bare), outputs(traced), "{label}");
+    let bare_gwc = bare.machine.model().as_gwc().expect("GWC");
+    let traced_gwc = traced.machine.model().as_gwc().expect("GWC");
+    for g in bare.machine.groups().iter() {
+        let id = g.id();
+        let published = floors.floors.get(&id.get()).copied().unwrap_or(0);
+        assert_eq!(traced_gwc.applied_floor(id), published, "{label}: {id}");
+        assert_eq!(bare_gwc.applied_floor(id), published, "{label}: {id}");
+        let held = (bare_gwc.history_len(id), traced_gwc.history_len(id));
+        assert_eq!(held.0, held.1, "{label}: {id} holds untraced / traced");
+    }
+    let records = (bare_gwc.flight_records(), traced_gwc.flight_records());
+    assert_eq!(
+        records.0, records.1,
+        "{label}: in-flight records untraced / traced"
+    );
+    assert!(floors.check(traced.machine.groups(), label) > 0, "{label}");
+}
+
+#[test]
+fn traced_and_untraced_machines_keep_one_floor_and_one_history() {
+    for loss in [0.05, 0.20] {
+        for seed in [1, 7, 23] {
+            let label = format!("lossy {loss} seed {seed}");
+            let bare = run(lossy_canonical(loss, seed), RunOptions::default());
+            let c = contract();
+            let traced = run_observed(
+                lossy_canonical(loss, seed),
+                RunOptions::default(),
+                Some(c.clone()),
+            );
+            let stats = bare.machine.model().as_gwc().expect("GWC").stats();
+            assert!(stats.retransmissions > 0, "{label}: {stats:?}");
+            assert_one_floor(&label, &bare, &traced, &c.borrow());
+        }
+    }
+    let Scenario::Contention(cfg) = Scenario::parse("contention").expect("a listed name") else {
+        unreachable!()
+    };
+    let contention = Scenario::Contention(ContentionConfig {
+        contenders: 8,
+        rounds: 60,
+        tracing: false,
+        ..cfg
+    });
+    let bare = contention.run(None).unwrap_or_else(|e| panic!("{e}"));
+    let c = contract();
+    let traced = contention
+        .run(Some(c.clone()))
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_one_floor("contention", bare.result(), traced.result(), &c.borrow());
 }
