@@ -147,29 +147,19 @@ impl MeanVar {
 /// Bucket `i` holds samples in `[2^i, 2^(i+1))` nanoseconds (bucket 0 also
 /// holds zero). Quantile answers are exact to within a factor of two, which
 /// is plenty for latency distribution reporting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    buckets: [u64; 64],
+    /// Bucket counts, up to the largest sample's bucket.
+    buckets: Vec<u64>,
     count: u64,
     sum_ns: u128,
     max_ns: u64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
+        Self::default()
     }
 
     fn bucket_of(ns: u64) -> usize {
@@ -183,7 +173,11 @@ impl Histogram {
     /// Records one duration sample.
     pub fn record(&mut self, d: SimDur) {
         let ns = d.as_nanos();
-        self.buckets[Self::bucket_of(ns)] += 1;
+        let bucket = Self::bucket_of(ns);
+        if bucket >= self.buckets.len() {
+            self.buckets.resize(bucket + 1, 0);
+        }
+        self.buckets[bucket] += 1;
         self.count += 1;
         self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
@@ -229,16 +223,6 @@ impl Histogram {
             }
         }
         SimDur::from_nanos(self.max_ns)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
@@ -441,17 +425,6 @@ mod tests {
         assert!((250..=512).contains(&p50), "p50 was {p50}");
         let p100 = h.quantile(1.0).as_nanos();
         assert!((512..=1000).contains(&p100));
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(SimDur::from_nanos(5));
-        b.record(SimDur::from_nanos(500));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), SimDur::from_nanos(500));
     }
 
     #[test]

@@ -161,6 +161,63 @@ fn histogram_quantile_brackets_truth() {
     }
 }
 
+/// The histogram answers exactly as a fixed 64-bucket array does, with
+/// samples at the bucket edges: 0, 1, every power of two and `u64::MAX`.
+#[test]
+fn histogram_matches_a_64_bucket_reference() {
+    /// Bucket `i` counts samples in `[2^i, 2^(i+1))`, bucket 0 also zero.
+    struct Reference {
+        buckets: [u64; 64],
+        count: u64,
+        sum_ns: u128,
+        max_ns: u64,
+    }
+    impl Reference {
+        fn record(&mut self, ns: u64) {
+            self.buckets[63 - ns.max(1).leading_zeros() as usize] += 1;
+            self.count += 1;
+            self.sum_ns += u128::from(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+        fn quantile(&self, q: f64) -> u64 {
+            let target = ((q * self.count as f64).ceil() as u64).max(1);
+            let mut seen = 0;
+            for (i, &b) in self.buckets.iter().enumerate() {
+                seen += b;
+                if seen >= target {
+                    return if i == 0 { 0 } else { 1 << i };
+                }
+            }
+            self.max_ns
+        }
+    }
+    let edges: Vec<u64> = [0, 1, u64::MAX]
+        .into_iter()
+        .chain((0..64).map(|k| 1u64 << k))
+        .collect();
+    let mut rng = DetRng::new(0x64B0);
+    for _ in 0..64 {
+        let mut h = Histogram::new();
+        let mut r = Reference {
+            buckets: [0; 64],
+            count: 0,
+            sum_ns: 0,
+            max_ns: 0,
+        };
+        for _ in 0..rng.next_range(1, 40) {
+            let ns = edges[rng.next_range(0, edges.len() as u64 - 1) as usize];
+            h.record(SimDur::from_nanos(ns));
+            r.record(ns);
+        }
+        assert_eq!(h.count(), r.count);
+        assert_eq!(h.mean().as_nanos(), (r.sum_ns / u128::from(r.count)) as u64);
+        assert_eq!(h.max().as_nanos(), r.max_ns);
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q).as_nanos(), r.quantile(q), "q = {q}");
+        }
+    }
+}
+
 /// TimeWeighted equals brute-force integration of the step signal.
 #[test]
 fn time_weighted_matches_integration() {

@@ -5,11 +5,10 @@
 //! what the snapshot and timeline schemas need: objects with string keys,
 //! arrays, finite numbers, strings, and booleans.
 //!
-//! Writing is deterministic: object members are emitted in insertion order
-//! (snapshots insert from a `BTreeMap`, so key order is sorted and stable),
-//! and numbers are formatted with a single fixed rule.
+//! Writing is deterministic: object members are emitted in insertion order,
+//! and numbers are formatted with a single fixed rule, `write_num`, which
+//! the exporters that write their text directly share.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -30,11 +29,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Builds an object from a sorted map.
-    pub fn from_map(map: BTreeMap<String, Json>) -> Json {
-        Json::Obj(map.into_iter().collect())
-    }
-
     /// The value of member `key`, if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -122,15 +116,8 @@ impl Json {
     }
 }
 
-/// Formats a number deterministically: integers without a fraction,
-/// everything else via shortest round-trip `Display`, non-finite as `0`.
-pub fn fmt_num(x: f64) -> String {
-    let mut out = String::new();
-    write_num(x, &mut out);
-    out
-}
-
-/// Appends `x` as [`fmt_num`] formats it.
+/// Appends `x` deterministically: an integer without a fraction,
+/// anything else via shortest round-trip `Display`, non-finite as `0`.
 pub(crate) fn write_num(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push('0');
@@ -465,10 +452,11 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_render_as_zero() {
-        assert_eq!(fmt_num(f64::NAN), "0");
-        assert_eq!(fmt_num(f64::INFINITY), "0");
-        assert_eq!(fmt_num(3.0), "3");
-        assert_eq!(fmt_num(0.25), "0.25");
+        let text = |x| Json::Num(x).render();
+        assert_eq!(text(f64::NAN), "0");
+        assert_eq!(text(f64::INFINITY), "0");
+        assert_eq!(text(3.0), "3");
+        assert_eq!(text(0.25), "0.25");
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! typed `sesame_sim::TraceDetail` payloads; `docs/verify.md` tabulates
 //! the vocabulary) plus post-run machine statistics into:
 //!
-//! * a hierarchical [`MetricRegistry`] (`node/<n>/lock/<l>/...` keys over
-//!   the `sesame-sim` measurement primitives);
+//! * metrics under hierarchical keys (`node/<n>/lock/<l>/...`) over the
+//!   `sesame-sim` measurement primitives: the observer's per-record counts
+//!   in typed rows, the post-run and workload figures in a
+//!   [`MetricRegistry`], both rendered into one [`Snapshot`];
 //! * simulated-time spans on a [`Timeline`] (lock sections, optimistic
 //!   sections, rollback instants, message-in-flight and root-sequencing
 //!   intervals);
@@ -60,9 +62,10 @@ mod snapshot;
 mod timeline;
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::rc::Rc;
 
-use sesame_sim::{SeqTable, SimDur, SimTime};
+use sesame_sim::{SimDur, SimTime};
 
 pub use causal::{CausalDag, CausalNode, CriticalPath};
 pub use registry::{Metric, MetricRegistry};
@@ -78,12 +81,10 @@ pub struct Telemetry {
     scenario: String,
     seed: u64,
     registry: MetricRegistry,
-    /// Registry slots the observer has resolved so far.
-    slots: observer::SlotCache,
     timeline: Timeline,
     timeline_enabled: bool,
     end: SimTime,
-    state: observer::SpanState,
+    rows: observer::Rows,
     causal: causal::CausalState,
     /// A causal id [`Telemetry::finish`] keeps with its ancestors.
     explained: Option<u64>,
@@ -98,11 +99,10 @@ impl Telemetry {
             scenario: scenario.to_string(),
             seed,
             registry: MetricRegistry::new(),
-            slots: observer::SlotCache::new(),
             timeline: Timeline::new(),
             timeline_enabled: false,
             end: SimTime::ZERO,
-            state: observer::SpanState::default(),
+            rows: observer::Rows::default(),
             causal: causal::CausalState::default(),
             explained: None,
             series: None,
@@ -160,7 +160,9 @@ impl Telemetry {
         &mut self.registry
     }
 
-    /// The metric registry, read-only.
+    /// The metric registry, read-only: the metrics named by key — the
+    /// workload glue's and `absorb_run`'s — only. The per-record metrics
+    /// the observer keeps are in [`Telemetry::snapshot`].
     pub fn registry(&self) -> &MetricRegistry {
         &self.registry
     }
@@ -185,10 +187,25 @@ impl Telemetry {
         self.end
     }
 
-    /// Takes the JSON-exportable snapshot of every metric. Call after
-    /// [`Telemetry::finish`] so time-weighted averages cover the full run.
+    /// Takes the JSON-exportable snapshot of every metric: the registry's
+    /// and the observer's rows. Call after [`Telemetry::finish`] so
+    /// time-weighted averages cover the full run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a registry key is also the key of an observer metric.
     pub fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot(&self.scenario, self.seed, self.end)
+        let mut snapshot = self.registry.snapshot(&self.scenario, self.seed, self.end);
+        self.rows.render(self.end, |key, value| {
+            match snapshot.metrics.entry(key) {
+                Entry::Vacant(slot) => slot.insert(value),
+                Entry::Occupied(slot) => panic!(
+                    "metric '{}' is both a registry key and an observer metric",
+                    slot.key()
+                ),
+            };
+        });
+        snapshot
     }
 
     /// Renders the timeline as Chrome trace-event JSON.
@@ -220,10 +237,10 @@ impl Telemetry {
     /// [`Telemetry::finish`]: one per root-sequenced write some member has
     /// yet to apply, or, with the timeline on, one per write.
     pub fn seq_spans_heap_bytes(&self) -> usize {
-        self.state
-            .seq_pending
+        self.rows
+            .groups
             .values()
-            .map(SeqTable::heap_bytes)
+            .map(|group| group.pending.heap_bytes())
             .sum()
     }
 

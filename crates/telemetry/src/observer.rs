@@ -1,5 +1,5 @@
 //! The trace-stream observer: turns the canonical structured protocol
-//! trace into registry metrics and timeline spans.
+//! trace into per-record metrics and timeline spans.
 //!
 //! [`Telemetry`] implements [`TraceObserver`], so it plugs into
 //! `sesame_sim::TraceRecorder::set_observer` (via `sesame_dsm::run_observed`)
@@ -26,108 +26,85 @@
 //! the causal records go through the same pairing rules as
 //! [`CausalDag::from_trace`](crate::CausalDag::from_trace).
 //!
-//! Every metric a record touches is named by a [`Name`] template over
-//! `(node[, lock | group])`. The first touch renders the key and resolves
-//! it to a registry slot; every later record goes to the slot through a
-//! small integer-keyed map — no key is formatted or compared per record.
+//! The metrics a record touches are fields of typed [`Rows`]: one per node
+//! (indexed by node), one per `(node, lock)` beside that lock's open
+//! sections, one per group beside its open sequencing spans, and a count
+//! per `(var, writer)` blamed for a rollback. No key is formatted while the
+//! run lasts; [`Telemetry::snapshot`](crate::Telemetry::snapshot) renders
+//! each row's keys — a counter once it is nonzero, `net/bytes` and
+//! `net/hops` with `net/packets`, `net/mcast-bytes` with `net/mcasts`, a
+//! histogram once sampled, a queue-depth gauge once set.
 
 use std::collections::BTreeMap;
 
 use sesame_sim::{
-    ApplyMode, Counter, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail, TraceEntry,
-    TraceKind as K, TraceObserver,
+    ApplyMode, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail, TraceEntry, TraceKind as K,
+    TraceObserver,
 };
 
-use crate::registry::MetricKind;
 use crate::timeline::cat;
-use crate::{SeriesWindow, Telemetry};
+use crate::{SeriesWindow, SnapshotValue, Telemetry};
 
-/// The registry keys the observer writes per record, as templates over two
-/// numbers: `a` is the node (the group for `Group*`, the variable for
-/// `Blame`), `b` the lock variable (the writer for `Blame`, unused where
-/// the key has one number).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Name {
-    LockWait,
-    LockHold,
-    RegAttempts,
-    OptAttempts,
-    OptRollbacks,
-    OptWins,
-    OptOverlapped,
-    Completions,
-    RootQueueDepth,
-    EcQueueDepth,
-    GwcApplies,
-    HwBlockDrops,
-    MemReads,
-    MemWrites,
-    MemLocalWrites,
-    NetPackets,
-    NetBytes,
-    NetHops,
-    NetFlight,
-    NetMcasts,
-    NetMcastBytes,
-    EcGrants,
-    EcInvalidations,
-    EcFetchServes,
-    EcLocalReacquires,
-    GroupSequenced,
-    GroupFiltered,
-    GroupSeqLatency,
-    Blame,
-}
-
-impl Name {
-    /// The registry key this template names for `(a, b)`.
-    fn key(self, a: usize, b: u32) -> String {
-        match self {
-            Name::LockWait => format!("node/{a}/lock/{b}/wait"),
-            Name::LockHold => format!("node/{a}/lock/{b}/hold"),
-            Name::RegAttempts => format!("node/{a}/lock/{b}/reg/attempts"),
-            Name::OptAttempts => format!("node/{a}/lock/{b}/opt/attempts"),
-            Name::OptRollbacks => format!("node/{a}/lock/{b}/opt/rollbacks"),
-            Name::OptWins => format!("node/{a}/lock/{b}/opt/wins"),
-            Name::OptOverlapped => format!("node/{a}/lock/{b}/opt/overlapped"),
-            Name::Completions => format!("node/{a}/lock/{b}/completions"),
-            Name::RootQueueDepth => format!("node/{a}/lock/{b}/root-queue-depth"),
-            Name::EcQueueDepth => format!("node/{a}/lock/{b}/ec-queue-depth"),
-            Name::GwcApplies => format!("node/{a}/gwc/applies"),
-            Name::HwBlockDrops => format!("node/{a}/gwc/hw-block-drops"),
-            Name::MemReads => format!("node/{a}/mem/reads"),
-            Name::MemWrites => format!("node/{a}/mem/writes"),
-            Name::MemLocalWrites => format!("node/{a}/mem/local-writes"),
-            Name::NetPackets => format!("node/{a}/net/packets"),
-            Name::NetBytes => format!("node/{a}/net/bytes"),
-            Name::NetHops => format!("node/{a}/net/hops"),
-            Name::NetFlight => format!("node/{a}/net/flight"),
-            Name::NetMcasts => format!("node/{a}/net/mcasts"),
-            Name::NetMcastBytes => format!("node/{a}/net/mcast-bytes"),
-            Name::EcGrants => format!("node/{a}/ec/grants"),
-            Name::EcInvalidations => format!("node/{a}/ec/invalidations"),
-            Name::EcFetchServes => format!("node/{a}/ec/fetch-serves"),
-            Name::EcLocalReacquires => format!("node/{a}/ec/local-reacquires"),
-            Name::GroupSequenced => format!("group/{a}/sequenced"),
-            Name::GroupFiltered => format!("group/{a}/filtered"),
-            Name::GroupSeqLatency => format!("group/{a}/seq-latency"),
-            Name::Blame => format!("blame/var/{a}/writer/{b}"),
-        }
-    }
-}
-
-/// Registry slots already resolved, by `(template, a, b)`.
-pub(crate) type SlotCache = BTreeMap<(Name, usize, u32), usize>;
-
-/// Open wait/hold/optimistic sections, keyed by `(node, lock)`.
+/// The collector's per-record metrics and open sections.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SpanState {
-    pub(crate) wait_start: BTreeMap<(usize, u32), SimTime>,
-    pub(crate) hold_start: BTreeMap<(usize, u32), SimTime>,
-    pub(crate) opt_start: BTreeMap<(usize, u32), SimTime>,
-    /// Root-sequenced writes by group, then by sequence number: the writes
-    /// some member has yet to apply, or, with the timeline on, every one.
-    pub(crate) seq_pending: BTreeMap<u32, SeqTable<SeqSpan>>,
+pub(crate) struct Rows {
+    /// `node/<n>/{mem,net,gwc,ec}/…`, indexed by node.
+    nodes: Vec<NodeRow>,
+    /// `node/<n>/lock/<l>/…` and the sections open on the lock.
+    locks: BTreeMap<(usize, u32), LockRow>,
+    /// `group/<g>/…` and the group's open sequencing spans.
+    pub(crate) groups: BTreeMap<u32, GroupRow>,
+    /// `blame/var/<v>/writer/<w>`: the rollbacks a writer caused on a var.
+    blame: BTreeMap<(u32, u32), u64>,
+}
+
+/// One node's traffic, memory and protocol counters.
+#[derive(Debug, Clone, Default)]
+struct NodeRow {
+    mem_reads: u64,
+    mem_writes: u64,
+    mem_local_writes: u64,
+    net_packets: u64,
+    net_bytes: u64,
+    net_hops: u64,
+    net_flight: Histogram,
+    net_mcasts: u64,
+    net_mcast_bytes: u64,
+    gwc_applies: u64,
+    hw_block_drops: u64,
+    ec_grants: u64,
+    ec_invalidations: u64,
+    ec_fetch_serves: u64,
+    ec_local_reacquires: u64,
+}
+
+/// One node's metrics on one lock, and its sections open there.
+#[derive(Debug, Clone, Default)]
+struct LockRow {
+    wait: Histogram,
+    hold: Histogram,
+    reg_attempts: u64,
+    opt_attempts: u64,
+    opt_rollbacks: u64,
+    opt_wins: u64,
+    opt_overlapped: u64,
+    completions: u64,
+    root_queue_depth: Option<TimeWeighted>,
+    ec_queue_depth: Option<TimeWeighted>,
+    wait_start: Option<SimTime>,
+    hold_start: Option<SimTime>,
+    opt_start: Option<SimTime>,
+}
+
+/// One group's sequencing metrics and spans.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroupRow {
+    sequenced: u64,
+    filtered: u64,
+    seq_latency: Histogram,
+    /// Root-sequenced writes by sequence number: the writes some member
+    /// has yet to apply, or, with the timeline on, every one.
+    pub(crate) pending: SeqTable<SeqSpan>,
 }
 
 /// One root-sequenced write awaiting its member applications.
@@ -140,6 +117,91 @@ pub(crate) struct SeqSpan {
 }
 
 const _: () = assert!(std::mem::size_of::<Option<SeqSpan>>() <= 32);
+
+impl Rows {
+    fn node(&mut self, node: usize) -> &mut NodeRow {
+        if node >= self.nodes.len() {
+            self.nodes.resize_with(node + 1, NodeRow::default);
+        }
+        &mut self.nodes[node]
+    }
+
+    fn lock(&mut self, node: usize, lock: u32) -> &mut LockRow {
+        self.locks.entry((node, lock)).or_default()
+    }
+
+    /// Hands every row metric that exists to `emit` as `(key, value)`,
+    /// time-weighted gauges averaged up to `end`.
+    pub(crate) fn render(&self, end: SimTime, mut emit: impl FnMut(String, SnapshotValue)) {
+        let counter = |v: u64| (v > 0).then_some(SnapshotValue::Counter(v));
+        // A counter that exists with another one, zero or not.
+        let along = |v: u64, with: u64| (with > 0).then_some(SnapshotValue::Counter(v));
+        let histogram = |h: &Histogram| (h.count() > 0).then(|| SnapshotValue::histogram(h));
+        let gauge =
+            |tw: &Option<TimeWeighted>| tw.as_ref().map(|tw| SnapshotValue::time_weighted(tw, end));
+        for (n, row) in self.nodes.iter().enumerate() {
+            for (name, value) in [
+                ("ec/fetch-serves", counter(row.ec_fetch_serves)),
+                ("ec/grants", counter(row.ec_grants)),
+                ("ec/invalidations", counter(row.ec_invalidations)),
+                ("ec/local-reacquires", counter(row.ec_local_reacquires)),
+                ("gwc/applies", counter(row.gwc_applies)),
+                ("gwc/hw-block-drops", counter(row.hw_block_drops)),
+                ("mem/local-writes", counter(row.mem_local_writes)),
+                ("mem/reads", counter(row.mem_reads)),
+                ("mem/writes", counter(row.mem_writes)),
+                ("net/bytes", along(row.net_bytes, row.net_packets)),
+                ("net/flight", histogram(&row.net_flight)),
+                ("net/hops", along(row.net_hops, row.net_packets)),
+                (
+                    "net/mcast-bytes",
+                    along(row.net_mcast_bytes, row.net_mcasts),
+                ),
+                ("net/mcasts", counter(row.net_mcasts)),
+                ("net/packets", counter(row.net_packets)),
+            ] {
+                if let Some(value) = value {
+                    emit(format!("node/{n}/{name}"), value);
+                }
+            }
+        }
+        for (&(n, l), row) in &self.locks {
+            for (name, value) in [
+                ("completions", counter(row.completions)),
+                ("ec-queue-depth", gauge(&row.ec_queue_depth)),
+                ("hold", histogram(&row.hold)),
+                ("opt/attempts", counter(row.opt_attempts)),
+                ("opt/overlapped", counter(row.opt_overlapped)),
+                ("opt/rollbacks", counter(row.opt_rollbacks)),
+                ("opt/wins", counter(row.opt_wins)),
+                ("reg/attempts", counter(row.reg_attempts)),
+                ("root-queue-depth", gauge(&row.root_queue_depth)),
+                ("wait", histogram(&row.wait)),
+            ] {
+                if let Some(value) = value {
+                    emit(format!("node/{n}/lock/{l}/{name}"), value);
+                }
+            }
+        }
+        for (g, row) in &self.groups {
+            for (name, value) in [
+                ("filtered", counter(row.filtered)),
+                ("seq-latency", histogram(&row.seq_latency)),
+                ("sequenced", counter(row.sequenced)),
+            ] {
+                if let Some(value) = value {
+                    emit(format!("group/{g}/{name}"), value);
+                }
+            }
+        }
+        for (&(var, writer), &count) in &self.blame {
+            emit(
+                format!("blame/var/{var}/writer/{writer}"),
+                SnapshotValue::Counter(count),
+            );
+        }
+    }
+}
 
 impl TraceObserver for Telemetry {
     fn on_record(&mut self, entry: &TraceEntry) {
@@ -158,46 +220,16 @@ impl TraceObserver for Telemetry {
         if self.timeline_enabled {
             return;
         }
-        if let Some(run) = self.state.seq_pending.get_mut(&group) {
-            run.retire_through(floor);
+        if let Some(row) = self.rows.groups.get_mut(&group) {
+            row.pending.retire_through(floor);
         }
     }
 }
 
 impl Telemetry {
-    /// The `T` metric `name` names for `(a, b)`: resolved by key on first
-    /// touch — created then if absent, panicking if the key holds another
-    /// kind, exactly as the registry's name-based accessors do — and by
-    /// slot from then on.
-    fn metric<T: MetricKind>(&mut self, name: Name, a: usize, b: u32) -> &mut T {
-        let slot = match self.slots.get(&(name, a, b)) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.registry.slot::<T>(&name.key(a, b));
-                self.slots.insert((name, a, b), slot);
-                slot
-            }
-        };
-        self.registry.at(slot)
-    }
-
-    fn count(&mut self, name: Name, a: usize, b: u32) -> &mut Counter {
-        self.metric(name, a, b)
-    }
-
     /// The series window `t` falls in, when the series is on.
     fn window(&mut self, t: SimTime) -> Option<&mut SeriesWindow> {
         self.series.as_mut().map(|series| series.window_at(t))
-    }
-
-    /// Records `node`'s queue depth for `v` at `t` in the `name` gauge and
-    /// in the window's per-variable maximum.
-    fn queue_depth(&mut self, name: Name, node: usize, v: u32, t: SimTime, depth: u32) {
-        self.metric::<TimeWeighted>(name, node, v)
-            .set(t, f64::from(depth));
-        if let Some(series) = self.series.as_mut() {
-            series.record_depth(t, v, depth);
-        }
     }
 
     /// Processes one trace record (the [`TraceObserver`] entry point).
@@ -220,16 +252,17 @@ impl Telemetry {
                 }
             }
             (K::OptConflict, &TraceDetail::Conflict { var, writer }) => {
-                self.count(Name::Blame, var as usize, writer).incr();
+                *self.rows.blame.entry((var, writer)).or_default() += 1;
             }
             (K::MutexEnter | K::LockAcquire, &TraceDetail::Var { var: v }) => {
-                self.state.wait_start.insert((node, v), t);
+                self.rows.lock(node, v).wait_start = Some(t);
             }
             (K::EvAcquired | K::MutexGranted, &TraceDetail::Var { var: v }) => {
-                if let Some(start) = self.state.wait_start.remove(&(node, v)) {
+                let row = self.rows.lock(node, v);
+                row.hold_start = Some(t);
+                if let Some(start) = row.wait_start.take() {
                     let wait = t.saturating_since(start);
-                    self.metric::<Histogram>(Name::LockWait, node, v)
-                        .record(wait);
+                    row.wait.record(wait);
                     if let Some(w) = self.window(t) {
                         w.lock_waits += 1;
                         w.lock_wait_ns += wait.as_nanos();
@@ -239,12 +272,11 @@ impl Telemetry {
                             .add_complete(node, cat::LOCK, format!("wait v{v}"), start, t);
                     }
                 }
-                self.state.hold_start.insert((node, v), t);
             }
             (K::EvReleased, &TraceDetail::Var { var: v }) => {
-                if let Some(start) = self.state.hold_start.remove(&(node, v)) {
-                    self.metric::<Histogram>(Name::LockHold, node, v)
-                        .record(t.saturating_since(start));
+                let row = self.rows.lock(node, v);
+                if let Some(start) = row.hold_start.take() {
+                    row.hold.record(t.saturating_since(start));
                     if self.timeline_enabled {
                         self.timeline
                             .add_complete(node, cat::LOCK, format!("hold v{v}"), start, t);
@@ -252,24 +284,27 @@ impl Telemetry {
                 }
             }
             (K::MutexRegular, &TraceDetail::Var { var: v }) => {
-                self.count(Name::RegAttempts, node, v).incr();
+                self.rows.lock(node, v).reg_attempts += 1;
             }
             (K::OptEnter, &TraceDetail::Var { var: v }) => {
-                self.count(Name::OptAttempts, node, v).incr();
+                let row = self.rows.lock(node, v);
+                row.opt_attempts += 1;
+                row.opt_start = Some(t);
                 if let Some(w) = self.window(t) {
                     w.opt_attempts += 1;
                 }
-                self.state.opt_start.insert((node, v), t);
             }
             (K::OptRollback, &TraceDetail::Var { var: v }) => {
-                self.count(Name::OptRollbacks, node, v).incr();
+                let row = self.rows.lock(node, v);
+                row.opt_rollbacks += 1;
+                let start = row.opt_start.take();
                 if let Some(w) = self.window(t) {
                     w.rollbacks += 1;
                 }
                 if self.timeline_enabled {
                     self.timeline
                         .add_instant(node, cat::OPTIMISM, format!("rollback v{v}"), t);
-                    if let Some(start) = self.state.opt_start.remove(&(node, v)) {
+                    if let Some(start) = start {
                         self.timeline.add_complete(
                             node,
                             cat::OPTIMISM,
@@ -278,8 +313,6 @@ impl Telemetry {
                             t,
                         );
                     }
-                } else {
-                    self.state.opt_start.remove(&(node, v));
                 }
             }
             (
@@ -291,49 +324,55 @@ impl Telemetry {
                     overlapped,
                 },
             ) => {
-                self.count(Name::Completions, node, v).incr();
+                let row = self.rows.lock(node, v);
+                row.completions += 1;
+                let start = if optimistic {
+                    row.opt_wins += u64::from(rollbacks == 0);
+                    row.opt_overlapped += u64::from(overlapped);
+                    row.opt_start.take()
+                } else {
+                    None
+                };
                 if let Some(w) = self.window(t) {
                     w.completions += 1;
                     w.opt_wins += u64::from(optimistic && rollbacks == 0);
                 }
-                if optimistic {
-                    if rollbacks == 0 {
-                        self.count(Name::OptWins, node, v).incr();
-                    }
-                    if overlapped {
-                        self.count(Name::OptOverlapped, node, v).incr();
-                    }
-                    if let Some(start) = self.state.opt_start.remove(&(node, v)) {
-                        if self.timeline_enabled {
-                            self.timeline.add_complete(
-                                node,
-                                cat::OPTIMISM,
-                                format!("optimistic v{v}"),
-                                start,
-                                t,
-                            );
-                        }
-                    }
+                if let Some(start) = start.filter(|_| self.timeline_enabled) {
+                    self.timeline.add_complete(
+                        node,
+                        cat::OPTIMISM,
+                        format!("optimistic v{v}"),
+                        start,
+                        t,
+                    );
                 }
             }
-            (K::RootQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
-                self.queue_depth(Name::RootQueueDepth, node, v, t, depth);
-            }
-            (K::EcQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
-                self.queue_depth(Name::EcQueueDepth, node, v, t, depth);
+            (K::RootQueue | K::EcQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
+                let row = self.rows.lock(node, v);
+                let gauge = if e.kind == K::RootQueue {
+                    &mut row.root_queue_depth
+                } else {
+                    &mut row.ec_queue_depth
+                };
+                gauge
+                    .get_or_insert_with(TimeWeighted::default)
+                    .set(t, f64::from(depth));
+                if let Some(series) = self.series.as_mut() {
+                    series.record_depth(t, v, depth);
+                }
             }
             (K::RootSeq, &TraceDetail::Seq { group: g, seq, .. }) => {
-                self.count(Name::GroupSequenced, g as usize, 0).incr();
+                let row = self.rows.groups.entry(g).or_default();
+                row.sequenced += 1;
                 let span = SeqSpan {
                     start: t,
                     last_apply: None,
                     root: u32::try_from(node).expect("trace actors are u32 node ids"),
                 };
-                let run = self.state.seq_pending.entry(g).or_default();
-                run.insert(seq, span);
+                row.pending.insert(seq, span);
             }
             (K::RootFiltered, &TraceDetail::Filtered { group: g, .. }) => {
-                self.count(Name::GroupFiltered, g as usize, 0).incr();
+                self.rows.groups.entry(g).or_default().filtered += 1;
             }
             (
                 K::GwcApply,
@@ -344,26 +383,20 @@ impl Telemetry {
                     ..
                 },
             ) => {
-                if mode == ApplyMode::HwBlocked {
-                    self.count(Name::HwBlockDrops, node, 0).incr();
-                }
-                self.count(Name::GwcApplies, node, 0).incr();
-                let run = self.state.seq_pending.get_mut(&g);
-                if let Some(span) = run.and_then(|run| run.get_mut(seq)) {
-                    span.last_apply = Some(t);
-                    let start = span.start;
-                    self.metric::<Histogram>(Name::GroupSeqLatency, g as usize, 0)
-                        .record(t.saturating_since(start));
+                let row = self.rows.node(node);
+                row.hw_block_drops += u64::from(mode == ApplyMode::HwBlocked);
+                row.gwc_applies += 1;
+                if let Some(row) = self.rows.groups.get_mut(&g) {
+                    if let Some(span) = row.pending.get_mut(seq) {
+                        span.last_apply = Some(t);
+                        row.seq_latency.record(t.saturating_since(span.start));
+                    }
                 }
             }
-            (K::AccRead, TraceDetail::Var { .. }) => {
-                self.count(Name::MemReads, node, 0).incr();
-            }
-            (K::AccWrite, TraceDetail::VarVal { .. }) => {
-                self.count(Name::MemWrites, node, 0).incr();
-            }
+            (K::AccRead, TraceDetail::Var { .. }) => self.rows.node(node).mem_reads += 1,
+            (K::AccWrite, TraceDetail::VarVal { .. }) => self.rows.node(node).mem_writes += 1,
             (K::AccWriteLocal, TraceDetail::VarVal { .. }) => {
-                self.count(Name::MemLocalWrites, node, 0).incr();
+                self.rows.node(node).mem_local_writes += 1;
             }
             (
                 K::PktSend,
@@ -375,15 +408,15 @@ impl Telemetry {
                     ..
                 },
             ) => {
-                self.count(Name::NetPackets, node, 0).incr();
+                let arrival = SimTime::from_nanos(arrival_ns);
+                let row = self.rows.node(node);
+                row.net_packets += 1;
+                row.net_bytes += u64::from(bytes);
+                row.net_hops += u64::from(hops);
+                row.net_flight.record(arrival.saturating_since(t));
                 if let Some(w) = self.window(t) {
                     w.packets += 1;
                 }
-                self.count(Name::NetBytes, node, 0).add(u64::from(bytes));
-                self.count(Name::NetHops, node, 0).add(u64::from(hops));
-                let arrival = SimTime::from_nanos(arrival_ns);
-                self.metric::<Histogram>(Name::NetFlight, node, 0)
-                    .record(arrival.saturating_since(t));
                 if self.timeline_enabled {
                     self.timeline.add_async(
                         node,
@@ -403,12 +436,12 @@ impl Telemetry {
                     last_ns,
                 },
             ) => {
-                self.count(Name::NetMcasts, node, 0).incr();
+                let row = self.rows.node(node);
+                row.net_mcasts += 1;
+                row.net_mcast_bytes += u64::from(bytes) * u64::from(members);
                 if let Some(w) = self.window(t) {
                     w.mcasts += 1;
                 }
-                self.count(Name::NetMcastBytes, node, 0)
-                    .add(u64::from(bytes) * u64::from(members));
                 if self.timeline_enabled {
                     self.timeline.add_async(
                         node,
@@ -419,17 +452,15 @@ impl Telemetry {
                     );
                 }
             }
-            (K::EcGrantArrived, TraceDetail::Var { .. }) => {
-                self.count(Name::EcGrants, node, 0).incr();
-            }
+            (K::EcGrantArrived, TraceDetail::Var { .. }) => self.rows.node(node).ec_grants += 1,
             (K::EcInvalidated, TraceDetail::Var { .. }) => {
-                self.count(Name::EcInvalidations, node, 0).incr();
+                self.rows.node(node).ec_invalidations += 1;
             }
             (K::EcFetchServe, TraceDetail::VarNode { .. }) => {
-                self.count(Name::EcFetchServes, node, 0).incr();
+                self.rows.node(node).ec_fetch_serves += 1;
             }
             (K::EcLocalReacquire, TraceDetail::Var { .. }) => {
-                self.count(Name::EcLocalReacquires, node, 0).incr();
+                self.rows.node(node).ec_local_reacquires += 1;
             }
             _ => {}
         }
@@ -453,61 +484,31 @@ impl Telemetry {
             series.finish(end);
         }
         self.causal.dag.shrink(self.explained, u64::MAX);
-        let pending = std::mem::take(&mut self.state.seq_pending);
-        let waits = std::mem::take(&mut self.state.wait_start);
-        let holds = std::mem::take(&mut self.state.hold_start);
-        let opts = std::mem::take(&mut self.state.opt_start);
-        if !self.timeline_enabled {
-            return;
-        }
-        let spans = pending
-            .iter()
-            .flat_map(|(g, run)| run.iter().map(move |s| (g, s)));
-        for (g, (seq, span)) in spans {
-            let root = span.root as usize;
-            match span.last_apply {
-                Some(last) => self.timeline.add_async(
-                    root,
-                    cat::GWC,
-                    format!("seq g{g}#{seq}"),
-                    span.start,
-                    last,
-                ),
-                None => self.timeline.add_async(
-                    root,
-                    cat::GWC,
-                    format!("seq g{g}#{seq} (truncated)"),
-                    span.start,
-                    end,
-                ),
+        let drawn = self.timeline_enabled;
+        for (g, row) in &mut self.rows.groups {
+            for (seq, span) in std::mem::take(&mut row.pending).iter().filter(|_| drawn) {
+                let (name, last) = match span.last_apply {
+                    Some(last) => (format!("seq g{g}#{seq}"), last),
+                    None => (format!("seq g{g}#{seq} (truncated)"), end),
+                };
+                let root = span.root as usize;
+                self.timeline
+                    .add_async(root, cat::GWC, name, span.start, last);
             }
         }
-        for ((node, v), start) in waits {
-            self.timeline.add_complete(
-                node,
-                cat::LOCK,
-                format!("wait v{v} (truncated)"),
-                start,
-                end,
-            );
-        }
-        for ((node, v), start) in holds {
-            self.timeline.add_complete(
-                node,
-                cat::LOCK,
-                format!("hold v{v} (truncated)"),
-                start,
-                end,
-            );
-        }
-        for ((node, v), start) in opts {
-            self.timeline.add_complete(
-                node,
-                cat::OPTIMISM,
-                format!("optimistic v{v} (truncated)"),
-                start,
-                end,
-            );
+        type Open = fn(&mut LockRow) -> &mut Option<SimTime>;
+        let sections: [(Open, _, _); 3] = [
+            (|row| &mut row.wait_start, cat::LOCK, "wait"),
+            (|row| &mut row.hold_start, cat::LOCK, "hold"),
+            (|row| &mut row.opt_start, cat::OPTIMISM, "optimistic"),
+        ];
+        for (open, category, what) in sections {
+            for (&(node, v), row) in &mut self.rows.locks {
+                if let Some(start) = open(row).take().filter(|_| drawn) {
+                    let name = format!("{what} v{v} (truncated)");
+                    self.timeline.add_complete(node, category, name, start, end);
+                }
+            }
         }
     }
 }
@@ -954,5 +955,522 @@ mod tests {
         );
         t.finish(SimTime::from_nanos(60));
         assert_eq!(t.snapshot().metrics.len(), 0);
+    }
+
+    /// One stream fed to the collector and to the reference path.
+    struct Both {
+        rows: Telemetry,
+        reference: reference::Collector,
+    }
+
+    impl TraceObserver for Both {
+        fn on_record(&mut self, entry: &TraceEntry) {
+            self.rows.on_record(entry);
+            self.reference.on_record(entry);
+        }
+
+        fn on_cause_floor(&mut self, floor: u64) {
+            self.rows.on_cause_floor(floor);
+        }
+
+        fn on_seq_floor(&mut self, group: u32, floor: u64) {
+            self.rows.on_seq_floor(group, floor);
+            self.reference.on_seq_floor(group, floor);
+        }
+    }
+
+    impl Both {
+        fn new() -> Self {
+            Both {
+                rows: Telemetry::new("diff", 7),
+                reference: reference::Collector::default(),
+            }
+        }
+
+        /// Names metrics as the workload glue does — keys that sort among
+        /// the rows' — finishes both at `end`, and asserts the snapshots
+        /// equal: the same keys in the same order, kinds and values.
+        fn assert_equal(mut self, end: SimTime) {
+            self.rows.registry_mut().counter("gwc/grants").add(3);
+            self.reference.counter("gwc/grants").add(3);
+            for node in [0, 2, 9] {
+                let key = format!("node/{node}/cpu/efficiency");
+                *self.rows.registry_mut().gauge(&key) = 0.25 * node as f64;
+                *self.reference.gauge(&key) = 0.25 * node as f64;
+            }
+            self.rows.finish(end);
+            self.reference.finish(end);
+            let (rows, reference) = (self.rows.snapshot(), self.reference.snapshot("diff", 7));
+            let differs = rows
+                .metrics
+                .iter()
+                .zip(&reference.metrics)
+                .find(|(a, b)| a != b);
+            assert_eq!(differs, None);
+            assert_eq!(rows, reference);
+            assert!(rows.metrics.len() > 4, "{} keys", rows.metrics.len());
+        }
+    }
+
+    #[test]
+    fn rows_render_the_reference_snapshot_on_every_scenario() {
+        use sesame_workloads::scenario::Scenario;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        for name in Scenario::NAMES {
+            let both = Rc::new(RefCell::new(Both::new()));
+            let scenario = Scenario::parse(name).expect("a listed name");
+            let outcome = scenario.run(Some(both.clone())).expect("a clean run");
+            let end = outcome.result().end;
+            drop(outcome);
+            let both = Rc::try_unwrap(both).ok().expect("the run let go");
+            both.into_inner().assert_equal(end);
+        }
+    }
+
+    #[test]
+    fn rows_render_the_reference_snapshot_on_edge_records() {
+        let pkt = |to, bytes, hops, arrival_ns| TraceDetail::Packet {
+            from: 0,
+            to,
+            bytes,
+            hops,
+            arrival_ns,
+        };
+        let mcast = |group, bytes, members| TraceDetail::Multicast {
+            group,
+            bytes,
+            members,
+            last_ns: 900,
+        };
+        let depth = |var, depth| TraceDetail::QueueDepth { var, depth };
+        let blame = |var, writer| TraceDetail::Conflict { var, writer };
+        let hw = TraceDetail::Apply {
+            group: 1,
+            seq: 2,
+            var: 0,
+            val: 0,
+            origin: 4,
+            mode: ApplyMode::HwBlocked,
+        };
+        let filtered = TraceDetail::Filtered {
+            group: 3,
+            var: 0,
+            val: 0,
+            origin: 1,
+        };
+        let events = vec![
+            // Zero-byte and zero-hop packets, and a zero-byte multicast.
+            (10, 4, K::PktSend, pkt(1, 0, 0, 10)),
+            (10, 5, K::PktSend, pkt(1, 0, 3, 50)),
+            (10, 6, K::PktSend, pkt(1, 8, 0, 5)),
+            (11, 4, K::PktMcast, mcast(0, 0, 4)),
+            (11, 6, K::PktMcast, mcast(0, 16, 0)),
+            (12, 5, K::PktMcast, mcast(1, 16, 3)),
+            // Depth-0 queue samples, then a deeper one.
+            (20, 2, K::RootQueue, depth(0, 0)),
+            (20, 3, K::EcQueue, depth(1, 0)),
+            (25, 3, K::EcQueue, depth(1, 4)),
+            // 0 ns waits and holds, and a wait that closes later.
+            (30, 1, K::LockAcquire, var(0)),
+            (30, 1, K::EvAcquired, var(0)),
+            (30, 1, K::EvReleased, var(0)),
+            (31, 2, K::MutexEnter, var(7)),
+            (31, 2, K::OptEnter, var(7)),
+            (31, 2, K::MutexGranted, var(7)),
+            (31, 2, K::MutexComplete, complete(7, true, 0, false)),
+            (40, 3, K::MutexEnter, var(2)),
+            (41, 3, K::MutexRegular, var(2)),
+            (90, 3, K::MutexGranted, var(2)),
+            (95, 3, K::MutexComplete, complete(2, false, 0, false)),
+            // Blame on var ids at and above 2^16.
+            (50, 2, K::OptRollback, var(7)),
+            (50, 2, K::OptConflict, blame(1 << 16, 3)),
+            (50, 2, K::OptConflict, blame(u32::MAX, 1_000)),
+            (51, 2, K::OptConflict, blame(1 << 16, 3)),
+            // A node id above every earlier one, then a low one again.
+            (60, 1_000, K::AccRead, var(0)),
+            (
+                60,
+                1_000,
+                K::AccWrite,
+                TraceDetail::VarVal { var: 0, val: 1 },
+            ),
+            (
+                61,
+                0,
+                K::AccWriteLocal,
+                TraceDetail::VarVal { var: 0, val: 1 },
+            ),
+            (62, 1_000, K::OptEnter, var(1)),
+            (63, 1_000, K::MutexComplete, complete(1, true, 2, true)),
+            // Sequencing, a filtered write, an echo blocked by hardware,
+            // applies of an unknown group and of a number never sequenced.
+            (70, 0, K::RootSeq, seq(1, 2)),
+            (70, 0, K::RootFiltered, filtered),
+            (71, 4, K::GwcApply, hw),
+            (72, 5, K::GwcApply, apply(1, 2)),
+            (73, 5, K::GwcApply, apply(9, 1)),
+            (74, 5, K::GwcApply, apply(1, 3)),
+            // Entry-consistency counters.
+            (80, 7, K::EcGrantArrived, var(0)),
+            (80, 7, K::EcInvalidated, var(0)),
+            (
+                80,
+                7,
+                K::EcFetchServe,
+                TraceDetail::VarNode { var: 0, node: 1 },
+            ),
+            (80, 7, K::EcLocalReacquire, var(0)),
+            // Mismatched details count nothing.
+            (85, 8, K::PktSend, var(1)),
+            (85, 8, K::RootQueue, var(1)),
+        ];
+        let mut both = Both::new();
+        for (ns, actor, kind, detail) in events {
+            both.on_record(&entry(ns, actor, kind, detail));
+        }
+        both.on_seq_floor(1, 2);
+        both.on_record(&entry(99, 6, K::GwcApply, apply(1, 2)));
+        both.assert_equal(SimTime::from_nanos(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "metric 'node/3/net/packets' is both a registry key")]
+    fn a_registry_key_that_is_also_a_row_key_panics_at_snapshot() {
+        let mut t = Telemetry::new("t", 0);
+        t.observe(&entry(
+            10,
+            3,
+            K::PktSend,
+            TraceDetail::Packet {
+                from: 3,
+                to: 0,
+                bytes: 8,
+                hops: 1,
+                arrival_ns: 20,
+            },
+        ));
+        t.registry_mut().counter("node/3/net/packets").incr();
+        t.finish(SimTime::from_nanos(30));
+        t.snapshot();
+    }
+
+    /// The collector before typed rows, kept as the reference the rows are
+    /// compared against: every per-record metric named by a template over
+    /// `(node[, lock | group])`, resolved to a registry slot on first touch
+    /// and by slot from then on, beside name-keyed metrics in the same
+    /// registry. Metrics only: no timeline, series or causal DAG.
+    mod reference {
+        use std::collections::BTreeMap;
+
+        use sesame_sim::{
+            ApplyMode, Counter, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail,
+            TraceEntry, TraceKind as K, TraceObserver,
+        };
+
+        use crate::{Metric, Snapshot, SnapshotValue};
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Name {
+            LockWait,
+            LockHold,
+            RegAttempts,
+            OptAttempts,
+            OptRollbacks,
+            OptWins,
+            OptOverlapped,
+            Completions,
+            RootQueueDepth,
+            EcQueueDepth,
+            GwcApplies,
+            HwBlockDrops,
+            MemReads,
+            MemWrites,
+            MemLocalWrites,
+            NetPackets,
+            NetBytes,
+            NetHops,
+            NetFlight,
+            NetMcasts,
+            NetMcastBytes,
+            EcGrants,
+            EcInvalidations,
+            EcFetchServes,
+            EcLocalReacquires,
+            GroupSequenced,
+            GroupFiltered,
+            GroupSeqLatency,
+            Blame,
+        }
+
+        impl Name {
+            fn key(self, a: usize, b: u32) -> String {
+                match self {
+                    Name::LockWait => format!("node/{a}/lock/{b}/wait"),
+                    Name::LockHold => format!("node/{a}/lock/{b}/hold"),
+                    Name::RegAttempts => format!("node/{a}/lock/{b}/reg/attempts"),
+                    Name::OptAttempts => format!("node/{a}/lock/{b}/opt/attempts"),
+                    Name::OptRollbacks => format!("node/{a}/lock/{b}/opt/rollbacks"),
+                    Name::OptWins => format!("node/{a}/lock/{b}/opt/wins"),
+                    Name::OptOverlapped => format!("node/{a}/lock/{b}/opt/overlapped"),
+                    Name::Completions => format!("node/{a}/lock/{b}/completions"),
+                    Name::RootQueueDepth => format!("node/{a}/lock/{b}/root-queue-depth"),
+                    Name::EcQueueDepth => format!("node/{a}/lock/{b}/ec-queue-depth"),
+                    Name::GwcApplies => format!("node/{a}/gwc/applies"),
+                    Name::HwBlockDrops => format!("node/{a}/gwc/hw-block-drops"),
+                    Name::MemReads => format!("node/{a}/mem/reads"),
+                    Name::MemWrites => format!("node/{a}/mem/writes"),
+                    Name::MemLocalWrites => format!("node/{a}/mem/local-writes"),
+                    Name::NetPackets => format!("node/{a}/net/packets"),
+                    Name::NetBytes => format!("node/{a}/net/bytes"),
+                    Name::NetHops => format!("node/{a}/net/hops"),
+                    Name::NetFlight => format!("node/{a}/net/flight"),
+                    Name::NetMcasts => format!("node/{a}/net/mcasts"),
+                    Name::NetMcastBytes => format!("node/{a}/net/mcast-bytes"),
+                    Name::EcGrants => format!("node/{a}/ec/grants"),
+                    Name::EcInvalidations => format!("node/{a}/ec/invalidations"),
+                    Name::EcFetchServes => format!("node/{a}/ec/fetch-serves"),
+                    Name::EcLocalReacquires => format!("node/{a}/ec/local-reacquires"),
+                    Name::GroupSequenced => format!("group/{a}/sequenced"),
+                    Name::GroupFiltered => format!("group/{a}/filtered"),
+                    Name::GroupSeqLatency => format!("group/{a}/seq-latency"),
+                    Name::Blame => format!("blame/var/{a}/writer/{b}"),
+                }
+            }
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        struct SeqSpan {
+            start: SimTime,
+        }
+
+        #[derive(Debug, Default)]
+        pub struct Collector {
+            slots: Vec<Metric>,
+            names: BTreeMap<String, usize>,
+            cache: BTreeMap<(Name, usize, u32), usize>,
+            wait_start: BTreeMap<(usize, u32), SimTime>,
+            hold_start: BTreeMap<(usize, u32), SimTime>,
+            opt_start: BTreeMap<(usize, u32), SimTime>,
+            seq_pending: BTreeMap<u32, SeqTable<SeqSpan>>,
+            end: SimTime,
+        }
+
+        macro_rules! by_key {
+            ($fn_name:ident, $ty:ty, $variant:ident, $fresh:expr) => {
+                /// The name-keyed metric at `key`, created on first use.
+                pub fn $fn_name(&mut self, key: &str) -> &mut $ty {
+                    let slot = self.slot(key, || Metric::$variant($fresh));
+                    match &mut self.slots[slot] {
+                        Metric::$variant(m) => m,
+                        other => panic!("metric '{key}' is a {}", other.kind()),
+                    }
+                }
+            };
+        }
+
+        macro_rules! by_name {
+            ($fn_name:ident, $ty:ty, $variant:ident, $fresh:expr) => {
+                /// The metric `name` names for `(a, b)`: resolved by key
+                /// on first touch, by slot from then on.
+                fn $fn_name(&mut self, name: Name, a: usize, b: u32) -> &mut $ty {
+                    let slot = match self.cache.get(&(name, a, b)) {
+                        Some(&slot) => slot,
+                        None => {
+                            let slot = self.slot(&name.key(a, b), || Metric::$variant($fresh));
+                            self.cache.insert((name, a, b), slot);
+                            slot
+                        }
+                    };
+                    match &mut self.slots[slot] {
+                        Metric::$variant(m) => m,
+                        other => panic!("{name:?} is a {}", other.kind()),
+                    }
+                }
+            };
+        }
+
+        impl Collector {
+            /// The slot of `key`, created with `fresh` if absent.
+            fn slot(&mut self, key: &str, fresh: fn() -> Metric) -> usize {
+                if let Some(&slot) = self.names.get(key) {
+                    return slot;
+                }
+                self.slots.push(fresh());
+                self.names.insert(key.to_string(), self.slots.len() - 1);
+                self.slots.len() - 1
+            }
+
+            by_key!(counter, Counter, Counter, Counter::new());
+            by_key!(gauge, f64, Gauge, 0.0);
+            by_name!(count, Counter, Counter, Counter::new());
+            by_name!(record, Histogram, Histogram, Histogram::new());
+            by_name!(depth, TimeWeighted, TimeWeighted, TimeWeighted::default());
+
+            pub fn finish(&mut self, end: SimTime) {
+                self.end = end;
+                self.seq_pending.clear();
+                self.wait_start.clear();
+                self.hold_start.clear();
+                self.opt_start.clear();
+            }
+
+            pub fn snapshot(&self, scenario: &str, seed: u64) -> Snapshot {
+                let metrics = self.names.iter().map(|(key, &slot)| {
+                    (key.clone(), SnapshotValue::of(&self.slots[slot], self.end))
+                });
+                Snapshot {
+                    scenario: scenario.to_string(),
+                    seed,
+                    end_ns: self.end.as_nanos(),
+                    metrics: metrics.collect(),
+                }
+            }
+        }
+
+        impl TraceObserver for Collector {
+            fn on_seq_floor(&mut self, group: u32, floor: u64) {
+                if let Some(run) = self.seq_pending.get_mut(&group) {
+                    run.retire_through(floor);
+                }
+            }
+
+            fn on_record(&mut self, e: &TraceEntry) {
+                let node = e.actor;
+                let t = e.time;
+                match (e.kind, &e.detail) {
+                    (K::OptConflict, &TraceDetail::Conflict { var, writer }) => {
+                        self.count(Name::Blame, var as usize, writer).incr();
+                    }
+                    (K::MutexEnter | K::LockAcquire, &TraceDetail::Var { var: v }) => {
+                        self.wait_start.insert((node, v), t);
+                    }
+                    (K::EvAcquired | K::MutexGranted, &TraceDetail::Var { var: v }) => {
+                        if let Some(start) = self.wait_start.remove(&(node, v)) {
+                            self.record(Name::LockWait, node, v)
+                                .record(t.saturating_since(start));
+                        }
+                        self.hold_start.insert((node, v), t);
+                    }
+                    (K::EvReleased, &TraceDetail::Var { var: v }) => {
+                        if let Some(start) = self.hold_start.remove(&(node, v)) {
+                            self.record(Name::LockHold, node, v)
+                                .record(t.saturating_since(start));
+                        }
+                    }
+                    (K::MutexRegular, &TraceDetail::Var { var: v }) => {
+                        self.count(Name::RegAttempts, node, v).incr();
+                    }
+                    (K::OptEnter, &TraceDetail::Var { var: v }) => {
+                        self.count(Name::OptAttempts, node, v).incr();
+                        self.opt_start.insert((node, v), t);
+                    }
+                    (K::OptRollback, &TraceDetail::Var { var: v }) => {
+                        self.count(Name::OptRollbacks, node, v).incr();
+                        self.opt_start.remove(&(node, v));
+                    }
+                    (
+                        K::MutexComplete,
+                        &TraceDetail::Complete {
+                            var: v,
+                            optimistic,
+                            rollbacks,
+                            overlapped,
+                        },
+                    ) => {
+                        self.count(Name::Completions, node, v).incr();
+                        if optimistic {
+                            if rollbacks == 0 {
+                                self.count(Name::OptWins, node, v).incr();
+                            }
+                            if overlapped {
+                                self.count(Name::OptOverlapped, node, v).incr();
+                            }
+                            self.opt_start.remove(&(node, v));
+                        }
+                    }
+                    (K::RootQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
+                        self.depth(Name::RootQueueDepth, node, v)
+                            .set(t, f64::from(depth));
+                    }
+                    (K::EcQueue, &TraceDetail::QueueDepth { var: v, depth }) => {
+                        self.depth(Name::EcQueueDepth, node, v)
+                            .set(t, f64::from(depth));
+                    }
+                    (K::RootSeq, &TraceDetail::Seq { group: g, seq, .. }) => {
+                        self.count(Name::GroupSequenced, g as usize, 0).incr();
+                        let run = self.seq_pending.entry(g).or_default();
+                        run.insert(seq, SeqSpan { start: t });
+                    }
+                    (K::RootFiltered, &TraceDetail::Filtered { group: g, .. }) => {
+                        self.count(Name::GroupFiltered, g as usize, 0).incr();
+                    }
+                    (
+                        K::GwcApply,
+                        &TraceDetail::Apply {
+                            group: g,
+                            seq,
+                            mode,
+                            ..
+                        },
+                    ) => {
+                        if mode == ApplyMode::HwBlocked {
+                            self.count(Name::HwBlockDrops, node, 0).incr();
+                        }
+                        self.count(Name::GwcApplies, node, 0).incr();
+                        let run = self.seq_pending.get_mut(&g);
+                        if let Some(span) = run.and_then(|run| run.get_mut(seq)) {
+                            let start = span.start;
+                            self.record(Name::GroupSeqLatency, g as usize, 0)
+                                .record(t.saturating_since(start));
+                        }
+                    }
+                    (K::AccRead, TraceDetail::Var { .. }) => {
+                        self.count(Name::MemReads, node, 0).incr();
+                    }
+                    (K::AccWrite, TraceDetail::VarVal { .. }) => {
+                        self.count(Name::MemWrites, node, 0).incr();
+                    }
+                    (K::AccWriteLocal, TraceDetail::VarVal { .. }) => {
+                        self.count(Name::MemLocalWrites, node, 0).incr();
+                    }
+                    (
+                        K::PktSend,
+                        &TraceDetail::Packet {
+                            bytes,
+                            hops,
+                            arrival_ns,
+                            ..
+                        },
+                    ) => {
+                        self.count(Name::NetPackets, node, 0).incr();
+                        self.count(Name::NetBytes, node, 0).add(u64::from(bytes));
+                        self.count(Name::NetHops, node, 0).add(u64::from(hops));
+                        let arrival = SimTime::from_nanos(arrival_ns);
+                        self.record(Name::NetFlight, node, 0)
+                            .record(arrival.saturating_since(t));
+                    }
+                    (K::PktMcast, &TraceDetail::Multicast { bytes, members, .. }) => {
+                        self.count(Name::NetMcasts, node, 0).incr();
+                        self.count(Name::NetMcastBytes, node, 0)
+                            .add(u64::from(bytes) * u64::from(members));
+                    }
+                    (K::EcGrantArrived, TraceDetail::Var { .. }) => {
+                        self.count(Name::EcGrants, node, 0).incr();
+                    }
+                    (K::EcInvalidated, TraceDetail::Var { .. }) => {
+                        self.count(Name::EcInvalidations, node, 0).incr();
+                    }
+                    (K::EcFetchServe, TraceDetail::VarNode { .. }) => {
+                        self.count(Name::EcFetchServes, node, 0).incr();
+                    }
+                    (K::EcLocalReacquire, TraceDetail::Var { .. }) => {
+                        self.count(Name::EcLocalReacquires, node, 0).incr();
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 }

@@ -21,10 +21,11 @@
 //! * `timeweighted` — `average`, `current`
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use sesame_sim::SimTime;
+use sesame_sim::{Histogram, SimTime, TimeWeighted};
 
-use crate::json::{self, fmt_num, Json};
+use crate::json::{self, Json};
 use crate::registry::{Metric, MetricRegistry};
 
 /// Schema identifier written into (and required from) every snapshot.
@@ -74,6 +75,164 @@ pub enum SnapshotValue {
     },
 }
 
+/// Every kind's tag and fields, in export order — the one table the JSON
+/// and CSV writers and the validator read. A field is `(name, integer)`:
+/// an integer field is a `u64`, the others `f64`.
+const KINDS: [(&str, &[(&str, bool)]); 5] = [
+    ("counter", &[("value", true)]),
+    ("gauge", &[("value", false)]),
+    (
+        "histogram",
+        &[
+            ("count", true),
+            ("mean_ns", true),
+            ("p50_ns", true),
+            ("p90_ns", true),
+            ("p99_ns", true),
+            ("max_ns", true),
+        ],
+    ),
+    (
+        "meanvar",
+        &[
+            ("count", true),
+            ("mean", false),
+            ("std_dev", false),
+            ("min", false),
+            ("max", false),
+        ],
+    ),
+    ("timeweighted", &[("average", false), ("current", false)]),
+];
+
+/// One field's value, as [`KINDS`] types it.
+#[derive(Debug, Clone, Copy)]
+enum Num {
+    Int(u64),
+    Float(f64),
+}
+
+impl Num {
+    fn int(self) -> u64 {
+        match self {
+            Num::Int(v) => v,
+            Num::Float(x) => x as u64,
+        }
+    }
+
+    fn float(self) -> f64 {
+        match self {
+            Num::Int(v) => v as f64,
+            Num::Float(x) => x,
+        }
+    }
+}
+
+impl SnapshotValue {
+    /// The exported value of `metric` in a run that ended at `end`.
+    pub(crate) fn of(metric: &Metric, end: SimTime) -> Self {
+        match metric {
+            Metric::Counter(c) => SnapshotValue::Counter(c.value()),
+            Metric::Gauge(g) => SnapshotValue::Gauge(*g),
+            Metric::Histogram(h) => SnapshotValue::histogram(h),
+            Metric::MeanVar(m) => SnapshotValue::MeanVar {
+                count: m.count(),
+                mean: m.mean(),
+                std_dev: m.std_dev(),
+                min: m.min().unwrap_or(0.0),
+                max: m.max().unwrap_or(0.0),
+            },
+            Metric::TimeWeighted(tw) => SnapshotValue::time_weighted(tw, end),
+        }
+    }
+
+    /// The summary of `h`.
+    pub(crate) fn histogram(h: &Histogram) -> Self {
+        SnapshotValue::Histogram {
+            count: h.count(),
+            mean_ns: h.mean().as_nanos(),
+            p50_ns: h.quantile(0.5).as_nanos(),
+            p90_ns: h.quantile(0.9).as_nanos(),
+            p99_ns: h.quantile(0.99).as_nanos(),
+            max_ns: h.max().as_nanos(),
+        }
+    }
+
+    /// The summary of `tw` over a run that ended at `end`.
+    pub(crate) fn time_weighted(tw: &TimeWeighted, end: SimTime) -> Self {
+        SnapshotValue::TimeWeighted {
+            average: tw.average(end),
+            current: tw.current(),
+        }
+    }
+
+    /// This value's row of [`KINDS`] and its fields in the row's order.
+    fn fields(&self) -> (usize, [Num; 6]) {
+        use Num::{Float as F, Int as I};
+        let z = I(0);
+        match *self {
+            SnapshotValue::Counter(v) => (0, [I(v), z, z, z, z, z]),
+            SnapshotValue::Gauge(v) => (1, [F(v), z, z, z, z, z]),
+            SnapshotValue::Histogram {
+                count,
+                mean_ns,
+                p50_ns,
+                p90_ns,
+                p99_ns,
+                max_ns,
+            } => (
+                2,
+                [
+                    I(count),
+                    I(mean_ns),
+                    I(p50_ns),
+                    I(p90_ns),
+                    I(p99_ns),
+                    I(max_ns),
+                ],
+            ),
+            SnapshotValue::MeanVar {
+                count,
+                mean,
+                std_dev,
+                min,
+                max,
+            } => (3, [I(count), F(mean), F(std_dev), F(min), F(max), z]),
+            SnapshotValue::TimeWeighted { average, current } => {
+                (4, [F(average), F(current), z, z, z, z])
+            }
+        }
+    }
+
+    /// The value [`SnapshotValue::fields`] lists as `(kind, f)`.
+    fn from_fields(kind: usize, f: &[Num; 6]) -> Self {
+        let (int, float) = (|i: usize| f[i].int(), |i: usize| f[i].float());
+        match kind {
+            0 => SnapshotValue::Counter(int(0)),
+            1 => SnapshotValue::Gauge(float(0)),
+            2 => SnapshotValue::Histogram {
+                count: int(0),
+                mean_ns: int(1),
+                p50_ns: int(2),
+                p90_ns: int(3),
+                p99_ns: int(4),
+                max_ns: int(5),
+            },
+            3 => SnapshotValue::MeanVar {
+                count: int(0),
+                mean: float(1),
+                std_dev: float(2),
+                min: float(3),
+                max: float(4),
+            },
+            _ => SnapshotValue::TimeWeighted {
+                average: float(0),
+                current: float(1),
+            },
+        }
+    }
+}
+
 /// A parsed or freshly taken metrics snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
@@ -90,155 +249,68 @@ pub struct Snapshot {
 impl MetricRegistry {
     /// Takes a snapshot of every registered metric at simulated time `end`.
     pub fn snapshot(&self, scenario: &str, seed: u64, end: SimTime) -> Snapshot {
-        let mut metrics = BTreeMap::new();
-        for (key, metric) in self.iter() {
-            let value = match metric {
-                Metric::Counter(c) => SnapshotValue::Counter(c.value()),
-                Metric::Gauge(g) => SnapshotValue::Gauge(*g),
-                Metric::Histogram(h) => SnapshotValue::Histogram {
-                    count: h.count(),
-                    mean_ns: h.mean().as_nanos(),
-                    p50_ns: h.quantile(0.5).as_nanos(),
-                    p90_ns: h.quantile(0.9).as_nanos(),
-                    p99_ns: h.quantile(0.99).as_nanos(),
-                    max_ns: h.max().as_nanos(),
-                },
-                Metric::MeanVar(m) => SnapshotValue::MeanVar {
-                    count: m.count(),
-                    mean: m.mean(),
-                    std_dev: m.std_dev(),
-                    min: m.min().unwrap_or(0.0),
-                    max: m.max().unwrap_or(0.0),
-                },
-                Metric::TimeWeighted(tw) => SnapshotValue::TimeWeighted {
-                    average: tw.average(end),
-                    current: tw.current(),
-                },
-            };
-            metrics.insert(key.to_string(), value);
-        }
+        let metrics = self
+            .iter()
+            .map(|(key, metric)| (key.to_string(), SnapshotValue::of(metric, end)));
         Snapshot {
             scenario: scenario.to_string(),
             seed,
             end_ns: end.as_nanos(),
-            metrics,
+            metrics: metrics.collect(),
         }
     }
 }
 
 impl Snapshot {
-    /// Renders the snapshot as schema-`v1` JSON text (one trailing newline).
+    /// Renders the snapshot as schema-`v1` JSON text (one trailing newline),
+    /// written straight into the string.
     pub fn to_json(&self) -> String {
-        let mut metrics = Vec::with_capacity(self.metrics.len());
-        for (key, value) in &self.metrics {
-            let members = match value {
-                SnapshotValue::Counter(v) => vec![
-                    ("kind".into(), Json::Str("counter".into())),
-                    ("value".into(), Json::Num(*v as f64)),
-                ],
-                SnapshotValue::Gauge(v) => vec![
-                    ("kind".into(), Json::Str("gauge".into())),
-                    ("value".into(), Json::Num(*v)),
-                ],
-                SnapshotValue::Histogram {
-                    count,
-                    mean_ns,
-                    p50_ns,
-                    p90_ns,
-                    p99_ns,
-                    max_ns,
-                } => vec![
-                    ("kind".into(), Json::Str("histogram".into())),
-                    ("count".into(), Json::Num(*count as f64)),
-                    ("mean_ns".into(), Json::Num(*mean_ns as f64)),
-                    ("p50_ns".into(), Json::Num(*p50_ns as f64)),
-                    ("p90_ns".into(), Json::Num(*p90_ns as f64)),
-                    ("p99_ns".into(), Json::Num(*p99_ns as f64)),
-                    ("max_ns".into(), Json::Num(*max_ns as f64)),
-                ],
-                SnapshotValue::MeanVar {
-                    count,
-                    mean,
-                    std_dev,
-                    min,
-                    max,
-                } => vec![
-                    ("kind".into(), Json::Str("meanvar".into())),
-                    ("count".into(), Json::Num(*count as f64)),
-                    ("mean".into(), Json::Num(*mean)),
-                    ("std_dev".into(), Json::Num(*std_dev)),
-                    ("min".into(), Json::Num(*min)),
-                    ("max".into(), Json::Num(*max)),
-                ],
-                SnapshotValue::TimeWeighted { average, current } => vec![
-                    ("kind".into(), Json::Str("timeweighted".into())),
-                    ("average".into(), Json::Num(*average)),
-                    ("current".into(), Json::Num(*current)),
-                ],
-            };
-            metrics.push((key.clone(), Json::Obj(members)));
+        let mut out = String::with_capacity(64 * self.metrics.len() + 128);
+        out.push_str("{\"schema\":");
+        json::write_escaped(SCHEMA, &mut out);
+        out.push_str(",\"scenario\":");
+        json::write_escaped(&self.scenario, &mut out);
+        out.push_str(",\"seed\":");
+        json::write_num(self.seed as f64, &mut out);
+        out.push_str(",\"end_ns\":");
+        json::write_num(self.end_ns as f64, &mut out);
+        out.push_str(",\"metrics\":{");
+        for (i, (key, value)) in self.metrics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_escaped(key, &mut out);
+            let (kind, values) = value.fields();
+            let (tag, fields) = KINDS[kind];
+            out.push_str(":{\"kind\":");
+            json::write_escaped(tag, &mut out);
+            for (&(field, _), value) in fields.iter().zip(values) {
+                out.push_str(",\"");
+                out.push_str(field);
+                out.push_str("\":");
+                json::write_num(value.float(), &mut out);
+            }
+            out.push('}');
         }
-        let root = Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("scenario".into(), Json::Str(self.scenario.clone())),
-            ("seed".into(), Json::Num(self.seed as f64)),
-            ("end_ns".into(), Json::Num(self.end_ns as f64)),
-            ("metrics".into(), Json::Obj(metrics)),
-        ]);
-        let mut text = root.render();
-        text.push('\n');
-        text
+        out.push_str("}}\n");
+        out
     }
 
     /// Renders the snapshot as CSV rows `key,kind,field,value`.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("key,kind,field,value\n");
-        let mut row = |key: &str, kind: &str, field: &str, value: String| {
-            out.push_str(key);
-            out.push(',');
-            out.push_str(kind);
-            out.push(',');
-            out.push_str(field);
-            out.push(',');
-            out.push_str(&value);
-            out.push('\n');
-        };
         for (key, value) in &self.metrics {
-            match value {
-                SnapshotValue::Counter(v) => row(key, "counter", "value", v.to_string()),
-                SnapshotValue::Gauge(v) => row(key, "gauge", "value", fmt_num(*v)),
-                SnapshotValue::Histogram {
-                    count,
-                    mean_ns,
-                    p50_ns,
-                    p90_ns,
-                    p99_ns,
-                    max_ns,
-                } => {
-                    row(key, "histogram", "count", count.to_string());
-                    row(key, "histogram", "mean_ns", mean_ns.to_string());
-                    row(key, "histogram", "p50_ns", p50_ns.to_string());
-                    row(key, "histogram", "p90_ns", p90_ns.to_string());
-                    row(key, "histogram", "p99_ns", p99_ns.to_string());
-                    row(key, "histogram", "max_ns", max_ns.to_string());
+            let (kind, values) = value.fields();
+            let (tag, fields) = KINDS[kind];
+            for (&(field, _), value) in fields.iter().zip(values) {
+                let _ = write!(out, "{key},{tag},{field},");
+                match value {
+                    Num::Int(v) => {
+                        let _ = write!(out, "{v}");
+                    }
+                    Num::Float(x) => json::write_num(x, &mut out),
                 }
-                SnapshotValue::MeanVar {
-                    count,
-                    mean,
-                    std_dev,
-                    min,
-                    max,
-                } => {
-                    row(key, "meanvar", "count", count.to_string());
-                    row(key, "meanvar", "mean", fmt_num(*mean));
-                    row(key, "meanvar", "std_dev", fmt_num(*std_dev));
-                    row(key, "meanvar", "min", fmt_num(*min));
-                    row(key, "meanvar", "max", fmt_num(*max));
-                }
-                SnapshotValue::TimeWeighted { average, current } => {
-                    row(key, "timeweighted", "average", fmt_num(*average));
-                    row(key, "timeweighted", "current", fmt_num(*current));
-                }
+                out.push('\n');
             }
         }
         out
@@ -246,9 +318,10 @@ impl Snapshot {
 
     /// Parses and validates schema-`v1` JSON text back into a snapshot.
     ///
-    /// Rejects a wrong/missing schema tag, missing top-level members, and
-    /// metric objects whose members don't match their declared kind — this
-    /// doubles as the snapshot validator used by CI.
+    /// Rejects a wrong/missing schema tag, missing top-level members, a
+    /// metric key given twice, and metric objects whose members don't
+    /// match their declared kind — this doubles as the snapshot validator
+    /// used by CI.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
         let root = json::parse(text)?;
         let schema = root
@@ -277,45 +350,28 @@ impl Snapshot {
             .ok_or("missing 'metrics' object")?;
         let mut metrics = BTreeMap::new();
         for (key, obj) in members {
-            let kind = obj
+            let tag = obj
                 .get("kind")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("metric '{key}': missing 'kind'"))?;
-            let u64_of = |field: &str| {
-                obj.get(field)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("metric '{key}': missing {kind} field '{field}'"))
-            };
-            let f64_of = |field: &str| {
-                obj.get(field)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("metric '{key}': missing {kind} field '{field}'"))
-            };
-            let value = match kind {
-                "counter" => SnapshotValue::Counter(u64_of("value")?),
-                "gauge" => SnapshotValue::Gauge(f64_of("value")?),
-                "histogram" => SnapshotValue::Histogram {
-                    count: u64_of("count")?,
-                    mean_ns: u64_of("mean_ns")?,
-                    p50_ns: u64_of("p50_ns")?,
-                    p90_ns: u64_of("p90_ns")?,
-                    p99_ns: u64_of("p99_ns")?,
-                    max_ns: u64_of("max_ns")?,
-                },
-                "meanvar" => SnapshotValue::MeanVar {
-                    count: u64_of("count")?,
-                    mean: f64_of("mean")?,
-                    std_dev: f64_of("std_dev")?,
-                    min: f64_of("min")?,
-                    max: f64_of("max")?,
-                },
-                "timeweighted" => SnapshotValue::TimeWeighted {
-                    average: f64_of("average")?,
-                    current: f64_of("current")?,
-                },
-                other => return Err(format!("metric '{key}': unknown kind '{other}'")),
-            };
-            metrics.insert(key.clone(), value);
+            let kind = KINDS
+                .iter()
+                .position(|&(known, _)| known == tag)
+                .ok_or_else(|| format!("metric '{key}': unknown kind '{tag}'"))?;
+            let mut values = [Num::Int(0); 6];
+            for (value, &(field, integer)) in values.iter_mut().zip(KINDS[kind].1) {
+                let member = obj.get(field);
+                *value = if integer {
+                    member.and_then(Json::as_u64).map(Num::Int)
+                } else {
+                    member.and_then(Json::as_f64).map(Num::Float)
+                }
+                .ok_or_else(|| format!("metric '{key}': missing {tag} field '{field}'"))?;
+            }
+            let value = SnapshotValue::from_fields(kind, &values);
+            if metrics.insert(key.clone(), value).is_some() {
+                return Err(format!("metric '{key}': given twice"));
+            }
         }
         Ok(Snapshot {
             scenario,
@@ -394,6 +450,23 @@ mod tests {
         );
         let err = Snapshot::from_json(&missing_field).unwrap_err();
         assert!(err.contains("mean_ns"), "err: {err}");
+    }
+
+    /// `json::parse` keeps both members of a duplicated key; a snapshot
+    /// holds one value per key, so no `to_json` writes such a document.
+    #[test]
+    fn validation_rejects_a_metric_key_given_twice() {
+        let counter = r#"{"kind":"counter","value":1}"#;
+        let doc = |metrics: &str| {
+            format!(
+                r#"{{"schema":"{SCHEMA}","scenario":"s","seed":1,"end_ns":2,"metrics":{{{metrics}}}}}"#
+            )
+        };
+        let once = doc(&format!(r#""a":{counter},"b":{counter}"#));
+        assert_eq!(Snapshot::from_json(&once).unwrap().to_json(), once + "\n");
+        let twice = doc(&format!(r#""a":{counter},"a":{counter}"#));
+        let err = Snapshot::from_json(&twice).unwrap_err();
+        assert_eq!(err, "metric 'a': given twice");
     }
 
     #[test]

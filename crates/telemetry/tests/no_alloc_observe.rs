@@ -1,6 +1,6 @@
 //! Proof that the collector's steady state allocates nothing per record:
-//! once every metric key exists, `Telemetry::observe` reaches metrics by
-//! slot and appends causal nodes to a slab, so feeding it twice as many
+//! once every row exists, `Telemetry::observe` bumps typed row fields
+//! and appends causal nodes to a slab, so feeding it twice as many
 //! records costs a handful of allocations per pass of the slab (its
 //! doublings, and a collection behind the floor each time it has filled) —
 //! not one `format!` per metric touch and one map node per cause record.
@@ -187,7 +187,7 @@ fn steady_state_observe_allocates_per_doubling_not_per_record() {
     // owner and the blamed writer, so every metric key exists.
     const WARM_UP: u64 = 700;
     feed.sections(&mut t, WARM_UP);
-    let keys = t.registry().len();
+    let keys = t.snapshot().metrics.len();
 
     const N: u64 = 4_000;
     let start = (allocations(), feed.records);
@@ -203,7 +203,12 @@ fn steady_state_observe_allocates_per_doubling_not_per_record() {
         first_records > 100_000,
         "{first_records} records in the first pass"
     );
-    assert_eq!(t.registry().len(), keys, "the warm-up created every key");
+    let snapshot = t.snapshot();
+    assert_eq!(
+        snapshot.metrics.len(),
+        keys,
+        "the warm-up created every key"
+    );
     assert!(
         first < 64 && second < 64 && first.abs_diff(second) < 64,
         "{first} allocations for {first_records} records, {second} for {second_records}: \
@@ -219,7 +224,7 @@ fn steady_state_observe_allocates_per_doubling_not_per_record() {
         t.causes().len()
     );
     assert_eq!(
-        t.registry().sum_counters("node", "gwc/applies"),
+        snapshot.sum_counters("node/", "/gwc/applies"),
         (WARM_UP + 3 * N) * NODES as u64
     );
 }
