@@ -43,9 +43,6 @@ cargo run -q --release -p sesame-cli -- run --scenario contention \
     >/dev/null
 grep -q '"schema":"sesame-telemetry/v1"' "$tmpdir/m.json"
 grep -q '"traceEvents"' "$tmpdir/t.trace.json"
-# report --metrics-in round-trips through the Snapshot::from_json validator.
-cargo run -q --release -p sesame-cli -- report --metrics-in "$tmpdir/m.json" \
-    | grep -q "optimism"
 # The scenarios that had no collector before the one driver: the pipeline
 # and the sharded mesh export the same schemas.
 cargo run -q --release -p sesame-cli -- run --scenario pipeline --nodes 8 \
@@ -190,10 +187,17 @@ if cargo run -q --release -p sesame-cli -- explain --scenario contention \
     exit 1
 fi
 
-echo "==> time-series determinism smoke (every scenario, serial vs --jobs 2 byte-identical)"
+echo "==> time-series determinism and snapshot round-trip smoke (every scenario)"
 for s in three-cpu contention task-queue pipeline bigmesh canonical; do
     cargo run -q --release -p sesame-cli -- run --scenario "$s" \
-        --series-out "$tmpdir/series-$s-serial.json" >/dev/null
+        --series-out "$tmpdir/series-$s-serial.json" \
+        --metrics-out "$tmpdir/metrics-$s.json" >/dev/null
+    # report --metrics-in parses the snapshot through the Snapshot::from_json
+    # validator; its report must equal a fresh run's byte for byte.
+    cargo run -q --release -p sesame-cli -- report --metrics-in "$tmpdir/metrics-$s.json" \
+        > "$tmpdir/report-$s-in.out"
+    cargo run -q --release -p sesame-cli -- report --scenario "$s" > "$tmpdir/report-$s.out"
+    cmp "$tmpdir/report-$s-in.out" "$tmpdir/report-$s.out"
     # --jobs N runs N redundant copies and asserts their exports (timeline,
     # causes and series) are byte-identical before writing; the written
     # series must also match the serial run exactly.

@@ -59,7 +59,7 @@ pub use engine::{Actor, Context, PendingEvent, RunOutcome, Simulation, DEFAULT_E
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use seq_table::SeqTable;
-pub use stats::{Counter, Histogram, MeanVar, Point, Series, TimeWeighted};
+pub use stats::{Histogram, Point, Series, TimeWeighted};
 pub use time::{SimDur, SimTime};
 pub use trace::{
     ApplyMode, CauseOp, TraceDetail, TraceEntry, TraceKind, TraceObserver, TraceRecorder,

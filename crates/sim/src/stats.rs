@@ -1,146 +1,12 @@
 //! Measurement collectors used by the simulator and the experiment harness.
 //!
-//! * [`Counter`] — a monotone event counter.
-//! * [`MeanVar`] — streaming mean/variance (Welford's algorithm).
 //! * [`Histogram`] — log₂-bucketed latency histogram with quantile queries.
 //! * [`TimeWeighted`] — time-weighted average of a piecewise-constant signal
 //!   (e.g. queue depth or "busy" state), the basis of processor-efficiency
 //!   numbers reported in the paper's figures.
 //! * [`Series`] — an (x, y) series for figure reproduction.
 
-use std::fmt;
-
 use crate::{SimDur, SimTime};
-
-/// A monotone event counter.
-///
-/// ```
-/// use sesame_sim::Counter;
-///
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub const fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Streaming mean and variance via Welford's algorithm.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanVar {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        MeanVar {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 when fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &MeanVar) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A log₂-bucketed histogram of durations with approximate quantiles.
 ///
@@ -354,57 +220,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
-    fn meanvar_matches_closed_form() {
-        let mut m = MeanVar::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            m.record(x);
-        }
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 4.0).abs() < 1e-12);
-        assert!((m.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(m.min(), Some(2.0));
-        assert_eq!(m.max(), Some(9.0));
-        assert_eq!(m.count(), 8);
-    }
-
-    #[test]
-    fn meanvar_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = MeanVar::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = MeanVar::new();
-        let mut b = MeanVar::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn meanvar_empty_is_zero() {
-        let m = MeanVar::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.variance(), 0.0);
-        assert_eq!(m.min(), None);
-    }
-
-    #[test]
     fn histogram_mean_and_max() {
         let mut h = Histogram::new();
         h.record(SimDur::from_nanos(100));
@@ -469,30 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn meanvar_single_sample_has_zero_variance() {
-        let mut m = MeanVar::new();
-        m.record(3.5);
-        assert_eq!(m.variance(), 0.0);
-        assert_eq!(m.std_dev(), 0.0);
-        assert_eq!(m.mean(), 3.5);
-        assert_eq!(m.min(), m.max());
-    }
-
-    #[test]
-    fn meanvar_merge_handles_empty_sides() {
-        let mut a = MeanVar::new();
-        let mut b = MeanVar::new();
-        b.record(1.0);
-        b.record(3.0);
-        a.merge(&b); // empty <- nonempty copies
-        assert_eq!(a.count(), 2);
-        assert!((a.mean() - 2.0).abs() < 1e-12);
-        a.merge(&MeanVar::new()); // nonempty <- empty is a no-op
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(1.0));
-    }
-
-    #[test]
     fn time_weighted_nonzero_start_excludes_pre_start_time() {
         let mut tw = TimeWeighted::new(SimTime::from_nanos(100), 1.0);
         tw.set(SimTime::from_nanos(150), 0.0);
@@ -502,6 +293,14 @@ mod tests {
         // current value rather than dividing by zero.
         let fresh = TimeWeighted::new(SimTime::from_nanos(100), 0.3);
         assert_eq!(fresh.average(SimTime::from_nanos(100)), 0.3);
+    }
+
+    #[test]
+    fn time_weighted_defaults_track_from_zero() {
+        let mut tw = TimeWeighted::default();
+        tw.set(SimTime::from_nanos(10), 2.0);
+        let avg = tw.average(SimTime::from_nanos(20));
+        assert!((avg - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! suite replays identically without an external property-testing crate.
 
 use sesame_sim::{
-    Actor, Context, DetRng, EventQueue, Histogram, MeanVar, SimDur, SimTime, Simulation,
-    TimeWeighted,
+    Actor, Context, DetRng, EventQueue, Histogram, SimDur, SimTime, Simulation, TimeWeighted,
 };
 
 /// The event queue pops exactly what a stable sort of (time, insertion
@@ -84,53 +83,6 @@ fn rng_bounds_hold() {
             let f = r.next_f64();
             assert!((0.0..1.0).contains(&f));
         }
-    }
-}
-
-/// MeanVar equals the brute-force mean and variance.
-#[test]
-fn meanvar_matches_bruteforce() {
-    let mut rng = DetRng::new(0x3EA7);
-    for _ in 0..64 {
-        let len = rng.next_range(1, 199) as usize;
-        let xs: Vec<f64> = (0..len).map(|_| (rng.next_f64() - 0.5) * 2e6).collect();
-        let mut m = MeanVar::new();
-        for &x in &xs {
-            m.record(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        let scale = 1.0 + mean.abs() + var.abs();
-        assert!((m.mean() - mean).abs() / scale < 1e-9);
-        assert!((m.variance() - var).abs() / (1.0 + var) < 1e-6);
-    }
-}
-
-/// Merged MeanVar accumulators equal one sequential accumulator.
-#[test]
-fn meanvar_merge_is_associative() {
-    let mut rng = DetRng::new(0x4E6E);
-    for _ in 0..64 {
-        let len = rng.next_range(1, 99) as usize;
-        let xs: Vec<f64> = (0..len).map(|_| (rng.next_f64() - 0.5) * 2e3).collect();
-        let k = rng.next_below(xs.len() as u64) as usize;
-        let mut whole = MeanVar::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = MeanVar::new();
-        let mut b = MeanVar::new();
-        for &x in &xs[..k] {
-            a.record(x);
-        }
-        for &x in &xs[k..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-6);
-        assert_eq!(a.count(), whole.count());
     }
 }
 

@@ -5,10 +5,11 @@
 //! typed `sesame_sim::TraceDetail` payloads; `docs/verify.md` tabulates
 //! the vocabulary) plus post-run machine statistics into:
 //!
-//! * metrics under hierarchical keys (`node/<n>/lock/<l>/...`) over the
-//!   `sesame-sim` measurement primitives: the observer's per-record counts
-//!   in typed rows, the post-run and workload figures in a
-//!   [`MetricRegistry`], both rendered into one [`Snapshot`];
+//! * metrics under hierarchical keys (`node/<n>/lock/<l>/...`): the
+//!   observer's per-record counts in typed rows, rendered beside the
+//!   named counters and gauges the post-run and workload glue sets
+//!   ([`Telemetry::add_counter`], [`Telemetry::set_gauge`]) into one
+//!   [`Snapshot`];
 //! * simulated-time spans on a [`Timeline`] (lock sections, optimistic
 //!   sections, rollback instants, message-in-flight and root-sequencing
 //!   intervals);
@@ -55,7 +56,6 @@
 mod causal;
 pub mod json;
 mod observer;
-mod registry;
 mod report;
 mod series;
 mod snapshot;
@@ -63,24 +63,26 @@ mod timeline;
 
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sesame_sim::{SimDur, SimTime};
 
 pub use causal::{CausalDag, CausalNode, CriticalPath};
-pub use registry::{Metric, MetricRegistry};
 pub use report::render_report;
 pub use series::{render_series_report, SeriesExport, SeriesWindow, SERIES_SCHEMA};
 pub use snapshot::{Snapshot, SnapshotValue, SCHEMA};
 pub use timeline::{cat, Timeline};
 
-/// The observability façade: registry + timeline + the trace-observer
-/// state that builds spans from the event stream.
+/// The observability façade: named metrics, the timeline and the
+/// trace-observer state that builds rows and spans from the event stream.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     scenario: String,
     seed: u64,
-    registry: MetricRegistry,
+    /// The counters and gauges set by key: the workload glue's and
+    /// `absorb_run`'s, beside the observer's rows.
+    named: BTreeMap<String, SnapshotValue>,
     timeline: Timeline,
     timeline_enabled: bool,
     end: SimTime,
@@ -98,7 +100,7 @@ impl Telemetry {
         Telemetry {
             scenario: scenario.to_string(),
             seed,
-            registry: MetricRegistry::new(),
+            named: BTreeMap::new(),
             timeline: Timeline::new(),
             timeline_enabled: false,
             end: SimTime::ZERO,
@@ -155,26 +157,42 @@ impl Telemetry {
             .into_inner()
     }
 
-    /// The metric registry (for direct post-run instrumentation).
-    pub fn registry_mut(&mut self) -> &mut MetricRegistry {
-        &mut self.registry
+    /// Adds `n` to the counter at `key`, created at 0 on first use (so
+    /// `add_counter(key, 0)` still exports `key`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` holds a gauge.
+    pub fn add_counter(&mut self, key: &str, n: u64) {
+        let slot = self
+            .named
+            .entry(key.to_string())
+            .or_insert(SnapshotValue::Counter(0));
+        match slot {
+            SnapshotValue::Counter(v) => *v += n,
+            _ => panic!("metric '{key}' is a gauge, added to as a counter"),
+        }
     }
 
-    /// The metric registry, read-only: the metrics named by key — the
-    /// workload glue's and `absorb_run`'s — only. The per-record metrics
-    /// the observer keeps are in [`Telemetry::snapshot`].
-    pub fn registry(&self) -> &MetricRegistry {
-        &self.registry
+    /// Sets the gauge at `key` to `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` holds a counter.
+    pub fn set_gauge(&mut self, key: &str, value: f64) {
+        let slot = self
+            .named
+            .entry(key.to_string())
+            .or_insert(SnapshotValue::Gauge(value));
+        match slot {
+            SnapshotValue::Gauge(v) => *v = value,
+            _ => panic!("metric '{key}' is a counter, set as a gauge"),
+        }
     }
 
     /// The collected timeline.
     pub fn timeline(&self) -> &Timeline {
         &self.timeline
-    }
-
-    /// Whether timeline span collection is on.
-    pub fn timeline_enabled(&self) -> bool {
-        self.timeline_enabled
     }
 
     /// The scenario label given at construction.
@@ -187,17 +205,17 @@ impl Telemetry {
         self.end
     }
 
-    /// Takes the JSON-exportable snapshot of every metric: the registry's
+    /// Takes the JSON-exportable snapshot of every metric: the named ones
     /// and the observer's rows. Call after [`Telemetry::finish`] so
     /// time-weighted averages cover the full run.
     ///
     /// # Panics
     ///
-    /// Panics if a registry key is also the key of an observer metric.
+    /// Panics if a named key is also the key of an observer metric.
     pub fn snapshot(&self) -> Snapshot {
-        let mut snapshot = self.registry.snapshot(&self.scenario, self.seed, self.end);
+        let mut metrics = self.named.clone();
         self.rows.render(self.end, |key, value| {
-            match snapshot.metrics.entry(key) {
+            match metrics.entry(key) {
                 Entry::Vacant(slot) => slot.insert(value),
                 Entry::Occupied(slot) => panic!(
                     "metric '{}' is both a registry key and an observer metric",
@@ -205,7 +223,12 @@ impl Telemetry {
                 ),
             };
         });
-        snapshot
+        Snapshot {
+            scenario: self.scenario.clone(),
+            seed: self.seed,
+            end_ns: self.end.as_nanos(),
+            metrics,
+        }
     }
 
     /// Renders the timeline as Chrome trace-event JSON.

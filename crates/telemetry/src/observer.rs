@@ -718,7 +718,7 @@ mod tests {
         let trace = t.chrome_trace();
         assert!(trace.contains("\"ph\":\"s\""), "{trace}");
         assert!(trace.contains("\"ph\":\"f\",\"bp\":\"e\""), "{trace}");
-        // Cause records feed the DAG, not the metric registry.
+        // Cause records feed the DAG, not the metrics.
         assert_eq!(t.snapshot().metrics.len(), 0);
     }
 
@@ -991,11 +991,11 @@ mod tests {
         /// the rows' — finishes both at `end`, and asserts the snapshots
         /// equal: the same keys in the same order, kinds and values.
         fn assert_equal(mut self, end: SimTime) {
-            self.rows.registry_mut().counter("gwc/grants").add(3);
-            self.reference.counter("gwc/grants").add(3);
+            self.rows.add_counter("gwc/grants", 3);
+            *self.reference.counter("gwc/grants") += 3;
             for node in [0, 2, 9] {
                 let key = format!("node/{node}/cpu/efficiency");
-                *self.rows.registry_mut().gauge(&key) = 0.25 * node as f64;
+                self.rows.set_gauge(&key, 0.25 * node as f64);
                 *self.reference.gauge(&key) = 0.25 * node as f64;
             }
             self.rows.finish(end);
@@ -1151,25 +1151,105 @@ mod tests {
                 arrival_ns: 20,
             },
         ));
-        t.registry_mut().counter("node/3/net/packets").incr();
+        t.add_counter("node/3/net/packets", 1);
         t.finish(SimTime::from_nanos(30));
         t.snapshot();
     }
 
+    #[test]
+    fn a_counter_exists_from_its_first_add_and_a_gauge_is_overwritten() {
+        let mut t = Telemetry::new("t", 0);
+        t.add_counter("net/losses", 0);
+        t.add_counter("a/b", 2);
+        t.add_counter("a/b", 1);
+        t.set_gauge("g", 1.0);
+        t.set_gauge("g", 2.5);
+        let snap = t.snapshot();
+        assert_eq!(
+            snap.metrics.get("net/losses"),
+            Some(&SnapshotValue::Counter(0))
+        );
+        assert_eq!(snap.counter("a/b"), 3);
+        assert_eq!(snap.metrics.get("g"), Some(&SnapshotValue::Gauge(2.5)));
+        assert_eq!(snap.metrics.len(), 3);
+    }
+
+    #[test]
+    fn named_keys_export_in_key_order_among_row_keys() {
+        let mut t = Telemetry::new("t", 0);
+        t.add_counter("z", 1);
+        t.set_gauge("node/3/cpu/efficiency", 0.5);
+        t.add_counter("a", 1);
+        t.observe(&entry(10, 3, K::AccRead, var(0)));
+        t.observe(&entry(10, 2, K::AccRead, var(0)));
+        t.finish(SimTime::from_nanos(30));
+        let snap = t.snapshot();
+        let keys: Vec<&str> = snap.metrics.keys().map(String::as_str).collect();
+        let want = [
+            "a",
+            "node/2/mem/reads",
+            "node/3/cpu/efficiency",
+            "node/3/mem/reads",
+            "z",
+        ];
+        assert_eq!(keys, want);
+        let json = snap.to_json();
+        let at = |key: &str| json.find(&format!("\"{key}\":")).expect("exported");
+        assert!(want.windows(2).all(|w| at(w[0]) < at(w[1])), "{json}");
+    }
+
+    #[test]
+    #[should_panic(expected = "metric 'k' is a counter")]
+    fn a_counter_key_set_as_a_gauge_panics() {
+        let mut t = Telemetry::new("t", 0);
+        t.add_counter("k", 1);
+        t.set_gauge("k", 1.0);
+    }
+
     /// The collector before typed rows, kept as the reference the rows are
     /// compared against: every per-record metric named by a template over
-    /// `(node[, lock | group])`, resolved to a registry slot on first touch
-    /// and by slot from then on, beside name-keyed metrics in the same
-    /// registry. Metrics only: no timeline, series or causal DAG.
+    /// `(node[, lock | group])`, resolved to a slot on first touch and by
+    /// slot from then on, beside name-keyed metrics in the same slots.
+    /// Metrics only: no timeline, series or causal DAG.
     mod reference {
         use std::collections::BTreeMap;
 
         use sesame_sim::{
-            ApplyMode, Counter, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail,
-            TraceEntry, TraceKind as K, TraceObserver,
+            ApplyMode, Histogram, SeqTable, SimTime, TimeWeighted, TraceDetail, TraceEntry,
+            TraceKind as K, TraceObserver,
         };
 
-        use crate::{Metric, Snapshot, SnapshotValue};
+        use crate::{Snapshot, SnapshotValue};
+
+        /// One slot's metric.
+        #[derive(Debug)]
+        enum Metric {
+            Counter(u64),
+            Gauge(f64),
+            Histogram(Histogram),
+            TimeWeighted(TimeWeighted),
+        }
+
+        impl Metric {
+            fn kind(&self) -> &'static str {
+                match self {
+                    Metric::Counter(_) => "counter",
+                    Metric::Gauge(_) => "gauge",
+                    Metric::Histogram(_) => "histogram",
+                    Metric::TimeWeighted(_) => "timeweighted",
+                }
+            }
+
+            /// The exported value in a run that ended at `end`.
+            fn value(&self, end: SimTime) -> SnapshotValue {
+                match self {
+                    Metric::Counter(c) => SnapshotValue::Counter(*c),
+                    Metric::Gauge(g) => SnapshotValue::Gauge(*g),
+                    Metric::Histogram(h) => SnapshotValue::histogram(h),
+                    Metric::TimeWeighted(tw) => SnapshotValue::time_weighted(tw, end),
+                }
+            }
+        }
 
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         enum Name {
@@ -1302,9 +1382,9 @@ mod tests {
                 self.slots.len() - 1
             }
 
-            by_key!(counter, Counter, Counter, Counter::new());
+            by_key!(counter, u64, Counter, 0);
             by_key!(gauge, f64, Gauge, 0.0);
-            by_name!(count, Counter, Counter, Counter::new());
+            by_name!(count, u64, Counter, 0);
             by_name!(record, Histogram, Histogram, Histogram::new());
             by_name!(depth, TimeWeighted, TimeWeighted, TimeWeighted::default());
 
@@ -1317,9 +1397,10 @@ mod tests {
             }
 
             pub fn snapshot(&self, scenario: &str, seed: u64) -> Snapshot {
-                let metrics = self.names.iter().map(|(key, &slot)| {
-                    (key.clone(), SnapshotValue::of(&self.slots[slot], self.end))
-                });
+                let metrics = self
+                    .names
+                    .iter()
+                    .map(|(key, &slot)| (key.clone(), self.slots[slot].value(self.end)));
                 Snapshot {
                     scenario: scenario.to_string(),
                     seed,
@@ -1341,7 +1422,7 @@ mod tests {
                 let t = e.time;
                 match (e.kind, &e.detail) {
                     (K::OptConflict, &TraceDetail::Conflict { var, writer }) => {
-                        self.count(Name::Blame, var as usize, writer).incr();
+                        *self.count(Name::Blame, var as usize, writer) += 1;
                     }
                     (K::MutexEnter | K::LockAcquire, &TraceDetail::Var { var: v }) => {
                         self.wait_start.insert((node, v), t);
@@ -1360,14 +1441,14 @@ mod tests {
                         }
                     }
                     (K::MutexRegular, &TraceDetail::Var { var: v }) => {
-                        self.count(Name::RegAttempts, node, v).incr();
+                        *self.count(Name::RegAttempts, node, v) += 1;
                     }
                     (K::OptEnter, &TraceDetail::Var { var: v }) => {
-                        self.count(Name::OptAttempts, node, v).incr();
+                        *self.count(Name::OptAttempts, node, v) += 1;
                         self.opt_start.insert((node, v), t);
                     }
                     (K::OptRollback, &TraceDetail::Var { var: v }) => {
-                        self.count(Name::OptRollbacks, node, v).incr();
+                        *self.count(Name::OptRollbacks, node, v) += 1;
                         self.opt_start.remove(&(node, v));
                     }
                     (
@@ -1379,13 +1460,13 @@ mod tests {
                             overlapped,
                         },
                     ) => {
-                        self.count(Name::Completions, node, v).incr();
+                        *self.count(Name::Completions, node, v) += 1;
                         if optimistic {
                             if rollbacks == 0 {
-                                self.count(Name::OptWins, node, v).incr();
+                                *self.count(Name::OptWins, node, v) += 1;
                             }
                             if overlapped {
-                                self.count(Name::OptOverlapped, node, v).incr();
+                                *self.count(Name::OptOverlapped, node, v) += 1;
                             }
                             self.opt_start.remove(&(node, v));
                         }
@@ -1399,12 +1480,12 @@ mod tests {
                             .set(t, f64::from(depth));
                     }
                     (K::RootSeq, &TraceDetail::Seq { group: g, seq, .. }) => {
-                        self.count(Name::GroupSequenced, g as usize, 0).incr();
+                        *self.count(Name::GroupSequenced, g as usize, 0) += 1;
                         let run = self.seq_pending.entry(g).or_default();
                         run.insert(seq, SeqSpan { start: t });
                     }
                     (K::RootFiltered, &TraceDetail::Filtered { group: g, .. }) => {
-                        self.count(Name::GroupFiltered, g as usize, 0).incr();
+                        *self.count(Name::GroupFiltered, g as usize, 0) += 1;
                     }
                     (
                         K::GwcApply,
@@ -1416,9 +1497,9 @@ mod tests {
                         },
                     ) => {
                         if mode == ApplyMode::HwBlocked {
-                            self.count(Name::HwBlockDrops, node, 0).incr();
+                            *self.count(Name::HwBlockDrops, node, 0) += 1;
                         }
-                        self.count(Name::GwcApplies, node, 0).incr();
+                        *self.count(Name::GwcApplies, node, 0) += 1;
                         let run = self.seq_pending.get_mut(&g);
                         if let Some(span) = run.and_then(|run| run.get_mut(seq)) {
                             let start = span.start;
@@ -1427,13 +1508,13 @@ mod tests {
                         }
                     }
                     (K::AccRead, TraceDetail::Var { .. }) => {
-                        self.count(Name::MemReads, node, 0).incr();
+                        *self.count(Name::MemReads, node, 0) += 1;
                     }
                     (K::AccWrite, TraceDetail::VarVal { .. }) => {
-                        self.count(Name::MemWrites, node, 0).incr();
+                        *self.count(Name::MemWrites, node, 0) += 1;
                     }
                     (K::AccWriteLocal, TraceDetail::VarVal { .. }) => {
-                        self.count(Name::MemLocalWrites, node, 0).incr();
+                        *self.count(Name::MemLocalWrites, node, 0) += 1;
                     }
                     (
                         K::PktSend,
@@ -1444,29 +1525,29 @@ mod tests {
                             ..
                         },
                     ) => {
-                        self.count(Name::NetPackets, node, 0).incr();
-                        self.count(Name::NetBytes, node, 0).add(u64::from(bytes));
-                        self.count(Name::NetHops, node, 0).add(u64::from(hops));
+                        *self.count(Name::NetPackets, node, 0) += 1;
+                        *self.count(Name::NetBytes, node, 0) += u64::from(bytes);
+                        *self.count(Name::NetHops, node, 0) += u64::from(hops);
                         let arrival = SimTime::from_nanos(arrival_ns);
                         self.record(Name::NetFlight, node, 0)
                             .record(arrival.saturating_since(t));
                     }
                     (K::PktMcast, &TraceDetail::Multicast { bytes, members, .. }) => {
-                        self.count(Name::NetMcasts, node, 0).incr();
-                        self.count(Name::NetMcastBytes, node, 0)
-                            .add(u64::from(bytes) * u64::from(members));
+                        *self.count(Name::NetMcasts, node, 0) += 1;
+                        *self.count(Name::NetMcastBytes, node, 0) +=
+                            u64::from(bytes) * u64::from(members);
                     }
                     (K::EcGrantArrived, TraceDetail::Var { .. }) => {
-                        self.count(Name::EcGrants, node, 0).incr();
+                        *self.count(Name::EcGrants, node, 0) += 1;
                     }
                     (K::EcInvalidated, TraceDetail::Var { .. }) => {
-                        self.count(Name::EcInvalidations, node, 0).incr();
+                        *self.count(Name::EcInvalidations, node, 0) += 1;
                     }
                     (K::EcFetchServe, TraceDetail::VarNode { .. }) => {
-                        self.count(Name::EcFetchServes, node, 0).incr();
+                        *self.count(Name::EcFetchServes, node, 0) += 1;
                     }
                     (K::EcLocalReacquire, TraceDetail::Var { .. }) => {
-                        self.count(Name::EcLocalReacquires, node, 0).incr();
+                        *self.count(Name::EcLocalReacquires, node, 0) += 1;
                     }
                     _ => {}
                 }

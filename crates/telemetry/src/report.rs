@@ -107,7 +107,6 @@ pub fn render_report(snap: &Snapshot) -> String {
             SnapshotValue::Histogram { count, mean_ns, .. } => {
                 format!("n={count} mean={mean_ns}ns")
             }
-            SnapshotValue::MeanVar { count, mean, .. } => format!("n={count} mean={mean:.3}"),
             SnapshotValue::TimeWeighted { average, .. } => format!("avg={average:.3}"),
         };
         out.push_str(&format!("  {key:<32} {rendered}\n"));
@@ -161,21 +160,49 @@ fn hist_quantiles(snap: &Snapshot, key: &str) -> (String, String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricRegistry;
-    use sesame_sim::{SimDur, SimTime};
+    use sesame_sim::{Histogram, SimDur};
+
+    /// A snapshot of `metrics` from a run of `scenario` that ended at
+    /// `end_ns`.
+    fn snapshot(
+        scenario: &str,
+        seed: u64,
+        end_ns: u64,
+        metrics: impl IntoIterator<Item = (String, SnapshotValue)>,
+    ) -> Snapshot {
+        Snapshot {
+            scenario: scenario.to_string(),
+            seed,
+            end_ns,
+            metrics: metrics.into_iter().collect(),
+        }
+    }
+
+    fn counter(key: &str, value: u64) -> (String, SnapshotValue) {
+        (key.to_string(), SnapshotValue::Counter(value))
+    }
+
+    /// The histogram of `samples_ns` at `key`.
+    fn histogram(key: &str, samples_ns: &[u64]) -> (String, SnapshotValue) {
+        let mut h = Histogram::new();
+        for &ns in samples_ns {
+            h.record(SimDur::from_nanos(ns));
+        }
+        (key.to_string(), SnapshotValue::histogram(&h))
+    }
 
     #[test]
     fn report_has_table_rows_and_totals() {
-        let mut r = MetricRegistry::new();
-        r.counter("node/0/lock/0/opt/attempts").add(4);
-        r.counter("node/0/lock/0/opt/wins").add(3);
-        r.counter("node/0/lock/0/opt/rollbacks").add(1);
-        r.counter("node/0/lock/0/completions").add(4);
-        r.counter("node/3/lock/0/reg/attempts").add(2);
-        r.histogram("node/0/lock/0/wait")
-            .record(SimDur::from_nanos(200));
-        r.counter("net/packets").add(17);
-        let snap = r.snapshot("contention", 9, SimTime::from_nanos(5000));
+        let metrics = [
+            counter("node/0/lock/0/opt/attempts", 4),
+            counter("node/0/lock/0/opt/wins", 3),
+            counter("node/0/lock/0/opt/rollbacks", 1),
+            counter("node/0/lock/0/completions", 4),
+            counter("node/3/lock/0/reg/attempts", 2),
+            histogram("node/0/lock/0/wait", &[200]),
+            counter("net/packets", 17),
+        ];
+        let snap = snapshot("contention", 9, 5000, metrics);
         let report = render_report(&snap);
         assert!(report.contains("scenario: contention"));
         assert!(report.contains("200ns"), "{report}");
@@ -188,14 +215,12 @@ mod tests {
 
     #[test]
     fn percentile_columns_and_blame_table() {
-        let mut r = MetricRegistry::new();
-        for ns in [100u64, 200, 400, 800] {
-            r.histogram("node/1/lock/0/wait")
-                .record(SimDur::from_nanos(ns));
-        }
-        r.counter("blame/var/0/writer/2").add(5);
-        r.counter("blame/var/1/writer/0").add(2);
-        let snap = r.snapshot("contention", 9, SimTime::from_nanos(5000));
+        let metrics = [
+            histogram("node/1/lock/0/wait", &[100, 200, 400, 800]),
+            counter("blame/var/0/writer/2", 5),
+            counter("blame/var/1/writer/0", 2),
+        ];
+        let snap = snapshot("contention", 9, 5000, metrics);
         let report = render_report(&snap);
         assert!(report.contains("wait-p50"), "{report}");
         assert!(report.contains("wait-p99"), "{report}");
@@ -216,8 +241,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_renders_only_the_header() {
-        let r = MetricRegistry::new();
-        let snap = r.snapshot("contention", 9, SimTime::ZERO);
+        let snap = snapshot("contention", 9, 0, []);
         let report = render_report(&snap);
         assert!(report.starts_with("scenario: contention"), "{report}");
         assert!(!report.contains("wait-p50"), "{report}");
@@ -232,10 +256,11 @@ mod tests {
         // A purely regular-locking run: the per-lock table renders, but
         // there is no optimism summary (it would divide by zero) and no
         // attribution table (nothing rolled back).
-        let mut r = MetricRegistry::new();
-        r.counter("node/0/lock/0/reg/attempts").add(6);
-        r.counter("node/0/lock/0/completions").add(6);
-        let snap = r.snapshot("three-cpu", 1, SimTime::from_nanos(100));
+        let metrics = [
+            counter("node/0/lock/0/reg/attempts", 6),
+            counter("node/0/lock/0/completions", 6),
+        ];
+        let snap = snapshot("three-cpu", 1, 100, metrics);
         let report = render_report(&snap);
         assert!(report.contains("reg-try"), "{report}");
         assert!(!report.contains("optimism:"), "{report}");
@@ -244,12 +269,8 @@ mod tests {
 
     #[test]
     fn blame_table_truncates_to_the_ten_heaviest_rows() {
-        let mut r = MetricRegistry::new();
-        for var in 0..14u64 {
-            r.counter(&format!("blame/var/{var}/writer/1"))
-                .add(100 - var);
-        }
-        let snap = r.snapshot("contention", 9, SimTime::from_nanos(100));
+        let blame = (0..14u64).map(|var| counter(&format!("blame/var/{var}/writer/1"), 100 - var));
+        let snap = snapshot("contention", 9, 100, blame);
         let report = render_report(&snap);
         let start = report.find("rollback attribution").expect("attribution");
         // Title + column header, then exactly the 10 heaviest data rows;

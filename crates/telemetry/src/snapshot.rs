@@ -1,4 +1,5 @@
-//! Point-in-time export of a [`MetricRegistry`](crate::MetricRegistry).
+//! Point-in-time export of a run's metrics: the named counters and gauges
+//! and the observer's rendered rows (see [`Telemetry::snapshot`](crate::Telemetry::snapshot)).
 //!
 //! The JSON schema (`sesame-telemetry/v1`) is stable: bench trajectories and
 //! CI smoke checks parse it back with [`Snapshot::from_json`]. Top level:
@@ -17,7 +18,6 @@
 //! * `counter` — `value`
 //! * `gauge` — `value`
 //! * `histogram` — `count`, `mean_ns`, `p50_ns`, `p90_ns`, `p99_ns`, `max_ns`
-//! * `meanvar` — `count`, `mean`, `std_dev`, `min`, `max`
 //! * `timeweighted` — `average`, `current`
 
 use std::collections::BTreeMap;
@@ -26,7 +26,6 @@ use std::fmt::Write as _;
 use sesame_sim::{Histogram, SimTime, TimeWeighted};
 
 use crate::json::{self, Json};
-use crate::registry::{Metric, MetricRegistry};
 
 /// Schema identifier written into (and required from) every snapshot.
 pub const SCHEMA: &str = "sesame-telemetry/v1";
@@ -53,19 +52,6 @@ pub enum SnapshotValue {
         /// Largest sample.
         max_ns: u64,
     },
-    /// Mean/variance summary of unitless samples.
-    MeanVar {
-        /// Number of samples.
-        count: u64,
-        /// Sample mean.
-        mean: f64,
-        /// Population standard deviation.
-        std_dev: f64,
-        /// Smallest sample (0 when empty).
-        min: f64,
-        /// Largest sample (0 when empty).
-        max: f64,
-    },
     /// Time-weighted signal summary.
     TimeWeighted {
         /// Average over the run.
@@ -78,7 +64,7 @@ pub enum SnapshotValue {
 /// Every kind's tag and fields, in export order — the one table the JSON
 /// and CSV writers and the validator read. A field is `(name, integer)`:
 /// an integer field is a `u64`, the others `f64`.
-const KINDS: [(&str, &[(&str, bool)]); 5] = [
+const KINDS: [(&str, &[(&str, bool)]); 4] = [
     ("counter", &[("value", true)]),
     ("gauge", &[("value", false)]),
     (
@@ -90,16 +76,6 @@ const KINDS: [(&str, &[(&str, bool)]); 5] = [
             ("p90_ns", true),
             ("p99_ns", true),
             ("max_ns", true),
-        ],
-    ),
-    (
-        "meanvar",
-        &[
-            ("count", true),
-            ("mean", false),
-            ("std_dev", false),
-            ("min", false),
-            ("max", false),
         ],
     ),
     ("timeweighted", &[("average", false), ("current", false)]),
@@ -129,23 +105,6 @@ impl Num {
 }
 
 impl SnapshotValue {
-    /// The exported value of `metric` in a run that ended at `end`.
-    pub(crate) fn of(metric: &Metric, end: SimTime) -> Self {
-        match metric {
-            Metric::Counter(c) => SnapshotValue::Counter(c.value()),
-            Metric::Gauge(g) => SnapshotValue::Gauge(*g),
-            Metric::Histogram(h) => SnapshotValue::histogram(h),
-            Metric::MeanVar(m) => SnapshotValue::MeanVar {
-                count: m.count(),
-                mean: m.mean(),
-                std_dev: m.std_dev(),
-                min: m.min().unwrap_or(0.0),
-                max: m.max().unwrap_or(0.0),
-            },
-            Metric::TimeWeighted(tw) => SnapshotValue::time_weighted(tw, end),
-        }
-    }
-
     /// The summary of `h`.
     pub(crate) fn histogram(h: &Histogram) -> Self {
         SnapshotValue::Histogram {
@@ -191,15 +150,8 @@ impl SnapshotValue {
                     I(max_ns),
                 ],
             ),
-            SnapshotValue::MeanVar {
-                count,
-                mean,
-                std_dev,
-                min,
-                max,
-            } => (3, [I(count), F(mean), F(std_dev), F(min), F(max), z]),
             SnapshotValue::TimeWeighted { average, current } => {
-                (4, [F(average), F(current), z, z, z, z])
+                (3, [F(average), F(current), z, z, z, z])
             }
         }
     }
@@ -217,13 +169,6 @@ impl SnapshotValue {
                 p90_ns: int(3),
                 p99_ns: int(4),
                 max_ns: int(5),
-            },
-            3 => SnapshotValue::MeanVar {
-                count: int(0),
-                mean: float(1),
-                std_dev: float(2),
-                min: float(3),
-                max: float(4),
             },
             _ => SnapshotValue::TimeWeighted {
                 average: float(0),
@@ -244,21 +189,6 @@ pub struct Snapshot {
     pub end_ns: u64,
     /// Metric values, key-sorted.
     pub metrics: BTreeMap<String, SnapshotValue>,
-}
-
-impl MetricRegistry {
-    /// Takes a snapshot of every registered metric at simulated time `end`.
-    pub fn snapshot(&self, scenario: &str, seed: u64, end: SimTime) -> Snapshot {
-        let metrics = self
-            .iter()
-            .map(|(key, metric)| (key.to_string(), SnapshotValue::of(metric, end)));
-        Snapshot {
-            scenario: scenario.to_string(),
-            seed,
-            end_ns: end.as_nanos(),
-            metrics: metrics.collect(),
-        }
-    }
 }
 
 impl Snapshot {
@@ -389,19 +319,6 @@ impl Snapshot {
         }
     }
 
-    /// Keys matching a `prefix/…/suffix` pattern, e.g.
-    /// (`"node"`, `"opt/attempts"`).
-    pub fn keys_matching<'a>(
-        &'a self,
-        prefix: &'a str,
-        suffix: &'a str,
-    ) -> impl Iterator<Item = &'a str> {
-        self.metrics
-            .keys()
-            .map(String::as_str)
-            .filter(move |k| k.starts_with(prefix) && k.ends_with(suffix))
-    }
-
     /// Sums counters whose keys start with `prefix` and end with `suffix`.
     pub fn sum_counters(&self, prefix: &str, suffix: &str) -> u64 {
         self.metrics
@@ -420,21 +337,30 @@ mod tests {
     use super::*;
     use sesame_sim::SimDur;
 
-    fn sample_registry() -> MetricRegistry {
-        let mut r = MetricRegistry::new();
-        r.counter("node/0/lock/0/opt/attempts").add(4);
-        r.counter("node/1/lock/0/opt/attempts").add(6);
-        *r.gauge("node/0/cpu/efficiency") = 0.875;
-        r.histogram("node/0/lock/0/wait")
-            .record(SimDur::from_nanos(300));
-        r.mean_var("x").record(2.0);
-        r.time_weighted("q").set(SimTime::from_nanos(50), 1.0);
-        r
+    /// One metric of each kind, in a run that ended at `end`.
+    fn sample(scenario: &str, seed: u64, end: SimTime) -> Snapshot {
+        let mut wait = Histogram::new();
+        wait.record(SimDur::from_nanos(300));
+        let mut q = TimeWeighted::default();
+        q.set(SimTime::from_nanos(50), 1.0);
+        let metrics = [
+            ("node/0/lock/0/opt/attempts", SnapshotValue::Counter(4)),
+            ("node/1/lock/0/opt/attempts", SnapshotValue::Counter(6)),
+            ("node/0/cpu/efficiency", SnapshotValue::Gauge(0.875)),
+            ("node/0/lock/0/wait", SnapshotValue::histogram(&wait)),
+            ("q", SnapshotValue::time_weighted(&q, end)),
+        ];
+        Snapshot {
+            scenario: scenario.to_string(),
+            seed,
+            end_ns: end.as_nanos(),
+            metrics: metrics.map(|(k, v)| (k.to_string(), v)).into(),
+        }
     }
 
     #[test]
     fn json_round_trips_exactly() {
-        let snap = sample_registry().snapshot("contention", 42, SimTime::from_nanos(100));
+        let snap = sample("contention", 42, SimTime::from_nanos(100));
         let text = snap.to_json();
         let back = Snapshot::from_json(&text).unwrap();
         assert_eq!(back, snap);
@@ -450,6 +376,17 @@ mod tests {
         );
         let err = Snapshot::from_json(&missing_field).unwrap_err();
         assert!(err.contains("mean_ns"), "err: {err}");
+    }
+
+    /// Named metrics are counters and gauges and the rows render the
+    /// rest, so no snapshot holds a mean/variance summary any more.
+    #[test]
+    fn validation_rejects_a_meanvar_metric() {
+        let doc = format!(
+            r#"{{"schema":"{SCHEMA}","scenario":"s","seed":1,"end_ns":2,"metrics":{{"x":{{"kind":"meanvar","count":1,"mean":2,"std_dev":0,"min":2,"max":2}}}}}}"#
+        );
+        let err = Snapshot::from_json(&doc).unwrap_err();
+        assert_eq!(err, "metric 'x': unknown kind 'meanvar'");
     }
 
     /// `json::parse` keeps both members of a duplicated key; a snapshot
@@ -471,15 +408,19 @@ mod tests {
 
     #[test]
     fn counter_helpers_aggregate() {
-        let snap = sample_registry().snapshot("s", 1, SimTime::ZERO);
+        let snap = sample("s", 1, SimTime::ZERO);
         assert_eq!(snap.counter("node/0/lock/0/opt/attempts"), 4);
         assert_eq!(snap.sum_counters("node/", "opt/attempts"), 10);
-        assert_eq!(snap.keys_matching("node/", "opt/attempts").count(), 2);
+        let attempts = snap
+            .metrics
+            .keys()
+            .filter(|k| k.starts_with("node/") && k.ends_with("opt/attempts"));
+        assert_eq!(attempts.count(), 2);
     }
 
     #[test]
     fn csv_lists_every_field() {
-        let snap = sample_registry().snapshot("s", 1, SimTime::from_nanos(100));
+        let snap = sample("s", 1, SimTime::from_nanos(100));
         let csv = snap.to_csv();
         assert!(csv.starts_with("key,kind,field,value\n"));
         assert!(csv.contains("node/0/lock/0/wait,histogram,p99_ns,"));

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use sesame_sim::{SimDur, TraceEntry, TraceObserver};
-use sesame_telemetry::{CausalDag, Telemetry};
+use sesame_telemetry::{render_report, CausalDag, Snapshot, Telemetry};
 use sesame_verify::Verifier;
 use sesame_workloads::contention::{run_contention, run_contention_observed, ContentionConfig};
 use sesame_workloads::scenario::Scenario;
@@ -83,12 +83,21 @@ fn same_seed_exports_are_byte_identical() {
 
 #[test]
 fn snapshot_json_round_trips_exactly() {
-    let t = collect(&Scenario::Contention(contention()));
-    let json = t.snapshot().to_json();
-    let parsed = sesame_telemetry::Snapshot::from_json(&json).expect("valid snapshot");
-    assert_eq!(parsed.to_json(), json);
-    assert_eq!(parsed.scenario, "contention");
-    assert_eq!(parsed.seed, 11);
+    for scenario in scenarios() {
+        let name = scenario.name();
+        let snapshot = collect(&scenario).snapshot();
+        let json = snapshot.to_json();
+        let parsed = Snapshot::from_json(&json).expect("valid snapshot");
+        assert_eq!(parsed, snapshot, "parsed snapshot differs for {name}");
+        assert_eq!(
+            render_report(&parsed),
+            render_report(&snapshot),
+            "report of the parsed snapshot differs for {name}"
+        );
+        assert_eq!(parsed.to_json(), json);
+        assert_eq!(parsed.scenario, name);
+        assert_eq!(parsed.seed, 11);
+    }
 }
 
 #[test]
