@@ -117,12 +117,18 @@ done
 cargo run -q --release -p sesame-examples --bin rollback_demo > "$tmpdir/rollback_demo.out"
 grep -q 'gwc-apply .* v=1 val=17 .*mode=h' "$tmpdir/rollback_demo.out"
 
-echo "==> sweep determinism smoke (fig8 reduced scale, --jobs 2 vs --jobs 1)"
+echo "==> sweep determinism smoke (fig8 and fig2 reduced scale, --jobs 2 vs --jobs 1)"
 cargo run -q --release -p sesame-cli -- fig8 --sizes 2,4,8 --visits 128 --jobs 1 \
     > "$tmpdir/fig8-serial.txt"
 cargo run -q --release -p sesame-cli -- fig8 --sizes 2,4,8 --visits 128 --jobs 2 \
     > "$tmpdir/fig8-parallel.txt"
 diff -u "$tmpdir/fig8-serial.txt" "$tmpdir/fig8-parallel.txt"
+# The task-queue sweep must equal its golden byte for byte at any --jobs.
+for jobs in 1 2; do
+    cargo run -q --release -p sesame-cli -- fig2 --sizes 3,5,9,17 --tasks 256 \
+        --format csv --jobs "$jobs" > "$tmpdir/fig2-jobs$jobs.csv"
+    cmp "$tmpdir/fig2-jobs$jobs.csv" tests/golden/fig2_small.csv
+done
 
 echo "==> model-checking smoke (exhaustive clean exploration, bounded)"
 cargo run -q --release -p sesame-cli -- check \

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use sesame_core::builder::ModelInstance;
 use sesame_dsm::{independent, DsmEvent, GroupTable, Machine};
-use sesame_net::{ContentionModel, NodeId};
+use sesame_net::NodeId;
 use sesame_sim::{SimTime, Simulation, TraceEntry};
 use sesame_verify::{CheckKind, Verifier, Violation};
 use sesame_workloads::canonical::{build_canonical, CanonicalConfig, COUNTER};
@@ -493,9 +493,8 @@ impl Explorer<'_> {
 ///
 /// # Panics
 ///
-/// Panics if the workload's fabric is lossy or contended — the
-/// independence relation used for reduction assumes message delivery is
-/// reliable and links are independent.
+/// Panics if the workload's fabric is lossy — the independence relation
+/// used for reduction assumes message delivery is reliable.
 pub fn check(cfg: CanonicalConfig, opts: CheckOptions) -> CheckReport {
     check_with_replay_hook(cfg, opts, &mut |_| {})
 }
@@ -515,11 +514,6 @@ pub fn check_with_replay_hook(
         probe.fabric().loss_probability(),
         0.0,
         "sesame-check requires a loss-free fabric"
-    );
-    assert_eq!(
-        probe.fabric().contention(),
-        ContentionModel::None,
-        "sesame-check requires a contention-free fabric"
     );
     let groups = probe.groups().clone();
     drop(probe);

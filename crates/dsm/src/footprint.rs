@@ -14,10 +14,9 @@
 //!
 //! * The interconnect fabric is shared by all sends. Its statistics are
 //!   commutative counters and its per-path FIFO floors are keyed by
-//!   source, so it drops out of the footprint **provided** loss and
-//!   store-and-forward contention are disabled (both consult shared RNG /
-//!   link-occupancy state). The explorer only accepts loss-free,
-//!   contention-free configurations.
+//!   source, so it drops out of the footprint **provided** loss is
+//!   disabled (the loss die is one RNG shared by every send). The
+//!   explorer only accepts loss-free configurations.
 //! * Event *timestamps* shift when deliveries are reordered. The explorer
 //!   therefore uses time-free enabledness (the asynchronous closure over
 //!   packet delays), so footprints never need to mention time.

@@ -14,11 +14,9 @@
 //! [`Packet`](crate::Packet) wire protocol, so identical programs run under
 //! every model.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use sesame_net::{
-    CauseId, ContentionModel, Fabric, LinkTiming, NodeId, RouteArena, SpanningTree, Topology,
-};
+use sesame_net::{CauseId, Fabric, LinkTiming, NodeId, RouteArena, Topology};
 use sesame_sim::{
     Actor, CauseOp, Context, RunOutcome, SimDur, SimTime, Simulation, TraceDetail, TraceKind,
     TraceRecorder,
@@ -70,9 +68,9 @@ pub enum DsmEvent {
     /// cascade, exactly as if they had been separate events at this time.
     ///
     /// The member list is an index into the group's route in the
-    /// machine's [`RouteArena`]: under contention-free, loss-free timing
-    /// every fan-out over a route reaches exactly the topology-static wave
-    /// at its depth-determined instant, so the event only needs
+    /// machine's [`RouteArena`]: under loss-free timing every fan-out over
+    /// a route reaches exactly the topology-static wave at its
+    /// depth-determined instant, so the event only needs
     /// `(group, wave)` — dispatch reads the wave out of the route's shape,
     /// which groups of one shape share, placing each member at the
     /// group's root as it goes, and allocates nothing.
@@ -122,20 +120,20 @@ pub struct MachineConfig {
     /// demonstrates the lost-update hazard the paper describes.
     pub insharing_suspension: bool,
     /// Route group multicasts over member-pruned routes
-    /// ([`RouteArena`]) instead of flooding the full per-root
-    /// [`SpanningTree`]. Where the fabric's timing makes a member's arrival
-    /// a pure function of its hop depth (no contention, no loss, a nonzero
-    /// hop latency) the fan-out additionally rides the route's static
-    /// waves: one [`DsmEvent::McastWave`] queue event per wavefront instead
-    /// of one per member.
+    /// ([`RouteArena`]) instead of flooding every position
+    /// ([`Fabric::flood_into`]). Where every member's copy is delivered (no
+    /// loss) and distinct depths land at distinct instants (a nonzero hop
+    /// latency) the fan-out additionally rides the route's static waves:
+    /// one [`DsmEvent::McastWave`] queue event per wavefront instead of one
+    /// per member.
     ///
-    /// Off by default: under cut-through timing member arrival *times* are
-    /// identical either way, but the traffic accounting differs (pruned
-    /// routes bill only member-path edges to `link_traversals`/`ser_ns`,
-    /// the flood bills every topology edge) and waves change the event
-    /// count — so the default stays byte-compatible with recorded
-    /// baselines. Turn it on for large sparse meshes (the 100k-node
-    /// scenario), where per-group flooding is quadratic in machine size.
+    /// Off by default: member arrival *times* are identical either way,
+    /// but the traffic accounting differs (pruned routes bill only
+    /// member-path edges to `link_traversals`/`ser_ns`, the flood bills
+    /// every topology edge) and waves change the event count — so the
+    /// default stays byte-compatible with recorded baselines. Turn it on
+    /// for large sparse meshes (the 100k-node scenario), where per-group
+    /// flooding is quadratic in machine size.
     pub pruned_multicast: bool,
 }
 
@@ -158,7 +156,6 @@ pub struct Mx<'a, 'b> {
     mems: &'a mut [LocalMemory],
     groups: &'a GroupTable,
     topo: &'a dyn Topology,
-    trees: &'a mut HashMap<NodeId, SpanningTree>,
     routes: &'a mut RouteArena,
     fabric: &'a mut Fabric,
     cfg: &'a MachineConfig,
@@ -238,40 +235,35 @@ impl Mx<'_, '_> {
     /// every member; each member's copy arrives at its hop-depth-determined
     /// time. The root member (if any) receives its echo immediately.
     ///
-    /// By default the write floods every position. On cut-through links
-    /// a member's arrival is read off its hop distance from the root
-    /// ([`Fabric::flood_into`](sesame_net::Fabric::flood_into)) and no
-    /// routing structure exists; on store-and-forward links the flood
-    /// walks a full [`SpanningTree`], built lazily on the root's first
-    /// multicast and shared between all groups with that root. With
+    /// By default the write floods every position: a member's arrival is
+    /// read off its hop distance from the root ([`Fabric::flood_into`]) and
+    /// no routing structure exists. With
     /// [`MachineConfig::pruned_multicast`] the write follows a
     /// member-pruned route instead, built lazily on a group's first
     /// multicast and shared between all groups with the same shape — the
     /// same root and member offsets in the topology's
     /// [`Frame`](sesame_net::Frame) — stored once each in one
-    /// [`RouteArena`]. Trees and routes are pure functions of the topology
-    /// and the validated group specs, so lazy construction cannot perturb
+    /// [`RouteArena`]. Routes are pure functions of the topology and the
+    /// validated group specs, so lazy construction cannot perturb
     /// determinism.
     pub fn multicast(&mut self, group: GroupId, bytes: u32, kind: PacketKind) {
         let g = self.groups.group(group);
         let root = g.root();
         let now = self.now;
         self.fabric.advance(now);
-        let timing = self.fabric.timing();
-        // How arrivals are known. Under contention-free, loss-free timing
-        // with a nonzero hop latency a member's arrival instant is a pure
-        // function of its hop depth, so a pruned route's topology-static
-        // waves ARE the fan-out and nothing is computed per multicast.
-        // (Nonzero hop latency guarantees distinct depths land at distinct
-        // instants; zero loss means no per-member roll is owed.) Anywhere
-        // else the fabric computes an arrival per member.
+        // How arrivals are known. A member's arrival instant is a pure
+        // function of its hop depth, so under loss-free timing with a
+        // nonzero hop latency a pruned route's topology-static waves ARE
+        // the fan-out and nothing is computed per multicast. (Nonzero hop
+        // latency guarantees distinct depths land at distinct instants;
+        // zero loss means no per-member roll is owed.) Anywhere else the
+        // fabric lists an arrival per member.
         let waves = if self.cfg.pruned_multicast {
             let route = self
                 .routes
                 .get_or_build(group.index(), self.topo, root, g.members());
-            if self.fabric.contention() == ContentionModel::None
-                && self.fabric.loss_probability() == 0.0
-                && timing.hop_latency > SimDur::ZERO
+            if self.fabric.loss_probability() == 0.0
+                && self.fabric.timing().hop_latency > SimDur::ZERO
             {
                 self.fabric.bill_multicast_route(route, bytes);
                 Some(route)
@@ -280,30 +272,12 @@ impl Mx<'_, '_> {
                     .multicast_route_into(now, route, bytes, self.arrivals);
                 None
             }
-        } else if self.fabric.contention() == ContentionModel::None {
-            // A cut-through flood's arrivals are the members' hop
-            // distances from the root; no tree is needed.
+        } else {
             self.fabric
                 .flood_into(now, self.topo, root, bytes, g.members(), self.arrivals);
             None
-        } else {
-            let tree = self
-                .trees
-                .entry(root)
-                .or_insert_with(|| SpanningTree::build(self.topo, root));
-            self.fabric
-                .multicast_into(now, tree, bytes, g.members(), self.arrivals);
-            None
         };
-        // The root echo (depth 0) is local and immediate; depth d >= 1
-        // costs one serialization plus d hop latencies.
-        let depth_at = |d: u32| {
-            if d == 0 {
-                now
-            } else {
-                now + timing.transfer(d, bytes)
-            }
-        };
+        let depth_at = |d: u32| self.fabric.arrival(now, d, bytes);
         if self.ctx.tracing() {
             // Canonical multicast event: `last_ns` is the latest member
             // arrival, the end of the whole fan-out interval.
@@ -541,11 +515,6 @@ pub struct Machine<M: Model> {
     topo: Box<dyn Topology>,
     fabric: Fabric,
     groups: GroupTable,
-    /// Full spanning trees for store-and-forward floods, built lazily on
-    /// first multicast and shared by every group with the same root (a
-    /// tree depends only on the root). A cut-through flood reads hop
-    /// distances instead, so a cut-through machine leaves this empty.
-    trees: HashMap<NodeId, SpanningTree>,
     /// Member-pruned routes, built lazily per group when
     /// [`MachineConfig::pruned_multicast`] is on, stored once per shape in
     /// one arena addressed by the dense group index: wave dispatch
@@ -602,7 +571,7 @@ impl<M: Model> Machine<M> {
             topo.len(),
             "one program per CPU node is required"
         );
-        // Trees and routes are built lazily (on a group's first multicast),
+        // Routes are built lazily (on a group's first multicast),
         // but root validity is still checked eagerly so a bad group spec
         // fails at assembly, not mid-run.
         for g in groups.iter() {
@@ -619,7 +588,6 @@ impl<M: Model> Machine<M> {
             topo,
             fabric: Fabric::new(timing),
             groups,
-            trees: HashMap::new(),
             // Route handles only where routes will be built: the default
             // flood machine holds no route storage at all.
             routes: RouteArena::with_routes(if cfg.pruned_multicast { n_groups } else { 0 }),
@@ -713,8 +681,8 @@ impl<M: Model> Machine<M> {
     }
 
     /// Heap bytes of pruned-multicast route storage (shapes, their index
-    /// and per-group handles). Zero on a machine that floods spanning
-    /// trees, which builds no routes.
+    /// and per-group handles). Zero on a machine that floods, which builds
+    /// no routes.
     pub fn route_heap_bytes(&self) -> usize {
         self.routes.heap_bytes()
     }
@@ -748,14 +716,14 @@ impl<M: Model> Machine<M> {
         Some(h.finish())
     }
 
-    /// The interconnect fabric (to inspect its loss and contention
-    /// configuration, e.g. the schedule explorer's preconditions).
+    /// The interconnect fabric (to inspect its loss configuration, e.g. the
+    /// schedule explorer's preconditions).
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
     }
 
-    /// The interconnect fabric (to set loss or contention before a run, or
-    /// to read traffic stats after).
+    /// The interconnect fabric (to set loss before a run, or to read
+    /// traffic stats after).
     pub fn fabric_mut(&mut self) -> &mut Fabric {
         &mut self.fabric
     }
@@ -828,7 +796,6 @@ impl<M: Model> Machine<M> {
             topo,
             fabric,
             groups,
-            trees,
             routes,
             mems,
             model,
@@ -842,7 +809,6 @@ impl<M: Model> Machine<M> {
             mems,
             groups,
             topo: topo.as_ref(),
-            trees,
             routes,
             fabric,
             cfg,
@@ -1078,8 +1044,6 @@ impl<M: Model> Actor for Machine<M> {
 pub struct RunOptions {
     /// Whether to record a trace.
     pub tracing: bool,
-    /// Hard wall on simulated time.
-    pub until: SimTime,
     /// Runaway protection: maximum events processed.
     pub event_limit: u64,
 }
@@ -1088,7 +1052,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             tracing: false,
-            until: SimTime::MAX,
             event_limit: sesame_sim::DEFAULT_EVENT_LIMIT,
         }
     }
@@ -1159,7 +1122,7 @@ pub fn run_observed<M: Model>(
             n as u64,
         );
     }
-    let outcome = sim.run_until(opts.until);
+    let outcome = sim.run_to_completion();
     let end = sim.now();
     let events = sim.events_processed();
     let (machine, trace) = sim.into_parts();

@@ -1,10 +1,10 @@
 //! Reference-model suite for the multicast fan-out. The default flood
-//! path — every member's copy a separate `Packet` event over the full
-//! spanning tree — is the reference; the pruned machine
+//! path — every member's copy a separate `Packet` event, flooded to every
+//! position — is the reference; the pruned machine
 //! ([`MachineConfig::pruned_multicast`]) must be observably the same
 //! machine whichever way its fan-outs are emitted: as static waves where
-//! the fabric's timing allows it, or member by member where loss,
-//! contention or a zero hop latency rule that out. Same loss seed, same trace,
+//! the fabric's timing allows it, or member by member where loss or a
+//! zero hop latency rules that out. Same loss seed, same trace,
 //! same memories; only the traffic accounting (pruned routes bill fewer
 //! edges) and, on the wave path, the event count may differ.
 
@@ -12,7 +12,7 @@ use sesame_dsm::{
     lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
     Program, RunOptions, RunResult, VarId,
 };
-use sesame_net::{ContentionModel, Fabric, LinkTiming, MeshTorus2d, NodeId, Topology};
+use sesame_net::{Fabric, LinkTiming, MeshTorus2d, NodeId, Topology};
 use sesame_sim::{RunOutcome, SimDur, TraceDetail, TraceKind};
 
 fn n(id: u32) -> NodeId {
@@ -81,7 +81,7 @@ fn build(cfg: MachineConfig, timing: LinkTiming) -> Machine<GwcModel> {
 const PAPER: LinkTiming = LinkTiming::paper_1994();
 
 /// One traced run of the scenario: flood or pruned multicast, over
-/// `timing`, after `fabric` has set loss or contention up.
+/// `timing`, after `fabric` has set loss up.
 fn run_with(
     pruned_multicast: bool,
     timing: LinkTiming,
@@ -270,30 +270,6 @@ fn assert_completed(r: &RunResult<GwcModel>, what: &str) {
         let counter = r.machine.mem(n(node)).read(v(COUNTER));
         assert_eq!(counter, sections, "{what}: node {node}");
     }
-}
-
-/// Store-and-forward contention makes arrivals depend on link occupancy,
-/// so a pruned machine must take them from the fabric, not from hop depth.
-#[test]
-fn contended_pruned_machine_leaves_the_wave_path() {
-    let contended = |f: &mut Fabric| f.set_contention(ContentionModel::StoreAndForward);
-    let a = run_with(true, PAPER, contended);
-    assert_completed(&a, "store-and-forward");
-    // Every fan-out reaches depth 4 on the 4x4 torus; re-serializing on
-    // each edge must land its last copy later than cut-through depth
-    // timing — which is what the wave path would have scheduled.
-    let mut fanouts = 0;
-    for e in a.trace.entries() {
-        if let TraceDetail::Multicast { bytes, last_ns, .. } = e.detail {
-            let cut_through = e.time + PAPER.transfer(4, bytes);
-            assert!(last_ns > cut_through.as_nanos(), "fan-out at {}", e.time);
-            fanouts += 1;
-        }
-    }
-    assert!(fanouts > 0, "scenario produced no multicasts");
-    let b = run_with(true, PAPER, contended);
-    assert_same_behaviour(&a, &b, "store-and-forward, run twice");
-    assert_eq!(a.events, b.events);
 }
 
 /// With a zero hop latency all depths land at one instant, so depth waves

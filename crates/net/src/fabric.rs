@@ -1,42 +1,28 @@
-//! The interconnect fabric: delivery-time computation with optional
-//! per-link contention and loss.
+//! The interconnect fabric: delivery-time computation and loss.
 //!
 //! [`Fabric`] turns "node A sends `bytes` to node B at time T" into arrival
-//! times, in one of two modes:
-//!
-//! * **Cut-through** (default, [`ContentionModel::None`]) — the paper's
-//!   model: one serialization delay plus 200 ns per hop, no queueing.
-//! * **Store-and-forward** ([`ContentionModel::StoreAndForward`]) — each
-//!   directed link is a FIFO resource: a packet waits for the link to free,
-//!   occupies it for the serialization time, then incurs the hop latency.
-//!   Used by the contention ablation bench.
+//! times under the paper's cut-through model: one serialization delay plus
+//! 200 ns per hop, with no queueing. A packet's arrival therefore depends
+//! only on how many hops it crosses, and every multicast reads a member's
+//! arrival off its hop depth from the root with one rule,
+//! [`Fabric::arrival`].
 //!
 //! Packet loss (for exercising the reliable-multicast recovery path) is one
 //! Bernoulli trial per multicast member delivery, rolled by the caller
 //! through [`Fabric::roll_loss`] on a deterministic seeded RNG; unicasts are
 //! never lost.
 //!
-//! The fabric's two tables — per-path FIFO floors and per-link occupancy —
-//! hold what is in flight, not every path and link a run ever used: a
-//! fabric that is told the simulation clock ([`Fabric::advance`]) forgets
-//! entries the clock has passed, which can no longer delay anything.
+//! The fabric's one table — per-path FIFO floors — holds what is in
+//! flight, not every path a run ever used: a fabric that is told the
+//! simulation clock ([`Fabric::advance`]) forgets floors the clock has
+//! passed, which can no longer delay anything.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use sesame_sim::{DetRng, SimDur, SimTime};
+use sesame_sim::{DetRng, SimTime};
 
-use crate::{LinkId, LinkTiming, NodeId, RouteRef, SpanningTree, Topology};
-
-/// How the fabric accounts for link occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContentionModel {
-    /// Contention-free cut-through delivery (the paper's model).
-    #[default]
-    None,
-    /// Store-and-forward with FIFO queueing on every directed link.
-    StoreAndForward,
-}
+use crate::{LinkTiming, NodeId, RouteRef, SpanningTree, Topology};
 
 /// Traffic accounting for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,48 +102,29 @@ impl<K: Copy + Eq + Hash> Expiring<K> {
 #[derive(Debug)]
 pub struct Fabric {
     timing: LinkTiming,
-    contention: ContentionModel,
     loss_probability: f64,
     /// The simulation clock as last reported through [`Fabric::advance`];
     /// zero on a fabric nobody advances.
     clock: SimTime,
-    /// Per-link instant at which the link is free again (store-and-forward
-    /// only).
-    busy_until: Expiring<LinkId>,
     /// Per-(src, dst) last delivery time: packets on the same path never
     /// overtake earlier ones (same routing priority), even when a shorter
     /// serialization would otherwise let them.
     path_fifo: Expiring<(NodeId, NodeId)>,
     rng: DetRng,
     stats: FabricStats,
-    /// Per-position arrival-time scratch reused across multicasts, so the
-    /// steady-state dispatch path performs no per-call allocation.
-    arrival_scratch: Vec<SimTime>,
-    /// Path scratch reused across unicasts, for the same reason: one
-    /// protocol message = one unicast, and routes must not allocate.
-    route_scratch: Vec<LinkId>,
 }
 
 impl Fabric {
-    /// Creates a contention-free, loss-free fabric with the given timing.
+    /// Creates a loss-free fabric with the given timing.
     pub fn new(timing: LinkTiming) -> Self {
         Fabric {
             timing,
-            contention: ContentionModel::None,
             loss_probability: 0.0,
             clock: SimTime::ZERO,
-            busy_until: Expiring::new(),
             path_fifo: Expiring::new(),
             rng: DetRng::new(0x5e5a_11e7),
             stats: FabricStats::default(),
-            arrival_scratch: Vec::new(),
-            route_scratch: Vec::new(),
         }
-    }
-
-    /// Selects the contention model.
-    pub fn set_contention(&mut self, model: ContentionModel) {
-        self.contention = model;
     }
 
     /// Sets the per-delivery loss probability (clamped to `[0, 1]`)
@@ -170,9 +137,9 @@ impl Fabric {
     /// Tells the fabric the simulation clock. Sends must never leave
     /// before it (`now >= clock` on every later call, which an event
     /// engine's non-decreasing clock gives for free); in exchange the
-    /// fabric forgets FIFO floors and link occupancy the clock has passed.
-    /// That is unobservable: a packet arrives no earlier than it leaves, so
-    /// a floor at or before the clock can never bind again.
+    /// fabric forgets FIFO floors the clock has passed. That is
+    /// unobservable: a packet arrives no earlier than it leaves, so a
+    /// floor at or before the clock can never bind again.
     ///
     /// Pass the current instant, not a send instant that runs ahead of it.
     /// A fabric that is never advanced keeps everything.
@@ -189,14 +156,6 @@ impl Fabric {
     /// The link timing in use.
     pub fn timing(&self) -> LinkTiming {
         self.timing
-    }
-
-    /// The contention model in use. The `sesame-check` explorer requires
-    /// [`ContentionModel::None`]: store-and-forward queueing couples all
-    /// senders through shared link-occupancy state, which would invalidate
-    /// its target-node independence relation.
-    pub fn contention(&self) -> ContentionModel {
-        self.contention
     }
 
     /// The per-delivery loss probability. The `sesame-check`
@@ -223,23 +182,29 @@ impl Fabric {
         }
     }
 
-    /// Bills `links` link traversals of a packet that serializes in `ser`.
-    fn bill_links(&mut self, links: u64, ser: SimDur) {
+    /// When a packet multicast at `now` reaches a member `depth` hops from
+    /// the root: the root's own echo (depth 0) is local and immediate, and
+    /// depth `d` costs one serialization plus `d` hop latencies — the root
+    /// clocks the packet out once, then the wavefront advances one hop
+    /// latency per edge.
+    pub fn arrival(&self, now: SimTime, depth: u32, bytes: u32) -> SimTime {
+        match depth {
+            0 => now,
+            d => now + self.timing.transfer(d, bytes),
+        }
+    }
+
+    /// Bills one packet of `bytes` that crosses `links` links, each
+    /// occupied for one serialization time.
+    fn bill(&mut self, bytes: u32, links: u64) {
+        self.stats.packets += 1;
+        self.stats.bytes += u64::from(bytes);
         self.stats.link_traversals += links;
-        self.stats.ser_ns += links * ser.as_nanos();
+        self.stats.ser_ns += links * self.timing.serialization(bytes).as_nanos();
     }
 
-    /// Store-and-forward over one link: a packet ready at `t` waits for the
-    /// link to free, occupies it for `ser`, then pays the hop latency.
-    /// Returns its arrival at the link's far end.
-    fn occupy(&mut self, link: LinkId, t: SimTime, ser: SimDur) -> SimTime {
-        let busy = self.busy_until.slot(link, self.clock);
-        let start = t.max(*busy);
-        *busy = start + ser;
-        start + ser + self.timing.hop_latency
-    }
-
-    /// Sends `bytes` from `src` to `dst`, returning the arrival time.
+    /// Sends `bytes` from `src` to `dst`, returning the arrival time: one
+    /// serialization plus a hop latency per link of the shortest path.
     ///
     /// A zero-hop send (to self) arrives after one serialization delay.
     pub fn unicast(
@@ -251,31 +216,9 @@ impl Fabric {
         bytes: u32,
     ) -> SimTime {
         debug_assert!(now >= self.clock, "a send leaves before the clock");
-        self.stats.packets += 1;
-        self.stats.bytes += bytes as u64;
-        let ser = self.timing.serialization(bytes);
-        let raw = if src == dst {
-            now + ser
-        } else {
-            match self.contention {
-                // Cut-through: one serialization plus a hop latency per
-                // link. Only the path's length matters, and every topology
-                // knows that without walking the path.
-                ContentionModel::None => {
-                    let hops = u64::from(topo.hops(src, dst));
-                    self.bill_links(hops, ser);
-                    now + ser + self.timing.hop_latency * hops
-                }
-                ContentionModel::StoreAndForward => {
-                    let mut links = std::mem::take(&mut self.route_scratch);
-                    topo.route_into(src, dst, &mut links);
-                    self.bill_links(links.len() as u64, ser);
-                    let t = links.iter().fold(now, |t, &l| self.occupy(l, t, ser));
-                    self.route_scratch = links;
-                    t
-                }
-            }
-        };
+        let hops = topo.hops(src, dst);
+        self.bill(bytes, u64::from(hops));
+        let raw = now + self.timing.transfer(hops, bytes);
         // Per-path FIFO: never deliver before an earlier packet on the
         // same (src, dst) path.
         let floor = self.path_fifo.slot((src, dst), self.clock);
@@ -284,28 +227,15 @@ impl Fabric {
     }
 
     /// Propagates one packet down a group's spanning tree from its root,
-    /// returning the arrival time at every requested member.
+    /// writing the arrival time at every requested member into a
+    /// caller-provided buffer (cleared first).
     ///
     /// Each tree edge is traversed once no matter how many members sit below
-    /// it — the bandwidth advantage of tree multicast over unicast fan-out.
-    /// The root itself "receives" at `now` if it is in `members`.
-    pub fn multicast(
-        &mut self,
-        now: SimTime,
-        tree: &SpanningTree,
-        bytes: u32,
-        members: &[NodeId],
-    ) -> Vec<(NodeId, SimTime)> {
-        let mut out = Vec::with_capacity(members.len());
-        self.multicast_into(now, tree, bytes, members, &mut out);
-        out
-    }
-
-    /// Like [`Fabric::multicast`], but writes the arrival list into a
-    /// caller-provided buffer (cleared first) instead of allocating one —
-    /// the dispatch hot path reuses a single buffer across every fan-out.
-    /// The walk reads the tree's borrowed BFS order, so once the buffers
-    /// have reached their sizes a cut-through fan-out allocates nothing.
+    /// it — the bandwidth advantage of tree multicast over unicast fan-out —
+    /// so the call bills `tree.len() − 1` link traversals. A member arrives
+    /// at its [`SpanningTree::depth`] ([`Fabric::arrival`]); the root itself
+    /// "receives" at `now` if it is in `members`. Nothing is allocated once
+    /// `out` has reached its size.
     pub fn multicast_into(
         &mut self,
         now: SimTime,
@@ -315,62 +245,24 @@ impl Fabric {
         out: &mut Vec<(NodeId, SimTime)>,
     ) {
         debug_assert!(now >= self.clock, "a send leaves before the clock");
-        self.stats.packets += 1;
-        self.stats.bytes += bytes as u64;
-        // Arrival time per position, computed in BFS order so parents are
-        // final before children. The scratch is a fabric field: steady
-        // state re-fills it in place.
-        self.arrival_scratch.clear();
-        self.arrival_scratch.resize(tree.len(), SimTime::MAX);
-        let ser = self.timing.serialization(bytes);
-        self.arrival_scratch[tree.root().index()] = now;
-        for &pos in tree.bfs_order() {
-            let t_here = self.arrival_scratch[pos.index()];
-            for &child in tree.children(pos) {
-                self.stats.link_traversals += 1;
-                self.stats.ser_ns += ser.as_nanos();
-                self.arrival_scratch[child.index()] = match self.contention {
-                    // Cut-through: the root clocks the packet out once, then
-                    // the wavefront advances one hop latency per tree edge.
-                    ContentionModel::None => {
-                        let base = if pos == tree.root() {
-                            t_here + ser
-                        } else {
-                            t_here
-                        };
-                        base + self.timing.hop_latency
-                    }
-                    // Store-and-forward: every tree edge re-serializes and
-                    // queues behind earlier traffic on that link.
-                    ContentionModel::StoreAndForward => {
-                        self.occupy(LinkId::between(pos, child), t_here, ser)
-                    }
-                };
-            }
-        }
+        self.bill(bytes, tree.len() as u64 - 1);
         out.clear();
         out.extend(
             members
                 .iter()
-                .map(|&m| (m, self.arrival_scratch[m.index()])),
+                .map(|&m| (m, self.arrival(now, tree.depth(m), bytes))),
         );
     }
 
-    /// Floods one packet from `root` to every position of `topo` under
-    /// cut-through timing, returning the arrival time at every requested
-    /// member without building or walking a tree.
+    /// Floods one packet from `root` to every position of `topo`, returning
+    /// the arrival time at every requested member without building a tree.
     ///
-    /// Cut-through arrival depends only on a member's shortest-path depth,
-    /// which is [`Topology::hops`] from the root, so a member arrives at
-    /// `now + transfer(hops)` and the root's echo at `now` — what
-    /// [`Fabric::multicast_into`] computes over a [`SpanningTree`] from
-    /// `root`. The counters are billed as that walk bills them: one packet,
-    /// and each of the `positions − 1` tree edges traversed once. Work is
-    /// `O(members)`. The arrival list is written into the caller's buffer
-    /// (cleared first).
-    ///
-    /// Store-and-forward links queue per tree edge, so a flood over them
-    /// needs the tree and [`Fabric::multicast_into`].
+    /// A member's depth in a breadth-first tree from `root` is its
+    /// shortest-path distance, [`Topology::hops`], so this equals
+    /// [`Fabric::multicast_into`] over a [`SpanningTree`] from `root`, and
+    /// bills as it does: one packet, and each of the `positions − 1` tree
+    /// edges traversed once. Work is `O(members)`. The arrival list is
+    /// written into the caller's buffer (cleared first).
     pub fn flood_into(
         &mut self,
         now: SimTime,
@@ -381,25 +273,13 @@ impl Fabric {
         out: &mut Vec<(NodeId, SimTime)>,
     ) {
         debug_assert!(now >= self.clock, "a send leaves before the clock");
-        debug_assert_eq!(
-            self.contention,
-            ContentionModel::None,
-            "a store-and-forward flood walks its tree"
-        );
-        self.stats.packets += 1;
-        self.stats.bytes += bytes as u64;
-        self.bill_links(
-            topo.positions() as u64 - 1,
-            self.timing.serialization(bytes),
-        );
+        self.bill(bytes, topo.positions() as u64 - 1);
         out.clear();
-        out.extend(members.iter().map(|&m| {
-            let at = match topo.hops(root, m) {
-                0 => now,
-                hops => now + self.timing.transfer(hops, bytes),
-            };
-            (m, at)
-        }));
+        out.extend(
+            members
+                .iter()
+                .map(|&m| (m, self.arrival(now, topo.hops(root, m), bytes))),
+        );
     }
 
     /// Propagates one packet down a member-pruned route — a
@@ -407,18 +287,12 @@ impl Fabric {
     /// [`RouteRef`] out of a [`RouteArena`](crate::RouteArena) —
     /// producing arrival times in the route's declared member order.
     ///
-    /// Semantics match [`Fabric::multicast`] over the full spanning tree —
-    /// under cut-through timing each member's arrival depends only on its
-    /// shortest-path depth, so the two produce identical arrival lists —
-    /// but only the pruned edge set is traversed (and billed to
-    /// [`FabricStats::link_traversals`] / [`FabricStats::ser_ns`]): work is
-    /// `O(route nodes)` instead of `O(topology positions)`. The root
-    /// "receives" its own echo at `now`. The arrival list is written into
-    /// the caller's buffer (cleared first), as [`Fabric::multicast_into`]
-    /// does. A route shared by several groups is stored once, in offsets
-    /// from the root; the walk places positions only for store-and-forward
-    /// links and for the members it lists, and cut-through timing needs
-    /// none.
+    /// A member's route depth is its shortest-path depth, so the arrival
+    /// list equals [`Fabric::multicast_into`]'s over the full spanning
+    /// tree, but only the pruned edge set is billed to
+    /// [`FabricStats::link_traversals`] / [`FabricStats::ser_ns`]. Work is
+    /// `O(members)`. The root "receives" its own echo at `now`. The arrival
+    /// list is written into the caller's buffer (cleared first).
     pub fn multicast_route_into<'r>(
         &mut self,
         now: SimTime,
@@ -429,49 +303,21 @@ impl Fabric {
         debug_assert!(now >= self.clock, "a send leaves before the clock");
         let route = route.into();
         self.bill_multicast_route(route, bytes);
-        let ser = self.timing.serialization(bytes);
-        // Local index 0 is the root; every parent precedes its children, so
-        // one forward pass finalizes arrivals wave by wave.
-        self.arrival_scratch.clear();
-        self.arrival_scratch.push(now);
-        for i in 1..route.len() {
-            let p = route.parent_of(i);
-            let t_here = self.arrival_scratch[p];
-            let at = match self.contention {
-                // Cut-through: the root clocks the packet out once, then the
-                // wavefront advances one hop latency per route edge.
-                ContentionModel::None => {
-                    let base = if p == 0 { t_here + ser } else { t_here };
-                    base + self.timing.hop_latency
-                }
-                // Store-and-forward: every route edge re-serializes and
-                // queues behind earlier traffic on that link.
-                ContentionModel::StoreAndForward => {
-                    self.occupy(LinkId::between(route.node(p), route.node(i)), t_here, ser)
-                }
-            };
-            self.arrival_scratch.push(at);
-        }
         out.clear();
         out.extend(
             route
                 .member_indices()
-                .map(|i| (route.node(i), self.arrival_scratch[i])),
+                .map(|i| (route.node(i), self.arrival(now, route.depth_of(i), bytes))),
         );
     }
 
     /// Bills one multicast over `route` to the traffic counters without
     /// computing arrival times: exactly the accounting
     /// [`Fabric::multicast_route_into`] performs (one packet, every pruned
-    /// edge traversed once). The dispatch fast path uses this when arrivals
-    /// are determined by the route's precomputed waves alone — i.e. under
-    /// cut-through timing, where a member's arrival is a pure function of
-    /// its hop depth.
+    /// edge traversed once). The dispatch fast path uses this when the
+    /// route's precomputed waves carry the arrivals.
     pub fn bill_multicast_route<'r>(&mut self, route: impl Into<RouteRef<'r>>, bytes: u32) {
-        self.stats.packets += 1;
-        self.stats.bytes += bytes as u64;
-        let ser = self.timing.serialization(bytes);
-        self.bill_links(route.into().edge_count() as u64, ser);
+        self.bill(bytes, route.into().edge_count() as u64);
     }
 }
 
@@ -480,6 +326,7 @@ mod tests {
     use super::*;
     use crate::tree::reference::{shapes, ReferenceTree};
     use crate::{FullMesh, Line, MeshTorus2d, Ring};
+    use sesame_sim::SimDur;
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
@@ -507,35 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn store_and_forward_queues_on_shared_link() {
-        let topo = Line::new(3);
-        let mut f = paper_fabric();
-        f.set_contention(ContentionModel::StoreAndForward);
-        // Two simultaneous packets over the same 0->1 link: the second waits
-        // for the first's serialization.
-        let a = f.unicast(SimTime::ZERO, &topo, n(0), n(1), 125);
-        let b = f.unicast(SimTime::ZERO, &topo, n(0), n(1), 125);
-        assert_eq!(a, SimTime::from_nanos(1_200));
-        assert_eq!(b, SimTime::from_nanos(2_200));
-    }
-
-    #[test]
-    fn store_and_forward_accumulates_per_hop_serialization() {
-        let topo = Line::new(3);
-        let mut f = paper_fabric();
-        f.set_contention(ContentionModel::StoreAndForward);
-        // 2 hops: each hop costs ser + latency when idle.
-        let arr = f.unicast(SimTime::ZERO, &topo, n(0), n(2), 125);
-        assert_eq!(arr, SimTime::from_nanos(2 * (1_000 + 200)));
-    }
-
-    #[test]
     fn multicast_arrival_matches_tree_depth() {
         let topo = MeshTorus2d::new(4, 4);
         let tree = SpanningTree::build(&topo, n(5));
         let mut f = paper_fabric();
         let members: Vec<NodeId> = (0..16).map(n).collect();
-        let arrivals = f.multicast(SimTime::ZERO, &tree, 125, &members);
+        let mut arrivals = Vec::new();
+        f.multicast_into(SimTime::ZERO, &tree, 125, &members, &mut arrivals);
         for (m, t) in arrivals {
             let expect = if m == n(5) {
                 SimTime::ZERO
@@ -552,7 +377,7 @@ mod tests {
         let tree = SpanningTree::build(&topo, n(0));
         let mut f = paper_fabric();
         let members: Vec<NodeId> = (0..8).map(n).collect();
-        f.multicast(SimTime::ZERO, &tree, 64, &members);
+        f.multicast_into(SimTime::ZERO, &tree, 64, &members, &mut Vec::new());
         // A ring spanning tree has exactly 7 edges.
         assert_eq!(f.stats().link_traversals, 7);
         assert_eq!(f.stats().packets, 1);
@@ -565,7 +390,7 @@ mod tests {
         let members: Vec<NodeId> = (1..16).map(n).collect();
 
         let mut mc = paper_fabric();
-        mc.multicast(SimTime::ZERO, &tree, 64, &members);
+        mc.multicast_into(SimTime::ZERO, &tree, 64, &members, &mut Vec::new());
 
         let mut uc = paper_fabric();
         for &m in &members {
@@ -612,7 +437,8 @@ mod tests {
     }
 
     /// The fan-out over the reference tree: a fresh BFS order per call,
-    /// then the same per-edge timing and billing.
+    /// then a per-edge walk — the root clocks the packet out once, and
+    /// the wavefront advances one hop latency per tree edge, billing each.
     fn reference_multicast(
         f: &mut Fabric,
         now: SimTime,
@@ -627,25 +453,44 @@ mod tests {
         arrival[tree.root.index()] = now;
         for pos in tree.bfs_order() {
             let t_here = arrival[pos.index()];
+            let base = if pos == tree.root {
+                t_here + ser
+            } else {
+                t_here
+            };
             for &child in &tree.children[pos.index()] {
                 f.stats.link_traversals += 1;
                 f.stats.ser_ns += ser.as_nanos();
-                arrival[child.index()] = match f.contention {
-                    ContentionModel::None => {
-                        let base = if pos == tree.root {
-                            t_here + ser
-                        } else {
-                            t_here
-                        };
-                        base + f.timing.hop_latency
-                    }
-                    ContentionModel::StoreAndForward => {
-                        f.occupy(LinkId::between(pos, child), t_here, ser)
-                    }
-                };
+                arrival[child.index()] = base + f.timing.hop_latency;
             }
         }
         members.iter().map(|&m| (m, arrival[m.index()])).collect()
+    }
+
+    /// The fan-out over a pruned route as an edge-by-edge walk: local
+    /// index 0 is the root and parents precede children, so one forward
+    /// pass finalizes every arrival, billing each route edge once.
+    fn reference_route_multicast(
+        f: &mut Fabric,
+        now: SimTime,
+        route: RouteRef<'_>,
+        bytes: u32,
+    ) -> Vec<(NodeId, SimTime)> {
+        f.stats.packets += 1;
+        f.stats.bytes += bytes as u64;
+        let ser = f.timing.serialization(bytes);
+        let mut arrival = vec![now];
+        for i in 1..route.len() {
+            let p = route.parent_of(i);
+            let base = if p == 0 { arrival[p] + ser } else { arrival[p] };
+            f.stats.link_traversals += 1;
+            f.stats.ser_ns += ser.as_nanos();
+            arrival.push(base + f.timing.hop_latency);
+        }
+        route
+            .member_indices()
+            .map(|i| (route.node(i), arrival[i]))
+            .collect()
     }
 
     #[test]
@@ -660,10 +505,8 @@ mod tests {
         for topo in &topos {
             let topo = topo.as_ref();
             let positions = topo.positions() as u64;
-            for contention in [ContentionModel::None, ContentionModel::StoreAndForward] {
-                let (mut flat, mut nested) = (paper_fabric(), paper_fabric());
-                flat.set_contention(contention);
-                nested.set_contention(contention);
+            for timing in [LinkTiming::paper_1994(), LinkTiming::zero_delay()] {
+                let (mut flat, mut nested) = (Fabric::new(timing), Fabric::new(timing));
                 let mut out = Vec::new();
                 let mut now = SimTime::ZERO;
                 for call in 0..24 {
@@ -682,9 +525,41 @@ mod tests {
                         bytes,
                         &members,
                     );
-                    assert_eq!(out, want, "call {call}, {contention:?}, {topo:?}");
-                    assert_eq!(flat.stats(), nested.stats(), "call {call}, {contention:?}");
-                    // Close enough together that store-and-forward queues.
+                    assert_eq!(out, want, "call {call}, {timing:?}, {topo:?}");
+                    assert_eq!(flat.stats(), nested.stats(), "call {call}, {timing:?}");
+                    now += SimDur::from_nanos(rng.next_below(2_000));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_route_depth_lookup_equals_the_parent_walk() {
+        let topos: [Box<dyn Topology>; 4] = [
+            Box::new(MeshTorus2d::with_nodes(128)),
+            Box::new(Ring::new(9)),
+            Box::new(Line::new(7)),
+            Box::new(FullMesh::new(65)),
+        ];
+        let mut rng = DetRng::new(0x207E_DA7A);
+        for topo in &topos {
+            let topo = topo.as_ref();
+            let positions = topo.positions() as u64;
+            for timing in [LinkTiming::paper_1994(), LinkTiming::zero_delay()] {
+                let (mut looked_up, mut walked) = (Fabric::new(timing), Fabric::new(timing));
+                let (mut got, mut now) = (Vec::new(), SimTime::ZERO);
+                for call in 0..24 {
+                    let root = n(rng.next_below(positions) as u32);
+                    let members: Vec<NodeId> = (0..positions as u32)
+                        .map(n)
+                        .filter(|_| rng.chance(0.3))
+                        .collect();
+                    let bytes = 16 + rng.next_below(200) as u32;
+                    let route = crate::MulticastRoute::build(topo, root, &members);
+                    looked_up.multicast_route_into(now, &route, bytes, &mut got);
+                    let want = reference_route_multicast(&mut walked, now, route.view(), bytes);
+                    assert_eq!(got, want, "call {call}, {timing:?}, {topo:?}");
+                    assert_eq!(looked_up.stats(), walked.stats(), "call {call}, {timing:?}");
                     now += SimDur::from_nanos(rng.next_below(2_000));
                 }
             }
@@ -728,48 +603,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_store_and_forward_flood_over_cached_trees_equals_fresh_trees() {
-        // The machine builds one tree per root and keeps it; a store-and-
-        // forward flood over the kept tree must queue exactly as over a
-        // tree built for the call.
-        let topo = MeshTorus2d::with_nodes(128);
-        let positions = topo.positions() as u64;
-        let mut rng = DetRng::new(0x5AF0_7EE5);
-        let (mut cached, mut fresh) = (paper_fabric(), paper_fabric());
-        cached.set_contention(ContentionModel::StoreAndForward);
-        fresh.set_contention(ContentionModel::StoreAndForward);
-        let mut trees = HashMap::new();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        let mut now = SimTime::ZERO;
-        for call in 0..400 {
-            let root = n(rng.next_below(8) as u32 * 16);
-            let members: Vec<NodeId> = (0..positions as u32)
-                .map(n)
-                .filter(|_| rng.chance(0.3))
-                .collect();
-            let bytes = 16 + rng.next_below(200) as u32;
-            cached.advance(now);
-            fresh.advance(now);
-            let tree = trees
-                .entry(root)
-                .or_insert_with(|| SpanningTree::build(&topo, root));
-            cached.multicast_into(now, tree, bytes, &members, &mut got);
-            fresh.multicast_into(
-                now,
-                &SpanningTree::build(&topo, root),
-                bytes,
-                &members,
-                &mut want,
-            );
-            assert_eq!(got, want, "call {call}");
-            assert_eq!(cached.stats(), fresh.stats(), "call {call}");
-            // Close enough together that links queue.
-            now += SimDur::from_nanos(rng.next_below(2_000));
-        }
-        assert_eq!(trees.len(), 8);
     }
 
     /// The `i`-th distinct ordered pair of a `nodes`-wide full mesh.

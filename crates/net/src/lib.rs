@@ -15,12 +15,9 @@
 //! let topo = MeshTorus2d::with_nodes(9);
 //! let tree = SpanningTree::build(&topo, NodeId::new(4));
 //! let mut fabric = Fabric::new(LinkTiming::paper_1994());
-//! let arrivals = fabric.multicast(
-//!     SimTime::ZERO,
-//!     &tree,
-//!     64,
-//!     &[NodeId::new(0), NodeId::new(8)],
-//! );
+//! let mut arrivals = Vec::new();
+//! let members = [NodeId::new(0), NodeId::new(8)];
+//! fabric.multicast_into(SimTime::ZERO, &tree, 64, &members, &mut arrivals);
 //! assert_eq!(arrivals.len(), 2);
 //! ```
 
@@ -36,7 +33,7 @@ mod topology;
 mod tree;
 
 pub use causal::{CauseAlloc, CauseId};
-pub use fabric::{ContentionModel, Fabric, FabricStats};
+pub use fabric::{Fabric, FabricStats};
 pub use link::LinkTiming;
 pub use mroute::{MulticastRoute, RouteArena, RouteRef};
 pub use node::{LinkId, NodeId};

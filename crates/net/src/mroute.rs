@@ -51,8 +51,9 @@
 //!   [`Frame`]).
 //! * Under cut-through timing (the paper's model) a member's arrival time
 //!   depends only on its hop depth, and every route is a shortest path — so
-//!   arrival times equal what [`Fabric::multicast`](crate::Fabric::multicast)
-//!   computes over the full BFS tree. Only the *traffic accounting*
+//!   arrival times equal what
+//!   [`Fabric::multicast_into`](crate::Fabric::multicast_into) computes
+//!   over the full BFS tree. Only the *traffic accounting*
 //!   differs: the pruned route traverses (and bills) only edges that lead
 //!   to members, while the full tree floods every position.
 
@@ -185,7 +186,8 @@ impl<'a> RouteRef<'a> {
 
     /// The members' local indices in declared member order — the order
     /// arrival lists are produced in, mirroring
-    /// [`Fabric::multicast`](crate::Fabric::multicast)'s member order.
+    /// [`Fabric::multicast_into`](crate::Fabric::multicast_into)'s member
+    /// order.
     pub fn member_indices(self) -> impl ExactSizeIterator<Item = usize> + 'a {
         self.members.iter().map(|&i| i as usize)
     }
@@ -671,9 +673,7 @@ fn hash(key: impl Iterator<Item = u32>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        ContentionModel, Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, Ring, SpanningTree,
-    };
+    use crate::{Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, Ring, SpanningTree};
     use sesame_sim::{DetRng, SimDur, SimTime};
 
     fn n(id: u32) -> NodeId {
@@ -726,7 +726,8 @@ mod tests {
             let route = MulticastRoute::build(topo, root, &members);
 
             let mut full = Fabric::new(LinkTiming::paper_1994());
-            let want = full.multicast(SimTime::ZERO, &tree, 125, &members);
+            let mut want = Vec::new();
+            full.multicast_into(SimTime::ZERO, &tree, 125, &members, &mut want);
             let mut pruned = Fabric::new(LinkTiming::paper_1994());
             let mut got = Vec::new();
             pruned.multicast_route_into(SimTime::ZERO, &route, 125, &mut got);
@@ -1178,17 +1179,11 @@ mod tests {
                 assert!(arena.shapes.len() < groups.len(), "{topo:?} shares nothing");
             }
 
-            // The same multicasts over both, in one shuffled order, close
-            // enough together that store-and-forward queues.
+            // The same multicasts over both, in one shuffled order.
             let mut order: Vec<usize> = (0..groups.len()).collect();
             rng.shuffle(&mut order);
-            for contention in [ContentionModel::None, ContentionModel::StoreAndForward] {
-                let (mut framed, mut reference) = (
-                    Fabric::new(LinkTiming::paper_1994()),
-                    Fabric::new(LinkTiming::paper_1994()),
-                );
-                framed.set_contention(contention);
-                reference.set_contention(contention);
+            for timing in [LinkTiming::paper_1994(), LinkTiming::zero_delay()] {
+                let (mut framed, mut reference) = (Fabric::new(timing), Fabric::new(timing));
                 let (mut got, mut want) = (Vec::new(), Vec::new());
                 let mut now = SimTime::ZERO;
                 for &g in &order {
@@ -1196,8 +1191,8 @@ mod tests {
                     let route = arena.get(g).expect("built");
                     framed.multicast_route_into(now, route, bytes, &mut got);
                     reference.multicast_route_into(now, &absolute[g], bytes, &mut want);
-                    assert_eq!(got, want, "{topo:?} {contention:?} group {g}");
-                    assert_eq!(framed.stats(), reference.stats(), "{topo:?} {contention:?}");
+                    assert_eq!(got, want, "{topo:?} {timing:?} group {g}");
+                    assert_eq!(framed.stats(), reference.stats(), "{topo:?} {timing:?}");
                     now += SimDur::from_nanos(rng.next_below(2_000));
                 }
             }

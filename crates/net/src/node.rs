@@ -48,8 +48,9 @@ impl fmt::Display for NodeId {
 
 /// Identifies one *directed* link between adjacent positions.
 ///
-/// Equal values denote the same physical channel direction, which is what
-/// the contention model keys its busy-until bookkeeping on.
+/// Equal values denote the same physical channel direction: the steps of
+/// [`Topology::route_into`](crate::Topology::route_into), from which
+/// multicast routes are unioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(u64);
 

@@ -17,8 +17,8 @@ use crate::{NodeId, Topology};
 /// children one after another, so they are contiguous in the order and
 /// [`children`](Self::children) and [`bfs_order`](Self::bfs_order) are both
 /// borrowed slices. A tree holds 20 bytes per position in four
-/// allocations, and walking it (as [`Fabric::multicast_into`] does)
-/// allocates nothing.
+/// allocations, and a fan-out over it ([`Fabric::multicast_into`] reads
+/// each member's [`depth`](Self::depth)) allocates nothing.
 ///
 /// [`Fabric::multicast_into`]: crate::Fabric::multicast_into
 ///

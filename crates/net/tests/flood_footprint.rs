@@ -3,9 +3,9 @@
 //! distances without one — touches the heap zero times.
 //!
 //! The shape is Fig. 8's largest point: 128 nodes on a 12 x 11 mesh, 132
-//! positions. On store-and-forward links a machine caches one such tree
-//! per hand-off root, so the bytes per position are what such a point
-//! pays for its trees; on cut-through links it builds none.
+//! positions. A machine builds no tree (its flood reads hop distances),
+//! but the ledger's tree benchmark and a caller of
+//! [`Fabric::multicast_into`] pay these bytes per position.
 
 use sesame_alloc_probe::{allocations, live_bytes, CountingAlloc};
 use sesame_net::{Fabric, LinkTiming, MeshTorus2d, NodeId, SpanningTree, Topology};
@@ -38,8 +38,8 @@ fn a_warmed_flood_fan_out_allocates_nothing() {
     let members: Vec<NodeId> = (0..128).map(NodeId::new).collect();
     let mut fabric = Fabric::new(LinkTiming::paper_1994());
     let mut out = Vec::new();
-    // Warm-up: the fabric's arrival scratch and the caller's buffer reach
-    // their sizes.
+    // Warm-up: the caller's buffer reaches its size; the fabric keeps no
+    // scratch for this fan-out.
     fabric.multicast_into(SimTime::ZERO, &tree, 16, &members, &mut out);
 
     let before = allocations();

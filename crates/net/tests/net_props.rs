@@ -1,15 +1,14 @@
 //! Randomized tests of the interconnect layer over every topology: route
 //! validity, hop symmetry, spanning-tree shortest paths, fabric timing
-//! monotonicity, per-link FIFO under store-and-forward contention, and
-//! the unobservability of expiring FIFO floors.
+//! monotonicity, and the unobservability of expiring FIFO floors.
 //!
 //! Cases are drawn from the kernel's own deterministic [`DetRng`] so the
 //! suite needs no external property-testing crate and replays identically
 //! on every run.
 
 use sesame_net::{
-    ContentionModel, Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, MulticastRoute, NodeId, Ring,
-    SpanningTree, Topology,
+    Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, MulticastRoute, NodeId, Ring, SpanningTree,
+    Topology,
 };
 use sesame_sim::{DetRng, SimDur, SimTime};
 
@@ -112,39 +111,6 @@ fn fabric_timing_is_monotone() {
     }
 }
 
-/// Under store-and-forward contention, packets entering the same first
-/// link in order leave in order (per-link FIFO), and contention never
-/// makes anything *faster* than the contention-free model.
-#[test]
-fn store_and_forward_is_fifo_and_never_faster() {
-    let mut rng = DetRng::new(0xF1F0);
-    for _ in 0..48 {
-        let nodes = rng.next_range(3, 11) as usize;
-        let count = rng.next_range(1, 29) as usize;
-        let mut sends: Vec<(u64, u32)> = (0..count)
-            .map(|_| (rng.next_below(5_000), rng.next_range(1, 1_999) as u32))
-            .collect();
-        sends.sort_by_key(|&(t, _)| t);
-        let topo = Line::new(nodes);
-        let dst = n(nodes as u32 - 1);
-        let timing = LinkTiming::paper_1994();
-        let mut contended = Fabric::new(timing);
-        contended.set_contention(ContentionModel::StoreAndForward);
-        let mut arrivals = Vec::new();
-        for &(t, bytes) in &sends {
-            let now = SimTime::from_nanos(t);
-            let arr = contended.unicast(now, &topo, n(0), dst, bytes);
-            let mut free = Fabric::new(timing);
-            let free_arr = free.unicast(now, &topo, n(0), dst, bytes);
-            assert!(arr >= free_arr, "contention made delivery faster");
-            arrivals.push(arr);
-        }
-        for w in arrivals.windows(2) {
-            assert!(w[0] <= w[1], "per-link FIFO violated: {w:?}");
-        }
-    }
-}
-
 /// Multicast arrivals are ordered by tree depth and each member's
 /// arrival is no earlier than a direct unicast could make it.
 #[test]
@@ -159,7 +125,8 @@ fn multicast_arrivals_follow_tree_depth() {
         let tree = SpanningTree::build(topo.as_ref(), root);
         let members: Vec<NodeId> = (0..topo.len() as u32).map(n).collect();
         let mut f = Fabric::new(LinkTiming::paper_1994());
-        let arrivals = f.multicast(SimTime::ZERO, &tree, bytes, &members);
+        let mut arrivals = Vec::new();
+        f.multicast_into(SimTime::ZERO, &tree, bytes, &members, &mut arrivals);
         assert_eq!(arrivals.len(), members.len());
         for (m, at) in &arrivals {
             if *m == root {
@@ -177,8 +144,7 @@ fn multicast_arrivals_follow_tree_depth() {
 /// A fabric that is told the clock and forgets what the clock has passed
 /// computes exactly what a fabric that remembers everything computes:
 /// same arrival for every unicast and every multicast member, same
-/// traffic counters — on every topology, under both contention models,
-/// with mixed packet sizes (so FIFO floors bind), self-sends, and send
+/// traffic counters — on every topology, with mixed packet sizes (so FIFO floors bind), self-sends, and send
 /// instants that run ahead of the clock.
 #[test]
 fn expiring_fabric_matches_one_that_never_forgets() {
@@ -188,15 +154,8 @@ fn expiring_fabric_matches_one_that_never_forgets() {
         let kind = (case % 4) as u8;
         let nodes = rng.next_range(2, 41) as usize;
         let topo = make_topology(kind, nodes);
-        let contention = if case % 2 == 0 {
-            ContentionModel::None
-        } else {
-            ContentionModel::StoreAndForward
-        };
         let mut expiring = Fabric::new(LinkTiming::paper_1994());
         let mut keeping = Fabric::new(LinkTiming::paper_1994());
-        expiring.set_contention(contention);
-        keeping.set_contention(contention);
         // Most traffic stays among three nodes, so packets follow each
         // other down the same paths closely enough for floors to bind; the
         // rest roams the machine, and its one-off paths are what fills the

@@ -575,7 +575,7 @@ mod tests {
     #[test]
     fn machine_build_is_cheap_without_runs() {
         // Lazy routing structures: assembling a (scaled-down stand-in for
-        // the) large machine allocates no spanning trees at all.
+        // the) large machine builds no routes at all.
         let machine = build_bigmesh_machine(tiny(2_000));
         assert_eq!(machine.node_count(), 2_000);
         assert!(machine.groups().len() > 2_000, "O(N) groups materialized");

@@ -350,7 +350,6 @@ impl Scenario {
             let options = RunOptions {
                 tracing,
                 event_limit,
-                ..RunOptions::default()
             };
             run_observed(machine, options, observer)
         };

@@ -80,12 +80,6 @@ pub struct TaskQueueConfig {
     pub stagger_max: SimDur,
     /// Link timing.
     pub timing: LinkTiming,
-    /// Model per-link FIFO queueing (store-and-forward). On by default for
-    /// this workload: entry consistency's poll fetches converge on the
-    /// lock owner, and the resulting hot-spot queueing is the "network
-    /// traffic and delays" the paper charges it with. Tree multicast keeps
-    /// GWC's per-write traffic bounded.
-    pub contention: bool,
     /// Software protocol-handler time for entry consistency. Sesame's GWC
     /// runs in dedicated sharing hardware; entry consistency (Midway) is a
     /// software DSM whose handlers execute on the 33-MFLOPS host CPUs —
@@ -107,7 +101,6 @@ impl Default for TaskQueueConfig {
             poll_interval: SimDur::from_us(10),
             stagger_max: SimDur::from_us(5),
             timing: LinkTiming::paper_1994(),
-            contention: false,
             ec_handler: SimDur::from_us(6),
             tracing: false,
         }
@@ -411,11 +404,6 @@ pub(crate) fn build(
         );
     }
     let mut machine = builder.build()?;
-    if cfg.contention {
-        machine
-            .fabric_mut()
-            .set_contention(sesame_net::ContentionModel::StoreAndForward);
-    }
     if let Some(ec) = machine.model_mut().as_entry_mut() {
         ec.set_handler_time(cfg.ec_handler);
     }

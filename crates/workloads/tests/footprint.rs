@@ -140,7 +140,7 @@ fn a_drained_run_leaves_no_root_holding_sequencing_state() {
 
 #[test]
 fn flood_machine_holds_no_route_storage() {
-    // The default configuration floods spanning trees; it must not pay
+    // The default configuration floods every position; it must not pay
     // for routes it never builds — before the run or after it.
     assert!(!MachineConfig::default().pruned_multicast);
     let machine = build_canonical(CanonicalConfig::default());

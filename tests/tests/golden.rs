@@ -14,6 +14,13 @@
 //!     --series-out contention_series.json --window 100000
 //! ```
 //!
+//! The task-queue sweep behind Fig. 2 is pinned the same way, captured
+//! from the commit before the store-and-forward link model was deleted:
+//!
+//! ```text
+//! sesame fig2 --sizes 3,5,9,17 --tasks 256 --format csv > fig2_small.csv
+//! ```
+//!
 //! Two more pin the series' other writers, captured the same way before
 //! the live series and the parsed one became one type:
 //!
@@ -42,10 +49,27 @@
 use sesame_sim::SimDur;
 use sesame_telemetry::{render_report, render_series_report, Telemetry};
 use sesame_workloads::contention::ContentionConfig;
-use sesame_workloads::experiments::figure8_jobs;
+use sesame_workloads::experiments::{figure2_jobs, figure8_jobs};
 use sesame_workloads::pipeline::PipelineConfig;
 use sesame_workloads::scenario::Scenario;
+use sesame_workloads::task_queue::TaskQueueConfig;
 use sesame_workloads::telemetry::observe;
+
+/// Rebuilds the exact stdout of `sesame fig2 --sizes 3,5,9,17 --tasks 256
+/// --format csv`: the three CSV series joined as the CLI's `render` does.
+fn fig2_csv() -> String {
+    let cfg = TaskQueueConfig {
+        total_tasks: 256,
+        ..TaskQueueConfig::default()
+    };
+    let data = figure2_jobs(cfg, &[3, 5, 9, 17], 1);
+    let csv = [&data.ideal, &data.gwc, &data.entry]
+        .iter()
+        .map(|s| s.to_csv())
+        .collect::<Vec<_>>()
+        .join("\n");
+    format!("{csv}\n")
+}
 
 /// Rebuilds the exact stdout of `sesame fig8 --sizes 2,4,8 --visits 128
 /// --format csv`: the four CSV series joined as the CLI's `render` does,
@@ -78,6 +102,15 @@ fn contention_run() -> Telemetry {
     });
     let series = Telemetry::new("contention", 7).with_series(SimDur::from_nanos(100_000));
     observe(&scenario, series).expect("a clean run")
+}
+
+#[test]
+fn fig2_series_csv_matches_prechange_golden() {
+    assert_eq!(
+        fig2_csv(),
+        include_str!("../golden/fig2_small.csv"),
+        "fig2 CSV export diverged from the pre-change golden"
+    );
 }
 
 #[test]
