@@ -470,7 +470,6 @@ impl Model for EntryModel {
                 );
             }
             ModelAction::ArmLockInterrupt { .. }
-            | ModelAction::DisarmLockInterrupt { .. }
             | ModelAction::SuspendInsharing
             | ModelAction::ResumeInsharing => {
                 panic!("optimistic GWC control actions are not available under entry consistency")

@@ -283,7 +283,6 @@ impl Model for ReleaseModel {
                 mx.deliver(node, AppEvent::ValueReady { var, value });
             }
             ModelAction::ArmLockInterrupt { .. }
-            | ModelAction::DisarmLockInterrupt { .. }
             | ModelAction::SuspendInsharing
             | ModelAction::ResumeInsharing => {
                 panic!("optimistic GWC control actions are not available under release consistency")

@@ -28,7 +28,7 @@ use std::fmt;
 use sesame_consistency::{EntryModel, ReleaseModel};
 use sesame_dsm::{
     lockval, GroupConfigError, GroupSpec, GroupTableBuilder, GwcModel, Machine, MachineConfig,
-    Model, ModelAction, Mx, NodeApi, Packet, Program, VarId, Word,
+    Model, ModelAction, Mx, Packet, Program, VarId, Word,
 };
 use sesame_net::{LinkTiming, MeshTorus2d, NodeId, Topology};
 
@@ -312,19 +312,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Installs a closure program for one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn program_fn(
-        self,
-        node: NodeId,
-        f: impl FnMut(sesame_dsm::AppEvent, &mut NodeApi<'_>) + 'static,
-    ) -> Self {
-        self.program(node, Box::new(f))
-    }
-
     /// Initializes `var` to `value` in every node's memory before the run.
     pub fn init_var(mut self, var: VarId, value: Word) -> Self {
         self.init.push((var, value));
@@ -370,7 +357,7 @@ impl SystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sesame_dsm::{run, AppEvent, RunOptions};
+    use sesame_dsm::{run, AppEvent, NodeApi, RunOptions};
 
     #[test]
     fn builds_each_model() {
@@ -457,11 +444,14 @@ mod tests {
     fn built_system_runs_programs() {
         let machine = SystemBuilder::new(2)
             .shared_group(NodeId::new(0), vec![VarId::new(0)])
-            .program_fn(NodeId::new(0), |ev, api| {
-                if ev == AppEvent::Started {
-                    api.write(VarId::new(0), 5);
-                }
-            })
+            .program(
+                NodeId::new(0),
+                Box::new(|ev, api: &mut NodeApi<'_>| {
+                    if ev == AppEvent::Started {
+                        api.write(VarId::new(0), 5);
+                    }
+                }),
+            )
             .build()
             .unwrap();
         let result = run(machine, RunOptions::default());

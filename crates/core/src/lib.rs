@@ -27,16 +27,11 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod compiler;
 mod history;
-mod multigroup;
 mod optimistic;
-mod seqlock;
 
 pub use history::UsageHistory;
-pub use multigroup::{MultiMutex, MultiMutexBusyError, MultiMutexSignal, MultiMutexStats};
 pub use optimistic::{
     Completion, MutexMutation, MutexSignal, NestedMutexError, OptimisticConfig, OptimisticMutex,
     OptimisticStats, Path, MUTEX_TAG_BASE,
 };
-pub use seqlock::{SeqReader, SeqWriter, Snapshot};

@@ -409,16 +409,6 @@ impl GroupTable {
         })
     }
 
-    /// The groups in which `node` is a member.
-    pub fn groups_of_member(&self, node: NodeId) -> impl Iterator<Item = SharingGroup<'_>> {
-        self.iter().filter(move |g| g.is_member(node))
-    }
-
-    /// The groups rooted at `node`.
-    pub fn groups_rooted_at(&self, node: NodeId) -> impl Iterator<Item = SharingGroup<'_>> {
-        self.iter().filter(move |g| g.root() == node)
-    }
-
     /// Total number of member slots: one per `(group, member)` pair,
     /// summed over all groups. Sizes the dense arrays that protocol
     /// models use for per-membership state (struct-of-arrays storage on
@@ -493,9 +483,6 @@ mod tests {
             spec(2, &[1, 2], &[1], None),
         ])
         .unwrap();
-        assert_eq!(t.groups_of_member(n(1)).count(), 2);
-        assert_eq!(t.groups_of_member(n(0)).count(), 1);
-        assert_eq!(t.groups_rooted_at(n(2)).count(), 1);
         assert!(t.group(GroupId::new(0)).is_member(n(1)));
         assert!(!t.group(GroupId::new(0)).is_member(n(2)));
     }
@@ -748,16 +735,6 @@ mod tests {
                     map.get(&var).copied(),
                     "stream {stream}: owner of {var}"
                 );
-            }
-            for node in (0..NODES + 2).map(n) {
-                let of_member: Vec<usize> =
-                    t.groups_of_member(node).map(|g| g.id().index()).collect();
-                let rooted: Vec<usize> = t.groups_rooted_at(node).map(|g| g.id().index()).collect();
-                let scan = |f: &dyn Fn(&GroupSpec) -> bool| -> Vec<usize> {
-                    (0..specs.len()).filter(|&i| f(&specs[i])).collect()
-                };
-                assert_eq!(of_member, scan(&|s| s.members.contains(&node)));
-                assert_eq!(rooted, scan(&|s| s.root == node));
             }
         }
         assert!(

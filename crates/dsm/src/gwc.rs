@@ -1047,9 +1047,6 @@ impl Model for GwcModel {
             ModelAction::ArmLockInterrupt { var } => {
                 self.ifaces[node.index()].armed.insert(var);
             }
-            ModelAction::DisarmLockInterrupt { var } => {
-                self.ifaces[node.index()].armed.remove(var);
-            }
             ModelAction::SuspendInsharing => {
                 self.ifaces[node.index()].suspended = true;
             }

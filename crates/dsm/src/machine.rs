@@ -615,11 +615,6 @@ impl<M: Model> Machine<M> {
         &self.mems[node.index()]
     }
 
-    /// Mutable local memory access (pre-run initialization).
-    pub fn mem_mut(&mut self, node: NodeId) -> &mut LocalMemory {
-        &mut self.mems[node.index()]
-    }
-
     /// Initializes `var` to `value` in every node's local copy — how shared
     /// segments (and lock FREE sentinels) are set up before a run.
     ///
@@ -770,13 +765,11 @@ impl<M: Model> Machine<M> {
         if next == route.wave_count() {
             return None;
         }
-        // Waves past the root's immediate echo (depth 0) all pay the one
-        // serialization, so they lie whole hop latencies apart.
-        let timing = self.fabric.timing();
-        let gap = match (route.wave_depth(this), route.wave_depth(next)) {
-            (0, d) => timing.transfer(d, pkt.bytes),
-            (d0, d1) => timing.hop_latency * u64::from(d1 - d0),
+        let at = |w| {
+            self.fabric
+                .arrival(SimTime::ZERO, route.wave_depth(w), pkt.bytes)
         };
+        let gap = at(next) - at(this);
         let to = route.wave(next).next().expect("a wave has a member");
         let car = DsmEvent::McastWave {
             group,

@@ -152,11 +152,6 @@ pub enum ModelAction {
         /// The lock variable to watch.
         var: VarId,
     },
-    /// GWC: cancel a previously armed lock interrupt.
-    DisarmLockInterrupt {
-        /// The lock variable.
-        var: VarId,
-    },
     /// GWC: stop applying incoming shared writes (they buffer in arrival
     /// order).
     SuspendInsharing,
@@ -316,12 +311,6 @@ impl<'a> NodeApi<'a> {
             .push(Action::Model(ModelAction::ArmLockInterrupt { var }));
     }
 
-    /// Disarms the GWC lock-change interrupt on `var` (Figure 4 line 08).
-    pub fn disarm_lock_interrupt(&mut self, var: VarId) {
-        self.actions
-            .push(Action::Model(ModelAction::DisarmLockInterrupt { var }));
-    }
-
     /// Suspends insharing: incoming shared writes buffer in arrival order.
     pub fn suspend_insharing(&mut self) {
         self.actions
@@ -467,11 +456,10 @@ mod tests {
         api.arm_lock_interrupt(VarId::new(0));
         api.suspend_insharing();
         api.resume_insharing();
-        api.disarm_lock_interrupt(VarId::new(0));
         api.write_local(VarId::new(4), -2);
-        assert_eq!(actions.len(), 5);
+        assert_eq!(actions.len(), 4);
         assert!(matches!(
-            actions[4],
+            actions[3],
             Action::Model(ModelAction::WriteLocal { value: -2, .. })
         ));
     }

