@@ -191,9 +191,11 @@ impl From<GroupConfigError> for BuildError {
 
 /// Assembles a complete simulated DSM system.
 ///
-/// This is a consuming builder (programs transfer ownership); every method
-/// takes and returns `self`. See the [module documentation](self) for an
-/// example.
+/// The settings and the all-node groups chain by value. What callers add
+/// in loops — [`group`](Self::group), [`program`](Self::program) and
+/// [`init_var`](Self::init_var) — takes `&mut self`, so a machine of
+/// thousands of groups does not move the builder once per group. See the
+/// [module documentation](self) for an example.
 pub struct SystemBuilder {
     nodes: usize,
     /// `None`: the paper's mesh torus, sized to `nodes`.
@@ -229,7 +231,7 @@ impl SystemBuilder {
             timing: LinkTiming::paper_1994(),
             model: ModelChoice::default(),
             config: MachineConfig::default(),
-            groups: GroupTableBuilder::new(),
+            groups: GroupTableBuilder::new(nodes),
             programs: (0..nodes).map(|_| None).collect(),
             init: Vec::new(),
         }
@@ -261,9 +263,10 @@ impl SystemBuilder {
         self
     }
 
-    /// Adds a sharing group.
-    pub fn group(mut self, spec: GroupSpec) -> Self {
-        self.groups.push(&spec);
+    /// Adds a sharing group. The spec is copied into the group table, so
+    /// one spec can be refilled for every group.
+    pub fn group(&mut self, spec: &GroupSpec) -> &mut Self {
+        self.groups.push(spec);
         self
     }
 
@@ -302,7 +305,7 @@ impl SystemBuilder {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn program(mut self, node: NodeId, program: Box<dyn Program>) -> Self {
+    pub fn program(&mut self, node: NodeId, program: Box<dyn Program>) -> &mut Self {
         assert!(
             node.index() < self.programs.len(),
             "program for {node} but system has {} nodes",
@@ -313,7 +316,7 @@ impl SystemBuilder {
     }
 
     /// Initializes `var` to `value` in every node's memory before the run.
-    pub fn init_var(mut self, var: VarId, value: Word) -> Self {
+    pub fn init_var(&mut self, var: VarId, value: Word) -> &mut Self {
         self.init.push((var, value));
         self
     }
@@ -324,7 +327,7 @@ impl SystemBuilder {
     ///
     /// Returns [`BuildError`] if the system has no nodes, the topology
     /// hosts a different number of CPUs, or the group specifications are
-    /// inconsistent.
+    /// inconsistent or name a node the system does not have.
     pub fn build(self) -> Result<Machine<ModelInstance>, BuildError> {
         if self.nodes == 0 {
             return Err(BuildError::NoNodes);
@@ -440,20 +443,54 @@ mod tests {
         assert!(Error::source(&err).is_some());
     }
 
+    fn group_naming(root: u32, members: &[u32]) -> GroupSpec {
+        GroupSpec {
+            root: NodeId::new(root),
+            members: members.iter().copied().map(NodeId::new).collect(),
+            vars: vec![VarId::new(0)],
+            mutex_lock: None,
+        }
+    }
+
+    #[test]
+    fn a_member_past_the_last_node_is_an_error() {
+        let mut builder = SystemBuilder::new(4);
+        builder.group(&group_naming(0, &[0, 9]));
+        let err = builder.build().unwrap_err();
+        let g0 = sesame_dsm::GroupId::new(0);
+        assert_eq!(
+            err,
+            BuildError::Groups(GroupConfigError::NodeOutOfRange(g0, NodeId::new(9)))
+        );
+        let msg =
+            "invalid group configuration: group g0 names node n9, which the system does not have";
+        assert_eq!(err.to_string(), msg);
+    }
+
+    #[test]
+    fn a_root_past_the_last_node_is_an_error() {
+        let mut builder = SystemBuilder::new(4);
+        builder.group(&group_naming(0, &[0, 1]));
+        builder.group(&group_naming(9, &[2, 3]));
+        let g1 = sesame_dsm::GroupId::new(1);
+        assert_eq!(
+            builder.build().unwrap_err(),
+            BuildError::Groups(GroupConfigError::NodeOutOfRange(g1, NodeId::new(9)))
+        );
+    }
+
     #[test]
     fn built_system_runs_programs() {
-        let machine = SystemBuilder::new(2)
-            .shared_group(NodeId::new(0), vec![VarId::new(0)])
-            .program(
-                NodeId::new(0),
-                Box::new(|ev, api: &mut NodeApi<'_>| {
-                    if ev == AppEvent::Started {
-                        api.write(VarId::new(0), 5);
-                    }
-                }),
-            )
-            .build()
-            .unwrap();
+        let mut builder = SystemBuilder::new(2).shared_group(NodeId::new(0), vec![VarId::new(0)]);
+        builder.program(
+            NodeId::new(0),
+            Box::new(|ev, api: &mut NodeApi<'_>| {
+                if ev == AppEvent::Started {
+                    api.write(VarId::new(0), 5);
+                }
+            }),
+        );
+        let machine = builder.build().unwrap();
         let result = run(machine, RunOptions::default());
         assert_eq!(result.machine.mem(NodeId::new(1)).read(VarId::new(0)), 5);
     }
@@ -472,6 +509,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "program for n9")]
     fn out_of_range_program_panics() {
-        let _ = SystemBuilder::new(2).program(NodeId::new(9), Box::new(sesame_dsm::IdleProgram));
+        SystemBuilder::new(2).program(NodeId::new(9), Box::new(sesame_dsm::IdleProgram));
     }
 }

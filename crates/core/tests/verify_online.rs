@@ -79,7 +79,7 @@ fn online_checking_of_optimistic_contention_is_clean() {
         LOCK,
     );
     for i in 1..=CONTENDERS {
-        builder = builder.program(
+        builder.program(
             NodeId::new(i),
             Box::new(Contender {
                 mutex: OptimisticMutex::new(LOCK, vec![COUNTER], OptimisticConfig::default()),

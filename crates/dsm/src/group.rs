@@ -45,6 +45,8 @@ pub enum GroupConfigError {
     DuplicateMember(GroupId, NodeId),
     /// A mutex lock variable is not listed among the group's variables.
     LockNotInGroup(GroupId, VarId),
+    /// A group's root or member is not a node of the system.
+    NodeOutOfRange(GroupId, NodeId),
 }
 
 impl fmt::Display for GroupConfigError {
@@ -60,6 +62,12 @@ impl fmt::Display for GroupConfigError {
             }
             GroupConfigError::LockNotInGroup(g, v) => {
                 write!(f, "mutex lock {v} of group {g} is not among its variables")
+            }
+            GroupConfigError::NodeOutOfRange(g, n) => {
+                write!(
+                    f,
+                    "group {g} names node {n}, which the system does not have"
+                )
             }
         }
     }
@@ -202,8 +210,8 @@ pub struct GroupTable {
     /// multicast fan-out depends on).
     ranks: Vec<(NodeId, u32)>,
     /// Every variable with its group, sorted by variable: the index
-    /// [`GroupTable::group_of`] binary-searches. Built by
-    /// [`GroupTable::index_vars`] once every group is in.
+    /// [`GroupTable::group_of`] binary-searches. Appended by each push and
+    /// sorted once by [`GroupTableBuilder::finish`].
     var_groups: Vec<(VarId, GroupId)>,
 }
 
@@ -212,16 +220,22 @@ pub struct GroupTable {
 /// the flat table, so no list of specs is accumulated. The first error is
 /// kept and reported by [`finish`](GroupTableBuilder::finish), which also
 /// finds variables claimed twice.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GroupTableBuilder {
     table: GroupTable,
     error: Option<GroupConfigError>,
+    /// Roots and members must be below this.
+    nodes: usize,
 }
 
 impl GroupTableBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty builder for a system of `nodes` CPUs.
+    pub fn new(nodes: usize) -> Self {
+        GroupTableBuilder {
+            table: GroupTable::default(),
+            error: None,
+            nodes,
+        }
     }
 
     /// Number of groups accepted so far.
@@ -240,13 +254,14 @@ impl GroupTableBuilder {
     /// ignored.
     pub fn push(&mut self, spec: &GroupSpec) {
         if self.error.is_none() {
-            self.error = self.table.push(spec).err();
+            self.error = self.table.push(spec, self.nodes).err();
         }
     }
 
     /// The table, or the first [`GroupConfigError`] a push found: empty
-    /// member or variable lists, duplicate members, a variable claimed by
-    /// two groups, or a mutex lock missing from its own group.
+    /// member or variable lists, a root or member that is not a node,
+    /// duplicate members, a variable claimed by two groups, or a mutex
+    /// lock missing from its own group.
     ///
     /// # Errors
     ///
@@ -255,11 +270,46 @@ impl GroupTableBuilder {
         // Only the groups accepted before any other error are indexed, so a
         // variable claimed twice among them is reported first — as it was
         // when each push checked its own variables.
-        self.table.index_vars()?;
+        let index = &mut self.table.var_groups;
+        sort_by_var(index);
+        if index.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(GroupConfigError::DuplicateVar(self.table.first_repeat()));
+        }
         match self.error {
             None => Ok(self.table),
             Some(e) => Err(e),
         }
+    }
+}
+
+/// Sorts `pairs` by variable: a stable LSD radix sort on the 32-bit id, a
+/// byte a pass, that skips a pass whose byte is the same in every pair (the
+/// top bytes of a machine's worth of small ids).
+fn sort_by_var(pairs: &mut Vec<(VarId, GroupId)>) {
+    let digit = |var: VarId, pass: usize| (var.get() >> (8 * pass)) as usize & 0xff;
+    let mut counts = [[0usize; 256]; 4];
+    for &(var, _) in pairs.iter() {
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[digit(var, pass)] += 1;
+        }
+    }
+    let mut scratch = Vec::new();
+    for (pass, count) in counts.iter_mut().enumerate() {
+        if count.contains(&pairs.len()) {
+            continue;
+        }
+        // Each digit's first index in the output.
+        let mut at = 0;
+        for n in count.iter_mut() {
+            (at, *n) = (at + *n, at);
+        }
+        scratch.resize(pairs.len(), pairs[0]);
+        for &pair in pairs.iter() {
+            let d = digit(pair.0, pass);
+            scratch[count[d]] = pair;
+            count[d] += 1;
+        }
+        std::mem::swap(pairs, &mut scratch);
     }
 }
 
@@ -273,23 +323,29 @@ impl GroupTable {
     /// variable lists, duplicate members, a variable claimed by two groups,
     /// or a mutex lock missing from its own group.
     pub fn new(specs: Vec<GroupSpec>) -> Result<Self, GroupConfigError> {
-        let mut builder = GroupTableBuilder::new();
+        // Not told the system's size, so no node is out of range.
+        let mut builder = GroupTableBuilder::new(usize::MAX);
         for spec in &specs {
             builder.push(spec);
         }
         builder.finish()
     }
 
-    /// Validates and appends one group, leaving its variables' uniqueness
-    /// to [`GroupTable::index_vars`]. On error the table is left
-    /// half-updated; [`GroupTableBuilder`] never hands such a table out.
-    fn push(&mut self, spec: &GroupSpec) -> Result<(), GroupConfigError> {
+    /// Validates and appends one group of a system of `nodes` CPUs, leaving
+    /// its variables' uniqueness to [`GroupTableBuilder::finish`]. On error
+    /// the table is left half-updated; [`GroupTableBuilder`] never hands
+    /// such a table out.
+    fn push(&mut self, spec: &GroupSpec, nodes: usize) -> Result<(), GroupConfigError> {
         let id = GroupId::new(self.heads.len() as u32);
         let Some(&first) = spec.members.first() else {
             return Err(GroupConfigError::EmptyMembers(id));
         };
         if spec.vars.is_empty() {
             return Err(GroupConfigError::EmptyVars(id));
+        }
+        let mut named = std::iter::once(&spec.root).chain(&spec.members);
+        if let Some(&node) = named.find(|n| n.index() >= nodes) {
+            return Err(GroupConfigError::NodeOutOfRange(id, node));
         }
         let contiguous = spec
             .members
@@ -335,42 +391,22 @@ impl GroupTable {
         });
         self.members.extend_from_slice(&spec.members);
         self.vars.extend_from_slice(&spec.vars);
+        self.var_groups
+            .extend(spec.vars.iter().map(|&var| (var, id)));
         Ok(())
     }
 
-    /// Builds the `var → group` index over the groups pushed so far.
+    /// The earliest-declared variable that repeats one declared before it,
+    /// in group order and then declared order: the search a duplicate
+    /// found by [`GroupTableBuilder::finish`] pays for.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`GroupConfigError::DuplicateVar`] for the earliest-declared
-    /// variable that repeats one declared before it, in group order and
-    /// then declared order.
-    fn index_vars(&mut self) -> Result<(), GroupConfigError> {
-        // Each variable with its position in `vars`: sorted, equal
-        // variables sit side by side in declaration order, so the first
-        // offender is the earliest-declared repeat.
-        let mut index: Vec<(VarId, u32)> =
-            (0..).zip(&self.vars).map(|(at, &var)| (var, at)).collect();
-        index.sort_unstable();
-        let repeat = index
-            .windows(2)
-            .filter(|w| w[0].0 == w[1].0)
-            .map(|w| w[1].1)
-            .min();
-        if let Some(at) = repeat {
-            return Err(GroupConfigError::DuplicateVar(self.vars[at as usize]));
-        }
-        // A position belongs to the last group whose variables start at
-        // or before it.
-        let heads = &self.heads;
-        self.var_groups = index
-            .into_iter()
-            .map(|(var, at)| {
-                let group = heads.partition_point(|h| h.vars_at <= at) - 1;
-                (var, GroupId::new(group as u32))
-            })
-            .collect();
-        Ok(())
+    /// Panics if no variable repeats.
+    fn first_repeat(&self) -> VarId {
+        let mut seen = std::collections::HashSet::with_capacity(self.vars.len());
+        let repeat = self.vars.iter().find(|&&var| !seen.insert(var));
+        *repeat.expect("a variable repeats")
     }
 
     /// Number of groups.
@@ -556,6 +592,73 @@ mod tests {
         );
     }
 
+    #[test]
+    fn rejects_a_root_or_member_past_the_last_node() {
+        let built = |specs: &[GroupSpec]| {
+            let mut b = GroupTableBuilder::new(4);
+            for spec in specs {
+                b.push(spec);
+            }
+            b.finish().map(|t| t.len())
+        };
+        let ok = spec(3, &[0, 3], &[0], None);
+        assert_eq!(built(std::slice::from_ref(&ok)), Ok(1));
+        // The root is checked before the members, and the first member
+        // past the end is the one named.
+        let err = built(&[ok.clone(), spec(9, &[1, 7, 4], &[1], None)]).unwrap_err();
+        assert_eq!(err, GroupConfigError::NodeOutOfRange(GroupId::new(1), n(9)));
+        assert!(err.to_string().contains("names node n9"), "{err}");
+        assert_eq!(
+            built(&[ok, spec(1, &[1, 7, 4], &[1], None)]),
+            Err(GroupConfigError::NodeOutOfRange(GroupId::new(1), n(7)))
+        );
+    }
+
+    /// The `var → group` index as it was built before each push appended
+    /// its own pairs: every variable with its position in `vars`, sorted,
+    /// the earliest-declared repeat found among neighbours, and each
+    /// position's group found by a search over the heads.
+    fn two_array_index(t: &GroupTable) -> Result<Vec<(VarId, GroupId)>, GroupConfigError> {
+        let mut index: Vec<(VarId, u32)> = (0..).zip(&t.vars).map(|(at, &var)| (var, at)).collect();
+        index.sort_unstable();
+        let repeat = index
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1)
+            .min();
+        if let Some(at) = repeat {
+            return Err(GroupConfigError::DuplicateVar(t.vars[at as usize]));
+        }
+        Ok(index
+            .into_iter()
+            .map(|(var, at)| {
+                let group = t.heads.partition_point(|h| h.vars_at <= at) - 1;
+                (var, GroupId::new(group as u32))
+            })
+            .collect())
+    }
+
+    #[test]
+    fn the_radix_sort_equals_a_stable_sort_by_variable() {
+        let mut rng = sesame_sim::DetRng::new(0x0072_6164_6978);
+        for len in [0usize, 1, 2, 255, 256, 3_000] {
+            // Each byte drawn from a few values, so passes are skipped,
+            // repeats abound and every byte position varies somewhere.
+            let byte =
+                |rng: &mut sesame_sim::DetRng| [0u32, 1, 0x7f, 0xff][rng.next_below(4) as usize];
+            let mut pairs: Vec<(VarId, GroupId)> = (0..len as u32)
+                .map(|g| {
+                    let id = (0..4).fold(0, |id, _| id << 8 | byte(&mut rng));
+                    (v(id), GroupId::new(g))
+                })
+                .collect();
+            let mut want = pairs.clone();
+            want.sort_by_key(|&(var, _)| var);
+            sort_by_var(&mut pairs);
+            assert_eq!(pairs, want, "{len} pairs");
+        }
+    }
+
     /// The table as it was before it went flat: validation over the spec
     /// list in the original order, queries by scanning the specs.
     fn model_validate(specs: &[GroupSpec]) -> Result<(), GroupConfigError> {
@@ -591,14 +694,16 @@ mod tests {
     const VARS: u32 = 40;
 
     /// Random specs: ascending runs and scrambled member lists, fresh
-    /// variables (half the time sparse ids, some near `u32::MAX`, declared
-    /// out of order) — and, one time in three, one or two planted faults.
+    /// variables (half the time sparse ids, from 0 up and from `u32::MAX`
+    /// down, declared out of order, whose low three bytes sort apart from
+    /// their top byte) — and, one time in three, one or two planted
+    /// faults.
     fn random_specs(rng: &mut sesame_sim::DetRng) -> Vec<GroupSpec> {
         let sparse = rng.chance(0.5);
         let var = |k: u32| match (sparse, k % 2) {
             (false, _) => v(k),
             (true, 0) => v(u32::MAX - k),
-            (true, _) => v(k * 65_537),
+            (true, _) => v((k - 1) * 0x00ff_ffff),
         };
         let mut next_var = 0u32;
         let mut specs: Vec<GroupSpec> = (0..1 + rng.next_below(7))
@@ -671,7 +776,7 @@ mod tests {
         for stream in 0..400u64 {
             let mut rng = sesame_sim::DetRng::new(0x6373_7274_6162 ^ stream);
             let specs = random_specs(&mut rng);
-            let mut builder = GroupTableBuilder::new();
+            let mut builder = GroupTableBuilder::new(NODES as usize);
             for spec in &specs {
                 builder.push(spec);
             }
@@ -682,6 +787,15 @@ mod tests {
                 table.as_ref().err(),
                 "stream {stream}: builder and new() disagree"
             );
+            // The one-sort index against the two-array one, over the
+            // groups accepted before any push error.
+            let mut raw = GroupTable::default();
+            let pushed = specs.iter().try_for_each(|s| raw.push(s, usize::MAX));
+            match (two_array_index(&raw), &table) {
+                (Ok(index), Ok(t)) => assert_eq!(t.var_groups, index, "stream {stream}"),
+                (Ok(_), Err(e)) => assert_eq!(pushed.as_ref(), Err(e), "stream {stream}"),
+                (Err(want), got) => assert_eq!(got.as_ref().err(), Some(&want), "stream {stream}"),
+            }
             if let Err(want) = model_validate(&specs) {
                 assert_eq!(table.unwrap_err(), want, "stream {stream}: {specs:?}");
                 invalid += 1;
@@ -814,7 +928,7 @@ mod tests {
 
     #[test]
     fn builder_keeps_the_first_error_and_ignores_later_groups() {
-        let mut b = GroupTableBuilder::new();
+        let mut b = GroupTableBuilder::new(4);
         assert!(b.is_empty());
         b.push(&spec(0, &[0, 1], &[0], None));
         b.push(&spec(0, &[3, 2, 3], &[1], None)); // first error

@@ -83,19 +83,40 @@ struct SeqItem {
 /// a dense member-slot-indexed array (see [`GroupTable::member_slot`])
 /// so the apply loop of a 100k-node machine never hashes. What remains
 /// here is genuinely per-node: one record per CPU, so it is kept small —
-/// the flag and the two tiny sets inline, the buffers that only loss or
-/// suspension populate behind one pointer.
+/// the flag and the two tiny lock lists inline, what only loss,
+/// suspension or a list of more than [`INLINE`] locks populates behind
+/// one pointer.
 #[derive(Debug, Default)]
 struct IfaceState {
     /// Whether insharing is suspended (arrivals buffer in `held`).
     suspended: bool,
-    /// Lock variables with an armed change interrupt.
-    armed: VarSet,
-    /// Locks with an outstanding high-level acquire.
-    pending_acquire: VarSet,
-    /// Reorder and suspension buffers, created on first use.
+    /// Each [`LockList`]'s length while it is inline, or [`SPILLED`].
+    lens: [u8; 2],
+    /// Each [`LockList`]'s vars, ascending, while it is inline.
+    inline: [[VarId; INLINE]; 2],
+    /// Reorder and suspension buffers and spilled lists, created on first
+    /// use.
     cold: Option<Box<IfaceBuffers>>,
 }
+
+/// An interface's two small sorted sets of lock variables. They hold at
+/// most a handful of vars (a node arms and awaits the locks of the
+/// sections it is in), so up to [`INLINE`] live in the interface itself —
+/// no heap block per node — and a larger list moves to
+/// [`IfaceBuffers::spilled`] for good.
+#[derive(Debug, Clone, Copy)]
+enum LockList {
+    /// Lock variables with an armed change interrupt.
+    Armed,
+    /// Locks with an outstanding high-level acquire.
+    PendingAcquire,
+}
+
+/// Vars a [`LockList`] holds inline.
+const INLINE: usize = 3;
+
+/// [`IfaceState::lens`] of a list that lives in [`IfaceBuffers::spilled`].
+const SPILLED: u8 = u8::MAX;
 
 /// The rarely populated part of [`IfaceState`].
 #[derive(Debug, Default)]
@@ -106,6 +127,8 @@ struct IfaceBuffers {
     reorder: BTreeMap<GroupId, BTreeMap<u64, SeqItem>>,
     /// Arrivals buffered during suspension, in arrival order.
     held: VecDeque<SeqItem>,
+    /// Each [`LockList`] that outgrew its inline room, ascending.
+    spilled: [Vec<VarId>; 2],
 }
 
 impl IfaceState {
@@ -117,62 +140,57 @@ impl IfaceState {
     fn has_reordered(&self) -> bool {
         self.cold.as_ref().is_some_and(|c| !c.reorder.is_empty())
     }
-}
 
-/// A small sorted set of lock variables. These sets hold at most a
-/// handful of vars (a node arms and awaits the locks of the sections it is
-/// in), so up to [`VarSet::INLINE`] live in the struct itself — no heap
-/// block per node — and a larger set moves to a sorted `Vec` for good.
-#[derive(Debug, Default)]
-struct VarSet {
-    /// Number of vars in `inline`; unused once `spilled` exists.
-    len: u8,
-    inline: [VarId; VarSet::INLINE],
-    /// Boxed so the rare spill costs every node 8 bytes, not a 24-byte
-    /// `Vec` header.
-    #[allow(clippy::box_collection)]
-    spilled: Option<Box<Vec<VarId>>>,
-}
-
-impl VarSet {
-    const INLINE: usize = 3;
-
-    /// The members, ascending.
-    fn as_slice(&self) -> &[VarId] {
-        match &self.spilled {
-            Some(vars) => vars,
-            None => &self.inline[..self.len as usize],
+    /// The vars of `list`, ascending.
+    fn locks(&self, list: LockList) -> &[VarId] {
+        let i = list as usize;
+        match self.lens[i] {
+            SPILLED => {
+                &self
+                    .cold
+                    .as_ref()
+                    .expect("a spilled list is buffered")
+                    .spilled[i]
+            }
+            len => &self.inline[i][..len as usize],
         }
     }
 
-    fn insert(&mut self, var: VarId) {
-        let Err(at) = self.as_slice().binary_search(&var) else {
+    fn insert_lock(&mut self, list: LockList, var: VarId) {
+        let Err(at) = self.locks(list).binary_search(&var) else {
             return;
         };
-        let len = self.len as usize;
-        if let Some(vars) = &mut self.spilled {
-            vars.insert(at, var);
-        } else if len < Self::INLINE {
-            self.inline.copy_within(at..len, at + 1);
-            self.inline[at] = var;
-            self.len += 1;
-        } else {
-            let mut vars = self.inline.to_vec();
-            vars.insert(at, var);
-            self.spilled = Some(Box::new(vars));
+        let i = list as usize;
+        match self.lens[i] {
+            SPILLED => self.buffers().spilled[i].insert(at, var),
+            len if (len as usize) < INLINE => {
+                let inline = &mut self.inline[i];
+                inline.copy_within(at..len as usize, at + 1);
+                inline[at] = var;
+                self.lens[i] += 1;
+            }
+            _ => {
+                let mut vars = self.inline[i].to_vec();
+                vars.insert(at, var);
+                self.buffers().spilled[i] = vars;
+                self.lens[i] = SPILLED;
+            }
         }
     }
 
-    fn remove(&mut self, var: VarId) -> bool {
-        let Ok(at) = self.as_slice().binary_search(&var) else {
+    fn remove_lock(&mut self, list: LockList, var: VarId) -> bool {
+        let Ok(at) = self.locks(list).binary_search(&var) else {
             return false;
         };
-        let len = self.len as usize;
-        if let Some(vars) = &mut self.spilled {
-            vars.remove(at);
-        } else {
-            self.inline.copy_within(at + 1..len, at);
-            self.len -= 1;
+        let i = list as usize;
+        match self.lens[i] {
+            SPILLED => {
+                self.buffers().spilled[i].remove(at);
+            }
+            len => {
+                self.inline[i].copy_within(at + 1..len as usize, at);
+                self.lens[i] -= 1;
+            }
         }
         true
     }
@@ -468,7 +486,10 @@ impl GwcModel {
             }
             // Each list hashed as the `Vec<u32>` it stands for, without
             // building one: the length, then the ids.
-            for list in [st.armed.as_slice(), st.pending_acquire.as_slice()] {
+            for list in [
+                st.locks(LockList::Armed),
+                st.locks(LockList::PendingAcquire),
+            ] {
                 list.len().hash(&mut h);
                 for v in list {
                     v.get().hash(&mut h);
@@ -906,7 +927,7 @@ impl GwcModel {
 
         // Armed lock interrupt: suspend insharing atomically with delivery
         // (Figure 5 line P1).
-        if st.armed.remove(item.var) {
+        if st.remove_lock(LockList::Armed, item.var) {
             if mx.config().insharing_suspension {
                 st.suspended = true;
             }
@@ -926,7 +947,8 @@ impl GwcModel {
         gwc_apply(mx, ApplyMode::Applied);
         mx.cause_point(node, CauseOp::Apply);
         mx.mem(node).write(item.var, item.value);
-        if item.value == lockval::grant(node) && st.pending_acquire.remove(item.var) {
+        if item.value == lockval::grant(node) && st.remove_lock(LockList::PendingAcquire, item.var)
+        {
             mx.deliver(node, AppEvent::Acquired { lock: item.var });
         } else {
             mx.deliver(
@@ -1029,7 +1051,7 @@ impl Model for GwcModel {
                 mx.mem(node).write(var, value);
             }
             ModelAction::Acquire { lock } => {
-                self.ifaces[node.index()].pending_acquire.insert(lock);
+                self.ifaces[node.index()].insert_lock(LockList::PendingAcquire, lock);
                 mx.mem(node).write(lock, lockval::request(node));
                 self.forward_to_root(node, lock, lockval::request(node), mx);
             }
@@ -1045,7 +1067,7 @@ impl Model for GwcModel {
                 mx.deliver(node, AppEvent::ValueReady { var, value });
             }
             ModelAction::ArmLockInterrupt { var } => {
-                self.ifaces[node.index()].armed.insert(var);
+                self.ifaces[node.index()].insert_lock(LockList::Armed, var);
             }
             ModelAction::SuspendInsharing => {
                 self.ifaces[node.index()].suspended = true;
@@ -1207,7 +1229,7 @@ mod tests {
         // One of each per group / per node of a machine that may have a
         // million of both (docs/performance.md, "Bytes per node").
         assert!(std::mem::size_of::<RootGroup>() <= 16);
-        assert!(std::mem::size_of::<IfaceState>() <= 64);
+        assert!(std::mem::size_of::<IfaceState>() <= 40);
     }
 
     #[test]
@@ -1362,23 +1384,28 @@ mod tests {
     fn var_set_matches_a_btree_set_inline_and_spilled() {
         let mut rng = sesame_sim::DetRng::new(0x7661_7273);
         for universe in [3u64, 4, 9] {
-            let mut set = VarSet::default();
-            let mut model = std::collections::BTreeSet::new();
-            for _ in 0..400 {
+            // Both lists of one interface, each against its own model.
+            let mut st = IfaceState::default();
+            let mut models = [std::collections::BTreeSet::new(), Default::default()];
+            for _ in 0..800 {
+                let list = [LockList::Armed, LockList::PendingAcquire][rng.next_below(2) as usize];
+                let model = &mut models[list as usize];
                 let var = VarId::new(rng.next_below(universe) as u32);
                 if rng.chance(0.55) {
-                    set.insert(var);
+                    st.insert_lock(list, var);
                     model.insert(var);
                 } else {
-                    assert_eq!(set.remove(var), model.remove(&var));
+                    assert_eq!(st.remove_lock(list, var), model.remove(&var));
                 }
                 assert!(
-                    set.as_slice().iter().eq(model.iter()),
-                    "{set:?} vs {model:?}"
+                    st.locks(list).iter().eq(model.iter()),
+                    "{st:?} vs {model:?}"
                 );
             }
-            // Three vars fit inline; more must have moved to the heap.
-            assert_eq!(set.spilled.is_some(), universe > VarSet::INLINE as u64);
+            // Three vars fit inline; more must have moved to the buffers.
+            let spills = universe > INLINE as u64;
+            assert_eq!(st.lens.map(|len| len == SPILLED), [spills; 2]);
+            assert_eq!(st.cold.is_some(), spills);
         }
     }
 
@@ -1417,9 +1444,9 @@ mod tests {
             for item in cold.iter().flat_map(|c| &c.held) {
                 hash_item(item, &mut h);
             }
-            let armed: Vec<u32> = st.armed.as_slice().iter().map(|v| v.get()).collect();
+            let armed: Vec<u32> = st.locks(LockList::Armed).iter().map(|v| v.get()).collect();
             armed.hash(&mut h);
-            let pending: Vec<u32> = (st.pending_acquire.as_slice().iter())
+            let pending: Vec<u32> = (st.locks(LockList::PendingAcquire).iter())
                 .map(|v| v.get())
                 .collect();
             pending.hash(&mut h);
@@ -1531,8 +1558,8 @@ mod tests {
                 assert_eq!(*to_new.entry(reference).or_insert(new), new, "seed {seed}");
                 states += 1;
                 for st in &m.ifaces {
-                    filled[0] |= !st.armed.as_slice().is_empty();
-                    filled[1] |= !st.pending_acquire.as_slice().is_empty();
+                    filled[0] |= !st.locks(LockList::Armed).is_empty();
+                    filled[1] |= !st.locks(LockList::PendingAcquire).is_empty();
                     filled[2] |= st.has_reordered();
                     filled[3] |= st.cold.as_ref().is_some_and(|c| !c.held.is_empty());
                 }

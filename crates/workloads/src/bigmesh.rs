@@ -316,32 +316,39 @@ fn assemble(
         // An explicit, usually non-square, geometry.
         builder = builder.topology(MeshTorus2d::new(cfg.cols, cfg.rows));
     }
+    // One spec, refilled for every group: the builder copies it into the
+    // flat table, so no group costs an allocation of its own.
+    let mut spec = GroupSpec {
+        root: NodeId::new(0),
+        members: Vec::new(),
+        vars: Vec::new(),
+        mutex_lock: None,
+    };
     for row in &rows {
-        let members: Vec<NodeId> = (row.start..row.start + row.len).map(NodeId::new).collect();
         // The row's mutex group: lock + shared words, rooted at the leader.
-        let vars: Vec<VarId> = std::iter::once(row.lock)
-            .chain((0..cfg.shared_words).map(|w| VarId::new(row.shared_base + w)))
-            .collect();
-        builder = builder
-            .group(GroupSpec {
-                root: NodeId::new(row.start),
-                members: members.clone(),
-                vars,
-                mutex_lock: Some(row.lock),
-            })
-            .init_var(row.lock, lockval::FREE);
+        spec.root = NodeId::new(row.start);
+        spec.members.clear();
+        spec.members
+            .extend((row.start..row.start + row.len).map(NodeId::new));
+        spec.vars.clear();
+        spec.vars.push(row.lock);
+        spec.vars
+            .extend((0..cfg.shared_words).map(|w| VarId::new(row.shared_base + w)));
+        spec.mutex_lock = Some(row.lock);
+        builder.group(&spec).init_var(row.lock, lockval::FREE);
         // One hand-off flag group per node: {i, successor}, rooted at the
         // writer — O(N) tiny groups, the group-count stress of the
         // scenario.
+        spec.mutex_lock = None;
         for idx in 0..row.len {
             let me = row.start + idx;
             let next = row.start + (idx + 1) % row.len;
-            builder = builder.group(GroupSpec {
-                root: NodeId::new(me),
-                members: vec![NodeId::new(me), NodeId::new(next)],
-                vars: vec![VarId::new(flag_off + me)],
-                mutex_lock: None,
-            });
+            spec.root = NodeId::new(me);
+            spec.members.clear();
+            spec.members.extend([NodeId::new(me), NodeId::new(next)]);
+            spec.vars.clear();
+            spec.vars.push(VarId::new(flag_off + me));
+            builder.group(&spec);
         }
         if programs {
             let shared = Rc::new(RowShared {
@@ -353,7 +360,7 @@ fn assemble(
                 progress: progress.clone(),
             });
             for idx in 0..row.len {
-                builder = builder.program(
+                builder.program(
                     NodeId::new(row.start + idx),
                     Box::new(RowCpu {
                         shared: shared.clone(),
@@ -570,6 +577,93 @@ mod tests {
         // 3 CPUs on a 2-wide torus: one row of two, one idle node.
         let run = run_bigmesh(tiny(3));
         assert_eq!((run.nodes, run.rows, run.visits), (3, 1, 2));
+    }
+
+    /// The idle machine as `assemble` built it before it refilled one
+    /// spec: a fresh `GroupSpec`, with member and variable lists of its
+    /// own, per group.
+    fn reference_machine(cfg: &BigMeshConfig) -> Machine<ModelInstance> {
+        let (nodes, width) = geometry(cfg);
+        let rows = rows_of(nodes, width, cfg.shared_words);
+        let flag_off = rows.len() as u32 * (1 + cfg.shared_words);
+        let mut builder = SystemBuilder::new(nodes)
+            .timing(cfg.timing)
+            .machine_config(pruned());
+        if cfg.rows > 0 {
+            builder = builder.topology(MeshTorus2d::new(cfg.cols, cfg.rows));
+        }
+        for row in &rows {
+            let members: Vec<NodeId> = (row.start..row.start + row.len).map(NodeId::new).collect();
+            let vars: Vec<VarId> = std::iter::once(row.lock)
+                .chain((0..cfg.shared_words).map(|w| VarId::new(row.shared_base + w)))
+                .collect();
+            builder
+                .group(&GroupSpec {
+                    root: NodeId::new(row.start),
+                    members: members.clone(),
+                    vars,
+                    mutex_lock: Some(row.lock),
+                })
+                .init_var(row.lock, lockval::FREE);
+            for idx in 0..row.len {
+                let me = row.start + idx;
+                let next = row.start + (idx + 1) % row.len;
+                builder.group(&GroupSpec {
+                    root: NodeId::new(me),
+                    members: vec![NodeId::new(me), NodeId::new(next)],
+                    vars: vec![VarId::new(flag_off + me)],
+                    mutex_lock: None,
+                });
+            }
+        }
+        builder.build().expect("valid reference system")
+    }
+
+    #[test]
+    fn one_refilled_spec_builds_the_per_spec_table() {
+        let shapes = [
+            tiny(3), // a row of two and a trailing idle CPU
+            tiny(48),
+            BigMeshConfig {
+                rows: 12,
+                cols: 4,
+                ..tiny(2)
+            },
+            BigMeshConfig {
+                shared_words: 3,
+                ..tiny(30)
+            },
+            tiny(2_500),
+        ];
+        for cfg in shapes {
+            let (got, _) = assemble(&cfg, pruned(), false).unwrap();
+            let want = reference_machine(&cfg);
+            let (gt, wt) = (got.groups(), want.groups());
+            assert_eq!(gt.len(), wt.len(), "{cfg:?}");
+            assert_eq!(gt.member_slots(), wt.member_slots(), "{cfg:?}");
+            let nodes = got.node_count() as u32;
+            assert_eq!(nodes as usize, want.node_count());
+            for (g, w) in gt.iter().zip(wt.iter()) {
+                let at = format!("{cfg:?} group {}", g.id());
+                assert_eq!(g.id(), w.id(), "{at}");
+                assert_eq!(g.root(), w.root(), "{at}");
+                assert_eq!(g.members(), w.members(), "{at}");
+                assert_eq!(g.vars(), w.vars(), "{at}");
+                assert_eq!(g.mutex_lock(), w.mutex_lock(), "{at}");
+                assert_eq!(gt.slot_base(g.id()), wt.slot_base(w.id()), "{at}");
+                for &var in g.vars() {
+                    assert_eq!(gt.group_of(var).map(|o| o.id()), Some(g.id()), "{at}");
+                    // Every memory reads the one shared image.
+                    for node in [0, nodes / 2, nodes - 1].map(NodeId::new) {
+                        let (a, b) = (got.mem(node).read(var), want.mem(node).read(var));
+                        assert_eq!(a, b, "{at}: {var} at {node}");
+                    }
+                }
+            }
+            let last = gt.iter().flat_map(|g| g.vars()).map(|v| v.get()).max();
+            let past = VarId::new(last.unwrap() + 1);
+            assert!(gt.group_of(past).is_none() && wt.group_of(past).is_none());
+        }
     }
 
     #[test]

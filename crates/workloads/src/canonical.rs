@@ -121,7 +121,7 @@ pub(crate) fn build(cfg: &CanonicalConfig) -> Result<Machine<ModelInstance>, Bui
     for i in 1..=cfg.contenders {
         let mut mutex = OptimisticMutex::new(LOCK, vec![COUNTER], cfg.mutex);
         mutex.set_mutation(cfg.mutex_mutation);
-        builder = builder.program(
+        builder.program(
             NodeId::new(i),
             Box::new(CanonicalHammer {
                 mutex,

@@ -167,7 +167,7 @@ pub(crate) fn build(
         .mutex_group(NodeId::new(0), vec![LOCK, COUNTER], LOCK);
     let mut seeder = DetRng::new(cfg.seed);
     for i in 1..=cfg.contenders {
-        builder = builder.program(
+        builder.program(
             NodeId::new(i),
             Box::new(Hammer {
                 mutex: OptimisticMutex::new(LOCK, vec![COUNTER], cfg.mutex),

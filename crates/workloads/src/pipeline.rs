@@ -382,7 +382,7 @@ pub(crate) fn build(
             members.push(NodeId::new(next));
         }
         let vars: Vec<VarId> = (0..cfg.token_words).map(|w| data_var(i, w)).collect();
-        builder = builder.group(GroupSpec {
+        builder.group(&GroupSpec {
             root: NodeId::new(i),
             members,
             vars,
@@ -390,7 +390,7 @@ pub(crate) fn build(
         });
     }
     for i in 0..nodes as u32 {
-        builder = builder.program(
+        builder.program(
             NodeId::new(i),
             Box::new(PipelineCpu {
                 cfg,

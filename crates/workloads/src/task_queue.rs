@@ -379,18 +379,18 @@ pub(crate) fn build(
         .timing(cfg.timing)
         .model(model)
         .mutex_group(NodeId::new(0), queue_vars, LOCK)
-        .shared_group(NodeId::new(0), vec![PROD_DONE])
-        .program(
-            NodeId::new(0),
-            Box::new(Producer {
-                cfg,
-                notify,
-                produced: 0,
-                state: ProducerState::Producing,
-            }),
-        );
+        .shared_group(NodeId::new(0), vec![PROD_DONE]);
+    builder.program(
+        NodeId::new(0),
+        Box::new(Producer {
+            cfg,
+            notify,
+            produced: 0,
+            state: ProducerState::Producing,
+        }),
+    );
     for i in 1..nodes {
-        builder = builder.program(
+        builder.program(
             NodeId::new(i as u32),
             Box::new(Consumer {
                 cfg,

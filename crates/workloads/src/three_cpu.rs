@@ -172,16 +172,16 @@ pub(crate) fn build(
     let vars: Vec<VarId> = std::iter::once(LOCK)
         .chain((0..cfg.data_words).map(|w| VarId::new(DATA_BASE + w)))
         .collect();
-    let machine = SystemBuilder::new(3)
+    let mut builder = SystemBuilder::new(3)
         .topology(Ring::new(3)) // all pairs 1 hop apart
         .timing(cfg.timing)
         .model(model)
-        .mutex_group(NodeId::new(1), vars, LOCK)
+        .mutex_group(NodeId::new(1), vars, LOCK);
+    builder
         .program(NodeId::new(0), Box::new(mk(SimDur::ZERO, false)))
         .program(NodeId::new(1), Box::new(mk(SimDur::from_nanos(500), true)))
-        .program(NodeId::new(2), Box::new(mk(SimDur::from_nanos(10), false)))
-        .build()?;
-    Ok((machine, log))
+        .program(NodeId::new(2), Box::new(mk(SimDur::from_nanos(10), false)));
+    Ok((builder.build()?, log))
 }
 
 /// Reads the marks into a [`Figure1Run`], which takes the run's trace

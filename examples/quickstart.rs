@@ -59,16 +59,17 @@ impl Program for Quick {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Nine CPUs on a 3x3 mesh torus with the paper's link timing; one
     // mutex group guarding DATA, rooted (lock-managed) at node 4.
-    let machine = SystemBuilder::new(9)
-        .model(ModelChoice::Gwc)
-        .mutex_group(NodeId::new(4), vec![DATA], LOCK)
-        .program(
-            NodeId::new(0),
-            Box::new(Quick {
-                mutex: OptimisticMutex::new(LOCK, vec![DATA], OptimisticConfig::default()),
-            }),
-        )
-        .build()?;
+    let mut builder =
+        SystemBuilder::new(9)
+            .model(ModelChoice::Gwc)
+            .mutex_group(NodeId::new(4), vec![DATA], LOCK);
+    builder.program(
+        NodeId::new(0),
+        Box::new(Quick {
+            mutex: OptimisticMutex::new(LOCK, vec![DATA], OptimisticConfig::default()),
+        }),
+    );
+    let machine = builder.build()?;
 
     let result = run(machine, RunOptions::default());
     println!(

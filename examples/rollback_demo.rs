@@ -67,14 +67,15 @@ fn scenario(hw_block: bool) -> Word {
     // whole lock session reaches the root before the optimist's request
     // does, so the optimist's in-flight update is *accepted* — and its
     // echo must be dropped at the source.
-    let machine = SystemBuilder::new(7)
+    let mut builder = SystemBuilder::new(7)
         .topology(Line::new(7))
         .machine_config(MachineConfig {
             hw_block,
             ..MachineConfig::default()
         })
         .model(ModelChoice::Gwc)
-        .mutex_group(NodeId::new(5), vec![DATA], LOCK)
+        .mutex_group(NodeId::new(5), vec![DATA], LOCK);
+    builder
         .init_var(DATA, 1)
         .program(
             NodeId::new(0),
@@ -95,9 +96,8 @@ fn scenario(hw_block: bool) -> Word {
                 section: SimDur::from_nanos(100),
                 contribution: 2,
             }),
-        )
-        .build()
-        .expect("valid system");
+        );
+    let machine = builder.build().expect("valid system");
     let result = run(
         machine,
         RunOptions {

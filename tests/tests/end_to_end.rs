@@ -164,7 +164,7 @@ fn one_program_runs_under_every_model() {
                 .model(model)
                 .mutex_group(NodeId::new(0), vec![COUNTER], LOCK);
         for i in 0..4 {
-            builder = builder.program(NodeId::new(i), Box::new(Incr { rounds: 5 }));
+            builder.program(NodeId::new(i), Box::new(Incr { rounds: 5 }));
         }
         let machine = builder.build().unwrap();
         let result = run(machine, RunOptions::default());
