@@ -131,8 +131,12 @@ for jobs in 1 2; do
 done
 
 echo "==> model-checking smoke (exhaustive clean exploration, bounded)"
-cargo run -q --release -p sesame-cli -- check \
-    | grep -q "complete: every schedule"
+cargo run -q --release -p sesame-cli -- check > "$tmpdir/check-clean.out"
+grep -q "complete: every schedule" "$tmpdir/check-clean.out"
+# The exact search: event equality and hashing decide what the explorer
+# folds, so a causal id leaking into them would change these counts.
+grep -qx "explored 16 schedule(s): 0 truncated, 4097 sleep-blocked, 7582 pruned, max depth 34" \
+    "$tmpdir/check-clean.out"
 # Bigger canonical configs: their spaces exceed the budget, so the
 # bounded search must come back clean and honestly incomplete.
 cargo run -q --release -p sesame-cli -- check --cpus 3 --work-max 100000 \

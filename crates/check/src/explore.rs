@@ -168,7 +168,7 @@ enum Queue {
 impl Choice {
     fn queue(&self) -> Queue {
         match self.ev {
-            DsmEvent::Packet(pkt) => Queue::Link(pkt.from, pkt.to),
+            DsmEvent::Packet(pkt, _) => Queue::Link(pkt.from, pkt.to),
             _ => Queue::Local(self.node),
         }
     }
@@ -181,7 +181,7 @@ impl Choice {
 fn enabled(state: &[Choice], i: usize, links: LinkMode, roots: &[NodeId]) -> bool {
     let c = &state[i];
     let relaxed = match c.ev {
-        DsmEvent::Packet(pkt) => match links {
+        DsmEvent::Packet(pkt, _) => match links {
             LinkMode::Fifo => false,
             LinkMode::RelaxFromRoots => roots.contains(&pkt.from),
             LinkMode::Relax => true,
@@ -221,7 +221,7 @@ fn state_digest(
         run.len().hash(&mut h);
         for &i in run {
             match &state[i].ev {
-                DsmEvent::Packet(pkt) => pkt.hash(&mut h),
+                DsmEvent::Packet(pkt, _) => pkt.hash(&mut h),
                 ev => ev.hash(&mut h),
             }
         }
@@ -617,7 +617,7 @@ mod tests {
         for p in sim.pending() {
             let (node, ev) = p.msg;
             match ev {
-                DsmEvent::Packet(pkt) => links.entry((pkt.from, pkt.to)).or_default().push(*pkt),
+                DsmEvent::Packet(pkt, _) => links.entry((pkt.from, pkt.to)).or_default().push(*pkt),
                 other => locals.entry(*node).or_default().push(*other),
             }
         }

@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use sesame_dsm::{
-    sizes, AppEvent, CauseId, GroupTable, Model, ModelAction, Mx, Packet, PacketKind, TraceDetail,
+    sizes, AppEvent, GroupTable, Model, ModelAction, Mx, Packet, PacketKind, TraceDetail,
     TraceKind, VarId,
 };
 use sesame_net::NodeId;
@@ -208,7 +208,6 @@ impl EntryModel {
             mx.send_after(
                 self.handler_time,
                 Packet {
-                    cause: CauseId::NONE,
                     from,
                     to: *r,
                     bytes: sizes::CTRL,
@@ -239,7 +238,6 @@ impl EntryModel {
         mx.send_after(
             self.handler_time,
             Packet {
-                cause: CauseId::NONE,
                 from: t.from,
                 to: t.to,
                 bytes: sizes::CTRL + data_bytes,
@@ -299,7 +297,6 @@ impl EntryModel {
         mx.send_after(
             self.handler_time,
             Packet {
-                cause: CauseId::NONE,
                 from: node,
                 to: owner,
                 bytes: sizes::CTRL,
@@ -325,7 +322,6 @@ impl EntryModel {
             mx.send_after(
                 self.handler_time,
                 Packet {
-                    cause: CauseId::NONE,
                     from: node,
                     to: owner,
                     bytes: sizes::CTRL,
@@ -393,7 +389,6 @@ impl Model for EntryModel {
                         mx.send_after(
                             self.handler_time,
                             Packet {
-                                cause: CauseId::NONE,
                                 from: node,
                                 to: home,
                                 bytes: sizes::WRITE,
@@ -458,7 +453,6 @@ impl Model for EntryModel {
                 mx.send_after(
                     self.handler_time,
                     Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: target,
                         bytes: sizes::CTRL,
@@ -498,7 +492,6 @@ impl Model for EntryModel {
                 mx.send_after(
                     self.handler_time,
                     Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: back,
                         bytes: sizes::ACK,
@@ -529,7 +522,6 @@ impl Model for EntryModel {
                         mx.send_after(
                             self.handler_time,
                             Packet {
-                                cause: CauseId::NONE,
                                 from: node,
                                 to: owner,
                                 bytes: sizes::CTRL,
@@ -557,7 +549,6 @@ impl Model for EntryModel {
                 mx.send_after(
                     self.handler_time,
                     Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: requester,
                         bytes: sizes::WRITE,
@@ -626,7 +617,6 @@ impl EntryModel {
             mx.send_after(
                 self.handler_time,
                 Packet {
-                    cause: CauseId::NONE,
                     from: root,
                     to: r,
                     bytes: sizes::CTRL,

@@ -17,9 +17,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sesame_dsm::{
-    sizes, AppEvent, CauseId, GroupTable, Model, ModelAction, Mx, Packet, PacketKind, VarId,
-};
+use sesame_dsm::{sizes, AppEvent, GroupTable, Model, ModelAction, Mx, Packet, PacketKind, VarId};
 use sesame_net::NodeId;
 
 use crate::slab::{sset_has, sset_insert, sset_remove, LockSlab};
@@ -115,7 +113,6 @@ impl ReleaseModel {
             mx.deliver(to, AppEvent::Acquired { lock });
         } else {
             mx.send(Packet {
-                cause: CauseId::NONE,
                 from,
                 to,
                 bytes: sizes::CTRL,
@@ -153,7 +150,6 @@ impl ReleaseModel {
                     self.locks.expect_mut(lock, "complete_release").owner = Some(next);
                 } else {
                     mx.send(Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: manager,
                         bytes: sizes::CTRL,
@@ -174,7 +170,6 @@ impl ReleaseModel {
                     self.locks.expect_mut(lock, "complete_release").owner = None;
                 } else {
                     mx.send(Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: manager,
                         bytes: sizes::CTRL,
@@ -211,7 +206,6 @@ impl Model for ReleaseModel {
                 self.stats.updates += targets.len() as u64;
                 for m in targets {
                     mx.send(Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: m,
                         bytes: sizes::WRITE,
@@ -240,7 +234,6 @@ impl Model for ReleaseModel {
                         Some(o) => {
                             self.stats.forwards += 1;
                             mx.send(Packet {
-                                cause: CauseId::NONE,
                                 from: node,
                                 to: o,
                                 bytes: sizes::CTRL,
@@ -253,7 +246,6 @@ impl Model for ReleaseModel {
                     }
                 } else {
                     mx.send(Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: manager,
                         bytes: sizes::CTRL,
@@ -301,7 +293,6 @@ impl Model for ReleaseModel {
                 mx.mem(node).write(var, value);
                 mx.deliver(node, AppEvent::Updated { var, value, origin });
                 mx.send(Packet {
-                    cause: CauseId::NONE,
                     from: node,
                     to: origin,
                     bytes: sizes::ACK,
@@ -330,7 +321,6 @@ impl Model for ReleaseModel {
                         self.stats.forwards += 1;
                         self.locks.expect_mut(lock, "RcAcquire").owner = Some(o);
                         mx.send(Packet {
-                            cause: CauseId::NONE,
                             from: node,
                             to: o,
                             bytes: sizes::CTRL,
@@ -346,7 +336,6 @@ impl Model for ReleaseModel {
                 } else if let Some(&next) = st.last_granted.get(&lock) {
                     // The token moved on; chase it.
                     mx.send(Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: next,
                         bytes: sizes::CTRL,
@@ -357,7 +346,6 @@ impl Model for ReleaseModel {
                     // manager will re-route.
                     let manager = self.locks.expect(lock, "RcForward").manager;
                     mx.send(Packet {
-                        cause: CauseId::NONE,
                         from: node,
                         to: manager,
                         bytes: sizes::CTRL,

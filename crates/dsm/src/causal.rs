@@ -4,13 +4,12 @@
 //! threads "what caused the action I am performing right now" across the
 //! seams where the simulator loses that information:
 //!
-//! * **send → deliver**: outgoing packets are stamped with the sender's
-//!   current cause ([`Packet::cause`](crate::Packet)); packet arrival
-//!   restores it as the receiver's context.
-//! * **compute / timer scheduling → firing**: `ComputeDone`, `TimerFired`
-//!   and `ModelTimer` events carry no provenance on the wire, so the
-//!   context is parked in side maps keyed by `(node, tag)` and restored
-//!   when the event fires.
+//! * **schedule → handle**: every queue event the machine schedules
+//!   carries the cause it was scheduled under ([`DsmEvent::cause`]) — a
+//!   packet or wave train a fresh send or multicast id, a compute phase its
+//!   `compute` id, a program or protocol timer the cause current when it
+//!   was armed — and handling the event restores it as the current cause.
+//!   A timer re-armed before it fires is a second event with its own cause.
 //! * **protocol → program**: application events queued by
 //!   [`Mx::deliver`](crate::Mx) capture the delivering protocol action's
 //!   cause.
@@ -20,18 +19,18 @@
 //! after* the canonical record it annotates — same actor, same timestamp —
 //! which is the pairing contract `sesame-telemetry`'s DAG builder relies
 //! on. All of it is gated on tracing: with tracing detached nothing is
-//! allocated, stamped ids stay [`CauseId::NONE`], and the simulation is
+//! allocated, carried ids stay [`CauseId::NONE`], and the simulation is
 //! bit-for-bit unchanged.
 //!
 //! **Which ids can still be cited.** A later `"cause"` record names an id
-//! as its parent only if something carried the id there: a scheduled packet
-//! or wave train ([`Packet::cause`](crate::Packet)), or one of the three
-//! park maps. The context counts those *holds* per block of 4 096 ids —
-//! [`CauseCtx::hold`] where an id is handed out, [`CauseCtx::release`]
-//! where the event that carried it is handled — and at the top of every
-//! event, while the event's own id is still held, publishes the first id of
-//! the oldest block still held whenever that has moved
-//! ([`CauseCtx::publish_floor`] →
+//! as its parent only if a pending event carries it. The context counts
+//! those *holds* per block of 4 096 ids — [`CauseCtx::carry`] where an event
+//! carrying an id is scheduled, [`CauseCtx::release`] at the top of its
+//! handling — so [`CauseCtx::held`] is the number of pending events that
+//! carry a cause (a wave train is one: each car hands its hold to the
+//! next). At the top of every event, while the event's own id is still
+//! held, the context publishes the first id of the oldest block still held
+//! whenever that has moved ([`CauseCtx::publish_floor`] →
 //! [`TraceObserver::on_cause_floor`](sesame_sim::TraceObserver::on_cause_floor)):
 //! *no later record names a parent below it*. An event the run never
 //! handles (a timer pending when the program stops, an event the schedule
@@ -40,11 +39,14 @@
 //! with or without a listener.
 //!
 //! The context is deliberately **not** part of
-//! [`Machine::state_digest`](crate::Machine::state_digest): causal ids are
-//! provenance metadata, and the model checker must not distinguish states
-//! by them.
+//! [`Machine::state_digest`](crate::Machine::state_digest), and a carried
+//! id is invisible to event equality and hashing ([`Carried`]): causal ids
+//! are provenance metadata, and the model checker must not distinguish
+//! states by them.
+//!
+//! [`DsmEvent::cause`]: crate::DsmEvent::cause
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sesame_net::{CauseAlloc, CauseId, NodeId};
 use sesame_sim::{CauseOp, Context, TraceDetail, TraceKind};
@@ -54,19 +56,35 @@ use crate::machine::MachineMsg;
 /// Ids per hold-count block, as a shift: the floor moves a block at a time.
 const BLOCK_SHIFT: u32 = 12;
 
-/// The cause parked under each `(node, tag)`.
-type Parked = HashMap<(u32, u64), CauseId>;
+/// The causal id a queue event carries ([`DsmEvent::cause`]).
+///
+/// Any two compare equal and hash alike: the id is provenance the
+/// protocol never reads, so the schedule explorer's folding and state
+/// digests must not tell events apart by it.
+///
+/// [`DsmEvent::cause`]: crate::DsmEvent::cause
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Carried(pub CauseId);
+
+impl PartialEq for Carried {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Carried {}
+
+impl std::hash::Hash for Carried {
+    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+}
 
 /// The machine's causal bookkeeping: an id allocator, the cause of the
-/// action currently being processed, side maps carrying context across
-/// self-scheduled events, and the count of who still carries which ids.
+/// action currently being processed, and the count of pending events
+/// still carrying which ids.
 #[derive(Debug, Default)]
 pub struct CauseCtx {
     alloc: CauseAlloc,
     cur: CauseId,
-    compute: Parked,
-    timer: Parked,
-    model_timer: Parked,
     /// Outstanding holds per block of ids, `held[0]` counting block
     /// `held_from`. Blocks that drain are popped by
     /// [`CauseCtx::publish_floor`] alone, so an id released and held again
@@ -93,7 +111,7 @@ impl CauseCtx {
     }
 
     /// Restores the current cause (entering an event handler whose
-    /// provenance was carried on a packet or queue item).
+    /// provenance was carried on the event or a cascade item).
     pub fn set_current(&mut self, cause: CauseId) {
         self.cur = cause;
     }
@@ -116,7 +134,7 @@ impl CauseCtx {
     }
 
     /// Like [`CauseCtx::point`] but without advancing the current cause:
-    /// used for fan-out actions (sends, multicasts, compute scheduling)
+    /// used for fan-out actions (sends, multicasts, compute phases)
     /// where several children must all chain from the same parent.
     pub fn stage(
         &mut self,
@@ -146,10 +164,9 @@ impl CauseCtx {
         id
     }
 
-    /// Counts one more carrier of `cause`: a packet or wave train
-    /// scheduled with it, or a park-map entry. [`CauseId::NONE`] is never
-    /// counted.
-    pub fn hold(&mut self, cause: CauseId) {
+    /// Counts one more carrier of `cause`: an event scheduled with it
+    /// ([`CauseCtx::carry`]). [`CauseId::NONE`] is never counted.
+    fn hold(&mut self, cause: CauseId) {
         if !cause.is_some() {
             return;
         }
@@ -168,7 +185,14 @@ impl CauseCtx {
         self.held[at] += 1;
     }
 
-    /// Takes back one [`CauseCtx::hold`] of `cause`: the event that carried
+    /// Holds `cause` for an event about to be scheduled with it, and
+    /// returns it as that event carries it.
+    pub fn carry(&mut self, cause: CauseId) -> Carried {
+        self.hold(cause);
+        Carried(cause)
+    }
+
+    /// Takes back one [`CauseCtx::carry`] of `cause`: the event that carried
     /// it is being handled.
     pub fn release(&mut self, cause: CauseId) {
         if cause.is_some() {
@@ -202,127 +226,16 @@ impl CauseCtx {
         })
     }
 
-    /// Outstanding holds: scheduled carriers not yet handled plus parked
-    /// causes not yet resumed.
+    /// Outstanding holds: the pending events that carry a cause.
     #[must_use]
     pub fn held(&self) -> u64 {
         self.held.iter().map(|&n| u64::from(n)).sum()
     }
-
-    /// Causes waiting in the park maps — after a drained run, timers and
-    /// compute phases that were scheduled and never fired.
-    #[must_use]
-    pub fn parked(&self) -> usize {
-        self.compute.len() + self.timer.len() + self.model_timer.len()
-    }
-
-    /// Parks the given cause for a scheduled compute phase.
-    pub fn park_compute(&mut self, node: NodeId, tag: u64, cause: CauseId) {
-        let replaced = park(&mut self.compute, node, tag, cause);
-        self.hold(cause);
-        self.release(replaced);
-    }
-
-    /// Restores the cause parked for a completing compute phase.
-    pub fn resume_compute(&mut self, node: NodeId, tag: u64) {
-        self.cur = unpark(&mut self.compute, node, tag);
-        self.release(self.cur);
-    }
-
-    /// Parks the current cause for a program timer.
-    pub fn park_timer(&mut self, node: NodeId, tag: u64) {
-        let replaced = park(&mut self.timer, node, tag, self.cur);
-        self.hold(self.cur);
-        self.release(replaced);
-    }
-
-    /// Restores the cause parked for a firing program timer.
-    pub fn resume_timer(&mut self, node: NodeId, tag: u64) {
-        self.cur = unpark(&mut self.timer, node, tag);
-        self.release(self.cur);
-    }
-
-    /// Parks the current cause for a protocol (model) timer.
-    pub fn park_model_timer(&mut self, node: NodeId, tag: u64) {
-        let replaced = park(&mut self.model_timer, node, tag, self.cur);
-        self.hold(self.cur);
-        self.release(replaced);
-    }
-
-    /// Restores the cause parked for a firing protocol timer.
-    pub fn resume_model_timer(&mut self, node: NodeId, tag: u64) {
-        self.cur = unpark(&mut self.model_timer, node, tag);
-        self.release(self.cur);
-    }
-}
-
-/// Parks `cause` under `(node, tag)` and returns the cause it replaced — a
-/// timer re-armed before it fired — or [`CauseId::NONE`]. An untraced run
-/// parks nothing.
-fn park(parked: &mut Parked, node: NodeId, tag: u64, cause: CauseId) -> CauseId {
-    if !cause.is_some() {
-        return CauseId::NONE;
-    }
-    let replaced = parked.insert((node.get(), tag), cause);
-    replaced.unwrap_or(CauseId::NONE)
-}
-
-/// Takes the cause parked under `(node, tag)` out of `parked`. An untraced
-/// run parks nothing, and `HashMap::remove` hashes its key before it looks
-/// at the table, so the empty case is answered without it.
-fn unpark(parked: &mut Parked, node: NodeId, tag: u64) -> CauseId {
-    if parked.is_empty() {
-        return CauseId::NONE;
-    }
-    parked.remove(&(node.get(), tag)).unwrap_or(CauseId::NONE)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// With tracing detached every stamped id is [`CauseId::NONE`], so the
-    /// park calls must skip their map inserts entirely — the side maps
-    /// never allocate a single bucket over an untraced run.
-    #[test]
-    fn detached_parking_never_touches_the_heap() {
-        let mut c = CauseCtx::new();
-        for tag in 0..1000 {
-            let node = NodeId::new((tag % 7) as u32);
-            c.park_compute(node, tag, CauseId::NONE);
-            c.park_timer(node, tag);
-            c.park_model_timer(node, tag);
-            c.resume_compute(node, tag);
-            c.resume_timer(node, tag);
-            c.resume_model_timer(node, tag);
-            assert_eq!(c.current(), CauseId::NONE);
-        }
-        assert_eq!(c.alloc.allocated(), 0);
-        assert_eq!(c.compute.capacity(), 0, "no compute-map allocation");
-        assert_eq!(c.timer.capacity(), 0, "no timer-map allocation");
-        assert_eq!(c.model_timer.capacity(), 0, "no model-timer-map allocation");
-        c.hold(CauseId::NONE);
-        c.release(CauseId::NONE);
-        assert_eq!(c.advance_floor(), None);
-        assert_eq!(c.held.capacity(), 0, "no hold-count allocation");
-    }
-
-    /// With a live cause the park/resume pair round-trips it.
-    #[test]
-    fn live_causes_round_trip_through_parking() {
-        let mut c = CauseCtx::new();
-        let node = NodeId::new(3);
-        c.park_compute(node, 9, CauseId::from_raw(41));
-        c.set_current(CauseId::from_raw(7));
-        c.park_timer(node, 5);
-        c.resume_compute(node, 9);
-        assert_eq!(c.current(), CauseId::from_raw(41));
-        c.resume_timer(node, 5);
-        assert_eq!(c.current(), CauseId::from_raw(7));
-        c.resume_timer(node, 5);
-        assert_eq!(c.current(), CauseId::NONE, "parked causes are one-shot");
-        assert_eq!((c.held(), c.parked()), (0, 0));
-    }
 
     /// The floor is the first id of the oldest block something still
     /// carries, published when it moves and never while nothing is held.
@@ -361,39 +274,5 @@ mod tests {
         c.hold(id(5, 3));
         assert_eq!(c.advance_floor(), Some(5 * BLOCK));
         assert_eq!(c.held.len(), 1, "drained blocks are dropped");
-    }
-
-    /// Re-arming a timer before it fires replaces the parked cause; the
-    /// hold on the replaced one goes with it.
-    #[test]
-    fn parking_over_a_live_entry_releases_what_it_replaces() {
-        let mut c = CauseCtx::new();
-        let node = NodeId::new(1);
-        for (park, resume) in [
-            (
-                CauseCtx::park_timer as fn(&mut CauseCtx, NodeId, u64),
-                CauseCtx::resume_timer as fn(&mut CauseCtx, NodeId, u64),
-            ),
-            (CauseCtx::park_model_timer, CauseCtx::resume_model_timer),
-        ] {
-            c.set_current(CauseId::from_raw(3));
-            park(&mut c, node, 8);
-            c.set_current(CauseId::from_raw(5_000));
-            park(&mut c, node, 8);
-            assert_eq!((c.held(), c.parked()), (1, 1));
-            // A re-arm with no cause leaves the parked one in place.
-            c.set_current(CauseId::NONE);
-            park(&mut c, node, 8);
-            assert_eq!((c.held(), c.parked()), (1, 1));
-            resume(&mut c, node, 8);
-            assert_eq!(c.current(), CauseId::from_raw(5_000));
-            assert_eq!((c.held(), c.parked()), (0, 0));
-        }
-        c.park_compute(node, 2, CauseId::from_raw(4));
-        c.park_compute(node, 2, CauseId::from_raw(6));
-        assert_eq!((c.held(), c.parked()), (1, 1));
-        c.resume_compute(node, 2);
-        assert_eq!(c.current(), CauseId::from_raw(6));
-        assert_eq!(c.held(), 0);
     }
 }

@@ -65,7 +65,7 @@ pub fn is_local(event: &DsmEvent) -> bool {
         | DsmEvent::ComputeDone { .. }
         | DsmEvent::TimerFired { .. }
         | DsmEvent::ModelTimer { .. } => true,
-        DsmEvent::Packet(_) | DsmEvent::McastWave { .. } => false,
+        DsmEvent::Packet(..) | DsmEvent::McastWave { .. } => false,
     }
 }
 
@@ -97,7 +97,7 @@ impl Touch {
             | DsmEvent::ComputeDone { .. }
             | DsmEvent::TimerFired { .. }
             | DsmEvent::ModelTimer { .. } => return t,
-            DsmEvent::Packet(pkt) => pkt,
+            DsmEvent::Packet(pkt, _) => pkt,
             // A wave delivers to several members in one event. Which ones
             // depends on the route, so the footprint takes the sound
             // superset: every member of the group. Two cars of one group
@@ -178,7 +178,7 @@ pub fn independent(
 mod tests {
     use super::*;
     use crate::protocol::sizes;
-    use crate::{GroupSpec, Packet, Word};
+    use crate::{Carried, GroupSpec, Packet, Word};
 
     fn groups() -> GroupTable {
         GroupTable::new(vec![GroupSpec {
@@ -191,7 +191,7 @@ mod tests {
     }
 
     fn to_root(from: u32, var: u32, value: Word) -> DsmEvent {
-        DsmEvent::Packet(Packet {
+        let pkt = Packet {
             from: NodeId::new(from),
             to: NodeId::new(0),
             bytes: sizes::WRITE,
@@ -201,12 +201,12 @@ mod tests {
                 value,
                 origin: NodeId::new(from),
             },
-            cause: crate::CauseId::NONE,
-        })
+        };
+        DsmEvent::Packet(pkt, Carried::default())
     }
 
     fn seq_write(to: u32, var: u32, seq: u64) -> DsmEvent {
-        DsmEvent::Packet(Packet {
+        let pkt = Packet {
             from: NodeId::new(0),
             to: NodeId::new(to),
             bytes: sizes::WRITE,
@@ -217,27 +217,31 @@ mod tests {
                 origin: NodeId::new(0),
                 seq,
             },
-            cause: crate::CauseId::NONE,
-        })
+        };
+        DsmEvent::Packet(pkt, Carried::default())
     }
 
     /// Wave `wave` of a fan-out of [`seq_write`]'s packet, queued for its
     /// first member `to`.
     fn wave_event(wave: u32, to: u32) -> DsmEvent {
-        let DsmEvent::Packet(pkt) = seq_write(to, 1, 3) else {
+        let DsmEvent::Packet(pkt, cause) = seq_write(to, 1, 3) else {
             unreachable!()
         };
         DsmEvent::McastWave {
             group: GroupId::new(0),
             wave,
             pkt,
+            cause,
         }
     }
 
     #[test]
     fn local_events_have_node_footprints() {
         let g = groups();
-        let ev = DsmEvent::ComputeDone { tag: 1 };
+        let ev = DsmEvent::ComputeDone {
+            tag: 1,
+            cause: Carried::default(),
+        };
         assert!(is_local(&ev));
         let fp = event_footprint(NodeId::new(1), &ev, &g);
         assert_eq!(fp.resources, vec![Resource::Node(NodeId::new(1))]);
@@ -293,7 +297,10 @@ mod tests {
             NodeId::new(1),
             &wave,
             NodeId::new(2),
-            &DsmEvent::ComputeDone { tag: 4 },
+            &DsmEvent::ComputeDone {
+                tag: 4,
+                cause: Carried::default(),
+            },
             &g,
         ));
     }
@@ -324,8 +331,20 @@ mod tests {
             (n(2), seq_write(2, 1, 4)),
             (n(1), wave_event(1, 1)),
             (n(2), wave_event(2, 2)),
-            (n(1), DsmEvent::ComputeDone { tag: 1 }),
-            (n(2), DsmEvent::TimerFired { tag: 9 }),
+            (
+                n(1),
+                DsmEvent::ComputeDone {
+                    tag: 1,
+                    cause: Carried::default(),
+                },
+            ),
+            (
+                n(2),
+                DsmEvent::TimerFired {
+                    tag: 9,
+                    cause: Carried::default(),
+                },
+            ),
             (n(0), DsmEvent::Start { more: 0 }),
         ];
         for (at, a) in &events {
@@ -341,7 +360,10 @@ mod tests {
         let g = groups();
         assert!(independent(
             NodeId::new(2),
-            &DsmEvent::TimerFired { tag: 9 },
+            &DsmEvent::TimerFired {
+                tag: 9,
+                cause: Carried::default(),
+            },
             NodeId::new(1),
             &seq_write(1, 1, 3),
             &g,

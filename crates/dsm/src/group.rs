@@ -213,6 +213,9 @@ pub struct GroupTable {
     /// [`GroupTable::group_of`] binary-searches. Appended by each push and
     /// sorted once by [`GroupTableBuilder::finish`].
     var_groups: Vec<(VarId, GroupId)>,
+    /// The highest node any group names as root or member, with the first
+    /// group that names it: a machine checks its size against this alone.
+    highest: Option<(GroupId, NodeId)>,
 }
 
 /// Incremental construction of a [`GroupTable`]: each
@@ -343,8 +346,10 @@ impl GroupTable {
         if spec.vars.is_empty() {
             return Err(GroupConfigError::EmptyVars(id));
         }
-        let mut named = std::iter::once(&spec.root).chain(&spec.members);
-        if let Some(&node) = named.find(|n| n.index() >= nodes) {
+        let highest = spec.members.iter().fold(spec.root, |a, &m| a.max(m));
+        if highest.index() >= nodes {
+            let mut named = std::iter::once(&spec.root).chain(&spec.members);
+            let &node = named.find(|n| n.index() >= nodes).expect("the highest is");
             return Err(GroupConfigError::NodeOutOfRange(id, node));
         }
         let contiguous = spec
@@ -393,6 +398,9 @@ impl GroupTable {
         self.vars.extend_from_slice(&spec.vars);
         self.var_groups
             .extend(spec.vars.iter().map(|&var| (var, id)));
+        if self.highest.is_none_or(|(_, node)| highest > node) {
+            self.highest = Some((id, highest));
+        }
         Ok(())
     }
 
@@ -407,6 +415,12 @@ impl GroupTable {
         let mut seen = std::collections::HashSet::with_capacity(self.vars.len());
         let repeat = self.vars.iter().find(|&&var| !seen.insert(var));
         *repeat.expect("a variable repeats")
+    }
+
+    /// The highest node any group names as root or member, with the first
+    /// group that names it; `None` for a table without groups.
+    pub(crate) fn highest_node(&self) -> Option<(GroupId, NodeId)> {
+        self.highest
     }
 
     /// Number of groups.
@@ -510,6 +524,8 @@ mod tests {
         assert!(t.group(GroupId::new(0)).is_mutex_group());
         assert!(!t.group(GroupId::new(1)).is_mutex_group());
         assert_eq!(t.group(GroupId::new(0)).mutex_lock(), Some(v(0)));
+        // Both groups name n2; the first does so first.
+        assert_eq!(t.highest_node(), Some((GroupId::new(0), n(2))));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sesame_net::{CauseId, NodeId};
+use sesame_net::NodeId;
 use sesame_sim::{CauseOp, TraceKind};
 
 use crate::addr::lockval;
@@ -639,7 +639,6 @@ impl GwcModel {
                 value,
                 origin: node,
             },
-            cause: CauseId::NONE,
         });
     }
 
@@ -997,7 +996,6 @@ impl GwcModel {
                     group: item.group,
                     have: expected - 1,
                 },
-                cause: CauseId::NONE,
             });
             return;
         }
@@ -1133,7 +1131,6 @@ impl Model for GwcModel {
                             origin,
                             seq,
                         },
-                        cause: CauseId::NONE,
                     });
                 }
                 // With the NACK served, the writes only it held may go.
@@ -1191,7 +1188,6 @@ impl Model for GwcModel {
                 origin,
                 seq,
             },
-            cause: CauseId::NONE,
         });
         if let Some(timeout) = self.grant_timeout {
             mx.set_model_timer(node, timeout, tag);
@@ -1568,12 +1564,12 @@ mod tests {
                 // node's own events, stay in order.
                 let pending = sim.pending();
                 let key = |p: &sesame_sim::PendingEvent<'_, (NodeId, DsmEvent)>| match p.msg {
-                    (_, DsmEvent::Packet(pkt)) => (pkt.from, pkt.to),
+                    (_, DsmEvent::Packet(pkt, _)) => (pkt.from, pkt.to),
                     (node, _) => (*node, *node),
                 };
                 let choices: Vec<u64> = (pending.iter().enumerate())
                     .filter(|&(i, p)| {
-                        matches!(p.msg.1, DsmEvent::Packet(pkt) if pkt.from == root)
+                        matches!(p.msg.1, DsmEvent::Packet(pkt, _) if pkt.from == root)
                             || pending[..i].iter().all(|o| key(o) != key(p))
                     })
                     .map(|(_, p)| p.seq)
@@ -1670,7 +1666,7 @@ mod tests {
                 // A NACK about to arrive for a gap its member has already
                 // filled: the root must still hold what it names.
                 if let Some(p) = sim.pending().first() {
-                    if let (_, DsmEvent::Packet(pkt)) = p.msg {
+                    if let (_, DsmEvent::Packet(pkt, _)) = p.msg {
                         if let PacketKind::GwcNack { group, have } = pkt.kind {
                             let m = sim.actor().model();
                             let slot = sim.actor().groups().member_slot(group, pkt.from);

@@ -74,7 +74,7 @@ mod program;
 mod protocol;
 
 pub use addr::{lockval, GroupId, VarId, Word};
-pub use causal::CauseCtx;
+pub use causal::{Carried, CauseCtx};
 pub use footprint::{event_footprint, independent, is_local, Footprint, Resource};
 pub use group::{GroupConfigError, GroupSpec, GroupTable, GroupTableBuilder, SharingGroup};
 pub use gwc::{GwcModel, GwcMutation, GwcStats};

@@ -22,14 +22,15 @@ use sesame_sim::{
     TraceRecorder,
 };
 
-use crate::causal::CauseCtx;
+use crate::causal::{Carried, CauseCtx};
 use crate::protocol::sizes;
 use crate::{
     Action, AppEvent, GroupId, GroupTable, LocalMemory, ModelAction, NodeApi, Packet, PacketKind,
     Program,
 };
 
-/// Machine-level events targeted at one node.
+/// Machine-level events targeted at one node. Every event but `Start`
+/// carries the cause it was scheduled under ([`DsmEvent::cause`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DsmEvent {
     /// Deliver [`AppEvent::Started`] (once per node at time zero).
@@ -42,23 +43,30 @@ pub enum DsmEvent {
         /// must be its own choice point).
         more: u32,
     },
-    /// A packet arrived off the interconnect.
-    Packet(Packet),
+    /// A packet arrived off the interconnect, carrying the id of the send
+    /// or multicast that sent it.
+    Packet(Packet, Carried),
     /// A modeled computation phase finished.
     ComputeDone {
         /// Correlation tag from [`NodeApi::compute`].
         tag: u64,
+        /// The phase's `compute` id.
+        cause: Carried,
     },
     /// A timer fired.
     TimerFired {
         /// Correlation tag from [`NodeApi::set_timer`].
         tag: u64,
+        /// The cause current when the timer was armed.
+        cause: Carried,
     },
     /// A memory-model timer fired (protocol timeouts such as grant
     /// watchdogs), routed to [`Model::on_timer`].
     ModelTimer {
         /// Correlation tag from [`Mx::set_model_timer`].
         tag: u64,
+        /// The cause current when the timer was armed.
+        cause: Carried,
     },
     /// One wavefront of a pruned-multicast fan-out: the same payload
     /// arriving at several members at one instant, delivered as a single
@@ -90,7 +98,25 @@ pub enum DsmEvent {
         wave: u32,
         /// The shared packet; [`Packet::to`] is overridden per member.
         pkt: Packet,
+        /// The multicast's id, shared by every car of the train.
+        cause: Carried,
     },
+}
+
+impl DsmEvent {
+    /// The causal id the event carries: handling it restores this as the
+    /// current cause. [`CauseId::NONE`] for a `Start` (a root of the causal
+    /// forest) and for every event of an untraced run.
+    pub fn cause(&self) -> CauseId {
+        match *self {
+            DsmEvent::Start { .. } => CauseId::NONE,
+            DsmEvent::Packet(_, cause)
+            | DsmEvent::ComputeDone { cause, .. }
+            | DsmEvent::TimerFired { cause, .. }
+            | DsmEvent::ModelTimer { cause, .. }
+            | DsmEvent::McastWave { cause, .. } => cause.0,
+        }
+    }
 }
 
 /// The message type of the machine actor.
@@ -200,7 +226,7 @@ impl Mx<'_, '_> {
     /// Sends a packet after an extra processing delay at the sender —
     /// software protocol-handler occupancy in models that are not
     /// hardware-assisted.
-    pub fn send_after(&mut self, extra: SimDur, mut pkt: Packet) {
+    pub fn send_after(&mut self, extra: SimDur, pkt: Packet) {
         // The clock, not the send instant: floors up to `now + extra`
         // could still bind a send that leaves before then.
         self.fabric.advance(self.now);
@@ -224,11 +250,11 @@ impl Mx<'_, '_> {
                 },
             );
         }
-        // Stamp the packet with a fresh send id chaining from the current
+        // The delivery carries a fresh send id chaining from the current
         // cause; the receiver restores it as its causal context.
-        pkt.cause = self.causes.stage(self.ctx, pkt.from, CauseOp::Send);
-        self.causes.hold(pkt.cause);
-        self.ctx.send_at(at, (pkt.to, DsmEvent::Packet(pkt)));
+        let cause = self.causes.stage(self.ctx, pkt.from, CauseOp::Send);
+        let ev = DsmEvent::Packet(pkt, self.causes.carry(cause));
+        self.ctx.send_at(at, (pkt.to, ev));
     }
 
     /// Multicasts one sequenced write down `group`'s multicast route to
@@ -299,7 +325,7 @@ impl Mx<'_, '_> {
                 },
             );
         }
-        // One mcast id covers the whole fan-out: every member's packet
+        // One mcast id covers the whole fan-out: every member's delivery
         // carries it, so each arrival chains back to this decision.
         let cause = self.causes.stage(self.ctx, root, CauseOp::Mcast);
         let packet_to = |to: NodeId| Packet {
@@ -307,7 +333,6 @@ impl Mx<'_, '_> {
             to,
             bytes,
             kind,
-            cause,
         };
         match waves {
             // Wave 0 heads a train of one car per wave (a group has a
@@ -315,13 +340,14 @@ impl Mx<'_, '_> {
             // next.
             Some(route) => {
                 let first = route.wave(0).next().expect("a wave has a member");
+                // One hold for the whole train: each car hands it on to
+                // the next.
                 let ev = DsmEvent::McastWave {
                     group,
                     wave: 0,
                     pkt: packet_to(first),
+                    cause: self.causes.carry(cause),
                 };
-                // One hold for the whole train, released by its last car.
-                self.causes.hold(cause);
                 self.ctx.send_train_at(
                     depth_at(route.wave_depth(0)),
                     route.wave_count() as u64,
@@ -337,20 +363,19 @@ impl Mx<'_, '_> {
                     if member != root && self.fabric.roll_loss() {
                         continue;
                     }
-                    self.causes.hold(cause);
-                    self.ctx
-                        .send_at(at, (member, DsmEvent::Packet(packet_to(member))));
+                    let ev = DsmEvent::Packet(packet_to(member), self.causes.carry(cause));
+                    self.ctx.send_at(at, (member, ev));
                 }
             }
         }
     }
 
     /// Schedules a protocol timer: [`Model::on_timer`] fires at `node`
-    /// after `delay`.
+    /// after `delay`, under the cause current now.
     pub fn set_model_timer(&mut self, node: NodeId, delay: SimDur, tag: u64) {
-        self.causes.park_model_timer(node, tag);
-        self.ctx
-            .send_at(self.now + delay, (node, DsmEvent::ModelTimer { tag }));
+        let cause = self.causes.carry(self.causes.current());
+        let ev = DsmEvent::ModelTimer { tag, cause };
+        self.ctx.send_at(self.now + delay, (node, ev));
     }
 
     /// Queues an application event for delivery to `node`'s program in the
@@ -557,7 +582,8 @@ impl<M: Model> Machine<M> {
     /// # Panics
     ///
     /// Panics if the number of programs does not equal the topology's CPU
-    /// count, or if a group root is not a valid topology position.
+    /// count, or if a group names a root or member that is not one of
+    /// those CPUs.
     pub fn new(
         topo: Box<dyn Topology>,
         timing: LinkTiming,
@@ -571,18 +597,15 @@ impl<M: Model> Machine<M> {
             topo.len(),
             "one program per CPU node is required"
         );
-        // Routes are built lazily (on a group's first multicast),
-        // but root validity is still checked eagerly so a bad group spec
-        // fails at assembly, not mid-run.
-        for g in groups.iter() {
+        let n = topo.len();
+        // Memories, programs and the model's per-node state are indexed
+        // by node: a bad group spec fails at assembly, not mid-run.
+        if let Some((group, node)) = groups.highest_node() {
             assert!(
-                g.root().index() < topo.positions(),
-                "group {} root {} is not a valid topology position",
-                g.id(),
-                g.root()
+                node.index() < n,
+                "group {group} names node {node}, which this {n}-CPU machine does not have"
             );
         }
-        let n = topo.len();
         let n_groups = groups.len();
         Machine {
             topo,
@@ -755,11 +778,12 @@ impl<M: Model> Machine<M> {
         (self.programs, self.mems, self.model)
     }
 
-    /// The car that follows wave `wave` of `group`'s fan-out of `pkt`, and
-    /// how much later it lands; `None` after the last wave. The gap is
-    /// counted from the wave being dispatched rather than from the send
-    /// instant, because the schedule explorer may deliver a car late.
-    fn wave_after(&self, group: GroupId, wave: u32, pkt: Packet) -> Option<(SimDur, MachineMsg)> {
+    /// How much later than wave `wave` of a `bytes`-long fan-out over
+    /// `group`'s route the next wave lands, and that wave's first member;
+    /// `None` after the last wave. The gap is counted from the wave being
+    /// dispatched rather than from the send instant, because the schedule
+    /// explorer may deliver a car late.
+    fn wave_after(&self, group: GroupId, wave: u32, bytes: u32) -> Option<(SimDur, NodeId)> {
         let route = self.routes.get(group.index())?;
         let (this, next) = (wave as usize, wave as usize + 1);
         if next == route.wave_count() {
@@ -767,16 +791,10 @@ impl<M: Model> Machine<M> {
         }
         let at = |w| {
             self.fabric
-                .arrival(SimTime::ZERO, route.wave_depth(w), pkt.bytes)
+                .arrival(SimTime::ZERO, route.wave_depth(w), bytes)
         };
         let gap = at(next) - at(this);
-        let to = route.wave(next).next().expect("a wave has a member");
-        let car = DsmEvent::McastWave {
-            group,
-            wave: wave + 1,
-            pkt: Packet { to, ..pkt },
-        };
-        Some((gap, (to, car)))
+        Some((gap, route.wave(next).next().expect("a wave has a member")))
     }
 
     fn with_mx<R>(
@@ -911,15 +929,15 @@ impl<M: Model> Machine<M> {
                     Action::Compute { dur, tag } => {
                         self.cpus[node.index()].start(ctx.now(), dur);
                         let id = self.causes.stage(ctx, node, CauseOp::Compute);
-                        self.causes.park_compute(node, tag, id);
-                        ctx.send(dur, (node, DsmEvent::ComputeDone { tag }));
+                        let cause = self.causes.carry(id);
+                        ctx.send(dur, (node, DsmEvent::ComputeDone { tag, cause }));
                     }
                     Action::CancelCompute => {
                         self.cpus[node.index()].cancel(ctx.now());
                     }
                     Action::Timer { dur, tag } => {
-                        self.causes.park_timer(node, tag);
-                        ctx.send(dur, (node, DsmEvent::TimerFired { tag }));
+                        let cause = self.causes.carry(self.causes.current());
+                        ctx.send(dur, (node, DsmEvent::TimerFired { tag, cause }));
                     }
                     Action::SendMessage {
                         to,
@@ -931,7 +949,6 @@ impl<M: Model> Machine<M> {
                             to,
                             bytes: payload_bytes + sizes::APP_HEADER,
                             kind: PacketKind::App { tag },
-                            cause: CauseId::NONE,
                         };
                         self.with_mx(ctx, app_q, |_, mx| mx.send(pkt));
                     }
@@ -968,9 +985,13 @@ impl<M: Model> Actor for Machine<M> {
         // taken out while in use because handling re-borrows the machine.
         let mut app_q = std::mem::take(&mut self.app_q);
         debug_assert!(app_q.is_empty());
-        // While the cause this event carries is still held: the arms below
-        // release it, and what they cite is at or above the floor.
+        // While the cause this event carries is still held, so what the
+        // handler cites is at or above the floor; then the event gives its
+        // hold back and its cause becomes the current one.
         self.causes.publish_floor(ctx);
+        let cause = event.cause();
+        self.causes.release(cause);
+        self.causes.set_current(cause);
         match event {
             DsmEvent::Start { more } => {
                 if more > 0 {
@@ -979,25 +1000,21 @@ impl<M: Model> Actor for Machine<M> {
                     ctx.send_next_car_at(ctx.now(), (next, car));
                 }
                 // Spontaneous: a root of the causal forest.
-                self.causes.set_current(CauseId::NONE);
-                app_q.push_back((node, AppEvent::Started, CauseId::NONE));
+                app_q.push_back((node, AppEvent::Started, cause));
             }
-            DsmEvent::ComputeDone { tag } => {
+            DsmEvent::ComputeDone { tag, .. } => {
                 self.cpus[node.index()].finish(ctx.now());
-                self.causes.resume_compute(node, tag);
-                app_q.push_back((node, AppEvent::ComputeDone { tag }, self.causes.current()));
+                app_q.push_back((node, AppEvent::ComputeDone { tag }, cause));
             }
-            DsmEvent::TimerFired { tag } => {
-                self.causes.resume_timer(node, tag);
-                app_q.push_back((node, AppEvent::TimerFired { tag }, self.causes.current()));
+            DsmEvent::TimerFired { tag, .. } => {
+                app_q.push_back((node, AppEvent::TimerFired { tag }, cause));
             }
-            DsmEvent::Packet(pkt) => {
-                // The packet carried its sender's causal context.
-                self.causes.release(pkt.cause);
-                self.causes.set_current(pkt.cause);
+            DsmEvent::Packet(pkt, _) => {
                 self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(node, pkt, mx));
             }
-            DsmEvent::McastWave { group, wave, pkt } => {
+            DsmEvent::McastWave {
+                group, wave, pkt, ..
+            } => {
                 // One queue event carries a whole fan-out wavefront; each
                 // member still gets its own packet delivery and cascade, in
                 // declared member order, as if they were separate events at
@@ -1012,18 +1029,23 @@ impl<M: Model> Actor for Machine<M> {
                 self.wave_scratch.extend(route.wave(wave as usize));
                 for i in 0..self.wave_scratch.len() {
                     let m = self.wave_scratch[i];
-                    self.causes.set_current(pkt.cause);
+                    self.causes.set_current(cause);
                     let p = Packet { to: m, ..pkt };
                     self.with_mx(ctx, &mut app_q, |model, mx| model.on_packet(m, p, mx));
                     self.drain(&mut app_q, ctx);
                 }
-                match self.wave_after(group, wave, pkt) {
-                    Some((gap, car)) => ctx.send_next_car_at(ctx.now() + gap, car),
-                    None => self.causes.release(pkt.cause),
+                if let Some((gap, to)) = self.wave_after(group, wave, pkt.bytes) {
+                    // This car hands its hold on to the next.
+                    let car = DsmEvent::McastWave {
+                        group,
+                        wave: wave + 1,
+                        pkt: Packet { to, ..pkt },
+                        cause: self.causes.carry(cause),
+                    };
+                    ctx.send_next_car_at(ctx.now() + gap, (to, car));
                 }
             }
-            DsmEvent::ModelTimer { tag } => {
-                self.causes.resume_model_timer(node, tag);
+            DsmEvent::ModelTimer { tag, .. } => {
                 self.with_mx(ctx, &mut app_q, |model, mx| model.on_timer(node, tag, mx));
             }
         }

@@ -9,7 +9,7 @@
 //! * `Rc*` — weak/release consistency (implemented in `sesame-consistency`).
 //! * [`PacketKind::App`] — application-level point-to-point data.
 
-use sesame_net::{CauseId, NodeId};
+use sesame_net::NodeId;
 
 use crate::{GroupId, VarId, Word};
 
@@ -172,12 +172,9 @@ pub enum PacketKind {
     },
 }
 
-/// One message in flight.
-///
-/// Equality and hashing deliberately ignore [`Packet::cause`]: the causal
-/// id is provenance metadata the protocol never reads, and the model
-/// checker's state digests must not distinguish states by it.
-#[derive(Debug, Clone, Copy)]
+/// One message in flight. Its causal id travels beside it, on the queue
+/// event that delivers it ([`DsmEvent::cause`](crate::DsmEvent::cause)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Packet {
     /// Sending node.
     pub from: NodeId,
@@ -187,29 +184,6 @@ pub struct Packet {
     pub bytes: u32,
     /// The payload.
     pub kind: PacketKind,
-    /// Causal id of the action that sent this packet (stamped by the
-    /// machine's send paths; [`CauseId::NONE`] until then).
-    pub cause: CauseId,
-}
-
-impl PartialEq for Packet {
-    fn eq(&self, other: &Self) -> bool {
-        self.from == other.from
-            && self.to == other.to
-            && self.bytes == other.bytes
-            && self.kind == other.kind
-    }
-}
-
-impl Eq for Packet {}
-
-impl std::hash::Hash for Packet {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.from.hash(state);
-        self.to.hash(state);
-        self.bytes.hash(state);
-        self.kind.hash(state);
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +202,6 @@ mod tests {
                 value: 7,
                 origin: NodeId::new(0),
             },
-            cause: CauseId::NONE,
         };
         let q = p;
         assert_eq!(p, q);
@@ -237,9 +210,10 @@ mod tests {
 
     #[test]
     fn equality_and_hashing_ignore_the_causal_id() {
+        use crate::{Carried, CauseId, DsmEvent};
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let mk = |cause| Packet {
+        let pkt = Packet {
             from: NodeId::new(0),
             to: NodeId::new(1),
             bytes: sizes::CTRL,
@@ -247,17 +221,28 @@ mod tests {
                 group: GroupId::new(0),
                 have: 3,
             },
-            cause,
         };
-        let a = mk(CauseId::NONE);
-        let b = mk(CauseId::from_raw(99));
-        assert_eq!(a, b);
-        let digest = |p: &Packet| {
+        let events = |id| {
+            let cause = Carried(id);
+            [
+                DsmEvent::Packet(pkt, cause),
+                DsmEvent::ComputeDone { tag: 1, cause },
+                DsmEvent::TimerFired { tag: 1, cause },
+                DsmEvent::ModelTimer { tag: 1, cause },
+            ]
+        };
+        let digest = |ev: &DsmEvent| {
             let mut h = DefaultHasher::new();
-            p.hash(&mut h);
+            ev.hash(&mut h);
             h.finish()
         };
-        assert_eq!(digest(&a), digest(&b));
+        for (a, b) in events(CauseId::NONE)
+            .iter()
+            .zip(&events(CauseId::from_raw(99)))
+        {
+            assert_eq!(a, b);
+            assert_eq!(digest(a), digest(b));
+        }
     }
 
     #[test]

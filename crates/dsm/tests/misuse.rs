@@ -2,8 +2,8 @@
 //! that break the sharing rules, instead of silently corrupting state.
 
 use sesame_dsm::{
-    lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
-    Program, RunOptions, VarId,
+    lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, IdleProgram, Machine, MachineConfig,
+    NodeApi, Program, RunOptions, VarId,
 };
 use sesame_net::{LinkTiming, NodeId, Ring};
 use sesame_sim::SimDur;
@@ -95,4 +95,12 @@ fn overlapping_compute_phases_panic() {
         }
     })];
     run(machine_with(programs, &[0]), RunOptions::default());
+}
+
+#[test]
+#[should_panic(expected = "group g0 names node n9, which this 4-CPU machine does not have")]
+fn a_group_member_past_the_last_cpu_panics_at_assembly() {
+    // `GroupTable::new` is not told the machine's size; the machine is.
+    let programs: Vec<Box<dyn Program>> = (0..4).map(|_| Box::new(IdleProgram) as _).collect();
+    machine_with(programs, &[0, 1, 9]);
 }

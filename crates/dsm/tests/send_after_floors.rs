@@ -11,7 +11,7 @@ use sesame_dsm::{
     run, AppEvent, GroupTable, IdleProgram, Machine, MachineConfig, Model, ModelAction, Mx,
     NodeApi, Packet, PacketKind, Program, RunOptions, VarId, Word,
 };
-use sesame_net::{CauseId, Fabric, FullMesh, LinkTiming, NodeId};
+use sesame_net::{Fabric, FullMesh, LinkTiming, NodeId};
 use sesame_sim::{DetRng, SimDur, SimTime};
 
 const NODES: usize = 400;
@@ -74,7 +74,6 @@ impl Model for Scripted {
                 kind: PacketKind::App {
                     tag: var.get().into(),
                 },
-                cause: CauseId::NONE,
             },
         );
     }

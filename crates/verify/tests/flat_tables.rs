@@ -397,7 +397,7 @@ fn mutant_run(cfg: CanonicalConfig, seed: u64) -> Online {
         let (mut links, mut locals) = (HashSet::new(), HashSet::new());
         let enabled: Vec<u64> = (pending.iter())
             .filter(|p| match p.msg {
-                (_, DsmEvent::Packet(pkt)) => {
+                (_, DsmEvent::Packet(pkt, _)) => {
                     roots.contains(&pkt.from) || links.insert((pkt.from, pkt.to))
                 }
                 (node, _) => locals.insert(*node),

@@ -98,7 +98,6 @@ struct Hammer {
     rng: DetRng,
     entered: SimTime,
     stats_out: StatsOut,
-    latencies: Vec<SimDur>,
 }
 
 impl Hammer {
@@ -107,9 +106,13 @@ impl Hammer {
         api.set_timer(SimDur::from_nanos(t as u64), TAG_ENTER);
     }
 
-    fn publish(&mut self, api: &mut NodeApi<'_>) {
+    /// Records a completed section's latency and the statistics so far in
+    /// this hammer's slot of the registry.
+    fn publish(&mut self, latency: SimDur, api: &mut NodeApi<'_>) {
         let idx = api.id().index() - 1;
-        self.stats_out.borrow_mut()[idx] = (self.mutex.stats(), self.latencies.clone());
+        let (stats, latencies) = &mut self.stats_out.borrow_mut()[idx];
+        *stats = self.mutex.stats();
+        latencies.push(latency);
     }
 }
 
@@ -139,9 +142,8 @@ impl Program for Hammer {
                 debug_assert!(done.is_none());
             }
             Some(MutexSignal::Completed(_)) => {
-                self.latencies.push(api.now() - self.entered);
                 self.rounds -= 1;
-                self.publish(api);
+                self.publish(api.now() - self.entered, api);
                 if self.rounds > 0 {
                     self.think_then_enter(api);
                 }
@@ -177,7 +179,6 @@ pub(crate) fn build(
                 rng: seeder.split(i as u64),
                 entered: SimTime::ZERO,
                 stats_out: stats_out.clone(),
-                latencies: Vec::new(),
             }),
         );
     }

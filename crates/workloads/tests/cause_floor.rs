@@ -2,8 +2,8 @@
 //! (`TraceObserver::on_cause_floor`): whatever the machine runs — every
 //! scenario, a lossy fabric with its retransmissions and watchdog timers,
 //! a schedule no clock would produce — no `"cause"` record names a parent
-//! below the last floor the observer was told, floors only rise, and a run
-//! that drains leaves no hold behind except on timers that never fired.
+//! below the last floor the observer was told, floors only rise, and the
+//! machine holds exactly one id per pending event that carries a cause.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -53,17 +53,15 @@ impl TraceObserver for FloorContract {
 /// Runs `scenario` under the contract observer and returns the observer.
 /// A drained run handled every event it scheduled, so it must have taken
 /// back every hold; a run its program stopped (the pipeline) still holds
-/// what was pending, its unfired poll timers among it.
+/// what was pending.
 fn check(scenario: Scenario) -> FloorContract {
     let contract = Rc::new(RefCell::new(FloorContract::default()));
     let outcome = scenario
         .run(Some(contract.clone()))
         .unwrap_or_else(|e| panic!("{e}"));
-    let causes = outcome.result().machine.causes();
-    let (held, parked) = (causes.held(), causes.parked() as u64);
-    match outcome.result().outcome {
-        RunOutcome::Drained => assert_eq!((held, parked), (0, 0), "{scenario:?}"),
-        _ => assert!(held >= parked, "{scenario:?}: {held} held, {parked} parked"),
+    let result = outcome.result();
+    if result.outcome == RunOutcome::Drained {
+        assert_eq!(result.machine.causes().held(), 0, "{scenario:?}");
     }
     let contract = Rc::try_unwrap(contract).ok().expect("the run is over");
     contract.into_inner()
@@ -152,8 +150,7 @@ fn a_lossy_fabric_with_its_timers_keeps_the_contract() {
     let result = run_observed(machine, RunOptions::default(), Some(contract.clone()));
     assert_eq!(result.outcome, RunOutcome::Drained);
     assert!(result.machine.fabric_stats().losses > 0);
-    let causes = result.machine.causes();
-    assert_eq!((causes.held(), causes.parked()), (0, 0));
+    assert_eq!(result.machine.causes().held(), 0);
     assert!(contract.borrow().floors > 0, "the run is blocks long");
 }
 
@@ -163,7 +160,7 @@ fn a_lossy_fabric_with_its_timers_keeps_the_contract() {
 fn any_deliverable(pending: &[PendingEvent<'_, MachineMsg>], rng: &mut DetRng) -> u64 {
     let (mut links, mut locals) = (HashSet::new(), HashSet::new());
     let deliverable = |p: &&PendingEvent<'_, MachineMsg>| match p.msg {
-        (_, DsmEvent::Packet(pkt)) => links.insert((pkt.from, pkt.to)),
+        (_, DsmEvent::Packet(pkt, _)) => links.insert((pkt.from, pkt.to)),
         (node, _) => locals.insert(*node),
     };
     let enabled: Vec<u64> = pending.iter().filter(deliverable).map(|p| p.seq).collect();
@@ -187,11 +184,15 @@ fn a_scheduled_execution_keeps_the_contract_and_an_abandoned_one_keeps_its_holds
             let start = (NodeId::new(node), DsmEvent::Start { more: 0 });
             sim.schedule(SimTime::ZERO, start);
         }
-        // Stops after `picks` deliveries, the rest left pending.
+        // Stops after `picks` deliveries, the rest left pending. Before
+        // each one, the machine holds one id per pending event that
+        // carries a cause: none for a start.
         let mut rng = DetRng::new(picks);
         let mut left = picks;
         let outcome = loop {
             let pending = sim.pending();
+            let carriers = pending.iter().filter(|p| p.msg.1.cause().is_some());
+            assert_eq!(sim.actor().causes().held(), carriers.count() as u64);
             if pending.is_empty() {
                 break RunOutcome::Drained;
             }
@@ -209,8 +210,7 @@ fn a_scheduled_execution_keeps_the_contract_and_an_abandoned_one_keeps_its_holds
     let (outcome, pending, held, floors) = run(u64::MAX);
     assert_eq!((outcome, pending, held), (RunOutcome::Drained, 0, 0));
     assert!(floors > 0, "the run is blocks long");
-    // Cut short, what is still pending is what is still held: one hold a
-    // packet, none for a start or an event that carries no cause.
+    // Cut short, what is still pending is still held.
     let (outcome, pending, held, _) = run(2_000);
     assert_eq!(outcome, RunOutcome::Stopped);
     assert!(

@@ -199,7 +199,9 @@ fn any_deliverable(
 ) -> u64 {
     let (mut links, mut locals) = (HashSet::new(), HashSet::new());
     let deliverable = |p: &&PendingEvent<'_, MachineMsg>| match p.msg {
-        (_, DsmEvent::Packet(pkt)) => roots.contains(&pkt.from) || links.insert((pkt.from, pkt.to)),
+        (_, DsmEvent::Packet(pkt, _)) => {
+            roots.contains(&pkt.from) || links.insert((pkt.from, pkt.to))
+        }
         (node, _) => locals.insert(*node),
     };
     let enabled: Vec<u64> = pending.iter().filter(deliverable).map(|p| p.seq).collect();
