@@ -161,6 +161,20 @@ if cargo run -q --release -p sesame-cli -- check --replay "$tmpdir/cx.replay" \
     exit 1
 fi
 grep -q "still holds" "$tmpdir/replay.out"
+# Without Figure 6 hardware blocking a writer applies its own echo.
+if cargo run -q --release -p sesame-cli -- check \
+    --mutation no-hw-block --out "$tmpdir/cx-hw.replay" \
+    > "$tmpdir/check-hw.out" 2>&1; then
+    echo "planted no-hw-block mutant was NOT caught" >&2
+    exit 1
+fi
+grep -q "echo of its own mutex-group data write" "$tmpdir/check-hw.out"
+if cargo run -q --release -p sesame-cli -- check --replay "$tmpdir/cx-hw.replay" \
+    > "$tmpdir/replay-hw.out" 2>&1; then
+    echo "replayed no-hw-block counterexample did NOT reproduce the violation" >&2
+    exit 1
+fi
+grep -q "echo of its own mutex-group data write" "$tmpdir/replay-hw.out"
 
 echo "==> causal-tracing smoke (explain, DAG export, flow arrows)"
 cargo run -q --release -p sesame-cli -- run --scenario contention \

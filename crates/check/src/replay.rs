@@ -36,6 +36,8 @@ fn gwc_mutation_str(m: GwcMutation) -> &'static str {
         GwcMutation::None => "none",
         GwcMutation::StaleGrantReuse => "stale-grant-reuse",
         GwcMutation::SeqGap => "seq-gap",
+        GwcMutation::NoHwBlock => "no-hw-block",
+        GwcMutation::NoInsharingSuspension => "no-insharing-suspension",
     }
 }
 
@@ -45,6 +47,8 @@ pub fn parse_gwc_mutation(s: &str) -> Result<GwcMutation, String> {
         "none" => Ok(GwcMutation::None),
         "stale-grant-reuse" => Ok(GwcMutation::StaleGrantReuse),
         "seq-gap" => Ok(GwcMutation::SeqGap),
+        "no-hw-block" => Ok(GwcMutation::NoHwBlock),
+        "no-insharing-suspension" => Ok(GwcMutation::NoInsharingSuspension),
         other => Err(format!("unknown gwc_mutation `{other}`")),
     }
 }
@@ -211,6 +215,27 @@ mod tests {
         let (parsed, choices) = parse_replay(&s).expect("round trip");
         assert_eq!(parsed, config);
         assert_eq!(choices, vec![3, 1, 7]);
+    }
+
+    #[test]
+    fn every_gwc_mutation_name_round_trips() {
+        for gwc_mutation in [
+            GwcMutation::None,
+            GwcMutation::NoHwBlock,
+            GwcMutation::NoInsharingSuspension,
+            GwcMutation::StaleGrantReuse,
+            GwcMutation::SeqGap,
+        ] {
+            let name = gwc_mutation_str(gwc_mutation);
+            assert_eq!(parse_gwc_mutation(name), Ok(gwc_mutation));
+            let config = CanonicalConfig {
+                gwc_mutation,
+                ..CanonicalConfig::default()
+            };
+            let s = to_replay_string(&cx(config, vec![2]));
+            assert!(s.contains(&format!("gwc_mutation={name}\n")), "{s}");
+            assert_eq!(parse_replay(&s), Ok((config, vec![2])));
+        }
     }
 
     #[test]

@@ -156,6 +156,37 @@ fn drop_rollback_mutant_is_caught() {
 }
 
 #[test]
+fn no_hw_block_mutant_is_caught_and_replays() {
+    // Without Figure 6 hardware blocking the first writer applies the
+    // root's echo of its own counter write: the first schedule shows it.
+    let cfg = CanonicalConfig {
+        gwc_mutation: GwcMutation::NoHwBlock,
+        ..two_cpu()
+    };
+    let report = check(cfg, CheckOptions::default());
+    assert_eq!(report.schedules, 0, "{report:?}");
+    let cx = report
+        .counterexample
+        .expect("the applied own echo must be found");
+    assert!(
+        cx.violations
+            .iter()
+            .any(|v| v.message.contains("Figure 6 hardware blocking failed")),
+        "unexpected diagnosis: {:#?}",
+        cx.violations
+    );
+    let file = to_replay_string(&cx);
+    assert!(file.contains("\ngwc_mutation=no-hw-block\n"), "{file}");
+    let (parsed_cfg, choices) = parse_replay(&file).expect("well-formed replay file");
+    assert_eq!((parsed_cfg, &choices), (cfg, &cx.choices));
+    let outcome = replay(parsed_cfg, &choices).expect("schedule applies");
+    assert!(
+        !outcome.violations.is_empty(),
+        "replay lost the violation: {outcome:?}"
+    );
+}
+
+#[test]
 fn counterexample_replays_deterministically() {
     let cfg = CanonicalConfig {
         gwc_mutation: GwcMutation::StaleGrantReuse,

@@ -155,7 +155,6 @@ pub fn figure1_flags(args: &Args, d: Figure1Config) -> Result<Figure1Config, Arg
     Ok(Figure1Config {
         section: micros(args, "--section-us", d.section)?,
         data_words: args.get_or("--words", d.data_words, "integer")?,
-        ..d
     })
 }
 
@@ -195,7 +194,6 @@ pub fn bigmesh_flags(args: &Args, d: BigMeshConfig) -> Result<BigMeshConfig, Arg
         local_calc: micros(args, "--local-us", d.local_calc)?,
         shared_words: args.get_or("--shared-words", d.shared_words, "integer")?,
         event_limit: args.get_or("--event-limit", d.event_limit, "integer")?,
-        ..d
     })
 }
 

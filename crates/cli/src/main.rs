@@ -39,8 +39,7 @@ use sesame_workloads::bigmesh::BigMeshConfig;
 use sesame_workloads::canonical::CanonicalConfig;
 use sesame_workloads::contention::{ContentionConfig, ContentionRun};
 use sesame_workloads::experiments::{
-    figure1, figure2_jobs, figure2_sizes, figure8_jobs, figure8_optimism_jobs, figure8_sizes,
-    render_series,
+    figure1, figure2_jobs, figure2_sizes, figure8_sizes, figure8_with_optimism, render_series,
 };
 use sesame_workloads::pipeline::{MutexMethod, PipelineConfig};
 use sesame_workloads::scenario::{Outcome, Scenario};
@@ -133,7 +132,7 @@ fn cmd_fig1(args: &Args) -> CliResult {
     }
     let pred = Figure1Params {
         hops: 1,
-        timing: cfg.timing,
+        timing: sesame_workloads::three_cpu::TIMING,
         section: cfg.section,
         guarded_bytes: cfg.data_words * sesame_dsm::sizes::WRITE,
     }
@@ -236,14 +235,14 @@ fn cmd_fig8(args: &Args) -> CliResult {
             cfg.total_visits,
             cfg.local_calc,
             cfg.section(),
-            cfg.token_words
+            sesame_workloads::pipeline::TOKEN_WORDS
         );
         println!("# Figure 8 — Mutex Methods, Network Power in CPUs");
         println!(
             "# paper: bound 1.89; optimistic 1.68->1.15; non-optimistic 1.53->1.03; entry 0.81->0.64"
         );
     }
-    let data = figure8_jobs(cfg, &sizes, jobs);
+    let (data, optimism) = figure8_with_optimism(cfg, &sizes, jobs);
     let lines = [&data.ideal, &data.optimistic, &data.regular, &data.entry];
     println!("{}", render(&lines, csv));
     let r = data.headline_ratios();
@@ -261,14 +260,14 @@ fn cmd_fig8(args: &Args) -> CliResult {
          #   non-optimistic / entry:          {:.2}",
         r.nodes, r.optimistic_over_regular, r.optimistic_over_entry, r.regular_over_entry
     );
-    // The optimism columns, sourced from the telemetry registry: what
+    // The optimism columns, read off the optimistic line's runs: what
     // fraction of mutex entries the optimistic engine won outright.
     println!("\n# optimism telemetry (optimistic GWC line)");
     println!("# cpus   attempts   wins   rollbacks   hit-rate   overlapped");
-    for p in figure8_optimism_jobs(cfg, &sizes, jobs) {
+    for (nodes, p) in sizes.iter().zip(optimism) {
         println!(
             "{:>6} {:>10} {:>6} {:>11} {:>9.1}% {:>12}",
-            p.nodes,
+            nodes,
             p.attempts,
             p.wins,
             p.rollbacks,
@@ -756,7 +755,8 @@ fn check_config(args: &Args) -> CliResult<(CanonicalConfig, CheckOptions)> {
         (Ok(gwc), _) => cfg.gwc_mutation = gwc,
         (_, Ok(mutex)) => cfg.mutex_mutation = mutex,
         _ => Err(format!(
-            "unknown --mutation {m:?} (use none, stale-grant-reuse, seq-gap or drop-rollback)"
+            "unknown --mutation {m:?} (use none, stale-grant-reuse, seq-gap, \
+             no-hw-block or drop-rollback)"
         ))?,
     }
     let links = match args.get_str("--links").unwrap_or("fifo") {
@@ -773,6 +773,15 @@ fn check_config(args: &Args) -> CliResult<(CanonicalConfig, CheckOptions)> {
         // violation-free.
         return Err("--mutation seq-gap needs --links relax-roots: \
                     on fifo links no sequence gap can arise"
+            .into());
+    }
+    if cfg.gwc_mutation == GwcMutation::NoInsharingSuspension {
+        // The canonical mutex never lets remote data reach an optimistic
+        // section that rolls back, so the search would explore the clean
+        // protocol's schedules and call the bug violation-free.
+        return Err("--mutation no-insharing-suspension is out of reach: \
+                    the canonical workload never delivers remote data \
+                    into an optimistic section that rolls back"
             .into());
     }
     let defaults = CheckOptions::default();
@@ -952,8 +961,10 @@ const COMMANDS: &[Command] = &[
                 sesame-verify checkers plus a linearizability oracle",
         flags: &[("--cpus", "N=2", ""), ("--rounds", "N=1", ""),
             ("--links", "fifo|relax-roots|relax=fifo", ""),
-            ("--mutation", "none|stale-grant-reuse|seq-gap|drop-rollback=none",
-                "\nplant a protocol bug to find\n(seq-gap needs --links relax-roots)"),
+            ("--mutation", "name=none",
+                "plant a protocol bug to find:\n\
+                stale-grant-reuse, seq-gap (needs\n--links relax-roots), \
+                no-hw-block or\ndrop-rollback"),
             ("--depth", "N=500", "schedule-length budget"),
             ("--schedules-max", "N=50000", "completed-schedule budget"),
             ("--work-max", "N=500000", "total explored-state budget"),

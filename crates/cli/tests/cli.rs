@@ -440,6 +440,25 @@ fn a_seq_gap_mutant_on_fifo_links_is_refused_before_any_search() {
 }
 
 #[test]
+fn an_insharing_mutant_the_canonical_workload_cannot_reach_is_refused() {
+    // No canonical schedule delivers remote data into an optimistic
+    // section that rolls back, so a search would call the bug
+    // "violation-free".
+    for line in [
+        "check --mutation no-insharing-suspension",
+        "check --mutation no-insharing-suspension --rounds 2 --links relax",
+    ] {
+        let out = sesame_line(line);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`{line}`: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "`{line}`: {stderr}");
+        assert!(stderr.starts_with("error: "), "`{line}`: {stderr}");
+        assert!(stderr.contains("out of reach"), "`{line}`: {stderr}");
+        assert!(out.stdout.is_empty(), "`{line}` explored before refusing");
+    }
+}
+
+#[test]
 fn flags_the_chosen_scenario_does_not_read_are_errors() {
     for (line, complaint) in [
         (

@@ -256,8 +256,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the protocol feature toggles (hardware blocking, insharing
-    /// suspension).
+    /// Sets how the machine routes group multicasts.
     pub fn machine_config(mut self, config: MachineConfig) -> Self {
         self.config = config;
         self

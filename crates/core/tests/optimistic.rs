@@ -7,8 +7,8 @@ use std::rc::Rc;
 
 use sesame_core::{Completion, MutexSignal, OptimisticConfig, OptimisticMutex, Path};
 use sesame_dsm::{
-    lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
-    Program, RunOptions, RunResult, VarId, Word,
+    lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, GwcMutation, Machine, MachineConfig,
+    NodeApi, Program, RunOptions, RunResult, VarId, Word,
 };
 use sesame_net::{Line, LinkTiming, NodeId, Topology};
 use sesame_sim::{SimDur, SimTime, TraceKind};
@@ -175,7 +175,7 @@ fn uncontended_optimistic_overlaps_lock_round_trip() {
 /// the optimist's request does. The optimist's in-flight update is then
 /// *accepted* (it holds the lock by arrival time), so the stale echo must
 /// be dropped by hardware blocking lest it corrupt the re-execution.
-fn figure7(machine_cfg: MachineConfig) -> (RunResult<GwcModel>, Vec<(u32, Completion, SimTime)>) {
+fn figure7(mutation: GwcMutation) -> (RunResult<GwcModel>, Vec<(u32, Completion, SimTime)>) {
     let done: DoneLog = Rc::new(RefCell::new(Vec::new()));
     // Line of 7: optimist A at node 0, root at node 5, competitor B at 6.
     let a = Worker::new(
@@ -206,7 +206,13 @@ fn figure7(machine_cfg: MachineConfig) -> (RunResult<GwcModel>, Vec<(u32, Comple
         idle(),
         Box::new(b),
     ];
-    let machine = build(Box::new(Line::new(7)), 5, programs, machine_cfg);
+    let mut machine = build(
+        Box::new(Line::new(7)),
+        5,
+        programs,
+        MachineConfig::default(),
+    );
+    machine.model_mut().set_mutation(mutation);
     let result = run(
         machine,
         RunOptions {
@@ -220,7 +226,7 @@ fn figure7(machine_cfg: MachineConfig) -> (RunResult<GwcModel>, Vec<(u32, Comple
 
 #[test]
 fn figure7_rollback_with_hardware_blocking_produces_correct_values() {
-    let (result, log) = figure7(MachineConfig::default());
+    let (result, log) = figure7(GwcMutation::None);
     assert_eq!(log.len(), 2);
     let b_done = log.iter().find(|(node, _, _)| *node == 6).unwrap();
     let a_done = log.iter().find(|(node, _, _)| *node == 0).unwrap();
@@ -250,10 +256,7 @@ fn figure7_rollback_with_hardware_blocking_produces_correct_values() {
 
 #[test]
 fn figure7_without_hardware_blocking_corrupts_the_reexecution() {
-    let (result, log) = figure7(MachineConfig {
-        hw_block: false,
-        ..MachineConfig::default()
-    });
+    let (result, log) = figure7(GwcMutation::NoHwBlock);
     assert_eq!(log.len(), 2);
     // The stale echo a=17 (A's rolled-back optimistic value, accepted by
     // the root because A held the lock by then) lands on A after its
@@ -382,7 +385,7 @@ fn reentering_an_active_mutex_is_an_error() {
 #[test]
 fn figure7_is_deterministic() {
     let once = || {
-        let (result, log) = figure7(MachineConfig::default());
+        let (result, log) = figure7(GwcMutation::None);
         (result.end, result.events, log)
     };
     assert_eq!(once(), once());

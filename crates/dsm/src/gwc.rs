@@ -306,15 +306,26 @@ pub struct GwcStats {
     pub grant_retransmissions: u64,
 }
 
-/// A deliberately planted protocol bug, used as a regression fixture for
-/// the `sesame-check` model checker: each mutation breaks one safety
-/// mechanism the paper depends on, and the checker must find a schedule
-/// exposing it within its budget.
+/// A deliberately planted protocol fault: each mutation breaks one safety
+/// mechanism the paper depends on. They are the safety-mechanism
+/// ablations, and the `sesame-check` model checker's regression fixtures:
+/// it finds `NoHwBlock`, `StaleGrantReuse` and `SeqGap` on the canonical
+/// mutex workload. That workload never lets remote data reach an
+/// optimistic section that rolls back, so `NoInsharingSuspension` is
+/// exercised by direct tests instead, and `sesame check` refuses it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GwcMutation {
     /// The correct protocol.
     #[default]
     None,
+    /// No Figure 6 hardware blocking: a sharing interface applies the
+    /// root's echo of its own mutex-group data write, which can overwrite
+    /// a newer local value.
+    NoHwBlock,
+    /// No Figure 4/5 insharing suspension: an armed lock interrupt and an
+    /// explicit suspend leave insharing on, so remote data applies under
+    /// an optimistic section (the lost-update hazard).
+    NoInsharingSuspension,
     /// The root grants a busy lock to a new requester instead of queueing
     /// it — two holders can believe they own the critical section.
     StaleGrantReuse,
@@ -855,7 +866,7 @@ impl GwcModel {
             return;
         }
         loop {
-            if self.ifaces[node.index()].suspended && mx.config().insharing_suspension {
+            if self.ifaces[node.index()].suspended {
                 return;
             }
             let expected = self.expected[slot].max(1);
@@ -917,7 +928,8 @@ impl GwcModel {
         };
 
         // Figure 6 hardware blocking: drop echoed own mutex-group data.
-        if mx.config().hw_block && g.is_mutex_group() && item.origin == node && !is_lock_var {
+        let blocks = self.mutation != GwcMutation::NoHwBlock;
+        if blocks && g.is_mutex_group() && item.origin == node && !is_lock_var {
             self.stats.hw_block_drops += 1;
             gwc_apply(mx, ApplyMode::HwBlocked);
             mx.cause_point(node, CauseOp::Apply);
@@ -927,9 +939,7 @@ impl GwcModel {
         // Armed lock interrupt: suspend insharing atomically with delivery
         // (Figure 5 line P1).
         if st.remove_lock(LockList::Armed, item.var) {
-            if mx.config().insharing_suspension {
-                st.suspended = true;
-            }
+            st.suspended = self.mutation != GwcMutation::NoInsharingSuspension;
             gwc_apply(mx, ApplyMode::Interrupt);
             mx.cause_point(node, CauseOp::Apply);
             mx.mem(node).write(item.var, item.value);
@@ -966,7 +976,7 @@ impl GwcModel {
     fn member_receive(&mut self, node: NodeId, item: SeqItem, mx: &mut Mx<'_, '_>) {
         let slot = Self::slot(mx.groups(), item.group, node);
         let st = &mut self.ifaces[node.index()];
-        if st.suspended && mx.config().insharing_suspension {
+        if st.suspended {
             st.buffers().held.push_back(item);
             return;
         }
@@ -1068,7 +1078,8 @@ impl Model for GwcModel {
                 self.ifaces[node.index()].insert_lock(LockList::Armed, var);
             }
             ModelAction::SuspendInsharing => {
-                self.ifaces[node.index()].suspended = true;
+                let suspends = self.mutation != GwcMutation::NoInsharingSuspension;
+                self.ifaces[node.index()].suspended = suspends;
             }
             ModelAction::ResumeInsharing => {
                 self.resume(node, mx);

@@ -136,15 +136,10 @@ const _: () = _assert_copy::<Packet>();
 const _: () = assert!(std::mem::size_of::<CpuMeter>() <= 32);
 const _: () = assert!(std::mem::size_of::<LocalMemory>() <= 80);
 
-/// Feature toggles for protocol ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How the machine routes group multicasts. The protocol ablations are
+/// planted through [`GwcMutation`](crate::GwcMutation), not here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineConfig {
-    /// The paper's Figure 6 hardware blocking: sharing interfaces drop
-    /// root-echoed copies of their own mutex-group data writes.
-    pub hw_block: bool,
-    /// Honor insharing suspension requests (Figure 4/5); disabling it
-    /// demonstrates the lost-update hazard the paper describes.
-    pub insharing_suspension: bool,
     /// Route group multicasts over member-pruned routes
     /// ([`RouteArena`]) instead of flooding every position
     /// ([`Fabric::flood_into`]). Where every member's copy is delivered (no
@@ -161,16 +156,6 @@ pub struct MachineConfig {
     /// for large sparse meshes (the 100k-node scenario), where per-group
     /// flooding is quadratic in machine size.
     pub pruned_multicast: bool,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig {
-            hw_block: true,
-            insharing_suspension: true,
-            pruned_multicast: false,
-        }
-    }
 }
 
 /// The memory model's view of the machine during protocol processing.
@@ -210,11 +195,6 @@ impl Mx<'_, '_> {
     /// The sharing-group table.
     pub fn groups(&self) -> &GroupTable {
         self.groups
-    }
-
-    /// Protocol feature toggles.
-    pub fn config(&self) -> &MachineConfig {
-        self.cfg
     }
 
     /// Sends a packet; it arrives at the fabric-computed time (self-sends

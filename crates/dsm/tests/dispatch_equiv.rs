@@ -87,10 +87,7 @@ fn run_with(
     timing: LinkTiming,
     fabric: impl FnOnce(&mut Fabric),
 ) -> RunResult<GwcModel> {
-    let cfg = MachineConfig {
-        pruned_multicast,
-        ..MachineConfig::default()
-    };
+    let cfg = MachineConfig { pruned_multicast };
     let mut machine = build(cfg, timing);
     fabric(machine.fabric_mut());
     let opts = RunOptions {
@@ -210,10 +207,7 @@ fn build_tied_groups(cfg: MachineConfig) -> Machine<GwcModel> {
 #[test]
 fn same_instant_waves_of_two_groups_match_the_flood_reference() {
     let run_tied = |pruned_multicast: bool| {
-        let cfg = MachineConfig {
-            pruned_multicast,
-            ..MachineConfig::default()
-        };
+        let cfg = MachineConfig { pruned_multicast };
         let opts = RunOptions {
             tracing: true,
             ..RunOptions::default()

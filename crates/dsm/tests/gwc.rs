@@ -8,8 +8,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sesame_dsm::{
-    lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig, NodeApi,
-    Program, RunOptions, RunResult, VarId, Word,
+    lockval, run, AppEvent, GroupSpec, GroupTable, GwcModel, GwcMutation, Machine, MachineConfig,
+    NodeApi, Program, RunOptions, RunResult, VarId, Word,
 };
 use sesame_net::{LinkTiming, MeshTorus2d, NodeId, Ring, Topology};
 use sesame_sim::{SimDur, SimTime};
@@ -364,11 +364,9 @@ fn hardware_blocking_can_be_disabled_for_ablation() {
         }),
         Box::new(sesame_dsm::IdleProgram),
     ];
-    let cfg = MachineConfig {
-        hw_block: false,
-        ..MachineConfig::default()
-    };
-    let machine = one_group_machine(Box::new(Ring::new(2)), 1, &[0, 1], Some(0), programs, cfg);
+    let cfg = MachineConfig::default();
+    let mut machine = one_group_machine(Box::new(Ring::new(2)), 1, &[0, 1], Some(0), programs, cfg);
+    machine.model_mut().set_mutation(GwcMutation::NoHwBlock);
     let result = run(machine, RunOptions::default());
     assert_eq!(result.machine.model().stats().hw_block_drops, 0);
 }
@@ -469,11 +467,11 @@ fn insharing_suspension_ablation_applies_data_immediately() {
         }),
         Box::new(watcher),
     ];
-    let cfg = MachineConfig {
-        insharing_suspension: false,
-        ..MachineConfig::default()
-    };
-    let machine = one_group_machine(Box::new(Ring::new(3)), 0, &[0, 1], Some(0), programs, cfg);
+    let cfg = MachineConfig::default();
+    let mut machine = one_group_machine(Box::new(Ring::new(3)), 0, &[0, 1], Some(0), programs, cfg);
+    machine
+        .model_mut()
+        .set_mutation(GwcMutation::NoInsharingSuspension);
     let result = run(machine, RunOptions::default());
     // Without suspension the data applies as soon as it arrives, even
     // though the watcher never resumed insharing.

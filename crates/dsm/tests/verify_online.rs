@@ -6,8 +6,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sesame_dsm::{
-    lockval, run_observed, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig,
-    NodeApi, Program, RunOptions, VarId,
+    lockval, run_observed, AppEvent, GroupSpec, GroupTable, GwcModel, GwcMutation, Machine,
+    MachineConfig, NodeApi, Program, RunOptions, VarId,
 };
 use sesame_net::{LinkTiming, MeshTorus2d, NodeId, Topology};
 use sesame_verify::Verifier;
@@ -123,17 +123,15 @@ fn online_checking_catches_disabled_hardware_blocking() {
         mutex_lock: Some(v(LOCK)),
     }])
     .expect("valid group table");
-    let model = GwcModel::new(&groups, nodes);
+    let mut model = GwcModel::new(&groups, nodes);
+    model.set_mutation(GwcMutation::NoHwBlock);
     let mut machine = Machine::new(
         topo,
         LinkTiming::paper_1994(),
         groups,
         programs,
         model,
-        MachineConfig {
-            hw_block: false,
-            ..MachineConfig::default()
-        },
+        MachineConfig::default(),
     );
     machine.init_var(v(LOCK), lockval::FREE);
 

@@ -251,11 +251,6 @@ impl Telemetry {
         self.causal.dag.to_json()
     }
 
-    /// The causal DAG as deterministic Graphviz DOT.
-    pub fn causes_dot(&self) -> String {
-        self.causal.dag.to_dot()
-    }
-
     /// Heap bytes held by the open sequencing spans until
     /// [`Telemetry::finish`]: one per root-sequenced write some member has
     /// yet to apply, or, with the timeline on, one per write.

@@ -747,7 +747,11 @@ mod tests {
         let exports = |t: &Telemetry| {
             (
                 t.causes_json(),
-                t.causes_dot(),
+                {
+                    let mut dot = Vec::new();
+                    t.causes().write_dot(&mut dot).unwrap();
+                    dot
+                },
                 t.chrome_trace(),
                 t.snapshot(),
             )

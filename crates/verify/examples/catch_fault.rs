@@ -13,8 +13,8 @@ use std::process::ExitCode;
 use std::rc::Rc;
 
 use sesame_dsm::{
-    lockval, run_observed, AppEvent, GroupSpec, GroupTable, GwcModel, Machine, MachineConfig,
-    NodeApi, Program, RunOptions, VarId,
+    lockval, run_observed, AppEvent, GroupSpec, GroupTable, GwcModel, GwcMutation, Machine,
+    MachineConfig, NodeApi, Program, RunOptions, VarId,
 };
 use sesame_net::{LinkTiming, MeshTorus2d, NodeId, Topology};
 use sesame_verify::Verifier;
@@ -42,9 +42,9 @@ fn locked_incrementer(rounds: u32) -> Box<dyn Program> {
     })
 }
 
-/// Runs the workload with the given machine config under online checking
-/// and returns the number of violations found.
-fn checked_run(cfg: MachineConfig) -> usize {
+/// Runs the workload with `mutation` planted under online checking and
+/// returns the number of violations found.
+fn checked_run(mutation: GwcMutation) -> usize {
     let topo: Box<dyn Topology> = Box::new(MeshTorus2d::new(2, 2));
     let nodes = topo.len();
     let groups = GroupTable::new(vec![GroupSpec {
@@ -54,12 +54,21 @@ fn checked_run(cfg: MachineConfig) -> usize {
         mutex_lock: Some(LOCK),
     }])
     .expect("valid group table");
-    let model = GwcModel::new(&groups, nodes);
+    let mut model = GwcModel::new(&groups, nodes);
+    model.set_mutation(mutation);
     let mut programs: Vec<Box<dyn Program>> = vec![Box::new(|_: AppEvent, _: &mut NodeApi<'_>| {})];
     for _ in 1..nodes {
         programs.push(locked_incrementer(6));
     }
-    let mut machine = Machine::new(topo, LinkTiming::paper_1994(), groups, programs, model, cfg);
+    let timing = LinkTiming::paper_1994();
+    let mut machine = Machine::new(
+        topo,
+        timing,
+        groups,
+        programs,
+        model,
+        MachineConfig::default(),
+    );
     machine.init_var(LOCK, lockval::FREE);
 
     let verifier = Rc::new(RefCell::new(Verifier::new()));
@@ -76,13 +85,10 @@ fn checked_run(cfg: MachineConfig) -> usize {
 
 fn main() -> ExitCode {
     println!("with Figure 6 hardware blocking (the paper's design):");
-    let clean = checked_run(MachineConfig::default());
+    let clean = checked_run(GwcMutation::None);
 
     println!("\nwith hardware blocking disabled (planted fault):");
-    let faulty = checked_run(MachineConfig {
-        hw_block: false,
-        ..MachineConfig::default()
-    });
+    let faulty = checked_run(GwcMutation::NoHwBlock);
 
     if clean == 0 && faulty > 0 {
         println!("\nthe checkers caught the planted fault and only the planted fault");

@@ -49,7 +49,7 @@ mod seq;
 
 use std::fmt;
 
-use sesame_sim::{SimTime, TraceEntry, TraceObserver, TraceRecorder};
+use sesame_sim::{SimTime, TraceEntry, TraceObserver};
 
 pub use clock::VectorClock;
 pub use linear::LinearChecker;
@@ -267,15 +267,10 @@ pub fn check_trace_partial(entries: &[TraceEntry]) -> PartialOutcome {
     }
 }
 
-/// Checks everything a [`TraceRecorder`] retained.
-pub fn check_recorder(recorder: &TraceRecorder) -> Vec<Violation> {
-    check_trace(recorder.entries())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sesame_sim::{ApplyMode, TraceDetail, TraceKind as K};
+    use sesame_sim::{ApplyMode, TraceDetail, TraceKind as K, TraceRecorder};
 
     fn e(ns: u64, actor: usize, kind: K, detail: TraceDetail) -> TraceEntry {
         TraceEntry {

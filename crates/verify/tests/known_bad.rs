@@ -4,7 +4,7 @@
 
 mod common;
 
-use sesame_verify::{check_recorder, check_trace, CheckKind};
+use sesame_verify::{check_trace, CheckKind};
 use sesame_workloads::contention::{run_contention, ContentionConfig};
 
 /// Known-bad trace 1: the root grants a held lock a second time.
@@ -61,7 +61,7 @@ fn real_trace_with_restores_removed_fails_verification() {
     let run = run_contention(cfg);
     assert!(run.stats.rollbacks > 0, "want rollbacks exercised");
     assert!(
-        check_recorder(&run.result.trace).is_empty(),
+        check_trace(run.result.trace.entries()).is_empty(),
         "pristine trace must be clean"
     );
     let mutated = common::without_restores(run.result.trace.entries());

@@ -40,6 +40,9 @@ use sesame_sim::{RunOutcome, SimDur, SimTime};
 
 use crate::scenario::{Outcome, RunError, Scenario};
 
+/// Link timing.
+const TIMING: LinkTiming = LinkTiming::paper_1994();
+
 /// Parameters of the sharded-mesh scaling scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BigMeshConfig {
@@ -64,8 +67,6 @@ pub struct BigMeshConfig {
     pub local_calc: SimDur,
     /// Words updated inside each row's mutex section.
     pub shared_words: u32,
-    /// Link timing.
-    pub timing: LinkTiming,
     /// Event budget: the run aborts (outcome
     /// [`RunOutcome::EventLimitExceeded`]) past this many events — the CI
     /// smoke-run work bound.
@@ -81,7 +82,6 @@ impl Default for BigMeshConfig {
             laps: 1,
             local_calc: SimDur::from_us(5),
             shared_words: 1,
-            timing: LinkTiming::paper_1994(),
             event_limit: sesame_sim::DEFAULT_EVENT_LIMIT,
         }
     }
@@ -289,13 +289,10 @@ pub(crate) struct Probe {
     progress: Progress,
 }
 
-/// The protocol toggles the scenario runs under: member-pruned routes.
-fn pruned() -> MachineConfig {
-    MachineConfig {
-        pruned_multicast: true,
-        ..MachineConfig::default()
-    }
-}
+/// The machine the scenario runs on: member-pruned routes.
+const PRUNED: MachineConfig = MachineConfig {
+    pruned_multicast: true,
+};
 
 /// Assembles the sharded-mesh system under explicit protocol toggles:
 /// groups, init values, and (with `programs`) the row programs — without
@@ -310,7 +307,7 @@ fn assemble(
     let progress: Progress = Rc::new(RefCell::new((0, 0)));
     let flag_off = rows.len() as u32 * (1 + cfg.shared_words);
     let mut builder = SystemBuilder::new(nodes)
-        .timing(cfg.timing)
+        .timing(TIMING)
         .machine_config(machine_cfg);
     if cfg.rows > 0 {
         // An explicit, usually non-square, geometry.
@@ -378,7 +375,7 @@ fn assemble(
 
 /// Builds the running system: row programs on member-pruned routes.
 pub(crate) fn build(cfg: &BigMeshConfig) -> Result<(Machine<ModelInstance>, Probe), BuildError> {
-    assemble(cfg, pruned(), true)
+    assemble(cfg, PRUNED, true)
 }
 
 /// Reads the progress counters. A run that did not drain with every visit
@@ -453,7 +450,7 @@ pub fn run_bigmesh(cfg: BigMeshConfig) -> BigMeshRun {
 pub fn build_bigmesh_machine(cfg: BigMeshConfig) -> Machine<ModelInstance> {
     let scenario = Scenario::BigMesh(cfg);
     scenario.validate().unwrap_or_else(|e| panic!("{e}"));
-    let (machine, _) = assemble(&cfg, pruned(), false).expect("valid sharded-mesh system");
+    let (machine, _) = assemble(&cfg, PRUNED, false).expect("valid sharded-mesh system");
     machine
 }
 
@@ -587,8 +584,8 @@ mod tests {
         let rows = rows_of(nodes, width, cfg.shared_words);
         let flag_off = rows.len() as u32 * (1 + cfg.shared_words);
         let mut builder = SystemBuilder::new(nodes)
-            .timing(cfg.timing)
-            .machine_config(pruned());
+            .timing(TIMING)
+            .machine_config(PRUNED);
         if cfg.rows > 0 {
             builder = builder.topology(MeshTorus2d::new(cfg.cols, cfg.rows));
         }
@@ -636,7 +633,7 @@ mod tests {
             tiny(2_500),
         ];
         for cfg in shapes {
-            let (got, _) = assemble(&cfg, pruned(), false).unwrap();
+            let (got, _) = assemble(&cfg, PRUNED, false).unwrap();
             let want = reference_machine(&cfg);
             let (gt, wt) = (got.groups(), want.groups());
             assert_eq!(gt.len(), wt.len(), "{cfg:?}");

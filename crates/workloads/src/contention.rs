@@ -15,11 +15,14 @@ use std::rc::Rc;
 
 use sesame_core::builder::{BuildError, ModelInstance, SystemBuilder};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex, OptimisticStats};
-use sesame_dsm::{AppEvent, Machine, MachineConfig, NodeApi, Program, RunResult, VarId, Word};
+use sesame_dsm::{AppEvent, GwcMutation, Machine, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::{DetRng, SimDur, SimTime, TraceObserver};
 
 use crate::scenario::{Outcome, RunError, Scenario};
+
+/// Link timing.
+const TIMING: LinkTiming = LinkTiming::paper_1994();
 
 /// Parameters of one contention-sweep point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,17 +38,12 @@ pub struct ContentionConfig {
     /// Optimistic-engine configuration (set `optimistic: false` for the
     /// regular-locking baseline).
     pub mutex: OptimisticConfig,
-    /// Link timing.
-    pub timing: LinkTiming,
     /// RNG seed for think times.
     pub seed: u64,
-    /// Protocol feature toggles (hardware blocking, insharing
-    /// suspension) — the safety-mechanism ablations.
-    pub machine: MachineConfig,
-    /// Whether to assert the shared counter equals the section count.
-    /// Disable when deliberately running without the safety mechanisms,
-    /// where corruption is the expected observation.
-    pub check_counter: bool,
+    /// A safety mechanism switched off (an ablation): `NoHwBlock` or
+    /// `NoInsharingSuspension`. The counter oracle runs only on the
+    /// correct protocol, since corruption is what an ablation shows.
+    pub gwc_mutation: GwcMutation,
     /// Whether to record a trace (`result.trace`), e.g. for the
     /// `sesame-verify` checkers.
     pub tracing: bool,
@@ -59,10 +57,8 @@ impl Default for ContentionConfig {
             section: SimDur::from_us(2),
             mean_think: SimDur::from_us(50),
             mutex: OptimisticConfig::default(),
-            timing: LinkTiming::paper_1994(),
             seed: 7,
-            machine: MachineConfig::default(),
-            check_counter: true,
+            gwc_mutation: GwcMutation::None,
             tracing: false,
         }
     }
@@ -163,10 +159,11 @@ pub(crate) fn build(
         (OptimisticStats::default(), Vec::new());
         cfg.contenders as usize
     ]));
-    let mut builder = SystemBuilder::new(nodes)
-        .timing(cfg.timing)
-        .machine_config(cfg.machine)
-        .mutex_group(NodeId::new(0), vec![LOCK, COUNTER], LOCK);
+    let mut builder = SystemBuilder::new(nodes).timing(TIMING).mutex_group(
+        NodeId::new(0),
+        vec![LOCK, COUNTER],
+        LOCK,
+    );
     let mut seeder = DetRng::new(cfg.seed);
     for i in 1..=cfg.contenders {
         builder.program(
@@ -182,7 +179,13 @@ pub(crate) fn build(
             }),
         );
     }
-    Ok((builder.build()?, stats_out))
+    let mut machine = builder.build()?;
+    machine
+        .model_mut()
+        .as_gwc_mut()
+        .expect("contention model is GWC")
+        .set_mutation(cfg.gwc_mutation);
+    Ok((machine, stats_out))
 }
 
 /// Sums the hammers' statistics; the oracle is the shared counter, which
@@ -209,7 +212,7 @@ pub(crate) fn finish(
         return Err(RunError::Incomplete("contention", result.outcome, left));
     }
     let counter = result.machine.mem(NodeId::new(0)).read(COUNTER);
-    if cfg.check_counter && counter != sections as Word {
+    if cfg.gwc_mutation == GwcMutation::None && counter != sections as Word {
         let what = format!(
             "mutual exclusion: the shared counter reads {counter} after {sections} sections"
         );

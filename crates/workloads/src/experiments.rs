@@ -12,10 +12,8 @@
 use sesame_core::builder::ModelChoice;
 use sesame_net::LinkTiming;
 use sesame_sim::Series;
-use sesame_telemetry::Telemetry;
 
-use crate::pipeline::{run_pipeline, MutexMethod, PipelineConfig};
-use crate::scenario::Scenario;
+use crate::pipeline::{run_pipeline, MutexMethod, Optimism, PipelineConfig};
 use crate::task_queue::{run_task_queue, TaskQueueConfig};
 use crate::three_cpu::{run_figure1_all, Figure1Config, Figure1Run};
 
@@ -121,7 +119,18 @@ pub struct HeadlineRatios {
 /// independent simulations for the paper's seven sizes. The returned data
 /// is identical for every `jobs` value.
 pub fn figure8_jobs(cfg: PipelineConfig, sizes: &[usize], jobs: usize) -> Figure8Data {
-    let powers = sesame_sweep::run_sweep(sizes.len() * 4, jobs, |i| {
+    figure8_with_optimism(cfg, sizes, jobs).0
+}
+
+/// [`figure8_jobs`] with the optimistic line's counters, one per network
+/// size in `sizes` order, read off the same runs: what `sesame fig8`
+/// prints under the network power table.
+pub fn figure8_with_optimism(
+    cfg: PipelineConfig,
+    sizes: &[usize],
+    jobs: usize,
+) -> (Figure8Data, Vec<Optimism>) {
+    let runs = sesame_sweep::run_sweep(sizes.len() * 4, jobs, |i| {
         let n = sizes[i / 4];
         match i % 4 {
             0 => {
@@ -129,11 +138,17 @@ pub fn figure8_jobs(cfg: PipelineConfig, sizes: &[usize], jobs: usize) -> Figure
                     timing: LinkTiming::zero_delay(),
                     ..cfg
                 };
-                run_pipeline(n, MutexMethod::RegularGwc, zero_cfg).power
+                (
+                    run_pipeline(n, MutexMethod::RegularGwc, zero_cfg).power,
+                    None,
+                )
             }
-            1 => run_pipeline(n, MutexMethod::OptimisticGwc, cfg).power,
-            2 => run_pipeline(n, MutexMethod::RegularGwc, cfg).power,
-            _ => run_pipeline(n, MutexMethod::Entry, cfg).power,
+            1 => {
+                let run = run_pipeline(n, MutexMethod::OptimisticGwc, cfg);
+                (run.power, Some(run.optimism))
+            }
+            2 => (run_pipeline(n, MutexMethod::RegularGwc, cfg).power, None),
+            _ => (run_pipeline(n, MutexMethod::Entry, cfg).power, None),
         }
     });
     let mut ideal = Series::new("no network delay bound");
@@ -141,80 +156,18 @@ pub fn figure8_jobs(cfg: PipelineConfig, sizes: &[usize], jobs: usize) -> Figure
     let mut regular = Series::new("non-optimistic GWC");
     let mut entry = Series::new("entry consistency");
     for (i, &n) in sizes.iter().enumerate() {
-        ideal.push(n as f64, powers[i * 4]);
-        optimistic.push(n as f64, powers[i * 4 + 1]);
-        regular.push(n as f64, powers[i * 4 + 2]);
-        entry.push(n as f64, powers[i * 4 + 3]);
+        ideal.push(n as f64, runs[i * 4].0);
+        optimistic.push(n as f64, runs[i * 4 + 1].0);
+        regular.push(n as f64, runs[i * 4 + 2].0);
+        entry.push(n as f64, runs[i * 4 + 3].0);
     }
-    Figure8Data {
+    let data = Figure8Data {
         ideal,
         optimistic,
         regular,
         entry,
-    }
-}
-
-/// One network size of the Figure 8 optimistic line with its optimism
-/// telemetry, sourced from the metric registry (per-node
-/// `node/<i>/lock/0/opt/*` counters summed over the ring).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimismPoint {
-    /// Network size.
-    pub nodes: usize,
-    /// Mutex entries that tried the optimistic path.
-    pub attempts: u64,
-    /// Optimistic completions with no rollback.
-    pub wins: u64,
-    /// Rollbacks taken.
-    pub rollbacks: u64,
-    /// Completions whose grant round trip was fully overlapped.
-    pub overlapped: u64,
-}
-
-impl OptimismPoint {
-    /// Fraction of optimistic attempts that committed without rollback.
-    pub fn hit_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.wins as f64 / self.attempts as f64
-        }
-    }
-}
-
-/// Sweeps the Figure 8 optimistic line with telemetry attached, returning
-/// the per-size optimism counters `sesame fig8` prints under the network
-/// power table: one sweep point per network size, each constructing its
-/// own [`Telemetry`] observer inside the worker (the observer chain is
-/// thread-local by design). Results come back in size order regardless of
-/// `jobs`.
-///
-/// # Panics
-///
-/// Panics with the [`RunError`](crate::scenario::RunError)'s text if a
-/// point does not run clean.
-pub fn figure8_optimism_jobs(
-    cfg: PipelineConfig,
-    sizes: &[usize],
-    jobs: usize,
-) -> Vec<OptimismPoint> {
-    sesame_sweep::run_sweep(sizes.len(), jobs, |i| {
-        let point = Scenario::Pipeline {
-            nodes: sizes[i],
-            method: MutexMethod::OptimisticGwc,
-            cfg,
-        };
-        let snap = crate::telemetry::observe(&point, Telemetry::new("figure8", 0))
-            .unwrap_or_else(|e| panic!("{e}"))
-            .snapshot();
-        OptimismPoint {
-            nodes: sizes[i],
-            attempts: snap.sum_counters("node/", "/opt/attempts"),
-            wins: snap.sum_counters("node/", "/opt/wins"),
-            rollbacks: snap.sum_counters("node/", "/opt/rollbacks"),
-            overlapped: snap.sum_counters("node/", "/opt/overlapped"),
-        }
-    })
+    };
+    (data, runs.into_iter().filter_map(|r| r.1).collect())
 }
 
 /// Runs the Figure 1 scenario under all models and renders the comparison
@@ -282,7 +235,7 @@ mod tests {
             total_visits: 32,
             ..PipelineConfig::default()
         };
-        let points = figure8_optimism_jobs(cfg, &[2, 4], 1);
+        let points = figure8_with_optimism(cfg, &[2, 4], 1).1;
         assert_eq!(points.len(), 2);
         for p in points {
             // The pipeline is contention-free: every attempt wins.
@@ -328,8 +281,8 @@ mod tests {
             ..PipelineConfig::default()
         };
         assert_eq!(
-            figure8_optimism_jobs(pipe, &[2, 4], 1),
-            figure8_optimism_jobs(pipe, &[2, 4], 2)
+            figure8_with_optimism(pipe, &[2, 4], 1).1,
+            figure8_with_optimism(pipe, &[2, 4], 2).1
         );
     }
 

@@ -27,12 +27,19 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sesame_core::builder::{BuildError, ModelChoice, ModelInstance, SystemBuilder};
-use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex};
+use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex, Path};
 use sesame_dsm::{AppEvent, GroupSpec, Machine, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::{RunOutcome, SimDur};
 
 use crate::scenario::{Outcome, RunError, Scenario};
+
+/// Hand-off data words written for the successor each visit.
+pub const TOKEN_WORDS: u32 = 8;
+/// Shared words written inside the mutex section.
+const SHARED_WORDS: u32 = 4;
+/// Poll interval for entry consistency's flag test.
+const POLL_INTERVAL: SimDur = SimDur::from_nanos(500);
 
 /// Which mutual exclusion method the pipeline uses — the three lines of
 /// Figure 8 (the fourth, the no-delay bound, is [`MutexMethod::RegularGwc`]
@@ -74,12 +81,6 @@ pub struct PipelineConfig {
     pub total_visits: u32,
     /// The local computation time `L`; the mutex section is `L/8`.
     pub local_calc: SimDur,
-    /// Hand-off data words written for the successor each visit.
-    pub token_words: u32,
-    /// Shared words written inside the mutex section.
-    pub shared_words: u32,
-    /// Poll interval for entry consistency's flag test.
-    pub poll_interval: SimDur,
     /// Link timing.
     pub timing: LinkTiming,
 }
@@ -89,9 +90,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             total_visits: 1024,
             local_calc: SimDur::from_us(5),
-            token_words: 8,
-            shared_words: 4,
-            poll_interval: SimDur::from_nanos(500),
             timing: LinkTiming::paper_1994(),
         }
     }
@@ -118,10 +116,38 @@ pub struct PipelineRun {
     pub result: RunResult<ModelInstance>,
     /// Network power = total useful work / makespan.
     pub power: f64,
-    /// Rollbacks observed (must be zero: the pipeline has no contention).
+    /// The optimistic engines' counters (zero under the other methods).
+    pub optimism: Optimism,
+    /// `optimism.rollbacks` (must be zero: the pipeline has no
+    /// contention); the benchmark ledger reads it here.
     pub rollbacks: u64,
-    /// Optimistic completions whose grant was fully overlapped.
+    /// `optimism.overlapped`; the benchmark ledger reads it here.
     pub fully_overlapped: u64,
+}
+
+/// The optimistic engines' counters, summed over the ring as sections
+/// complete.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Optimism {
+    /// Mutex entries that tried the optimistic path.
+    pub attempts: u64,
+    /// Optimistic completions with no rollback.
+    pub wins: u64,
+    /// Rollbacks taken.
+    pub rollbacks: u64,
+    /// Completions whose grant round trip was fully overlapped.
+    pub overlapped: u64,
+}
+
+impl Optimism {
+    /// Fraction of optimistic attempts that committed without rollback.
+    pub fn hit_rate(&self) -> f64 {
+        if self.attempts == 0 {
+            0.0
+        } else {
+            self.wins as f64 / self.attempts as f64
+        }
+    }
 }
 
 const LOCK: VarId = VarId::new(0);
@@ -182,7 +208,7 @@ impl PipelineCpu {
         // time (free under eagersharing; a demand-fetch round trip per
         // word under entry consistency).
         self.stage = Stage::FetchData;
-        self.pending_fetches = self.cfg.token_words;
+        self.pending_fetches = TOKEN_WORDS;
         let prev = self.prev(api);
         api.fetch(data_var(prev, 0));
     }
@@ -207,7 +233,7 @@ impl PipelineCpu {
     }
 
     fn mutex_body(&mut self, api: &mut NodeApi<'_>) {
-        for w in 0..self.cfg.shared_words {
+        for w in 0..SHARED_WORDS {
             let var = VarId::new(SH_BASE + w);
             let old = api.read(var);
             api.write(var, old + 1);
@@ -223,7 +249,7 @@ impl PipelineCpu {
         let me = self.me(api);
         if (self.visit as u32) < self.cfg.total_visits {
             // Data first, flag last: GWC write ordering publishes safely.
-            for w in 0..self.cfg.token_words {
+            for w in 0..TOKEN_WORDS {
                 api.write(data_var(me, w), self.visit * 100 + w as Word);
             }
             api.write(flag_var(me), self.visit + 1);
@@ -239,7 +265,7 @@ impl PipelineCpu {
         }
         self.stage = Stage::WaitToken;
         if self.method == MutexMethod::Entry {
-            api.set_timer(self.cfg.poll_interval, TAG_POLL);
+            api.set_timer(POLL_INTERVAL, TAG_POLL);
         }
         // Under GWC the next flag write arrives as an Updated event; it may
         // also already be present locally if it arrived mid-iteration.
@@ -264,9 +290,12 @@ impl Program for PipelineCpu {
                     return;
                 }
                 Some(MutexSignal::Completed(c)) => {
+                    let optimistic = c.path == Path::Optimistic;
                     let mut s = self.stats_out.borrow_mut();
-                    s.0 += c.rollbacks as u64;
-                    s.1 += u64::from(c.fully_overlapped);
+                    s.attempts += u64::from(optimistic);
+                    s.wins += u64::from(optimistic && c.rollbacks == 0);
+                    s.rollbacks += u64::from(c.rollbacks);
+                    s.overlapped += u64::from(c.fully_overlapped);
                     drop(s);
                     self.section_finished(api);
                     return;
@@ -291,7 +320,7 @@ impl Program for PipelineCpu {
                     self.start_calc_a(api);
                     self.stage = Stage::CalcA;
                 } else if self.method == MutexMethod::Entry {
-                    api.set_timer(self.cfg.poll_interval, TAG_POLL);
+                    api.set_timer(POLL_INTERVAL, TAG_POLL);
                 }
             }
             // GWC / release: the predecessor's flag write is pushed.
@@ -313,7 +342,7 @@ impl Program for PipelineCpu {
                         if value > self.last_flag_seen {
                             self.token_arrived(value, api);
                         } else {
-                            api.set_timer(self.cfg.poll_interval, TAG_POLL);
+                            api.set_timer(POLL_INTERVAL, TAG_POLL);
                         }
                     }
                 } else if self.stage == Stage::FetchData {
@@ -321,7 +350,7 @@ impl Program for PipelineCpu {
                     if self.pending_fetches == 0 {
                         self.start_calc_a(api);
                     } else {
-                        let next = self.cfg.token_words - self.pending_fetches;
+                        let next = TOKEN_WORDS - self.pending_fetches;
                         api.fetch(data_var(prev, next));
                     }
                 }
@@ -349,9 +378,7 @@ impl Program for PipelineCpu {
 
 const TAG_SECTION: u64 = 5;
 
-/// Summed `(rollbacks, fully overlapped completions)` of the optimistic
-/// engines, written as sections complete.
-pub(crate) type StatsOut = Rc<RefCell<(u64, u64)>>;
+pub(crate) type StatsOut = Rc<RefCell<Optimism>>;
 
 /// Builds the Figure 8 ring and the counters its CPUs report into.
 pub(crate) fn build(
@@ -360,9 +387,9 @@ pub(crate) fn build(
     cfg: &PipelineConfig,
 ) -> Result<(Machine<ModelInstance>, StatsOut), BuildError> {
     let cfg = *cfg;
-    let stats_out = Rc::new(RefCell::new((0u64, 0u64)));
+    let stats_out = StatsOut::default();
     let sh_vars: Vec<VarId> = std::iter::once(LOCK)
-        .chain((0..cfg.shared_words).map(|w| VarId::new(SH_BASE + w)))
+        .chain((0..SHARED_WORDS).map(|w| VarId::new(SH_BASE + w)))
         .collect();
     let mut builder = SystemBuilder::new(nodes)
         .timing(cfg.timing)
@@ -381,7 +408,7 @@ pub(crate) fn build(
         if next != i {
             members.push(NodeId::new(next));
         }
-        let vars: Vec<VarId> = (0..cfg.token_words).map(|w| data_var(i, w)).collect();
+        let vars: Vec<VarId> = (0..TOKEN_WORDS).map(|w| data_var(i, w)).collect();
         builder.group(&GroupSpec {
             root: NodeId::new(i),
             members,
@@ -398,9 +425,7 @@ pub(crate) fn build(
                 nodes: nodes as u32,
                 mutex: OptimisticMutex::new(
                     LOCK,
-                    (0..cfg.shared_words)
-                        .map(|w| VarId::new(SH_BASE + w))
-                        .collect(),
+                    (0..SHARED_WORDS).map(|w| VarId::new(SH_BASE + w)).collect(),
                     OptimisticConfig::default(),
                 ),
                 stage: Stage::WaitToken,
@@ -453,13 +478,14 @@ pub(crate) fn finish(
         );
         return Err(RunError::Violated("pipeline", what));
     }
-    let (rollbacks, fully_overlapped) = *stats_out.borrow();
+    let optimism = *stats_out.borrow();
     let power = result.network_power();
     Ok(PipelineRun {
         result,
         power,
-        rollbacks,
-        fully_overlapped,
+        optimism,
+        rollbacks: optimism.rollbacks,
+        fully_overlapped: optimism.overlapped,
     })
 }
 

@@ -238,9 +238,20 @@ impl Scenario {
                 vec![(cfg.data_words >= 1, "data_words", "at least 1")]
             }
             Scenario::Contention(cfg) => {
+                // The two ablations run to completion; the checker's
+                // mutants run into the protocol's own asserts.
+                let runnable = !matches!(
+                    cfg.gwc_mutation,
+                    GwcMutation::StaleGrantReuse | GwcMutation::SeqGap
+                );
                 let mut checks = vec![
                     (cfg.contenders >= 1, "contenders", "at least 1"),
                     (cfg.rounds >= 1, "rounds", "at least 1"),
+                    (
+                        runnable,
+                        "gwc_mutation",
+                        "none, no-hw-block or no-insharing-suspension: sesame-check plants the others",
+                    ),
                 ];
                 checks.extend(engine(&cfg.mutex));
                 checks
@@ -275,8 +286,6 @@ impl Scenario {
                     "local_calc",
                     "positive: power divides by it",
                 ),
-                (cfg.token_words >= 1, "token_words", "at least 1"),
-                (cfg.shared_words >= 1, "shared_words", "at least 1"),
             ],
             Scenario::BigMesh(cfg) => {
                 let explicit = cfg.rows > 0 || cfg.cols > 0;
@@ -358,7 +367,7 @@ impl Scenario {
                 let (machine, marks) = three_cpu::build(model, &cfg).map_err(rejected)?;
                 // Always traced: the ASCII timelines are drawn from it.
                 let mut result = go(machine, true, DEFAULT_EVENT_LIMIT);
-                let run = three_cpu::finish(&cfg, &mut result, &marks)?;
+                let run = three_cpu::finish(&mut result, &marks)?;
                 Ok(Outcome::ThreeCpu(run, result))
             }
             Scenario::Contention(cfg) => {
@@ -369,7 +378,7 @@ impl Scenario {
             Scenario::TaskQueue { nodes, model, cfg } => {
                 let (machine, executed) =
                     task_queue::build(nodes, model, &cfg).map_err(rejected)?;
-                let result = go(machine, cfg.tracing, DEFAULT_EVENT_LIMIT);
+                let result = go(machine, false, DEFAULT_EVENT_LIMIT);
                 task_queue::finish(&cfg, result, &executed).map(Outcome::TaskQueue)
             }
             Scenario::Pipeline { nodes, method, cfg } => {

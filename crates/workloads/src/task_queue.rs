@@ -35,6 +35,20 @@ use sesame_sim::{RunOutcome, SimDur};
 
 use crate::scenario::{Outcome, RunError, Scenario};
 
+/// Poll interval for [`NotifyMode::Poll`].
+const POLL_INTERVAL: SimDur = SimDur::from_us(10);
+/// Maximum random stagger before an awakened consumer requests the lock.
+/// Re-checking the eagerly-shared count after the stagger lets most of a
+/// wake-up herd stand down locally instead of queueing futile lock
+/// requests (the local-copy test the paper builds on).
+const STAGGER_MAX: SimDur = SimDur::from_us(5);
+/// Software protocol-handler time for entry consistency. Sesame's GWC
+/// runs in dedicated sharing hardware; entry consistency (Midway) is a
+/// software DSM whose handlers execute on the 33-MFLOPS host CPUs. The
+/// paper gives no figure; 6 µs is calibrated so that EC peaks at 33 CPUs
+/// with the published link constants. See DESIGN.md.
+pub const EC_HANDLER: SimDur = SimDur::from_us(6);
+
 /// How idle nodes learn that shared state changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NotifyMode {
@@ -50,10 +64,10 @@ pub enum NotifyMode {
 impl NotifyMode {
     /// The natural mode for a memory model: push for GWC and
     /// weak/release, poll for entry consistency.
-    pub fn for_model(model: ModelChoice, poll_interval: SimDur) -> Self {
+    pub fn for_model(model: ModelChoice) -> Self {
         match model {
             ModelChoice::Entry => NotifyMode::Poll {
-                interval: poll_interval,
+                interval: POLL_INTERVAL,
             },
             _ => NotifyMode::Push,
         }
@@ -71,24 +85,8 @@ pub struct TaskQueueConfig {
     pub produce_ratio: f64,
     /// Bounded queue capacity.
     pub capacity: u32,
-    /// Poll interval for [`NotifyMode::Poll`].
-    pub poll_interval: SimDur,
-    /// Maximum random stagger before an awakened consumer requests the
-    /// lock. Re-checking the eagerly-shared count after the stagger lets
-    /// most of a wake-up herd stand down locally instead of queueing
-    /// futile lock requests (the local-copy test the paper builds on).
-    pub stagger_max: SimDur,
     /// Link timing.
     pub timing: LinkTiming,
-    /// Software protocol-handler time for entry consistency. Sesame's GWC
-    /// runs in dedicated sharing hardware; entry consistency (Midway) is a
-    /// software DSM whose handlers execute on the 33-MFLOPS host CPUs —
-    /// roughly 300 instructions plus interrupt entry per protocol event in
-    /// 1994, i.e. on the order of 10us. See DESIGN.md.
-    pub ec_handler: SimDur,
-    /// Whether to record a trace (`result.trace`), e.g. for the
-    /// `sesame-verify` checkers.
-    pub tracing: bool,
 }
 
 impl Default for TaskQueueConfig {
@@ -98,11 +96,7 @@ impl Default for TaskQueueConfig {
             exec_time: SimDur::from_ms(1),
             produce_ratio: 1.0 / 128.0,
             capacity: 64,
-            poll_interval: SimDur::from_us(10),
-            stagger_max: SimDur::from_us(5),
             timing: LinkTiming::paper_1994(),
-            ec_handler: SimDur::from_us(6),
-            tracing: false,
         }
     }
 }
@@ -264,7 +258,7 @@ impl Consumer {
 
     /// A successful dequeue: contention is being served, reset.
     fn reset_backoff(&mut self) {
-        self.backoff = self.cfg.stagger_max;
+        self.backoff = STAGGER_MAX;
     }
 }
 
@@ -370,7 +364,7 @@ pub(crate) fn build(
 ) -> Result<(Machine<ModelInstance>, ExecutedOut), BuildError> {
     let cfg = *cfg;
     let executed_out = Rc::new(RefCell::new(vec![0u32; nodes - 1]));
-    let notify = NotifyMode::for_model(model, cfg.poll_interval);
+    let notify = NotifyMode::for_model(model);
     let queue_vars: Vec<VarId> = [LOCK, Q_COUNT, Q_HEAD, Q_TAIL]
         .into_iter()
         .chain((0..cfg.capacity).map(|i| VarId::new(SLOT_BASE + i)))
@@ -398,14 +392,14 @@ pub(crate) fn build(
                 executed: 0,
                 state: ConsumerState::Idle,
                 rng: sesame_sim::DetRng::new(0x0005_1ea6 ^ ((i as u64) << 8)),
-                backoff: cfg.stagger_max,
+                backoff: STAGGER_MAX,
                 executed_out: executed_out.clone(),
             }),
         );
     }
     let mut machine = builder.build()?;
     if let Some(ec) = machine.model_mut().as_entry_mut() {
-        ec.set_handler_time(cfg.ec_handler);
+        ec.set_handler_time(EC_HANDLER);
     }
     Ok((machine, executed_out))
 }

@@ -27,6 +27,11 @@ use sesame_sim::{SimDur, SimTime, TraceRecorder};
 
 use crate::scenario::{Outcome, RunError, Scenario};
 
+/// Link timing.
+pub const TIMING: LinkTiming = LinkTiming::paper_1994();
+/// Start of the measured window (warmup settles before it).
+const START_AT: SimDur = SimDur::from_us(200);
+
 /// Parameters of the Figure 1 scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure1Config {
@@ -34,10 +39,6 @@ pub struct Figure1Config {
     pub section: SimDur,
     /// Guarded data words each holder writes.
     pub data_words: u32,
-    /// Link timing.
-    pub timing: LinkTiming,
-    /// Start of the measured window (warmup settles before it).
-    pub start_at: SimDur,
 }
 
 impl Default for Figure1Config {
@@ -45,8 +46,6 @@ impl Default for Figure1Config {
         Figure1Config {
             section: SimDur::from_us(5),
             data_words: 16,
-            timing: LinkTiming::paper_1994(),
-            start_at: SimDur::from_us(200),
         }
     }
 }
@@ -88,7 +87,6 @@ struct ScenarioCpu {
     warmup_writer: bool,
     section: SimDur,
     data_words: u32,
-    start_at: SimDur,
     phase: Phase,
     requested: SimTime,
     log: MarkLog,
@@ -109,7 +107,7 @@ impl Program for ScenarioCpu {
                     // consistency).
                     api.fetch(VarId::new(DATA_BASE));
                 }
-                api.set_timer(self.start_at + self.request_offset, TAG_START);
+                api.set_timer(START_AT + self.request_offset, TAG_START);
             }
             AppEvent::Acquired { lock } if lock == LOCK && self.phase == Phase::Warmup => {
                 for w in 0..self.data_words {
@@ -164,7 +162,6 @@ pub(crate) fn build(
         warmup_writer,
         section: cfg.section,
         data_words: cfg.data_words,
-        start_at: cfg.start_at,
         phase: Phase::Warmup,
         requested: SimTime::ZERO,
         log: log.clone(),
@@ -174,7 +171,7 @@ pub(crate) fn build(
         .collect();
     let mut builder = SystemBuilder::new(3)
         .topology(Ring::new(3)) // all pairs 1 hop apart
-        .timing(cfg.timing)
+        .timing(TIMING)
         .model(model)
         .mutex_group(NodeId::new(1), vars, LOCK);
     builder
@@ -189,13 +186,12 @@ pub(crate) fn build(
 /// completion times to the closed forms); a CPU that never logged a mark
 /// means the run did not complete.
 pub(crate) fn finish(
-    cfg: &Figure1Config,
     result: &mut RunResult<ModelInstance>,
     log: &MarkLog,
 ) -> Result<Figure1Run, RunError> {
     let (name, outcome) = (result.machine.model().name(), result.outcome);
     let log = log.borrow();
-    let start = SimTime::ZERO + cfg.start_at;
+    let start = SimTime::ZERO + START_AT;
     let time_of = |cpu: u32, what: &str| -> Result<SimTime, RunError> {
         let mark = log.iter().find(|&&(c, w, _)| c == cpu && w == what);
         mark.map(|m| m.2).ok_or_else(|| {
@@ -244,7 +240,7 @@ mod tests {
     fn analysis_params(cfg: Figure1Config) -> Figure1Params {
         Figure1Params {
             hops: 1,
-            timing: cfg.timing,
+            timing: TIMING,
             section: cfg.section,
             guarded_bytes: cfg.data_words * sesame_dsm::sizes::WRITE,
         }

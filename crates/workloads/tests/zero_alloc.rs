@@ -95,7 +95,6 @@ fn measured_run(contenders: u32, rounds: u32, observer: Observer) -> (u64, u64) 
     }
     let cfg = MachineConfig {
         pruned_multicast: true,
-        ..MachineConfig::default()
     };
     let mut machine = Machine::new(topo, LinkTiming::paper_1994(), groups, programs, model, cfg);
     machine.init_var(v(LOCK), lockval::FREE);

@@ -8,9 +8,7 @@
 
 use sesame_core::builder::{ModelChoice, SystemBuilder};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex};
-use sesame_dsm::{
-    lockval, run, AppEvent, MachineConfig, NodeApi, Program, RunOptions, VarId, Word,
-};
+use sesame_dsm::{lockval, run, AppEvent, GwcMutation, NodeApi, Program, RunOptions, VarId, Word};
 use sesame_net::{Line, NodeId};
 use sesame_sim::{ApplyMode, SimDur, TraceDetail, TraceKind as K};
 
@@ -61,7 +59,7 @@ impl Program for Actor9 {
     }
 }
 
-fn scenario(hw_block: bool) -> Word {
+fn scenario(mutation: GwcMutation) -> Word {
     // Line of 7: the optimist at node 0 is 5 hops from the root at node 5;
     // the competitor at node 6 sits right next to it. The competitor's
     // whole lock session reaches the root before the optimist's request
@@ -69,10 +67,6 @@ fn scenario(hw_block: bool) -> Word {
     // echo must be dropped at the source.
     let mut builder = SystemBuilder::new(7)
         .topology(Line::new(7))
-        .machine_config(MachineConfig {
-            hw_block,
-            ..MachineConfig::default()
-        })
         .model(ModelChoice::Gwc)
         .mutex_group(NodeId::new(5), vec![DATA], LOCK);
     builder
@@ -97,7 +91,12 @@ fn scenario(hw_block: bool) -> Word {
                 contribution: 2,
             }),
         );
-    let machine = builder.build().expect("valid system");
+    let mut machine = builder.build().expect("valid system");
+    machine
+        .model_mut()
+        .as_gwc_mut()
+        .expect("a GWC machine")
+        .set_mutation(mutation);
     let result = run(
         machine,
         RunOptions {
@@ -144,10 +143,10 @@ fn scenario(hw_block: bool) -> Word {
 fn main() {
     assert_eq!(lockval::FREE, -99_999_999, "the paper's free sentinel");
     println!("=== with hardware blocking (Figure 6) ===");
-    let good = scenario(true);
+    let good = scenario(GwcMutation::None);
     println!("final value everywhere: {good}  (competitor 1->12, optimist 12->127)\n");
     println!("=== without hardware blocking ===");
-    let bad = scenario(false);
+    let bad = scenario(GwcMutation::NoHwBlock);
     println!("final value everywhere: {bad}  (the stale echo 17 corrupted the re-execution)");
     assert_eq!(good, 127);
     assert_eq!(bad, 177);

@@ -8,7 +8,7 @@
 
 use sesame_telemetry::Telemetry;
 use sesame_workloads::contention::ContentionConfig;
-use sesame_workloads::experiments::{figure8_jobs, figure8_optimism_jobs};
+use sesame_workloads::experiments::{figure8_jobs, figure8_with_optimism};
 use sesame_workloads::pipeline::PipelineConfig;
 use sesame_workloads::scenario::Scenario;
 use sesame_workloads::telemetry::observe;
@@ -40,8 +40,8 @@ fn figure8_sweep_is_identical_with_one_and_four_jobs() {
 fn figure8_optimism_telemetry_is_identical_with_one_and_four_jobs() {
     let sizes = [2, 4, 8];
     assert_eq!(
-        figure8_optimism_jobs(cfg(), &sizes, 1),
-        figure8_optimism_jobs(cfg(), &sizes, 4)
+        figure8_with_optimism(cfg(), &sizes, 1).1,
+        figure8_with_optimism(cfg(), &sizes, 4).1
     );
 }
 

@@ -2,13 +2,15 @@
 //! kinds in `docs/verify.md`, the machine's config fields and event
 //! variants in `docs/architecture.md`, the crate maps in
 //! `docs/architecture.md` and `README.md`, and the items DESIGN.md's crate
-//! table names.
+//! table names. The one calibrated constant DESIGN.md states, Fig. 2's
+//! entry-consistency handler time, is the one the code uses.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sesame_sim::TraceKind;
+use sesame_sim::{SimDur, TraceKind};
+use sesame_workloads::task_queue::EC_HANDLER;
 
 /// A path under the workspace root.
 fn root(path: &str) -> PathBuf {
@@ -86,11 +88,31 @@ fn architecture_md_names_every_machine_config_field_and_event_variant() {
         .collect();
     assert!(!fields.is_empty() && !variants.is_empty());
 
-    let listed = between(&doc, "`MachineConfig` has three fields", " and the machine");
+    let listed = between(&doc, "`MachineConfig` has one field", "and the protocol");
     assert_eq!(code_spans(listed), fields, "MachineConfig fields");
-    assert_eq!(fields.len(), 3, "the doc says three fields");
+    assert_eq!(fields.len(), 1, "the doc says one field");
     let listed = between(&doc, "(`DsmEvent`:", ")");
     assert_eq!(code_spans(listed), variants, "DsmEvent variants");
+}
+
+#[test]
+fn design_md_states_the_entry_consistency_handler_time_the_code_uses() {
+    let design = read("DESIGN.md");
+    let stated = between(&design, "`EC_HANDLER` = **", " µs**");
+    let us: u64 = stated.parse().expect("a whole number of µs");
+    assert_eq!(
+        SimDur::from_us(us),
+        EC_HANDLER,
+        "DESIGN.md's substitutions row"
+    );
+    let fig2 = format!("EC handler {us} µs;");
+    assert!(
+        design.contains(&fig2),
+        "DESIGN.md's Fig. 2 row must say {fig2:?}"
+    );
+    let protocol = format!("{us} µs in the Figure 2 reproduction");
+    let doc = read("docs/PROTOCOL.md");
+    assert!(doc.contains(&protocol), "PROTOCOL.md must say {protocol:?}");
 }
 
 #[test]

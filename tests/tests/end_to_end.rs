@@ -28,7 +28,7 @@ fn figure1_reproduces_the_papers_ordering_and_closed_forms() {
     // Simulation equals analysis exactly for all three models.
     let pred = Figure1Params {
         hops: 1,
-        timing: cfg.timing,
+        timing: sesame_workloads::three_cpu::TIMING,
         section: cfg.section,
         guarded_bytes: cfg.data_words * 16,
     }

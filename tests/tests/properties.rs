@@ -203,7 +203,6 @@ fn optimistic_mutex_is_always_safe() {
                 threshold: 0.05 + rng.next_f64() * 0.90,
                 optimistic: true,
             },
-            timing: LinkTiming::paper_1994(),
             seed: rng.next_below(10_000),
             ..ContentionConfig::default()
         });

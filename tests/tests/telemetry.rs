@@ -12,6 +12,8 @@ use sesame_sim::{SimDur, TraceEntry, TraceObserver};
 use sesame_telemetry::{render_report, CausalDag, Snapshot, Telemetry};
 use sesame_verify::Verifier;
 use sesame_workloads::contention::{run_contention, run_contention_observed, ContentionConfig};
+use sesame_workloads::experiments::{figure8_sizes, figure8_with_optimism};
+use sesame_workloads::pipeline::{MutexMethod, Optimism, PipelineConfig};
 use sesame_workloads::scenario::Scenario;
 use sesame_workloads::task_queue::TaskQueueConfig;
 use sesame_workloads::telemetry::{absorb_run, observe};
@@ -305,13 +307,8 @@ fn observers_report_what_they_reported_before_kinds_were_an_enum() {
     };
     assert_eq!((trace.len(), fnv1a(&trace)), CHROME_TRACE, "Chrome trace");
 
-    let machine = sesame_dsm::MachineConfig {
-        hw_block: false,
-        ..cfg.machine
-    };
     let unblocked = ContentionConfig {
-        machine,
-        check_counter: false,
+        gwc_mutation: sesame_dsm::GwcMutation::NoHwBlock,
         ..cfg
     };
     let verifier = Rc::new(RefCell::new(Verifier::new()));
@@ -330,3 +327,34 @@ const UNBLOCKED_REPORT: &str = "\
 [mutual-exclusion] t=30.901us node1: node1 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
 [mutual-exclusion] t=56.228us node4: node4 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
 ";
+
+/// `sesame fig8`'s optimism columns come from the engines' completions in
+/// the sweep itself; at every Figure 8 size they equal what the collector
+/// sums from the trace of the same point.
+#[test]
+fn figure8_optimism_columns_equal_the_collectors_sums() {
+    let cfg = PipelineConfig {
+        total_visits: 256,
+        ..PipelineConfig::default()
+    };
+    let sizes = figure8_sizes();
+    let (_, columns) = figure8_with_optimism(cfg, &sizes, 2);
+    let collected: Vec<Optimism> = sizes
+        .iter()
+        .map(|&nodes| {
+            let method = MutexMethod::OptimisticGwc;
+            let point = Scenario::Pipeline { nodes, method, cfg };
+            let snap = observe(&point, Telemetry::new("figure8", 0))
+                .expect("a clean run")
+                .snapshot();
+            Optimism {
+                attempts: snap.sum_counters("node/", "/opt/attempts"),
+                wins: snap.sum_counters("node/", "/opt/wins"),
+                rollbacks: snap.sum_counters("node/", "/opt/rollbacks"),
+                overlapped: snap.sum_counters("node/", "/opt/overlapped"),
+            }
+        })
+        .collect();
+    assert_eq!(columns, collected);
+    assert!(columns.iter().all(|p| p.attempts > 0), "{columns:?}");
+}
