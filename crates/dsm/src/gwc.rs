@@ -67,7 +67,7 @@ fn write_hash(group: GroupId, seq: u64, var: VarId, value: Word, origin: NodeId)
 }
 
 /// One sequenced write traveling (or buffered) within a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SeqItem {
     group: GroupId,
     var: VarId,
@@ -76,123 +76,42 @@ struct SeqItem {
     seq: u64,
 }
 
-/// Per-node sharing-interface state.
-///
-/// The hot per-`(group, member)` counter (the next expected sequence
-/// number) lives outside this struct, in [`GwcModel::expected`] —
-/// a dense member-slot-indexed array (see [`GroupTable::member_slot`])
-/// so the apply loop of a 100k-node machine never hashes. What remains
-/// here is genuinely per-node: one record per CPU, so it is kept small —
-/// the flag and the two tiny lock lists inline, what only loss,
-/// suspension or a list of more than [`INLINE`] locks populates behind
-/// one pointer.
-#[derive(Debug, Default)]
-struct IfaceState {
-    /// Whether insharing is suspended (arrivals buffer in `held`).
-    suspended: bool,
-    /// Each [`LockList`]'s length while it is inline, or [`SPILLED`].
-    lens: [u8; 2],
-    /// Each [`LockList`]'s vars, ascending, while it is inline.
-    inline: [[VarId; INLINE]; 2],
-    /// Reorder and suspension buffers and spilled lists, created on first
-    /// use.
-    cold: Option<Box<IfaceBuffers>>,
-}
+/// [`GwcModel::status`] bit: the node's insharing is suspended, so
+/// arrivals queue in its held buffer.
+const SUSPENDED: u8 = 1;
 
-/// An interface's two small sorted sets of lock variables. They hold at
-/// most a handful of vars (a node arms and awaits the locks of the
-/// sections it is in), so up to [`INLINE`] live in the interface itself —
-/// no heap block per node — and a larger list moves to
-/// [`IfaceBuffers::spilled`] for good.
-#[derive(Debug, Clone, Copy)]
-enum LockList {
-    /// Lock variables with an armed change interrupt.
-    Armed,
-    /// Locks with an outstanding high-level acquire.
-    PendingAcquire,
-}
+/// [`GwcModel::status`] bit: the node's reorder buffer may hold a write.
+/// Cleared once a drain finds every group's buffer empty, so a loss-free
+/// run never probes the buffer map.
+const REORDERED: u8 = 2;
 
-/// Vars a [`LockList`] holds inline.
-const INLINE: usize = 3;
+/// [`GwcModel::interest`] bit of a member slot: the member armed the
+/// change interrupt on its group's mutex lock.
+const ARMED: u8 = 1;
 
-/// [`IfaceState::lens`] of a list that lives in [`IfaceBuffers::spilled`].
-const SPILLED: u8 = u8::MAX;
+/// [`GwcModel::interest`] bit of a member slot: the member awaits a grant
+/// of its group's mutex lock.
+const PENDING_ACQUIRE: u8 = 2;
 
-/// The rarely populated part of [`IfaceState`].
+/// Member slots per [`GwcModel::interest`] byte, two bits each.
+const SLOTS_PER_BYTE: usize = 4;
+
+/// The buffers of a node whose insharing met a gap or a suspension,
+/// created on first use and kept, so a node that fills them again
+/// allocates nothing new.
 #[derive(Debug, Default)]
 struct IfaceBuffers {
-    /// Out-of-order arrivals awaiting their turn (populated only on
-    /// loss-induced gaps). `BTreeMap` keeps group iteration order
-    /// deterministic when [`GwcModel::resume`] drains it.
+    /// Out-of-order arrivals awaiting their turn. `BTreeMap` keeps group
+    /// iteration order deterministic when [`GwcModel::resume`] drains it.
     reorder: BTreeMap<GroupId, BTreeMap<u64, SeqItem>>,
     /// Arrivals buffered during suspension, in arrival order.
     held: VecDeque<SeqItem>,
-    /// Each [`LockList`] that outgrew its inline room, ascending.
-    spilled: [Vec<VarId>; 2],
 }
 
-impl IfaceState {
-    fn buffers(&mut self) -> &mut IfaceBuffers {
-        self.cold.get_or_insert_with(Box::default)
-    }
-
-    /// Whether any out-of-order arrival is buffered.
-    fn has_reordered(&self) -> bool {
-        self.cold.as_ref().is_some_and(|c| !c.reorder.is_empty())
-    }
-
-    /// The vars of `list`, ascending.
-    fn locks(&self, list: LockList) -> &[VarId] {
-        let i = list as usize;
-        match self.lens[i] {
-            SPILLED => {
-                &self
-                    .cold
-                    .as_ref()
-                    .expect("a spilled list is buffered")
-                    .spilled[i]
-            }
-            len => &self.inline[i][..len as usize],
-        }
-    }
-
-    fn insert_lock(&mut self, list: LockList, var: VarId) {
-        let Err(at) = self.locks(list).binary_search(&var) else {
-            return;
-        };
-        let i = list as usize;
-        match self.lens[i] {
-            SPILLED => self.buffers().spilled[i].insert(at, var),
-            len if (len as usize) < INLINE => {
-                let inline = &mut self.inline[i];
-                inline.copy_within(at..len as usize, at + 1);
-                inline[at] = var;
-                self.lens[i] += 1;
-            }
-            _ => {
-                let mut vars = self.inline[i].to_vec();
-                vars.insert(at, var);
-                self.buffers().spilled[i] = vars;
-                self.lens[i] = SPILLED;
-            }
-        }
-    }
-
-    fn remove_lock(&mut self, list: LockList, var: VarId) -> bool {
-        let Ok(at) = self.locks(list).binary_search(&var) else {
-            return false;
-        };
-        let i = list as usize;
-        match self.lens[i] {
-            SPILLED => {
-                self.buffers().spilled[i].remove(at);
-            }
-            len => {
-                self.inline[i].copy_within(at + 1..len as usize, at);
-                self.lens[i] -= 1;
-            }
-        }
-        true
+impl IfaceBuffers {
+    /// Each group's non-empty reorder buffer, in group order.
+    fn gaps(&self) -> impl Iterator<Item = (&GroupId, &BTreeMap<u64, SeqItem>)> + Clone {
+        self.reorder.iter().filter(|(_, b)| !b.is_empty())
     }
 }
 
@@ -346,7 +265,15 @@ pub enum GwcMutation {
 /// determinism contract that keeps traces byte-identical.
 #[derive(Debug)]
 pub struct GwcModel {
-    ifaces: Vec<IfaceState>,
+    /// One byte per node: [`SUSPENDED`] and [`REORDERED`].
+    status: Vec<u8>,
+    /// Two bits per member slot, [`ARMED`] and [`PENDING_ACQUIRE`], slot
+    /// `s` at bits `2 * (s % 4)` of byte `s / 4`. Both concern the group's
+    /// mutex lock; every variable belongs to one group, so a slot's bits
+    /// say all that a per-node list of lock variables would.
+    interest: Vec<u8>,
+    /// The reorder and held buffers of the nodes that ever needed one.
+    buffers: BTreeMap<NodeId, IfaceBuffers>,
     /// Root state, indexed by `GroupId::index()` (group ids are dense).
     roots: Vec<RootGroup>,
     /// Lock-manager state of the mutex groups, in group-id order.
@@ -395,7 +322,9 @@ impl GwcModel {
             })
             .collect();
         GwcModel {
-            ifaces: (0..nodes).map(|_| IfaceState::default()).collect(),
+            status: vec![0; nodes],
+            interest: vec![0; groups.member_slots().div_ceil(SLOTS_PER_BYTE)],
+            buffers: BTreeMap::new(),
             roots,
             locks,
             expected: vec![0; groups.member_slots()],
@@ -415,6 +344,38 @@ impl GwcModel {
         groups.member_slot(group, node).unwrap_or_else(|| {
             panic!("{node} handled a sequenced write for {group} it is not a member of")
         })
+    }
+
+    /// The member slot of `node` in the group whose mutex lock is `var`,
+    /// panicking where `what` (arming, acquiring) names any other variable:
+    /// no grant or lock change would ever reach the node.
+    fn lock_slot(groups: &GroupTable, node: NodeId, var: VarId, what: &str) -> usize {
+        (groups.group_of(var))
+            .filter(|g| g.mutex_lock() == Some(var))
+            .and_then(|g| groups.member_slot(g.id(), node))
+            .unwrap_or_else(|| {
+                panic!("{node} {what} {var}, which is not the mutex lock of a group it belongs to")
+            })
+    }
+
+    /// Sets `bit` of `slot`'s lock interest.
+    fn add_interest(&mut self, slot: usize, bit: u8) {
+        self.interest[slot / SLOTS_PER_BYTE] |= bit << (2 * (slot % SLOTS_PER_BYTE));
+    }
+
+    /// Clears `bit` of `slot`'s lock interest, returning whether it was set.
+    fn take_interest(&mut self, slot: usize, bit: u8) -> bool {
+        let mask = bit << (2 * (slot % SLOTS_PER_BYTE));
+        let byte = &mut self.interest[slot / SLOTS_PER_BYTE];
+        let was = *byte & mask != 0;
+        *byte &= !mask;
+        was
+    }
+
+    /// Suspends or resumes `node`'s insharing.
+    fn set_suspended(&mut self, node: NodeId, suspended: bool) {
+        let status = &mut self.status[node.index()];
+        *status = (*status & !SUSPENDED) | if suspended { SUSPENDED } else { 0 };
     }
 
     /// `group`'s lock-manager state, if it is a mutex group.
@@ -452,60 +413,44 @@ impl GwcModel {
     #[doc(hidden)]
     pub fn state_digest_over(&self, sequenced: u64) -> u64 {
         use std::hash::{Hash, Hasher};
-        fn hash_item(item: &SeqItem, h: &mut impl Hasher) {
-            (
-                item.group.get(),
-                item.var.get(),
-                item.value,
-                item.origin.get(),
-                item.seq,
-            )
-                .hash(h);
+        // Each run hashed as a `Vec` of its items would be, counted first,
+        // so it cannot run into what follows.
+        fn hash_run<T: Hash>(run: impl Iterator<Item = T> + Clone, h: &mut impl Hasher) {
+            run.clone().count().hash(h);
+            run.for_each(|item| item.hash(h));
         }
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // The touched (slot, next-expected-seq) pairs, in slot order;
         // untouched slots (0) are omitted so the digest matches states
         // where the counter was never advanced. A slot is one
         // `(group, node)` pair of a table fixed for the exploration, so
-        // this names the same state as per-node `(group, seq)` lists.
-        // Counted first, as a `Vec` would be, so the list cannot run into
-        // what follows.
-        let touched = || {
-            self.expected
-                .iter()
-                .enumerate()
-                .filter(|&(_, &seq)| seq != 0)
-        };
-        touched().count().hash(&mut h);
-        for (slot, seq) in touched() {
-            (slot, seq).hash(&mut h);
-        }
-        for (i, st) in self.ifaces.iter().enumerate() {
-            i.hash(&mut h);
-            // An interface without buffers hashes like one whose buffers
-            // are empty.
-            let cold = st.cold.as_deref();
-            for (g, buffer) in cold.iter().flat_map(|c| &c.reorder) {
-                g.get().hash(&mut h);
-                for item in buffer.values() {
-                    hash_item(item, &mut h);
-                }
-            }
-            st.suspended.hash(&mut h);
-            for item in cold.iter().flat_map(|c| &c.held) {
-                hash_item(item, &mut h);
-            }
-            // Each list hashed as the `Vec<u32>` it stands for, without
-            // building one: the length, then the ids.
-            for list in [
-                st.locks(LockList::Armed),
-                st.locks(LockList::PendingAcquire),
-            ] {
-                list.len().hash(&mut h);
-                for v in list {
-                    v.get().hash(&mut h);
-                }
-            }
+        // this names the same state as per-node `(group, seq)` lists. The
+        // lock interest likewise: each nonzero byte is up to four slots'
+        // bits, and a slot's bit is its node's interest in its group's
+        // lock, so this names the same state as per-node lists of armed
+        // and awaited locks.
+        let touched = self
+            .expected
+            .iter()
+            .enumerate()
+            .filter(|&(_, &seq)| seq != 0);
+        hash_run(touched, &mut h);
+        hash_run(
+            self.interest.iter().enumerate().filter(|&(_, &b)| b != 0),
+            &mut h,
+        );
+        let suspended = (0..self.status.len()).filter(|&i| self.status[i] & SUSPENDED != 0);
+        hash_run(suspended, &mut h);
+        // The buffers of each node that holds a write: an emptied buffer
+        // hashes like one never made.
+        let holding =
+            (self.buffers.iter()).filter(|(_, b)| !b.held.is_empty() || b.gaps().next().is_some());
+        holding.clone().count().hash(&mut h);
+        for (node, b) in holding {
+            node.get().hash(&mut h);
+            hash_run(b.gaps().map(|(g, buffer)| (g.get(), buffer.len())), &mut h);
+            hash_run(b.gaps().flat_map(|(_, buffer)| buffer.values()), &mut h);
+            hash_run(b.held.iter(), &mut h);
         }
         // Every write ever sequenced, as one sum: what the histories held
         // before retirement trimmed them. Left out: the retired-through
@@ -584,7 +529,7 @@ impl GwcModel {
 
     /// Whether `node`'s insharing is currently suspended.
     pub fn is_suspended(&self, node: NodeId) -> bool {
-        self.ifaces[node.index()].suspended
+        self.status[node.index()] & SUSPENDED != 0
     }
 
     /// Numbers `write` as `group`'s next write and appends it to the
@@ -860,24 +805,33 @@ impl GwcModel {
     }
 
     fn apply_chain(&mut self, node: NodeId, group: GroupId, slot: usize, mx: &mut Mx<'_, '_>) {
-        if !self.ifaces[node.index()].has_reordered() {
-            // Nothing was ever buffered out of order at this node (the
-            // steady state of loss-free runs) — skip the per-group probe.
-            return;
-        }
         loop {
-            if self.ifaces[node.index()].suspended {
+            // Nothing buffered out of order at this node (the steady state
+            // of loss-free runs), or insharing suspended: no probe.
+            if self.status[node.index()] & (SUSPENDED | REORDERED) != REORDERED {
                 return;
             }
             let expected = self.expected[slot].max(1);
-            let next = self.ifaces[node.index()]
-                .cold
-                .as_mut()
-                .and_then(|c| c.reorder.get_mut(&group))
-                .and_then(|b| b.remove(&expected));
+            let buffers = self
+                .buffers
+                .get_mut(&node)
+                .expect("a reordered node has buffers");
+            let next = buffers.reorder.get_mut(&group).and_then(|b| {
+                // A write whose retransmitted copy was held during a
+                // suspension and applied on resume is already behind.
+                while b.first_key_value().is_some_and(|(&seq, _)| seq < expected) {
+                    b.pop_first();
+                }
+                b.remove(&expected)
+            });
             match next {
                 Some(item) => self.apply_item(node, slot, item, mx),
-                None => return,
+                None => {
+                    if buffers.gaps().next().is_none() {
+                        self.status[node.index()] &= !REORDERED;
+                    }
+                    return;
+                }
             }
         }
     }
@@ -907,7 +861,6 @@ impl GwcModel {
     /// its record.
     fn apply_payload(&mut self, node: NodeId, slot: usize, item: SeqItem, mx: &mut Mx<'_, '_>) {
         self.expected[slot] = item.seq + 1;
-        let st = &mut self.ifaces[node.index()];
         let g = mx.groups().group(item.group);
         let is_lock_var = g.mutex_lock() == Some(item.var);
         // Canonical in-order receipt event for the checkers; `mode` says
@@ -938,8 +891,8 @@ impl GwcModel {
 
         // Armed lock interrupt: suspend insharing atomically with delivery
         // (Figure 5 line P1).
-        if st.remove_lock(LockList::Armed, item.var) {
-            st.suspended = self.mutation != GwcMutation::NoInsharingSuspension;
+        if is_lock_var && self.take_interest(slot, ARMED) {
+            self.set_suspended(node, self.mutation != GwcMutation::NoInsharingSuspension);
             gwc_apply(mx, ApplyMode::Interrupt);
             mx.cause_point(node, CauseOp::Apply);
             mx.mem(node).write(item.var, item.value);
@@ -956,7 +909,9 @@ impl GwcModel {
         gwc_apply(mx, ApplyMode::Applied);
         mx.cause_point(node, CauseOp::Apply);
         mx.mem(node).write(item.var, item.value);
-        if item.value == lockval::grant(node) && st.remove_lock(LockList::PendingAcquire, item.var)
+        if is_lock_var
+            && item.value == lockval::grant(node)
+            && self.take_interest(slot, PENDING_ACQUIRE)
         {
             mx.deliver(node, AppEvent::Acquired { lock: item.var });
         } else {
@@ -975,9 +930,8 @@ impl GwcModel {
     /// reorder on gaps (with a nack to the root), apply in order otherwise.
     fn member_receive(&mut self, node: NodeId, item: SeqItem, mx: &mut Mx<'_, '_>) {
         let slot = Self::slot(mx.groups(), item.group, node);
-        let st = &mut self.ifaces[node.index()];
-        if st.suspended {
-            st.buffers().held.push_back(item);
+        if self.status[node.index()] & SUSPENDED != 0 {
+            self.buffers.entry(node).or_default().held.push_back(item);
             return;
         }
         let expected = self.expected[slot].max(1);
@@ -990,11 +944,15 @@ impl GwcModel {
                 self.apply_item(node, slot, item, mx);
                 return;
             }
-            st.buffers()
-                .reorder
-                .entry(item.group)
+            (self
+                .buffers
+                .entry(node)
                 .or_default()
-                .insert(item.seq, item);
+                .reorder
+                .entry(item.group))
+            .or_default()
+            .insert(item.seq, item);
+            self.status[node.index()] |= REORDERED;
             self.stats.nacks += 1;
             self.nacks_in_flight.push((item.group, expected - 1));
             let root = mx.groups().group(item.group).root();
@@ -1016,23 +974,22 @@ impl GwcModel {
     /// Resume insharing at `node`: re-inject writes buffered during
     /// suspension, stopping early if an armed interrupt re-suspends.
     fn resume(&mut self, node: NodeId, mx: &mut Mx<'_, '_>) {
-        self.ifaces[node.index()].suspended = false;
+        self.set_suspended(node, false);
         loop {
-            if self.ifaces[node.index()].suspended {
+            if self.status[node.index()] & SUSPENDED != 0 {
                 return; // an armed interrupt re-suspended mid-drain
             }
-            let st = &mut self.ifaces[node.index()];
-            let Some(item) = st.cold.as_mut().and_then(|c| c.held.pop_front()) else {
+            let held = self.buffers.get_mut(&node).map(|b| &mut b.held);
+            let Some(item) = held.and_then(VecDeque::pop_front) else {
                 break;
             };
             self.member_receive(node, item, mx);
         }
         // Anything already in the reorder buffer may now be applicable.
-        let cold = self.ifaces[node.index()].cold.as_deref();
-        let groups: Vec<GroupId> = cold
-            .iter()
-            .flat_map(|c| c.reorder.keys().copied())
-            .collect();
+        if self.status[node.index()] & REORDERED == 0 {
+            return;
+        }
+        let groups: Vec<GroupId> = self.buffers[&node].gaps().map(|(&g, _)| g).collect();
         for g in groups {
             let slot = Self::slot(mx.groups(), g, node);
             self.apply_chain(node, g, slot, mx);
@@ -1059,7 +1016,8 @@ impl Model for GwcModel {
                 mx.mem(node).write(var, value);
             }
             ModelAction::Acquire { lock } => {
-                self.ifaces[node.index()].insert_lock(LockList::PendingAcquire, lock);
+                let slot = Self::lock_slot(mx.groups(), node, lock, "acquired");
+                self.add_interest(slot, PENDING_ACQUIRE);
                 mx.mem(node).write(lock, lockval::request(node));
                 self.forward_to_root(node, lock, lockval::request(node), mx);
             }
@@ -1075,11 +1033,11 @@ impl Model for GwcModel {
                 mx.deliver(node, AppEvent::ValueReady { var, value });
             }
             ModelAction::ArmLockInterrupt { var } => {
-                self.ifaces[node.index()].insert_lock(LockList::Armed, var);
+                let slot = Self::lock_slot(mx.groups(), node, var, "armed");
+                self.add_interest(slot, ARMED);
             }
             ModelAction::SuspendInsharing => {
-                let suspends = self.mutation != GwcMutation::NoInsharingSuspension;
-                self.ifaces[node.index()].suspended = suspends;
+                self.set_suspended(node, self.mutation != GwcMutation::NoInsharingSuspension);
             }
             ModelAction::ResumeInsharing => {
                 self.resume(node, mx);
@@ -1234,9 +1192,98 @@ mod tests {
     #[test]
     fn per_group_and_per_node_records_stay_small() {
         // One of each per group / per node of a machine that may have a
-        // million of both (docs/performance.md, "Bytes per node").
+        // million of both (docs/performance.md, "Bytes per node"): a
+        // 16-byte root record per group, a status byte per node, two bits
+        // per member slot, and no buffers until a node needs them.
         assert!(std::mem::size_of::<RootGroup>() <= 16);
-        assert!(std::mem::size_of::<IfaceState>() <= 40);
+        let (groups, m) = two_groups();
+        assert_eq!(m.status.len(), 7);
+        assert_eq!((groups.member_slots(), m.interest.len()), (7, 2));
+        assert!(m.buffers.is_empty());
+    }
+
+    /// How many writes `node` holds out of order, and how many under
+    /// suspension.
+    fn buffered(m: &GwcModel, node: NodeId) -> (usize, usize) {
+        m.buffers.get(&node).map_or((0, 0), |b| {
+            (b.gaps().map(|(_, buffer)| buffer.len()).sum(), b.held.len())
+        })
+    }
+
+    /// `slot`'s two lock-interest bits.
+    fn interest_bits(m: &GwcModel, slot: usize) -> u8 {
+        (m.interest[slot / SLOTS_PER_BYTE] >> (2 * (slot % SLOTS_PER_BYTE)))
+            & (ARMED | PENDING_ACQUIRE)
+    }
+
+    #[test]
+    fn an_emptied_buffer_digests_like_one_never_made() {
+        let item = SeqItem {
+            group: GroupId::new(0),
+            var: VarId::new(0),
+            value: 5,
+            origin: NodeId::new(0),
+            seq: 2,
+        };
+        // Node 1 holds `item`; in `emptied` it also met a gap in each group
+        // and a suspension before, all drained.
+        let (_, mut never) = two_groups();
+        let (_, mut emptied) = two_groups();
+        assert_eq!(never.state_digest(), emptied.state_digest());
+        let buffers = emptied.buffers.entry(NodeId::new(1)).or_default();
+        buffers.reorder.entry(GroupId::new(0)).or_default();
+        buffers.reorder.entry(GroupId::new(1)).or_default();
+        buffers.held.reserve(4);
+        assert_eq!(never.state_digest(), emptied.state_digest());
+        for m in [&mut never, &mut emptied] {
+            m.buffers
+                .entry(NodeId::new(1))
+                .or_default()
+                .held
+                .push_back(item);
+        }
+        let held = never.state_digest();
+        assert_eq!(emptied.state_digest(), held);
+        // The same write out of order instead of held is another state.
+        let buffers = emptied.buffers.get_mut(&NodeId::new(1)).unwrap();
+        buffers.held.clear();
+        buffers
+            .reorder
+            .get_mut(&GroupId::new(0))
+            .unwrap()
+            .insert(2, item);
+        assert_ne!(emptied.state_digest(), held);
+    }
+
+    #[test]
+    fn lock_interest_bits_match_a_btree_set() {
+        // Both bits of every slot, against a set of (slot, bit): the four
+        // slots that share a byte must not disturb one another.
+        let (groups, mut m) = two_groups();
+        let slots = groups.member_slots();
+        let mut rng = sesame_sim::DetRng::new(0x7661_7273);
+        let mut model = std::collections::BTreeSet::new();
+        let mut most = 0;
+        for _ in 0..4_000 {
+            let slot = rng.next_below(slots as u64) as usize;
+            let bit = [ARMED, PENDING_ACQUIRE][rng.next_below(2) as usize];
+            if rng.chance(0.55) {
+                m.add_interest(slot, bit);
+                model.insert((slot, bit));
+            } else {
+                assert_eq!(m.take_interest(slot, bit), model.remove(&(slot, bit)));
+            }
+            for slot in 0..slots {
+                let want =
+                    (model.range((slot, 0)..(slot + 1, 0))).fold(0, |bits, &(_, b)| bits | b);
+                assert_eq!(interest_bits(&m, slot), want, "slot {slot}");
+            }
+            most = most.max(model.len());
+        }
+        assert!(
+            most > 2 * slots - 3,
+            "nearly every bit was set at once: {most}"
+        );
     }
 
     #[test]
@@ -1387,75 +1434,51 @@ mod tests {
         assert!(served > 500, "{served} NACKs served");
     }
 
-    #[test]
-    fn var_set_matches_a_btree_set_inline_and_spilled() {
-        let mut rng = sesame_sim::DetRng::new(0x7661_7273);
-        for universe in [3u64, 4, 9] {
-            // Both lists of one interface, each against its own model.
-            let mut st = IfaceState::default();
-            let mut models = [std::collections::BTreeSet::new(), Default::default()];
-            for _ in 0..800 {
-                let list = [LockList::Armed, LockList::PendingAcquire][rng.next_below(2) as usize];
-                let model = &mut models[list as usize];
-                let var = VarId::new(rng.next_below(universe) as u32);
-                if rng.chance(0.55) {
-                    st.insert_lock(list, var);
-                    model.insert(var);
-                } else {
-                    assert_eq!(st.remove_lock(list, var), model.remove(&var));
-                }
-                assert!(
-                    st.locks(list).iter().eq(model.iter()),
-                    "{st:?} vs {model:?}"
-                );
-            }
-            // Three vars fit inline; more must have moved to the buffers.
-            let spills = universe > INLINE as u64;
-            assert_eq!(st.lens.map(|len| len == SPILLED), [spills; 2]);
-            assert_eq!(st.cold.is_some(), spills);
-        }
-    }
-
-    /// [`GwcModel::state_digest`] as it was while every root kept every
-    /// write it ever sequenced (and the armed and pending-acquire lists
-    /// were collected into a `Vec` to hash), with those histories rebuilt
-    /// from the `RootSeq` records of the run so far.
-    fn full_history_digest(m: &GwcModel, histories: &BTreeMap<u32, Vec<(u32, Word, u32)>>) -> u64 {
+    /// [`GwcModel::state_digest`] as it was while each interface kept its
+    /// own sorted lists of armed and awaited lock variables beside its
+    /// buffers, and every root kept every write it ever sequenced (rebuilt
+    /// from the `RootSeq` records of the run so far).
+    fn per_node_list_digest(
+        m: &GwcModel,
+        groups: &GroupTable,
+        histories: &BTreeMap<u32, Vec<(u32, Word, u32)>>,
+    ) -> u64 {
         use std::hash::{Hash, Hasher};
-        fn hash_item(item: &SeqItem, h: &mut impl Hasher) {
-            (
-                item.group.get(),
-                item.var.get(),
-                item.value,
-                item.origin.get(),
-                item.seq,
-            )
-                .hash(h);
-        }
         let mut h = std::collections::hash_map::DefaultHasher::new();
         let touched = || m.expected.iter().enumerate().filter(|&(_, &seq)| seq != 0);
         touched().count().hash(&mut h);
         for (slot, seq) in touched() {
             (slot, seq).hash(&mut h);
         }
-        for (i, st) in m.ifaces.iter().enumerate() {
-            i.hash(&mut h);
-            let cold = st.cold.as_deref();
-            for (g, buffer) in cold.iter().flat_map(|c| &c.reorder) {
-                g.get().hash(&mut h);
-                for item in buffer.values() {
-                    hash_item(item, &mut h);
+        // Each node's armed and pending-acquire lists, from its slots.
+        let mut lists = vec![[Vec::new(), Vec::new()]; m.status.len()];
+        for g in groups.iter() {
+            let Some(lock) = g.mutex_lock() else { continue };
+            for (rank, node) in g.members().iter().enumerate() {
+                let bits = interest_bits(m, groups.slot_base(g.id()) + rank);
+                for (list, bit) in lists[node.index()].iter_mut().zip([ARMED, PENDING_ACQUIRE]) {
+                    if bits & bit != 0 {
+                        list.push(lock.get());
+                    }
                 }
             }
-            st.suspended.hash(&mut h);
-            for item in cold.iter().flat_map(|c| &c.held) {
-                hash_item(item, &mut h);
+        }
+        for (i, [armed, pending]) in lists.iter_mut().enumerate() {
+            i.hash(&mut h);
+            let buffers = m.buffers.get(&NodeId::new(i as u32));
+            for (g, buffer) in buffers.iter().flat_map(|b| &b.reorder) {
+                if !buffer.is_empty() {
+                    g.get().hash(&mut h);
+                    buffer.values().for_each(|item| item.hash(&mut h));
+                }
             }
-            let armed: Vec<u32> = st.locks(LockList::Armed).iter().map(|v| v.get()).collect();
+            (m.status[i] & SUSPENDED != 0).hash(&mut h);
+            for item in buffers.iter().flat_map(|b| &b.held) {
+                item.hash(&mut h);
+            }
+            armed.sort_unstable();
             armed.hash(&mut h);
-            let pending: Vec<u32> = (st.locks(LockList::PendingAcquire).iter())
-                .map(|v| v.get())
-                .collect();
+            pending.sort_unstable();
             pending.hash(&mut h);
         }
         for (i, rg) in m.roots.iter().enumerate() {
@@ -1481,56 +1504,47 @@ mod tests {
         h.finish()
     }
 
-    #[test]
-    fn the_digest_parts_reordered_runs_as_the_full_histories_did() {
-        use crate::{DsmEvent, GroupSpec, Machine, MachineConfig, NodeApi, Program};
+    /// What [`digests_part_alike`] saw: the states, the distinct ones,
+    /// and whether an armed interrupt, a pending acquire, a reordered write
+    /// and a held write were each ever present.
+    struct Parted {
+        states: usize,
+        distinct: usize,
+        filled: [bool; 4],
+    }
+
+    /// Runs `program(node, seed)` on every node over `groups` (each mutex
+    /// lock initially free) for each seed, under a random schedule in which
+    /// any sequenced write may overtake another — what the reorder buffer
+    /// is for — while every other link and each node's own events stay in
+    /// order. At every state the digest and [`per_node_list_digest`] must
+    /// part states alike: each digest maps to one digest of the other, in
+    /// both directions.
+    fn digests_part_alike(
+        groups: &GroupTable,
+        nodes: u32,
+        program: impl Fn(u32, u64) -> Box<dyn crate::Program>,
+        seeds: std::ops::Range<u64>,
+    ) -> Parted {
+        use crate::{DsmEvent, Machine, MachineConfig};
         use sesame_net::{FullMesh, LinkTiming};
-        use sesame_sim::{DetRng, SimDur, SimTime, Simulation, TraceDetail};
+        use sesame_sim::{DetRng, PendingEvent, SimTime, Simulation, TraceDetail};
         use std::collections::HashMap;
 
-        // Three contenders and a root, as in the checker's canonical
-        // workload; each arms the lock interrupt on its way out, which
-        // suspends its insharing for a moment when the next grant lands,
-        // so every list and buffer the digest covers fills.
-        let (lock, data) = (VarId::new(0), VarId::new(1));
-        let root = NodeId::new(0);
-        let nodes = 4u32;
-        let program = |i: u32| -> Box<dyn Program> {
-            Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
-                AppEvent::Started if i > 0 => api.acquire(lock),
-                AppEvent::Acquired { .. } => {
-                    api.write(data, Word::from(i));
-                    api.write(data, Word::from(10 + i));
-                    api.arm_lock_interrupt(lock);
-                    api.release(lock);
-                }
-                AppEvent::LockChanged { .. } => api.set_timer(SimDur::from_nanos(1), 0),
-                AppEvent::TimerFired { .. } => api.resume_insharing(),
-                _ => {}
-            })
-        };
-        // Each digest, new and reference, to the other it came with: a
-        // partition test in both directions.
         let (mut to_ref, mut to_new) = (HashMap::new(), HashMap::new());
         let (mut states, mut filled) = (0, [false; 4]);
-        for seed in 0..16 {
-            let groups = GroupTable::new(vec![GroupSpec {
-                root,
-                members: (0..nodes).map(NodeId::new).collect(),
-                vars: vec![lock, data],
-                mutex_lock: Some(lock),
-            }])
-            .expect("one group");
-            let model = GwcModel::new(&groups, nodes as usize);
+        for seed in seeds {
             let mut machine = Machine::new(
                 Box::new(FullMesh::new(nodes as usize)),
                 LinkTiming::unit(),
-                groups,
-                (0..nodes).map(program).collect(),
-                model,
+                groups.clone(),
+                (0..nodes).map(|i| program(i, seed)).collect(),
+                GwcModel::new(groups, nodes as usize),
                 MachineConfig::default(),
             );
-            machine.init_var(lock, lockval::FREE);
+            for lock in groups.iter().filter_map(|g| g.mutex_lock()) {
+                machine.init_var(lock, lockval::FREE);
+            }
             let mut sim = Simulation::new(machine);
             sim.set_tracing(true);
             for i in 0..nodes {
@@ -1556,7 +1570,10 @@ mod tests {
                 }
                 read = entries.len();
                 let m = sim.actor().model();
-                let (new, reference) = (m.state_digest(), full_history_digest(m, &histories));
+                let (new, reference) = (
+                    m.state_digest(),
+                    per_node_list_digest(m, groups, &histories),
+                );
                 assert_eq!(
                     *to_ref.entry(new).or_insert(reference),
                     reference,
@@ -1564,23 +1581,24 @@ mod tests {
                 );
                 assert_eq!(*to_new.entry(reference).or_insert(new), new, "seed {seed}");
                 states += 1;
-                for st in &m.ifaces {
-                    filled[0] |= !st.locks(LockList::Armed).is_empty();
-                    filled[1] |= !st.locks(LockList::PendingAcquire).is_empty();
-                    filled[2] |= st.has_reordered();
-                    filled[3] |= st.cold.as_ref().is_some_and(|c| !c.held.is_empty());
+                for slot in 0..groups.member_slots() {
+                    filled[0] |= interest_bits(m, slot) & ARMED != 0;
+                    filled[1] |= interest_bits(m, slot) & PENDING_ACQUIRE != 0;
                 }
-                // The root's fan-out may arrive in any order (what the
-                // reorder buffer is for); every other link, and each
-                // node's own events, stay in order.
+                for node in 0..nodes {
+                    let (reordered, held) = buffered(m, NodeId::new(node));
+                    filled[2] |= reordered > 0;
+                    filled[3] |= held > 0;
+                }
                 let pending = sim.pending();
-                let key = |p: &sesame_sim::PendingEvent<'_, (NodeId, DsmEvent)>| match p.msg {
+                let key = |p: &PendingEvent<'_, (NodeId, DsmEvent)>| match p.msg {
                     (_, DsmEvent::Packet(pkt, _)) => (pkt.from, pkt.to),
                     (node, _) => (*node, *node),
                 };
                 let choices: Vec<u64> = (pending.iter().enumerate())
                     .filter(|&(i, p)| {
-                        matches!(p.msg.1, DsmEvent::Packet(pkt, _) if pkt.from == root)
+                        matches!(p.msg.1, DsmEvent::Packet(pkt, _)
+                            if matches!(pkt.kind, PacketKind::GwcSeq { .. }))
                             || pending[..i].iter().all(|o| key(o) != key(p))
                     })
                     .map(|(_, p)| p.seq)
@@ -1593,15 +1611,146 @@ mod tests {
                 assert!(sim.step_seq(pick));
             }
         }
-        assert!(states > 1_000, "{states} states");
+        Parted {
+            states,
+            distinct: to_new.len(),
+            filled,
+        }
+    }
+
+    #[test]
+    fn the_digest_parts_reordered_runs_as_the_full_histories_did() {
+        use crate::{GroupSpec, NodeApi, Program};
+        use sesame_sim::SimDur;
+
+        // Three contenders and a root, as in the checker's canonical
+        // workload; each arms the lock interrupt on its way out, which
+        // suspends its insharing for a moment when the next grant lands,
+        // so every list and buffer the digest covers fills.
+        let (lock, data) = (VarId::new(0), VarId::new(1));
+        let nodes = 4u32;
+        let program = |i: u32, _seed: u64| -> Box<dyn Program> {
+            Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
+                AppEvent::Started if i > 0 => api.acquire(lock),
+                AppEvent::Acquired { .. } => {
+                    api.write(data, Word::from(i));
+                    api.write(data, Word::from(10 + i));
+                    api.arm_lock_interrupt(lock);
+                    api.release(lock);
+                }
+                AppEvent::LockChanged { .. } => api.set_timer(SimDur::from_nanos(1), 0),
+                AppEvent::TimerFired { .. } => api.resume_insharing(),
+                _ => {}
+            })
+        };
+        let groups = GroupTable::new(vec![GroupSpec {
+            root: NodeId::new(0),
+            members: (0..nodes).map(NodeId::new).collect(),
+            vars: vec![lock, data],
+            mutex_lock: Some(lock),
+        }])
+        .expect("one group");
+        let parted = digests_part_alike(&groups, nodes, program, 0..16);
+        assert!(parted.states > 1_000, "{} states", parted.states);
         assert!(
-            to_new.len() < states,
+            parted.distinct < parted.states,
             "some states repeat, so the partition is tested, not just distinctness: \
-             {} distinct of {states}",
-            to_new.len()
+             {} distinct of {}",
+            parted.distinct,
+            parted.states
         );
         assert_eq!(
-            filled, [true; 4],
+            parted.filled, [true; 4],
+            "armed, pending-acquire, reorder and held lists all filled"
+        );
+    }
+
+    #[test]
+    fn the_digest_parts_random_action_runs_as_per_node_lists_did() {
+        use crate::{GroupSpec, NodeApi, Program};
+        use sesame_sim::{DetRng, SimDur};
+
+        // Two mutex groups that share three members, and a plain group,
+        // over five nodes. Every node arms, acquires, writes, releases,
+        // suspends and resumes at random, so a node holds interest in two
+        // locks at once, and any of it can meet a reordered or held write.
+        let var = VarId::new;
+        let spec = |root: u32, members: &[u32], vars: Vec<VarId>, mutex_lock| GroupSpec {
+            root: NodeId::new(root),
+            members: members.iter().copied().map(NodeId::new).collect(),
+            vars,
+            mutex_lock,
+        };
+        let groups = GroupTable::new(vec![
+            spec(0, &[0, 1, 2, 3], vec![var(0), var(1)], Some(var(0))),
+            spec(4, &[1, 2, 3, 4], vec![var(2), var(3)], Some(var(2))),
+            spec(2, &[0, 2, 4], vec![var(4)], None),
+        ])
+        .expect("three groups");
+        let program = |i: u32, seed: u64| -> Box<dyn Program> {
+            // The (lock, data) pairs of the node's mutex groups, each with
+            // what the node has asked of it: armed, pending, held.
+            let mine: Vec<(VarId, VarId)> = [(var(0), var(1), 0..4), (var(2), var(3), 1..5)]
+                .into_iter()
+                .filter(|(_, _, members)| members.contains(&i))
+                .map(|(lock, data, _)| (lock, data))
+                .collect();
+            let mut asked = vec![[false; 3]; mine.len()];
+            let mut rng = DetRng::new(seed << 8 | u64::from(i));
+            let mut steps = 12;
+            Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| {
+                let at = |var| mine.iter().position(|&(lock, _)| lock == var).unwrap();
+                match ev {
+                    AppEvent::Acquired { lock } => asked[at(lock)] = [false, false, true],
+                    AppEvent::LockChanged { var, .. } => asked[at(var)][0] = false,
+                    AppEvent::Started | AppEvent::TimerFired { .. } => {}
+                    _ => return,
+                }
+                if steps == 0 {
+                    for (k, &(lock, _)) in mine.iter().enumerate() {
+                        if std::mem::take(&mut asked[k][2]) {
+                            api.release(lock);
+                        }
+                    }
+                    api.resume_insharing();
+                    return;
+                }
+                steps -= 1;
+                let k = rng.next_below(mine.len() as u64) as usize;
+                let ((lock, data), [armed, pending, held]) = (mine[k], &mut asked[k]);
+                let idle = !*armed && !*pending && !*held;
+                match rng.next_below(7) {
+                    0 if idle => {
+                        api.acquire(lock);
+                        *pending = true;
+                    }
+                    1 if idle => {
+                        api.arm_lock_interrupt(lock);
+                        *armed = true;
+                    }
+                    2 => api.suspend_insharing(),
+                    3 => api.resume_insharing(),
+                    4 => api.write(data, rng.next_below(3) as Word),
+                    5 if *held => {
+                        api.release(lock);
+                        *held = false;
+                    }
+                    _ if [0, 2, 4].contains(&i) => api.write(var(4), rng.next_below(3) as Word),
+                    _ => {}
+                }
+                api.set_timer(SimDur::from_nanos(1 + rng.next_below(300)), 0);
+            })
+        };
+        let parted = digests_part_alike(&groups, 5, program, 0..24);
+        assert!(parted.states > 2_000, "{} states", parted.states);
+        assert!(
+            parted.distinct < parted.states,
+            "{} distinct of {}",
+            parted.distinct,
+            parted.states
+        );
+        assert_eq!(
+            parted.filled, [true; 4],
             "armed, pending-acquire, reorder and held lists all filled"
         );
     }
@@ -1748,5 +1897,174 @@ mod tests {
              would go unnoticed"
         );
         assert!(grant_retransmissions > 0, "nor a watchdog grant");
+    }
+
+    /// The optimistic contenders' lock, counter and data, and the
+    /// streamed variable, of the lossy optimistic run below.
+    const LOCK: VarId = VarId::new(0);
+    const COUNT: VarId = VarId::new(1);
+    const DATA: VarId = VarId::new(2);
+    const STREAM: VarId = VarId::new(3);
+
+    /// An optimistic contender at the interface level (Figures 4–5): it
+    /// arms the lock interrupt, requests the lock and writes its data at
+    /// once, then learns from the interrupt, which suspends its insharing,
+    /// whether it won. It keeps insharing suspended for `RESTORE` — the
+    /// time a rollback's restores take — so what arrives meanwhile is held.
+    struct Optimist {
+        rounds: u32,
+        /// The lock value the last interrupt delivered.
+        changed: Word,
+        /// Waiting for its own grant after losing a race.
+        waiting: bool,
+    }
+
+    const RESTORE: sesame_sim::SimDur = sesame_sim::SimDur::from_nanos(3_000);
+    const TAG_RESUME: u64 = 1;
+    const TAG_ENTER: u64 = 2;
+
+    impl Optimist {
+        fn enter(&mut self, api: &mut crate::NodeApi<'_>) {
+            api.arm_lock_interrupt(LOCK);
+            api.lock_exchange(LOCK);
+            api.write(DATA, Word::from(api.id().get())); // filtered unless granted
+        }
+
+        fn section(&mut self, api: &mut crate::NodeApi<'_>) {
+            self.waiting = false;
+            let count = api.read(COUNT);
+            api.write(COUNT, count + 1);
+            api.release(LOCK);
+            self.rounds -= 1;
+            if self.rounds > 0 {
+                api.set_timer(sesame_sim::SimDur::from_us(2), TAG_ENTER);
+            }
+        }
+    }
+
+    impl crate::Program for Optimist {
+        fn on_event(&mut self, ev: AppEvent, api: &mut crate::NodeApi<'_>) {
+            let mine = lockval::grant(api.id());
+            match ev {
+                AppEvent::Started | AppEvent::TimerFired { tag: TAG_ENTER } => self.enter(api),
+                AppEvent::LockChanged { value, .. } => {
+                    self.changed = value;
+                    api.set_timer(RESTORE, TAG_RESUME);
+                }
+                AppEvent::TimerFired { tag: TAG_RESUME } => {
+                    api.resume_insharing();
+                    if self.changed == mine {
+                        self.section(api);
+                    } else if lockval::is_free(self.changed) {
+                        api.arm_lock_interrupt(LOCK); // a flicker: watch again
+                    } else {
+                        self.waiting = true; // rolled back: wait for the grant
+                    }
+                }
+                AppEvent::Updated { var, value, .. }
+                    if self.waiting && var == LOCK && value == mine =>
+                {
+                    self.section(api);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_lossy_optimistic_run_holds_reordered_and_held_writes_at_one_node_in_order() {
+        use crate::{DsmEvent, GroupSpec, Machine, MachineConfig, NodeApi, Program};
+        use sesame_net::{FullMesh, LinkTiming};
+        use sesame_sim::{SimDur, SimTime, Simulation, TraceDetail};
+
+        // Nodes 1-3 contend optimistically for LOCK while node 4 streams
+        // writes to STREAM in a second group, on a fabric that loses 10 %
+        // of its multicast deliveries. A lost write leaves a gap the
+        // reorder buffer holds later writes behind; an interrupt suspends
+        // insharing, and what arrives meanwhile is held. A node with both
+        // at once must still apply every write of each group in order.
+        let (rounds, stream) = (6u32, 400u64);
+        let mut both = 0;
+        for seed in 0..4 {
+            let mut programs: Vec<Box<dyn Program>> = vec![Box::new(crate::IdleProgram)];
+            for _ in 1..4 {
+                programs.push(Box::new(Optimist {
+                    rounds,
+                    changed: 0,
+                    waiting: false,
+                }));
+            }
+            programs.push(Box::new(
+                move |ev: AppEvent, api: &mut NodeApi<'_>| match ev {
+                    AppEvent::Started => api.set_timer(SimDur::from_nanos(500), 1),
+                    AppEvent::TimerFired { tag } if tag <= stream => {
+                        api.write(STREAM, tag as Word);
+                        api.set_timer(SimDur::from_nanos(500), tag + 1);
+                    }
+                    _ => {}
+                },
+            ));
+            let all: Vec<NodeId> = (0..5).map(NodeId::new).collect();
+            let spec = |vars, mutex_lock| GroupSpec {
+                root: NodeId::new(0),
+                members: all.clone(),
+                vars,
+                mutex_lock,
+            };
+            let groups = GroupTable::new(vec![
+                spec(vec![LOCK, COUNT, DATA], Some(LOCK)),
+                spec(vec![STREAM], None),
+            ])
+            .expect("two groups");
+            let mut model = GwcModel::new(&groups, 5);
+            model.set_grant_watchdog(Some(SimDur::from_us(50)));
+            let mut machine = Machine::new(
+                Box::new(FullMesh::new(5)),
+                LinkTiming::paper_1994(),
+                groups,
+                programs,
+                model,
+                MachineConfig::default(),
+            );
+            machine.init_var(LOCK, lockval::FREE);
+            machine.fabric_mut().set_loss(0.1, seed);
+            let mut sim = Simulation::new(machine);
+            sim.set_tracing(true);
+            for i in 0..5 {
+                sim.schedule(SimTime::ZERO, (NodeId::new(i), DsmEvent::Start { more: 0 }));
+            }
+            while sim.step() {
+                let m = sim.actor().model();
+                both += (0..5)
+                    .map(|i| buffered(m, NodeId::new(i)))
+                    .filter(|&(reordered, held)| reordered > 0 && held > 0)
+                    .count();
+            }
+            let (machine, trace) = sim.into_parts();
+            // Each (node, group) applied 1, 2, 3, … with no gap or repeat.
+            let mut next = std::collections::HashMap::new();
+            for e in trace.entries() {
+                if let TraceDetail::Apply { group, seq, .. } = e.detail {
+                    let want = next.entry((e.actor, group)).or_insert(1);
+                    assert_eq!(seq, *want, "seed {seed}: node{} in g{group}", e.actor);
+                    *want += 1;
+                }
+            }
+            // (A member that lost a group's last write keeps the one
+            // before: no later write reveals the gap. The root sees every
+            // write.)
+            let root = machine.mem(NodeId::new(0));
+            assert_eq!(root.read(COUNT), Word::from(3 * rounds), "seed {seed}");
+            assert_eq!(root.read(STREAM), stream as Word, "seed {seed}");
+            for i in 0..5 {
+                assert_eq!(
+                    buffered(machine.model(), NodeId::new(i)),
+                    (0, 0),
+                    "seed {seed}"
+                );
+            }
+            assert!(machine.model().stats().nacks > 0, "seed {seed}: no gap");
+        }
+        assert!(both > 0, "no node held reordered and held writes at once");
     }
 }

@@ -134,7 +134,7 @@ const _: () = _assert_copy::<Packet>();
 // One of each per node of a machine that may have a million
 // (docs/performance.md, "Bytes per node").
 const _: () = assert!(std::mem::size_of::<CpuMeter>() <= 32);
-const _: () = assert!(std::mem::size_of::<LocalMemory>() <= 80);
+const _: () = assert!(std::mem::size_of::<LocalMemory>() <= 72);
 
 /// How the machine routes group multicasts. The protocol ablations are
 /// planted through [`GwcMutation`](crate::GwcMutation), not here.

@@ -1,13 +1,13 @@
 //! Per-node local memory holding the node's copy of every shared variable.
 //!
 //! One [`LocalMemory`] per CPU, so its record is what a million-node
-//! machine pays a million times: 80 bytes. The first four variables live
+//! machine pays a million times: 72 bytes. The first four variables live
 //! inline as two parallel arrays, `[VarId; 4]` and `[Word; 4]` (48 bytes,
 //! where four padded `(VarId, Word)` pairs took 64); a node that touches
-//! more moves every pair to a heap `Vec` reached through one thin
-//! `Option<Box<_>>` (8 bytes, not a 24-byte `Vec` header), and the shared
-//! init image is one `Option<Arc<[_]>>` (16 bytes). Nothing else is
-//! stored.
+//! more moves every pair to a heap `Vec` behind one thin `Box` (8 bytes,
+//! not a 24-byte `Vec` header) that takes the arrays' place, and the
+//! shared init image is one `Option<Arc<[_]>>` (16 bytes). Nothing else
+//! is stored.
 
 use std::sync::Arc;
 
@@ -27,13 +27,9 @@ const INLINE_WORDS: usize = 4;
 /// unless set), mirroring zero-initialized shared segments.
 ///
 /// Storage is a sorted run of variables probed by binary search: no
-/// hashing, no per-entry allocation, and cache-line-friendly scans — the
-/// layout that keeps a 100k-node machine's per-node memories cheap. The
-/// first `INLINE_WORDS` variables live inline in the struct itself, keys
-/// and values in parallel arrays; larger variable sets spill to a boxed
-/// heap `Vec` of pairs. Lookups are `O(log n)`; a first write to a new
-/// variable is `O(n)` (sorted insert), but the variable set of a run is
-/// small and fixed after warm-up.
+/// hashing and no per-entry allocation. Lookups are `O(log n)`; a first
+/// write to a new variable is `O(n)` (sorted insert), but the variable set
+/// of a run is small and fixed after warm-up.
 ///
 /// A memory may additionally carry a shared **base image**
 /// ([`LocalMemory::set_base`]): a sorted, immutable `(var, value)` run
@@ -42,33 +38,54 @@ const INLINE_WORDS: usize = 4;
 /// one `Arc` of init values instead of each materializing every lock
 /// sentinel — while reads, write-returned previous values, and iteration
 /// behave exactly as if the image had been written into every node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalMemory {
-    /// Inline variables, ascending; only the first `inline_len` are live,
-    /// and only while `spill` is `None`.
-    vars: [VarId; INLINE_WORDS],
-    /// The inline variables' values, index for index.
-    values: [Word; INLINE_WORDS],
-    inline_len: u8,
-    /// Heap storage once the inline run overflows: *all* pairs (sorted,
-    /// unique), and the inline run is dead. Boxed so the rare spill costs
-    /// every node 8 bytes, not a 24-byte `Vec` header.
-    #[allow(clippy::box_collection)]
-    spill: Option<Box<Vec<(VarId, Word)>>>,
+    /// The written variables.
+    store: Store,
     /// Shared init image (sorted, unique); local entries shadow it.
     base: Option<Arc<[(VarId, Word)]>>,
 }
 
-impl Default for LocalMemory {
+/// A memory's written variables: a short inline run, or every pair on the
+/// heap once the run overflows. 56 bytes: `Len`'s spare values hold the
+/// tag, and the inline run cannot be read while spilled.
+#[derive(Debug, Clone)]
+enum Store {
+    /// Variables ascending, their values index for index; the first `len`
+    /// are live.
+    Inline {
+        vars: [VarId; INLINE_WORDS],
+        values: [Word; INLINE_WORDS],
+        len: Len,
+    },
+    /// All pairs, sorted and unique. Boxed so the rare spill costs every
+    /// node 8 bytes, not a 24-byte `Vec` header.
+    #[allow(clippy::box_collection)]
+    Spilled(Box<Vec<(VarId, Word)>>),
+}
+
+impl Default for Store {
     fn default() -> Self {
-        LocalMemory {
+        Store::Inline {
             vars: [VarId::new(0); INLINE_WORDS],
             values: [0; INLINE_WORDS],
-            inline_len: 0,
-            spill: None,
-            base: None,
+            len: Len::L0,
         }
     }
+}
+
+/// The live length of an inline run: `0..=INLINE_WORDS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Len {
+    L0,
+    L1,
+    L2,
+    L3,
+    L4,
+}
+
+impl Len {
+    const ALL: [Len; INLINE_WORDS + 1] = [Len::L0, Len::L1, Len::L2, Len::L3, Len::L4];
 }
 
 impl LocalMemory {
@@ -79,16 +96,17 @@ impl LocalMemory {
 
     /// Number of local entries (written variables).
     fn local_len(&self) -> usize {
-        self.spill
-            .as_ref()
-            .map_or(self.inline_len as usize, |spill| spill.len())
+        match &self.store {
+            Store::Inline { len, .. } => *len as usize,
+            Store::Spilled(spill) => spill.len(),
+        }
     }
 
     /// Local entry `i` of the sorted run.
     fn local(&self, i: usize) -> (VarId, Word) {
-        match &self.spill {
-            Some(spill) => spill[i],
-            None => (self.vars[i], self.values[i]),
+        match &self.store {
+            Store::Inline { vars, values, .. } => (vars[i], values[i]),
+            Store::Spilled(spill) => spill[i],
         }
     }
 
@@ -123,49 +141,45 @@ impl LocalMemory {
 
     /// Reads the local copy of `var` (zero if never written).
     pub fn read(&self, var: VarId) -> Word {
-        let found = match &self.spill {
-            Some(spill) => spill
+        let found = match &self.store {
+            Store::Inline { vars, values, len } => {
+                vars[..*len as usize].binary_search(&var).map(|i| values[i])
+            }
+            Store::Spilled(spill) => spill
                 .binary_search_by_key(&var, |&(v, _)| v)
                 .map(|i| spill[i].1),
-            None => self.vars[..self.inline_len as usize]
-                .binary_search(&var)
-                .map(|i| self.values[i]),
         };
         found.unwrap_or_else(|_| self.base_value(var))
     }
 
     /// Writes the local copy of `var`, returning the previous value.
     pub fn write(&mut self, var: VarId, value: Word) -> Word {
-        if let Some(spill) = &mut self.spill {
-            return match spill.binary_search_by_key(&var, |&(v, _)| v) {
-                Ok(i) => std::mem::replace(&mut spill[i].1, value),
-                Err(i) => {
-                    spill.insert(i, (var, value));
-                    self.base_value(var)
+        match &mut self.store {
+            Store::Spilled(spill) => match spill.binary_search_by_key(&var, |&(v, _)| v) {
+                Ok(i) => return std::mem::replace(&mut spill[i].1, value),
+                Err(i) => spill.insert(i, (var, value)),
+            },
+            Store::Inline { vars, values, len } => {
+                let n = *len as usize;
+                match vars[..n].binary_search(&var) {
+                    Ok(i) => return std::mem::replace(&mut values[i], value),
+                    Err(i) if n < INLINE_WORDS => {
+                        vars.copy_within(i..n, i + 1);
+                        values.copy_within(i..n, i + 1);
+                        (vars[i], values[i], *len) = (var, value, Len::ALL[n + 1]);
+                    }
+                    Err(i) => {
+                        // Inline run is full: spill everything to the heap
+                        // and insert there. One-time transition per node.
+                        let mut spill = Vec::with_capacity(n + 1);
+                        spill.extend(vars.iter().copied().zip(values.iter().copied()));
+                        spill.insert(i, (var, value));
+                        self.store = Store::Spilled(Box::new(spill));
+                    }
                 }
-            };
-        }
-        let len = self.inline_len as usize;
-        match self.vars[..len].binary_search(&var) {
-            Ok(i) => std::mem::replace(&mut self.values[i], value),
-            Err(i) if len < INLINE_WORDS => {
-                self.vars.copy_within(i..len, i + 1);
-                self.values.copy_within(i..len, i + 1);
-                self.vars[i] = var;
-                self.values[i] = value;
-                self.inline_len += 1;
-                self.base_value(var)
-            }
-            Err(i) => {
-                // Inline run is full: spill everything to the heap and
-                // insert there. One-time transition per node.
-                let mut spill = Vec::with_capacity(len + 1);
-                spill.extend(self.vars.into_iter().zip(self.values));
-                spill.insert(i, (var, value));
-                self.spill = Some(Box::new(spill));
-                self.base_value(var)
             }
         }
+        self.base_value(var)
     }
 
     /// Number of variables with a value (written locally or present in the

@@ -285,7 +285,8 @@ impl<'a> NodeApi<'a> {
     }
 
     /// Begins a blocking acquire; [`AppEvent::Acquired`] follows when this
-    /// node holds the lock.
+    /// node holds the lock. Under GWC `lock` must be the mutex lock of a
+    /// group this node belongs to, or the model panics.
     pub fn acquire(&mut self, lock: VarId) {
         self.actions
             .push(Action::Model(ModelAction::Acquire { lock }));
@@ -305,7 +306,8 @@ impl<'a> NodeApi<'a> {
         self.actions.push(Action::Model(ModelAction::Fetch { var }));
     }
 
-    /// Arms the GWC lock-change interrupt on `var` (Figure 4 line 06).
+    /// Arms the GWC lock-change interrupt on `var` (Figure 4 line 06): the
+    /// mutex lock of a group this node belongs to, or GWC panics.
     pub fn arm_lock_interrupt(&mut self, var: VarId) {
         self.actions
             .push(Action::Model(ModelAction::ArmLockInterrupt { var }));

@@ -104,3 +104,38 @@ fn a_group_member_past_the_last_cpu_panics_at_assembly() {
     let programs: Vec<Box<dyn Program>> = (0..4).map(|_| Box::new(IdleProgram) as _).collect();
     machine_with(programs, &[0, 1, 9]);
 }
+
+/// Node 1 does `act` once it starts, in a machine whose one group (lock
+/// v0, data v1) has `members`.
+fn node_one_does(act: fn(&mut NodeApi<'_>), members: &[u32]) {
+    let programs: Vec<Box<dyn Program>> = vec![
+        Box::new(IdleProgram),
+        Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| {
+            if ev == AppEvent::Started {
+                act(api);
+            }
+        }),
+    ];
+    run(machine_with(programs, members), RunOptions::default());
+}
+
+// Arming or awaiting a lock no grant or change of which will ever reach
+// the node fails at the action: the interrupt would never fire, the
+// acquire never complete.
+#[test]
+#[should_panic(expected = "n1 armed v0, which is not the mutex lock of a group it belongs to")]
+fn arming_the_lock_of_a_group_one_is_not_in_panics() {
+    node_one_does(|api| api.arm_lock_interrupt(v(0)), &[0]);
+}
+
+#[test]
+#[should_panic(expected = "n1 acquired v0, which is not the mutex lock of a group it belongs to")]
+fn acquiring_the_lock_of_a_group_one_is_not_in_panics() {
+    node_one_does(|api| api.acquire(v(0)), &[0]);
+}
+
+#[test]
+#[should_panic(expected = "n1 armed v1, which is not the mutex lock of a group it belongs to")]
+fn arming_a_data_variable_panics() {
+    node_one_does(|api| api.arm_lock_interrupt(v(1)), &[0, 1]);
+}

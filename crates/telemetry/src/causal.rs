@@ -88,10 +88,9 @@ const _: () = assert!(TraceKind::ALL.len() <= UNPAIRED as usize);
 /// what a pass keeps.
 const COLLECT_FROM: usize = 64 << 10;
 
-/// Export size hints: above what real runs write per node, so the buffer
+/// Export size hint: above what real runs write per node, so the buffer
 /// is allocated once (untouched capacity costs address space, not memory).
 const JSON_BYTES_PER_NODE: usize = 128;
-const DOT_BYTES_PER_NODE: usize = 96;
 
 /// The assembled causal forest.
 ///
@@ -576,12 +575,6 @@ impl CausalDag {
     pub fn to_json(&self) -> String {
         export_string(self.len * JSON_BYTES_PER_NODE, |buf| self.write_json(buf))
     }
-
-    /// The DOT export ([`CausalDag::write_dot`]) as one string.
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        export_string(self.len * DOT_BYTES_PER_NODE, |buf| self.write_dot(buf))
-    }
 }
 
 /// Runs a streaming exporter into a buffer pre-sized for `body` bytes.
@@ -667,6 +660,13 @@ mod tests {
     use super::*;
     use sesame_sim::DetRng;
     use std::collections::BTreeSet;
+
+    /// The DOT export, streamed into a string.
+    fn dot(dag: &CausalDag) -> String {
+        let mut out = Vec::new();
+        dag.write_dot(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
 
     fn cause(ns: u64, actor: usize, id: u64, parent: u64, op: CauseOp) -> TraceEntry {
         TraceEntry {
@@ -769,7 +769,7 @@ mod tests {
         assert!(json.contains("\"schema\":\"sesame-causes/v1\""));
         assert!(json.contains("\"conflict\":{\"var\":0,\"writer\":1}"));
         assert_eq!(json, CausalDag::from_trace(&sample()).to_json());
-        let dot = dag.to_dot();
+        let dot = dot(&dag);
         assert!(dot.contains("n5 -> n6;"));
         assert!(dot.contains("color=red"));
     }
@@ -812,11 +812,9 @@ mod tests {
     #[test]
     fn streamed_exports_equal_the_string_exports() {
         let dag = CausalDag::from_trace(&sample());
-        let (mut json, mut dot) = (Vec::new(), Vec::new());
+        let mut json = Vec::new();
         dag.write_json(&mut json).unwrap();
-        dag.write_dot(&mut dot).unwrap();
         assert_eq!(json, dag.to_json().into_bytes());
-        assert_eq!(dot, dag.to_dot().into_bytes());
         let empty = CausalDag::default();
         assert_eq!(
             empty.to_json(),
@@ -1189,7 +1187,7 @@ mod tests {
             .map(|p| (p.ids, p.flight_ns, p.hold_ns, p.sequencing_ns, p.wait_ns));
         assert_eq!(path, naive.critical_path());
         assert_eq!(dag.to_json(), naive.to_json());
-        assert_eq!(dag.to_dot(), naive.to_dot());
+        assert_eq!(dot(dag), naive.to_dot());
     }
 
     #[test]

@@ -146,12 +146,17 @@ struct RowShared {
     progress: Progress,
 }
 
+/// One CPU's program. The latest token visit it took is `visit`: a flag
+/// value above it is a new token.
 struct RowCpu {
     shared: Rc<RowShared>,
     stage: Stage,
     visit: Word,
-    last_flag_seen: Word,
 }
+
+// One boxed program per node: 24 bytes keep each box in the allocator's
+// 32-byte chunk (docs/performance.md, "Bytes per node").
+const _: () = assert!(std::mem::size_of::<RowCpu>() <= 24);
 
 impl RowCpu {
     fn idx_in_row(&self, api: &NodeApi<'_>) -> u32 {
@@ -178,7 +183,6 @@ impl RowCpu {
     fn token_arrived(&mut self, visit: Word, api: &mut NodeApi<'_>) {
         debug_assert_eq!(self.stage, Stage::WaitToken);
         self.visit = visit;
-        self.last_flag_seen = visit;
         self.stage = Stage::CalcA;
         api.compute(self.shared.local_calc / 2, TAG_CALC_A);
     }
@@ -205,7 +209,7 @@ impl RowCpu {
         // With laps > 1 the next token may already have arrived
         // mid-iteration; re-check the predecessor's flag.
         let flag = api.read(self.prev_flag(api));
-        if flag > self.last_flag_seen {
+        if flag > self.visit {
             self.token_arrived(flag, api);
         }
     }
@@ -220,7 +224,7 @@ impl Program for RowCpu {
             AppEvent::Updated { var, value, .. }
                 if self.stage == Stage::WaitToken
                     && var == self.prev_flag(api)
-                    && value > self.last_flag_seen =>
+                    && value > self.visit =>
             {
                 self.token_arrived(value, api);
             }
@@ -363,7 +367,6 @@ fn assemble(
                         shared: shared.clone(),
                         stage: Stage::WaitToken,
                         visit: 0,
-                        last_flag_seen: 0,
                     }),
                 );
             }

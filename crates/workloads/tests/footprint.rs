@@ -7,26 +7,25 @@
 //!
 //! Budgets are requested bytes (no allocator headers) and sit about 25 %
 //! above the readings in `docs/performance.md` ("Bytes per node"), which
-//! are these tests' own numbers (release build): 296 built, 368 at the
-//! run's peak, 71 added by the run (316 and 387 with a 64-byte GWC
-//! interface per node). A 56-byte root record per group,
-//! holding its history and applied floor for the whole run, read 356
-//! built, 438 at the peak and 82 added: inside these budgets, so the
-//! root record's size assert in `gwc.rs` and the drained-run test below
-//! are what catch it. Storing a route per group (a 20-byte
-//! header and its own packed words) instead of once per shape read 368
-//! built, 561 at the peak and 192 added. The wider per-node records
-//! before that (120-byte memories, 72-byte CPU meters, the checker-only
+//! are these tests' own numbers (release build): 250 built, 314 at the
+//! run's peak, 63 added by the run. A 40-byte sharing-interface record per
+//! node, an 80-byte node memory and 32-byte row programs read 296 built,
+//! 368 at the peak and 71 added: inside these budgets, so the per-node
+//! size checks in `gwc.rs`, `machine.rs` and `bigmesh.rs` are what catch
+//! them. The layouts before that read more again: 316 and 387 with a
+//! 64-byte GWC interface per node; 356 built, 438 at the peak and 82 added
+//! with a 56-byte root record per group holding its history and applied
+//! floor for the whole run (the root record's size assert and the
+//! drained-run test below catch it); 368 built, 561 at the peak and 192
+//! added storing a route per group (a 20-byte header and its own packed
+//! words) instead of once per shape. The wider per-node records before
+//! that (120-byte memories, 72-byte CPU meters, the checker-only
 //! `slot_meta` array, a hashed `var → group` index) read 479 built and
 //! 674 at the peak; the struct-of-vectors group state read 910 built;
 //! scheduling every wave of a fan-out (and every node's start) up front,
 //! instead of one car at a time, read 1285 at the peak; keeping a FIFO
 //! floor for every path ever used, a doubling route buffer and a
 //! four-slot history block per root read 813 at the peak and 339 added.
-//! The built budget is below every built reading there except the root
-//! record's 356 and the per-group routes' 368, which the run budgets
-//! catch; the run budgets are below every run reading there but the root
-//! record's.
 
 use sesame_alloc_probe::{allocations, live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use sesame_dsm::{MachineConfig, RunOptions};
@@ -56,8 +55,8 @@ fn built_machine_fits_its_bytes_per_node_budget() {
     let per_node = (live_bytes() - before) / NODES;
     assert!(machine.groups().len() > NODES, "more groups than nodes");
     assert!(
-        per_node <= 395,
-        "a built bigmesh machine holds {per_node} bytes per node, budget 395"
+        per_node <= 312,
+        "a built bigmesh machine holds {per_node} bytes per node, budget 312"
     );
 }
 
@@ -91,8 +90,8 @@ fn full_run_peak_heap_fits_its_budget() {
     assert_eq!(run.visits, NODES as u64);
     let peak = peak_bytes() - before;
     assert!(
-        peak / NODES <= 484,
-        "a bigmesh run peaks at {} heap bytes per node, budget 484",
+        peak / NODES <= 392,
+        "a bigmesh run peaks at {} heap bytes per node, budget 392",
         peak / NODES
     );
     // What running adds to the built machine: programs, routes, the
@@ -100,8 +99,8 @@ fn full_run_peak_heap_fits_its_budget() {
     // of everything the run ever touched.
     let added = (peak - built) / NODES;
     assert!(
-        added <= 89,
-        "a bigmesh run adds {added} heap bytes per node to the built machine, budget 89"
+        added <= 79,
+        "a bigmesh run adds {added} heap bytes per node to the built machine, budget 79"
     );
 }
 
