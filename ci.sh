@@ -21,7 +21,9 @@ echo "==> cargo test"
 # The tier-1 command. (It ran twice back to back while sibling tests
 # counted into one shared allocation counter; `sesame-alloc-probe` counts
 # per thread, so there is no such race for a second run to catch.)
+test_started=$SECONDS
 cargo test -q --workspace
+echo "test phase: $((SECONDS - test_started)) s"
 
 echo "==> heap footprint budgets (release build, as the benchmark measures)"
 # Bytes per node of a built 10k-node bigmesh machine, peak heap of a full

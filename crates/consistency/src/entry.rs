@@ -578,16 +578,6 @@ impl Model for EntryModel {
                     sset_insert(&mut st.poisoned, var);
                 }
             }
-            PacketKind::App { tag } => {
-                mx.deliver(
-                    node,
-                    AppEvent::MessageReceived {
-                        from: pkt.from,
-                        tag,
-                        bytes: pkt.bytes,
-                    },
-                );
-            }
             other => panic!("entry-consistency model received foreign packet {other:?}"),
         }
     }

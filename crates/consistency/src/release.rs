@@ -360,16 +360,6 @@ impl Model for ReleaseModel {
             PacketKind::RcRelease { lock, new_owner } => {
                 self.locks.expect_mut(lock, "RcRelease").owner = new_owner;
             }
-            PacketKind::App { tag } => {
-                mx.deliver(
-                    node,
-                    AppEvent::MessageReceived {
-                        from: pkt.from,
-                        tag,
-                        bytes: pkt.bytes,
-                    },
-                );
-            }
             other => panic!("release-consistency model received foreign packet {other:?}"),
         }
     }

@@ -261,12 +261,6 @@ impl OptimisticMutex {
         &self.history
     }
 
-    /// Whether the engine is between [`OptimisticMutex::enter`] and
-    /// [`MutexSignal::Completed`].
-    pub fn is_active(&self) -> bool {
-        self.state != State::Idle
-    }
-
     fn compute_tag(&self) -> u64 {
         MUTEX_TAG_BASE | self.epoch
     }
@@ -660,7 +654,7 @@ mod tests {
             vec![VarId::new(1)],
             OptimisticConfig::default(),
         );
-        assert!(!m.is_active());
+        assert!(m.state == State::Idle);
         assert_eq!(m.stats(), OptimisticStats::default());
         assert_eq!(m.lock(), VarId::new(0));
         assert!(m.history().is_quiet());

@@ -127,7 +127,7 @@ impl Touch {
             PacketKind::RcAcquire { lock, .. }
             | PacketKind::RcForward { lock, .. }
             | PacketKind::RcRelease { lock, .. } => (root_of(lock), Some(lock)),
-            PacketKind::RcUpdateAck { .. } | PacketKind::App { .. } => (None, None),
+            PacketKind::RcUpdateAck { .. } => (None, None),
         };
         t
     }

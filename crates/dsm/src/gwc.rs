@@ -1105,16 +1105,6 @@ impl Model for GwcModel {
                 // With the NACK served, the writes only it held may go.
                 self.retire(group);
             }
-            PacketKind::App { tag } => {
-                mx.deliver(
-                    node,
-                    AppEvent::MessageReceived {
-                        from: pkt.from,
-                        tag,
-                        bytes: pkt.bytes,
-                    },
-                );
-            }
             other => panic!("GWC model received foreign packet kind {other:?}"),
         }
     }

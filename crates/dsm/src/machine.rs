@@ -23,7 +23,6 @@ use sesame_sim::{
 };
 
 use crate::causal::{Carried, CauseCtx};
-use crate::protocol::sizes;
 use crate::{
     Action, AppEvent, GroupId, GroupTable, LocalMemory, ModelAction, NodeApi, Packet, PacketKind,
     Program,
@@ -918,19 +917,6 @@ impl<M: Model> Machine<M> {
                     Action::Timer { dur, tag } => {
                         let cause = self.causes.carry(self.causes.current());
                         ctx.send(dur, (node, DsmEvent::TimerFired { tag, cause }));
-                    }
-                    Action::SendMessage {
-                        to,
-                        payload_bytes,
-                        tag,
-                    } => {
-                        let pkt = Packet {
-                            from: node,
-                            to,
-                            bytes: payload_bytes + sizes::APP_HEADER,
-                            kind: PacketKind::App { tag },
-                        };
-                        self.with_mx(ctx, app_q, |_, mx| mx.send(pkt));
                     }
                     Action::Stop => ctx.stop(),
                     Action::Trace { kind, detail } => {

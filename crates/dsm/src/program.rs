@@ -69,15 +69,6 @@ pub enum AppEvent {
         /// The tag passed to `set_timer`.
         tag: u64,
     },
-    /// An application message arrived.
-    MessageReceived {
-        /// The sending node.
-        from: NodeId,
-        /// The tag passed to [`NodeApi::send_message`].
-        tag: u64,
-        /// Total bytes on the wire.
-        bytes: u32,
-    },
 }
 
 /// Application code for one simulated CPU.
@@ -182,15 +173,6 @@ pub enum Action {
         /// The delay.
         dur: SimDur,
         /// Correlation tag echoed when the timer fires.
-        tag: u64,
-    },
-    /// Send an application message over the interconnect.
-    SendMessage {
-        /// Destination node.
-        to: NodeId,
-        /// Payload size in bytes (header added by the machine).
-        payload_bytes: u32,
-        /// Correlation tag delivered with the message.
         tag: u64,
     },
     /// Stop the whole simulation after this event cascade settles.
@@ -341,15 +323,6 @@ impl<'a> NodeApi<'a> {
     /// Schedules [`AppEvent::TimerFired`] after `dur` (CPU stays free).
     pub fn set_timer(&mut self, dur: SimDur, tag: u64) {
         self.actions.push(Action::Timer { dur, tag });
-    }
-
-    /// Sends `payload_bytes` of application data to `to`.
-    pub fn send_message(&mut self, to: NodeId, payload_bytes: u32, tag: u64) {
-        self.actions.push(Action::SendMessage {
-            to,
-            payload_bytes,
-            tag,
-        });
     }
 
     /// Stops the whole simulation once the current event cascade settles.

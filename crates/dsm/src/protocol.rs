@@ -1,13 +1,12 @@
 //! The simulated wire protocol.
 //!
-//! One [`Packet`] enum carries every protocol's messages so that the same
-//! machine and workloads run under each memory model:
+//! One [`PacketKind`] enum carries every protocol's messages so that the
+//! same machine and workloads run under each memory model:
 //!
 //! * `Gwc*` — Sesame group write consistency with eagersharing (this
 //!   crate).
 //! * `Ec*` — entry consistency (implemented in `sesame-consistency`).
 //! * `Rc*` — weak/release consistency (implemented in `sesame-consistency`).
-//! * [`PacketKind::App`] — application-level point-to-point data.
 
 use sesame_net::NodeId;
 
@@ -21,8 +20,6 @@ pub mod sizes {
     pub const CTRL: u32 = 16;
     /// A bare acknowledgement.
     pub const ACK: u32 = 8;
-    /// Header overhead of an application message.
-    pub const APP_HEADER: u32 = 16;
 }
 
 /// What a packet carries.
@@ -163,12 +160,6 @@ pub enum PacketKind {
         lock: VarId,
         /// The node now owning the lock, if any.
         new_owner: Option<NodeId>,
-    },
-    /// An application-level message (the pipeline workload's hand-off
-    /// data).
-    App {
-        /// Application-chosen tag.
-        tag: u64,
     },
 }
 

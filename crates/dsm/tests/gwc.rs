@@ -913,42 +913,6 @@ fn compute_cancellation_credits_only_elapsed_work() {
 }
 
 #[test]
-fn app_messages_are_delivered_with_payload_accounting() {
-    // Node 0 sends two application messages to node 2 over a line of 3;
-    // the receiver sees tag, sender, and total bytes (payload + header).
-    let got: Rc<RefCell<Vec<(u32, u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-    let g = got.clone();
-    let programs: Vec<Box<dyn Program>> = vec![
-        Box::new(|ev: AppEvent, api: &mut NodeApi<'_>| {
-            if ev == AppEvent::Started {
-                api.send_message(n(2), 100, 7);
-                api.send_message(n(2), 0, 8);
-            }
-        }),
-        Box::new(sesame_dsm::IdleProgram),
-        Box::new(move |ev: AppEvent, api: &mut NodeApi<'_>| {
-            if let AppEvent::MessageReceived { from, tag, bytes } = ev {
-                g.borrow_mut().push((from.get(), tag, bytes));
-                let _ = api.now();
-            }
-        }),
-    ];
-    let machine = one_group_machine(
-        Box::new(sesame_net::Line::new(3)),
-        0,
-        &[0],
-        None,
-        programs,
-        MachineConfig::default(),
-    );
-    run(machine, RunOptions::default());
-    let got = got.borrow();
-    assert_eq!(got.len(), 2);
-    assert_eq!(got[0], (0, 7, 100 + sesame_dsm::sizes::APP_HEADER));
-    assert_eq!(got[1], (0, 8, sesame_dsm::sizes::APP_HEADER));
-}
-
-#[test]
 fn grant_watchdog_finds_its_group_above_sixteen_bit_ids() {
     // A sharded machine has more groups than nodes, so group ids outgrow
     // 16 bits long before node ids do. 65 536 one-member filler groups

@@ -49,7 +49,8 @@ fn script() -> Vec<Send> {
 }
 
 /// A model that turns `write(v_k, _)` at node 0 into scripted send `k`
-/// and logs when each arrives.
+/// and logs when each arrives. The script index rides in the `u64` field
+/// of an existing packet kind, which only this model reads.
 struct Scripted {
     script: Vec<Send>,
     arrivals: Rc<RefCell<Vec<(u64, SimTime)>>>,
@@ -71,18 +72,18 @@ impl Model for Scripted {
                 from: node,
                 to: send.to,
                 bytes: send.bytes,
-                kind: PacketKind::App {
-                    tag: var.get().into(),
+                kind: PacketKind::RcUpdateAck {
+                    write_id: var.get().into(),
                 },
             },
         );
     }
 
     fn on_packet(&mut self, _node: NodeId, pkt: Packet, mx: &mut Mx<'_, '_>) {
-        let PacketKind::App { tag } = pkt.kind else {
+        let PacketKind::RcUpdateAck { write_id } = pkt.kind else {
             panic!("unscripted packet {pkt:?}");
         };
-        self.arrivals.borrow_mut().push((tag, mx.now()));
+        self.arrivals.borrow_mut().push((write_id, mx.now()));
     }
 }
 

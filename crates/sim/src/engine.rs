@@ -187,8 +187,6 @@ pub struct PendingEvent<'a, M> {
 pub enum RunOutcome {
     /// No pending events remain.
     Drained,
-    /// The time limit passed to [`Simulation::run_until`] was reached.
-    ReachedTimeLimit,
     /// The actor called [`Context::stop`].
     Stopped,
     /// The safety event limit was hit (runaway simulation).
@@ -348,12 +346,6 @@ impl<A: Actor> Simulation<A> {
     /// Runs until the queue drains, the actor stops the run, or the event
     /// limit trips.
     pub fn run_to_completion(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Runs until `limit` (exclusive): events at `limit` or later stay
-    /// queued.
-    pub fn run_until(&mut self, limit: SimTime) -> RunOutcome {
         loop {
             if self.stop_requested {
                 return RunOutcome::Stopped;
@@ -361,10 +353,9 @@ impl<A: Actor> Simulation<A> {
             if self.events_processed >= self.event_limit {
                 return RunOutcome::EventLimitExceeded;
             }
-            // One heap inspection per event instead of a peek + pop pair.
             #[cfg(feature = "hostprof")]
             let pop_started = crate::hostprof::clock_start();
-            let popped = self.queue.pop_if_before(limit);
+            let popped = self.queue.pop();
             #[cfg(feature = "hostprof")]
             crate::hostprof::pop_done(
                 pop_started,
@@ -373,11 +364,7 @@ impl<A: Actor> Simulation<A> {
                 self.queue.total_popped(),
             );
             let Some((time, msg)) = popped else {
-                if self.queue.is_empty() {
-                    return RunOutcome::Drained;
-                }
-                self.now = self.now.max(limit);
-                return RunOutcome::ReachedTimeLimit;
+                return RunOutcome::Drained;
             };
             #[cfg(feature = "hostprof")]
             let dispatch_started = crate::hostprof::clock_start();
@@ -500,17 +487,6 @@ mod tests {
         let mut sim2 = ring(2);
         assert_eq!(sim2.run_to_completion(), RunOutcome::Drained);
         assert!(!sim2.stopped());
-    }
-
-    #[test]
-    fn run_until_leaves_future_events() {
-        let mut sim = ring(3);
-        sim.schedule(SimTime::ZERO, token(10));
-        let outcome = sim.run_until(SimTime::from_nanos(250));
-        assert_eq!(outcome, RunOutcome::ReachedTimeLimit);
-        // Events at 0, 100, 200 ran; 300 is pending.
-        assert_eq!(sim.events_processed(), 3);
-        assert_eq!(sim.run_to_completion(), RunOutcome::Stopped);
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn elapsed_ns(started: Instant) -> u64 {
 }
 
 /// Accounts one event-queue pop attempt and refreshes the queue gauges.
-/// Called by the engine's hot loop after `pop_if_before`.
+/// Called by the engine's hot loop after `EventQueue::pop`.
 pub fn pop_done(started: Instant, depth: usize, pushed: u64, popped: u64) {
     POP_NS.with(|c| c.set(c.get().saturating_add(elapsed_ns(started))));
     let depth = depth as u64;
@@ -129,7 +129,7 @@ pub fn reset() {
 /// allocation counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostProfReport {
-    /// Wall time inside `EventQueue::pop_if_before`, in nanoseconds.
+    /// Wall time inside `EventQueue::pop`, in nanoseconds.
     pub pop_ns: u64,
     /// Wall time inside actor dispatch (handler + outbox drain).
     pub dispatch_ns: u64,

@@ -441,22 +441,9 @@ impl<T> EventQueue<T> {
         Some((p.time, p.payload))
     }
 
-    /// Removes and returns the earliest event if it is due strictly before
-    /// `limit`: one cursor inspection per event on the engine's hot loop.
-    pub fn pop_if_before(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
-        if self.cursor.is_empty() {
-            self.advance();
-        }
-        if self.cursor.peek()?.time >= limit {
-            return None;
-        }
-        self.pop()
-    }
-
     /// The tie-break sequence number of the event most recently taken out
-    /// by [`EventQueue::pop`], [`EventQueue::pop_if_before`] or
-    /// [`EventQueue::remove_seq`]; `None` before the first. A train's next
-    /// car is pushed under this plus one.
+    /// by [`EventQueue::pop`] or [`EventQueue::remove_seq`]; `None` before
+    /// the first. A train's next car is pushed under this plus one.
     pub fn last_popped_seq(&self) -> Option<u64> {
         self.last_popped
     }
@@ -673,19 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_before_respects_the_strict_bound() {
-        let mut q = EventQueue::new();
-        q.push(t(10), "a");
-        q.push(t(20), "b");
-        assert_eq!(q.pop_if_before(t(10)), None, "bound is strict");
-        assert_eq!(q.pop_if_before(t(11)), Some((t(10), "a")));
-        assert_eq!(q.pop_if_before(t(11)), None);
-        assert_eq!(q.pop_if_before(t(100)), Some((t(20), "b")));
-        assert_eq!(q.pop_if_before(t(100)), None, "empty queue yields None");
-        assert_eq!(q.total_popped(), 2);
-    }
-
-    #[test]
     fn with_capacity_and_reserve_preallocate() {
         let mut q = EventQueue::with_capacity(64);
         for i in 0..64 {
@@ -749,11 +723,10 @@ mod tests {
         assert_eq!(q.pop(), Some((t(1002), 2)));
     }
 
-    /// Property test: under arbitrary interleavings of pushes and
-    /// `pop_if_before` calls, events with equal timestamps always pop in
-    /// insertion order. The explorer's independence relation assumes this
-    /// tie discipline, so any drift here silently corrupts schedule
-    /// enumeration.
+    /// Property test: under arbitrary interleavings of pushes and pops,
+    /// events with equal timestamps always pop in insertion order. The
+    /// explorer's independence relation assumes this tie discipline, so
+    /// any drift here silently corrupts schedule enumeration.
     #[test]
     fn property_equal_time_pops_follow_insertion_order() {
         let mut rng = crate::DetRng::new(0x71e5);
@@ -769,12 +742,8 @@ mod tests {
                     q.push(t(time), id);
                     pushed_at.push((time, id));
                     id += 1;
-                } else {
-                    let limit = rng.next_range(1, 6);
-                    if let Some((time, v)) = q.pop_if_before(t(limit)) {
-                        assert!(time < t(limit), "strict bound violated");
-                        popped.push((time.as_nanos(), v));
-                    }
+                } else if let Some((time, v)) = q.pop() {
+                    popped.push((time.as_nanos(), v));
                 }
             }
             while let Some((time, v)) = q.pop() {
@@ -852,12 +821,6 @@ mod tests {
             let std::cmp::Reverse((time, seq)) = self.heap.pop()?;
             Some((time, self.payloads.remove(&seq).expect("payload")))
         }
-        fn pop_if_before(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
-            if self.heap.peek()?.0 .0 >= limit {
-                return None;
-            }
-            self.pop()
-        }
         fn remove_seq(&mut self, seq: u64) -> Option<(SimTime, u64)> {
             let pos = self.heap.iter().find(|r| r.0 .1 == seq)?.0 .0;
             self.heap.retain(|r| r.0 .1 != seq);
@@ -869,7 +832,7 @@ mod tests {
     /// a reference `BinaryHeap` pop identical `(time, seq)` streams under
     /// randomized workloads — tight same-timestamp ties, far-future
     /// overflow events, churn past the grow/shrink rebuild thresholds,
-    /// interleaved `pop_if_before` bounds, and explorer-style
+    /// interleaved pops, and explorer-style
     /// `remove_seq` extractions.
     #[test]
     fn property_calendar_matches_reference_heap() {
@@ -895,9 +858,8 @@ mod tests {
                     reference.push(t(time), id);
                     id += 1;
                 } else if roll < 90 {
-                    let limit = now + rng.next_range(0, 2_000);
-                    let got = cal.pop_if_before(t(limit));
-                    assert_eq!(got, reference.pop_if_before(t(limit)), "round {round}");
+                    let got = cal.pop();
+                    assert_eq!(got, reference.pop(), "round {round}");
                     if let Some((time, _)) = got {
                         now = now.max(time.as_nanos());
                     }
@@ -992,9 +954,8 @@ mod tests {
                     }
                     id += cars;
                 } else if roll < 90 {
-                    let limit = now + rng.next_range(0, 6);
-                    let got = cal.pop_if_before(t(limit));
-                    assert_eq!(got, reference.pop_if_before(t(limit)), "round {round}");
+                    let got = cal.pop();
+                    assert_eq!(got, reference.pop(), "round {round}");
                     if let Some((time, _)) = got {
                         now = now.max(time.as_nanos());
                         carry_on(&mut cal, &mut rest);

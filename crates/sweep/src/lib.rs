@@ -8,9 +8,9 @@
 //! sweep embarrassingly parallel — and this crate is the one place in the
 //! workspace that exploits it.
 //!
-//! [`run_sweep`] executes `points` closures on a small work-stealing pool
-//! built on [`std::thread::scope`] (no external dependencies, no unsafe
-//! code) and reassembles the results **in point-index order**. Because
+//! [`run_sweep`] executes `points` closures on a few scoped worker threads
+//! ([`std::thread::scope`]; no external dependencies, no unsafe code) and
+//! reassembles the results **in point-index order**. Because
 //! each point is deterministic and the output order is fixed by index —
 //! never by completion order — a sweep run with `--jobs 8` is
 //! byte-identical to the same sweep run serially. Parallelism changes
@@ -23,19 +23,16 @@
 //!
 //! ## Scheduling
 //!
-//! Points are dealt round-robin onto per-worker deques (worker `w` is
-//! seeded with points `w`, `w + jobs`, `w + 2·jobs`, …), which spreads a
-//! sweep whose cost grows with the point index — the common shape here,
-//! where later points simulate larger systems — evenly across workers. A
-//! worker drains its own deque from the front and, when empty, steals
-//! from the **back** of the busiest sibling, so stolen work is the work
-//! its owner would have reached last.
+//! The workers share one atomic next-point cursor: a worker that finishes
+//! a point takes the lowest index nobody has taken yet. No worker idles
+//! while a point is untaken, so the only imbalance is the tail, when the
+//! last points run and the other workers are done.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The parallelism the host offers (`std::thread::available_parallelism`),
@@ -81,21 +78,16 @@ where
         return (0..points).map(f).collect();
     }
 
-    // Deal the points round-robin onto per-worker deques.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new((w..points).step_by(jobs).collect()))
-        .collect();
+    let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(points));
 
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let queues = &queues;
-            let results = &results;
-            let f = &f;
-            scope.spawn(move || loop {
-                let Some(idx) = next_point(queues, w) else {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                if idx >= points {
                     return;
-                };
+                }
                 let out = f(idx);
                 results.lock().unwrap().push((idx, out));
             });
@@ -109,25 +101,9 @@ where
     collected.into_iter().map(|(_, out)| out).collect()
 }
 
-/// The next point for worker `w`: the front of its own deque, else a
-/// steal from the back of the fullest sibling deque, else `None` (all
-/// work is done or in flight).
-fn next_point(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    if let Some(idx) = queues[w].lock().unwrap().pop_front() {
-        return Some(idx);
-    }
-    let victim = queues
-        .iter()
-        .enumerate()
-        .filter(|&(v, _)| v != w)
-        .max_by_key(|(_, q)| q.lock().unwrap().len())?;
-    victim.1.lock().unwrap().pop_back()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn serial_and_parallel_results_are_identical() {
@@ -149,11 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_uneven_points() {
-        // Worker 0's own points are vastly more expensive than the rest;
-        // the others must steal them or the test takes visibly longer.
-        // Correctness (not timing) is what is asserted: all results in
-        // index order despite wildly different completion order.
+    fn uneven_point_costs_still_return_index_order() {
+        // Every fourth point is vastly more expensive than the rest, so
+        // points complete far out of index order; the results must come
+        // back in index order regardless.
         let out = run_sweep(16, 4, |i| {
             if i % 4 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(10));

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use sesame_core::builder::{BuildError, ModelInstance, SystemBuilder};
 use sesame_core::{MutexSignal, OptimisticConfig, OptimisticMutex, OptimisticStats};
-use sesame_dsm::{AppEvent, GwcMutation, Machine, NodeApi, Program, RunResult, VarId, Word};
+use sesame_dsm::{AppEvent, Machine, NodeApi, Program, RunResult, VarId, Word};
 use sesame_net::{LinkTiming, NodeId};
 use sesame_sim::{DetRng, SimDur, SimTime, TraceObserver};
 
@@ -40,10 +40,6 @@ pub struct ContentionConfig {
     pub mutex: OptimisticConfig,
     /// RNG seed for think times.
     pub seed: u64,
-    /// A safety mechanism switched off (an ablation): `NoHwBlock` or
-    /// `NoInsharingSuspension`. The counter oracle runs only on the
-    /// correct protocol, since corruption is what an ablation shows.
-    pub gwc_mutation: GwcMutation,
     /// Whether to record a trace (`result.trace`), e.g. for the
     /// `sesame-verify` checkers.
     pub tracing: bool,
@@ -58,7 +54,6 @@ impl Default for ContentionConfig {
             mean_think: SimDur::from_us(50),
             mutex: OptimisticConfig::default(),
             seed: 7,
-            gwc_mutation: GwcMutation::None,
             tracing: false,
         }
     }
@@ -179,12 +174,7 @@ pub(crate) fn build(
             }),
         );
     }
-    let mut machine = builder.build()?;
-    machine
-        .model_mut()
-        .as_gwc_mut()
-        .expect("contention model is GWC")
-        .set_mutation(cfg.gwc_mutation);
+    let machine = builder.build()?;
     Ok((machine, stats_out))
 }
 
@@ -212,7 +202,7 @@ pub(crate) fn finish(
         return Err(RunError::Incomplete("contention", result.outcome, left));
     }
     let counter = result.machine.mem(NodeId::new(0)).read(COUNTER);
-    if cfg.gwc_mutation == GwcMutation::None && counter != sections as Word {
+    if counter != sections as Word {
         let what = format!(
             "mutual exclusion: the shared counter reads {counter} after {sections} sections"
         );

@@ -238,20 +238,9 @@ impl Scenario {
                 vec![(cfg.data_words >= 1, "data_words", "at least 1")]
             }
             Scenario::Contention(cfg) => {
-                // The two ablations run to completion; the checker's
-                // mutants run into the protocol's own asserts.
-                let runnable = !matches!(
-                    cfg.gwc_mutation,
-                    GwcMutation::StaleGrantReuse | GwcMutation::SeqGap
-                );
                 let mut checks = vec![
                     (cfg.contenders >= 1, "contenders", "at least 1"),
                     (cfg.rounds >= 1, "rounds", "at least 1"),
-                    (
-                        runnable,
-                        "gwc_mutation",
-                        "none, no-hw-block or no-insharing-suspension: sesame-check plants the others",
-                    ),
                 ];
                 checks.extend(engine(&cfg.mutex));
                 checks

@@ -9,7 +9,7 @@ use sesame_workloads::bigmesh::BigMeshConfig;
 use sesame_workloads::canonical::CanonicalConfig;
 use sesame_workloads::contention::ContentionConfig;
 use sesame_workloads::pipeline::PipelineConfig;
-use sesame_workloads::scenario::{Outcome, RunError, Scenario};
+use sesame_workloads::scenario::{RunError, Scenario};
 use sesame_workloads::task_queue::TaskQueueConfig;
 use sesame_workloads::three_cpu::Figure1Config;
 
@@ -59,22 +59,6 @@ fn parameters_a_workload_cannot_honour_are_errors_not_panics() {
             "contenders",
         ),
         (ContentionConfig { rounds: 0, ..cfg }, "rounds"),
-        // The checker's mutants trip the protocol's own asserts on the
-        // default schedule; only the two ablations run here.
-        (
-            ContentionConfig {
-                gwc_mutation: GwcMutation::StaleGrantReuse,
-                ..cfg
-            },
-            "gwc_mutation",
-        ),
-        (
-            ContentionConfig {
-                gwc_mutation: GwcMutation::SeqGap,
-                ..cfg
-            },
-            "gwc_mutation",
-        ),
     ] {
         assert_eq!(
             param_error(Scenario::Contention(bad)),
@@ -227,23 +211,6 @@ fn parameters_a_workload_cannot_honour_are_errors_not_panics() {
         param_error(Scenario::Canonical(eager)),
         ("canonical", "mutex.threshold")
     );
-}
-
-#[test]
-fn the_two_ablations_run_to_completion_without_the_counter_oracle() {
-    let Scenario::Contention(cfg) = smoke("contention") else {
-        unreachable!()
-    };
-    for gwc_mutation in [GwcMutation::NoHwBlock, GwcMutation::NoInsharingSuspension] {
-        let ablated = Scenario::Contention(ContentionConfig {
-            gwc_mutation,
-            ..cfg
-        });
-        match ablated.run(None) {
-            Ok(Outcome::Contention(run)) => assert_eq!(run.stats.completions, run.sections),
-            other => panic!("{gwc_mutation:?}: {other:?}"),
-        }
-    }
 }
 
 #[test]

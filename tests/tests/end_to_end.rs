@@ -215,14 +215,25 @@ fn figure_drivers_are_deterministic() {
     assert_eq!(f8(), f8());
 }
 
-/// Full-scale Figure 2 sanity at 129 nodes — slow in debug builds, so it
-/// only runs when asked for explicitly (`cargo test -- --ignored`).
+/// Full-scale Figure 2 sanity at 129 nodes: one GWC point, a few seconds
+/// in a debug build.
 #[test]
-#[ignore = "full 129-node sweep; run with --ignored (or see `sesame fig2`)"]
 fn full_scale_task_management_conserves_tasks() {
     use sesame_workloads::task_queue::run_task_queue;
     let cfg = TaskQueueConfig::default();
     let r = run_task_queue(129, ModelChoice::Gwc, cfg);
     assert_eq!(r.executed.iter().sum::<u32>(), cfg.total_tasks);
     assert!(r.speedup > 60.0, "speedup {}", r.speedup);
+}
+
+/// The test profile is optimised (`[profile.dev]` in the workspace
+/// `Cargo.toml`), but its checks stay on: debug assertions, and integer
+/// overflow panics instead of wrapping.
+#[test]
+#[allow(clippy::assertions_on_constants)] // the profile's setting is the subject
+fn the_test_profile_keeps_debug_assertions_and_overflow_checks() {
+    assert!(cfg!(debug_assertions), "tests run without debug assertions");
+    let overflowed =
+        std::panic::catch_unwind(|| std::hint::black_box(u64::MAX) + std::hint::black_box(1));
+    assert!(overflowed.is_err(), "an overflowing add wrapped silently");
 }

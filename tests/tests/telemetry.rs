@@ -8,9 +8,11 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use sesame_dsm::{run_observed, GwcMutation, RunOptions};
 use sesame_sim::{SimDur, TraceEntry, TraceObserver};
 use sesame_telemetry::{render_report, CausalDag, Snapshot, Telemetry};
 use sesame_verify::Verifier;
+use sesame_workloads::canonical::{build_canonical, CanonicalConfig};
 use sesame_workloads::contention::{run_contention, run_contention_observed, ContentionConfig};
 use sesame_workloads::experiments::{figure8_sizes, figure8_with_optimism};
 use sesame_workloads::pipeline::{MutexMethod, Optimism, PipelineConfig};
@@ -274,9 +276,9 @@ fn finished_collector_answers_like_the_full_dag_of_the_same_run() {
 /// The observers did not change their minds: one contention run (the
 /// goldens' 4 x 15 on seed 7, `--window 100000`, timeline on) exports the
 /// bytes of the three committed goldens and of the Chrome trace as
-/// captured before the trace kind became an enum, and the same run
-/// without Figure 6 hardware blocking draws the verifier's diagnostics
-/// word for word.
+/// captured before the trace kind became an enum, and the canonical mutex
+/// at the same size without Figure 6 hardware blocking draws the
+/// verifier's diagnostics word for word.
 #[test]
 fn observers_report_what_they_reported_before_kinds_were_an_enum() {
     let cfg = ContentionConfig {
@@ -307,12 +309,14 @@ fn observers_report_what_they_reported_before_kinds_were_an_enum() {
     };
     assert_eq!((trace.len(), fnv1a(&trace)), CHROME_TRACE, "Chrome trace");
 
-    let unblocked = ContentionConfig {
-        gwc_mutation: sesame_dsm::GwcMutation::NoHwBlock,
-        ..cfg
-    };
+    let unblocked = build_canonical(CanonicalConfig {
+        contenders: cfg.contenders,
+        rounds: cfg.rounds,
+        gwc_mutation: GwcMutation::NoHwBlock,
+        ..CanonicalConfig::default()
+    });
     let verifier = Rc::new(RefCell::new(Verifier::new()));
-    run_contention_observed(unblocked, Some(verifier.clone()));
+    run_observed(unblocked, RunOptions::default(), Some(verifier.clone()));
     verifier.borrow_mut().finish();
     assert_eq!(verifier.borrow().report(), UNBLOCKED_REPORT);
 }
@@ -320,12 +324,13 @@ fn observers_report_what_they_reported_before_kinds_were_an_enum() {
 /// Length and FNV-1a of the Chrome trace above.
 const CHROME_TRACE: (usize, u64) = (301_366, 4_092_084_763_910_990_437);
 
-/// What the verifier says of the run above with hardware blocking off.
+/// What the verifier says of the canonical run above (unit-cost links,
+/// so nanosecond stamps) with hardware blocking off.
 const UNBLOCKED_REPORT: &str = "\
-[mutual-exclusion] t=14.979us node3: node3 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
-[mutual-exclusion] t=17.635us node2: node2 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
-[mutual-exclusion] t=30.901us node1: node1 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
-[mutual-exclusion] t=56.228us node4: node4 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+[mutual-exclusion] t=2ns node1: node1 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+[mutual-exclusion] t=6ns node2: node2 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+[mutual-exclusion] t=8ns node3: node3 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
+[mutual-exclusion] t=10ns node4: node4 applied the echo of its own mutex-group data write to v1: Figure 6 hardware blocking failed
 ";
 
 /// `sesame fig8`'s optimism columns come from the engines' completions in
