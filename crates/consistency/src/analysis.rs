@@ -77,12 +77,12 @@ impl Figure1Params {
     }
 
     /// One-way time of an 8-byte acknowledgement.
-    pub fn ack_message(&self) -> SimDur {
+    fn ack_message(&self) -> SimDur {
         self.timing.transfer(self.hops, sesame_dsm::sizes::ACK)
     }
 
     /// Extra serialization of the guarded-data payload on a lock transfer.
-    pub fn data_extra(&self) -> SimDur {
+    fn data_extra(&self) -> SimDur {
         self.timing.serialization(self.guarded_bytes)
     }
 

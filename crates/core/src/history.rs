@@ -20,7 +20,7 @@
 /// ```
 /// use sesame_core::UsageHistory;
 ///
-/// let mut h = UsageHistory::paper_defaults();
+/// let mut h = UsageHistory::default();
 /// assert!(h.is_quiet());
 /// for _ in 0..12 {
 ///     h.observe(true); // lock kept showing up held by another CPU
@@ -38,7 +38,7 @@ pub struct UsageHistory {
 impl UsageHistory {
     /// Creates an estimator with the paper's constants: `alpha = 0.05`,
     /// threshold `0.30`, initial value 0 (assume quiet).
-    pub fn paper_defaults() -> Self {
+    fn paper_defaults() -> Self {
         Self::new(0.05, 0.30)
     }
 

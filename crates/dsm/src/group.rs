@@ -157,7 +157,7 @@ impl<'a> SharingGroup<'a> {
     /// observes a different order than the multicast fan-out does —
     /// the invariant that keeps slot-indexed protocol state (see
     /// [`GroupTable::member_slot`]) deterministic.
-    pub fn member_rank(self, node: NodeId) -> Option<u32> {
+    fn member_rank(self, node: NodeId) -> Option<u32> {
         let members = self.members();
         let ranks_at = self.head().ranks_at;
         if ranks_at == CONTIGUOUS {

@@ -82,7 +82,7 @@ pub use machine::{
     run, run_observed, CpuMeter, DsmEvent, Machine, MachineConfig, MachineMsg, Model, Mx,
     RunOptions, RunResult,
 };
-pub use memory::LocalMemory;
+pub use memory::{LocalMemory, NodeMem};
 pub use program::{Action, AppEvent, IdleProgram, ModelAction, NodeApi, Program};
 pub use protocol::{sizes, Packet, PacketKind};
 pub use sesame_net::{CauseAlloc, CauseId};

@@ -24,8 +24,8 @@ use sesame_sim::{
 
 use crate::causal::{Carried, CauseCtx};
 use crate::{
-    Action, AppEvent, GroupId, GroupTable, LocalMemory, ModelAction, NodeApi, Packet, PacketKind,
-    Program,
+    Action, AppEvent, GroupId, GroupTable, LocalMemory, ModelAction, NodeApi, NodeMem, Packet,
+    PacketKind, Program, VarId, Word,
 };
 
 /// Machine-level events targeted at one node. Every event but `Start`
@@ -133,7 +133,7 @@ const _: () = _assert_copy::<Packet>();
 // One of each per node of a machine that may have a million
 // (docs/performance.md, "Bytes per node").
 const _: () = assert!(std::mem::size_of::<CpuMeter>() <= 32);
-const _: () = assert!(std::mem::size_of::<LocalMemory>() <= 72);
+const _: () = assert!(std::mem::size_of::<LocalMemory>() <= 56);
 
 /// How the machine routes group multicasts. The protocol ablations are
 /// planted through [`GwcMutation`](crate::GwcMutation), not here.
@@ -164,6 +164,7 @@ pub struct MachineConfig {
 pub struct Mx<'a, 'b> {
     now: SimTime,
     mems: &'a mut [LocalMemory],
+    image: &'a [(VarId, Word)],
     groups: &'a GroupTable,
     topo: &'a dyn Topology,
     routes: &'a mut RouteArena,
@@ -186,9 +187,9 @@ impl Mx<'_, '_> {
         self.mems.len()
     }
 
-    /// The local memory of `node`.
-    pub fn mem(&mut self, node: NodeId) -> &mut LocalMemory {
-        &mut self.mems[node.index()]
+    /// The local memory of `node`, over the machine's init image.
+    pub fn mem(&mut self, node: NodeId) -> NodeMem<'_, &mut LocalMemory> {
+        NodeMem::new(&mut self.mems[node.index()], self.image)
     }
 
     /// The sharing-group table.
@@ -526,6 +527,9 @@ pub struct Machine<M: Model> {
     /// probe per event.
     routes: RouteArena,
     mems: Vec<LocalMemory>,
+    /// The init image every memory starts from (sorted, unique), held
+    /// once for all nodes: a node's written words shadow it.
+    image: Vec<(VarId, Word)>,
     cpus: Vec<CpuMeter>,
     programs: Vec<Box<dyn Program>>,
     model: M,
@@ -594,6 +598,7 @@ impl<M: Model> Machine<M> {
             // flood machine holds no route storage at all.
             routes: RouteArena::with_routes(if cfg.pruned_multicast { n_groups } else { 0 }),
             mems: vec![LocalMemory::new(); n],
+            image: Vec::new(),
             cpus: vec![CpuMeter::default(); n],
             programs,
             model,
@@ -611,54 +616,37 @@ impl<M: Model> Machine<M> {
         self.mems.len()
     }
 
-    /// The local memory of `node` (post-run inspection, or pre-run
-    /// initialization of shared variables).
-    pub fn mem(&self, node: NodeId) -> &LocalMemory {
-        &self.mems[node.index()]
+    /// The local memory of `node`, over the machine's init image
+    /// (post-run inspection).
+    pub fn mem(&self, node: NodeId) -> NodeMem<'_> {
+        NodeMem::new(&self.mems[node.index()], &self.image)
     }
 
     /// Initializes `var` to `value` in every node's local copy — how shared
-    /// segments (and lock FREE sentinels) are set up before a run.
-    ///
-    /// Writes the value into each memory, so cost is O(nodes). Bulk
-    /// initialization of a freshly built machine should prefer
-    /// [`Machine::init_image`], which shares one sorted image across all
-    /// nodes instead.
-    pub fn init_var(&mut self, var: crate::VarId, value: crate::Word) {
-        for m in &mut self.mems {
-            m.write(var, value);
-        }
+    /// segments (and lock FREE sentinels) are set up before a run. Same as
+    /// [`Machine::init_image`] with the one pair.
+    pub fn init_var(&mut self, var: VarId, value: Word) {
+        self.init_image(&[(var, value)]);
     }
 
-    /// Installs the pre-run initialization image: `pairs` applied in order
-    /// (later entries win), observed by every node's memory. Equivalent to
-    /// calling [`Machine::init_var`] per entry, but O(pairs log pairs +
-    /// nodes) instead of O(pairs × nodes): all memories share one sorted
-    /// image and consult it on local misses, so a 100k-group mesh no
-    /// longer materializes every lock sentinel in every node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node memory has already been written (the image must
-    /// be installed before initialization writes, not after).
-    pub fn init_image(&mut self, pairs: &[(crate::VarId, crate::Word)]) {
-        if pairs.is_empty() {
-            return;
-        }
-        let mut image = pairs.to_vec();
-        // Stable sort keeps duplicate vars in application order; collapse
-        // each run to its final value.
-        image.sort_by_key(|&(v, _)| v);
-        let mut merged: Vec<(crate::VarId, crate::Word)> = Vec::with_capacity(image.len());
-        for (var, value) in image {
-            match merged.last_mut() {
-                Some(last) if last.0 == var => last.1 = value,
-                _ => merged.push((var, value)),
+    /// Initializes every node's copy of each variable in `pairs`, applied
+    /// in order (later entries win), as if each pair were written into
+    /// every memory. The machine holds one sorted image for all nodes,
+    /// read where a node has written nothing, so each node's 56-byte
+    /// [`LocalMemory`] holds only its own writes and this costs
+    /// O(image log image), not O(pairs × nodes); only a memory already
+    /// written before the call gets the pairs written in as well.
+    pub fn init_image(&mut self, pairs: &[(VarId, Word)]) {
+        // Reversed, a stable sort puts each variable's latest pair first,
+        // and that is the one the dedup keeps.
+        self.image.extend_from_slice(pairs);
+        self.image.reverse();
+        self.image.sort_by_key(|&(v, _)| v);
+        self.image.dedup_by_key(|&mut (v, _)| v);
+        for mem in self.mems.iter_mut().filter(|m| m.local_len() > 0) {
+            for &(var, value) in pairs {
+                mem.write(var, value);
             }
-        }
-        let base: std::sync::Arc<[(crate::VarId, crate::Word)]> = merged.into();
-        for m in &mut self.mems {
-            m.set_base(base.clone());
         }
     }
 
@@ -696,12 +684,13 @@ impl<M: Model> Machine<M> {
     ///
     /// Nothing is collected: each memory is hashed as the `(i, Vec<(u32,
     /// Word)>)` it stands for — index, length, then the words, which
-    /// [`LocalMemory::iter`] already yields in ascending variable order.
+    /// [`NodeMem::iter`] already yields in ascending variable order.
     pub fn state_digest(&self) -> Option<u64> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.model.digest()?.hash(&mut h);
-        for (i, mem) in self.mems.iter().enumerate() {
+        for (i, words) in self.mems.iter().enumerate() {
+            let mem = NodeMem::new(words, &self.image);
             (i, mem.len()).hash(&mut h);
             for (v, w) in mem.iter() {
                 (v.get(), w).hash(&mut h);
@@ -740,8 +729,7 @@ impl<M: Model> Machine<M> {
         &mut self.model
     }
 
-    /// The program running on `node`, downcast-free access for tests that
-    /// own the concrete type is available via [`Machine::into_parts`].
+    /// The program running on `node`.
     pub fn program(&self, node: NodeId) -> &dyn Program {
         self.programs[node.index()].as_ref()
     }
@@ -750,11 +738,6 @@ impl<M: Model> Machine<M> {
     /// computation.
     pub fn total_busy(&self) -> SimDur {
         self.cpus.iter().map(|c| c.total_busy()).sum()
-    }
-
-    /// Decomposes the machine for post-run inspection of programs.
-    pub fn into_parts(self) -> (Vec<Box<dyn Program>>, Vec<LocalMemory>, M) {
-        (self.programs, self.mems, self.model)
     }
 
     /// How much later than wave `wave` of a `bytes`-long fan-out over
@@ -788,6 +771,7 @@ impl<M: Model> Machine<M> {
             groups,
             routes,
             mems,
+            image,
             model,
             cfg,
             causes,
@@ -797,6 +781,7 @@ impl<M: Model> Machine<M> {
         let mut mx = Mx {
             now: ctx.now(),
             mems,
+            image,
             groups,
             topo: topo.as_ref(),
             routes,
@@ -850,7 +835,7 @@ impl<M: Model> Machine<M> {
             let mut actions = std::mem::take(&mut self.actions);
             debug_assert!(actions.is_empty());
             {
-                let mem = &self.mems[node.index()];
+                let mem = NodeMem::new(&self.mems[node.index()], &self.image);
                 let mut api = NodeApi::new(node, ctx.now(), mem, &mut actions, ctx.tracing());
                 self.programs[node.index()].on_event(event, &mut api);
             }
@@ -1262,6 +1247,97 @@ mod tests {
                 ops.push((now, op));
             }
             same_meters(&ops);
+        }
+    }
+
+    /// A 5-node GWC machine of idle programs and one group, with no
+    /// variable initialized.
+    fn idle_machine() -> Machine<crate::GwcModel> {
+        let groups = GroupTable::new(vec![crate::GroupSpec {
+            root: NodeId::new(0),
+            members: (0..3).map(NodeId::new).collect(),
+            vars: vec![VarId::new(0), VarId::new(1)],
+            mutex_lock: Some(VarId::new(0)),
+        }])
+        .expect("valid group");
+        Machine::new(
+            Box::new(sesame_net::FullMesh::new(5)),
+            LinkTiming::unit(),
+            groups.clone(),
+            (0..5)
+                .map(|_| Box::new(crate::IdleProgram) as Box<dyn Program>)
+                .collect(),
+            crate::GwcModel::new(&groups, 5),
+            MachineConfig::default(),
+        )
+    }
+
+    #[test]
+    fn init_image_after_init_var_applies_both_in_order() {
+        let mut m = idle_machine();
+        m.init_var(VarId::new(0), 7);
+        m.init_image(&[(VarId::new(2), 3), (VarId::new(0), 8), (VarId::new(2), 4)]);
+        m.init_var(VarId::new(5), 1);
+        for i in 0..5 {
+            let mem = m.mem(NodeId::new(i));
+            let words: Vec<_> = mem.iter().map(|(v, w)| (v.get(), w)).collect();
+            assert_eq!(words, [(0, 8), (2, 4), (5, 1)], "node {i}");
+        }
+    }
+
+    /// Inits held once by the machine must read, write, count, iterate and
+    /// digest exactly as a machine whose every memory had each init pair
+    /// written into it in order, however `init_var`, `init_image` and the
+    /// nodes' own writes interleave.
+    #[test]
+    fn the_machine_image_equals_writing_every_init_into_every_node() {
+        let var = |rng: &mut DetRng| VarId::new(rng.next_below(12) as u32);
+        for seed in 0..64u64 {
+            let mut rng = DetRng::new(0x0069_6d61_6765 ^ seed);
+            let (mut got, mut want) = (idle_machine(), idle_machine());
+            for step in 0..rng.next_range(1, 40) {
+                match rng.next_below(4) {
+                    0 => {
+                        let (v, value) = (var(&mut rng), rng.next_below(100) as Word);
+                        got.init_var(v, value);
+                        want.mems.iter_mut().for_each(|m| _ = m.write(v, value));
+                    }
+                    1 => {
+                        let pairs: Vec<(VarId, Word)> = (0..rng.next_below(8))
+                            .map(|_| (var(&mut rng), rng.next_below(100) as Word))
+                            .collect();
+                        got.init_image(&pairs);
+                        for m in &mut want.mems {
+                            pairs.iter().for_each(|&(v, value)| _ = m.write(v, value));
+                        }
+                    }
+                    _ => {
+                        let node = rng.next_below(5) as usize;
+                        let (v, value) = (var(&mut rng), -(rng.next_below(100) as Word));
+                        let mut view = NodeMem::new(&mut got.mems[node], &got.image);
+                        assert_eq!(
+                            view.write(v, value),
+                            want.mems[node].write(v, value),
+                            "seed {seed} step {step}: previous value of {v} at node {node}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    got.state_digest(),
+                    want.state_digest(),
+                    "seed {seed} step {step}"
+                );
+            }
+            assert!(want.image.is_empty() && got.state_digest().is_some());
+            for i in 0..5 {
+                let (g, w) = (got.mem(NodeId::new(i)), want.mem(NodeId::new(i)));
+                for v in 0..13 {
+                    assert_eq!(g.read(VarId::new(v)), w.read(VarId::new(v)), "seed {seed}");
+                }
+                assert_eq!(g.len(), w.len(), "seed {seed} node {i}");
+                assert_eq!(g.is_empty(), w.is_empty(), "seed {seed} node {i}");
+                assert!(g.iter().eq(w.iter()), "seed {seed} node {i}");
+            }
         }
     }
 }

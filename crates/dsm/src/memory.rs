@@ -1,15 +1,14 @@
 //! Per-node local memory holding the node's copy of every shared variable.
 //!
 //! One [`LocalMemory`] per CPU, so its record is what a million-node
-//! machine pays a million times: 72 bytes. The first four variables live
+//! machine pays a million times: 56 bytes. The first four variables live
 //! inline as two parallel arrays, `[VarId; 4]` and `[Word; 4]` (48 bytes,
 //! where four padded `(VarId, Word)` pairs took 64); a node that touches
 //! more moves every pair to a heap `Vec` behind one thin `Box` (8 bytes,
-//! not a 24-byte `Vec` header) that takes the arrays' place, and the
-//! shared init image is one `Option<Arc<[_]>>` (16 bytes). Nothing else
-//! is stored.
-
-use std::sync::Arc;
+//! not a 24-byte `Vec` header) that takes the arrays' place. Nothing else
+//! is stored: the init image every node starts from is held once by the
+//! machine, and a node's memory is seen through a [`NodeMem`] that lays
+//! its written words over that image.
 
 use crate::{VarId, Word};
 
@@ -21,29 +20,20 @@ use crate::{VarId, Word};
 /// buffer at machine assembly.
 const INLINE_WORDS: usize = 4;
 
-/// One node's local copies of shared variables.
+/// One node's local copies of shared variables: the ones it has written.
 ///
-/// Variables read before any write return the configurable default (zero
-/// unless set), mirroring zero-initialized shared segments.
+/// Variables read before any write return zero, mirroring zero-initialized
+/// shared segments; on a machine, [`NodeMem`] reads them from the init
+/// image instead.
 ///
 /// Storage is a sorted run of variables probed by binary search: no
 /// hashing and no per-entry allocation. Lookups are `O(log n)`; a first
 /// write to a new variable is `O(n)` (sorted insert), but the variable set
 /// of a run is small and fixed after warm-up.
-///
-/// A memory may additionally carry a shared **base image**
-/// ([`LocalMemory::set_base`]): a sorted, immutable `(var, value)` run
-/// consulted when a variable has no local entry. This is how machine-wide
-/// variable initialization stays O(1) per node — a million nodes share
-/// one `Arc` of init values instead of each materializing every lock
-/// sentinel — while reads, write-returned previous values, and iteration
-/// behave exactly as if the image had been written into every node.
 #[derive(Debug, Clone, Default)]
 pub struct LocalMemory {
     /// The written variables.
     store: Store,
-    /// Shared init image (sorted, unique); local entries shadow it.
-    base: Option<Arc<[(VarId, Word)]>>,
 }
 
 /// A memory's written variables: a short inline run, or every pair on the
@@ -95,7 +85,7 @@ impl LocalMemory {
     }
 
     /// Number of local entries (written variables).
-    fn local_len(&self) -> usize {
+    pub(crate) fn local_len(&self) -> usize {
         match &self.store {
             Store::Inline { len, .. } => *len as usize,
             Store::Spilled(spill) => spill.len(),
@@ -110,38 +100,64 @@ impl LocalMemory {
         }
     }
 
-    /// Installs the shared base image: the value of any variable without a
-    /// local entry. The image must be sorted by variable and duplicate-free.
+    /// Writes the init image `base` in, in order: the memory then reads,
+    /// writes and iterates as one that [`NodeMem`] lays over `base`.
     ///
     /// # Panics
     ///
     /// Panics if the memory has already been written: entries written
     /// before the base existed reported `0` as their previous value, which
     /// a late-arriving image would contradict.
-    pub fn set_base(&mut self, base: Arc<[(VarId, Word)]>) {
-        assert!(
-            self.local_len() == 0,
-            "base image installed after {} variables were written",
-            self.local_len()
+    pub fn set_base(&mut self, base: impl AsRef<[(VarId, Word)]>) {
+        assert_eq!(
+            self.local_len(),
+            0,
+            "base image installed after variables were written"
         );
-        debug_assert!(base.windows(2).all(|w| w[0].0 < w[1].0), "base not sorted");
-        self.base = Some(base);
-    }
-
-    /// The base-image value of `var` (zero if absent or no image).
-    fn base_value(&self, var: VarId) -> Word {
-        match &self.base {
-            Some(base) => match base.binary_search_by_key(&var, |&(v, _)| v) {
-                Ok(i) => base[i].1,
-                Err(_) => 0,
-            },
-            None => 0,
+        for &(var, value) in base.as_ref() {
+            self.write(var, value);
         }
     }
 
     /// Reads the local copy of `var` (zero if never written).
     pub fn read(&self, var: VarId) -> Word {
-        let found = match &self.store {
+        NodeMem::new(self, &[]).read(var)
+    }
+
+    /// Writes the local copy of `var`, returning the previous value (zero
+    /// if never written).
+    pub fn write(&mut self, var: VarId, value: Word) -> Word {
+        NodeMem::new(self, &[]).write(var, value)
+    }
+}
+
+/// The image value of `var` (zero if absent).
+fn image_value(image: &[(VarId, Word)], var: VarId) -> Word {
+    image
+        .binary_search_by_key(&var, |&(v, _)| v)
+        .map_or(0, |i| image[i].1)
+}
+
+/// A node's memory as the machine presents it: the words the node wrote
+/// over the machine's init image (sorted, unique), written words
+/// shadowing. Reads, the previous values writes return, `len` and `iter`
+/// are exactly those of a memory the image had been written into before
+/// the node's own writes. `W` is `&LocalMemory`, or `&mut LocalMemory`
+/// where the memory model writes.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeMem<'a, W = &'a LocalMemory> {
+    words: W,
+    image: &'a [(VarId, Word)],
+}
+
+impl<'a, W: std::ops::Deref<Target = LocalMemory>> NodeMem<'a, W> {
+    pub(crate) fn new(words: W, image: &'a [(VarId, Word)]) -> Self {
+        NodeMem { words, image }
+    }
+
+    /// Reads the node's copy of `var`.
+    pub fn read(&self, var: VarId) -> Word {
+        let found = match &self.words.store {
             Store::Inline { vars, values, len } => {
                 vars[..*len as usize].binary_search(&var).map(|i| values[i])
             }
@@ -149,12 +165,48 @@ impl LocalMemory {
                 .binary_search_by_key(&var, |&(v, _)| v)
                 .map(|i| spill[i].1),
         };
-        found.unwrap_or_else(|_| self.base_value(var))
+        found.unwrap_or_else(|_| image_value(self.image, var))
     }
 
-    /// Writes the local copy of `var`, returning the previous value.
+    /// Number of variables with a value (written by the node or in the
+    /// image).
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether no variable has a value.
+    pub fn is_empty(&self) -> bool {
+        self.words.local_len() == 0 && self.image.is_empty()
+    }
+
+    /// Iterates over `(var, value)` pairs in ascending variable order —
+    /// written words merged with the image, written values shadowing.
+    pub fn iter(&self) -> impl Iterator<Item = (VarId, Word)> + '_ {
+        let (words, mut next, mut image) = (&*self.words, 0, self.image);
+        std::iter::from_fn(move || {
+            let local = (next < words.local_len()).then(|| words.local(next));
+            let base = image.first().copied();
+            // An image pair at or before the next written word is used up:
+            // yielded, or shadowed by that word.
+            if base.is_some_and(|b| local.is_none_or(|l| b.0 <= l.0)) {
+                image = &image[1..];
+            }
+            match (local, base) {
+                (Some(l), Some(b)) if b.0 < l.0 => Some(b),
+                (Some(l), _) => {
+                    next += 1;
+                    Some(l)
+                }
+                (None, b) => b,
+            }
+        })
+    }
+}
+
+impl NodeMem<'_, &mut LocalMemory> {
+    /// Writes the node's copy of `var`, returning the previous value.
     pub fn write(&mut self, var: VarId, value: Word) -> Word {
-        match &mut self.store {
+        match &mut self.words.store {
             Store::Spilled(spill) => match spill.binary_search_by_key(&var, |&(v, _)| v) {
                 Ok(i) => return std::mem::replace(&mut spill[i].1, value),
                 Err(i) => spill.insert(i, (var, value)),
@@ -174,83 +226,34 @@ impl LocalMemory {
                         let mut spill = Vec::with_capacity(n + 1);
                         spill.extend(vars.iter().copied().zip(values.iter().copied()));
                         spill.insert(i, (var, value));
-                        self.store = Store::Spilled(Box::new(spill));
+                        self.words.store = Store::Spilled(Box::new(spill));
                     }
                 }
             }
         }
-        self.base_value(var)
-    }
-
-    /// Number of variables with a value (written locally or present in the
-    /// base image).
-    pub fn len(&self) -> usize {
-        self.iter().count()
-    }
-
-    /// Whether no variable has a value.
-    pub fn is_empty(&self) -> bool {
-        self.local_len() == 0 && self.base.as_deref().is_none_or(|b| b.is_empty())
-    }
-
-    /// Iterates over `(var, value)` pairs in ascending variable order —
-    /// local entries merged with the base image, local values shadowing.
-    pub fn iter(&self) -> impl Iterator<Item = (VarId, Word)> + '_ {
-        MergedWords {
-            mem: self,
-            next: 0,
-            base: self.base.as_deref().unwrap_or(&[]),
-        }
-    }
-}
-
-/// Sorted merge of the local run over the base image (local shadows).
-struct MergedWords<'a> {
-    mem: &'a LocalMemory,
-    /// Index of the next local entry.
-    next: usize,
-    base: &'a [(VarId, Word)],
-}
-
-impl Iterator for MergedWords<'_> {
-    type Item = (VarId, Word);
-
-    fn next(&mut self) -> Option<(VarId, Word)> {
-        let local = (self.next < self.mem.local_len()).then(|| self.mem.local(self.next));
-        match (local, self.base.first()) {
-            (Some(l), Some(&b)) if b.0 < l.0 => {
-                self.base = &self.base[1..];
-                Some(b)
-            }
-            (Some(l), b) => {
-                self.next += 1;
-                if b.is_some_and(|b| b.0 == l.0) {
-                    self.base = &self.base[1..];
-                }
-                Some(l)
-            }
-            (None, Some(&b)) => {
-                self.base = &self.base[1..];
-                Some(b)
-            }
-            (None, None) => None,
-        }
+        image_value(self.image, var)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn v(id: u32) -> VarId {
         VarId::new(id)
+    }
+
+    /// `m` as a node on a machine with no init image sees it.
+    fn bare(m: &LocalMemory) -> NodeMem<'_> {
+        NodeMem::new(m, &[])
     }
 
     #[test]
     fn unwritten_reads_zero() {
         let m = LocalMemory::new();
         assert_eq!(m.read(v(9)), 0);
-        assert!(m.is_empty());
+        assert!(bare(&m).is_empty());
     }
 
     #[test]
@@ -259,7 +262,7 @@ mod tests {
         assert_eq!(m.write(v(1), 10), 0);
         assert_eq!(m.write(v(1), 20), 10);
         assert_eq!(m.read(v(1)), 20);
-        assert_eq!(m.len(), 1);
+        assert_eq!(bare(&m).len(), 1);
     }
 
     #[test]
@@ -269,7 +272,7 @@ mod tests {
         m.write(v(2), 6);
         assert_eq!(m.read(v(1)), 5);
         assert_eq!(m.read(v(2)), 6);
-        assert_eq!(m.iter().count(), 2);
+        assert_eq!(bare(&m).iter().count(), 2);
     }
 
     #[test]
@@ -279,7 +282,7 @@ mod tests {
         for i in (0..(INLINE_WORDS as u32 + 3)).rev() {
             assert_eq!(m.write(v(i * 2), i64::from(i) + 100), 0);
         }
-        assert_eq!(m.len(), INLINE_WORDS + 3);
+        assert_eq!(bare(&m).len(), INLINE_WORDS + 3);
         for i in 0..(INLINE_WORDS as u32 + 3) {
             assert_eq!(m.read(v(i * 2)), i64::from(i) + 100);
             assert_eq!(m.read(v(i * 2 + 1)), 0, "gap vars stay zero");
@@ -287,7 +290,7 @@ mod tests {
         // Overwrites keep working after the spill.
         assert_eq!(m.write(v(0), 7), 100);
         assert_eq!(m.read(v(0)), 7);
-        let vars: Vec<u32> = m.iter().map(|(var, _)| var.get()).collect();
+        let vars: Vec<u32> = bare(&m).iter().map(|(var, _)| var.get()).collect();
         let mut sorted = vars.clone();
         sorted.sort_unstable();
         assert_eq!(vars, sorted, "iteration stays sorted across the spill");
@@ -299,19 +302,22 @@ mod tests {
         m.write(v(7), 1);
         m.write(v(2), 2);
         m.write(v(5), 3);
-        let vars: Vec<u32> = m.iter().map(|(var, _)| var.get()).collect();
+        let vars: Vec<u32> = bare(&m).iter().map(|(var, _)| var.get()).collect();
         assert_eq!(vars, vec![2, 5, 7]);
     }
 
-    /// The base image must be observably identical to having written every
-    /// image entry into the memory: reads, previous values returned by
-    /// writes, and iteration all agree between the two constructions.
+    /// A view over an init image, and `set_base`, must both be observably
+    /// identical to having written every image entry into the memory:
+    /// reads, previous values returned by writes, and iteration all agree
+    /// between the three constructions.
     #[test]
     fn base_image_matches_materialized_writes() {
         let image: Vec<(VarId, Word)> = (0..10u32).map(|i| (v(i * 3), i64::from(i) + 50)).collect();
 
-        let mut shared = LocalMemory::new();
-        shared.set_base(Arc::from(image.as_slice()));
+        let mut viewed = LocalMemory::new();
+        let mut shared = NodeMem::new(&mut viewed, &image);
+        let mut based = LocalMemory::new();
+        based.set_base(Arc::<[(VarId, Word)]>::from(image.as_slice()));
         let mut materialized = LocalMemory::new();
         for &(var, value) in &image {
             materialized.write(var, value);
@@ -319,24 +325,28 @@ mod tests {
 
         for i in 0..32 {
             assert_eq!(shared.read(v(i)), materialized.read(v(i)), "read var {i}");
+            assert_eq!(based.read(v(i)), materialized.read(v(i)), "read var {i}");
         }
-        assert_eq!(shared.len(), materialized.len());
         // Overwrites report the image value as the previous value, and
         // fresh vars (absent from the image) still report zero.
-        assert_eq!(shared.write(v(6), 9), materialized.write(v(6), 9));
-        assert_eq!(shared.write(v(7), 8), materialized.write(v(7), 8));
-        // Push past the inline run so base lookups also cover the spill
-        // transition and spilled-insert paths.
-        for i in 40..46 {
-            assert_eq!(shared.write(v(i), 1), materialized.write(v(i), 1));
+        // Pushing past the inline run makes image lookups also cover the
+        // spill transition and spilled-insert paths.
+        for (var, value) in [(6, 9), (7, 8), (40, 1), (41, 1), (42, 1), (43, 1), (44, 1)] {
+            let want = materialized.write(v(var), value);
+            assert_eq!(shared.write(v(var), value), want, "write var {var}");
+            assert_eq!(based.write(v(var), value), want, "write var {var}");
         }
-        assert_eq!(
-            shared.iter().collect::<Vec<_>>(),
-            materialized.iter().collect::<Vec<_>>(),
-            "merged iteration must shadow the image with local writes"
-        );
         assert_eq!(shared.read(v(6)), 9);
         assert_eq!(shared.read(v(9)), 53, "unshadowed image entries persist");
+        let over_image = NodeMem::new(&viewed, &image);
+        let want: Vec<_> = bare(&materialized).iter().collect();
+        assert_eq!(over_image.len(), want.len());
+        assert_eq!(
+            over_image.iter().collect::<Vec<_>>(),
+            want,
+            "merged iteration must shadow the image with local writes"
+        );
+        assert_eq!(bare(&based).iter().collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -344,6 +354,6 @@ mod tests {
     fn base_after_writes_panics() {
         let mut m = LocalMemory::new();
         m.write(v(1), 2);
-        m.set_base(Arc::from(vec![(v(0), 1)].as_slice()));
+        m.set_base([(v(0), 1)]);
     }
 }

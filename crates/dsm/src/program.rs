@@ -14,7 +14,7 @@ use sesame_net::NodeId;
 use sesame_sim::{SimDur, SimTime, TraceDetail, TraceKind};
 
 use crate::addr::lockval;
-use crate::{LocalMemory, VarId, Word};
+use crate::{NodeMem, VarId, Word};
 
 /// Events delivered to a [`Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,7 +198,7 @@ pub enum Action {
 pub struct NodeApi<'a> {
     node: NodeId,
     now: SimTime,
-    mem: &'a LocalMemory,
+    mem: NodeMem<'a>,
     actions: &'a mut Vec<Action>,
     tracing: bool,
 }
@@ -208,7 +208,7 @@ impl<'a> NodeApi<'a> {
     pub(crate) fn new(
         node: NodeId,
         now: SimTime,
-        mem: &'a LocalMemory,
+        mem: NodeMem<'a>,
         actions: &'a mut Vec<Action>,
         tracing: bool,
     ) -> Self {
@@ -347,13 +347,24 @@ impl<'a> NodeApi<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalMemory;
+
+    fn bare(m: &LocalMemory) -> NodeMem<'_> {
+        NodeMem::new(m, &[])
+    }
 
     #[test]
     fn reads_come_from_memory() {
         let mut mem = LocalMemory::new();
         mem.write(VarId::new(3), 77);
         let mut actions = Vec::new();
-        let mut api = NodeApi::new(NodeId::new(1), SimTime::ZERO, &mem, &mut actions, false);
+        let mut api = NodeApi::new(
+            NodeId::new(1),
+            SimTime::ZERO,
+            bare(&mem),
+            &mut actions,
+            false,
+        );
         assert_eq!(api.read(VarId::new(3)), 77);
         assert_eq!(api.id(), NodeId::new(1));
         assert!(!api.tracing());
@@ -363,7 +374,13 @@ mod tests {
     fn writes_and_locks_buffer_actions_in_order() {
         let mem = LocalMemory::new();
         let mut actions = Vec::new();
-        let mut api = NodeApi::new(NodeId::new(2), SimTime::ZERO, &mem, &mut actions, true);
+        let mut api = NodeApi::new(
+            NodeId::new(2),
+            SimTime::ZERO,
+            bare(&mem),
+            &mut actions,
+            true,
+        );
         api.write(VarId::new(1), 5);
         api.acquire(VarId::new(0));
         api.release(VarId::new(0));
@@ -389,7 +406,7 @@ mod tests {
         mem.write(lock, lockval::FREE);
         let mut actions = Vec::new();
         let me = NodeId::new(3);
-        let mut api = NodeApi::new(me, SimTime::ZERO, &mem, &mut actions, false);
+        let mut api = NodeApi::new(me, SimTime::ZERO, bare(&mem), &mut actions, false);
         let old = api.lock_exchange(lock);
         assert_eq!(old, lockval::FREE);
         assert_eq!(
@@ -405,11 +422,23 @@ mod tests {
     fn trace_respects_enablement() {
         let mem = LocalMemory::new();
         let mut actions = Vec::new();
-        let mut api = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions, false);
+        let mut api = NodeApi::new(
+            NodeId::new(0),
+            SimTime::ZERO,
+            bare(&mem),
+            &mut actions,
+            false,
+        );
         api.trace(TraceKind::MutexEnter, TraceDetail::Var { var: 0 });
         assert!(actions.is_empty());
         let mut actions2 = Vec::new();
-        let mut api2 = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions2, true);
+        let mut api2 = NodeApi::new(
+            NodeId::new(0),
+            SimTime::ZERO,
+            bare(&mem),
+            &mut actions2,
+            true,
+        );
         api2.trace(TraceKind::MutexEnter, TraceDetail::Var { var: 1 });
         assert_eq!(actions2.len(), 1);
     }
@@ -418,7 +447,13 @@ mod tests {
     fn idle_program_does_nothing() {
         let mem = LocalMemory::new();
         let mut actions = Vec::new();
-        let mut api = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions, true);
+        let mut api = NodeApi::new(
+            NodeId::new(0),
+            SimTime::ZERO,
+            bare(&mem),
+            &mut actions,
+            true,
+        );
         IdleProgram.on_event(AppEvent::Started, &mut api);
         assert!(actions.is_empty());
     }
@@ -427,7 +462,13 @@ mod tests {
     fn optimistic_control_actions_buffer() {
         let mem = LocalMemory::new();
         let mut actions = Vec::new();
-        let mut api = NodeApi::new(NodeId::new(0), SimTime::ZERO, &mem, &mut actions, false);
+        let mut api = NodeApi::new(
+            NodeId::new(0),
+            SimTime::ZERO,
+            bare(&mem),
+            &mut actions,
+            false,
+        );
         api.arm_lock_interrupt(VarId::new(0));
         api.suspend_insharing();
         api.resume_insharing();

@@ -38,7 +38,7 @@ use std::sync::Mutex;
 /// The parallelism the host offers (`std::thread::available_parallelism`),
 /// or 1 if it cannot be determined. This is what a `--jobs 0` request
 /// resolves to.
-pub fn available_jobs() -> usize {
+fn available_jobs() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
@@ -46,7 +46,7 @@ pub fn available_jobs() -> usize {
 
 /// Resolves a user-facing `--jobs` value: `0` means "use every available
 /// core"; anything else is taken literally.
-pub fn resolve_jobs(jobs: usize) -> usize {
+fn resolve_jobs(jobs: usize) -> usize {
     if jobs == 0 {
         available_jobs()
     } else {
@@ -58,7 +58,7 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 /// and returns the results **ordered by point index** — exactly the vector
 /// the serial loop `(0..points).map(f).collect()` produces.
 ///
-/// `jobs == 0` resolves to [`available_jobs`]; `jobs <= 1` (or a sweep of
+/// `jobs == 0` uses every core the host offers; `jobs <= 1` (or a sweep of
 /// one point) runs inline on the caller's thread with no pool at all, so
 /// the serial path stays allocation- and synchronization-free. Worker
 /// threads are scoped: they are joined before `run_sweep` returns, and a

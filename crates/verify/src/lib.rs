@@ -208,7 +208,7 @@ impl Verifier {
     }
 
     /// Finalizes and returns all diagnostics.
-    pub fn into_violations(mut self) -> Vec<Violation> {
+    fn into_violations(mut self) -> Vec<Violation> {
         self.finish();
         self.violations
     }

@@ -64,7 +64,7 @@ pub enum NotifyMode {
 impl NotifyMode {
     /// The natural mode for a memory model: push for GWC and
     /// weak/release, poll for entry consistency.
-    pub fn for_model(model: ModelChoice) -> Self {
+    fn for_model(model: ModelChoice) -> Self {
         match model {
             ModelChoice::Entry => NotifyMode::Poll {
                 interval: POLL_INTERVAL,
