@@ -280,28 +280,24 @@ for w in bigmesh_32k paper_figs_par lossy_mutex observed_contention check_mutex;
     fi
 done
 # The same contract line carries bigmesh_32k's peak RSS (whole megabytes
-# are enough). It reads 11.7 MB (median of ten contract runs, seed 7;
-# 11.7 on seed 11) with 56-byte node memories over one init image the
-# machine holds, a sharing interface that is one status byte per node
-# and two interest bits per member slot, its buffers in one map that
-# only loss and suspension fill, and a group's sequencing state held only
-# while it has a write in flight: a 16-byte root record per group, and a
-# pooled history and floor ring for the few hundred groups mid-write. So
-# the 12 MB ceiling fails a return to a 72-byte node memory holding its
-# own `Arc` of the image, which read 12.2 MB, to a 40-byte interface
-# record per node, which read 14.05 MB, and to one stored route per
-# group, which read 19.8 MB. A 56-byte root record with a history kept for every
-# group that ever wrote read 16.7 MB before the interface shrank, inside
-# the old 17 MB ceiling: the root record's size assert in gwc.rs and the
-# drained-run footprint test are what catch it. The wider per-node
-# records read 23.4 MB, the grow-only stores (a FIFO floor per path ever
-# used, a doubling route buffer, a four-slot history block per root)
-# 29.2 MB, and scheduling every wave at the send instant 50.8 MB, so a
-# return to any of them fails here on memory, not only on a hand-run
-# ledger.
+# are enough). It reads 10.6 MB (ten contract runs, seed 7; 10.5 on seed
+# 11): one boxed program per row behind a 4-byte program slot per node,
+# 56-byte node memories over one init image, a status byte per node for
+# the sharing interface, each route shape stored once, and sequencing
+# state held only while a group has a write in flight. Each reading below
+# is what the run read when that layout was current; 11 MB fails a
+# return to any of them:
+#   a boxed program per node with its own pointer and `Rc`: 11.7 MB
+#   an `Arc` of the init image in every node memory: 12.2 MB
+#   a 40-byte sharing-interface record per node: 14.05 MB
+#   a 56-byte root record keeping a history for every group: 16.7 MB
+#   one stored route per group: 19.8 MB
+#   the wider per-node records: 23.4 MB
+#   grow-only floors, route buffer and history blocks: 29.2 MB
+#   every wave of a fan-out scheduled at the send instant: 50.8 MB
 rss=$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p' "$tmpdir/ledger-bigmesh_32k.last")
-if [ -n "$rss" ] && [ "$rss" -ge 12 ]; then
-    echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 12" >&2
+if [ -n "$rss" ] && [ "$rss" -ge 11 ]; then
+    echo "ledger bigmesh_32k memory ceiling: peak RSS ${rss} MB, want < 11" >&2
     exit 1
 fi
 # paper_figs_par's reads ~5.1 MB (seeds 7 and 11, ledger contract runs):
@@ -403,28 +399,28 @@ if [ "${thr:-0}" -lt 100000 ]; then
     exit 1
 fi
 # The exact-integer `peak_rss_kb` line (VmHWM; absent off Linux, where the
-# check is skipped) is the memory ceiling: this machine has 275 000 groups
-# and reads 101 530 kB (two runs of the command above) with flat per-group
-# state, a 16-byte root record per group whose history and floor ring
-# are pooled and held only while the group has a write in flight, each
-# route shape stored once and an 8-byte handle per group, one pending
-# event per fan-out in flight, floors that hold what is in flight, and
-# per-node records that store only what is read — a status byte for the
-# sharing interface, two interest bits per member slot, a 56-byte memory
-# over one init image the machine holds — so 113 600 kB (+12 %) absorbs
-# allocator and libc drift but fails a return to a 40-byte interface
-# record per node with 80-byte memories (120 640 kB), to a heap vector
-# per group (the struct-of-Vecs layout read 467 348 kB) and to queueing
-# every wave and every node's start up front (270 488 kB). (An `Arc` of
-# the image in every node's memory read 105 330 kB, inside this ceiling:
-# machine.rs's size assert is what catches it. A 56-byte root record
-# holding a history for every group that wrote read 134 340 kB, and one
-# stored route per group 157 000 kB before that, with the wider
-# interface. The wider records read 195 550 kB, and grow-only floors,
-# route buffer and history blocks 213 828 kB on top of them.)
+# check is skipped) is the memory ceiling. This machine has 275 000
+# groups and reads 93 514 kB (two runs of the command above): one boxed
+# program per row behind a 4-byte slot per node, 56-byte node memories
+# over one init image, a status byte per node for the sharing interface,
+# a 16-byte root record per group with its history pooled while a write
+# is in flight, each route shape stored once, one pending event per
+# fan-out, and floors that hold what is in flight. 104 700 kB (+12 %)
+# absorbs allocator and libc drift; each reading below is what the run
+# read when that layout was current, and this ceiling fails a return to:
+#   a 40-byte interface record per node with 80-byte memories: 120 640 kB
+#   a 56-byte root record keeping a history for every group: 134 340 kB
+#   one stored route per group: 157 000 kB
+#   the wider per-node records: 195 550 kB
+#   grow-only floors, route buffer and history blocks: 213 828 kB
+#   queueing every wave and every node's start up front: 270 488 kB
+#   a heap vector per group (the struct-of-Vecs layout): 467 348 kB
+# A boxed program per node (101 586 kB) and an `Arc` of the init image in
+# every node memory (+16 B a node) fit under it; the bigmesh_32k ceiling,
+# footprint.rs's allocation budget and machine.rs's size assert catch them.
 rss=$(grep -o 'peak_rss_kb [0-9]*' "$tmpdir/bigmesh250k.out" | cut -d' ' -f2 || true)
-if [ -n "$rss" ] && [ "$rss" -gt 113600 ]; then
-    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 113600" >&2
+if [ -n "$rss" ] && [ "$rss" -gt 104700 ]; then
+    echo "bigmesh 250k memory ceiling: peak RSS ${rss} kB, want <= 104700" >&2
     exit 1
 fi
 

@@ -24,11 +24,12 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use sesame_consistency::{EntryModel, ReleaseModel};
 use sesame_dsm::{
     lockval, GroupConfigError, GroupSpec, GroupTableBuilder, GwcModel, Machine, MachineConfig,
-    Model, ModelAction, Mx, Packet, Program, VarId, Word,
+    Model, ModelAction, Mx, Packet, Program, ProgramTable, VarId, Word,
 };
 use sesame_net::{LinkTiming, MeshTorus2d, NodeId, Topology};
 
@@ -206,7 +207,9 @@ pub struct SystemBuilder {
     /// Groups are validated and packed as they are added; the first
     /// error surfaces from [`SystemBuilder::build`].
     groups: GroupTableBuilder,
-    programs: Vec<Option<Box<dyn Program>>>,
+    /// Which program serves each node: 4 bytes a node, and no box for a
+    /// node that idles.
+    programs: ProgramTable,
     init: Vec<(VarId, Word)>,
 }
 
@@ -232,7 +235,7 @@ impl SystemBuilder {
             model: ModelChoice::default(),
             config: MachineConfig::default(),
             groups: GroupTableBuilder::new(nodes),
-            programs: (0..nodes).map(|_| None).collect(),
+            programs: ProgramTable::idle(nodes),
             init: Vec::new(),
         }
     }
@@ -299,18 +302,25 @@ impl SystemBuilder {
     }
 
     /// Installs the program for one node (nodes default to
-    /// [`IdleProgram`](sesame_dsm::IdleProgram)).
+    /// [`IdleProgram`](sesame_dsm::IdleProgram)): the one-node case of
+    /// [`program_range`](Self::program_range).
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range.
+    /// Panics if `node` is out of range or already has a program.
     pub fn program(&mut self, node: NodeId, program: Box<dyn Program>) -> &mut Self {
-        assert!(
-            node.index() < self.programs.len(),
-            "program for {node} but system has {} nodes",
-            self.programs.len()
-        );
-        self.programs[node.index()] = Some(program);
+        self.program_range(node..NodeId::new(node.get() + 1), program)
+    }
+
+    /// Installs one program to serve every node of `nodes`; it tells them
+    /// apart by [`NodeApi::id`](sesame_dsm::NodeApi::id).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node, if the range is empty, runs past the last
+    /// node, or covers a node that already has a program.
+    pub fn program_range(&mut self, nodes: Range<NodeId>, program: Box<dyn Program>) -> &mut Self {
+        self.programs.install(nodes, program);
         self
     }
 
@@ -345,12 +355,8 @@ impl SystemBuilder {
             ModelChoice::Entry => ModelInstance::Entry(EntryModel::new(&groups, self.nodes)),
             ModelChoice::Release => ModelInstance::Release(ReleaseModel::new(&groups, self.nodes)),
         };
-        let programs: Vec<Box<dyn Program>> = self
-            .programs
-            .into_iter()
-            .map(|p| p.unwrap_or_else(|| Box::new(sesame_dsm::IdleProgram)))
-            .collect();
-        let mut machine = Machine::new(topo, self.timing, groups, programs, model, self.config);
+        let mut machine =
+            Machine::new(topo, self.timing, groups, self.programs, model, self.config);
         machine.init_image(&self.init);
         Ok(machine)
     }
@@ -509,5 +515,16 @@ mod tests {
     #[should_panic(expected = "program for n9")]
     fn out_of_range_program_panics() {
         SystemBuilder::new(2).program(NodeId::new(9), Box::new(sesame_dsm::IdleProgram));
+    }
+
+    #[test]
+    #[should_panic(expected = "n1 already has a program")]
+    fn a_second_program_for_a_node_panics_naming_it() {
+        SystemBuilder::new(4)
+            .program_range(
+                NodeId::new(0)..NodeId::new(3),
+                Box::new(sesame_dsm::IdleProgram),
+            )
+            .program(NodeId::new(1), Box::new(sesame_dsm::IdleProgram));
     }
 }

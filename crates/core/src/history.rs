@@ -32,7 +32,6 @@ pub struct UsageHistory {
     value: f64,
     alpha: f64,
     threshold: f64,
-    observations: u64,
 }
 
 impl UsageHistory {
@@ -60,7 +59,6 @@ impl UsageHistory {
             value: 0.0,
             alpha,
             threshold,
-            observations: 0,
         }
     }
 
@@ -69,7 +67,6 @@ impl UsageHistory {
     pub fn observe(&mut self, held_by_other: bool) {
         let new = if held_by_other { 1.0 } else { 0.0 };
         self.value = (1.0 - self.alpha) * self.value + self.alpha * new;
-        self.observations += 1;
     }
 
     /// The current smoothed usage estimate in `[0, 1]`.
@@ -80,11 +77,6 @@ impl UsageHistory {
     /// The decision threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// Number of observations recorded.
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// Whether the history indicates the lock is probably free (estimate at
@@ -109,7 +101,6 @@ mod tests {
         let h = UsageHistory::paper_defaults();
         assert_eq!(h.value(), 0.0);
         assert!(h.is_quiet());
-        assert_eq!(h.observations(), 0);
     }
 
     #[test]

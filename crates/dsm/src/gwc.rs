@@ -1528,7 +1528,7 @@ mod tests {
                 Box::new(FullMesh::new(nodes as usize)),
                 LinkTiming::unit(),
                 groups.clone(),
-                (0..nodes).map(|i| program(i, seed)).collect(),
+                (0..nodes).map(|i| program(i, seed)).collect::<Vec<_>>(),
                 GwcModel::new(groups, nodes as usize),
                 MachineConfig::default(),
             );
@@ -1801,7 +1801,7 @@ mod tests {
                 Box::new(FullMesh::new(nodes as usize)),
                 LinkTiming::paper_1994(),
                 groups,
-                (0..nodes).map(program).collect(),
+                (0..nodes).map(program).collect::<Vec<_>>(),
                 model,
                 MachineConfig::default(),
             );

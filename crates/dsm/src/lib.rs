@@ -83,7 +83,7 @@ pub use machine::{
     RunOptions, RunResult,
 };
 pub use memory::{LocalMemory, NodeMem};
-pub use program::{Action, AppEvent, IdleProgram, ModelAction, NodeApi, Program};
+pub use program::{Action, AppEvent, IdleProgram, ModelAction, NodeApi, Program, ProgramTable};
 pub use protocol::{sizes, Packet, PacketKind};
 pub use sesame_net::{CauseAlloc, CauseId};
 pub use sesame_sim::{ApplyMode, CauseOp, TraceDetail, TraceKind};

@@ -25,7 +25,7 @@ use sesame_sim::{
 use crate::causal::{Carried, CauseCtx};
 use crate::{
     Action, AppEvent, GroupId, GroupTable, LocalMemory, ModelAction, NodeApi, NodeMem, Packet,
-    PacketKind, Program, VarId, Word,
+    PacketKind, Program, ProgramTable, VarId, Word,
 };
 
 /// Machine-level events targeted at one node. Every event but `Start`
@@ -531,7 +531,9 @@ pub struct Machine<M: Model> {
     /// once for all nodes: a node's written words shadow it.
     image: Vec<(VarId, Word)>,
     cpus: Vec<CpuMeter>,
-    programs: Vec<Box<dyn Program>>,
+    /// Dispatch resolves a node's program through this table: one `u32`
+    /// per node, so a program serving a range of nodes is boxed once.
+    programs: ProgramTable,
     model: M,
     cfg: MachineConfig,
     causes: CauseCtx,
@@ -564,17 +566,18 @@ impl<M: Model> Machine<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the number of programs does not equal the topology's CPU
-    /// count, or if a group names a root or member that is not one of
-    /// those CPUs.
+    /// Panics if the program table's node count does not equal the
+    /// topology's CPU count, or if a group names a root or member that is
+    /// not one of those CPUs.
     pub fn new(
         topo: Box<dyn Topology>,
         timing: LinkTiming,
         groups: GroupTable,
-        programs: Vec<Box<dyn Program>>,
+        programs: impl Into<ProgramTable>,
         model: M,
         cfg: MachineConfig,
     ) -> Self {
+        let programs = programs.into();
         assert_eq!(
             programs.len(),
             topo.len(),
@@ -696,8 +699,8 @@ impl<M: Model> Machine<M> {
                 (v.get(), w).hash(&mut h);
             }
         }
-        for p in &self.programs {
-            p.digest()?.hash(&mut h);
+        for node in 0..self.mems.len() as u32 {
+            self.programs.get(NodeId::new(node)).digest()?.hash(&mut h);
         }
         Some(h.finish())
     }
@@ -731,7 +734,7 @@ impl<M: Model> Machine<M> {
 
     /// The program running on `node`.
     pub fn program(&self, node: NodeId) -> &dyn Program {
-        self.programs[node.index()].as_ref()
+        self.programs.get(node)
     }
 
     /// Sum of all nodes' busy time (useful work), for network-power
@@ -834,10 +837,10 @@ impl<M: Model> Machine<M> {
             // the loop body re-borrows the machine (`with_mx`).
             let mut actions = std::mem::take(&mut self.actions);
             debug_assert!(actions.is_empty());
-            {
+            if let Some(program) = self.programs.get_mut(node) {
                 let mem = NodeMem::new(&self.mems[node.index()], &self.image);
                 let mut api = NodeApi::new(node, ctx.now(), mem, &mut actions, ctx.tracing());
-                self.programs[node.index()].on_event(event, &mut api);
+                program.on_event(event, &mut api);
             }
             for action in actions.drain(..) {
                 match action {
@@ -1253,6 +1256,11 @@ mod tests {
     /// A 5-node GWC machine of idle programs and one group, with no
     /// variable initialized.
     fn idle_machine() -> Machine<crate::GwcModel> {
+        machine_of(ProgramTable::idle(5))
+    }
+
+    /// [`idle_machine`] running `programs`.
+    fn machine_of(programs: impl Into<ProgramTable>) -> Machine<crate::GwcModel> {
         let groups = GroupTable::new(vec![crate::GroupSpec {
             root: NodeId::new(0),
             members: (0..3).map(NodeId::new).collect(),
@@ -1264,12 +1272,116 @@ mod tests {
             Box::new(sesame_net::FullMesh::new(5)),
             LinkTiming::unit(),
             groups.clone(),
-            (0..5)
-                .map(|_| Box::new(crate::IdleProgram) as Box<dyn Program>)
-                .collect(),
+            programs,
             crate::GwcModel::new(&groups, 5),
             MachineConfig::default(),
         )
+    }
+
+    /// Serves a range of nodes: on `Started` each CPU logs its id and
+    /// arms a timer, and re-arms it until it has fired as often as the
+    /// CPU's id, counting in its own slot.
+    struct Ticker {
+        first: u32,
+        fired: Vec<u64>,
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u32, u64)>>>,
+    }
+
+    impl Program for Ticker {
+        fn on_event(&mut self, ev: AppEvent, api: &mut NodeApi<'_>) {
+            let id = api.id().get();
+            let fired = &mut self.fired[(id - self.first) as usize];
+            match ev {
+                AppEvent::Started => api.set_timer(SimDur::from_nanos(1), 0),
+                AppEvent::TimerFired { .. } => {
+                    *fired += 1;
+                    if *fired < u64::from(id) {
+                        api.set_timer(SimDur::from_nanos(1), 0);
+                    }
+                }
+                _ => return,
+            }
+            self.log.borrow_mut().push((id, *fired));
+        }
+
+        fn digest(&self) -> Option<u64> {
+            Some(self.fired.iter().sum())
+        }
+    }
+
+    #[test]
+    fn a_range_program_sees_each_node_it_serves_and_keeps_its_state_apart() {
+        let log = std::rc::Rc::default();
+        let mut table = ProgramTable::idle(5);
+        let ticker = Ticker {
+            first: 1,
+            fired: vec![0; 3],
+            log: std::rc::Rc::clone(&log),
+        };
+        table.install(NodeId::new(1)..NodeId::new(4), Box::new(ticker));
+        let result = run(machine_of(table), RunOptions::default());
+        assert_eq!(result.outcome, RunOutcome::Drained);
+        let log = log.borrow();
+        for id in 1..4u32 {
+            // Started, then one entry per firing, counting up to the id.
+            let seen: Vec<u64> = log.iter().filter(|e| e.0 == id).map(|e| e.1).collect();
+            assert_eq!(seen, (0..=u64::from(id)).collect::<Vec<_>>(), "n{id}");
+        }
+        assert!(
+            log.iter().all(|e| (1..4).contains(&e.0)),
+            "idle nodes ran nothing"
+        );
+        // The one program answers for each node it serves: 1 + 2 + 3.
+        let digests: Vec<_> = (0..5)
+            .map(|i| result.machine.program(NodeId::new(i)).digest())
+            .collect();
+        assert_eq!(digests, [Some(0), Some(6), Some(6), Some(6), Some(0)]);
+    }
+
+    #[test]
+    fn unboxed_idle_nodes_digest_as_a_boxed_idle_program_each() {
+        let stateful = || {
+            Box::new(Ticker {
+                first: 2,
+                fired: vec![5],
+                log: std::rc::Rc::default(),
+            }) as Box<dyn Program>
+        };
+        let mut table = ProgramTable::idle(5);
+        table.install(NodeId::new(2)..NodeId::new(3), stateful());
+        let boxed: Vec<Box<dyn Program>> = (0..5)
+            .map(|i| match i {
+                2 => stateful(),
+                _ => Box::new(crate::IdleProgram) as Box<dyn Program>,
+            })
+            .collect();
+        let (mut got, mut want) = (machine_of(table), machine_of(boxed));
+        assert!(got.state_digest().is_some());
+        assert_eq!(got.state_digest(), want.state_digest());
+        got.init_var(VarId::new(1), 3);
+        want.init_var(VarId::new(1), 3);
+        assert_eq!(got.state_digest(), want.state_digest());
+    }
+
+    #[test]
+    #[should_panic(expected = "n2 already has a program")]
+    fn a_range_over_a_node_with_a_program_panics_naming_it() {
+        let mut table = ProgramTable::idle(5);
+        table.install(NodeId::new(2)..NodeId::new(3), Box::new(crate::IdleProgram));
+        table.install(NodeId::new(0)..NodeId::new(4), Box::new(crate::IdleProgram));
+    }
+
+    #[test]
+    #[should_panic(expected = "program for n5 but the system has 5 nodes")]
+    fn a_range_past_the_last_node_panics_naming_the_first_missing_one() {
+        let mut table = ProgramTable::idle(5);
+        table.install(NodeId::new(3)..NodeId::new(7), Box::new(crate::IdleProgram));
+    }
+
+    #[test]
+    #[should_panic(expected = "one program per CPU node is required")]
+    fn a_table_for_another_node_count_panics() {
+        machine_of(ProgramTable::idle(4));
     }
 
     #[test]

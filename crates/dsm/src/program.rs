@@ -10,6 +10,8 @@
 //! entry consistency, release consistency), which is how the reproduction
 //! compares models on identical workloads, exactly as the paper does.
 
+use std::ops::Range;
+
 use sesame_net::NodeId;
 use sesame_sim::{SimDur, SimTime, TraceDetail, TraceKind};
 
@@ -94,6 +96,96 @@ impl Program for IdleProgram {
 
     fn digest(&self) -> Option<u64> {
         Some(0) // stateless
+    }
+}
+
+/// Which program serves each node: one `u32` per node indexing the
+/// installed programs, so one boxed program can serve a contiguous range
+/// of nodes, telling them apart by [`NodeApi::id`]. A node without a
+/// program holds the idle sentinel `0` (slot `k + 1` is installed program
+/// `k`): it costs no box, receives no event, and reads and digests as
+/// [`IdleProgram`].
+///
+/// A one-per-node `Vec<Box<dyn Program>>` converts into a table, which is
+/// how [`Machine::new`](crate::Machine::new) takes either.
+pub struct ProgramTable {
+    programs: Vec<Box<dyn Program>>,
+    of_node: Vec<u32>,
+}
+
+impl ProgramTable {
+    /// A table of `nodes` idle nodes.
+    pub fn idle(nodes: usize) -> Self {
+        ProgramTable {
+            programs: Vec::new(),
+            of_node: vec![0; nodes],
+        }
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.of_node.len()
+    }
+
+    /// Installs `program` on every node of `nodes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node, if the range is empty, runs past the last
+    /// node, or covers a node that already has a program.
+    pub fn install(&mut self, nodes: Range<NodeId>, program: Box<dyn Program>) {
+        let (start, end) = (nodes.start.index(), nodes.end.index());
+        assert!(start < end, "program for the empty range {nodes:?}");
+        let len = self.of_node.len();
+        assert!(
+            end <= len,
+            "program for {} but the system has {len} nodes",
+            NodeId::new(start.max(len) as u32)
+        );
+        let slots = &mut self.of_node[start..end];
+        if let Some(taken) = slots.iter().position(|&p| p != 0) {
+            panic!(
+                "{} already has a program",
+                NodeId::new((start + taken) as u32)
+            );
+        }
+        self.programs.push(program);
+        let slot = u32::try_from(self.programs.len()).expect("fewer than 2^32 programs");
+        slots.fill(slot);
+    }
+
+    /// The program serving `node` ([`IdleProgram`] if it has none).
+    pub(crate) fn get(&self, node: NodeId) -> &dyn Program {
+        match self.of_node[node.index()].checked_sub(1) {
+            Some(k) => self.programs[k as usize].as_ref(),
+            None => &IdleProgram,
+        }
+    }
+
+    /// The program serving `node`, to deliver it an event; `None` for an
+    /// idle node, which does nothing with one.
+    pub(crate) fn get_mut(&mut self, node: NodeId) -> Option<&mut dyn Program> {
+        let k = self.of_node[node.index()].checked_sub(1)?;
+        Some(self.programs[k as usize].as_mut())
+    }
+}
+
+impl From<Vec<Box<dyn Program>>> for ProgramTable {
+    fn from(per_node: Vec<Box<dyn Program>>) -> Self {
+        let nodes = u32::try_from(per_node.len()).expect("fewer than 2^32 nodes");
+        ProgramTable {
+            programs: per_node,
+            of_node: (1..=nodes).collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for ProgramTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProgramTable")
+            .field("nodes", &self.of_node.len())
+            .field("installed", &self.programs.len())
+            .finish()
     }
 }
 

@@ -187,7 +187,7 @@ fn build_tied_groups(cfg: MachineConfig) -> Machine<GwcModel> {
             }
         })
     };
-    let programs = (0..nodes as u32)
+    let programs: Vec<_> = (0..nodes as u32)
         .map(|i| match i {
             2 | 5 => writer(4),
             _ => Box::new(|_: AppEvent, _: &mut NodeApi<'_>| {}) as Box<dyn Program>,

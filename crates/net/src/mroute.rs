@@ -102,6 +102,8 @@ pub struct RouteRef<'a> {
     /// Local index -> offset. `nodes[0]` is the root's.
     nodes: &'a [u32],
     /// Local parent index; `parent[0] == 0` (the root is its own parent).
+    /// Only the tests' reference walks read it.
+    #[cfg_attr(not(test), allow(dead_code))]
     parent: &'a [u32],
     /// Hop depth from the root (equals the topology's shortest-path hops).
     depth: &'a [u32],
@@ -174,7 +176,8 @@ impl<'a> RouteRef<'a> {
 
     /// The local parent index of local index `i`; parents always have
     /// smaller indices, so `1..len` walks parents before children.
-    pub fn parent_of(self, i: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parent_of(self, i: usize) -> usize {
         self.parent[i] as usize
     }
 

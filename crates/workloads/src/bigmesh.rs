@@ -135,109 +135,111 @@ struct Row {
 /// Shared progress counters: `(completed rows, total visits)`.
 type Progress = Rc<RefCell<(u64, u64)>>;
 
-/// What every CPU of one row has in common: one allocation per row, so
-/// the per-node program is its own progress and a pointer.
-struct RowShared {
+/// One row's program: every CPU of the row runs it, and it tells them
+/// apart by `api.id() - row.start`. What the row's CPUs share is held
+/// once; what each CPU keeps is an 8-byte [`CpuState`].
+struct RowProgram {
     row: Row,
     flag_off: u32,
     laps: u32,
     local_calc: SimDur,
     shared_words: u32,
     progress: Progress,
+    cpus: Vec<CpuState>,
 }
 
-/// One CPU's program. The latest token visit it took is `visit`: a flag
+/// One CPU's progress. The latest token visit it took is `visit`: a flag
 /// value above it is a new token.
-struct RowCpu {
-    shared: Rc<RowShared>,
+#[derive(Debug, Clone, Copy)]
+struct CpuState {
     stage: Stage,
-    visit: Word,
+    visit: u32,
 }
 
-// One boxed program per node: 24 bytes keep each box in the allocator's
-// 32-byte chunk (docs/performance.md, "Bytes per node").
-const _: () = assert!(std::mem::size_of::<RowCpu>() <= 24);
+// One per node: 8 bytes is all a CPU of a row adds (docs/performance.md,
+// "Bytes per node").
+const _: () = assert!(std::mem::size_of::<CpuState>() <= 8);
 
-impl RowCpu {
-    fn idx_in_row(&self, api: &NodeApi<'_>) -> u32 {
-        api.id().get() - self.shared.row.start
-    }
-
-    fn prev(&self, api: &NodeApi<'_>) -> u32 {
-        let row = self.shared.row;
-        row.start + (self.idx_in_row(api) + row.len - 1) % row.len
+impl RowProgram {
+    fn idx_in_row(&self, api: &NodeApi<'_>) -> usize {
+        (api.id().get() - self.row.start) as usize
     }
 
     fn prev_flag(&self, api: &NodeApi<'_>) -> VarId {
-        VarId::new(self.shared.flag_off + self.prev(api))
+        let (row, idx) = (self.row, self.idx_in_row(api) as u32);
+        VarId::new(self.flag_off + row.start + (idx + row.len - 1) % row.len)
     }
 
     fn my_flag(&self, api: &NodeApi<'_>) -> VarId {
-        VarId::new(self.shared.flag_off + api.id().get())
+        VarId::new(self.flag_off + api.id().get())
     }
 
-    fn total_visits(&self) -> Word {
-        self.shared.laps as Word * self.shared.row.len as Word
+    fn total_visits(&self) -> u32 {
+        self.laps * self.row.len
     }
 
-    fn token_arrived(&mut self, visit: Word, api: &mut NodeApi<'_>) {
-        debug_assert_eq!(self.stage, Stage::WaitToken);
-        self.visit = visit;
-        self.stage = Stage::CalcA;
-        api.compute(self.shared.local_calc / 2, TAG_CALC_A);
+    fn token_arrived(&mut self, cpu: usize, visit: Word, api: &mut NodeApi<'_>) {
+        let state = &mut self.cpus[cpu];
+        debug_assert_eq!(state.stage, Stage::WaitToken);
+        state.visit = u32::try_from(visit).expect("a row's visits fit in 32 bits");
+        state.stage = Stage::CalcA;
+        api.compute(self.local_calc / 2, TAG_CALC_A);
     }
 
-    fn hand_off(&mut self, api: &mut NodeApi<'_>) {
-        self.shared.progress.borrow_mut().1 += 1;
-        if self.visit < self.total_visits() {
+    fn hand_off(&mut self, cpu: usize, api: &mut NodeApi<'_>) {
+        self.progress.borrow_mut().1 += 1;
+        let visit = self.cpus[cpu].visit;
+        if visit < self.total_visits() {
             // The successor's visit number rides in the flag value.
-            api.write(self.my_flag(api), self.visit + 1);
+            api.write(self.my_flag(api), Word::from(visit) + 1);
         } else {
             // This row's token expires here. Nobody calls `stop`: GWC has
             // no periodic timers, so the run drains naturally once every
             // row's tail writes and computations settle — which also
             // guarantees the final sequenced writes reach their roots
             // before the post-run verification reads them.
-            self.shared.progress.borrow_mut().0 += 1;
+            self.progress.borrow_mut().0 += 1;
         }
-        self.stage = Stage::CalcB;
-        api.compute(self.shared.local_calc / 2, TAG_CALC_B);
+        self.cpus[cpu].stage = Stage::CalcB;
+        api.compute(self.local_calc / 2, TAG_CALC_B);
     }
 
-    fn iteration_done(&mut self, api: &mut NodeApi<'_>) {
-        self.stage = Stage::WaitToken;
+    fn iteration_done(&mut self, cpu: usize, api: &mut NodeApi<'_>) {
+        self.cpus[cpu].stage = Stage::WaitToken;
         // With laps > 1 the next token may already have arrived
         // mid-iteration; re-check the predecessor's flag.
         let flag = api.read(self.prev_flag(api));
-        if flag > self.visit {
-            self.token_arrived(flag, api);
+        if flag > Word::from(self.cpus[cpu].visit) {
+            self.token_arrived(cpu, flag, api);
         }
     }
 }
 
-impl Program for RowCpu {
+impl Program for RowProgram {
     fn on_event(&mut self, ev: AppEvent, api: &mut NodeApi<'_>) {
-        let row = self.shared.row;
+        let row = self.row;
+        let cpu = self.idx_in_row(api);
+        let CpuState { stage, visit } = self.cpus[cpu];
         match ev {
             // The row leader injects the token: visit 1.
-            AppEvent::Started if self.idx_in_row(api) == 0 => self.token_arrived(1, api),
+            AppEvent::Started if cpu == 0 => self.token_arrived(cpu, 1, api),
             AppEvent::Updated { var, value, .. }
-                if self.stage == Stage::WaitToken
+                if stage == Stage::WaitToken
                     && var == self.prev_flag(api)
-                    && value > self.visit =>
+                    && value > Word::from(visit) =>
             {
-                self.token_arrived(value, api);
+                self.token_arrived(cpu, value, api);
             }
             AppEvent::ComputeDone { tag: TAG_CALC_A } => {
-                self.stage = Stage::Mutex;
+                self.cpus[cpu].stage = Stage::Mutex;
                 api.acquire(row.lock);
             }
             AppEvent::Acquired { lock } if lock == row.lock => {
-                self.stage = Stage::Section;
-                api.compute(self.shared.local_calc / 8, TAG_SECTION);
+                self.cpus[cpu].stage = Stage::Section;
+                api.compute(self.local_calc / 8, TAG_SECTION);
             }
             AppEvent::ComputeDone { tag: TAG_SECTION } => {
-                for w in 0..self.shared.shared_words {
+                for w in 0..self.shared_words {
                     let var = VarId::new(row.shared_base + w);
                     let old = api.read(var);
                     api.write(var, old + 1);
@@ -245,10 +247,10 @@ impl Program for RowCpu {
                 api.release(row.lock);
             }
             AppEvent::Released { lock } if lock == row.lock => {
-                self.hand_off(api);
+                self.hand_off(cpu, api);
             }
             AppEvent::ComputeDone { tag: TAG_CALC_B } => {
-                self.iteration_done(api);
+                self.iteration_done(cpu, api);
             }
             _ => {}
         }
@@ -352,24 +354,22 @@ fn assemble(
             builder.group(&spec);
         }
         if programs {
-            let shared = Rc::new(RowShared {
-                row: *row,
-                flag_off,
-                laps: cfg.laps,
-                local_calc: cfg.local_calc,
-                shared_words: cfg.shared_words,
-                progress: progress.clone(),
-            });
-            for idx in 0..row.len {
-                builder.program(
-                    NodeId::new(row.start + idx),
-                    Box::new(RowCpu {
-                        shared: shared.clone(),
-                        stage: Stage::WaitToken,
-                        visit: 0,
-                    }),
-                );
-            }
+            let idle = CpuState {
+                stage: Stage::WaitToken,
+                visit: 0,
+            };
+            builder.program_range(
+                NodeId::new(row.start)..NodeId::new(row.start + row.len),
+                Box::new(RowProgram {
+                    row: *row,
+                    flag_off,
+                    laps: cfg.laps,
+                    local_calc: cfg.local_calc,
+                    shared_words: cfg.shared_words,
+                    progress: progress.clone(),
+                    cpus: vec![idle; row.len as usize],
+                }),
+            );
         }
     }
     let machine = builder.build()?;
@@ -563,6 +563,15 @@ mod tests {
         let _ = run_bigmesh(BigMeshConfig {
             rows: 12,
             ..tiny(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 - 1 visits per row")]
+    fn more_visits_per_row_than_a_cpu_can_count_are_rejected() {
+        let _ = run_bigmesh(BigMeshConfig {
+            laps: u32::MAX / 2,
+            ..tiny(9)
         });
     }
 

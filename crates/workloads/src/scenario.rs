@@ -23,6 +23,7 @@ use std::rc::Rc;
 use sesame_core::builder::{BuildError, ModelChoice, ModelInstance};
 use sesame_core::{MutexMutation, OptimisticConfig};
 use sesame_dsm::{run_observed, GwcMutation, RunOptions, RunResult};
+use sesame_net::MeshTorus2d;
 use sesame_sim::{RunOutcome, TraceObserver, DEFAULT_EVENT_LIMIT};
 
 use crate::bigmesh::{self, BigMeshConfig, BigMeshRun};
@@ -283,6 +284,10 @@ impl Scenario {
                     true => u64::from(cfg.rows) * u64::from(cfg.cols),
                     false => cfg.nodes as u64,
                 };
+                let width = match explicit {
+                    true => cfg.cols,
+                    false => MeshTorus2d::with_nodes(cfg.nodes.max(1)).width(),
+                };
                 vec![
                     (paired, "rows and cols", "set together"),
                     (
@@ -301,6 +306,11 @@ impl Scenario {
                         "at most 2^32 - 1: node ids are 32-bit",
                     ),
                     (cfg.laps >= 1, "laps", "at least 1"),
+                    (
+                        u64::from(cfg.laps) * u64::from(width) <= u64::from(u32::MAX),
+                        "laps",
+                        "at most 2^32 - 1 visits per row: a CPU counts them in 32 bits",
+                    ),
                     (cfg.shared_words >= 1, "shared_words", "at least 1"),
                 ]
             }

@@ -7,26 +7,22 @@
 //!
 //! Budgets are requested bytes (no allocator headers) and sit about 25 %
 //! above the readings in `docs/performance.md` ("Bytes per node"), which
-//! are these tests' own numbers (release build): 234 built, 298 at the
-//! run's peak, 63 added by the run. Node memories that each carried the
-//! shared init image's 16-byte `Arc` read 250 built and 314 at the peak:
-//! inside these budgets, so the per-node size checks in `gwc.rs`,
-//! `machine.rs` and `bigmesh.rs` are what catch them. A 40-byte
-//! sharing-interface record per node, an 80-byte node memory and 32-byte
-//! row programs read 296 built, 368 at the peak and 71 added; before that,
-//! 316 and 387 with a 64-byte GWC interface per node; 356 built, 438 at the
-//! peak and 82 added with a 56-byte root record per group holding its
-//! history and applied floor for the whole run (the root record's size
-//! assert and the drained-run test below catch it); 368 built, 561 at the
-//! peak and 192 added storing a route per group (a 20-byte header and its
-//! own packed words) instead of once per shape. The wider per-node records
-//! before that (120-byte memories, 72-byte CPU meters, the checker-only
-//! `slot_meta` array, a hashed `var → group` index) read 479 built and 674
-//! at the peak; the struct-of-vectors group state read 910 built;
-//! scheduling every wave of a fan-out (and every node's start) up front,
-//! instead of one car at a time, read 1285 at the peak; keeping a FIFO
-//! floor for every path ever used, a doubling route buffer and a four-slot
-//! history block per root read 813 at the peak and 339 added.
+//! are these tests' own numbers (release build): 222 built, 270 at the
+//! run's peak, 47 added by the run, and 1 202 allocating calls for a whole
+//! run. A 16-byte program pointer per node, idle or not, and a 24-byte
+//! box per running node holding an `Rc` of its row's constants read 234
+//! built, 298 at the peak, 63 added and 11 096 calls: the added and call
+//! budgets catch it.
+//! Node memories that each carried the shared init image's 16-byte `Arc`
+//! read 250 built and 314 at the peak; a 40-byte sharing-interface record
+//! per node, an 80-byte node memory and 32-byte row programs 296 built,
+//! 368 at the peak and 71 added; a 56-byte root record per group holding
+//! its history for the whole run 356 built and 438 at the peak (the root
+//! record's size assert and the drained-run test below catch it); a route
+//! stored per group instead of once per shape 561 at the peak and 192
+//! added; scheduling every wave of a fan-out up front 1285 at the peak.
+//! The per-node size checks in `gwc.rs`, `machine.rs` and `bigmesh.rs`
+//! catch a record that grows by less than these budgets' slack.
 
 use sesame_alloc_probe::{allocations, live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use sesame_dsm::{MachineConfig, RunOptions};
@@ -56,8 +52,8 @@ fn built_machine_fits_its_bytes_per_node_budget() {
     let per_node = (live_bytes() - before) / NODES;
     assert!(machine.groups().len() > NODES, "more groups than nodes");
     assert!(
-        per_node <= 293,
-        "a built bigmesh machine holds {per_node} bytes per node, budget 293"
+        per_node <= 278,
+        "a built bigmesh machine holds {per_node} bytes per node, budget 278"
     );
 }
 
@@ -91,8 +87,8 @@ fn full_run_peak_heap_fits_its_budget() {
     assert_eq!(run.visits, NODES as u64);
     let peak = peak_bytes() - before;
     assert!(
-        peak / NODES <= 373,
-        "a bigmesh run peaks at {} heap bytes per node, budget 373",
+        peak / NODES <= 338,
+        "a bigmesh run peaks at {} heap bytes per node, budget 338",
         peak / NODES
     );
     // What running adds to the built machine: programs, routes, the
@@ -100,8 +96,24 @@ fn full_run_peak_heap_fits_its_budget() {
     // of everything the run ever touched.
     let added = (peak - built) / NODES;
     assert!(
-        added <= 79,
-        "a bigmesh run adds {added} heap bytes per node to the built machine, budget 79"
+        added <= 59,
+        "a bigmesh run adds {added} heap bytes per node to the built machine, budget 59"
+    );
+}
+
+#[test]
+fn a_run_makes_a_bounded_number_of_allocations() {
+    // One program per row, not per node: what a whole run allocates
+    // (building included) is a few per row plus the growing arrays, and
+    // does not grow with the node count. A boxed program per node made
+    // 11 096 allocating calls here.
+    let before = allocations();
+    let run = run_bigmesh(mesh());
+    let calls = allocations() - before;
+    assert_eq!(run.visits, NODES as u64);
+    assert!(
+        calls <= 1_500,
+        "a {NODES}-node bigmesh run made {calls} allocating calls, budget 1 500"
     );
 }
 
