@@ -9,6 +9,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+# Code no build reads is deleted, not silenced.
+if grep -rn 'allow(dead_code)' crates/*/src; then
+    echo "allow(dead_code) under crates/*/src" >&2
+    exit 1
+fi
 
 echo "==> ledger builds against these crates unmodified"
 # benchmark/ is its own workspace compiled against crates/* by path, so a
@@ -23,15 +28,26 @@ echo "==> cargo test"
 # per thread, so there is no such race for a second run to catch.)
 test_started=$SECONDS
 cargo test -q --workspace
-echo "test phase: $((SECONDS - test_started)) s"
+# Beside the test phase's wall time, the size of the code it tests: the
+# lines of each crates/*/src file before its `#[cfg(test)]` `mod tests`.
+src_lines=$(
+    shopt -s globstar
+    awk 'FNR == 1 { cut = 0; prev = "" }
+        cut { next }
+        /^mod tests/ && prev ~ /^#\[cfg\(test\)\]/ { cut = 1; n--; next }
+        { n++; prev = $0 }
+        END { print n }' crates/*/src/**/*.rs
+)
+echo "test phase: $((SECONDS - test_started)) s, src lines: $src_lines"
 
 echo "==> heap footprint budgets (release build, as the benchmark measures)"
 # Bytes per node of a built 10k-node bigmesh machine, peak heap of a full
 # run and what the run adds to the built machine, zero route storage on a
-# flood machine, route appends that cost only the odd arena block. The
-# debug run above checks the same budgets; this one checks them on the
-# code layout users and the ledger actually run. The observers' budgets
-# (the series export and its validator, the verifier's tables) ride along.
+# flood machine, route appends that cost only the arena's amortized
+# growth. The debug run above checks the same budgets; this one checks
+# them on the code layout users and the ledger actually run. The
+# observers' budgets (the series export and its validator, the verifier's
+# tables) ride along.
 cargo test -q --release -p sesame-workloads --test footprint --test observer_footprint
 
 echo "==> cargo doc (deny warnings)"

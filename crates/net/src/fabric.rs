@@ -306,8 +306,8 @@ impl Fabric {
         out.clear();
         out.extend(
             route
-                .member_indices()
-                .map(|i| (route.node(i), self.arrival(now, route.depth_of(i), bytes))),
+                .members()
+                .map(|(m, depth)| (m, self.arrival(now, depth, bytes))),
         );
     }
 
@@ -325,8 +325,9 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::tree::reference::{shapes, ReferenceTree};
-    use crate::{FullMesh, Line, MeshTorus2d, Ring};
+    use crate::{FullMesh, Line, LinkId, MeshTorus2d, Ring};
     use sesame_sim::SimDur;
+    use std::collections::BTreeSet;
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
@@ -467,29 +468,33 @@ mod tests {
         members.iter().map(|&m| (m, arrival[m.index()])).collect()
     }
 
-    /// The fan-out over a pruned route as an edge-by-edge walk: local
-    /// index 0 is the root and parents precede children, so one forward
-    /// pass finalizes every arrival, billing each route edge once.
+    /// The fan-out over a pruned route, read off the topology alone: one
+    /// packet that crosses each distinct link of the root-to-member paths
+    /// once, and reaches each member one serialization plus a hop latency
+    /// per link of its path after `now` (the root's echo at `now`).
     fn reference_route_multicast(
         f: &mut Fabric,
         now: SimTime,
-        route: RouteRef<'_>,
+        topo: &dyn Topology,
+        root: NodeId,
         bytes: u32,
+        members: &[NodeId],
     ) -> Vec<(NodeId, SimTime)> {
+        let paths: Vec<Vec<LinkId>> = members.iter().map(|&m| topo.route(root, m)).collect();
+        let links: BTreeSet<LinkId> = paths.iter().flatten().copied().collect();
+        let ser = f.timing.serialization(bytes);
         f.stats.packets += 1;
         f.stats.bytes += bytes as u64;
-        let ser = f.timing.serialization(bytes);
-        let mut arrival = vec![now];
-        for i in 1..route.len() {
-            let p = route.parent_of(i);
-            let base = if p == 0 { arrival[p] + ser } else { arrival[p] };
-            f.stats.link_traversals += 1;
-            f.stats.ser_ns += ser.as_nanos();
-            arrival.push(base + f.timing.hop_latency);
-        }
-        route
-            .member_indices()
-            .map(|i| (route.node(i), arrival[i]))
+        f.stats.link_traversals += links.len() as u64;
+        f.stats.ser_ns += links.len() as u64 * ser.as_nanos();
+        let arrival = |path: &Vec<LinkId>| match path.len() {
+            0 => now,
+            hops => now + ser + f.timing.hop_latency * hops as u64,
+        };
+        members
+            .iter()
+            .copied()
+            .zip(paths.iter().map(arrival))
             .collect()
     }
 
@@ -534,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn the_route_depth_lookup_equals_the_parent_walk() {
+    fn the_route_depth_lookup_equals_the_path_walk() {
         let topos: [Box<dyn Topology>; 4] = [
             Box::new(MeshTorus2d::with_nodes(128)),
             Box::new(Ring::new(9)),
@@ -557,7 +562,8 @@ mod tests {
                     let bytes = 16 + rng.next_below(200) as u32;
                     let route = crate::MulticastRoute::build(topo, root, &members);
                     looked_up.multicast_route_into(now, &route, bytes, &mut got);
-                    let want = reference_route_multicast(&mut walked, now, route.view(), bytes);
+                    let want =
+                        reference_route_multicast(&mut walked, now, topo, root, bytes, &members);
                     assert_eq!(got, want, "call {call}, {timing:?}, {topo:?}");
                     assert_eq!(looked_up.stats(), walked.stats(), "call {call}, {timing:?}");
                     now += SimDur::from_nanos(rng.next_below(2_000));

@@ -9,42 +9,42 @@
 //! memory and multicast time on positions that never receive anything.
 //!
 //! A pruned route is the alternative: the union of the topology's
-//! deterministic shortest paths from the root to each *member*, stored
-//! over a compact local index space that contains only the positions those
-//! paths touch. Construction costs `O(sum of member path lengths)` and a
-//! multicast walks exactly the pruned edge set.
+//! deterministic shortest paths from the root to each *member*.
+//! Construction costs `O(sum of member path lengths)` and a multicast
+//! bills exactly the pruned edge set.
 //!
 //! # One layout, in the topology's frame
 //!
-//! A route is stored as **one run of 32-bit words**, not as a struct of
-//! vectors:
+//! A route is stored as **one run of 32-bit words** holding only what a
+//! fan-out reads:
 //!
 //! ```text
-//! nodes[n] | parent[n] | depth[n] | members[m] | wave_nodes[m] | wave_offsets[w + 1] | wave_depths[w]
+//! root | members[m] | depths[m] | wave_nodes[m] | wave_offsets[w + 1] | wave_depths[w]
 //! ```
 //!
-//! (`n` positions, `m` members, `w` waves — 15 words for a two-member
-//! hand-off group.) Positions (`nodes`, `wave_nodes`) are stored as
-//! offsets from the root in the topology's [`Frame`]; the other sections
-//! are local indices and depths, which no shift changes. On a torus or a
-//! ring, routing commutes with shifting every position the same way, so
-//! two groups whose root and members sit at the same offsets have the
-//! same words: a machine that scales by sharding has more groups than
-//! nodes but only a handful of group *shapes*.
+//! (`m` members, `w` waves — 12 words for a two-member hand-off group.
+//! The path union the builder walks is scratch; of it the route keeps
+//! only its edge count, beside the words, which is what a fan-out bills.)
+//! Positions (`root`, `members`, `wave_nodes`) are stored as offsets
+//! from the root in the topology's [`Frame`]; depths and wave offsets are
+//! not positions, and no shift changes them. On a torus or a ring,
+//! routing commutes with shifting every position the same way, so two
+//! groups whose root and members sit at the same offsets have the same
+//! words: a machine that scales by sharding has more groups than nodes
+//! but only a handful of group *shapes*.
 //!
-//! [`RouteArena`] therefore stores each shape once, in append-only blocks,
-//! finds it again by the offsets of a group's root and members, and keeps
-//! an 8-byte handle (shape, root) per group. [`MulticastRoute`] is the
-//! same layout owning a single route. Both hand out the borrowed
-//! [`RouteRef`] view, which carries the root and the frame and places
-//! every position as it is read.
+//! [`RouteArena`] therefore stores each shape once, appended to one
+//! vector, finds it again by its first `m + 1` words (the offsets of the
+//! root and the members), and keeps an 8-byte handle (shape, root) per
+//! group. [`MulticastRoute`] is the same layout owning a single route.
+//! Both hand out the borrowed [`RouteRef`] view, which carries the root
+//! and the frame and places every position as it is read.
 //!
 //! # Determinism and equivalence
 //!
 //! * Construction is a pure function of `(topology, root, member order)`:
-//!   [`Topology::route_into`] is deterministic, members are walked in
-//!   declared order, and first-wins parent assignment breaks any tie the
-//!   same way every run. No RNG; the shape index hashes, but a lookup
+//!   [`Topology::route_into`] is deterministic and members are walked in
+//!   declared order. No RNG; the shape index hashes, but a lookup
 //!   compares the offsets themselves, so what it finds is exact.
 //! * Placed through its frame, a shared shape reads exactly as the route
 //!   built for the group itself would (the frame's contract, see
@@ -59,12 +59,14 @@
 
 use crate::{Frame, LinkId, NodeId, Topology};
 
-/// Section lengths of one packed route; with the section order fixed they
-/// determine where every section starts.
+/// Section lengths of one packed route, which with the section order
+/// fixed determine where every section starts, and the edge count a
+/// fan-out bills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Shape {
-    /// Positions the route materializes (root included).
-    nodes: u32,
+    /// Links a fan-out crosses: the positions the path union reaches, the
+    /// root not counted.
+    edges: u32,
     /// Members delivered to (duplicates counted).
     members: u32,
     /// Distinct member hop depths.
@@ -74,41 +76,32 @@ struct Shape {
 impl Shape {
     /// Total words of a route of this shape.
     fn words(self) -> usize {
-        3 * self.nodes as usize + 2 * self.members as usize + 2 * self.waves as usize + 1
+        3 * self.members as usize + 2 * self.waves as usize + 2
     }
 
     /// What a route of this shape is looked up by, read out of its own
     /// `words`: the root's offset, then each member's in declared order.
-    fn key(self, words: &[u32]) -> impl Iterator<Item = u32> + '_ {
-        let from = 3 * self.nodes as usize;
-        let members = &words[from..from + self.members as usize];
-        std::iter::once(words[0]).chain(members.iter().map(|&i| words[i as usize]))
+    fn key(self, words: &[u32]) -> &[u32] {
+        &words[..=self.members as usize]
     }
 }
 
 /// A borrowed view of one packed route — out of a [`RouteArena`] or a
 /// [`MulticastRoute`] — split into its sections once, so every accessor
 /// is a slice index, plus a [`Frame::place`] for a position.
-///
-/// Local index `0` is always the root; every other node's parent appears
-/// at a smaller local index, so walking `1..len` visits parents before
-/// children — the order a downstream multicast wave advances.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteRef<'a> {
     /// Where offsets are measured from.
     root: NodeId,
     /// How offsets become positions.
     frame: Frame,
-    /// Local index -> offset. `nodes[0]` is the root's.
-    nodes: &'a [u32],
-    /// Local parent index; `parent[0] == 0` (the root is its own parent).
-    /// Only the tests' reference walks read it.
-    #[cfg_attr(not(test), allow(dead_code))]
-    parent: &'a [u32],
-    /// Hop depth from the root (equals the topology's shortest-path hops).
-    depth: &'a [u32],
-    /// Local indices of the group members, in declared member order.
+    /// Links a fan-out crosses.
+    edges: u32,
+    /// Member offsets, in declared member order.
     members: &'a [u32],
+    /// Each member's hop depth from the root (the topology's
+    /// shortest-path hops), beside `members`.
+    depths: &'a [u32],
     /// Member offsets regrouped into fan-out waves: members sharing one
     /// hop depth, waves in ascending depth order, members inside a wave in
     /// declared member order. Sliced by `wave_offsets`.
@@ -122,21 +115,18 @@ pub struct RouteRef<'a> {
 
 impl<'a> RouteRef<'a> {
     fn new(words: &'a [u32], shape: Shape, root: NodeId, frame: Frame) -> Self {
-        let (n, m) = (shape.nodes as usize, shape.members as usize);
-        let (nodes, rest) = words.split_at(n);
-        let (parent, rest) = rest.split_at(n);
-        let (depth, rest) = rest.split_at(n);
-        let (members, rest) = rest.split_at(m);
+        let m = shape.members as usize;
+        let (members, rest) = words[1..].split_at(m);
+        let (depths, rest) = rest.split_at(m);
         let (wave_nodes, rest) = rest.split_at(m);
         let (wave_offsets, wave_depths) = rest.split_at(shape.waves as usize + 1);
         debug_assert_eq!(wave_depths.len(), shape.waves as usize);
         RouteRef {
             root,
             frame,
-            nodes,
-            parent,
-            depth,
+            edges: shape.edges,
             members,
+            depths,
             wave_nodes,
             wave_offsets,
             wave_depths,
@@ -148,20 +138,10 @@ impl<'a> RouteRef<'a> {
         self.root
     }
 
-    /// Number of positions the pruned route materializes (root included).
-    pub fn len(self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the route is empty (never true: the root is always present).
-    pub fn is_empty(self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Number of directed edges a multicast traverses — one per non-root
-    /// position, since the union of root-anchored paths is a tree.
+    /// Number of directed edges a multicast traverses: the links of the
+    /// union of the root-to-member paths, each counted once.
     pub fn edge_count(self) -> usize {
-        self.len() - 1
+        self.edges as usize
     }
 
     /// Number of members the route delivers to.
@@ -169,30 +149,15 @@ impl<'a> RouteRef<'a> {
         self.members.len()
     }
 
-    /// The position at local index `i` (`0` is the root).
-    pub fn node(self, i: usize) -> NodeId {
-        self.frame.place(self.root, self.nodes[i])
-    }
-
-    /// The local parent index of local index `i`; parents always have
-    /// smaller indices, so `1..len` walks parents before children.
-    #[cfg(test)]
-    pub(crate) fn parent_of(self, i: usize) -> usize {
-        self.parent[i] as usize
-    }
-
-    /// Hop depth of local index `i` from the root (equals the topology's
-    /// shortest-path distance).
-    pub fn depth_of(self, i: usize) -> u32 {
-        self.depth[i]
-    }
-
-    /// The members' local indices in declared member order — the order
-    /// arrival lists are produced in, mirroring
+    /// Each member with its hop depth from the root, in declared member
+    /// order — the order arrival lists are produced in, mirroring
     /// [`Fabric::multicast_into`](crate::Fabric::multicast_into)'s member
     /// order.
-    pub fn member_indices(self) -> impl ExactSizeIterator<Item = usize> + 'a {
-        self.members.iter().map(|&i| i as usize)
+    pub fn members(self) -> impl ExactSizeIterator<Item = (NodeId, u32)> + 'a {
+        self.members
+            .iter()
+            .zip(self.depths)
+            .map(move |(&off, &depth)| (self.frame.place(self.root, off), depth))
     }
 
     /// Number of fan-out waves: distinct member hop depths. Under
@@ -236,10 +201,10 @@ struct RouteScratch {
     index: Vec<(NodeId, u32)>,
     /// The unicast path being walked.
     path: Vec<LinkId>,
-    /// Local index -> position (absolute while walking).
+    /// The path union: local index -> position, and its hop depth.
     nodes: Vec<u32>,
-    parent: Vec<u32>,
     depth: Vec<u32>,
+    /// The members' local indices, in declared order.
     members: Vec<u32>,
     /// Distinct member depths, ascending.
     wave_depths: Vec<u32>,
@@ -250,20 +215,17 @@ struct RouteScratch {
 impl RouteScratch {
     /// Builds the pruned route for `members` rooted at `root` — walking
     /// `topo`'s deterministic shortest path to each member in declared
-    /// order and unioning the paths (first-wins parent assignment) — and
-    /// leaves its sections in the scratch for [`RouteScratch::pack_into`].
-    /// The shape says how many words that will take, so the caller can
-    /// choose where they go.
+    /// order and unioning the paths — and leaves it in the scratch for
+    /// [`RouteScratch::pack_into`]. The shape says how many words that
+    /// will take, so the caller can choose where they go.
     fn walk(&mut self, topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Shape {
         assert!(root.index() < topo.positions(), "root out of range");
         self.index.clear();
         self.nodes.clear();
-        self.parent.clear();
         self.depth.clear();
         self.members.clear();
         self.index.push((root, 0));
         self.nodes.push(root.get());
-        self.parent.push(0);
         self.depth.push(0);
         for &member in members {
             assert!(member.index() < topo.positions(), "member out of range");
@@ -286,7 +248,6 @@ impl RouteScratch {
                     Err(pos) => {
                         let idx = u32::try_from(self.nodes.len()).expect("route too large");
                         self.nodes.push(next.get());
-                        self.parent.push(at);
                         self.depth.push(self.depth[at as usize] + 1);
                         self.index.insert(pos, (next, idx));
                         idx
@@ -315,36 +276,32 @@ impl RouteScratch {
         }
 
         Shape {
-            nodes: self.nodes.len() as u32,
+            edges: self.nodes.len() as u32 - 1,
             members: u32::try_from(self.members.len()).expect("route too large"),
             waves: self.wave_depths.len() as u32,
         }
     }
 
-    /// Appends the packed words of the route last walked to `out`, which
-    /// the caller has sized for them, with every position turned into its
-    /// offset from `root` in `frame`.
+    /// Appends the packed words of the route last walked to `out`, with
+    /// every position turned into its offset from `root` in `frame`.
     fn pack_into(&mut self, frame: Frame, root: NodeId, out: &mut Vec<u32>) {
-        let start = out.len();
-        for node in &mut self.nodes {
-            *node = frame.offset(root, NodeId::new(*node));
-        }
-        out.extend_from_slice(&self.nodes);
-        out.extend_from_slice(&self.parent);
-        out.extend_from_slice(&self.depth);
-        out.extend_from_slice(&self.members);
+        let members = out.len() + 1;
+        let offset = |i: &u32| frame.offset(root, NodeId::new(self.nodes[*i as usize]));
+        out.push(frame.offset(root, root));
+        out.extend(self.members.iter().map(offset));
+        out.extend(self.members.iter().map(|&i| self.depth[i as usize]));
         let wave_nodes = out.len();
         out.resize(wave_nodes + self.members.len(), 0);
         out.extend_from_slice(&self.wave_cursor);
         out.extend_from_slice(&self.wave_depths);
-        for &i in &self.members {
+        for (k, &i) in self.members.iter().enumerate() {
             let cursor = &mut self.wave_cursor[wave_of(&self.wave_depths, self.depth[i as usize])];
-            out[wave_nodes + *cursor as usize] = self.nodes[i as usize];
+            out[wave_nodes + *cursor as usize] = out[members + k];
             *cursor += 1;
         }
         debug_assert_eq!(
-            out.len() - start,
-            3 * self.nodes.len() + 2 * self.members.len() + 2 * self.wave_depths.len() + 1
+            out.len() + 1 - members,
+            3 * self.members.len() + 2 * self.wave_depths.len() + 2
         );
     }
 }
@@ -358,9 +315,9 @@ fn wave_of(wave_depths: &[u32], depth: u32) -> usize {
 }
 
 /// One pruned route, owned: the union of deterministic shortest paths from
-/// one root to each group member, indexed compactly over just the positions
-/// those paths visit. Same packed layout as a [`RouteArena`] shape; read
-/// it through [`MulticastRoute::view`].
+/// one root to each group member, kept as what a fan-out over it reads.
+/// Same packed layout as a [`RouteArena`] shape; read it through
+/// [`MulticastRoute::view`].
 ///
 /// ```
 /// use sesame_net::{MeshTorus2d, MulticastRoute, NodeId};
@@ -368,9 +325,9 @@ fn wave_of(wave_depths: &[u32], depth: u32) -> usize {
 /// let topo = MeshTorus2d::new(32, 32); // 1024 positions
 /// let members = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
 /// let route = MulticastRoute::build(&topo, NodeId::new(0), &members);
-/// // Only the positions on the root->member paths are materialized.
-/// assert_eq!(route.view().len(), 3);
+/// // Only the links on the root->member paths are billed.
 /// assert_eq!(route.view().edge_count(), 2);
+/// assert!(route.view().members().map(|(_, depth)| depth).eq([0, 1, 2]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MulticastRoute {
@@ -383,13 +340,13 @@ pub struct MulticastRoute {
 impl MulticastRoute {
     /// Builds the pruned route for `members` rooted at `root` by walking
     /// `topo`'s deterministic shortest path to each member in declared
-    /// order and unioning the paths (first-wins parent assignment).
+    /// order and unioning the paths.
     ///
     /// # Panics
     ///
-    /// Panics if `root` or a member is not a valid topology position, or if
-    /// a route step is inconsistent with the path walked so far (both
-    /// indicate a broken [`Topology::route_into`] implementation).
+    /// Panics if `root` or a member is not a valid topology position. A
+    /// route step that does not continue the path walked so far (a broken
+    /// [`Topology::route_into`]) fails only a debug assertion.
     pub fn build(topo: &dyn Topology, root: NodeId, members: &[NodeId]) -> Self {
         Self::build_in(topo.frame(), topo, root, members)
     }
@@ -423,9 +380,7 @@ impl<'a> From<&'a MulticastRoute> for RouteRef<'a> {
 /// Where one stored shape of a [`RouteArena`] lives.
 #[derive(Debug, Clone, Copy)]
 struct Stored {
-    /// The block holding the shape's words.
-    block: u32,
-    /// First word of the shape within its block.
+    /// First word of the shape in the arena's words.
     at: u32,
     shape: Shape,
 }
@@ -439,7 +394,7 @@ struct Handle {
     root: NodeId,
 }
 
-/// The index that names no block, shape or index entry.
+/// The index that names no shape or index entry.
 const NONE: u32 = u32::MAX;
 
 impl Handle {
@@ -456,32 +411,18 @@ impl Handle {
 /// shape up by the offsets of its root and members (see [`Frame`]), and
 /// walks and stores the route only if no group before it had that shape;
 /// either way the id keeps an 8-byte handle. The arena is
-/// **append-only**: a stored shape never moves and is never dropped, so
-/// an id — or a `(id, wave)` pair queued in an event — stays valid for the
-/// arena's lifetime. Building reuses retained scratch, so after warm-up a
-/// route of a known shape allocates nothing, and a new shape nothing
-/// beyond the occasional new block.
-///
-/// Shape storage **grows to fit**: shapes are appended to blocks that are
-/// never reallocated, and a new block is sized so that the arena as a
-/// whole holds at most 9/8 of the words its shapes use — not the
-/// up-to-double of a doubling buffer, and nothing is ever copied or left
-/// behind for the allocator to strand.
+/// **append-only**: a stored shape's words are appended to one vector and
+/// are never rewritten or dropped, and its place in that vector never
+/// changes, so an id — or a `(id, wave)` pair queued in an event — stays
+/// valid for the arena's lifetime. Building reuses retained scratch, so
+/// after warm-up a route of a known shape allocates nothing, and a new
+/// shape nothing beyond the vectors' amortized growth.
 #[derive(Debug, Default)]
 pub struct RouteArena {
     /// The frame of the topology the routes were built over.
     frame: Frame,
-    /// Shape words. A shape lies whole inside one block.
-    blocks: Vec<Vec<u32>>,
-    /// The block being filled with shapes of `2^k..2^(k+1)` words, by `k`
-    /// ([`NONE`] until one exists). One per size class, so a wide shape
-    /// that does not fit where narrow ones are being packed opens a block
-    /// of its own instead of closing theirs half full.
-    open: Vec<u32>,
-    /// Words held by shapes, over all blocks.
-    used: usize,
-    /// Words allocated, over all blocks.
-    capacity: usize,
+    /// Every stored shape's words, back to back.
+    words: Vec<u32>,
     shapes: Vec<Stored>,
     /// Open-addressed hash index over `shapes`: a power-of-two table of
     /// shape indices ([`NONE`] for a free entry), at most half full.
@@ -504,9 +445,9 @@ impl RouteArena {
 
     /// The stored words of shape `s`.
     fn stored(&self, s: u32) -> (&[u32], Shape) {
-        let Stored { block, at, shape } = self.shapes[s as usize];
+        let Stored { at, shape } = self.shapes[s as usize];
         let at = at as usize;
-        (&self.blocks[block as usize][at..at + shape.words()], shape)
+        (&self.words[at..at + shape.words()], shape)
     }
 
     /// The route with the given id, if it has been built.
@@ -569,13 +510,13 @@ impl RouteArena {
             return Err(0);
         }
         let mask = self.index.len() - 1;
-        let mut at = hash(self.key.iter().copied()) & mask;
+        let mut at = hash(&self.key) & mask;
         loop {
             match self.index[at] {
                 NONE => return Err(at),
                 s => {
                     let (words, shape) = self.stored(s);
-                    if shape.key(words).eq(self.key.iter().copied()) {
+                    if shape.key(words) == self.key {
                         return Ok(s);
                     }
                 }
@@ -589,43 +530,11 @@ impl RouteArena {
     /// its index.
     fn store(&mut self, topo: &dyn Topology, root: NodeId, members: &[NodeId], free: usize) -> u32 {
         let shape = self.scratch.walk(topo, root, members);
-        let need = shape.words();
-        let class = need.ilog2() as usize;
-        if class >= self.open.len() {
-            self.open.resize(class + 1, NONE);
-        }
-        // Its own class's block first, then any other open block.
-        let into = std::iter::once(self.open[class])
-            .chain(self.open.iter().copied())
-            .find(|&b| {
-                let block = self.blocks.get(b as usize);
-                block.is_some_and(|b| b.capacity() - b.len() >= need)
-            });
-        let into = into.unwrap_or_else(|| {
-            // A new block: room for this shape and as many more like it as
-            // keep the whole arena within 9/8 of the words in use once this
-            // one is in. (Whole shapes, because a tail that nothing fits
-            // into would be charged to that eighth for good.)
-            // `capacity <= 9/8 * used` then holds after every build, by
-            // induction.
-            let within = (self.used + need) * 9 / 8;
-            let spare = within.saturating_sub(self.capacity + need);
-            let block = need * (1 + spare / need);
-            let new = u32::try_from(self.blocks.len()).expect("fewer than 2^32 blocks");
-            self.open[class] = new;
-            self.blocks.push(Vec::with_capacity(block));
-            self.capacity += block;
-            new
-        });
-        let block = &mut self.blocks[into as usize];
         let s = u32::try_from(self.shapes.len()).expect("fewer than 2^32 shapes");
-        self.shapes.push(Stored {
-            block: into,
-            at: u32::try_from(block.len()).expect("route block exceeds 2^32 words"),
-            shape,
-        });
-        self.scratch.pack_into(self.frame, root, block);
-        self.used += need;
+        let at = u32::try_from(self.words.len()).expect("route words exceed 2^32");
+        self.shapes.push(Stored { at, shape });
+        self.words.reserve(shape.words());
+        self.scratch.pack_into(self.frame, root, &mut self.words);
         if 2 * self.shapes.len() > self.index.len() {
             self.reindex();
         } else {
@@ -657,8 +566,7 @@ impl RouteArena {
     /// Zero until a handle or route exists.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.capacity + self.open.capacity() + self.index.capacity()) * size_of::<u32>()
-            + self.blocks.capacity() * size_of::<Vec<u32>>()
+        (self.words.capacity() + self.index.capacity()) * size_of::<u32>()
             + self.shapes.capacity() * size_of::<Stored>()
             + self.handles.capacity() * size_of::<Handle>()
     }
@@ -666,8 +574,8 @@ impl RouteArena {
 
 /// A deterministic hash of a lookup key (an Fx-style fold with a
 /// finalizing mix, so the index's low bits depend on every word).
-fn hash(key: impl Iterator<Item = u32>) -> usize {
-    let h = key.fold(0u64, |h, w| {
+fn hash(key: &[u32]) -> usize {
+    let h = key.iter().fold(0u64, |h, &w| {
         (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(0x517c_c1b7_2722_0a95)
     });
     (h ^ (h >> 29)) as usize
@@ -678,6 +586,7 @@ mod tests {
     use super::*;
     use crate::{Fabric, FullMesh, Line, LinkTiming, MeshTorus2d, Ring, SpanningTree};
     use sesame_sim::{DetRng, SimDur, SimTime};
+    use std::collections::BTreeSet;
 
     fn n(id: u32) -> NodeId {
         NodeId::new(id)
@@ -689,18 +598,16 @@ mod tests {
         let members: Vec<NodeId> = [0u32, 7, 14, 21, 35].map(n).to_vec();
         let route = MulticastRoute::build(&topo, n(0), &members);
         let route = route.view();
-        assert_eq!(route.edge_count(), route.len() - 1);
-        for i in 0..route.len() {
-            assert_eq!(
-                route.depth_of(i),
-                topo.hops(n(0), route.node(i)),
-                "node {}",
-                route.node(i)
-            );
-            if i > 0 {
-                assert!(route.parent_of(i) < i, "parents precede children");
-                assert_eq!(route.depth_of(route.parent_of(i)) + 1, route.depth_of(i));
-            }
+        // The fan-out bills each link of the path union once, and the
+        // union is a tree: no position is reached over two links.
+        let links: BTreeSet<LinkId> = members.iter().flat_map(|&m| topo.route(n(0), m)).collect();
+        assert_eq!(route.edge_count(), links.len());
+        let reached: BTreeSet<NodeId> = links.iter().map(|l| l.to_node()).collect();
+        assert_eq!(reached.len(), links.len(), "a position reached twice");
+        assert_eq!(route.member_count(), members.len());
+        for (&want, (got, depth)) in members.iter().zip(route.members()) {
+            assert_eq!(got, want);
+            assert_eq!(depth, topo.hops(n(0), want), "member {want}");
         }
     }
 
@@ -711,9 +618,9 @@ mod tests {
         let members: Vec<NodeId> = (0..4).map(n).collect();
         let route = MulticastRoute::build(&topo, n(0), &members);
         let route = route.view();
-        assert_eq!(route.len(), 4);
+        assert_eq!(route.edge_count(), 3);
         assert_eq!(route.member_count(), 4);
-        assert!(route.len() < topo.positions());
+        assert!(route.edge_count() < topo.positions() - 1);
     }
 
     #[test]
@@ -830,10 +737,7 @@ mod tests {
     fn root_member_is_depth_zero() {
         let topo = Ring::new(6);
         let route = MulticastRoute::build(&topo, n(2), &[n(2), n(4)]);
-        let route = route.view();
-        let idxs: Vec<usize> = route.member_indices().collect();
-        assert_eq!(idxs[0], 0);
-        assert_eq!(route.depth_of(idxs[0]), 0);
+        assert_eq!(route.view().members().next(), Some((n(2), 0)));
     }
 
     /// The representation this module used before routes were packed — a
@@ -844,7 +748,6 @@ mod tests {
     struct ReferenceRoute {
         nodes: Vec<NodeId>,
         index: Vec<(NodeId, u32)>,
-        parent: Vec<u32>,
         depth: Vec<u32>,
         members: Vec<u32>,
         wave_nodes: Vec<NodeId>,
@@ -857,7 +760,6 @@ mod tests {
             let mut route = ReferenceRoute {
                 nodes: vec![root],
                 index: vec![(root, 0)],
-                parent: vec![0],
                 depth: vec![0],
                 wave_offsets: vec![0],
                 ..ReferenceRoute::default()
@@ -877,7 +779,6 @@ mod tests {
                     Err(pos) => {
                         let idx = self.nodes.len() as u32;
                         self.nodes.push(next);
-                        self.parent.push(at);
                         self.depth.push(self.depth[at as usize] + 1);
                         self.index.insert(pos, (next, idx));
                         idx
@@ -908,23 +809,14 @@ mod tests {
         }
 
         fn assert_matches(&self, got: RouteRef<'_>, what: &str) {
-            assert_eq!(got.len(), self.nodes.len(), "{what}: len");
-            assert_eq!(got.edge_count(), self.nodes.len() - 1, "{what}: edges");
             assert_eq!(got.root(), self.nodes[0], "{what}: root");
-            for i in 0..self.nodes.len() {
-                assert_eq!(got.node(i), self.nodes[i], "{what}: node {i}");
-                assert_eq!(
-                    got.parent_of(i),
-                    self.parent[i] as usize,
-                    "{what}: parent {i}"
-                );
-                assert_eq!(got.depth_of(i), self.depth[i], "{what}: depth {i}");
-            }
+            assert_eq!(got.edge_count(), self.nodes.len() - 1, "{what}: edges");
             assert_eq!(got.member_count(), self.members.len(), "{what}: members");
+            let members = self.members.iter().map(|&i| i as usize);
             assert!(
-                got.member_indices()
-                    .eq(self.members.iter().map(|&i| i as usize)),
-                "{what}: member indices"
+                got.members()
+                    .eq(members.map(|i| (self.nodes[i], self.depth[i]))),
+                "{what}: members and depths"
             );
             assert_eq!(got.wave_count(), self.wave_depths.len(), "{what}: waves");
             for w in 0..self.wave_depths.len() {
@@ -1011,20 +903,21 @@ mod tests {
     }
 
     #[test]
-    fn two_member_route_packs_into_fifteen_words() {
+    fn two_member_route_packs_into_twelve_words() {
         let topo = MeshTorus2d::new(6, 6);
         let route = MulticastRoute::build(&topo, n(3), &[n(3), n(4)]);
-        assert_eq!(route.words.len(), 15);
+        assert_eq!(route.words.len(), 12);
         assert_eq!(std::mem::size_of::<Handle>(), 8, "handle per group");
+        assert_eq!(std::mem::size_of::<Stored>(), 16, "record per shape");
         let mut arena = RouteArena::default();
         assert_eq!(arena.heap_bytes(), 0, "an unused arena owns no heap");
         arena.get_or_build(0, &topo, n(3), &[n(3), n(4)]);
-        assert_eq!(arena.used, 15);
+        assert_eq!(arena.words, route.words);
         assert!(arena.heap_bytes() > 0);
     }
 
     #[test]
-    fn arena_grows_to_fit_and_never_moves_a_route() {
+    fn arena_appends_each_shape_once_and_never_moves_a_route() {
         // A sharded mesh in miniature: one wide route per row, one
         // two-member route per node — on a torus, where the rows share a
         // shape and so do the pairs, and on a line, where no two roots
@@ -1042,9 +935,7 @@ mod tests {
             }
         }
         // Built in group order — a wide route, forty narrow ones, and
-        // again, the order in which a narrow block closed for every wide
-        // route would spend the whole eighth on tails — and in a shuffled
-        // order.
+        // again — and in a shuffled order.
         let in_order: Vec<usize> = (0..groups.len()).collect();
         let mut shuffled = in_order.clone();
         DetRng::new(0x6172_656e).shuffle(&mut shuffled);
@@ -1054,33 +945,26 @@ mod tests {
         {
             let topo = topo.as_ref();
             let mut arena = RouteArena::with_routes(groups.len());
-            let mut homes: Vec<(*const u32, usize)> = Vec::new();
+            let mut homes: Vec<u32> = Vec::new();
             for &g in &order {
                 let (root, members) = &groups[g];
+                let end = arena.words.len();
                 arena.get_or_build(g, topo, *root, members);
-                // Never more than an eighth of slack, at any point.
-                assert!(
-                    arena.capacity * 8 <= arena.used * 9,
-                    "{} words allocated for {} in use",
-                    arena.capacity,
-                    arena.used
-                );
-                // A block, once allocated, is never reallocated.
-                let new = &arena.blocks[homes.len()..];
-                homes.extend(new.iter().map(|b| (b.as_ptr(), b.capacity())));
-                let mut blocks = arena.blocks.iter().zip(&homes);
-                assert!(blocks.all(|(b, &home)| (b.as_ptr(), b.capacity()) == home));
+                // A new shape goes after every stored one, which keep
+                // their places.
+                if let Some(new) = arena.shapes.get(homes.len()) {
+                    assert_eq!(new.at as usize, end, "route {g}");
+                    homes.push(new.at);
+                }
+                assert!(arena.shapes.iter().map(|s| s.at).eq(homes.iter().copied()));
             }
-            let held: usize = arena.blocks.iter().map(Vec::capacity).sum();
-            assert_eq!(held, arena.capacity);
-            assert_eq!(arena.blocks.iter().map(Vec::len).sum::<usize>(), arena.used);
-            // Fitting is not paid for in allocator calls: blocks grow with
-            // the arena, so 1640 routes take a few dozen of them.
-            assert!(arena.blocks.len() <= 64, "{} blocks", arena.blocks.len());
+            let used: usize = arena.shapes.iter().map(|s| s.shape.words()).sum();
+            assert_eq!(arena.words.len(), used);
             for (g, (root, members)) in groups.iter().enumerate() {
                 let owned = MulticastRoute::build(topo, *root, members);
                 let (got, want) = (arena.get(g).expect("built"), owned.view());
-                assert_eq!(got.nodes, want.nodes, "route {g}");
+                assert_eq!(got.members, want.members, "route {g}");
+                assert_eq!(got.depths, want.depths, "route {g}");
                 assert_eq!(got.wave_nodes, want.wave_nodes, "route {g}");
             }
             let stored = if topo.frame() == Frame::Absolute {
@@ -1092,20 +976,12 @@ mod tests {
         }
     }
 
-    /// Asserts that two views read the same placed route: every position,
-    /// parent, depth, member and wave.
+    /// Asserts that two views read the same placed route: the edge count,
+    /// every member with its depth, and every wave.
     fn assert_same_route(got: RouteRef<'_>, want: RouteRef<'_>, what: &str) {
         assert_eq!(got.root(), want.root(), "{what}: root");
-        assert_eq!(got.len(), want.len(), "{what}: len");
-        for i in 0..want.len() {
-            assert_eq!(got.node(i), want.node(i), "{what}: node {i}");
-            assert_eq!(got.parent_of(i), want.parent_of(i), "{what}: parent {i}");
-            assert_eq!(got.depth_of(i), want.depth_of(i), "{what}: depth {i}");
-        }
-        assert!(
-            got.member_indices().eq(want.member_indices()),
-            "{what}: members"
-        );
+        assert_eq!(got.edge_count(), want.edge_count(), "{what}: edges");
+        assert!(got.members().eq(want.members()), "{what}: members");
         assert_eq!(got.wave_count(), want.wave_count(), "{what}: waves");
         for w in 0..want.wave_count() {
             assert_eq!(got.wave_depth(w), want.wave_depth(w), "{what}: wave {w}");

@@ -1,10 +1,12 @@
 //! Spanning trees for root-sequenced group multicast.
 //!
-//! Sesame routes, sequences, and retransmits all sharing messages of a group
-//! through a spanning tree rooted at the group root. [`SpanningTree`] builds
-//! that tree by breadth-first search over the topology's physical links, so
-//! every tree edge is exactly one hop and every root-to-member path is a
-//! shortest path.
+//! In the paper, Sesame routes, sequences, and retransmits all sharing
+//! messages of a group through a spanning tree rooted at the group root.
+//! [`SpanningTree`] builds that tree by breadth-first search over the
+//! topology's physical links, so every tree edge is exactly one hop and
+//! every root-to-member path is a shortest path. Machines build none: their
+//! flood reads the same depths off [`Topology::hops`], and the tree is the
+//! reference tests hold it to.
 
 use crate::{NodeId, Topology};
 

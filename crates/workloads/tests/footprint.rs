@@ -121,8 +121,8 @@ fn a_run_makes_a_bounded_number_of_allocations() {
 fn a_run_stores_each_route_shape_once() {
     // The machine's routes are two shapes — the row and the hand-off pair
     // — shifted over the torus, so what grows with the machine is one
-    // 8-byte handle per group; the shapes, their index and the arena's
-    // block list fit in a constant.
+    // 8-byte handle per group; the shapes' words, their records and their
+    // index fit in a constant.
     let Ok(Outcome::BigMesh(run, result)) = Scenario::BigMesh(mesh()).run(None) else {
         panic!("a bigmesh scenario ends as a bigmesh outcome");
     };
