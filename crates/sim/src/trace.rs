@@ -88,6 +88,23 @@ pub enum CauseOp {
 }
 
 impl CauseOp {
+    /// Every op, in declaration order: `ALL[op as usize] == op`.
+    pub const ALL: [CauseOp; 13] = [
+        CauseOp::Write,
+        CauseOp::Acquire,
+        CauseOp::Release,
+        CauseOp::Send,
+        CauseOp::Mcast,
+        CauseOp::Seq,
+        CauseOp::Filter,
+        CauseOp::Grant,
+        CauseOp::Apply,
+        CauseOp::Compute,
+        CauseOp::Rollback,
+        CauseOp::Acquired,
+        CauseOp::Complete,
+    ];
+
     /// The short wire name used in rendered traces and exports.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -747,6 +764,30 @@ mod tests {
         }
         let distinct: std::collections::BTreeSet<&str> = SPELLINGS.into_iter().collect();
         assert_eq!(distinct.len(), 34);
+    }
+
+    #[test]
+    fn every_cause_op_is_its_place_in_all() {
+        for (i, op) in CauseOp::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op} is ALL[{i}]");
+            // Each variant once: the match below names all of them.
+            let named = match op {
+                CauseOp::Write => 0,
+                CauseOp::Acquire => 1,
+                CauseOp::Release => 2,
+                CauseOp::Send => 3,
+                CauseOp::Mcast => 4,
+                CauseOp::Seq => 5,
+                CauseOp::Filter => 6,
+                CauseOp::Grant => 7,
+                CauseOp::Apply => 8,
+                CauseOp::Compute => 9,
+                CauseOp::Rollback => 10,
+                CauseOp::Acquired => 11,
+                CauseOp::Complete => 12,
+            };
+            assert_eq!(CauseOp::ALL[named], op);
+        }
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! tracked). Exports (JSON and Graphviz DOT) iterate in id order, so two
 //! same-seed runs produce byte-identical bytes.
 //!
-//! Storage is sized for runs with millions of actions: one 24-byte packed
+//! Storage is sized for runs with millions of actions: one 16-byte packed
 //! record per id in a slab (see [`CausalDag`]), handed out by value as
-//! [`CausalNode`] views. The collector holds what can still be cited: the
+//! [`CausalNode`] views, and 4 bytes more per id a shrink has kept. A
+//! record whose time or distance to its cause needs more bits than that
+//! (none in a run this repo can hold in memory) keeps them in a side map,
+//! as rollback blame does. The collector holds what can still be cited: the
 //! machine announces a *cause floor* — no later record names a parent
 //! below it ([`TraceObserver::on_cause_floor`]) — and behind the floor the
 //! store keeps what its questions read, the ancestors of the rollbacks,
@@ -65,22 +68,64 @@ pub struct CausalNode {
 /// (its slab position) and the rare blame (a side map).
 #[derive(Debug, Clone, Copy)]
 struct Packed {
-    time: u64,
-    cause: u64,
+    /// The time in nanoseconds above the low [`TAG_BITS`] (or [`WIDE`]);
+    /// below it, the paired [`TraceKind`] byte (or one of the two marks
+    /// below) over the [`CauseOp`] in [`OP_BITS`].
+    word: u64,
+    /// `id − cause`, or 0 for a root: a shrink moves a record without
+    /// rewriting it.
+    gap: u32,
     actor: u32,
-    op: CauseOp,
-    /// The paired [`TraceKind`] as its byte, or one of the two marks below.
-    kind: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<Packed>() <= 24);
+const _: () = assert!(std::mem::size_of::<Packed>() <= 16);
 
-/// `Packed::kind` of a slab entry no record has filled.
-const VACANT: u8 = u8::MAX;
-/// `Packed::kind` of a node no record paired with.
-const UNPAIRED: u8 = u8::MAX - 1;
+/// The low bits of `Packed::word` that hold the op.
+const OP_BITS: u32 = 4;
+/// The low bits of `Packed::word` that hold the op and the kind.
+const TAG_BITS: u32 = 10;
+/// The time field of a record that does not fit: a time of `WIDE`
+/// nanoseconds or more (about 208 simulated days), or a gap of 2^32 or
+/// more. Its time and cause are in [`CausalDag`]'s `wide` map.
+const WIDE: u64 = u64::MAX >> TAG_BITS;
+
+/// The kind field of a slab entry no record has filled.
+const VACANT: u8 = (1 << (TAG_BITS - OP_BITS)) - 1;
+/// The kind field of a node no record paired with.
+const UNPAIRED: u8 = VACANT - 1;
 
 const _: () = assert!(TraceKind::ALL.len() <= UNPAIRED as usize);
+const _: () = assert!(CauseOp::ALL.len() <= 1 << OP_BITS);
+
+impl Packed {
+    const EMPTY: Packed = Packed::new(0, VACANT, CauseOp::Write, 0, 0);
+
+    const fn new(time: u64, kind: u8, op: CauseOp, gap: u32, actor: u32) -> Packed {
+        let tag = (kind as u64) << OP_BITS | op as u64;
+        Packed {
+            word: time << TAG_BITS | tag,
+            gap,
+            actor,
+        }
+    }
+
+    fn op(self) -> CauseOp {
+        CauseOp::ALL[(self.word & ((1 << OP_BITS) - 1)) as usize]
+    }
+
+    fn kind(self) -> u8 {
+        (self.word >> OP_BITS) as u8 & VACANT
+    }
+
+    fn vacant(self) -> bool {
+        self.kind() == VACANT
+    }
+
+    /// The time field: the time, or [`WIDE`].
+    fn time(self) -> u64 {
+        self.word >> TAG_BITS
+    }
+}
 
 /// The smallest slab worth collecting behind the floor; past it, a
 /// collection runs each time the slab has doubled since the last one, so
@@ -92,15 +137,104 @@ const COLLECT_FROM: usize = 64 << 10;
 /// is allocated once (untouched capacity costs address space, not memory).
 const JSON_BYTES_PER_NODE: usize = 128;
 
+/// The ascending ids of the compacted front in 4 bytes each: their low
+/// halves, and the positions where the high half rises. Ids ascend, so it
+/// only rises; a run of fewer than 2^32 actions has no rise.
+#[derive(Debug, Clone, Default)]
+struct FrontIds {
+    low: Vec<u32>,
+    /// `(position, high half)`: the high half from that position on. It
+    /// is 0 before the first rise.
+    rises: Vec<(usize, u32)>,
+}
+
+/// The high half at position `at` under `rises`.
+fn high_at(rises: &[(usize, u32)], at: usize) -> u32 {
+    let i = rises.partition_point(|&(from, _)| from <= at);
+    i.checked_sub(1).map_or(0, |i| rises[i].1)
+}
+
+impl FrontIds {
+    fn len(&self) -> usize {
+        self.low.len()
+    }
+
+    fn get(&self, at: usize) -> u64 {
+        u64::from(high_at(&self.rises, at)) << 32 | u64::from(self.low[at])
+    }
+
+    /// The position of `id`, or where it would go to keep the ids
+    /// ascending.
+    fn search(&self, id: u64) -> Result<usize, usize> {
+        let high = (id >> 32) as u32;
+        let starts = |i: usize| self.rises.get(i).map_or(self.len(), |&(at, _)| at);
+        let i = self.rises.partition_point(|&(_, h)| h < high);
+        let found = self.rises.get(i).is_some_and(|&(_, h)| h == high);
+        let start = match (found, high) {
+            (true, _) => starts(i),
+            (false, 0) => 0,
+            (false, _) => return Err(starts(i)),
+        };
+        let end = starts(i + usize::from(found));
+        let low = self.low[start..end].binary_search(&(id as u32));
+        low.map(|k| start + k).map_err(|k| start + k)
+    }
+
+    /// Notes that the high half is `high` from position `at` on, the
+    /// last position so far.
+    fn rise_to(&mut self, at: usize, high: u32) {
+        if high != self.rises.last().map_or(0, |&(_, h)| h) {
+            self.rises.push((at, high));
+        }
+    }
+
+    /// Appends `id`, which is above every id held.
+    fn push(&mut self, id: u64) {
+        self.rise_to(self.len(), (id >> 32) as u32);
+        self.low.push(id as u32);
+    }
+
+    /// Inserts `id` at `at`, where [`FrontIds::search`] says it goes: the
+    /// ids above it are pushed again (none in a real run).
+    fn insert(&mut self, at: usize, id: u64) {
+        let above: Vec<u64> = (at..self.len()).map(|k| self.get(k)).collect();
+        self.retain_from(at, |_| false);
+        for id in std::iter::once(id).chain(above) {
+            self.push(id);
+        }
+    }
+
+    /// Keeps the ids from position `from` on that `keep` names, in order,
+    /// closed up in place.
+    fn retain_from(&mut self, from: usize, mut keep: impl FnMut(usize) -> bool) {
+        let rises = std::mem::take(&mut self.rises);
+        self.rises
+            .extend(rises.iter().take_while(|&&(at, _)| at < from));
+        let mut to = from;
+        for at in (from..self.len()).filter(|&at| keep(at)) {
+            self.rise_to(to, high_at(&rises, at));
+            self.low[to] = self.low[at];
+            to += 1;
+        }
+        self.low.truncate(to);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.low.shrink_to_fit();
+        self.rises.shrink_to_fit();
+    }
+}
+
 /// The assembled causal forest.
 ///
 /// One slab in two regions, ascending by id throughout. The *dense tail*
 /// holds id `behind + 1 + k` at offset `k`: the simulation hands out ids
 /// 1, 2, 3, … and records each as it allocates it, so the tail fills in
 /// order with no holes. Ids that arrive out of order, twice, or with gaps
-/// (a hand-assembled trace) still work — gaps are vacant entries — at 24
+/// (a hand-assembled trace) still work — gaps are vacant entries — at 16
 /// bytes per id up to the largest one seen. The *compacted front* holds
-/// the survivors of a shrink back to back, `ids` naming them.
+/// the survivors of a shrink back to back, `ids` naming them in 4 bytes
+/// each.
 ///
 /// The collector shrinks behind each cause floor it is told and once more
 /// in [`Telemetry::finish`](crate::Telemetry::finish), which leaves the
@@ -111,7 +245,7 @@ pub struct CausalDag {
     slab: Vec<Packed>,
     /// The id of each entry of the compacted front, ascending; the front
     /// is `slab[..ids.len()]`.
-    ids: Vec<u64>,
+    ids: FrontIds,
     /// Ids below the dense tail: every id in `ids` is at most this.
     behind: u64,
     /// Slab entries the last shrink left (the next one waits for twice
@@ -123,6 +257,9 @@ pub struct CausalDag {
     recorded: usize,
     /// Rollback blame by node id: `(var, writer)`.
     conflicts: BTreeMap<u64, (u32, u32)>,
+    /// `(time, cause)` by node id of the records whose time field is
+    /// [`WIDE`].
+    wide: BTreeMap<u64, (u64, u64)>,
 }
 
 /// The longest cause→effect chain in the DAG, with its simulated time
@@ -208,42 +345,59 @@ impl CausalDag {
     fn position(&self, id: u64) -> Option<usize> {
         let at = match id.checked_sub(self.behind + 1) {
             Some(k) => self.ids.len().checked_add(usize::try_from(k).ok()?)?,
-            None => self.ids.binary_search(&id).ok()?,
+            None => self.ids.search(id).ok()?,
         };
-        (self.slab.get(at)?.kind != VACANT).then_some(at)
+        (!self.slab.get(at)?.vacant()).then_some(at)
     }
 
     /// The stored record for `id`, if one is stored.
-    fn packed(&self, id: u64) -> Option<&Packed> {
-        self.position(id).map(|at| &self.slab[at])
+    fn packed(&self, id: u64) -> Option<Packed> {
+        self.position(id).map(|at| self.slab[at])
     }
 
     /// The id of the slab entry at `at`.
     fn id_at(&self, at: usize) -> u64 {
-        let in_tail = |at: usize| self.behind + 1 + (at - self.ids.len()) as u64;
-        self.ids.get(at).copied().unwrap_or_else(|| in_tail(at))
+        match at.checked_sub(self.ids.len()) {
+            Some(k) => self.behind + 1 + k as u64,
+            None => self.ids.get(at),
+        }
+    }
+
+    /// `(time, cause)` of the record `p` stored for `id`.
+    fn time_cause(&self, id: u64, p: Packed) -> (u64, u64) {
+        match (p.time(), p.gap) {
+            (WIDE, _) => self.wide[&id],
+            (time, 0) => (time, 0),
+            (time, gap) => (time, id - u64::from(gap)),
+        }
+    }
+
+    /// The cause of the record stored at slab position `at`.
+    fn cause_at(&self, at: usize) -> u64 {
+        self.time_cause(self.id_at(at), self.slab[at]).1
     }
 
     /// Every stored `(position, record)` from slab position `from` on —
     /// in position order, which is id order.
-    fn stored(&self, from: usize) -> impl Iterator<Item = (usize, &Packed)> {
-        let entries = self.slab.iter().enumerate().skip(from);
-        entries.filter(|(_, p)| p.kind != VACANT)
+    fn stored(&self, from: usize) -> impl Iterator<Item = (usize, Packed)> + '_ {
+        let entries = self.slab.iter().copied().enumerate().skip(from);
+        entries.filter(|(_, p)| !p.vacant())
     }
 
     /// Every stored `(id, record)` in id order.
-    fn occupied(&self) -> impl Iterator<Item = (u64, &Packed)> {
+    fn occupied(&self) -> impl Iterator<Item = (u64, Packed)> + '_ {
         self.stored(0).map(|(at, p)| (self.id_at(at), p))
     }
 
-    fn view(&self, id: u64, p: &Packed) -> CausalNode {
+    fn view(&self, id: u64, p: Packed) -> CausalNode {
+        let (time, cause) = self.time_cause(id, p);
         CausalNode {
             id,
-            cause: p.cause,
-            op: p.op,
+            cause,
+            op: p.op(),
             actor: p.actor as usize,
-            time: SimTime::from_nanos(p.time),
-            kind: TraceKind::ALL.get(usize::from(p.kind)).copied(),
+            time: SimTime::from_nanos(time),
+            kind: TraceKind::ALL.get(usize::from(p.kind())).copied(),
             conflict: self.conflicts.get(&id).copied(),
         }
     }
@@ -266,35 +420,36 @@ impl CausalDag {
         if id == 0 {
             return None;
         }
-        let packed = Packed {
-            time: time.as_nanos(),
-            cause: if cause < id { cause } else { 0 },
-            actor: u32::try_from(actor).expect("trace actors are u32 node ids"),
+        let (time, cause) = (time.as_nanos(), if cause < id { cause } else { 0 });
+        let gap = u32::try_from(if cause == 0 { 0 } else { id - cause });
+        // What does not fit keeps its time and cause in the side map.
+        let fits = gap.is_ok() && time < WIDE;
+        let packed = Packed::new(
+            if fits { time } else { WIDE },
+            kind.map_or(UNPAIRED, |k| k as u8),
             op,
-            kind: kind.map_or(UNPAIRED, |k| k as u8),
-        };
-        let vacant = Packed {
-            kind: VACANT,
-            ..packed
-        };
+            gap.unwrap_or(0),
+            u32::try_from(actor).expect("trace actors are u32 node ids"),
+        );
         let at = match id.checked_sub(self.behind + 1) {
             Some(k) => {
                 let k = usize::try_from(k).expect("causal id exceeds the address space");
                 let at = self.ids.len() + k;
                 if at >= self.slab.len() {
-                    self.slab.resize(at + 1, vacant);
+                    self.slab.resize(at + 1, Packed::EMPTY);
                 }
                 at
             }
             // A record behind the tail (none in a real run) keeps `ids`
             // sorted.
-            None => self.ids.binary_search(&id).unwrap_or_else(|at| {
+            None => self.ids.search(id).unwrap_or_else(|at| {
                 self.ids.insert(at, id);
-                self.slab.insert(at, vacant);
+                self.slab.insert(at, Packed::EMPTY);
                 at
             }),
         };
-        if std::mem::replace(&mut self.slab[at], packed).kind == VACANT {
+        let was = std::mem::replace(&mut self.slab[at], packed);
+        if was.vacant() {
             self.len += 1;
             self.recorded += 1;
         } else {
@@ -302,7 +457,12 @@ impl CausalDag {
             // with it.
             self.conflicts.remove(&id);
         }
-        Some(packed.cause)
+        if !fits {
+            self.wide.insert(id, (time, cause));
+        } else if was.time() == WIDE {
+            self.wide.remove(&id);
+        }
+        Some(cause)
     }
 
     /// Looks up one action by raw id.
@@ -320,15 +480,17 @@ impl CausalDag {
     #[must_use]
     pub fn rollbacks(&self) -> Vec<u64> {
         self.occupied()
-            .filter(|(_, p)| matches!(p.op, CauseOp::Rollback))
+            .filter(|(_, p)| matches!(p.op(), CauseOp::Rollback))
             .map(|(id, _)| id)
             .collect()
     }
 
     /// The latest action by `(time, id)`: where the critical path ends.
     fn latest(&self) -> Option<u64> {
-        let (last, _) = self.occupied().max_by_key(|&(id, p)| (p.time, id))?;
-        Some(last)
+        let by_time = self
+            .occupied()
+            .map(|(id, p)| (self.time_cause(id, p).0, id));
+        by_time.max().map(|(_, id)| id)
     }
 
     /// Shrinks the forest to the *explained set*: every rollback, the
@@ -375,33 +537,34 @@ impl CausalDag {
         // the latest action by `(time, position)`.
         let (mut roots, mut latest) = (Vec::new(), None);
         for (at, p) in self.stored(from) {
-            if matches!(p.op, CauseOp::Rollback) {
+            if matches!(p.op(), CauseOp::Rollback) {
                 roots.push(at);
             }
-            if latest.is_none_or(|(time, _)| p.time >= time) {
-                latest = Some((p.time, at));
+            let (time, _) = self.time_cause(self.id_at(at), p);
+            if latest.is_none_or(|(latest, _)| time >= latest) {
+                latest = Some((time, at));
             }
         }
         roots.extend(latest.map(|(_, at)| at));
         let cited = asked
             .into_iter()
-            .chain(self.stored(cut).map(|(_, p)| p.cause));
+            .chain(self.stored(cut).map(|(at, _)| self.cause_at(at)));
         let mut keep = vec![false; cut - from];
         for root in roots.into_iter().chain(cited.filter_map(find)) {
             let mut next = Some(root);
             while let Some(at) = next.filter(|&at| (from..cut).contains(&at) && !keep[at - from]) {
                 keep[at - from] = true;
-                next = find(self.slab[at].cause);
+                next = find(self.cause_at(at));
             }
         }
         // The marked entries close up: those of the front in place, what
-        // was tail below the floor behind them.
-        let mut to = from;
-        for at in (from..front).filter(|&at| keep[at - from]) {
-            (self.slab[to], self.ids[to]) = (self.slab[at], self.ids[at]);
-            to += 1;
+        // was tail below the floor behind them. A record moves as it is:
+        // its gap to its cause does not change with its position.
+        let marked = (from..front).filter(|&at| keep[at - from]);
+        for (to, at) in (from..).zip(marked) {
+            self.slab[to] = self.slab[at];
         }
-        self.ids.truncate(to);
+        self.ids.retain_from(from, |at| keep[at - from]);
         for at in (front..cut).filter(|&at| keep[at - from]) {
             self.slab[self.ids.len()] = self.slab[at];
             self.ids.push(self.behind + 1 + (at - front) as u64);
@@ -416,8 +579,9 @@ impl CausalDag {
         self.kept = self.slab.len();
         self.len = self.ids.len() + self.stored(self.ids.len()).count();
         let (ids, behind) = (&self.ids, self.behind);
-        let stays = |id: &u64| *id > behind || ids.binary_search(id).is_ok();
+        let stays = |id: &u64| *id > behind || ids.search(*id).is_ok();
         self.conflicts.retain(|id, _| stays(id));
+        self.wide.retain(|id, _| stays(id));
     }
 
     /// [`CausalDag::shrink`] behind `floor`, once the slab has doubled
@@ -552,19 +716,22 @@ impl CausalDag {
     pub fn write_dot(&self, out: &mut impl io::Write) -> io::Result<()> {
         out.write_all(b"digraph causes {\n  rankdir=LR;\n  node [shape=box,fontsize=10];\n")?;
         for (id, p) in self.occupied() {
+            let (time, _) = self.time_cause(id, p);
             write!(
                 out,
-                "  n{id} [label=\"#{id} {}\\nnode {} @ {}ns\"",
-                p.op, p.actor, p.time,
+                "  n{id} [label=\"#{id} {}\\nnode {} @ {time}ns\"",
+                p.op(),
+                p.actor,
             )?;
-            if matches!(p.op, CauseOp::Rollback) {
+            if matches!(p.op(), CauseOp::Rollback) {
                 out.write_all(b",color=red")?;
             }
             out.write_all(b"];\n")?;
         }
         for (id, p) in self.occupied() {
-            if self.packed(p.cause).is_some() {
-                writeln!(out, "  n{} -> n{id};", p.cause)?;
+            let (_, cause) = self.time_cause(id, p);
+            if self.position(cause).is_some() {
+                writeln!(out, "  n{cause} -> n{id};")?;
             }
         }
         out.write_all(b"}\n")
@@ -637,9 +804,11 @@ impl CausalState {
         // became a root and anchors nothing.
         let parent = self.dag.insert(id, cause, op, actor, t, kind)?;
         self.last_cause.insert(actor, id);
-        let parent = self.dag.packed(parent)?;
-        matches!(parent.op, CauseOp::Send | CauseOp::Mcast)
-            .then(|| (parent.actor as usize, SimTime::from_nanos(parent.time)))
+        let p = self.dag.packed(parent)?;
+        matches!(p.op(), CauseOp::Send | CauseOp::Mcast).then(|| {
+            let (time, _) = self.dag.time_cause(parent, p);
+            (p.actor as usize, SimTime::from_nanos(time))
+        })
     }
 
     /// Attaches rollback blame to the actor's most recent causal node.
@@ -990,22 +1159,6 @@ mod tests {
         }
     }
 
-    const OPS: [CauseOp; 13] = [
-        CauseOp::Write,
-        CauseOp::Acquire,
-        CauseOp::Release,
-        CauseOp::Send,
-        CauseOp::Mcast,
-        CauseOp::Seq,
-        CauseOp::Filter,
-        CauseOp::Grant,
-        CauseOp::Apply,
-        CauseOp::Compute,
-        CauseOp::Rollback,
-        CauseOp::Acquired,
-        CauseOp::Complete,
-    ];
-
     /// A random record stream: mostly dense ascending ids the way a run
     /// emits them, salted with gaps, late and repeated ids, id 0, causes
     /// that do not precede their node, unpaired causes, and conflicts
@@ -1040,7 +1193,7 @@ mod tests {
                 let late = u64::from(rng.chance(0.05));
                 out.push(canonical(now - late.min(now), actor, kind));
             }
-            let op = OPS[rng.next_below(OPS.len() as u64) as usize];
+            let op = CauseOp::ALL[rng.next_below(CauseOp::ALL.len() as u64) as usize];
             out.push(cause(now, actor, id, parent, op));
             if rng.chance(0.1) {
                 out.push(TraceEntry {
@@ -1057,13 +1210,47 @@ mod tests {
         out
     }
 
+    /// `entries` with every id and cited cause passed through `id` (0, no
+    /// node, stays 0) and every time moved `dt` later.
+    fn relabel(entries: &[TraceEntry], id: impl Fn(u64) -> u64, dt: u64) -> Vec<TraceEntry> {
+        let moved = |raw| if raw == 0 { 0 } else { id(raw) };
+        let relabelled = entries.iter().map(|e| {
+            let detail = match e.detail {
+                TraceDetail::Cause { id, cause, op } => TraceDetail::Cause {
+                    id: moved(id),
+                    cause: moved(cause),
+                    op,
+                },
+                detail => detail,
+            };
+            let time = SimTime::from_nanos(e.time.as_nanos() + dt);
+            TraceEntry { time, detail, ..*e }
+        });
+        relabelled.collect()
+    }
+
+    /// A store whose dense tail starts above `behind`, as if a shrink had
+    /// passed it, fed `entries`.
+    fn state_behind(entries: &[TraceEntry], behind: u64) -> CausalState {
+        let mut state = CausalState::default();
+        state.dag.behind = behind;
+        for e in entries {
+            state.feed(e);
+        }
+        state
+    }
+
     /// Streams `entries` into a store that is told a floor now and then
     /// and shrinks behind each one, checking every time that what it kept
     /// holds the model's explained set — is exactly that set once nothing
     /// is left above the floor — and answers as the model, which drops
     /// nothing, does. Returns the store and the nodes it should count as
     /// recorded: one per id that was not stored when its record came.
-    fn collected_behind_floors(entries: &[TraceEntry], asked: &[u64]) -> (CausalDag, usize) {
+    fn collected_behind_floors(
+        entries: &[TraceEntry],
+        asked: &[u64],
+        behind: u64,
+    ) -> (CausalDag, usize) {
         // The lowest parent the stream cites from record `i` on: a floor
         // up to `reach[i]` is one a producer may announce there.
         let mut reach = vec![u64::MAX; entries.len() + 1];
@@ -1076,7 +1263,7 @@ mod tests {
             };
         }
         let mut rng = DetRng::new(entries.len() as u64);
-        let (mut state, mut naive) = (CausalState::default(), Naive::default());
+        let (mut state, mut naive) = (state_behind(&[], behind), Naive::default());
         let (mut stored, mut recorded, mut floor) = (BTreeSet::new(), 0, 0);
         for (i, e) in entries.iter().enumerate() {
             // Now and then, and once near the end: a stream that ends in
@@ -1089,7 +1276,11 @@ mod tests {
                     1 => reach[i] / 2,
                     _ => reach[i],
                 });
-                state.dag.shrink(asked.iter().copied(), floor);
+                // A floor no higher than where the store starts says
+                // nothing a producer has not said already.
+                if floor > behind {
+                    state.dag.shrink(asked.iter().copied(), floor);
+                }
                 let (had, explained) = (stored, naive.explained(asked, floor));
                 stored = state.dag.iter().map(|n| n.id).collect();
                 let at = format!("behind floor {floor} at record {i}");
@@ -1118,22 +1309,50 @@ mod tests {
     /// Checks the packed store against the model on `entries` — as
     /// recorded, then shrunk to the explained set (the model filtered to
     /// the same closure) in one go and by way of floors announced along
-    /// the stream, then with records arriving after the shrink.
-    fn assert_matches_the_naive_store(entries: &[TraceEntry]) {
-        let (dag, naive) = (CausalDag::from_trace(entries), Naive::from_trace(entries));
-        let top = naive.nodes.keys().next_back().copied().unwrap_or(0);
-        assert_same_answers(&dag, &naive, top);
+    /// the stream, then with records arriving after the shrink. The store
+    /// starts with its tail above `behind`.
+    fn assert_matches_the_naive_store(entries: &[TraceEntry], behind: u64) {
+        let (dag, naive) = (
+            state_behind(entries, behind).dag,
+            Naive::from_trace(entries),
+        );
+        let top = naive
+            .nodes
+            .keys()
+            .next_back()
+            .copied()
+            .unwrap_or(0)
+            .max(behind);
+        // Every id up to past the end, or, where that is billions, every
+        // id within two of one the stream names.
+        let probes: Vec<u64> = if top < 1 << 16 {
+            (0..top + 3).collect()
+        } else {
+            let named = entries.iter().flat_map(|e| match e.detail {
+                TraceDetail::Cause { id, cause, .. } => vec![id, cause],
+                _ => vec![],
+            });
+            let near = named
+                .chain([0, top])
+                .flat_map(|id| id.saturating_sub(2)..id + 3);
+            let mut probes: Vec<u64> = near.collect();
+            probes.sort_unstable();
+            probes.dedup();
+            probes
+        };
+        assert_same_answers(&dag, &naive, &probes);
         assert_eq!(dag.recorded(), dag.len());
         // Nothing asked for; a mid-stream id (kept, dropped or vacant as
         // the stream has it) with one past the end; the same, shrunk twice.
+        let part = |k: u64| behind + (top - behind) / k;
         let asked = [
             (vec![], 1),
-            (vec![top / 2, top + 1, 0], 1),
-            (vec![top / 3], 2),
+            (vec![part(2), top + 1, 0], 1),
+            (vec![part(3)], 2),
         ];
         for ((asked, times), floors) in asked.iter().flat_map(|a| [(a, false), (a, true)]) {
             let (mut dag, recorded) = match floors {
-                true => collected_behind_floors(entries, asked),
+                true => collected_behind_floors(entries, asked, behind),
                 false => (dag.clone(), dag.len()),
             };
             let mut naive = Naive::from_trace(entries);
@@ -1142,16 +1361,18 @@ mod tests {
             for _ in 0..*times {
                 dag.shrink(asked.iter().copied(), u64::MAX);
             }
-            assert_same_answers(&dag, &naive, top);
+            assert_same_answers(&dag, &naive, &probes);
             assert_eq!(dag.recorded(), recorded);
             assert_eq!(dag.slab.capacity(), dag.len(), "the slab was given back");
+            assert_eq!(dag.ids.low.capacity(), dag.len(), "so were the ids");
             assert!(dag.conflicts.keys().all(|id| keep.contains(id)));
+            assert!(dag.wide.keys().all(|id| keep.contains(id)));
             // After the shrink: a new id past the end, a dropped or vacant
             // id in the middle, a kept id replaced.
             let kept = keep.iter().next().copied().unwrap_or(1);
             for (id, parent, op) in [
                 (top + 2, kept, CauseOp::Apply),
-                (top / 2 + 1, top / 4, CauseOp::Send),
+                (part(2) + 1, part(4), CauseOp::Send),
                 (kept, 0, CauseOp::Rollback),
             ] {
                 let (actor, time) = (3, SimTime::from_nanos(id));
@@ -1168,17 +1389,18 @@ mod tests {
                 };
                 naive.nodes.insert(id, node);
             }
-            assert_same_answers(&dag, &naive, top + 2);
+            let probes = probes.iter().copied().chain([top + 3, top + 4]);
+            assert_same_answers(&dag, &naive, &probes.collect::<Vec<_>>());
         }
     }
 
-    /// Every query and export agrees, for every id up to `top + 3`.
-    fn assert_same_answers(dag: &CausalDag, naive: &Naive, top: u64) {
+    /// Every query and export agrees, for every id in `probes`.
+    fn assert_same_answers(dag: &CausalDag, naive: &Naive, probes: &[u64]) {
         assert_eq!(dag.len(), naive.nodes.len());
         assert_eq!(dag.is_empty(), naive.nodes.is_empty());
         assert_eq!(dag.rollbacks(), naive.rollbacks());
         assert!(dag.iter().eq(naive.nodes.values().copied()));
-        for id in 0..top + 3 {
+        for &id in probes {
             assert_eq!(dag.get(id), naive.nodes.get(&id).copied(), "get({id})");
             assert_eq!(dag.chain(id), naive.chain(id), "chain({id})");
         }
@@ -1197,10 +1419,10 @@ mod tests {
         for seed in 0..40 {
             let mut rng = DetRng::new(seed);
             let records = 1 + rng.next_below(400) as usize;
-            assert_matches_the_naive_store(&random_stream(&mut rng, records, &kinds));
+            assert_matches_the_naive_store(&random_stream(&mut rng, records, &kinds), 0);
         }
-        assert_matches_the_naive_store(&[]);
-        assert_matches_the_naive_store(&sample());
+        assert_matches_the_naive_store(&[], 0);
+        assert_matches_the_naive_store(&sample(), 0);
         // No rollback anywhere: only the critical path survives a shrink.
         let mut calm = random_stream(&mut DetRng::new(7), 300, &kinds);
         for e in &mut calm {
@@ -1210,10 +1432,100 @@ mod tests {
                 }
             }
         }
-        assert_matches_the_naive_store(&calm);
+        assert_matches_the_naive_store(&calm, 0);
         let mut dag = CausalDag::from_trace(&calm);
         dag.shrink(None, u64::MAX);
         let path = dag.critical_path().expect("non-empty");
         assert!(dag.iter().map(|n| n.id).eq(path.ids.iter().copied()));
+    }
+
+    #[test]
+    fn packed_store_matches_the_naive_store_past_every_packing_limit() {
+        let kinds = TraceKind::ALL;
+        for seed in 0..12 {
+            let mut rng = DetRng::new(seed);
+            let records = 100 + rng.next_below(300) as usize;
+            let stream = random_stream(&mut rng, records, &kinds);
+            // Ids that cross 2^32 a hundred in, into a store whose tail
+            // starts just below.
+            let start = (1 << 32) - 100;
+            let crossing = relabel(&stream, |id| start + id, 0);
+            assert_matches_the_naive_store(&crossing, start);
+            let mut dag = state_behind(&crossing, start).dag;
+            dag.shrink(None, u64::MAX);
+            assert!(dag.ids.rises.len() == 1 && dag.wide.is_empty());
+            // The first forty ids small, behind a tail far past 2^32: what
+            // cites them lies 2^32 and more above its cause.
+            let far = 5 << 32;
+            let split = relabel(&stream, |id| if id <= 40 { id } else { far + id }, 0);
+            assert_matches_the_naive_store(&split, far);
+            assert!(!state_behind(&split, far).dag.wide.is_empty());
+            // Times that cross 2^54 nanoseconds halfway.
+            let late = relabel(&stream, |id| id, WIDE - 100 * records as u64 / 2);
+            assert_matches_the_naive_store(&late, 0);
+            let dag = CausalDag::from_trace(&late);
+            assert!(!dag.wide.is_empty() && dag.wide.len() < dag.len());
+        }
+        // A repeated id that fits replaces one that did not, and back.
+        let mut dag = CausalDag {
+            behind: (1 << 40) - 1,
+            ..CausalDag::default()
+        };
+        let time = |ns| SimTime::from_nanos(ns);
+        dag.insert(1 << 40, 1, CauseOp::Send, 0, time(WIDE), None);
+        dag.insert(1 << 40, 0, CauseOp::Apply, 1, time(5), None);
+        assert!(dag.wide.is_empty());
+        dag.insert(1 << 40, 1, CauseOp::Seq, 2, time(5), None);
+        assert_eq!(dag.wide.len(), 1);
+        let node = dag.get(1 << 40).unwrap();
+        assert_eq!((node.cause, node.op, node.actor), (1, CauseOp::Seq, 2));
+    }
+
+    #[test]
+    fn front_ids_answer_as_a_sorted_list_of_ids() {
+        for seed in 0..20 {
+            let mut rng = DetRng::new(seed);
+            let (mut front, mut model) = (FrontIds::default(), Vec::<u64>::new());
+            let mut next = rng.next_below(3) << 32;
+            for _ in 0..200 {
+                match rng.next_below(10) {
+                    // Ids a little or 2^32 and more above the last.
+                    0..=5 => {
+                        next += 1 + rng.next_below(3) + ((rng.next_below(8) / 7) << 32);
+                        front.push(next);
+                        model.push(next);
+                    }
+                    // A gap filled, or an id behind all of them.
+                    6 | 7 => {
+                        let id = rng.next_below(next + 1);
+                        if let Err(at) = front.search(id) {
+                            front.insert(at, id);
+                            model.insert(at, id);
+                        }
+                    }
+                    _ => {
+                        let from = rng.next_below(model.len() as u64 + 1) as usize;
+                        let drop: Vec<bool> = (0..model.len()).map(|_| rng.chance(0.3)).collect();
+                        front.retain_from(from, |at| !drop[at]);
+                        let mut at = 0;
+                        model.retain(|_| {
+                            at += 1;
+                            at - 1 < from || !drop[at - 1]
+                        });
+                    }
+                }
+                assert_eq!(front.len(), model.len());
+                for (at, &id) in model.iter().enumerate() {
+                    assert_eq!(front.get(at), id);
+                    for probe in [id.wrapping_sub(1), id, id + 1, id ^ (1 << 32)] {
+                        assert_eq!(front.search(probe), model.binary_search(&probe));
+                    }
+                }
+                assert!(front
+                    .rises
+                    .windows(2)
+                    .all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
+            }
+        }
     }
 }

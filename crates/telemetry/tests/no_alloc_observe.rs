@@ -6,9 +6,9 @@
 //! not one `format!` per metric touch and one map node per cause record.
 //!
 //! And the bytes it holds: told the floor as a machine tells it, a slab no
-//! larger than the collection window however long the run, not 24 bytes
+//! larger than the collection window however long the run, not 16 bytes
 //! per recorded cause; a 32-byte span per sequenced write while the run
-//! lasts; the explained set at 40 bytes a node once it has finished.
+//! lasts; the explained set at 28 bytes a node once it has finished.
 
 use sesame_alloc_probe::{allocations, live_bytes, CountingAlloc};
 use sesame_sim::{
@@ -241,12 +241,12 @@ fn collector_holds_a_slab_while_recording_and_the_explained_set_after_finish() {
         let mut feed = Feeder::default();
         feed.sections(&mut t, sections);
         // Both stores double as they grow, so each is under twice its
-        // contents: a power of two of 32-byte spans, and of 24-byte slab
+        // contents: a power of two of 32-byte spans, and of 16-byte slab
         // entries up to the window — the run is several windows long, and
         // what the rollbacks explain is a few hundred nodes.
         let held = live_bytes() - before;
         assert!(feed.causes > 4 * WINDOW, "{} causes", feed.causes);
-        let budget = 24 * 2 * WINDOW + 32 * sections.next_power_of_two();
+        let budget = 16 * 2 * WINDOW + 32 * sections.next_power_of_two();
         assert!(
             held <= budget as usize + FIXED,
             "{held} bytes held for {} causes and {sections} sequenced writes",
@@ -259,8 +259,10 @@ fn collector_holds_a_slab_while_recording_and_the_explained_set_after_finish() {
         // to the last completion.
         assert_eq!(dag.rollbacks().len() as u64, sections.div_ceil(100));
         assert!(dag.len() * 20 < dag.recorded(), "{} retained", dag.len());
+        // A 16-byte record and a 4-byte front id a node, and one blame
+        // entry per rollback's six nodes.
         assert!(
-            held <= 40 * dag.len() + FIXED,
+            held <= 28 * dag.len() + FIXED,
             "{held} bytes held for {} retained nodes",
             dag.len()
         );
@@ -271,7 +273,7 @@ fn collector_holds_a_slab_while_recording_and_the_explained_set_after_finish() {
     let (bytes, nodes) = (large.0 - small.0, large.1 - small.1);
     assert!(nodes > 500, "{nodes} more nodes retained");
     assert!(
-        bytes <= 40 * nodes,
+        bytes <= 28 * nodes,
         "{bytes} more bytes held for {nodes} more retained nodes"
     );
 }

@@ -15,6 +15,11 @@
 //!   per-write state only for the writes in flight: the same at 1 000 and
 //!   2 000 rounds, and the verifier 24 KB after `finish` (9.7 MB when it
 //!   kept every write's payload and clock until the end).
+//! * After `absorb_run` the collector's causal DAG holds the ancestors of
+//!   the run's rollbacks and critical path at 20 bytes a node (a 16-byte
+//!   record and a 4-byte front id) plus 64 KiB for the rollback blame:
+//!   1.64 MB for 79 785 nodes. A 24-byte record and a `u64` id held
+//!   2.60 MB.
 //! * The collector on a 2 500-node `bigmesh`, through `snapshot().to_json()`,
 //!   peaks within its budget: its metrics are typed rows rendered into
 //!   keys at the snapshot, and the export is written straight into its
@@ -80,6 +85,32 @@ fn the_series_export_and_its_validator_peak_within_twice_the_text() {
             text.len()
         );
     }
+}
+
+/// What the collector's causal DAG holds after `finish`, measured as the
+/// heap a copy of it allocates: 20 bytes a kept node, plus the rollback
+/// blame within a fixed 64 KiB.
+#[test]
+fn the_causal_dag_holds_twenty_bytes_per_kept_node_after_finish() {
+    let telemetry = Telemetry::new("observed_contention", 7)
+        .with_series(SimDur::from_us(100))
+        .shared();
+    let run = run_contention_observed(ledger_run(), Some(telemetry.clone()));
+    absorb_run(&mut telemetry.borrow_mut(), &run.result);
+    drop(run);
+    let t = telemetry.borrow();
+    let dag = t.causes();
+    let before = live_bytes();
+    let copy = dag.clone();
+    let held = live_bytes() - before;
+    assert_eq!(copy.len(), dag.len());
+    assert!(dag.len() > 50_000, "{} nodes kept", dag.len());
+    let budget = 20 * dag.len() + 64 * 1024;
+    assert!(
+        held <= budget,
+        "the causal DAG holds {held} heap bytes for {} kept nodes, budget {budget}",
+        dag.len()
+    );
 }
 
 /// The verifier, counting the sequenced writes it is shown.
