@@ -32,6 +32,12 @@ pub struct GroupSpec {
     pub mutex_lock: Option<VarId>,
 }
 
+/// Variable ids a [`GroupTable`] accepts: `0..VAR_ID_BOUND`. The
+/// variable-to-group index holds a word per id up to the highest one
+/// declared, so the bound caps it at 64 MiB; a larger id is refused with
+/// [`GroupConfigError::VarOutOfRange`] before anything is sized by it.
+pub const VAR_ID_BOUND: u32 = 1 << 24;
+
 /// Errors detected while validating group specifications.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GroupConfigError {
@@ -47,6 +53,8 @@ pub enum GroupConfigError {
     LockNotInGroup(GroupId, VarId),
     /// A group's root or member is not a node of the system.
     NodeOutOfRange(GroupId, NodeId),
+    /// A group's variable id is not below [`VAR_ID_BOUND`].
+    VarOutOfRange(GroupId, VarId),
 }
 
 impl fmt::Display for GroupConfigError {
@@ -69,6 +77,9 @@ impl fmt::Display for GroupConfigError {
                     "group {g} names node {n}, which the system does not have"
                 )
             }
+            GroupConfigError::VarOutOfRange(g, v) => {
+                write!(f, "group {g} names variable {v}, not below {VAR_ID_BOUND}")
+            }
         }
     }
 }
@@ -86,7 +97,8 @@ struct GroupHead {
     members_at: u32,
     /// Start of the group's variables in [`GroupTable::vars`].
     vars_at: u32,
-    mutex_lock: Option<VarId>,
+    /// The mutex lock variable's id, or [`NO_LOCK`].
+    mutex_lock: u32,
     /// Start of the group's sorted `(node, rank)` pairs in
     /// [`GroupTable::ranks`], or [`CONTIGUOUS`] when none are stored.
     ranks_at: u32,
@@ -99,6 +111,16 @@ struct GroupHead {
 /// groups), and the rank lookup sits on the per-delivery protocol hot
 /// path.
 const CONTIGUOUS: u32 = u32::MAX;
+
+/// [`GroupHead::mutex_lock`] of a group without a lock: no variable id,
+/// since every id is below [`VAR_ID_BOUND`].
+const NO_LOCK: u32 = u32::MAX;
+
+/// [`GroupTable::var_group`] of a variable no group claims.
+const UNCLAIMED: u32 = u32::MAX;
+
+// A head per group: the mesh's groups outnumber its nodes.
+const _: () = assert!(std::mem::size_of::<GroupHead>() <= 20);
 
 /// One validated sharing group: a `Copy` view into its [`GroupTable`].
 #[derive(Clone, Copy)]
@@ -178,7 +200,8 @@ impl<'a> SharingGroup<'a> {
 
     /// The mutex lock variable, if this is a mutex group.
     pub fn mutex_lock(self) -> Option<VarId> {
-        self.head().mutex_lock
+        let lock = self.head().mutex_lock;
+        (lock != NO_LOCK).then_some(VarId::new(lock))
     }
 
     /// Whether the group has an associated mutex lock.
@@ -193,8 +216,8 @@ impl<'a> SharingGroup<'a> {
 /// Stored flat: one fixed-size head per group over one machine-wide member
 /// array and one variable array, so a machine with more groups than nodes
 /// pays per *member*, not a set of heap vectors per group; the
-/// variable-to-group index is one sorted array of 8-byte pairs. Groups
-/// are read through [`SharingGroup`] views returned by value.
+/// variable-to-group index is one word per variable id. Groups are read
+/// through [`SharingGroup`] views returned by value.
 #[derive(Debug, Clone, Default)]
 pub struct GroupTable {
     heads: Vec<GroupHead>,
@@ -209,10 +232,9 @@ pub struct GroupTable {
     /// queries without touching the declared member order (which the
     /// multicast fan-out depends on).
     ranks: Vec<(NodeId, u32)>,
-    /// Every variable with its group, sorted by variable: the index
-    /// [`GroupTable::group_of`] binary-searches. Appended by each push and
-    /// sorted once by [`GroupTableBuilder::finish`].
-    var_groups: Vec<(VarId, GroupId)>,
+    /// The group owning each variable, indexed by variable id, up to the
+    /// highest id declared; [`UNCLAIMED`] for an id no group names.
+    var_group: Vec<u32>,
     /// The highest node any group names as root or member, with the first
     /// group that names it: a machine checks its size against this alone.
     highest: Option<(GroupId, NodeId)>,
@@ -221,8 +243,7 @@ pub struct GroupTable {
 /// Incremental construction of a [`GroupTable`]: each
 /// [`push`](GroupTableBuilder::push) validates one group and appends it to
 /// the flat table, so no list of specs is accumulated. The first error is
-/// kept and reported by [`finish`](GroupTableBuilder::finish), which also
-/// finds variables claimed twice.
+/// kept and reported by [`finish`](GroupTableBuilder::finish).
 #[derive(Debug)]
 pub struct GroupTableBuilder {
     table: GroupTable,
@@ -251,10 +272,8 @@ impl GroupTableBuilder {
         self.table.is_empty()
     }
 
-    /// Validates `spec` — all but the uniqueness of its variables, which
-    /// [`finish`](GroupTableBuilder::finish) checks — and appends it as the
-    /// next group id. After the first invalid group every further push is
-    /// ignored.
+    /// Validates `spec` and appends it as the next group id. After the
+    /// first invalid group every further push is ignored.
     pub fn push(&mut self, spec: &GroupSpec) {
         if self.error.is_none() {
             self.error = self.table.push(spec, self.nodes).err();
@@ -263,56 +282,22 @@ impl GroupTableBuilder {
 
     /// The table, or the first [`GroupConfigError`] a push found: empty
     /// member or variable lists, a root or member that is not a node,
-    /// duplicate members, a variable claimed by two groups, or a mutex
-    /// lock missing from its own group.
+    /// duplicate members, a mutex lock missing from its own group, or a
+    /// variable id past [`VAR_ID_BOUND`] or claimed twice.
     ///
     /// # Errors
     ///
     /// Returns that first error.
     pub fn finish(mut self) -> Result<GroupTable, GroupConfigError> {
-        // Only the groups accepted before any other error are indexed, so a
-        // variable claimed twice among them is reported first — as it was
-        // when each push checked its own variables.
-        let index = &mut self.table.var_groups;
-        sort_by_var(index);
-        if index.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(GroupConfigError::DuplicateVar(self.table.first_repeat()));
-        }
         match self.error {
-            None => Ok(self.table),
+            None => {
+                // The index grew by doubling: up to as many unused words
+                // again as the ids need.
+                self.table.var_group.shrink_to_fit();
+                Ok(self.table)
+            }
             Some(e) => Err(e),
         }
-    }
-}
-
-/// Sorts `pairs` by variable: a stable LSD radix sort on the 32-bit id, a
-/// byte a pass, that skips a pass whose byte is the same in every pair (the
-/// top bytes of a machine's worth of small ids).
-fn sort_by_var(pairs: &mut Vec<(VarId, GroupId)>) {
-    let digit = |var: VarId, pass: usize| (var.get() >> (8 * pass)) as usize & 0xff;
-    let mut counts = [[0usize; 256]; 4];
-    for &(var, _) in pairs.iter() {
-        for (pass, count) in counts.iter_mut().enumerate() {
-            count[digit(var, pass)] += 1;
-        }
-    }
-    let mut scratch = Vec::new();
-    for (pass, count) in counts.iter_mut().enumerate() {
-        if count.contains(&pairs.len()) {
-            continue;
-        }
-        // Each digit's first index in the output.
-        let mut at = 0;
-        for n in count.iter_mut() {
-            (at, *n) = (at + *n, at);
-        }
-        scratch.resize(pairs.len(), pairs[0]);
-        for &pair in pairs.iter() {
-            let d = digit(pair.0, pass);
-            scratch[count[d]] = pair;
-            count[d] += 1;
-        }
-        std::mem::swap(pairs, &mut scratch);
     }
 }
 
@@ -322,9 +307,8 @@ impl GroupTable {
     ///
     /// # Errors
     ///
-    /// Returns the first [`GroupConfigError`] found: empty member or
-    /// variable lists, duplicate members, a variable claimed by two groups,
-    /// or a mutex lock missing from its own group.
+    /// Returns the first [`GroupConfigError`] found, as
+    /// [`GroupTableBuilder::finish`] does.
     pub fn new(specs: Vec<GroupSpec>) -> Result<Self, GroupConfigError> {
         // Not told the system's size, so no node is out of range.
         let mut builder = GroupTableBuilder::new(usize::MAX);
@@ -334,10 +318,10 @@ impl GroupTable {
         builder.finish()
     }
 
-    /// Validates and appends one group of a system of `nodes` CPUs, leaving
-    /// its variables' uniqueness to [`GroupTableBuilder::finish`]. On error
-    /// the table is left half-updated; [`GroupTableBuilder`] never hands
-    /// such a table out.
+    /// Validates and appends one group of a system of `nodes` CPUs,
+    /// claiming its variables in declared order. On error the table is
+    /// left half-updated; [`GroupTableBuilder`] never hands such a table
+    /// out.
     fn push(&mut self, spec: &GroupSpec, nodes: usize) -> Result<(), GroupConfigError> {
         let id = GroupId::new(self.heads.len() as u32);
         let Some(&first) = spec.members.first() else {
@@ -387,34 +371,31 @@ impl GroupTable {
                 return Err(GroupConfigError::LockNotInGroup(id, lock));
             }
         }
+        for &var in &spec.vars {
+            if var.get() >= VAR_ID_BOUND {
+                return Err(GroupConfigError::VarOutOfRange(id, var));
+            }
+            if var.index() >= self.var_group.len() {
+                self.var_group.resize(var.index() + 1, UNCLAIMED);
+            }
+            if self.var_group[var.index()] != UNCLAIMED {
+                return Err(GroupConfigError::DuplicateVar(var));
+            }
+            self.var_group[var.index()] = id.get();
+        }
         self.heads.push(GroupHead {
             root: spec.root,
             members_at: u32::try_from(self.members.len()).expect("more than 2^32 member slots"),
             vars_at: u32::try_from(self.vars.len()).expect("more than 2^32 group variables"),
-            mutex_lock: spec.mutex_lock,
+            mutex_lock: spec.mutex_lock.map_or(NO_LOCK, VarId::get),
             ranks_at,
         });
         self.members.extend_from_slice(&spec.members);
         self.vars.extend_from_slice(&spec.vars);
-        self.var_groups
-            .extend(spec.vars.iter().map(|&var| (var, id)));
         if self.highest.is_none_or(|(_, node)| highest > node) {
             self.highest = Some((id, highest));
         }
         Ok(())
-    }
-
-    /// The earliest-declared variable that repeats one declared before it,
-    /// in group order and then declared order: the search a duplicate
-    /// found by [`GroupTableBuilder::finish`] pays for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no variable repeats.
-    fn first_repeat(&self) -> VarId {
-        let mut seen = std::collections::HashSet::with_capacity(self.vars.len());
-        let repeat = self.vars.iter().find(|&&var| !seen.insert(var));
-        *repeat.expect("a variable repeats")
     }
 
     /// The highest node any group names as root or member, with the first
@@ -445,10 +426,11 @@ impl GroupTable {
 
     /// The group owning `var`, if any.
     pub fn group_of(&self, var: VarId) -> Option<SharingGroup<'_>> {
-        let at = (self.var_groups)
-            .binary_search_by_key(&var, |&(v, _)| v)
-            .ok()?;
-        Some(self.group(self.var_groups[at].1))
+        let id = *self.var_group.get(var.index())?;
+        (id != UNCLAIMED).then_some(SharingGroup {
+            table: self,
+            id: GroupId::new(id),
+        })
     }
 
     /// Iterates over all groups.
@@ -630,51 +612,6 @@ mod tests {
         );
     }
 
-    /// The `var → group` index as it was built before each push appended
-    /// its own pairs: every variable with its position in `vars`, sorted,
-    /// the earliest-declared repeat found among neighbours, and each
-    /// position's group found by a search over the heads.
-    fn two_array_index(t: &GroupTable) -> Result<Vec<(VarId, GroupId)>, GroupConfigError> {
-        let mut index: Vec<(VarId, u32)> = (0..).zip(&t.vars).map(|(at, &var)| (var, at)).collect();
-        index.sort_unstable();
-        let repeat = index
-            .windows(2)
-            .filter(|w| w[0].0 == w[1].0)
-            .map(|w| w[1].1)
-            .min();
-        if let Some(at) = repeat {
-            return Err(GroupConfigError::DuplicateVar(t.vars[at as usize]));
-        }
-        Ok(index
-            .into_iter()
-            .map(|(var, at)| {
-                let group = t.heads.partition_point(|h| h.vars_at <= at) - 1;
-                (var, GroupId::new(group as u32))
-            })
-            .collect())
-    }
-
-    #[test]
-    fn the_radix_sort_equals_a_stable_sort_by_variable() {
-        let mut rng = sesame_sim::DetRng::new(0x0072_6164_6978);
-        for len in [0usize, 1, 2, 255, 256, 3_000] {
-            // Each byte drawn from a few values, so passes are skipped,
-            // repeats abound and every byte position varies somewhere.
-            let byte =
-                |rng: &mut sesame_sim::DetRng| [0u32, 1, 0x7f, 0xff][rng.next_below(4) as usize];
-            let mut pairs: Vec<(VarId, GroupId)> = (0..len as u32)
-                .map(|g| {
-                    let id = (0..4).fold(0, |id, _| id << 8 | byte(&mut rng));
-                    (v(id), GroupId::new(g))
-                })
-                .collect();
-            let mut want = pairs.clone();
-            want.sort_by_key(|&(var, _)| var);
-            sort_by_var(&mut pairs);
-            assert_eq!(pairs, want, "{len} pairs");
-        }
-    }
-
     /// The table as it was before it went flat: validation over the spec
     /// list in the original order, queries by scanning the specs.
     fn model_validate(specs: &[GroupSpec]) -> Result<(), GroupConfigError> {
@@ -698,6 +635,9 @@ mod tests {
                 }
             }
             for &var in &spec.vars {
+                if var.get() >= VAR_ID_BOUND {
+                    return Err(GroupConfigError::VarOutOfRange(id, var));
+                }
                 if !seen.insert(var) {
                     return Err(GroupConfigError::DuplicateVar(var));
                 }
@@ -710,16 +650,15 @@ mod tests {
     const VARS: u32 = 40;
 
     /// Random specs: ascending runs and scrambled member lists, fresh
-    /// variables (half the time sparse ids, from 0 up and from `u32::MAX`
-    /// down, declared out of order, whose low three bytes sort apart from
-    /// their top byte) — and, one time in three, one or two planted
-    /// faults.
+    /// variables (half the time sparse ids, from 0 up and from 2^16 down,
+    /// declared out of order) — and, one time in three, one or two
+    /// planted faults.
     fn random_specs(rng: &mut sesame_sim::DetRng) -> Vec<GroupSpec> {
         let sparse = rng.chance(0.5);
         let var = |k: u32| match (sparse, k % 2) {
             (false, _) => v(k),
-            (true, 0) => v(u32::MAX - k),
-            (true, _) => v((k - 1) * 0x00ff_ffff),
+            (true, 0) => v(0xffff - k),
+            (true, _) => v((k - 1) * 0x3ff),
         };
         let mut next_var = 0u32;
         let mut specs: Vec<GroupSpec> = (0..1 + rng.next_below(7))
@@ -759,7 +698,7 @@ mod tests {
                 .first()
                 .map_or(v(VARS + 3), |&var| var);
             let spec = &mut specs[at];
-            match rng.next_below(6) {
+            match rng.next_below(7) {
                 0 => spec.members.clear(),
                 1 => spec.vars.clear(),
                 2 => {
@@ -774,6 +713,9 @@ mod tests {
                 }
                 3 => spec.mutex_lock = Some(v(VARS + 1)),
                 4 => spec.vars.push(earlier), // claimed by an earlier group, or twice by this one
+                5 => spec
+                    .vars
+                    .insert(0, v(VAR_ID_BOUND + rng.next_below(2) as u32)),
                 _ => {
                     // Two faults in one group: the earlier check wins.
                     if let Some(&first) = spec.members.first() {
@@ -803,15 +745,6 @@ mod tests {
                 table.as_ref().err(),
                 "stream {stream}: builder and new() disagree"
             );
-            // The one-sort index against the two-array one, over the
-            // groups accepted before any push error.
-            let mut raw = GroupTable::default();
-            let pushed = specs.iter().try_for_each(|s| raw.push(s, usize::MAX));
-            match (two_array_index(&raw), &table) {
-                (Ok(index), Ok(t)) => assert_eq!(t.var_groups, index, "stream {stream}"),
-                (Ok(_), Err(e)) => assert_eq!(pushed.as_ref(), Err(e), "stream {stream}"),
-                (Err(want), got) => assert_eq!(got.as_ref().err(), Some(&want), "stream {stream}"),
-            }
             if let Err(want) = model_validate(&specs) {
                 assert_eq!(table.unwrap_err(), want, "stream {stream}: {specs:?}");
                 invalid += 1;
@@ -851,7 +784,8 @@ mod tests {
             }
             assert_eq!(t.member_slots(), base);
             // The index answers like the map it replaced: every declared
-            // variable, its neighbours, and both ends of the id space.
+            // variable, its neighbours (one past the largest among them),
+            // and both ends of the id space.
             let map: HashMap<VarId, usize> = (specs.iter().enumerate())
                 .flat_map(|(i, s)| s.vars.iter().map(move |&var| (var, i)))
                 .collect();
@@ -926,20 +860,31 @@ mod tests {
             ]),
             8
         );
-        // Ids at the top of the space.
-        let top = u32::MAX;
-        assert_eq!(
-            dup(vec![
-                spec(0, &[0], &[top, 0], None),
-                spec(0, &[0], &[top - 1, top], None)
-            ]),
-            top
-        );
     }
 
     #[test]
-    fn group_head_is_twenty_four_bytes() {
-        assert_eq!(std::mem::size_of::<GroupHead>(), 24);
+    fn a_var_id_at_the_bound_is_refused_before_it_sizes_the_index() {
+        let top = VAR_ID_BOUND - 1;
+        let t = GroupTable::new(vec![spec(0, &[0], &[top, 0], Some(top))]).unwrap();
+        assert_eq!(t.group_of(v(top)).map(|g| g.id()), Some(GroupId::new(0)));
+        assert_eq!(t.group(GroupId::new(0)).mutex_lock(), Some(v(top)));
+        assert!(t.group_of(v(VAR_ID_BOUND)).is_none());
+        // The id at the bound: the group's earlier variable is claimed,
+        // and the index stays as long as that one needs.
+        let mut b = GroupTableBuilder::new(1);
+        b.push(&spec(0, &[0], &[3, VAR_ID_BOUND, u32::MAX], None));
+        assert!(b.table.var_group.capacity() <= 8);
+        let err = b.finish().unwrap_err();
+        assert_eq!(
+            err,
+            GroupConfigError::VarOutOfRange(GroupId::new(0), v(VAR_ID_BOUND))
+        );
+        assert!(err.to_string().contains("not below 16777216"), "{err}");
+    }
+
+    #[test]
+    fn group_head_is_twenty_bytes() {
+        assert_eq!(std::mem::size_of::<GroupHead>(), 20);
     }
 
     #[test]

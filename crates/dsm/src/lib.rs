@@ -76,7 +76,9 @@ mod protocol;
 pub use addr::{lockval, GroupId, VarId, Word};
 pub use causal::{Carried, CauseCtx};
 pub use footprint::{event_footprint, independent, is_local, Footprint, Resource};
-pub use group::{GroupConfigError, GroupSpec, GroupTable, GroupTableBuilder, SharingGroup};
+pub use group::{
+    GroupConfigError, GroupSpec, GroupTable, GroupTableBuilder, SharingGroup, VAR_ID_BOUND,
+};
 pub use gwc::{GwcModel, GwcMutation, GwcStats};
 pub use machine::{
     run, run_observed, CpuMeter, DsmEvent, Machine, MachineConfig, MachineMsg, Model, Mx,

@@ -523,8 +523,8 @@ pub struct Machine<M: Model> {
     /// Member-pruned routes, built lazily per group when
     /// [`MachineConfig::pruned_multicast`] is on, stored once per shape in
     /// one arena addressed by the dense group index: wave dispatch
-    /// resolves its route with one 8-byte handle load instead of a hash
-    /// probe per event.
+    /// resolves its route with one 4-byte shape-index load, placed at the
+    /// root it already holds, instead of a hash probe per event.
     routes: RouteArena,
     mems: Vec<LocalMemory>,
     /// The init image every memory starts from (sorted, unique), held
@@ -749,7 +749,8 @@ impl<M: Model> Machine<M> {
     /// dispatched rather than from the send instant, because the schedule
     /// explorer may deliver a car late.
     fn wave_after(&self, group: GroupId, wave: u32, bytes: u32) -> Option<(SimDur, NodeId)> {
-        let route = self.routes.get(group.index())?;
+        let root = self.groups.group(group).root();
+        let route = self.routes.get(group.index(), root)?;
         let (this, next) = (wave as usize, wave as usize + 1);
         if next == route.wave_count() {
             return None;
@@ -973,11 +974,12 @@ impl<M: Model> Actor for Machine<M> {
                 // member still gets its own packet delivery and cascade, in
                 // declared member order, as if they were separate events at
                 // this instant. The route's wave is placed at the group's
-                // root and copied into scratch first, because delivering to
-                // a member borrows the whole machine mutably.
+                // root, the packet's sender, and copied into scratch first,
+                // because delivering to a member borrows the whole machine
+                // mutably.
                 let route = self
                     .routes
-                    .get(group.index())
+                    .get(group.index(), pkt.from)
                     .expect("McastWave event for a group whose route was never built");
                 self.wave_scratch.clear();
                 self.wave_scratch.extend(route.wave(wave as usize));

@@ -35,8 +35,9 @@
 //!
 //! [`RouteArena`] therefore stores each shape once, appended to one
 //! vector, finds it again by its first `m + 1` words (the offsets of the
-//! root and the members), and keeps an 8-byte handle (shape, root) per
-//! group. [`MulticastRoute`] is the same layout owning a single route.
+//! root and the members), and keeps a 4-byte shape index per group; the
+//! caller, which knows the group's root, supplies it to place the shape.
+//! [`MulticastRoute`] is the same layout owning a single route.
 //! Both hand out the borrowed [`RouteRef`] view, which carries the root
 //! and the frame and places every position as it is read.
 //!
@@ -385,24 +386,8 @@ struct Stored {
     shape: Shape,
 }
 
-/// What a group keeps of its route: the shape it shares, and where that
-/// shape is placed.
-#[derive(Debug, Clone, Copy)]
-struct Handle {
-    /// Index into the arena's stored shapes; [`NONE`] until first use.
-    shape: u32,
-    root: NodeId,
-}
-
 /// The index that names no shape or index entry.
 const NONE: u32 = u32::MAX;
-
-impl Handle {
-    const UNBUILT: Handle = Handle {
-        shape: NONE,
-        root: NodeId::new(0),
-    };
-}
 
 /// Every pruned route of one machine, stored once per shape.
 ///
@@ -410,7 +395,7 @@ impl Handle {
 /// group id) and built lazily on first use. A first use looks the group's
 /// shape up by the offsets of its root and members (see [`Frame`]), and
 /// walks and stores the route only if no group before it had that shape;
-/// either way the id keeps an 8-byte handle. The arena is
+/// either way the id keeps the 4-byte index of its shape. The arena is
 /// **append-only**: a stored shape's words are appended to one vector and
 /// are never rewritten or dropped, and its place in that vector never
 /// changes, so an id — or a `(id, wave)` pair queued in an event — stays
@@ -427,7 +412,9 @@ pub struct RouteArena {
     /// Open-addressed hash index over `shapes`: a power-of-two table of
     /// shape indices ([`NONE`] for a free entry), at most half full.
     index: Vec<u32>,
-    handles: Vec<Handle>,
+    /// Each route id's shape: an index into `shapes`, [`NONE`] until
+    /// first use.
+    handles: Vec<u32>,
     /// The lookup key of the group being built.
     key: Vec<u32>,
     scratch: RouteScratch,
@@ -438,7 +425,7 @@ impl RouteArena {
     /// Ids beyond that still work; their handles are added on demand.
     pub fn with_routes(routes: usize) -> Self {
         RouteArena {
-            handles: vec![Handle::UNBUILT; routes],
+            handles: vec![NONE; routes],
             ..RouteArena::default()
         }
     }
@@ -450,20 +437,22 @@ impl RouteArena {
         (&self.words[at..at + shape.words()], shape)
     }
 
-    /// The route with the given id, if it has been built.
-    pub fn get(&self, id: usize) -> Option<RouteRef<'_>> {
-        let handle = *self.handles.get(id)?;
-        if handle.shape == NONE {
+    /// The route with the given id, placed at `root` — the root it was
+    /// built for — if it has been built.
+    pub fn get(&self, id: usize, root: NodeId) -> Option<RouteRef<'_>> {
+        let s = *self.handles.get(id)?;
+        if s == NONE {
             return None;
         }
-        let (words, shape) = self.stored(handle.shape);
-        Some(RouteRef::new(words, shape, handle.root, self.frame))
+        let (words, shape) = self.stored(s);
+        Some(RouteRef::new(words, shape, root, self.frame))
     }
 
     /// The route with the given id, built now from `(topo, root, members)`
     /// if this is its first use (see [`MulticastRoute::build`], including
-    /// the panics). Later calls ignore the arguments: a route is a pure
-    /// function of the topology and its group, both fixed for a machine.
+    /// the panics). Later calls read only `root`, which places the stored
+    /// shape: a route is a pure function of the topology and its group,
+    /// both fixed for a machine.
     ///
     /// # Panics
     ///
@@ -477,9 +466,9 @@ impl RouteArena {
         members: &[NodeId],
     ) -> RouteRef<'_> {
         if id >= self.handles.len() {
-            self.handles.resize(id + 1, Handle::UNBUILT);
+            self.handles.resize(id + 1, NONE);
         }
-        if self.handles[id].shape == NONE {
+        if self.handles[id] == NONE {
             let frame = topo.frame();
             assert!(
                 self.shapes.is_empty() || frame == self.frame,
@@ -498,9 +487,9 @@ impl RouteArena {
                 Ok(s) => s,
                 Err(free) => self.store(topo, root, members, free),
             };
-            self.handles[id] = Handle { shape, root };
+            self.handles[id] = shape;
         }
-        self.get(id).expect("route was just built")
+        self.get(id, root).expect("route was just built")
     }
 
     /// The stored shape whose key equals `self.key`, or else the index
@@ -562,13 +551,12 @@ impl RouteArena {
     }
 
     /// Heap bytes of route storage the arena holds — shape words, shape
-    /// records, the shape index and the per-route handles, by capacity.
-    /// Zero until a handle or route exists.
+    /// records, the shape index and the per-route shape indices, by
+    /// capacity. Zero until a handle or route exists.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.words.capacity() + self.index.capacity()) * size_of::<u32>()
+        (self.words.capacity() + self.index.capacity() + self.handles.capacity()) * size_of::<u32>()
             + self.shapes.capacity() * size_of::<Stored>()
-            + self.handles.capacity() * size_of::<Handle>()
     }
 }
 
@@ -887,17 +875,20 @@ mod tests {
             rng.shuffle(&mut order);
             let mut arena = RouteArena::with_routes(groups.len() / 2); // handles grow on demand
             for (k, &g) in order.iter().enumerate() {
-                assert!(arena.get(g).is_none(), "stream {stream}: {g} not built yet");
                 let (root, members) = &groups[g];
+                assert!(
+                    arena.get(g, *root).is_none(),
+                    "stream {stream}: {g} not built yet"
+                );
                 let built = arena.get_or_build(g, topo, *root, members);
                 refs[g].assert_matches(built, &format!("stream {stream} arena {g}"));
                 for &earlier in &order[..k] {
-                    let again = arena.get(earlier).expect("append-only");
+                    let again = arena.get(earlier, groups[earlier].0).expect("append-only");
                     refs[earlier].assert_matches(again, &format!("stream {stream} reread"));
                 }
             }
-            // A second request is a lookup: the arguments are ignored.
-            let again = arena.get_or_build(order[0], topo, n(0), &[]);
+            // A second request is a lookup: the members are ignored.
+            let again = arena.get_or_build(order[0], topo, groups[order[0]].0, &[]);
             refs[order[0]].assert_matches(again, "second get_or_build");
         }
     }
@@ -907,8 +898,9 @@ mod tests {
         let topo = MeshTorus2d::new(6, 6);
         let route = MulticastRoute::build(&topo, n(3), &[n(3), n(4)]);
         assert_eq!(route.words.len(), 12);
-        assert_eq!(std::mem::size_of::<Handle>(), 8, "handle per group");
         assert_eq!(std::mem::size_of::<Stored>(), 16, "record per shape");
+        let handles = RouteArena::with_routes(100).heap_bytes();
+        assert_eq!(handles, 400, "a 4-byte handle per route");
         let mut arena = RouteArena::default();
         assert_eq!(arena.heap_bytes(), 0, "an unused arena owns no heap");
         arena.get_or_build(0, &topo, n(3), &[n(3), n(4)]);
@@ -962,7 +954,7 @@ mod tests {
             assert_eq!(arena.words.len(), used);
             for (g, (root, members)) in groups.iter().enumerate() {
                 let owned = MulticastRoute::build(topo, *root, members);
-                let (got, want) = (arena.get(g).expect("built"), owned.view());
+                let (got, want) = (arena.get(g, *root).expect("built"), owned.view());
                 assert_eq!(got.members, want.members, "route {g}");
                 assert_eq!(got.depths, want.depths, "route {g}");
                 assert_eq!(got.wave_nodes, want.wave_nodes, "route {g}");
@@ -1040,11 +1032,9 @@ mod tests {
             // Sharing: a symmetric frame stores fewer shapes than groups,
             // and the absolute frame never lets two roots share one.
             let roots_of = |s: u32| {
-                let mut roots: Vec<NodeId> = arena
-                    .handles
-                    .iter()
-                    .filter(|h| h.shape == s)
-                    .map(|h| h.root)
+                let mut roots: Vec<NodeId> = (arena.handles.iter().zip(&groups))
+                    .filter(|&(&h, _)| h == s)
+                    .map(|(_, &(root, _))| root)
                     .collect();
                 roots.sort_unstable();
                 roots.dedup();
@@ -1067,7 +1057,7 @@ mod tests {
                 let mut now = SimTime::ZERO;
                 for &g in &order {
                     let bytes = 16 + rng.next_below(200) as u32;
-                    let route = arena.get(g).expect("built");
+                    let route = arena.get(g, groups[g].0).expect("built");
                     framed.multicast_route_into(now, route, bytes, &mut got);
                     reference.multicast_route_into(now, &absolute[g], bytes, &mut want);
                     assert_eq!(got, want, "{topo:?} {timing:?} group {g}");

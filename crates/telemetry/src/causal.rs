@@ -133,6 +133,12 @@ impl Packed {
 /// what a pass keeps.
 const COLLECT_FROM: usize = 64 << 10;
 
+/// The most vacant entries one record may open past the end of the dense
+/// tail (1 MiB of slab). A producer records its ids as it allocates them,
+/// so the tail grows one entry at a time; an id further ahead is refused
+/// and counted ([`CausalDag::refused`]) rather than sizing the slab.
+const MAX_JUMP: usize = 1 << 16;
+
 /// Export size hint: above what real runs write per node, so the buffer
 /// is allocated once (untouched capacity costs address space, not memory).
 const JSON_BYTES_PER_NODE: usize = 128;
@@ -232,9 +238,9 @@ impl FrontIds {
 /// 1, 2, 3, … and records each as it allocates it, so the tail fills in
 /// order with no holes. Ids that arrive out of order, twice, or with gaps
 /// (a hand-assembled trace) still work — gaps are vacant entries — at 16
-/// bytes per id up to the largest one seen. The *compacted front* holds
-/// the survivors of a shrink back to back, `ids` naming them in 4 bytes
-/// each.
+/// bytes per id up to the largest one seen, so a record more than 2^16
+/// entries ahead of the tail is refused. The *compacted front* holds the
+/// survivors of a shrink back to back, `ids` naming them in 4 bytes each.
 ///
 /// The collector shrinks behind each cause floor it is told and once more
 /// in [`Telemetry::finish`](crate::Telemetry::finish), which leaves the
@@ -255,6 +261,8 @@ pub struct CausalDag {
     len: usize,
     /// Entries ever occupied: `len` plus what shrinking dropped.
     recorded: usize,
+    /// Records refused for an id too far past the dense tail.
+    refused: usize,
     /// Rollback blame by node id: `(var, writer)`.
     conflicts: BTreeMap<u64, (u32, u32)>,
     /// `(time, cause)` by node id of the records whose time field is
@@ -334,6 +342,13 @@ impl CausalDag {
         self.recorded
     }
 
+    /// Number of records refused because their id lay more than 2^16
+    /// entries past the end of the dense tail.
+    #[must_use]
+    pub fn refused(&self) -> usize {
+        self.refused
+    }
+
     /// Whether no causal records were observed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -406,8 +421,9 @@ impl CausalDag {
     /// forest invariant "parents precede children" is enforced here: a
     /// `cause` that is not a smaller id is stored as a root, so walking
     /// parent links always terminates. `id == 0` (the "no cause" value)
-    /// names no node and is ignored. Returns the parent id as stored, or
-    /// `None` for an ignored record.
+    /// names no node and is ignored; an id more than [`MAX_JUMP`] entries
+    /// past the tail is refused. Returns the parent id as stored, or
+    /// `None` for an ignored or refused record.
     fn insert(
         &mut self,
         id: u64,
@@ -433,8 +449,14 @@ impl CausalDag {
         );
         let at = match id.checked_sub(self.behind + 1) {
             Some(k) => {
-                let k = usize::try_from(k).expect("causal id exceeds the address space");
-                let at = self.ids.len() + k;
+                let at = usize::try_from(k)
+                    .ok()
+                    .and_then(|k| k.checked_add(self.ids.len()));
+                let Some(at) = at.filter(|&at| at.saturating_sub(self.slab.len()) < MAX_JUMP)
+                else {
+                    self.refused += 1;
+                    return None;
+                };
                 if at >= self.slab.len() {
                     self.slab.resize(at + 1, Packed::EMPTY);
                 }

@@ -8,13 +8,14 @@
 //! And the bytes it holds: told the floor as a machine tells it, a slab no
 //! larger than the collection window however long the run, not 16 bytes
 //! per recorded cause; a 32-byte span per sequenced write while the run
-//! lasts; the explained set at 28 bytes a node once it has finished.
+//! lasts; the explained set at 28 bytes a node once it has finished. And
+//! no id sizes the slab: one far past the dense tail is refused.
 
-use sesame_alloc_probe::{allocations, live_bytes, CountingAlloc};
+use sesame_alloc_probe::{allocations, live_bytes, peak_bytes, reset_peak, CountingAlloc};
 use sesame_sim::{
     ApplyMode, CauseOp, SimDur, SimTime, TraceDetail, TraceEntry, TraceKind as K, TraceObserver,
 };
-use sesame_telemetry::Telemetry;
+use sesame_telemetry::{CausalDag, Telemetry};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -276,4 +277,30 @@ fn collector_holds_a_slab_while_recording_and_the_explained_set_after_finish() {
         bytes <= 28 * nodes,
         "{bytes} more bytes held for {nodes} more retained nodes"
     );
+}
+
+#[test]
+fn an_id_far_past_the_dense_tail_is_refused_not_allocated_for() {
+    // Vacant entries up to id 2^40 would be 16 TiB of slab.
+    let cause = |id| TraceEntry {
+        time: SimTime::from_nanos(5),
+        actor: 0,
+        kind: K::Cause,
+        detail: TraceDetail::Cause {
+            id,
+            cause: 1,
+            op: CauseOp::Send,
+        },
+    };
+    let before = live_bytes();
+    reset_peak();
+    let dag = CausalDag::from_trace(&[cause(1), cause(1 << 40), cause(2)]);
+    let peak = peak_bytes() - before;
+    assert!(
+        peak <= 4 << 10,
+        "a store fed id 2^40 peaked at {peak} bytes"
+    );
+    assert_eq!((dag.len(), dag.refused()), (2, 1));
+    assert!(dag.get(1 << 40).is_none());
+    assert_eq!(dag.get(2).map(|node| node.cause), Some(1));
 }

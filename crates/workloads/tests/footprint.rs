@@ -7,9 +7,12 @@
 //!
 //! Budgets are requested bytes (no allocator headers) and sit about 25 %
 //! above the readings in `docs/performance.md` ("Bytes per node"), which
-//! are these tests' own numbers (release build): 222 built, 270 at the
-//! run's peak, 47 added by the run, and 1 202 allocating calls for a whole
-//! run. A 16-byte program pointer per node, idle or not, and a 24-byte
+//! are these tests' own numbers (release build): 203 built, 250 at the
+//! run's peak, 47 added by the run, and 1 189 allocating calls for a whole
+//! run. A 24-byte group head, a sorted 8-byte `(var, group)` pair per
+//! variable and an 8-byte `(shape, root)` route handle per group read 222
+//! built and 270 at the peak: the route budget and the head's size assert
+//! catch it. A 16-byte program pointer per node, idle or not, and a 24-byte
 //! box per running node holding an `Rc` of its row's constants read 234
 //! built, 298 at the peak, 63 added and 11 096 calls: the added and call
 //! budgets catch it.
@@ -52,8 +55,8 @@ fn built_machine_fits_its_bytes_per_node_budget() {
     let per_node = (live_bytes() - before) / NODES;
     assert!(machine.groups().len() > NODES, "more groups than nodes");
     assert!(
-        per_node <= 278,
-        "a built bigmesh machine holds {per_node} bytes per node, budget 278"
+        per_node <= 254,
+        "a built bigmesh machine holds {per_node} bytes per node, budget 254"
     );
 }
 
@@ -87,8 +90,8 @@ fn full_run_peak_heap_fits_its_budget() {
     assert_eq!(run.visits, NODES as u64);
     let peak = peak_bytes() - before;
     assert!(
-        peak / NODES <= 338,
-        "a bigmesh run peaks at {} heap bytes per node, budget 338",
+        peak / NODES <= 313,
+        "a bigmesh run peaks at {} heap bytes per node, budget 313",
         peak / NODES
     );
     // What running adds to the built machine: programs, routes, the
@@ -121,8 +124,8 @@ fn a_run_makes_a_bounded_number_of_allocations() {
 fn a_run_stores_each_route_shape_once() {
     // The machine's routes are two shapes — the row and the hand-off pair
     // — shifted over the torus, so what grows with the machine is one
-    // 8-byte handle per group; the shapes' words, their records and their
-    // index fit in a constant.
+    // 4-byte shape index per group; the shapes' words, their records and
+    // their index fit in a constant.
     let Ok(Outcome::BigMesh(run, result)) = Scenario::BigMesh(mesh()).run(None) else {
         panic!("a bigmesh scenario ends as a bigmesh outcome");
     };
@@ -130,8 +133,8 @@ fn a_run_stores_each_route_shape_once() {
     let groups = result.machine.groups().len();
     let bytes = result.machine.route_heap_bytes();
     assert!(
-        bytes <= 8 * groups + 16 * 1024,
-        "{groups} groups' routes hold {bytes} heap bytes, budget 8 per group + 16 KiB"
+        bytes <= 4 * groups + 16 * 1024,
+        "{groups} groups' routes hold {bytes} heap bytes, budget 4 per group + 16 KiB"
     );
 }
 
@@ -184,8 +187,9 @@ fn figure8_gwc_point_peak_heap_fits_its_budget() {
     // Fig. 8's largest point (128 nodes, 1 024 visits) floods every write
     // over cut-through links: each member's arrival is its hop distance
     // from the root, so the machine holds no spanning tree at all. It
-    // peaks at 632 652 B; one 132-position tree per hand-off root read
-    // 995 644 B.
+    // peaks at 628 324 B, of which 40 KB is the variable index: a word per
+    // id up to the largest, and the ids stride 64 per node. One
+    // 132-position tree per hand-off root read 995 644 B.
     let before = live_bytes();
     reset_peak();
     let run = run_pipeline(128, MutexMethod::OptimisticGwc, PipelineConfig::default());

@@ -11,7 +11,7 @@ use sesame_workloads::contention::ContentionConfig;
 use sesame_workloads::experiments::{figure1, figure2_jobs, figure8_jobs};
 use sesame_workloads::pipeline::PipelineConfig;
 use sesame_workloads::scenario::{Outcome, Scenario};
-use sesame_workloads::task_queue::TaskQueueConfig;
+use sesame_workloads::task_queue::{run_task_queue, TaskQueueConfig};
 use sesame_workloads::three_cpu::Figure1Config;
 
 #[test]
@@ -57,6 +57,28 @@ fn figure2_mini_sweep_preserves_the_papers_shape() {
         );
         // Speedup grows with network size in this range.
         assert!(gwc > n - 2.0, "gwc {gwc} too low at {n} CPUs");
+    }
+}
+
+#[test]
+fn figure2_peaks_where_the_fine_grid_puts_them() {
+    // Between the paper's sizes (2^k + 1) each curve peaks and then drops
+    // off a cliff: on every odd size from 3 to 135 at 1 024 tasks, GWC
+    // peaks at 119 CPUs and entry consistency at 41 (EXPERIMENTS.md,
+    // "Figure 2 on a fine grid"). A slice around each cliff pins it.
+    let cfg = TaskQueueConfig::default();
+    assert_eq!(cfg.total_tasks, 1_024);
+    for (model, sizes, peak) in [
+        (ModelChoice::Gwc, [117, 119, 121], 119), // 100.9, 102.1, 98.8
+        (ModelChoice::Entry, [39, 41, 43], 41),   // 26.7, 30.4, 17.0
+    ] {
+        let speedups = sizes.map(|n| run_task_queue(n, model, cfg).speedup);
+        let best = (0..3).max_by(|&a, &b| speedups[a].total_cmp(&speedups[b]));
+        assert_eq!(
+            best.map(|i| sizes[i]),
+            Some(peak),
+            "{model:?} over {sizes:?}: {speedups:?}"
+        );
     }
 }
 
